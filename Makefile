@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci build vet test race bench-smoke fuzz-smoke bench-json benchdiff
+.PHONY: ci build vet test race bench-smoke fuzz-smoke bench-json benchdiff loc
 
 # The tier-1 gate: everything a PR must keep green. When both the
 # baseline and current benchmark documents exist, the perf gate runs
@@ -54,8 +54,15 @@ benchdiff:
 	$(GO) run ./cmd/benchdiff BENCH_PR9.json BENCH_PR10.json
 
 # Short differential-fuzz runs: binned vs linear matching must agree,
-# and staged vs zero-copy shm RMA must deliver identical bytes.
+# staged vs zero-copy shm RMA must deliver identical bytes, and every
+# blocking collective must agree with a Send/Recv-only reference.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzBinnedMatchesLinear -fuzztime 10s ./internal/match
 	$(GO) test -run xxx -fuzz FuzzRmaStagedZeroCopy -fuzztime 10s .
 	$(GO) test -run xxx -fuzz FuzzPartitionedVsPlain -fuzztime 10s .
+	$(GO) test -run xxx -fuzz FuzzBlockingCollectives -fuzztime 10s .
+
+# Lines of Go that are neither tests nor the benchmark: the tracked
+# output of the "least code" aim (ROADMAP aim 2).
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l

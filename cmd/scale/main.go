@@ -1,5 +1,6 @@
 // Command scale runs the large-world stress harness: a halo exchange
-// and a two-level allreduce across up to 10,000 goroutine ranks, once
+// and a flat (recursive-doubling, or reduce + bcast off powers of two)
+// allreduce across up to 10,000 goroutine ranks, once
 // with lazy (on-demand) peer state and once with the EagerPeers
 // all-pairs baseline, and prints setup time, peers touched, and modeled
 // bytes/rank for each point. The lazy runs execute under the per-rank

@@ -2,9 +2,8 @@ package gompi
 
 import (
 	"gompi/internal/coll"
-	"gompi/internal/comm"
-	"gompi/internal/core"
 	"gompi/internal/metrics"
+	"gompi/internal/nbc"
 )
 
 // Op is a predefined reduction operator.
@@ -24,98 +23,19 @@ const (
 	OpNoOp    = coll.OpNoOp
 )
 
-// collPort adapts the device to the machine-independent collective
-// algorithms: blocking matched send/recv on the communicator's
-// collective context. Internal traffic skips the public layer's
-// revalidation, as MPICH's internals do.
-type collPort struct {
-	p  *Proc
-	cv *comm.Comm
-}
-
-// Rank implements coll.PT2PT.
-func (cp collPort) Rank() int { return cp.cv.MyRank }
-
-// Size implements coll.PT2PT.
-func (cp collPort) Size() int { return cp.cv.Size() }
-
-// Send implements coll.PT2PT with a requestless eager send. Payloads
-// above the fabric's eager threshold are segmented into eager-sized
-// fragments (same tag, matched in FIFO order by the symmetric Recv
-// below), so collective sends honor the never-blocks contract instead
-// of entering the rendezvous protocol.
-func (cp collPort) Send(data []byte, dest, tag int) error {
-	lim := cp.p.eagerLimit
-	if lim <= 0 || len(data) <= lim {
-		_, err := cp.p.dev.Isend(data, len(data), Byte, dest, tag, cp.cv, core.FlagNoReq|core.FlagNoProcNull)
-		return err
-	}
-	for off := 0; off < len(data); off += lim {
-		end := off + lim
-		if end > len(data) {
-			end = len(data)
-		}
-		if _, err := cp.p.dev.Isend(data[off:end], end-off, Byte, dest, tag, cp.cv, core.FlagNoReq|core.FlagNoProcNull); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Recv implements coll.PT2PT with a blocking matched receive,
-// reassembling the fragments Send produced (every collective algorithm
-// receives into exact-size buffers, so both sides derive identical
-// fragment boundaries from the payload length).
-func (cp collPort) Recv(buf []byte, src, tag int) (int, error) {
-	lim := cp.p.eagerLimit
-	if lim <= 0 || len(buf) <= lim {
-		return cp.recvOne(buf, src, tag)
-	}
-	total := 0
-	for off := 0; off < len(buf); off += lim {
-		end := off + lim
-		if end > len(buf) {
-			end = len(buf)
-		}
-		n, err := cp.recvOne(buf[off:end], src, tag)
-		total += n
-		if err != nil {
-			return total, err
-		}
-	}
-	return total, nil
-}
-
-func (cp collPort) recvOne(buf []byte, src, tag int) (int, error) {
-	r, err := cp.p.dev.Irecv(buf, len(buf), Byte, src, tag, cp.cv, core.FlagNoProcNull)
-	if err != nil {
-		return 0, err
-	}
-	r.Wait()
-	n := r.Status.Count
-	trunc := r.Status.Truncated
-	r.Free()
-	if trunc {
-		return n, errc(ErrTruncate, "collective fragment truncated")
-	}
-	return n, nil
-}
-
-// port builds the adapter after the MPI-layer charges for a collective
-// entry.
-func (c *Comm) port() collPort { return collPort{p: c.p, cv: c.c.CollView()} }
-
 // collEnter charges the MPI-layer costs every collective entry pays.
 // The returned func (deferred by the collective) both unlocks and
-// records the traced interval.
+// records the traced interval; with tracing and profiling off it is the
+// unlock itself, so entering a collective allocates nothing.
 func (c *Comm) collEnter() (func(), error) {
 	p := c.p
 	end := p.span(TraceColl, -1, 0)
 	p.chargeCall()
-	unlock := p.chargeThread(c.c, false)
-	done := func() {
-		unlock()
-		if end != nil {
+	done := p.chargeThread(c.c, false)
+	if end != nil {
+		unlock := done
+		done = func() {
+			unlock()
 			end()
 		}
 	}
@@ -128,16 +48,49 @@ func (c *Comm) collEnter() (func(), error) {
 	return done, nil
 }
 
-// Barrier blocks until every rank of the communicator has entered
-// (MPI_BARRIER).
-func (c *Comm) Barrier() error {
-	unlock, err := c.collEnter()
+// Blocking collectives run on the same engine as the nonblocking and
+// persistent ones: each entry point below compiles its algorithm into
+// the communicator's one reusable schedule (internal/nbc) and waits on
+// it. MPI forbids a rank from running two collectives on one
+// communicator at once, and an outstanding I-collective lives in its
+// own schedule, so one schedule per communicator is enough; recompiling
+// it in place allocates nothing once it has seen the largest shape.
+//
+// The algorithm is a constant at each call site — dissemination
+// barrier, binomial bcast, binomial reduce (chain when the operator is
+// non-commutative), recursive-doubling allreduce on power-of-two sizes
+// and reduce+bcast otherwise, linear gather/scatter, ring allgather,
+// pairwise alltoall, chain scans — and deliberately ignores
+// Config.CollAlgorithm and CollAlgorithmKey, which steer only the I-
+// and persistent collectives: the blocking entry points are what the
+// paper-facing benchmarks count instructions on, and size/topology
+// selection would change rank 0's message counts under them. Switching
+// one to nbc.Select* is a one-line change here.
+
+// collWait finishes a blocking collective whose compilation into the
+// communicator's schedule returned err: it records the algorithm and
+// drives the schedule to completion. Errors pass through unwrapped, so
+// they keep the class they were raised with.
+func (c *Comm) collWait(err error) error {
 	if err != nil {
 		return err
 	}
-	defer unlock()
-	c.p.noteColl(metrics.CollBarrierDissem, 0)
-	return coll.Barrier(c.port())
+	s := &c.bsched
+	c.p.noteColl(s.Algo, s.Bytes)
+	c.p.traceRounds(s)
+	return s.Wait()
+}
+
+// Barrier blocks until every rank of the communicator has entered
+// (MPI_BARRIER).
+func (c *Comm) Barrier() error {
+	done, err := c.collEnter()
+	if err != nil {
+		return err
+	}
+	defer done()
+	nbc.Barrier(&c.bsched, c.nbcPort(), c.nbcTag())
+	return c.collWait(nil)
 }
 
 // Bcast broadcasts root's buffer to all ranks (MPI_BCAST). buf must be
@@ -145,139 +98,121 @@ func (c *Comm) Barrier() error {
 // types take the pack path in the devices; collectives here move raw
 // bytes, as the machine-independent layer does).
 func (c *Comm) Bcast(buf []byte, count int, dt *Datatype, root int) error {
-	unlock, err := c.collEnter()
+	done, err := c.collEnter()
 	if err != nil {
 		return err
 	}
-	defer unlock()
+	defer done()
 	n := count * dt.Size()
-	c.p.noteColl(metrics.CollBcastBinomial, n)
-	return coll.Bcast(c.port(), buf[:n], root)
+	return c.collWait(nbc.Bcast(&c.bsched, c.nbcPort(), c.nbcTag(), buf[:n], root, metrics.CollBcastBinomial))
 }
 
 // Reduce folds count elements of elem from every rank into recv on root
 // (MPI_REDUCE). recv is ignored elsewhere.
 func (c *Comm) Reduce(send, recv []byte, count int, elem *Datatype, op Op, root int) error {
-	unlock, err := c.collEnter()
+	done, err := c.collEnter()
 	if err != nil {
 		return err
 	}
-	defer unlock()
+	defer done()
 	n := count * elem.Size()
 	var out []byte
 	if c.Rank() == root {
 		out = recv[:n]
 	}
-	if coll.Commutative(op) {
-		c.p.noteColl(metrics.CollReduceBinomial, n)
-	} else {
-		c.p.noteColl(metrics.CollReduceChain, n)
-	}
-	return coll.Reduce(c.port(), op, elem, send[:n], out, root)
+	return c.collWait(nbc.Reduce(&c.bsched, c.nbcPort(), c.nbcTag(), op, elem, send[:n], out, root, metrics.CollReduceBinomial))
 }
 
 // Allreduce folds contributions and delivers the result everywhere
 // (MPI_ALLREDUCE).
 func (c *Comm) Allreduce(send, recv []byte, count int, elem *Datatype, op Op) error {
-	unlock, err := c.collEnter()
+	done, err := c.collEnter()
 	if err != nil {
 		return err
 	}
-	defer unlock()
+	defer done()
 	n := count * elem.Size()
-	if size := c.Size(); coll.Commutative(op) && size&(size-1) == 0 {
-		c.p.noteColl(metrics.CollAllreduceRecDoubling, n)
-	} else {
-		c.p.noteColl(metrics.CollAllreduceReduceBcast, n)
-	}
-	return coll.Allreduce(c.port(), op, elem, send[:n], recv[:n])
+	nbc.Allreduce(&c.bsched, c.nbcPort(), c.nbcTag(), op, elem, send[:n], recv[:n], metrics.CollAllreduceRecDoubling)
+	return c.collWait(nil)
 }
 
 // Gather concentrates equal-size blocks on root (MPI_GATHER).
 func (c *Comm) Gather(send, recv []byte, count int, dt *Datatype, root int) error {
-	unlock, err := c.collEnter()
+	done, err := c.collEnter()
 	if err != nil {
 		return err
 	}
-	defer unlock()
+	defer done()
+	// The tag is drawn before any argument check can fail: a rank that
+	// rejects its arguments still advances the sequence with its peers.
+	tag := c.nbcTag()
 	n := count * dt.Size()
-	var out []byte
-	if c.Rank() == root {
-		out = recv
-	} else {
-		out = nil
+	if c.Rank() == root && len(recv) < n*c.Size() {
+		return errc(ErrBuffer, "gather recv buffer %d < %d", len(recv), n*c.Size())
 	}
-	if c.Rank() == root && len(out) < n*c.Size() {
-		return errc(ErrBuffer, "gather recv buffer %d < %d", len(out), n*c.Size())
-	}
-	c.p.noteColl(metrics.CollGatherLinear, n)
-	return coll.Gather(c.port(), send[:n], out, root)
+	return c.collWait(nbc.Gather(&c.bsched, c.nbcPort(), tag, send[:n], recv, root))
 }
 
 // Scatter distributes root's equal-size blocks (MPI_SCATTER).
 func (c *Comm) Scatter(send, recv []byte, count int, dt *Datatype, root int) error {
-	unlock, err := c.collEnter()
+	done, err := c.collEnter()
 	if err != nil {
 		return err
 	}
-	defer unlock()
+	defer done()
+	tag := c.nbcTag()
 	n := count * dt.Size()
-	var in []byte
-	if c.Rank() == root {
-		in = send
-		if len(in) < n*c.Size() {
-			return errc(ErrBuffer, "scatter send buffer %d < %d", len(in), n*c.Size())
-		}
+	if c.Rank() == root && len(send) < n*c.Size() {
+		return errc(ErrBuffer, "scatter send buffer %d < %d", len(send), n*c.Size())
 	}
-	c.p.noteColl(metrics.CollScatterLinear, n)
-	return coll.Scatter(c.port(), in, recv[:n], root)
+	return c.collWait(nbc.Scatter(&c.bsched, c.nbcPort(), tag, send, recv[:n], root))
 }
 
 // Allgather concentrates equal-size blocks everywhere (MPI_ALLGATHER,
 // ring algorithm).
 func (c *Comm) Allgather(send, recv []byte, count int, dt *Datatype) error {
-	unlock, err := c.collEnter()
+	done, err := c.collEnter()
 	if err != nil {
 		return err
 	}
-	defer unlock()
+	defer done()
+	tag := c.nbcTag()
 	n := count * dt.Size()
 	if len(recv) < n*c.Size() {
 		return errc(ErrBuffer, "allgather recv buffer %d < %d", len(recv), n*c.Size())
 	}
-	c.p.noteColl(metrics.CollAllgatherRing, n)
-	return coll.Allgather(c.port(), send[:n], recv)
+	return c.collWait(nbc.Allgather(&c.bsched, c.nbcPort(), tag, send[:n], recv, metrics.CollAllgatherRing))
 }
 
 // Alltoall exchanges equal-size blocks pairwise (MPI_ALLTOALL).
 func (c *Comm) Alltoall(send, recv []byte, count int, dt *Datatype) error {
-	unlock, err := c.collEnter()
+	done, err := c.collEnter()
 	if err != nil {
 		return err
 	}
-	defer unlock()
-	n := count * dt.Size()
-	if len(send) < n*c.Size() || len(recv) < n*c.Size() {
+	defer done()
+	tag := c.nbcTag()
+	n := count * dt.Size() * c.Size()
+	if len(send) < n || len(recv) < n {
 		return errc(ErrBuffer, "alltoall buffers short")
 	}
-	c.p.noteColl(metrics.CollAlltoallPairwise, n*c.Size())
-	return coll.Alltoall(c.port(), send[:n*c.Size()], recv[:n*c.Size()])
+	return c.collWait(nbc.Alltoall(&c.bsched, c.nbcPort(), tag, send[:n], recv[:n], metrics.CollAlltoallPairwise))
 }
 
 // ReduceScatterBlock reduces and scatters equal blocks
 // (MPI_REDUCE_SCATTER_BLOCK).
 func (c *Comm) ReduceScatterBlock(send, recv []byte, count int, elem *Datatype, op Op) error {
-	unlock, err := c.collEnter()
+	done, err := c.collEnter()
 	if err != nil {
 		return err
 	}
-	defer unlock()
+	defer done()
+	tag := c.nbcTag()
 	n := count * elem.Size()
 	if len(send) < n*c.Size() || len(recv) < n {
 		return errc(ErrBuffer, "reduce_scatter buffers short")
 	}
-	c.p.noteColl(metrics.CollRedScatBlock, n*c.Size())
-	return coll.ReduceScatterBlock(c.port(), op, elem, send[:n*c.Size()], recv[:n])
+	return c.collWait(nbc.ReduceScatterBlock(&c.bsched, c.nbcPort(), tag, op, elem, send[:n*c.Size()], recv[:n]))
 }
 
 // OpCreate registers a user-defined reduction operator (MPI_OP_CREATE)
@@ -306,12 +241,13 @@ func ReduceLocal(inbuf, inoutbuf []byte, count int, elem *Datatype, op Op) error
 }
 
 // AllreduceFloat64 is a typed convenience for the dominant application
-// pattern: allreduce over float64 values.
+// pattern: allreduce over float64 values. The wire bytes live in a
+// per-communicator scratch buffer reduced in place, and the result is
+// decoded back into vals, which is returned.
 func (c *Comm) AllreduceFloat64(vals []float64, op Op) ([]float64, error) {
-	send := Float64Bytes(vals, nil)
-	recv := make([]byte, len(send))
-	if err := c.Allreduce(send, recv, len(vals), Double, op); err != nil {
+	c.f64 = Float64Bytes(vals, c.f64)
+	if err := c.Allreduce(c.f64, c.f64, len(vals), Double, op); err != nil {
 		return nil, err
 	}
-	return BytesFloat64(recv, vals), nil
+	return BytesFloat64(c.f64, vals), nil
 }

@@ -1,81 +1,84 @@
 package gompi
 
-import "gompi/internal/coll"
+import "gompi/internal/nbc"
 
 // Scan computes the inclusive prefix reduction over ranks 0..r
 // (MPI_SCAN), folding in rank order.
 func (c *Comm) Scan(send, recv []byte, count int, elem *Datatype, op Op) error {
-	unlock, err := c.collEnter()
+	done, err := c.collEnter()
 	if err != nil {
 		return err
 	}
-	defer unlock()
+	defer done()
 	n := count * elem.Size()
-	return coll.Scan(c.port(), op, elem, send[:n], recv[:n])
+	nbc.Scan(&c.bsched, c.nbcPort(), c.nbcTag(), op, elem, send[:n], recv[:n])
+	return c.collWait(nil)
 }
 
 // Exscan computes the exclusive prefix reduction over ranks 0..r-1
 // (MPI_EXSCAN); rank 0's recv is left untouched.
 func (c *Comm) Exscan(send, recv []byte, count int, elem *Datatype, op Op) error {
-	unlock, err := c.collEnter()
+	done, err := c.collEnter()
 	if err != nil {
 		return err
 	}
-	defer unlock()
+	defer done()
 	n := count * elem.Size()
-	return coll.Exscan(c.port(), op, elem, send[:n], recv[:n])
+	nbc.Exscan(&c.bsched, c.nbcPort(), c.nbcTag(), op, elem, send[:n], recv[:n])
+	return c.collWait(nil)
+}
+
+// tableSpan is the buffer length a counts/displacements table covers
+// (the compiler rejects tables of the wrong length).
+func tableSpan(counts, displs []int) int {
+	need := 0
+	for r := range min(len(counts), len(displs)) {
+		need = max(need, displs[r]+counts[r])
+	}
+	return need
 }
 
 // Gatherv concentrates variable-size byte blocks on root
 // (MPI_GATHERV): counts[r] bytes from rank r land at byte offset
 // displs[r] of recv. counts/displs/recv are significant only on root.
 func (c *Comm) Gatherv(send []byte, recv []byte, counts, displs []int, root int) error {
-	unlock, err := c.collEnter()
+	done, err := c.collEnter()
 	if err != nil {
 		return err
 	}
-	defer unlock()
+	defer done()
+	tag := c.nbcTag()
 	if c.Rank() == root {
-		need := 0
-		for r := range counts {
-			if end := displs[r] + counts[r]; end > need {
-				need = end
-			}
-		}
-		if len(recv) < need {
+		if need := tableSpan(counts, displs); len(recv) < need {
 			return errc(ErrBuffer, "gatherv recv %d < %d", len(recv), need)
 		}
 	}
-	return coll.Gatherv(c.port(), send, recv, counts, displs, root)
+	return c.collWait(nbc.Gatherv(&c.bsched, c.nbcPort(), tag, send, recv, counts, displs, root))
 }
 
 // Scatterv distributes variable-size byte blocks from root
-// (MPI_SCATTERV); rank r receives counts[r] bytes into recv.
+// (MPI_SCATTERV); rank r receives counts[r] bytes into recv, which must
+// be exactly that long.
 func (c *Comm) Scatterv(send []byte, counts, displs []int, recv []byte, root int) error {
-	unlock, err := c.collEnter()
+	done, err := c.collEnter()
 	if err != nil {
 		return err
 	}
-	defer unlock()
-	return coll.Scatterv(c.port(), send, counts, displs, recv, root)
+	defer done()
+	return c.collWait(nbc.Scatterv(&c.bsched, c.nbcPort(), c.nbcTag(), send, counts, displs, recv, root))
 }
 
 // Allgatherv concentrates variable-size byte blocks everywhere
 // (MPI_ALLGATHERV); every rank supplies identical counts/displs tables.
 func (c *Comm) Allgatherv(send []byte, recv []byte, counts, displs []int) error {
-	unlock, err := c.collEnter()
+	done, err := c.collEnter()
 	if err != nil {
 		return err
 	}
-	defer unlock()
-	need := 0
-	for r := range counts {
-		if end := displs[r] + counts[r]; end > need {
-			need = end
-		}
-	}
-	if len(recv) < need {
+	defer done()
+	tag := c.nbcTag()
+	if need := tableSpan(counts, displs); len(recv) < need {
 		return errc(ErrBuffer, "allgatherv recv %d < %d", len(recv), need)
 	}
-	return coll.Allgatherv(c.port(), send, recv, counts, displs)
+	return c.collWait(nbc.Allgatherv(&c.bsched, c.nbcPort(), tag, send, recv, counts, displs))
 }

@@ -19,6 +19,14 @@ type Comm struct {
 	// identical arguments replays the compiled rounds instead of
 	// rebuilding them. Owned by the rank; the zero value is ready.
 	sched nbc.Cache
+
+	// bsched is the one schedule every blocking collective on this
+	// communicator compiles into and waits on (see coll.go); port is
+	// the transport adapter all schedules run over, built on first use;
+	// f64 is AllreduceFloat64's wire buffer.
+	bsched nbc.Schedule
+	port   nbcPort
+	f64    []byte
 }
 
 // Rank returns the calling process's rank within the communicator.

@@ -19,14 +19,13 @@ import (
 // precedence over Config.CollAlgorithm.
 const CollAlgorithmKey = comm.HintCollAlgorithm
 
-// Nonblocking-collective tags live above the blocking collectives'
-// fixed tags (1..9) on the collective context: each I-collective call
-// draws a fresh tag from a per-communicator sequence, so several
-// schedules can be outstanding on one communicator without their
-// traffic cross-matching (same-tag traffic of one schedule matches in
-// FIFO order, which is exactly what fragment reassembly needs). The
-// ranges are carved out in internal/match alongside the partitioned and
-// persistent-collective tag spaces.
+// Every non-persistent collective call — blocking or nonblocking —
+// draws a fresh tag from one per-communicator sequence on the
+// collective context, so several schedules can be outstanding on one
+// communicator without their traffic cross-matching (same-tag traffic
+// of one schedule matches in FIFO order, which is exactly what fragment
+// reassembly needs). The range is carved out in internal/match
+// alongside the partitioned and persistent-collective tag spaces.
 const (
 	nbcTagBase = match.TagNBCBase
 	nbcTagSpan = match.TagNBCSpan
@@ -37,25 +36,26 @@ type nbcPending struct {
 	r *request.Request
 }
 
-func (pd nbcPending) settle() error {
-	trunc := pd.r.Status.Truncated
+func (pd nbcPending) settle() (int, error) {
+	n, trunc := pd.r.Status.Count, pd.r.Status.Truncated
 	pd.r.Free()
 	if trunc {
-		return errc(ErrTruncate, "nonblocking collective fragment truncated")
+		return n, errc(ErrTruncate, "collective fragment truncated")
 	}
-	return nil
+	return n, nil
 }
 
 // Done implements nbc.Pending: a poll that pumps device progress.
-func (pd nbcPending) Done() (bool, error) {
+func (pd nbcPending) Done() (int, bool, error) {
 	if !pd.r.Done() {
-		return false, nil
+		return 0, false, nil
 	}
-	return true, pd.settle()
+	n, err := pd.settle()
+	return n, true, err
 }
 
 // Wait implements nbc.Pending: park until the fragment lands.
-func (pd nbcPending) Wait() error {
+func (pd nbcPending) Wait() (int, error) {
 	pd.r.Wait()
 	return pd.settle()
 }
@@ -67,6 +67,10 @@ func (pd nbcPending) Wait() error {
 type nbcPort struct {
 	p  *Proc
 	cv *comm.Comm
+	// handoff is the device's shm staged/handoff threshold, or 0 when
+	// it has no zero-copy path (baseline device, handoff disabled);
+	// fixed for the run, so read once when the adapter is built.
+	handoff int
 }
 
 // Rank implements nbc.Transport.
@@ -122,15 +126,8 @@ func (np nbcPort) RanksPerNodeBlock() (int, bool) {
 func (np nbcPort) LoadTopo(key int) (any, bool) { return np.cv.LoadTopo(key) }
 func (np nbcPort) StoreTopo(key int, v any)     { np.cv.StoreTopo(key, v) }
 
-// HandoffEager implements nbc.HandoffTransport: the device's shm
-// staged/handoff threshold, or 0 when the device has no zero-copy
-// path (baseline device, handoff disabled).
-func (np nbcPort) HandoffEager() int {
-	if d, ok := np.p.dev.(interface{ ShmHandoffMax() int }); ok {
-		return d.ShmHandoffMax()
-	}
-	return 0
-}
+// HandoffEager implements nbc.HandoffTransport.
+func (np nbcPort) HandoffEager() int { return np.handoff }
 
 // SendNoCopy implements nbc.HandoffTransport: lend data over the shm
 // handoff path when the device offers one and the geometry applies
@@ -151,27 +148,25 @@ func (np nbcPort) SendNoCopy(data []byte, dest, tag int) (nbc.Pending, bool, err
 }
 
 // RecvReduce implements nbc.ReduceTransport: post a receive that folds
-// the incoming payload into acc in place. On a handoff-capable device
-// the fold reads the sender's lent view directly — zero copies; on any
-// other device it receives into scratch and folds at completion.
+// the incoming payload into acc in place, reading the sender's lent
+// view directly — zero copies. Only a handoff-capable device can (the
+// compilers emit recv-reduce steps only when HandoffEager is nonzero,
+// and the device that reports a handoff threshold is the one with the
+// in-place receive).
 func (np nbcPort) RecvReduce(acc []byte, op coll.Op, elem *Datatype, src, tag int) (nbc.Pending, error) {
-	if d, ok := np.p.dev.(interface {
+	d, ok := np.p.dev.(interface {
 		IrecvReduce([]byte, int, int, *comm.Comm, func(dst, incoming []byte)) (*request.Request, error)
-	}); ok {
-		r, err := d.IrecvReduce(acc, src, tag, np.cv, func(dst, incoming []byte) {
-			coll.Apply(op, elem, dst, incoming)
-		})
-		if err != nil {
-			return nil, err
-		}
-		return nbcPending{r: r}, nil
+	})
+	if !ok {
+		return nil, errc(ErrOther, "device has no in-place receive-reduce")
 	}
-	tmp := make([]byte, len(acc))
-	r, err := np.p.dev.Irecv(tmp, len(tmp), Byte, src, tag, np.cv, core.FlagNoProcNull)
+	r, err := d.IrecvReduce(acc, src, tag, np.cv, func(dst, incoming []byte) {
+		coll.Apply(op, elem, dst, incoming)
+	})
 	if err != nil {
 		return nil, err
 	}
-	return nbcFoldPending{r: r, acc: acc, tmp: tmp, op: op, elem: elem}, nil
+	return nbcPending{r: r}, nil
 }
 
 // SegLimit implements nbc.Segmenter: on-node peers of a
@@ -186,47 +181,18 @@ func (np nbcPort) SegLimit(peer int) int {
 	return np.p.eagerLimit
 }
 
-// nbcFoldPending is the RecvReduce fallback for devices without an
-// in-place receive: the payload lands in tmp and folds into acc when
-// the fragment settles.
-type nbcFoldPending struct {
-	r    *request.Request
-	acc  []byte
-	tmp  []byte
-	op   coll.Op
-	elem *Datatype
-}
-
-func (pd nbcFoldPending) settle() error {
-	trunc := pd.r.Status.Truncated
-	n := pd.r.Status.Count
-	pd.r.Free()
-	if trunc {
-		return errc(ErrTruncate, "nonblocking collective fragment truncated")
+// nbcPort returns the communicator's transport adapter. It is stored in
+// the communicator and handed out by pointer, so converting it to
+// nbc.Transport does not allocate per call.
+func (c *Comm) nbcPort() *nbcPort {
+	if c.port.p == nil {
+		c.port = nbcPort{p: c.p, cv: c.c.CollView()}
+		if d, ok := c.p.dev.(interface{ ShmHandoffMax() int }); ok {
+			c.port.handoff = d.ShmHandoffMax()
+		}
 	}
-	if n > len(pd.acc) {
-		n = len(pd.acc)
-	}
-	coll.Apply(pd.op, pd.elem, pd.acc[:n], pd.tmp[:n])
-	return nil
+	return &c.port
 }
-
-// Done implements nbc.Pending.
-func (pd nbcFoldPending) Done() (bool, error) {
-	if !pd.r.Done() {
-		return false, nil
-	}
-	return true, pd.settle()
-}
-
-// Wait implements nbc.Pending.
-func (pd nbcFoldPending) Wait() error {
-	pd.r.Wait()
-	return pd.settle()
-}
-
-// nbcPort builds the transport adapter for one collective call.
-func (c *Comm) nbcPort() nbcPort { return nbcPort{p: c.p, cv: c.c.CollView()} }
 
 // nbcTag draws the next schedule tag from the communicator's sequence.
 func (c *Comm) nbcTag() int { return nbcTagBase + c.c.NextNBCSeq()%nbcTagSpan }
@@ -239,7 +205,7 @@ func (c *Comm) nbcTag() int { return nbcTagBase + c.c.NextNBCSeq()%nbcTagSpan }
 // from the NBC sequence whether or not it hits: hit/miss can diverge
 // across ranks (buffer identity is rank-local), so the sequence — and
 // with it the matching tags — must advance in lockstep regardless.
-func (c *Comm) cachedStart(key nbc.CacheKey, build func(tag int) (*nbc.Schedule, error)) (*Request, error) {
+func (c *Comm) cachedStart(key nbc.CacheKey, build func(s *nbc.Schedule, tag int) error) (*Request, error) {
 	tag := c.nbcTag()
 	if s, ok := c.sched.Get(key); ok {
 		c.p.rank.Metrics().NoteSchedCache(true)
@@ -247,8 +213,8 @@ func (c *Comm) cachedStart(key nbc.CacheKey, build func(tag int) (*nbc.Schedule,
 		return c.istart(s), nil
 	}
 	c.p.rank.Metrics().NoteSchedCache(false)
-	s, err := build(tag)
-	if err != nil {
+	s := new(nbc.Schedule)
+	if err := build(s, tag); err != nil {
 		return nil, errc(ErrArg, "%v", err)
 	}
 	c.sched.Put(key, s)
@@ -270,6 +236,26 @@ func (c *Comm) collForce() (nbc.Force, error) {
 	return f, nil
 }
 
+// traceRounds hangs the per-round KindSched trace spans off s when
+// tracing is on; with tracing off no closure is ever built. The hook
+// reads s.Bytes when it fires, so it survives s being recompiled.
+func (p *Proc) traceRounds(s *nbc.Schedule) {
+	if s.OnRound != nil || !p.tlog.Enabled() {
+		return
+	}
+	var roundStart vtime.Time
+	s.OnRound = func(idx int, start bool) {
+		if start {
+			roundStart = p.rank.Now()
+			return
+		}
+		p.tlog.Record(trace.Event{
+			Kind: trace.KindSched, Peer: idx, Bytes: s.Bytes, VCI: -1,
+			Start: roundStart, End: p.rank.Now(),
+		})
+	}
+}
+
 // istart wraps a compiled schedule into a public Request progressed
 // off the request engine: Test polls the schedule (issuing rounds and
 // running local reduction steps as receives land), Wait drives it to
@@ -279,20 +265,7 @@ func (c *Comm) collForce() (nbc.Force, error) {
 func (c *Comm) istart(s *nbc.Schedule) *Request {
 	p := c.p
 	p.noteColl(s.Algo, s.Bytes)
-	if p.tlog.Enabled() {
-		var roundStart vtime.Time
-		bytes := s.Bytes
-		s.OnRound = func(idx int, start bool) {
-			if start {
-				roundStart = p.rank.Now()
-				return
-			}
-			p.tlog.Record(trace.Event{
-				Kind: trace.KindSched, Peer: idx, Bytes: bytes, VCI: -1,
-				Start: roundStart, End: p.rank.Now(),
-			})
-		}
-	}
+	p.traceRounds(s)
 	r := &request.Request{Kind: request.KindColl}
 	var collErr error
 	r.Poll = func(rq *request.Request) bool {
@@ -325,7 +298,9 @@ func (c *Comm) Ibarrier() (*Request, error) {
 		return nil, err
 	}
 	defer done()
-	return c.istart(nbc.Barrier(c.nbcPort(), c.nbcTag())), nil
+	s := new(nbc.Schedule)
+	nbc.Barrier(s, c.nbcPort(), c.nbcTag())
+	return c.istart(s), nil
 }
 
 // Ibcast starts a nonblocking broadcast (MPI_IBCAST). Algorithm
@@ -347,8 +322,8 @@ func (c *Comm) Ibcast(buf []byte, count int, dt *Datatype, root int) (*Request, 
 	algo := nbc.SelectBcast(t, n, f)
 	bp, bl := nbc.BufKey(buf[:n])
 	key := nbc.CacheKey{Kind: nbc.CacheBcast, Algo: algo, Root: root, Recv: bp, RecvLen: bl}
-	return c.cachedStart(key, func(tag int) (*nbc.Schedule, error) {
-		return nbc.Bcast(t, tag, buf[:n], root, algo)
+	return c.cachedStart(key, func(s *nbc.Schedule, tag int) error {
+		return nbc.Bcast(s, t, tag, buf[:n], root, algo)
 	})
 }
 
@@ -376,8 +351,8 @@ func (c *Comm) Ireduce(send, recv []byte, count int, elem *Datatype, op Op, root
 	rp, rl := nbc.BufKey(out)
 	key := nbc.CacheKey{Kind: nbc.CacheReduce, Algo: algo, Root: root, Op: uint8(op),
 		Elem: nbc.PtrKey(elem), Send: sp, SendLen: sl, Recv: rp, RecvLen: rl}
-	return c.cachedStart(key, func(tag int) (*nbc.Schedule, error) {
-		return nbc.Reduce(t, tag, op, elem, send[:n], out, root, algo)
+	return c.cachedStart(key, func(s *nbc.Schedule, tag int) error {
+		return nbc.Reduce(s, t, tag, op, elem, send[:n], out, root, algo)
 	})
 }
 
@@ -403,8 +378,9 @@ func (c *Comm) Iallreduce(send, recv []byte, count int, elem *Datatype, op Op) (
 	rp, rl := nbc.BufKey(recv[:n])
 	key := nbc.CacheKey{Kind: nbc.CacheAllreduce, Algo: algo, Root: -1, Op: uint8(op),
 		Elem: nbc.PtrKey(elem), Send: sp, SendLen: sl, Recv: rp, RecvLen: rl}
-	return c.cachedStart(key, func(tag int) (*nbc.Schedule, error) {
-		return nbc.Allreduce(t, tag, op, elem, send[:n], recv[:n], algo)
+	return c.cachedStart(key, func(s *nbc.Schedule, tag int) error {
+		nbc.Allreduce(s, t, tag, op, elem, send[:n], recv[:n], algo)
+		return nil
 	})
 }
 
@@ -430,8 +406,8 @@ func (c *Comm) Iallgather(send, recv []byte, count int, dt *Datatype) (*Request,
 	rp, rl := nbc.BufKey(recv[:n*c.Size()])
 	key := nbc.CacheKey{Kind: nbc.CacheAllgather, Algo: algo, Root: -1,
 		Send: sp, SendLen: sl, Recv: rp, RecvLen: rl}
-	return c.cachedStart(key, func(tag int) (*nbc.Schedule, error) {
-		return nbc.Allgather(t, tag, send[:n], recv[:n*c.Size()], algo)
+	return c.cachedStart(key, func(s *nbc.Schedule, tag int) error {
+		return nbc.Allgather(s, t, tag, send[:n], recv[:n*c.Size()], algo)
 	})
 }
 
@@ -458,7 +434,7 @@ func (c *Comm) Ialltoall(send, recv []byte, count int, dt *Datatype) (*Request, 
 	rp, rl := nbc.BufKey(recv[:n*c.Size()])
 	key := nbc.CacheKey{Kind: nbc.CacheAlltoall, Algo: algo, Root: -1,
 		Send: sp, SendLen: sl, Recv: rp, RecvLen: rl}
-	return c.cachedStart(key, func(tag int) (*nbc.Schedule, error) {
-		return nbc.Alltoall(t, tag, send[:n*c.Size()], recv[:n*c.Size()], algo)
+	return c.cachedStart(key, func(s *nbc.Schedule, tag int) error {
+		return nbc.Alltoall(s, t, tag, send[:n*c.Size()], recv[:n*c.Size()], algo)
 	})
 }

@@ -546,3 +546,67 @@ func TestCollMetricsSnapshot(t *testing.T) {
 		t.Errorf("barrier/dissemination calls = %d, want 4", barrierCalls)
 	}
 }
+
+// TestBlockingCollectivesObserved: every blocking collective is a
+// schedule, so each call lands in the per-algorithm counters under its
+// own name (Scan, Exscan and the v-collectives included) and, with
+// tracing on, leaves sched-round spans like an I-collective does.
+func TestBlockingCollectivesObserved(t *testing.T) {
+	const n = 4
+	st := runICollJob(t, Config{Trace: true}, n, func(p *Proc) error {
+		w := p.World()
+		a, b := make([]byte, 8), make([]byte, 8)
+		wide, wide2 := make([]byte, 8*n), make([]byte, 8*n)
+		counts, displs := []int{8, 8, 8, 8}, []int{0, 8, 16, 24}
+		for _, call := range []func() error{
+			w.Barrier,
+			func() error { return w.Bcast(a, 8, Byte, 1) },
+			func() error { return w.Reduce(a, b, 1, Long, OpSum, 2) },
+			func() error { return w.Allreduce(a, b, 1, Long, OpSum) },
+			func() error { return w.Gather(a, wide, 8, Byte, 3) },
+			func() error { return w.Scatter(wide, a, 8, Byte, 3) },
+			func() error { return w.Allgather(a, wide, 8, Byte) },
+			func() error { return w.Alltoall(wide, wide2, 8, Byte) },
+			func() error { return w.ReduceScatterBlock(wide, a, 1, Long, OpSum) },
+			func() error { return w.Scan(a, b, 1, Long, OpSum) },
+			func() error { return w.Exscan(a, b, 1, Long, OpSum) },
+			func() error { return w.Gatherv(a, wide, counts, displs, 0) },
+			func() error { return w.Scatterv(wide, counts, displs, a, 0) },
+			func() error { return w.Allgatherv(a, wide, counts, displs) },
+		} {
+			if err := call(); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	calls := map[string]int64{}
+	for _, cs := range st.Aggregate().Coll {
+		calls[cs.Algo] = cs.Calls
+	}
+	for _, algo := range []string{
+		"barrier/dissemination", "bcast/binomial", "reduce/binomial", "allreduce/rdouble",
+		"gather/linear", "scatter/linear", "allgather/ring", "alltoall/pairwise",
+		"reduce_scatter/block", "scan/chain", "exscan/chain",
+		"gatherv/linear", "scatterv/linear", "allgatherv/ring",
+	} {
+		if calls[algo] != n {
+			t.Errorf("%s: %d calls recorded, want %d (one per rank)", algo, calls[algo], n)
+		}
+	}
+	for rank := 0; rank < n; rank++ {
+		colls, rounds := 0, 0
+		for _, e := range st.TraceEvents(rank) {
+			switch e.Kind {
+			case TraceColl:
+				colls++
+			case TraceSched:
+				rounds++
+			}
+		}
+		// Every collective has at least one round on every rank here.
+		if colls != 14 || rounds < colls {
+			t.Errorf("rank %d: %d collective spans, %d sched-round spans", rank, colls, rounds)
+		}
+	}
+}

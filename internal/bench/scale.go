@@ -10,8 +10,9 @@ import (
 )
 
 // ScalePoint is one measurement of the 10K-rank scale sweep: a world of
-// Ranks goroutine ranks running a halo exchange plus a two-level
-// allreduce, either with lazy (on-demand) peer state or with the
+// Ranks goroutine ranks running a halo exchange plus a flat allreduce
+// (AllreduceFloat64: recursive doubling on power-of-two sizes, reduce +
+// bcast otherwise), either with lazy (on-demand) peer state or with the
 // EagerPeers all-pairs baseline of pre-on-demand MPI stacks.
 type ScalePoint struct {
 	Ranks int
@@ -40,14 +41,14 @@ type ScalePoint struct {
 // scaleCeiling is the per-rank modeled-state ceiling asserted on lazy
 // runs: a rank whose connection+ring state exceeds it panics inside the
 // library. It is sized for the sweep's traffic pattern (4 halo
-// neighbors + two-level allreduce: a node leader talks to its 15 locals
-// and O(1) other leaders) with generous headroom — yet far below the
+// neighbors + flat allreduce: ceil(log2 n) exchange partners, or a
+// binomial tree's children) with generous headroom — yet far below the
 // eager baseline's all-pairs footprint at every sweep size, so the
 // assertion would trip immediately if lazy mode silently regressed to
 // eager materialization.
 const scaleCeiling = 256 << 10
 
-// ScaleSweep runs the halo + two-level allreduce workload at each world
+// ScaleSweep runs the halo + flat allreduce workload at each world
 // size, lazy and eager, and reports setup time and bytes/rank. Sizes
 // are typically {1000, 4000, 10000}; ranks are goroutines, 16 per
 // simulated node, on the "ofi" fabric profile whose ConnSetup charge
@@ -70,7 +71,7 @@ func ScaleSweep(sizes []int, iters int) ([]ScalePoint, error) {
 }
 
 // scaleRun runs one world: a 4-point halo exchange (ranks ±1 and ±16,
-// the stencil-code neighbor set) followed by a two-level allreduce, and
+// the stencil-code neighbor set) followed by a flat allreduce, and
 // samples setup time at the top of every rank's body.
 func scaleRun(n int, eager bool, iters int) (ScalePoint, error) {
 	const rpn = 16
@@ -80,7 +81,6 @@ func scaleRun(n int, eager bool, iters int) (ScalePoint, error) {
 		// Small rings keep the eager baseline's all-pairs footprint
 		// affordable enough to run; the lazy/eager gap is unaffected.
 		ShmCellSize: 256, ShmRingCells: 8,
-		CollAlgorithm: "two-level",
 	}
 	if eager {
 		cfg.EagerPeers = true

@@ -1,10 +1,7 @@
-// Package coll implements the machine-independent collectives of the
-// MPI layer (binomial broadcast/reduce, recursive-doubling allreduce,
-// dissemination barrier, ring and Bruck allgathers, pairwise alltoall)
-// over a minimal point-to-point interface, plus the predefined
-// reduction operators shared with one-sided accumulate. Algorithms are
-// written exactly once and run over any device, matching MPICH's
-// layering.
+// Package coll holds the reduction operators of the MPI layer: the
+// predefined table, user-defined operators (MPI_OP_CREATE) with their
+// commutativity declaration, and Apply, the elementwise fold that the
+// collective schedules (internal/nbc) and one-sided accumulate share.
 package coll
 
 import (

@@ -9,24 +9,29 @@ package match
 // Layout (all on the collective context; user pt2pt tags live on the
 // point-to-point context and are unconstrained up to MaxTag):
 //
-//	[1, 32)                      blocking collectives (fixed per-op tags)
-//	[TagNBCBase, +TagNBCSpan)    nonblocking-collective schedules
-//	[TagPartBase, +TagPartSpan)  partitioned pt2pt chunk traffic
+//	700..704                     RMA window tokens (PSCW post/complete,
+//	                             notify), fixed in the MPI layer
+//	[1<<20, +32)                 the devices' internal barrier rounds
+//	[TagPartBase, 2*TagPartBase) partitioned pt2pt chunk traffic
+//	[TagNBCBase, +TagNBCSpan)    collective schedules, blocking and
+//	                             nonblocking: one fresh tag per call
 //	[TagPersistCollBase, +Span)  persistent-collective schedules
 const (
-	// TagNBCBase / TagNBCSpan bound the per-communicator
-	// nonblocking-collective tag sequence.
-	TagNBCBase = 32
+	// TagNBCBase / TagNBCSpan bound the per-communicator collective
+	// tag sequence. Every collective call advances it, so the range
+	// sits above everything with a fixed tag: a window token can be in
+	// flight toward a rank that is inside a collective.
+	TagNBCBase = 1 << 22
 	TagNBCSpan = 1 << 20
 
 	// TagPartBase is the base of the partitioned point-to-point chunk
 	// tags: chunk tag = TagPartBase + userTag*TagPartMaxChunks + chunk.
 	// With user tags below TagPartMaxUserTag and at most TagPartMaxChunks
 	// chunks per operation the encoded range is [TagPartBase, 2*TagPartBase).
-	TagPartBase        = 1 << 21
-	TagPartMaxUserTag  = 1 << 10
-	TagPartMaxChunks   = 1 << 11
-	tagPartEnd         = TagPartBase + TagPartMaxUserTag*TagPartMaxChunks
+	TagPartBase       = 1 << 21
+	TagPartMaxUserTag = 1 << 10
+	TagPartMaxChunks  = 1 << 11
+	tagPartEnd        = TagPartBase + TagPartMaxUserTag*TagPartMaxChunks
 
 	// TagPersistCollBase / TagPersistCollSpan bound the
 	// persistent-collective schedule tags (each Init draws one; every
@@ -38,8 +43,8 @@ const (
 // TagClass names the reserved subsystem a tag belongs to: "partitioned"
 // for partitioned pt2pt chunk traffic, "persistent-coll" for persistent
 // collective schedules, "" for everything else (user tags and the
-// low collective ranges share small values, so only the unambiguous
-// high ranges are classified). Diagnosis tooling labels stuck receives
+// fixed low tags share small values, so only the unambiguous high
+// ranges are classified). Diagnosis tooling labels stuck receives
 // with it.
 func TagClass(tag int) string {
 	switch {

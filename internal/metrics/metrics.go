@@ -72,6 +72,11 @@ const (
 	CollNeighborAllgather
 	CollNeighborAlltoall
 	CollNeighborAlltoallv
+	CollScanChain
+	CollExscanChain
+	CollGathervLinear
+	CollScattervLinear
+	CollAllgathervRing
 	NumCollAlgos
 )
 
@@ -99,6 +104,11 @@ var CollAlgoNames = [NumCollAlgos]string{
 	CollNeighborAllgather:      "neighbor_allgather/locality",
 	CollNeighborAlltoall:       "neighbor_alltoall/locality",
 	CollNeighborAlltoallv:      "neighbor_alltoallv/locality",
+	CollScanChain:              "scan/chain",
+	CollExscanChain:            "exscan/chain",
+	CollGathervLinear:          "gatherv/linear",
+	CollScattervLinear:         "scatterv/linear",
+	CollAllgathervRing:         "allgatherv/ring",
 }
 
 // Rank is one rank's live registry. Writers use the Note*/Max* methods

@@ -8,30 +8,6 @@ import (
 	"gompi/internal/metrics"
 )
 
-// Step constructors.
-func sendTo(buf []byte, peer int) step  { return step{kind: opSend, peer: peer, buf: buf} }
-func recvFrom(buf []byte, peer int) step { return step{kind: opRecv, peer: peer, buf: buf} }
-func reduceInto(op coll.Op, elem *datatype.Type, dst, src []byte) step {
-	return step{kind: opReduce, op: op, elem: elem, dst: dst, src: src}
-}
-func copyInto(dst, src []byte) step { return step{kind: opCopy, dst: dst, src: src} }
-
-// sendNoCopyTo marks a send eligible for the zero-copy handoff path:
-// the buffer may be lent to the receiver for the rest of the round, so
-// only use it for buffers the round does not mutate. Falls back to a
-// plain send when the transport has no handoff or the payload is
-// small, so compilers may mark on-node sends unconditionally.
-func sendNoCopyTo(buf []byte, peer int) step {
-	return step{kind: opSend, peer: peer, buf: buf, noCopy: true}
-}
-
-// recvReduceFrom folds the incoming payload from peer into acc in
-// place (acc = incoming OP acc, arrival order). Emit only toward
-// unsegmented peers — the payload must arrive as one message.
-func recvReduceFrom(op coll.Op, elem *datatype.Type, acc []byte, peer int) step {
-	return step{kind: opRecvReduce, peer: peer, dst: acc, op: op, elem: elem}
-}
-
 // lowbit returns the lowest set bit of v, or 0 for v == 0.
 func lowbit(v int) int { return v & -v }
 
@@ -183,30 +159,36 @@ func TwoLevel(t Transport) bool {
 	return multiNode && sharedNode
 }
 
-// Barrier compiles the dissemination barrier: ceil(log2 P) rounds of
-// one send + one receive at doubling distance.
-func Barrier(t Transport, tag int) *Schedule {
-	s := newSchedule(t, tag, metrics.CollBarrierDissem, 0)
+// Barrier compiles the dissemination barrier into s: ceil(log2 P)
+// rounds of one send + one receive at doubling distance.
+func Barrier(s *Schedule, t Transport, tag int) {
+	s.Begin(t, tag, metrics.CollBarrierDissem, 0)
 	rank, size := t.Rank(), t.Size()
-	token := []byte{1}
-	rbuf := make([]byte, 1)
+	token := s.scratch(2)
 	for dist := 1; dist < size; dist *= 2 {
-		to := (rank + dist) % size
-		from := (rank - dist + size) % size
-		s.addRound(round{comm: []step{sendTo(token, to), recvFrom(rbuf, from)}})
+		s.send(token[:1], (rank+dist)%size)
+		s.recv(token[1:], (rank-dist+size)%size)
+		s.endRound()
 	}
-	return s
+}
+
+// checkRoot validates a rooted collective's root argument.
+func checkRoot(t Transport, what string, root int) error {
+	if root < 0 || root >= t.Size() {
+		return fmt.Errorf("nbc: %s root %d outside [0,%d)", what, root, t.Size())
+	}
+	return nil
 }
 
 // Bcast compiles a broadcast of root's buf with the given algorithm
 // (metrics.CollBcast*).
-func Bcast(t Transport, tag int, buf []byte, root, algo int) (*Schedule, error) {
-	if root < 0 || root >= t.Size() {
-		return nil, fmt.Errorf("nbc: bcast root %d outside [0,%d)", root, t.Size())
+func Bcast(s *Schedule, t Transport, tag int, buf []byte, root, algo int) error {
+	if err := checkRoot(t, "bcast", root); err != nil {
+		return err
 	}
-	s := newSchedule(t, tag, algo, len(buf))
+	s.Begin(t, tag, algo, len(buf))
 	if t.Size() == 1 {
-		return s, nil
+		return nil
 	}
 	switch algo {
 	case metrics.CollBcastScatterAllgather:
@@ -217,7 +199,7 @@ func Bcast(t Transport, tag int, buf []byte, root, algo int) (*Schedule, error) 
 		s.Algo = metrics.CollBcastBinomial
 		bcastBinomial(s, buf, root)
 	}
-	return s, nil
+	return nil
 }
 
 // bcastBinomial emits the binomial tree: one receive round from the
@@ -226,22 +208,19 @@ func bcastBinomial(s *Schedule, buf []byte, root int) {
 	rank, size := s.t.Rank(), s.t.Size()
 	vrank := (rank - root + size) % size
 	if vrank != 0 {
-		parent := (vrank&(vrank-1) + root) % size
-		s.addRound(round{comm: []step{recvFrom(buf, parent)}})
+		s.recv(buf, (vrank&(vrank-1)+root)%size)
+		s.endRound()
 	}
 	limit := lowbit(vrank)
 	if vrank == 0 {
 		limit = nextPow2(size)
 	}
-	var sends []step
 	for m := limit / 2; m >= 1; m /= 2 {
 		if child := vrank + m; child < size {
-			sends = append(sends, sendTo(buf, (child+root)%size))
+			s.send(buf, (child+root)%size)
 		}
 	}
-	if len(sends) > 0 {
-		s.addRound(round{comm: sends})
-	}
+	s.endRound()
 }
 
 // bcastScatterAllgather emits the long-message broadcast: the root
@@ -253,32 +232,24 @@ func bcastScatterAllgather(s *Schedule, buf []byte, root int) {
 	n := len(buf)
 	bs := (n + size - 1) / size
 	block := func(i int) []byte {
-		lo, hi := i*bs, (i+1)*bs
-		if lo > n {
-			lo = n
-		}
-		if hi > n {
-			hi = n
-		}
-		return buf[lo:hi]
+		return buf[min(i*bs, n):min((i+1)*bs, n)]
 	}
 	if rank == root {
-		var sends []step
 		for r := 0; r < size; r++ {
 			if r != root {
-				sends = append(sends, sendTo(block(r), r))
+				s.send(block(r), r)
 			}
 		}
-		s.addRound(round{comm: sends})
 	} else {
-		s.addRound(round{comm: []step{recvFrom(block(rank), root)}})
+		s.recv(block(rank), root)
 	}
+	s.endRound()
 	right := (rank + 1) % size
 	left := (rank - 1 + size) % size
 	for st := 0; st < size-1; st++ {
-		sb := block((rank - st + size) % size)
-		rb := block((rank - st - 1 + size) % size)
-		s.addRound(round{comm: []step{sendTo(sb, right), recvFrom(rb, left)}})
+		s.send(block((rank-st+size)%size), right)
+		s.recv(block((rank-st-1+size)%size), left)
+		s.endRound()
 	}
 }
 
@@ -289,87 +260,81 @@ func bcastScatterAllgather(s *Schedule, buf []byte, root int) {
 func bcastTwoLevel(s *Schedule, buf []byte, root int) {
 	tp := computeTopo(s.t, root)
 	rank := s.t.Rank()
-	switch {
-	case rank == root:
-		var sends []step
+	if rank != root && rank != tp.leader {
+		s.recv(buf, tp.leader)
+		s.endRound()
+		return
+	}
+	if rank == root {
 		for _, l := range tp.leaders {
 			if l != root {
-				sends = append(sends, sendTo(buf, l))
+				s.send(buf, l)
 			}
 		}
-		// The intra-node fan-out lends buf zero-copy when the transport
-		// offers handoff: buf is read-only for the round, so one lent
-		// view can serve every local receiver.
-		for _, r := range tp.locals {
-			sends = append(sends, sendNoCopyTo(buf, r))
-		}
-		if len(sends) > 0 {
-			s.addRound(round{comm: sends})
-		}
-	case rank == tp.leader:
-		s.addRound(round{comm: []step{recvFrom(buf, root)}})
-		var sends []step
-		for _, r := range tp.locals {
-			sends = append(sends, sendNoCopyTo(buf, r))
-		}
-		if len(sends) > 0 {
-			s.addRound(round{comm: sends})
-		}
-	default:
-		s.addRound(round{comm: []step{recvFrom(buf, tp.leader)}})
+	} else {
+		s.recv(buf, root)
+		s.endRound()
 	}
+	// The intra-node fan-out lends buf zero-copy when the transport
+	// offers handoff: buf is read-only for the round, so one lent view
+	// can serve every local receiver.
+	for _, r := range tp.locals {
+		s.sendNoCopy(buf, r)
+	}
+	s.endRound()
 }
 
 // Reduce compiles a reduction to root with the given algorithm
 // (metrics.CollReduce*). recv is consumed only on the root.
-func Reduce(t Transport, tag int, op coll.Op, elem *datatype.Type, sendBuf, recv []byte, root, algo int) (*Schedule, error) {
-	if root < 0 || root >= t.Size() {
-		return nil, fmt.Errorf("nbc: reduce root %d outside [0,%d)", root, t.Size())
+func Reduce(s *Schedule, t Transport, tag int, op coll.Op, elem *datatype.Type, sendBuf, recv []byte, root, algo int) error {
+	if err := checkRoot(t, "reduce", root); err != nil {
+		return err
 	}
 	if !coll.Commutative(op) {
 		algo = metrics.CollReduceChain
 	}
-	s := newSchedule(t, tag, algo, len(sendBuf))
+	s.Begin(t, tag, algo, len(sendBuf))
+	s.op, s.elem = op, elem
 	if t.Size() == 1 {
 		s.init(recv, sendBuf)
-		return s, nil
+		return nil
 	}
 	if algo == metrics.CollReduceChain {
-		reduceChain(s, op, elem, sendBuf, recv, root)
+		reduceChain(s, sendBuf, recv, root)
 	} else {
 		s.Algo = metrics.CollReduceBinomial
-		reduceBinomial(s, op, elem, sendBuf, recv, root)
+		reduceBinomial(s, sendBuf, recv, root)
 	}
-	return s, nil
+	return nil
 }
 
 // reduceBinomial folds partials up the binomial tree (commutative ops
 // only: children fold in tree order). The working accumulator is the
 // root's recv buffer, or a private copy elsewhere, snapshotted at
 // compile time as MPI's nonblocking semantics permit.
-func reduceBinomial(s *Schedule, op coll.Op, elem *datatype.Type, sendBuf, recv []byte, root int) {
+func reduceBinomial(s *Schedule, sendBuf, recv []byte, root int) {
 	rank, size := s.t.Rank(), s.t.Size()
 	vrank := (rank - root + size) % size
 	var acc []byte
 	if rank == root {
 		acc = recv[:len(sendBuf)]
 	} else {
-		acc = make([]byte, len(sendBuf))
+		acc = s.scratch(len(sendBuf))
 	}
 	s.init(acc, sendBuf)
+	var tmp []byte
 	for m := 1; m < size; m *= 2 {
 		if vrank&m != 0 {
-			parent := ((vrank - m) + root) % size
-			s.addRound(round{comm: []step{sendTo(acc, parent)}})
+			s.send(acc, (vrank-m+root)%size)
+			s.endRound()
 			return // leaf done
 		}
 		if childV := vrank + m; childV < size {
-			child := (childV + root) % size
-			tmp := make([]byte, len(sendBuf))
-			s.addRound(round{
-				comm:  []step{recvFrom(tmp, child)},
-				local: []step{reduceInto(op, elem, acc, tmp)},
-			})
+			if tmp == nil {
+				tmp = s.scratch(len(sendBuf))
+			}
+			s.recvFold(tmp, acc, (childV+root)%size)
+			s.endRound()
 		}
 	}
 }
@@ -378,62 +343,64 @@ func reduceBinomial(s *Schedule, op coll.Op, elem *datatype.Type, sendBuf, recv 
 // non-commutative algorithm): rank P-1 starts, each rank computes
 // v_r OP partial and passes it down, rank 0 forwards the result to
 // root.
-func reduceChain(s *Schedule, op coll.Op, elem *datatype.Type, sendBuf, recv []byte, root int) {
+func reduceChain(s *Schedule, sendBuf, recv []byte, root int) {
 	rank, size := s.t.Rank(), s.t.Size()
 	if rank == size-1 {
-		s.addRound(round{comm: []step{sendTo(sendBuf, rank-1)}})
+		s.send(sendBuf, rank-1)
+		s.endRound()
 	} else {
-		tmp := make([]byte, len(sendBuf))
-		s.addRound(round{
-			comm:  []step{recvFrom(tmp, rank+1)},
-			local: []step{reduceInto(op, elem, tmp, sendBuf)},
-		})
+		tmp := s.scratch(len(sendBuf))
+		s.recv(tmp, rank+1)
+		s.reduce(tmp, sendBuf)
+		s.endRound()
 		switch {
 		case rank > 0:
-			s.addRound(round{comm: []step{sendTo(tmp, rank-1)}})
+			s.send(tmp, rank-1)
 		case root == 0:
-			s.addRound(round{local: []step{copyInto(recv, tmp)}})
+			s.copy(recv[:len(sendBuf)], tmp)
 		default:
-			s.addRound(round{comm: []step{sendTo(tmp, root)}})
+			s.send(tmp, root)
 		}
+		s.endRound()
 	}
 	if rank == root && root != 0 {
-		s.addRound(round{comm: []step{recvFrom(recv[:len(sendBuf)], 0)}})
+		s.recv(recv[:len(sendBuf)], 0)
+		s.endRound()
 	}
 }
 
 // Allreduce compiles an all-reduce with the given algorithm
 // (metrics.CollAllreduce*). Non-commutative ops always take the
 // rank-ordered reduce + broadcast composition.
-func Allreduce(t Transport, tag int, op coll.Op, elem *datatype.Type, sendBuf, recv []byte, algo int) (*Schedule, error) {
-	commutative := coll.Commutative(op)
-	if !commutative {
+func Allreduce(s *Schedule, t Transport, tag int, op coll.Op, elem *datatype.Type, sendBuf, recv []byte, algo int) {
+	if !coll.Commutative(op) {
 		algo = metrics.CollAllreduceReduceBcast
 	}
-	s := newSchedule(t, tag, algo, len(sendBuf))
+	s.Begin(t, tag, algo, len(sendBuf))
+	s.op, s.elem = op, elem
 	size := t.Size()
 	if size == 1 {
 		s.init(recv, sendBuf)
-		return s, nil
+		return
 	}
 	switch algo {
 	case metrics.CollAllreduceRecDoubling:
 		if !isPow2(size) {
 			s.Algo = metrics.CollAllreduceReduceBcast
-			allreduceReduceBcast(s, op, elem, sendBuf, recv)
+			allreduceReduceBcast(s, sendBuf, recv)
 			break
 		}
-		allreduceRecDoubling(s, op, elem, sendBuf, recv)
+		allreduceRecDoubling(s, sendBuf, recv)
 	case metrics.CollAllreduceRedScatGather:
 		es := elem.Size()
 		if !isPow2(size) || es == 0 || len(sendBuf)%(size*es) != 0 {
 			s.Algo = metrics.CollAllreduceReduceBcast
-			allreduceReduceBcast(s, op, elem, sendBuf, recv)
+			allreduceReduceBcast(s, sendBuf, recv)
 			break
 		}
-		allreduceRSAG(s, op, elem, sendBuf, recv)
+		allreduceRSAG(s, sendBuf, recv)
 	case metrics.CollAllreduceTwoLevel:
-		allreduceTwoLevel(s, op, elem, sendBuf, recv)
+		allreduceTwoLevel(s, sendBuf, recv)
 	case metrics.CollAllreduceTwoLevelZC:
 		// The zero-copy variant folds lent views in place, which needs
 		// the transport extensions, an element-divisible payload, and a
@@ -443,30 +410,27 @@ func Allreduce(t Transport, tag int, op coll.Op, elem *datatype.Type, sendBuf, r
 		es := elem.Size()
 		if !hok || !rok || ht.HandoffEager() <= 0 || es == 0 || len(sendBuf)%es != 0 {
 			s.Algo = metrics.CollAllreduceTwoLevel
-			allreduceTwoLevel(s, op, elem, sendBuf, recv)
+			allreduceTwoLevel(s, sendBuf, recv)
 			break
 		}
-		allreduceTwoLevelZC(s, op, elem, sendBuf, recv)
+		allreduceTwoLevelZC(s, sendBuf, recv)
 	default:
 		s.Algo = metrics.CollAllreduceReduceBcast
-		allreduceReduceBcast(s, op, elem, sendBuf, recv)
+		allreduceReduceBcast(s, sendBuf, recv)
 	}
-	return s, nil
 }
 
 // allreduceRecDoubling is the classic log-P exchange for power-of-two
 // worlds: each round swaps full vectors with rank^m and folds.
-func allreduceRecDoubling(s *Schedule, op coll.Op, elem *datatype.Type, sendBuf, recv []byte) {
+func allreduceRecDoubling(s *Schedule, sendBuf, recv []byte) {
 	rank, size := s.t.Rank(), s.t.Size()
 	res := recv[:len(sendBuf)]
 	s.init(res, sendBuf)
-	tmp := make([]byte, len(sendBuf))
+	tmp := s.scratch(len(sendBuf))
 	for m := 1; m < size; m *= 2 {
-		peer := rank ^ m
-		s.addRound(round{
-			comm:  []step{sendTo(res, peer), recvFrom(tmp, peer)},
-			local: []step{reduceInto(op, elem, res, tmp)},
-		})
+		s.send(res, rank^m)
+		s.recvFold(tmp, res, rank^m)
+		s.endRound()
 	}
 }
 
@@ -475,14 +439,14 @@ func allreduceRecDoubling(s *Schedule, op coll.Op, elem *datatype.Type, sendBuf,
 // rank moves ~2n bytes instead of recursive doubling's n*log P, the
 // long-message winner. Requires a power-of-two size and an element
 // count divisible by it (the caller guarantees both).
-func allreduceRSAG(s *Schedule, op coll.Op, elem *datatype.Type, sendBuf, recv []byte) {
+func allreduceRSAG(s *Schedule, sendBuf, recv []byte) {
 	rank, size := s.t.Rank(), s.t.Size()
-	es := elem.Size()
+	es := s.elem.Size()
 	res := recv[:len(sendBuf)]
 	s.init(res, sendBuf)
 	total := len(res) / es
 	lo, cnt := 0, total
-	tmp := make([]byte, (total/2)*es)
+	tmp := s.scratch((total / 2) * es)
 	for m := size / 2; m >= 1; m /= 2 {
 		peer := rank ^ m
 		half := cnt / 2
@@ -495,10 +459,9 @@ func allreduceRSAG(s *Schedule, op coll.Op, elem *datatype.Type, sendBuf, recv [
 			target = res[(lo+half)*es : (lo+cnt)*es]
 		}
 		rbuf := tmp[:half*es]
-		s.addRound(round{
-			comm:  []step{sendTo(sendSeg, peer), recvFrom(rbuf, peer)},
-			local: []step{reduceInto(op, elem, target, rbuf)},
-		})
+		s.send(sendSeg, peer)
+		s.recvFold(rbuf, target, peer)
+		s.endRound()
 		if rank&m != 0 {
 			lo += half
 		}
@@ -515,10 +478,9 @@ func allreduceRSAG(s *Schedule, op coll.Op, elem *datatype.Type, sendBuf, recv [
 		if rank&m == 0 {
 			peerLo = lo + cnt
 		}
-		s.addRound(round{comm: []step{
-			sendTo(res[lo*es:(lo+cnt)*es], peer),
-			recvFrom(res[peerLo*es:(peerLo+cnt)*es], peer),
-		}})
+		s.send(res[lo*es:(lo+cnt)*es], peer)
+		s.recv(res[peerLo*es:(peerLo+cnt)*es], peer)
+		s.endRound()
 		if peerLo < lo {
 			lo = peerLo
 		}
@@ -531,12 +493,12 @@ func allreduceRSAG(s *Schedule, op coll.Op, elem *datatype.Type, sendBuf, recv [
 // fallback for non-power-of-two worlds. Same-tag composition is safe:
 // both sides issue their rounds in the same global order, and no rank
 // both sends reduce traffic and bcast traffic to the same peer.
-func allreduceReduceBcast(s *Schedule, op coll.Op, elem *datatype.Type, sendBuf, recv []byte) {
+func allreduceReduceBcast(s *Schedule, sendBuf, recv []byte) {
 	res := recv[:len(sendBuf)]
-	if coll.Commutative(op) {
-		reduceBinomial(s, op, elem, sendBuf, res, 0)
+	if coll.Commutative(s.op) {
+		reduceBinomial(s, sendBuf, res, 0)
 	} else {
-		reduceChain(s, op, elem, sendBuf, res, 0)
+		reduceChain(s, sendBuf, res, 0)
 	}
 	bcastBinomial(s, res, 0)
 }
@@ -548,37 +510,30 @@ func allreduceReduceBcast(s *Schedule, op coll.Op, elem *datatype.Type, sendBuf,
 // leader otherwise), and leaders broadcast the result back intra-node.
 // Only the leader exchange crosses nodes: 2n net bytes on two nodes
 // versus flat recursive doubling's 4n on the 4-rank reference layout.
-func allreduceTwoLevel(s *Schedule, op coll.Op, elem *datatype.Type, sendBuf, recv []byte) {
+func allreduceTwoLevel(s *Schedule, sendBuf, recv []byte) {
 	tp := computeTopo(s.t, -1)
 	rank := s.t.Rank()
 	n := len(sendBuf)
 	res := recv[:n]
 	if rank != tp.leader {
-		s.addRound(round{comm: []step{sendTo(sendBuf, tp.leader)}})
-		s.addRound(round{comm: []step{recvFrom(res, tp.leader)}})
+		s.send(sendBuf, tp.leader)
+		s.endRound()
+		s.recv(res, tp.leader)
+		s.endRound()
 		return
 	}
 	s.init(res, sendBuf)
 	// Intra-node gather-reduce: one round, every local contribution.
-	if len(tp.locals) > 0 {
-		var recvs []step
-		var folds []step
-		for _, r := range tp.locals {
-			tmp := make([]byte, n)
-			recvs = append(recvs, recvFrom(tmp, r))
-			folds = append(folds, reduceInto(op, elem, res, tmp))
-		}
-		s.addRound(round{comm: recvs, local: folds})
+	for _, r := range tp.locals {
+		s.recvFold(s.scratch(n), res, r)
 	}
-	allreduceLeaderExchange(s, tp, op, elem, res, n)
+	s.endRound()
+	allreduceLeaderExchange(s, tp, res, n)
 	// Intra-node broadcast of the result.
-	if len(tp.locals) > 0 {
-		var sends []step
-		for _, r := range tp.locals {
-			sends = append(sends, sendTo(res, r))
-		}
-		s.addRound(round{comm: sends})
+	for _, r := range tp.locals {
+		s.send(res, r)
 	}
+	s.endRound()
 }
 
 // allreduceLeaderExchange emits the inter-node phase shared by the
@@ -586,7 +541,7 @@ func allreduceTwoLevel(s *Schedule, op coll.Op, elem *datatype.Type, sendBuf, re
 // node-reduced vectors (recursive doubling when the leader count is a
 // power of two, gather+bcast through the first leader otherwise).
 // Non-leaders emit nothing.
-func allreduceLeaderExchange(s *Schedule, tp topo, op coll.Op, elem *datatype.Type, res []byte, n int) {
+func allreduceLeaderExchange(s *Schedule, tp topo, res []byte, n int) {
 	if s.t.Rank() != tp.leader {
 		return
 	}
@@ -595,30 +550,27 @@ func allreduceLeaderExchange(s *Schedule, tp topo, op coll.Op, elem *datatype.Ty
 		return
 	}
 	if isPow2(L) {
-		tmp := make([]byte, n)
+		tmp := s.scratch(n)
 		for m := 1; m < L; m *= 2 {
 			peer := tp.leaders[tp.myIdx^m]
-			s.addRound(round{
-				comm:  []step{sendTo(res, peer), recvFrom(tmp, peer)},
-				local: []step{reduceInto(op, elem, res, tmp)},
-			})
+			s.send(res, peer)
+			s.recvFold(tmp, res, peer)
+			s.endRound()
 		}
 	} else if tp.myIdx == 0 {
-		var recvs, folds []step
 		for _, l := range tp.leaders[1:] {
-			tmp := make([]byte, n)
-			recvs = append(recvs, recvFrom(tmp, l))
-			folds = append(folds, reduceInto(op, elem, res, tmp))
+			s.recvFold(s.scratch(n), res, l)
 		}
-		s.addRound(round{comm: recvs, local: folds})
-		var sends []step
+		s.endRound()
 		for _, l := range tp.leaders[1:] {
-			sends = append(sends, sendTo(res, l))
+			s.send(res, l)
 		}
-		s.addRound(round{comm: sends})
+		s.endRound()
 	} else {
-		s.addRound(round{comm: []step{sendTo(res, tp.leaders[0])}})
-		s.addRound(round{comm: []step{recvFrom(res, tp.leaders[0])}})
+		s.send(res, tp.leaders[0])
+		s.endRound()
+		s.recv(res, tp.leaders[0])
+		s.endRound()
 	}
 }
 
@@ -632,7 +584,7 @@ func allreduceLeaderExchange(s *Schedule, tp topo, op coll.Op, elem *datatype.Ty
 // result fans back out as one lent view per local rank. Compared to
 // allreduceTwoLevel the leader folds k chunks of n/k bytes instead of
 // k full vectors, and the k scratch buffers disappear.
-func allreduceTwoLevelZC(s *Schedule, op coll.Op, elem *datatype.Type, sendBuf, recv []byte) {
+func allreduceTwoLevelZC(s *Schedule, sendBuf, recv []byte) {
 	tp := computeTopo(s.t, -1)
 	rank, size := s.t.Rank(), s.t.Size()
 	n := len(sendBuf)
@@ -652,7 +604,7 @@ func allreduceTwoLevelZC(s *Schedule, op coll.Op, elem *datatype.Type, sendBuf, 
 		}
 	}
 	k := len(members)
-	es := elem.Size()
+	es := s.elem.Size()
 	total := n / es
 	// chunk returns the byte range of the result owned by member j.
 	chunk := func(j int) (int, int) {
@@ -670,99 +622,244 @@ func allreduceTwoLevelZC(s *Schedule, op coll.Op, elem *datatype.Type, sendBuf, 
 	// my sendBuf, and fold their lent chunks into mine as they land.
 	mylo, myhi := chunk(myIdx)
 	s.init(res[mylo:myhi], sendBuf[mylo:myhi])
-	if k > 1 {
-		var recvs, sends []step
-		for j, m := range members {
-			if m == rank {
-				continue
+	if myhi > mylo {
+		for _, m := range members {
+			if m != rank {
+				s.recvReduce(res[mylo:myhi], m)
 			}
-			if myhi > mylo {
-				recvs = append(recvs, recvReduceFrom(op, elem, res[mylo:myhi], m))
-			}
-			lo, hi := chunk(j)
-			if hi > lo {
-				sends = append(sends, sendNoCopyTo(sendBuf[lo:hi], m))
-			}
-		}
-		if len(recvs)+len(sends) > 0 {
-			s.addRound(round{comm: append(recvs, sends...)})
 		}
 	}
+	for j, m := range members {
+		if lo, hi := chunk(j); m != rank && hi > lo {
+			s.sendNoCopy(sendBuf[lo:hi], m)
+		}
+	}
+	s.endRound()
 
 	// Round B — leader collects the reduced chunks.
-	if k > 1 {
-		if rank == tp.leader {
-			var recvs []step
-			for j, m := range members {
-				if m == rank {
-					continue
-				}
-				lo, hi := chunk(j)
-				if hi > lo {
-					recvs = append(recvs, recvFrom(res[lo:hi], m))
-				}
+	if rank == tp.leader {
+		for j, m := range members {
+			if lo, hi := chunk(j); m != rank && hi > lo {
+				s.recv(res[lo:hi], m)
 			}
-			if len(recvs) > 0 {
-				s.addRound(round{comm: recvs})
-			}
-		} else if myhi > mylo {
-			s.addRound(round{comm: []step{sendNoCopyTo(res[mylo:myhi], tp.leader)}})
 		}
+	} else if myhi > mylo {
+		s.sendNoCopy(res[mylo:myhi], tp.leader)
 	}
+	s.endRound()
 
 	// Round C — the usual inter-node leader exchange.
-	allreduceLeaderExchange(s, tp, op, elem, res, n)
+	allreduceLeaderExchange(s, tp, res, n)
 
 	// Round D — result fans back out, one lent view serving every
 	// local receiver.
 	if rank == tp.leader {
-		if len(tp.locals) > 0 {
-			var sends []step
-			for _, r := range tp.locals {
-				sends = append(sends, sendNoCopyTo(res, r))
-			}
-			s.addRound(round{comm: sends})
+		for _, r := range tp.locals {
+			s.sendNoCopy(res, r)
 		}
 	} else {
-		s.addRound(round{comm: []step{recvFrom(res, tp.leader)}})
+		s.recv(res, tp.leader)
 	}
+	s.endRound()
+}
+
+// checkTable validates a v-collective's counts/displacements table
+// against the communicator size and the buffer it indexes.
+func checkTable(t Transport, what string, counts, displs []int, buf []byte) error {
+	if len(counts) != t.Size() || len(displs) != t.Size() {
+		return fmt.Errorf("nbc: %s counts/displs length %d/%d for %d ranks", what, len(counts), len(displs), t.Size())
+	}
+	for r, n := range counts {
+		if n < 0 || displs[r] < 0 || displs[r]+n > len(buf) {
+			return fmt.Errorf("nbc: %s block %d [%d,+%d) outside buffer of %d", what, r, displs[r], n, len(buf))
+		}
+	}
+	return nil
+}
+
+// Gather compiles the gather of equal-size blocks to root (linear:
+// every rank sends to root, which posts all its receives in one round).
+// recv is consumed only on the root.
+func Gather(s *Schedule, t Transport, tag int, sendBuf, recv []byte, root int) error {
+	if err := checkRoot(t, "gather", root); err != nil {
+		return err
+	}
+	bs := len(sendBuf)
+	if t.Rank() == root && len(recv) < bs*t.Size() {
+		return fmt.Errorf("nbc: gather recv buffer %d < %d", len(recv), bs*t.Size())
+	}
+	s.Begin(t, tag, metrics.CollGatherLinear, bs)
+	gatherLinear(s, sendBuf, root, func(r int) []byte { return recv[r*bs : (r+1)*bs] })
+	return nil
+}
+
+// Gatherv is Gather over a counts/displacements table: counts[r] bytes
+// from rank r land at displs[r] of recv. The table and recv are
+// significant only on the root; non-roots send len(sendBuf) bytes.
+func Gatherv(s *Schedule, t Transport, tag int, sendBuf, recv []byte, counts, displs []int, root int) error {
+	if err := checkRoot(t, "gatherv", root); err != nil {
+		return err
+	}
+	if t.Rank() == root {
+		if err := checkTable(t, "gatherv", counts, displs, recv); err != nil {
+			return err
+		}
+	}
+	s.Begin(t, tag, metrics.CollGathervLinear, len(sendBuf))
+	gatherLinear(s, sendBuf, root, func(r int) []byte { return recv[displs[r] : displs[r]+counts[r]] })
+	return nil
+}
+
+// gatherLinear emits the one gather round; block(r) is rank r's slot
+// in the root's buffer (called on the root only).
+func gatherLinear(s *Schedule, mine []byte, root int, block func(r int) []byte) {
+	rank, size := s.t.Rank(), s.t.Size()
+	if rank != root {
+		s.send(mine, root)
+	} else {
+		for r := 0; r < size; r++ {
+			if r == rank {
+				s.copy(block(r), mine)
+			} else {
+				s.recv(block(r), r)
+			}
+		}
+	}
+	s.endRound()
+}
+
+// Scatter compiles the scatter of root's equal-size blocks (linear: one
+// round of P-1 sends). sendBuf is consumed only on the root.
+func Scatter(s *Schedule, t Transport, tag int, sendBuf, recv []byte, root int) error {
+	if err := checkRoot(t, "scatter", root); err != nil {
+		return err
+	}
+	bs := len(recv)
+	if t.Rank() == root && len(sendBuf) < bs*t.Size() {
+		return fmt.Errorf("nbc: scatter send buffer %d < %d", len(sendBuf), bs*t.Size())
+	}
+	s.Begin(t, tag, metrics.CollScatterLinear, bs)
+	scatterLinear(s, recv, root, func(r int) []byte { return sendBuf[r*bs : (r+1)*bs] })
+	return nil
+}
+
+// Scatterv is Scatter over a counts/displacements table: rank r
+// receives the counts[r] bytes at displs[r] of sendBuf into recv, whose
+// length must be its count. The table and sendBuf are significant only
+// on the root.
+func Scatterv(s *Schedule, t Transport, tag int, sendBuf []byte, counts, displs []int, recv []byte, root int) error {
+	if err := checkRoot(t, "scatterv", root); err != nil {
+		return err
+	}
+	if t.Rank() == root {
+		if err := checkTable(t, "scatterv", counts, displs, sendBuf); err != nil {
+			return err
+		}
+	}
+	s.Begin(t, tag, metrics.CollScattervLinear, len(recv))
+	scatterLinear(s, recv, root, func(r int) []byte { return sendBuf[displs[r] : displs[r]+counts[r]] })
+	return nil
+}
+
+// scatterLinear emits the one scatter round; block(r) is rank r's slot
+// in the root's buffer (called on the root only). The root's own block
+// is a local step of the round rather than a compile-time seed, so the
+// round composes after a reduction into the same buffer.
+func scatterLinear(s *Schedule, mine []byte, root int, block func(r int) []byte) {
+	rank, size := s.t.Rank(), s.t.Size()
+	if rank != root {
+		s.recv(mine, root)
+	} else {
+		for r := 0; r < size; r++ {
+			if r == rank {
+				s.copy(mine, block(r))
+			} else {
+				s.send(block(r), r)
+			}
+		}
+	}
+	s.endRound()
+}
+
+// ReduceScatterBlock compiles reduce-to-rank-0 (binomial, or the chain
+// for non-commutative ops) followed by a linear scatter of the equal
+// blocks: rank r ends with block r of the reduction in recv.
+func ReduceScatterBlock(s *Schedule, t Transport, tag int, op coll.Op, elem *datatype.Type, sendBuf, recv []byte) error {
+	rank, size := t.Rank(), t.Size()
+	if len(sendBuf)%size != 0 {
+		return fmt.Errorf("nbc: reduce_scatter send buffer %d not divisible by %d", len(sendBuf), size)
+	}
+	bs := len(sendBuf) / size
+	if len(recv) < bs {
+		return fmt.Errorf("nbc: reduce_scatter recv buffer %d < %d", len(recv), bs)
+	}
+	s.Begin(t, tag, metrics.CollRedScatBlock, len(sendBuf))
+	s.op, s.elem = op, elem
+	var full []byte
+	if rank == 0 {
+		full = s.scratch(len(sendBuf))
+	}
+	if size == 1 {
+		s.init(full, sendBuf)
+	} else if coll.Commutative(op) {
+		reduceBinomial(s, sendBuf, full, 0)
+	} else {
+		reduceChain(s, sendBuf, full, 0)
+	}
+	scatterLinear(s, recv[:bs], 0, func(r int) []byte { return full[r*bs : (r+1)*bs] })
+	return nil
 }
 
 // Allgather compiles an allgather with the given algorithm
 // (metrics.CollAllgather*).
-func Allgather(t Transport, tag int, sendBuf, recv []byte, algo int) (*Schedule, error) {
-	size := t.Size()
+func Allgather(s *Schedule, t Transport, tag int, sendBuf, recv []byte, algo int) error {
+	rank, size := t.Rank(), t.Size()
 	bs := len(sendBuf)
 	if len(recv) < bs*size {
-		return nil, fmt.Errorf("nbc: allgather recv buffer %d < %d", len(recv), bs*size)
+		return fmt.Errorf("nbc: allgather recv buffer %d < %d", len(recv), bs*size)
 	}
-	s := newSchedule(t, tag, algo, bs)
-	s.init(recv[t.Rank()*bs:(t.Rank()+1)*bs], sendBuf)
+	s.Begin(t, tag, algo, bs)
+	s.init(recv[rank*bs:(rank+1)*bs], sendBuf)
 	if size == 1 {
-		return s, nil
+		return nil
 	}
 	if algo == metrics.CollAllgatherBruck {
 		allgatherBruck(s, bs, recv)
 	} else {
 		s.Algo = metrics.CollAllgatherRing
-		allgatherRing(s, bs, recv)
+		allgatherRing(s, func(r int) []byte { return recv[r*bs : (r+1)*bs] })
 	}
-	return s, nil
+	return nil
+}
+
+// Allgatherv is the ring allgather over a counts/displacements table,
+// which every rank supplies identically.
+func Allgatherv(s *Schedule, t Transport, tag int, sendBuf, recv []byte, counts, displs []int) error {
+	if err := checkTable(t, "allgatherv", counts, displs, recv); err != nil {
+		return err
+	}
+	rank := t.Rank()
+	if len(sendBuf) != counts[rank] {
+		return fmt.Errorf("nbc: allgatherv rank %d contributes %d bytes, counts say %d", rank, len(sendBuf), counts[rank])
+	}
+	s.Begin(t, tag, metrics.CollAllgathervRing, len(sendBuf))
+	block := func(r int) []byte { return recv[displs[r] : displs[r]+counts[r]] }
+	s.init(block(rank), sendBuf)
+	allgatherRing(s, block)
+	return nil
 }
 
 // allgatherRing passes the newest block around the ring: P-1 rounds,
-// each one send right + one receive left.
-func allgatherRing(s *Schedule, bs int, recv []byte) {
+// each one send right + one receive left. block(r) is rank r's slot in
+// the gathered buffer.
+func allgatherRing(s *Schedule, block func(r int) []byte) {
 	rank, size := s.t.Rank(), s.t.Size()
 	right := (rank + 1) % size
 	left := (rank - 1 + size) % size
 	for st := 0; st < size-1; st++ {
-		sb := (rank - st + size) % size
-		rb := (rank - st - 1 + size) % size
-		s.addRound(round{comm: []step{
-			sendTo(recv[sb*bs:(sb+1)*bs], right),
-			recvFrom(recv[rb*bs:(rb+1)*bs], left),
-		}})
+		s.send(block((rank-st+size)%size), right)
+		s.recv(block((rank-st-1+size)%size), left)
+		s.endRound()
 	}
 }
 
@@ -770,78 +867,107 @@ func allgatherRing(s *Schedule, bs int, recv []byte) {
 // temporary, then unrotates locally in a final round.
 func allgatherBruck(s *Schedule, bs int, recv []byte) {
 	rank, size := s.t.Rank(), s.t.Size()
-	tmp := make([]byte, bs*size)
+	tmp := s.scratch(bs * size)
 	s.init(tmp[:bs], recv[rank*bs:(rank+1)*bs])
 	have := 1
 	for m := 1; m < size; m *= 2 {
-		to := (rank - m + size) % size
-		from := (rank + m) % size
-		n := have
-		if n > size-have {
-			n = size - have
-		}
-		s.addRound(round{comm: []step{
-			sendTo(tmp[:n*bs], to),
-			recvFrom(tmp[have*bs:(have+n)*bs], from),
-		}})
+		n := min(have, size-have)
+		s.send(tmp[:n*bs], (rank-m+size)%size)
+		s.recv(tmp[have*bs:(have+n)*bs], (rank+m)%size)
+		s.endRound()
 		have += n
 	}
-	var unrot []step
 	for i := 0; i < size; i++ {
 		dst := (rank + i) % size
-		unrot = append(unrot, copyInto(recv[dst*bs:(dst+1)*bs], tmp[i*bs:(i+1)*bs]))
+		s.copy(recv[dst*bs:(dst+1)*bs], tmp[i*bs:(i+1)*bs])
 	}
-	s.addRound(round{local: unrot})
+	s.endRound()
 }
 
 // Alltoall compiles an all-to-all exchange with the given algorithm
 // (metrics.CollAlltoall*).
-func Alltoall(t Transport, tag int, sendBuf, recv []byte, algo int) (*Schedule, error) {
-	size := t.Size()
+func Alltoall(s *Schedule, t Transport, tag int, sendBuf, recv []byte, algo int) error {
+	rank, size := t.Rank(), t.Size()
 	if size == 0 || len(sendBuf)%size != 0 {
-		return nil, fmt.Errorf("nbc: alltoall send buffer %d not divisible by %d", len(sendBuf), size)
+		return fmt.Errorf("nbc: alltoall send buffer %d not divisible by %d", len(sendBuf), size)
 	}
 	bs := len(sendBuf) / size
 	if len(recv) < bs*size {
-		return nil, fmt.Errorf("nbc: alltoall recv buffer %d < %d", len(recv), bs*size)
+		return fmt.Errorf("nbc: alltoall recv buffer %d < %d", len(recv), bs*size)
 	}
-	s := newSchedule(t, tag, algo, bs*size)
-	rank := t.Rank()
+	s.Begin(t, tag, algo, bs*size)
 	s.init(recv[rank*bs:(rank+1)*bs], sendBuf[rank*bs:(rank+1)*bs])
 	if size == 1 {
-		return s, nil
+		return nil
 	}
 	if algo == metrics.CollAlltoallPosted {
-		var comms []step
 		for off := 1; off < size; off++ {
 			peer := (rank + off) % size
-			comms = append(comms, sendTo(sendBuf[peer*bs:(peer+1)*bs], peer))
+			s.send(sendBuf[peer*bs:(peer+1)*bs], peer)
 		}
 		for off := 1; off < size; off++ {
 			peer := (rank - off + size) % size
-			comms = append(comms, recvFrom(recv[peer*bs:(peer+1)*bs], peer))
+			s.recv(recv[peer*bs:(peer+1)*bs], peer)
 		}
-		s.addRound(round{comm: comms})
-		return s, nil
+		s.endRound()
+		return nil
 	}
 	s.Algo = metrics.CollAlltoallPairwise
-	if isPow2(size) {
-		for st := 1; st < size; st++ {
-			peer := rank ^ st
-			s.addRound(round{comm: []step{
-				sendTo(sendBuf[peer*bs:(peer+1)*bs], peer),
-				recvFrom(recv[peer*bs:(peer+1)*bs], peer),
-			}})
+	for st := 1; st < size; st++ {
+		// XOR pairing is mutual on power-of-two sizes; otherwise rotate:
+		// send to rank+st, receive from rank-st.
+		to, from := rank^st, rank^st
+		if !isPow2(size) {
+			to, from = (rank+st)%size, (rank-st+size)%size
 		}
-	} else {
-		for st := 1; st < size; st++ {
-			to := (rank + st) % size
-			from := (rank - st + size) % size
-			s.addRound(round{comm: []step{
-				sendTo(sendBuf[to*bs:(to+1)*bs], to),
-				recvFrom(recv[from*bs:(from+1)*bs], from),
-			}})
-		}
+		s.send(sendBuf[to*bs:(to+1)*bs], to)
+		s.recv(recv[from*bs:(from+1)*bs], from)
+		s.endRound()
 	}
-	return s, nil
+	return nil
+}
+
+// Scan compiles the inclusive prefix reduction (linear chain): rank r
+// ends with v_0 OP ... OP v_r in recv, folded in rank order.
+func Scan(s *Schedule, t Transport, tag int, op coll.Op, elem *datatype.Type, sendBuf, recv []byte) {
+	s.Begin(t, tag, metrics.CollScanChain, len(sendBuf))
+	s.op, s.elem = op, elem
+	rank, size := t.Rank(), t.Size()
+	res := recv[:len(sendBuf)]
+	s.init(res, sendBuf)
+	if rank > 0 {
+		prefix := s.scratch(len(sendBuf))
+		s.recvFold(prefix, res, rank-1) // res = prefix OP mine
+		s.endRound()
+	}
+	if rank < size-1 {
+		s.send(res, rank+1)
+		s.endRound()
+	}
+}
+
+// Exscan compiles the exclusive prefix reduction (linear chain): rank r
+// ends with v_0 OP ... OP v_{r-1} in recv; rank 0's recv is untouched.
+// The exclusive prefix lands directly in recv and the running inclusive
+// prefix travels on in a private vector.
+func Exscan(s *Schedule, t Transport, tag int, op coll.Op, elem *datatype.Type, sendBuf, recv []byte) {
+	s.Begin(t, tag, metrics.CollExscanChain, len(sendBuf))
+	s.op, s.elem = op, elem
+	rank, size := t.Rank(), t.Size()
+	running := sendBuf
+	if rank > 0 {
+		res := recv[:len(sendBuf)]
+		if rank < size-1 {
+			running = s.scratch(len(sendBuf))
+			s.init(running, sendBuf)
+			s.recvFold(res, running, rank-1) // running = prefix OP mine
+		} else {
+			s.recv(res, rank-1)
+		}
+		s.endRound()
+	}
+	if rank < size-1 {
+		s.send(running, rank+1)
+		s.endRound()
+	}
 }

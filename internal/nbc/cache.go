@@ -86,11 +86,18 @@ func PtrKey(v any) uintptr {
 	return reflect.ValueOf(v).Pointer()
 }
 
-// Cache maps keys to compiled schedules. The zero value is ready to
-// use. One cache hangs off each public communicator, created lazily on
-// the first cacheable collective.
+// CacheCap bounds the schedules one Cache retains. An application that
+// calls I-collectives on freshly allocated buffers never repeats a key,
+// so without a bound every call would strand one compiled schedule.
+const CacheCap = 16
+
+// Cache maps keys to compiled schedules, at most CacheCap of them,
+// evicting in insertion order. The zero value is ready to use. One
+// cache hangs off each public communicator, created lazily on the
+// first cacheable collective.
 type Cache struct {
 	m      map[CacheKey]*Schedule
+	order  []CacheKey // keys of m, oldest first
 	hits   int64
 	misses int64
 }
@@ -111,13 +118,26 @@ func (c *Cache) Get(key CacheKey) (*Schedule, bool) {
 }
 
 // Put stores a freshly compiled schedule under key, replacing any
-// previous (necessarily running, per Get) occupant.
+// previous (necessarily running, per Get) occupant, and evicts the
+// oldest entry when the cache is full. An evicted or replaced schedule
+// that is still running simply leaves the map: its request keeps
+// driving it, and nothing can Reset it any more.
 func (c *Cache) Put(key CacheKey, s *Schedule) {
 	if c.m == nil {
-		c.m = make(map[CacheKey]*Schedule)
+		c.m = make(map[CacheKey]*Schedule, CacheCap)
+	}
+	if _, ok := c.m[key]; !ok {
+		if len(c.order) == CacheCap {
+			delete(c.m, c.order[0])
+			c.order = append(c.order[:0], c.order[1:]...)
+		}
+		c.order = append(c.order, key)
 	}
 	c.m[key] = s
 }
+
+// Len reports the number of schedules retained.
+func (c *Cache) Len() int { return len(c.m) }
 
 // Stats returns the lifetime hit/miss counts.
 func (c *Cache) Stats() (hits, misses int64) { return c.hits, c.misses }

@@ -1,9 +1,10 @@
-// Package nbc is the nonblocking-collectives engine: each collective
-// compiles into a Schedule — a DAG of primitive steps (eager send,
-// nonblocking recv, local reduce, local copy) organized in dependency
-// rounds — and the schedule is progressed incrementally off the request
-// engine, so an I-collective returns immediately and genuinely overlaps
-// with user computation.
+// Package nbc is the collectives engine: every collective — blocking,
+// nonblocking, persistent, neighborhood — compiles into a Schedule, a
+// DAG of primitive steps (eager send, nonblocking recv, local reduce,
+// local copy) organized in dependency rounds. A blocking call compiles
+// and waits; an I-collective progresses its schedule incrementally off
+// the request engine, so it returns immediately and genuinely overlaps
+// with user computation; a persistent one replays it.
 //
 // The round structure encodes the DAG: every communication step of
 // round k is issued as soon as round k-1 completes, every local step of
@@ -25,7 +26,9 @@ package nbc
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
+	"slices"
 
 	"gompi/internal/coll"
 	"gompi/internal/datatype"
@@ -33,11 +36,13 @@ import (
 
 // Pending is one outstanding nonblocking receive. Done must be
 // non-blocking (pumping transport progress is allowed); Wait parks
-// until the message lands. After either reports completion the Pending
-// is dead — the engine never calls into it again.
+// until the message lands. Both report the delivered byte count on
+// completion, which the engine holds against the fragment it posted.
+// After either reports completion the Pending is dead — the engine
+// never calls into it again.
 type Pending interface {
-	Done() (bool, error)
-	Wait() error
+	Done() (n int, ok bool, err error)
+	Wait() (n int, err error)
 }
 
 // Transport is what a schedule runs over: the eager matched send /
@@ -123,41 +128,54 @@ type Segmenter interface {
 // stepKind enumerates the primitive operations a schedule is built of.
 type stepKind uint8
 
+// The first three are communication (issued when their round starts),
+// the rest local (run when its receives have landed).
 const (
 	opSend stepKind = iota
 	opRecv
-	opReduce     // dst = src OP dst (coll.Apply operand order)
-	opCopy       // copy(dst, src)
-	opRecvReduce // fold the incoming payload into dst in place
+	opRecvReduce // fold the incoming payload into a in place
+	opReduce     // a = b OP a (coll.Apply operand order)
+	opCopy       // copy(a, b)
+	opZero       // clear(a); prologue only
 )
 
-// step is one primitive. Send/recv use peer+buf; reduce/copy use
-// dst/src (reduce also op+elem); recv-reduce uses peer+dst+op+elem.
-// noCopy marks a send whose buffer may be lent over the zero-copy
-// handoff path when the transport offers one.
+// step is one primitive, packed so a parked rank's retained schedule
+// stays small (56 bytes): a send moves a to peer; a recv lands in a and,
+// when b is set, then folds it into b (b = a OP b) with the round's
+// other local steps; recv-reduce folds the payload from peer into a in
+// place; reduce and copy write a from b. The operator and element type
+// of every fold are the schedule's. noCopy marks a send whose buffer
+// may be lent over the zero-copy handoff path when the transport offers
+// one.
 type step struct {
-	kind     stepKind
-	peer     int
-	noCopy   bool
-	buf      []byte
-	dst, src []byte
-	op       coll.Op
-	elem     *datatype.Type
+	a, b   []byte
+	peer   int32
+	kind   stepKind
+	noCopy bool
 }
 
-// round is one dependency level: comm steps are issued together when
-// the round starts, local steps run in order once every receive of the
-// round has landed.
-type round struct {
-	comm  []step
-	local []step
+// pend is one outstanding completion of the current round. want is the
+// byte count the fragment must deliver (every collective receive is
+// exact-size by construction, so a short delivery means the ranks
+// disagree on a count); -1 for completions that carry no payload.
+type pend struct {
+	p    Pending
+	want int
 }
 
 // Schedule is one compiled collective instance. It is owned by the
 // rank that built it; Test and Wait must be called from that rank's
 // goroutine (they run local reduction steps and post receives).
+//
+// Storage is flat so a schedule can be recompiled in place without
+// allocating: one step array with per-round end offsets (round k is
+// steps[ends[k-1]:ends[k]]; its communication steps are issued together
+// when the round starts, its local steps run in order once every
+// receive of the round has landed), one prologue array, and one byte
+// slab the compilers carve scratch vectors from. Begin truncates all of
+// it keeping capacity.
 type Schedule struct {
-	// Algo is the metrics algorithm id the selection chose.
+	// Algo is the metrics algorithm id the compiler settled on.
 	Algo int
 	// Bytes is the per-rank payload size, for metrics and tracing.
 	Bytes int
@@ -165,40 +183,151 @@ type Schedule struct {
 	// OnRound, when set, fires at each round boundary on the owning
 	// goroutine: (idx, true) as round idx's communication is issued,
 	// (idx, false) as its local steps finish. The MPI layer hangs the
-	// Chrome-trace round spans off it.
+	// Chrome-trace round spans off it. Begin leaves it in place.
 	OnRound func(idx int, start bool)
 
-	t       Transport
-	tag     int
-	rounds  []round
-	cur     int
-	issued  bool
-	pending []Pending
-	done    bool
-	err     error
-
+	t     Transport
+	tag   int
+	op    coll.Op        // what the fold steps apply; set by the
+	elem  *datatype.Type // reduction compilers
+	steps []step
+	ends  []int32
 	// prologue records the compile-time buffer initializations (the
 	// seed copies compilers perform while building the rounds) so Reset
 	// can re-run them: a cached schedule replays from the caller's
 	// current buffer contents instead of a stale snapshot.
 	prologue []step
+	slab     []byte
+	slabNeed int // scratch bytes requested since Begin
+
+	cur     int
+	issued  bool
+	pending []pend
+	done    bool
+	err     error
 }
 
-// newSchedule wires an empty schedule.
-func newSchedule(t Transport, tag, algo, bytes int) *Schedule {
-	return &Schedule{t: t, tag: tag, Algo: algo, Bytes: bytes}
-}
-
-// addRound appends a dependency round.
-func (s *Schedule) addRound(r round) {
-	if len(r.comm) == 0 && len(r.local) == 0 {
-		return
+// Begin binds s to a new compilation, dropping whatever it held: the
+// zero Schedule and a finished one are equally valid targets. Beginning
+// over a Running schedule is a programming error (its in-flight
+// receives would orphan).
+func (s *Schedule) Begin(t Transport, tag, algo, bytes int) {
+	s.t, s.Algo, s.Bytes = t, algo, bytes
+	s.op, s.elem = 0, nil
+	if s.steps == nil {
+		// Room for a logarithmic collective at two steps a round, so
+		// the usual first compilation does not grow step by step.
+		r := bits.Len(uint(t.Size()))
+		s.steps, s.ends = make([]step, 0, 2*r), make([]int32, 0, r)
 	}
-	s.rounds = append(s.rounds, r)
+	// Cleared, not just truncated: stale steps would keep the previous
+	// caller's buffers reachable.
+	clear(s.steps)
+	clear(s.prologue)
+	s.steps, s.ends, s.prologue = s.steps[:0], s.ends[:0], s.prologue[:0]
+	s.slab, s.slabNeed = s.slab[:0], 0
+	s.Reset(tag)
+}
+
+// scratch carves an n-byte working vector from the slab. Its contents
+// are unspecified (a reused slab is not re-zeroed). When the slab is
+// full a larger one replaces it — vectors already handed out stay
+// where the compiled steps point — sized so that the next compilation
+// of the same shape fits whole and allocates nothing.
+func (s *Schedule) scratch(n int) []byte {
+	s.slabNeed += n
+	if len(s.slab)+n > cap(s.slab) {
+		s.slab = make([]byte, 0, max(2*cap(s.slab), s.slabNeed))
+	}
+	off := len(s.slab)
+	s.slab = s.slab[:off+n]
+	return s.slab[off : off+n : off+n]
+}
+
+// The step emitters append to the round under construction; endRound
+// closes it. Within a round the order of communication steps is the
+// issue order and the order of local steps (the fold of a recvFold
+// included) is the execution order.
+func (s *Schedule) emit(st step) {
+	if len(s.steps) == cap(s.steps) {
+		// By half, not double: a rank parked in a collective retains
+		// this array, a thousand ranks a thousand of them.
+		s.steps = slices.Grow(s.steps, max(4, len(s.steps)/2))
+	}
+	s.steps = append(s.steps, st)
+}
+
+func (s *Schedule) send(buf []byte, peer int) {
+	s.emit(step{kind: opSend, a: buf, peer: int32(peer)})
+}
+
+// sendNoCopy marks a send eligible for the zero-copy handoff path: the
+// buffer may be lent to the receiver for the rest of the round, so only
+// use it for buffers the round does not mutate. Falls back to a plain
+// send when the transport has no handoff or the payload is small, so
+// compilers may mark on-node sends unconditionally.
+func (s *Schedule) sendNoCopy(buf []byte, peer int) {
+	s.emit(step{kind: opSend, a: buf, peer: int32(peer), noCopy: true})
+}
+
+func (s *Schedule) recv(buf []byte, peer int) {
+	s.emit(step{kind: opRecv, a: buf, peer: int32(peer)})
+}
+
+// recvFold receives into tmp and, once the round's receives have
+// landed, folds it into acc: acc = tmp OP acc.
+func (s *Schedule) recvFold(tmp, acc []byte, peer int) {
+	s.emit(step{kind: opRecv, a: tmp, b: acc, peer: int32(peer)})
+}
+
+// recvReduce folds the incoming payload from peer into acc in place
+// (acc = incoming OP acc, arrival order). Emit only toward unsegmented
+// peers — the payload must arrive as one message.
+func (s *Schedule) recvReduce(acc []byte, peer int) {
+	s.emit(step{kind: opRecvReduce, a: acc, peer: int32(peer)})
+}
+
+// reduce folds src into dst: dst = src OP dst.
+func (s *Schedule) reduce(dst, src []byte) {
+	s.emit(step{kind: opReduce, a: dst, b: src})
+}
+
+func (s *Schedule) copy(dst, src []byte) {
+	s.emit(step{kind: opCopy, a: dst, b: src})
+}
+
+// endRound closes the dependency round under construction; a round
+// with no steps is dropped.
+func (s *Schedule) endRound() {
+	if n := int32(len(s.steps)); n > s.roundStart(len(s.ends)) {
+		s.ends = append(s.ends, n)
+	}
+}
+
+// roundStart is the index of round k's first step.
+func (s *Schedule) roundStart(k int) int32 {
+	if k == 0 {
+		return 0
+	}
+	return s.ends[k-1]
+}
+
+// init copies src into dst immediately (the compiler needs the seed in
+// place while building later rounds) and records the copy in the
+// schedule's prologue so Reset can re-run it before a replay.
+func (s *Schedule) init(dst, src []byte) {
+	copy(dst, src)
+	s.prologue = append(s.prologue, step{kind: opCopy, a: dst, b: src})
+}
+
+// zero is init with an all-zero source.
+func (s *Schedule) zero(dst []byte) {
+	clear(dst)
+	s.prologue = append(s.prologue, step{kind: opZero, a: dst})
 }
 
 // Rounds reports the schedule's depth (tests and tooling).
-func (s *Schedule) Rounds() int { return len(s.rounds) }
+func (s *Schedule) Rounds() int { return len(s.ends) }
 
 // Running reports whether the schedule has issued traffic it has not
 // yet completed: it is neither freshly compiled nor finished. A running
@@ -225,16 +354,12 @@ func (s *Schedule) Reset(tag int) {
 	// compilers' initialization copies ran once at compile time, and a
 	// replay must not fold into stale accumulator contents.
 	for _, st := range s.prologue {
-		copy(st.dst, st.src)
+		if st.kind == opZero {
+			clear(st.a)
+		} else {
+			copy(st.a, st.b)
+		}
 	}
-}
-
-// init copies src into dst immediately (the compiler needs the seed in
-// place while building later rounds) and records the copy in the
-// schedule's prologue so Reset can re-run it before a replay.
-func (s *Schedule) init(dst, src []byte) {
-	copy(dst, src)
-	s.prologue = append(s.prologue, copyInto(dst, src))
 }
 
 // Cur reports the index of the round currently in progress (equal to
@@ -262,92 +387,80 @@ func (s *Schedule) segLimit(peer int) int {
 	return s.t.EagerLimit()
 }
 
-// segments returns the fragment boundaries of an n-byte payload toward
-// peer: [0, n] for an eager-sized payload, ceil(n/limit) cuts
-// otherwise.
-func (s *Schedule) segments(n, peer int) int {
+// fragments calls f on each eager-sized cut of buf toward peer, in
+// order: buf whole when it fits the limit, ceil(n/limit) cuts
+// otherwise. It is the one segmenter both directions share.
+func (s *Schedule) fragments(buf []byte, peer int, f func(frag []byte) error) error {
 	lim := s.segLimit(peer)
-	if lim <= 0 || n <= lim {
-		return 1
+	if lim <= 0 || len(buf) <= lim {
+		return f(buf)
 	}
-	return (n + lim - 1) / lim
+	for off := 0; off < len(buf); off += lim {
+		if err := f(buf[off:min(off+lim, len(buf))]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // issueSend injects one send step, segmenting above the eager limit. A
 // noCopy step first offers the payload to the transport's zero-copy
 // handoff; when accepted, the returned completion gates the round like
 // a receive (the buffer is lent until the receiver releases it).
-func (s *Schedule) issueSend(st step) error {
+func (s *Schedule) issueSend(st *step) error {
+	peer := int(st.peer)
 	if st.noCopy {
 		if ht, ok := s.t.(HandoffTransport); ok {
-			p, sent, err := ht.SendNoCopy(st.buf, st.peer, s.tag)
+			p, sent, err := ht.SendNoCopy(st.a, peer, s.tag)
 			if err != nil {
 				return err
 			}
 			if sent {
 				if p != nil {
-					s.pending = append(s.pending, p)
+					s.pending = append(s.pending, pend{p, -1})
 				}
 				return nil
 			}
 		}
 	}
-	lim := s.segLimit(st.peer)
-	if lim <= 0 || len(st.buf) <= lim {
-		return s.t.Send(st.buf, st.peer, s.tag)
-	}
-	for off := 0; off < len(st.buf); off += lim {
-		end := off + lim
-		if end > len(st.buf) {
-			end = len(st.buf)
-		}
-		if err := s.t.Send(st.buf[off:end], st.peer, s.tag); err != nil {
-			return err
-		}
-	}
-	return nil
+	return s.fragments(st.a, peer, func(frag []byte) error {
+		return s.t.Send(frag, peer, s.tag)
+	})
 }
 
 // issueRecv posts one receive step, segmenting above the eager limit,
 // and appends the resulting Pendings.
-func (s *Schedule) issueRecv(st step) error {
-	lim := s.segLimit(st.peer)
-	if lim <= 0 || len(st.buf) <= lim {
-		p, err := s.t.Recv(st.buf, st.peer, s.tag)
+func (s *Schedule) issueRecv(st *step) error {
+	peer := int(st.peer)
+	return s.fragments(st.a, peer, func(frag []byte) error {
+		p, err := s.t.Recv(frag, peer, s.tag)
 		if err != nil {
 			return err
 		}
-		s.pending = append(s.pending, p)
+		s.pending = append(s.pending, pend{p, len(frag)})
 		return nil
-	}
-	for off := 0; off < len(st.buf); off += lim {
-		end := off + lim
-		if end > len(st.buf) {
-			end = len(st.buf)
-		}
-		p, err := s.t.Recv(st.buf[off:end], st.peer, s.tag)
-		if err != nil {
-			return err
-		}
-		s.pending = append(s.pending, p)
-	}
-	return nil
+	})
 }
 
 // issueRecvReduce posts one in-place receive-reduce step. Compilers
 // emit these only toward unsegmented peers (SegLimit 0), so the whole
 // payload arrives as one message and folds once.
-func (s *Schedule) issueRecvReduce(st step) error {
+func (s *Schedule) issueRecvReduce(st *step) error {
 	rt, ok := s.t.(ReduceTransport)
 	if !ok {
 		return fmt.Errorf("nbc: schedule uses recv-reduce but transport lacks it")
 	}
-	p, err := rt.RecvReduce(st.dst, st.op, st.elem, st.peer, s.tag)
+	p, err := rt.RecvReduce(st.a, s.op, s.elem, int(st.peer), s.tag)
 	if err != nil {
 		return err
 	}
-	s.pending = append(s.pending, p)
+	s.pending = append(s.pending, pend{p, -1})
 	return nil
+}
+
+// round returns the current round's steps.
+func (s *Schedule) round() []step {
+	return s.steps[s.roundStart(s.cur):s.ends[s.cur]]
 }
 
 // startRound issues the current round's communication: sends inject
@@ -356,7 +469,9 @@ func (s *Schedule) startRound() error {
 	if s.OnRound != nil {
 		s.OnRound(s.cur, true)
 	}
-	for _, st := range s.rounds[s.cur].comm {
+	r := s.round()
+	for i := range r {
+		st := &r[i]
 		var err error
 		switch st.kind {
 		case opSend:
@@ -365,8 +480,6 @@ func (s *Schedule) startRound() error {
 			err = s.issueRecv(st)
 		case opRecvReduce:
 			err = s.issueRecvReduce(st)
-		default:
-			err = fmt.Errorf("nbc: local step in comm list")
 		}
 		if err != nil {
 			return err
@@ -378,16 +491,21 @@ func (s *Schedule) startRound() error {
 
 // finishRound runs the current round's local steps and advances.
 func (s *Schedule) finishRound() error {
-	for _, st := range s.rounds[s.cur].local {
-		switch st.kind {
-		case opReduce:
-			if err := coll.Apply(st.op, st.elem, st.dst, st.src); err != nil {
-				return err
+	r := s.round()
+	for i := range r {
+		var err error
+		switch st := &r[i]; st.kind {
+		case opRecv:
+			if st.b != nil {
+				err = coll.Apply(s.op, s.elem, st.b, st.a)
 			}
+		case opReduce:
+			err = coll.Apply(s.op, s.elem, st.a, st.b)
 		case opCopy:
-			copy(st.dst, st.src)
-		default:
-			return fmt.Errorf("nbc: comm step in local list")
+			copy(st.a, st.b)
+		}
+		if err != nil {
+			return err
 		}
 	}
 	if s.OnRound != nil {
@@ -403,25 +521,40 @@ func (s *Schedule) finishRound() error {
 // the outstanding receives, and runs local steps as rounds complete.
 // It returns true once the whole schedule has finished (possibly with
 // the schedule's first error).
-func (s *Schedule) Test() (bool, error) {
-	for {
-		if s.done {
-			return true, s.err
-		}
-		if s.cur >= len(s.rounds) {
+func (s *Schedule) Test() (bool, error) { return s.progress(false) }
+
+// Wait drives the schedule to completion, parking on each outstanding
+// receive in turn. Deadlock-free: sends are eager and every compiler
+// emits acyclic receive dependencies.
+func (s *Schedule) Wait() error {
+	_, err := s.progress(true)
+	return err
+}
+
+// progress is the one driver behind Test and Wait: park says whether an
+// unfinished receive is waited for or ends the call.
+func (s *Schedule) progress(park bool) (bool, error) {
+	for !s.done {
+		if s.cur >= len(s.ends) {
 			s.done = true
-			return true, s.err
+			break
 		}
 		if !s.issued {
 			if err := s.startRound(); err != nil {
 				return true, s.fail(err)
 			}
 		}
-		for i, p := range s.pending {
-			if p == nil {
+		for i := range s.pending {
+			pd := &s.pending[i]
+			if pd.p == nil {
 				continue
 			}
-			ok, err := p.Done()
+			n, ok, err := 0, true, error(nil)
+			if park {
+				n, err = pd.p.Wait()
+			} else {
+				n, ok, err = pd.p.Done()
+			}
 			if err != nil {
 				return true, s.fail(err)
 			}
@@ -433,42 +566,14 @@ func (s *Schedule) Test() (bool, error) {
 				runtime.Gosched()
 				return false, nil
 			}
-			s.pending[i] = nil
+			pd.p = nil
+			if pd.want >= 0 && n != pd.want {
+				return true, s.fail(fmt.Errorf("nbc: fragment delivered %d bytes, expected %d", n, pd.want))
+			}
 		}
 		if err := s.finishRound(); err != nil {
 			return true, s.fail(err)
 		}
 	}
-}
-
-// Wait drives the schedule to completion, parking on each outstanding
-// receive in turn. Deadlock-free: sends are eager and every compiler
-// emits acyclic receive dependencies.
-func (s *Schedule) Wait() error {
-	for {
-		if s.done {
-			return s.err
-		}
-		if s.cur >= len(s.rounds) {
-			s.done = true
-			return s.err
-		}
-		if !s.issued {
-			if err := s.startRound(); err != nil {
-				return s.fail(err)
-			}
-		}
-		for i, p := range s.pending {
-			if p == nil {
-				continue
-			}
-			if err := p.Wait(); err != nil {
-				return s.fail(err)
-			}
-			s.pending[i] = nil
-		}
-		if err := s.finishRound(); err != nil {
-			return s.fail(err)
-		}
-	}
+	return true, s.err
 }

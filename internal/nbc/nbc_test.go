@@ -75,41 +75,32 @@ type fakePending struct {
 	ch  chan fakeMsg
 	buf []byte
 	tag int
-	got bool
 }
 
-func (p *fakePending) deliver(m fakeMsg) (bool, error) {
+// deliver lands m like a device would: a longer message is an error
+// (truncation), a shorter one is delivered short and left for the
+// engine's exact-size check to catch.
+func (p *fakePending) deliver(m fakeMsg) (int, error) {
 	if m.tag != p.tag {
-		return true, fmt.Errorf("tag mismatch: got %d want %d", m.tag, p.tag)
+		return 0, fmt.Errorf("tag mismatch: got %d want %d", m.tag, p.tag)
 	}
-	if len(m.data) != len(p.buf) {
-		return true, fmt.Errorf("length mismatch: got %d want %d", len(m.data), len(p.buf))
+	if len(m.data) > len(p.buf) {
+		return 0, fmt.Errorf("truncated: got %d want %d", len(m.data), len(p.buf))
 	}
-	copy(p.buf, m.data)
-	p.got = true
-	return true, nil
+	return copy(p.buf, m.data), nil
 }
 
-func (p *fakePending) Done() (bool, error) {
-	if p.got {
-		return true, nil
-	}
+func (p *fakePending) Done() (int, bool, error) {
 	select {
 	case m := <-p.ch:
-		return p.deliver(m)
+		n, err := p.deliver(m)
+		return n, true, err
 	default:
-		return false, nil
+		return 0, false, nil
 	}
 }
 
-func (p *fakePending) Wait() error {
-	if p.got {
-		return nil
-	}
-	m := <-p.ch
-	_, err := p.deliver(m)
-	return err
-}
+func (p *fakePending) Wait() (int, error) { return p.deliver(<-p.ch) }
 
 func (f *fakeRank) Recv(buf []byte, src, tag int) (Pending, error) {
 	if src < 0 || src >= f.net.size {
@@ -139,6 +130,15 @@ func runRanks(t *testing.T, net *fakeNet, fn func(tr Transport, rank int) error)
 	}
 }
 
+// do compiles one collective into a fresh schedule and waits on it.
+func do(compile func(s *Schedule) error) error {
+	s := new(Schedule)
+	if err := compile(s); err != nil {
+		return err
+	}
+	return s.Wait()
+}
+
 func longs(vs ...int64) []byte {
 	out := make([]byte, 8*len(vs))
 	for i, v := range vs {
@@ -156,10 +156,10 @@ func pattern(rank, n int) []byte {
 }
 
 func TestBarrier(t *testing.T) {
-	for _, size := range []int{1, 2, 3, 4, 5, 8} {
+	for _, size := range worldSizes {
 		net := newFakeNet(size, 1, 0)
 		runRanks(t, net, func(tr Transport, rank int) error {
-			return Barrier(tr, 7).Wait()
+			return do(func(s *Schedule) error { Barrier(s, tr, 7); return nil })
 		})
 	}
 }
@@ -182,11 +182,7 @@ func TestBcastAlgorithms(t *testing.T) {
 						if rank == root {
 							copy(buf, want)
 						}
-						s, err := Bcast(tr, 9, buf, root, algo)
-						if err != nil {
-							return err
-						}
-						if err := s.Wait(); err != nil {
+						if err := do(func(s *Schedule) error { return Bcast(s, tr, 9, buf, root, algo) }); err != nil {
 							return err
 						}
 						if !bytes.Equal(buf, want) {
@@ -212,11 +208,9 @@ func TestReduceAlgorithms(t *testing.T) {
 				runRanks(t, net, func(tr Transport, rank int) error {
 					contrib := longs(int64(rank+1), int64(10*(rank+1)))
 					recv := make([]byte, len(contrib))
-					s, err := Reduce(tr, 11, coll.OpSum, datatype.Long, contrib, recv, root, algo)
-					if err != nil {
-						return err
-					}
-					if err := s.Wait(); err != nil {
+					if err := do(func(s *Schedule) error {
+						return Reduce(s, tr, 11, coll.OpSum, datatype.Long, contrib, recv, root, algo)
+					}); err != nil {
 						return err
 					}
 					if rank == root && !bytes.Equal(recv, longs(wantSum, 10*wantSum)) {
@@ -259,8 +253,8 @@ func TestReduceNonCommutative(t *testing.T) {
 		recv := make([]byte, 8)
 		// Request the binomial algorithm: Reduce must override it to
 		// the chain because the op is non-commutative.
-		s, err := Reduce(tr, 13, sub, datatype.Long, contrib, recv, 0, metrics.CollReduceBinomial)
-		if err != nil {
+		s := new(Schedule)
+		if err := Reduce(s, tr, 13, sub, datatype.Long, contrib, recv, 0, metrics.CollReduceBinomial); err != nil {
 			return err
 		}
 		if s.Algo != metrics.CollReduceChain {
@@ -286,7 +280,7 @@ func TestAllreduceAlgorithms(t *testing.T) {
 		metrics.CollAllreduceReduceBcast,
 	}
 	for _, algo := range algos {
-		for _, size := range []int{1, 2, 3, 4, 5, 8} {
+		for _, size := range worldSizes {
 			// 8 elements: divisible by every pow2 size here, so RSAG
 			// runs for real on 2/4/8 and falls back elsewhere. 12
 			// elements gives non-power-of-two per-rank counts (3 on 4
@@ -310,11 +304,10 @@ func TestAllreduceAlgorithms(t *testing.T) {
 					}
 					contrib := longs(vals...)
 					recv := make([]byte, len(contrib))
-					s, err := Allreduce(tr, 15, coll.OpSum, datatype.Long, contrib, recv, algo)
-					if err != nil {
-						return err
-					}
-					if err := s.Wait(); err != nil {
+					if err := do(func(s *Schedule) error {
+						Allreduce(s, tr, 15, coll.OpSum, datatype.Long, contrib, recv, algo)
+						return nil
+					}); err != nil {
 						return err
 					}
 					if !bytes.Equal(recv, wantB) {
@@ -329,7 +322,7 @@ func TestAllreduceAlgorithms(t *testing.T) {
 
 func TestAllgatherAlgorithms(t *testing.T) {
 	for _, algo := range []int{metrics.CollAllgatherRing, metrics.CollAllgatherBruck} {
-		for _, size := range []int{1, 2, 3, 4, 5, 8} {
+		for _, size := range worldSizes {
 			const bs = 24
 			var want []byte
 			for r := 0; r < size; r++ {
@@ -338,11 +331,7 @@ func TestAllgatherAlgorithms(t *testing.T) {
 			net := newFakeNet(size, 1, 0)
 			runRanks(t, net, func(tr Transport, rank int) error {
 				recv := make([]byte, bs*size)
-				s, err := Allgather(tr, 17, pattern(rank, bs), recv, algo)
-				if err != nil {
-					return err
-				}
-				if err := s.Wait(); err != nil {
+				if err := do(func(s *Schedule) error { return Allgather(s, tr, 17, pattern(rank, bs), recv, algo) }); err != nil {
 					return err
 				}
 				if !bytes.Equal(recv, want) {
@@ -356,7 +345,7 @@ func TestAllgatherAlgorithms(t *testing.T) {
 
 func TestAlltoallAlgorithms(t *testing.T) {
 	for _, algo := range []int{metrics.CollAlltoallPairwise, metrics.CollAlltoallPosted} {
-		for _, size := range []int{1, 2, 3, 4, 5, 8} {
+		for _, size := range worldSizes {
 			const bs = 16
 			net := newFakeNet(size, 1, 0)
 			runRanks(t, net, func(tr Transport, rank int) error {
@@ -365,11 +354,7 @@ func TestAlltoallAlgorithms(t *testing.T) {
 					copy(send[d*bs:], pattern(rank*100+d, bs))
 				}
 				recv := make([]byte, bs*size)
-				s, err := Alltoall(tr, 19, send, recv, algo)
-				if err != nil {
-					return err
-				}
-				if err := s.Wait(); err != nil {
+				if err := do(func(s *Schedule) error { return Alltoall(s, tr, 19, send, recv, algo) }); err != nil {
 					return err
 				}
 				for srcRank := 0; srcRank < size; srcRank++ {
@@ -396,11 +381,7 @@ func TestSegmentation(t *testing.T) {
 		if rank == 2 {
 			copy(buf, want)
 		}
-		s, err := Bcast(tr, 21, buf, 2, metrics.CollBcastBinomial)
-		if err != nil {
-			return err
-		}
-		if err := s.Wait(); err != nil {
+		if err := do(func(s *Schedule) error { return Bcast(s, tr, 21, buf, 2, metrics.CollBcastBinomial) }); err != nil {
 			return err
 		}
 		if !bytes.Equal(buf, want) {
@@ -428,10 +409,8 @@ func TestPollingProgress(t *testing.T) {
 	runRanks(t, net, func(tr Transport, rank int) error {
 		contrib := longs(int64(rank + 1))
 		recv := make([]byte, 8)
-		s, err := Allreduce(tr, 23, coll.OpSum, datatype.Long, contrib, recv, metrics.CollAllreduceRecDoubling)
-		if err != nil {
-			return err
-		}
+		s := new(Schedule)
+		Allreduce(s, tr, 23, coll.OpSum, datatype.Long, contrib, recv, metrics.CollAllreduceRecDoubling)
 		for {
 			done, err := s.Test()
 			if err != nil {
@@ -513,5 +492,38 @@ func TestSelection(t *testing.T) {
 	}
 	if f, err := ParseForce("two-level"); err != nil || f != ForceTwoLevel {
 		t.Errorf("ParseForce(two-level) = %v, %v", f, err)
+	}
+}
+
+// TestCacheBounded: the cache holds at most CacheCap schedules and
+// evicts in insertion order, however many distinct keys pass through
+// (an application calling I-collectives on freshly allocated buffers
+// never repeats one).
+func TestCacheBounded(t *testing.T) {
+	var c Cache
+	key := func(i int) CacheKey { return CacheKey{Kind: CacheAllreduce, Send: uintptr(i + 1)} }
+	for i := 0; i < 1000; i++ {
+		if _, ok := c.Get(key(i)); ok {
+			t.Fatalf("key %d hit before it was stored", i)
+		}
+		c.Put(key(i), new(Schedule))
+		if c.Len() > CacheCap {
+			t.Fatalf("cache holds %d schedules after %d distinct keys, bound is %d", c.Len(), i+1, CacheCap)
+		}
+	}
+	if _, ok := c.Get(key(1000 - CacheCap - 1)); ok {
+		t.Error("the oldest key survived a full turn of the cache")
+	}
+	for i := 1000 - CacheCap; i < 1000; i++ {
+		if _, ok := c.Get(key(i)); !ok {
+			t.Errorf("key %d, one of the newest %d, was evicted", i, CacheCap)
+		}
+	}
+	// Storing over a present key (its schedule was running) replaces
+	// the schedule without taking a second slot.
+	s := new(Schedule)
+	c.Put(key(999), s)
+	if got, _ := c.Get(key(999)); got != s || c.Len() != CacheCap {
+		t.Errorf("replacing a key: got %p want %p, %d entries", got, s, c.Len())
 	}
 }

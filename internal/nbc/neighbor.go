@@ -61,102 +61,85 @@ func orderLocalFirst(t Transport, peers []int) []int {
 // sendBuf goes to every destination, and each source's block lands in
 // recv at that source's position in the sources list. Block size is
 // len(sendBuf); recv must hold len(sources) blocks.
-func NeighborAllgather(t Transport, tag int, sendBuf, recv []byte, sources, destinations []int) (*Schedule, error) {
+func NeighborAllgather(s *Schedule, t Transport, tag int, sendBuf, recv []byte, sources, destinations []int) error {
 	bs := len(sendBuf)
 	if len(recv) < bs*len(sources) {
-		return nil, fmt.Errorf("nbc: neighbor allgather recv buffer %d < %d", len(recv), bs*len(sources))
+		return fmt.Errorf("nbc: neighbor allgather recv buffer %d < %d", len(recv), bs*len(sources))
 	}
-	s := newSchedule(t, tag, metrics.CollNeighborAllgather, bs)
-	var zero []byte
+	s.Begin(t, tag, metrics.CollNeighborAllgather, bs)
 	for i, src := range sources {
-		if src < 0 && bs > 0 {
-			if zero == nil {
-				zero = make([]byte, bs)
-			}
-			s.init(recv[i*bs:(i+1)*bs], zero)
+		if src < 0 {
+			s.zero(recv[i*bs : (i+1)*bs])
 		}
 	}
-	var comm []step
 	for _, j := range orderLocalFirst(t, destinations) {
-		comm = append(comm, sendNoCopyTo(sendBuf, destinations[j]))
+		s.sendNoCopy(sendBuf, destinations[j])
 	}
 	for _, i := range orderLocalFirst(t, sources) {
-		comm = append(comm, recvFrom(recv[i*bs:(i+1)*bs], sources[i]))
+		s.recv(recv[i*bs:(i+1)*bs], sources[i])
 	}
-	s.addRound(round{comm: comm})
-	return s, nil
+	s.endRound()
+	return nil
 }
 
 // NeighborAlltoall compiles the neighborhood all-to-all: send block j
 // of sendBuf goes to destinations[j], and source i's block lands in
 // recv block i. Both buffers are divided into equal blocks of bs
 // bytes.
-func NeighborAlltoall(t Transport, tag, bs int, sendBuf, recv []byte, sources, destinations []int) (*Schedule, error) {
+func NeighborAlltoall(s *Schedule, t Transport, tag, bs int, sendBuf, recv []byte, sources, destinations []int) error {
 	if len(sendBuf) < bs*len(destinations) {
-		return nil, fmt.Errorf("nbc: neighbor alltoall send buffer %d < %d", len(sendBuf), bs*len(destinations))
+		return fmt.Errorf("nbc: neighbor alltoall send buffer %d < %d", len(sendBuf), bs*len(destinations))
 	}
 	if len(recv) < bs*len(sources) {
-		return nil, fmt.Errorf("nbc: neighbor alltoall recv buffer %d < %d", len(recv), bs*len(sources))
+		return fmt.Errorf("nbc: neighbor alltoall recv buffer %d < %d", len(recv), bs*len(sources))
 	}
-	s := newSchedule(t, tag, metrics.CollNeighborAlltoall, bs)
-	var zero []byte
+	s.Begin(t, tag, metrics.CollNeighborAlltoall, bs)
 	for i, src := range sources {
-		if src < 0 && bs > 0 {
-			if zero == nil {
-				zero = make([]byte, bs)
-			}
-			s.init(recv[i*bs:(i+1)*bs], zero)
+		if src < 0 {
+			s.zero(recv[i*bs : (i+1)*bs])
 		}
 	}
-	var comm []step
 	for _, j := range orderLocalFirst(t, destinations) {
-		comm = append(comm, sendNoCopyTo(sendBuf[j*bs:(j+1)*bs], destinations[j]))
+		s.sendNoCopy(sendBuf[j*bs:(j+1)*bs], destinations[j])
 	}
 	for _, i := range orderLocalFirst(t, sources) {
-		comm = append(comm, recvFrom(recv[i*bs:(i+1)*bs], sources[i]))
+		s.recv(recv[i*bs:(i+1)*bs], sources[i])
 	}
-	s.addRound(round{comm: comm})
-	return s, nil
+	s.endRound()
+	return nil
 }
 
 // NeighborAlltoallv is the ragged variant: per-destination byte counts
 // and displacements into sendBuf, per-source byte counts and
 // displacements into recv. Counts and displacement slices must match
 // the neighbor lists in length.
-func NeighborAlltoallv(t Transport, tag int, sendBuf []byte, sendCounts, sendDispls []int, recv []byte, recvCounts, recvDispls []int, sources, destinations []int) (*Schedule, error) {
+func NeighborAlltoallv(s *Schedule, t Transport, tag int, sendBuf []byte, sendCounts, sendDispls []int, recv []byte, recvCounts, recvDispls []int, sources, destinations []int) error {
 	if len(sendCounts) != len(destinations) || len(sendDispls) != len(destinations) {
-		return nil, fmt.Errorf("nbc: neighbor alltoallv send counts/displs %d/%d != %d destinations", len(sendCounts), len(sendDispls), len(destinations))
+		return fmt.Errorf("nbc: neighbor alltoallv send counts/displs %d/%d != %d destinations", len(sendCounts), len(sendDispls), len(destinations))
 	}
 	if len(recvCounts) != len(sources) || len(recvDispls) != len(sources) {
-		return nil, fmt.Errorf("nbc: neighbor alltoallv recv counts/displs %d/%d != %d sources", len(recvCounts), len(recvDispls), len(sources))
+		return fmt.Errorf("nbc: neighbor alltoallv recv counts/displs %d/%d != %d sources", len(recvCounts), len(recvDispls), len(sources))
 	}
 	total := 0
 	for _, n := range sendCounts {
 		total += n
 	}
-	s := newSchedule(t, tag, metrics.CollNeighborAlltoallv, total)
-	var zero []byte
+	s.Begin(t, tag, metrics.CollNeighborAlltoallv, total)
 	for i, src := range sources {
-		if src < 0 && recvCounts[i] > 0 {
-			if len(zero) < recvCounts[i] {
-				zero = make([]byte, recvCounts[i])
-			}
-			s.init(recv[recvDispls[i]:recvDispls[i]+recvCounts[i]], zero)
+		if src < 0 {
+			s.zero(recv[recvDispls[i] : recvDispls[i]+recvCounts[i]])
 		}
 	}
-	var comm []step
 	for _, j := range orderLocalFirst(t, destinations) {
-		if sendCounts[j] == 0 {
-			continue
+		if sendCounts[j] > 0 {
+			s.sendNoCopy(sendBuf[sendDispls[j]:sendDispls[j]+sendCounts[j]], destinations[j])
 		}
-		comm = append(comm, sendNoCopyTo(sendBuf[sendDispls[j]:sendDispls[j]+sendCounts[j]], destinations[j]))
 	}
 	for _, i := range orderLocalFirst(t, sources) {
-		if recvCounts[i] == 0 {
-			continue
+		if recvCounts[i] > 0 {
+			s.recv(recv[recvDispls[i]:recvDispls[i]+recvCounts[i]], sources[i])
 		}
-		comm = append(comm, recvFrom(recv[recvDispls[i]:recvDispls[i]+recvCounts[i]], sources[i]))
 	}
-	s.addRound(round{comm: comm})
-	return s, nil
+	s.endRound()
+	return nil
 }

@@ -29,7 +29,7 @@ const (
 	KindGet
 	KindAcc
 	KindSync   // fence, lock/unlock, PSCW
-	KindSched  // one dependency round of a nonblocking-collective schedule
+	KindSched  // one dependency round of a collective schedule
 	KindFlush  // passive-target flush (Flush/FlushLocal/FlushAll variants)
 	KindNotify // notified access (PutNotify token send, WaitNotify wait)
 	KindPhase  // one application phase region (Proc.PhaseBegin/PhaseEnd)

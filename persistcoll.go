@@ -4,8 +4,6 @@ import (
 	"gompi/internal/coll"
 	"gompi/internal/match"
 	"gompi/internal/nbc"
-	"gompi/internal/trace"
-	"gompi/internal/vtime"
 )
 
 // Persistent collectives (MPI-4 MPI_BCAST_INIT / MPI_ALLREDUCE_INIT /
@@ -37,25 +35,10 @@ func (c *Comm) persistTag() int {
 
 // persistWrap finishes an Init: the compiled schedule becomes a
 // restartable operation, with round tracing attached once here rather
-// than per Start (the OnRound closure would otherwise be a per-replay
-// allocation).
+// than per Start.
 func (c *Comm) persistWrap(s *nbc.Schedule, tag int) *PersistentColl {
-	p := c.p
-	p.rank.Metrics().NoteSchedCache(false) // the one compilation
-	if p.tlog.Enabled() {
-		var roundStart vtime.Time
-		bytes := s.Bytes
-		s.OnRound = func(idx int, start bool) {
-			if start {
-				roundStart = p.rank.Now()
-				return
-			}
-			p.tlog.Record(trace.Event{
-				Kind: trace.KindSched, Peer: idx, Bytes: bytes, VCI: -1,
-				Start: roundStart, End: p.rank.Now(),
-			})
-		}
-	}
+	c.p.rank.Metrics().NoteSchedCache(false) // the one compilation
+	c.p.traceRounds(s)
 	return &PersistentColl{c: c, s: s, tag: tag}
 }
 
@@ -128,8 +111,8 @@ func (c *Comm) BcastInit(buf []byte, count int, dt *Datatype, root int) (*Persis
 	n := count * dt.Size()
 	t := c.nbcPort()
 	tag := c.persistTag()
-	s, err := nbc.Bcast(t, tag, buf[:n], root, nbc.SelectBcast(t, n, f))
-	if err != nil {
+	s := new(nbc.Schedule)
+	if err := nbc.Bcast(s, t, tag, buf[:n], root, nbc.SelectBcast(t, n, f)); err != nil {
 		return nil, errc(ErrArg, "%v", err)
 	}
 	return c.persistWrap(s, tag), nil
@@ -149,11 +132,9 @@ func (c *Comm) AllreduceInit(send, recv []byte, count int, elem *Datatype, op Op
 	n := count * elem.Size()
 	t := c.nbcPort()
 	tag := c.persistTag()
-	s, err := nbc.Allreduce(t, tag, op, elem, send[:n], recv[:n],
+	s := new(nbc.Schedule)
+	nbc.Allreduce(s, t, tag, op, elem, send[:n], recv[:n],
 		nbc.SelectAllreduce(t, count, elem.Size(), coll.Commutative(op), f))
-	if err != nil {
-		return nil, errc(ErrArg, "%v", err)
-	}
 	return c.persistWrap(s, tag), nil
 }
 
@@ -174,9 +155,9 @@ func (c *Comm) AlltoallInit(send, recv []byte, count int, dt *Datatype) (*Persis
 	}
 	t := c.nbcPort()
 	tag := c.persistTag()
-	s, err := nbc.Alltoall(t, tag, send[:n*c.Size()], recv[:n*c.Size()],
-		nbc.SelectAlltoall(t, n, f))
-	if err != nil {
+	s := new(nbc.Schedule)
+	if err := nbc.Alltoall(s, t, tag, send[:n*c.Size()], recv[:n*c.Size()],
+		nbc.SelectAlltoall(t, n, f)); err != nil {
 		return nil, errc(ErrArg, "%v", err)
 	}
 	return c.persistWrap(s, tag), nil

@@ -17,8 +17,8 @@ import (
 // least the origin's flush time, so the target's clock (synced by its
 // matching receive) correctly reflects the data it is about to read.
 
-// Reserved tags on the collective context (the device-internal barrier
-// uses 1<<20; collectives use 1..9).
+// Reserved tags on the collective context (internal/match/tagspace.go
+// has the whole layout; collective schedules draw theirs far above).
 const (
 	tagWinPost     = 700
 	tagWinComplete = 701

@@ -244,3 +244,47 @@ func TestPSCWTestWait(t *testing.T) {
 		return win.Free()
 	})
 }
+
+// TestCollectiveTagsClearOfWindowTokens: post/complete tokens travel on
+// the communicator's collective context under small fixed tags, and a
+// post token can be in flight while its receiver sits in a collective
+// waiting on the same peer. Collective calls draw their tags from a
+// sequence, so enough of them must never walk into the token tags.
+func TestCollectiveTagsClearOfWindowTokens(t *testing.T) {
+	run(t, 2, Config{Fabric: "inf"}, func(p *Proc) error {
+		w := p.World()
+		win, mem, err := w.WinAllocate(8, 1)
+		if err != nil {
+			return err
+		}
+		for i := 0; i < 800; i++ {
+			if p.Rank() == 1 {
+				if err := win.Post([]int{0}); err != nil {
+					return err
+				}
+			}
+			if err := w.Barrier(); err != nil {
+				return fmt.Errorf("barrier %d: %w", i, err)
+			}
+			if p.Rank() == 0 {
+				if err := win.Start([]int{1}); err != nil {
+					return err
+				}
+				if err := win.Put([]byte{byte(i)}, 1, Byte, 1, 0); err != nil {
+					return err
+				}
+				if err := win.Complete(); err != nil {
+					return err
+				}
+			} else {
+				if err := win.Wait(); err != nil {
+					return err
+				}
+				if mem[0] != byte(i) {
+					return fmt.Errorf("epoch %d: window byte = %d", i, mem[0])
+				}
+			}
+		}
+		return win.Free()
+	})
+}

@@ -126,8 +126,8 @@ func (c *Comm) neighborAllgather(send, recv []byte, count int, dt *Datatype, sou
 	rp, rl := nbc.BufKey(recv[:n*len(sources)])
 	key := nbc.CacheKey{Kind: nbc.CacheNeighborAllgather, Algo: metrics.CollNeighborAllgather,
 		Root: -1, Send: sp, SendLen: sl, Recv: rp, RecvLen: rl}
-	req, err := c.cachedStart(key, func(tag int) (*nbc.Schedule, error) {
-		return nbc.NeighborAllgather(t, tag, send[:n], recv[:n*len(sources)], sources, destinations)
+	req, err := c.cachedStart(key, func(s *nbc.Schedule, tag int) error {
+		return nbc.NeighborAllgather(s, t, tag, send[:n], recv[:n*len(sources)], sources, destinations)
 	})
 	if err != nil {
 		return err
@@ -156,8 +156,8 @@ func (c *Comm) neighborAlltoall(send, recv []byte, count int, dt *Datatype, sour
 	rp, rl := nbc.BufKey(recv[:n*len(sources)])
 	key := nbc.CacheKey{Kind: nbc.CacheNeighborAlltoall, Algo: metrics.CollNeighborAlltoall,
 		Root: -1, Send: sp, SendLen: sl, Recv: rp, RecvLen: rl}
-	req, err := c.cachedStart(key, func(tag int) (*nbc.Schedule, error) {
-		return nbc.NeighborAlltoall(t, tag, n, send[:n*len(destinations)], recv[:n*len(sources)], sources, destinations)
+	req, err := c.cachedStart(key, func(s *nbc.Schedule, tag int) error {
+		return nbc.NeighborAlltoall(s, t, tag, n, send[:n*len(destinations)], recv[:n*len(sources)], sources, destinations)
 	})
 	if err != nil {
 		return err
@@ -187,8 +187,8 @@ func (c *Comm) neighborAlltoallv(send []byte, sendCounts, sendDispls []int, recv
 	key := nbc.CacheKey{Kind: nbc.CacheNeighborAlltoall, Algo: metrics.CollNeighborAlltoallv,
 		Root: -1, Send: sp, SendLen: sl, Recv: rp, RecvLen: rl,
 		Shape: nbc.ShapeHash(sc, sd, rc, rd)}
-	req, err := c.cachedStart(key, func(tag int) (*nbc.Schedule, error) {
-		return nbc.NeighborAlltoallv(t, tag, send, sc, sd, recv, rc, rd, sources, destinations)
+	req, err := c.cachedStart(key, func(s *nbc.Schedule, tag int) error {
+		return nbc.NeighborAlltoallv(s, t, tag, send, sc, sd, recv, rc, rd, sources, destinations)
 	})
 	if err != nil {
 		return err
@@ -218,8 +218,8 @@ func (c *Comm) neighborAllgatherInit(send, recv []byte, count int, dt *Datatype,
 		return nil, errc(ErrBuffer, "neighbor allgather recv %d < %d", len(recv), n*len(sources))
 	}
 	tag := c.persistTag()
-	s, err := nbc.NeighborAllgather(c.nbcPort(), tag, send[:n], recv[:n*len(sources)], sources, destinations)
-	if err != nil {
+	s := new(nbc.Schedule)
+	if err := nbc.NeighborAllgather(s, c.nbcPort(), tag, send[:n], recv[:n*len(sources)], sources, destinations); err != nil {
 		return nil, errc(ErrArg, "%v", err)
 	}
 	return c.persistWrap(s, tag), nil
@@ -237,8 +237,8 @@ func (c *Comm) neighborAlltoallInit(send, recv []byte, count int, dt *Datatype, 
 		return nil, errc(ErrBuffer, "neighbor alltoall_init buffers short")
 	}
 	tag := c.persistTag()
-	s, err := nbc.NeighborAlltoall(c.nbcPort(), tag, n, send[:n*len(destinations)], recv[:n*len(sources)], sources, destinations)
-	if err != nil {
+	s := new(nbc.Schedule)
+	if err := nbc.NeighborAlltoall(s, c.nbcPort(), tag, n, send[:n*len(destinations)], recv[:n*len(sources)], sources, destinations); err != nil {
 		return nil, errc(ErrArg, "%v", err)
 	}
 	return c.persistWrap(s, tag), nil

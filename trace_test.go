@@ -28,19 +28,22 @@ func TestTraceRecordsOperations(t *testing.T) {
 			return fmt.Errorf("no events recorded")
 		}
 		kinds := map[string]int{}
+		// Events are recorded as they complete, so the log is ordered
+		// by End: the barrier's per-round schedule spans close before
+		// the collective span that encloses them.
 		var prev int64 = -1
 		for _, e := range events {
 			kinds[e.Kind.String()]++
-			if int64(e.Start) < prev {
+			if int64(e.End) < prev {
 				return fmt.Errorf("events out of order")
 			}
-			prev = int64(e.Start)
+			prev = int64(e.End)
 			if e.End < e.Start {
 				return fmt.Errorf("negative duration: %+v", e)
 			}
 		}
-		if kinds["collective"] == 0 {
-			return fmt.Errorf("barrier not traced: %v", kinds)
+		if kinds["collective"] == 0 || kinds["sched-round"] == 0 {
+			return fmt.Errorf("barrier and its rounds not traced: %v", kinds)
 		}
 		if p.Rank() == 0 && kinds["send"] == 0 {
 			return fmt.Errorf("send not traced: %v", kinds)
