@@ -367,3 +367,46 @@ func TestBlockingCollSteadyStateAllocs(t *testing.T) {
 		t.Errorf("original: fresh buffers cost %d mallocs over the window, stable ones %d", fresh, stable)
 	}
 }
+
+// TestICollSteadyStateAllocs: a nonblocking collective compiles in place
+// into a recycled op — schedule, internal request and completion
+// closures together — so once the communicator holds one, Iallreduce +
+// Wait and Ibarrier + Wait allocate exactly the public Request they
+// return: one object per call and rank, whether the caller passes the
+// same buffers every call or buffers the library has never seen.
+func TestICollSteadyStateAllocs(t *testing.T) {
+	const ranks, n, callsPerRound = 4, 50, 2
+	cfg := gompi.Config{Device: gompi.DeviceCH4, Fabric: "ofi", RanksPerNode: 2, EagerPeers: true}
+	for _, fresh := range []bool{false, true} {
+		slope := mallocSlope(t, ranks, cfg, n, func(p *gompi.Proc) (func(int) error, error) {
+			w := p.World()
+			pool := make([][]byte, 1)
+			if fresh {
+				pool = make([][]byte, 12*n)
+			}
+			for i := range pool {
+				pool[i] = make([]byte, 2*64)
+			}
+			return func(i int) error {
+				b := pool[i%len(pool)]
+				req, err := w.Iallreduce(b[:64], b[64:], 8, gompi.Long, gompi.OpSum)
+				if err != nil {
+					return err
+				}
+				if _, err := req.Wait(); err != nil {
+					return err
+				}
+				if req, err = w.Ibarrier(); err != nil {
+					return err
+				}
+				_, err = req.Wait()
+				return err
+			}, nil
+		})
+		// 9n more rounds in the long window than in the short one.
+		if limit := int64(9*n*ranks*callsPerRound + n/10); slope >= limit {
+			t.Errorf("fresh buffers %v: I-collectives allocate more than their Request: %d more mallocs over %d rounds than over %d, limit %d (%d calls x %d ranks)",
+				fresh, slope, 10*n, n, limit, callsPerRound, ranks)
+		}
+	}
+}

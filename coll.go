@@ -23,29 +23,62 @@ const (
 	OpNoOp    = coll.OpNoOp
 )
 
-// collEnter charges the MPI-layer costs every collective entry pays.
-// The returned func (deferred by the collective) both unlocks and
-// records the traced interval; with tracing and profiling off it is the
-// unlock itself, so entering a collective allocates nothing.
-func (c *Comm) collEnter() (func(), error) {
+// collBegin charges what every collective call pays whether or not it
+// validates — the call frame and the thread check — and opens its
+// TraceColl span. The returned func (deferred by the caller) both
+// unlocks and records the traced interval; with tracing and profiling
+// off it is the unlock itself, so entering a collective allocates
+// nothing.
+func (c *Comm) collBegin() func() {
 	p := c.p
 	end := p.span(TraceColl, -1, 0)
 	p.chargeCall()
 	done := p.chargeThread(c.c, false)
-	if end != nil {
-		unlock := done
-		done = func() {
-			unlock()
-			end()
-		}
+	if end == nil {
+		return done
 	}
-	if p.bc.ErrorChecking {
-		if err := p.checkComm(c); err != nil {
+	return func() {
+		done()
+		end()
+	}
+}
+
+// collEnter is collBegin plus the communicator check: the entry of
+// every collective that takes arguments (a persistent Start, which
+// validated at Init, uses collBegin alone).
+func (c *Comm) collEnter() (func(), error) {
+	done := c.collBegin()
+	if c.p.bc.ErrorChecking {
+		if err := c.p.checkComm(c); err != nil {
 			done()
 			return nil, err
 		}
 	}
 	return done, nil
+}
+
+// collBuf is the length check every collective entry point makes on
+// the buffers it is about to slice: each of bufs must hold count
+// elements of dt. It returns that byte length. The check is memory
+// safety, not MPI error checking — without it a short buffer with spare
+// capacity is silently written past its length — so it runs in every
+// build and charges nothing. Call it after the tag is drawn: a rank that
+// rejects its arguments must still advance the tag sequence with its
+// peers.
+func collBuf(count int, dt *Datatype, bufs ...[]byte) (int, error) {
+	if dt == nil {
+		return 0, errc(ErrType, "nil datatype")
+	}
+	if count < 0 {
+		return 0, errc(ErrCount, "negative count %d", count)
+	}
+	n := count * dt.Size()
+	for _, b := range bufs {
+		if len(b) < n {
+			return 0, errc(ErrBuffer, "buffer %d bytes < %d (%d x %s)", len(b), n, count, dt.Name())
+		}
+	}
+	return n, nil
 }
 
 // Blocking collectives run on the same engine as the nonblocking and
@@ -68,17 +101,14 @@ func (c *Comm) collEnter() (func(), error) {
 // one to nbc.Select* is a one-line change here.
 
 // collWait finishes a blocking collective whose compilation into the
-// communicator's schedule returned err: it records the algorithm and
-// drives the schedule to completion. Errors pass through unwrapped, so
-// they keep the class they were raised with.
+// communicator's schedule returned err: it launches the schedule and
+// drives it to completion. Errors pass through unwrapped, so they keep
+// the class they were raised with.
 func (c *Comm) collWait(err error) error {
 	if err != nil {
 		return err
 	}
-	s := &c.bsched
-	c.p.noteColl(s.Algo, s.Bytes)
-	c.p.traceRounds(s)
-	return s.Wait()
+	return c.p.launch(&c.bsched, true)
 }
 
 // Barrier blocks until every rank of the communicator has entered
@@ -103,8 +133,14 @@ func (c *Comm) Bcast(buf []byte, count int, dt *Datatype, root int) error {
 		return err
 	}
 	defer done()
-	n := count * dt.Size()
-	return c.collWait(nbc.Bcast(&c.bsched, c.nbcPort(), c.nbcTag(), buf[:n], root, metrics.CollBcastBinomial))
+	// The tag is drawn before any argument check can fail: a rank that
+	// rejects its arguments still advances the sequence with its peers.
+	tag := c.nbcTag()
+	n, err := collBuf(count, dt, buf)
+	if err != nil {
+		return err
+	}
+	return c.collWait(nbc.Bcast(&c.bsched, c.nbcPort(), tag, buf[:n], root, metrics.CollBcastBinomial))
 }
 
 // Reduce folds count elements of elem from every rank into recv on root
@@ -115,12 +151,19 @@ func (c *Comm) Reduce(send, recv []byte, count int, elem *Datatype, op Op, root 
 		return err
 	}
 	defer done()
-	n := count * elem.Size()
+	tag := c.nbcTag()
+	n, err := collBuf(count, elem, send)
+	if err != nil {
+		return err
+	}
 	var out []byte
 	if c.Rank() == root {
+		if _, err := collBuf(count, elem, recv); err != nil {
+			return err
+		}
 		out = recv[:n]
 	}
-	return c.collWait(nbc.Reduce(&c.bsched, c.nbcPort(), c.nbcTag(), op, elem, send[:n], out, root, metrics.CollReduceBinomial))
+	return c.collWait(nbc.Reduce(&c.bsched, c.nbcPort(), tag, op, elem, send[:n], out, root, metrics.CollReduceBinomial))
 }
 
 // Allreduce folds contributions and delivers the result everywhere
@@ -131,8 +174,12 @@ func (c *Comm) Allreduce(send, recv []byte, count int, elem *Datatype, op Op) er
 		return err
 	}
 	defer done()
-	n := count * elem.Size()
-	nbc.Allreduce(&c.bsched, c.nbcPort(), c.nbcTag(), op, elem, send[:n], recv[:n], metrics.CollAllreduceRecDoubling)
+	tag := c.nbcTag()
+	n, err := collBuf(count, elem, send, recv)
+	if err != nil {
+		return err
+	}
+	nbc.Allreduce(&c.bsched, c.nbcPort(), tag, op, elem, send[:n], recv[:n], metrics.CollAllreduceRecDoubling)
 	return c.collWait(nil)
 }
 
@@ -143,12 +190,13 @@ func (c *Comm) Gather(send, recv []byte, count int, dt *Datatype, root int) erro
 		return err
 	}
 	defer done()
-	// The tag is drawn before any argument check can fail: a rank that
-	// rejects its arguments still advances the sequence with its peers.
 	tag := c.nbcTag()
-	n := count * dt.Size()
-	if c.Rank() == root && len(recv) < n*c.Size() {
-		return errc(ErrBuffer, "gather recv buffer %d < %d", len(recv), n*c.Size())
+	n, err := collBuf(count, dt, send)
+	if err == nil && c.Rank() == root {
+		_, err = collBuf(count*c.Size(), dt, recv)
+	}
+	if err != nil {
+		return err
 	}
 	return c.collWait(nbc.Gather(&c.bsched, c.nbcPort(), tag, send[:n], recv, root))
 }
@@ -161,9 +209,12 @@ func (c *Comm) Scatter(send, recv []byte, count int, dt *Datatype, root int) err
 	}
 	defer done()
 	tag := c.nbcTag()
-	n := count * dt.Size()
-	if c.Rank() == root && len(send) < n*c.Size() {
-		return errc(ErrBuffer, "scatter send buffer %d < %d", len(send), n*c.Size())
+	n, err := collBuf(count, dt, recv)
+	if err == nil && c.Rank() == root {
+		_, err = collBuf(count*c.Size(), dt, send)
+	}
+	if err != nil {
+		return err
 	}
 	return c.collWait(nbc.Scatter(&c.bsched, c.nbcPort(), tag, send, recv[:n], root))
 }
@@ -177,9 +228,12 @@ func (c *Comm) Allgather(send, recv []byte, count int, dt *Datatype) error {
 	}
 	defer done()
 	tag := c.nbcTag()
-	n := count * dt.Size()
-	if len(recv) < n*c.Size() {
-		return errc(ErrBuffer, "allgather recv buffer %d < %d", len(recv), n*c.Size())
+	n, err := collBuf(count, dt, send)
+	if err == nil {
+		_, err = collBuf(count*c.Size(), dt, recv)
+	}
+	if err != nil {
+		return err
 	}
 	return c.collWait(nbc.Allgather(&c.bsched, c.nbcPort(), tag, send[:n], recv, metrics.CollAllgatherRing))
 }
@@ -192,9 +246,9 @@ func (c *Comm) Alltoall(send, recv []byte, count int, dt *Datatype) error {
 	}
 	defer done()
 	tag := c.nbcTag()
-	n := count * dt.Size() * c.Size()
-	if len(send) < n || len(recv) < n {
-		return errc(ErrBuffer, "alltoall buffers short")
+	n, err := collBuf(count*c.Size(), dt, send, recv)
+	if err != nil {
+		return err
 	}
 	return c.collWait(nbc.Alltoall(&c.bsched, c.nbcPort(), tag, send[:n], recv[:n], metrics.CollAlltoallPairwise))
 }
@@ -208,9 +262,12 @@ func (c *Comm) ReduceScatterBlock(send, recv []byte, count int, elem *Datatype, 
 	}
 	defer done()
 	tag := c.nbcTag()
-	n := count * elem.Size()
-	if len(send) < n*c.Size() || len(recv) < n {
-		return errc(ErrBuffer, "reduce_scatter buffers short")
+	n, err := collBuf(count, elem, recv)
+	if err == nil {
+		_, err = collBuf(count*c.Size(), elem, send)
+	}
+	if err != nil {
+		return err
 	}
 	return c.collWait(nbc.ReduceScatterBlock(&c.bsched, c.nbcPort(), tag, op, elem, send[:n*c.Size()], recv[:n]))
 }

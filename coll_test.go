@@ -241,3 +241,165 @@ func TestCollectiveOnFreedCommRejected(t *testing.T) {
 		return nil
 	})
 }
+
+// TestCollectiveBufferLengths: every collective entry point — blocking,
+// nonblocking, persistent, neighborhood — rejects a buffer shorter than
+// count elements with ErrBuffer, a nil datatype with ErrType and a
+// negative count with ErrCount, instead of slicing past the buffer's
+// length (silently, when it has the capacity: the bytes behind a short
+// buffer must stay untouched) or panicking. Every rank rejects the same
+// call, and the collective after it still matches: the tag sequence
+// advanced in lockstep.
+func TestCollectiveBufferLengths(t *testing.T) {
+	const ranks, count, root = 4, 4, 0
+	type call func(w *Comm, cc *CartComm, a, b []byte, count int, dt *Datatype) error
+	// istart and pinit adapt the request- and operation-returning forms;
+	// a call that wrongly succeeds is completed so the run can end.
+	istart := func(r *Request, err error) error {
+		if err == nil {
+			_, err = r.Wait()
+		}
+		return err
+	}
+	pinit := func(_ *PersistentColl, err error) error { return err }
+	cases := []struct {
+		name string
+		call call
+		// rootOnly names the buffer ('a' or 'b') only the root reads: the
+		// other ranks must be given a second reason to reject the call,
+		// or they would wait for a root that has already returned.
+		rootOnly byte
+		one      bool // a is the only buffer
+	}{
+		{name: "Bcast", one: true, call: func(w *Comm, _ *CartComm, a, _ []byte, n int, dt *Datatype) error {
+			return w.Bcast(a, n, dt, root)
+		}},
+		{name: "Reduce", rootOnly: 'b', call: func(w *Comm, _ *CartComm, a, b []byte, n int, dt *Datatype) error {
+			return w.Reduce(a, b, n, dt, OpSum, root)
+		}},
+		{name: "Allreduce", call: func(w *Comm, _ *CartComm, a, b []byte, n int, dt *Datatype) error {
+			return w.Allreduce(a, b, n, dt, OpSum)
+		}},
+		{name: "Scan", call: func(w *Comm, _ *CartComm, a, b []byte, n int, dt *Datatype) error {
+			return w.Scan(a, b, n, dt, OpSum)
+		}},
+		{name: "Exscan", call: func(w *Comm, _ *CartComm, a, b []byte, n int, dt *Datatype) error {
+			return w.Exscan(a, b, n, dt, OpSum)
+		}},
+		{name: "Gather", rootOnly: 'b', call: func(w *Comm, _ *CartComm, a, b []byte, n int, dt *Datatype) error {
+			return w.Gather(a, b, n, dt, root)
+		}},
+		{name: "Scatter", rootOnly: 'a', call: func(w *Comm, _ *CartComm, a, b []byte, n int, dt *Datatype) error {
+			return w.Scatter(a, b, n, dt, root)
+		}},
+		{name: "Allgather", call: func(w *Comm, _ *CartComm, a, b []byte, n int, dt *Datatype) error {
+			return w.Allgather(a, b, n, dt)
+		}},
+		{name: "Alltoall", call: func(w *Comm, _ *CartComm, a, b []byte, n int, dt *Datatype) error {
+			return w.Alltoall(a, b, n, dt)
+		}},
+		{name: "ReduceScatterBlock", call: func(w *Comm, _ *CartComm, a, b []byte, n int, dt *Datatype) error {
+			return w.ReduceScatterBlock(a, b, n, dt, OpSum)
+		}},
+		{name: "Ibcast", one: true, call: func(w *Comm, _ *CartComm, a, _ []byte, n int, dt *Datatype) error {
+			return istart(w.Ibcast(a, n, dt, root))
+		}},
+		{name: "Ireduce", rootOnly: 'b', call: func(w *Comm, _ *CartComm, a, b []byte, n int, dt *Datatype) error {
+			return istart(w.Ireduce(a, b, n, dt, OpSum, root))
+		}},
+		{name: "Iallreduce", call: func(w *Comm, _ *CartComm, a, b []byte, n int, dt *Datatype) error {
+			return istart(w.Iallreduce(a, b, n, dt, OpSum))
+		}},
+		{name: "Iallgather", call: func(w *Comm, _ *CartComm, a, b []byte, n int, dt *Datatype) error {
+			return istart(w.Iallgather(a, b, n, dt))
+		}},
+		{name: "Ialltoall", call: func(w *Comm, _ *CartComm, a, b []byte, n int, dt *Datatype) error {
+			return istart(w.Ialltoall(a, b, n, dt))
+		}},
+		{name: "BcastInit", one: true, call: func(w *Comm, _ *CartComm, a, _ []byte, n int, dt *Datatype) error {
+			return pinit(w.BcastInit(a, n, dt, root))
+		}},
+		{name: "AllreduceInit", call: func(w *Comm, _ *CartComm, a, b []byte, n int, dt *Datatype) error {
+			return pinit(w.AllreduceInit(a, b, n, dt, OpSum))
+		}},
+		{name: "AlltoallInit", call: func(w *Comm, _ *CartComm, a, b []byte, n int, dt *Datatype) error {
+			return pinit(w.AlltoallInit(a, b, n, dt))
+		}},
+		{name: "NeighborAllgather", call: func(_ *Comm, cc *CartComm, a, b []byte, n int, dt *Datatype) error {
+			return cc.NeighborAllgather(a, b, n, dt)
+		}},
+		{name: "NeighborAlltoall", call: func(_ *Comm, cc *CartComm, a, b []byte, n int, dt *Datatype) error {
+			return cc.NeighborAlltoall(a, b, n, dt)
+		}},
+		{name: "NeighborAllgatherInit", call: func(_ *Comm, cc *CartComm, a, b []byte, n int, dt *Datatype) error {
+			return pinit(cc.NeighborAllgatherInit(a, b, n, dt))
+		}},
+		{name: "NeighborAlltoallInit", call: func(_ *Comm, cc *CartComm, a, b []byte, n int, dt *Datatype) error {
+			return pinit(cc.NeighborAlltoallInit(a, b, n, dt))
+		}},
+	}
+	for _, dev := range []DeviceKind{DeviceCH4, DeviceOriginal} {
+		t.Run(string(dev), func(t *testing.T) {
+			run(t, ranks, Config{Device: dev, Fabric: "ofi", RanksPerNode: 2}, func(p *Proc) error {
+				w := p.World()
+				cc, err := w.CartCreate([]int{ranks}, []bool{true})
+				if err != nil {
+					return err
+				}
+				// 8 bytes where count Doubles need 32, with room behind
+				// them for an unchecked slice to spill into.
+				backing := bytes.Repeat([]byte{0xa5}, 64)
+				short := backing[:8]
+				okA, okB := make([]byte, 8*count*ranks), make([]byte, 8*count*ranks)
+				// expect runs one rejected call, then a collective on each
+				// communicator that only matches if every rank drew the tag.
+				expect := func(what string, class ErrorClass, err error) error {
+					if ClassOf(err) != class {
+						return fmt.Errorf("%s: error %v (class %v), want class %v", what, err, ClassOf(err), class)
+					}
+					if !bytes.Equal(backing, bytes.Repeat([]byte{0xa5}, 64)) {
+						return fmt.Errorf("%s: wrote behind the short buffer: %v", what, backing)
+					}
+					for _, c := range []*Comm{w, cc.Comm} {
+						sum, err := c.AllreduceFloat64([]float64{float64(p.Rank())}, OpSum)
+						if err != nil {
+							return fmt.Errorf("%s: next collective: %v", what, err)
+						}
+						if sum[0] != ranks*(ranks-1)/2 {
+							return fmt.Errorf("%s: next collective summed %v", what, sum[0])
+						}
+					}
+					return nil
+				}
+				for _, tc := range cases {
+					for _, which := range []byte{'a', 'b'} {
+						if tc.one && which == 'b' {
+							continue
+						}
+						a, b := okA, okB
+						// Every rank must reject: a root-only buffer is
+						// short on the root alone as far as the library
+						// can tell, so the others get both short.
+						if which == 'a' || (tc.rootOnly == 'b' && p.Rank() != root) {
+							a = short
+						}
+						if which == 'b' || (tc.rootOnly == 'a' && p.Rank() != root) {
+							b = short
+						}
+						what := fmt.Sprintf("%s short %c", tc.name, which)
+						if err := expect(what, ErrBuffer, tc.call(w, cc, a, b, count, Double)); err != nil {
+							return err
+						}
+					}
+					if err := expect(tc.name+" nil datatype", ErrType, tc.call(w, cc, okA, okB, count, nil)); err != nil {
+						return err
+					}
+					if err := expect(tc.name+" negative count", ErrCount, tc.call(w, cc, okA, okB, -1, Double)); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+		})
+	}
+}

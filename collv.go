@@ -10,8 +10,12 @@ func (c *Comm) Scan(send, recv []byte, count int, elem *Datatype, op Op) error {
 		return err
 	}
 	defer done()
-	n := count * elem.Size()
-	nbc.Scan(&c.bsched, c.nbcPort(), c.nbcTag(), op, elem, send[:n], recv[:n])
+	tag := c.nbcTag()
+	n, err := collBuf(count, elem, send, recv)
+	if err != nil {
+		return err
+	}
+	nbc.Scan(&c.bsched, c.nbcPort(), tag, op, elem, send[:n], recv[:n])
 	return c.collWait(nil)
 }
 
@@ -23,8 +27,12 @@ func (c *Comm) Exscan(send, recv []byte, count int, elem *Datatype, op Op) error
 		return err
 	}
 	defer done()
-	n := count * elem.Size()
-	nbc.Exscan(&c.bsched, c.nbcPort(), c.nbcTag(), op, elem, send[:n], recv[:n])
+	tag := c.nbcTag()
+	n, err := collBuf(count, elem, send, recv)
+	if err != nil {
+		return err
+	}
+	nbc.Exscan(&c.bsched, c.nbcPort(), tag, op, elem, send[:n], recv[:n])
 	return c.collWait(nil)
 }
 

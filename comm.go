@@ -1,6 +1,8 @@
 package gompi
 
 import (
+	"sync"
+
 	"gompi/internal/comm"
 	"gompi/internal/core"
 	"gompi/internal/group"
@@ -14,19 +16,20 @@ type Comm struct {
 	p *Proc
 	c *comm.Comm
 
-	// sched caches compiled nonblocking-collective schedules keyed by
-	// (operation, algorithm, buffers): a repeated I-collective on
-	// identical arguments replays the compiled rounds instead of
-	// rebuilding them. Owned by the rank; the zero value is ready.
-	sched nbc.Cache
-
-	// bsched is the one schedule every blocking collective on this
-	// communicator compiles into and waits on (see coll.go); port is
-	// the transport adapter all schedules run over, built on first use;
-	// f64 is AllreduceFloat64's wire buffer.
+	// Schedules have two lifetimes. A non-persistent collective compiles
+	// in place into a recycled one: bsched for every blocking collective
+	// (see coll.go), an op from the opFree freelist for each outstanding
+	// I-collective (see icoll.go; opMu guards the list because Wait and
+	// Test hand ops back outside the communicator's thread lock). A
+	// persistent collective owns the schedule its Init compiled.
 	bsched nbc.Schedule
-	port   nbcPort
-	f64    []byte
+	opMu   sync.Mutex
+	opFree []*collOp
+
+	// port is the transport adapter all schedules run over, built on
+	// first use; f64 is AllreduceFloat64's wire buffer.
+	port nbcPort
+	f64  []byte
 }
 
 // Rank returns the calling process's rank within the communicator.

@@ -74,8 +74,8 @@ func (s *Stats) WriteEfficiencyReport(w io.Writer) error {
 }
 
 // WriteEfficiencyJSON renders the same report as indented JSON, the
-// machine-readable twin of WriteEfficiencyReport (benchjson embeds the
-// identical structure in its efficiency section).
+// machine-readable twin of WriteEfficiencyReport (`go run ./cmd/stats
+// -report` prints the table form).
 func (s *Stats) WriteEfficiencyJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

@@ -276,7 +276,7 @@ func TestPromEfficiencyGauges(t *testing.T) {
 }
 
 // TestEfficiencyJSONShape round-trips WriteEfficiencyJSON and checks
-// the documented keys benchdiff parses.
+// the documented keys.
 func TestEfficiencyJSONShape(t *testing.T) {
 	st, err := RunStats(2, Config{}, func(p *Proc) error {
 		return p.Phase("work", func() error {
@@ -311,8 +311,8 @@ func TestEfficiencyJSONShape(t *testing.T) {
 }
 
 // TestEfficiencyDeterministic pins that the whole report repeats
-// bit-identically across runs — the property the benchdiff gate's
-// zero-noise-tolerance comparison relies on.
+// bit-identically across runs — the property that lets two commits'
+// efficiency fractions be compared to the digit.
 func TestEfficiencyDeterministic(t *testing.T) {
 	body := func(p *Proc) error {
 		return p.Phase("work", func() error {

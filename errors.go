@@ -237,11 +237,3 @@ func statusErr(truncated bool) error {
 	}
 	return nil
 }
-
-// commOf safely extracts the internal communicator.
-func commOf(c *Comm) *comm.Comm {
-	if c == nil {
-		return nil
-	}
-	return c.c
-}

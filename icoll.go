@@ -197,30 +197,6 @@ func (c *Comm) nbcPort() *nbcPort {
 // nbcTag draws the next schedule tag from the communicator's sequence.
 func (c *Comm) nbcTag() int { return nbcTagBase + c.c.NextNBCSeq()%nbcTagSpan }
 
-// cachedStart runs one nonblocking collective through the
-// communicator's schedule cache: on hit the compiled round structure is
-// rewound and replayed against the caller's buffers (the prologue
-// re-seeds accumulators); on miss build compiles and the result is
-// cached for the next identical call. Every call consumes a fresh tag
-// from the NBC sequence whether or not it hits: hit/miss can diverge
-// across ranks (buffer identity is rank-local), so the sequence — and
-// with it the matching tags — must advance in lockstep regardless.
-func (c *Comm) cachedStart(key nbc.CacheKey, build func(s *nbc.Schedule, tag int) error) (*Request, error) {
-	tag := c.nbcTag()
-	if s, ok := c.sched.Get(key); ok {
-		c.p.rank.Metrics().NoteSchedCache(true)
-		s.Reset(tag)
-		return c.istart(s), nil
-	}
-	c.p.rank.Metrics().NoteSchedCache(false)
-	s := new(nbc.Schedule)
-	if err := build(s, tag); err != nil {
-		return nil, errc(ErrArg, "%v", err)
-	}
-	c.sched.Put(key, s)
-	return c.istart(s), nil
-}
-
 // collForce resolves the pinned algorithm family for this
 // communicator: the gompi_coll_algorithm info key wins over
 // Config.CollAlgorithm; empty means automatic selection.
@@ -256,38 +232,123 @@ func (p *Proc) traceRounds(s *nbc.Schedule) {
 	}
 }
 
-// istart wraps a compiled schedule into a public Request progressed
-// off the request engine: Test polls the schedule (issuing rounds and
-// running local reduction steps as receives land), Wait drives it to
-// completion parking on the transport. The first Done poll here kicks
-// round 0's sends into flight before the call returns, so peers make
-// progress even if this rank computes for a long time before waiting.
-func (c *Comm) istart(s *nbc.Schedule) *Request {
-	p := c.p
-	p.noteColl(s.Algo, s.Bytes)
-	p.traceRounds(s)
-	r := &request.Request{Kind: request.KindColl}
-	var collErr error
-	r.Poll = func(rq *request.Request) bool {
-		done, err := s.Test()
+// collOp is one in-flight nonblocking collective: its schedule, the
+// internal request the public Request wraps, and the completion closures
+// bound to both once, when the op is first built. Ops are recycled
+// through the communicator's freelist, so a steady-state I-collective
+// allocates only the public Request, and the communicator retains as
+// many ops as it ever had I-collectives outstanding at once.
+type collOp struct {
+	c   *Comm
+	s   nbc.Schedule
+	r   request.Request
+	err error // the schedule's error, for Request.finish
+
+	poll  func(*request.Request) bool
+	block func(*request.Request)
+}
+
+// getOp pops a recycled op or builds one with its closures.
+func (c *Comm) getOp() *collOp {
+	c.opMu.Lock()
+	if n := len(c.opFree); n > 0 {
+		op := c.opFree[n-1]
+		c.opFree = c.opFree[:n-1]
+		c.opMu.Unlock()
+		return op
+	}
+	c.opMu.Unlock()
+	op := &collOp{c: c}
+	op.poll = func(rq *request.Request) bool {
+		done, err := op.s.Test()
 		if !done {
 			return false
 		}
-		if err != nil && collErr == nil {
-			collErr = err
-		}
+		op.err = err
 		rq.MarkComplete(request.Status{})
 		return true
 	}
-	r.Block = func(rq *request.Request) {
-		if err := s.Wait(); err != nil && collErr == nil {
-			collErr = err
-		}
+	op.block = func(rq *request.Request) {
+		op.err = op.s.Wait()
 		rq.MarkComplete(request.Status{})
 	}
-	req := &Request{r: r, p: p, collErr: &collErr}
-	r.Done()
-	return req
+	return op
+}
+
+// putOp hands a finished op back for the next I-collective. Wait and
+// Test call it once the request has completed; a request the caller
+// drops without completing is never recycled, so an op on the freelist
+// is never running. One that failed may still have receives posted into
+// its buffers and is left to the collector instead.
+func (c *Comm) putOp(op *collOp) {
+	if op.err != nil {
+		return
+	}
+	c.opMu.Lock()
+	c.opFree = append(c.opFree, op)
+	c.opMu.Unlock()
+}
+
+// launch starts a compiled schedule, the step every kind of collective
+// shares: record the algorithm, hang the round trace, then drive. A
+// blocking collective parks until the schedule finishes; the others
+// issue round 0 before the call returns, so peers make progress even if
+// this rank computes for a long time before waiting.
+func (p *Proc) launch(s *nbc.Schedule, park bool) error {
+	p.noteColl(s.Algo, s.Bytes)
+	p.traceRounds(s)
+	if park {
+		return s.Wait()
+	}
+	_, err := s.Test()
+	return err
+}
+
+// istart makes a compiled op the public Request of a nonblocking
+// collective, progressed off the request engine: Test polls the schedule
+// (issuing rounds and running local reduction steps as receives land),
+// Wait drives it to completion parking on the transport.
+func (c *Comm) istart(op *collOp) *Request {
+	op.r = request.Request{Kind: request.KindColl, Poll: op.poll, Block: op.block}
+	// The outcome stays latched in the schedule; the request's first
+	// poll collects it.
+	_ = c.p.launch(&op.s, false)
+	return &Request{r: &op.r, p: c.p, coll: op}
+}
+
+// icoll is the frame of every nonblocking collective that takes
+// arguments: enter, draw the tag, resolve the algorithm pin, then let
+// compile validate the arguments and build the schedule in a recycled
+// op, and launch it. The tag is drawn before anything can fail: a rank
+// that rejects its arguments still advances the sequence with its
+// peers.
+func (c *Comm) icoll(compile func(s *nbc.Schedule, t *nbcPort, tag int, f nbc.Force) error) (*Request, error) {
+	done, err := c.collEnter()
+	if err != nil {
+		return nil, err
+	}
+	defer done()
+	tag := c.nbcTag()
+	f, err := c.collForce()
+	if err != nil {
+		return nil, err
+	}
+	op := c.getOp()
+	if err := compile(&op.s, c.nbcPort(), tag, f); err != nil {
+		c.putOp(op)
+		return nil, argErr(err)
+	}
+	return c.istart(op), nil
+}
+
+// argErr classes what a compile step of icoll or pcoll returned: its
+// own argument checks come classed already, a schedule compiler's
+// complaint (a root out of range) becomes an ErrArg.
+func argErr(err error) error {
+	if _, classed := err.(*Error); classed {
+		return err
+	}
+	return errc(ErrArg, "%v", err)
 }
 
 // Ibarrier starts a nonblocking barrier (MPI_IBARRIER): the returned
@@ -298,9 +359,9 @@ func (c *Comm) Ibarrier() (*Request, error) {
 		return nil, err
 	}
 	defer done()
-	s := new(nbc.Schedule)
-	nbc.Barrier(s, c.nbcPort(), c.nbcTag())
-	return c.istart(s), nil
+	op := c.getOp()
+	nbc.Barrier(&op.s, c.nbcPort(), c.nbcTag())
+	return c.istart(op), nil
 }
 
 // Ibcast starts a nonblocking broadcast (MPI_IBCAST). Algorithm
@@ -308,22 +369,12 @@ func (c *Comm) Ibarrier() (*Request, error) {
 // layouts, binomial tree for short messages, scatter+ring-allgather
 // for long ones; pin it with CollAlgorithmKey or Config.CollAlgorithm.
 func (c *Comm) Ibcast(buf []byte, count int, dt *Datatype, root int) (*Request, error) {
-	done, err := c.collEnter()
-	if err != nil {
-		return nil, err
-	}
-	defer done()
-	f, err := c.collForce()
-	if err != nil {
-		return nil, err
-	}
-	n := count * dt.Size()
-	t := c.nbcPort()
-	algo := nbc.SelectBcast(t, n, f)
-	bp, bl := nbc.BufKey(buf[:n])
-	key := nbc.CacheKey{Kind: nbc.CacheBcast, Algo: algo, Root: root, Recv: bp, RecvLen: bl}
-	return c.cachedStart(key, func(s *nbc.Schedule, tag int) error {
-		return nbc.Bcast(s, t, tag, buf[:n], root, algo)
+	return c.icoll(func(s *nbc.Schedule, t *nbcPort, tag int, f nbc.Force) error {
+		n, err := collBuf(count, dt, buf)
+		if err != nil {
+			return err
+		}
+		return nbc.Bcast(s, t, tag, buf[:n], root, nbc.SelectBcast(t, n, f))
 	})
 }
 
@@ -331,28 +382,20 @@ func (c *Comm) Ibcast(buf []byte, count int, dt *Datatype, root int) (*Request, 
 // is consumed only on the root. Non-commutative operators fold in
 // strict rank order (the chain algorithm).
 func (c *Comm) Ireduce(send, recv []byte, count int, elem *Datatype, op Op, root int) (*Request, error) {
-	done, err := c.collEnter()
-	if err != nil {
-		return nil, err
-	}
-	defer done()
-	f, err := c.collForce()
-	if err != nil {
-		return nil, err
-	}
-	n := count * elem.Size()
-	var out []byte
-	if c.Rank() == root {
-		out = recv[:n]
-	}
-	t := c.nbcPort()
-	algo := nbc.SelectReduce(t, n, coll.Commutative(op), f)
-	sp, sl := nbc.BufKey(send[:n])
-	rp, rl := nbc.BufKey(out)
-	key := nbc.CacheKey{Kind: nbc.CacheReduce, Algo: algo, Root: root, Op: uint8(op),
-		Elem: nbc.PtrKey(elem), Send: sp, SendLen: sl, Recv: rp, RecvLen: rl}
-	return c.cachedStart(key, func(s *nbc.Schedule, tag int) error {
-		return nbc.Reduce(s, t, tag, op, elem, send[:n], out, root, algo)
+	return c.icoll(func(s *nbc.Schedule, t *nbcPort, tag int, f nbc.Force) error {
+		n, err := collBuf(count, elem, send)
+		if err != nil {
+			return err
+		}
+		var out []byte
+		if c.Rank() == root {
+			if _, err := collBuf(count, elem, recv); err != nil {
+				return err
+			}
+			out = recv[:n]
+		}
+		return nbc.Reduce(s, t, tag, op, elem, send[:n], out, root,
+			nbc.SelectReduce(t, n, coll.Commutative(op), f))
 	})
 }
 
@@ -362,24 +405,13 @@ func (c *Comm) Ireduce(send, recv []byte, count int, elem *Datatype, op Op, root
 // allgather for long ones, reduce+bcast otherwise; non-commutative
 // operators always take the rank-ordered chain composition.
 func (c *Comm) Iallreduce(send, recv []byte, count int, elem *Datatype, op Op) (*Request, error) {
-	done, err := c.collEnter()
-	if err != nil {
-		return nil, err
-	}
-	defer done()
-	f, err := c.collForce()
-	if err != nil {
-		return nil, err
-	}
-	n := count * elem.Size()
-	t := c.nbcPort()
-	algo := nbc.SelectAllreduce(t, count, elem.Size(), coll.Commutative(op), f)
-	sp, sl := nbc.BufKey(send[:n])
-	rp, rl := nbc.BufKey(recv[:n])
-	key := nbc.CacheKey{Kind: nbc.CacheAllreduce, Algo: algo, Root: -1, Op: uint8(op),
-		Elem: nbc.PtrKey(elem), Send: sp, SendLen: sl, Recv: rp, RecvLen: rl}
-	return c.cachedStart(key, func(s *nbc.Schedule, tag int) error {
-		nbc.Allreduce(s, t, tag, op, elem, send[:n], recv[:n], algo)
+	return c.icoll(func(s *nbc.Schedule, t *nbcPort, tag int, f nbc.Force) error {
+		n, err := collBuf(count, elem, send, recv)
+		if err != nil {
+			return err
+		}
+		nbc.Allreduce(s, t, tag, op, elem, send[:n], recv[:n],
+			nbc.SelectAllreduce(t, count, elem.Size(), coll.Commutative(op), f))
 		return nil
 	})
 }
@@ -387,27 +419,15 @@ func (c *Comm) Iallreduce(send, recv []byte, count int, elem *Datatype, op Op) (
 // Iallgather starts a nonblocking allgather (MPI_IALLGATHER): Bruck
 // for short blocks, ring for long ones.
 func (c *Comm) Iallgather(send, recv []byte, count int, dt *Datatype) (*Request, error) {
-	done, err := c.collEnter()
-	if err != nil {
-		return nil, err
-	}
-	defer done()
-	f, err := c.collForce()
-	if err != nil {
-		return nil, err
-	}
-	n := count * dt.Size()
-	if len(recv) < n*c.Size() {
-		return nil, errc(ErrBuffer, "iallgather recv buffer %d < %d", len(recv), n*c.Size())
-	}
-	t := c.nbcPort()
-	algo := nbc.SelectAllgather(t, n, f)
-	sp, sl := nbc.BufKey(send[:n])
-	rp, rl := nbc.BufKey(recv[:n*c.Size()])
-	key := nbc.CacheKey{Kind: nbc.CacheAllgather, Algo: algo, Root: -1,
-		Send: sp, SendLen: sl, Recv: rp, RecvLen: rl}
-	return c.cachedStart(key, func(s *nbc.Schedule, tag int) error {
-		return nbc.Allgather(s, t, tag, send[:n], recv[:n*c.Size()], algo)
+	return c.icoll(func(s *nbc.Schedule, t *nbcPort, tag int, f nbc.Force) error {
+		n, err := collBuf(count, dt, send)
+		if err == nil {
+			_, err = collBuf(count*c.Size(), dt, recv)
+		}
+		if err != nil {
+			return err
+		}
+		return nbc.Allgather(s, t, tag, send[:n], recv[:n*c.Size()], nbc.SelectAllgather(t, n, f))
 	})
 }
 
@@ -415,26 +435,11 @@ func (c *Comm) Iallgather(send, recv []byte, count int, dt *Datatype) (*Request,
 // all sends and receives posted in one round for small blocks on small
 // worlds, pairwise exchange rounds otherwise.
 func (c *Comm) Ialltoall(send, recv []byte, count int, dt *Datatype) (*Request, error) {
-	done, err := c.collEnter()
-	if err != nil {
-		return nil, err
-	}
-	defer done()
-	f, err := c.collForce()
-	if err != nil {
-		return nil, err
-	}
-	n := count * dt.Size()
-	if len(send) < n*c.Size() || len(recv) < n*c.Size() {
-		return nil, errc(ErrBuffer, "ialltoall buffers short")
-	}
-	t := c.nbcPort()
-	algo := nbc.SelectAlltoall(t, n, f)
-	sp, sl := nbc.BufKey(send[:n*c.Size()])
-	rp, rl := nbc.BufKey(recv[:n*c.Size()])
-	key := nbc.CacheKey{Kind: nbc.CacheAlltoall, Algo: algo, Root: -1,
-		Send: sp, SendLen: sl, Recv: rp, RecvLen: rl}
-	return c.cachedStart(key, func(s *nbc.Schedule, tag int) error {
-		return nbc.Alltoall(s, t, tag, send[:n*c.Size()], recv[:n*c.Size()], algo)
+	return c.icoll(func(s *nbc.Schedule, t *nbcPort, tag int, f nbc.Force) error {
+		n, err := collBuf(count*c.Size(), dt, send, recv)
+		if err != nil {
+			return err
+		}
+		return nbc.Alltoall(s, t, tag, send[:n], recv[:n], nbc.SelectAlltoall(t, count*dt.Size(), f))
 	})
 }

@@ -595,18 +595,121 @@ func TestBlockingCollectivesObserved(t *testing.T) {
 		}
 	}
 	for rank := 0; rank < n; rank++ {
-		colls, rounds := 0, 0
-		for _, e := range st.TraceEvents(rank) {
-			switch e.Kind {
-			case TraceColl:
-				colls++
-			case TraceSched:
-				rounds++
+		colls, _, rounds, stray := collSpans(st.TraceEvents(rank))
+		// Every collective has at least one round on every rank here, and
+		// a blocking call's rounds all run inside its own span.
+		if colls != 14 || rounds < colls || stray != 0 {
+			t.Errorf("rank %d: %d collective spans, %d sched-round spans, %d of them outside every collective", rank, colls, rounds, stray)
+		}
+	}
+}
+
+// collSpans counts a rank's collective, wait and sched-round spans, and
+// how many round spans lie outside every envelope a collective opens:
+// the call's own span for a blocking one, and from the start of the
+// I-call or Start to the end of the wait that follows it otherwise.
+func collSpans(events []TraceEvent) (colls, waits, rounds, stray int) {
+	type envelope struct{ start, end int64 }
+	var env []envelope
+	for _, e := range events {
+		switch e.Kind {
+		case TraceColl:
+			colls++
+			env = append(env, envelope{int64(e.Start), int64(e.End)})
+		case TraceWait:
+			waits++
+			// The log is ordered by End, so the collective this wait
+			// completes is already in env: stretch the latest one.
+			if len(env) > 0 {
+				env[len(env)-1].end = int64(e.End)
 			}
 		}
-		// Every collective has at least one round on every rank here.
-		if colls != 14 || rounds < colls {
-			t.Errorf("rank %d: %d collective spans, %d sched-round spans", rank, colls, rounds)
+	}
+	for _, e := range events {
+		if e.Kind != TraceSched {
+			continue
+		}
+		rounds++
+		inside := false
+		for _, v := range env {
+			inside = inside || (v.start <= int64(e.Start) && int64(e.End) <= v.end)
+		}
+		if !inside {
+			stray++
+		}
+	}
+	return colls, waits, rounds, stray
+}
+
+// TestStartedCollectivesObserved: the I- and persistent forms are seen
+// the same way. Each I-call and each persistent Init and Start opens a
+// collective span, each Wait a wait span (Config.Profiler's "Enter/Exit
+// around every MPI operation" gets the same pairs); the schedule rounds
+// run between the start of the one and the end of the other; and the
+// instrument is free in the model: a traced run charges the MPI layer
+// exactly the instructions an untraced one does, a persistent Start
+// none for error checking.
+func TestStartedCollectivesObserved(t *testing.T) {
+	const n, replays = 4, 3
+	// layer is what the MPI layer charges per call, whatever the peers'
+	// timing: error checks, thread checks, call frames.
+	var layer [2][n]int64
+	var startChecks [2][n]int64
+	job := func(traced bool) *Stats {
+		k := 0
+		if traced {
+			k = 1
+		}
+		return runICollJob(t, Config{Trace: traced}, n, func(p *Proc) error {
+			w := p.World()
+			a, b := make([]byte, 8), make([]byte, 8)
+			for _, start := range []func() (*Request, error){
+				w.Ibarrier,
+				func() (*Request, error) { return w.Ibcast(a, 8, Byte, 1) },
+				func() (*Request, error) { return w.Iallreduce(a, b, 1, Long, OpSum) },
+			} {
+				req, err := start()
+				if err != nil {
+					return err
+				}
+				if _, err := req.Wait(); err != nil {
+					return err
+				}
+			}
+			op, err := w.AllreduceInit(a, b, 1, Long, OpSum)
+			if err != nil {
+				return err
+			}
+			for i := 0; i < replays; i++ {
+				before := p.Counters()
+				if err := op.Start(); err != nil {
+					return err
+				}
+				startChecks[k][p.Rank()] += p.Counters().Sub(before).ErrorCheck
+				if err := op.Wait(); err != nil {
+					return err
+				}
+			}
+			c := p.Counters()
+			layer[k][p.Rank()] = c.ErrorCheck + c.ThreadCheck + c.Call
+			return nil
+		})
+	}
+	job(false)
+	st := job(true)
+	if layer[0] != layer[1] {
+		t.Errorf("MPI-layer instructions per rank: %v untraced, %v traced", layer[0], layer[1])
+	}
+	if startChecks != [2][n]int64{} {
+		t.Errorf("persistent Start charged error checking: %v", startChecks)
+	}
+	for rank := 0; rank < n; rank++ {
+		colls, waits, rounds, stray := collSpans(st.TraceEvents(rank))
+		// Three I-calls, one Init and the Starts; one wait for each but
+		// the Init; at least one round per started collective.
+		if colls != 4+replays || waits != 3+replays || rounds < waits || stray != 0 {
+			t.Errorf("rank %d: %d collective spans, %d wait spans, %d sched-round spans, %d of them outside every collective",
+				rank, colls, waits, rounds, stray)
 		}
 	}
 }

@@ -264,8 +264,8 @@ type PersistPoint struct {
 	InitUs     float64 `json:"init_us"`   // Init: validate + compile
 	FirstUs    float64 `json:"first_us"`  // first Start+Wait
 	ReplayUs   float64 `json:"replay_us"` // steady-state Start+Wait, avg
-	// SchedHits/SchedMisses are the job-wide schedule-cache counters:
-	// every Start is a hit by construction, every Init a miss.
+	// SchedHits/SchedMisses are the job-wide kept-schedule counters:
+	// every Start is a hit (a replay), every Init a miss (the compile).
 	SchedHits   int64 `json:"sched_hits"`
 	SchedMisses int64 `json:"sched_misses"`
 }

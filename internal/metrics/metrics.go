@@ -197,9 +197,11 @@ type Rank struct {
 	CollBytes [NumCollAlgos]int64
 
 	// Declared-shape communication counters. SchedCacheHits/Misses
-	// count lookups in the per-communicator nbc schedule cache (a hit
-	// replays a compiled schedule; a miss compiles one);
-	// PartitionsReady counts Pready publications on partitioned sends.
+	// count the schedules a persistent collective keeps: a miss is an
+	// Init compiling the schedule it will own, a hit a Start replaying
+	// it (non-persistent collectives recompile in place and count
+	// neither); PartitionsReady counts Pready publications on
+	// partitioned sends.
 	SchedCacheHits   int64
 	SchedCacheMisses int64
 	PartitionsReady  int64
@@ -292,8 +294,9 @@ func (r *Rank) NoteColl(algo int, n int64) {
 	atomic.AddInt64(&r.CollBytes[algo], n)
 }
 
-// NoteSchedCache counts one schedule-cache lookup: hit replays a
-// compiled schedule, miss compiles (and usually caches) a fresh one.
+// NoteSchedCache counts one use of a kept schedule: hit is a
+// persistent Start replaying the compiled schedule, miss the Init that
+// compiled it.
 func (r *Rank) NoteSchedCache(hit bool) {
 	if hit {
 		atomic.AddInt64(&r.SchedCacheHits, 1)
@@ -388,8 +391,9 @@ type PeerStats struct {
 	MaxStateBytes int64 `json:"max_state_bytes"`
 }
 
-// SchedStats is the snapshot of the declared-shape counters: schedule
-// cache lookups split hit/miss, and partitions published ready.
+// SchedStats is the snapshot of the declared-shape counters: persistent
+// collective replays (hits) and compilations (misses), and partitions
+// published ready.
 type SchedStats struct {
 	CacheHits       int64 `json:"cache_hits"`
 	CacheMisses     int64 `json:"cache_misses"`

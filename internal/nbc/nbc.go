@@ -194,7 +194,7 @@ type Schedule struct {
 	ends  []int32
 	// prologue records the compile-time buffer initializations (the
 	// seed copies compilers perform while building the rounds) so Reset
-	// can re-run them: a cached schedule replays from the caller's
+	// can re-run them: a persistent schedule replays from the caller's
 	// current buffer contents instead of a stale snapshot.
 	prologue []step
 	slab     []byte
@@ -209,8 +209,8 @@ type Schedule struct {
 
 // Begin binds s to a new compilation, dropping whatever it held: the
 // zero Schedule and a finished one are equally valid targets. Beginning
-// over a Running schedule is a programming error (its in-flight
-// receives would orphan).
+// over a schedule that has issued traffic it has not completed is a
+// programming error (its in-flight receives would orphan).
 func (s *Schedule) Begin(t Transport, tag, algo, bytes int) {
 	s.t, s.Algo, s.Bytes = t, algo, bytes
 	s.op, s.elem = 0, nil
@@ -326,23 +326,13 @@ func (s *Schedule) zero(dst []byte) {
 	s.prologue = append(s.prologue, step{kind: opZero, a: dst})
 }
 
-// Rounds reports the schedule's depth (tests and tooling).
-func (s *Schedule) Rounds() int { return len(s.ends) }
-
-// Running reports whether the schedule has issued traffic it has not
-// yet completed: it is neither freshly compiled nor finished. A running
-// schedule must not be Reset (its in-flight receives would orphan), so
-// the schedule cache refuses to hand one out.
-func (s *Schedule) Running() bool {
-	return !s.done && (s.issued || s.cur > 0 || len(s.pending) > 0)
-}
-
 // Reset rewinds a completed (or never-started) schedule for replay
 // under the given tag: the compiled round structure — the expensive
 // part — is kept verbatim, only the progress cursor is cleared. The
 // pending slice keeps its capacity, so a replayed schedule issues with
-// zero allocations once warm. Resetting a Running schedule is a
-// programming error; callers gate on Running first.
+// zero allocations once warm. Resetting a schedule in flight is a
+// programming error, as for Begin; the persistent operation that owns
+// the schedule refuses a second Start until the first has been waited.
 func (s *Schedule) Reset(tag int) {
 	s.tag = tag
 	s.cur = 0
@@ -361,10 +351,6 @@ func (s *Schedule) Reset(tag int) {
 		}
 	}
 }
-
-// Cur reports the index of the round currently in progress (equal to
-// Rounds once the schedule has finished).
-func (s *Schedule) Cur() int { return s.cur }
 
 // fail latches the first error and finishes the schedule: a transport
 // error is not recoverable mid-collective.

@@ -494,36 +494,3 @@ func TestSelection(t *testing.T) {
 		t.Errorf("ParseForce(two-level) = %v, %v", f, err)
 	}
 }
-
-// TestCacheBounded: the cache holds at most CacheCap schedules and
-// evicts in insertion order, however many distinct keys pass through
-// (an application calling I-collectives on freshly allocated buffers
-// never repeats one).
-func TestCacheBounded(t *testing.T) {
-	var c Cache
-	key := func(i int) CacheKey { return CacheKey{Kind: CacheAllreduce, Send: uintptr(i + 1)} }
-	for i := 0; i < 1000; i++ {
-		if _, ok := c.Get(key(i)); ok {
-			t.Fatalf("key %d hit before it was stored", i)
-		}
-		c.Put(key(i), new(Schedule))
-		if c.Len() > CacheCap {
-			t.Fatalf("cache holds %d schedules after %d distinct keys, bound is %d", c.Len(), i+1, CacheCap)
-		}
-	}
-	if _, ok := c.Get(key(1000 - CacheCap - 1)); ok {
-		t.Error("the oldest key survived a full turn of the cache")
-	}
-	for i := 1000 - CacheCap; i < 1000; i++ {
-		if _, ok := c.Get(key(i)); !ok {
-			t.Errorf("key %d, one of the newest %d, was evicted", i, CacheCap)
-		}
-	}
-	// Storing over a present key (its schedule was running) replaces
-	// the schedule without taking a second slot.
-	s := new(Schedule)
-	c.Put(key(999), s)
-	if got, _ := c.Get(key(999)); got != s || c.Len() != CacheCap {
-		t.Errorf("replacing a key: got %p want %p, %d entries", got, s, c.Len())
-	}
-}

@@ -12,7 +12,7 @@ package nbc
 //
 // ProcNull neighbors (the open edges of a non-periodic Cartesian grid)
 // are passed as -1: no transfer is emitted, and the corresponding
-// receive block is zeroed through the schedule prologue so cached
+// receive block is zeroed through the schedule prologue so persistent
 // replays re-zero it exactly like a fresh compile.
 
 import (

@@ -64,13 +64,15 @@ func (d *Device) winCreate(mem []byte, dispUnit int, c *comm.Comm, dynamic bool)
 			sh.Sizes[r], sh.DispUnits[r] = wi.size, wi.dispUnit
 		}
 		id = d.g.nextWinID()
+		// Filled here, before the exchange publishes sh: every rank
+		// reads the shared table afterwards and none may write it.
+		for r := range sh.Keys {
+			sh.Keys[r] = id // one id addresses the window on every rank
+		}
 	}
 	vals = c.Exchange(sharedAndID{sh, id})
 	si := vals[0].(sharedAndID)
 	sh, id = si.sh, si.id
-	for r := range sh.Keys {
-		sh.Keys[r] = id // one id addresses the window on every rank
-	}
 
 	w := rma.NewWin(c, mem, dispUnit, id, sh)
 	d.lock()

@@ -116,33 +116,63 @@ func TestNeighborProcNullZeroing(t *testing.T) {
 	})
 }
 
-// TestNeighborAllgatherCacheHit: a halo exchange repeated on the same
-// buffers compiles once; every later call replays the cached schedule.
-func TestNeighborAllgatherCacheHit(t *testing.T) {
-	const ranks = 4
-	const calls = 6
-	var st Stats
-	run(t, ranks, Config{Fabric: "ofi", RanksPerNode: 2, Stats: &st}, func(p *Proc) error {
-		w := p.World()
-		cc, err := w.CartCreate([]int{ranks}, []bool{true})
-		if err != nil {
-			return err
-		}
-		send := make([]byte, 32)
-		recv := make([]byte, 64)
-		for i := 0; i < calls; i++ {
-			if err := cc.NeighborAllgather(send, recv, 32, Byte); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	agg := st.Aggregate()
-	if want := int64((calls - 1) * ranks); agg.Sched.CacheHits != want {
-		t.Errorf("sched cache hits = %d, want %d", agg.Sched.CacheHits, want)
-	}
-	if want := int64(ranks); agg.Sched.CacheMisses != want {
-		t.Errorf("sched cache misses = %d, want %d", agg.Sched.CacheMisses, want)
+// TestNeighborAlltoallChangingCounts: the blocking neighborhood
+// exchanges recompile in place on every call, so repeating them on the
+// same buffers with counts that change from call to call must follow
+// the counts — nothing of an earlier shape may be replayed.
+func TestNeighborAlltoallChangingCounts(t *testing.T) {
+	const ranks, maxCount = 4, 5
+	for _, dev := range []DeviceKind{DeviceCH4, DeviceOriginal} {
+		t.Run(string(dev), func(t *testing.T) {
+			run(t, ranks, Config{Device: dev, Fabric: "ofi", RanksPerNode: 2}, func(p *Proc) error {
+				lo, hi := (p.Rank()+ranks-1)%ranks, (p.Rank()+1)%ranks
+				g, err := p.World().DistGraphCreateAdjacent([]int{lo, hi}, []int{lo, hi})
+				if err != nil {
+					return err
+				}
+				send, recv := make([]byte, 2*maxCount), make([]byte, 2*maxCount)
+				// Block j of a rank's send buffer, filled for round r, is
+				// count bytes of stamp(rank, j, r).
+				stamp := func(rank, j, r int) byte { return byte(64*r + 8*rank + j + 1) }
+				check := func(what string, r, count, off0, off1 int) error {
+					// Our low neighbor sent us its block 1 (we are its high
+					// neighbor), our high neighbor its block 0.
+					for k := 0; k < count; k++ {
+						if recv[off0+k] != stamp(lo, 1, r) || recv[off1+k] != stamp(hi, 0, r) {
+							return fmt.Errorf("%s round %d count %d: recv = %v", what, r, count, recv)
+						}
+					}
+					return nil
+				}
+				for r, count := range []int{1, 3, 2, maxCount, 1} {
+					for j := 0; j < 2; j++ {
+						for k := 0; k < count; k++ {
+							send[j*count+k] = stamp(p.Rank(), j, r)
+						}
+					}
+					clear(recv)
+					if err := g.NeighborAlltoall(send, recv, count, Byte); err != nil {
+						return err
+					}
+					if err := check("alltoall", r, count, 0, count); err != nil {
+						return err
+					}
+					// The ragged form on the same buffers and the same
+					// table slices, their contents changing per round: the
+					// receive blocks swap places every other round.
+					counts, displs := []int{count, count}, []int{0, count}
+					rdispls := []int{(r % 2) * count, (1 - r%2) * count}
+					clear(recv)
+					if err := g.NeighborAlltoallv(send, counts, displs, recv, counts, rdispls, Byte); err != nil {
+						return err
+					}
+					if err := check("alltoallv", r, count, rdispls[0], rdispls[1]); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+		})
 	}
 }
 

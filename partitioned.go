@@ -276,6 +276,7 @@ func (o *PartitionedOp) Parrived(i int) (bool, error) {
 	}
 	r := o.reqs[ci]
 	if r == nil || !r.Done() {
+		pollMiss()
 		return false, nil
 	}
 	o.arrived[ci] = true

@@ -10,13 +10,14 @@ import (
 // MPI_ALLTOALL_INIT): the collective's schedule DAG is compiled exactly
 // once, at Init — argument validation, algorithm selection, topology
 // derivation, round construction, buffer seeding all happen there — and
-// every Start replays the compiled rounds against the bound buffers.
-// The replay allocates nothing: Reset rewinds cursors and re-runs the
-// recorded prologue copies, the pending list keeps its capacity, and
-// the device's pooled descriptors cover the per-round receives. Each
-// Init draws one tag from the reserved persistent-collective range;
-// Inits are collective calls made in the same order on every rank, so
-// the replayed tags agree globally without negotiation.
+// the operation owns it: every Start replays the compiled rounds against
+// the bound buffers. The replay allocates nothing: Reset rewinds cursors
+// and re-runs the recorded prologue copies, the pending list keeps its
+// capacity, and the device's pooled descriptors cover the per-round
+// receives. Each Init draws one tag from the reserved
+// persistent-collective range; Inits are collective calls made in the
+// same order on every rank, so the replayed tags agree globally without
+// negotiation.
 
 // PersistentColl is an initialized, restartable collective operation.
 // It satisfies the same Start contract as PersistentOp and
@@ -33,38 +34,42 @@ func (c *Comm) persistTag() int {
 	return match.TagPersistCollBase + c.c.NextPersistSeq()%match.TagPersistCollSpan
 }
 
-// persistWrap finishes an Init: the compiled schedule becomes a
-// restartable operation, with round tracing attached once here rather
-// than per Start.
-func (c *Comm) persistWrap(s *nbc.Schedule, tag int) *PersistentColl {
-	c.p.rank.Metrics().NoteSchedCache(false) // the one compilation
-	c.p.traceRounds(s)
-	return &PersistentColl{c: c, s: s, tag: tag}
+// pcoll is the frame of every persistent-collective Init: enter, draw the
+// operation's tag, then let compile validate the arguments and build the
+// schedule the operation will own. The tag is drawn before anything can
+// fail, as in the non-persistent calls, so the sequence advances in
+// lockstep across ranks. This is the one compilation the schedule
+// counters record as a miss; every Start is a hit.
+func (c *Comm) pcoll(compile func(s *nbc.Schedule, t *nbcPort, tag int) error) (*PersistentColl, error) {
+	done, err := c.collEnter()
+	if err != nil {
+		return nil, err
+	}
+	defer done()
+	tag, s := c.persistTag(), new(nbc.Schedule)
+	if err := compile(s, c.nbcPort(), tag); err != nil {
+		return nil, argErr(err)
+	}
+	c.p.rank.Metrics().NoteSchedCache(false)
+	return &PersistentColl{c: c, s: s, tag: tag}, nil
 }
 
 // Start restarts the collective (MPI_START). Every rank of the
 // communicator must restart the same operation; the call only rewinds
-// the schedule and kicks round 0's sends into flight — a schedule-cache
-// hit by construction, with no compilation, no validation, and no
-// allocation on the way down.
+// the schedule and kicks round 0's sends into flight, with no
+// compilation, no validation, and no allocation on the way down.
 func (o *PersistentColl) Start() error {
 	if o.active {
 		return errc(ErrRequest, "persistent collective already active")
 	}
-	p := o.c.p
-	p.chargeCall()
-	unlock := p.chargeThread(o.c.c, false)
-	m := p.rank.Metrics()
-	m.NoteSchedCache(true)
-	p.noteColl(o.s.Algo, o.s.Bytes)
+	done := o.c.collBegin()
+	defer done()
+	o.c.p.rank.Metrics().NoteSchedCache(true)
 	o.s.Reset(o.tag)
-	o.active = true
-	_, err := o.s.Test() // issue round 0 before returning
-	unlock()
-	if err != nil {
-		o.active = false
+	if err := o.c.p.launch(o.s, false); err != nil {
 		return errc(ErrOther, "%v", err)
 	}
+	o.active = true
 	return nil
 }
 
@@ -73,6 +78,9 @@ func (o *PersistentColl) Start() error {
 func (o *PersistentColl) Wait() error {
 	if !o.active {
 		return errc(ErrRequest, "persistent collective not active")
+	}
+	if end := o.c.p.span(traceWaitKind, -1, 0); end != nil {
+		defer end()
 	}
 	err := o.s.Wait()
 	o.active = false
@@ -99,66 +107,47 @@ func (o *PersistentColl) Test() (bool, error) {
 
 // BcastInit binds a persistent broadcast (MPI_BCAST_INIT).
 func (c *Comm) BcastInit(buf []byte, count int, dt *Datatype, root int) (*PersistentColl, error) {
-	done, err := c.collEnter()
-	if err != nil {
-		return nil, err
-	}
-	defer done()
-	f, err := c.collForce()
-	if err != nil {
-		return nil, err
-	}
-	n := count * dt.Size()
-	t := c.nbcPort()
-	tag := c.persistTag()
-	s := new(nbc.Schedule)
-	if err := nbc.Bcast(s, t, tag, buf[:n], root, nbc.SelectBcast(t, n, f)); err != nil {
-		return nil, errc(ErrArg, "%v", err)
-	}
-	return c.persistWrap(s, tag), nil
+	return c.pcoll(func(s *nbc.Schedule, t *nbcPort, tag int) error {
+		f, err := c.collForce()
+		if err != nil {
+			return err
+		}
+		n, err := collBuf(count, dt, buf)
+		if err != nil {
+			return err
+		}
+		return nbc.Bcast(s, t, tag, buf[:n], root, nbc.SelectBcast(t, n, f))
+	})
 }
 
 // AllreduceInit binds a persistent allreduce (MPI_ALLREDUCE_INIT).
 func (c *Comm) AllreduceInit(send, recv []byte, count int, elem *Datatype, op Op) (*PersistentColl, error) {
-	done, err := c.collEnter()
-	if err != nil {
-		return nil, err
-	}
-	defer done()
-	f, err := c.collForce()
-	if err != nil {
-		return nil, err
-	}
-	n := count * elem.Size()
-	t := c.nbcPort()
-	tag := c.persistTag()
-	s := new(nbc.Schedule)
-	nbc.Allreduce(s, t, tag, op, elem, send[:n], recv[:n],
-		nbc.SelectAllreduce(t, count, elem.Size(), coll.Commutative(op), f))
-	return c.persistWrap(s, tag), nil
+	return c.pcoll(func(s *nbc.Schedule, t *nbcPort, tag int) error {
+		f, err := c.collForce()
+		if err != nil {
+			return err
+		}
+		n, err := collBuf(count, elem, send, recv)
+		if err != nil {
+			return err
+		}
+		nbc.Allreduce(s, t, tag, op, elem, send[:n], recv[:n],
+			nbc.SelectAllreduce(t, count, elem.Size(), coll.Commutative(op), f))
+		return nil
+	})
 }
 
 // AlltoallInit binds a persistent all-to-all (MPI_ALLTOALL_INIT).
 func (c *Comm) AlltoallInit(send, recv []byte, count int, dt *Datatype) (*PersistentColl, error) {
-	done, err := c.collEnter()
-	if err != nil {
-		return nil, err
-	}
-	defer done()
-	f, err := c.collForce()
-	if err != nil {
-		return nil, err
-	}
-	n := count * dt.Size()
-	if len(send) < n*c.Size() || len(recv) < n*c.Size() {
-		return nil, errc(ErrBuffer, "alltoall_init buffers short")
-	}
-	t := c.nbcPort()
-	tag := c.persistTag()
-	s := new(nbc.Schedule)
-	if err := nbc.Alltoall(s, t, tag, send[:n*c.Size()], recv[:n*c.Size()],
-		nbc.SelectAlltoall(t, n, f)); err != nil {
-		return nil, errc(ErrArg, "%v", err)
-	}
-	return c.persistWrap(s, tag), nil
+	return c.pcoll(func(s *nbc.Schedule, t *nbcPort, tag int) error {
+		f, err := c.collForce()
+		if err != nil {
+			return err
+		}
+		n, err := collBuf(count*c.Size(), dt, send, recv)
+		if err != nil {
+			return err
+		}
+		return nbc.Alltoall(s, t, tag, send[:n], recv[:n], nbc.SelectAlltoall(t, count*dt.Size(), f))
+	})
 }

@@ -7,8 +7,6 @@ import (
 	"fmt"
 	"testing"
 	"time"
-
-	"gompi/internal/nbc"
 )
 
 // TestPersistentCollCorrectness replays each persistent collective
@@ -110,55 +108,22 @@ func TestPersistentCollStateValidation(t *testing.T) {
 	})
 }
 
-// TestICollScheduleCacheHits: repeated nonblocking collectives on
-// identical arguments hit the communicator's schedule cache — only the
-// first call per shape compiles.
-func TestICollScheduleCacheHits(t *testing.T) {
-	const ranks = 4
-	const calls = 5
-	var st Stats
-	run(t, ranks, Config{Fabric: "ofi", RanksPerNode: 2, Stats: &st}, func(p *Proc) error {
-		w := p.World()
-		send := make([]byte, 64)
-		recv := make([]byte, 64)
-		for i := 0; i < calls; i++ {
-			req, err := w.Iallreduce(send, recv, 8, Long, OpSum)
-			if err != nil {
-				return err
-			}
-			if _, err := req.Wait(); err != nil {
-				return err
-			}
-		}
-		// A different buffer is a different schedule: no false hits.
-		other := make([]byte, 64)
-		req, err := w.Iallreduce(other, recv, 8, Long, OpSum)
-		if err != nil {
-			return err
-		}
-		_, err = req.Wait()
-		return err
-	})
-	agg := st.Aggregate()
-	if want := int64((calls - 1) * ranks); agg.Sched.CacheHits != want {
-		t.Errorf("sched cache hits = %d, want %d", agg.Sched.CacheHits, want)
-	}
-	if want := int64(2 * ranks); agg.Sched.CacheMisses != want {
-		t.Errorf("sched cache misses = %d, want %d", agg.Sched.CacheMisses, want)
-	}
+// iallreduce1 starts a one-element Long sum.
+func iallreduce1(w *Comm, send, recv []byte) (*Request, error) {
+	return w.Iallreduce(send, recv, 1, Long, OpSum)
 }
 
-// TestICollScheduleCacheBounded: I-collectives on buffers allocated per
-// call (what typed convenience wrappers do) never repeat a cache key;
-// the communicator's cache must stay within its bound, the results stay
-// right, and two identical calls outstanding at once still both finish.
-func TestICollScheduleCacheBounded(t *testing.T) {
+// TestICollRecycleFreshBuffers: I-collectives on buffers allocated per
+// call (what typed convenience wrappers do) keep reusing one op — the
+// communicator retains as many as were ever outstanding at once, here
+// one — and every result is right.
+func TestICollRecycleFreshBuffers(t *testing.T) {
 	const ranks = 4
 	run(t, ranks, Config{Fabric: "ofi", RanksPerNode: 2}, func(p *Proc) error {
 		w := p.World()
 		for i := 0; i < 1000; i++ {
 			send, recv := Int64Bytes([]int64{int64(i + p.Rank())}, nil), make([]byte, 8)
-			req, err := w.Iallreduce(send, recv, 1, Long, OpSum)
+			req, err := iallreduce1(w, send, recv)
 			if err != nil {
 				return err
 			}
@@ -168,22 +133,110 @@ func TestICollScheduleCacheBounded(t *testing.T) {
 			if got, want := BytesInt64(recv, nil)[0], int64(ranks*i+ranks*(ranks-1)/2); got != want {
 				return fmt.Errorf("call %d: sum = %d, want %d", i, got, want)
 			}
-			if n := w.sched.Len(); n > nbc.CacheCap {
-				return fmt.Errorf("call %d: schedule cache holds %d entries, bound is %d", i, n, nbc.CacheCap)
+			if n := len(w.opFree); n != 1 {
+				return fmt.Errorf("call %d: %d ops on the freelist, want 1", i, n)
 			}
 		}
-		send, recv := Int64Bytes([]int64{1}, nil), make([]byte, 8)
-		first, err := w.Iallreduce(send, recv, 1, Long, OpSum)
-		if err != nil {
-			return err
-		}
-		second, err := w.Iallreduce(send, recv, 1, Long, OpSum)
-		if err != nil {
-			return err
-		}
-		// Both write recv, so only completion is defined.
-		return Waitall([]*Request{first, second})
+		return nil
 	})
+}
+
+// TestICollRecycleOverlapping: k identical I-collectives outstanding at
+// once each hold their own op, all finish with the right result, and
+// the k ops are what the communicator keeps — also when the calls name
+// the very same send and receive buffers (erroneous in MPI, so there
+// only completion is defined).
+func TestICollRecycleOverlapping(t *testing.T) {
+	const ranks, k = 4, 5
+	run(t, ranks, Config{Fabric: "ofi", RanksPerNode: 2}, func(p *Proc) error {
+		w := p.World()
+		send := Int64Bytes([]int64{int64(p.Rank() + 1)}, nil)
+		for _, sameRecv := range []bool{false, true} {
+			recvs := make([][]byte, k)
+			reqs := make([]*Request, k)
+			for i := range reqs {
+				recvs[i] = make([]byte, 8)
+				if sameRecv {
+					recvs[i] = recvs[0]
+				}
+				var err error
+				if reqs[i], err = iallreduce1(w, send, recvs[i]); err != nil {
+					return err
+				}
+			}
+			if n := len(w.opFree); n != 0 {
+				return fmt.Errorf("%d ops on the freelist with %d outstanding, want 0", n, k)
+			}
+			if err := Waitall(reqs); err != nil {
+				return err
+			}
+			for i, recv := range recvs {
+				if got, want := BytesInt64(recv, nil)[0], int64(ranks*(ranks+1)/2); !sameRecv && got != want {
+					return fmt.Errorf("overlapping call %d: sum = %d, want %d", i, got, want)
+				}
+			}
+			if n := len(w.opFree); n != k {
+				return fmt.Errorf("%d ops on the freelist after %d overlapping calls, want %d", n, k, k)
+			}
+		}
+		return nil
+	})
+}
+
+// TestICollRecycleOncePerCompletion: whichever call completes an
+// I-collective request — Wait, Test, Waitall, Waitany, Testall, Testany —
+// hands its op back exactly once, and waiting on the dead request again
+// does not hand it back a second time.
+func TestICollRecycleOncePerCompletion(t *testing.T) {
+	const ranks = 4
+	spin := func(poll func() (bool, error)) error {
+		for {
+			if done, err := poll(); done || err != nil {
+				return err
+			}
+		}
+	}
+	completions := map[string]func([]*Request) error{
+		"Wait": func(r []*Request) error { _, err := r[0].Wait(); return err },
+		"Test": func(r []*Request) error {
+			return spin(func() (bool, error) { _, done, err := r[0].Test(); return done, err })
+		},
+		"Waitall": Waitall,
+		"Waitany": func(r []*Request) error { _, _, err := Waitany(r); return err },
+		"Testall": func(r []*Request) error {
+			return spin(func() (bool, error) { _, done, err := Testall(r); return done, err })
+		},
+		"Testany": func(r []*Request) error {
+			return spin(func() (bool, error) { _, _, done, err := Testany(r); return done, err })
+		},
+	}
+	for name, complete := range completions {
+		t.Run(name, func(t *testing.T) {
+			run(t, ranks, Config{Fabric: "ofi", RanksPerNode: 2}, func(p *Proc) error {
+				w := p.World()
+				send, recv := Int64Bytes([]int64{int64(p.Rank())}, nil), make([]byte, 8)
+				for i := 0; i < 3; i++ {
+					req, err := iallreduce1(w, send, recv)
+					if err != nil {
+						return err
+					}
+					if err := complete([]*Request{req}); err != nil {
+						return err
+					}
+					if _, err := req.Wait(); err != nil { // dead request: a no-op
+						return err
+					}
+					if n := len(w.opFree); n != 1 {
+						return fmt.Errorf("round %d: %d ops on the freelist, want 1", i, n)
+					}
+					if got, want := BytesInt64(recv, nil)[0], int64(ranks*(ranks-1)/2); got != want {
+						return fmt.Errorf("round %d: sum = %d, want %d", i, got, want)
+					}
+				}
+				return nil
+			})
+		})
+	}
 }
 
 // TestPersistentCollWatchdogEdge parks three ranks in a persistent

@@ -125,6 +125,7 @@ func (w *Win) TestWait() (bool, error) {
 		if _, ok, err := w.p.dev.Iprobe(o, tagWinComplete, cv); err != nil {
 			return false, errc(ErrRMASync, "%v", err)
 		} else if !ok {
+			pollMiss()
 			return false, nil
 		}
 	}

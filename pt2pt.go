@@ -69,21 +69,29 @@ type Request struct {
 	exact    bool
 	exactLen int
 
-	// collErr, on nonblocking-collective requests, points at the
-	// schedule's latched first error; finish surfaces it.
-	collErr *error
+	// coll, on a nonblocking-collective request, is the recycled op
+	// behind it: completion surfaces its error and hands it back to its
+	// communicator.
+	coll *collOp
 }
 
-// finish converts a completed internal request's status, enforcing
-// the exact-length assertion when the receive's communicator carried
-// it.
-func (r *Request) finish(st request.Status) (Status, error) {
+// finish collects a completed request: it converts the status,
+// enforcing the exact-length assertion when the receive's communicator
+// carried it, releases the internal request, and hands a collective's
+// op back to its communicator. The nil r.r left behind makes any later
+// Wait or Test a no-op, so an op is recycled exactly once.
+func (r *Request) finish() (Status, error) {
+	st := r.r.Status
 	err := statusErr(st.Truncated)
 	if r.exact && (st.Truncated || st.Count != r.exactLen) {
 		err = errc(ErrHint, "delivery of %d bytes into an exact-length buffer of %d", st.Count, r.exactLen)
 	}
-	if r.collErr != nil && *r.collErr != nil {
-		err = *r.collErr
+	r.r.Free()
+	r.r = nil
+	if op := r.coll; op != nil {
+		err = op.err
+		r.coll = nil
+		op.c.putOp(op)
 	}
 	return Status{Source: st.Source, Tag: st.Tag, Count: st.Count}, err
 }
@@ -99,28 +107,27 @@ func (r *Request) Wait() (Status, error) {
 		}
 	}
 	r.r.Wait()
-	st, err := r.finish(r.r.Status)
-	r.r.Free()
-	r.r = nil
-	return st, err
+	return r.finish()
 }
 
-// Test polls the operation (MPI_TEST). An unsuccessful poll yields the
-// processor: ranks are goroutines, so a rank spinning MPI_TEST on an
+// pollMiss ends every unsuccessful nonblocking poll (Test, Testall,
+// Iprobe, Improbe, Parrived, Win.TestWait) by yielding the processor:
+// ranks are goroutines, so a rank spinning on a poll on an
 // oversubscribed machine would otherwise starve the very peers whose
-// sends it is polling for — the same reason real MPI progress loops
-// call sched_yield when ranks outnumber cores.
+// sends it is polling for — the same reason real MPI progress loops call
+// sched_yield when ranks outnumber cores.
+func pollMiss() { runtime.Gosched() }
+
+// Test polls the operation (MPI_TEST).
 func (r *Request) Test() (Status, bool, error) {
 	if r == nil || r.r == nil {
 		return Status{}, true, nil
 	}
 	if !r.r.Done() {
-		runtime.Gosched()
+		pollMiss()
 		return Status{}, false, nil
 	}
-	st, err := r.finish(r.r.Status)
-	r.r.Free()
-	r.r = nil
+	st, err := r.finish()
 	return st, true, err
 }
 
@@ -441,9 +448,8 @@ func (c *Comm) RecvNoMatch(buf []byte, count int, dt *Datatype) (Status, error) 
 	return req.Wait()
 }
 
-// Iprobe checks for a matchable message without receiving it
-// (MPI_IPROBE).
-func (c *Comm) Iprobe(src, tag int) (Status, bool, error) {
+// iprobe is one probe of the device; Iprobe and the Probe loop share it.
+func (c *Comm) iprobe(src, tag int) (Status, bool, error) {
 	if err := checkHints(c.c, src, tag); err != nil {
 		return Status{}, false, err
 	}
@@ -454,13 +460,23 @@ func (c *Comm) Iprobe(src, tag int) (Status, bool, error) {
 	return Status{Source: st.Source, Tag: st.Tag, Count: st.Count}, ok, nil
 }
 
+// Iprobe checks for a matchable message without receiving it
+// (MPI_IPROBE).
+func (c *Comm) Iprobe(src, tag int) (Status, bool, error) {
+	st, ok, err := c.iprobe(src, tag)
+	if !ok && err == nil {
+		pollMiss()
+	}
+	return st, ok, err
+}
+
 // Probe blocks until a matchable message is available (MPI_PROBE).
 // The wait is event-driven: the rank parks between transport events
 // instead of spinning.
 func (c *Comm) Probe(src, tag int) (Status, error) {
 	for {
 		seq := c.p.dev.EventSeq()
-		st, ok, err := c.Iprobe(src, tag)
+		st, ok, err := c.iprobe(src, tag)
 		if err != nil || ok {
 			return st, err
 		}
@@ -496,10 +512,9 @@ type Message struct {
 	arrival int64
 }
 
-// Improbe extracts a matchable message without receiving it
-// (MPI_IMPROBE). Once extracted, the message can no longer match any
-// other receive; consume it with Message.Recv.
-func (c *Comm) Improbe(src, tag int) (*Message, bool, error) {
+// improbe is one matched probe of the device; Improbe and the Mprobe
+// loop share it.
+func (c *Comm) improbe(src, tag int) (*Message, bool, error) {
 	if err := checkHints(c.c, src, tag); err != nil {
 		return nil, false, err
 	}
@@ -513,12 +528,23 @@ func (c *Comm) Improbe(src, tag int) (*Message, bool, error) {
 	return &Message{p: c.p, data: data, src: st.Source, tag: st.Tag, arrival: int64(arrival)}, true, nil
 }
 
+// Improbe extracts a matchable message without receiving it
+// (MPI_IMPROBE). Once extracted, the message can no longer match any
+// other receive; consume it with Message.Recv.
+func (c *Comm) Improbe(src, tag int) (*Message, bool, error) {
+	m, ok, err := c.improbe(src, tag)
+	if !ok && err == nil {
+		pollMiss()
+	}
+	return m, ok, err
+}
+
 // Mprobe blocks until a matchable message can be extracted
 // (MPI_MPROBE).
 func (c *Comm) Mprobe(src, tag int) (*Message, error) {
 	for {
 		seq := c.p.dev.EventSeq()
-		m, ok, err := c.Improbe(src, tag)
+		m, ok, err := c.improbe(src, tag)
 		if err != nil || ok {
 			return m, err
 		}

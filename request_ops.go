@@ -99,6 +99,7 @@ func Testall(reqs []*Request) ([]Status, bool, error) {
 			continue
 		}
 		if !r.r.Done() {
+			pollMiss()
 			return nil, false, nil
 		}
 	}

@@ -2,7 +2,9 @@ package gompi
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
+	"time"
 )
 
 func TestWaitanyPicksCompleted(t *testing.T) {
@@ -214,4 +216,162 @@ func TestGathervScattervAllgathervPublic(t *testing.T) {
 		}
 		return nil
 	})
+}
+
+// TestPollMissYields: an unsuccessful nonblocking poll yields the
+// processor, whichever call made it. Ranks are goroutines: with one
+// processor, rank 0 spinning on a poll that never yields keeps rank 1 —
+// whose message it is polling for — off the CPU until the runtime's
+// asynchronous preemption fires, some 10 ms per round. Each variant
+// plays 200 ping-pongs in which rank 0 spins for its half; yielding,
+// they take about a millisecond in all.
+func TestPollMissYields(t *testing.T) {
+	const rounds, budget = 200, time.Second
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	// A variant prepares both ranks and returns one round's first half:
+	// rank 1 delivers, rank 0 spins until it has arrived.
+	variants := map[string]func(p *Proc) (func() error, error){
+		"Test": func(p *Proc) (func() error, error) {
+			return spinRecv(p, func(r *Request) (bool, error) { _, ok, err := r.Test(); return ok, err }), nil
+		},
+		"Testall": func(p *Proc) (func() error, error) {
+			return spinRecv(p, func(r *Request) (bool, error) { _, ok, err := Testall([]*Request{r}); return ok, err }), nil
+		},
+		"Iprobe": func(p *Proc) (func() error, error) {
+			w, buf := p.World(), make([]byte, 1)
+			return func() error {
+				if p.Rank() == 1 {
+					return w.Send(buf, 1, Byte, 0, 0)
+				}
+				for {
+					if _, ok, err := w.Iprobe(1, 0); err != nil {
+						return err
+					} else if ok {
+						_, err := w.Recv(buf, 1, Byte, 1, 0)
+						return err
+					}
+				}
+			}, nil
+		},
+		"Improbe": func(p *Proc) (func() error, error) {
+			w, buf := p.World(), make([]byte, 1)
+			return func() error {
+				if p.Rank() == 1 {
+					return w.Send(buf, 1, Byte, 0, 0)
+				}
+				for {
+					if m, ok, err := w.Improbe(1, 0); err != nil {
+						return err
+					} else if ok {
+						_, err := m.Recv(buf, 1, Byte)
+						return err
+					}
+				}
+			}, nil
+		},
+		"Parrived": func(p *Proc) (func() error, error) {
+			w, buf := p.World(), make([]byte, 8)
+			if p.Rank() == 1 {
+				op, err := w.PsendInit(buf, 1, 8, Byte, 0, 0)
+				return func() error {
+					if err := op.Start(); err != nil {
+						return err
+					}
+					if err := op.Pready(0); err != nil {
+						return err
+					}
+					return op.Wait()
+				}, err
+			}
+			op, err := w.PrecvInit(buf, 1, 8, Byte, 1, 0)
+			return func() error {
+				if err := op.Start(); err != nil {
+					return err
+				}
+				for {
+					if ok, err := op.Parrived(0); err != nil {
+						return err
+					} else if ok {
+						return op.Wait()
+					}
+				}
+			}, err
+		},
+		"TestWait": func(p *Proc) (func() error, error) {
+			win, _, err := p.World().WinAllocate(8, 1)
+			return func() error {
+				if p.Rank() == 1 {
+					if err := win.Start([]int{0}); err != nil {
+						return err
+					}
+					if err := win.Put([]byte{1}, 1, Byte, 0, 0); err != nil {
+						return err
+					}
+					return win.Complete()
+				}
+				if err := win.Post([]int{1}); err != nil {
+					return err
+				}
+				for {
+					if ok, err := win.TestWait(); ok || err != nil {
+						return err
+					}
+				}
+			}, err
+		},
+	}
+	for name, prep := range variants {
+		t.Run(name, func(t *testing.T) {
+			var took time.Duration
+			run(t, 2, Config{Fabric: "ofi"}, func(p *Proc) error {
+				w, ack := p.World(), make([]byte, 1)
+				half, err := prep(p)
+				if err != nil {
+					return err
+				}
+				start := time.Now()
+				for i := 0; i < rounds; i++ {
+					if err := half(); err != nil {
+						return err
+					}
+					// Second half: rank 0 answers, rank 1 blocks for it.
+					if p.Rank() == 0 {
+						err = w.Send(ack, 1, Byte, 1, 1)
+					} else {
+						_, err = w.Recv(ack, 1, Byte, 0, 1)
+					}
+					if err != nil {
+						return err
+					}
+				}
+				if p.Rank() == 0 {
+					took = time.Since(start)
+				}
+				return nil
+			})
+			if took > budget {
+				t.Errorf("%d ping-pongs spinning on %s took %v, budget %v: the poll does not yield", rounds, name, took, budget)
+			}
+		})
+	}
+}
+
+// spinRecv is the first half of a ping-pong round for the request-based
+// polls: rank 1 sends, rank 0 posts the receive and spins poll on it.
+func spinRecv(p *Proc, poll func(*Request) (bool, error)) func() error {
+	w, buf := p.World(), make([]byte, 1)
+	return func() error {
+		if p.Rank() == 1 {
+			return w.Send(buf, 1, Byte, 0, 0)
+		}
+		r, err := w.Irecv(buf, 1, Byte, 1, 0)
+		if err != nil {
+			return err
+		}
+		for {
+			if ok, err := poll(r); ok || err != nil {
+				return err
+			}
+		}
+	}
 }

@@ -1,7 +1,6 @@
 package gompi
 
 import (
-	"gompi/internal/metrics"
 	"gompi/internal/nbc"
 	"gompi/internal/topo"
 )
@@ -100,40 +99,31 @@ func (c *CartComm) Neighbors() []int {
 // rank exchanges only with its declared neighbors, compiled through the
 // nbc schedule engine. The compilers order each transfer list
 // local-first — shm-reachable neighbors are injected and drained before
-// the schedule parks on net peers — and the compiled schedules go
-// through the communicator's schedule cache, so a halo exchange
-// repeated every iteration compiles once. ProcNull neighbors (the open
-// edges of a non-periodic grid) transfer nothing; their receive blocks
-// are zeroed on every activation through the schedule prologue.
+// the schedule parks on net peers. The blocking calls compile in place
+// into the communicator's blocking schedule like every other blocking
+// collective; a halo exchange repeated every iteration that wants its
+// set-up amortised declares so with the *Init forms below. ProcNull
+// neighbors (the open edges of a non-periodic grid) transfer nothing;
+// their receive blocks are zeroed on every activation through the
+// schedule prologue.
 
 // neighborAllgather runs the blocking neighborhood allgather over
-// explicit neighbor lists; CartComm and GraphComm supply theirs. The
-// schedule is cached per (buffers, list length): a communicator's
-// neighbor lists are fixed at topology creation, so buffer identity
-// pins the rest.
+// explicit neighbor lists; CartComm and GraphComm supply theirs.
 func (c *Comm) neighborAllgather(send, recv []byte, count int, dt *Datatype, sources, destinations []int) error {
 	done, err := c.collEnter()
 	if err != nil {
 		return err
 	}
 	defer done()
-	n := count * dt.Size()
-	if len(recv) < n*len(sources) {
-		return errc(ErrBuffer, "neighbor allgather recv %d < %d", len(recv), n*len(sources))
+	tag := c.nbcTag()
+	n, err := collBuf(count, dt, send)
+	if err == nil {
+		_, err = collBuf(count*len(sources), dt, recv)
 	}
-	t := c.nbcPort()
-	sp, sl := nbc.BufKey(send[:n])
-	rp, rl := nbc.BufKey(recv[:n*len(sources)])
-	key := nbc.CacheKey{Kind: nbc.CacheNeighborAllgather, Algo: metrics.CollNeighborAllgather,
-		Root: -1, Send: sp, SendLen: sl, Recv: rp, RecvLen: rl}
-	req, err := c.cachedStart(key, func(s *nbc.Schedule, tag int) error {
-		return nbc.NeighborAllgather(s, t, tag, send[:n], recv[:n*len(sources)], sources, destinations)
-	})
 	if err != nil {
 		return err
 	}
-	_, err = req.Wait()
-	return err
+	return c.collWait(nbc.NeighborAllgather(&c.bsched, c.nbcPort(), tag, send[:n], recv[:n*len(sources)], sources, destinations))
 }
 
 // neighborAlltoall runs the blocking neighborhood all-to-all over
@@ -144,57 +134,37 @@ func (c *Comm) neighborAlltoall(send, recv []byte, count int, dt *Datatype, sour
 		return err
 	}
 	defer done()
-	n := count * dt.Size()
-	if len(send) < n*len(destinations) {
-		return errc(ErrBuffer, "neighbor alltoall send %d < %d", len(send), n*len(destinations))
+	tag := c.nbcTag()
+	n, err := collBuf(count*len(destinations), dt, send)
+	if err == nil {
+		_, err = collBuf(count*len(sources), dt, recv)
 	}
-	if len(recv) < n*len(sources) {
-		return errc(ErrBuffer, "neighbor alltoall recv %d < %d", len(recv), n*len(sources))
-	}
-	t := c.nbcPort()
-	sp, sl := nbc.BufKey(send[:n*len(destinations)])
-	rp, rl := nbc.BufKey(recv[:n*len(sources)])
-	key := nbc.CacheKey{Kind: nbc.CacheNeighborAlltoall, Algo: metrics.CollNeighborAlltoall,
-		Root: -1, Send: sp, SendLen: sl, Recv: rp, RecvLen: rl}
-	req, err := c.cachedStart(key, func(s *nbc.Schedule, tag int) error {
-		return nbc.NeighborAlltoall(s, t, tag, n, send[:n*len(destinations)], recv[:n*len(sources)], sources, destinations)
-	})
 	if err != nil {
 		return err
 	}
-	_, err = req.Wait()
-	return err
+	block := count * dt.Size()
+	return c.collWait(nbc.NeighborAlltoall(&c.bsched, c.nbcPort(), tag, block, send[:n], recv[:block*len(sources)], sources, destinations))
 }
 
 // neighborAlltoallv runs the ragged blocking variant: per-neighbor
-// element counts and displacements (in elements of dt). The counts fold
-// into the cache key, so changing them recompiles instead of replaying
-// a stale shape.
+// element counts and displacements (in elements of dt).
 func (c *Comm) neighborAlltoallv(send []byte, sendCounts, sendDispls []int, recv []byte, recvCounts, recvDispls []int, dt *Datatype, sources, destinations []int) error {
 	done, err := c.collEnter()
 	if err != nil {
 		return err
 	}
 	defer done()
-	es := dt.Size()
-	sc := scaleVec(sendCounts, es)
-	sd := scaleVec(sendDispls, es)
-	rc := scaleVec(recvCounts, es)
-	rd := scaleVec(recvDispls, es)
-	t := c.nbcPort()
-	sp, sl := nbc.BufKey(send)
-	rp, rl := nbc.BufKey(recv)
-	key := nbc.CacheKey{Kind: nbc.CacheNeighborAlltoall, Algo: metrics.CollNeighborAlltoallv,
-		Root: -1, Send: sp, SendLen: sl, Recv: rp, RecvLen: rl,
-		Shape: nbc.ShapeHash(sc, sd, rc, rd)}
-	req, err := c.cachedStart(key, func(s *nbc.Schedule, tag int) error {
-		return nbc.NeighborAlltoallv(s, t, tag, send, sc, sd, recv, rc, rd, sources, destinations)
-	})
-	if err != nil {
-		return err
+	tag := c.nbcTag()
+	if dt == nil {
+		return errc(ErrType, "nil datatype")
 	}
-	_, err = req.Wait()
-	return err
+	es := dt.Size()
+	sc, sd := scaleVec(sendCounts, es), scaleVec(sendDispls, es)
+	rc, rd := scaleVec(recvCounts, es), scaleVec(recvDispls, es)
+	if len(send) < tableSpan(sc, sd) || len(recv) < tableSpan(rc, rd) {
+		return errc(ErrBuffer, "neighbor alltoallv buffers short of their counts/displs tables")
+	}
+	return c.collWait(nbc.NeighborAlltoallv(&c.bsched, c.nbcPort(), tag, send, sc, sd, recv, rc, rd, sources, destinations))
 }
 
 // scaleVec multiplies a count/displacement vector by the element size.
@@ -208,40 +178,31 @@ func scaleVec(v []int, es int) []int {
 
 // neighborAllgatherInit compiles a persistent neighborhood allgather.
 func (c *Comm) neighborAllgatherInit(send, recv []byte, count int, dt *Datatype, sources, destinations []int) (*PersistentColl, error) {
-	done, err := c.collEnter()
-	if err != nil {
-		return nil, err
-	}
-	defer done()
-	n := count * dt.Size()
-	if len(recv) < n*len(sources) {
-		return nil, errc(ErrBuffer, "neighbor allgather recv %d < %d", len(recv), n*len(sources))
-	}
-	tag := c.persistTag()
-	s := new(nbc.Schedule)
-	if err := nbc.NeighborAllgather(s, c.nbcPort(), tag, send[:n], recv[:n*len(sources)], sources, destinations); err != nil {
-		return nil, errc(ErrArg, "%v", err)
-	}
-	return c.persistWrap(s, tag), nil
+	return c.pcoll(func(s *nbc.Schedule, t *nbcPort, tag int) error {
+		n, err := collBuf(count, dt, send)
+		if err == nil {
+			_, err = collBuf(count*len(sources), dt, recv)
+		}
+		if err != nil {
+			return err
+		}
+		return nbc.NeighborAllgather(s, t, tag, send[:n], recv[:n*len(sources)], sources, destinations)
+	})
 }
 
 // neighborAlltoallInit compiles a persistent neighborhood all-to-all.
 func (c *Comm) neighborAlltoallInit(send, recv []byte, count int, dt *Datatype, sources, destinations []int) (*PersistentColl, error) {
-	done, err := c.collEnter()
-	if err != nil {
-		return nil, err
-	}
-	defer done()
-	n := count * dt.Size()
-	if len(send) < n*len(destinations) || len(recv) < n*len(sources) {
-		return nil, errc(ErrBuffer, "neighbor alltoall_init buffers short")
-	}
-	tag := c.persistTag()
-	s := new(nbc.Schedule)
-	if err := nbc.NeighborAlltoall(s, c.nbcPort(), tag, n, send[:n*len(destinations)], recv[:n*len(sources)], sources, destinations); err != nil {
-		return nil, errc(ErrArg, "%v", err)
-	}
-	return c.persistWrap(s, tag), nil
+	return c.pcoll(func(s *nbc.Schedule, t *nbcPort, tag int) error {
+		n, err := collBuf(count*len(destinations), dt, send)
+		if err == nil {
+			_, err = collBuf(count*len(sources), dt, recv)
+		}
+		if err != nil {
+			return err
+		}
+		block := count * dt.Size()
+		return nbc.NeighborAlltoall(s, t, tag, block, send[:n], recv[:block*len(sources)], sources, destinations)
+	})
 }
 
 // NeighborAllgather exchanges one equal-size block with every nearest
