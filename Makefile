@@ -1,11 +1,11 @@
 GO ?= go
 
-.PHONY: ci build vet test race bench-smoke fuzz-smoke loc
+.PHONY: ci build vet test race flake bench-smoke fuzz-smoke loc
 
 # The tier-1 gate: everything a PR must keep green. Performance is
 # gated separately, by the benchmark of record (benchmark/, declared in
 # BENCHMARK.json), which the pipeline runs against the parent commit.
-ci: build vet test race bench-smoke
+ci: build vet test race flake bench-smoke
 
 build:
 	$(GO) build ./...
@@ -21,6 +21,17 @@ test:
 # race-checked (including the ThreadMultiple chaos rounds).
 race:
 	$(GO) test -race ./...
+
+# A first, cheap slice of "tier-1 x 20" (ROADMAP item 1): the tests that
+# guard the single-writer charge ledger and its cross-goroutine dump,
+# and the allocation guards, which have flaked before — twenty times
+# each, then five times race-checked. Zero failures.
+FLAKE_RUN = 'Ledger|DumpState|ZeroAlloc|AllocFree|SteadyStateAllocs'
+FLAKE_PKGS = . ./internal/proc ./internal/instr ./internal/vtime ./internal/hist
+
+flake:
+	$(GO) test -count=20 -run $(FLAKE_RUN) $(FLAKE_PKGS)
+	$(GO) test -race -count=5 -run $(FLAKE_RUN) $(FLAKE_PKGS)
 
 # One iteration of every benchmark: catches bit-rot in the figure
 # regeneration paths and allocation regressions (all benches report

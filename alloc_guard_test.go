@@ -410,3 +410,37 @@ func TestICollSteadyStateAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestThreadMultipleSteadyStateAllocs: MPI_THREAD_MULTIPLE adds a lock
+// and its charge to every call, not garbage. The unlock a call defers
+// is bound once per communicator, so Isend + Irecv + Waitall allocates
+// the same objects per exchange (the two public Requests) with the
+// thread level on and off; a method value made per call would show as
+// two more per exchange.
+func TestThreadMultipleSteadyStateAllocs(t *testing.T) {
+	const ranks, n = 2, 200
+	slope := func(threadMultiple bool) int64 {
+		cfg := gompi.Config{Device: gompi.DeviceCH4, Fabric: "ofi", ThreadMultiple: threadMultiple}
+		return mallocSlope(t, ranks, cfg, n, func(p *gompi.Proc) (func(int) error, error) {
+			w := p.World()
+			peer := 1 - p.Rank()
+			sbuf, rbuf := []byte{1}, make([]byte, 1)
+			reqs := make([]*gompi.Request, 2)
+			return func(int) error {
+				var err error
+				if reqs[0], err = w.Irecv(rbuf, 1, gompi.Byte, peer, 0); err != nil {
+					return err
+				}
+				if reqs[1], err = w.Isend(sbuf, 1, gompi.Byte, peer, 0); err != nil {
+					return err
+				}
+				return gompi.Waitall(reqs)
+			}, nil
+		})
+	}
+	off, on := slope(false), slope(true)
+	if d := on - off; d >= n || -d >= n {
+		t.Errorf("ThreadMultiple changes what an exchange allocates: %d mallocs over the window with it, %d without (%d exchanges x %d ranks)",
+			on, off, 9*n, ranks)
+	}
+}

@@ -317,9 +317,13 @@ type Proc struct {
 // rank's virtual clock and park state, the tail of its flight recorder
 // (recent protocol events), and the device wait graph — unmatched
 // posted receives, unexpected-queue contents, and who-waits-on-whom
-// edges. Safe to call from any goroutine at any time; the same dump
-// fires automatically on a stall-watchdog trip.
+// edges. The same dump fires automatically on a stall-watchdog trip.
+// Call it from the rank's own goroutine, at any time. A rank's live
+// clock belongs to its goroutine alone, so each line carries the clock
+// that rank last published: exact for the caller and for a parked
+// rank, "as of its last park" for a rank still running.
 func (p *Proc) DumpState(w io.Writer) {
+	p.rank.Metrics().ParkClock.Store(int64(p.rank.Now()))
 	if p.dump != nil {
 		p.dump(w)
 	}
@@ -354,6 +358,7 @@ func Run(n int, cfg Config, body func(p *Proc) error) error {
 	}
 	world := proc.NewWorld(n, rpn, hz)
 	world.SetInstrCPI(prof.InstrCPI)
+	world.SetThreadMultiple(bc.ThreadMultiple)
 	reg := comm.NewRegistry()
 
 	var open func(r *proc.Rank) core.Device
@@ -377,14 +382,16 @@ func Run(n int, cfg Config, body func(p *Proc) error) error {
 
 	// dumpWorld renders the whole diagnosis: per-rank clock and park
 	// state, each rank's flight-recorder tail, and the device wait graph
-	// (unmatched posted receives, unexpected queues, waits-on edges).
+	// (unmatched posted receives, unexpected queues, waits-on edges). It
+	// runs on any goroutine, so it prints the clock each rank published
+	// at its last park, never a live single-writer clock.
 	var mon *stall.Monitor
 	dumpWorld := func(w io.Writer) {
 		fmt.Fprintf(w, "=== gompi state dump (%d rank(s), device %s) ===\n", n, dev)
 		for i := 0; i < n; i++ {
-			r := world.Rank(i)
-			fmt.Fprintf(w, "rank %d: vcycles=%d parked=%v\n", i, int64(r.Now()), mon.Parked(i))
-			r.Metrics().Flight.Dump(w, fmt.Sprintf("rank %d", i))
+			m := world.Rank(i).Metrics()
+			fmt.Fprintf(w, "rank %d: vcycles=%d (as of last park) parked=%v\n", i, m.ParkClock.Load(), mon.Parked(i))
+			m.Flight.Dump(w, fmt.Sprintf("rank %d", i))
 		}
 		dumpDevice(w)
 	}
@@ -618,7 +625,7 @@ func (p *Proc) chargeThread(c *comm.Comm, win bool) func() {
 	}
 	p.rank.Charge(instr.ThreadCheck, instr.CostLockUnlock)
 	c.Lock.Lock()
-	return c.Lock.Unlock
+	return c.Unlock
 }
 
 // wtime is the vtime seconds helper the benchmark harness uses.

@@ -29,7 +29,8 @@ type Comm struct {
 	Ctx     uint16 // point-to-point context id (high bits of match words)
 	CollCtx uint16 // collective context id (isolates collectives from pt2pt)
 
-	Lock sync.Mutex // per-object critical section (MPI_THREAD_MULTIPLE)
+	Lock   sync.Mutex // per-object critical section (MPI_THREAD_MULTIPLE)
+	Unlock func()     // Lock.Unlock, bound once: a per-call method value would allocate
 
 	// NoReq counts outstanding requestless operations issued on this
 	// communicator (the MPI_ISEND_NOREQ / MPI_COMM_WAITALL proposal,
@@ -61,9 +62,9 @@ type Comm struct {
 	seq        int // per-rank count of creation collectives on this comm
 	nbcSeq     int // nonblocking-collective tag sequence (owned by the rank)
 	persistSeq int // persistent-collective tag sequence (owned by the rank)
-	info     map[string]string
-	freed    bool
-	collView *Comm
+	info       map[string]string
+	freed      bool
+	collView   *Comm
 
 	// topoCache memoizes the node structure two-level collectives
 	// derive over this communicator, keyed by the preferring root.
@@ -148,14 +149,7 @@ const HintCollAlgorithm = "gompi_coll_algorithm"
 // collective traffic. The view is cached per rank.
 func (c *Comm) CollView() *Comm {
 	if c.collView == nil {
-		c.collView = &Comm{
-			Grp:     c.Grp,
-			Table:   c.Table,
-			MyRank:  c.MyRank,
-			Ctx:     c.CollCtx,
-			CollCtx: c.CollCtx,
-			reg:     c.reg,
-		}
+		c.collView = newComm(c.Grp, c.Table, c.MyRank, c.CollCtx, c.CollCtx, c.reg)
 		c.collView.collView = c.collView
 	}
 	return c.collView
@@ -170,17 +164,17 @@ func (c *Comm) Exchange(val any) []any {
 	return c.reg.Exchange(c.Ctx, seq, c.MyRank, c.Size(), val)
 }
 
+// newComm is the one place a Comm is built.
+func newComm(g *group.Group, t *RankTable, myRank int, ctx, coll uint16, reg *Registry) *Comm {
+	c := &Comm{Grp: g, Table: t, MyRank: myRank, Ctx: ctx, CollCtx: coll, reg: reg}
+	c.Unlock = c.Lock.Unlock
+	return c
+}
+
 // NewWorld builds rank myRank's view of MPI_COMM_WORLD over n ranks.
 func NewWorld(reg *Registry, n, myRank int) *Comm {
 	g := group.WorldGroup(n)
-	return &Comm{
-		Grp:     g,
-		Table:   BuildRankTable(g),
-		MyRank:  myRank,
-		Ctx:     0,
-		CollCtx: 1,
-		reg:     reg,
-	}
+	return newComm(g, BuildRankTable(g), myRank, 0, 1, reg)
 }
 
 // Size returns the number of ranks in the communicator.
@@ -252,14 +246,7 @@ func (c *Comm) Dup() (*Comm, error) {
 	seq := c.seq
 	c.seq++
 	ctx, coll := c.reg.AllocContext(c.Ctx, seq, 0)
-	dup := &Comm{
-		Grp:     c.Grp,
-		Table:   c.Table,
-		MyRank:  c.MyRank,
-		Ctx:     ctx,
-		CollCtx: coll,
-		reg:     c.reg,
-	}
+	dup := newComm(c.Grp, c.Table, c.MyRank, ctx, coll, c.reg)
 	for k, v := range c.info {
 		dup.SetInfo(k, v)
 	}
@@ -288,14 +275,7 @@ func (c *Comm) Split(color, key int) (*Comm, error) {
 	if res == nil {
 		return nil, nil
 	}
-	return &Comm{
-		Grp:     res.Grp,
-		Table:   res.Table,
-		MyRank:  res.Grp.Rank(w),
-		Ctx:     res.Ctx,
-		CollCtx: res.Coll,
-		reg:     c.reg,
-	}, nil
+	return newComm(res.Grp, res.Table, res.Grp.Rank(w), res.Ctx, res.Coll, c.reg), nil
 }
 
 // Create builds a communicator over the given subgroup of c
@@ -322,12 +302,5 @@ func (c *Comm) Create(g *group.Group) (*Comm, error) {
 	if myNew == group.Undefined {
 		return nil, nil
 	}
-	return &Comm{
-		Grp:     g,
-		Table:   BuildRankTable(g),
-		MyRank:  myNew,
-		Ctx:     ctx,
-		CollCtx: coll,
-		reg:     c.reg,
-	}, nil
+	return newComm(g, BuildRankTable(g), myNew, ctx, coll, c.reg), nil
 }

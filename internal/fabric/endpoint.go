@@ -640,7 +640,7 @@ func (ep *Endpoint) WaitEvent(last uint64) uint64 {
 		if !parked {
 			parked = true
 			ep.f.stall.Park(ep.rank)
-			ep.m.Flight.Record(flight.Park, int64(ep.meter.Now()), -1, 0, AnyVCI)
+			ep.m.NotePark(int64(ep.meter.Now()), -1, AnyVCI)
 		}
 		ep.evCond.Wait()
 	}
@@ -678,7 +678,7 @@ func (ep *Endpoint) WaitEventVCI(v int, last uint64) uint64 {
 		if !parked {
 			parked = true
 			ep.f.stall.Park(ep.rank)
-			ep.m.Flight.Record(flight.Park, int64(ep.meter.Now()), -1, 0, vn)
+			ep.m.NotePark(int64(ep.meter.Now()), -1, vn)
 		}
 		s.cond.Wait()
 	}
@@ -866,7 +866,7 @@ func (ep *Endpoint) WaitRecv(op *RecvOp) {
 			if !parked {
 				parked = true
 				ep.f.stall.Park(ep.rank)
-				ep.m.Flight.Record(flight.Park, int64(ep.meter.Now()), -1, 0, op.vci)
+				ep.m.NotePark(int64(ep.meter.Now()), -1, op.vci)
 			}
 			s.cond.Wait()
 		}

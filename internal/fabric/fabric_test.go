@@ -22,6 +22,14 @@ func newTestMeter(hz float64) *testMeter {
 	return &testMeter{clock: vtime.NewClock(hz)}
 }
 
+// shared marks the meter as one rank charged from several lanes
+// (goroutines) at once, as a ThreadMultiple world marks its ranks.
+func (m *testMeter) shared() *testMeter {
+	m.prof.Share()
+	m.clock.Share()
+	return m
+}
+
 func (m *testMeter) Charge(cat instr.Category, n int64) {
 	m.prof.Charge(cat, n)
 	m.clock.Advance(n)

@@ -50,7 +50,7 @@ func TestLazyConnChaosFirstTouch(t *testing.T) {
 	f := NewVCI(INF, senders+1, 2)
 	ms := make([]*testMeter, senders+1)
 	for i := range ms {
-		ms[i] = newTestMeter(1e9)
+		ms[i] = newTestMeter(1e9).shared()
 		f.Endpoint(i).Bind(ms[i])
 	}
 

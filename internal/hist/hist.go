@@ -28,7 +28,6 @@ const NumBuckets = 64
 // histogram ready for use. All methods are safe for concurrent use.
 type H struct {
 	buckets [NumBuckets]atomic.Int64
-	count   atomic.Int64
 	sum     atomic.Int64
 	max     atomic.Int64
 }
@@ -55,7 +54,6 @@ func (h *H) Observe(v int64) {
 		v = 0
 	}
 	h.buckets[bucketOf(v)].Add(1)
-	h.count.Add(1)
 	h.sum.Add(v)
 	for {
 		cur := h.max.Load()
@@ -65,8 +63,9 @@ func (h *H) Observe(v int64) {
 	}
 }
 
-// Count returns the number of observations.
-func (h *H) Count() int64 { return h.count.Load() }
+// Count returns the number of observations: the sum of the buckets,
+// which Observe therefore does not have to count a second time.
+func (h *H) Count() int64 { return h.load().Count }
 
 // Sum returns the sum of all observed values.
 func (h *H) Sum() int64 { return h.sum.Load() }
@@ -76,38 +75,17 @@ func (h *H) Max() int64 { return h.max.Load() }
 
 // Percentile returns a conservative estimate of the p-th percentile
 // (0 < p <= 100): the upper bound of the bucket containing that
-// quantile, clamped to Max. An empty histogram reports zero.
+// quantile, clamped to Max. An empty histogram reports zero. The
+// target rank and the bucket walk come from one read of the buckets.
 func (h *H) Percentile(p float64) int64 {
-	n := h.count.Load()
-	if n == 0 {
-		return 0
-	}
 	if p < 0 {
 		p = 0
 	}
 	if p > 100 {
 		p = 100
 	}
-	// Rank of the target observation, 1-based, rounding up.
-	target := int64(float64(n)*p/100 + 0.9999999)
-	if target < 1 {
-		target = 1
-	}
-	if target > n {
-		target = n
-	}
-	var cum int64
-	for i := 0; i < NumBuckets; i++ {
-		cum += h.buckets[i].Load()
-		if cum >= target {
-			ub := bucketUpper(i)
-			if m := h.max.Load(); ub > m {
-				ub = m
-			}
-			return ub
-		}
-	}
-	return h.max.Load()
+	s := h.load()
+	return s.percentile(p)
 }
 
 // bucketUpper is the inclusive upper bound of bucket i.
@@ -127,7 +105,6 @@ func (h *H) Merge(o *H) {
 			h.buckets[i].Add(v)
 		}
 	}
-	h.count.Add(o.count.Load())
 	h.sum.Add(o.sum.Load())
 	om := o.max.Load()
 	for {
@@ -151,19 +128,21 @@ type Snapshot struct {
 	Buckets [NumBuckets]int64 `json:"-"`
 }
 
+// load reads the histogram once: buckets, their sum as Count, Sum and
+// Max, percentiles not yet derived.
+func (h *H) load() Snapshot {
+	s := Snapshot{Sum: h.sum.Load(), Max: h.max.Load()}
+	for i := range s.Buckets {
+		s.Buckets[i] = h.buckets[i].Load()
+		s.Count += s.Buckets[i]
+	}
+	return s
+}
+
 // Snapshot captures the histogram's current state.
 func (h *H) Snapshot() Snapshot {
-	s := Snapshot{
-		Count: h.count.Load(),
-		Sum:   h.sum.Load(),
-		Max:   h.max.Load(),
-		P50:   h.Percentile(50),
-		P90:   h.Percentile(90),
-		P99:   h.Percentile(99),
-	}
-	for i := 0; i < NumBuckets; i++ {
-		s.Buckets[i] = h.buckets[i].Load()
-	}
+	s := h.load()
+	s.P50, s.P90, s.P99 = s.percentile(50), s.percentile(90), s.percentile(99)
 	return s
 }
 

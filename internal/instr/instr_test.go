@@ -163,28 +163,47 @@ func TestBreakdownStringHasAllRows(t *testing.T) {
 	}
 }
 
-// Property: for any sequence of charges, Total equals the sum over MPI
-// categories and Cycles equals the sum over all categories.
-func TestTotalInvariant(t *testing.T) {
-	f := func(charges []uint16) bool {
+// Property: the profile keeps no running totals, yet for any sequence
+// of charges — on a single-writer and on a shared profile — Total,
+// Cycles and Delta equal the accumulators the test keeps beside it (the
+// two a Charge used to maintain), Transport and Compute cycles count
+// toward Cycles only, and Reset returns all of it to zero.
+func TestLedgerTotalsAreSums(t *testing.T) {
+	f := func(pre, post []uint16, shared bool) bool {
 		var p Profile
-		for i, c := range charges {
-			cat := Category(i % int(NumCategories))
-			n := int64(c % 1000)
-			if cat < Transport {
-				p.Charge(cat, n)
-			} else {
-				p.ChargeCycles(cat, n)
+		if shared {
+			p.Share()
+		}
+		var total, cycles int64
+		charge := func(charges []uint16) {
+			for i, c := range charges {
+				cat := Category(i % int(NumCategories))
+				n := int64(c % 1000)
+				cycles += n
+				if cat < Transport {
+					total += n
+					p.Charge(cat, n)
+				} else {
+					p.ChargeCycles(cat, n)
+				}
 			}
 		}
-		var mpi, all int64
+		charge(pre)
+		if p.Total() != total || p.Cycles() != cycles {
+			return false
+		}
+		s, total0, cycles0 := p.Snap(), total, cycles
+		charge(post)
+		d := p.Delta(s)
+		var counts int64
 		for cat := Category(0); cat < NumCategories; cat++ {
-			all += p.Count(cat)
-			if cat < Transport {
-				mpi += p.Count(cat)
-			}
+			counts += d.Count(cat)
 		}
-		return p.Total() == mpi && p.Cycles() == all
+		if d.Total != total-total0 || d.Cycles != cycles-cycles0 || counts != d.Cycles {
+			return false
+		}
+		p.Reset()
+		return p.Total() == 0 && p.Cycles() == 0 && p.Snap() == Snapshot{}
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -5,26 +5,31 @@ import (
 	"sync/atomic"
 )
 
-// Profile accumulates instruction charges for a single rank. Charges
-// are atomic adds: a rank is normally one goroutine, but under
-// MPI_THREAD_MULTIPLE several application goroutines drive the same
-// rank concurrently, and each must be able to charge without a lock.
-// Single-threaded behavior (and therefore every pinned instruction
-// count) is unchanged — an uncontended atomic add produces the same
-// totals as a plain add.
+// Profile is one rank's charge ledger: the instructions (and raw
+// cycles) charged so far, per category. It is single-writer: only the
+// rank's own goroutine charges and reads it, so a charge is one plain
+// add. A world built for MPI_THREAD_MULTIPLE — where several
+// application goroutines really do drive one rank — marks the profile
+// shared (Share) before any rank runs, and every access becomes
+// atomic. Totals are derived from the per-category counters at read
+// time, never accumulated beside them, so the two modes produce the
+// same numbers by construction.
 type Profile struct {
 	counts [NumCategories]int64
-	total  int64 // MPI categories only (excludes Transport and Compute)
-	cycles int64 // everything, CPI 1.0 (includes Transport and Compute)
+	shared bool
 }
+
+// Share marks the profile as charged from several goroutines. It must
+// be called before the first charge.
+func (p *Profile) Share() { p.shared = true }
 
 // Charge records n abstract instructions in category cat.
 func (p *Profile) Charge(cat Category, n int64) {
-	atomic.AddInt64(&p.counts[cat], n)
-	atomic.AddInt64(&p.cycles, n)
-	if cat < Transport {
-		atomic.AddInt64(&p.total, n)
+	if p.shared {
+		atomic.AddInt64(&p.counts[cat], n)
+		return
 	}
+	p.counts[cat] += n
 }
 
 // ChargeCycles records raw cycles that are not instructions executed by
@@ -34,47 +39,41 @@ func (p *Profile) ChargeCycles(cat Category, n int64) {
 	if cat < Transport {
 		panic("instr: ChargeCycles on an MPI instruction category")
 	}
-	atomic.AddInt64(&p.counts[cat], n)
-	atomic.AddInt64(&p.cycles, n)
+	p.Charge(cat, n)
 }
 
 // Count returns the accumulated charge for one category.
-func (p *Profile) Count(cat Category) int64 { return atomic.LoadInt64(&p.counts[cat]) }
+func (p *Profile) Count(cat Category) int64 {
+	if p.shared {
+		return atomic.LoadInt64(&p.counts[cat])
+	}
+	return p.counts[cat]
+}
 
 // Total returns the accumulated MPI-library instruction count (the
 // Table 1 total: everything except Transport and Compute).
-func (p *Profile) Total() int64 { return atomic.LoadInt64(&p.total) }
+func (p *Profile) Total() int64 { return p.Delta(Snapshot{}).Total }
 
 // Cycles returns the total virtual cycles accumulated, including
 // transport and compute charges.
-func (p *Profile) Cycles() int64 { return atomic.LoadInt64(&p.cycles) }
+func (p *Profile) Cycles() int64 { return p.Delta(Snapshot{}).Cycles }
 
 // Reset zeroes the profile. Not safe against concurrent charging;
 // callers reset only while the rank is quiescent.
-func (p *Profile) Reset() {
-	for i := range p.counts {
-		atomic.StoreInt64(&p.counts[i], 0)
-	}
-	atomic.StoreInt64(&p.total, 0)
-	atomic.StoreInt64(&p.cycles, 0)
-}
+func (p *Profile) Reset() { p.counts = [NumCategories]int64{} }
 
 // Snapshot is a point-in-time copy of a Profile, used to attribute the
 // cost of a single call: snap before, call, Delta after.
 type Snapshot struct {
 	counts [NumCategories]int64
-	total  int64
-	cycles int64
 }
 
 // Snap captures the current state of the profile.
 func (p *Profile) Snap() Snapshot {
 	var s Snapshot
-	for i := range p.counts {
-		s.counts[i] = atomic.LoadInt64(&p.counts[i])
+	for i := range s.counts {
+		s.counts[i] = p.Count(Category(i))
 	}
-	s.total = atomic.LoadInt64(&p.total)
-	s.cycles = atomic.LoadInt64(&p.cycles)
 	return s
 }
 
@@ -82,11 +81,14 @@ func (p *Profile) Snap() Snapshot {
 // as a Breakdown.
 func (p *Profile) Delta(s Snapshot) Breakdown {
 	var b Breakdown
-	for i := range p.counts {
-		b.Counts[i] = atomic.LoadInt64(&p.counts[i]) - s.counts[i]
+	for i := range b.Counts {
+		d := p.Count(Category(i)) - s.counts[i]
+		b.Counts[i] = d
+		b.Cycles += d
+		if Category(i) < Transport {
+			b.Total += d
+		}
 	}
-	b.Total = atomic.LoadInt64(&p.total) - s.total
-	b.Cycles = atomic.LoadInt64(&p.cycles) - s.cycles
 	return b
 }
 

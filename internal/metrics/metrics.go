@@ -217,6 +217,18 @@ type Rank struct {
 	// teardown, watchdog trip). Living in the registry threads it
 	// through every transport without new interfaces.
 	Flight flight.Ring
+
+	// ParkClock is the rank's virtual clock as its owner last published
+	// it (NotePark). The live clock is a single-writer ledger that only
+	// the owner may read; diagnosis from any other goroutine reads this.
+	ParkClock atomic.Int64
+}
+
+// NotePark publishes the owner's clock and records the park (waiting
+// on peer, -1 for any, on interface vci) in the flight ring.
+func (r *Rank) NotePark(now int64, peer, vci int) {
+	r.ParkClock.Store(now)
+	r.Flight.Record(flight.Park, now, peer, 0, vci)
 }
 
 // Latency holds one rank's span histograms. Each span is a difference

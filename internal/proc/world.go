@@ -56,6 +56,21 @@ func (w *World) SetInstrCPI(cpi float64) {
 	}
 }
 
+// SetThreadMultiple marks every rank's charge ledger (instruction
+// profile and clock) as shared between goroutines: under
+// MPI_THREAD_MULTIPLE several application goroutines drive one rank,
+// so its charges must be atomic. The default is single-writer. Must be
+// called before Run.
+func (w *World) SetThreadMultiple(on bool) {
+	if !on {
+		return
+	}
+	for _, r := range w.ranks {
+		r.prof.Share()
+		r.clock.Share()
+	}
+}
+
 // Size returns the number of ranks.
 func (w *World) Size() int { return w.size }
 
@@ -115,10 +130,14 @@ func wrapRankErr(id int, err error) error {
 	return fmt.Errorf("rank %d: %w", id, err)
 }
 
-// Rank is one MPI process: a goroutine plus its virtual clock and
-// instruction profile. It implements the Meter interfaces of the
-// fabric and shm packages. All methods except the world queries must be
-// called only from the rank's own goroutine.
+// Rank is one MPI process: a goroutine plus its charge ledger — the
+// virtual clock and instruction profile. It implements the Meter
+// interfaces of the fabric and shm packages. The ledger is
+// single-writer: Charge, ChargeCycles, Sync, Now and the Profile reads
+// use plain loads and stores, so everything except the world queries
+// and Metrics must be called only from the rank's own goroutine (any
+// of its goroutines once the world is SetThreadMultiple). Other
+// goroutines learn a rank's clock from Metrics().ParkClock.
 type Rank struct {
 	id    int
 	world *World

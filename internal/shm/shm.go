@@ -499,7 +499,7 @@ func (d *Domain) send(src, dst int, bits match.Bits, data []byte, vci int, allow
 			if !parked {
 				parked = true
 				d.stall.Park(src)
-				m.Metrics().Flight.Record(flight.Park, int64(m.Now()), dst, 0, vci)
+				m.Metrics().NotePark(int64(m.Now()), dst, vci)
 			}
 			r.cond.Wait()
 		}
@@ -547,7 +547,7 @@ func (d *Domain) publishHandoff(src, dst int, bits match.Bits, data []byte, vci 
 		if !parked {
 			parked = true
 			d.stall.Park(src)
-			m.Metrics().Flight.Record(flight.Park, int64(m.Now()), dst, 0, vci)
+			m.Metrics().NotePark(int64(m.Now()), dst, vci)
 		}
 		r.cond.Wait()
 	}

@@ -17,15 +17,17 @@ type Time int64
 // Cycles is a duration in virtual cycles.
 type Cycles = int64
 
-// Clock is one rank's virtual clock. Updates are atomic: a rank is
-// normally one goroutine, but under MPI_THREAD_MULTIPLE several
-// application goroutines advance the same rank's clock concurrently.
-// Cross-rank ordering still happens only through message timestamps
-// (Sync). Single-threaded advancement is numerically identical to the
-// plain-add form.
+// Clock is one rank's virtual clock. It is single-writer: only the
+// rank's own goroutine advances and reads it, with plain loads and
+// stores. A world built for MPI_THREAD_MULTIPLE, where several
+// application goroutines advance the same rank's clock, marks it
+// shared (Share) before any rank runs; updates are then atomic.
+// Cross-rank ordering happens only through message timestamps (Sync),
+// and both modes are numerically identical.
 type Clock struct {
-	now int64 // atomic
-	hz  float64
+	now    int64
+	hz     float64
+	shared bool
 }
 
 // NewClock returns a clock ticking at the given model frequency.
@@ -36,8 +38,17 @@ func NewClock(hz float64) *Clock {
 	return &Clock{hz: hz}
 }
 
+// Share marks the clock as advanced from several goroutines. It must
+// be called before the clock is first used.
+func (c *Clock) Share() { c.shared = true }
+
 // Now returns the current virtual time.
-func (c *Clock) Now() Time { return Time(atomic.LoadInt64(&c.now)) }
+func (c *Clock) Now() Time {
+	if c.shared {
+		return Time(atomic.LoadInt64(&c.now))
+	}
+	return Time(c.now)
+}
 
 // Hz returns the model core frequency in cycles per second.
 func (c *Clock) Hz() float64 { return c.hz }
@@ -48,20 +59,27 @@ func (c *Clock) Advance(n Cycles) {
 	if n < 0 {
 		panic("vtime: negative advance")
 	}
-	atomic.AddInt64(&c.now, n)
+	if c.shared {
+		atomic.AddInt64(&c.now, n)
+		return
+	}
+	c.now += n
 }
 
 // Sync advances the clock to t if t is in the future; a rank that waited
 // for a message lands at the message's arrival time. Sync never moves
-// the clock backward (a CAS maximum, so concurrent Syncs cannot regress
-// the clock either).
+// the clock backward (on a shared clock a CAS maximum, so concurrent
+// Syncs cannot regress it either).
 func (c *Clock) Sync(t Time) {
+	if !c.shared {
+		if int64(t) > c.now {
+			c.now = int64(t)
+		}
+		return
+	}
 	for {
 		cur := atomic.LoadInt64(&c.now)
-		if int64(t) <= cur {
-			return
-		}
-		if atomic.CompareAndSwapInt64(&c.now, cur, int64(t)) {
+		if int64(t) <= cur || atomic.CompareAndSwapInt64(&c.now, cur, int64(t)) {
 			return
 		}
 	}

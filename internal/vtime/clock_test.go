@@ -2,6 +2,7 @@ package vtime
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -112,5 +113,39 @@ func TestAdvanceAdditive(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// A clock marked shared is advanced and synced from several goroutines
+// at once (MPI_THREAD_MULTIPLE application threads on one rank). Each
+// worker advances by one and then Syncs one past what it reads, so the
+// CAS maximum is contended for real: no goroutine ever sees the clock
+// run backward, every Sync target is reached, and no Advance is lost.
+func TestLedgerSharedClock(t *testing.T) {
+	const workers, each = 8, 50_000
+	c := NewClock(1e9)
+	c.Share()
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			prev := c.Now()
+			for i := 0; i < each; i++ {
+				c.Advance(1)
+				target := c.Now() + 1
+				c.Sync(target)
+				now := c.Now()
+				if now < target || now < prev {
+					t.Errorf("clock at %d after Sync(%d), previously %d", now, target, prev)
+					return
+				}
+				prev = now
+			}
+		}()
+	}
+	wg.Wait()
+	if least := Time(workers * each); c.Now() < least {
+		t.Errorf("Now = %d, want at least the %d cycles advanced", c.Now(), least)
 	}
 }

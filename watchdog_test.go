@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"regexp"
+	"runtime"
 	"strconv"
 	"testing"
 	"time"
@@ -207,6 +208,100 @@ func TestDumpStateInBody(t *testing.T) {
 		if !bytes.Contains(dump.Bytes(), []byte(want)) {
 			t.Errorf("DumpState output missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestDumpStateWhileRunning dumps the job from rank 1 while rank 0 is
+// parked in a Recv, and then between the steps of an exchange loop that
+// keeps rank 0 charging its ledger the whole time. A rank's live clock
+// is single-writer, so the dump must show the clock each rank
+// published: rank 1's own line is its exact clock; rank 0's appears
+// once it parks, never runs backward, and is never ahead of where rank
+// 0 really is. Under -race this is the guard that no dump path reads
+// another rank's live clock.
+func TestDumpStateWhileRunning(t *testing.T) {
+	const steps = 200
+	clockLine := regexp.MustCompile(`(?m)^rank (\d): vcycles=(\d+) `)
+	var seen0 []int64 // rank 0's clock in each dump, as rank 1 saw it
+	var final0 int64
+	run(t, 2, Config{Device: "ch4", Fabric: "ofi"}, func(p *Proc) error {
+		w := p.World()
+		sbuf, rbuf := []byte{1}, make([]byte, 1)
+		if p.Rank() == 0 {
+			if _, err := w.Recv(rbuf, 1, Byte, 1, 9); err != nil {
+				return err
+			}
+		}
+		var dump bytes.Buffer
+		// dumpClocks is rank 1 dumping the job: it checks its own line and
+		// returns rank 0's.
+		dumpClocks := func() (int64, error) {
+			dump.Reset()
+			p.DumpState(&dump)
+			clocks := map[string]int64{}
+			for _, m := range clockLine.FindAllStringSubmatch(dump.String(), -1) {
+				clocks[m[1]], _ = strconv.ParseInt(m[2], 10, 64)
+			}
+			if len(clocks) != 2 {
+				return 0, fmt.Errorf("dump has %d clock lines, want 2:\n%s", len(clocks), dump.String())
+			}
+			if own := int64(p.rank.Now()); clocks["1"] != own {
+				return 0, fmt.Errorf("dump shows the caller at %d, its clock is %d", clocks["1"], own)
+			}
+			return clocks["0"], nil
+		}
+		if p.Rank() == 1 {
+			// Rank 0 cannot leave its Recv until the Send below, so it
+			// parks, and parking publishes its clock.
+			for deadline := time.Now().Add(10 * time.Second); ; runtime.Gosched() {
+				c, err := dumpClocks()
+				if err != nil {
+					return err
+				}
+				if c > 0 {
+					break
+				}
+				if time.Now().After(deadline) {
+					return errors.New("rank 0 parked in Recv never published its clock")
+				}
+			}
+			if err := w.Send(sbuf, 1, Byte, 0, 9); err != nil {
+				return err
+			}
+		}
+		peer := 1 - p.Rank()
+		reqs := make([]*Request, 2)
+		for i := 0; i < steps; i++ {
+			var err error
+			if reqs[0], err = w.Irecv(rbuf, 1, Byte, peer, 0); err != nil {
+				return err
+			}
+			if reqs[1], err = w.Isend(sbuf, 1, Byte, peer, 0); err != nil {
+				return err
+			}
+			if err := Waitall(reqs); err != nil {
+				return err
+			}
+			if p.Rank() == 1 {
+				c, err := dumpClocks()
+				if err != nil {
+					return fmt.Errorf("step %d: %w", i, err)
+				}
+				seen0 = append(seen0, c)
+			}
+		}
+		if p.Rank() == 0 {
+			final0 = int64(p.rank.Now())
+		}
+		return nil
+	})
+	for i, c := range seen0 {
+		if i > 0 && c < seen0[i-1] {
+			t.Fatalf("dump %d: rank 0's published clock ran backward, %d after %d", i, c, seen0[i-1])
+		}
+	}
+	if last := seen0[len(seen0)-1]; last > final0 {
+		t.Errorf("rank 0's last published clock %d is ahead of its final clock %d", last, final0)
 	}
 }
 
