@@ -24,10 +24,11 @@ race:
 
 # A first, cheap slice of "tier-1 x 20" (ROADMAP item 1): the tests that
 # guard the single-writer charge ledger and its cross-goroutine dump,
-# and the allocation guards, which have flaked before — twenty times
-# each, then five times race-checked. Zero failures.
-FLAKE_RUN = 'Ledger|DumpState|ZeroAlloc|AllocFree|SteadyStateAllocs'
-FLAKE_PKGS = . ./internal/proc ./internal/instr ./internal/vtime ./internal/hist
+# the allocation guards, which have flaked before, and the shm ring
+# tables published while a consumer polls — twenty times each, then
+# five times race-checked. Zero failures.
+FLAKE_RUN = 'Ledger|DumpState|ZeroAlloc|AllocFree|SteadyStateAllocs|FeederPublished|FirstTouch|LockTouch'
+FLAKE_PKGS = . ./internal/proc ./internal/instr ./internal/vtime ./internal/hist ./internal/shm
 
 flake:
 	$(GO) test -count=20 -run $(FLAKE_RUN) $(FLAKE_PKGS)

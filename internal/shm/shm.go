@@ -20,7 +20,6 @@ package shm
 import (
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -157,21 +156,59 @@ type Domain struct {
 	// it, and every drain that frees cells bumps its activity counter.
 	stall *stall.Monitor
 
-	mu     sync.Mutex
-	rings  map[pair]*ring
 	meters []Meter
-	// incoming caches, per destination rank, the list of rings that
-	// feed it; invalidated (nil) when a new ring to that rank appears.
-	// Rings are never removed, so a cached list only ever goes stale by
-	// growing — and growth resets it. Keeps Progress allocation-free.
-	incoming [][]inRing
+
+	// mu is the ring-creation lock: taken on a pair's first message and
+	// on no path a later message or a poll travels. lockTouches counts
+	// its acquisitions, for the test that holds the steady state to it.
+	mu          sync.Mutex
+	lockTouches int64
+
+	// out[src] is the table of rings src produces into, sorted by
+	// destination; in[dst] is dst's feeder list, sorted by source. Both
+	// are immutable snapshots (never nil), replaced copy-on-write under
+	// mu and published before the creating sender writes its first
+	// cell: a reader needs one atomic load, shares no written cache
+	// line, and reads an empty table as "no rings", never "unknown".
+	out, in []atomic.Pointer[[]link]
 }
 
-type pair struct{ src, dst int }
+// link is one entry of a ring table: the rank at the other end of r.
+type link struct {
+	peer int
+	r    *ring
+}
 
-type inRing struct {
-	src int
-	r   *ring
+// withLink returns tab with l placed at index i, built in the empty
+// window into.
+func withLink(into, tab []link, i int, l link) []link {
+	return append(append(append(into, tab[:i]...), l), tab[i:]...)
+}
+
+// search returns the index in the peer-sorted tab at which peer is or
+// would be inserted, and the ring tab holds for peer, if any.
+func search(tab []link, peer int) (int, *ring) {
+	lo, hi := 0, len(tab)
+	for lo < hi {
+		if mid := (lo + hi) / 2; tab[mid].peer < peer {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < len(tab) && tab[lo].peer == peer {
+		return lo, tab[lo].r
+	}
+	return lo, nil
+}
+
+// eachRing visits every ring in (src, dst) order.
+func (d *Domain) eachRing(visit func(src, dst int, r *ring)) {
+	for src := range d.out {
+		for _, l := range *d.out[src].Load() {
+			visit(src, l.peer, l.r)
+		}
+	}
 }
 
 // NewDomain creates a shared-memory domain for n ranks with the
@@ -196,7 +233,7 @@ func NewDomainCfg(prof Profile, cfg Config, n int, deliver Deliver, wake Wake) *
 	if cfg.EagerMax < 0 {
 		cfg.EagerMax = 0
 	}
-	return &Domain{
+	d := &Domain{
 		prof:         prof,
 		deliver:      deliver,
 		wake:         wake,
@@ -204,10 +241,16 @@ func NewDomainCfg(prof Profile, cfg Config, n int, deliver Deliver, wake Wake) *
 		ringCells:    cfg.RingCells,
 		eagerMax:     cfg.EagerMax,
 		maxPeerBytes: cfg.MaxPeerBytes,
-		rings:        make(map[pair]*ring),
 		meters:       make([]Meter, n),
-		incoming:     make([][]inRing, n),
+		out:          make([]atomic.Pointer[[]link], n),
+		in:           make([]atomic.Pointer[[]link], n),
 	}
+	none := new([]link)
+	for i := 0; i < n; i++ {
+		d.out[i].Store(none)
+		d.in[i].Store(none)
+	}
+	return d
 }
 
 // Bind attaches rank's meter. Must precede communication involving the
@@ -239,20 +282,16 @@ func (d *Domain) CellBytes() int { return d.cellSize }
 func (d *Domain) EagerMax() int { return d.eagerMax }
 
 // Abort wakes producers blocked on full rings; their waits panic with
-// abort.ErrWorldAborted.
+// abort.ErrWorldAborted. A ring published after the walk passed its
+// table is not missed: the wait loop checks the raised flag before
+// every sleep.
 func (d *Domain) Abort() {
 	d.aborted.Raise()
-	d.mu.Lock()
-	rings := make([]*ring, 0, len(d.rings))
-	for _, r := range d.rings {
-		rings = append(rings, r)
-	}
-	d.mu.Unlock()
-	for _, r := range rings {
+	d.eachRing(func(_, _ int, r *ring) {
 		r.mu.Lock()
 		r.cond.Broadcast()
 		r.mu.Unlock()
-	}
+	})
 }
 
 // ring is a bounded SPSC queue of cells from src to dst, laid out the
@@ -276,7 +315,7 @@ type ring struct {
 	drainMu sync.Mutex
 
 	mu    sync.Mutex
-	cond  *sync.Cond
+	cond  sync.Cond
 	cells []cell
 	head  int // index of the oldest occupied cell
 	count int // occupied cells
@@ -317,23 +356,47 @@ func (d *Domain) RingStateBytes() int64 {
 	return int64(d.ringCells)*int64(d.cellSize+cellHeaderBytes) + ringFixedBytes
 }
 
+// ring returns the src→dst ring: after a pair's first message, one
+// atomic load and a search of src's own table.
 func (d *Domain) ring(src, dst int) *ring {
-	d.mu.Lock()
-	r := d.rings[pair{src, dst}]
-	created := false
-	if r == nil {
-		r = &ring{cells: make([]cell, d.ringCells)}
-		for i := range r.cells {
-			r.cells[i].data = make([]byte, d.cellSize)
-		}
-		r.cond = sync.NewCond(&r.mu)
-		d.rings[pair{src, dst}] = r
-		d.incoming[dst] = nil // new feeder: rebuild dst's drain list
-		created = true
+	if _, r := search(*d.out[src].Load(), dst); r != nil {
+		return r
 	}
-	m := d.meters[src]
+	return d.createRing(src, dst)
+}
+
+// createRing is a pair's first touch. The ring is built (its slab
+// zeroed) before the creation lock is taken; goroutines of one rank may
+// race here under MPI_THREAD_MULTIPLE, and the loser discards its ring.
+func (d *Domain) createRing(src, dst int) *ring {
+	r := &ring{cells: make([]cell, d.ringCells)}
+	r.cond.L = &r.mu
+	slab := make([]byte, d.ringCells*d.cellSize)
+	for i := range r.cells {
+		// Three-index slices: a cell cannot grow into its neighbour.
+		r.cells[i].data = slab[i*d.cellSize : (i+1)*d.cellSize : (i+1)*d.cellSize]
+	}
+
+	d.mu.Lock()
+	d.lockTouches++
+	in, out := *d.in[dst].Load(), *d.out[src].Load()
+	at, won := search(out, dst)
+	if won != nil {
+		d.mu.Unlock()
+		return won
+	}
+	// One array backs both new snapshots and one object both headers.
+	// Feeders first: dst is never sent a cell from a ring its list lacks.
+	buf, hdr := make([]link, len(in)+len(out)+2), new([2][]link)
+	cut := len(in) + 1
+	feeds, _ := search(in, src)
+	hdr[0] = withLink(buf[:0:cut], in, feeds, link{src, r})
+	hdr[1] = withLink(buf[cut:cut], out, at, link{dst, r})
+	d.in[dst].Store(&hdr[0])
+	d.out[src].Store(&hdr[1])
 	d.mu.Unlock()
-	if created && m != nil {
+
+	if m := d.meters[src]; m != nil {
 		// Ring state is charged to its creator (the sender). The ring
 		// is the first — and only — shm state toward that peer, so it
 		// also counts as a peer touch.
@@ -576,24 +639,16 @@ func (d *Domain) publishHandoff(src, dst int, bits match.Bits, data []byte, vci 
 
 // Progress drains rank's incoming rings, reassembling messages and
 // delivering completed ones. It returns the number of messages
-// delivered. Runs on rank's goroutine only.
+// delivered. Rings are drained in ascending order of source rank, so
+// the order one call delivers from several sources depends only on who
+// feeds the rank, not on which ring was created first. No domain-wide
+// lock is taken: one atomic load finds the feeder list, and a rank
+// nobody feeds walks nothing. Runs on rank's goroutine only.
 func (d *Domain) Progress(rank int) int {
-	d.mu.Lock()
-	incoming := d.incoming[rank]
-	if incoming == nil {
-		for p, r := range d.rings {
-			if p.dst == rank {
-				incoming = append(incoming, inRing{p.src, r})
-			}
-		}
-		d.incoming[rank] = incoming
-	}
-	d.mu.Unlock()
-
 	meter := d.meters[rank]
 	delivered := 0
-	for _, in := range incoming {
-		delivered += d.drainRing(rank, in.src, in.r, meter)
+	for _, l := range *d.in[rank].Load() {
+		delivered += d.drainRing(rank, l.peer, l.r, meter)
 	}
 	return delivered
 }
@@ -679,9 +734,7 @@ func (d *Domain) drainRing(rank, src int, r *ring, meter Meter) int {
 // PendingFrom reports whether any cells from src to rank are queued
 // (used by tests).
 func (d *Domain) PendingFrom(src, rank int) bool {
-	d.mu.Lock()
-	r := d.rings[pair{src, rank}]
-	d.mu.Unlock()
+	_, r := search(*d.out[src].Load(), rank)
 	if r == nil {
 		return false
 	}
@@ -691,39 +744,23 @@ func (d *Domain) PendingFrom(src, rank int) bool {
 }
 
 // WriteWaitGraph renders the domain's ring and handoff state for
-// deadlock diagnosis: queued cells per ring and, critically, every
-// lent view whose sender may be parked awaiting the completion ack.
-// Ring locks are taken one at a time, so the dump is safe while ranks
-// are parked.
+// deadlock diagnosis, in (src, dst) order: queued cells per ring and,
+// critically, every lent view whose sender may be parked awaiting the
+// completion ack. Ring locks are taken one at a time, so the dump is
+// safe while ranks are parked.
 func (d *Domain) WriteWaitGraph(w io.Writer) {
-	d.mu.Lock()
-	type entry struct {
-		p pair
-		r *ring
-	}
-	entries := make([]entry, 0, len(d.rings))
-	for p, r := range d.rings {
-		entries = append(entries, entry{p, r})
-	}
-	d.mu.Unlock()
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].p.src != entries[j].p.src {
-			return entries[i].p.src < entries[j].p.src
-		}
-		return entries[i].p.dst < entries[j].p.dst
-	})
-	for _, e := range entries {
-		e.r.mu.Lock()
-		count, filled := e.r.count, e.r.filled
-		hActive, hBytes := e.r.hActive, e.r.hBytes
-		e.r.mu.Unlock()
+	d.eachRing(func(src, dst int, r *ring) {
+		r.mu.Lock()
+		count, filled := r.count, r.filled
+		hActive, hBytes := r.hActive, r.hBytes
+		r.mu.Unlock()
 		if count > 0 || filled > 0 {
 			fmt.Fprintf(w, "shm ring %d->%d: %d queued cell(s), %d byte(s) mid-reassembly\n",
-				e.p.src, e.p.dst, count, filled)
+				src, dst, count, filled)
 		}
 		if hActive > 0 {
 			fmt.Fprintf(w, "shm: rank %d awaits handoff ack from rank %d (%d handoff(s), %d byte(s) lent)\n",
-				e.p.src, e.p.dst, hActive, hBytes)
+				src, dst, hActive, hBytes)
 		}
-	}
+	})
 }

@@ -2,6 +2,7 @@ package gompi
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"strings"
@@ -240,5 +241,111 @@ func TestSparseWorld10K(t *testing.T) {
 	})
 	if peers := st.Aggregate().Peers; peers.Touched != 0 || peers.StateBytes != 0 {
 		t.Errorf("world construction + split materialized peer state: %+v", peers)
+	}
+}
+
+// TestScaleHalo4096 runs the scale workload's pattern — a 4-point halo
+// (±1, ±16) and a flat recursive-doubling allreduce — on 4096 lazily
+// connected ranks under the per-rank state ceiling, and checks every
+// halo stamp, both sums, and the peer-state aggregate against the
+// count the pattern itself gives: a rank materializes one ring per
+// on-node destination and one connection per off-node one, nothing
+// else.
+func TestScaleHalo4096(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race runtime caps goroutines below the 4096 ranks")
+	}
+	const n, rpn, iters = 4096, 16, 2
+	halo := func(me int) []int {
+		var nbs []int
+		for _, nb := range []int{me - rpn, me - 1, me + 1, me + rpn} {
+			if nb >= 0 && nb < n {
+				nbs = append(nbs, nb)
+			}
+		}
+		return nbs
+	}
+	cfg := scaleGeometry()
+	cfg.Fabric = "ofi"
+	cfg.MaxPeerBytes = 32 << 10
+	var st Stats
+	cfg.Stats = &st
+	run(t, n, cfg, func(p *Proc) error {
+		w := p.World()
+		me := p.Rank()
+		nbs := halo(me)
+		sbuf := make([]byte, 16)
+		rbufs := make([][]byte, len(nbs))
+		for it := 0; it < iters; it++ {
+			var reqs []*Request
+			for i, nb := range nbs {
+				rbufs[i] = make([]byte, 16)
+				r, err := w.Irecv(rbufs[i], 16, Byte, nb, it)
+				if err != nil {
+					return err
+				}
+				reqs = append(reqs, r)
+			}
+			binary.LittleEndian.PutUint64(sbuf, uint64(me))
+			binary.LittleEndian.PutUint64(sbuf[8:], uint64(it))
+			for _, nb := range nbs {
+				r, err := w.Isend(sbuf, 16, Byte, nb, it)
+				if err != nil {
+					return err
+				}
+				reqs = append(reqs, r)
+			}
+			if err := Waitall(reqs); err != nil {
+				return err
+			}
+			for i, nb := range nbs {
+				if from, at := binary.LittleEndian.Uint64(rbufs[i]), binary.LittleEndian.Uint64(rbufs[i][8:]); from != uint64(nb) || at != uint64(it) {
+					return fmt.Errorf("rank %d iteration %d: halo from %d stamped (%d, %d)", me, it, nb, from, at)
+				}
+			}
+			sums, err := w.AllreduceFloat64([]float64{float64(me), 1}, OpSum)
+			if err != nil {
+				return err
+			}
+			if sums[0] != n*(n-1)/2 || sums[1] != n {
+				return fmt.Errorf("rank %d iteration %d: allreduce gave %v", me, it, sums)
+			}
+		}
+		return nil
+	})
+
+	// What the pattern must have materialized: each rank's destinations
+	// are its halo neighbours and its log2(n) doubling partners.
+	ringBytes := int64(cfg.ShmRingCells*(cfg.ShmCellSize+64) + 192)
+	const connBytes = 256
+	var touched, stateBytes, maxBytes int64
+	for me := 0; me < n; me++ {
+		dests := map[int]bool{}
+		for _, nb := range halo(me) {
+			dests[nb] = true
+		}
+		for bit := 1; bit < n; bit <<= 1 {
+			dests[me^bit] = true
+		}
+		var mine int64
+		for d := range dests {
+			if d/rpn == me/rpn {
+				mine += ringBytes
+			} else {
+				mine += connBytes
+			}
+		}
+		touched += int64(len(dests))
+		stateBytes += mine
+		maxBytes = max(maxBytes, mine)
+	}
+	// me^1 and me^16 are halo neighbours already; the other ±1 is missing
+	// at the two ends of the world, the other ±16 in its first and last node.
+	if closed := int64(14*n - 2 - 2*rpn); touched != closed {
+		t.Fatalf("the pattern touches %d peers, the closed form says %d", touched, closed)
+	}
+	got := st.Aggregate().Peers
+	if got.Touched != touched || got.StateBytes != stateBytes || got.MaxStateBytes != maxBytes {
+		t.Errorf("peer state %+v, want %d peers, %d B, max %d B", got, touched, stateBytes, maxBytes)
 	}
 }
