@@ -540,30 +540,3 @@ func BenchmarkMatchDepthWildcard(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkNonblockingCollectives runs the nonblocking-collectives
-// sweep (every algorithm family forced on the 4-rank 2-per-node
-// layout) and reports the headline two-level win: the flat vs
-// two-level allreduce net-byte counts and their virtual latencies.
-func BenchmarkNonblockingCollectives(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		pts, err := bench.CollSweep([]int{4096})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, p := range pts {
-			if p.Collective != "allreduce" || p.Bytes != 4096 {
-				continue
-			}
-			switch p.Algo {
-			case "flat":
-				b.ReportMetric(float64(p.NetBytes), "flat-allreduce-net-B")
-				b.ReportMetric(p.LatencyUs, "flat-allreduce-us")
-			case "two-level":
-				b.ReportMetric(float64(p.NetBytes), "twolevel-allreduce-net-B")
-				b.ReportMetric(p.LatencyUs, "twolevel-allreduce-us")
-			}
-		}
-	}
-}

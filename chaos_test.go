@@ -190,7 +190,7 @@ func chaosThreadMultipleRound(t *testing.T, cfg Config) {
 		// duplicate on the main goroutine before any thread starts.
 		comms := make([]*Comm, lanes)
 		for g := range comms {
-			c, err := w.DupWithHints(CommHints{NoAnySource: true, NoAnyTag: true, ExactLength: true})
+			c, err := w.DupOpt(CommOptions{Hints: CommHints{NoAnySource: true, NoAnyTag: true, ExactLength: true}})
 			if err != nil {
 				return err
 			}

@@ -55,8 +55,8 @@ func (c *Comm) WorldRank(rank int) (int, error) {
 // CommOptions unifies the communicator-creation variants behind one
 // options struct, mirroring SendOptions/RecvOptions/WinOptions: the
 // canonical entry points are DupOpt, SplitOpt, and CreateOpt, and the
-// historical names (Dup, DupWithHints, Split, SplitWithHints,
-// SplitType, Create) are pinned zero-overhead wrappers over them.
+// historical names (Dup, Split, SplitType, Create) are pinned
+// zero-overhead wrappers over them.
 type CommOptions struct {
 	// Hints are the MPI-4 communicator assertions attached to the new
 	// communicator at creation, before any traffic can flow on it.
@@ -142,20 +142,6 @@ func (c *Comm) Hints() CommHints {
 		NoAnyTag:    c.c.Hints.NoAnyTag,
 		ExactLength: c.c.Hints.ExactLength,
 	}
-}
-
-// DupWithHints duplicates the communicator and attaches assertions to
-// the duplicate before any traffic can flow on it
-// (MPI_COMM_DUP_WITH_INFO with mpi_assert_* keys). Collective.
-func (c *Comm) DupWithHints(h CommHints) (*Comm, error) {
-	return c.DupOpt(CommOptions{Hints: h})
-}
-
-// SplitWithHints partitions like Split and attaches assertions to each
-// resulting communicator at creation. Collective; ranks receiving nil
-// still participate.
-func (c *Comm) SplitWithHints(color, key int, h CommHints) (*Comm, error) {
-	return c.SplitOpt(color, key, CommOptions{Hints: h})
 }
 
 // DupPredefined duplicates the communicator into the given predefined

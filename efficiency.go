@@ -16,7 +16,7 @@ import (
 type EfficiencyReport = pop.Report
 
 // EfficiencyMetrics is one level of the hierarchy (the five
-// efficiencies), reused by the scaling sweep's per-np points.
+// efficiencies): the run's, and each phase row's.
 type EfficiencyMetrics = pop.Metrics
 
 // Efficiency computes the POP efficiency hierarchy from the run's

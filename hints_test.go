@@ -7,15 +7,15 @@ import (
 
 var hintCfg = Config{Device: "ch4", Fabric: "inf", VCIs: 4}
 
-// TestDupWithHintsCachesAssertions verifies the creation-time hint API:
+// TestDupOptHintsCachesAssertions verifies the creation-time hint API:
 // the duplicate carries the assertions, the parent does not, and a
 // further Dup of the hinted communicator inherits them through the
 // info-key path.
-func TestDupWithHintsCachesAssertions(t *testing.T) {
+func TestDupOptHintsCachesAssertions(t *testing.T) {
 	run(t, 2, hintCfg, func(p *Proc) error {
 		w := p.World()
 		h := CommHints{NoAnySource: true, NoAnyTag: true, ExactLength: true}
-		d, err := w.DupWithHints(h)
+		d, err := w.DupOpt(CommOptions{Hints: h})
 		if err != nil {
 			return err
 		}
@@ -42,7 +42,7 @@ func TestDupWithHintsCachesAssertions(t *testing.T) {
 func TestHintViolationsReturnErrHint(t *testing.T) {
 	run(t, 2, hintCfg, func(p *Proc) error {
 		w := p.World()
-		d, err := w.DupWithHints(CommHints{NoAnySource: true, NoAnyTag: true})
+		d, err := w.DupOpt(CommOptions{Hints: CommHints{NoAnySource: true, NoAnyTag: true}})
 		if err != nil {
 			return err
 		}
@@ -91,7 +91,7 @@ func TestHintViolationsReturnErrHint(t *testing.T) {
 func TestExactLengthHint(t *testing.T) {
 	run(t, 2, hintCfg, func(p *Proc) error {
 		w := p.World()
-		d, err := w.DupWithHints(CommHints{ExactLength: true})
+		d, err := w.DupOpt(CommOptions{Hints: CommHints{ExactLength: true}})
 		if err != nil {
 			return err
 		}
@@ -119,16 +119,16 @@ func TestExactLengthHint(t *testing.T) {
 	})
 }
 
-// TestSplitWithHintsPinnedTraffic runs byte-verified traffic over
-// SplitWithHints communicators under multiple VCIs: each split half
+// TestSplitOptHintsPinnedTraffic runs byte-verified traffic over
+// hinted SplitOpt communicators under multiple VCIs: each split half
 // asserts away wildcards, so its receives use a private interface, and
 // the payloads must still land intact.
-func TestSplitWithHintsPinnedTraffic(t *testing.T) {
+func TestSplitOptHintsPinnedTraffic(t *testing.T) {
 	const n = 4
 	run(t, n, hintCfg, func(p *Proc) error {
 		w := p.World()
 		h := CommHints{NoAnySource: true, NoAnyTag: true, ExactLength: true}
-		s, err := w.SplitWithHints(p.Rank()%2, p.Rank(), h)
+		s, err := w.SplitOpt(p.Rank()%2, p.Rank(), CommOptions{Hints: h})
 		if err != nil {
 			return err
 		}

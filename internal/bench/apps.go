@@ -29,7 +29,7 @@ type NekSweepOptions struct {
 	Orders   []int  // default {3,5,7}
 	MaxEPerP int    // default 128 (E/P = 1,2,4,...,128)
 	Iters    int    // default 25
-	Fabric   string // default "ofi"
+	Fabric   string // default "bgq"
 }
 
 func (o *NekSweepOptions) defaults() {
@@ -131,7 +131,7 @@ type LammpsPoint struct {
 type LammpsSweepOptions struct {
 	RankGrid [3]int // default {3,3,3} = 27 ranks
 	Steps    int    // default 10
-	Fabric   string // default "ofi"
+	Fabric   string // default "bgq"
 }
 
 func (o *LammpsSweepOptions) defaults() {

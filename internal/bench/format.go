@@ -95,37 +95,3 @@ func WriteLammps(w io.Writer, pts []LammpsPoint) {
 			p.Nodes, p.AtomsPerCore, p.ActualAPC, p.RateCh4, p.RateOrig, p.SpeedupPct, p.EffCh4, p.EffOrig)
 	}
 }
-
-// WriteRatesCSV emits a message-rate figure as CSV for plotting.
-func WriteRatesCSV(w io.Writer, pts []RatePoint) {
-	fmt.Fprintln(w, "build,isend_msgs_per_sec,put_msgs_per_sec")
-	for _, p := range pts {
-		fmt.Fprintf(w, "%q,%.0f,%.0f\n", p.Label, p.IsendRate, p.PutRate)
-	}
-}
-
-// WriteNekCSV emits the Figure 7 series as CSV.
-func WriteNekCSV(w io.Writer, pts []NekPoint) {
-	fmt.Fprintln(w, "N,elems_per_rank,n_over_p,std_pips,lite_pips,ratio,eff_std,eff_lite")
-	for _, p := range pts {
-		fmt.Fprintf(w, "%d,%d,%d,%.6e,%.6e,%.4f,%.4f,%.4f\n",
-			p.N, p.EPerRank, p.NOverP, p.PerfStd, p.PerfLite, p.Ratio, p.EffStd, p.EffLite)
-	}
-}
-
-// WriteLammpsCSV emits the Figure 8 series as CSV.
-func WriteLammpsCSV(w io.Writer, pts []LammpsPoint) {
-	fmt.Fprintln(w, "nodes,atoms_per_core,actual_apc,ch4_ts_per_sec,orig_ts_per_sec,speedup_pct,eff_ch4,eff_orig")
-	for _, p := range pts {
-		fmt.Fprintf(w, "%d,%d,%.1f,%.1f,%.1f,%.2f,%.4f,%.4f\n",
-			p.Nodes, p.AtomsPerCore, p.ActualAPC, p.RateCh4, p.RateOrig, p.SpeedupPct, p.EffCh4, p.EffOrig)
-	}
-}
-
-// WriteProposalsCSV emits the Figure 6 ladder as CSV.
-func WriteProposalsCSV(w io.Writer, pts []ProposalPoint) {
-	fmt.Fprintln(w, "proposal,msgs_per_sec,instructions")
-	for _, p := range pts {
-		fmt.Fprintf(w, "%q,%.0f,%d\n", p.Label, p.Rate, p.Instr)
-	}
-}

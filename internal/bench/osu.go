@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"io"
 
 	"gompi"
 )
@@ -139,7 +140,7 @@ func windowedBandwidth(cfg gompi.Config, size, iters, window int) (float64, erro
 }
 
 // WriteOSU renders an OSU-style table.
-func WriteOSU(w interface{ Write([]byte) (int, error) }, title string, pts []OSUPoint) {
+func WriteOSU(w io.Writer, title string, pts []OSUPoint) {
 	fmt.Fprintf(w, "%s\n", title)
 	fmt.Fprintf(w, "%10s %14s %16s\n", "Size", "Latency [us]", "Bandwidth [MB/s]")
 	for _, p := range pts {

@@ -1,8 +1,12 @@
-// Package bench is the experiment harness shared by the cmd/ tools and
-// the benchmark suite: message-rate drivers (Figures 3-6), instruction
-// breakdowns (Table 1, Figure 2), and the application sweeps (Figures
-// 7-8). Every function runs the real library on the simulated fabrics
-// and reports virtual-time results, deterministically.
+// Package bench holds the experiments cmd/repro, cmd/stats and the root
+// Go benchmarks run: the instruction breakdowns (Table 1, Figure 2, the
+// Section 3 savings), the message-rate drivers (Figures 3-6), the
+// application sweeps (Figures 7-8), the 10K-rank scale table, the
+// OSU-style latency/bandwidth view, the SpMV and multi-VCI sweeps, and
+// the cmd/stats reference exchange. Every function runs the real
+// library on the simulated fabrics and reports virtual-time results.
+// Wall-clock and per-layer measurement is benchmark/'s job, not this
+// package's.
 package bench
 
 import (

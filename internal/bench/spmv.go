@@ -255,131 +255,3 @@ func WriteSpmv(w io.Writer, pts []SpmvPoint) {
 			p.Mode, p.HaloBytes, p.Partitions, p.Chunks, p.LatencyUs, p.MPIInstr)
 	}
 }
-
-// PersistPoint is one persistent-collective measurement: the cost
-// split between the one-time Init (compile) and the replayed Starts.
-type PersistPoint struct {
-	Collective string  `json:"collective"`
-	Bytes      int     `json:"bytes"`
-	InitUs     float64 `json:"init_us"`   // Init: validate + compile
-	FirstUs    float64 `json:"first_us"`  // first Start+Wait
-	ReplayUs   float64 `json:"replay_us"` // steady-state Start+Wait, avg
-	// SchedHits/SchedMisses are the job-wide kept-schedule counters:
-	// every Start is a hit (a replay), every Init a miss (the compile).
-	SchedHits   int64 `json:"sched_hits"`
-	SchedMisses int64 `json:"sched_misses"`
-}
-
-// persistReplays is the steady-state replay count per point.
-const persistReplays = 32
-
-// PersistSweep measures persistent allreduce and neighborhood
-// allgather: Init cost, first activation, and steady-state replay.
-func PersistSweep(sizes []int) ([]PersistPoint, error) {
-	if len(sizes) == 0 {
-		sizes = []int{64, 4096}
-	}
-	var out []PersistPoint
-	for _, coll := range []string{"allreduce", "neighbor-allgather"} {
-		for _, n := range sizes {
-			pt, err := persistPoint(coll, n)
-			if err != nil {
-				return nil, fmt.Errorf("persist %s n=%d: %w", coll, n, err)
-			}
-			out = append(out, pt)
-		}
-	}
-	return out, nil
-}
-
-func persistPoint(coll string, n int) (PersistPoint, error) {
-	cfg := gompi.Config{
-		RanksPerNode: 2, Fabric: gompi.FabricOFI, EagerPeers: true,
-	}
-	initLat := make([]int64, spmvRanks)
-	firstLat := make([]int64, spmvRanks)
-	replayLat := make([]int64, spmvRanks)
-	var hz float64
-	st, err := gompi.RunStats(spmvRanks, cfg, func(p *gompi.Proc) error {
-		if p.Rank() == 0 {
-			hz = p.ClockHz()
-		}
-		w := p.World()
-		var op *gompi.PersistentColl
-		var err error
-		t0 := p.VirtualCycles()
-		switch coll {
-		case "allreduce":
-			op, err = w.AllreduceInit(make([]byte, n), make([]byte, n),
-				n/8, gompi.Long, gompi.OpSum)
-		case "neighbor-allgather":
-			var cc *gompi.CartComm
-			cc, err = w.CartCreate([]int{spmvRanks}, []bool{true})
-			if err != nil {
-				return err
-			}
-			t0 = p.VirtualCycles() // exclude topology creation
-			op, err = cc.NeighborAllgatherInit(make([]byte, n),
-				make([]byte, 2*n), n, gompi.Byte)
-		default:
-			return fmt.Errorf("bench: unknown persistent collective %q", coll)
-		}
-		if err != nil {
-			return err
-		}
-		initLat[p.Rank()] = p.VirtualCycles() - t0
-		t0 = p.VirtualCycles()
-		if err := op.Start(); err != nil {
-			return err
-		}
-		if err := op.Wait(); err != nil {
-			return err
-		}
-		firstLat[p.Rank()] = p.VirtualCycles() - t0
-		t0 = p.VirtualCycles()
-		for i := 0; i < persistReplays; i++ {
-			if err := op.Start(); err != nil {
-				return err
-			}
-			if err := op.Wait(); err != nil {
-				return err
-			}
-		}
-		replayLat[p.Rank()] = (p.VirtualCycles() - t0) / persistReplays
-		return nil
-	})
-	if err != nil {
-		return PersistPoint{}, err
-	}
-	pt := PersistPoint{Collective: coll, Bytes: n}
-	max := func(v []int64) int64 {
-		var m int64
-		for _, x := range v {
-			if x > m {
-				m = x
-			}
-		}
-		return m
-	}
-	if hz > 0 {
-		pt.InitUs = float64(max(initLat)) / hz * 1e6
-		pt.FirstUs = float64(max(firstLat)) / hz * 1e6
-		pt.ReplayUs = float64(max(replayLat)) / hz * 1e6
-	}
-	agg := st.Aggregate()
-	pt.SchedHits = agg.Sched.CacheHits
-	pt.SchedMisses = agg.Sched.CacheMisses
-	return pt, nil
-}
-
-// WritePersist renders the sweep as a table.
-func WritePersist(w io.Writer, pts []PersistPoint) {
-	fmt.Fprintf(w, "Persistent collectives: %d ranks, 2 per node, %d replays\n",
-		spmvRanks, persistReplays)
-	fmt.Fprintf(w, "%-20s %8s %10s %10s %10s %6s %6s\n",
-		"collective", "bytes", "init_us", "first_us", "replay_us", "hits", "miss")
-	for _, p := range pts {
-		fmt.Fprintf(w, "%-20s %8d %10.2f %10.2f %10.2f %6d %6d\n",
-			p.Collective, p.Bytes, p.InitUs, p.FirstUs, p.ReplayUs, p.SchedHits, p.SchedMisses)
-	}
-}

@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"gompi"
@@ -99,5 +100,65 @@ func TestExchangeStatsJSON(t *testing.T) {
 		if r.Metrics.NetSend.Bytes == 0 || r.VirtualCycles == 0 {
 			t.Fatalf("rank %d snapshot empty: %+v", r.Rank, r)
 		}
+	}
+}
+
+// checkMetrics fails when any of the five efficiencies leaves [0,1].
+func checkMetrics(t *testing.T, where string, m gompi.EfficiencyMetrics) {
+	t.Helper()
+	for name, v := range map[string]float64{
+		"PE": m.ParallelEff, "LB": m.LoadBalance, "CommE": m.CommEff,
+		"SerE": m.SerEff, "TE": m.TransferEff,
+	} {
+		if v < 0 || v > 1 {
+			t.Fatalf("%s: %s = %g outside [0,1]", where, name, v)
+		}
+	}
+}
+
+// TestExchangeEfficiencyReport is the acceptance criterion: RunStats on
+// the reference 4-rank, 2-per-node exchange yields a full POP report —
+// every metric in [0,1], all four ranks valid, and per-phase rows for
+// the exchange's named regions.
+func TestExchangeEfficiencyReport(t *testing.T) {
+	for _, dev := range []gompi.DeviceKind{gompi.DeviceCH4, gompi.DeviceOriginal} {
+		dev := dev
+		t.Run(string(dev), func(t *testing.T) {
+			st, err := ExchangeStats(gompi.Config{Device: dev}, 1024)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep := st.Efficiency()
+			if rep.Ranks != ExchangeRanks || rep.Excluded != 0 {
+				t.Fatalf("ranks=%d excluded=%d", rep.Ranks, rep.Excluded)
+			}
+			checkMetrics(t, "run", rep.Metrics)
+			if rep.ParallelEff <= 0 {
+				t.Fatalf("PE = %g, want > 0 (the workload charges compute)", rep.ParallelEff)
+			}
+			byName := map[string]bool{}
+			for _, ph := range rep.Phases {
+				byName[ph.Name] = true
+				checkMetrics(t, "phase "+ph.Name, ph.Metrics)
+				if ph.Ranks != ExchangeRanks {
+					t.Fatalf("phase %s covers %d ranks", ph.Name, ph.Ranks)
+				}
+			}
+			for _, want := range []string{"post", "exchange", "compute"} {
+				if !byName[want] {
+					t.Fatalf("report missing phase %q (have %v)", want, byName)
+				}
+			}
+			var buf bytes.Buffer
+			if err := st.WriteEfficiencyReport(&buf); err != nil {
+				t.Fatal(err)
+			}
+			out := buf.String()
+			for _, want := range []string{"Parallel Efficiency", "exchange", "compute"} {
+				if !strings.Contains(out, want) {
+					t.Fatalf("rendered report missing %q:\n%s", want, out)
+				}
+			}
+		})
 	}
 }

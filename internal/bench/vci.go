@@ -81,9 +81,9 @@ func vciRate(nvci, lanes, msgs int) (VCIPoint, error) {
 		// on a distinct private interface.
 		comms := make([]*gompi.Comm, lanes)
 		for g := range comms {
-			c, err := w.DupWithHints(gompi.CommHints{
+			c, err := w.DupOpt(gompi.CommOptions{Hints: gompi.CommHints{
 				NoAnySource: true, NoAnyTag: true, ExactLength: true,
-			})
+			}})
 			if err != nil {
 				return err
 			}
@@ -184,15 +184,6 @@ func WriteVCIScaling(w io.Writer, pts []VCIPoint) {
 	for _, p := range pts {
 		fmt.Fprintf(w, "%6d %12s %10.2f %12s %7.2fx\n",
 			p.VCIs, rateUnit(p.Rate), p.MaxShare, rateUnit(p.WallRate), p.Speedup)
-	}
-}
-
-// WriteVCIScalingCSV emits the sweep as CSV.
-func WriteVCIScalingCSV(w io.Writer, pts []VCIPoint) {
-	fmt.Fprintln(w, "vcis,lanes,msgs_per_sec,max_share,wall_msgs_per_sec,speedup_vs_1vci")
-	for _, p := range pts {
-		fmt.Fprintf(w, "%d,%d,%.0f,%.4f,%.0f,%.3f\n",
-			p.VCIs, p.Lanes, p.Rate, p.MaxShare, p.WallRate, p.Speedup)
 	}
 }
 

@@ -25,9 +25,7 @@ func TestCommOptionsSurfacePinned(t *testing.T) {
 		_ func(int, int, CommOptions) (*Comm, error) = c.SplitOpt
 		_ func(*Group, CommOptions) (*Comm, error)   = c.CreateOpt
 		_ func() (*Comm, error)                      = c.Dup
-		_ func(CommHints) (*Comm, error)             = c.DupWithHints
 		_ func(int, int) (*Comm, error)              = c.Split
-		_ func(int, int, CommHints) (*Comm, error)   = c.SplitWithHints
 		_ func(int, int) (*Comm, error)              = c.SplitType
 		_ func(*Group) (*Comm, error)                = c.Create
 	)
