@@ -27,15 +27,20 @@ race:
 # A first, cheap slice of "tier-1 x 20" (ROADMAP item 1): the tests that
 # guard the single-writer charge ledger and its cross-goroutine dump,
 # the allocation guards, which have flaked before, the shm ring tables
-# published while a consumer polls, and the SpMV instruction-count guard
-# that failed 10 runs in 40 while it compared two jittering latencies —
-# twenty times each, then five times race-checked. Zero failures.
-FLAKE_RUN = 'Ledger|DumpState|ZeroAlloc|AllocFree|SteadyStateAllocs|FeederPublished|FirstTouch|LockTouch|SpmvDeclaredShape'
-FLAKE_PKGS = . ./internal/proc ./internal/instr ./internal/vtime ./internal/hist ./internal/shm ./internal/bench
+# published while a consumer polls, the SpMV instruction-count guard
+# that failed 10 runs in 40 while it compared two jittering latencies,
+# and the single-writer observers — registry, histograms, flight ring,
+# request pool, region table: their single-vs-shared differentials,
+# their 8-writer shared modes, and the 8-rank run that snapshots and
+# dumps while peers deposit — twenty times each, then five times
+# race-checked at GOMAXPROCS 1, 2 and 8 (the race detector is the
+# checker of the single-writer rule). Zero failures.
+FLAKE_RUN = 'Ledger|DumpState|ZeroAlloc|AllocFree|SteadyStateAllocs|FeederPublished|FirstTouch|LockTouch|SpmvDeclaredShape|SingleVsShared|Shared.*Concurrent|SharedWriters|ForeignReader|TailFlush|WrapOrder|WhilePeersRun|SnapshotDuringDeposits|Region|RegisterWhilePut|ShareReaches'
+FLAKE_PKGS = . ./internal/proc ./internal/instr ./internal/vtime ./internal/hist ./internal/shm ./internal/bench ./internal/flight ./internal/metrics ./internal/request ./internal/fabric
 
 flake:
 	$(GO) test -count=20 -run $(FLAKE_RUN) $(FLAKE_PKGS)
-	$(GO) test -race -count=5 -run $(FLAKE_RUN) $(FLAKE_PKGS)
+	$(GO) test -race -cpu 1,2,8 -count=5 -run $(FLAKE_RUN) $(FLAKE_PKGS)
 
 # One iteration of every benchmark: catches bit-rot in the figure
 # regeneration paths and allocation regressions (all benches report

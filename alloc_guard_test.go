@@ -216,10 +216,15 @@ func TestShmPutSteadyStateAllocs(t *testing.T) {
 // with rank 0 reading the process-wide malloc counter at the three
 // edges (ranks meet at each edge on atomics, which allocate nothing).
 // It returns mallocs(10n) - mallocs(n). An allocation per op shows as
-// at least 9n; the freelist high-water growth that goroutine
-// interleaving causes now and then (receive boxes, message envelopes,
-// match nodes, requests) is a one-time cost that does not scale with
-// the window and stays far below it. prep builds a rank's op, which is
+// at least 9n; the high-water growth that goroutine interleaving causes
+// now and then (a match bin the first time some peer's message beats
+// its receive, an unexpected-pool buffer, a receive box, an envelope, a
+// request, one of the runtime's lazily built type-assert caches) is a
+// one-time cost that does not scale with the window and stays far
+// below it — but it is there: one pair of windows reads 3599 or 3601
+// for 3600 in nearly every run, with the collector on or off, so a
+// guard that wants an exact count takes it per call (perCall), the
+// way testing.AllocsPerRun does. prep builds a rank's op, which is
 // handed a running call index.
 func mallocSlope(t *testing.T, ranks int, cfg gompi.Config, n int, prep func(p *gompi.Proc) (func(i int) error, error)) int64 {
 	t.Helper()
@@ -403,11 +408,56 @@ func TestICollSteadyStateAllocs(t *testing.T) {
 				return err
 			}, nil
 		})
-		// 9n more rounds in the long window than in the short one.
-		if limit := int64(9*n*ranks*callsPerRound + n/10); slope >= limit {
-			t.Errorf("fresh buffers %v: I-collectives allocate more than their Request: %d more mallocs over %d rounds than over %d, limit %d (%d calls x %d ranks)",
-				fresh, slope, 10*n, n, limit, callsPerRound, ranks)
+		// The two windows differ by 9n rounds, so the count is 9n x ranks x
+		// callsPerRound to within the one-time high-water objects that
+		// land in one window or the other (a match bin, an unexpected-pool
+		// buffer, a lazily built runtime type-assert cache: -17..+4 over
+		// 300 runs, whatever n is). One stray object per 75 calls is
+		// already 48 off.
+		const want, slack = 9 * n * ranks * callsPerRound, 24
+		if d := slope - want; d > slack || -d > slack {
+			t.Errorf("fresh buffers %v: %d more mallocs over %d rounds than over %d, want %d +/- %d: a round of %d I-collectives allocates its %d Requests per rank and nothing else",
+				fresh, slope, 10*n, n, want, slack, callsPerRound, callsPerRound)
 		}
+	}
+}
+
+// TestBlockingPt2ptSteadyStateAllocs: the blocking forms wait on the
+// rank's scratch Request, so once the pools are warm a Send, a Recv and
+// a Sendrecv allocate nothing (each heap-allocated the public Request
+// it dropped on the next line: 4 objects a round). Isend and Irecv keep
+// returning a fresh one, which TestThreadMultipleSteadyStateAllocs
+// counts.
+func TestBlockingPt2ptSteadyStateAllocs(t *testing.T) {
+	const ranks, n = 2, 200
+	cfg := gompi.Config{Device: gompi.DeviceCH4, Fabric: "ofi"}
+	slope := mallocSlope(t, ranks, cfg, n, func(p *gompi.Proc) (func(int) error, error) {
+		w := p.World()
+		peer := 1 - p.Rank()
+		sbuf, rbuf := []byte{1}, make([]byte, 1)
+		return func(int) error {
+			if p.Rank() == 0 {
+				if err := w.Send(sbuf, 1, gompi.Byte, peer, 0); err != nil {
+					return err
+				}
+				if _, err := w.Recv(rbuf, 1, gompi.Byte, peer, 0); err != nil {
+					return err
+				}
+			} else {
+				if _, err := w.Recv(rbuf, 1, gompi.Byte, peer, 0); err != nil {
+					return err
+				}
+				if err := w.Send(sbuf, 1, gompi.Byte, peer, 0); err != nil {
+					return err
+				}
+			}
+			_, err := w.Sendrecv(sbuf, 1, gompi.Byte, peer, 1, rbuf, 1, gompi.Byte, peer, 1)
+			return err
+		}, nil
+	})
+	if slope >= n/10 {
+		t.Errorf("blocking Send/Recv/Sendrecv allocate: %d more mallocs over %d rounds than over %d (x %d ranks)",
+			slope, 10*n, n, ranks)
 	}
 }
 

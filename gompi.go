@@ -307,6 +307,11 @@ type Proc struct {
 	phaseIdx   map[string]int
 	phaseStack []phaseFrame
 
+	// scratch holds the public Requests the blocking calls wait on: a
+	// blocking Send/Recv drops its Request on the next line, so it
+	// borrows one of these (Sendrecv holds both) instead of allocating.
+	scratch [2]Request
+
 	tlog     trace.Log
 	profiler Profiler
 	teardown func()
@@ -321,9 +326,11 @@ type Proc struct {
 // Call it from the rank's own goroutine, at any time. A rank's live
 // clock belongs to its goroutine alone, so each line carries the clock
 // that rank last published: exact for the caller and for a parked
-// rank, "as of its last park" for a rank still running.
+// rank, "as of its last park" for a rank still running — and so does
+// its flight recorder, whose newest events (at most 32) a running rank
+// has not published yet.
 func (p *Proc) DumpState(w io.Writer) {
-	p.rank.Metrics().ParkClock.Store(int64(p.rank.Now()))
+	p.rank.Metrics().Publish(int64(p.rank.Now()))
 	if p.dump != nil {
 		p.dump(w)
 	}
@@ -383,8 +390,11 @@ func Run(n int, cfg Config, body func(p *Proc) error) error {
 	// dumpWorld renders the whole diagnosis: per-rank clock and park
 	// state, each rank's flight-recorder tail, and the device wait graph
 	// (unmatched posted receives, unexpected queues, waits-on edges). It
-	// runs on any goroutine, so it prints the clock each rank published
-	// at its last park, never a live single-writer clock.
+	// runs on any goroutine, so it prints the clock and the flight events
+	// each rank published at its last park, never live single-writer
+	// state; what peers landed at a rank's matching units lives with
+	// those units and prints in the wait graph, each line carrying the
+	// ring position that places it among the rank's own events.
 	var mon *stall.Monitor
 	dumpWorld := func(w io.Writer) {
 		fmt.Fprintf(w, "=== gompi state dump (%d rank(s), device %s) ===\n", n, dev)
@@ -436,6 +446,7 @@ func Run(n int, cfg Config, body func(p *Proc) error) error {
 		// recovery to report.
 		defer func() {
 			if rec := recover(); rec != nil {
+				r.Metrics().Publish(int64(r.Now()))
 				teardown()
 				panic(rec)
 			}
@@ -454,6 +465,9 @@ func Run(n int, cfg Config, body func(p *Proc) error) error {
 		r.StartBarrier()
 		p.world = &Comm{p: p, c: comm.NewWorld(reg, n, r.ID())}
 		err := body(p)
+		// Rank exit: the dump a failing rank's teardown writes (or a
+		// peer's, later) sees this rank's whole history.
+		r.Metrics().Publish(int64(r.Now()))
 		if cfg.Stats != nil {
 			// Each rank fills only its own slot, so the collection
 			// needs no lock; the merge happens after RunAll joins.

@@ -177,8 +177,9 @@ type Device struct {
 	// closures for the common receive shape (contiguous buffer, no
 	// wildcards) are recycled instead of reallocated, so steady-state
 	// receive loops — persistent-collective replays especially — post
-	// without touching the heap. A short mutex mirrors request.Pool:
-	// under MPI_THREAD_MULTIPLE several goroutines of one rank post
+	// without touching the heap. Like request.Pool the freelist is the
+	// owner goroutine's alone; boxMu is taken only under
+	// MPI_THREAD_MULTIPLE, where several goroutines of one rank post
 	// receives concurrently.
 	boxMu   sync.Mutex
 	boxFree []*recvBox
@@ -196,6 +197,9 @@ type Device struct {
 func (g *Global) Open(r *proc.Rank) *Device {
 	d := &Device{g: g, rank: r, ep: g.Fab.Endpoint(r.ID()), cfg: g.Cfg}
 	d.pool.Metrics = r.Metrics()
+	if g.Cfg.ThreadMultiple {
+		d.pool.Share()
+	}
 	d.ep.Bind(r)
 	if g.Shm != nil {
 		g.Shm.Bind(r.ID(), r)
@@ -232,13 +236,13 @@ func (d *Device) Rank() *proc.Rank { return d.rank }
 func (d *Device) Config() core.Config { return d.cfg }
 
 // Stats snapshots the rank's metrics registry, folding in the
-// endpoint matching engine's counters (kept on the engine itself so
-// the match hot path stays a plain increment). The copy happens under
-// the endpoint lock: peer ranks write receive-side counters under it,
-// and a mid-run snapshot (Proc.Metrics) or a teardown snapshot taken
-// while peers still send must not race with them.
+// endpoint matching engines' counters (kept on the engine itself so
+// the match hot path stays a plain increment) and the arrival-side
+// counters peers write under the VCI locks — each copied under its
+// lock, so a mid-run snapshot (Proc.Metrics) or a teardown snapshot
+// taken while peers still send does not race with them.
 func (d *Device) Stats() metrics.Snapshot {
-	return d.ep.FoldAndSnapshot()
+	return d.ep.SnapshotStats()
 }
 
 // Progress drains the shared-memory rings and runs pending active

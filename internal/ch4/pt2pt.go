@@ -356,14 +356,15 @@ type recvBox struct {
 
 // getRecvBox pops a recycled box or builds one with its closures.
 func (d *Device) getRecvBox() *recvBox {
-	d.boxMu.Lock()
+	if d.cfg.ThreadMultiple {
+		d.boxMu.Lock()
+		defer d.boxMu.Unlock()
+	}
 	if n := len(d.boxFree); n > 0 {
 		b := d.boxFree[n-1]
 		d.boxFree = d.boxFree[:n-1]
-		d.boxMu.Unlock()
 		return b
 	}
-	d.boxMu.Unlock()
 	b := &recvBox{}
 	b.poll = func(r *request.Request) bool {
 		if !d.recvDone(&b.op) {
@@ -388,9 +389,11 @@ func (d *Device) finishBox(b *recvBox, r *request.Request) {
 		Source: b.op.Src, Tag: b.op.Tag, Count: b.op.N, Truncated: b.op.Truncated,
 	})
 	b.op.Reset()
-	d.boxMu.Lock()
+	if d.cfg.ThreadMultiple {
+		d.boxMu.Lock()
+		defer d.boxMu.Unlock()
+	}
 	d.boxFree = append(d.boxFree, b)
-	d.boxMu.Unlock()
 }
 
 // recvDone polls one receive, pumping progress so shm and AM traffic

@@ -10,8 +10,9 @@ import (
 
 // WriteWaitGraph renders the fabric's matching state for deadlock
 // diagnosis: every endpoint's unmatched posted receives, buffered
-// unexpected messages, queued active messages, and the who-waits-on-whom
-// edges implied by posted receives with a concrete source. Each VCI lock
+// unexpected messages, each interface's last arrivals (flight.Lane),
+// queued active messages, and the who-waits-on-whom edges implied by
+// posted receives with a concrete source. Each VCI lock
 // is taken one at a time, so the dump is safe while ranks are parked
 // (parked waiters hold no VCI lock inside cond.Wait).
 func (f *Fabric) WriteWaitGraph(w io.Writer) {
@@ -58,6 +59,12 @@ func (f *Fabric) WriteWaitGraph(w io.Writer) {
 			s.eng.UnexpectedEach(func(e match.Entry) {
 				lines = append(lines, fmt.Sprintf("  unexpected vci=%d %s", v, e.Bits.String()))
 			})
+			// What peers landed here lately (recorded under this lock)
+			// reads next to the queues it explains; ring>=N places an
+			// arrival after the rank's own flight events #0..#N-1.
+			for _, e := range s.arr.Flight.Events() {
+				lines = append(lines, fmt.Sprintf("  arrival %s ring>=%d", e, e.After))
+			}
 			s.mu.Unlock()
 		}
 		amq := atomic.LoadInt32(&ep.amqLen)

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"gompi/internal/flight"
-	"gompi/internal/hist"
 	"gompi/internal/instr"
 	"gompi/internal/match"
 	"gompi/internal/metrics"
@@ -137,9 +136,11 @@ type vci struct {
 	msgFree  *message
 	eventSeq uint64
 	stats    metrics.VCIStat // receive-side traffic + events, under mu
-	// postMatch is this interface's post→match latency distribution
-	// (hist.H is atomic; writers happen to hold mu anyway).
-	postMatch hist.H
+	// arr is what arrivals at this interface observe — receive-side path
+	// counters, copies, pool hits, post→match and unexpected-residency
+	// latency, the matching unit's recent events — as plain fields
+	// under mu, whichever rank's goroutine holds it.
+	arr metrics.Arrivals
 }
 
 // getMessage pops a recycled message envelope (or allocates the first
@@ -228,10 +229,10 @@ type Endpoint struct {
 
 	handlers [256]AMHandler
 	meter    Meter
-	// m caches meter.Metrics(). The registry is atomic throughout, so
-	// depositing peers and concurrent owner goroutines bump it without
-	// holding any particular lock. Starts as a placeholder registry;
-	// Bind replaces it.
+	// m caches meter.Metrics(), the owner's registry: only the owner's
+	// goroutines write it (send-side counters, reaps, parks). A
+	// depositing peer never touches it — what an arrival observes goes
+	// to the VCI's arr, under the VCI lock.
 	m *metrics.Rank
 
 	// conns tracks which peers this endpoint has materialized send-side
@@ -261,10 +262,7 @@ const (
 )
 
 func newEndpoint(f *Fabric, rank, nvci int) *Endpoint {
-	// The placeholder registry keeps deposits into a never-bound
-	// endpoint safe (direct fabric tests); Bind replaces it with the
-	// owning rank's registry.
-	ep := &Endpoint{f: f, rank: rank, m: new(metrics.Rank), vcis: make([]*vci, nvci)}
+	ep := &Endpoint{f: f, rank: rank, vcis: make([]*vci, nvci)}
 	for i := range ep.vcis {
 		s := new(vci)
 		s.cond = sync.NewCond(&s.mu)
@@ -446,19 +444,19 @@ type ViewReleaser interface {
 // once the receive consumed it.
 func (ep *Endpoint) deposit(v int, bits match.Bits, src int, data []byte, arrival vtime.Time, via via, rel ViewReleaser) {
 	v = ep.norm(v)
-	switch via {
-	case viaShm:
-		ep.m.ShmRecv.Note(len(data))
-	case viaSelf:
-		// Self-loop traffic is counted once, at delivery.
-		ep.m.Self.Note(len(data))
-	default:
-		ep.m.NetRecv.Note(len(data))
-	}
 	s := ep.vcis[v]
 	var fireRel ViewReleaser
 	fireCopied := false
 	s.mu.Lock()
+	switch via {
+	case viaShm:
+		s.arr.ShmRecv.Note(len(data))
+	case viaSelf:
+		// Self-loop traffic is counted once, at delivery.
+		s.arr.Self.Note(len(data))
+	default:
+		s.arr.NetRecv.Note(len(data))
+	}
 	s.stats.Msgs++
 	s.stats.Bytes += int64(len(data))
 	for {
@@ -472,17 +470,17 @@ func (ep *Endpoint) deposit(v int, bits match.Bits, src int, data []byte, arriva
 				m.data = data
 				m.rel = rel
 			} else {
-				buf := s.pool.get(len(data), ep.m)
+				buf := s.pool.get(len(data), &s.arr)
 				copy(buf, data)
 				m.data = buf
 				if len(data) > 0 {
-					ep.m.CopiesStaged.Note(len(data))
+					s.arr.CopiesStaged.Note(len(data))
 				}
 			}
 			m.arrival = arrival
 			m.gseq = atomic.AddUint64(&ep.gctr, 1)
-			ep.m.MaxUnexpected(s.eng.UnexpectedLen())
-			ep.m.Flight.Record(flight.Unexpected, int64(arrival), src, len(data), v)
+			s.arr.UnexpectedMax = max(s.arr.UnexpectedMax, int64(s.eng.UnexpectedLen()))
+			s.arr.Flight.Record(flight.Unexpected, int64(arrival), src, len(data), v)
 			break
 		}
 		s.putMessage(m)
@@ -496,17 +494,14 @@ func (ep *Endpoint) deposit(v int, bits match.Bits, src int, data []byte, arriva
 			ep.addStale(op)
 		}
 		// Post→match: how long the receive sat posted before its
-		// message arrived. Observed into the receiving rank's
-		// registry from the depositing goroutine (hist is atomic);
-		// op.posted is ordered by the engine insertion under s.mu.
-		ep.m.Lat.PostMatch.Observe(int64(arrival - op.posted))
-		s.postMatch.Observe(int64(arrival - op.posted))
-		// A pre-posted match never touches the unexpected queue:
-		// observe zero residency so the two distributions stay
-		// message-count symmetric.
-		ep.m.Lat.UnexRes.Observe(0)
-		ep.m.Flight.Record(flight.Deposit, int64(arrival), src, len(data), v)
-		ep.completeRecv(op, bits, data, arrival)
+		// message arrived; op.posted is ordered by the engine
+		// insertion under s.mu. A pre-posted match never touches the
+		// unexpected queue: observe zero residency so the two
+		// distributions stay message-count symmetric.
+		s.arr.PostMatch.Observe(int64(arrival - op.posted))
+		s.arr.UnexRes.Observe(0)
+		s.arr.Flight.Record(flight.Deposit, int64(arrival), src, len(data), v)
+		s.completeRecv(op, bits, data, arrival)
 		if rel != nil {
 			fireRel, fireCopied = rel, op.Fold == nil
 		}
@@ -628,25 +623,39 @@ func (ep *Endpoint) EventSeq() uint64 { return atomic.LoadUint64(&ep.aggSeq) }
 // core.ErrWorldAborted once the fabric is aborted.
 func (ep *Endpoint) WaitEvent(last uint64) uint64 {
 	parked := false
-	defer func() {
-		if parked {
-			ep.f.stall.Unpark(ep.rank)
-		}
-	}()
+	defer ep.unpark(&parked)
 	ep.evMu.Lock()
 	atomic.AddInt32(&ep.evWaiters, 1)
 	for atomic.LoadUint64(&ep.aggSeq) == last && atomic.LoadInt32(&ep.amqLen) == 0 {
 		ep.f.aborted.CheckLocked(&ep.evMu)
-		if !parked {
-			parked = true
-			ep.f.stall.Park(ep.rank)
-			ep.m.NotePark(int64(ep.meter.Now()), -1, AnyVCI)
-		}
+		ep.park(&parked, AnyVCI)
 		ep.evCond.Wait()
 	}
 	atomic.AddInt32(&ep.evWaiters, -1)
 	ep.evMu.Unlock()
 	return atomic.LoadUint64(&ep.aggSeq)
+}
+
+// park marks the calling goroutine blocked on interface v (whose lock
+// it holds; AnyVCI for the endpoint-wide wait), once per wait: it tells
+// the stall watchdog, and records and publishes the park (the owner's
+// clock and flight ring, for dumps from other goroutines). unpark,
+// deferred by the waiter, undoes the watchdog's half.
+func (ep *Endpoint) park(parked *bool, v int) {
+	if !*parked {
+		*parked = true
+		ep.f.stall.Park(ep.rank)
+		ep.m.NotePark(int64(ep.meter.Now()), -1, v)
+		if v >= 0 {
+			ep.noteOwner(ep.vcis[v])
+		}
+	}
+}
+
+func (ep *Endpoint) unpark(parked *bool) {
+	if *parked {
+		ep.f.stall.Unpark(ep.rank)
+	}
 }
 
 // EventSeqVCI returns one interface's event counter: it moves only on
@@ -667,19 +676,11 @@ func (ep *Endpoint) WaitEventVCI(v int, last uint64) uint64 {
 	vn := ep.norm(v)
 	s := ep.vcis[vn]
 	parked := false
-	defer func() {
-		if parked {
-			ep.f.stall.Unpark(ep.rank)
-		}
-	}()
+	defer ep.unpark(&parked)
 	s.mu.Lock()
 	for s.eventSeq == last && atomic.LoadInt32(&ep.amqLen) == 0 {
 		ep.f.aborted.CheckLocked(&s.mu)
-		if !parked {
-			parked = true
-			ep.f.stall.Park(ep.rank)
-			ep.m.NotePark(int64(ep.meter.Now()), -1, vn)
-		}
+		ep.park(&parked, vn)
 		s.cond.Wait()
 	}
 	seq := s.eventSeq
@@ -689,12 +690,12 @@ func (ep *Endpoint) WaitEventVCI(v int, last uint64) uint64 {
 
 // completeRecv consumes a (borrowed) payload into the receive buffer —
 // the final direct copy, or an in-place fold when the op carries one —
-// and fills results. Caller holds the lock of the VCI delivering the
+// and fills results. Caller holds the lock of s, the VCI delivering the
 // message; the atomic done.Store publishes the result fields to
 // whichever goroutine observes completion. The source reported is the
 // MPI-level source the sender encoded in the match bits (its
 // communicator rank), not the transport address.
-func (ep *Endpoint) completeRecv(op *RecvOp, bits match.Bits, data []byte, arrival vtime.Time) {
+func (s *vci) completeRecv(op *RecvOp, bits match.Bits, data []byte, arrival vtime.Time) {
 	var n int
 	if op.Fold != nil {
 		n = len(data)
@@ -705,7 +706,7 @@ func (ep *Endpoint) completeRecv(op *RecvOp, bits match.Bits, data []byte, arriv
 	} else {
 		n = copy(op.Buf, data)
 		if n > 0 {
-			ep.m.CopiesDirect.Note(n)
+			s.arr.CopiesDirect.Note(n)
 		}
 	}
 	op.N = n
@@ -744,20 +745,12 @@ func (ep *Endpoint) PostRecvVCI(op *RecvOp, bits match.Bits, mask match.Bits, v 
 	s.mu.Lock()
 	bins, searches := s.eng.BinOps, s.eng.Searches
 	if entry, ok := s.eng.PostRecv(bits, mask, op); ok {
-		m := entry.Cookie.(*message)
-		// The receive found its message waiting: it spent the span
-		// since m.arrival on the unexpected queue; the receive itself
-		// waited zero.
-		ep.m.Lat.UnexRes.Observe(int64(now - m.arrival))
-		ep.m.Lat.PostMatch.Observe(0)
-		s.postMatch.Observe(0)
-		ep.m.Flight.Record(flight.UnexHit, int64(now), m.src, len(m.data), v)
-		ep.completeRecv(op, entry.Bits, m.data, m.arrival)
-		fireRel = s.consumeMessage(m)
+		fireRel = ep.unexHit(s, op, entry, now, v)
 	} else {
 		ep.m.MaxPosted(s.eng.PostedLen())
 		ep.m.Flight.Record(flight.PostRecv, int64(now), recvPeer(bits, mask), 0, v)
 	}
+	ep.noteOwner(s)
 	bins, searches = s.eng.BinOps-bins, s.eng.Searches-searches
 	s.mu.Unlock()
 	ep.meter.ChargeCycles(instr.Transport, p.matchCost(bins, searches))
@@ -765,6 +758,24 @@ func (ep *Endpoint) PostRecvVCI(op *RecvOp, bits match.Bits, mask match.Bits, v 
 		fireRel.Release(op.Fold == nil)
 	}
 }
+
+// unexHit completes op from the unexpected message entry holds, found
+// on s: the message spent the span since its arrival on the unexpected
+// queue; the receive itself waited zero. Caller is the owner, holds
+// s.mu and fires the returned releaser after dropping it.
+func (ep *Endpoint) unexHit(s *vci, op *RecvOp, entry match.Entry, now vtime.Time, v int) ViewReleaser {
+	m := entry.Cookie.(*message)
+	s.arr.UnexRes.Observe(int64(now - m.arrival))
+	s.arr.PostMatch.Observe(0)
+	ep.m.Flight.Record(flight.UnexHit, int64(now), m.src, len(m.data), v)
+	s.completeRecv(op, entry.Bits, m.data, m.arrival)
+	return s.consumeMessage(m)
+}
+
+// noteOwner stamps s's arrival lane with the owner's flight-ring
+// position: whatever lands on s from here on follows every event the
+// owner has recorded so far. Owner goroutines, holding s.mu.
+func (ep *Endpoint) noteOwner(s *vci) { s.arr.Flight.After = ep.m.Flight.Pos() }
 
 // recvPeer is the flight-recorder peer of a posted receive: the
 // constrained source, or -1 under MPI_ANY_SOURCE.
@@ -787,34 +798,14 @@ func (ep *Endpoint) postRecvMulti(op *RecvOp, bits, mask match.Bits) {
 	op.vci = AnyVCI
 	op.multi = true
 	op.claimed.Store(false)
-	var bins, searches int64
 	var fireRel ViewReleaser
 	ep.lockAll()
 	ep.sweepStaleLocked()
-	best := -1
-	var bestSeq uint64
-	for i, s := range ep.vcis {
-		b, se := s.eng.BinOps, s.eng.Searches
-		if entry, ok := s.eng.Probe(bits, mask); ok {
-			m := entry.Cookie.(*message)
-			if best < 0 || m.gseq < bestSeq {
-				best, bestSeq = i, m.gseq
-			}
-		}
-		bins += s.eng.BinOps - b
-		searches += s.eng.Searches - se
-	}
+	best, _, bins, searches := ep.earliest(bits, mask)
 	if best >= 0 {
 		s := ep.vcis[best]
 		entry, _ := s.eng.ExtractUnexpected(bits, mask)
-		m := entry.Cookie.(*message)
-		now := ep.meter.Now()
-		ep.m.Lat.UnexRes.Observe(int64(now - m.arrival))
-		ep.m.Lat.PostMatch.Observe(0)
-		s.postMatch.Observe(0)
-		ep.m.Flight.Record(flight.UnexHit, int64(now), m.src, len(m.data), best)
-		ep.completeRecv(op, entry.Bits, m.data, m.arrival)
-		fireRel = s.consumeMessage(m)
+		fireRel = ep.unexHit(s, op, entry, ep.meter.Now(), best)
 	} else {
 		for _, s := range ep.vcis {
 			s.eng.PostRecv(bits, mask, op)
@@ -822,11 +813,32 @@ func (ep *Endpoint) postRecvMulti(op *RecvOp, bits, mask match.Bits) {
 		}
 		ep.m.Flight.Record(flight.PostRecv, int64(ep.meter.Now()), recvPeer(bits, mask), 0, AnyVCI)
 	}
+	for _, s := range ep.vcis {
+		ep.noteOwner(s)
+	}
 	ep.unlockAll()
 	ep.meter.ChargeCycles(instr.Transport, ep.f.prof.matchCost(bins, searches))
 	if fireRel != nil {
 		fireRel.Release(op.Fold == nil)
 	}
+}
+
+// earliest probes every interface for the buffered match of (bits,
+// mask) with the globally earliest arrival stamp: its interface (-1 when
+// nothing matches), its entry, and the matching work the probes did.
+// Caller holds every VCI lock.
+func (ep *Endpoint) earliest(bits, mask match.Bits) (best int, hit match.Entry, bins, searches int64) {
+	best = -1
+	for i, s := range ep.vcis {
+		b, se := s.eng.BinOps, s.eng.Searches
+		if entry, ok := s.eng.Probe(bits, mask); ok &&
+			(best < 0 || entry.Cookie.(*message).gseq < hit.Cookie.(*message).gseq) {
+			best, hit = i, entry
+		}
+		bins += s.eng.BinOps - b
+		searches += s.eng.Searches - se
+	}
+	return best, hit, bins, searches
 }
 
 // RecvDone polls one receive for completion. On the completing poll it
@@ -849,11 +861,7 @@ func (ep *Endpoint) WaitRecv(op *RecvOp) {
 	if op.vci >= 0 {
 		s := ep.vcis[op.vci]
 		parked := false
-		defer func() {
-			if parked {
-				ep.f.stall.Unpark(ep.rank)
-			}
-		}()
+		defer ep.unpark(&parked)
 		s.mu.Lock()
 		for !op.done.Load() {
 			if atomic.LoadInt32(&ep.amqLen) > 0 {
@@ -863,11 +871,7 @@ func (ep *Endpoint) WaitRecv(op *RecvOp) {
 				continue
 			}
 			ep.f.aborted.CheckLocked(&s.mu)
-			if !parked {
-				parked = true
-				ep.f.stall.Park(ep.rank)
-				ep.m.NotePark(int64(ep.meter.Now()), -1, op.vci)
-			}
+			ep.park(&parked, op.vci)
 			s.cond.Wait()
 		}
 		s.mu.Unlock()
@@ -958,27 +962,14 @@ func (ep *Endpoint) ProbeVCI(bits, mask match.Bits, v int) (src, tag, size int, 
 	}
 	ep.lockAll()
 	ep.sweepStaleLocked()
-	var bm *message
-	var bt int
-	var bestSeq uint64
-	hit := false
-	for _, s := range ep.vcis {
-		b, se := s.eng.BinOps, s.eng.Searches
-		if entry, ok := s.eng.Probe(bits, mask); ok {
-			m := entry.Cookie.(*message)
-			if !hit || m.gseq < bestSeq {
-				hit, bestSeq, bm, bt = true, m.gseq, m, entry.Bits.Tag()
-			}
-		}
-		bins += s.eng.BinOps - b
-		searches += s.eng.Searches - se
-	}
-	if hit {
-		src, tag, size = bm.src, bt, len(bm.data)
+	best, entry, bins, searches := ep.earliest(bits, mask)
+	if best >= 0 {
+		m := entry.Cookie.(*message)
+		src, tag, size = m.src, entry.Bits.Tag(), len(m.data)
 	}
 	ep.unlockAll()
 	ep.meter.ChargeCycles(instr.Transport, p.matchCost(bins, searches))
-	return src, tag, size, hit
+	return src, tag, size, best >= 0
 }
 
 // MProbe extracts a buffered unexpected message matching (bits, mask):
@@ -1005,8 +996,8 @@ func (ep *Endpoint) MProbeVCI(bits, mask match.Bits, v int) (src, tag int, data 
 		if hit {
 			m := entry.Cookie.(*message)
 			src, tag, data, arrival = entry.Bits.Source(), entry.Bits.Tag(), m.data, m.arrival
-			ep.m.Lat.UnexRes.Observe(int64(ep.meter.Now() - m.arrival))
-			data, fireRel = ep.ownMProbeData(m)
+			s.arr.UnexRes.Observe(int64(ep.meter.Now() - m.arrival))
+			data, fireRel = s.ownMProbeData(m)
 			s.putMessage(m)
 		}
 		s.mu.Unlock()
@@ -1018,26 +1009,14 @@ func (ep *Endpoint) MProbeVCI(bits, mask match.Bits, v int) (src, tag int, data 
 	}
 	ep.lockAll()
 	ep.sweepStaleLocked()
-	best := -1
-	var bestSeq uint64
-	for i, s := range ep.vcis {
-		b, se := s.eng.BinOps, s.eng.Searches
-		if entry, okp := s.eng.Probe(bits, mask); okp {
-			m := entry.Cookie.(*message)
-			if best < 0 || m.gseq < bestSeq {
-				best, bestSeq = i, m.gseq
-			}
-		}
-		bins += s.eng.BinOps - b
-		searches += s.eng.Searches - se
-	}
+	best, _, bins, searches := ep.earliest(bits, mask)
 	if best >= 0 {
 		s := ep.vcis[best]
 		entry, _ := s.eng.ExtractUnexpected(bits, mask)
 		m := entry.Cookie.(*message)
 		src, tag, data, arrival, ok = entry.Bits.Source(), entry.Bits.Tag(), m.data, m.arrival, true
-		ep.m.Lat.UnexRes.Observe(int64(ep.meter.Now() - m.arrival))
-		data, fireRel = ep.ownMProbeData(m)
+		s.arr.UnexRes.Observe(int64(ep.meter.Now() - m.arrival))
+		data, fireRel = s.ownMProbeData(m)
 		s.putMessage(m)
 	}
 	ep.unlockAll()
@@ -1054,7 +1033,7 @@ func (ep *Endpoint) MProbeVCI(bits, mask match.Bits, v int) (src, tag int, data 
 // copied into fresh storage (that staging copy is what a matched probe
 // costs the handoff path) and the view is released once the caller
 // drops the VCI locks.
-func (ep *Endpoint) ownMProbeData(m *message) ([]byte, ViewReleaser) {
+func (s *vci) ownMProbeData(m *message) ([]byte, ViewReleaser) {
 	if m.rel == nil {
 		return m.data, nil
 	}
@@ -1062,7 +1041,7 @@ func (ep *Endpoint) ownMProbeData(m *message) ([]byte, ViewReleaser) {
 	if len(buf) > 0 {
 		// The copy's cycle cost is charged by the release below
 		// (Release with copied=true prices one per-byte pass).
-		ep.m.CopiesStaged.Note(len(buf))
+		s.arr.CopiesStaged.Note(len(buf))
 	}
 	rel := m.rel
 	m.data, m.rel = nil, nil
@@ -1150,66 +1129,25 @@ func (ep *Endpoint) WaitUntil(pred func() bool) {
 	}
 }
 
-// MatchSearches exposes the summed engine search counter for the
-// matching ablation benchmark.
-func (ep *Endpoint) MatchSearches() int64 {
-	var n int64
-	for _, s := range ep.vcis {
-		s.mu.Lock()
-		n += s.eng.Searches
-		s.mu.Unlock()
-	}
-	return n
-}
-
-// MatchBinOps exposes the summed bin-operation counter: the hash work
-// the binned organization pays for its depth independence.
-func (ep *Endpoint) MatchBinOps() int64 {
-	var n int64
-	for _, s := range ep.vcis {
-		s.mu.Lock()
-		n += s.eng.BinOps
-		s.mu.Unlock()
-	}
-	return n
-}
-
-// vciStats copies each interface's traffic counters, taking the VCI
-// locks one at a time.
-func (ep *Endpoint) vciStats() []metrics.VCIStat {
-	out := make([]metrics.VCIStat, len(ep.vcis))
+// SnapshotStats snapshots the bound rank's registry — owner
+// goroutines only, like every write to it — and folds in what lives on
+// the interfaces, taking the VCI locks one at a time: the per-VCI
+// traffic split, the arrival-side counters peers write under those
+// locks, and the matching engines' counters (all zero on a device that
+// matches in software at the MPI layer, which adds its own engine's).
+func (ep *Endpoint) SnapshotStats() metrics.Snapshot {
+	snap := ep.m.Snapshot()
+	snap.VCIs = make([]metrics.VCIStat, len(ep.vcis))
 	for i, s := range ep.vcis {
 		s.mu.Lock()
-		out[i] = s.stats
-		s.mu.Unlock()
-		out[i].PostMatch = s.postMatch.Snapshot()
-	}
-	return out
-}
-
-// SnapshotStats snapshots the bound rank's registry (atomic throughout,
-// so no endpoint lock is needed) and attaches the per-VCI traffic
-// split. Devices that match in software at the MPI layer fold their own
-// engine first and call this.
-func (ep *Endpoint) SnapshotStats() metrics.Snapshot {
-	s := ep.m.Snapshot()
-	s.VCIs = ep.vciStats()
-	return s
-}
-
-// FoldAndSnapshot sums the per-VCI matching engines' counters into the
-// bound rank's registry and snapshots it. Devices whose matching runs
-// on the endpoint (CH4) use this.
-func (ep *Endpoint) FoldAndSnapshot() metrics.Snapshot {
-	var binOps, searches, binHits, wildHits int64
-	for _, s := range ep.vcis {
-		s.mu.Lock()
-		binOps += s.eng.BinOps
-		searches += s.eng.Searches
-		binHits += s.eng.BinHits
-		wildHits += s.eng.WildHits
+		snap.VCIs[i] = s.stats
+		snap.VCIs[i].PostMatch = s.arr.PostMatch.Snapshot()
+		s.arr.AddTo(&snap)
+		snap.Match.BinOps += s.eng.BinOps
+		snap.Match.Searches += s.eng.Searches
+		snap.Match.BinHits += s.eng.BinHits
+		snap.Match.WildHits += s.eng.WildHits
 		s.mu.Unlock()
 	}
-	ep.m.StoreMatch(binOps, searches, binHits, wildHits)
-	return ep.SnapshotStats()
+	return snap
 }

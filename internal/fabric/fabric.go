@@ -72,14 +72,15 @@ type Fabric struct {
 	// with it and every event broadcast bumps its activity counter.
 	stall *stall.Monitor
 
-	regMu   sync.RWMutex
-	regions map[regionKey]*region
+	// regions is the RDMA region table, indexed by key: keys are dense
+	// integers, so a lookup is one load of the chunk table and one of
+	// the slot, with nothing shared written. regMu serializes
+	// registration and revocation; a registration that needs a new chunk
+	// publishes a longer copy of the table, never mutating a published
+	// one.
+	regMu   sync.Mutex
+	regions atomic.Pointer[[]*regionChunk]
 	nextKey int
-}
-
-type regionKey struct {
-	rank int
-	key  int
 }
 
 // New creates a fabric with n single-VCI endpoints using the given cost
@@ -98,13 +99,14 @@ func NewVCIOpt(prof Profile, n, nvci int, opts Options) *Fabric {
 	if nvci < 1 {
 		nvci = 1
 	}
-	return &Fabric{
-		prof:    prof,
-		nvci:    nvci,
-		opts:    opts,
-		eps:     make([]atomic.Pointer[Endpoint], n),
-		regions: make(map[regionKey]*region),
+	f := &Fabric{
+		prof: prof,
+		nvci: nvci,
+		opts: opts,
+		eps:  make([]atomic.Pointer[Endpoint], n),
 	}
+	f.regions.Store(new([]*regionChunk))
+	return f
 }
 
 // Opts returns the fabric's scale knobs.

@@ -27,6 +27,7 @@ func newTestMeter(hz float64) *testMeter {
 func (m *testMeter) shared() *testMeter {
 	m.prof.Share()
 	m.clock.Share()
+	m.m.Share()
 	return m
 }
 
@@ -395,7 +396,7 @@ func TestEndpointAccessors(t *testing.T) {
 	if f.Endpoint(2).Rank() != 2 {
 		t.Fatal("endpoint rank wrong")
 	}
-	if f.Endpoint(0).MatchSearches() != 0 {
+	if f.Endpoint(0).SnapshotStats().Match.Searches != 0 {
 		t.Fatal("fresh endpoint has match searches")
 	}
 }

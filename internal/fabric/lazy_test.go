@@ -101,7 +101,7 @@ func TestEagerConnectRacesFirstTouch(t *testing.T) {
 	f := New(INF, n)
 	ms := make([]*testMeter, n)
 	for i := range ms {
-		ms[i] = newTestMeter(1e9)
+		ms[i] = newTestMeter(1e9).shared() // endpoint 0 is driven by two lanes
 		f.Endpoint(i).Bind(ms[i])
 	}
 	var wg sync.WaitGroup

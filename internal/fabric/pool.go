@@ -25,8 +25,9 @@ type bufPool struct {
 }
 
 // get returns a length-n buffer, recycled when a fit is free, counting
-// the hit or miss on m.
-func (p *bufPool) get(n int, m *metrics.Rank) []byte {
+// the hit or miss on a (the arrival counters of the VCI whose lock
+// guards the pool).
+func (p *bufPool) get(n int, a *metrics.Arrivals) []byte {
 	if n == 0 {
 		return nil
 	}
@@ -34,16 +35,16 @@ func (p *bufPool) get(n int, m *metrics.Rank) []byte {
 		if n <= c {
 			s := p.classes[i]
 			if len(s) == 0 {
-				m.NotePoolMiss(i)
+				a.PoolMisses[i]++
 				return make([]byte, n, c)
 			}
-			m.NotePoolHit(i)
+			a.PoolHits[i]++
 			b := s[len(s)-1]
 			p.classes[i] = s[:len(s)-1]
 			return b[:n]
 		}
 	}
-	m.NotePoolOversize()
+	a.PoolOversize++
 	return make([]byte, n)
 }
 

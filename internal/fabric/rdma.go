@@ -13,10 +13,18 @@ import (
 // tracks the latest virtual arrival of any remote write, which epoch
 // synchronization (fence, unlock) folds into the target's clock.
 type region struct {
+	rank       int
 	mem        []byte
 	maxArrival atomic.Int64
 	rmwMu      sync.Mutex // serializes read-modify-write (accumulate) ops
 }
+
+// regionChunkSlots is the number of keys one chunk of the region table
+// covers: small, because a two-rank world pays for the first chunk.
+const regionChunkSlots = 32
+
+// regionChunk holds the regions of regionChunkSlots consecutive keys.
+type regionChunk [regionChunkSlots]atomic.Pointer[region]
 
 // RegisterRegion exposes mem for RDMA from any endpoint and returns the
 // region key remote ranks use to address it (the rkey of a real NIC).
@@ -25,21 +33,53 @@ func (f *Fabric) RegisterRegion(rank int, mem []byte) int {
 	f.regMu.Lock()
 	defer f.regMu.Unlock()
 	f.nextKey++
-	f.regions[regionKey{rank, f.nextKey}] = &region{mem: mem}
+	if table := *f.regions.Load(); f.nextKey/regionChunkSlots == len(table) {
+		// Growing into spare capacity is safe: a reader of the old
+		// header never indexes past its length, and one that sees the
+		// new element got the header from the Store below.
+		table = append(table, new(regionChunk))
+		f.regions.Store(&table)
+	}
+	f.slot(f.nextKey).Store(&region{rank: rank, mem: mem})
 	return f.nextKey
 }
 
-// UnregisterRegion revokes a region.
+// UnregisterRegion revokes a region. The region itself is dropped; its
+// 8-byte slot stays, because keys are never reissued (a stale key must
+// keep panicking): a program that creates and frees windows in a loop
+// grows the table by 8 bytes, plus 8 per regionChunkSlots for the chunk
+// pointer, per window ever created.
 func (f *Fabric) UnregisterRegion(rank, key int) {
 	f.regMu.Lock()
 	defer f.regMu.Unlock()
-	delete(f.regions, regionKey{rank, key})
+	if f.lookup(rank, key) != nil {
+		f.slot(key).Store(nil)
+	}
+}
+
+// slot returns key's entry in the published table, nil when the table
+// does not reach that far (negative keys included).
+func (f *Fabric) slot(key int) *atomic.Pointer[region] {
+	t := *f.regions.Load()
+	if uint(key)/regionChunkSlots >= uint(len(t)) {
+		return nil
+	}
+	return &t[key/regionChunkSlots][key%regionChunkSlots]
+}
+
+// lookup resolves (rank, key) to its region, or nil when the key is not
+// registered (never issued, or revoked) or names another rank's region.
+func (f *Fabric) lookup(rank, key int) *region {
+	if s := f.slot(key); s != nil {
+		if r := s.Load(); r != nil && r.rank == rank {
+			return r
+		}
+	}
+	return nil
 }
 
 func (f *Fabric) region(rank, key int) *region {
-	f.regMu.RLock()
-	r := f.regions[regionKey{rank, key}]
-	f.regMu.RUnlock()
+	r := f.lookup(rank, key)
 	if r == nil {
 		panic("fabric: RDMA to unregistered region")
 	}

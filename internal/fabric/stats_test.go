@@ -11,10 +11,10 @@ import (
 
 // TestSnapshotDuringDeposits races mid-run snapshots against peers
 // depositing tagged messages and active messages. Receive-side
-// counters are written under the endpoint lock by the senders'
-// goroutines, so the snapshot must take the same lock — an unlocked
-// registry copy here trips the race detector and can read torn
-// values.
+// counters are written under the VCI lock by the senders' goroutines
+// (into the VCI's Arrivals, never the receiver's registry), so the
+// snapshot must fold them under the same lock — an unlocked copy here
+// trips the race detector and can read torn values.
 func TestSnapshotDuringDeposits(t *testing.T) {
 	const senders, msgs = 3, 500
 	f := New(INF, senders+1)
@@ -46,13 +46,12 @@ func TestSnapshotDuringDeposits(t *testing.T) {
 	// the endpoint lock on the senders' goroutines the whole time.
 	close(start)
 	for atomic.LoadInt32(&sending) > 0 {
-		_ = f.Endpoint(0).FoldAndSnapshot()
 		_ = f.Endpoint(0).SnapshotStats()
 	}
 	wg.Wait()
 	f.Endpoint(0).Progress()
 
-	snap := f.Endpoint(0).FoldAndSnapshot()
+	snap := f.Endpoint(0).SnapshotStats()
 	if snap.NetRecv.Msgs != senders*msgs {
 		t.Fatalf("NetRecv.Msgs = %d, want %d", snap.NetRecv.Msgs, senders*msgs)
 	}

@@ -60,7 +60,7 @@ func (k Kind) String() string {
 // Event is one recorded protocol step. T is the recording rank's
 // virtual clock in cycles; Peer is the other rank involved (-1 when
 // not applicable); VCI is the virtual interface (-1 when not
-// applicable).
+// applicable). After is set on a Lane's events only.
 type Event struct {
 	Seq   uint64
 	T     int64
@@ -68,71 +68,170 @@ type Event struct {
 	VCI   int16
 	Peer  int32
 	Bytes int32
+	After uint64
 }
 
-// Size is the ring capacity: enough recent history to see the
-// protocol exchange that led to a stall, small enough to live inside
-// every rank's metrics registry.
+// slot is a stored event: 24 bytes, its sequence number being its
+// position in the stream.
+type slot struct {
+	t     int64
+	peer  int32
+	bytes int32
+	vci   int16
+	kind  Kind
+}
+
+// set fills the slot field by field: assembling a value and copying it
+// in makes the copy's wide loads wait on the narrow stores.
+func (s *slot) set(k Kind, t int64, peer, bytes, vci int) {
+	s.t, s.peer, s.bytes, s.vci, s.kind = t, int32(peer), int32(bytes), int16(vci), k
+}
+
+func (s *slot) event(seq uint64) Event {
+	return Event{Seq: seq, T: s.t, Kind: s.kind, VCI: s.vci, Peer: s.peer, Bytes: s.bytes}
+}
+
+// Size is how many recent events a dump shows: enough history to see
+// the protocol exchange that led to a stall, small enough to live
+// inside every rank's metrics registry.
 const Size = 128
 
-// Ring is a bounded ring of the rank's most recent protocol events.
-// The zero value is ready to use. Record is safe for concurrent use:
-// peers depositing into a rank's endpoint record into that rank's
-// ring from their own goroutines. The mutex bounds the hot-path cost
-// to one uncontended lock per protocol event and keeps the dump
-// coherent.
+// flushEvery bounds the owner's unpublished tail: Record flushes every
+// flushEvery events. The ring holds that many slots beyond Size — the
+// ones the owner may be overwriting, which no reader touches — and
+// still fits the 4 KiB that Size 32-byte events took.
+const (
+	flushEvery = 32
+	slots      = Size + flushEvery
+)
+
+// Ring is a bounded ring of the rank's most recent protocol events. The
+// zero value is ready to use and single-writer: only the owning rank's
+// goroutine calls Record, one plain store, and what it stored becomes
+// visible to other goroutines (Events, Dump) at the next Flush — every
+// park, every flushEvery events, rank exit — so a dump from another
+// goroutine reads the ring "as of last park", like the clock printed
+// beside it. Readers copy only the Size events before the published
+// count; a slot is reused only after a later Flush, which orders the
+// store behind any reader of the earlier count. A ring several
+// goroutines record into (MPI_THREAD_MULTIPLE) is marked with Share and
+// takes the mutex on every Record.
 type Ring struct {
-	mu  sync.Mutex
-	buf [Size]Event
-	n   uint64 // total events ever recorded
+	buf    [slots]slot
+	next   uint64 // events ever recorded; the owner's (mu's once shared)
+	shared bool
+
+	mu sync.Mutex
+	n  uint64 // next as of the last Flush
 }
+
+// Share marks the ring as recorded into by several goroutines, before
+// the first Record.
+func (r *Ring) Share() { r.shared = true }
 
 // Record appends one event, overwriting the oldest once full. It never
 // allocates.
 func (r *Ring) Record(k Kind, t int64, peer, bytes, vci int) {
-	r.mu.Lock()
-	r.buf[r.n%Size] = Event{
-		Seq: r.n, T: t, Kind: k,
-		VCI: int16(vci), Peer: int32(peer), Bytes: int32(bytes),
+	if r.shared {
+		r.mu.Lock()
+		r.buf[r.next%slots].set(k, t, peer, bytes, vci)
+		r.next++
+		r.n = r.next
+		r.mu.Unlock()
+		return
 	}
-	r.n++
+	r.buf[r.next%slots].set(k, t, peer, bytes, vci)
+	r.next++
+	if r.next%flushEvery == 0 {
+		r.Flush()
+	}
+}
+
+// Flush publishes every event recorded so far (recording goroutines).
+func (r *Ring) Flush() {
+	r.mu.Lock()
+	r.n = r.next
 	r.mu.Unlock()
 }
 
-// Total returns the number of events ever recorded (recent Size of
-// them are retained).
-func (r *Ring) Total() uint64 {
+// Pos returns how many events have been recorded (recording goroutines):
+// the position a Lane stamps its events with.
+func (r *Ring) Pos() uint64 {
+	if !r.shared {
+		return r.next
+	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.n
+	n := r.next
+	r.mu.Unlock()
+	return n
 }
 
-// Events returns the retained events oldest-first. Dump-time only: it
-// allocates the copy.
-func (r *Ring) Events() []Event {
+// Events returns the last Size published events oldest-first, and how
+// many were ever published. Dump-time only: it allocates the copy.
+func (r *Ring) Events() (evs []Event, total uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	n := r.n
-	if n > Size {
-		out := make([]Event, Size)
-		for i := uint64(0); i < Size; i++ {
-			out[i] = r.buf[(n+i)%Size]
-		}
-		return out
+	evs = make([]Event, min(r.n, Size))
+	for i := range evs {
+		seq := r.n - uint64(len(evs)) + uint64(i)
+		evs[i] = r.buf[seq%slots].event(seq)
 	}
-	out := make([]Event, n)
-	copy(out, r.buf[:n])
-	return out
+	return evs, r.n
+}
+
+// String renders the event as one dump line.
+func (e Event) String() string {
+	return fmt.Sprintf("#%d @%d %s peer=%d bytes=%d vci=%d", e.Seq, e.T, e.Kind, e.Peer, e.Bytes, e.VCI)
 }
 
 // Dump renders the retained events human-readably, oldest first, one
 // line each, prefixed by label.
 func (r *Ring) Dump(w io.Writer, label string) {
-	evs := r.Events()
-	total := r.Total()
+	evs, total := r.Events()
 	fmt.Fprintf(w, "%s flight recorder: %d event(s) recorded, last %d:\n", label, total, len(evs))
 	for _, e := range evs {
-		fmt.Fprintf(w, "%s   #%d @%d %s peer=%d bytes=%d vci=%d\n",
-			label, e.Seq, e.T, e.Kind, e.Peer, e.Bytes, e.VCI)
+		fmt.Fprintf(w, "%s   %s\n", label, e)
 	}
+}
+
+// LaneSize is the capacity of a Lane. Every fabric interface embeds
+// one, and 16 is what fits with it under a 2688-byte allocation (24
+// would take the next size class, 384 B more per interface).
+const LaneSize = 16
+
+// Lane is the arrival-side companion of a Ring: the last LaneSize
+// messages peers landed at one matching unit (deposits into posted
+// receives, unexpected arrivals). It has no synchronization of its own:
+// every access is made under the lock of the interface embedding it.
+//
+// A lane numbers its own events; what orders them against the owning
+// rank's ring is After: the owner, whenever it holds the interface's
+// lock anyway (posting a receive, parking on the interface), notes its
+// ring's Pos there, and each arrival is stamped with the latest note —
+// at least that many of the rank's own events precede it. For a rank
+// parked on the interface, the watchdog's case, that is exact.
+type Lane struct {
+	buf   [LaneSize]slot
+	after [LaneSize]uint64
+	n     uint64
+	After uint64
+}
+
+// Record appends one event, overwriting the oldest once full.
+func (l *Lane) Record(k Kind, t int64, peer, bytes, vci int) {
+	i := l.n % LaneSize
+	l.buf[i].set(k, t, peer, bytes, vci)
+	l.after[i] = l.After
+	l.n++
+}
+
+// Events returns the lane's events oldest-first (dump-time only).
+func (l *Lane) Events() []Event {
+	evs := make([]Event, min(l.n, LaneSize))
+	for i := range evs {
+		seq := l.n - uint64(len(evs)) + uint64(i)
+		evs[i] = l.buf[seq%LaneSize].event(seq)
+		evs[i].After = l.after[seq%LaneSize]
+	}
+	return evs
 }

@@ -2,11 +2,12 @@
 // histograms over virtual cycles.
 //
 // H is a fixed-size value type: embedding it in a per-rank metrics
-// registry costs no allocation, and every mutation is a single atomic
-// add or CAS, so peer goroutines (a sender depositing into the
-// receiver's endpoint) can record observations into another rank's
-// histogram without holding that rank's locks. This mirrors the
-// "atomic throughout" contract of internal/metrics.
+// registry costs no allocation. It is single-writer by default — one
+// goroutine observes and reads it (or several do under a lock they
+// already hold), with plain loads and stores — and atomic only after
+// Share, for a histogram several goroutines observe into at once
+// (MPI_THREAD_MULTIPLE). Both modes produce the same numbers. This
+// mirrors the contract of internal/metrics.
 //
 // Buckets are powers of two: bucket i counts observations v with
 // 2^(i-1) < v <= 2^i (bucket 0 counts v <= 1, which includes zero).
@@ -25,12 +26,17 @@ import (
 const NumBuckets = 64
 
 // H is a log2-bucketed histogram. The zero value is an empty
-// histogram ready for use. All methods are safe for concurrent use.
+// single-writer histogram ready for use; see Share.
 type H struct {
-	buckets [NumBuckets]atomic.Int64
-	sum     atomic.Int64
-	max     atomic.Int64
+	buckets [NumBuckets]int64
+	sum     int64
+	max     int64
+	shared  bool
 }
+
+// Share makes every access atomic, for a histogram several goroutines
+// observe into; call it before the first Observe.
+func (h *H) Share() { h.shared = true }
 
 // bucketOf maps a non-negative value to its bucket index.
 func bucketOf(v int64) int {
@@ -53,11 +59,19 @@ func (h *H) Observe(v int64) {
 	if v < 0 {
 		v = 0
 	}
-	h.buckets[bucketOf(v)].Add(1)
-	h.sum.Add(v)
+	if !h.shared {
+		h.buckets[bucketOf(v)]++
+		h.sum += v
+		if v > h.max {
+			h.max = v
+		}
+		return
+	}
+	atomic.AddInt64(&h.buckets[bucketOf(v)], 1)
+	atomic.AddInt64(&h.sum, v)
 	for {
-		cur := h.max.Load()
-		if v <= cur || h.max.CompareAndSwap(cur, v) {
+		cur := atomic.LoadInt64(&h.max)
+		if v <= cur || atomic.CompareAndSwapInt64(&h.max, cur, v) {
 			return
 		}
 	}
@@ -68,10 +82,10 @@ func (h *H) Observe(v int64) {
 func (h *H) Count() int64 { return h.load().Count }
 
 // Sum returns the sum of all observed values.
-func (h *H) Sum() int64 { return h.sum.Load() }
+func (h *H) Sum() int64 { return h.load().Sum }
 
 // Max returns the largest observed value (zero when empty).
-func (h *H) Max() int64 { return h.max.Load() }
+func (h *H) Max() int64 { return h.load().Max }
 
 // Percentile returns a conservative estimate of the p-th percentile
 // (0 < p <= 100): the upper bound of the bucket containing that
@@ -96,25 +110,6 @@ func bucketUpper(i int) int64 {
 	return int64(1) << uint(i)
 }
 
-// Merge adds o's observations into h. o is read with atomic loads, so
-// merging a live histogram yields a coherent-enough snapshot (each
-// field individually consistent), and merging quiesced shards is exact.
-func (h *H) Merge(o *H) {
-	for i := 0; i < NumBuckets; i++ {
-		if v := o.buckets[i].Load(); v != 0 {
-			h.buckets[i].Add(v)
-		}
-	}
-	h.sum.Add(o.sum.Load())
-	om := o.max.Load()
-	for {
-		cur := h.max.Load()
-		if om <= cur || h.max.CompareAndSwap(cur, om) {
-			break
-		}
-	}
-}
-
 // Snapshot is a plain-value copy of a histogram with derived
 // percentiles, suitable for JSON export and cross-rank aggregation.
 type Snapshot struct {
@@ -131,10 +126,17 @@ type Snapshot struct {
 // load reads the histogram once: buckets, their sum as Count, Sum and
 // Max, percentiles not yet derived.
 func (h *H) load() Snapshot {
-	s := Snapshot{Sum: h.sum.Load(), Max: h.max.Load()}
-	for i := range s.Buckets {
-		s.Buckets[i] = h.buckets[i].Load()
-		s.Count += s.Buckets[i]
+	var s Snapshot
+	if h.shared {
+		s.Sum, s.Max = atomic.LoadInt64(&h.sum), atomic.LoadInt64(&h.max)
+		for i := range s.Buckets {
+			s.Buckets[i] = atomic.LoadInt64(&h.buckets[i])
+		}
+	} else {
+		s.Sum, s.Max, s.Buckets = h.sum, h.max, h.buckets
+	}
+	for _, b := range s.Buckets {
+		s.Count += b
 	}
 	return s
 }

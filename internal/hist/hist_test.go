@@ -78,16 +78,7 @@ func TestMergeShardsEqualsWhole(t *testing.T) {
 		whole.Observe(v)
 		parts[i%shards].Observe(v)
 	}
-	var merged H
-	for i := range parts {
-		merged.Merge(&parts[i])
-	}
-	ws, ms := whole.Snapshot(), merged.Snapshot()
-	if ws != ms {
-		t.Fatalf("merged shards != whole:\nwhole  %+v\nmerged %+v", ws, ms)
-	}
-
-	// Snapshot-level merge must agree too.
+	ws := whole.Snapshot()
 	var sm Snapshot
 	for i := range parts {
 		sm.Merge(parts[i].Snapshot())
@@ -99,6 +90,7 @@ func TestMergeShardsEqualsWhole(t *testing.T) {
 
 func TestConcurrentObserve(t *testing.T) {
 	var h H
+	h.Share()
 	const goroutines, per = 8, 2000
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -147,5 +139,39 @@ func TestObserveAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Observe allocates: %g allocs/op", allocs)
+	}
+}
+
+// TestSingleVsSharedHist: one seeded stream of observations gives the
+// same snapshot from a single-writer histogram and a shared one.
+func TestSingleVsSharedHist(t *testing.T) {
+	var single, shared H
+	shared.Share()
+	rng := rand.New(rand.NewSource(22))
+	for i := 0; i < 20000; i++ {
+		v := rng.Int63n(1<<uint(rng.Intn(40))) - 3 // some negative: clamped
+		single.Observe(v)
+		shared.Observe(v)
+	}
+	if a, b := single.Snapshot(), shared.Snapshot(); a != b {
+		t.Fatalf("single-writer and shared histograms differ:\n%+v\n%+v", a, b)
+	}
+	if single.Percentile(37) != shared.Percentile(37) || single.Count() != 20000 {
+		t.Fatalf("p37 %d vs %d, count %d", single.Percentile(37), shared.Percentile(37), single.Count())
+	}
+}
+
+// BenchmarkObserve is the ladder's hist.observe_ns probe, in both modes.
+func BenchmarkObserve(b *testing.B) {
+	for _, mode := range []string{"owner", "shared"} {
+		b.Run(mode, func(b *testing.B) {
+			var h H
+			if mode == "shared" {
+				h.Share()
+			}
+			for i := 0; i < b.N; i++ {
+				h.Observe(int64(i & 4095))
+			}
+		})
 	}
 }

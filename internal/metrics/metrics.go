@@ -1,14 +1,14 @@
 // Package metrics is the per-rank observability registry: counters and
 // high-water gauges updated by the transports, the matching engine, the
 // pools, and the devices as traffic flows. The registry is
-// allocation-free; every counter is an int64 field updated with an
-// atomic add, so it is safe both for the owning rank's goroutine and
-// for peers attributing receive-side traffic — and, under
-// MPI_THREAD_MULTIPLE, for several application goroutines driving one
-// rank concurrently across different VCIs. Enabling metrics costs a few
-// uncontended atomic adds on the hot paths and nothing else. Cross-rank
-// aggregation happens only at teardown, when each rank's registry is
-// snapshotted and merged (see DESIGN.md §6a).
+// allocation-free and follows the charge ledger's rule (DESIGN.md §6a):
+// a Rank is written only by its own rank's goroutine, with plain adds,
+// and is atomic only after Share, which proc.World.SetThreadMultiple
+// calls. What a peer's arriving message observes is never written into
+// the receiver's Rank: it lands in the Arrivals of the interface it
+// arrived on, under the lock that interface already takes, and is
+// folded into the Snapshot. Cross-rank aggregation happens only at
+// teardown, when each rank's registry is snapshotted and merged.
 package metrics
 
 import (
@@ -26,12 +26,32 @@ type PathStat struct {
 
 // Note records one message of n payload bytes.
 func (p *PathStat) Note(n int) {
+	p.Msgs++
+	p.Bytes += int64(n)
+}
+
+// Path is a PathStat inside a live registry: single-writer until its
+// Rank is shared.
+type Path struct {
+	PathStat
+	shared bool
+}
+
+// Note records one message of n payload bytes.
+func (p *Path) Note(n int) {
+	if !p.shared {
+		p.PathStat.Note(n)
+		return
+	}
 	atomic.AddInt64(&p.Msgs, 1)
 	atomic.AddInt64(&p.Bytes, int64(n))
 }
 
-// snap returns an atomically loaded copy.
-func (p *PathStat) snap() PathStat {
+// snap returns a copy (atomically loaded once shared).
+func (p *Path) snap() PathStat {
+	if !p.shared {
+		return p.PathStat
+	}
 	return PathStat{Msgs: atomic.LoadInt64(&p.Msgs), Bytes: atomic.LoadInt64(&p.Bytes)}
 }
 
@@ -111,27 +131,30 @@ var CollAlgoNames = [NumCollAlgos]string{
 	CollAllgathervRing:         "allgatherv/ring",
 }
 
-// Rank is one rank's live registry. Writers use the Note*/Max* methods
-// (atomic adds and CAS maxima); readers take a Snapshot. The zero value
-// is ready to use.
+// Rank is one rank's live registry. Writers use the Note*/Max* methods;
+// readers take a Snapshot. The zero value is ready to use and
+// single-writer: every method, Snapshot included, belongs to the rank's
+// own goroutine (ParkClock and Flight's readers excepted) until Share.
 type Rank struct {
+	shared bool
+
 	// Transport paths. Self-loop traffic is counted once, at delivery.
 	// Send-side counters accrue on the sending rank, receive-side
 	// counters on the receiving rank, so summing a path's send bytes
 	// across ranks must equal the sum of its receive bytes.
-	Self    PathStat
-	ShmSend PathStat
-	ShmRecv PathStat
-	NetSend PathStat
-	NetRecv PathStat
+	Self    Path
+	ShmSend Path
+	ShmRecv Path
+	NetSend Path
+	NetRecv Path
 	// Protocol split of netmod sends: eager vs rendezvous, decided by
 	// the fabric profile's eager limit at injection.
-	Eager PathStat
-	Rndv  PathStat
+	Eager Path
+	Rndv  Path
 	// Active messages (RMA fallback on ch4; everything on the CH3-style
 	// baseline rides eager AM packets as well).
-	AmSend PathStat
-	AmRecv PathStat
+	AmSend Path
+	AmRecv Path
 	// Copy accounting for the intra-node paths. CopiesStaged counts
 	// every intermediate staging copy a payload crossed (shm cell
 	// copy-in, ring reassembly, unexpected-queue pool buffering);
@@ -140,29 +163,14 @@ type Rank struct {
 	// folded where it lay. ShmHandoff counts messages (and payload
 	// bytes lent) that took the zero-copy handoff path; it is a subset
 	// of ShmSend, noted on the sending rank.
-	CopiesStaged PathStat
-	CopiesDirect PathStat
-	ShmHandoff   PathStat
+	CopiesStaged Path
+	CopiesDirect Path
+	ShmHandoff   Path
 
-	// Matching-engine counters, stored (not accumulated) from the
-	// engine's own counters when a snapshot is taken. BinHits are
-	// matches found through the per-(ctx,src) bin organization;
-	// WildHits are matches found on the wildcard/global walk (which is
-	// every match in Linear mode).
-	MatchBinOps   int64
-	MatchSearches int64
-	MatchBinHits  int64
-	MatchWildHits int64
-
-	// Queue-depth high waters, updated as entries are enqueued.
+	// Queue-depth high waters, updated as entries are enqueued (the
+	// fabric keeps its unexpected high water in Arrivals).
 	UnexpectedMax int64
 	PostedMax     int64
-
-	// Payload buffer pool, per size class, plus buffers too large for
-	// any class (allocated and dropped, never pooled).
-	PoolHits     [NumPoolClasses]int64
-	PoolMisses   [NumPoolClasses]int64
-	PoolOversize int64
 
 	// Request-object recycling: total pool gets and how many reused a
 	// freed request instead of allocating.
@@ -208,8 +216,7 @@ type Rank struct {
 
 	// Latency decomposition: log2-bucketed histograms over virtual
 	// cycles at the message lifecycle points the paper's Figure 2
-	// attributes time to. All hist.H operations are atomic, so peers
-	// depositing into this rank's endpoint may record here directly.
+	// attributes time to.
 	Lat Latency
 
 	// Flight is the rank's always-on flight recorder: a fixed ring of
@@ -224,11 +231,51 @@ type Rank struct {
 	ParkClock atomic.Int64
 }
 
-// NotePark publishes the owner's clock and records the park (waiting
-// on peer, -1 for any, on interface vci) in the flight ring.
+// Share marks the registry as written by several goroutines of its
+// rank, before it runs: counters and histograms become atomic, the
+// flight ring locked.
+func (r *Rank) Share() {
+	r.shared = true
+	for _, p := range []*Path{&r.Self, &r.ShmSend, &r.ShmRecv, &r.NetSend, &r.NetRecv, &r.Eager, &r.Rndv,
+		&r.AmSend, &r.AmRecv, &r.CopiesStaged, &r.CopiesDirect, &r.ShmHandoff} {
+		p.shared = true
+	}
+	l := &r.Lat
+	for _, h := range []*hist.H{&l.PostMatch, &l.UnexRes, &l.RndvRTT, &l.ReqLife, &l.WaitPark,
+		&l.HandoffRTT, &l.EpochFlush, &l.NotifyWait} {
+		h.Share()
+	}
+	r.Flight.Share()
+}
+
+// add and load are the counter accessors: plain until shared.
+func (r *Rank) add(p *int64, n int64) int64 {
+	if r.shared {
+		return atomic.AddInt64(p, n)
+	}
+	*p += n
+	return *p
+}
+
+func (r *Rank) load(p *int64) int64 {
+	if r.shared {
+		return atomic.LoadInt64(p)
+	}
+	return *p
+}
+
+// NotePark records the park (waiting on peer, -1 for any, on interface
+// vci) in the flight ring and publishes the ring and the owner's clock.
 func (r *Rank) NotePark(now int64, peer, vci int) {
-	r.ParkClock.Store(now)
 	r.Flight.Record(flight.Park, now, peer, 0, vci)
+	r.Publish(now)
+}
+
+// Publish makes the owner's clock and flight ring visible to other
+// goroutines' dumps: at every park, its own dump, and rank exit.
+func (r *Rank) Publish(now int64) {
+	r.ParkClock.Store(now)
+	r.Flight.Flush()
 }
 
 // Latency holds one rank's span histograms. Each span is a difference
@@ -262,8 +309,14 @@ type Latency struct {
 	NotifyWait hist.H
 }
 
-// maxInt64 raises *p to n with a CAS loop.
-func maxInt64(p *int64, n int64) {
+// raise lifts *p to n if it is below (a CAS loop once shared).
+func (r *Rank) raise(p *int64, n int64) {
+	if !r.shared {
+		if n > *p {
+			*p = n
+		}
+		return
+	}
 	for {
 		cur := atomic.LoadInt64(p)
 		if n <= cur || atomic.CompareAndSwapInt64(p, cur, n) {
@@ -273,26 +326,17 @@ func maxInt64(p *int64, n int64) {
 }
 
 // MaxUnexpected raises the unexpected-queue high water to n.
-func (r *Rank) MaxUnexpected(n int) { maxInt64(&r.UnexpectedMax, int64(n)) }
+func (r *Rank) MaxUnexpected(n int) { r.raise(&r.UnexpectedMax, int64(n)) }
 
 // MaxPosted raises the posted-queue high water to n.
-func (r *Rank) MaxPosted(n int) { maxInt64(&r.PostedMax, int64(n)) }
-
-// NotePoolHit counts a buffer-pool hit in size class i.
-func (r *Rank) NotePoolHit(i int) { atomic.AddInt64(&r.PoolHits[i], 1) }
-
-// NotePoolMiss counts a buffer-pool miss in size class i.
-func (r *Rank) NotePoolMiss(i int) { atomic.AddInt64(&r.PoolMisses[i], 1) }
-
-// NotePoolOversize counts an unpoolable oversize buffer allocation.
-func (r *Rank) NotePoolOversize() { atomic.AddInt64(&r.PoolOversize, 1) }
+func (r *Rank) MaxPosted(n int) { r.raise(&r.PostedMax, int64(n)) }
 
 // NoteReqAlloc counts a request-pool get; reused says whether it came
 // off the freelist.
 func (r *Rank) NoteReqAlloc(reused bool) {
-	atomic.AddInt64(&r.ReqAllocs, 1)
+	r.add(&r.ReqAllocs, 1)
 	if reused {
-		atomic.AddInt64(&r.ReqReuses, 1)
+		r.add(&r.ReqReuses, 1)
 	}
 }
 
@@ -302,8 +346,8 @@ func (r *Rank) NoteColl(algo int, n int64) {
 	if algo < 0 || algo >= NumCollAlgos {
 		return
 	}
-	atomic.AddInt64(&r.CollCalls[algo], 1)
-	atomic.AddInt64(&r.CollBytes[algo], n)
+	r.add(&r.CollCalls[algo], 1)
+	r.add(&r.CollBytes[algo], n)
 }
 
 // NoteSchedCache counts one use of a kept schedule: hit is a
@@ -311,31 +355,31 @@ func (r *Rank) NoteColl(algo int, n int64) {
 // compiled it.
 func (r *Rank) NoteSchedCache(hit bool) {
 	if hit {
-		atomic.AddInt64(&r.SchedCacheHits, 1)
+		r.add(&r.SchedCacheHits, 1)
 	} else {
-		atomic.AddInt64(&r.SchedCacheMisses, 1)
+		r.add(&r.SchedCacheMisses, 1)
 	}
 }
 
 // NotePartitionsReady counts n partition-ready publications on a
 // partitioned send.
 func (r *Rank) NotePartitionsReady(n int) {
-	atomic.AddInt64(&r.PartitionsReady, int64(n))
+	r.add(&r.PartitionsReady, int64(n))
 }
 
 // NoteRmaPut / NoteRmaGet / NoteRmaAcc / NoteRmaGetAcc count one-sided
 // operations at the device ADI entry.
-func (r *Rank) NoteRmaPut()    { atomic.AddInt64(&r.RmaPuts, 1) }
-func (r *Rank) NoteRmaGet()    { atomic.AddInt64(&r.RmaGets, 1) }
-func (r *Rank) NoteRmaAcc()    { atomic.AddInt64(&r.RmaAccs, 1) }
-func (r *Rank) NoteRmaGetAcc() { atomic.AddInt64(&r.RmaGetAccs, 1) }
+func (r *Rank) NoteRmaPut()    { r.add(&r.RmaPuts, 1) }
+func (r *Rank) NoteRmaGet()    { r.add(&r.RmaGets, 1) }
+func (r *Rank) NoteRmaAcc()    { r.add(&r.RmaAccs, 1) }
+func (r *Rank) NoteRmaGetAcc() { r.add(&r.RmaGetAccs, 1) }
 
 // NoteRmaFlush / NoteRmaLockAll / NoteRmaNotify count the flush-based
 // synchronization primitives: any Flush variant, a single-epoch
 // LockAll open, a notified-access token sent.
-func (r *Rank) NoteRmaFlush()   { atomic.AddInt64(&r.RmaFlushes, 1) }
-func (r *Rank) NoteRmaLockAll() { atomic.AddInt64(&r.RmaLockAlls, 1) }
-func (r *Rank) NoteRmaNotify()  { atomic.AddInt64(&r.RmaNotifies, 1) }
+func (r *Rank) NoteRmaFlush()   { r.add(&r.RmaFlushes, 1) }
+func (r *Rank) NoteRmaLockAll() { r.add(&r.RmaLockAlls, 1) }
+func (r *Rank) NoteRmaNotify()  { r.add(&r.RmaNotifies, 1) }
 
 // NotePeerState accounts the materialization of per-peer state: bytes
 // of modeled state added (a connection slot, a shm ring), with newPeer
@@ -344,21 +388,53 @@ func (r *Rank) NoteRmaNotify()  { atomic.AddInt64(&r.RmaNotifies, 1) }
 // ceiling without a second load.
 func (r *Rank) NotePeerState(newPeer bool, bytes int64) int64 {
 	if newPeer {
-		atomic.AddInt64(&r.PeersTouched, 1)
+		r.add(&r.PeersTouched, 1)
 	}
-	return atomic.AddInt64(&r.PeerStateBytes, bytes)
+	return r.add(&r.PeerStateBytes, bytes)
 }
 
-// StoreMatch stores the matching-engine counters (devices fold their
-// engines in before snapshotting).
-func (r *Rank) StoreMatch(binOps, searches, binHits, wildHits int64) {
-	atomic.StoreInt64(&r.MatchBinOps, binOps)
-	atomic.StoreInt64(&r.MatchSearches, searches)
-	atomic.StoreInt64(&r.MatchBinHits, binHits)
-	atomic.StoreInt64(&r.MatchWildHits, wildHits)
+// Arrivals is the arrival-side half of a registry: what a message
+// landing at one matching unit — or a receive meeting it there —
+// observes, and (Flight) the last messages peers landed there. It has no synchronization of its own: every field is
+// written, and AddTo called, under the lock of the interface embedding
+// it, which a deposit or a posted receive already holds, whichever
+// rank's goroutine that is.
+type Arrivals struct {
+	NetRecv, ShmRecv, Self PathStat
+	// CopiesStaged counts unexpected-queue buffering; CopiesDirect the
+	// final copies at match time.
+	CopiesStaged, CopiesDirect PathStat
+	UnexpectedMax              int64
+	// Payload buffer pool, per size class, plus unpooled oversize gets.
+	PoolHits, PoolMisses [NumPoolClasses]int64
+	PoolOversize         int64
+	PostMatch, UnexRes   hist.H
+	Flight               flight.Lane
 }
 
-// MatchStats is the snapshot of the matching-engine counters.
+// AddTo folds a into s.
+func (a *Arrivals) AddTo(s *Snapshot) {
+	s.NetRecv.add(a.NetRecv)
+	s.ShmRecv.add(a.ShmRecv)
+	s.Self.add(a.Self)
+	s.CopiesStaged.add(a.CopiesStaged)
+	s.CopiesDirect.add(a.CopiesDirect)
+	s.Match.UnexpectedMax = max(s.Match.UnexpectedMax, a.UnexpectedMax)
+	for i := range a.PoolHits {
+		s.Pool.Hits[i] += a.PoolHits[i]
+		s.Pool.Misses[i] += a.PoolMisses[i]
+	}
+	s.Pool.Oversize += a.PoolOversize
+	s.Lat.PostMatch.Merge(a.PostMatch.Snapshot())
+	s.Lat.UnexRes.Merge(a.UnexRes.Snapshot())
+}
+
+// MatchStats is the snapshot of the matching-engine counters, which
+// live on the engines: the device that owns them adds them in. BinHits
+// are matches found through the per-(ctx,src) bin organization;
+// WildHits are matches found on the wildcard/global walk (which is
+// every match in Linear mode). The two high waters are updated as
+// entries are enqueued.
 type MatchStats struct {
 	BinOps        int64 `json:"bin_ops"`
 	Searches      int64 `json:"searches"`
@@ -477,7 +553,7 @@ type Snapshot struct {
 
 // Snapshot freezes the registry. Callers that maintain counters
 // outside the registry (the devices' matching engines, the endpoint's
-// per-VCI stats) fold them in first.
+// per-VCI stats and Arrivals) fold them into the result.
 func (r *Rank) Snapshot() Snapshot {
 	s := Snapshot{
 		Self:         r.Self.snap(),
@@ -493,39 +569,30 @@ func (r *Rank) Snapshot() Snapshot {
 		CopiesDirect: r.CopiesDirect.snap(),
 		ShmHandoff:   r.ShmHandoff.snap(),
 		Match: MatchStats{
-			BinOps:        atomic.LoadInt64(&r.MatchBinOps),
-			Searches:      atomic.LoadInt64(&r.MatchSearches),
-			BinHits:       atomic.LoadInt64(&r.MatchBinHits),
-			WildHits:      atomic.LoadInt64(&r.MatchWildHits),
-			UnexpectedMax: atomic.LoadInt64(&r.UnexpectedMax),
-			PostedMax:     atomic.LoadInt64(&r.PostedMax),
+			UnexpectedMax: r.load(&r.UnexpectedMax),
+			PostedMax:     r.load(&r.PostedMax),
 		},
-		Pool: PoolStats{Oversize: atomic.LoadInt64(&r.PoolOversize)},
 		Req: ReqStats{
-			Allocs: atomic.LoadInt64(&r.ReqAllocs),
-			Reuses: atomic.LoadInt64(&r.ReqReuses),
+			Allocs: r.load(&r.ReqAllocs),
+			Reuses: r.load(&r.ReqReuses),
 		},
 		Rma: RmaStats{
-			Puts:     atomic.LoadInt64(&r.RmaPuts),
-			Gets:     atomic.LoadInt64(&r.RmaGets),
-			Accs:     atomic.LoadInt64(&r.RmaAccs),
-			GetAccs:  atomic.LoadInt64(&r.RmaGetAccs),
-			Flushes:  atomic.LoadInt64(&r.RmaFlushes),
-			LockAlls: atomic.LoadInt64(&r.RmaLockAlls),
-			Notifies: atomic.LoadInt64(&r.RmaNotifies),
+			Puts:     r.load(&r.RmaPuts),
+			Gets:     r.load(&r.RmaGets),
+			Accs:     r.load(&r.RmaAccs),
+			GetAccs:  r.load(&r.RmaGetAccs),
+			Flushes:  r.load(&r.RmaFlushes),
+			LockAlls: r.load(&r.RmaLockAlls),
+			Notifies: r.load(&r.RmaNotifies),
 		},
 	}
-	touched := atomic.LoadInt64(&r.PeersTouched)
-	stateBytes := atomic.LoadInt64(&r.PeerStateBytes)
+	touched := r.load(&r.PeersTouched)
+	stateBytes := r.load(&r.PeerStateBytes)
 	s.Peers = PeerStats{Touched: touched, StateBytes: stateBytes, MaxStateBytes: stateBytes}
 	s.Sched = SchedStats{
-		CacheHits:       atomic.LoadInt64(&r.SchedCacheHits),
-		CacheMisses:     atomic.LoadInt64(&r.SchedCacheMisses),
-		PartitionsReady: atomic.LoadInt64(&r.PartitionsReady),
-	}
-	for i := range r.PoolHits {
-		s.Pool.Hits[i] = atomic.LoadInt64(&r.PoolHits[i])
-		s.Pool.Misses[i] = atomic.LoadInt64(&r.PoolMisses[i])
+		CacheHits:       r.load(&r.SchedCacheHits),
+		CacheMisses:     r.load(&r.SchedCacheMisses),
+		PartitionsReady: r.load(&r.PartitionsReady),
 	}
 	s.Lat = LatSnapshot{
 		PostMatch:  r.Lat.PostMatch.Snapshot(),
@@ -538,8 +605,8 @@ func (r *Rank) Snapshot() Snapshot {
 		NotifyWait: r.Lat.NotifyWait.Snapshot(),
 	}
 	for i := 0; i < NumCollAlgos; i++ {
-		calls := atomic.LoadInt64(&r.CollCalls[i])
-		bytes := atomic.LoadInt64(&r.CollBytes[i])
+		calls := r.load(&r.CollCalls[i])
+		bytes := r.load(&r.CollBytes[i])
 		if calls == 0 && bytes == 0 {
 			continue
 		}

@@ -1,8 +1,15 @@
 package metrics
 
 import (
+	"bytes"
 	"encoding/json"
+	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
+
+	"gompi/internal/flight"
+	"gompi/internal/hist"
 )
 
 func TestNoteAndSnapshot(t *testing.T) {
@@ -12,12 +19,15 @@ func TestNoteAndSnapshot(t *testing.T) {
 	r.Eager.Note(128)
 	r.MaxUnexpected(5)
 	r.MaxUnexpected(3) // must not lower the high water
-	r.PoolHits[1]++
 	r.ReqAllocs++
 	r.ReqReuses++
 	r.RmaPuts++
 
+	var a Arrivals
+	a.PoolHits[1]++
+	a.UnexpectedMax = 4 // below the registry's own high water
 	s := r.Snapshot()
+	a.AddTo(&s)
 	if s.NetSend.Msgs != 2 || s.NetSend.Bytes != 128 {
 		t.Errorf("NetSend = %+v, want {2 128}", s.NetSend)
 	}
@@ -35,9 +45,10 @@ func TestMerge(t *testing.T) {
 	a.MaxUnexpected(7)
 	b.ShmRecv.Note(64)
 	b.MaxUnexpected(3)
-	b.MatchBinHits = 2
+	bs := b.Snapshot()
+	bs.Match.BinHits = 2
 
-	m := a.Snapshot().Merge(b.Snapshot())
+	m := a.Snapshot().Merge(bs)
 	if m.ShmSend.Bytes != 64 || m.ShmRecv.Bytes != 64 {
 		t.Errorf("merge lost path bytes: %+v", m)
 	}
@@ -64,5 +75,153 @@ func TestSnapshotJSONShape(t *testing.T) {
 		if _, ok := m[key]; !ok {
 			t.Errorf("snapshot JSON missing %q: %s", key, out)
 		}
+	}
+}
+
+// observers finds every Path and hist.H of the registry by walking its
+// fields, nested structs included, so one added later is driven and
+// checked without being listed here.
+func observers(t *testing.T, r *Rank) (paths []*Path, lats []*hist.H) {
+	var walk func(v reflect.Value)
+	walk = func(v reflect.Value) {
+		for i := 0; i < v.NumField(); i++ {
+			f := v.Field(i)
+			switch f.Type() {
+			case reflect.TypeOf(Path{}), reflect.TypeOf(hist.H{}):
+				if !f.CanInterface() {
+					t.Fatalf("%s.%s is an unexported observer: Share and this walk cannot see it", v.Type(), v.Type().Field(i).Name)
+				}
+				switch o := f.Addr().Interface().(type) {
+				case *Path:
+					paths = append(paths, o)
+				case *hist.H:
+					lats = append(lats, o)
+				}
+			default:
+				if f.Kind() == reflect.Struct {
+					walk(f)
+				}
+			}
+		}
+	}
+	walk(reflect.ValueOf(r).Elem())
+	return paths, lats
+}
+
+// TestShareReachesEveryObserver: each Path and histogram carries its own
+// mode, so one Share forgot would keep plain stores under
+// MPI_THREAD_MULTIPLE — a silent race. Every one the walk finds must be
+// shared afterwards (and the walk must find the ones Snapshot reports).
+func TestShareReachesEveryObserver(t *testing.T) {
+	var r Rank
+	r.Share()
+	paths, lats := observers(t, &r)
+	if len(paths) < 12 || len(lats) < 8 {
+		t.Fatalf("walk found %d paths and %d histograms, want at least 12 and 8", len(paths), len(lats))
+	}
+	for i, p := range paths {
+		if !p.shared {
+			t.Errorf("path %d of the registry is not shared after Share", i)
+		}
+	}
+	for i, h := range lats {
+		if !reflect.ValueOf(h).Elem().FieldByName("shared").Bool() {
+			t.Errorf("histogram %d of the registry is not shared after Share", i)
+		}
+	}
+	if !r.shared || !reflect.ValueOf(&r.Flight).Elem().FieldByName("shared").Bool() {
+		t.Error("the registry's counters or flight ring are not shared after Share")
+	}
+}
+
+// drive applies one seeded stream of every kind of note to r.
+func drive(t *testing.T, r *Rank) {
+	rng := rand.New(rand.NewSource(22))
+	paths, lats := observers(t, r)
+	notes := []func(){r.NoteRmaPut, r.NoteRmaGet, r.NoteRmaAcc, r.NoteRmaGetAcc, r.NoteRmaFlush, r.NoteRmaLockAll, r.NoteRmaNotify}
+	for i := 0; i < 5000; i++ {
+		n := rng.Intn(1 << 16)
+		paths[rng.Intn(len(paths))].Note(n)
+		lats[rng.Intn(len(lats))].Observe(int64(n))
+		notes[rng.Intn(len(notes))]()
+		r.MaxUnexpected(n % 97)
+		r.MaxPosted(n % 89)
+		r.NoteReqAlloc(n%3 == 0)
+		r.NoteColl(rng.Intn(NumCollAlgos), int64(n))
+		r.NoteSchedCache(n%2 == 0)
+		r.NotePartitionsReady(n % 5)
+		r.NotePeerState(n%11 == 0, int64(n%256))
+		r.Flight.Record(flight.Kind(n%8), int64(i), n%4, n, 0)
+		if n%64 == 0 {
+			r.NotePark(int64(i), n%4, 0)
+		}
+	}
+	r.Publish(5000)
+}
+
+// TestSingleVsSharedRank: the registry gives identical snapshots, park
+// clock and flight dump in single-writer and shared mode.
+func TestSingleVsSharedRank(t *testing.T) {
+	var single, shared Rank
+	shared.Share()
+	drive(t, &single)
+	drive(t, &shared)
+	if a, b := single.Snapshot(), shared.Snapshot(); !reflect.DeepEqual(a, b) {
+		t.Fatalf("single-writer and shared registries differ:\n%+v\n%+v", a, b)
+	}
+	if single.Snapshot().Rma.Puts == 0 || single.Snapshot().Lat.ReqLife.Count == 0 {
+		t.Fatal("the stream noted nothing")
+	}
+	var da, db bytes.Buffer
+	single.Flight.Dump(&da, "r")
+	shared.Flight.Dump(&db, "r")
+	if da.String() != db.String() || single.ParkClock.Load() != shared.ParkClock.Load() {
+		t.Fatalf("dumps differ:\n%s\n%s", da.String(), db.String())
+	}
+}
+
+// TestSharedRankConcurrent: 8 goroutines note into one shared registry
+// while a ninth snapshots it (run under -race); nothing is lost.
+func TestSharedRankConcurrent(t *testing.T) {
+	const writers, per = 8, 2000
+	var r Rank
+	r.Share()
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				r.NetSend.Note(8)
+				r.NoteRmaPut()
+				r.MaxPosted(i)
+				r.Lat.ReqLife.Observe(int64(i))
+				r.Flight.Record(flight.SendEager, int64(i), 1, 8, 0)
+			}
+		}()
+	}
+	for i := 0; i < 100; i++ {
+		_ = r.Snapshot()
+	}
+	wg.Wait()
+	s := r.Snapshot()
+	if s.NetSend != (PathStat{writers * per, 8 * writers * per}) || s.Rma.Puts != writers*per ||
+		s.Match.PostedMax != per-1 || s.Lat.ReqLife.Count != writers*per {
+		t.Fatalf("shared registry lost notes: %+v", s)
+	}
+}
+
+// BenchmarkNote is the ladder's metrics.note_ns probe, in both modes.
+func BenchmarkNote(b *testing.B) {
+	for _, mode := range []string{"owner", "shared"} {
+		b.Run(mode, func(b *testing.B) {
+			var m Rank
+			if mode == "shared" {
+				m.Share()
+			}
+			for i := 0; i < b.N; i++ {
+				m.NetSend.Note(8)
+			}
+		})
 	}
 }

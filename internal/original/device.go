@@ -232,15 +232,15 @@ func (d *Device) Config() core.Config { return d.cfg }
 // Stats snapshots the rank's metrics registry. Matching happens in
 // software at the MPI layer on this device, so the device's own
 // engine — not the (unused) endpoint matching unit — is folded in.
-// Owner-goroutine only, like every other Device method; the engine
-// fold is safe unlocked (only this goroutine touches it), but the
-// registry copy goes through the endpoint so it happens under the
-// lock peers hold while bumping receive-side counters.
+// Owner-goroutine only, like every other Device method, so the engine
+// fold is safe unlocked.
 func (d *Device) Stats() metrics.Snapshot {
 	d.lock()
 	defer d.unlock()
-	d.rank.Metrics().StoreMatch(d.eng.BinOps, d.eng.Searches, d.eng.BinHits, d.eng.WildHits)
-	return d.ep.SnapshotStats()
+	s := d.ep.SnapshotStats()
+	s.Match.BinOps, s.Match.Searches, s.Match.BinHits, s.Match.WildHits =
+		d.eng.BinOps, d.eng.Searches, d.eng.BinHits, d.eng.WildHits
+	return s
 }
 
 // lock enters the global critical section when the build requested

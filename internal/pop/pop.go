@@ -24,11 +24,9 @@
 // low TE means the cycles spent moving bytes are themselves the
 // bottleneck.
 //
-// Global Efficiency extends PE with Computation Scaling when comparing
-// runs at different scales: CompScale = reference total useful / this
-// run's total useful, so extra work introduced by parallelisation
-// (replicated arithmetic, halo recomputation) is charged to the
-// parallelisation. For a single run CompScale is 1 and GE == PE.
+// These are the per-run terms only. POP's cross-run term, Computation
+// Scaling (and the Global Efficiency built on it), compares total useful
+// work between runs at different scales; nothing here computes it.
 package pop
 
 import (

@@ -57,10 +57,10 @@ func (w *World) SetInstrCPI(cpi float64) {
 }
 
 // SetThreadMultiple marks every rank's charge ledger (instruction
-// profile and clock) as shared between goroutines: under
-// MPI_THREAD_MULTIPLE several application goroutines drive one rank,
-// so its charges must be atomic. The default is single-writer. Must be
-// called before Run.
+// profile and clock) and metrics registry as shared between goroutines:
+// under MPI_THREAD_MULTIPLE several application goroutines drive one
+// rank, so its charges and observations must be atomic. The default is
+// single-writer. Must be called before Run.
 func (w *World) SetThreadMultiple(on bool) {
 	if !on {
 		return
@@ -68,6 +68,7 @@ func (w *World) SetThreadMultiple(on bool) {
 	for _, r := range w.ranks {
 		r.prof.Share()
 		r.clock.Share()
+		r.m.Share()
 	}
 }
 
@@ -136,8 +137,10 @@ func wrapRankErr(id int, err error) error {
 // single-writer: Charge, ChargeCycles, Sync, Now and the Profile reads
 // use plain loads and stores, so everything except the world queries
 // and Metrics must be called only from the rank's own goroutine (any
-// of its goroutines once the world is SetThreadMultiple). Other
-// goroutines learn a rank's clock from Metrics().ParkClock.
+// of its goroutines once the world is SetThreadMultiple) — and so must
+// the registry's writers and Snapshot. Other goroutines learn a rank's
+// clock from Metrics().ParkClock and its history from Metrics().Flight,
+// both as of the rank's last park.
 type Rank struct {
 	id    int
 	world *World

@@ -96,35 +96,42 @@ func (r *Request) Free() {
 	}
 }
 
-// Pool is a per-rank request freelist. A short mutex guards the
-// freelist itself (under MPI_THREAD_MULTIPLE several goroutines of one
-// rank allocate and free concurrently); the requests handed out are
-// still owned by single goroutines. The zero value is ready to use.
+// Pool is a per-rank request freelist. The zero value is ready to use
+// and single-writer: only the owning rank's goroutine gets and frees.
+// A pool several goroutines of one rank use (MPI_THREAD_MULTIPLE) is
+// marked with Share and guards the freelist with a short mutex; the
+// requests handed out are owned by single goroutines either way.
 type Pool struct {
-	mu   sync.Mutex
-	free []*Request
+	mu     sync.Mutex
+	shared bool
+	free   []*Request
 
 	// Metrics, when set, counts gets and freelist reuses (the
 	// request-recycling rate the paper's Section 3.5 is about).
 	Metrics *metrics.Rank
 }
 
+// Share marks the pool as used by several goroutines, before the first
+// Get.
+func (p *Pool) Share() { p.shared = true }
+
 // Get returns a zeroed request.
 func (p *Pool) Get(kind Kind) *Request {
+	if p.shared {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+	}
 	var r *Request
-	p.mu.Lock()
-	reused := false
-	if n := len(p.free); n > 0 {
-		reused = true
+	n := len(p.free)
+	if n > 0 {
 		r = p.free[n-1]
 		p.free = p.free[:n-1]
 		*r = Request{}
 	} else {
 		r = &Request{}
 	}
-	p.mu.Unlock()
 	if p.Metrics != nil {
-		p.Metrics.NoteReqAlloc(reused)
+		p.Metrics.NoteReqAlloc(n > 0)
 	}
 	r.Kind = kind
 	r.pool = p
@@ -133,15 +140,19 @@ func (p *Pool) Get(kind Kind) *Request {
 
 func (p *Pool) put(r *Request) {
 	r.Poll, r.Block = nil, nil
-	p.mu.Lock()
+	if p.shared {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+	}
 	p.free = append(p.free, r)
-	p.mu.Unlock()
 }
 
 // Len reports the freelist depth (tests).
 func (p *Pool) Len() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	if p.shared {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+	}
 	return len(p.free)
 }
 

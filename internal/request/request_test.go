@@ -1,9 +1,12 @@
 package request
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"gompi/internal/metrics"
 )
 
 func TestImmediateCompletion(t *testing.T) {
@@ -179,5 +182,83 @@ func TestCounterBalance(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSingleVsSharedPool: one seeded get/free stream leaves a
+// single-writer pool and a shared one in the same state, with the same
+// reuse counts.
+func TestSingleVsSharedPool(t *testing.T) {
+	run := func(shared bool) (depth int, m metrics.Snapshot) {
+		var reg metrics.Rank
+		p := &Pool{Metrics: &reg}
+		if shared {
+			p.Share()
+			reg.Share()
+		}
+		rng := rand.New(rand.NewSource(22))
+		var live []*Request
+		for i := 0; i < 5000; i++ {
+			if len(live) == 0 || rng.Intn(3) > 0 {
+				r := p.Get(Kind(rng.Intn(4)))
+				if r.complete || r.Poll != nil || r.Block != nil || r.Issued != 0 {
+					t.Fatalf("shared %v: Get returned a dirty request %+v", shared, r)
+				}
+				r.Issued, r.Poll = int64(i), func(*Request) bool { return true }
+				live = append(live, r)
+			} else {
+				k := rng.Intn(len(live))
+				live[k].Free()
+				live = append(live[:k], live[k+1:]...)
+			}
+		}
+		return p.Len(), reg.Snapshot()
+	}
+	d0, m0 := run(false)
+	d1, m1 := run(true)
+	if d0 != d1 || m0.Req != m1.Req || m0.Req.Reuses == 0 {
+		t.Fatalf("single-writer pool: depth %d, %+v; shared: depth %d, %+v", d0, m0.Req, d1, m1.Req)
+	}
+}
+
+// TestSharedPoolConcurrent: 8 goroutines get and free on one shared
+// pool (run under -race); every request comes back.
+func TestSharedPoolConcurrent(t *testing.T) {
+	var p Pool
+	p.Share()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 2000; i++ {
+				a, b := p.Get(KindSend), p.Get(KindRecv)
+				a.Free()
+				b.Free()
+			}
+		}()
+	}
+	wg.Wait()
+	if n := p.Len(); n < 2 || n > 16 {
+		t.Fatalf("freelist depth %d after 8 goroutines held 2 requests each", n)
+	}
+}
+
+// BenchmarkPoolGetFree is the ladder's request.get_free_ns probe, in
+// both modes.
+func BenchmarkPoolGetFree(b *testing.B) {
+	for _, mode := range []string{"owner", "shared"} {
+		b.Run(mode, func(b *testing.B) {
+			var m metrics.Rank
+			pool := &Pool{Metrics: &m}
+			if mode == "shared" {
+				pool.Share()
+				m.Share()
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				pool.Get(KindSend).Free()
+			}
+		})
 	}
 }

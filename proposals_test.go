@@ -240,21 +240,21 @@ func TestProposalLadderPublic(t *testing.T) {
 			return err
 		}
 		noReq, err := measureIsend(p, func() error {
-			_, e := w.isend(buf, 1, Byte, 1, 0, flagNoMatchNoReq)
+			_, e := w.isend(buf, 1, Byte, 1, 0, flagNoMatchNoReq, nil)
 			return e
 		})
 		if err != nil {
 			return err
 		}
 		glob, err := measureIsend(p, func() error {
-			_, e := w.isend(buf, 1, Byte, 1, 0, flagNoMatchNoReqGlobal)
+			_, e := w.isend(buf, 1, Byte, 1, 0, flagNoMatchNoReqGlobal, nil)
 			return e
 		})
 		if err != nil {
 			return err
 		}
 		npn, err := measureIsend(p, func() error {
-			_, e := w.isend(buf, 1, Byte, 1, 0, flagAllButPredef)
+			_, e := w.isend(buf, 1, Byte, 1, 0, flagAllButPredef, nil)
 			return e
 		})
 		if err != nil {

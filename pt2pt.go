@@ -143,10 +143,22 @@ func Waitall(reqs []*Request) error {
 	return first
 }
 
+// scratchReq is the public Request a blocking call waits on and drops:
+// one of the rank's two scratch slots, or nil (a fresh one is then
+// allocated) under MPI_THREAD_MULTIPLE, where several goroutines block
+// on one Proc at once.
+func (p *Proc) scratchReq(slot int) *Request {
+	if p.bc.ThreadMultiple {
+		return nil
+	}
+	return &p.scratch[slot]
+}
+
 // isend is the shared MPI-layer send path: charge the MPI-layer rows of
 // Table 1 (call, thread check, error checking) and descend into the
-// device with the extension flags.
-func (c *Comm) isend(buf []byte, count int, dt *Datatype, dest, tag int, flags core.OpFlags) (*Request, error) {
+// device with the extension flags. The request is filled into req, or
+// into a fresh one when req is nil (the nonblocking forms).
+func (c *Comm) isend(buf []byte, count int, dt *Datatype, dest, tag int, flags core.OpFlags, req *Request) (*Request, error) {
 	p := c.p
 	if end := p.spanVCI(traceSendKind, dest, traceBytes(count, dt), p.vciOf(c, tag, false)); end != nil {
 		defer end()
@@ -166,18 +178,22 @@ func (c *Comm) isend(buf []byte, count int, dt *Datatype, dest, tag int, flags c
 	if r == nil {
 		return nil, nil
 	}
-	return &Request{r: r, p: p}, nil
+	if req == nil {
+		req = new(Request)
+	}
+	*req = Request{r: r, p: p}
+	return req, nil
 }
 
 // Isend starts a nonblocking send (MPI_ISEND).
 func (c *Comm) Isend(buf []byte, count int, dt *Datatype, dest, tag int) (*Request, error) {
-	return c.isend(buf, count, dt, dest, tag, 0)
+	return c.isend(buf, count, dt, dest, tag, 0, nil)
 }
 
 // Send performs a blocking send (MPI_SEND). The eager protocol makes
 // local completion immediate.
 func (c *Comm) Send(buf []byte, count int, dt *Datatype, dest, tag int) error {
-	req, err := c.Isend(buf, count, dt, dest, tag)
+	req, err := c.isend(buf, count, dt, dest, tag, 0, c.p.scratchReq(0))
 	if err != nil {
 		return err
 	}
@@ -251,7 +267,7 @@ func (c *Comm) IsendOpt(buf []byte, count int, dt *Datatype, dest, tag int, o Se
 		}
 		return nil, nil
 	}
-	return c.isend(buf, count, dt, dest, tag, o.flags())
+	return c.isend(buf, count, dt, dest, tag, o.flags(), nil)
 }
 
 // IsendGlobal is the MPI_ISEND_GLOBAL proposal (Section 3.1): dest is
@@ -334,7 +350,8 @@ func (c *Comm) CommWaitall() error {
 // here: a wildcard contradicting the communicator's assertions is a
 // defined error (ErrHint) before anything reaches the device, and the
 // exact-length assertion arms the returned request's completion check.
-func (c *Comm) irecv(buf []byte, count int, dt *Datatype, src, tag int, flags core.OpFlags) (*Request, error) {
+// The request is filled into req, or into a fresh one when req is nil.
+func (c *Comm) irecv(buf []byte, count int, dt *Datatype, src, tag int, flags core.OpFlags, req *Request) (*Request, error) {
 	p := c.p
 	if end := p.spanVCI(traceRecvKind, src, traceBytes(count, dt), p.vciOf(c, tag, true)); end != nil {
 		defer end()
@@ -354,7 +371,10 @@ func (c *Comm) irecv(buf []byte, count int, dt *Datatype, src, tag int, flags co
 	if err != nil {
 		return nil, errc(ErrOther, "%v", err)
 	}
-	req := &Request{r: r, p: p}
+	if req == nil {
+		req = new(Request)
+	}
+	*req = Request{r: r, p: p}
 	if c.c.Hints.ExactLength && src != ProcNull {
 		req.exact, req.exactLen = true, dtPackedSize(dt, count)
 	}
@@ -364,7 +384,7 @@ func (c *Comm) irecv(buf []byte, count int, dt *Datatype, src, tag int, flags co
 // Irecv starts a nonblocking receive (MPI_IRECV). src may be AnySource;
 // tag may be AnyTag.
 func (c *Comm) Irecv(buf []byte, count int, dt *Datatype, src, tag int) (*Request, error) {
-	return c.irecv(buf, count, dt, src, tag, 0)
+	return c.irecv(buf, count, dt, src, tag, 0, nil)
 }
 
 // RecvOptions combines the Section 3 proposals that apply to the
@@ -401,7 +421,7 @@ func (o RecvOptions) flags() core.OpFlags {
 // IrecvOpt starts a nonblocking receive with any combination of the
 // proposed receive-side extensions.
 func (c *Comm) IrecvOpt(buf []byte, count int, dt *Datatype, src, tag int, o RecvOptions) (*Request, error) {
-	return c.irecv(buf, count, dt, src, tag, o.flags())
+	return c.irecv(buf, count, dt, src, tag, o.flags(), nil)
 }
 
 // IrecvNPN is the receive-side MPI_IRECV_NPN variant (Section 3.4):
@@ -431,7 +451,7 @@ func (p *Proc) IrecvPredef(h CommHandle, buf []byte, count int, dt *Datatype, sr
 
 // Recv performs a blocking receive (MPI_RECV).
 func (c *Comm) Recv(buf []byte, count int, dt *Datatype, src, tag int) (Status, error) {
-	req, err := c.Irecv(buf, count, dt, src, tag)
+	req, err := c.irecv(buf, count, dt, src, tag, 0, c.p.scratchReq(1))
 	if err != nil {
 		return Status{}, err
 	}
@@ -598,7 +618,7 @@ func (m *Message) Recv(buf []byte, count int, dt *Datatype) (Status, error) {
 // issued first (eager, never blocks), then the receive completes.
 func (c *Comm) Sendrecv(sendBuf []byte, sendCount int, sendType *Datatype, dest, sendTag int,
 	recvBuf []byte, recvCount int, recvType *Datatype, src, recvTag int) (Status, error) {
-	sreq, err := c.Isend(sendBuf, sendCount, sendType, dest, sendTag)
+	sreq, err := c.isend(sendBuf, sendCount, sendType, dest, sendTag, 0, c.p.scratchReq(0))
 	if err != nil {
 		return Status{}, err
 	}

@@ -7,8 +7,12 @@ import (
 	"regexp"
 	"runtime"
 	"strconv"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"gompi/internal/flight"
 )
 
 // TestWatchdogTripsOnDeadlock drives the canonical deadlock — two ranks
@@ -339,5 +343,131 @@ func TestStatsTraceEventsEdges(t *testing.T) {
 		if ev := st.TraceEvents(rank); len(ev) != 0 {
 			t.Errorf("untraced run: TraceEvents(%d) = %d events, want 0", rank, len(ev))
 		}
+	}
+}
+
+// TestMetricsAndDumpWhilePeersRun is the single-writer registry's guard
+// under -race, at 8 Ps: 8 ranks exchange all-to-all over the netmod —
+// so every message is deposited by its sender's goroutine — while each
+// takes Proc.Metrics() in the middle of the traffic, and then rank 3
+// fails with a DiagWriter set, so its teardown dumps every rank's
+// flight ring and matching units while the other seven keep
+// exchanging. A rank's registry is plain words only its own goroutine
+// touches: a deposit that noted into the receiver's registry, a
+// snapshot that skipped a VCI lock, or a dump that read a live ring
+// trips the race detector here. The counts are checked too: what the
+// interfaces hold folds into the snapshot exactly.
+func TestMetricsAndDumpWhilePeersRun(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	const ranks, rounds, failing = 8, 60, 3
+	boom := errors.New("rank 3 gives up")
+	var diag bytes.Buffer
+	var aborted atomic.Int32
+	err := Run(ranks, Config{Device: DeviceCH4, Fabric: "ofi", DiagWriter: &diag}, func(p *Proc) error {
+		w := p.World()
+		me := p.Rank()
+		sbuf := []byte{byte(me)}
+		rbufs := make([][]byte, ranks)
+		for i := range rbufs {
+			rbufs[i] = make([]byte, 1)
+		}
+		reqs := make([]*Request, 0, 2*ranks)
+		// exchange is one all-to-all among the ranks skip leaves in, with
+		// a snapshot between the posts and the waits and one after.
+		exchange := func(round int, skip int) (MetricsSnapshot, error) {
+			reqs = reqs[:0]
+			for peer := 0; peer < ranks; peer++ {
+				if peer == me || peer == skip {
+					continue
+				}
+				r, err := w.Irecv(rbufs[peer], 1, Byte, peer, round)
+				if err != nil {
+					return MetricsSnapshot{}, err
+				}
+				s, err := w.Isend(sbuf, 1, Byte, peer, round)
+				if err != nil {
+					return MetricsSnapshot{}, err
+				}
+				reqs = append(reqs, r, s)
+			}
+			mid := p.Metrics()
+			if err := Waitall(reqs); err != nil {
+				return mid, err
+			}
+			after := p.Metrics()
+			if mid.NetRecv.Msgs > after.NetRecv.Msgs || mid.Lat.PostMatch.Count > after.Lat.PostMatch.Count {
+				return after, fmt.Errorf("round %d: snapshot ran backward: %+v then %+v", round, mid.NetRecv, after.NetRecv)
+			}
+			return after, nil
+		}
+		var m MetricsSnapshot
+		for r := 0; r < rounds; r++ {
+			var err error
+			if m, err = exchange(r, -1); err != nil {
+				return err
+			}
+		}
+		// Every receive of this rank has completed, so its 7 x rounds
+		// matches are all counted, however many peers' goroutines
+		// delivered them (a peer already in the next exchange may have
+		// landed one more message each); so are its own sends.
+		const msgs = (ranks - 1) * rounds
+		if m.NetRecv.Msgs < msgs || m.NetRecv.Msgs >= msgs+ranks || m.NetSend.Msgs != msgs || m.Lat.PostMatch.Count != msgs ||
+			m.Lat.UnexRes.Count != msgs || m.CopiesDirect.Msgs != msgs || m.Req.Allocs != 2*msgs {
+			return fmt.Errorf("rank %d after %d rounds: net recv %+v send %+v, post-match %d, unexpected residency %d, direct copies %+v, requests %+v; want %d messages each way",
+				me, rounds, m.NetRecv, m.NetSend, m.Lat.PostMatch.Count, m.Lat.UnexRes.Count, m.CopiesDirect, m.Req, msgs)
+		}
+		if me == failing {
+			return boom
+		}
+		defer func() {
+			if rec := recover(); rec != nil {
+				aborted.Add(1)
+				panic(rec)
+			}
+		}()
+		for r := rounds; r < rounds+20000; r++ {
+			if _, err := exchange(r, failing); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if want := fmt.Sprintf("rank %d: %v", failing, boom); err == nil || err.Error() != want {
+		t.Fatalf("Run returned %v, want only %q", err, want)
+	}
+	if aborted.Load() == 0 {
+		t.Error("no peer was still exchanging when the failing rank tore the world down: the dump overlapped nothing")
+	}
+	out := diag.String()
+	for r := 0; r < ranks; r++ {
+		for _, want := range []string{
+			fmt.Sprintf("rank %d: vcycles=", r),
+			fmt.Sprintf("rank %d flight recorder: ", r),
+			fmt.Sprintf("rank %d   #", r),
+		} {
+			if !strings.Contains(out, want) {
+				t.Errorf("dump has no %q", want)
+			}
+		}
+	}
+	// Each matching unit lists what peers landed there, every line placed
+	// against its rank's own events by the ring position it carries.
+	arrivals := regexp.MustCompile(`(?m)^  arrival #.*$`).FindAllString(out, -1)
+	placed := regexp.MustCompile(`^  arrival #\d+ @\d+ (deposit|unexpected) peer=\d bytes=1 vci=0 ring>=\d+$`)
+	for _, l := range arrivals {
+		if !placed.MatchString(l) {
+			t.Errorf("arrival line %q, want a deposit or an unexpected arrival with its ring position", l)
+		}
+	}
+	if len(arrivals) == 0 || !strings.Contains(out, " deposit peer=") {
+		t.Errorf("dump shows no matching unit's arrivals:\n%s", out)
+	}
+	// The failing rank exited, so its whole history is published: its
+	// last owner-side event is the reap of its last receive.
+	own := regexp.MustCompile(fmt.Sprintf(`(?m)^rank %d   #.*$`, failing)).FindAllString(out, -1)
+	if len(own) != flight.Size || !strings.Contains(own[len(own)-1], " recv-done ") {
+		t.Errorf("rank %d's ring shows %d events, want %d ending at its last reap:\n%s",
+			failing, len(own), flight.Size, strings.Join(own, "\n"))
 	}
 }
