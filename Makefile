@@ -32,10 +32,14 @@ race:
 # and the single-writer observers — registry, histograms, flight ring,
 # request pool, region table: their single-vs-shared differentials,
 # their 8-writer shared modes, and the 8-rank run that snapshots and
-# dumps while peers deposit — twenty times each, then five times
+# dumps while peers deposit — and the two lock-free handshakes, where a
+# lost wakeup is a hang: the shm ring as an SPSC queue (1e5 messages
+# through two cells, its park and wake counts, sibling producers) and
+# the fabric's waiter gate (1e5 WakeVCI/WaitEventVCI and
+# deposit/WaitRecv ping-pongs) — twenty times each, then five times
 # race-checked at GOMAXPROCS 1, 2 and 8 (the race detector is the
 # checker of the single-writer rule). Zero failures.
-FLAKE_RUN = 'Ledger|DumpState|ZeroAlloc|AllocFree|SteadyStateAllocs|FeederPublished|FirstTouch|LockTouch|SpmvDeclaredShape|SingleVsShared|Shared.*Concurrent|SharedWriters|ForeignReader|TailFlush|WrapOrder|WhilePeersRun|SnapshotDuringDeposits|Region|RegisterWhilePut|ShareReaches'
+FLAKE_RUN = 'Ledger|DumpState|ZeroAlloc|AllocFree|SteadyStateAllocs|FeederPublished|FirstTouch|LockTouch|SpmvDeclaredShape|SingleVsShared|Shared.*Concurrent|SharedWriters|ForeignReader|TailFlush|WrapOrder|WhilePeersRun|SnapshotDuringDeposits|Region|RegisterWhilePut|ShareReaches|SPSC|NoMutex|WakePerMessage|SharedSiblings|WaiterGate|EventsEquals'
 FLAKE_PKGS = . ./internal/proc ./internal/instr ./internal/vtime ./internal/hist ./internal/shm ./internal/bench ./internal/flight ./internal/metrics ./internal/request ./internal/fabric
 
 flake:

@@ -322,7 +322,7 @@ func TestPersistentCollReplayZeroAlloc(t *testing.T) {
 // their shapes Allreduce, Bcast, Barrier and AllreduceFloat64 allocate
 // nothing, whether the caller passes the same buffers every call or
 // buffers the library has never seen (drawn here from a pool built
-// before the measured window). On ch4 that is an absolute zero. The
+// before the measured window). On ch4 that is zero. The
 // baseline device allocates per message by design (packet, completion
 // closure, request from the locked pool), so there the guard is that
 // fresh buffers cost exactly what stable ones do; the layer above the
@@ -357,8 +357,14 @@ func TestBlockingCollSteadyStateAllocs(t *testing.T) {
 			}, nil
 		})
 	}
+	// Zero to within one high-water event: a rank that for once has one
+	// more message unexpected than ever before grows its message, buffer
+	// and match-node freelists by two objects each (8 over the ranks, seen
+	// in 1-2 % of runs on a loaded machine) — TestICollSteadyStateAllocs'
+	// slack, for the reason given there. A cost per call is 9n x ranks.
+	const slack = 24
 	for _, fresh := range []bool{false, true} {
-		if got := slope(gompi.DeviceCH4, fresh); got >= n/10 {
+		if got := slope(gompi.DeviceCH4, fresh); got > slack {
 			t.Errorf("ch4, fresh buffers %v: blocking collectives allocate: %d more mallocs over %d rounds than over %d (x %d ranks)",
 				fresh, got, 10*n, n, ranks)
 		}

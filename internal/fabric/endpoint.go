@@ -128,14 +128,21 @@ type am struct {
 // vci is one virtual communication interface: a private lock, matching
 // engine, buffer pool, envelope free list, and event sequence. Two
 // goroutines of the same rank driving different VCIs never contend.
+// Everything is under mu but two atomics: eventSeq, the count of
+// deposits and wakes, and waiters, the goroutines in WaitEventVCI or
+// WaitRecv, raised under mu before their first check. An event bumps
+// eventSeq (or sets done), then loads waiters; a waiter raises waiters,
+// then loads what it waits for. One of the two sees the other, so an
+// event Broadcasts only when somebody may sleep, and misses no sleeper.
 type vci struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
 	eng      match.Engine
 	pool     bufPool
 	msgFree  *message
-	eventSeq uint64
-	stats    metrics.VCIStat // receive-side traffic + events, under mu
+	eventSeq atomic.Uint64
+	waiters  atomic.Int32
+	stats    metrics.VCIStat // receive-side traffic, under mu; Events is filled from eventSeq at snapshot
 	// arr is what arrivals at this interface observe — receive-side path
 	// counters, copies, pool hits, post→match and unexpected-residency
 	// latency, the matching unit's recent events — as plain fields
@@ -507,9 +514,10 @@ func (ep *Endpoint) deposit(v int, bits match.Bits, src int, data []byte, arriva
 		}
 		break
 	}
-	s.eventSeq++
-	s.stats.Events++
-	s.cond.Broadcast()
+	s.eventSeq.Add(1)
+	if s.waiters.Load() != 0 {
+		s.cond.Broadcast()
+	}
 	s.mu.Unlock()
 	ep.bumpAgg()
 	if fireRel != nil {
@@ -606,11 +614,12 @@ func (ep *Endpoint) WakeVCI(v int) {
 
 func (ep *Endpoint) wakeVCI(v int) {
 	s := ep.vcis[v]
-	s.mu.Lock()
-	s.eventSeq++
-	s.stats.Events++
-	s.cond.Broadcast()
-	s.mu.Unlock()
+	s.eventSeq.Add(1)
+	if s.waiters.Load() != 0 {
+		s.mu.Lock()
+		s.cond.Broadcast()
+		s.mu.Unlock()
+	}
 }
 
 // EventSeq returns an opaque counter that increases on every deposit,
@@ -662,12 +671,7 @@ func (ep *Endpoint) unpark(parked *bool) {
 // that VCI's deposits and wakes (plus endpoint-wide wakes and active
 // messages), so a waiter parked on it is not disturbed by unrelated
 // traffic on other VCIs.
-func (ep *Endpoint) EventSeqVCI(v int) uint64 {
-	s := ep.vcis[ep.norm(v)]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.eventSeq
-}
+func (ep *Endpoint) EventSeqVCI(v int) uint64 { return ep.vcis[ep.norm(v)].eventSeq.Load() }
 
 // WaitEventVCI blocks until interface v's event counter moves past
 // last (or active messages are pending, which any waiter must surface
@@ -675,17 +679,21 @@ func (ep *Endpoint) EventSeqVCI(v int) uint64 {
 func (ep *Endpoint) WaitEventVCI(v int, last uint64) uint64 {
 	vn := ep.norm(v)
 	s := ep.vcis[vn]
+	if seq := s.eventSeq.Load(); seq != last {
+		return seq // the caller's own progress pass already moved it
+	}
 	parked := false
 	defer ep.unpark(&parked)
 	s.mu.Lock()
-	for s.eventSeq == last && atomic.LoadInt32(&ep.amqLen) == 0 {
+	s.waiters.Add(1)
+	for s.eventSeq.Load() == last && atomic.LoadInt32(&ep.amqLen) == 0 {
 		ep.f.aborted.CheckLocked(&s.mu)
 		ep.park(&parked, vn)
 		s.cond.Wait()
 	}
-	seq := s.eventSeq
+	s.waiters.Add(-1)
 	s.mu.Unlock()
-	return seq
+	return s.eventSeq.Load()
 }
 
 // completeRecv consumes a (borrowed) payload into the receive buffer —
@@ -863,6 +871,7 @@ func (ep *Endpoint) WaitRecv(op *RecvOp) {
 		parked := false
 		defer ep.unpark(&parked)
 		s.mu.Lock()
+		s.waiters.Add(1)
 		for !op.done.Load() {
 			if atomic.LoadInt32(&ep.amqLen) > 0 {
 				s.mu.Unlock()
@@ -874,6 +883,7 @@ func (ep *Endpoint) WaitRecv(op *RecvOp) {
 			ep.park(&parked, op.vci)
 			s.cond.Wait()
 		}
+		s.waiters.Add(-1)
 		s.mu.Unlock()
 	} else {
 		for !op.done.Load() {
@@ -1141,6 +1151,7 @@ func (ep *Endpoint) SnapshotStats() metrics.Snapshot {
 	for i, s := range ep.vcis {
 		s.mu.Lock()
 		snap.VCIs[i] = s.stats
+		snap.VCIs[i].Events = int64(s.eventSeq.Load())
 		snap.VCIs[i].PostMatch = s.arr.PostMatch.Snapshot()
 		s.arr.AddTo(&snap)
 		snap.Match.BinOps += s.eng.BinOps

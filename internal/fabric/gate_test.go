@@ -1,0 +1,202 @@
+package fabric
+
+import (
+	"encoding/binary"
+	"runtime"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"gompi/internal/match"
+	"gompi/internal/vtime"
+)
+
+// Tests for the waiter gate: an event takes a VCI's lock to Broadcast
+// only when a goroutine has announced itself in WaitEventVCI or
+// WaitRecv. A wakeup the gate loses is a goroutine asleep for good, so
+// every test here fails on a timeout instead of hanging the run.
+
+const gateRounds = 100_000
+
+// within runs the two sides of a ping-pong, each given a counter to
+// bump once per round, and fails the test if ten seconds pass without
+// either counter moving: slow (a loaded host, the race detector) is
+// fine, stuck is not.
+func within(t *testing.T, what string, sides ...func(round *atomic.Int64)) {
+	t.Helper()
+	var rounds atomic.Int64
+	done := make(chan struct{}, len(sides))
+	for _, side := range sides {
+		go func() {
+			side(&rounds)
+			done <- struct{}{}
+		}()
+	}
+	tick := time.NewTicker(10 * time.Second)
+	defer tick.Stop()
+	for left, seen := len(sides), int64(0); left > 0; {
+		select {
+		case <-done:
+			left--
+		case <-tick.C:
+			if now := rounds.Load(); now == seen {
+				t.Fatalf("%s: stuck after %d rounds: a waiter never woke (missed wakeup through the gate)", what, now)
+			} else {
+				seen = now
+			}
+		}
+	}
+}
+
+// TestWaiterGateWakeVCI ping-pongs WakeVCI against EventSeqVCI +
+// WaitEventVCI on one interface of each endpoint: every wake lands
+// either before the peer's check (which then does not sleep) or after
+// its announcement (and then takes the lock and broadcasts).
+func TestWaiterGateWakeVCI(t *testing.T) {
+	f := newVCIFabric(t, 2, 2)
+	a, b := f.Endpoint(0), f.Endpoint(1)
+	seqB := b.EventSeqVCI(1) // read before a's first wake can land
+	within(t, "WakeVCI/WaitEventVCI",
+		func(round *atomic.Int64) {
+			for i := 0; i < gateRounds; i++ {
+				seq := a.EventSeqVCI(1)
+				b.WakeVCI(1)
+				a.WaitEventVCI(1, seq)
+				round.Add(1)
+			}
+		},
+		func(round *atomic.Int64) {
+			for i := 0; i < gateRounds; i++ {
+				seqB = b.WaitEventVCI(1, seqB)
+				a.WakeVCI(1)
+				round.Add(1)
+			}
+		})
+	for _, ep := range []*Endpoint{a, b} {
+		if got := ep.EventSeqVCI(1); got != gateRounds {
+			t.Errorf("rank %d VCI 1 saw %d events, want %d (one per round)", ep.Rank(), got, gateRounds)
+		}
+		if got := ep.EventSeqVCI(0); got != 0 {
+			t.Errorf("rank %d VCI 0 saw %d events of VCI 1's ping-pong", ep.Rank(), got)
+		}
+		if n := ep.vcis[1].waiters.Load(); n != 0 {
+			t.Errorf("rank %d VCI 1 left with %d announced waiter(s)", ep.Rank(), n)
+		}
+	}
+}
+
+// TestWaiterGateWaitRecv is the same handshake through the other
+// sleeper: WaitRecv against deposit, which broadcasts — under the lock
+// it already holds — only for an announced waiter. Each side's message
+// reaches the peer posted-first or unexpected-first as the race falls.
+func TestWaiterGateWaitRecv(t *testing.T) {
+	f := newVCIFabric(t, 2, 2)
+	a, b := f.Endpoint(0), f.Endpoint(1)
+	side := func(me, peer *Endpoint, first bool) func(*atomic.Int64) {
+		return func(round *atomic.Int64) {
+			var op RecvOp
+			var out, in [8]byte
+			bits := match.MakeBits(1, peer.Rank(), 7)
+			for i := 0; i < gateRounds; i++ {
+				op.Buf = in[:]
+				me.PostRecvVCI(&op, bits, match.FullMask, 1)
+				binary.LittleEndian.PutUint64(out[:], uint64(i))
+				if first {
+					me.TaggedSendVCI(peer.Rank(), match.MakeBits(1, me.Rank(), 7), out[:], 1)
+				}
+				me.WaitRecv(&op)
+				if got := binary.LittleEndian.Uint64(in[:]); op.N != 8 || got != uint64(i) {
+					t.Errorf("rank %d round %d: received %d bytes, stamp %d", me.Rank(), i, op.N, got)
+					return
+				}
+				op.Reset()
+				if !first {
+					me.TaggedSendVCI(peer.Rank(), match.MakeBits(1, me.Rank(), 7), out[:], 1)
+				}
+				round.Add(1)
+			}
+		}
+	}
+	within(t, "deposit/WaitRecv", side(a, b, true), side(b, a, false))
+}
+
+// TestEventsEqualsEventSeq pins the Events statistic now that nothing
+// writes it: per interface it is exactly deposits plus wakes — those
+// aimed at the interface, and the endpoint-wide ones (Wake, an active
+// message) on every interface.
+func TestEventsEqualsEventSeq(t *testing.T) {
+	f := newVCIFabric(t, 2, 3)
+	src, dst := f.Endpoint(0), f.Endpoint(1)
+	dst.RegisterAM(9, func(int, []byte, []byte, vtime.Time) {})
+	deposits, wakes := [3]int{5, 0, 11}, [3]int{2, 7, 0}
+	for v := range deposits {
+		for i := 0; i < deposits[v]; i++ {
+			src.TaggedSendVCI(1, match.MakeBits(1, 0, i), []byte{1}, v)
+		}
+		for i := 0; i < wakes[v]; i++ {
+			dst.WakeVCI(v)
+		}
+	}
+	dst.DepositShmVCI(match.MakeBits(1, 0, 99), 0, nil, 0, 1)
+	deposits[1]++
+	const everywhere = 3 // one Wake, two active messages
+	dst.Wake()
+	src.AMSend(1, 9, nil, nil)
+	src.AMSend(1, 9, nil, nil)
+	dst.Progress()
+
+	snap := dst.SnapshotStats()
+	for v := range deposits {
+		want := int64(deposits[v] + wakes[v] + everywhere)
+		if got := snap.VCIs[v].Events; got != want || uint64(got) != dst.EventSeqVCI(v) {
+			t.Errorf("VCI %d: Events %d, EventSeqVCI %d, want %d (%d deposits + %d wakes + %d endpoint-wide)",
+				v, got, dst.EventSeqVCI(v), want, deposits[v], wakes[v], everywhere)
+		}
+		if got := snap.VCIs[v].Msgs; got != int64(deposits[v]) {
+			t.Errorf("VCI %d: Msgs %d, want %d", v, got, deposits[v])
+		}
+	}
+}
+
+// BenchmarkWakeVCI is one wake of an interface nobody sleeps on (idle:
+// the gate keeps it to two atomics) and of one with an announced waiter
+// (parked: lock, broadcast, and the waiter goes round its loop).
+func BenchmarkWakeVCI(b *testing.B) {
+	setup := func() (*Endpoint, *Endpoint) {
+		f := NewVCI(INF, 2, 1)
+		for i := 0; i < 2; i++ {
+			f.Endpoint(i).Bind(newTestMeter(1e9))
+		}
+		return f.Endpoint(0), f.Endpoint(1)
+	}
+	b.Run("idle", func(b *testing.B) {
+		_, dst := setup()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			dst.WakeVCI(0)
+		}
+	})
+	b.Run("parked", func(b *testing.B) {
+		src, dst := setup()
+		op := &RecvOp{Buf: make([]byte, 1)}
+		bits := match.MakeBits(1, 0, 1)
+		dst.PostRecvVCI(op, bits, match.FullMask, 0)
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			dst.WaitRecv(op) // woken by every WakeVCI, released by the send below
+		}()
+		for dst.vcis[0].waiters.Load() == 0 {
+			runtime.Gosched()
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			dst.WakeVCI(0)
+		}
+		b.StopTimer()
+		src.TaggedSendVCI(1, bits, []byte{1}, 0)
+		<-done
+	})
+}

@@ -233,6 +233,9 @@ func NewDomainCfg(prof Profile, cfg Config, n int, deliver Deliver, wake Wake) *
 	if cfg.EagerMax < 0 {
 		cfg.EagerMax = 0
 	}
+	if wake == nil {
+		wake = func(int, int) {}
+	}
 	d := &Domain{
 		prof:         prof,
 		deliver:      deliver,
@@ -294,49 +297,68 @@ func (d *Domain) Abort() {
 	})
 }
 
-// ring is a bounded SPSC queue of cells from src to dst, laid out the
-// way a real shmmod lays out its shared segment: a fixed circular
-// buffer of fixed-size cells written in place by the producer and read
-// in place by the consumer, with no allocation per message. The mutex
-// models the ring's head/tail synchronization; producer blocks when
-// full, consumer drains in Progress.
+// ring is a bounded lock-free SPSC queue of cells from src to dst, laid
+// out the way a real shmmod lays out its shared segment: a fixed
+// circular buffer of fixed-size cells written in place by the producer
+// and read in place by the consumer, with no allocation per message.
+//
+// tail counts cells published and only the producer writes it; head
+// counts cells retired and only the consumer does. The producer fills
+// cell tail%N, then stores tail+1: that store publishes the cell to the
+// consumer's load of tail. The consumer reads cell head%N, then stores
+// head+1, which hands the slot back. A producer that finds the ring full
+// takes mu, stores waiting, reads head again and only then sleeps on
+// cond; the consumer, after every store of head, loads waiting and only
+// if it is set takes mu to clear it and Broadcast. The atomics are
+// sequentially consistent, so of "store waiting, load head" and "store
+// head, load waiting" at least one load sees the other side's store: the
+// producer sees the freed slot and stays awake, or the consumer sees the
+// flag and, through mu, broadcasts once the producer sleeps. No wakeup
+// is lost, and no lock is shared between the two sides until then.
+//
+// "The producer" and "the consumer" are whoever holds prodMu and
+// drainMu: they make one of each out of ThreadMultiple siblings, and
+// with one goroutine per rank each has one taker and is never contended
+// (skipping them there bought nothing end to end: CHANGES.md, PR 23).
+//
+// Field order is layout: the producer's words, the full-ring slow
+// path's, the consumer's, which puts head a cache line or more past
+// every producer-written word and past mu: wherever the allocator puts
+// the ring, they share no line (TestRingLayout).
 type ring struct {
-	// prodMu serializes whole messages from concurrent producers (under
-	// MPI_THREAD_MULTIPLE several goroutines of one rank may send to
-	// the same destination): without it their fragments would
-	// interleave in the SPSC ring and corrupt reassembly. It is held
-	// across the entire fragmented message, including full-ring waits —
-	// the consumer needs no producer locks, so draining always frees
-	// the blocked producer.
-	prodMu sync.Mutex
-	// drainMu serializes consumers the same way: the reassembly scratch
-	// below is shared state, and a message's fragments must be drained
-	// by one goroutine.
-	drainMu sync.Mutex
+	// Producer-written. lent counts handoff views published; hFree is the
+	// descriptor freelist that keeps the handoff path allocation-free
+	// after warmup, popped at publish and pushed at FinishHandoff.
+	tail            atomic.Uint64
+	waiting         atomic.Bool
+	lent, lentBytes atomic.Int64
+	hFree           *Handoff
+	// prodMu serializes whole messages of sibling producers, whose
+	// fragments would otherwise interleave. It is held across full-ring
+	// waits too: the consumer needs no producer lock, so draining always
+	// frees the blocked producer.
+	prodMu    sync.Mutex
+	muTouches int64 // the producer's acquisitions of mu: one per full-ring wait
 
+	cells []cell // read-only after creation
 	mu    sync.Mutex
 	cond  sync.Cond
-	cells []cell
-	head  int // index of the oldest occupied cell
-	count int // occupied cells
 
-	// Handoff bookkeeping (under mu): views currently lent through this
-	// ring and not yet released, for the deadlock-diagnosis dump, plus
-	// the descriptor freelist that keeps the handoff path
-	// allocation-free after warmup.
-	hActive int
-	hBytes  int
-	hFree   *Handoff
-
-	// Receiver-side reassembly state (consumer-only). cur is a
-	// grow-only scratch reused across messages; delivered payloads are
-	// borrowed slices of it.
+	// Consumer-written. released counts lent views given back, so
+	// lent-released is what the wait graph prints.
+	head                    atomic.Uint64
+	released, releasedBytes atomic.Int64
+	// drainMu serializes sibling consumers: the reassembly state below
+	// is one goroutine's at a time. cur is a grow-only scratch, lent to
+	// Deliver; its length is copied to mid, for dumps, only by a drain
+	// that stops mid-message.
+	drainMu sync.Mutex
 	cur     []byte
 	curBits match.Bits
 	curVCI  int
 	curLen  int
-	filled  int
 	arrival vtime.Time
+	mid     atomic.Int64
 }
 
 type cell struct {
@@ -459,16 +481,11 @@ func (h *Handoff) Release(copied bool) {
 	}
 	m.ChargeCycles(instr.Transport, cost)
 	h.ackAt = m.Now() + vtime.Time(p.Latency)
-	r := h.r
-	r.mu.Lock()
-	r.hActive--
-	r.hBytes -= h.bytes
-	r.mu.Unlock()
+	h.r.released.Add(1)
+	h.r.releasedBytes.Add(int64(h.bytes))
 	h.done.Store(true)
 	d.stall.Activity()
-	if d.wake != nil {
-		d.wake(h.src, h.vci)
-	}
+	d.wake(h.src, h.vci)
 }
 
 // FinishHandoff completes the sender side of a released handoff: sync
@@ -486,10 +503,12 @@ func (d *Domain) FinishHandoff(h *Handoff) {
 	h.view = nil
 	h.bytes = 0
 	h.done.Store(false)
-	r.mu.Lock()
-	h.next = r.hFree
-	r.hFree = h
-	r.mu.Unlock()
+	// A sibling mid-message holds the freelist, perhaps asleep on a full
+	// ring: drop the descriptor rather than wait behind it.
+	if r.prodMu.TryLock() {
+		h.next, r.hFree = r.hFree, h
+		r.prodMu.Unlock()
+	}
 }
 
 // Send fragments data into cells and pushes them onto the (src→dst)
@@ -530,25 +549,23 @@ func (d *Domain) send(src, dst int, bits match.Bits, data []byte, vci int, allow
 	// Receive-side accounting happens where the reassembled message is
 	// delivered into the endpoint (DepositShm), on the receiving rank.
 	m.Metrics().ShmSend.Note(len(data))
+	r := d.ring(src, dst)
+	parked := false
+	r.prodMu.Lock()
+	defer func() { // on the abort panic too
+		if parked {
+			d.stall.Unpark(src)
+		}
+		r.prodMu.Unlock()
+	}()
 	if allowHandoff && d.eagerMax > 0 && len(data) > d.eagerMax {
-		return d.publishHandoff(src, dst, bits, data, vci, m)
+		return d.publishHandoff(r, src, dst, bits, data, vci, m, &parked)
 	}
 	m.Metrics().Flight.Record(flight.ShmSend, int64(m.Now()), dst, len(data), vci)
 	if len(data) > 0 {
 		m.Metrics().CopiesStaged.Note(len(data)) // sender copy-in to cells
 	}
-	r := d.ring(src, dst)
-
-	r.prodMu.Lock()
-	defer r.prodMu.Unlock()
-	parked := false
-	defer func() {
-		if parked {
-			d.stall.Unpark(src)
-		}
-	}()
-	off := 0
-	for {
+	for off := 0; ; {
 		n := len(data) - off
 		if n > d.cellSize {
 			n = d.cellSize
@@ -556,84 +573,79 @@ func (d *Domain) send(src, dst int, bits match.Bits, data []byte, vci int, allow
 		m.ChargeCycles(instr.Transport, p.CellOverhead+vtime.Cycles(p.PerByte*float64(n)))
 		arrival := m.Now() + vtime.Time(p.Latency)
 
+		c := d.claim(r, src, dst, vci, m, off > 0, &parked)
+		c.bits, c.vci, c.msgLen, c.n, c.arrival, c.h = bits, vci, len(data), n, arrival, nil
+		copy(c.data, data[off:off+n])
+		r.publish()
+
+		if off += n; off >= len(data) {
+			break
+		}
+	}
+	d.wake(dst, vci) // once per message, after its last cell
+	return nil
+}
+
+// claim returns the cell at r's tail, the producer's to fill until it
+// publishes it. On a full ring it waits for a slot by the handshake
+// described at ring — park with the stall watchdog once per message,
+// check for an abort before every sleep — after waking the receiver if
+// the message is midway: its queued cells have had no wake yet, while
+// every earlier message's have.
+func (d *Domain) claim(r *ring, src, dst, vci int, m Meter, midway bool, parked *bool) *cell {
+	if n, t := uint64(len(r.cells)), r.tail.Load(); t-r.head.Load() >= n {
+		if midway {
+			d.wake(dst, vci)
+		}
 		r.mu.Lock()
-		for r.count >= d.ringCells {
+		r.muTouches++
+		for t-r.head.Load() >= n {
+			if r.waiting.Store(true); t-r.head.Load() < n {
+				break
+			}
 			d.aborted.CheckLocked(&r.mu)
-			if !parked {
-				parked = true
+			if !*parked {
+				*parked = true
 				d.stall.Park(src)
 				m.Metrics().NotePark(int64(m.Now()), dst, vci)
 			}
 			r.cond.Wait()
 		}
-		c := &r.cells[(r.head+r.count)%d.ringCells]
-		c.bits, c.vci, c.msgLen, c.n, c.arrival, c.h = bits, vci, len(data), n, arrival, nil
-		copy(c.data, data[off:off+n])
-		r.count++
-		r.cond.Broadcast()
+		r.waiting.Store(false)
 		r.mu.Unlock()
-		if d.wake != nil {
-			d.wake(dst, vci)
-		}
-
-		off += n
-		if off >= len(data) {
-			return nil
-		}
 	}
+	return &r.cells[r.tail.Load()%uint64(len(r.cells))]
 }
+
+// publish hands the claimed cell to the consumer.
+func (r *ring) publish() { r.tail.Store(r.tail.Load() + 1) }
 
 // publishHandoff pushes one descriptor cell lending data to dst. The
 // descriptor occupies a normal ring slot (FIFO with staged traffic, so
 // same-pair ordering is preserved) but carries no payload: the staged
 // path's per-cell copy charges are replaced by one HandoffOverhead.
-func (d *Domain) publishHandoff(src, dst int, bits match.Bits, data []byte, vci int, m Meter) *Handoff {
+func (d *Domain) publishHandoff(r *ring, src, dst int, bits match.Bits, data []byte, vci int, m Meter, parked *bool) *Handoff {
 	p := &d.prof
 	m.ChargeCycles(instr.Transport, p.HandoffOverhead)
 	m.Metrics().ShmHandoff.Note(len(data))
 	m.Metrics().Flight.Record(flight.ShmHandoff, int64(m.Now()), dst, len(data), vci)
-	r := d.ring(src, dst)
-
-	r.prodMu.Lock()
-	defer r.prodMu.Unlock()
-	parked := false
-	defer func() {
-		if parked {
-			d.stall.Unpark(src)
-		}
-	}()
 	arrival := m.Now() + vtime.Time(p.Latency)
 
-	r.mu.Lock()
-	for r.count >= d.ringCells {
-		d.aborted.CheckLocked(&r.mu)
-		if !parked {
-			parked = true
-			d.stall.Park(src)
-			m.Metrics().NotePark(int64(m.Now()), dst, vci)
-		}
-		r.cond.Wait()
-	}
+	c := d.claim(r, src, dst, vci, m, false, parked)
 	h := r.hFree
-	if h != nil {
-		r.hFree = h.next
-		h.next = nil
-	} else {
+	if h == nil {
 		h = &Handoff{}
+	} else {
+		r.hFree, h.next = h.next, nil
 	}
 	h.d, h.r, h.src, h.dst, h.vci = d, r, src, dst, vci
 	h.view, h.bytes = data, len(data)
 	h.published = m.Now()
-	c := &r.cells[(r.head+r.count)%d.ringCells]
 	c.bits, c.vci, c.msgLen, c.n, c.arrival, c.h = bits, vci, len(data), 0, arrival, h
-	r.count++
-	r.hActive++
-	r.hBytes += len(data)
-	r.cond.Broadcast()
-	r.mu.Unlock()
-	if d.wake != nil {
-		d.wake(dst, vci)
-	}
+	r.lent.Store(r.lent.Load() + 1)
+	r.lentBytes.Store(r.lentBytes.Load() + int64(len(data)))
+	r.publish()
+	d.wake(dst, vci)
 	return h
 }
 
@@ -653,34 +665,26 @@ func (d *Domain) Progress(rank int) int {
 	return delivered
 }
 
-// drainRing pops every available cell from one ring, reassembling into
-// the ring's reusable scratch and delivering completed messages. The
-// cell is consumed in place under the ring lock, then handed back to a
-// blocked producer — no per-message allocation on either side.
-// Descriptor cells are handed over as zero-copy views instead.
+// drainRing reads every published cell of one ring in place and under
+// no lock — a cell is the consumer's from the load of tail that shows it
+// to the store of head that retires it — reassembling into the ring's
+// reusable scratch and delivering completed messages, with no allocation
+// per message. Descriptor cells are handed over as zero-copy views.
 func (d *Domain) drainRing(rank, src int, r *ring, meter Meter) int {
-	p := &d.prof
-	delivered := 0
+	if r.head.Load() == r.tail.Load() {
+		return 0
+	}
 	r.drainMu.Lock()
 	defer r.drainMu.Unlock()
-	for {
-		r.mu.Lock()
-		if r.count == 0 {
-			r.mu.Unlock()
-			return delivered
-		}
-		c := &r.cells[r.head]
+	p := &d.prof
+	delivered := 0
+	for r.head.Load() != r.tail.Load() {
+		c := &r.cells[r.head.Load()%uint64(len(r.cells))]
 		if h := c.h; h != nil {
-			// Descriptor cell: capture the header under the lock (the
-			// slot is reusable by the producer the moment count drops)
-			// and deliver the lent view.
+			// Descriptor cell: capture the header (the slot is the producer's
+			// again the moment head moves) and deliver the lent view.
 			bits, vci, arrival := c.bits, c.vci, c.arrival
-			c.h = nil
-			r.head = (r.head + 1) % d.ringCells
-			r.count--
-			r.cond.Broadcast()
-			r.mu.Unlock()
-			d.stall.Activity()
+			d.retire(r)
 
 			meter.ChargeCycles(instr.Transport, p.CellOverhead+p.RecvOverhead)
 			if d.deliverView != nil {
@@ -695,65 +699,70 @@ func (d *Domain) drainRing(rank, src int, r *ring, meter Meter) int {
 			continue
 		}
 		n := c.n
-		if r.filled == 0 { // first fragment of a message
+		if len(r.cur) == 0 { // first fragment of a message
 			if cap(r.cur) < c.msgLen {
 				r.cur = make([]byte, 0, c.msgLen)
 			}
-			r.cur = r.cur[:0]
 			r.curBits = c.bits
 			r.curVCI = c.vci
 			r.curLen = c.msgLen
 			r.arrival = c.arrival
 		}
 		r.cur = append(r.cur, c.data[:n]...)
-		r.filled += n
 		if c.arrival > r.arrival {
 			r.arrival = c.arrival
 		}
-		r.head = (r.head + 1) % d.ringCells
-		r.count--
-		r.cond.Broadcast() // free a cell for a blocked producer
-		r.mu.Unlock()
-		d.stall.Activity()
+		d.retire(r) // frees the cell for a blocked producer
 
 		meter.ChargeCycles(instr.Transport, p.CellOverhead+vtime.Cycles(p.PerByte*float64(n)))
 
-		if r.filled >= r.curLen {
+		if data := r.cur; len(data) >= r.curLen {
 			meter.ChargeCycles(instr.Transport, p.RecvOverhead)
-			data := r.cur[:r.filled]
-			if r.filled > 0 {
-				meter.Metrics().CopiesStaged.Note(r.filled) // ring reassembly
+			if len(data) > 0 {
+				meter.Metrics().CopiesStaged.Note(len(data)) // ring reassembly
 			}
-			r.filled, r.curLen = 0, 0
+			r.cur = data[:0]
 			d.deliver(rank, r.curBits, src, data, r.arrival, r.curVCI)
 			delivered++
 		}
 	}
+	if int64(len(r.cur)) != r.mid.Load() {
+		r.mid.Store(int64(len(r.cur)))
+	}
+	return delivered
+}
+
+// retire hands the cell at head back to the producer, and wakes it if
+// it is (or is about to be) asleep on a full ring.
+func (d *Domain) retire(r *ring) {
+	r.head.Store(r.head.Load() + 1)
+	if r.waiting.Load() {
+		r.mu.Lock()
+		r.waiting.Store(false) // one broadcast per sleep, not per cell of the drain
+		r.cond.Broadcast()
+		r.mu.Unlock()
+	}
+	d.stall.Activity()
 }
 
 // PendingFrom reports whether any cells from src to rank are queued
 // (used by tests).
 func (d *Domain) PendingFrom(src, rank int) bool {
 	_, r := search(*d.out[src].Load(), rank)
-	if r == nil {
-		return false
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.count > 0 || r.filled > 0
+	return r != nil && (r.head.Load() != r.tail.Load() || r.mid.Load() > 0)
 }
 
 // WriteWaitGraph renders the domain's ring and handoff state for
 // deadlock diagnosis, in (src, dst) order: queued cells per ring and,
 // critically, every lent view whose sender may be parked awaiting the
-// completion ack. Ring locks are taken one at a time, so the dump is
-// safe while ranks are parked.
+// completion ack. Only atomics are read, each consumer-written count
+// before the producer-written one it is subtracted from: safe while
+// ranks run, exact while they are parked.
 func (d *Domain) WriteWaitGraph(w io.Writer) {
 	d.eachRing(func(src, dst int, r *ring) {
-		r.mu.Lock()
-		count, filled := r.count, r.filled
-		hActive, hBytes := r.hActive, r.hBytes
-		r.mu.Unlock()
+		head, rel, relBytes := r.head.Load(), r.released.Load(), r.releasedBytes.Load()
+		count, filled := r.tail.Load()-head, r.mid.Load()
+		hActive, hBytes := r.lent.Load()-rel, r.lentBytes.Load()-relBytes
 		if count > 0 || filled > 0 {
 			fmt.Fprintf(w, "shm ring %d->%d: %d queued cell(s), %d byte(s) mid-reassembly\n",
 				src, dst, count, filled)

@@ -20,6 +20,15 @@ type testMeter struct {
 
 func newTestMeter() *testMeter { return &testMeter{clock: vtime.NewClock(2.2e9)} }
 
+// shared marks the meter as one rank charged from several goroutines at
+// once, as a ThreadMultiple world marks its ranks.
+func (m *testMeter) shared() *testMeter {
+	m.prof.Share()
+	m.clock.Share()
+	m.m.Share()
+	return m
+}
+
 func (m *testMeter) Charge(cat instr.Category, n int64) {
 	m.prof.Charge(cat, n)
 	m.clock.Advance(n)
