@@ -1,16 +1,21 @@
 GO ?= go
 
-.PHONY: ci build vet test race flake bench-smoke fuzz-smoke loc
+.PHONY: ci build fmt vet test race flake bench-smoke fuzz-smoke loc
 
 # The tier-1 gate: everything a PR must keep green. Performance is
 # gated separately, by the benchmark of record (benchmark/, declared in
 # BENCHMARK.json), which the pipeline runs against the parent commit.
 # The last line of every CI log is the tracked non-test line count.
-ci: build vet test race flake bench-smoke
+ci: build fmt vet test race flake bench-smoke
 	@printf 'make loc: '; $(MAKE) -s loc
 
 build:
 	$(GO) build ./...
+
+# Every tracked Go file is gofmt-clean (.bench_build is the benchmark's
+# scratch copy, not source).
+fmt:
+	@out=$$(gofmt -l . | grep -v '^\.bench_build/'); test -z "$$out" || { echo "gofmt -l:"; echo "$$out"; exit 1; }
 
 vet:
 	$(GO) vet ./...

@@ -2,7 +2,6 @@ package gompi
 
 import (
 	"gompi/internal/coll"
-	"gompi/internal/metrics"
 	"gompi/internal/nbc"
 )
 
@@ -81,195 +80,211 @@ func collBuf(count int, dt *Datatype, bufs ...[]byte) (int, error) {
 	return n, nil
 }
 
-// Blocking collectives run on the same engine as the nonblocking and
-// persistent ones: each entry point below compiles its algorithm into
-// the communicator's one reusable schedule (internal/nbc) and waits on
-// it. MPI forbids a rank from running two collectives on one
-// communicator at once, and an outstanding I-collective lives in its
-// own schedule, so one schedule per communicator is enough; recompiling
-// it in place allocates nothing once it has seen the largest shape.
+// Every collective is stated once, as a compileFn, and run in one of
+// three frames. A definition checks its buffers and hands them to the
+// schedule compiler (internal/nbc) with the algorithm nbc.Select* picks
+// for the Force it is given; it sees its arguments and the port, and
+// knows nothing of how it will be waited on. The frames differ only in
+// where the schedule lives and who chooses f: bcoll (blocking: the
+// communicator's one reusable schedule, parked on until done; f is the
+// pin at the call site), icoll (nonblocking: a recycled op behind a
+// Request; f from collForce) and pcoll (persistent: a schedule the
+// operation owns, compiled once; f from collForce).
 //
-// The algorithm is a constant at each call site — dissemination
-// barrier, binomial bcast, binomial reduce (chain when the operator is
-// non-commutative), recursive-doubling allreduce on power-of-two sizes
-// and reduce+bcast otherwise, linear gather/scatter, ring allgather,
-// pairwise alltoall, chain scans — and deliberately ignores
-// Config.CollAlgorithm and CollAlgorithmKey, which steer only the I-
-// and persistent collectives: the blocking entry points are what the
-// paper-facing benchmarks count instructions on, and size/topology
-// selection would change rank 0's message counts under them. Switching
-// one to nbc.Select* is a one-line change here.
+// MPI forbids a rank from running two collectives on one communicator
+// at once, and an outstanding I-collective lives in its own schedule, so
+// one blocking schedule per communicator is enough; recompiling it in
+// place allocates nothing once it has seen the largest shape.
+//
+// The pins below — binomial bcast, recursive-doubling allreduce
+// (reduce+bcast off power-of-two sizes), ring allgather, pairwise
+// alltoall — are the whole blocking policy, and deliberately ignore
+// Config.CollAlgorithm and CollAlgorithmKey: the blocking entry points
+// are what the paper-facing benchmarks count instructions on, and
+// size/topology selection would change rank 0's message counts under
+// them (ROADMAP item 5 records what unpinning costs). Unpinning one is
+// replacing its pin by nbc.ForceAuto; what that would select is on the
+// collective's I-form (icoll.go).
+type compileFn func(s *nbc.Schedule, t *nbcPort, tag int, f nbc.Force) error
 
-// collWait finishes a blocking collective whose compilation into the
-// communicator's schedule returned err: it launches the schedule and
-// drives it to completion. Errors pass through unwrapped, so they keep
-// the class they were raised with.
-func (c *Comm) collWait(err error) error {
-	if err != nil {
-		return err
-	}
-	return c.p.launch(&c.bsched, true)
-}
-
-// Barrier blocks until every rank of the communicator has entered
-// (MPI_BARRIER).
-func (c *Comm) Barrier() error {
+// bcoll is the frame of every blocking collective: enter, draw the tag,
+// let compile validate the arguments and build the schedule in place in
+// the communicator's blocking schedule under the call site's pin, then
+// launch it and park until it finishes. The tag is drawn before anything
+// can fail: a rank that rejects its arguments still advances the
+// sequence with its peers.
+func (c *Comm) bcoll(pin nbc.Force, compile compileFn) error {
 	done, err := c.collEnter()
 	if err != nil {
 		return err
 	}
 	defer done()
-	nbc.Barrier(&c.bsched, c.nbcPort(), c.nbcTag())
-	return c.collWait(nil)
+	if err := compile(&c.bsched, c.nbcPort(), c.nbcTag(), pin); err != nil {
+		return argErr(err)
+	}
+	return c.p.launch(&c.bsched, true)
 }
+
+// argErr classes what a frame's compile step returned: a definition's
+// own argument checks come classed already, a schedule compiler's
+// complaint (a root out of range) becomes an ErrArg.
+func argErr(err error) error {
+	if _, classed := err.(*Error); classed {
+		return err
+	}
+	return errc(ErrArg, "%v", err)
+}
+
+// barrier defines MPI_BARRIER (dissemination; nothing to select).
+func barrier(s *nbc.Schedule, t *nbcPort, tag int, _ nbc.Force) error {
+	nbc.Barrier(s, t, tag)
+	return nil
+}
+
+// bcast defines MPI_BCAST.
+func bcast(buf []byte, count int, dt *Datatype, root int) compileFn {
+	return func(s *nbc.Schedule, t *nbcPort, tag int, f nbc.Force) error {
+		n, err := collBuf(count, dt, buf)
+		if err != nil {
+			return err
+		}
+		return nbc.Bcast(s, t, tag, buf[:n], root, nbc.SelectBcast(t, n, f))
+	}
+}
+
+// reduce defines MPI_REDUCE; recv is checked and consumed on the root only.
+func reduce(send, recv []byte, count int, elem *Datatype, op Op, root int) compileFn {
+	return func(s *nbc.Schedule, t *nbcPort, tag int, f nbc.Force) error {
+		n, err := collBuf(count, elem, send)
+		if err != nil {
+			return err
+		}
+		var out []byte
+		if t.Rank() == root {
+			if _, err := collBuf(count, elem, recv); err != nil {
+				return err
+			}
+			out = recv[:n]
+		}
+		return nbc.Reduce(s, t, tag, op, elem, send[:n], out, root,
+			nbc.SelectReduce(t, n, coll.Commutative(op), f))
+	}
+}
+
+// allreduce defines MPI_ALLREDUCE.
+func allreduce(send, recv []byte, count int, elem *Datatype, op Op) compileFn {
+	return func(s *nbc.Schedule, t *nbcPort, tag int, f nbc.Force) error {
+		n, err := collBuf(count, elem, send, recv)
+		if err != nil {
+			return err
+		}
+		nbc.Allreduce(s, t, tag, op, elem, send[:n], recv[:n],
+			nbc.SelectAllreduce(t, count, elem.Size(), coll.Commutative(op), f))
+		return nil
+	}
+}
+
+// allgather defines MPI_ALLGATHER.
+func allgather(send, recv []byte, count int, dt *Datatype) compileFn {
+	return func(s *nbc.Schedule, t *nbcPort, tag int, f nbc.Force) error {
+		n, err := collBuf(count, dt, send)
+		if err == nil {
+			_, err = collBuf(count*t.Size(), dt, recv)
+		}
+		if err != nil {
+			return err
+		}
+		return nbc.Allgather(s, t, tag, send[:n], recv[:n*t.Size()], nbc.SelectAllgather(t, n, f))
+	}
+}
+
+// alltoall defines MPI_ALLTOALL.
+func alltoall(send, recv []byte, count int, dt *Datatype) compileFn {
+	return func(s *nbc.Schedule, t *nbcPort, tag int, f nbc.Force) error {
+		n, err := collBuf(count*t.Size(), dt, send, recv)
+		if err != nil {
+			return err
+		}
+		return nbc.Alltoall(s, t, tag, send[:n], recv[:n], nbc.SelectAlltoall(t, count*dt.Size(), f))
+	}
+}
+
+// Barrier blocks until every rank of the communicator has entered
+// (MPI_BARRIER).
+func (c *Comm) Barrier() error { return c.bcoll(nbc.ForceAuto, barrier) }
 
 // Bcast broadcasts root's buffer to all ranks (MPI_BCAST). buf must be
 // count elements of dt on every rank; contiguous layouts only (derived
 // types take the pack path in the devices; collectives here move raw
 // bytes, as the machine-independent layer does).
 func (c *Comm) Bcast(buf []byte, count int, dt *Datatype, root int) error {
-	done, err := c.collEnter()
-	if err != nil {
-		return err
-	}
-	defer done()
-	// The tag is drawn before any argument check can fail: a rank that
-	// rejects its arguments still advances the sequence with its peers.
-	tag := c.nbcTag()
-	n, err := collBuf(count, dt, buf)
-	if err != nil {
-		return err
-	}
-	return c.collWait(nbc.Bcast(&c.bsched, c.nbcPort(), tag, buf[:n], root, metrics.CollBcastBinomial))
+	return c.bcoll(nbc.ForceBinomial, bcast(buf, count, dt, root))
 }
 
 // Reduce folds count elements of elem from every rank into recv on root
 // (MPI_REDUCE). recv is ignored elsewhere.
 func (c *Comm) Reduce(send, recv []byte, count int, elem *Datatype, op Op, root int) error {
-	done, err := c.collEnter()
-	if err != nil {
-		return err
-	}
-	defer done()
-	tag := c.nbcTag()
-	n, err := collBuf(count, elem, send)
-	if err != nil {
-		return err
-	}
-	var out []byte
-	if c.Rank() == root {
-		if _, err := collBuf(count, elem, recv); err != nil {
-			return err
-		}
-		out = recv[:n]
-	}
-	return c.collWait(nbc.Reduce(&c.bsched, c.nbcPort(), tag, op, elem, send[:n], out, root, metrics.CollReduceBinomial))
+	return c.bcoll(nbc.ForceAuto, reduce(send, recv, count, elem, op, root))
 }
 
 // Allreduce folds contributions and delivers the result everywhere
 // (MPI_ALLREDUCE).
 func (c *Comm) Allreduce(send, recv []byte, count int, elem *Datatype, op Op) error {
-	done, err := c.collEnter()
-	if err != nil {
-		return err
-	}
-	defer done()
-	tag := c.nbcTag()
-	n, err := collBuf(count, elem, send, recv)
-	if err != nil {
-		return err
-	}
-	nbc.Allreduce(&c.bsched, c.nbcPort(), tag, op, elem, send[:n], recv[:n], metrics.CollAllreduceRecDoubling)
-	return c.collWait(nil)
+	return c.bcoll(nbc.ForceRDouble, allreduce(send, recv, count, elem, op))
 }
 
 // Gather concentrates equal-size blocks on root (MPI_GATHER).
 func (c *Comm) Gather(send, recv []byte, count int, dt *Datatype, root int) error {
-	done, err := c.collEnter()
-	if err != nil {
-		return err
-	}
-	defer done()
-	tag := c.nbcTag()
-	n, err := collBuf(count, dt, send)
-	if err == nil && c.Rank() == root {
-		_, err = collBuf(count*c.Size(), dt, recv)
-	}
-	if err != nil {
-		return err
-	}
-	return c.collWait(nbc.Gather(&c.bsched, c.nbcPort(), tag, send[:n], recv, root))
+	return c.bcoll(nbc.ForceAuto, func(s *nbc.Schedule, t *nbcPort, tag int, _ nbc.Force) error {
+		n, err := collBuf(count, dt, send)
+		if err == nil && t.Rank() == root {
+			_, err = collBuf(count*t.Size(), dt, recv)
+		}
+		if err != nil {
+			return err
+		}
+		return nbc.Gather(s, t, tag, send[:n], recv, root)
+	})
 }
 
 // Scatter distributes root's equal-size blocks (MPI_SCATTER).
 func (c *Comm) Scatter(send, recv []byte, count int, dt *Datatype, root int) error {
-	done, err := c.collEnter()
-	if err != nil {
-		return err
-	}
-	defer done()
-	tag := c.nbcTag()
-	n, err := collBuf(count, dt, recv)
-	if err == nil && c.Rank() == root {
-		_, err = collBuf(count*c.Size(), dt, send)
-	}
-	if err != nil {
-		return err
-	}
-	return c.collWait(nbc.Scatter(&c.bsched, c.nbcPort(), tag, send, recv[:n], root))
+	return c.bcoll(nbc.ForceAuto, func(s *nbc.Schedule, t *nbcPort, tag int, _ nbc.Force) error {
+		n, err := collBuf(count, dt, recv)
+		if err == nil && t.Rank() == root {
+			_, err = collBuf(count*t.Size(), dt, send)
+		}
+		if err != nil {
+			return err
+		}
+		return nbc.Scatter(s, t, tag, send, recv[:n], root)
+	})
 }
 
 // Allgather concentrates equal-size blocks everywhere (MPI_ALLGATHER,
 // ring algorithm).
 func (c *Comm) Allgather(send, recv []byte, count int, dt *Datatype) error {
-	done, err := c.collEnter()
-	if err != nil {
-		return err
-	}
-	defer done()
-	tag := c.nbcTag()
-	n, err := collBuf(count, dt, send)
-	if err == nil {
-		_, err = collBuf(count*c.Size(), dt, recv)
-	}
-	if err != nil {
-		return err
-	}
-	return c.collWait(nbc.Allgather(&c.bsched, c.nbcPort(), tag, send[:n], recv, metrics.CollAllgatherRing))
+	return c.bcoll(nbc.ForceRing, allgather(send, recv, count, dt))
 }
 
 // Alltoall exchanges equal-size blocks pairwise (MPI_ALLTOALL).
 func (c *Comm) Alltoall(send, recv []byte, count int, dt *Datatype) error {
-	done, err := c.collEnter()
-	if err != nil {
-		return err
-	}
-	defer done()
-	tag := c.nbcTag()
-	n, err := collBuf(count*c.Size(), dt, send, recv)
-	if err != nil {
-		return err
-	}
-	return c.collWait(nbc.Alltoall(&c.bsched, c.nbcPort(), tag, send[:n], recv[:n], metrics.CollAlltoallPairwise))
+	return c.bcoll(nbc.ForcePairwise, alltoall(send, recv, count, dt))
 }
 
 // ReduceScatterBlock reduces and scatters equal blocks
 // (MPI_REDUCE_SCATTER_BLOCK).
 func (c *Comm) ReduceScatterBlock(send, recv []byte, count int, elem *Datatype, op Op) error {
-	done, err := c.collEnter()
-	if err != nil {
-		return err
-	}
-	defer done()
-	tag := c.nbcTag()
-	n, err := collBuf(count, elem, recv)
-	if err == nil {
-		_, err = collBuf(count*c.Size(), elem, send)
-	}
-	if err != nil {
-		return err
-	}
-	return c.collWait(nbc.ReduceScatterBlock(&c.bsched, c.nbcPort(), tag, op, elem, send[:n*c.Size()], recv[:n]))
+	return c.bcoll(nbc.ForceAuto, func(s *nbc.Schedule, t *nbcPort, tag int, _ nbc.Force) error {
+		n, err := collBuf(count, elem, recv)
+		if err == nil {
+			_, err = collBuf(count*t.Size(), elem, send)
+		}
+		if err != nil {
+			return err
+		}
+		return nbc.ReduceScatterBlock(s, t, tag, op, elem, send[:n*t.Size()], recv[:n])
+	})
 }
 
 // OpCreate registers a user-defined reduction operator (MPI_OP_CREATE)

@@ -242,25 +242,30 @@ func TestCollectiveOnFreedCommRejected(t *testing.T) {
 	})
 }
 
+// istart gives an I-form the error-returning shape of a blocking call,
+// for tables of calls: a request that started is waited on.
+func istart(r *Request, err error) error {
+	if err == nil {
+		_, err = r.Wait()
+	}
+	return err
+}
+
 // TestCollectiveBufferLengths: every collective entry point — blocking,
 // nonblocking, persistent, neighborhood — rejects a buffer shorter than
-// count elements with ErrBuffer, a nil datatype with ErrType and a
-// negative count with ErrCount, instead of slicing past the buffer's
-// length (silently, when it has the capacity: the bytes behind a short
-// buffer must stay untouched) or panicking. Every rank rejects the same
-// call, and the collective after it still matches: the tag sequence
-// advanced in lockstep.
+// count elements with ErrBuffer, a nil datatype with ErrType, a
+// negative count with ErrCount and a root outside the communicator with
+// ErrArg (whichever form caught it), instead of slicing past the
+// buffer's length (silently, when it has the capacity: the bytes behind
+// a short buffer must stay untouched) or panicking. Every rank rejects
+// the same call, and the collective after it still matches: the tag
+// sequence advanced in lockstep.
 func TestCollectiveBufferLengths(t *testing.T) {
 	const ranks, count, root = 4, 4, 0
-	type call func(w *Comm, cc *CartComm, a, b []byte, count int, dt *Datatype) error
-	// istart and pinit adapt the request- and operation-returning forms;
-	// a call that wrongly succeeds is completed so the run can end.
-	istart := func(r *Request, err error) error {
-		if err == nil {
-			_, err = r.Wait()
-		}
-		return err
-	}
+	type call func(w *Comm, cc *CartComm, a, b []byte, count, root int, dt *Datatype) error
+	// istart and pinit adapt the request- and operation-returning
+	// forms; an I-form that wrongly succeeds is completed so the run can
+	// end.
 	pinit := func(_ *PersistentColl, err error) error { return err }
 	cases := []struct {
 		name string
@@ -270,71 +275,72 @@ func TestCollectiveBufferLengths(t *testing.T) {
 		// or they would wait for a root that has already returned.
 		rootOnly byte
 		one      bool // a is the only buffer
+		rooted   bool // takes a root: one outside the communicator is an ErrArg in every form
 	}{
-		{name: "Bcast", one: true, call: func(w *Comm, _ *CartComm, a, _ []byte, n int, dt *Datatype) error {
+		{name: "Bcast", rooted: true, one: true, call: func(w *Comm, _ *CartComm, a, _ []byte, n, root int, dt *Datatype) error {
 			return w.Bcast(a, n, dt, root)
 		}},
-		{name: "Reduce", rootOnly: 'b', call: func(w *Comm, _ *CartComm, a, b []byte, n int, dt *Datatype) error {
+		{name: "Reduce", rooted: true, rootOnly: 'b', call: func(w *Comm, _ *CartComm, a, b []byte, n, root int, dt *Datatype) error {
 			return w.Reduce(a, b, n, dt, OpSum, root)
 		}},
-		{name: "Allreduce", call: func(w *Comm, _ *CartComm, a, b []byte, n int, dt *Datatype) error {
+		{name: "Allreduce", call: func(w *Comm, _ *CartComm, a, b []byte, n, root int, dt *Datatype) error {
 			return w.Allreduce(a, b, n, dt, OpSum)
 		}},
-		{name: "Scan", call: func(w *Comm, _ *CartComm, a, b []byte, n int, dt *Datatype) error {
+		{name: "Scan", call: func(w *Comm, _ *CartComm, a, b []byte, n, root int, dt *Datatype) error {
 			return w.Scan(a, b, n, dt, OpSum)
 		}},
-		{name: "Exscan", call: func(w *Comm, _ *CartComm, a, b []byte, n int, dt *Datatype) error {
+		{name: "Exscan", call: func(w *Comm, _ *CartComm, a, b []byte, n, root int, dt *Datatype) error {
 			return w.Exscan(a, b, n, dt, OpSum)
 		}},
-		{name: "Gather", rootOnly: 'b', call: func(w *Comm, _ *CartComm, a, b []byte, n int, dt *Datatype) error {
+		{name: "Gather", rooted: true, rootOnly: 'b', call: func(w *Comm, _ *CartComm, a, b []byte, n, root int, dt *Datatype) error {
 			return w.Gather(a, b, n, dt, root)
 		}},
-		{name: "Scatter", rootOnly: 'a', call: func(w *Comm, _ *CartComm, a, b []byte, n int, dt *Datatype) error {
+		{name: "Scatter", rooted: true, rootOnly: 'a', call: func(w *Comm, _ *CartComm, a, b []byte, n, root int, dt *Datatype) error {
 			return w.Scatter(a, b, n, dt, root)
 		}},
-		{name: "Allgather", call: func(w *Comm, _ *CartComm, a, b []byte, n int, dt *Datatype) error {
+		{name: "Allgather", call: func(w *Comm, _ *CartComm, a, b []byte, n, root int, dt *Datatype) error {
 			return w.Allgather(a, b, n, dt)
 		}},
-		{name: "Alltoall", call: func(w *Comm, _ *CartComm, a, b []byte, n int, dt *Datatype) error {
+		{name: "Alltoall", call: func(w *Comm, _ *CartComm, a, b []byte, n, root int, dt *Datatype) error {
 			return w.Alltoall(a, b, n, dt)
 		}},
-		{name: "ReduceScatterBlock", call: func(w *Comm, _ *CartComm, a, b []byte, n int, dt *Datatype) error {
+		{name: "ReduceScatterBlock", call: func(w *Comm, _ *CartComm, a, b []byte, n, root int, dt *Datatype) error {
 			return w.ReduceScatterBlock(a, b, n, dt, OpSum)
 		}},
-		{name: "Ibcast", one: true, call: func(w *Comm, _ *CartComm, a, _ []byte, n int, dt *Datatype) error {
+		{name: "Ibcast", rooted: true, one: true, call: func(w *Comm, _ *CartComm, a, _ []byte, n, root int, dt *Datatype) error {
 			return istart(w.Ibcast(a, n, dt, root))
 		}},
-		{name: "Ireduce", rootOnly: 'b', call: func(w *Comm, _ *CartComm, a, b []byte, n int, dt *Datatype) error {
+		{name: "Ireduce", rooted: true, rootOnly: 'b', call: func(w *Comm, _ *CartComm, a, b []byte, n, root int, dt *Datatype) error {
 			return istart(w.Ireduce(a, b, n, dt, OpSum, root))
 		}},
-		{name: "Iallreduce", call: func(w *Comm, _ *CartComm, a, b []byte, n int, dt *Datatype) error {
+		{name: "Iallreduce", call: func(w *Comm, _ *CartComm, a, b []byte, n, root int, dt *Datatype) error {
 			return istart(w.Iallreduce(a, b, n, dt, OpSum))
 		}},
-		{name: "Iallgather", call: func(w *Comm, _ *CartComm, a, b []byte, n int, dt *Datatype) error {
+		{name: "Iallgather", call: func(w *Comm, _ *CartComm, a, b []byte, n, root int, dt *Datatype) error {
 			return istart(w.Iallgather(a, b, n, dt))
 		}},
-		{name: "Ialltoall", call: func(w *Comm, _ *CartComm, a, b []byte, n int, dt *Datatype) error {
+		{name: "Ialltoall", call: func(w *Comm, _ *CartComm, a, b []byte, n, root int, dt *Datatype) error {
 			return istart(w.Ialltoall(a, b, n, dt))
 		}},
-		{name: "BcastInit", one: true, call: func(w *Comm, _ *CartComm, a, _ []byte, n int, dt *Datatype) error {
+		{name: "BcastInit", rooted: true, one: true, call: func(w *Comm, _ *CartComm, a, _ []byte, n, root int, dt *Datatype) error {
 			return pinit(w.BcastInit(a, n, dt, root))
 		}},
-		{name: "AllreduceInit", call: func(w *Comm, _ *CartComm, a, b []byte, n int, dt *Datatype) error {
+		{name: "AllreduceInit", call: func(w *Comm, _ *CartComm, a, b []byte, n, root int, dt *Datatype) error {
 			return pinit(w.AllreduceInit(a, b, n, dt, OpSum))
 		}},
-		{name: "AlltoallInit", call: func(w *Comm, _ *CartComm, a, b []byte, n int, dt *Datatype) error {
+		{name: "AlltoallInit", call: func(w *Comm, _ *CartComm, a, b []byte, n, root int, dt *Datatype) error {
 			return pinit(w.AlltoallInit(a, b, n, dt))
 		}},
-		{name: "NeighborAllgather", call: func(_ *Comm, cc *CartComm, a, b []byte, n int, dt *Datatype) error {
+		{name: "NeighborAllgather", call: func(_ *Comm, cc *CartComm, a, b []byte, n, root int, dt *Datatype) error {
 			return cc.NeighborAllgather(a, b, n, dt)
 		}},
-		{name: "NeighborAlltoall", call: func(_ *Comm, cc *CartComm, a, b []byte, n int, dt *Datatype) error {
+		{name: "NeighborAlltoall", call: func(_ *Comm, cc *CartComm, a, b []byte, n, root int, dt *Datatype) error {
 			return cc.NeighborAlltoall(a, b, n, dt)
 		}},
-		{name: "NeighborAllgatherInit", call: func(_ *Comm, cc *CartComm, a, b []byte, n int, dt *Datatype) error {
+		{name: "NeighborAllgatherInit", call: func(_ *Comm, cc *CartComm, a, b []byte, n, root int, dt *Datatype) error {
 			return pinit(cc.NeighborAllgatherInit(a, b, n, dt))
 		}},
-		{name: "NeighborAlltoallInit", call: func(_ *Comm, cc *CartComm, a, b []byte, n int, dt *Datatype) error {
+		{name: "NeighborAlltoallInit", call: func(_ *Comm, cc *CartComm, a, b []byte, n, root int, dt *Datatype) error {
 			return pinit(cc.NeighborAlltoallInit(a, b, n, dt))
 		}},
 	}
@@ -387,14 +393,20 @@ func TestCollectiveBufferLengths(t *testing.T) {
 							b = short
 						}
 						what := fmt.Sprintf("%s short %c", tc.name, which)
-						if err := expect(what, ErrBuffer, tc.call(w, cc, a, b, count, Double)); err != nil {
+						if err := expect(what, ErrBuffer, tc.call(w, cc, a, b, count, root, Double)); err != nil {
 							return err
 						}
 					}
-					if err := expect(tc.name+" nil datatype", ErrType, tc.call(w, cc, okA, okB, count, nil)); err != nil {
+					if err := expect(tc.name+" nil datatype", ErrType, tc.call(w, cc, okA, okB, count, root, nil)); err != nil {
 						return err
 					}
-					if err := expect(tc.name+" negative count", ErrCount, tc.call(w, cc, okA, okB, -1, Double)); err != nil {
+					if err := expect(tc.name+" negative count", ErrCount, tc.call(w, cc, okA, okB, -1, root, Double)); err != nil {
+						return err
+					}
+					if !tc.rooted {
+						continue
+					}
+					if err := expect(tc.name+" bad root", ErrArg, tc.call(w, cc, okA, okB, count, 99, Double)); err != nil {
 						return err
 					}
 				}

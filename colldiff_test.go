@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"testing"
 )
 
@@ -301,30 +302,95 @@ func FuzzBlockingCollectives(f *testing.F) {
 }
 
 // TestBlockingCollectiveMessageCounts pins the algorithms behind the
-// three hot blocking collectives by rank 0's message counts on 8 ranks,
-// so that an algorithm change cannot hide behind equal results:
-// recursive doubling and dissemination are 3 sends + 3 receives,
-// binomial bcast from rank 0 is 3 children x the payload's segments.
-// Each collective runs in a world of its own and the counts are read
-// from the teardown snapshot, when every message has landed.
+// blocking collectives, so that an algorithm change cannot hide behind
+// equal results. Each blocking entry point carries a pin (coll.go), and
+// a pin promises the same algorithm whatever the layout, the configured
+// CollAlgorithm or the communicator's info key say: in every
+// configuration the only per-algorithm slot Stats charges is the
+// pinned one, once per rank, while the same arguments through the
+// I-form land where the configuration sends them. With one rank per
+// node and nothing pinned, rank 0's message counts are checked too:
+// recursive doubling and dissemination are 3 sends + 3 receives on 8
+// ranks, binomial bcast from rank 0 is 3 children x the payload's
+// segments. Each call runs in a world of its own and is read from the
+// teardown snapshot, when every message has landed.
 func TestBlockingCollectiveMessageCounts(t *testing.T) {
 	const kib16, segments = 16 << 10, 2 // ofi's eager limit is 8 KiB
-	for _, c := range []struct {
+	allreduce := func(w *Comm) error {
+		return w.Allreduce(make([]byte, 64), make([]byte, 64), 8, Double, OpSum)
+	}
+	rows := []struct {
 		name        string
+		ranks       int
 		call        func(w *Comm) error
-		sent, recvd int64
+		slot        string // what the blocking pin charges, everywhere
+		sent, recvd int64  // rank 0's net messages in the "ofi" configuration
+		icall       func(w *Comm) error
 	}{
-		{"allreduce", func(w *Comm) error {
-			return w.Allreduce(make([]byte, 64), make([]byte, 64), 8, Double, OpSum)
-		}, 3, 3},
-		{"bcast", func(w *Comm) error { return w.Bcast(make([]byte, kib16), kib16, Byte, 0) }, 3 * segments, 0},
-		{"barrier", (*Comm).Barrier, 3, 3},
+		{"allreduce", 8, allreduce, "allreduce/rdouble", 3, 3, func(w *Comm) error {
+			return istart(w.Iallreduce(make([]byte, 64), make([]byte, 64), 8, Double, OpSum))
+		}},
+		{"allreduce-6", 6, allreduce, "allreduce/reduce-bcast", 3, 3, nil},
+		{"bcast", 8, func(w *Comm) error { return w.Bcast(make([]byte, kib16), kib16, Byte, 0) },
+			"bcast/binomial", 3 * segments, 0, func(w *Comm) error {
+				return istart(w.Ibcast(make([]byte, kib16), kib16, Byte, 0))
+			}},
+		{"barrier", 8, (*Comm).Barrier, "barrier/dissemination", 3, 3, nil},
+		{"allgather", 8, func(w *Comm) error {
+			return w.Allgather(make([]byte, 64), make([]byte, 8*64), 64, Byte)
+		}, "allgather/ring", 7, 7, nil},
+		{"alltoall", 8, func(w *Comm) error {
+			return w.Alltoall(make([]byte, 8*64), make([]byte, 8*64), 64, Byte)
+		}, "alltoall/pairwise", 7, 7, nil},
+	}
+	for _, cfg := range []struct {
+		name    string
+		cfg     Config
+		infoKey string
+		islot   map[string]string // where the I-form of a row lands
+	}{
+		{"ofi", Config{Fabric: "ofi"}, "",
+			map[string]string{"allreduce": "allreduce/rdouble", "bcast": "bcast/scatter-allgather"}},
+		{"rpn2", Config{Fabric: "ofi", RanksPerNode: 2}, "",
+			map[string]string{"allreduce": "allreduce/two-level", "bcast": "bcast/two-level"}},
+		{"two-level", Config{Fabric: "ofi", RanksPerNode: 2, CollAlgorithm: "two-level"}, "",
+			map[string]string{"allreduce": "allreduce/two-level", "bcast": "bcast/two-level"}},
+		{"info-key", Config{Fabric: "ofi"}, "scatter-allgather",
+			map[string]string{"allreduce": "allreduce/rdouble", "bcast": "bcast/scatter-allgather"}},
 	} {
-		st := runICollJob(t, Config{Fabric: "ofi"}, 8, func(p *Proc) error { return c.call(p.World()) })
-		m := st.Ranks[0].Metrics
-		if m.NetSend.Msgs != c.sent || m.NetRecv.Msgs != c.recvd {
-			t.Errorf("%s: rank 0 sent %d and received %d messages, want %d and %d",
-				c.name, m.NetSend.Msgs, m.NetRecv.Msgs, c.sent, c.recvd)
+		// charged runs call in a world of its own and returns the
+		// nonzero per-algorithm call counts.
+		charged := func(ranks int, call func(w *Comm) error) (map[string]int64, *Stats) {
+			st := runICollJob(t, cfg.cfg, ranks, func(p *Proc) error {
+				if cfg.infoKey != "" {
+					p.World().SetInfo(CollAlgorithmKey, cfg.infoKey)
+				}
+				return call(p.World())
+			})
+			got := map[string]int64{}
+			for _, cs := range st.Aggregate().Coll {
+				if cs.Calls != 0 {
+					got[cs.Algo] = cs.Calls
+				}
+			}
+			return got, st
+		}
+		for _, r := range rows {
+			got, st := charged(r.ranks, r.call)
+			if want := map[string]int64{r.slot: int64(r.ranks)}; !maps.Equal(got, want) {
+				t.Errorf("%s/%s: charged %v, want %v", cfg.name, r.name, got, want)
+			}
+			if m := st.Ranks[0].Metrics; cfg.name == "ofi" && (m.NetSend.Msgs != r.sent || m.NetRecv.Msgs != r.recvd) {
+				t.Errorf("%s: rank 0 sent %d and received %d messages, want %d and %d",
+					r.name, m.NetSend.Msgs, m.NetRecv.Msgs, r.sent, r.recvd)
+			}
+			if r.icall == nil {
+				continue
+			}
+			got, _ = charged(r.ranks, r.icall)
+			if want := map[string]int64{cfg.islot[r.name]: int64(r.ranks)}; !maps.Equal(got, want) {
+				t.Errorf("%s/I%s: charged %v, want %v", cfg.name, r.name, got, want)
+			}
 		}
 	}
 }

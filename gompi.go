@@ -45,7 +45,6 @@ import (
 	"gompi/internal/proc"
 	"gompi/internal/stall"
 	"gompi/internal/trace"
-	"gompi/internal/vtime"
 )
 
 // ErrStalled is returned (wrapped) by Run when the stall watchdog
@@ -641,9 +640,6 @@ func (p *Proc) chargeThread(c *comm.Comm, win bool) func() {
 	c.Lock.Lock()
 	return c.Unlock
 }
-
-// wtime is the vtime seconds helper the benchmark harness uses.
-func (p *Proc) wtimeAt(t vtime.Time) float64 { return p.rank.Clock().Seconds(0, t) }
 
 // TraceEvent is one recorded operation of the event trace.
 type TraceEvent = trace.Event

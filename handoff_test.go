@@ -26,8 +26,8 @@ func fillPattern(buf []byte, seed int) {
 func TestHandoffCopyCounts(t *testing.T) {
 	const thresh = 16384
 	cases := []struct {
-		name  string
-		size  int
+		name string
+		size int
 		// expectations on the job-wide aggregate
 		stagedMax int64 // -1 = no bound
 		stagedMin int64

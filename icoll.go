@@ -316,13 +316,12 @@ func (c *Comm) istart(op *collOp) *Request {
 	return &Request{r: &op.r, p: c.p, coll: op}
 }
 
-// icoll is the frame of every nonblocking collective that takes
-// arguments: enter, draw the tag, resolve the algorithm pin, then let
-// compile validate the arguments and build the schedule in a recycled
-// op, and launch it. The tag is drawn before anything can fail: a rank
-// that rejects its arguments still advances the sequence with its
-// peers.
-func (c *Comm) icoll(compile func(s *nbc.Schedule, t *nbcPort, tag int, f nbc.Force) error) (*Request, error) {
+// icoll is the frame of every nonblocking collective: enter, draw the
+// tag, resolve the algorithm pin, then let compile validate the
+// arguments and build the schedule in a recycled op, and launch it. The
+// tag is drawn before anything can fail: a rank that rejects its
+// arguments still advances the sequence with its peers.
+func (c *Comm) icoll(compile compileFn) (*Request, error) {
 	done, err := c.collEnter()
 	if err != nil {
 		return nil, err
@@ -341,62 +340,23 @@ func (c *Comm) icoll(compile func(s *nbc.Schedule, t *nbcPort, tag int, f nbc.Fo
 	return c.istart(op), nil
 }
 
-// argErr classes what a compile step of icoll or pcoll returned: its
-// own argument checks come classed already, a schedule compiler's
-// complaint (a root out of range) becomes an ErrArg.
-func argErr(err error) error {
-	if _, classed := err.(*Error); classed {
-		return err
-	}
-	return errc(ErrArg, "%v", err)
-}
-
 // Ibarrier starts a nonblocking barrier (MPI_IBARRIER): the returned
 // request completes once every rank of the communicator has entered.
-func (c *Comm) Ibarrier() (*Request, error) {
-	done, err := c.collEnter()
-	if err != nil {
-		return nil, err
-	}
-	defer done()
-	op := c.getOp()
-	nbc.Barrier(&op.s, c.nbcPort(), c.nbcTag())
-	return c.istart(op), nil
-}
+func (c *Comm) Ibarrier() (*Request, error) { return c.icoll(barrier) }
 
 // Ibcast starts a nonblocking broadcast (MPI_IBCAST). Algorithm
 // selection is size- and topology-based: two-level on hierarchical
 // layouts, binomial tree for short messages, scatter+ring-allgather
 // for long ones; pin it with CollAlgorithmKey or Config.CollAlgorithm.
 func (c *Comm) Ibcast(buf []byte, count int, dt *Datatype, root int) (*Request, error) {
-	return c.icoll(func(s *nbc.Schedule, t *nbcPort, tag int, f nbc.Force) error {
-		n, err := collBuf(count, dt, buf)
-		if err != nil {
-			return err
-		}
-		return nbc.Bcast(s, t, tag, buf[:n], root, nbc.SelectBcast(t, n, f))
-	})
+	return c.icoll(bcast(buf, count, dt, root))
 }
 
 // Ireduce starts a nonblocking reduction to root (MPI_IREDUCE). recv
 // is consumed only on the root. Non-commutative operators fold in
 // strict rank order (the chain algorithm).
 func (c *Comm) Ireduce(send, recv []byte, count int, elem *Datatype, op Op, root int) (*Request, error) {
-	return c.icoll(func(s *nbc.Schedule, t *nbcPort, tag int, f nbc.Force) error {
-		n, err := collBuf(count, elem, send)
-		if err != nil {
-			return err
-		}
-		var out []byte
-		if c.Rank() == root {
-			if _, err := collBuf(count, elem, recv); err != nil {
-				return err
-			}
-			out = recv[:n]
-		}
-		return nbc.Reduce(s, t, tag, op, elem, send[:n], out, root,
-			nbc.SelectReduce(t, n, coll.Commutative(op), f))
-	})
+	return c.icoll(reduce(send, recv, count, elem, op, root))
 }
 
 // Iallreduce starts a nonblocking allreduce (MPI_IALLREDUCE).
@@ -405,41 +365,18 @@ func (c *Comm) Ireduce(send, recv []byte, count int, elem *Datatype, op Op, root
 // allgather for long ones, reduce+bcast otherwise; non-commutative
 // operators always take the rank-ordered chain composition.
 func (c *Comm) Iallreduce(send, recv []byte, count int, elem *Datatype, op Op) (*Request, error) {
-	return c.icoll(func(s *nbc.Schedule, t *nbcPort, tag int, f nbc.Force) error {
-		n, err := collBuf(count, elem, send, recv)
-		if err != nil {
-			return err
-		}
-		nbc.Allreduce(s, t, tag, op, elem, send[:n], recv[:n],
-			nbc.SelectAllreduce(t, count, elem.Size(), coll.Commutative(op), f))
-		return nil
-	})
+	return c.icoll(allreduce(send, recv, count, elem, op))
 }
 
 // Iallgather starts a nonblocking allgather (MPI_IALLGATHER): Bruck
 // for short blocks, ring for long ones.
 func (c *Comm) Iallgather(send, recv []byte, count int, dt *Datatype) (*Request, error) {
-	return c.icoll(func(s *nbc.Schedule, t *nbcPort, tag int, f nbc.Force) error {
-		n, err := collBuf(count, dt, send)
-		if err == nil {
-			_, err = collBuf(count*c.Size(), dt, recv)
-		}
-		if err != nil {
-			return err
-		}
-		return nbc.Allgather(s, t, tag, send[:n], recv[:n*c.Size()], nbc.SelectAllgather(t, n, f))
-	})
+	return c.icoll(allgather(send, recv, count, dt))
 }
 
 // Ialltoall starts a nonblocking all-to-all exchange (MPI_IALLTOALL):
 // all sends and receives posted in one round for small blocks on small
 // worlds, pairwise exchange rounds otherwise.
 func (c *Comm) Ialltoall(send, recv []byte, count int, dt *Datatype) (*Request, error) {
-	return c.icoll(func(s *nbc.Schedule, t *nbcPort, tag int, f nbc.Force) error {
-		n, err := collBuf(count*c.Size(), dt, send, recv)
-		if err != nil {
-			return err
-		}
-		return nbc.Alltoall(s, t, tag, send[:n], recv[:n], nbc.SelectAlltoall(t, count*dt.Size(), f))
-	})
+	return c.icoll(alltoall(send, recv, count, dt))
 }

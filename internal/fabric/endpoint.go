@@ -282,9 +282,6 @@ func newEndpoint(f *Fabric, rank, nvci int) *Endpoint {
 // Rank returns the endpoint's fabric address.
 func (ep *Endpoint) Rank() int { return ep.rank }
 
-// NVCI returns the number of virtual communication interfaces.
-func (ep *Endpoint) NVCI() int { return len(ep.vcis) }
-
 // norm maps AnyVCI to 0 on a single-VCI endpoint (where the fallback
 // path is pointless) and bounds-checks explicit indices.
 func (ep *Endpoint) norm(v int) int {
@@ -586,13 +583,9 @@ func (ep *Endpoint) DepositShmViewVCI(bits match.Bits, src int, view []byte, arr
 	ep.deposit(v, bits, src, view, arrival, viaShm, rel)
 }
 
-// DepositSelf lands a self-loop message (the ch4-core self-send
-// shortcut). Same borrowing contract as DepositShm.
-func (ep *Endpoint) DepositSelf(bits match.Bits, src int, data []byte, arrival vtime.Time) {
-	ep.deposit(ep.f.VCIFor(bits), bits, src, data, arrival, viaSelf, nil)
-}
-
-// DepositSelfVCI is DepositSelf onto an explicitly named interface.
+// DepositSelfVCI lands a self-loop message (the ch4-core self-send
+// shortcut) on an explicitly named interface. Same borrowing contract
+// as DepositShm.
 func (ep *Endpoint) DepositSelfVCI(bits match.Bits, src int, data []byte, arrival vtime.Time, v int) {
 	ep.deposit(v, bits, src, data, arrival, viaSelf, nil)
 }

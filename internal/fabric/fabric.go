@@ -109,17 +109,11 @@ func NewVCIOpt(prof Profile, n, nvci int, opts Options) *Fabric {
 	return f
 }
 
-// Opts returns the fabric's scale knobs.
-func (f *Fabric) Opts() Options { return f.opts }
-
 // Profile returns the fabric's cost profile.
 func (f *Fabric) Profile() Profile { return f.prof }
 
 // Size returns the number of endpoints.
 func (f *Fabric) Size() int { return len(f.eps) }
-
-// NVCI returns the per-endpoint virtual-interface count.
-func (f *Fabric) NVCI() int { return f.nvci }
 
 // VCIFor is the deterministic traffic-to-VCI hash over the fields both
 // sides of a transfer agree on: communicator context and tag, never the

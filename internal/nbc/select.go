@@ -15,9 +15,9 @@ type Force int
 
 // Forced algorithm families.
 const (
-	ForceAuto Force = iota
-	ForceFlat     // disable two-level even on hierarchical topologies
-	ForceTwoLevel // hierarchical leader-based algorithms
+	ForceAuto     Force = iota
+	ForceFlat           // disable two-level even on hierarchical topologies
+	ForceTwoLevel       // hierarchical leader-based algorithms
 	ForceBinomial
 	ForceScatterAllgather
 	ForceRDouble

@@ -1,7 +1,6 @@
 package gompi
 
 import (
-	"gompi/internal/coll"
 	"gompi/internal/match"
 	"gompi/internal/nbc"
 )
@@ -35,19 +34,23 @@ func (c *Comm) persistTag() int {
 }
 
 // pcoll is the frame of every persistent-collective Init: enter, draw the
-// operation's tag, then let compile validate the arguments and build the
-// schedule the operation will own. The tag is drawn before anything can
-// fail, as in the non-persistent calls, so the sequence advances in
-// lockstep across ranks. This is the one compilation the schedule
-// counters record as a miss; every Start is a hit.
-func (c *Comm) pcoll(compile func(s *nbc.Schedule, t *nbcPort, tag int) error) (*PersistentColl, error) {
+// operation's tag, resolve the algorithm pin, then let compile validate
+// the arguments and build the schedule the operation will own. The tag is
+// drawn before anything can fail, as in the non-persistent calls, so the
+// sequence advances in lockstep across ranks. This is the one compilation
+// the schedule counters record as a miss; every Start is a hit.
+func (c *Comm) pcoll(compile compileFn) (*PersistentColl, error) {
 	done, err := c.collEnter()
 	if err != nil {
 		return nil, err
 	}
 	defer done()
 	tag, s := c.persistTag(), new(nbc.Schedule)
-	if err := compile(s, c.nbcPort(), tag); err != nil {
+	f, err := c.collForce()
+	if err != nil {
+		return nil, err
+	}
+	if err := compile(s, c.nbcPort(), tag, f); err != nil {
 		return nil, argErr(err)
 	}
 	c.p.rank.Metrics().NoteSchedCache(false)
@@ -79,7 +82,7 @@ func (o *PersistentColl) Wait() error {
 	if !o.active {
 		return errc(ErrRequest, "persistent collective not active")
 	}
-	if end := o.c.p.span(traceWaitKind, -1, 0); end != nil {
+	if end := o.c.p.span(TraceWait, -1, 0); end != nil {
 		defer end()
 	}
 	err := o.s.Wait()
@@ -107,47 +110,15 @@ func (o *PersistentColl) Test() (bool, error) {
 
 // BcastInit binds a persistent broadcast (MPI_BCAST_INIT).
 func (c *Comm) BcastInit(buf []byte, count int, dt *Datatype, root int) (*PersistentColl, error) {
-	return c.pcoll(func(s *nbc.Schedule, t *nbcPort, tag int) error {
-		f, err := c.collForce()
-		if err != nil {
-			return err
-		}
-		n, err := collBuf(count, dt, buf)
-		if err != nil {
-			return err
-		}
-		return nbc.Bcast(s, t, tag, buf[:n], root, nbc.SelectBcast(t, n, f))
-	})
+	return c.pcoll(bcast(buf, count, dt, root))
 }
 
 // AllreduceInit binds a persistent allreduce (MPI_ALLREDUCE_INIT).
 func (c *Comm) AllreduceInit(send, recv []byte, count int, elem *Datatype, op Op) (*PersistentColl, error) {
-	return c.pcoll(func(s *nbc.Schedule, t *nbcPort, tag int) error {
-		f, err := c.collForce()
-		if err != nil {
-			return err
-		}
-		n, err := collBuf(count, elem, send, recv)
-		if err != nil {
-			return err
-		}
-		nbc.Allreduce(s, t, tag, op, elem, send[:n], recv[:n],
-			nbc.SelectAllreduce(t, count, elem.Size(), coll.Commutative(op), f))
-		return nil
-	})
+	return c.pcoll(allreduce(send, recv, count, elem, op))
 }
 
 // AlltoallInit binds a persistent all-to-all (MPI_ALLTOALL_INIT).
 func (c *Comm) AlltoallInit(send, recv []byte, count int, dt *Datatype) (*PersistentColl, error) {
-	return c.pcoll(func(s *nbc.Schedule, t *nbcPort, tag int) error {
-		f, err := c.collForce()
-		if err != nil {
-			return err
-		}
-		n, err := collBuf(count*c.Size(), dt, send, recv)
-		if err != nil {
-			return err
-		}
-		return nbc.Alltoall(s, t, tag, send[:n], recv[:n], nbc.SelectAlltoall(t, count*dt.Size(), f))
-	})
+	return c.pcoll(alltoall(send, recv, count, dt))
 }

@@ -56,9 +56,9 @@ func (o *PersistentOp) Start() error {
 		return errc(ErrRequest, "persistent operation already active")
 	}
 	p := o.c.p
-	kind := traceRecvKind
+	kind := TraceRecv
 	if o.send {
-		kind = traceSendKind
+		kind = TraceSend
 	}
 	if end := p.span(kind, o.peer, o.count*o.dt.Size()); end != nil {
 		defer end()

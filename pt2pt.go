@@ -4,15 +4,9 @@ import (
 	"runtime"
 
 	"gompi/internal/core"
+	"gompi/internal/datatype"
 	"gompi/internal/request"
-)
-
-// trace kind aliases keep the hot paths free of package-qualified
-// constants.
-const (
-	traceSendKind = TraceSend
-	traceRecvKind = TraceRecv
-	traceWaitKind = TraceWait
+	"gompi/internal/vtime"
 )
 
 // traceBytes sizes a traced payload without assuming the (not yet
@@ -102,7 +96,7 @@ func (r *Request) Wait() (Status, error) {
 		return Status{}, nil // requestless (no-req) operations
 	}
 	if r.p != nil {
-		if end := r.p.span(traceWaitKind, -1, 0); end != nil {
+		if end := r.p.span(TraceWait, -1, 0); end != nil {
 			defer end()
 		}
 	}
@@ -160,7 +154,7 @@ func (p *Proc) scratchReq(slot int) *Request {
 // into a fresh one when req is nil (the nonblocking forms).
 func (c *Comm) isend(buf []byte, count int, dt *Datatype, dest, tag int, flags core.OpFlags, req *Request) (*Request, error) {
 	p := c.p
-	if end := p.spanVCI(traceSendKind, dest, traceBytes(count, dt), p.vciOf(c, tag, false)); end != nil {
+	if end := p.spanVCI(TraceSend, dest, traceBytes(count, dt), p.vciOf(c, tag, false)); end != nil {
 		defer end()
 	}
 	p.chargeCall()
@@ -257,7 +251,7 @@ func (o SendOptions) flags() core.OpFlags {
 func (c *Comm) IsendOpt(buf []byte, count int, dt *Datatype, dest, tag int, o SendOptions) (*Request, error) {
 	if o == AllSendOptions && dt == Byte && count == len(buf) {
 		p := c.p
-		if end := p.span(traceSendKind, dest, len(buf)); end != nil {
+		if end := p.span(TraceSend, dest, len(buf)); end != nil {
 			defer end()
 		}
 		// No call-frame or validation charges: the all-opts path is
@@ -353,7 +347,7 @@ func (c *Comm) CommWaitall() error {
 // The request is filled into req, or into a fresh one when req is nil.
 func (c *Comm) irecv(buf []byte, count int, dt *Datatype, src, tag int, flags core.OpFlags, req *Request) (*Request, error) {
 	p := c.p
-	if end := p.spanVCI(traceRecvKind, src, traceBytes(count, dt), p.vciOf(c, tag, true)); end != nil {
+	if end := p.spanVCI(TraceRecv, src, traceBytes(count, dt), p.vciOf(c, tag, true)); end != nil {
 		defer end()
 	}
 	p.chargeCall()
@@ -376,7 +370,7 @@ func (c *Comm) irecv(buf []byte, count int, dt *Datatype, src, tag int, flags co
 	}
 	*req = Request{r: r, p: p}
 	if c.c.Hints.ExactLength && src != ProcNull {
-		req.exact, req.exactLen = true, dtPackedSize(dt, count)
+		req.exact, req.exactLen = true, datatype.PackedSize(dt, count)
 	}
 	return req, nil
 }
@@ -529,7 +523,7 @@ type Message struct {
 	data    []byte
 	src     int
 	tag     int
-	arrival int64
+	arrival vtime.Time
 }
 
 // improbe is one matched probe of the device; Improbe and the Mprobe
@@ -545,7 +539,7 @@ func (c *Comm) improbe(src, tag int) (*Message, bool, error) {
 	if !ok {
 		return nil, false, nil
 	}
-	return &Message{p: c.p, data: data, src: st.Source, tag: st.Tag, arrival: int64(arrival)}, true, nil
+	return &Message{p: c.p, data: data, src: st.Source, tag: st.Tag, arrival: arrival}, true, nil
 }
 
 // Improbe extracts a matchable message without receiving it
@@ -590,15 +584,15 @@ func (m *Message) Recv(buf []byte, count int, dt *Datatype) (Status, error) {
 	if m.data == nil && m.p == nil {
 		return Status{}, errc(ErrRequest, "message already received")
 	}
-	m.p.rank.Sync(vtimeFromInt(m.arrival))
+	m.p.rank.Sync(m.arrival)
 	st := Status{Source: m.src, Tag: m.tag, Count: len(m.data)}
 	var err error
-	if view, ok := dtContigView(dt, count, buf); ok {
+	if view, ok := datatype.ContigView(dt, count, buf); ok {
 		if copy(view, m.data) < len(m.data) {
 			err = statusErr(true)
 		}
 	} else {
-		need := dtPackedSize(dt, count)
+		need := datatype.PackedSize(dt, count)
 		if need < len(m.data) {
 			err = statusErr(true)
 		}
@@ -606,7 +600,7 @@ func (m *Message) Recv(buf []byte, count int, dt *Datatype) (Status, error) {
 		if need < n {
 			n = need
 		}
-		if _, uerr := dtUnpack(dt, count, m.data[:n], buf); uerr != nil && err == nil {
+		if _, uerr := datatype.Unpack(dt, count, m.data[:n], buf); uerr != nil && err == nil {
 			err = errc(ErrType, "%v", uerr)
 		}
 	}

@@ -99,72 +99,43 @@ func (c *CartComm) Neighbors() []int {
 // rank exchanges only with its declared neighbors, compiled through the
 // nbc schedule engine. The compilers order each transfer list
 // local-first — shm-reachable neighbors are injected and drained before
-// the schedule parks on net peers. The blocking calls compile in place
-// into the communicator's blocking schedule like every other blocking
-// collective; a halo exchange repeated every iteration that wants its
-// set-up amortised declares so with the *Init forms below. ProcNull
-// neighbors (the open edges of a non-periodic grid) transfer nothing;
-// their receive blocks are zeroed on every activation through the
-// schedule prologue.
+// the schedule parks on net peers. Like every collective (see coll.go)
+// each is one definition over explicit neighbor lists — CartComm and
+// GraphComm supply theirs — run in the blocking or the persistent frame;
+// a halo exchange repeated every iteration that wants its set-up
+// amortised declares so with the *Init forms. ProcNull neighbors (the
+// open edges of a non-periodic grid) transfer nothing; their receive
+// blocks are zeroed on every activation through the schedule prologue.
 
-// neighborAllgather runs the blocking neighborhood allgather over
-// explicit neighbor lists; CartComm and GraphComm supply theirs.
-func (c *Comm) neighborAllgather(send, recv []byte, count int, dt *Datatype, sources, destinations []int) error {
-	done, err := c.collEnter()
-	if err != nil {
-		return err
+// neighborAllgather sends one block to every destination and receives
+// one from every source.
+func neighborAllgather(send, recv []byte, count int, dt *Datatype, sources, destinations []int) compileFn {
+	return func(s *nbc.Schedule, t *nbcPort, tag int, _ nbc.Force) error {
+		n, err := collBuf(count, dt, send)
+		if err == nil {
+			_, err = collBuf(count*len(sources), dt, recv)
+		}
+		if err != nil {
+			return err
+		}
+		return nbc.NeighborAllgather(s, t, tag, send[:n], recv[:n*len(sources)], sources, destinations)
 	}
-	defer done()
-	tag := c.nbcTag()
-	n, err := collBuf(count, dt, send)
-	if err == nil {
-		_, err = collBuf(count*len(sources), dt, recv)
-	}
-	if err != nil {
-		return err
-	}
-	return c.collWait(nbc.NeighborAllgather(&c.bsched, c.nbcPort(), tag, send[:n], recv[:n*len(sources)], sources, destinations))
 }
 
-// neighborAlltoall runs the blocking neighborhood all-to-all over
-// explicit neighbor lists.
-func (c *Comm) neighborAlltoall(send, recv []byte, count int, dt *Datatype, sources, destinations []int) error {
-	done, err := c.collEnter()
-	if err != nil {
-		return err
+// neighborAlltoall sends block j to destination j and receives block i
+// from source i.
+func neighborAlltoall(send, recv []byte, count int, dt *Datatype, sources, destinations []int) compileFn {
+	return func(s *nbc.Schedule, t *nbcPort, tag int, _ nbc.Force) error {
+		n, err := collBuf(count*len(destinations), dt, send)
+		if err == nil {
+			_, err = collBuf(count*len(sources), dt, recv)
+		}
+		if err != nil {
+			return err
+		}
+		block := count * dt.Size()
+		return nbc.NeighborAlltoall(s, t, tag, block, send[:n], recv[:block*len(sources)], sources, destinations)
 	}
-	defer done()
-	tag := c.nbcTag()
-	n, err := collBuf(count*len(destinations), dt, send)
-	if err == nil {
-		_, err = collBuf(count*len(sources), dt, recv)
-	}
-	if err != nil {
-		return err
-	}
-	block := count * dt.Size()
-	return c.collWait(nbc.NeighborAlltoall(&c.bsched, c.nbcPort(), tag, block, send[:n], recv[:block*len(sources)], sources, destinations))
-}
-
-// neighborAlltoallv runs the ragged blocking variant: per-neighbor
-// element counts and displacements (in elements of dt).
-func (c *Comm) neighborAlltoallv(send []byte, sendCounts, sendDispls []int, recv []byte, recvCounts, recvDispls []int, dt *Datatype, sources, destinations []int) error {
-	done, err := c.collEnter()
-	if err != nil {
-		return err
-	}
-	defer done()
-	tag := c.nbcTag()
-	if dt == nil {
-		return errc(ErrType, "nil datatype")
-	}
-	es := dt.Size()
-	sc, sd := scaleVec(sendCounts, es), scaleVec(sendDispls, es)
-	rc, rd := scaleVec(recvCounts, es), scaleVec(recvDispls, es)
-	if len(send) < tableSpan(sc, sd) || len(recv) < tableSpan(rc, rd) {
-		return errc(ErrBuffer, "neighbor alltoallv buffers short of their counts/displs tables")
-	}
-	return c.collWait(nbc.NeighborAlltoallv(&c.bsched, c.nbcPort(), tag, send, sc, sd, recv, rc, rd, sources, destinations))
 }
 
 // scaleVec multiplies a count/displacement vector by the element size.
@@ -176,42 +147,13 @@ func scaleVec(v []int, es int) []int {
 	return out
 }
 
-// neighborAllgatherInit compiles a persistent neighborhood allgather.
-func (c *Comm) neighborAllgatherInit(send, recv []byte, count int, dt *Datatype, sources, destinations []int) (*PersistentColl, error) {
-	return c.pcoll(func(s *nbc.Schedule, t *nbcPort, tag int) error {
-		n, err := collBuf(count, dt, send)
-		if err == nil {
-			_, err = collBuf(count*len(sources), dt, recv)
-		}
-		if err != nil {
-			return err
-		}
-		return nbc.NeighborAllgather(s, t, tag, send[:n], recv[:n*len(sources)], sources, destinations)
-	})
-}
-
-// neighborAlltoallInit compiles a persistent neighborhood all-to-all.
-func (c *Comm) neighborAlltoallInit(send, recv []byte, count int, dt *Datatype, sources, destinations []int) (*PersistentColl, error) {
-	return c.pcoll(func(s *nbc.Schedule, t *nbcPort, tag int) error {
-		n, err := collBuf(count*len(destinations), dt, send)
-		if err == nil {
-			_, err = collBuf(count*len(sources), dt, recv)
-		}
-		if err != nil {
-			return err
-		}
-		block := count * dt.Size()
-		return nbc.NeighborAlltoall(s, t, tag, block, send[:n], recv[:block*len(sources)], sources, destinations)
-	})
-}
-
 // NeighborAllgather exchanges one equal-size block with every nearest
 // neighbor (MPI_NEIGHBOR_ALLGATHER on the Cartesian topology): recv
 // holds 2*ndims blocks in Neighbors() order; blocks from ProcNull
 // neighbors are zeroed.
 func (c *CartComm) NeighborAllgather(send, recv []byte, count int, dt *Datatype) error {
 	nb := c.Neighbors()
-	return c.Comm.neighborAllgather(send, recv, count, dt, nb, nb)
+	return c.bcoll(nbc.ForceAuto, neighborAllgather(send, recv, count, dt, nb, nb))
 }
 
 // NeighborAlltoall sends a distinct block to each nearest neighbor and
@@ -219,7 +161,7 @@ func (c *CartComm) NeighborAllgather(send, recv []byte, count int, dt *Datatype)
 // topology), blocks in Neighbors() order.
 func (c *CartComm) NeighborAlltoall(send, recv []byte, count int, dt *Datatype) error {
 	nb := c.Neighbors()
-	return c.Comm.neighborAlltoall(send, recv, count, dt, nb, nb)
+	return c.bcoll(nbc.ForceAuto, neighborAlltoall(send, recv, count, dt, nb, nb))
 }
 
 // NeighborAllgatherInit binds a persistent neighborhood allgather
@@ -228,14 +170,14 @@ func (c *CartComm) NeighborAlltoall(send, recv []byte, count int, dt *Datatype) 
 // Start replays it.
 func (c *CartComm) NeighborAllgatherInit(send, recv []byte, count int, dt *Datatype) (*PersistentColl, error) {
 	nb := c.Neighbors()
-	return c.Comm.neighborAllgatherInit(send, recv, count, dt, nb, nb)
+	return c.pcoll(neighborAllgather(send, recv, count, dt, nb, nb))
 }
 
 // NeighborAlltoallInit binds a persistent neighborhood all-to-all
 // (MPI_NEIGHBOR_ALLTOALL_INIT).
 func (c *CartComm) NeighborAlltoallInit(send, recv []byte, count int, dt *Datatype) (*PersistentColl, error) {
 	nb := c.Neighbors()
-	return c.Comm.neighborAlltoallInit(send, recv, count, dt, nb, nb)
+	return c.pcoll(neighborAlltoall(send, recv, count, dt, nb, nb))
 }
 
 // GraphComm is a communicator with an attached distributed-graph
@@ -287,33 +229,44 @@ func (c *GraphComm) Destinations() []int { return append([]int(nil), c.destinati
 // neighbors: send goes to every destination, recv holds one block per
 // source in declaration order.
 func (c *GraphComm) NeighborAllgather(send, recv []byte, count int, dt *Datatype) error {
-	return c.Comm.neighborAllgather(send, recv, count, dt, c.sources, c.destinations)
+	return c.bcoll(nbc.ForceAuto, neighborAllgather(send, recv, count, dt, c.sources, c.destinations))
 }
 
 // NeighborAlltoall sends block j to destination j and receives block i
 // from source i.
 func (c *GraphComm) NeighborAlltoall(send, recv []byte, count int, dt *Datatype) error {
-	return c.Comm.neighborAlltoall(send, recv, count, dt, c.sources, c.destinations)
+	return c.bcoll(nbc.ForceAuto, neighborAlltoall(send, recv, count, dt, c.sources, c.destinations))
 }
 
 // NeighborAlltoallv is the ragged graph exchange: counts and
 // displacements are in elements of dt, one entry per declared neighbor.
 func (c *GraphComm) NeighborAlltoallv(send []byte, sendCounts, sendDispls []int, recv []byte, recvCounts, recvDispls []int, dt *Datatype) error {
-	if len(sendCounts) != len(c.destinations) || len(sendDispls) != len(c.destinations) {
-		return errc(ErrArg, "neighbor alltoallv: %d/%d send counts/displs for %d destinations", len(sendCounts), len(sendDispls), len(c.destinations))
-	}
-	if len(recvCounts) != len(c.sources) || len(recvDispls) != len(c.sources) {
-		return errc(ErrArg, "neighbor alltoallv: %d/%d recv counts/displs for %d sources", len(recvCounts), len(recvDispls), len(c.sources))
-	}
-	return c.Comm.neighborAlltoallv(send, sendCounts, sendDispls, recv, recvCounts, recvDispls, dt, c.sources, c.destinations)
+	return c.bcoll(nbc.ForceAuto, func(s *nbc.Schedule, t *nbcPort, tag int, _ nbc.Force) error {
+		if len(sendCounts) != len(c.destinations) || len(sendDispls) != len(c.destinations) {
+			return errc(ErrArg, "neighbor alltoallv: %d/%d send counts/displs for %d destinations", len(sendCounts), len(sendDispls), len(c.destinations))
+		}
+		if len(recvCounts) != len(c.sources) || len(recvDispls) != len(c.sources) {
+			return errc(ErrArg, "neighbor alltoallv: %d/%d recv counts/displs for %d sources", len(recvCounts), len(recvDispls), len(c.sources))
+		}
+		if dt == nil {
+			return errc(ErrType, "nil datatype")
+		}
+		es := dt.Size()
+		sc, sd := scaleVec(sendCounts, es), scaleVec(sendDispls, es)
+		rc, rd := scaleVec(recvCounts, es), scaleVec(recvDispls, es)
+		if len(send) < tableSpan(sc, sd) || len(recv) < tableSpan(rc, rd) {
+			return errc(ErrBuffer, "neighbor alltoallv buffers short of their counts/displs tables")
+		}
+		return nbc.NeighborAlltoallv(s, t, tag, send, sc, sd, recv, rc, rd, c.sources, c.destinations)
+	})
 }
 
 // NeighborAllgatherInit binds a persistent graph allgather.
 func (c *GraphComm) NeighborAllgatherInit(send, recv []byte, count int, dt *Datatype) (*PersistentColl, error) {
-	return c.Comm.neighborAllgatherInit(send, recv, count, dt, c.sources, c.destinations)
+	return c.pcoll(neighborAllgather(send, recv, count, dt, c.sources, c.destinations))
 }
 
 // NeighborAlltoallInit binds a persistent graph all-to-all.
 func (c *GraphComm) NeighborAlltoallInit(send, recv []byte, count int, dt *Datatype) (*PersistentColl, error) {
-	return c.Comm.neighborAlltoallInit(send, recv, count, dt, c.sources, c.destinations)
+	return c.pcoll(neighborAlltoall(send, recv, count, dt, c.sources, c.destinations))
 }
