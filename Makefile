@@ -43,9 +43,13 @@ race:
 # the fabric's waiter gate (1e5 WakeVCI/WaitEventVCI and
 # deposit/WaitRecv ping-pongs) — twenty times each, then five times
 # race-checked at GOMAXPROCS 1, 2 and 8 (the race detector is the
-# checker of the single-writer rule). Zero failures.
-FLAKE_RUN = 'Ledger|DumpState|ZeroAlloc|AllocFree|SteadyStateAllocs|FeederPublished|FirstTouch|LockTouch|SpmvDeclaredShape|SingleVsShared|Shared.*Concurrent|SharedWriters|ForeignReader|TailFlush|WrapOrder|WhilePeersRun|SnapshotDuringDeposits|Region|RegisterWhilePut|ShareReaches|SPSC|NoMutex|WakePerMessage|SharedSiblings|WaiterGate|EventsEquals'
-FLAKE_PKGS = . ./internal/proc ./internal/instr ./internal/vtime ./internal/hist ./internal/shm ./internal/bench ./internal/flight ./internal/metrics ./internal/request ./internal/fabric
+# checker of the single-writer rule) — and lending, where a send
+# completes on another rank's goroutine: the netmod rendezvous and shm
+# handoff copy counts, the lent-send allocation guard, the releaser at
+# every consume site, the lent-vs-captured differential's seeds, and the
+# rendezvous deadlock the watchdog must name. Zero failures.
+FLAKE_RUN = 'Ledger|DumpState|ZeroAlloc|AllocFree|SteadyStateAllocs|FeederPublished|FirstTouch|LockTouch|SpmvDeclaredShape|SingleVsShared|Shared.*Concurrent|SharedWriters|ForeignReader|TailFlush|WrapOrder|WhilePeersRun|SnapshotDuringDeposits|Region|RegisterWhilePut|ShareReaches|SPSC|NoMutex|WakePerMessage|SharedSiblings|WaiterGate|EventsEquals|Lent|RendezvousDeadlock|CopyCounts|CompletesAtReturn'
+FLAKE_PKGS = . ./internal/proc ./internal/instr ./internal/vtime ./internal/hist ./internal/shm ./internal/bench ./internal/flight ./internal/metrics ./internal/request ./internal/fabric ./internal/ch4
 
 flake:
 	$(GO) test -count=20 -run $(FLAKE_RUN) $(FLAKE_PKGS)
@@ -58,12 +62,14 @@ bench-smoke:
 	$(GO) test -run xxx -bench . -benchtime 1x ./...
 
 # Short differential-fuzz runs: binned vs linear matching must agree,
-# staged vs zero-copy shm RMA must deliver identical bytes, and every
+# staged vs zero-copy shm RMA must deliver identical bytes, lent vs
+# captured netmod sends must deliver and charge identically, and every
 # blocking collective must agree with a Send/Recv-only reference.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzBinnedMatchesLinear -fuzztime 10s ./internal/match
 	$(GO) test -run xxx -fuzz FuzzRmaStagedZeroCopy -fuzztime 10s .
 	$(GO) test -run xxx -fuzz FuzzPartitionedVsPlain -fuzztime 10s .
+	$(GO) test -run xxx -fuzz FuzzRendezvousLent -fuzztime 10s .
 	$(GO) test -run xxx -fuzz FuzzBlockingCollectives -fuzztime 10s .
 
 # Lines of Go that are neither tests nor the benchmark: the tracked

@@ -228,6 +228,14 @@ func TestShmPutSteadyStateAllocs(t *testing.T) {
 // handed a running call index.
 func mallocSlope(t *testing.T, ranks int, cfg gompi.Config, n int, prep func(p *gompi.Proc) (func(i int) error, error)) int64 {
 	t.Helper()
+	mallocs, _ := allocSlope(t, ranks, cfg, n, prep)
+	return mallocs
+}
+
+// allocSlope is mallocSlope reporting the heap bytes allocated too, by
+// the same difference of windows.
+func allocSlope(t *testing.T, ranks int, cfg gompi.Config, n int, prep func(p *gompi.Proc) (func(i int) error, error)) (mallocs, bytes int64) {
+	t.Helper()
 	// One P: a goroutine that parks takes its wait record from the P's
 	// cache and returns it to the same one, so parking — which the
 	// runtime otherwise pays for with a malloc whenever one P's cache
@@ -236,7 +244,7 @@ func mallocSlope(t *testing.T, ranks int, cfg gompi.Config, n int, prep func(p *
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var arrived, edge atomic.Int64
 	var failed atomic.Bool
-	var mallocs [3]uint64
+	var objs, heap [3]uint64
 	// meet is edge k: every rank arrives, rank 0 samples, all leave.
 	meet := func(p *gompi.Proc, k int64) {
 		arrived.Add(1)
@@ -246,7 +254,7 @@ func mallocSlope(t *testing.T, ranks int, cfg gompi.Config, n int, prep func(p *
 			}
 			var m runtime.MemStats
 			runtime.ReadMemStats(&m)
-			mallocs[k-1] = m.Mallocs
+			objs[k-1], heap[k-1] = m.Mallocs, m.TotalAlloc
 			edge.Store(k)
 		}
 		for edge.Load() < k && !failed.Load() {
@@ -280,7 +288,8 @@ func mallocSlope(t *testing.T, ranks int, cfg gompi.Config, n int, prep func(p *
 	if err != nil {
 		t.Fatal(err)
 	}
-	return int64(mallocs[2]-mallocs[1]) - int64(mallocs[1]-mallocs[0])
+	slope := func(w [3]uint64) int64 { return int64(w[2]-w[1]) - int64(w[1]-w[0]) }
+	return slope(objs), slope(heap)
 }
 
 // TestPersistentCollReplayZeroAlloc is the acceptance guard: once warm,
@@ -498,5 +507,62 @@ func TestThreadMultipleSteadyStateAllocs(t *testing.T) {
 	if d := on - off; d >= n || -d >= n {
 		t.Errorf("ThreadMultiple changes what an exchange allocates: %d mallocs over the window with it, %d without (%d exchanges x %d ranks)",
 			on, off, 9*n, ranks)
+	}
+}
+
+// TestLentSendSteadyStateAllocs: a lent send — off-node above the eager
+// limit, on-node above the shm handoff threshold — allocates nothing of
+// its own once warm. Before the netmod lent, every unexpected 256 KiB
+// rendezvous cost a 256 KiB staging buffer; before the send box, every
+// handoff three completion closures. Now an exchange allocates exactly
+// the public Requests of its Isend and Irecv, and no payload bytes.
+// Every message is unexpected: the receiver probes for it before
+// posting its receive.
+func TestLentSendSteadyStateAllocs(t *testing.T) {
+	const ranks, n, size = 2, 50, 256 << 10
+	for _, tc := range []struct {
+		name string
+		cfg  gompi.Config
+	}{
+		{"rendezvous", gompi.Config{Device: gompi.DeviceCH4, Fabric: "ofi"}},
+		{"handoff", gompi.Config{Device: gompi.DeviceCH4, Fabric: "ofi", RanksPerNode: 2, ShmEagerMax: 16384}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mallocs, bytes := allocSlope(t, ranks, tc.cfg, n, func(p *gompi.Proc) (func(int) error, error) {
+				w := p.World()
+				buf := make([]byte, size)
+				if p.Rank() == 0 {
+					return func(int) error {
+						r, err := w.Isend(buf, size, gompi.Byte, 1, 0)
+						if err != nil {
+							return err
+						}
+						_, err = r.Wait()
+						return err
+					}, nil
+				}
+				return func(int) error {
+					if _, err := w.Probe(0, 0); err != nil {
+						return err
+					}
+					r, err := w.Irecv(buf, size, gompi.Byte, 0, 0)
+					if err != nil {
+						return err
+					}
+					_, err = r.Wait()
+					return err
+				}, nil
+			})
+			// The windows differ by 9n exchanges: 2 Requests each, to within
+			// TestICollSteadyStateAllocs' one-time high-water slack.
+			const want, slack = 9 * n * 2, 24
+			if d := mallocs - want; d > slack || -d > slack {
+				t.Errorf("%d more mallocs over %d exchanges than over %d, want %d +/- %d: an exchange allocates its 2 Requests and nothing else",
+					mallocs, 10*n, n, want, slack)
+			}
+			if perMsg := bytes / (9 * n); perMsg >= 1024 {
+				t.Errorf("%d heap bytes per %d-byte message: the payload is staged, not lent", perMsg, size)
+			}
+		})
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -19,34 +20,61 @@ func fillPattern(buf []byte, seed int) {
 	}
 }
 
-// TestHandoffCopyCounts pins the copy-count contract of the shm
-// transport: above the handoff threshold a message costs zero staging
-// copies and exactly one direct copy into the posted buffer; below it
-// the staged path pays at least two (copy-in plus reassembly).
+// Receive orders for the copy-count table (0: whichever the two
+// goroutines make). Both are host order, kept by a channel between the
+// rank bodies so no virtual clock sees it.
+const (
+	postedFirst     = iota + 1 // the receive is posted before the send
+	unexpectedFirst            // the message waits unexpected for its receive
+)
+
+// TestHandoffCopyCounts pins the copy-count contract of lending on
+// both transports. On-node above the handoff threshold and off-node
+// above the eager limit a message costs zero staging copies and
+// exactly one direct copy into the posted buffer, whether the receive
+// was posted first or the message waited unexpected (before the
+// netmod lent, that wait cost a staging copy); a matched probe takes
+// one private copy and releases the sender. Below the thresholds the
+// staged shm path pays at least two (copy-in plus reassembly) and an
+// unexpected eager netmod message one.
 func TestHandoffCopyCounts(t *testing.T) {
 	const thresh = 16384
 	cases := []struct {
-		name string
-		size int
+		name   string
+		rpn    int // 2: on-node (shm), 1: off-node (netmod, eager limit 8 KiB)
+		size   int
+		order  int
+		mprobe bool // receive with Mprobe + Message.Recv
 		// expectations on the job-wide aggregate
 		stagedMax int64 // -1 = no bound
 		stagedMin int64
 		direct    int64
 		handoffs  int64
 	}{
-		{name: "handoff", size: 65536, stagedMax: 0, stagedMin: 0, direct: 1, handoffs: 1},
-		{name: "staged", size: 4096, stagedMax: -1, stagedMin: 2, direct: 1, handoffs: 0},
+		{name: "handoff", rpn: 2, size: 65536, stagedMax: 0, stagedMin: 0, direct: 1, handoffs: 1},
+		{name: "staged", rpn: 2, size: 4096, stagedMax: -1, stagedMin: 2, direct: 1, handoffs: 0},
+		{name: "rendezvous-posted", rpn: 1, size: 65536, order: postedFirst, stagedMax: 0, stagedMin: 0, direct: 1},
+		{name: "rendezvous-unexpected", rpn: 1, size: 65536, order: unexpectedFirst, stagedMax: 0, stagedMin: 0, direct: 1},
+		{name: "eager-unexpected", rpn: 1, size: 4096, order: unexpectedFirst, stagedMax: 1, stagedMin: 1, direct: 1},
+		{name: "rendezvous-mprobe", rpn: 1, size: 65536, order: unexpectedFirst, mprobe: true, stagedMax: 1, stagedMin: 1, direct: 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var st Stats
-			cfg := Config{RanksPerNode: 2, Fabric: "ofi", ShmEagerMax: thresh, Stats: &st}
+			cfg := Config{RanksPerNode: tc.rpn, Fabric: "ofi", ShmEagerMax: thresh, Stats: &st}
+			ready := make(chan struct{})
 			err := Run(2, cfg, func(p *Proc) error {
 				w := p.World()
 				if p.Rank() == 0 {
+					if tc.order == postedFirst {
+						<-ready
+					}
 					buf := make([]byte, tc.size)
 					fillPattern(buf, 3)
 					r, err := w.Isend(buf, tc.size, Byte, 1, 9)
+					if tc.order == unexpectedFirst {
+						close(ready)
+					}
 					if err != nil {
 						return err
 					}
@@ -54,8 +82,32 @@ func TestHandoffCopyCounts(t *testing.T) {
 					return err
 				}
 				got := make([]byte, tc.size)
-				if _, err := w.Recv(got, tc.size, Byte, 0, 9); err != nil {
-					return err
+				switch {
+				case tc.mprobe:
+					<-ready
+					m, err := w.Mprobe(0, 9)
+					if err != nil {
+						return err
+					}
+					if _, err := m.Recv(got, tc.size, Byte); err != nil {
+						return err
+					}
+				case tc.order == postedFirst:
+					r, err := w.Irecv(got, tc.size, Byte, 0, 9)
+					close(ready)
+					if err != nil {
+						return err
+					}
+					if _, err := r.Wait(); err != nil {
+						return err
+					}
+				default:
+					if tc.order == unexpectedFirst {
+						<-ready
+					}
+					if _, err := w.Recv(got, tc.size, Byte, 0, 9); err != nil {
+						return err
+					}
 				}
 				want := make([]byte, tc.size)
 				fillPattern(want, 3)
@@ -297,6 +349,177 @@ func TestWatchdogHandoffDeadlock(t *testing.T) {
 	if !bytes.Contains(diag.Bytes(), []byte("shm-handoff")) {
 		t.Errorf("flight recorder missing shm-handoff event:\n%s", out)
 	}
+}
+
+// TestWatchdogRendezvousDeadlock drives the deadlock netmod lending
+// makes legal (MPI standard mode): two ranks on different nodes each
+// blocking-Send 64 KiB — above the eager limit — to the other before
+// receiving. Neither send can complete, so the watchdog must trip:
+// ErrStalled, each rank's lent view in the wait graph, and a
+// rendezvous edge each way. Run returning at all means Abort unparked
+// both senders.
+func TestWatchdogRendezvousDeadlock(t *testing.T) {
+	var diag bytes.Buffer
+	cfg := Config{
+		Fabric:           "ofi",
+		Watchdog:         true,
+		WatchdogInterval: 5 * time.Millisecond,
+		DiagWriter:       &diag,
+	}
+	done := make(chan error, 1)
+	go func() {
+		done <- Run(2, cfg, func(p *Proc) error {
+			w := p.World()
+			peer := 1 - p.Rank()
+			buf := make([]byte, 65536)
+			if err := w.Send(buf, len(buf), Byte, peer, 0); err != nil {
+				return err
+			}
+			_, err := w.Recv(buf, len(buf), Byte, peer, 0)
+			return err
+		})
+	}()
+	var err error
+	select {
+	case err = <-done:
+	case <-time.After(time.Minute):
+		t.Fatal("Run hung: the watchdog did not trip or Abort did not unpark the senders")
+	}
+	if !errors.Is(err, ErrStalled) {
+		t.Fatalf("err = %v, want ErrStalled", err)
+	}
+	for _, want := range []string{
+		"[lent 65536 bytes]",
+		"rank 0 waits on rank 1 [rendezvous]",
+		"rank 1 waits on rank 0 [rendezvous]",
+	} {
+		if !strings.Contains(diag.String(), want) {
+			t.Errorf("diagnosis missing %q:\n%s", want, diag.String())
+		}
+	}
+}
+
+// rendezvousRun is one arm of FuzzRendezvousLent: what the receiver got
+// and was charged, and the sender's costs that lending must not touch.
+type rendezvousRun struct {
+	recv       Counters
+	recvClock  int64
+	sendTransp int64 // the sender's transport cycles
+	sendSync   int64 // how far syncs moved the sender's clock past its charges
+}
+
+// rendezvousStream sends one message of each size from rank 0 to rank
+// 1 on another node (ofi: eager limit 8 KiB) — as request-carrying
+// Isends, which lend above the limit, or as requestless
+// IsendOpt{NoReq}, which are always captured — with every receive
+// posted before the first send or after the last (host order, kept by
+// a channel). The receiver first runs far ahead in virtual time, so
+// every arrival lies in its past and its clock is its own charges: a
+// lend that charged or synced either side differently would show.
+func rendezvousStream(sizes []int, noReq, posted bool) (got [][]byte, out rendezvousRun, err error) {
+	ready := make(chan struct{})
+	err = Run(2, Config{Fabric: "ofi"}, func(p *Proc) error {
+		w := p.World()
+		tag := func(i int) int { return i % 3 }
+		if p.Rank() == 0 {
+			if posted {
+				<-ready
+			}
+			var reqs []*Request
+			for i, n := range sizes {
+				buf := make([]byte, n)
+				fillPattern(buf, i)
+				if noReq {
+					if err := w.IsendNoReq(buf, n, Byte, 1, tag(i)); err != nil {
+						return err
+					}
+					continue
+				}
+				r, err := w.Isend(buf, n, Byte, 1, tag(i))
+				if err != nil {
+					return err
+				}
+				reqs = append(reqs, r)
+			}
+			if !posted {
+				close(ready)
+			}
+			if err := Waitall(reqs); err != nil {
+				return err
+			}
+			if err := w.CommWaitall(); err != nil {
+				return err
+			}
+			c := p.Counters()
+			out.sendTransp, out.sendSync = c.Transport, p.VirtualCycles()-c.Cycles
+			return nil
+		}
+		p.ChargeCompute(1 << 32)
+		if !posted {
+			<-ready
+		}
+		reqs := make([]*Request, len(sizes))
+		got = make([][]byte, len(sizes))
+		for i, n := range sizes {
+			got[i] = make([]byte, n)
+			r, err := w.Irecv(got[i], n, Byte, 0, tag(i))
+			if err != nil {
+				return err
+			}
+			reqs[i] = r
+		}
+		if posted {
+			close(ready)
+		}
+		if err := Waitall(reqs); err != nil {
+			return err
+		}
+		out.recv, out.recvClock = p.Counters(), p.VirtualCycles()
+		return nil
+	})
+	return got, out, err
+}
+
+// FuzzRendezvousLent differentially fuzzes netmod lending: the same
+// message stream sent lent (Isend) and captured (IsendOpt{NoReq}) must
+// deliver byte-identical buffers, charge the receiver identically and
+// leave its clock identical, and cost the sender the same transport
+// cycles and syncs. Each input byte is one message of 128x bytes, so
+// sizes straddle the 8 KiB eager limit (64 is exactly at it); posted
+// picks the receive order.
+func FuzzRendezvousLent(f *testing.F) {
+	f.Add([]byte{64, 65}, true)
+	f.Add([]byte{64, 65}, false)
+	f.Add([]byte{0, 200, 63, 255, 1, 128}, false)
+	f.Add([]byte{255, 255, 255, 10}, true)
+	f.Fuzz(func(t *testing.T, raw []byte, posted bool) {
+		if len(raw) > 8 {
+			raw = raw[:8]
+		}
+		sizes := make([]int, len(raw))
+		for i, b := range raw {
+			sizes[i] = 128 * int(b)
+		}
+		lentGot, lent, err := rendezvousStream(sizes, false, posted)
+		if err != nil {
+			t.Fatalf("lent run: %v", err)
+		}
+		capturedGot, captured, err := rendezvousStream(sizes, true, posted)
+		if err != nil {
+			t.Fatalf("captured run: %v", err)
+		}
+		for i, n := range sizes {
+			want := make([]byte, n)
+			fillPattern(want, i)
+			if !bytes.Equal(lentGot[i], want) || !bytes.Equal(capturedGot[i], want) {
+				t.Fatalf("sizes %v posted %v: message %d (%d bytes) corrupted", sizes, posted, i, n)
+			}
+		}
+		if lent != captured {
+			t.Fatalf("sizes %v posted %v: lent and captured runs differ:\n lent     %+v\n captured %+v",
+				sizes, posted, lent, captured)
+		}
+	})
 }
 
 // handoffEcho runs a 2-rank on-node job sending one size-byte message

@@ -180,9 +180,11 @@ type Device struct {
 	// without touching the heap. Like request.Pool the freelist is the
 	// owner goroutine's alone; boxMu is taken only under
 	// MPI_THREAD_MULTIPLE, where several goroutines of one rank post
-	// receives concurrently.
-	boxMu   sync.Mutex
-	boxFree []*recvBox
+	// receives concurrently. sendFree chains the recycled boxes of lent
+	// sends (through sendBox.next) by the same rule.
+	boxMu    sync.Mutex
+	boxFree  []*recvBox
+	sendFree *sendBox
 
 	// AM fallback accounting: operations shipped and acknowledgements
 	// received. All mutate only on the owner goroutine (the ack

@@ -57,18 +57,25 @@ func (d *Device) IsendNoCopy(buf []byte, dest, tag int, c *comm.Comm) (*request.
 		return r, true, nil
 	}
 	d.charge(instr.Mandatory, costRequestAlloc)
-	return d.handoffRequest(h, issued), true, nil
+	b := d.getSendBox()
+	b.h = h
+	return d.sendRequest(b, issued), true, nil
 }
 
 // IrecvReduce posts a tagged receive that consumes its payload with
 // fold(acc, incoming) instead of a copy into a buffer. When the
-// matched payload is a zero-copy handoff view the reduction touches no
-// intermediate bytes at all: the fold reads the sender's buffer where
-// it lies. Works for staged arrivals too (the fold then reads the
-// reassembly scratch or the unexpected-queue copy). acc must be at
-// least as large as the expected payload; fold runs on this rank's
-// goroutine (the device keeps shm deposits on the receiver's progress
-// loop). src is a communicator rank; wildcards are not supported.
+// matched payload is a lent view (an shm handoff or a netmod
+// rendezvous) the reduction touches no intermediate bytes at all: the
+// fold reads the sender's buffer where it lies. Works for captured
+// arrivals too (the fold then reads the reassembly scratch or the
+// unexpected-queue copy). acc must be at least as large as the
+// expected payload. fold runs under the receiving VCI's lock on
+// whichever goroutine delivers the match — this rank's for shm
+// deposits (the receiver's progress loop) and for a message already
+// waiting when the receive is posted, the sender's for a netmod message
+// that finds it posted — and acc is not this rank's to touch until the
+// request completes. src is a communicator rank; wildcards are not
+// supported.
 func (d *Device) IrecvReduce(acc []byte, src, tag int, c *comm.Comm,
 	fold func(dst, incoming []byte)) (*request.Request, error) {
 

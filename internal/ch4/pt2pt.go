@@ -3,6 +3,7 @@ package ch4
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"gompi/internal/comm"
 	"gompi/internal/core"
@@ -91,23 +92,25 @@ func (d *Device) Isend(buf []byte, count int, dt *datatype.Type, dest, tag int,
 
 	// Locality dispatch and injection (ch4 core -> netmod/shmmod). The
 	// VCI pick is part of the match-word arithmetic charged above.
-	// Requestless sends must stage: without a request there is nothing
-	// to carry the handoff's buffer-reuse obligation back to the caller.
-	h := d.inject(world, bits, data, d.sendVCI(c, bits), !flags.Has(core.FlagNoReq))
+	// Requestless sends must be captured: without a request there is
+	// nothing to carry a lent buffer's reuse obligation to the caller.
+	b := d.inject(world, bits, data, d.sendVCI(c, bits), !flags.Has(core.FlagNoReq))
 
 	// Completion (Section 3.5): request object or counter.
 	d.chargeRedundant(costRedundantComplete)
-	if h != nil {
-		// Zero-copy handoff: the buffer is lent to the receiver, so the
-		// send completes only when the completion ack comes back over
-		// the reverse ring. The request carries that obligation.
+	if b != nil {
+		// The buffer is lent to the receiver (shm handoff or netmod
+		// rendezvous), so the send completes only when the receiver has
+		// consumed it — MPI standard mode. The request carries that
+		// obligation.
 		d.charge(instr.Mandatory, costRequestAlloc)
-		return d.handoffRequest(h, issued), nil
+		return d.sendRequest(b, issued), nil
 	}
 	r := d.completedRequest(flags, c, request.KindSend)
-	// Eager sends are locally complete at return: their request lifetime
-	// is the injection cost itself (plus the rendezvous handshake when
-	// the message crossed the eager threshold).
+	// A captured send (eager, staged, or a rendezvous its posted receive
+	// already copied) is complete at return: its request lifetime is the
+	// injection cost itself (plus the rendezvous handshake when the
+	// message crossed the eager threshold).
 	d.rank.Metrics().Lat.ReqLife.Observe(int64(d.rank.Now() - issued))
 	if r != nil {
 		r.Issued = int64(issued)
@@ -138,10 +141,13 @@ func (d *Device) sendBytes(buf []byte, count int, dt *datatype.Type) ([]byte, er
 // inject routes the message by locality: self-loopback, shmmod for
 // on-node peers, netmod otherwise. All three transports deposit at the
 // same destination interface, so matching stays consistent across
-// them. When allowHandoff is set and the shmmod chose the zero-copy
-// handoff protocol, the returned Handoff is the sender's outstanding
-// buffer-reuse obligation (nil on every staged/eager path).
-func (d *Device) inject(world int, bits match.Bits, data []byte, vci int, allowHandoff bool) *shm.Handoff {
+// them. lend says a request will carry the send's completion; then the
+// two lending branches — on-node above the shm handoff threshold,
+// off-node above the eager limit — lend data instead of capturing it,
+// and the returned box is the sender's outstanding buffer-reuse
+// obligation. nil means data is captured (self, eager, staged) or
+// already consumed by a posted receive: the buffer is free.
+func (d *Device) inject(world int, bits match.Bits, data []byte, vci int, lend bool) *sendBox {
 	d.charge(instr.Mandatory, costLocality)
 	switch {
 	case world == d.rank.ID():
@@ -149,46 +155,126 @@ func (d *Device) inject(world int, bits match.Bits, data []byte, vci int, allowH
 		d.ep.DepositSelfVCI(bits, world, data, d.rank.Now(), vci)
 	case d.g.Shm != nil && d.g.World.SameNode(world, d.rank.ID()):
 		d.charge(instr.Mandatory, costShmPrep)
-		if allowHandoff {
-			return d.g.Shm.SendVCI(d.rank.ID(), world, bits, data, vci)
+		if !lend {
+			d.g.Shm.SendStagedVCI(d.rank.ID(), world, bits, data, vci)
+		} else if h := d.g.Shm.SendVCI(d.rank.ID(), world, bits, data, vci); h != nil {
+			b := d.getSendBox()
+			b.h = h
+			return b
 		}
-		d.g.Shm.SendStagedVCI(d.rank.ID(), world, bits, data, vci)
 	default:
 		d.charge(instr.Mandatory, costNetmodPrep)
-		d.ep.TaggedSendVCI(world, bits, data, vci)
+		if !lend || !d.g.Fab.Rendezvous(len(data)) {
+			d.ep.TaggedSendVCI(world, bits, data, vci, nil)
+			break
+		}
+		b := d.getSendBox()
+		d.ep.TaggedSendVCI(world, bits, data, vci, b)
+		if !b.done.Load() {
+			return b
+		}
+		d.putSendBox(b) // a posted receive took the one copy
 	}
 	return nil
 }
 
-// handoffRequest wraps an outstanding zero-copy handoff in a send
-// request: completion is the receiver's ack on the reverse ring. Poll
-// pumps progress so the rank's own incoming traffic keeps moving while
-// it spins; Block parks on the endpoint's event aggregate, which the
-// receiver's release wakes through the domain's wake callback. Blocking
-// here (not inside the shm send) is what keeps the protocol
+// sendBox carries a lent send's completion on either transport — an
+// shm handoff (h, done when the receiver's ack lands) or a netmod
+// rendezvous view parked at its receiver (done, set by Release) — with
+// completion closures bound to it once, at box creation: recvBox's
+// recycling on the send side, so a lent send allocates nothing but its
+// public request. Poll pumps progress so the rank's own incoming
+// traffic keeps moving while it spins; Block parks on the endpoint's
+// event aggregate, which the receiver's release wakes. Blocking here
+// (never inside the transport send) is what keeps lending
 // deadlock-free: a sender that blocked before returning could never
-// drain its own rings to release views it owes its peers.
-func (d *Device) handoffRequest(h *shm.Handoff, issued vtime.Time) *request.Request {
-	r := d.pool.Get(request.KindSend)
-	r.Issued = int64(issued)
-	finish := func(r *request.Request) {
-		d.g.Shm.FinishHandoff(h)
-		d.rank.Metrics().Lat.ReqLife.Observe(int64(d.rank.Now()) - r.Issued)
-		r.MarkComplete(request.Status{})
+// receive the views its peers lend it.
+type sendBox struct {
+	d     *Device
+	h     *shm.Handoff
+	done  atomic.Bool
+	poll  func(*request.Request) bool
+	block func(*request.Request)
+	next  *sendBox // freelist link
+}
+
+// Release implements fabric.ViewReleaser for a netmod rendezvous: the
+// receive consumed the view, on the receiver's goroutine (or on the
+// sender's, inside the send, when the receive was posted). The
+// handshake was priced at injection, so it charges nothing and syncs
+// nothing; it flags the box and wakes the sender. After the flag only
+// b.d, fixed for the box's life, is read: the sender may already be
+// recycling the box.
+func (b *sendBox) Release(bool) {
+	b.done.Store(true)
+	b.d.ep.Notify()
+}
+
+// released reports whether the receiver is done with the lent buffer.
+func (b *sendBox) released() bool {
+	if b.h != nil {
+		return b.h.Done()
 	}
-	r.Poll = func(r *request.Request) bool {
+	return b.done.Load()
+}
+
+// getSendBox pops a recycled box or builds one with its closures.
+func (d *Device) getSendBox() *sendBox {
+	if d.cfg.ThreadMultiple {
+		d.boxMu.Lock()
+		defer d.boxMu.Unlock()
+	}
+	if b := d.sendFree; b != nil {
+		d.sendFree, b.next = b.next, nil
+		return b
+	}
+	b := &sendBox{d: d}
+	b.poll = func(r *request.Request) bool {
 		d.Progress()
-		if !h.Done() {
+		if !b.released() {
 			return false
 		}
-		finish(r)
+		d.finishSend(b, r)
 		return true
 	}
-	r.Block = func(r *request.Request) {
-		d.waitUntil(h.Done)
-		finish(r)
+	b.block = func(r *request.Request) {
+		d.waitUntil(b.released)
+		d.finishSend(b, r)
 	}
+	return b
+}
+
+// putSendBox clears a box whose lend is over and recycles it.
+func (d *Device) putSendBox(b *sendBox) {
+	b.h = nil
+	b.done.Store(false)
+	if d.cfg.ThreadMultiple {
+		d.boxMu.Lock()
+		defer d.boxMu.Unlock()
+	}
+	b.next, d.sendFree = d.sendFree, b
+}
+
+// sendRequest wraps a lent send's box in its request.
+func (d *Device) sendRequest(b *sendBox, issued vtime.Time) *request.Request {
+	r := d.pool.Get(request.KindSend)
+	r.Issued = int64(issued)
+	r.Poll, r.Block = b.poll, b.block
 	return r
+}
+
+// finishSend completes a released send's request — an shm handoff
+// syncs to and reads its ack (FinishHandoff), a netmod rendezvous pays
+// nothing — and recycles the box. Runs exactly once per activation, on
+// the sender: Done/Wait latch completion before the closures could fire
+// again.
+func (d *Device) finishSend(b *sendBox, r *request.Request) {
+	if b.h != nil {
+		d.g.Shm.FinishHandoff(b.h)
+	}
+	d.rank.Metrics().Lat.ReqLife.Observe(int64(d.rank.Now()) - r.Issued)
+	r.MarkComplete(request.Status{})
+	d.putSendBox(b)
 }
 
 // completedRequest finishes an eagerly completed send: either a pooled
@@ -224,7 +310,7 @@ func (d *Device) IsendAllOpts(buf []byte, worldDest int, c *comm.Comm) error {
 	// Buffer address + length registers: 2; fused netmod descriptor
 	// write and doorbell: 9.
 	d.charge(instr.Mandatory, 2+9)
-	d.ep.TaggedSendVCI(worldDest, bits, buf, d.sendVCI(c, bits))
+	d.ep.TaggedSendVCI(worldDest, bits, buf, d.sendVCI(c, bits), nil)
 	return nil
 }
 

@@ -12,7 +12,8 @@ import (
 // diagnosis: every endpoint's unmatched posted receives, buffered
 // unexpected messages, each interface's last arrivals (flight.Lane),
 // queued active messages, and the who-waits-on-whom edges implied by
-// posted receives with a concrete source. Each VCI lock
+// posted receives with a concrete source and by lent rendezvous sends
+// parked unexpected (their senders wait on the receiver). Each VCI lock
 // is taken one at a time, so the dump is safe while ranks are parked
 // (parked waiters hold no VCI lock inside cond.Wait).
 func (f *Fabric) WriteWaitGraph(w io.Writer) {
@@ -57,7 +58,17 @@ func (f *Fabric) WriteWaitGraph(w io.Writer) {
 				}
 			})
 			s.eng.UnexpectedEach(func(e match.Entry) {
-				lines = append(lines, fmt.Sprintf("  unexpected vci=%d %s", v, e.Bits.String()))
+				l := fmt.Sprintf("  unexpected vci=%d %s", v, e.Bits.String())
+				if m := e.Cookie.(*message); m.rel != nil {
+					l += fmt.Sprintf(" [lent %d bytes]", len(m.data))
+					// A lent rendezvous send completes only when this
+					// rank receives it: its sender waits on this rank.
+					// (An shm lender is named by the domain's dump.)
+					if m.via == viaNet {
+						edges = append(edges, edge{m.src, ep.rank, "rendezvous"})
+					}
+				}
+				lines = append(lines, l)
 			})
 			// What peers landed here lately (recorded under this lock)
 			// reads next to the queues it explains; ring>=N places an
@@ -77,7 +88,7 @@ func (f *Fabric) WriteWaitGraph(w io.Writer) {
 		fmt.Fprintf(w, "%d endpoint(s) never materialized (lazy)\n", lazy)
 	}
 	if len(edges) > 0 {
-		fmt.Fprintln(w, "waits-on edges (posted receive -> named source):")
+		fmt.Fprintln(w, "waits-on edges (posted receive -> named source, lent send -> its receiver):")
 		for _, e := range edges {
 			if e.class != "" {
 				fmt.Fprintf(w, "  rank %d waits on rank %d [%s]\n", e.from, e.to, e.class)

@@ -104,10 +104,12 @@ type message struct {
 	src     int
 	data    []byte
 	arrival vtime.Time
-	// rel is non-nil for a zero-copy handoff view parked unexpected:
-	// data is then the sender's live buffer, valid until rel is
-	// released, and never belongs to the pool.
+	// rel is non-nil for a lent view parked unexpected (an shm handoff
+	// or a netmod rendezvous, told apart by via): data is then the
+	// sender's live buffer, valid until rel is released, and never
+	// belongs to the pool.
 	rel ViewReleaser
+	via via
 	// gseq is the endpoint-global arrival stamp, taken under the VCI
 	// lock at buffering time. Cross-VCI wildcard searches use it to
 	// pick the globally earliest match, preserving the non-overtaking
@@ -386,10 +388,17 @@ func (ep *Endpoint) bumpAgg() {
 	}
 }
 
+// Notify publishes one endpoint-level event without touching any VCI's
+// sequence: it wakes only the aggregate waiters (WaitEvent), which is
+// where a device parks for a send to complete. A lent send's releaser
+// calls it from the consuming rank's goroutine.
+func (ep *Endpoint) Notify() { ep.bumpAgg() }
+
 // TaggedSend injects a tagged send toward dst on the hash-selected VCI.
-// The payload is copied, so the caller may reuse data immediately.
+// The payload is always captured (copied by the receive or staged
+// unexpected), so the caller may reuse data immediately.
 func (ep *Endpoint) TaggedSend(dst int, bits match.Bits, data []byte) {
-	ep.TaggedSendVCI(dst, bits, data, ep.f.VCIFor(bits))
+	ep.TaggedSendVCI(dst, bits, data, ep.f.VCIFor(bits), nil)
 }
 
 // TaggedSendVCI injects a tagged send toward dst's interface v (the
@@ -400,13 +409,21 @@ func (ep *Endpoint) TaggedSend(dst int, bits match.Bits, data []byte) {
 // sender — the latency cliff every MPI shows at its eager threshold.
 // Matching happens at the destination as the message arrives — the
 // hardware-offload model of PSM2 and UCX.
-func (ep *Endpoint) TaggedSendVCI(dst int, bits match.Bits, data []byte, v int) {
+//
+// rel, when non-nil, makes a rendezvous zero-copy: above the eager
+// limit data is lent, not captured — a posted receive copies it once
+// and releases at once, an unexpected arrival parks a view of data
+// that the consuming receive copies (or folds) and then releases. The
+// caller must keep data unchanged until rel.Release. Eager messages
+// ignore rel (never released) and are captured like TaggedSend's;
+// Rendezvous says which side of the limit a size falls on.
+func (ep *Endpoint) TaggedSendVCI(dst int, bits match.Bits, data []byte, v int, rel ViewReleaser) {
 	ep.noteConn(dst)
 	p := &ep.f.prof
 	ep.meter.ChargeCycles(instr.Transport, p.injectCost(p.SendInject, len(data)))
 	ep.m.NetSend.Note(len(data))
 	now := ep.meter.Now()
-	if p.EagerLimit > 0 && len(data) > p.EagerLimit {
+	if ep.f.Rendezvous(len(data)) {
 		// RTS out, CTS back, then the payload: two extra wire
 		// latencies plus the control processing.
 		start := now
@@ -420,16 +437,17 @@ func (ep *Endpoint) TaggedSendVCI(dst int, bits match.Bits, data []byte, v int) 
 	} else {
 		ep.m.Eager.Note(len(data))
 		ep.m.Flight.Record(flight.SendEager, int64(now), dst, len(data), v)
+		rel = nil
 	}
 	arrival := p.arrivalAt(now, len(data))
 
-	ep.f.Endpoint(dst).deposit(v, bits, ep.rank, data, arrival, viaNet, nil)
+	ep.f.Endpoint(dst).deposit(v, bits, ep.rank, data, arrival, viaNet, rel)
 }
 
-// ViewReleaser is the fabric's handle on a zero-copy handoff view
-// (satisfied by *shm.Handoff): Release returns the lent buffer to its
-// sender, with copied saying whether the consumer memcpy'd the payload
-// out or folded it in place.
+// ViewReleaser is the fabric's handle on a lent view — an shm handoff
+// (*shm.Handoff) or a netmod rendezvous send (the device's send box):
+// Release returns the lent buffer to its sender, with copied saying
+// whether the consumer memcpy'd the payload out or folded it in place.
 type ViewReleaser interface {
 	Release(copied bool)
 }
@@ -442,10 +460,10 @@ type ViewReleaser interface {
 // fast path; only an unexpected message pays for a (pooled) buffered
 // copy. A match against a stale replica of an already-claimed wildcard
 // receive re-offers the message until it finds a live consumer.
-// A non-nil rel marks data as a zero-copy handoff view: it stays valid
-// until rel is released, so the unexpected path parks it without a
-// pooled copy and the matched path releases it (outside the VCI lock)
-// once the receive consumed it.
+// A non-nil rel marks data as a lent view (shm handoff or netmod
+// rendezvous): it stays valid until rel is released, so the unexpected
+// path parks it without a pooled copy and the matched path releases it
+// (outside the VCI lock) once the receive consumed it.
 func (ep *Endpoint) deposit(v int, bits match.Bits, src int, data []byte, arrival vtime.Time, via via, rel ViewReleaser) {
 	v = ep.norm(v)
 	s := ep.vcis[v]
@@ -471,8 +489,7 @@ func (ep *Endpoint) deposit(v int, bits match.Bits, src int, data []byte, arriva
 			if rel != nil {
 				// Lent view: park it as-is. No staging copy exists —
 				// the payload waits in the sender's buffer.
-				m.data = data
-				m.rel = rel
+				m.data, m.rel, m.via = data, rel, via
 			} else {
 				buf := s.pool.get(len(data), &s.arr)
 				copy(buf, data)
@@ -1032,10 +1049,10 @@ func (ep *Endpoint) MProbeVCI(bits, mask match.Bits, v int) (src, tag int, data 
 
 // ownMProbeData turns an extracted unexpected message's payload into a
 // caller-owned buffer. A pooled payload already leaves the pool for
-// good; a zero-copy handoff view cannot outlive its release, so it is
-// copied into fresh storage (that staging copy is what a matched probe
-// costs the handoff path) and the view is released once the caller
-// drops the VCI locks.
+// good; a lent view (shm handoff or netmod rendezvous) cannot outlive
+// its release, so it is copied into fresh storage (that staging copy is
+// what a matched probe costs a lent send) and the view is released once
+// the caller drops the VCI locks.
 func (s *vci) ownMProbeData(m *message) ([]byte, ViewReleaser) {
 	if m.rel == nil {
 		return m.data, nil
@@ -1043,7 +1060,8 @@ func (s *vci) ownMProbeData(m *message) ([]byte, ViewReleaser) {
 	buf := append([]byte(nil), m.data...)
 	if len(buf) > 0 {
 		// The copy's cycle cost is charged by the release below
-		// (Release with copied=true prices one per-byte pass).
+		// (an shm Release with copied=true prices one per-byte pass;
+		// the netmod priced its rendezvous at injection).
 		s.arr.CopiesStaged.Note(len(buf))
 	}
 	rel := m.rel

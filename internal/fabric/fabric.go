@@ -112,6 +112,11 @@ func NewVCIOpt(prof Profile, n, nvci int, opts Options) *Fabric {
 // Profile returns the fabric's cost profile.
 func (f *Fabric) Profile() Profile { return f.prof }
 
+// Rendezvous reports whether an n-byte tagged send crosses the eager
+// limit: it pays the RTS/CTS handshake, and TaggedSendVCI lends it when
+// given a releaser.
+func (f *Fabric) Rendezvous(n int) bool { return f.prof.EagerLimit > 0 && n > f.prof.EagerLimit }
+
 // Size returns the number of endpoints.
 func (f *Fabric) Size() int { return len(f.eps) }
 

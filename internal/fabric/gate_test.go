@@ -102,7 +102,7 @@ func TestWaiterGateWaitRecv(t *testing.T) {
 				me.PostRecvVCI(&op, bits, match.FullMask, 1)
 				binary.LittleEndian.PutUint64(out[:], uint64(i))
 				if first {
-					me.TaggedSendVCI(peer.Rank(), match.MakeBits(1, me.Rank(), 7), out[:], 1)
+					me.TaggedSendVCI(peer.Rank(), match.MakeBits(1, me.Rank(), 7), out[:], 1, nil)
 				}
 				me.WaitRecv(&op)
 				if got := binary.LittleEndian.Uint64(in[:]); op.N != 8 || got != uint64(i) {
@@ -111,7 +111,7 @@ func TestWaiterGateWaitRecv(t *testing.T) {
 				}
 				op.Reset()
 				if !first {
-					me.TaggedSendVCI(peer.Rank(), match.MakeBits(1, me.Rank(), 7), out[:], 1)
+					me.TaggedSendVCI(peer.Rank(), match.MakeBits(1, me.Rank(), 7), out[:], 1, nil)
 				}
 				round.Add(1)
 			}
@@ -131,7 +131,7 @@ func TestEventsEqualsEventSeq(t *testing.T) {
 	deposits, wakes := [3]int{5, 0, 11}, [3]int{2, 7, 0}
 	for v := range deposits {
 		for i := 0; i < deposits[v]; i++ {
-			src.TaggedSendVCI(1, match.MakeBits(1, 0, i), []byte{1}, v)
+			src.TaggedSendVCI(1, match.MakeBits(1, 0, i), []byte{1}, v, nil)
 		}
 		for i := 0; i < wakes[v]; i++ {
 			dst.WakeVCI(v)
@@ -196,7 +196,7 @@ func BenchmarkWakeVCI(b *testing.B) {
 			dst.WakeVCI(0)
 		}
 		b.StopTimer()
-		src.TaggedSendVCI(1, bits, []byte{1}, 0)
+		src.TaggedSendVCI(1, bits, []byte{1}, 0, nil)
 		<-done
 	})
 }

@@ -50,7 +50,7 @@ func TestVCITrafficIsolatedPerInterface(t *testing.T) {
 	src, dst := f.Endpoint(0), f.Endpoint(1)
 	// One message per interface, each with distinct payload.
 	for v := 0; v < 4; v++ {
-		src.TaggedSendVCI(1, match.MakeBits(1, 0, v), []byte{byte(0x10 + v)}, v)
+		src.TaggedSendVCI(1, match.MakeBits(1, 0, v), []byte{byte(0x10 + v)}, v, nil)
 	}
 	// Receive them in reverse interface order: matching within an
 	// interface is independent of the others.
@@ -73,7 +73,7 @@ func TestWildcardRecvSearchesAllVCIs(t *testing.T) {
 	for v := 0; v < 4; v++ {
 		p := byte(0x20 + v)
 		want[p] = true
-		src.TaggedSendVCI(1, match.MakeBits(1, 0, v), []byte{p}, v)
+		src.TaggedSendVCI(1, match.MakeBits(1, 0, v), []byte{p}, v, nil)
 	}
 	mask := match.RecvMask(false, true) // exact src, any tag
 	for i := 0; i < 4; i++ {
@@ -98,7 +98,7 @@ func TestWildcardRecvPreservesArrivalOrderAcrossVCIs(t *testing.T) {
 	// back in arrival order, not interface order.
 	order := []int{2, 0, 3, 1}
 	for i, v := range order {
-		src.TaggedSendVCI(1, match.MakeBits(1, 0, v), []byte{byte(i)}, v)
+		src.TaggedSendVCI(1, match.MakeBits(1, 0, v), []byte{byte(i)}, v, nil)
 	}
 	mask := match.RecvMask(false, true)
 	for i := 0; i < len(order); i++ {
@@ -129,7 +129,7 @@ func TestEventSeqPerVCIIsolation(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < hammer/2; i++ {
-				src.TaggedSendVCI(1, match.MakeBits(1, 0, 1), []byte{1}, 1)
+				src.TaggedSendVCI(1, match.MakeBits(1, 0, 1), []byte{1}, 1, nil)
 			}
 		}(g)
 	}
@@ -173,7 +173,7 @@ func TestWaitEventVCINoSpuriousWakeup(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 32; i++ {
-				src.TaggedSendVCI(1, match.MakeBits(1, 0, 1), []byte{1}, 1)
+				src.TaggedSendVCI(1, match.MakeBits(1, 0, 1), []byte{1}, 1, nil)
 			}
 		}()
 	}
@@ -183,7 +183,7 @@ func TestWaitEventVCINoSpuriousWakeup(t *testing.T) {
 		t.Fatal("waiter on VCI 0 woke on VCI 1 traffic")
 	}
 	// Its own interface wakes it.
-	src.TaggedSendVCI(1, match.MakeBits(1, 0, 0), []byte{2}, 0)
+	src.TaggedSendVCI(1, match.MakeBits(1, 0, 0), []byte{2}, 0, nil)
 	select {
 	case <-done:
 	case <-time.After(2 * time.Second):
@@ -209,7 +209,7 @@ func TestWaitEventVCINoSpuriousWakeup(t *testing.T) {
 func TestProbeVCIOnPinnedInterface(t *testing.T) {
 	f := newVCIFabric(t, 2, 4)
 	src, dst := f.Endpoint(0), f.Endpoint(1)
-	src.TaggedSendVCI(1, match.MakeBits(1, 0, 5), []byte{7, 7}, 2)
+	src.TaggedSendVCI(1, match.MakeBits(1, 0, 5), []byte{7, 7}, 2, nil)
 	if _, _, _, ok := dst.ProbeVCI(match.MakeBits(1, 0, 5), match.FullMask, 3); ok {
 		t.Fatal("probe on VCI 3 saw a message deposited on VCI 2")
 	}

@@ -155,12 +155,13 @@ type Rank struct {
 	// baseline rides eager AM packets as well).
 	AmSend Path
 	AmRecv Path
-	// Copy accounting for the intra-node paths. CopiesStaged counts
-	// every intermediate staging copy a payload crossed (shm cell
-	// copy-in, ring reassembly, unexpected-queue pool buffering);
-	// CopiesDirect counts final copies into the posted user buffer.
-	// An in-place handoff reduction notes neither — the payload was
-	// folded where it lay. ShmHandoff counts messages (and payload
+	// Copy accounting for the tagged paths. CopiesStaged counts every
+	// intermediate staging copy a payload crossed (shm cell copy-in,
+	// ring reassembly, unexpected-queue pool buffering, a matched
+	// probe's private copy of a lent view); CopiesDirect counts final
+	// copies into the posted user buffer. An in-place reduction over a
+	// lent view notes neither — the payload was folded where it lay.
+	// ShmHandoff counts messages (and payload
 	// bytes lent) that took the zero-copy handoff path; it is a subset
 	// of ShmSend, noted on the sending rank.
 	CopiesStaged Path

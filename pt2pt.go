@@ -184,8 +184,11 @@ func (c *Comm) Isend(buf []byte, count int, dt *Datatype, dest, tag int) (*Reque
 	return c.isend(buf, count, dt, dest, tag, 0, nil)
 }
 
-// Send performs a blocking send (MPI_SEND). The eager protocol makes
-// local completion immediate.
+// Send performs a blocking send (MPI_SEND) in standard mode. Up to the
+// eager limit (and the shm handoff threshold on-node) the payload is
+// captured and Send returns at once; above it the buffer is lent and
+// Send returns when the receiver has consumed it, so two ranks that
+// each Send a large message to the other before receiving deadlock.
 func (c *Comm) Send(buf []byte, count int, dt *Datatype, dest, tag int) error {
 	req, err := c.isend(buf, count, dt, dest, tag, 0, c.p.scratchReq(0))
 	if err != nil {
@@ -501,12 +504,13 @@ func (c *Comm) Probe(src, tag int) (Status, error) {
 // SendrecvReplace exchanges in place (MPI_SENDRECV_REPLACE): the buffer
 // is sent to dest, then overwritten by the message from src.
 func (c *Comm) SendrecvReplace(buf []byte, count int, dt *Datatype, dest, sendTag, src, recvTag int) (Status, error) {
-	sreq, err := c.Isend(buf, count, dt, dest, sendTag)
+	// A large send is lent (read where it lies until the receiver
+	// consumes it), so it goes out of a private copy: the receive may
+	// overwrite buf before the peer has read it.
+	sreq, err := c.Isend(append([]byte(nil), buf...), count, dt, dest, sendTag)
 	if err != nil {
 		return Status{}, err
 	}
-	// Eager semantics: the payload was captured at injection, so
-	// receiving into the same buffer is safe.
 	st, err := c.Recv(buf, count, dt, src, recvTag)
 	if err != nil {
 		return st, err
@@ -609,7 +613,8 @@ func (m *Message) Recv(buf []byte, count int, dt *Datatype) (Status, error) {
 }
 
 // Sendrecv exchanges messages in one call (MPI_SENDRECV): the send is
-// issued first (eager, never blocks), then the receive completes.
+// issued first (nonblocking, even when its buffer is lent), then the
+// receive completes, then the send.
 func (c *Comm) Sendrecv(sendBuf []byte, sendCount int, sendType *Datatype, dest, sendTag int,
 	recvBuf []byte, recvCount int, recvType *Datatype, src, recvTag int) (Status, error) {
 	sreq, err := c.isend(sendBuf, sendCount, sendType, dest, sendTag, 0, c.p.scratchReq(0))
