@@ -47,9 +47,12 @@ race:
 # completes on another rank's goroutine: the netmod rendezvous and shm
 # handoff copy counts, the lent-send allocation guard, the releaser at
 # every consume site, the lent-vs-captured differential's seeds, and the
-# rendezvous deadlock the watchdog must name. Zero failures.
-FLAKE_RUN = 'Ledger|DumpState|ZeroAlloc|AllocFree|SteadyStateAllocs|FeederPublished|FirstTouch|LockTouch|SpmvDeclaredShape|SingleVsShared|Shared.*Concurrent|SharedWriters|ForeignReader|TailFlush|WrapOrder|WhilePeersRun|SnapshotDuringDeposits|Region|RegisterWhilePut|ShareReaches|SPSC|NoMutex|WakePerMessage|SharedSiblings|WaiterGate|EventsEquals|Lent|RendezvousDeadlock|CopyCounts|CompletesAtReturn'
-FLAKE_PKGS = . ./internal/proc ./internal/instr ./internal/vtime ./internal/hist ./internal/shm ./internal/bench ./internal/flight ./internal/metrics ./internal/request ./internal/fabric ./internal/ch4
+# rendezvous deadlock the watchdog must name — and the LJ proxy's host
+# kernels: the cell-sorted force kernel against its linked-list
+# reference, the golden trajectory at GOMAXPROCS 1, 2 and 8, and the
+# allocation-free timestep. Zero failures.
+FLAKE_RUN = 'Ledger|DumpState|ZeroAlloc|AllocFree|SteadyStateAllocs|FeederPublished|FirstTouch|LockTouch|SpmvDeclaredShape|SingleVsShared|Shared.*Concurrent|SharedWriters|ForeignReader|TailFlush|WrapOrder|WhilePeersRun|SnapshotDuringDeposits|Region|RegisterWhilePut|ShareReaches|SPSC|NoMutex|WakePerMessage|SharedSiblings|WaiterGate|EventsEquals|Lent|RendezvousDeadlock|CopyCounts|CompletesAtReturn|ForcesMatchReference|RunGolden|TimestepAllocs'
+FLAKE_PKGS = . ./internal/proc ./internal/instr ./internal/vtime ./internal/hist ./internal/shm ./internal/bench ./internal/flight ./internal/metrics ./internal/request ./internal/fabric ./internal/ch4 ./internal/md
 
 flake:
 	$(GO) test -count=20 -run $(FLAKE_RUN) $(FLAKE_PKGS)
@@ -63,14 +66,17 @@ bench-smoke:
 
 # Short differential-fuzz runs: binned vs linear matching must agree,
 # staged vs zero-copy shm RMA must deliver identical bytes, lent vs
-# captured netmod sends must deliver and charge identically, and every
-# blocking collective must agree with a Send/Recv-only reference.
+# captured netmod sends must deliver and charge identically, every
+# blocking collective must agree with a Send/Recv-only reference, and
+# the cell-sorted LJ force kernel must match its linked-list reference
+# bit for bit.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzBinnedMatchesLinear -fuzztime 10s ./internal/match
 	$(GO) test -run xxx -fuzz FuzzRmaStagedZeroCopy -fuzztime 10s .
 	$(GO) test -run xxx -fuzz FuzzPartitionedVsPlain -fuzztime 10s .
 	$(GO) test -run xxx -fuzz FuzzRendezvousLent -fuzztime 10s .
 	$(GO) test -run xxx -fuzz FuzzBlockingCollectives -fuzztime 10s .
+	$(GO) test -run xxx -fuzz FuzzComputeForces -fuzztime 10s ./internal/md
 
 # Lines of Go that are neither tests nor the benchmark: the tracked
 # output of the "least code" aim (ROADMAP aim 2).

@@ -380,11 +380,14 @@ func TestBlockingCollSteadyStateAllocs(t *testing.T) {
 	}
 	// The device's own garbage makes the collector run inside the window,
 	// and each cycle empties the runtime's caches of parked-goroutine
-	// records, so the two counts agree to a few objects, not to the digit;
-	// a cost per call on fresh buffers would be 9n x ranks.
+	// records, so the two counts agree to tens of objects, not to the
+	// digit (54 has been seen). What the guard is for is a cost per call
+	// on fresh buffers: that would be 9n x ranks = 1800 mallocs over the
+	// window, so the bound is a quarter of it, well clear of both.
+	const perCall = 9 * n * ranks
 	stable, fresh := slope(gompi.DeviceOriginal, false), slope(gompi.DeviceOriginal, true)
-	if d := fresh - stable; d >= n || -d >= n {
-		t.Errorf("original: fresh buffers cost %d mallocs over the window, stable ones %d", fresh, stable)
+	if d := fresh - stable; d >= perCall/4 || -d >= perCall/4 {
+		t.Errorf("original: fresh buffers cost %d mallocs over the window, stable ones %d (bound %d)", fresh, stable, perCall/4)
 	}
 }
 

@@ -30,7 +30,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg := gompi.Config{Device: "ch4", Fabric: "bgq", Trace: true}
+	cfg := gompi.Config{Device: gompi.DeviceCH4, Fabric: gompi.FabricBGQ, Trace: true}
 	err = gompi.Run(8, cfg, func(p *gompi.Proc) error {
 		cart, err := p.World().CartCreate(dims, []bool{true, true, false})
 		if err != nil {

@@ -29,7 +29,7 @@ func main() {
 
 	for _, dev := range []gompi.DeviceKind{gompi.DeviceCH4, gompi.DeviceOriginal} {
 		var res md.Result
-		err := gompi.Run(8, gompi.Config{Device: dev, Fabric: "bgq"}, func(p *gompi.Proc) error {
+		err := gompi.Run(8, gompi.Config{Device: dev, Fabric: gompi.FabricBGQ}, func(p *gompi.Proc) error {
 			r, err := md.Run(p, prm)
 			if err != nil {
 				return err

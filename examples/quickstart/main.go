@@ -18,8 +18,8 @@ import (
 
 func main() {
 	cfg := gompi.Config{
-		Device: "ch4", // the paper's lightweight device
-		Fabric: "ofi", // simulated Omni-Path/PSM2
+		Device: gompi.DeviceCH4, // the paper's lightweight device
+		Fabric: gompi.FabricOFI, // simulated Omni-Path/PSM2
 	}
 	err := gompi.Run(4, cfg, func(p *gompi.Proc) error {
 		world := p.World()

@@ -16,7 +16,7 @@ import (
 )
 
 func main() {
-	err := gompi.Run(4, gompi.Config{Device: "ch4", Fabric: "ucx"}, func(p *gompi.Proc) error {
+	err := gompi.Run(4, gompi.Config{Device: gompi.DeviceCH4, Fabric: gompi.FabricUCX}, func(p *gompi.Proc) error {
 		world := p.World()
 		rank, size := p.Rank(), p.Size()
 

@@ -27,7 +27,7 @@ const (
 )
 
 func main() {
-	cfg := gompi.Config{Device: "ch4", Fabric: "ofi", Build: "no-err-single-ipo"}
+	cfg := gompi.Config{Device: gompi.DeviceCH4, Fabric: gompi.FabricOFI, Build: gompi.BuildNoErrSingleIPO}
 	err := gompi.Run(gridP*gridP, cfg, func(p *gompi.Proc) error {
 		world := p.World()
 		px, py := p.Rank()%gridP, p.Rank()/gridP

@@ -16,7 +16,7 @@
 //
 // The entry point is Run:
 //
-//	cfg := gompi.Config{Device: "ch4", Fabric: "ofi", RanksPerNode: 1}
+//	cfg := gompi.Config{Device: gompi.DeviceCH4, Fabric: gompi.FabricOFI, RanksPerNode: 1}
 //	err := gompi.Run(4, cfg, func(p *gompi.Proc) error {
 //		world := p.World()
 //		if p.Rank() == 0 {

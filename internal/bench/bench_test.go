@@ -256,7 +256,7 @@ func TestLammpsSweepSmall(t *testing.T) {
 }
 
 func TestOSUSweepShape(t *testing.T) {
-	pts, err := OSUSweep(gompi.Config{Device: "ch4", Fabric: "ofi"}, 1<<14, 20, 8)
+	pts, err := OSUSweep(gompi.Config{Device: gompi.DeviceCH4, Fabric: gompi.FabricOFI}, 1<<14, 20, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

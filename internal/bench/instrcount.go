@@ -98,7 +98,7 @@ type ProposalSaving struct {
 // paper: global rank ~10, predefined comm ~7-8, no PROC_NULL ~3, no
 // request ~10, no match ~4-5, all combined -> 16 total.
 func ProposalSavings() ([]ProposalSaving, int64, error) {
-	cfg := gompi.Config{Device: "ch4", Fabric: "inf", Build: "no-err-single-ipo"}
+	cfg := gompi.Config{Device: gompi.DeviceCH4, Fabric: gompi.FabricInf, Build: gompi.BuildNoErrSingleIPO}
 	var rows []ProposalSaving
 	var base int64
 	err := gompi.Run(2, cfg, func(p *gompi.Proc) error {

@@ -146,7 +146,7 @@ func ProposalLadder(msgs int) ([]ProposalPoint, error) {
 	if msgs <= 0 {
 		msgs = 2000
 	}
-	cfg := gompi.Config{Device: "ch4", Fabric: "inf", Build: "no-err-single-ipo"}
+	cfg := gompi.Config{Device: gompi.DeviceCH4, Fabric: gompi.FabricInf, Build: gompi.BuildNoErrSingleIPO}
 	var pts []ProposalPoint
 	err := gompi.Run(2, cfg, func(p *gompi.Proc) error {
 		w := p.World()

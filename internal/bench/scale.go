@@ -76,7 +76,7 @@ func ScaleSweep(sizes []int, iters int) ([]ScalePoint, error) {
 func scaleRun(n int, eager bool, iters int) (ScalePoint, error) {
 	const rpn = 16
 	cfg := gompi.Config{
-		Device: "ch4", Fabric: "ofi", Build: "no-err-single-ipo",
+		Device: gompi.DeviceCH4, Fabric: gompi.FabricOFI, Build: gompi.BuildNoErrSingleIPO,
 		RanksPerNode: rpn,
 		// Small rings keep the eager baseline's all-pairs footprint
 		// affordable enough to run; the lazy/eager gap is unaffected.

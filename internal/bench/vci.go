@@ -70,7 +70,7 @@ func VCIScaling(vcis []int, lanes, msgs int) ([]VCIPoint, error) {
 // vciRate runs one 2-rank multi-threaded ping-pong sweep.
 func vciRate(nvci, lanes, msgs int) (VCIPoint, error) {
 	cfg := gompi.Config{
-		Device: "ch4", Fabric: "inf", Build: "no-err-single-ipo",
+		Device: gompi.DeviceCH4, Fabric: gompi.FabricInf, Build: gompi.BuildNoErrSingleIPO,
 		ThreadMultiple: true, VCIs: nvci,
 	}
 	pt := VCIPoint{VCIs: nvci, Lanes: lanes}

@@ -1,6 +1,12 @@
 package md
 
-import "gompi"
+import (
+	"encoding/binary"
+	"math"
+	"slices"
+
+	"gompi"
+)
 
 // Exchange tags (world communicator; per-pair FIFO keeps successive
 // steps ordered).
@@ -18,51 +24,33 @@ func (s *sim) exchangeGhosts() error {
 	s.ghosts = s.ghosts[:0]
 	rc := s.prm.Cutoff
 	for dim := 0; dim < 3; dim++ {
-		var sendLo, sendHi [][3]float64
+		sendLo, sendHi := s.wireLo[:0], s.wireHi[:0]
 		consider := func(p [3]float64) {
 			if p[dim] < s.lo[dim]+rc {
 				q := p
 				if s.coords[dim] == 0 {
 					q[dim] += s.L[dim] // wraps to the high side of the domain
 				}
-				sendLo = append(sendLo, q)
+				sendLo = appendVec(sendLo, q)
 			}
 			if p[dim] >= s.hi[dim]-rc {
 				q := p
 				if s.coords[dim] == s.grid[dim]-1 {
 					q[dim] -= s.L[dim]
 				}
-				sendHi = append(sendHi, q)
+				sendHi = appendVec(sendHi, q)
 			}
 		}
-		for i := 0; i < s.n; i++ {
-			consider(s.pos[i])
+		for _, p := range s.pos[:s.n] {
+			consider(p)
 		}
 		for _, g := range s.ghosts {
 			consider(g)
 		}
-
-		lo := s.neighbor(dim, -1)
-		hi := s.neighbor(dim, +1)
-		if err := s.sendAtoms(sendLo, lo, tagGhost+2*dim, nil); err != nil {
-			return err
-		}
-		if err := s.sendAtoms(sendHi, hi, tagGhost+2*dim+1, nil); err != nil {
-			return err
-		}
-		// Receive: from the high neighbor comes its low-bound set (tag
-		// 2*dim), from the low neighbor its high-bound set (tag 2*dim+1).
-		fromHi, _, err := s.recvAtoms(hi, tagGhost+2*dim, false)
+		err := s.swap(dim, tagGhost+2*dim, sendLo, sendHi, 3, func(b []byte) {
+			s.ghosts = append(s.ghosts, vecAt(b, 0))
+		})
 		if err != nil {
-			return err
-		}
-		fromLo, _, err := s.recvAtoms(lo, tagGhost+2*dim+1, false)
-		if err != nil {
-			return err
-		}
-		s.ghosts = append(s.ghosts, fromHi...)
-		s.ghosts = append(s.ghosts, fromLo...)
-		if err := s.w.CommWaitall(); err != nil {
 			return err
 		}
 	}
@@ -72,14 +60,12 @@ func (s *sim) exchangeGhosts() error {
 // migrate ships atoms that left the box to the owning neighbor, one
 // dimension at a time (an atom crossing a corner is forwarded
 // transitively). Sender wraps coordinates across the periodic
-// boundary.
+// boundary. The atoms that stay are compacted in place, and arrivals
+// are appended after them.
 func (s *sim) migrate() error {
 	for dim := 0; dim < 3; dim++ {
-		var keepPos, keepVel [][3]float64
-		var keepID []int32
-		var loPos, loVel, hiPos, hiVel [][3]float64
-		var loID, hiID []int32
-
+		sendLo, sendHi := s.wireLo[:0], s.wireHi[:0]
+		keep := 0
 		for i := 0; i < s.n; i++ {
 			p := s.pos[i]
 			switch {
@@ -87,111 +73,77 @@ func (s *sim) migrate() error {
 				if s.coords[dim] == 0 {
 					p[dim] += s.L[dim]
 				}
-				loPos = append(loPos, p)
-				loVel = append(loVel, s.vel[i])
-				loID = append(loID, s.id[i])
+				sendLo = appendAtom(sendLo, p, s.vel[i], s.id[i])
 			case p[dim] >= s.hi[dim]:
 				if s.coords[dim] == s.grid[dim]-1 {
 					p[dim] -= s.L[dim]
 				}
-				hiPos = append(hiPos, p)
-				hiVel = append(hiVel, s.vel[i])
-				hiID = append(hiID, s.id[i])
+				sendHi = appendAtom(sendHi, p, s.vel[i], s.id[i])
 			default:
-				keepPos = append(keepPos, p)
-				keepVel = append(keepVel, s.vel[i])
-				keepID = append(keepID, s.id[i])
+				s.pos[keep], s.vel[keep], s.id[keep] = p, s.vel[i], s.id[i]
+				keep++
 			}
 		}
-
-		lo := s.neighbor(dim, -1)
-		hi := s.neighbor(dim, +1)
-		if err := s.sendAtoms(loPos, lo, tagMigrate+4*dim, &migExtra{loVel, loID}); err != nil {
-			return err
-		}
-		if err := s.sendAtoms(hiPos, hi, tagMigrate+4*dim+1, &migExtra{hiVel, hiID}); err != nil {
-			return err
-		}
-		inHiPos, inHiX, err := s.recvAtoms(hi, tagMigrate+4*dim, true)
-		if err != nil {
-			return err
-		}
-		inLoPos, inLoX, err := s.recvAtoms(lo, tagMigrate+4*dim+1, true)
-		if err != nil {
-			return err
-		}
-
-		s.pos = append(append(keepPos, inHiPos...), inLoPos...)
-		s.vel = append(append(keepVel, inHiX.vel...), inLoX.vel...)
-		s.id = append(append(keepID, inHiX.id...), inLoX.id...)
+		s.pos, s.vel, s.id = s.pos[:keep], s.vel[:keep], s.id[:keep]
+		err := s.swap(dim, tagMigrate+4*dim, sendLo, sendHi, 7, func(b []byte) {
+			s.pos = append(s.pos, vecAt(b, 0))
+			s.vel = append(s.vel, vecAt(b, 3))
+			s.id = append(s.id, int32(f64At(b, 6)))
+		})
 		s.n = len(s.pos)
-		if err := s.w.CommWaitall(); err != nil {
+		if err != nil {
 			return err
 		}
 	}
-	if len(s.frc) < s.n {
-		s.frc = make([][3]float64, s.n)
-	}
-	s.frc = s.frc[:s.n]
+	s.frc = slices.Grow(s.frc[:0], s.n)[:s.n]
 	return nil
 }
 
-// migExtra carries velocities and ids alongside positions for
-// migration messages.
-type migExtra struct {
-	vel [][3]float64
-	id  []int32
-}
-
-// sendAtoms packs and ships one atom set (positions, optionally
-// velocities+ids) with a requestless send. Empty sets still send a
-// zero-length message so the receiver's matching recv completes.
-func (s *sim) sendAtoms(pos [][3]float64, dest, tag int, extra *migExtra) error {
-	per := 3
-	if extra != nil {
-		per = 7 // pos + vel + id (id packed as float64 for simplicity)
+// swap sends one dimension's two packed atom sets with requestless
+// sends (empty sets too, so the receiver's matching recv completes):
+// sendLo to the low neighbor with tag t, sendHi to the high one with
+// t+1. It then probes for and receives, in order, the high neighbor's
+// low-bound set and the low neighbor's high-bound set, and hands each
+// atom's per float64s to take. The send buffers become the next
+// exchange's, since a requestless send has captured its data at return.
+func (s *sim) swap(dim, t int, sendLo, sendHi []byte, per int, take func([]byte)) error {
+	s.wireLo, s.wireHi = sendLo, sendHi
+	lo, hi := s.neighbor(dim, -1), s.neighbor(dim, +1)
+	if err := s.w.IsendNoReq(sendLo, len(sendLo), gompi.Byte, lo, t); err != nil {
+		return err
 	}
-	vals := make([]float64, 0, per*len(pos))
-	for i, p := range pos {
-		vals = append(vals, p[0], p[1], p[2])
-		if extra != nil {
-			v := extra.vel[i]
-			vals = append(vals, v[0], v[1], v[2], float64(extra.id[i]))
+	if err := s.w.IsendNoReq(sendHi, len(sendHi), gompi.Byte, hi, t+1); err != nil {
+		return err
+	}
+	for _, from := range [2][2]int{{hi, t}, {lo, t + 1}} {
+		st, err := s.w.Probe(from[0], from[1])
+		if err != nil {
+			return err
+		}
+		s.wireIn = slices.Grow(s.wireIn[:0], st.Count)[:st.Count]
+		if _, err := s.w.Recv(s.wireIn, st.Count, gompi.Byte, from[0], from[1]); err != nil {
+			return err
+		}
+		for in := s.wireIn; len(in) >= 8*per; in = in[8*per:] {
+			take(in)
 		}
 	}
-	wire := gompi.Float64Bytes(vals, nil)
-	return s.w.IsendNoReq(wire, len(wire), gompi.Byte, dest, tag)
+	return s.w.CommWaitall()
 }
 
-// recvAtoms probes for size, receives, and unpacks one atom set.
-func (s *sim) recvAtoms(src, tag int, withExtra bool) ([][3]float64, migExtra, error) {
-	st, err := s.w.Probe(src, tag)
-	if err != nil {
-		return nil, migExtra{}, err
+// Wire format: an atom is little-endian float64s, its position and,
+// when it migrates, its velocity and id (packed as a float64).
+func appendVec(b []byte, v [3]float64) []byte {
+	for _, x := range v {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
 	}
-	buf := make([]byte, st.Count)
-	if _, err := s.w.Recv(buf, len(buf), gompi.Byte, src, tag); err != nil {
-		return nil, migExtra{}, err
-	}
-	vals := gompi.BytesFloat64(buf, nil)
-	per := 3
-	if withExtra {
-		per = 7
-	}
-	n := len(vals) / per
-	pos := make([][3]float64, n)
-	var ex migExtra
-	if withExtra {
-		ex.vel = make([][3]float64, n)
-		ex.id = make([]int32, n)
-	}
-	for i := 0; i < n; i++ {
-		v := vals[i*per:]
-		pos[i] = [3]float64{v[0], v[1], v[2]}
-		if withExtra {
-			ex.vel[i] = [3]float64{v[3], v[4], v[5]}
-			ex.id[i] = int32(v[6])
-		}
-	}
-	return pos, ex, nil
+	return b
 }
+
+func appendAtom(b []byte, p, v [3]float64, id int32) []byte {
+	return binary.LittleEndian.AppendUint64(appendVec(appendVec(b, p), v), math.Float64bits(float64(id)))
+}
+
+func f64At(b []byte, k int) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b[8*k:])) }
+
+func vecAt(b []byte, k int) [3]float64 { return [3]float64{f64At(b, k), f64At(b, k+1), f64At(b, k+2)} }

@@ -32,6 +32,17 @@ type sim struct {
 	// Scratch.
 	flopAcc   float64
 	energyPot float64 // accumulated by computeForces
+
+	// computeForces' scratch: where each cell's run starts, each atom's
+	// cell (-1 for a ghost too far to interact), the runs, and one
+	// atom's neighbors as positions in the runs.
+	cellStart, atomCell []int32
+	run                 []runAtom
+	cand                []int32
+
+	// Exchange buffers: the packed sets for the low and high neighbor,
+	// and the receive bytes.
+	wireLo, wireHi, wireIn []byte
 }
 
 func newSim(p *gompi.Proc, prm *Params) *sim {
@@ -130,8 +141,11 @@ func (s *sim) buildLattice() {
 // decomposition), then removes the global drift.
 func (s *sim) initVelocities() {
 	scale := math.Sqrt(s.prm.Temp)
+	// One source, re-seeded per atom: the same stream as a fresh source
+	// per atom, without building one each time.
+	rng := rand.New(rand.NewSource(0))
 	for i := 0; i < s.n; i++ {
-		rng := rand.New(rand.NewSource(s.prm.Seed + int64(s.id[i])))
+		rng.Seed(s.prm.Seed + int64(s.id[i]))
 		for d := 0; d < 3; d++ {
 			s.vel[i][d] = scale * rng.NormFloat64()
 		}
