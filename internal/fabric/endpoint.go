@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -131,11 +132,11 @@ type am struct {
 // engine, buffer pool, envelope free list, and event sequence. Two
 // goroutines of the same rank driving different VCIs never contend.
 // Everything is under mu but two atomics: eventSeq, the count of
-// deposits and wakes, and waiters, the goroutines in WaitEventVCI or
-// WaitRecv, raised under mu before their first check. An event bumps
-// eventSeq (or sets done), then loads waiters; a waiter raises waiters,
-// then loads what it waits for. One of the two sees the other, so an
-// event Broadcasts only when somebody may sleep, and misses no sleeper.
+// deposits and wakes, and waiters, the goroutines about to sleep in
+// WaitEventVCI, raised under mu before their last check. An event bumps
+// eventSeq, then loads waiters; a waiter raises waiters, then loads
+// eventSeq. One of the two sees the other, so an event Broadcasts only
+// when somebody may sleep, and misses no sleeper.
 type vci struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -213,7 +214,7 @@ type Endpoint struct {
 	// message, and wake anywhere on the endpoint. Waiters that cannot
 	// name a VCI park on evCond; the waiter gate keeps the common case
 	// (no aggregate waiter) to one atomic load per event.
-	aggSeq    uint64 // atomic
+	aggSeq    atomic.Uint64
 	evMu      sync.Mutex
 	evCond    *sync.Cond
 	evWaiters int32 // atomic
@@ -376,7 +377,7 @@ func (ep *Endpoint) EagerConnect() {
 // bumpAgg publishes one endpoint-level event: bump the aggregate
 // sequence and wake aggregate waiters if any are parked.
 func (ep *Endpoint) bumpAgg() {
-	atomic.AddUint64(&ep.aggSeq, 1)
+	ep.aggSeq.Add(1)
 	// Every path that can wake a parked waiter passes through here
 	// (deposit, Wake, WakeVCI, abort), so this is the single spot that
 	// proves liveness to the stall watchdog.
@@ -634,25 +635,54 @@ func (ep *Endpoint) wakeVCI(v int) {
 
 // EventSeq returns an opaque counter that increases on every deposit,
 // active message, and Wake, endpoint-wide.
-func (ep *Endpoint) EventSeq() uint64 { return atomic.LoadUint64(&ep.aggSeq) }
+func (ep *Endpoint) EventSeq() uint64 { return ep.aggSeq.Load() }
+
+// waitYields is how many times a waiting rank hands its processor to
+// the other rank goroutines before it parks. With one P a yield runs
+// every runnable rank once, so the peer a rank waits for has usually
+// deposited by the time it runs again: the rank never sleeps, and the
+// depositor's waiter gate skips the Broadcast. Swept on the benchmark's
+// coll_mix and scale_halo (DESIGN.md §6a, "How a rank waits"): one
+// yield got part of the gain, two saturated both (coll_mix 51.0 -> 44.4
+// us/op, scale_halo 35.0 -> 24.2 ms/op, medians of three), four and
+// eight were no better.
+const waitYields = 2
+
+// yieldFor reports whether seq has moved past last, or an active
+// message is pending, within waitYields yields of the processor: the
+// wait is then over without a park.
+func (ep *Endpoint) yieldFor(seq *atomic.Uint64, last uint64) bool {
+	for i := 0; ; i++ {
+		if seq.Load() != last || atomic.LoadInt32(&ep.amqLen) != 0 {
+			return true
+		}
+		if i == waitYields {
+			return false
+		}
+		runtime.Gosched()
+	}
+}
 
 // WaitEvent blocks until the aggregate event counter moves past last,
 // then returns its new value. Devices that poll multiple transports use
 // it to park between polls without losing wakeups. Panics with
 // core.ErrWorldAborted once the fabric is aborted.
 func (ep *Endpoint) WaitEvent(last uint64) uint64 {
+	if ep.yieldFor(&ep.aggSeq, last) {
+		return ep.aggSeq.Load()
+	}
 	parked := false
 	defer ep.unpark(&parked)
 	ep.evMu.Lock()
 	atomic.AddInt32(&ep.evWaiters, 1)
-	for atomic.LoadUint64(&ep.aggSeq) == last && atomic.LoadInt32(&ep.amqLen) == 0 {
+	for ep.aggSeq.Load() == last && atomic.LoadInt32(&ep.amqLen) == 0 {
 		ep.f.aborted.CheckLocked(&ep.evMu)
 		ep.park(&parked, AnyVCI)
 		ep.evCond.Wait()
 	}
 	atomic.AddInt32(&ep.evWaiters, -1)
 	ep.evMu.Unlock()
-	return atomic.LoadUint64(&ep.aggSeq)
+	return ep.aggSeq.Load()
 }
 
 // park marks the calling goroutine blocked on interface v (whose lock
@@ -689,8 +719,8 @@ func (ep *Endpoint) EventSeqVCI(v int) uint64 { return ep.vcis[ep.norm(v)].event
 func (ep *Endpoint) WaitEventVCI(v int, last uint64) uint64 {
 	vn := ep.norm(v)
 	s := ep.vcis[vn]
-	if seq := s.eventSeq.Load(); seq != last {
-		return seq // the caller's own progress pass already moved it
+	if ep.yieldFor(&s.eventSeq, last) {
+		return s.eventSeq.Load()
 	}
 	parked := false
 	defer ep.unpark(&parked)
@@ -873,36 +903,22 @@ func (ep *Endpoint) RecvDone(op *RecvOp) bool {
 // WaitRecv blocks until the receive completes, running active-message
 // handlers that arrive in the meantime (progress happens inside MPI
 // calls, as in a real implementation). An op posted to a single VCI
-// parks on that VCI's condition and is not woken by unrelated traffic
-// elsewhere on the endpoint; a wildcard op parks on the aggregate.
+// waits on that VCI's event sequence and is not woken by unrelated
+// traffic elsewhere on the endpoint; a wildcard op waits on the
+// aggregate. The deposit that completes the op bumps the sequence after
+// it sets done, so a sequence read before the done check cannot miss it.
 func (ep *Endpoint) WaitRecv(op *RecvOp) {
-	if op.vci >= 0 {
-		s := ep.vcis[op.vci]
-		parked := false
-		defer ep.unpark(&parked)
-		s.mu.Lock()
-		s.waiters.Add(1)
-		for !op.done.Load() {
-			if atomic.LoadInt32(&ep.amqLen) > 0 {
-				s.mu.Unlock()
-				ep.Progress()
-				s.mu.Lock()
-				continue
-			}
-			ep.f.aborted.CheckLocked(&s.mu)
-			ep.park(&parked, op.vci)
-			s.cond.Wait()
-		}
-		s.waiters.Add(-1)
-		s.mu.Unlock()
-	} else {
-		for !op.done.Load() {
+	for !op.done.Load() {
+		if op.vci < 0 {
 			seq := ep.EventSeq()
-			ep.Progress()
-			if op.done.Load() {
-				break
+			if ep.Progress(); !op.done.Load() {
+				ep.WaitEvent(seq)
 			}
-			ep.WaitEvent(seq)
+			continue
+		}
+		seq := ep.EventSeqVCI(op.vci)
+		if ep.Progress(); !op.done.Load() {
+			ep.WaitEventVCI(op.vci, seq)
 		}
 	}
 	ep.reap(op)
@@ -1095,19 +1111,18 @@ func (ep *Endpoint) AMSend(dst int, handler uint8, hdr, payload []byte) {
 
 // Progress runs pending active-message handlers. It returns the number
 // of messages handled. Handlers run on the calling goroutine; devices
-// that use active messages keep progress on the owner goroutine.
+// that use active messages keep progress on the owner goroutine. An
+// empty queue costs one atomic load: the lock is taken only to drain.
 func (ep *Endpoint) Progress() int {
 	total := 0
-	for {
+	for atomic.LoadInt32(&ep.amqLen) != 0 {
 		ep.amMu.Lock()
 		batch := ep.amq
 		ep.amq = nil
-		if len(batch) > 0 {
-			atomic.AddInt32(&ep.amqLen, -int32(len(batch)))
-		}
+		atomic.AddInt32(&ep.amqLen, -int32(len(batch)))
 		ep.amMu.Unlock()
 		if len(batch) == 0 {
-			return total
+			break // a ThreadMultiple sibling drained it first
 		}
 		// AmRecv counts at delivery (when the handler runs), not at
 		// enqueue, so a snapshot never reports still-queued messages
@@ -1134,6 +1149,7 @@ func (ep *Endpoint) Progress() int {
 		}
 		total += len(batch)
 	}
+	return total
 }
 
 // WaitUntil blocks until pred (evaluated by the calling goroutine)

@@ -2,11 +2,13 @@ package fabric
 
 import (
 	"encoding/binary"
+	"errors"
 	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"gompi/internal/abort"
 	"gompi/internal/match"
 	"gompi/internal/vtime"
 )
@@ -118,6 +120,71 @@ func TestWaiterGateWaitRecv(t *testing.T) {
 		}
 	}
 	within(t, "deposit/WaitRecv", side(a, b, true), side(b, a, false))
+}
+
+// TestWaitParksAfterYields: yielding is a prelude to the park, not a
+// spin. A receive nobody ever sends to spends its yields, parks exactly
+// once and stays parked (on its interface, and on the aggregate for a
+// wildcard receive on a multi-VCI endpoint); an abort then ends the
+// wait with abort.ErrWorldAborted without a second park.
+func TestWaitParksAfterYields(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		nvci int
+		mask match.Bits
+	}{
+		{"vci", 1, match.FullMask},
+		{"aggregate", 2, match.RecvMask(false, true)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := NewVCI(OFI, 2, tc.nvci)
+			m := newTestMeter(1e9)
+			f.Endpoint(0).Bind(newTestMeter(1e9))
+			ep := f.Endpoint(1)
+			ep.Bind(m)
+			op := &RecvOp{Buf: make([]byte, 8)}
+			ep.PostRecv(op, match.MakeBits(1, 0, 5), tc.mask)
+			mu, waiters := &ep.vcis[0].mu, func() bool { return ep.vcis[0].waiters.Load() != 0 }
+			if op.VCI() == AnyVCI {
+				mu, waiters = &ep.evMu, func() bool { return atomic.LoadInt32(&ep.evWaiters) != 0 }
+			}
+			ended := make(chan any, 1)
+			go func() {
+				defer func() { ended <- recover() }()
+				ep.WaitRecv(op)
+			}()
+			for deadline := time.Now().Add(10 * time.Second); !waiters(); runtime.Gosched() {
+				if time.Now().After(deadline) {
+					t.Fatal("the wait never announced itself to sleep: it spins instead of parking")
+				}
+			}
+			// The waiter holds mu from announcing itself until it sleeps,
+			// so taking mu orders its park before the reads below.
+			mu.Lock()
+			mu.Unlock()
+			for i := 0; i < 100; i++ {
+				runtime.Gosched()
+			}
+			mu.Lock()
+			parks := m.m.Parks
+			mu.Unlock()
+			if parks != 1 {
+				t.Fatalf("a receive with no sender parked %d times, want 1", parks)
+			}
+			f.Abort()
+			select {
+			case v := <-ended:
+				if err, ok := v.(error); !ok || !errors.Is(err, abort.ErrWorldAborted) {
+					t.Fatalf("the wait ended with %v, want a panic with abort.ErrWorldAborted", v)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("abort did not end the parked wait")
+			}
+			if m.m.Parks != 1 {
+				t.Errorf("the aborted wait parked again: %d parks, want 1", m.m.Parks)
+			}
+		})
+	}
 }
 
 // TestEventsEqualsEventSeq pins the Events statistic now that nothing

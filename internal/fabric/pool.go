@@ -11,8 +11,13 @@ import "gompi/internal/metrics"
 
 // poolClasses are the rounded-up buffer capacities kept, sized for the
 // workloads the figures run: tiny latency-test payloads, cache-line
-// packets, one page, and the eager limit.
-var poolClasses = [...]int{64, 512, 4096, 65536}
+// packets, one page (bgq's eager limit), ofi's and ucx's eager limit
+// (also the fragment a collective segments a long message into there),
+// and 64 KiB for what is eager at any size: inf, which has no
+// rendezvous, and shm messages below the handoff threshold. A class per
+// power of two was tried: the benchmark's app_md, whose ghost messages
+// vary in size, held less heap but ran 1.3 % slower (three pairs).
+var poolClasses = [...]int{64, 512, 4096, 8192, 65536}
 
 // The metrics package sizes its per-class hit/miss arrays to match.
 var _ [metrics.NumPoolClasses]int64 = [len(poolClasses)]int64{}

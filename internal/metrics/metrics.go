@@ -63,7 +63,7 @@ func (p *PathStat) add(o PathStat) {
 
 // NumPoolClasses is the number of size classes the fabric's payload
 // buffer pool keeps (fabric asserts its class table matches).
-const NumPoolClasses = 4
+const NumPoolClasses = 5
 
 // Collective-algorithm identifiers for the per-algorithm call/byte
 // counters. The MPI layer notes one entry per collective call with the
@@ -220,6 +220,11 @@ type Rank struct {
 	// attributes time to.
 	Lat Latency
 
+	// Parks counts the times one of the rank's goroutines went to sleep
+	// on a condition variable to wait: the fabric's event waits and the
+	// shm full-ring waits, once per wait (NotePark).
+	Parks int64
+
 	// Flight is the rank's always-on flight recorder: a fixed ring of
 	// recent protocol events for post-mortem dumps (abort, error
 	// teardown, watchdog trip). Living in the registry threads it
@@ -265,9 +270,11 @@ func (r *Rank) load(p *int64) int64 {
 	return *p
 }
 
-// NotePark records the park (waiting on peer, -1 for any, on interface
-// vci) in the flight ring and publishes the ring and the owner's clock.
+// NotePark counts the park (waiting on peer, -1 for any, on interface
+// vci), records it in the flight ring and publishes the ring and the
+// owner's clock.
 func (r *Rank) NotePark(now int64, peer, vci int) {
+	r.add(&r.Parks, 1)
 	r.Flight.Record(flight.Park, now, peer, 0, vci)
 	r.Publish(now)
 }
@@ -544,6 +551,8 @@ type Snapshot struct {
 	Peers        PeerStats   `json:"peer_state"`
 	Sched        SchedStats  `json:"sched_cache"`
 	Lat          LatSnapshot `json:"latency"`
+	// Parks is how many waits slept on a condition variable (see Rank).
+	Parks int64 `json:"parks"`
 	// VCIs is the per-virtual-interface receive-side split; empty on a
 	// single-VCI endpoint snapshot only if the device never filled it.
 	VCIs []VCIStat `json:"vcis,omitempty"`
@@ -586,6 +595,7 @@ func (r *Rank) Snapshot() Snapshot {
 			LockAlls: r.load(&r.RmaLockAlls),
 			Notifies: r.load(&r.RmaNotifies),
 		},
+		Parks: r.load(&r.Parks),
 	}
 	touched := r.load(&r.PeersTouched)
 	stateBytes := r.load(&r.PeerStateBytes)
@@ -670,6 +680,7 @@ func (s Snapshot) Merge(o Snapshot) Snapshot {
 	s.Sched.CacheHits += o.Sched.CacheHits
 	s.Sched.CacheMisses += o.Sched.CacheMisses
 	s.Sched.PartitionsReady += o.Sched.PartitionsReady
+	s.Parks += o.Parks
 	if o.Peers.MaxStateBytes > s.Peers.MaxStateBytes {
 		s.Peers.MaxStateBytes = o.Peers.MaxStateBytes
 	}

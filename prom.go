@@ -70,6 +70,7 @@ func (s *Stats) WriteProm(w io.Writer) error {
 		fmt.Fprintf(w, "gompi_sched_cache_hits_total{rank=%q} %d\n", rank, m.Sched.CacheHits)
 		fmt.Fprintf(w, "gompi_sched_cache_misses_total{rank=%q} %d\n", rank, m.Sched.CacheMisses)
 		fmt.Fprintf(w, "gompi_partitions_ready_total{rank=%q} %d\n", rank, m.Sched.PartitionsReady)
+		fmt.Fprintf(w, "gompi_parks_total{rank=%q} %d\n", rank, m.Parks)
 	}
 	fmt.Fprintln(w, "# TYPE gompi_post_match_cycles summary")
 	fmt.Fprintln(w, "# TYPE gompi_unexpected_residency_cycles summary")
@@ -84,6 +85,7 @@ func (s *Stats) WriteProm(w io.Writer) error {
 	fmt.Fprintln(w, "# TYPE gompi_sched_cache_hits_total counter")
 	fmt.Fprintln(w, "# TYPE gompi_sched_cache_misses_total counter")
 	fmt.Fprintln(w, "# TYPE gompi_partitions_ready_total counter")
+	fmt.Fprintln(w, "# TYPE gompi_parks_total counter")
 	row("all", agg)
 	for i := range s.Ranks {
 		r := &s.Ranks[i]
