@@ -24,11 +24,15 @@ import (
 // warm-up phase pushes `warm` messages through the unexpected queue so
 // the receive side returns that many payload buffers, message
 // envelopes, and match nodes to the free lists; the measured sends then
-// recycle them.
+// recycle them. A requestless send allocates nothing; an Isend that
+// returns a Request allocates only its slot of the rank's Request slab,
+// so a run of ReqSlabLen Isend+Wait pairs is exactly one malloc.
 func TestIsendSteadyStateAllocs(t *testing.T) {
-	const warm = 300
-	const runs = 200
-	var allocs float64
+	const runs, slabRuns = 200, 10
+	// Every measured message waits unexpected too, so warm covers them
+	// all (AllocsPerRun makes one extra warm-up run of each function).
+	const warm = runs + 1 + (slabRuns+1)*gompi.ReqSlabLen + 1
+	var allocs, slabAllocs float64
 	err := gompi.Run(2, gompi.Config{Fabric: "inf", Build: "no-err-single-ipo"}, func(p *gompi.Proc) error {
 		w := p.World()
 		buf := []byte{1}
@@ -55,6 +59,17 @@ func TestIsendSteadyStateAllocs(t *testing.T) {
 					t.Error(err)
 				}
 			})
+			slabAllocs = testing.AllocsPerRun(slabRuns, func() {
+				for i := 0; i < gompi.ReqSlabLen; i++ {
+					r, err := w.Isend(buf, 1, gompi.Byte, 1, 0)
+					if err == nil {
+						_, err = r.Wait()
+					}
+					if err != nil {
+						t.Error(err)
+					}
+				}
+			})
 			// Release the parked receiver and let it drain the
 			// measured messages.
 			if err := w.IsendNoReq(buf, 1, gompi.Byte, 1, 1); err != nil {
@@ -77,7 +92,7 @@ func TestIsendSteadyStateAllocs(t *testing.T) {
 		if _, err := w.Recv(rbuf, 1, gompi.Byte, 0, 1); err != nil {
 			return err
 		}
-		for i := 0; i < runs+1; i++ {
+		for i := 0; i < runs+1+(slabRuns+1)*gompi.ReqSlabLen; i++ {
 			if _, err := w.Recv(rbuf, 1, gompi.Byte, 0, 0); err != nil {
 				return err
 			}
@@ -89,6 +104,9 @@ func TestIsendSteadyStateAllocs(t *testing.T) {
 	}
 	if allocs > 0 {
 		t.Errorf("steady-state 1-byte Isend allocates %.1f objects/op, want 0", allocs)
+	}
+	if slabAllocs != 1 {
+		t.Errorf("%d steady-state 1-byte Isend+Wait allocate %.1f objects, want 1 (one Request slab)", gompi.ReqSlabLen, slabAllocs)
 	}
 }
 
@@ -395,10 +413,12 @@ func TestBlockingCollSteadyStateAllocs(t *testing.T) {
 // into a recycled op — schedule, internal request and completion
 // closures together — so once the communicator holds one, Iallreduce +
 // Wait and Ibarrier + Wait allocate exactly the public Request they
-// return: one object per call and rank, whether the caller passes the
-// same buffers every call or buffers the library has never seen.
+// return: one slab of ReqSlabLen Requests per ReqSlabLen calls and rank,
+// whether the caller passes the same buffers every call or buffers the
+// library has never seen. n is a multiple of ReqSlabLen/callsPerRound,
+// so each window refills a whole number of slabs.
 func TestICollSteadyStateAllocs(t *testing.T) {
-	const ranks, n, callsPerRound = 4, 50, 2
+	const ranks, n, callsPerRound = 4, 64, 2
 	cfg := gompi.Config{Device: gompi.DeviceCH4, Fabric: "ofi", RanksPerNode: 2, EagerPeers: true}
 	for _, fresh := range []bool{false, true} {
 		slope := mallocSlope(t, ranks, cfg, n, func(p *gompi.Proc) (func(int) error, error) {
@@ -427,14 +447,14 @@ func TestICollSteadyStateAllocs(t *testing.T) {
 			}, nil
 		})
 		// The two windows differ by 9n rounds, so the count is 9n x ranks x
-		// callsPerRound to within the one-time high-water objects that
-		// land in one window or the other (a match bin, an unexpected-pool
-		// buffer, a lazily built runtime type-assert cache: -17..+4 over
-		// 300 runs, whatever n is). One stray object per 75 calls is
-		// already 48 off.
-		const want, slack = 9 * n * ranks * callsPerRound, 24
+		// callsPerRound / ReqSlabLen slabs to within the one-time
+		// high-water objects that land in one window or the other (a match
+		// bin, an unexpected-pool buffer, a lazily built runtime
+		// type-assert cache: -17..+4 over 300 runs, whatever n is). One
+		// stray object per call would be 9n x ranks x callsPerRound off.
+		const want, slack = 9 * n * ranks * callsPerRound / gompi.ReqSlabLen, 24
 		if d := slope - want; d > slack || -d > slack {
-			t.Errorf("fresh buffers %v: %d more mallocs over %d rounds than over %d, want %d +/- %d: a round of %d I-collectives allocates its %d Requests per rank and nothing else",
+			t.Errorf("fresh buffers %v: %d more mallocs over %d rounds than over %d, want %d +/- %d: a round of %d I-collectives allocates its %d Requests' share of a slab per rank and nothing else",
 				fresh, slope, 10*n, n, want, slack, callsPerRound, callsPerRound)
 		}
 	}
@@ -444,8 +464,8 @@ func TestICollSteadyStateAllocs(t *testing.T) {
 // rank's scratch Request, so once the pools are warm a Send, a Recv and
 // a Sendrecv allocate nothing (each heap-allocated the public Request
 // it dropped on the next line: 4 objects a round). Isend and Irecv keep
-// returning a fresh one, which TestThreadMultipleSteadyStateAllocs
-// counts.
+// returning a fresh one from the rank's slab, which
+// TestThreadMultipleSteadyStateAllocs counts.
 func TestBlockingPt2ptSteadyStateAllocs(t *testing.T) {
 	const ranks, n = 2, 200
 	cfg := gompi.Config{Device: gompi.DeviceCH4, Fabric: "ofi"}
@@ -480,11 +500,15 @@ func TestBlockingPt2ptSteadyStateAllocs(t *testing.T) {
 }
 
 // TestThreadMultipleSteadyStateAllocs: MPI_THREAD_MULTIPLE adds a lock
-// and its charge to every call, not garbage. The unlock a call defers
-// is bound once per communicator, so Isend + Irecv + Waitall allocates
-// the same objects per exchange (the two public Requests) with the
-// thread level on and off; a method value made per call would show as
-// two more per exchange.
+// and its charge to every call, and one heap object per public Request.
+// The unlock a call defers is bound once per communicator, so Isend +
+// Irecv + Waitall allocates its two Requests and nothing else: a slab
+// of ReqSlabLen per ReqSlabLen Requests with the thread level off, and
+// two objects per exchange with it on, where several goroutines start
+// operations on one Proc and the owner-only slab is bypassed. A method
+// value made per call would show as two more per exchange either way.
+// n x 2 Requests is a multiple of ReqSlabLen, so the windows refill
+// whole slabs.
 func TestThreadMultipleSteadyStateAllocs(t *testing.T) {
 	const ranks, n = 2, 200
 	slope := func(threadMultiple bool) int64 {
@@ -506,10 +530,16 @@ func TestThreadMultipleSteadyStateAllocs(t *testing.T) {
 			}, nil
 		})
 	}
-	off, on := slope(false), slope(true)
-	if d := on - off; d >= n || -d >= n {
-		t.Errorf("ThreadMultiple changes what an exchange allocates: %d mallocs over the window with it, %d without (%d exchanges x %d ranks)",
-			on, off, 9*n, ranks)
+	// TestICollSteadyStateAllocs' one-time high-water slack.
+	const reqs, slack = 9 * n * ranks * 2, 24
+	for _, tc := range []struct {
+		threadMultiple bool
+		want           int64
+	}{{false, reqs / gompi.ReqSlabLen}, {true, reqs}} {
+		if got := slope(tc.threadMultiple); got-tc.want > slack || tc.want-got > slack {
+			t.Errorf("ThreadMultiple %v: %d more mallocs over %d exchanges than over %d (x %d ranks), want %d +/- %d",
+				tc.threadMultiple, got, 10*n, n, ranks, tc.want, slack)
+		}
 	}
 }
 
@@ -518,11 +548,12 @@ func TestThreadMultipleSteadyStateAllocs(t *testing.T) {
 // its own once warm. Before the netmod lent, every unexpected 256 KiB
 // rendezvous cost a 256 KiB staging buffer; before the send box, every
 // handoff three completion closures. Now an exchange allocates exactly
-// the public Requests of its Isend and Irecv, and no payload bytes.
-// Every message is unexpected: the receiver probes for it before
-// posting its receive.
+// the public Requests of its Isend and Irecv, one per rank, from the
+// ranks' Request slabs, and no payload bytes. Every message is
+// unexpected: the receiver probes for it before posting its receive.
+// n is a multiple of ReqSlabLen, so the windows refill whole slabs.
 func TestLentSendSteadyStateAllocs(t *testing.T) {
-	const ranks, n, size = 2, 50, 256 << 10
+	const ranks, n, size = 2, 64, 256 << 10
 	for _, tc := range []struct {
 		name string
 		cfg  gompi.Config
@@ -556,11 +587,12 @@ func TestLentSendSteadyStateAllocs(t *testing.T) {
 					return err
 				}, nil
 			})
-			// The windows differ by 9n exchanges: 2 Requests each, to within
-			// TestICollSteadyStateAllocs' one-time high-water slack.
-			const want, slack = 9 * n * 2, 24
+			// The windows differ by 9n exchanges: 2 Requests each, one slab
+			// per ReqSlabLen of them, to within TestICollSteadyStateAllocs'
+			// one-time high-water slack.
+			const want, slack = 9 * n * ranks / gompi.ReqSlabLen, 24
 			if d := mallocs - want; d > slack || -d > slack {
-				t.Errorf("%d more mallocs over %d exchanges than over %d, want %d +/- %d: an exchange allocates its 2 Requests and nothing else",
+				t.Errorf("%d more mallocs over %d exchanges than over %d, want %d +/- %d: an exchange allocates its 2 Requests' share of a slab and nothing else",
 					mallocs, 10*n, n, want, slack)
 			}
 			if perMsg := bytes / (9 * n); perMsg >= 1024 {

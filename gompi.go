@@ -310,6 +310,9 @@ type Proc struct {
 	// blocking Send/Recv drops its Request on the next line, so it
 	// borrows one of these (Sendrecv holds both) instead of allocating.
 	scratch [2]Request
+	// reqSlab is the unused tail of the slab newRequest hands the
+	// nonblocking calls' Requests out of (owner goroutine only).
+	reqSlab []Request
 
 	tlog     trace.Log
 	profiler Profiler

@@ -35,8 +35,9 @@ const (
 // was posted first or the message waited unexpected (before the
 // netmod lent, that wait cost a staging copy); a matched probe takes
 // one private copy and releases the sender. Below the thresholds the
-// staged shm path pays at least two (copy-in plus reassembly) and an
-// unexpected eager netmod message one.
+// staged shm path pays at least two for a multi-cell message (copy-in
+// plus reassembly) and at least one for a one-cell message, which is
+// delivered from its cell; an unexpected eager netmod message pays one.
 func TestHandoffCopyCounts(t *testing.T) {
 	const thresh = 16384
 	cases := []struct {
@@ -52,7 +53,8 @@ func TestHandoffCopyCounts(t *testing.T) {
 		handoffs  int64
 	}{
 		{name: "handoff", rpn: 2, size: 65536, stagedMax: 0, stagedMin: 0, direct: 1, handoffs: 1},
-		{name: "staged", rpn: 2, size: 4096, stagedMax: -1, stagedMin: 2, direct: 1, handoffs: 0},
+		{name: "staged", rpn: 2, size: 8192, stagedMax: -1, stagedMin: 2, direct: 1, handoffs: 0},
+		{name: "staged-one-cell", rpn: 2, size: 4096, stagedMax: -1, stagedMin: 1, direct: 1, handoffs: 0},
 		{name: "rendezvous-posted", rpn: 1, size: 65536, order: postedFirst, stagedMax: 0, stagedMin: 0, direct: 1},
 		{name: "rendezvous-unexpected", rpn: 1, size: 65536, order: unexpectedFirst, stagedMax: 0, stagedMin: 0, direct: 1},
 		{name: "eager-unexpected", rpn: 1, size: 4096, order: unexpectedFirst, stagedMax: 1, stagedMin: 1, direct: 1},
@@ -571,4 +573,120 @@ func FuzzHandoffStaged(f *testing.F) {
 			t.Fatalf("size %d thresh %d: staged and handoff payloads differ", size, thresh)
 		}
 	})
+}
+
+// shmCellStream sends one staged on-node message of each size from rank
+// 0 to rank 1 through rings of cellSize-byte cells, two cells deep, so
+// the producer overwrites every cell many times over. posted puts every
+// receive up before the first send (host order, kept by a channel);
+// otherwise the receiver probes for the last message first, so all of
+// them wait unexpected, copied out of cells long since reused. As in
+// rendezvousStream the receiver runs far ahead in virtual time. staged
+// is the job's CopiesStaged message count.
+func shmCellStream(sizes []int, cellSize int, posted bool) (got [][]byte, out rendezvousRun, staged int64, err error) {
+	var st Stats
+	ready := make(chan struct{})
+	cfg := Config{Fabric: "ofi", RanksPerNode: 2, ShmCellSize: cellSize, ShmRingCells: 2, Stats: &st}
+	err = Run(2, cfg, func(p *Proc) error {
+		w := p.World()
+		if p.Rank() == 0 {
+			if posted {
+				<-ready
+			}
+			for i, n := range sizes {
+				buf := make([]byte, n)
+				fillPattern(buf, i)
+				if err := w.Send(buf, n, Byte, 1, i); err != nil {
+					return err
+				}
+			}
+			c := p.Counters()
+			out.sendTransp, out.sendSync = c.Transport, p.VirtualCycles()-c.Cycles
+			return nil
+		}
+		p.ChargeCompute(1 << 32)
+		if !posted {
+			if _, err := w.Probe(0, len(sizes)-1); err != nil {
+				return err
+			}
+		}
+		reqs := make([]*Request, len(sizes))
+		got = make([][]byte, len(sizes))
+		for i, n := range sizes {
+			got[i] = make([]byte, n)
+			r, err := w.Irecv(got[i], n, Byte, 0, i)
+			if err != nil {
+				return err
+			}
+			reqs[i] = r
+		}
+		if posted {
+			close(ready)
+		}
+		if err := Waitall(reqs); err != nil {
+			return err
+		}
+		out.recv, out.recvClock = p.Counters(), p.VirtualCycles()
+		return nil
+	})
+	return got, out, st.Aggregate().CopiesStaged.Msgs, err
+}
+
+// TestShmOneCellDifferential pins delivery straight from a ring cell: a
+// message that fits one cell skips the reassembly copy and nothing
+// else. With the cell size varied around the payload, every stream
+// delivers the same bytes; while each message fits one cell the cell
+// size changes no charge, clock or copy count; and a message split
+// over two cells costs exactly one more staging copy (its reassembly).
+func TestShmOneCellDifferential(t *testing.T) {
+	const P = 256
+	sizes := []int{P, P, 1, P, 0, P, P / 2, P, P, 3, P, P}
+	nonEmpty, full := 0, 0
+	for _, n := range sizes {
+		if n > 0 {
+			nonEmpty++
+		}
+		if n == P {
+			full++
+		}
+	}
+	for _, posted := range []bool{true, false} {
+		// Staging copies with every message in one cell: the sender's
+		// copy-in, plus the unexpected queue's copy when not posted.
+		oneCell := int64(nonEmpty)
+		if !posted {
+			oneCell *= 2
+		}
+		var ref rendezvousRun
+		for k, cell := range []int{P, P + 1, 2 * P, P - 1} {
+			got, run, staged, err := shmCellStream(sizes, cell, posted)
+			if err != nil {
+				t.Fatalf("cell %d posted %v: %v", cell, posted, err)
+			}
+			for i, n := range sizes {
+				want := make([]byte, n)
+				fillPattern(want, i)
+				if !bytes.Equal(got[i], want) {
+					t.Fatalf("cell %d posted %v: message %d (%d bytes) corrupted", cell, posted, i, n)
+				}
+			}
+			want := oneCell
+			if cell < P {
+				want += int64(full) // one reassembly per two-cell message
+			}
+			if staged != want {
+				t.Errorf("cell %d posted %v: %d staging copies, want %d", cell, posted, staged, want)
+			}
+			// A probing receiver's clock counts its polls; only a posted
+			// stream's charges are a function of the messages alone.
+			if !posted || cell < P {
+				continue
+			}
+			if k == 0 {
+				ref = run
+			} else if run != ref {
+				t.Errorf("one-cell streams differ with the cell size:\n cell %d %+v\n cell %d %+v", P, ref, cell, run)
+			}
+		}
+	}
 }

@@ -236,8 +236,9 @@ func (p *Proc) traceRounds(s *nbc.Schedule) {
 // internal request the public Request wraps, and the completion closures
 // bound to both once, when the op is first built. Ops are recycled
 // through the communicator's freelist, so a steady-state I-collective
-// allocates only the public Request, and the communicator retains as
-// many ops as it ever had I-collectives outstanding at once.
+// allocates only its public Request's slot of a slab (newRequest), and
+// the communicator retains as many ops as it ever had I-collectives
+// outstanding at once.
 type collOp struct {
 	c   *Comm
 	s   nbc.Schedule
@@ -313,7 +314,9 @@ func (c *Comm) istart(op *collOp) *Request {
 	// The outcome stays latched in the schedule; the request's first
 	// poll collects it.
 	_ = c.p.launch(&op.s, false)
-	return &Request{r: &op.r, p: c.p, coll: op}
+	req := c.p.newRequest()
+	*req = Request{r: &op.r, p: c.p, coll: op}
+	return req
 }
 
 // icoll is the frame of every nonblocking collective: enter, draw the

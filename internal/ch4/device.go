@@ -248,10 +248,11 @@ func (d *Device) Stats() metrics.Snapshot {
 }
 
 // Progress drains the shared-memory rings and runs pending active
-// messages.
+// messages. A drain that delivered anything wakes the endpoint's
+// aggregate waiters once, however many messages it deposited.
 func (d *Device) Progress() {
-	if d.g.Shm != nil {
-		d.g.Shm.Progress(d.rank.ID())
+	if d.g.Shm != nil && d.g.Shm.Progress(d.rank.ID()) > 0 {
+		d.ep.Notify()
 	}
 	d.ep.Progress()
 }

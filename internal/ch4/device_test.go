@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"gompi/internal/comm"
 	"gompi/internal/core"
@@ -92,6 +93,59 @@ func TestSendRecvShm(t *testing.T) {
 		// below the OFI injection cost.
 		return nil
 	})
+}
+
+// TestShmDrainWakesAggregateWaiter: an shm deposit moves only its VCI's
+// event sequence, so the drain that delivered it must wake the rank's
+// aggregate waiters itself. Here the sender's wake has already fired
+// when a second goroutine of the receiving rank (MPI_THREAD_MULTIPLE)
+// starts waiting on the aggregate sequence, and only the owner's drain
+// is left to end that wait: were Progress not to Notify, it would
+// sleep forever.
+func TestShmDrainWakesAggregateWaiter(t *testing.T) {
+	cfg := core.Default
+	cfg.ThreadMultiple = true
+	w := proc.NewWorld(2, 2, 2.2e9)
+	w.SetThreadMultiple(true)
+	g := NewGlobal(w, fabric.OFI, cfg)
+	reg := comm.NewRegistry()
+	sent := make(chan struct{})
+	err := w.Run(func(r *proc.Rank) error {
+		d := g.Open(r)
+		r.StartBarrier()
+		c := comm.NewWorld(reg, 2, r.ID())
+		if c.Rank() == 0 {
+			_, err := d.Isend([]byte{42}, 1, datatype.Byte, 1, 0, c, 0)
+			close(sent)
+			return err
+		}
+		buf := make([]byte, 1)
+		req, err := d.Irecv(buf, 1, datatype.Byte, 0, 0, c, 0)
+		if err != nil {
+			return err
+		}
+		<-sent
+		seq := d.EventSeq()
+		woke := make(chan struct{})
+		go func() {
+			d.WaitEvent(seq)
+			close(woke)
+		}()
+		d.Progress()
+		select {
+		case <-woke:
+		case <-time.After(10 * time.Second):
+			return errors.New("the drain that delivered the message did not wake the aggregate waiter")
+		}
+		if !req.Done() || buf[0] != 42 {
+			return fmt.Errorf("message not delivered by the drain: done %v, byte %d", req.Done(), buf[0])
+		}
+		req.Free()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestSelfSend(t *testing.T) {

@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -210,8 +211,9 @@ type Endpoint struct {
 	rank int
 	vcis []*vci
 
-	// Aggregate event state: aggSeq increases on every deposit, active
-	// message, and wake anywhere on the endpoint. Waiters that cannot
+	// Aggregate event state: aggSeq increases on every netmod or self
+	// deposit, shm drain (Notify), active message, and wake anywhere on
+	// the endpoint. Waiters that cannot
 	// name a VCI park on evCond; the waiter gate keeps the common case
 	// (no aggregate waiter) to one atomic load per event.
 	aggSeq    atomic.Uint64
@@ -245,15 +247,15 @@ type Endpoint struct {
 	// to the VCI's arr, under the VCI lock.
 	m *metrics.Rank
 
-	// conns tracks which peers this endpoint has materialized send-side
-	// connection state toward (the on-demand connection model): first
-	// send to a new peer pays the profile's ConnSetup cycles and
-	// ConnStateBytes of modeled memory, checked against the fabric's
-	// MaxPeerBytes ceiling. Multiple VCI lanes of one rank may race on
-	// the first touch; the read-mostly RWMutex keeps the steady state to
-	// one shared-lock lookup.
-	connMu sync.RWMutex
-	conns  map[int32]struct{}
+	// conns has one bit per world rank, set once this endpoint has
+	// materialized send-side connection state toward it (the on-demand
+	// connection model): first send to a new peer pays the profile's
+	// ConnSetup cycles and ConnStateBytes of modeled memory, checked
+	// against the fabric's MaxPeerBytes ceiling. Multiple VCI lanes of
+	// one rank may race on the first touch: the one whose CAS sets the
+	// bit pays for it, and every later send is one atomic load.
+	// 8 B per 64 ranks per endpoint: 128 KiB over a 1024-rank world.
+	conns []atomic.Uint64
 }
 
 // ConnStateBytes is the modeled per-connection state footprint (send
@@ -272,7 +274,7 @@ const (
 )
 
 func newEndpoint(f *Fabric, rank, nvci int) *Endpoint {
-	ep := &Endpoint{f: f, rank: rank, vcis: make([]*vci, nvci)}
+	ep := &Endpoint{f: f, rank: rank, vcis: make([]*vci, nvci), conns: make([]atomic.Uint64, (f.Size()+63)/64)}
 	for i := range ep.vcis {
 		s := new(vci)
 		s.cond = sync.NewCond(&s.mu)
@@ -328,27 +330,21 @@ func (ep *Endpoint) RegisterAM(id uint8, h AMHandler) { ep.handlers[id] = h }
 // noteConn materializes send-side connection state toward dst if this
 // is the first traffic that way: charge the profile's connection-setup
 // cost, account the modeled state bytes, and enforce the per-rank
-// ceiling. Steady-state cost is one RLock'd map hit.
+// ceiling. Steady-state cost is one atomic load of dst's bit.
 func (ep *Endpoint) noteConn(dst int) {
 	if dst == ep.rank {
 		return
 	}
-	ep.connMu.RLock()
-	_, ok := ep.conns[int32(dst)]
-	ep.connMu.RUnlock()
-	if ok {
-		return
+	w, bit := &ep.conns[dst>>6], uint64(1)<<(dst&63)
+	for {
+		old := w.Load()
+		if old&bit != 0 {
+			return // touched before, or by another lane of this rank first
+		}
+		if w.CompareAndSwap(old, old|bit) {
+			break
+		}
 	}
-	ep.connMu.Lock()
-	if _, ok := ep.conns[int32(dst)]; ok {
-		ep.connMu.Unlock()
-		return
-	}
-	if ep.conns == nil {
-		ep.conns = make(map[int32]struct{})
-	}
-	ep.conns[int32(dst)] = struct{}{}
-	ep.connMu.Unlock()
 	if cs := ep.f.prof.ConnSetup; cs > 0 {
 		ep.meter.ChargeCycles(instr.Transport, cs)
 	}
@@ -359,9 +355,11 @@ func (ep *Endpoint) noteConn(dst int) {
 // Conns returns the number of peers this endpoint holds connection
 // state toward.
 func (ep *Endpoint) Conns() int {
-	ep.connMu.RLock()
-	defer ep.connMu.RUnlock()
-	return len(ep.conns)
+	n := 0
+	for i := range ep.conns {
+		n += bits.OnesCount64(ep.conns[i].Load())
+	}
+	return n
 }
 
 // EagerConnect materializes connection state toward every peer at once
@@ -392,7 +390,8 @@ func (ep *Endpoint) bumpAgg() {
 // Notify publishes one endpoint-level event without touching any VCI's
 // sequence: it wakes only the aggregate waiters (WaitEvent), which is
 // where a device parks for a send to complete. A lent send's releaser
-// calls it from the consuming rank's goroutine.
+// calls it from the consuming rank's goroutine, and the ch4 device once
+// per shm drain that deposited anything.
 func (ep *Endpoint) Notify() { ep.bumpAgg() }
 
 // TaggedSend injects a tagged send toward dst on the hash-selected VCI.
@@ -523,10 +522,12 @@ func (ep *Endpoint) deposit(v int, bits match.Bits, src int, data []byte, arriva
 		s.arr.PostMatch.Observe(int64(arrival - op.posted))
 		s.arr.UnexRes.Observe(0)
 		s.arr.Flight.Record(flight.Deposit, int64(arrival), src, len(data), v)
-		s.completeRecv(op, bits, data, arrival)
+		// Read op before completing it: once complete, its owner may
+		// reap and Reset it without taking s.mu.
 		if rel != nil {
 			fireRel, fireCopied = rel, op.Fold == nil
 		}
+		s.completeRecv(op, bits, data, arrival)
 		break
 	}
 	s.eventSeq.Add(1)
@@ -534,7 +535,9 @@ func (ep *Endpoint) deposit(v int, bits match.Bits, src int, data []byte, arriva
 		s.cond.Broadcast()
 	}
 	s.mu.Unlock()
-	ep.bumpAgg()
+	if via != viaShm {
+		ep.bumpAgg() // shm: once per drain, by the device (Notify)
+	}
 	if fireRel != nil {
 		fireRel.Release(fireCopied)
 	}
@@ -581,7 +584,10 @@ func (ep *Endpoint) unlockAll() {
 // share one matching context — which is what makes MPI_ANY_SOURCE
 // receives work across transports in CH4. data is borrowed: the
 // endpoint copies what it keeps, so the caller may reuse the slice as
-// soon as the call returns.
+// soon as the call returns. An shm deposit moves its VCI's event
+// sequence but not the aggregate one: the drain that delivers it runs
+// on the receiving rank, which calls Notify once per drain that
+// delivered anything.
 func (ep *Endpoint) DepositShm(bits match.Bits, src int, data []byte, arrival vtime.Time) {
 	ep.deposit(ep.f.VCIFor(bits), bits, src, data, arrival, viaShm, nil)
 }
@@ -633,8 +639,9 @@ func (ep *Endpoint) wakeVCI(v int) {
 	}
 }
 
-// EventSeq returns an opaque counter that increases on every deposit,
-// active message, and Wake, endpoint-wide.
+// EventSeq returns an opaque counter that increases on every netmod
+// and self deposit, active message, Wake and Notify, endpoint-wide
+// (shm deposits move it through the draining device's Notify).
 func (ep *Endpoint) EventSeq() uint64 { return ep.aggSeq.Load() }
 
 // waitYields is how many times a waiting rank hands its processor to

@@ -403,24 +403,35 @@ func TestEndpointAccessors(t *testing.T) {
 
 func TestDepositLocalAndWake(t *testing.T) {
 	f, ms := newTestFabric(t, OFI, 2)
-	seq := f.Endpoint(1).EventSeq()
-	// A local deposit (shm delivery path) must match posted receives
-	// and bump the event counter.
+	ep := f.Endpoint(1)
+	bits := match.MakeBits(3, 0, 1)
+	seq, vseq := ep.EventSeq(), ep.EventSeqVCI(f.VCIFor(bits))
+	// A local deposit (shm delivery path) must match posted receives and
+	// bump its VCI's event counter, but not the aggregate one: the
+	// draining device wakes aggregate waiters once per drain (Notify).
 	op := &RecvOp{Buf: make([]byte, 2)}
-	f.Endpoint(1).PostRecv(op, match.MakeBits(3, 0, 1), match.FullMask)
-	f.Endpoint(1).DepositShm(match.MakeBits(3, 0, 1), 0, []byte{7, 8}, 500)
-	if got := f.Endpoint(1).EventSeq(); got <= seq {
-		t.Fatal("deposit did not bump event counter")
+	ep.PostRecv(op, bits, match.FullMask)
+	ep.DepositShm(bits, 0, []byte{7, 8}, 500)
+	ep.DepositShm(match.MakeBits(3, 0, 2), 0, []byte{9}, 600)
+	if got := ep.EventSeqVCI(f.VCIFor(bits)); got != vseq+2 {
+		t.Fatalf("VCI event counter moved %d -> %d over two shm deposits, want +2", vseq, got)
 	}
-	if !f.Endpoint(1).RecvDone(op) || op.Buf[0] != 7 || op.Arrival != 500 {
+	if got := ep.EventSeq(); got != seq {
+		t.Fatalf("shm deposits moved the aggregate counter %d -> %d, want unchanged until Notify", seq, got)
+	}
+	ep.Notify()
+	if got := ep.EventSeq(); got != seq+1 {
+		t.Fatalf("Notify moved the aggregate counter %d -> %d, want +1", seq, got)
+	}
+	if !ep.RecvDone(op) || op.Buf[0] != 7 || op.Arrival != 500 {
 		t.Fatalf("local deposit not delivered: %+v", op)
 	}
 	if ms[1].Now() < 500 {
 		t.Fatal("receiver did not sync to local arrival")
 	}
-	seq = f.Endpoint(1).EventSeq()
-	f.Endpoint(1).Wake()
-	if f.Endpoint(1).WaitEvent(seq) <= seq {
+	seq = ep.EventSeq()
+	ep.Wake()
+	if ep.WaitEvent(seq) <= seq {
 		t.Fatal("wake did not release WaitEvent")
 	}
 }

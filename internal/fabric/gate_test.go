@@ -190,11 +190,14 @@ func TestWaitParksAfterYields(t *testing.T) {
 // TestEventsEqualsEventSeq pins the Events statistic now that nothing
 // writes it: per interface it is exactly deposits plus wakes — those
 // aimed at the interface, and the endpoint-wide ones (Wake, an active
-// message) on every interface.
+// message) on every interface. The aggregate sequence counts the same
+// events once each, except shm deposits: the draining device wakes the
+// aggregate once per drain instead (Notify).
 func TestEventsEqualsEventSeq(t *testing.T) {
 	f := newVCIFabric(t, 2, 3)
 	src, dst := f.Endpoint(0), f.Endpoint(1)
 	dst.RegisterAM(9, func(int, []byte, []byte, vtime.Time) {})
+	agg0 := dst.EventSeq()
 	deposits, wakes := [3]int{5, 0, 11}, [3]int{2, 7, 0}
 	for v := range deposits {
 		for i := 0; i < deposits[v]; i++ {
@@ -205,12 +208,21 @@ func TestEventsEqualsEventSeq(t *testing.T) {
 		}
 	}
 	dst.DepositShmVCI(match.MakeBits(1, 0, 99), 0, nil, 0, 1)
-	deposits[1]++
+	dst.DepositShmVCI(match.MakeBits(1, 0, 98), 0, nil, 0, 1)
+	deposits[1] += 2
 	const everywhere = 3 // one Wake, two active messages
 	dst.Wake()
 	src.AMSend(1, 9, nil, nil)
 	src.AMSend(1, 9, nil, nil)
 	dst.Progress()
+	// 16 netmod deposits, 9 VCI wakes, the Wake, the two active messages.
+	if got, want := dst.EventSeq()-agg0, uint64(16+9+everywhere); got != want {
+		t.Errorf("aggregate sequence moved %d, want %d: the two shm deposits must not move it", got, want)
+	}
+	dst.Notify() // the drain that delivered them
+	if got, want := dst.EventSeq()-agg0, uint64(16+9+everywhere+1); got != want {
+		t.Errorf("aggregate sequence moved %d after the drain's Notify, want %d", got, want)
+	}
 
 	snap := dst.SnapshotStats()
 	for v := range deposits {

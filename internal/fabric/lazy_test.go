@@ -44,7 +44,7 @@ func TestLazyEndpointSingleMaterialization(t *testing.T) {
 // where several VCI lanes open the connection at once. Each (src,dst)
 // pair must be accounted exactly once no matter how many lanes race,
 // and every message must still be delivered. Run under -race this also
-// checks the connMu/CAS interleavings.
+// checks the connection-bit and endpoint CAS interleavings.
 func TestLazyConnChaosFirstTouch(t *testing.T) {
 	const senders, lanes, msgs = 4, 4, 8
 	f := NewVCI(INF, senders+1, 2)

@@ -3,7 +3,8 @@
 // fixed-size cell rings: one single-producer/single-consumer ring per
 // ordered on-node rank pair, allocated lazily. A message is fragmented
 // into cells by the sender and reassembled by the receiver's progress
-// loop, which then hands the complete message to a delivery callback
+// loop (a one-cell message is not: it is read from its cell), which
+// then hands the complete message to a delivery callback
 // (the CH4 device wires this to the rank's matching engine so netmod
 // and shmmod traffic share one matching context).
 //
@@ -108,10 +109,11 @@ type Meter interface {
 	Metrics() *metrics.Rank
 }
 
-// Deliver hands a fully reassembled message to the device on the
-// receiving rank's goroutine. data is borrowed: it is the ring's
-// reassembly scratch and is overwritten by the next message, so the
-// callee must copy whatever it keeps before returning. vci is the
+// Deliver hands a complete message to the device on the receiving
+// rank's goroutine. data is borrowed: it is the message's ring cell (a
+// one-cell message) or the ring's reassembly scratch, and either is
+// overwritten by a later message, so the callee must copy whatever it
+// keeps before returning. vci is the
 // sender-chosen virtual communication interface the message should land
 // on (0 when the sender does not thread VCIs).
 type Deliver func(dst int, bits match.Bits, src int, data []byte, arrival vtime.Time, vci int)
@@ -667,9 +669,10 @@ func (d *Domain) Progress(rank int) int {
 
 // drainRing reads every published cell of one ring in place and under
 // no lock — a cell is the consumer's from the load of tail that shows it
-// to the store of head that retires it — reassembling into the ring's
-// reusable scratch and delivering completed messages, with no allocation
-// per message. Descriptor cells are handed over as zero-copy views.
+// to the store of head that retires it — delivering a one-cell message
+// straight from its cell and reassembling a longer one into the ring's
+// reusable scratch, with no allocation per message. Descriptor cells
+// are handed over as zero-copy views.
 func (d *Domain) drainRing(rank, src int, r *ring, meter Meter) int {
 	if r.head.Load() == r.tail.Load() {
 		return 0
@@ -699,7 +702,18 @@ func (d *Domain) drainRing(rank, src int, r *ring, meter Meter) int {
 			continue
 		}
 		n := c.n
-		if len(r.cur) == 0 { // first fragment of a message
+		if len(r.cur) == 0 && n == c.msgLen {
+			// A one-cell message is delivered from its cell: no
+			// reassembly copy. The cell is retired once deliver has
+			// copied what it keeps.
+			meter.ChargeCycles(instr.Transport, p.CellOverhead+vtime.Cycles(p.PerByte*float64(n)))
+			meter.ChargeCycles(instr.Transport, p.RecvOverhead)
+			d.deliver(rank, c.bits, src, c.data[:n], c.arrival, c.vci)
+			d.retire(r)
+			delivered++
+			continue
+		}
+		if len(r.cur) == 0 { // first fragment of a multi-cell message
 			if cap(r.cur) < c.msgLen {
 				r.cur = make([]byte, 0, c.msgLen)
 			}

@@ -106,6 +106,75 @@ func TestFragmentationReassembly(t *testing.T) {
 	}
 }
 
+// TestOneCellDeliveryMatchesModel holds drainRing to the cost model
+// with the cell size varied around the payload, so the same stream is
+// delivered from its cells and reassembled in turns, through a ring
+// two cells deep that every message overwrites: each message arrives
+// intact, stamped with its last cell's arrival; the receiver is charged
+// CellOverhead plus PerByte per cell and RecvOverhead per message,
+// whichever path delivered it; and only a message spread over several
+// cells pays a reassembly copy.
+func TestOneCellDeliveryMatchesModel(t *testing.T) {
+	const P = 100
+	p := DefaultProfile
+	sizes := []int{P, 1, P, 0, P / 2, P, 2*P + 1, P, 3}
+	for _, cell := range []int{P - 1, P, P + 1, 2 * P} {
+		var got []delivery
+		d := NewDomainCfg(p, Config{CellSize: cell, RingCells: 2}, 2,
+			func(dst int, bits match.Bits, src int, data []byte, arrival vtime.Time, vci int) {
+				got = append(got, delivery{bits, src, append([]byte(nil), data...), arrival})
+			}, nil)
+		snd, rcv := newTestMeter(), newTestMeter()
+		d.Bind(0, snd)
+		d.Bind(1, rcv)
+		for i, n := range sizes {
+			msg := make([]byte, n)
+			for j := range msg {
+				msg[j] = byte(i*31 + j)
+			}
+			cost := vtime.Cycles(p.RecvOverhead)
+			for off := 0; off == 0 || off < n; off += cell {
+				cost += p.CellOverhead + vtime.Cycles(p.PerByte*float64(min(cell, n-off)))
+			}
+			rclock, rstaged := rcv.clock.Now(), rcv.m.CopiesStaged.Msgs
+			got = got[:0]
+			if n > 2*cell {
+				// Longer than the ring: drain cells as they land.
+				sent := make(chan struct{})
+				go func() {
+					d.Send(0, 1, match.MakeBits(1, 0, i), msg)
+					close(sent)
+				}()
+				for len(got) == 0 {
+					d.Progress(1)
+				}
+				<-sent
+			} else {
+				d.Send(0, 1, match.MakeBits(1, 0, i), msg)
+				if n := d.Progress(1); n != 1 {
+					t.Fatalf("cell %d, message %d: Progress delivered %d, want 1", cell, i, n)
+				}
+			}
+			if len(got) != 1 || !bytes.Equal(got[0].data, msg) || got[0].bits.Tag() != i {
+				t.Fatalf("cell %d, message %d (%d bytes): delivered %+v", cell, i, n, got)
+			}
+			if want := snd.clock.Now() + vtime.Time(p.Latency); got[0].arrival != want {
+				t.Errorf("cell %d, message %d: arrival %d, want %d (last cell's)", cell, i, got[0].arrival, want)
+			}
+			if d := vtime.Cycles(rcv.clock.Now() - rclock); d != cost {
+				t.Errorf("cell %d, message %d (%d bytes): receiver charged %d cycles, want %d", cell, i, n, d, cost)
+			}
+			want := int64(0)
+			if n > cell {
+				want = 1
+			}
+			if d := rcv.m.CopiesStaged.Msgs - rstaged; d != want {
+				t.Errorf("cell %d, message %d (%d bytes): %d reassembly copies, want %d", cell, i, n, d, want)
+			}
+		}
+	}
+}
+
 func TestFIFOOrderPerPair(t *testing.T) {
 	d, boxes, _ := newTestDomain(2)
 	for i := 0; i < 10; i++ {

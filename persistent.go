@@ -70,13 +70,15 @@ func (o *PersistentOp) Start() error {
 	if o.send {
 		r, e := p.dev.Isend(o.buf, o.count, o.dt, o.peer, o.tag, o.c.c, o.flags)
 		if e == nil && r != nil {
-			o.active = &Request{r: r, p: p}
+			o.active = p.newRequest()
+			*o.active = Request{r: r, p: p}
 		}
 		err = e
 	} else {
 		r, e := p.dev.Irecv(o.buf, o.count, o.dt, o.peer, o.tag, o.c.c, o.flags)
 		if e == nil {
-			o.active = &Request{r: r, p: p}
+			o.active = p.newRequest()
+			*o.active = Request{r: r, p: p}
 		}
 		err = e
 	}

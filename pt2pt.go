@@ -148,10 +148,33 @@ func (p *Proc) scratchReq(slot int) *Request {
 	return &p.scratch[slot]
 }
 
+// reqSlabLen is how many public Requests one slab refill makes. A slot
+// is never reused, so a live Request pins its whole slab: 16 keeps that
+// to 640 B (64 measured +5.7 % heap on the 1024-rank halo benchmark).
+const reqSlabLen = 16
+
+// newRequest returns a fresh public Request: the next unused slot of
+// the rank's owner-only slab, refilled one make per reqSlabLen requests,
+// or a heap object under MPI_THREAD_MULTIPLE, where several goroutines
+// start operations on one Proc at once. Slots are never recycled, so
+// every Request is distinct for its whole life and a second Wait or
+// Test on a finished one stays a no-op.
+func (p *Proc) newRequest() *Request {
+	if p.bc.ThreadMultiple {
+		return new(Request)
+	}
+	if len(p.reqSlab) == 0 {
+		p.reqSlab = make([]Request, reqSlabLen)
+	}
+	r := &p.reqSlab[0]
+	p.reqSlab = p.reqSlab[1:]
+	return r
+}
+
 // isend is the shared MPI-layer send path: charge the MPI-layer rows of
 // Table 1 (call, thread check, error checking) and descend into the
 // device with the extension flags. The request is filled into req, or
-// into a fresh one when req is nil (the nonblocking forms).
+// into a fresh one (newRequest) when req is nil (the nonblocking forms).
 func (c *Comm) isend(buf []byte, count int, dt *Datatype, dest, tag int, flags core.OpFlags, req *Request) (*Request, error) {
 	p := c.p
 	if end := p.spanVCI(TraceSend, dest, traceBytes(count, dt), p.vciOf(c, tag, false)); end != nil {
@@ -173,7 +196,7 @@ func (c *Comm) isend(buf []byte, count int, dt *Datatype, dest, tag int, flags c
 		return nil, nil
 	}
 	if req == nil {
-		req = new(Request)
+		req = p.newRequest()
 	}
 	*req = Request{r: r, p: p}
 	return req, nil
@@ -347,7 +370,8 @@ func (c *Comm) CommWaitall() error {
 // here: a wildcard contradicting the communicator's assertions is a
 // defined error (ErrHint) before anything reaches the device, and the
 // exact-length assertion arms the returned request's completion check.
-// The request is filled into req, or into a fresh one when req is nil.
+// The request is filled into req, or into a fresh one (newRequest) when
+// req is nil.
 func (c *Comm) irecv(buf []byte, count int, dt *Datatype, src, tag int, flags core.OpFlags, req *Request) (*Request, error) {
 	p := c.p
 	if end := p.spanVCI(TraceRecv, src, traceBytes(count, dt), p.vciOf(c, tag, true)); end != nil {
@@ -369,7 +393,7 @@ func (c *Comm) irecv(buf []byte, count int, dt *Datatype, src, tag int, flags co
 		return nil, errc(ErrOther, "%v", err)
 	}
 	if req == nil {
-		req = new(Request)
+		req = p.newRequest()
 	}
 	*req = Request{r: r, p: p}
 	if c.c.Hints.ExactLength && src != ProcNull {

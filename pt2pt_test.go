@@ -264,3 +264,93 @@ func TestMessageOrderingPerPair(t *testing.T) {
 		return nil
 	})
 }
+
+// TestSlabRequestsStayDistinct pins the contract newRequest's slab must
+// keep: a slot is never reused, so 100 live Requests drawn across
+// several slab refills are pairwise distinct, a Request issued after
+// they finished aliases none of them, a second Wait and a Test after
+// Wait are no-ops, and a Request dropped unwaited leaves the ones after
+// it intact.
+func TestSlabRequestsStayDistinct(t *testing.T) {
+	const live = 100 // more than six slabs
+	run(t, 2, Config{Fabric: "ofi"}, func(p *Proc) error {
+		w := p.World()
+		if p.Rank() == 0 {
+			// Dropped unwaited: its slot stays its own.
+			if _, err := w.Isend([]byte{0xee}, 1, Byte, 1, live); err != nil {
+				return err
+			}
+			for i := 0; i < live; i++ {
+				if err := w.Send([]byte{byte(i), byte(i >> 8)}, 2, Byte, 1, i); err != nil {
+					return err
+				}
+			}
+			_, err := w.Recv(nil, 0, Byte, 1, live+1)
+			if err == nil {
+				err = w.Send([]byte{0x5a, 0xa5}, 2, Byte, 1, live+1)
+			}
+			return err
+		}
+		if _, err := w.Irecv(make([]byte, 1), 1, Byte, 0, live); err != nil {
+			return err
+		}
+		reqs := make([]*Request, live)
+		bufs := make([][]byte, live)
+		seen := make(map[*Request]int, live)
+		for i := range reqs {
+			bufs[i] = make([]byte, 2)
+			r, err := w.Irecv(bufs[i], 2, Byte, 0, i)
+			if err != nil {
+				return err
+			}
+			if j, dup := seen[r]; dup {
+				return fmt.Errorf("Irecv %d returned the Request of Irecv %d", i, j)
+			}
+			seen[r], reqs[i] = i, r
+		}
+		noop := func(i int, r *Request) error {
+			if st, err := r.Wait(); err != nil || st != (Status{}) {
+				return fmt.Errorf("request %d: second Wait = (%+v, %v), want a no-op", i, st, err)
+			}
+			if st, done, err := r.Test(); err != nil || !done || st != (Status{}) {
+				return fmt.Errorf("request %d: Test after Wait = (%+v, %v, %v), want a no-op", i, st, done, err)
+			}
+			return nil
+		}
+		for i, r := range reqs {
+			st, err := r.Wait()
+			if err != nil {
+				return err
+			}
+			if st.Source != 0 || st.Tag != i || st.Count != 2 || bufs[i][0] != byte(i) || bufs[i][1] != byte(i>>8) {
+				return fmt.Errorf("request %d: status %+v, bytes %v", i, st, bufs[i])
+			}
+			if err := noop(i, r); err != nil {
+				return err
+			}
+		}
+		// A fresh request, still pending while every finished one is
+		// waited again: a recycled slot would hand it to an old Wait.
+		late := make([]byte, 2)
+		r, err := w.Irecv(late, 2, Byte, 0, live+1)
+		if err != nil {
+			return err
+		}
+		if j, dup := seen[r]; dup {
+			return fmt.Errorf("a Request issued after the waits aliases finished request %d", j)
+		}
+		for i, old := range reqs {
+			if err := noop(i, old); err != nil {
+				return err
+			}
+		}
+		if err := w.Send(nil, 0, Byte, 0, live+1); err != nil {
+			return err
+		}
+		st, err := r.Wait()
+		if err != nil || st.Tag != live+1 || late[0] != 0x5a || late[1] != 0xa5 {
+			return fmt.Errorf("late request: (%+v, %v), bytes %v", st, err, late)
+		}
+		return nil
+	})
+}

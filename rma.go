@@ -473,7 +473,9 @@ func (w *Win) flushRequest(target int) (*Request, error) {
 	if err != nil {
 		return nil, errc(ErrWin, "%v", err)
 	}
-	return &Request{r: r, p: w.p}, nil
+	req := w.p.newRequest()
+	*req = Request{r: r, p: w.p}
+	return req, nil
 }
 
 // tagWinNotify is the reserved collective-context tag notified access

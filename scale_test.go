@@ -8,6 +8,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"gompi/internal/fabric"
+	"gompi/internal/metrics"
 )
 
 // Tests for the 10K-rank scale work: the unified communicator-creation
@@ -159,6 +162,92 @@ func TestPeerStateCeilingDifferential(t *testing.T) {
 	err := failFast(t, n, eager, body)
 	if err == nil || !strings.Contains(err.Error(), "MaxPeerBytes") {
 		t.Fatalf("eager run under the same ceiling must trip it, got: %v", err)
+	}
+}
+
+// TestLanesFirstTouchCountsPeerOnce: under MPI_THREAD_MULTIPLE, four
+// goroutines of one rank, released together, make the rank's first
+// sends to one peer, each on its own hinted duplicate of the world (its
+// own critical section and VCI; duplication takes no message), so the
+// four sends reach the connection check at once. Whichever lane wins
+// the race pays
+// the connection setup: the sender is charged exactly the transport
+// cycles the same four sends cost from one goroutine, its peer state
+// counts one peer of fabric.ConnStateBytes, and its endpoint holds one
+// connection.
+func TestLanesFirstTouchCountsPeerOnce(t *testing.T) {
+	const lanes = 4
+	type result struct {
+		transport int64
+		peers     metrics.PeerStats
+		dump      string
+	}
+	send := func(concurrent bool) result {
+		var res result
+		var st Stats
+		cfg := Config{Device: DeviceCH4, Fabric: "ofi", ThreadMultiple: true, VCIs: lanes, Stats: &st}
+		run(t, 2, cfg, func(p *Proc) error {
+			comms := make([]*Comm, lanes)
+			for i := range comms {
+				c, err := p.World().DupOpt(CommOptions{Hints: CommHints{NoAnySource: true, NoAnyTag: true}})
+				if err != nil {
+					return err
+				}
+				comms[i] = c
+			}
+			if p.Rank() == 1 {
+				for tag, c := range comms {
+					if _, err := c.Recv(make([]byte, 1), 1, Byte, 0, tag); err != nil {
+						return err
+					}
+				}
+				return nil
+			}
+			gate := make(chan struct{})
+			errs := make(chan error, lanes)
+			lane := func(tag int) {
+				<-gate
+				r, err := comms[tag].Isend([]byte{byte(tag)}, 1, Byte, 1, tag)
+				if err == nil {
+					_, err = r.Wait()
+				}
+				errs <- err
+			}
+			for tag := 0; tag < lanes; tag++ {
+				if concurrent {
+					go lane(tag)
+				}
+			}
+			close(gate)
+			for tag := 0; tag < lanes; tag++ {
+				if !concurrent {
+					lane(tag)
+				}
+				if err := <-errs; err != nil {
+					return err
+				}
+			}
+			res.transport = p.Counters().Transport
+			var dump bytes.Buffer
+			p.DumpState(&dump)
+			res.dump = dump.String()
+			return nil
+		})
+		res.peers = st.Ranks[0].Metrics.Peers
+		return res
+	}
+	seq, par := send(false), send(true)
+	if par.transport != seq.transport {
+		t.Errorf("%d lanes racing to a new peer charged %d transport cycles, one goroutine %d: the connection setup was not paid exactly once",
+			lanes, par.transport, seq.transport)
+	}
+	for _, r := range []result{seq, par} {
+		if r.peers.Touched != 1 || r.peers.StateBytes != fabric.ConnStateBytes {
+			t.Errorf("peer state %+v, want 1 peer of %d bytes", r.peers, fabric.ConnStateBytes)
+		}
+		if !strings.Contains(r.dump, "rank 0: 0 posted, 0 unexpected, 0 queued AM, 1 conns") {
+			t.Errorf("rank 0 must hold exactly one connection:\n%s", r.dump)
+		}
 	}
 }
 
