@@ -55,8 +55,11 @@ race:
 # still parks exactly once and still ends on an abort — and the small-
 # message path: slab Requests that stay distinct, one-cell shm delivery
 # against the cost model and across cell sizes, the drain's single
-# aggregate wake, and lanes racing to a peer's first touch. Zero failures.
-FLAKE_RUN = 'Ledger|DumpState|ZeroAlloc|AllocFree|SteadyStateAllocs|FeederPublished|FirstTouch|LockTouch|SpmvDeclaredShape|SingleVsShared|Shared.*Concurrent|SharedWriters|ForeignReader|TailFlush|WrapOrder|WhilePeersRun|SnapshotDuringDeposits|Region|RegisterWhilePut|ShareReaches|SPSC|NoMutex|WakePerMessage|SharedSiblings|WaiterGate|EventsEquals|Lent|RendezvousDeadlock|CopyCounts|CompletesAtReturn|ForcesMatchReference|RunGolden|TimestepAllocs|YieldBeforePark|WaitParksAfterYields|SlabRequests|OneCell|DrainWakesAggregate|DepositLocalAndWake'
+# aggregate wake, and lanes racing to a peer's first touch — and the
+# fabric's one receive-side lookup: what every post, probe and matched
+# probe charges and counts, and a cross-VCI match counted once. Zero
+# failures.
+FLAKE_RUN = 'Ledger|DumpState|ZeroAlloc|AllocFree|SteadyStateAllocs|FeederPublished|FirstTouch|LockTouch|SpmvDeclaredShape|SingleVsShared|Shared.*Concurrent|SharedWriters|ForeignReader|TailFlush|WrapOrder|WhilePeersRun|SnapshotDuringDeposits|Region|RegisterWhilePut|ShareReaches|SPSC|NoMutex|WakePerMessage|SharedSiblings|WaiterGate|EventsEquals|Lent|RendezvousDeadlock|CopyCounts|CompletesAtReturn|ForcesMatchReference|RunGolden|TimestepAllocs|YieldBeforePark|WaitParksAfterYields|SlabRequests|OneCell|DrainWakesAggregate|DepositLocalAndWake|MatchChargeTable|CrossVCIMatchCountedOnce'
 FLAKE_PKGS = . ./internal/proc ./internal/instr ./internal/vtime ./internal/hist ./internal/shm ./internal/bench ./internal/flight ./internal/metrics ./internal/request ./internal/fabric ./internal/ch4 ./internal/md
 
 flake:

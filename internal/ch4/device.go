@@ -124,12 +124,12 @@ func NewGlobal(w *proc.World, prof fabric.Profile, cfg core.Config) *Global {
 		}
 		g.Shm = shm.NewDomainCfg(shm.DefaultProfile, shmCfg, w.Size(),
 			func(dst int, bits match.Bits, src int, data []byte, arrival vtime.Time, vci int) {
-				g.Fab.Endpoint(dst).DepositShmVCI(bits, src, data, arrival, vci)
+				g.Fab.Endpoint(dst).DepositShmVCI(bits, src, data, arrival, vci, nil)
 			},
 			func(dst, vci int) { g.Fab.Endpoint(dst).WakeVCI(vci) },
 		)
 		g.Shm.SetDeliverView(func(dst int, bits match.Bits, src int, view []byte, arrival vtime.Time, vci int, rel shm.Releaser) {
-			g.Fab.Endpoint(dst).DepositShmViewVCI(bits, src, view, arrival, vci, rel)
+			g.Fab.Endpoint(dst).DepositShmVCI(bits, src, view, arrival, vci, rel)
 		})
 	}
 	return g
@@ -257,23 +257,23 @@ func (d *Device) Progress() {
 	d.ep.Progress()
 }
 
-// EventSeq exposes the endpoint's transport-event counter.
-func (d *Device) EventSeq() uint64 { return d.ep.EventSeq() }
+// EventSeq exposes the endpoint's aggregate transport-event counter.
+func (d *Device) EventSeq() uint64 { return d.ep.EventSeqVCI(fabric.AnyVCI) }
 
 // WaitEvent parks the rank until the event counter moves past seq.
-func (d *Device) WaitEvent(seq uint64) { d.ep.WaitEvent(seq) }
+func (d *Device) WaitEvent(seq uint64) { d.ep.WaitEventVCI(fabric.AnyVCI, seq) }
 
 // waitUntil parks the rank until pred holds, pumping both transports.
 // The event-sequence capture precedes the progress pass so a message
 // that lands mid-pass is never slept through.
 func (d *Device) waitUntil(pred func() bool) {
 	for {
-		seq := d.ep.EventSeq()
+		seq := d.EventSeq()
 		d.Progress()
 		if pred() {
 			return
 		}
-		d.ep.WaitEvent(seq)
+		d.WaitEvent(seq)
 	}
 }
 
@@ -354,12 +354,8 @@ func (d *Device) recvVCI(c *comm.Comm, bits, mask match.Bits) int {
 // enabled; never charged.
 func (d *Device) VCIOf(c *comm.Comm, tag int, recv bool) int {
 	if recv {
-		anySrc, anyTag := false, tag == core.AnyTag
-		tg := tag
-		if anyTag {
-			tg = 0
-		}
-		return d.recvVCI(c, match.MakeBits(c.Ctx, 0, tg), match.RecvMask(anySrc, anyTag))
+		bits, mask := match.RecvBits(c.Ctx, 0, tag)
+		return d.recvVCI(c, bits, mask)
 	}
 	return d.sendVCI(c, match.MakeBits(c.Ctx, c.MyRank, tag))
 }

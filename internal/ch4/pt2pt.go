@@ -347,17 +347,7 @@ func (d *Device) Irecv(buf []byte, count int, dt *datatype.Type, src, tag int,
 		mask = match.NoMatchMask
 	default:
 		d.charge(instr.Mandatory, costMatchBits)
-		anySrc := src == core.AnySource
-		anyTag := tag == core.AnyTag
-		s, tg := src, tag
-		if anySrc {
-			s = 0
-		}
-		if anyTag {
-			tg = 0
-		}
-		bits = match.MakeBits(c.Ctx, s, tg)
-		mask = match.RecvMask(anySrc, anyTag)
+		bits, mask = match.RecvBits(c.Ctx, src, tag)
 	}
 
 	d.chargeRedundant(costRedundantMarshal + costRedundantReload + costRedundantBufAddr)
@@ -490,28 +480,19 @@ func (d *Device) recvDone(op *fabric.RecvOp) bool {
 }
 
 // waitRecv parks until the receive completes, pumping both transports.
-// An op pinned to one interface parks on that interface's event
-// sequence, so traffic other goroutines drive over other VCIs never
-// wakes it (the spurious-wakeup storm a single per-rank sequence
-// causes); a wildcard op parks on the aggregate.
+// It parks on the op's VCI: an op pinned to one interface on that
+// interface's event sequence, so traffic other goroutines drive over
+// other VCIs never wakes it (the spurious-wakeup storm a single
+// per-rank sequence causes); a wildcard op (AnyVCI) on the aggregate.
 func (d *Device) waitRecv(op *fabric.RecvOp) {
-	if v := op.VCI(); v >= 0 {
-		for {
-			seq := d.ep.EventSeqVCI(v)
-			d.Progress()
-			if d.ep.RecvDone(op) {
-				return
-			}
-			d.ep.WaitEventVCI(v, seq)
-		}
-	}
+	v := op.VCI()
 	for {
-		seq := d.ep.EventSeq()
+		seq := d.ep.EventSeqVCI(v)
 		d.Progress()
 		if d.ep.RecvDone(op) {
 			return
 		}
-		d.ep.WaitEvent(seq)
+		d.ep.WaitEventVCI(v, seq)
 	}
 }
 
@@ -519,17 +500,7 @@ func (d *Device) waitRecv(op *fabric.RecvOp) {
 // runs a progress pass first so shm traffic is visible.
 func (d *Device) Iprobe(src, tag int, c *comm.Comm) (request.Status, bool, error) {
 	d.Progress()
-	anySrc := src == core.AnySource
-	anyTag := tag == core.AnyTag
-	s, tg := src, tag
-	if anySrc {
-		s = 0
-	}
-	if anyTag {
-		tg = 0
-	}
-	bits := match.MakeBits(c.Ctx, s, tg)
-	mask := match.RecvMask(anySrc, anyTag)
+	bits, mask := match.RecvBits(c.Ctx, src, tag)
 	psrc, ptag, size, ok := d.ep.ProbeVCI(bits, mask, d.recvVCI(c, bits, mask))
 	if !ok {
 		return request.Status{}, false, nil
@@ -541,17 +512,7 @@ func (d *Device) Iprobe(src, tag int, c *comm.Comm) (request.Status, bool, error
 // at the endpoint, so extraction is a queue operation there.
 func (d *Device) Improbe(src, tag int, c *comm.Comm) ([]byte, request.Status, vtime.Time, bool, error) {
 	d.Progress()
-	anySrc := src == core.AnySource
-	anyTag := tag == core.AnyTag
-	s, tg := src, tag
-	if anySrc {
-		s = 0
-	}
-	if anyTag {
-		tg = 0
-	}
-	bits := match.MakeBits(c.Ctx, s, tg)
-	mask := match.RecvMask(anySrc, anyTag)
+	bits, mask := match.RecvBits(c.Ctx, src, tag)
 	psrc, ptag, data, arrival, ok := d.ep.MProbeVCI(bits, mask, d.recvVCI(c, bits, mask))
 	if !ok {
 		return nil, request.Status{}, 0, false, nil

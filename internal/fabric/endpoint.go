@@ -18,7 +18,8 @@ import (
 // interface: the degraded path a receive takes when its wildcards erase
 // the information VCI selection hashes (tag), mirroring how CH4 falls
 // back to a shared context when semantic hints are missing. On a
-// single-VCI endpoint it is identical to VCI 0.
+// single-VCI endpoint a receive on it is identical to VCI 0; a wait on
+// it (EventSeqVCI, WaitEventVCI) watches the endpoint aggregate.
 const AnyVCI = -1
 
 // RecvOp is an outstanding tagged receive. The owner posts it with
@@ -129,24 +130,44 @@ type am struct {
 	arrival vtime.Time
 }
 
+// event is what a rank waits on: seq counts the events (deposits and
+// wakes), waiters the goroutines about to sleep on cond, raised under
+// mu before their last check of seq. An event bumps seq, then loads
+// waiters; a waiter raises waiters, then loads seq. One of the two sees
+// the other, so signal takes mu to Broadcast only when somebody may
+// sleep, and misses no sleeper. Each VCI has one, on the VCI lock; the
+// endpoint has one more, the aggregate, on aggMu.
+type event struct {
+	seq     atomic.Uint64
+	waiters atomic.Int32
+	mu      *sync.Mutex
+	cond    sync.Cond
+}
+
+func (ev *event) init(mu *sync.Mutex) { ev.mu, ev.cond.L = mu, mu }
+
+// signal records one event and wakes whoever sleeps on ev. The caller
+// does not hold ev.mu.
+func (ev *event) signal() {
+	ev.seq.Add(1)
+	if ev.waiters.Load() != 0 {
+		ev.mu.Lock()
+		ev.cond.Broadcast()
+		ev.mu.Unlock()
+	}
+}
+
 // vci is one virtual communication interface: a private lock, matching
-// engine, buffer pool, envelope free list, and event sequence. Two
-// goroutines of the same rank driving different VCIs never contend.
-// Everything is under mu but two atomics: eventSeq, the count of
-// deposits and wakes, and waiters, the goroutines about to sleep in
-// WaitEventVCI, raised under mu before their last check. An event bumps
-// eventSeq, then loads waiters; a waiter raises waiters, then loads
-// eventSeq. One of the two sees the other, so an event Broadcasts only
-// when somebody may sleep, and misses no sleeper.
+// engine, buffer pool, envelope free list, and event. Two goroutines of
+// the same rank driving different VCIs never contend. Everything is
+// under mu but the event's atomics.
 type vci struct {
-	mu       sync.Mutex
-	cond     *sync.Cond
-	eng      match.Engine
-	pool     bufPool
-	msgFree  *message
-	eventSeq atomic.Uint64
-	waiters  atomic.Int32
-	stats    metrics.VCIStat // receive-side traffic, under mu; Events is filled from eventSeq at snapshot
+	mu      sync.Mutex
+	ev      event
+	eng     match.Engine
+	pool    bufPool
+	msgFree *message
+	stats   metrics.VCIStat // receive-side traffic, under mu; Events is filled from ev.seq at snapshot
 	// arr is what arrivals at this interface observe — receive-side path
 	// counters, copies, pool hits, post→match and unexpected-residency
 	// latency, the matching unit's recent events — as plain fields
@@ -200,26 +221,22 @@ func (s *vci) consumeMessage(m *message) ViewReleaser {
 
 // Endpoint is one rank's attachment to the fabric, split into N virtual
 // communication interfaces. Each VCI owns a lock, match bins, buffer
-// pool, and event sequence — that is the "hardware" matching unit,
-// replicated the way CH4's VCIs (Zambre et al.) replicate netmod
-// contexts so concurrent goroutines of one rank stop convoying on a
-// single endpoint lock. Remote ranks deposit messages under the target
-// VCI's lock; wildcard receives that cannot name a VCI take the
-// cross-VCI path (all locks, ascending).
+// pool, and event — that is the "hardware" matching unit, replicated
+// the way CH4's VCIs (Zambre et al.) replicate netmod contexts so
+// concurrent goroutines of one rank stop convoying on a single endpoint
+// lock. Remote ranks deposit messages under the target VCI's lock;
+// wildcard receives that cannot name a VCI run the same lookup over
+// every VCI (all locks, ascending).
 type Endpoint struct {
 	f    *Fabric
 	rank int
 	vcis []*vci
 
-	// Aggregate event state: aggSeq increases on every netmod or self
+	// agg is the aggregate event: it moves on every netmod or self
 	// deposit, shm drain (Notify), active message, and wake anywhere on
-	// the endpoint. Waiters that cannot
-	// name a VCI park on evCond; the waiter gate keeps the common case
-	// (no aggregate waiter) to one atomic load per event.
-	aggSeq    atomic.Uint64
-	evMu      sync.Mutex
-	evCond    *sync.Cond
-	evWaiters int32 // atomic
+	// the endpoint. Waits that cannot name a VCI sleep on it.
+	agg   event
+	aggMu sync.Mutex
 
 	// Active messages ride a single endpoint-level queue (they are
 	// rank-global control traffic: RMA, the baseline's packets), with an
@@ -277,10 +294,10 @@ func newEndpoint(f *Fabric, rank, nvci int) *Endpoint {
 	ep := &Endpoint{f: f, rank: rank, vcis: make([]*vci, nvci), conns: make([]atomic.Uint64, (f.Size()+63)/64)}
 	for i := range ep.vcis {
 		s := new(vci)
-		s.cond = sync.NewCond(&s.mu)
+		s.ev.init(&s.mu)
 		ep.vcis[i] = s
 	}
-	ep.evCond = sync.NewCond(&ep.evMu)
+	ep.agg.init(&ep.aggMu)
 	return ep
 }
 
@@ -372,26 +389,20 @@ func (ep *Endpoint) EagerConnect() {
 	}
 }
 
-// bumpAgg publishes one endpoint-level event: bump the aggregate
-// sequence and wake aggregate waiters if any are parked.
+// bumpAgg publishes one endpoint-level event. Every path that can wake
+// a parked waiter passes through here (deposit, wake, WakeVCI, Notify),
+// so this is the single spot that proves liveness to the stall
+// watchdog.
 func (ep *Endpoint) bumpAgg() {
-	ep.aggSeq.Add(1)
-	// Every path that can wake a parked waiter passes through here
-	// (deposit, Wake, WakeVCI, abort), so this is the single spot that
-	// proves liveness to the stall watchdog.
 	ep.f.stall.Activity()
-	if atomic.LoadInt32(&ep.evWaiters) != 0 {
-		ep.evMu.Lock()
-		ep.evCond.Broadcast()
-		ep.evMu.Unlock()
-	}
+	ep.agg.signal()
 }
 
 // Notify publishes one endpoint-level event without touching any VCI's
-// sequence: it wakes only the aggregate waiters (WaitEvent), which is
-// where a device parks for a send to complete. A lent send's releaser
-// calls it from the consuming rank's goroutine, and the ch4 device once
-// per shm drain that deposited anything.
+// sequence: it wakes only the aggregate waiters, which is where a
+// device parks for a send to complete. A lent send's releaser calls it
+// from the consuming rank's goroutine, and the ch4 device once per shm
+// drain that deposited anything.
 func (ep *Endpoint) Notify() { ep.bumpAgg() }
 
 // TaggedSend injects a tagged send toward dst on the hash-selected VCI.
@@ -530,11 +541,8 @@ func (ep *Endpoint) deposit(v int, bits match.Bits, src int, data []byte, arriva
 		s.completeRecv(op, bits, data, arrival)
 		break
 	}
-	s.eventSeq.Add(1)
-	if s.waiters.Load() != 0 {
-		s.cond.Broadcast()
-	}
 	s.mu.Unlock()
+	s.ev.signal()
 	if via != viaShm {
 		ep.bumpAgg() // shm: once per drain, by the device (Notify)
 	}
@@ -565,84 +573,66 @@ func (ep *Endpoint) sweepStaleLocked() {
 	}
 }
 
-// lockAll takes every VCI lock in ascending order (the endpoint's
-// global lock order; staleMu nests inside).
-func (ep *Endpoint) lockAll() {
-	for _, s := range ep.vcis {
-		s.mu.Lock()
-	}
-}
-
-func (ep *Endpoint) unlockAll() {
-	for i := len(ep.vcis) - 1; i >= 0; i-- {
-		ep.vcis[i].mu.Unlock()
-	}
-}
-
-// DepositShm lands a message that arrived over the shared-memory rings
-// in this endpoint's matching engine, so that netmod and shmmod traffic
-// share one matching context — which is what makes MPI_ANY_SOURCE
-// receives work across transports in CH4. data is borrowed: the
+// DepositShmVCI lands a message that arrived over the shared-memory
+// rings on interface v (the sender's hint-refined choice travels with
+// the shm fragment), so that netmod and shmmod traffic share one
+// matching context — which is what makes MPI_ANY_SOURCE receives work
+// across transports in CH4. With rel nil, data is borrowed: the
 // endpoint copies what it keeps, so the caller may reuse the slice as
-// soon as the call returns. An shm deposit moves its VCI's event
-// sequence but not the aggregate one: the drain that delivers it runs
-// on the receiving rank, which calls Notify once per drain that
-// delivered anything.
-func (ep *Endpoint) DepositShm(bits match.Bits, src int, data []byte, arrival vtime.Time) {
-	ep.deposit(ep.f.VCIFor(bits), bits, src, data, arrival, viaShm, nil)
-}
-
-// DepositShmVCI is DepositShm onto an explicitly named interface (the
-// sender's hint-refined choice travels with the shm fragment).
-func (ep *Endpoint) DepositShmVCI(bits match.Bits, src int, data []byte, arrival vtime.Time, v int) {
-	ep.deposit(v, bits, src, data, arrival, viaShm, nil)
-}
-
-// DepositShmViewVCI lands a zero-copy handoff view in the matching
-// engine. Unlike DepositShmVCI's borrowed data, view stays valid until
-// rel is released, so an unexpected view is parked as-is — no pooled
-// copy — and consumed (single direct copy, or an in-place fold)
-// whenever a receive claims it.
-func (ep *Endpoint) DepositShmViewVCI(bits match.Bits, src int, view []byte, arrival vtime.Time, v int, rel ViewReleaser) {
-	ep.deposit(v, bits, src, view, arrival, viaShm, rel)
+// soon as the call returns. With rel set, data is a zero-copy handoff
+// view that stays valid until rel is released: an unexpected view is
+// parked as-is — no pooled copy — and consumed (one direct copy, or an
+// in-place fold) whenever a receive claims it. An shm deposit moves its
+// VCI's event sequence but not the aggregate one: the drain that
+// delivers it runs on the receiving rank, which calls Notify once per
+// drain that delivered anything.
+func (ep *Endpoint) DepositShmVCI(bits match.Bits, src int, data []byte, arrival vtime.Time, v int, rel ViewReleaser) {
+	ep.deposit(v, bits, src, data, arrival, viaShm, rel)
 }
 
 // DepositSelfVCI lands a self-loop message (the ch4-core self-send
-// shortcut) on an explicitly named interface. Same borrowing contract
-// as DepositShm.
+// shortcut) on an explicitly named interface. data is borrowed, as by
+// DepositShmVCI without a releaser.
 func (ep *Endpoint) DepositSelfVCI(bits match.Bits, src int, data []byte, arrival vtime.Time, v int) {
 	ep.deposit(v, bits, src, data, arrival, viaSelf, nil)
 }
 
-// Wake nudges every waiter on the endpoint out of WaitEvent /
-// WaitEventVCI: another transport has work for it.
-func (ep *Endpoint) Wake() {
-	for i := range ep.vcis {
-		ep.wakeVCI(i)
+// wake nudges every waiter on the endpoint, on each interface and on
+// the aggregate: an active message or an abort needs whichever
+// goroutine is parked.
+func (ep *Endpoint) wake() {
+	for _, s := range ep.vcis {
+		s.ev.signal()
 	}
 	ep.bumpAgg()
 }
 
 // WakeVCI nudges waiters on one interface (and aggregate waiters).
 func (ep *Endpoint) WakeVCI(v int) {
-	ep.wakeVCI(ep.norm(v))
+	ep.vcis[ep.norm(v)].ev.signal()
 	ep.bumpAgg()
 }
 
-func (ep *Endpoint) wakeVCI(v int) {
-	s := ep.vcis[v]
-	s.eventSeq.Add(1)
-	if s.waiters.Load() != 0 {
-		s.mu.Lock()
-		s.cond.Broadcast()
-		s.mu.Unlock()
+// event returns what a wait on v watches, and the interface its park is
+// recorded on: interface v's event, or the aggregate for AnyVCI.
+func (ep *Endpoint) event(v int) (*event, int) {
+	if v == AnyVCI {
+		return &ep.agg, AnyVCI
 	}
+	v = ep.norm(v)
+	return &ep.vcis[v].ev, v
 }
 
-// EventSeq returns an opaque counter that increases on every netmod
-// and self deposit, active message, Wake and Notify, endpoint-wide
-// (shm deposits move it through the draining device's Notify).
-func (ep *Endpoint) EventSeq() uint64 { return ep.aggSeq.Load() }
+// EventSeqVCI returns the event counter a wait on v watches. Interface
+// v's moves only on that VCI's deposits and wakes (plus endpoint-wide
+// wakes and active messages), so a waiter parked on it is not disturbed
+// by unrelated traffic on other VCIs. AnyVCI's is the aggregate: it
+// moves on every netmod or self deposit, shm drain (Notify), active
+// message and wake anywhere on the endpoint.
+func (ep *Endpoint) EventSeqVCI(v int) uint64 {
+	ev, _ := ep.event(v)
+	return ev.seq.Load()
+}
 
 // waitYields is how many times a waiting rank hands its processor to
 // the other rank goroutines before it parks. With one P a yield runs
@@ -670,26 +660,30 @@ func (ep *Endpoint) yieldFor(seq *atomic.Uint64, last uint64) bool {
 	}
 }
 
-// WaitEvent blocks until the aggregate event counter moves past last,
-// then returns its new value. Devices that poll multiple transports use
-// it to park between polls without losing wakeups. Panics with
-// core.ErrWorldAborted once the fabric is aborted.
-func (ep *Endpoint) WaitEvent(last uint64) uint64 {
-	if ep.yieldFor(&ep.aggSeq, last) {
-		return ep.aggSeq.Load()
+// WaitEventVCI blocks until v's event counter (EventSeqVCI) moves past
+// last, or active messages are pending, which any waiter must surface
+// for progress, then returns the counter's new value. Devices that poll
+// several transports use it to park between polls without losing
+// wakeups. It is the fabric's one park site for rank waits: yield
+// first, then sleep. Panics with abort.ErrWorldAborted once the fabric
+// is aborted.
+func (ep *Endpoint) WaitEventVCI(v int, last uint64) uint64 {
+	ev, v := ep.event(v)
+	if ep.yieldFor(&ev.seq, last) {
+		return ev.seq.Load()
 	}
 	parked := false
 	defer ep.unpark(&parked)
-	ep.evMu.Lock()
-	atomic.AddInt32(&ep.evWaiters, 1)
-	for ep.aggSeq.Load() == last && atomic.LoadInt32(&ep.amqLen) == 0 {
-		ep.f.aborted.CheckLocked(&ep.evMu)
-		ep.park(&parked, AnyVCI)
-		ep.evCond.Wait()
+	ev.mu.Lock()
+	ev.waiters.Add(1)
+	for ev.seq.Load() == last && atomic.LoadInt32(&ep.amqLen) == 0 {
+		ep.f.aborted.CheckLocked(ev.mu)
+		ep.park(&parked, v)
+		ev.cond.Wait()
 	}
-	atomic.AddInt32(&ep.evWaiters, -1)
-	ep.evMu.Unlock()
-	return ep.aggSeq.Load()
+	ev.waiters.Add(-1)
+	ev.mu.Unlock()
+	return ev.seq.Load()
 }
 
 // park marks the calling goroutine blocked on interface v (whose lock
@@ -712,35 +706,6 @@ func (ep *Endpoint) unpark(parked *bool) {
 	if *parked {
 		ep.f.stall.Unpark(ep.rank)
 	}
-}
-
-// EventSeqVCI returns one interface's event counter: it moves only on
-// that VCI's deposits and wakes (plus endpoint-wide wakes and active
-// messages), so a waiter parked on it is not disturbed by unrelated
-// traffic on other VCIs.
-func (ep *Endpoint) EventSeqVCI(v int) uint64 { return ep.vcis[ep.norm(v)].eventSeq.Load() }
-
-// WaitEventVCI blocks until interface v's event counter moves past
-// last (or active messages are pending, which any waiter must surface
-// for progress), then returns the new value.
-func (ep *Endpoint) WaitEventVCI(v int, last uint64) uint64 {
-	vn := ep.norm(v)
-	s := ep.vcis[vn]
-	if ep.yieldFor(&s.eventSeq, last) {
-		return s.eventSeq.Load()
-	}
-	parked := false
-	defer ep.unpark(&parked)
-	s.mu.Lock()
-	s.waiters.Add(1)
-	for s.eventSeq.Load() == last && atomic.LoadInt32(&ep.amqLen) == 0 {
-		ep.f.aborted.CheckLocked(&s.mu)
-		ep.park(&parked, vn)
-		s.cond.Wait()
-	}
-	s.waiters.Add(-1)
-	s.mu.Unlock()
-	return s.eventSeq.Load()
 }
 
 // completeRecv consumes a (borrowed) payload into the receive buffer —
@@ -772,6 +737,81 @@ func (s *vci) completeRecv(op *RecvOp, bits match.Bits, data []byte, arrival vti
 	op.done.Store(true)
 }
 
+// span is the interfaces lo..hi-1 a receive-side operation on a
+// normalized v covers: v alone, or every interface for AnyVCI.
+func (ep *Endpoint) span(v int) (lo, hi int) {
+	if v == AnyVCI {
+		return 0, len(ep.vcis)
+	}
+	return v, v + 1
+}
+
+// work sums the matching-unit counters of interfaces lo..hi-1.
+func (ep *Endpoint) work(lo, hi int) (bins, searches int64) {
+	for _, s := range ep.vcis[lo:hi] {
+		bins += s.eng.BinOps
+		searches += s.eng.Searches
+	}
+	return bins, searches
+}
+
+// lookup is the receive side's one matching step, shared by
+// PostRecvVCI, ProbeVCI and MProbeVCI on a normalized v. It locks v's
+// span in ascending order — after which a cross-VCI lookup sweeps stale
+// wildcard replicas — and finds, over the span, the buffered message
+// satisfying (bits, mask) with the earliest arrival stamp: its
+// interface at (-1 when nothing matches) and its entry. take removes it
+// from its engine. A post (op non-nil) on one interface is one engine
+// PostRecv, which on a miss also inserts op. lookup charges the
+// matching work; the caller consumes the hit under the locks, then
+// calls endLookup.
+//
+// The charge is not yet symmetric (ROADMAP item 1(b)): a one-interface
+// post pays for its insert's bin op, while a cross-VCI post pays only
+// for its probes — the replicas PostRecvVCI inserts afterwards go
+// uncharged.
+func (ep *Endpoint) lookup(v int, bits, mask match.Bits, op *RecvOp, take bool) (at int, hit match.Entry) {
+	lo, hi := ep.span(v)
+	for _, s := range ep.vcis[lo:hi] {
+		s.mu.Lock()
+	}
+	if v == AnyVCI {
+		ep.sweepStaleLocked()
+	}
+	bins, searches := ep.work(lo, hi)
+	at = -1
+	if op != nil && v != AnyVCI {
+		if e, ok := ep.vcis[v].eng.PostRecv(bits, mask, op); ok {
+			at, hit = v, e
+		}
+	} else {
+		for i := lo; i < hi; i++ {
+			if e, ok := ep.vcis[i].eng.Probe(bits, mask); ok &&
+				(at < 0 || e.Cookie.(*message).gseq < hit.Cookie.(*message).gseq) {
+				at, hit = i, e
+			}
+		}
+		if at >= 0 && take {
+			ep.vcis[at].eng.Remove(hit)
+		}
+	}
+	b, se := ep.work(lo, hi)
+	ep.meter.ChargeCycles(instr.Transport, ep.f.prof.matchCost(b-bins, se-searches))
+	return at, hit
+}
+
+// endLookup drops the locks lookup took for v, then fires rel, if any,
+// outside them (see consumeMessage).
+func (ep *Endpoint) endLookup(v int, rel ViewReleaser, copied bool) {
+	lo, hi := ep.span(v)
+	for i := hi - 1; i >= lo; i-- {
+		ep.vcis[i].mu.Unlock()
+	}
+	if rel != nil {
+		rel.Release(copied)
+	}
+}
+
 // PostRecv hands a receive to the matching unit, inferring the VCI from
 // (bits, mask). If an unexpected message already satisfies it the op
 // completes immediately and its buffered copy returns to the pool. The
@@ -782,36 +822,38 @@ func (ep *Endpoint) PostRecv(op *RecvOp, bits match.Bits, mask match.Bits) {
 }
 
 // PostRecvVCI hands a receive to one interface's matching unit, or to
-// the cross-VCI wildcard path when v is AnyVCI.
+// every interface's when v is AnyVCI (the wildcard fallback). The
+// earliest buffered match completes it at once; failing that it is
+// posted — on AnyVCI replicated into every engine with a once-only
+// completion claim, so the replica set behaves like one posted receive
+// that the earliest matching arrival claims (same-sender deposits are
+// ordered by the sender's own sequencing).
 func (ep *Endpoint) PostRecvVCI(op *RecvOp, bits match.Bits, mask match.Bits, v int) {
-	p := &ep.f.prof
-	ep.meter.ChargeCycles(instr.Transport, p.RecvPost)
+	ep.meter.ChargeCycles(instr.Transport, ep.f.prof.RecvPost)
 	now := ep.meter.Now()
-	op.posted = now
 	v = ep.norm(v)
-	if v == AnyVCI {
-		ep.postRecvMulti(op, bits, mask)
-		return
+	op.posted, op.vci, op.multi = now, v, v == AnyVCI
+	if op.multi {
+		op.claimed.Store(false)
 	}
-	op.vci = v
-	op.multi = false
-	s := ep.vcis[v]
-	var fireRel ViewReleaser
-	s.mu.Lock()
-	bins, searches := s.eng.BinOps, s.eng.Searches
-	if entry, ok := s.eng.PostRecv(bits, mask, op); ok {
-		fireRel = ep.unexHit(s, op, entry, now, v)
+	var rel ViewReleaser
+	at, hit := ep.lookup(v, bits, mask, op, true)
+	lo, hi := ep.span(v)
+	if at >= 0 {
+		rel = ep.unexHit(ep.vcis[at], op, hit, now, at)
 	} else {
-		ep.m.MaxPosted(s.eng.PostedLen())
+		for _, s := range ep.vcis[lo:hi] {
+			if op.multi {
+				s.eng.PostRecv(bits, mask, op)
+			}
+			ep.m.MaxPosted(s.eng.PostedLen())
+		}
 		ep.m.Flight.Record(flight.PostRecv, int64(now), recvPeer(bits, mask), 0, v)
 	}
-	ep.noteOwner(s)
-	bins, searches = s.eng.BinOps-bins, s.eng.Searches-searches
-	s.mu.Unlock()
-	ep.meter.ChargeCycles(instr.Transport, p.matchCost(bins, searches))
-	if fireRel != nil {
-		fireRel.Release(op.Fold == nil)
+	for _, s := range ep.vcis[lo:hi] {
+		ep.noteOwner(s)
 	}
+	ep.endLookup(v, rel, op.Fold == nil)
 }
 
 // unexHit completes op from the unexpected message entry holds, found
@@ -841,61 +883,6 @@ func recvPeer(bits, mask match.Bits) int {
 	return bits.Source()
 }
 
-// postRecvMulti is the wildcard fallback: under every VCI lock, sweep
-// stale replicas, then look for the globally earliest buffered match by
-// arrival stamp; failing that, replicate the receive into every engine
-// with a once-only completion claim. Matching order is preserved both
-// ways: buffered messages are compared by their endpoint-global arrival
-// stamps, and a live replica set behaves like one posted receive that
-// the earliest matching arrival claims (same-sender deposits are
-// ordered by the sender's own sequencing).
-func (ep *Endpoint) postRecvMulti(op *RecvOp, bits, mask match.Bits) {
-	op.vci = AnyVCI
-	op.multi = true
-	op.claimed.Store(false)
-	var fireRel ViewReleaser
-	ep.lockAll()
-	ep.sweepStaleLocked()
-	best, _, bins, searches := ep.earliest(bits, mask)
-	if best >= 0 {
-		s := ep.vcis[best]
-		entry, _ := s.eng.ExtractUnexpected(bits, mask)
-		fireRel = ep.unexHit(s, op, entry, ep.meter.Now(), best)
-	} else {
-		for _, s := range ep.vcis {
-			s.eng.PostRecv(bits, mask, op)
-			ep.m.MaxPosted(s.eng.PostedLen())
-		}
-		ep.m.Flight.Record(flight.PostRecv, int64(ep.meter.Now()), recvPeer(bits, mask), 0, AnyVCI)
-	}
-	for _, s := range ep.vcis {
-		ep.noteOwner(s)
-	}
-	ep.unlockAll()
-	ep.meter.ChargeCycles(instr.Transport, ep.f.prof.matchCost(bins, searches))
-	if fireRel != nil {
-		fireRel.Release(op.Fold == nil)
-	}
-}
-
-// earliest probes every interface for the buffered match of (bits,
-// mask) with the globally earliest arrival stamp: its interface (-1 when
-// nothing matches), its entry, and the matching work the probes did.
-// Caller holds every VCI lock.
-func (ep *Endpoint) earliest(bits, mask match.Bits) (best int, hit match.Entry, bins, searches int64) {
-	best = -1
-	for i, s := range ep.vcis {
-		b, se := s.eng.BinOps, s.eng.Searches
-		if entry, ok := s.eng.Probe(bits, mask); ok &&
-			(best < 0 || entry.Cookie.(*message).gseq < hit.Cookie.(*message).gseq) {
-			best, hit = i, entry
-		}
-		bins += s.eng.BinOps - b
-		searches += s.eng.Searches - se
-	}
-	return best, hit, bins, searches
-}
-
 // RecvDone polls one receive for completion. On the completing poll it
 // syncs the owner's clock to the message arrival and charges the
 // completion-reap cost.
@@ -909,20 +896,13 @@ func (ep *Endpoint) RecvDone(op *RecvOp) bool {
 
 // WaitRecv blocks until the receive completes, running active-message
 // handlers that arrive in the meantime (progress happens inside MPI
-// calls, as in a real implementation). An op posted to a single VCI
-// waits on that VCI's event sequence and is not woken by unrelated
-// traffic elsewhere on the endpoint; a wildcard op waits on the
-// aggregate. The deposit that completes the op bumps the sequence after
-// it sets done, so a sequence read before the done check cannot miss it.
+// calls, as in a real implementation). It waits on the op's VCI: one
+// interface's event, which unrelated traffic elsewhere on the endpoint
+// does not move, or the aggregate for a wildcard op. The deposit that
+// completes the op bumps the sequence after it sets done, so a sequence
+// read before the done check cannot miss it.
 func (ep *Endpoint) WaitRecv(op *RecvOp) {
 	for !op.done.Load() {
-		if op.vci < 0 {
-			seq := ep.EventSeq()
-			if ep.Progress(); !op.done.Load() {
-				ep.WaitEvent(seq)
-			}
-			continue
-		}
 		seq := ep.EventSeqVCI(op.vci)
 		if ep.Progress(); !op.done.Load() {
 			ep.WaitEventVCI(op.vci, seq)
@@ -948,125 +928,39 @@ func (ep *Endpoint) reap(op *RecvOp) {
 	ep.m.Flight.Record(flight.RecvDone, int64(ep.meter.Now()), op.Src, op.N, op.vci)
 }
 
-// CancelRecv removes a posted receive. It reports false if the receive
-// already matched.
-func (ep *Endpoint) CancelRecv(op *RecvOp) bool {
-	if op.vci >= 0 {
-		s := ep.vcis[op.vci]
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if op.done.Load() {
-			return false
-		}
-		return s.eng.CancelRecv(op)
-	}
-	ep.lockAll()
-	defer ep.unlockAll()
-	if op.done.Load() {
-		return false
-	}
-	ok := false
-	for _, s := range ep.vcis {
-		if s.eng.CancelRecv(op) {
-			ok = true
-		}
-	}
-	return ok
-}
-
-// Probe checks for a buffered unexpected message matching (bits, mask)
-// and returns its source, tag and size without consuming it. The
-// matching unit's work is charged like any other search; a wildcard
-// mask pays the cross-VCI walk.
-func (ep *Endpoint) Probe(bits, mask match.Bits) (src, tag, size int, ok bool) {
-	return ep.ProbeVCI(bits, mask, ep.vciForRecv(bits, mask))
-}
-
-// ProbeVCI is Probe against an explicitly named interface (or the
-// cross-VCI walk when v is AnyVCI) — the device names the VCI when
-// communicator hints refine the mapping.
+// ProbeVCI checks interface v (or, for AnyVCI, every interface) for a
+// buffered unexpected message matching (bits, mask) and returns its
+// source, tag and size without consuming it. The matching unit's work
+// is charged like any other search.
 func (ep *Endpoint) ProbeVCI(bits, mask match.Bits, v int) (src, tag, size int, ok bool) {
-	p := &ep.f.prof
-	var bins, searches int64
 	v = ep.norm(v)
-	if v >= 0 {
-		s := ep.vcis[v]
-		s.mu.Lock()
-		b, se := s.eng.BinOps, s.eng.Searches
-		entry, hit := s.eng.Probe(bits, mask)
-		bins, searches = s.eng.BinOps-b, s.eng.Searches-se
-		if hit {
-			m := entry.Cookie.(*message)
-			src, tag, size = m.src, entry.Bits.Tag(), len(m.data)
-		}
-		s.mu.Unlock()
-		ep.meter.ChargeCycles(instr.Transport, p.matchCost(bins, searches))
-		return src, tag, size, hit
+	at, hit := ep.lookup(v, bits, mask, nil, false)
+	if ok = at >= 0; ok {
+		m := hit.Cookie.(*message)
+		src, tag, size = m.src, hit.Bits.Tag(), len(m.data)
 	}
-	ep.lockAll()
-	ep.sweepStaleLocked()
-	best, entry, bins, searches := ep.earliest(bits, mask)
-	if best >= 0 {
-		m := entry.Cookie.(*message)
-		src, tag, size = m.src, entry.Bits.Tag(), len(m.data)
-	}
-	ep.unlockAll()
-	ep.meter.ChargeCycles(instr.Transport, p.matchCost(bins, searches))
-	return src, tag, size, best >= 0
+	ep.endLookup(v, nil, false)
+	return src, tag, size, ok
 }
 
-// MProbe extracts a buffered unexpected message matching (bits, mask):
-// the matched-probe primitive. The returned payload is owned by the
-// caller (it leaves the pool for good); the message can no longer match
-// any posted receive.
-func (ep *Endpoint) MProbe(bits, mask match.Bits) (src, tag int, data []byte, arrival vtime.Time, ok bool) {
-	return ep.MProbeVCI(bits, mask, ep.vciForRecv(bits, mask))
-}
-
-// MProbeVCI is MProbe against an explicitly named interface (or the
-// cross-VCI walk when v is AnyVCI).
+// MProbeVCI extracts a buffered unexpected message matching (bits,
+// mask) from interface v (the earliest over every interface, for
+// AnyVCI): the matched-probe primitive. The returned payload is owned
+// by the caller (it leaves the pool for good); the message can no
+// longer match any posted receive.
 func (ep *Endpoint) MProbeVCI(bits, mask match.Bits, v int) (src, tag int, data []byte, arrival vtime.Time, ok bool) {
-	p := &ep.f.prof
-	var bins, searches int64
-	var fireRel ViewReleaser
+	now := ep.meter.Now()
 	v = ep.norm(v)
-	if v >= 0 {
-		s := ep.vcis[v]
-		s.mu.Lock()
-		b, se := s.eng.BinOps, s.eng.Searches
-		entry, hit := s.eng.ExtractUnexpected(bits, mask)
-		bins, searches = s.eng.BinOps-b, s.eng.Searches-se
-		if hit {
-			m := entry.Cookie.(*message)
-			src, tag, data, arrival = entry.Bits.Source(), entry.Bits.Tag(), m.data, m.arrival
-			s.arr.UnexRes.Observe(int64(ep.meter.Now() - m.arrival))
-			data, fireRel = s.ownMProbeData(m)
-			s.putMessage(m)
-		}
-		s.mu.Unlock()
-		ep.meter.ChargeCycles(instr.Transport, p.matchCost(bins, searches))
-		if fireRel != nil {
-			fireRel.Release(true)
-		}
-		return src, tag, data, arrival, hit
-	}
-	ep.lockAll()
-	ep.sweepStaleLocked()
-	best, _, bins, searches := ep.earliest(bits, mask)
-	if best >= 0 {
-		s := ep.vcis[best]
-		entry, _ := s.eng.ExtractUnexpected(bits, mask)
-		m := entry.Cookie.(*message)
-		src, tag, data, arrival, ok = entry.Bits.Source(), entry.Bits.Tag(), m.data, m.arrival, true
-		s.arr.UnexRes.Observe(int64(ep.meter.Now() - m.arrival))
-		data, fireRel = s.ownMProbeData(m)
+	at, hit := ep.lookup(v, bits, mask, nil, true)
+	var rel ViewReleaser
+	if ok = at >= 0; ok {
+		s, m := ep.vcis[at], hit.Cookie.(*message)
+		src, tag, arrival = hit.Bits.Source(), hit.Bits.Tag(), m.arrival
+		s.arr.UnexRes.Observe(int64(now - m.arrival))
+		data, rel = s.ownMProbeData(m)
 		s.putMessage(m)
 	}
-	ep.unlockAll()
-	ep.meter.ChargeCycles(instr.Transport, p.matchCost(bins, searches))
-	if fireRel != nil {
-		fireRel.Release(true)
-	}
+	ep.endLookup(v, rel, true)
 	return src, tag, data, arrival, ok
 }
 
@@ -1110,10 +1004,7 @@ func (ep *Endpoint) AMSend(dst int, handler uint8, hdr, payload []byte) {
 	atomic.AddInt32(&tgt.amqLen, 1)
 	tgt.amMu.Unlock()
 	ep.m.Flight.Record(flight.AMSend, int64(arrival), dst, len(hdr)+len(payload), AnyVCI)
-	for i := range tgt.vcis {
-		tgt.wakeVCI(i)
-	}
-	tgt.bumpAgg()
+	tgt.wake()
 }
 
 // Progress runs pending active-message handlers. It returns the number
@@ -1159,20 +1050,6 @@ func (ep *Endpoint) Progress() int {
 	return total
 }
 
-// WaitUntil blocks until pred (evaluated by the calling goroutine)
-// returns true, running AM handlers while waiting. pred is evaluated
-// without any fabric lock; it is the device's own completion flag.
-func (ep *Endpoint) WaitUntil(pred func() bool) {
-	for {
-		seq := ep.EventSeq()
-		ep.Progress()
-		if pred() {
-			return
-		}
-		ep.WaitEvent(seq)
-	}
-}
-
 // SnapshotStats snapshots the bound rank's registry — owner
 // goroutines only, like every write to it — and folds in what lives on
 // the interfaces, taking the VCI locks one at a time: the per-VCI
@@ -1185,7 +1062,7 @@ func (ep *Endpoint) SnapshotStats() metrics.Snapshot {
 	for i, s := range ep.vcis {
 		s.mu.Lock()
 		snap.VCIs[i] = s.stats
-		snap.VCIs[i].Events = int64(s.eventSeq.Load())
+		snap.VCIs[i].Events = int64(s.ev.seq.Load())
 		snap.VCIs[i].PostMatch = s.arr.PostMatch.Snapshot()
 		s.arr.AddTo(&snap)
 		snap.Match.BinOps += s.eng.BinOps

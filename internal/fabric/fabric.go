@@ -158,7 +158,7 @@ func (f *Fabric) Abort() {
 	for i := range f.eps {
 		// Never-materialized endpoints have no waiters to wake.
 		if ep := f.eps[i].Load(); ep != nil {
-			ep.Wake()
+			ep.wake()
 		}
 	}
 }

@@ -177,28 +177,13 @@ func TestRecvReapOnce(t *testing.T) {
 	}
 }
 
-func TestCancelRecvEndpoint(t *testing.T) {
-	f, _ := newTestFabric(t, INF, 2)
-	op := &RecvOp{Buf: make([]byte, 1)}
-	f.Endpoint(1).PostRecv(op, match.MakeBits(1, 0, 3), match.FullMask)
-	if !f.Endpoint(1).CancelRecv(op) {
-		t.Fatal("cancel of pending recv failed")
-	}
-	// The late message must land in the unexpected queue, not the
-	// cancelled op.
-	f.Endpoint(0).TaggedSend(1, match.MakeBits(1, 0, 3), []byte{1})
-	if f.Endpoint(1).RecvDone(op) {
-		t.Fatal("cancelled receive completed")
-	}
-}
-
 func TestProbeEndpoint(t *testing.T) {
 	f, _ := newTestFabric(t, INF, 2)
-	if _, _, _, ok := f.Endpoint(1).Probe(match.MakeBits(1, 0, 5), match.FullMask); ok {
+	if _, _, _, ok := f.Endpoint(1).ProbeVCI(match.MakeBits(1, 0, 5), match.FullMask, 0); ok {
 		t.Fatal("probe hit with nothing sent")
 	}
 	f.Endpoint(0).TaggedSend(1, match.MakeBits(1, 0, 5), []byte("abc"))
-	src, tag, size, ok := f.Endpoint(1).Probe(match.MakeBits(1, 0, 5), match.FullMask)
+	src, tag, size, ok := f.Endpoint(1).ProbeVCI(match.MakeBits(1, 0, 5), match.FullMask, 0)
 	if !ok || src != 0 || tag != 5 || size != 3 {
 		t.Fatalf("probe = (%d,%d,%d,%v)", src, tag, size, ok)
 	}
@@ -221,21 +206,31 @@ func TestActiveMessages(t *testing.T) {
 	}
 }
 
-func TestWaitUntilRunsHandlers(t *testing.T) {
+// TestWaitEventRunsHandlers: an active message ends an aggregate wait,
+// so the device loop around it (read the sequence, progress, check,
+// wait) runs the handler.
+func TestWaitEventRunsHandlers(t *testing.T) {
 	f, _ := newTestFabric(t, OFI, 2)
+	ep := f.Endpoint(1)
 	done := false
-	f.Endpoint(1).RegisterAM(1, func(int, []byte, []byte, vtime.Time) { done = true })
+	ep.RegisterAM(1, func(int, []byte, []byte, vtime.Time) { done = true })
 
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		f.Endpoint(1).WaitUntil(func() bool { return done })
+		for {
+			seq := ep.EventSeqVCI(AnyVCI)
+			if ep.Progress(); done {
+				return
+			}
+			ep.WaitEventVCI(AnyVCI, seq)
+		}
 	}()
 	f.Endpoint(0).AMSend(1, 1, nil, nil)
 	wg.Wait()
 	if !done {
-		t.Fatal("WaitUntil returned without handler running")
+		t.Fatal("the wait ended without the handler running")
 	}
 }
 
@@ -405,22 +400,22 @@ func TestDepositLocalAndWake(t *testing.T) {
 	f, ms := newTestFabric(t, OFI, 2)
 	ep := f.Endpoint(1)
 	bits := match.MakeBits(3, 0, 1)
-	seq, vseq := ep.EventSeq(), ep.EventSeqVCI(f.VCIFor(bits))
+	seq, vseq := ep.EventSeqVCI(AnyVCI), ep.EventSeqVCI(f.VCIFor(bits))
 	// A local deposit (shm delivery path) must match posted receives and
 	// bump its VCI's event counter, but not the aggregate one: the
 	// draining device wakes aggregate waiters once per drain (Notify).
 	op := &RecvOp{Buf: make([]byte, 2)}
 	ep.PostRecv(op, bits, match.FullMask)
-	ep.DepositShm(bits, 0, []byte{7, 8}, 500)
-	ep.DepositShm(match.MakeBits(3, 0, 2), 0, []byte{9}, 600)
+	ep.DepositShmVCI(bits, 0, []byte{7, 8}, 500, f.VCIFor(bits), nil)
+	ep.DepositShmVCI(match.MakeBits(3, 0, 2), 0, []byte{9}, 600, f.VCIFor(bits), nil)
 	if got := ep.EventSeqVCI(f.VCIFor(bits)); got != vseq+2 {
 		t.Fatalf("VCI event counter moved %d -> %d over two shm deposits, want +2", vseq, got)
 	}
-	if got := ep.EventSeq(); got != seq {
+	if got := ep.EventSeqVCI(AnyVCI); got != seq {
 		t.Fatalf("shm deposits moved the aggregate counter %d -> %d, want unchanged until Notify", seq, got)
 	}
 	ep.Notify()
-	if got := ep.EventSeq(); got != seq+1 {
+	if got := ep.EventSeqVCI(AnyVCI); got != seq+1 {
 		t.Fatalf("Notify moved the aggregate counter %d -> %d, want +1", seq, got)
 	}
 	if !ep.RecvDone(op) || op.Buf[0] != 7 || op.Arrival != 500 {
@@ -429,20 +424,20 @@ func TestDepositLocalAndWake(t *testing.T) {
 	if ms[1].Now() < 500 {
 		t.Fatal("receiver did not sync to local arrival")
 	}
-	seq = ep.EventSeq()
-	ep.Wake()
-	if ep.WaitEvent(seq) <= seq {
-		t.Fatal("wake did not release WaitEvent")
+	seq = ep.EventSeqVCI(AnyVCI)
+	ep.wake()
+	if ep.WaitEventVCI(AnyVCI, seq) <= seq {
+		t.Fatal("wake did not release the aggregate wait")
 	}
 }
 
 func TestMProbeEndpoint(t *testing.T) {
 	f, _ := newTestFabric(t, INF, 2)
-	if _, _, _, _, ok := f.Endpoint(1).MProbe(match.MakeBits(1, 0, 2), match.FullMask); ok {
+	if _, _, _, _, ok := f.Endpoint(1).MProbeVCI(match.MakeBits(1, 0, 2), match.FullMask, 0); ok {
 		t.Fatal("mprobe hit on empty endpoint")
 	}
 	f.Endpoint(0).TaggedSend(1, match.MakeBits(1, 0, 2), []byte{9, 9})
-	src, tag, data, _, ok := f.Endpoint(1).MProbe(match.MakeBits(1, 0, 2), match.FullMask)
+	src, tag, data, _, ok := f.Endpoint(1).MProbeVCI(match.MakeBits(1, 0, 2), match.FullMask, 0)
 	if !ok || src != 0 || tag != 2 || len(data) != 2 {
 		t.Fatalf("mprobe = (%d,%d,%v,%v)", src, tag, data, ok)
 	}

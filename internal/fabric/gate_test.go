@@ -81,15 +81,15 @@ func TestWaiterGateWakeVCI(t *testing.T) {
 		if got := ep.EventSeqVCI(0); got != 0 {
 			t.Errorf("rank %d VCI 0 saw %d events of VCI 1's ping-pong", ep.Rank(), got)
 		}
-		if n := ep.vcis[1].waiters.Load(); n != 0 {
+		if n := ep.vcis[1].ev.waiters.Load(); n != 0 {
 			t.Errorf("rank %d VCI 1 left with %d announced waiter(s)", ep.Rank(), n)
 		}
 	}
 }
 
-// TestWaiterGateWaitRecv is the same handshake through the other
-// sleeper: WaitRecv against deposit, which broadcasts — under the lock
-// it already holds — only for an announced waiter. Each side's message
+// TestWaiterGateWaitRecv is the same handshake through deposit and
+// WaitRecv: deposit signals its VCI's event after it drops the lock,
+// and broadcasts only for an announced waiter. Each side's message
 // reaches the peer posted-first or unexpected-first as the race falls.
 func TestWaiterGateWaitRecv(t *testing.T) {
 	f := newVCIFabric(t, 2, 2)
@@ -144,10 +144,11 @@ func TestWaitParksAfterYields(t *testing.T) {
 			ep.Bind(m)
 			op := &RecvOp{Buf: make([]byte, 8)}
 			ep.PostRecv(op, match.MakeBits(1, 0, 5), tc.mask)
-			mu, waiters := &ep.vcis[0].mu, func() bool { return ep.vcis[0].waiters.Load() != 0 }
+			ev := &ep.vcis[0].ev
 			if op.VCI() == AnyVCI {
-				mu, waiters = &ep.evMu, func() bool { return atomic.LoadInt32(&ep.evWaiters) != 0 }
+				ev = &ep.agg
 			}
+			mu, waiters := ev.mu, func() bool { return ev.waiters.Load() != 0 }
 			ended := make(chan any, 1)
 			go func() {
 				defer func() { ended <- recover() }()
@@ -197,7 +198,7 @@ func TestEventsEqualsEventSeq(t *testing.T) {
 	f := newVCIFabric(t, 2, 3)
 	src, dst := f.Endpoint(0), f.Endpoint(1)
 	dst.RegisterAM(9, func(int, []byte, []byte, vtime.Time) {})
-	agg0 := dst.EventSeq()
+	agg0 := dst.EventSeqVCI(AnyVCI)
 	deposits, wakes := [3]int{5, 0, 11}, [3]int{2, 7, 0}
 	for v := range deposits {
 		for i := 0; i < deposits[v]; i++ {
@@ -207,20 +208,20 @@ func TestEventsEqualsEventSeq(t *testing.T) {
 			dst.WakeVCI(v)
 		}
 	}
-	dst.DepositShmVCI(match.MakeBits(1, 0, 99), 0, nil, 0, 1)
-	dst.DepositShmVCI(match.MakeBits(1, 0, 98), 0, nil, 0, 1)
+	dst.DepositShmVCI(match.MakeBits(1, 0, 99), 0, nil, 0, 1, nil)
+	dst.DepositShmVCI(match.MakeBits(1, 0, 98), 0, nil, 0, 1, nil)
 	deposits[1] += 2
-	const everywhere = 3 // one Wake, two active messages
-	dst.Wake()
+	const everywhere = 3 // one endpoint-wide wake, two active messages
+	dst.wake()
 	src.AMSend(1, 9, nil, nil)
 	src.AMSend(1, 9, nil, nil)
 	dst.Progress()
-	// 16 netmod deposits, 9 VCI wakes, the Wake, the two active messages.
-	if got, want := dst.EventSeq()-agg0, uint64(16+9+everywhere); got != want {
+	// 16 netmod deposits, 9 VCI wakes, the wake, the two active messages.
+	if got, want := dst.EventSeqVCI(AnyVCI)-agg0, uint64(16+9+everywhere); got != want {
 		t.Errorf("aggregate sequence moved %d, want %d: the two shm deposits must not move it", got, want)
 	}
 	dst.Notify() // the drain that delivered them
-	if got, want := dst.EventSeq()-agg0, uint64(16+9+everywhere+1); got != want {
+	if got, want := dst.EventSeqVCI(AnyVCI)-agg0, uint64(16+9+everywhere+1); got != want {
 		t.Errorf("aggregate sequence moved %d after the drain's Notify, want %d", got, want)
 	}
 
@@ -266,7 +267,7 @@ func BenchmarkWakeVCI(b *testing.B) {
 			defer close(done)
 			dst.WaitRecv(op) // woken by every WakeVCI, released by the send below
 		}()
-		for dst.vcis[0].waiters.Load() == 0 {
+		for dst.vcis[0].ev.waiters.Load() == 0 {
 			runtime.Gosched()
 		}
 		b.ReportAllocs()

@@ -46,7 +46,7 @@ func TestRendezvousLent(t *testing.T) {
 			}},
 		{name: "mprobe", size: big, staged: 1, direct: 0, releases: 1, copied: true,
 			consume: func(ep *Endpoint, buf []byte) []byte {
-				_, _, data, _, ok := ep.MProbe(bits, match.FullMask)
+				_, _, data, _, ok := ep.MProbeVCI(bits, match.FullMask, ep.f.VCIFor(bits))
 				if !ok {
 					return nil
 				}

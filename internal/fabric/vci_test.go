@@ -121,7 +121,7 @@ func TestEventSeqPerVCIIsolation(t *testing.T) {
 	src, dst := f.Endpoint(0), f.Endpoint(1)
 	seq0 := dst.EventSeqVCI(0)
 	seq1 := dst.EventSeqVCI(1)
-	agg := dst.EventSeq()
+	agg := dst.EventSeqVCI(AnyVCI)
 	const hammer = 64
 	var wg sync.WaitGroup
 	wg.Add(2)
@@ -140,7 +140,7 @@ func TestEventSeqPerVCIIsolation(t *testing.T) {
 	if got := dst.EventSeqVCI(1); got == seq1 {
 		t.Fatal("VCI 1 sequence did not advance under its own traffic")
 	}
-	if got := dst.EventSeq(); got == agg {
+	if got := dst.EventSeqVCI(AnyVCI); got == agg {
 		t.Fatal("aggregate sequence did not advance")
 	}
 	// Drain so the fabric ends balanced.

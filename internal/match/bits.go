@@ -56,6 +56,20 @@ func RecvMask(anySource, anyTag bool) Bits {
 	return m
 }
 
+// RecvBits is the (bits, mask) pair a receive for (source, tag) on
+// context posts. A source or tag of -1 (MPI_ANY_SOURCE, MPI_ANY_TAG) is
+// a wildcard: its field is zero in bits and cleared from mask.
+func RecvBits(context uint16, source, tag int) (bits, mask Bits) {
+	anySource, anyTag := source == -1, tag == -1
+	if anySource {
+		source = 0
+	}
+	if anyTag {
+		tag = 0
+	}
+	return MakeBits(context, source, tag), RecvMask(anySource, anyTag)
+}
+
 // NoMatchMask retains only communicator isolation: source and tag are
 // ignored and messages match receives in arrival order (the
 // MPI_ISEND_NOMATCH proposal).

@@ -362,6 +362,27 @@ func (e *Engine) Probe(bits Bits, mask Bits) (msg Entry, ok bool) {
 	return Entry{}, false
 }
 
+// Remove takes ent, an unexpected message that a Probe of this engine
+// returned with no change to the engine since, off the queues: the
+// second half of a probe-then-take, when the caller picks the message
+// to consume among several engines. The Probe counted the search, so
+// Remove counts nothing.
+func (e *Engine) Remove(ent Entry) {
+	if e.Mode == Binned {
+		n := e.unexBins[binKey(ent.Bits)].head
+		for n.seq != ent.seq {
+			n = n.bnext
+		}
+		e.removeUnexpected(n)
+		return
+	}
+	n := e.unexAll.head
+	for n.seq != ent.seq {
+		n = n.gnext
+	}
+	e.removeUnexpected(n)
+}
+
 // ExtractUnexpected removes and returns the first unexpected message
 // satisfying (bits, mask) — the matched-probe (MPI_MPROBE) primitive:
 // the message leaves the matching engine and can no longer match any

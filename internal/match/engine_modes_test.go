@@ -77,6 +77,31 @@ func TestModesMProbeHidesMessage(t *testing.T) {
 	})
 }
 
+// TestModesRemoveAfterProbe: Remove takes exactly the message a Probe
+// returned — here not the engine's earliest — leaves the rest in
+// arrival order, and counts no matching work.
+func TestModesRemoveAfterProbe(t *testing.T) {
+	forEachMode(t, func(t *testing.T, e *Engine) {
+		e.Arrive(MakeBits(1, 2, 4), "first")
+		e.Arrive(MakeBits(1, 2, 5), "second")
+		e.Arrive(MakeBits(1, 2, 5), "third")
+		ent, ok := e.Probe(MakeBits(1, 2, 5), FullMask)
+		if !ok || ent.Cookie != "second" {
+			t.Fatalf("probe found %v, want second", ent.Cookie)
+		}
+		bins, searches := e.BinOps, e.Searches
+		e.Remove(ent)
+		if e.BinOps != bins || e.Searches != searches {
+			t.Errorf("Remove counted %d bin ops and %d searches, want none", e.BinOps-bins, e.Searches-searches)
+		}
+		for _, want := range []string{"first", "third"} {
+			if msg, ok := e.ExtractUnexpected(MakeBits(1, 2, 0), RecvMask(false, true)); !ok || msg.Cookie != want {
+				t.Fatalf("after Remove the queue yields %v, want %s", msg.Cookie, want)
+			}
+		}
+	})
+}
+
 // TestProbeCountsSearches is the accounting bugfix: Probe walks the
 // unexpected queue like every other scan and must count what it
 // inspects.

@@ -293,11 +293,11 @@ func (d *Device) chargeRedundantType(dt *datatype.Type, n int64) {
 	}
 }
 
-// EventSeq exposes the endpoint's transport-event counter.
-func (d *Device) EventSeq() uint64 { return d.ep.EventSeq() }
+// EventSeq exposes the endpoint's aggregate transport-event counter.
+func (d *Device) EventSeq() uint64 { return d.ep.EventSeqVCI(fabric.AnyVCI) }
 
 // WaitEvent parks the rank until the event counter moves past seq.
-func (d *Device) WaitEvent(seq uint64) { d.ep.WaitEvent(seq) }
+func (d *Device) WaitEvent(seq uint64) { d.ep.WaitEventVCI(fabric.AnyVCI, seq) }
 
 // waitUntil parks until pred holds, pumping packet handlers. Callers
 // hold the critical section; the lock is dropped while parked — the
@@ -305,13 +305,13 @@ func (d *Device) WaitEvent(seq uint64) { d.ep.WaitEvent(seq) }
 // before pred is re-evaluated.
 func (d *Device) waitUntil(pred func() bool) {
 	for {
-		seq := d.ep.EventSeq()
+		seq := d.EventSeq()
 		d.progressLocked()
 		if pred() {
 			return
 		}
 		d.unlock()
-		d.ep.WaitEvent(seq)
+		d.WaitEvent(seq)
 		d.lock()
 	}
 }

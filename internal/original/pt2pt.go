@@ -185,17 +185,7 @@ func (d *Device) Irecv(buf []byte, count int, dt *datatype.Type, src, tag int,
 		bits = match.MakeBits(c.Ctx, 0, 0)
 		mask = match.NoMatchMask
 	} else {
-		anySrc := src == core.AnySource
-		anyTag := tag == core.AnyTag
-		s, tg := src, tag
-		if anySrc {
-			s = 0
-		}
-		if anyTag {
-			tg = 0
-		}
-		bits = match.MakeBits(c.Ctx, s, tg)
-		mask = match.RecvMask(anySrc, anyTag)
+		bits, mask = match.RecvBits(c.Ctx, src, tag)
 	}
 
 	d.chargeRedundant(costRedundantMarshal + costRedundantReload +
@@ -280,17 +270,9 @@ func (d *Device) Iprobe(src, tag int, c *comm.Comm) (request.Status, bool, error
 	d.lock()
 	defer d.unlock()
 	d.progressLocked()
-	anySrc := src == core.AnySource
-	anyTag := tag == core.AnyTag
-	s, tg := src, tag
-	if anySrc {
-		s = 0
-	}
-	if anyTag {
-		tg = 0
-	}
+	bits, mask := match.RecvBits(c.Ctx, src, tag)
 	before := d.eng.Searches
-	entry, ok := d.eng.Probe(match.MakeBits(c.Ctx, s, tg), match.RecvMask(anySrc, anyTag))
+	entry, ok := d.eng.Probe(bits, mask)
 	d.charge(instr.Mandatory, costMatchSearch*(d.eng.Searches-before))
 	if !ok {
 		return request.Status{}, false, nil
@@ -305,17 +287,9 @@ func (d *Device) Improbe(src, tag int, c *comm.Comm) ([]byte, request.Status, vt
 	d.lock()
 	defer d.unlock()
 	d.progressLocked()
-	anySrc := src == core.AnySource
-	anyTag := tag == core.AnyTag
-	s, tg := src, tag
-	if anySrc {
-		s = 0
-	}
-	if anyTag {
-		tg = 0
-	}
+	bits, mask := match.RecvBits(c.Ctx, src, tag)
 	before := d.eng.Searches
-	entry, ok := d.eng.ExtractUnexpected(match.MakeBits(c.Ctx, s, tg), match.RecvMask(anySrc, anyTag))
+	entry, ok := d.eng.ExtractUnexpected(bits, mask)
 	d.charge(instr.Mandatory, costMatchSearch*(d.eng.Searches-before))
 	if !ok {
 		return nil, request.Status{}, 0, false, nil
