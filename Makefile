@@ -57,9 +57,11 @@ race:
 # against the cost model and across cell sizes, the drain's single
 # aggregate wake, and lanes racing to a peer's first touch — and the
 # fabric's one receive-side lookup: what every post, probe and matched
-# probe charges and counts, and a cross-VCI match counted once. Zero
-# failures.
-FLAKE_RUN = 'Ledger|DumpState|ZeroAlloc|AllocFree|SteadyStateAllocs|FeederPublished|FirstTouch|LockTouch|SpmvDeclaredShape|SingleVsShared|Shared.*Concurrent|SharedWriters|ForeignReader|TailFlush|WrapOrder|WhilePeersRun|SnapshotDuringDeposits|Region|RegisterWhilePut|ShareReaches|SPSC|NoMutex|WakePerMessage|SharedSiblings|WaiterGate|EventsEquals|Lent|RendezvousDeadlock|CopyCounts|CompletesAtReturn|ForcesMatchReference|RunGolden|TimestepAllocs|YieldBeforePark|WaitParksAfterYields|SlabRequests|OneCell|DrainWakesAggregate|DepositLocalAndWake|MatchChargeTable|CrossVCIMatchCountedOnce'
+# probe charges and counts, and a cross-VCI match counted once — and
+# the ch4 device's one receive descriptor: what every receive shape and
+# IsendNoCopy charge, and a replicated wildcard whose stale replicas
+# must not steal later messages. Zero failures.
+FLAKE_RUN = 'Ledger|DumpState|ZeroAlloc|AllocFree|SteadyStateAllocs|FeederPublished|FirstTouch|LockTouch|SpmvDeclaredShape|SingleVsShared|Shared.*Concurrent|SharedWriters|ForeignReader|TailFlush|WrapOrder|WhilePeersRun|SnapshotDuringDeposits|Region|RegisterWhilePut|ShareReaches|SPSC|NoMutex|WakePerMessage|SharedSiblings|WaiterGate|EventsEquals|Lent|RendezvousDeadlock|CopyCounts|CompletesAtReturn|ForcesMatchReference|RunGolden|TimestepAllocs|YieldBeforePark|WaitParksAfterYields|SlabRequests|OneCell|DrainWakesAggregate|DepositLocalAndWake|MatchChargeTable|CrossVCIMatchCountedOnce|RecvChargeTable|WildcardStaleReplica'
 FLAKE_PKGS = . ./internal/proc ./internal/instr ./internal/vtime ./internal/hist ./internal/shm ./internal/bench ./internal/flight ./internal/metrics ./internal/request ./internal/fabric ./internal/ch4 ./internal/md
 
 flake:
@@ -73,14 +75,15 @@ bench-smoke:
 	$(GO) test -run xxx -bench . -benchtime 1x ./...
 
 # Short differential-fuzz runs: binned vs linear matching must agree,
-# staged vs zero-copy shm RMA must deliver identical bytes, lent vs
+# on-node (shared window) and off-node (fabric RDMA) Put, Accumulate
+# and Get must leave identical bytes, lent vs
 # captured netmod sends must deliver and charge identically, every
 # blocking collective must agree with a Send/Recv-only reference, and
 # the cell-sorted LJ force kernel must match its linked-list reference
 # bit for bit.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzBinnedMatchesLinear -fuzztime 10s ./internal/match
-	$(GO) test -run xxx -fuzz FuzzRmaStagedZeroCopy -fuzztime 10s .
+	$(GO) test -run xxx -fuzz FuzzRmaShmVsNet -fuzztime 10s .
 	$(GO) test -run xxx -fuzz FuzzPartitionedVsPlain -fuzztime 10s .
 	$(GO) test -run xxx -fuzz FuzzRendezvousLent -fuzztime 10s .
 	$(GO) test -run xxx -fuzz FuzzBlockingCollectives -fuzztime 10s .

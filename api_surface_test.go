@@ -387,11 +387,9 @@ func TestWinAPISurfacePinned(t *testing.T) {
 	o.NoLocks, o.SameDispUnit = true, true
 }
 
-// TestRmaConfigKnob pins the staged-shm ablation knob and the trace
-// kind re-exports the RMA observability added with the flush redesign.
+// TestRmaConfigKnob pins the trace kind re-exports the RMA
+// observability added with the flush redesign.
 func TestRmaConfigKnob(t *testing.T) {
-	var cfg Config
-	cfg.RmaStagedShm = true
 	if TraceFlush.String() != "rma-flush" || TraceNotify.String() != "rma-notify" {
 		t.Errorf("trace kinds: %s, %s", TraceFlush, TraceNotify)
 	}

@@ -144,12 +144,6 @@ type Config struct {
 	// can be swept against the cell cost model.
 	ShmCellSize  int
 	ShmRingCells int
-	// RmaStagedShm forces intra-node RMA on shm-backed windows through
-	// the staged cell-fragmentation cost model instead of the zero-copy
-	// direct path — the ablation knob behind the BENCH rma sweep's
-	// staged-vs-zerocopy comparison. Only the ch4 device honors it; the
-	// baseline always stages through its packet machinery.
-	RmaStagedShm bool
 	// EagerPeers restores all-pairs per-peer state materialization at
 	// startup: every rank pays the connection-setup cost toward every
 	// peer (and pre-creates the shm ring toward every on-node peer) at
@@ -244,7 +238,6 @@ func (cfg Config) resolve() (prof fabric.Profile, bc core.Config, dev string, rp
 	bc.ShmEagerMax = cfg.ShmEagerMax
 	bc.ShmCellSize = cfg.ShmCellSize
 	bc.ShmRingCells = cfg.ShmRingCells
-	bc.RmaStagedShm = cfg.RmaStagedShm
 	if cfg.MaxPeerBytes < 0 {
 		return prof, bc, "", 0, fmt.Errorf("gompi: MaxPeerBytes %d negative", cfg.MaxPeerBytes)
 	}

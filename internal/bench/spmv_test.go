@@ -8,7 +8,7 @@ import "testing"
 //
 //	percall      2 Irecv + 2 Isend, each paying 74 error-check (the
 //	             Table 1 row) + ThreadCheckCost 6 + CallEntryCost 17 +
-//	             CallDispatchIsendCost 6 = 103 above the device, whose
+//	             the ch4 dispatch 6 = 103 above the device, whose
 //	             own work is 88 + 88 + 113 (shm) + 118 (net) = 407:
 //	             4*103 + 407 = 819.
 //	persistent   one Start: one call entry, one thread check, four

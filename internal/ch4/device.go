@@ -173,11 +173,11 @@ type Device struct {
 	cfg  core.Config
 	pool request.Pool
 
-	// Receive-descriptor freelist: the RecvOp and its completion
-	// closures for the common receive shape (contiguous buffer, no
-	// wildcards) are recycled instead of reallocated, so steady-state
-	// receive loops — persistent-collective replays especially — post
-	// without touching the heap. Like request.Pool the freelist is the
+	// Receive-descriptor freelist: every receive's RecvOp and its
+	// completion closures are recycled instead of reallocated, so
+	// steady-state receive loops — persistent-collective replays
+	// especially — post without touching the heap (putRecvBox names the
+	// one exception). Like request.Pool the freelist is the
 	// owner goroutine's alone; boxMu is taken only under
 	// MPI_THREAD_MULTIPLE, where several goroutines of one rank post
 	// receives concurrently. sendFree chains the recycled boxes of lent

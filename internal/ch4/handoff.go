@@ -2,7 +2,6 @@ package ch4
 
 import (
 	"gompi/internal/comm"
-	"gompi/internal/fabric"
 	"gompi/internal/instr"
 	"gompi/internal/match"
 	"gompi/internal/request"
@@ -44,21 +43,12 @@ func (d *Device) IsendNoCopy(buf []byte, dest, tag int, c *comm.Comm) (*request.
 	}
 	d.chargeDispatch(costDispatchPt2pt)
 	issued := d.rank.Now()
-	d.charge(instr.Mandatory, costCommDeref+costMatchBits+costLocality+costShmPrep)
+	d.charge(instr.Mandatory, costCommDeref+costMatchBits)
 	bits := match.MakeBits(c.Ctx, c.MyRank, tag)
-	h := d.g.Shm.SendVCI(d.rank.ID(), world, bits, buf, d.sendVCI(c, bits))
-	if h == nil {
-		// The geometry said staged after all (raced config is
-		// impossible — thresholds are fixed at job start — so this is
-		// defensive): the payload is captured, complete immediately.
-		r := d.pool.Get(request.KindSend)
-		r.Issued = int64(issued)
-		r.MarkComplete(request.Status{})
-		return r, true, nil
-	}
+	// The checks above leave inject one branch, the on-node handoff,
+	// which always lends.
+	b := d.inject(world, bits, buf, d.sendVCI(c, bits), true)
 	d.charge(instr.Mandatory, costRequestAlloc)
-	b := d.getSendBox()
-	b.h = h
 	return d.sendRequest(b, issued), true, nil
 }
 
@@ -84,28 +74,8 @@ func (d *Device) IrecvReduce(acc []byte, src, tag int, c *comm.Comm,
 	bits := match.MakeBits(c.Ctx, src, tag)
 	mask := match.RecvMask(false, false)
 
-	op := &fabric.RecvOp{Buf: acc, Fold: fold}
+	b := d.getRecvBox()
+	b.op.Buf, b.op.Fold = acc, fold
 	d.charge(instr.Mandatory, costRecvPost+costRequestAlloc)
-	d.ep.PostRecvVCI(op, bits, mask, d.recvVCI(c, bits, mask))
-
-	r := d.pool.Get(request.KindRecv)
-	r.Issued = int64(d.rank.Now())
-	finish := func(r *request.Request) {
-		d.rank.Metrics().Lat.ReqLife.Observe(int64(d.rank.Now()) - r.Issued)
-		r.MarkComplete(request.Status{
-			Source: op.Src, Tag: op.Tag, Count: op.N, Truncated: op.Truncated,
-		})
-	}
-	r.Poll = func(r *request.Request) bool {
-		if !d.recvDone(op) {
-			return false
-		}
-		finish(r)
-		return true
-	}
-	r.Block = func(r *request.Request) {
-		d.waitRecv(op)
-		finish(r)
-	}
-	return r, nil
+	return d.postBox(b, bits, mask, d.recvVCI(c, bits, mask)), nil
 }

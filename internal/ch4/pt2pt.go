@@ -1,7 +1,6 @@
 package ch4
 
 import (
-	"errors"
 	"fmt"
 	"sync/atomic"
 
@@ -15,10 +14,6 @@ import (
 	"gompi/internal/shm"
 	"gompi/internal/vtime"
 )
-
-// ErrTruncated reports a receive whose buffer was smaller than the
-// matched message (MPI_ERR_TRUNCATE).
-var ErrTruncated = errors.New("ch4: message truncated")
 
 // Isend implements the ADI nonblocking send (the paper's MPI_ISEND fast
 // path plus the Section 3 proposal variants selected by flags).
@@ -353,81 +348,48 @@ func (d *Device) Irecv(buf []byte, count int, dt *datatype.Type, src, tag int,
 	d.chargeRedundant(costRedundantMarshal + costRedundantReload + costRedundantBufAddr)
 	d.chargeRedundantType(dt, costRedundantDatatype)
 
-	// Common shape — contiguous buffer, no wildcards: post through the
-	// pooled descriptor path, which allocates nothing once warm.
-	wild := flags.Has(core.FlagNoMatch) || src == core.AnySource || tag == core.AnyTag
-	if view, ok := datatype.ContigView(dt, count, buf); ok && !wild {
-		b := d.getRecvBox()
-		b.op.Buf = view
-		d.charge(instr.Mandatory, costRecvPost+costRequestAlloc)
-		d.ep.PostRecvVCI(&b.op, bits, mask, d.recvVCI(c, bits, mask))
-		r := d.pool.Get(request.KindRecv)
-		r.Issued = int64(d.rank.Now())
-		r.Poll, r.Block = b.poll, b.block
-		return r, nil
-	}
-
 	// Contiguous receives land in the user buffer; derived layouts
-	// receive into a bounce buffer and unpack at completion.
-	op := &fabric.RecvOp{}
-	var bounce []byte
+	// receive into a bounce buffer that completion unpacks.
+	b := d.getRecvBox()
 	if view, ok := datatype.ContigView(dt, count, buf); ok {
-		op.Buf = view
+		b.op.Buf = view
 	} else {
-		bounce = make([]byte, datatype.PackedSize(dt, count))
-		op.Buf = bounce
+		b.op.Buf = make([]byte, datatype.PackedSize(dt, count))
+		b.unpack = &unpackTo{buf, dt, count}
 	}
-
 	d.charge(instr.Mandatory, costRecvPost+costRequestAlloc)
-	d.ep.PostRecvVCI(op, bits, mask, d.recvVCI(c, bits, mask))
-
-	r := d.pool.Get(request.KindRecv)
-	r.Issued = int64(d.rank.Now())
-	finish := func(r *request.Request) error {
-		if bounce != nil {
-			if _, err := datatype.Unpack(dt, count, bounce[:op.N], buf); err != nil {
-				return err
-			}
-			d.charge(instr.Mandatory, int64(10+op.N/2))
-		}
-		// Request lifetime: post → completion on the owner's clock (the
-		// reap already folded the message's arrival into it).
-		d.rank.Metrics().Lat.ReqLife.Observe(int64(d.rank.Now()) - r.Issued)
-		r.MarkComplete(request.Status{
-			Source: op.Src, Tag: op.Tag, Count: op.N, Truncated: op.Truncated,
-		})
-		return nil
-	}
-	r.Poll = func(r *request.Request) bool {
-		if !d.recvDone(op) {
-			return false
-		}
-		if err := finish(r); err != nil {
-			r.MarkComplete(request.Status{Truncated: true})
-		}
-		return true
-	}
-	r.Block = func(r *request.Request) {
-		d.waitRecv(op)
-		if err := finish(r); err != nil {
-			r.MarkComplete(request.Status{Truncated: true})
-		}
-	}
-	return r, nil
+	return d.postBox(b, bits, mask, d.recvVCI(c, bits, mask)), nil
 }
 
-// recvBox bundles a receive descriptor with completion closures bound
-// to it once, at box creation. Recycling the box recycles all three
-// allocations of the common receive shape (contiguous buffer, no
-// wildcards): steady-state receive loops post with zero heap traffic.
-// A wildcard receive is excluded because its descriptor is replicated
-// across VCI queues and stale replicas may outlive completion; the
-// non-wildcard descriptor lives in exactly one queue and is consumed
-// at match time, so reuse after completion is safe.
+// recvBox is the device's one receive descriptor: a RecvOp with
+// completion closures bound to it once, at box creation, so a
+// steady-state receive loop posts with zero heap traffic. Every receive
+// posts through one — a fold receive (IrecvReduce) sets op.Fold, and a
+// derived layout receives into a bounce buffer (op.Buf) that finishBox
+// unpacks as unpack says and then drops.
 type recvBox struct {
-	op    fabric.RecvOp
-	poll  func(*request.Request) bool
-	block func(*request.Request)
+	op     fabric.RecvOp
+	unpack *unpackTo
+	poll   func(*request.Request) bool
+	block  func(*request.Request)
+}
+
+// unpackTo is where a derived-layout receive lands: count elements of
+// dt laid out in buf.
+type unpackTo struct {
+	buf   []byte
+	dt    *datatype.Type
+	count int
+}
+
+// postBox hands the box's descriptor to interface vci's matching unit
+// and wraps it in its request.
+func (d *Device) postBox(b *recvBox, bits, mask match.Bits, vci int) *request.Request {
+	d.ep.PostRecvVCI(&b.op, bits, mask, vci)
+	r := d.pool.Get(request.KindRecv)
+	r.Issued = int64(d.rank.Now())
+	r.Poll, r.Block = b.poll, b.block
+	return r
 }
 
 // getRecvBox pops a recycled box or builds one with its closures.
@@ -456,15 +418,40 @@ func (d *Device) getRecvBox() *recvBox {
 	return b
 }
 
-// finishBox completes the request from the box's descriptor and
-// recycles the box. Runs exactly once per activation: Done/Wait latch
-// completion before the closures could fire again.
+// finishBox completes the request from the box's descriptor — a derived
+// layout unpacks first, charged as real per-byte work — and recycles
+// the box. Runs exactly once per activation: Done/Wait latch completion
+// before the closures could fire again.
 func (d *Device) finishBox(b *recvBox, r *request.Request) {
+	if u := b.unpack; u != nil {
+		if _, err := datatype.Unpack(u.dt, u.count, b.op.Buf[:b.op.N], u.buf); err != nil {
+			r.MarkComplete(request.Status{Truncated: true})
+			d.putRecvBox(b)
+			return
+		}
+		d.charge(instr.Mandatory, int64(10+b.op.N/2))
+	}
+	// Request lifetime: post → completion on the owner's clock (the
+	// reap already folded the message's arrival into it).
 	d.rank.Metrics().Lat.ReqLife.Observe(int64(d.rank.Now()) - r.Issued)
 	r.MarkComplete(request.Status{
 		Source: b.op.Src, Tag: b.op.Tag, Count: b.op.N, Truncated: b.op.Truncated,
 	})
+	d.putRecvBox(b)
+}
+
+// putRecvBox clears a completed box and puts it back on the freelist —
+// unless its op was replicated into every VCI lane (a wildcard on a
+// multi-VCI endpoint). The replicas that did not take the message stay
+// in their lanes' posted queues until a later cross-VCI post sweeps
+// them; a reused op would look unclaimed to them. Such a box goes to
+// the collector. An op on one lane was consumed from it at match time.
+func (d *Device) putRecvBox(b *recvBox) {
+	if b.op.VCI() == fabric.AnyVCI {
+		return
+	}
 	b.op.Reset()
+	b.unpack = nil
 	if d.cfg.ThreadMultiple {
 		d.boxMu.Lock()
 		defer d.boxMu.Unlock()

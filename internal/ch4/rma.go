@@ -2,7 +2,6 @@ package ch4
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"runtime"
 
@@ -41,10 +40,6 @@ const (
 	// to MPI_PUT.
 	costPutAllOpts = 16
 )
-
-// ErrNotAttached reports RMA to a dynamic window address with no
-// attachment.
-var ErrNotAttached = errors.New("ch4: dynamic window address not attached")
 
 // winInfo is the per-rank record exchanged during window creation.
 type winInfo struct {
@@ -94,7 +89,7 @@ func (d *Device) winCreate(mem []byte, dispUnit int, c *comm.Comm, dynamic bool)
 
 // WinFree collectively releases the window.
 func (d *Device) WinFree(w *rma.Win) error {
-	d.barrier(w.Comm)
+	core.Barrier(d, w.Comm)
 	if !w.Shared.Dynamic {
 		d.g.Fab.UnregisterRegion(d.rank.ID(), w.MyKey)
 	}
@@ -182,7 +177,9 @@ func (d *Device) Put(origin []byte, count int, dt *datatype.Type, target, disp i
 
 	if view, ok := datatype.ContigView(dt, count, origin); ok {
 		if d.shmWindowLocal(world) && !w.Shared.Dynamic {
-			d.putShm(world, key, off, view)
+			d.charge(instr.Mandatory, costShmPrep)
+			d.chargeShmCopy(len(view))
+			d.g.Fab.PutLocal(world, key, off, view, d.rank.Now())
 			return nil
 		}
 		// Native netmod fast path: one RDMA write.
@@ -203,47 +200,15 @@ func (d *Device) shmWindowLocal(world int) bool {
 	return d.g.Shm != nil && d.g.World.SameNode(world, d.rank.ID())
 }
 
-// putShm is the intra-node window write. The default arm is zero-copy:
-// ranks share the address space, so the payload lands in the target's
-// window with a single direct store stream — no staging copy, exactly
-// the PiP-style ownership the paper's shared-address ranks enable.
-// Under Config.RmaStagedShm the staged arm instead models the CH3-era
-// cell-fragmented path (copy into ring cells, drain into the window)
-// for the ablation sweep: one staged copy plus the landing copy, with
-// per-cell overheads on both sides.
-func (d *Device) putShm(world, key, off int, data []byte) {
-	m := d.rank.Metrics()
+// chargeShmCopy prices an intra-node window write or read of n bytes.
+// It is zero-copy: ranks share the address space, so the bytes move
+// between the origin buffer and the target's window in a single direct
+// copy — no staging, exactly the PiP-style ownership the paper's
+// shared-address ranks enable.
+func (d *Device) chargeShmCopy(n int) {
 	p := d.g.Shm.Profile()
-	if d.cfg.RmaStagedShm {
-		cells := (len(data) + d.g.Shm.CellBytes() - 1) / d.g.Shm.CellBytes()
-		d.rank.ChargeCycles(instr.Transport,
-			int64(p.SendOverhead)+int64(p.RecvOverhead)+
-				int64(cells)*2*int64(p.CellOverhead)+int64(2*float64(len(data))*p.PerByte))
-		m.CopiesStaged.Note(len(data))
-	} else {
-		d.charge(instr.Mandatory, costShmPrep)
-		d.rank.ChargeCycles(instr.Transport, int64(p.Latency)+int64(float64(len(data))*p.PerByte))
-	}
-	m.CopiesDirect.Note(len(data))
-	d.g.Fab.PutLocal(world, key, off, data, d.rank.Now())
-}
-
-// getShm is the intra-node window read, mirroring putShm's two arms.
-func (d *Device) getShm(world, key, off int, buf []byte) {
-	m := d.rank.Metrics()
-	p := d.g.Shm.Profile()
-	if d.cfg.RmaStagedShm {
-		cells := (len(buf) + d.g.Shm.CellBytes() - 1) / d.g.Shm.CellBytes()
-		d.rank.ChargeCycles(instr.Transport,
-			int64(p.SendOverhead)+int64(p.RecvOverhead)+
-				int64(cells)*2*int64(p.CellOverhead)+int64(2*float64(len(buf))*p.PerByte))
-		m.CopiesStaged.Note(len(buf))
-	} else {
-		d.charge(instr.Mandatory, costShmPrep)
-		d.rank.ChargeCycles(instr.Transport, int64(p.Latency)+int64(float64(len(buf))*p.PerByte))
-	}
-	m.CopiesDirect.Note(len(buf))
-	d.g.Fab.GetLocal(world, key, off, buf)
+	d.rank.ChargeCycles(instr.Transport, int64(p.Latency)+int64(float64(n)*p.PerByte))
+	d.rank.Metrics().CopiesDirect.Note(n)
 }
 
 // Get implements the ADI one-sided get: RDMA reads, per-segment for
@@ -274,7 +239,9 @@ func (d *Device) Get(origin []byte, count int, dt *datatype.Type, target, disp i
 
 	if view, ok := datatype.ContigView(dt, count, origin); ok {
 		if d.shmWindowLocal(world) && !w.Shared.Dynamic {
-			d.getShm(world, key, off, view)
+			d.charge(instr.Mandatory, costShmPrep)
+			d.chargeShmCopy(len(view))
+			d.g.Fab.GetLocal(world, key, off, view)
 			return nil
 		}
 		d.charge(instr.Mandatory, costRDMADescPrep)
@@ -351,7 +318,7 @@ func (d *Device) accumulate(origin, result []byte, count int, dt *datatype.Type,
 		return d.accDerivedAM(origin, count, dt, op, world, key, off)
 	}
 
-	if d.shmWindowLocal(world) && !w.Shared.Dynamic && !d.cfg.RmaStagedShm {
+	if d.shmWindowLocal(world) && !w.Shared.Dynamic {
 		// Intra-node lent-view fold: the origin mutates the target
 		// bytes where they lie, under the region's atomicity lock —
 		// zero staged, zero direct copies (the GetAccumulate result
@@ -393,7 +360,7 @@ func (d *Device) accumulate(origin, result []byte, count int, dt *datatype.Type,
 func (d *Device) Fence(w *rma.Win) error {
 	d.charge(instr.Mandatory, costEpochTrack)
 	d.flushAM()
-	d.barrier(w.Comm)
+	core.Barrier(d, w.Comm)
 	if !w.Shared.Dynamic {
 		d.rank.Sync(d.g.Fab.RegionArrival(d.rank.ID(), w.MyKey))
 	}
@@ -410,7 +377,7 @@ func (d *Device) Fence(w *rma.Win) error {
 func (d *Device) FenceEnd(w *rma.Win) error {
 	d.charge(instr.Mandatory, costEpochTrack)
 	d.flushAM()
-	d.barrier(w.Comm)
+	core.Barrier(d, w.Comm)
 	if !w.Shared.Dynamic {
 		d.rank.Sync(d.g.Fab.RegionArrival(d.rank.ID(), w.MyKey))
 	}
@@ -467,21 +434,8 @@ func (d *Device) Flush(w *rma.Win, target int) error {
 	d.charge(instr.Mandatory, costFlushProto)
 	d.flushAM()
 	d.rank.ChargeCycles(instr.Transport, 2*d.g.Fab.Profile().WireLatency)
-	d.observeFlush(w, target)
+	core.ObserveFlush(d.rank, w, target)
 	return nil
-}
-
-// observeFlush threads one completed flush through the observability
-// layers: the op counter, the epoch-open→flush histogram (only while
-// an epoch is open — Unlock's internal flush runs after the close and
-// records the counter alone), and the flight recorder.
-func (d *Device) observeFlush(w *rma.Win, target int) {
-	m := d.rank.Metrics()
-	m.NoteRmaFlush()
-	if w.InEpoch() && w.OpenedAt > 0 {
-		m.Lat.EpochFlush.Observe(int64(d.rank.Now() - w.OpenedAt))
-	}
-	m.Flight.Record(flight.RmaFlush, int64(d.rank.Now()), target, 0, -1)
 }
 
 // FlushLocal completes outstanding operations to target locally
@@ -491,7 +445,7 @@ func (d *Device) observeFlush(w *rma.Win, target int) {
 // bookkeeping — no AM wait, no wire round trip.
 func (d *Device) FlushLocal(w *rma.Win, target int) error {
 	d.charge(instr.Mandatory, costFlushLocal)
-	d.observeFlush(w, target)
+	core.ObserveFlush(d.rank, w, target)
 	return nil
 }
 
@@ -504,7 +458,7 @@ func (d *Device) FlushAll(w *rma.Win) error {
 	d.charge(instr.Mandatory, costFlushProto)
 	d.flushAM()
 	d.rank.ChargeCycles(instr.Transport, 2*d.g.Fab.Profile().WireLatency)
-	d.observeFlush(w, -1)
+	core.ObserveFlush(d.rank, w, -1)
 	return nil
 }
 
@@ -522,7 +476,7 @@ func (d *Device) FlushRequest(w *rma.Win, target int) (*request.Request, error) 
 	finish := func(r *request.Request) {
 		d.rank.Sync(d.amAckArrival)
 		d.rank.ChargeCycles(instr.Transport, 2*d.g.Fab.Profile().WireLatency)
-		d.observeFlush(w, target)
+		core.ObserveFlush(d.rank, w, target)
 		d.rank.Metrics().Lat.ReqLife.Observe(int64(d.rank.Now()) - r.Issued)
 		r.MarkComplete(request.Status{})
 	}
@@ -599,10 +553,8 @@ func (d *Device) PutAllOpts(origin []byte, worldTarget, disp int, w *rma.Win) er
 	d.charge(instr.Mandatory, costPutAllOpts)
 	off := disp * w.DispUnit
 	key := w.Shared.Keys[worldTarget]
-	if d.shmWindowLocal(worldTarget) && !d.cfg.RmaStagedShm {
-		p := d.g.Shm.Profile()
-		d.rank.ChargeCycles(instr.Transport, int64(p.Latency)+int64(float64(len(origin))*p.PerByte))
-		d.rank.Metrics().CopiesDirect.Note(len(origin))
+	if d.shmWindowLocal(worldTarget) {
+		d.chargeShmCopy(len(origin))
 		d.g.Fab.PutLocal(worldTarget, key, off, origin, d.rank.Now())
 		return nil
 	}
@@ -645,7 +597,7 @@ func (d *Device) accDerivedAM(origin []byte, count int, dt *datatype.Type, op co
 		return errString("accumulate", err)
 	}
 	hdr := encodeLayoutHeader(key, off, count, dt)
-	hdr = append(hdr, byte(op), byte(elemCode(dt.BaseElem())))
+	hdr = append(hdr, byte(op), byte(coll.ElemCode(dt.BaseElem())))
 	d.amSent++
 	d.ep.AMSend(world, amAccDerived, hdr, packed)
 	return nil
@@ -700,7 +652,7 @@ func (d *Device) handlePutDerived(src int, hdr, payload []byte, _ vtime.Time) {
 func (d *Device) handleAccDerived(src int, hdr, payload []byte, _ vtime.Time) {
 	lh := decodeLayoutHeader(hdr)
 	op := coll.Op(lh.rest[0])
-	elem := elemFromCode(int(lh.rest[1]))
+	elem := coll.ElemFromCode(int(lh.rest[1]))
 	d.charge(instr.Mandatory, int64(20+len(payload)))
 	d.scatter(lh, payload, elem, op)
 	d.ep.AMSend(src, amAck, nil, nil)
@@ -733,56 +685,6 @@ func (d *Device) handleAck(_ int, _, _ []byte, arrival vtime.Time) {
 	d.amAcked++
 	if arrival > d.amAckArrival {
 		d.amAckArrival = arrival
-	}
-}
-
-// elemCode/elemFromCode serialize predefined element types for AM
-// headers.
-var elemTable = []*datatype.Type{datatype.Byte, datatype.Char, datatype.Short,
-	datatype.Int, datatype.Long, datatype.Float, datatype.Double}
-
-func elemCode(t *datatype.Type) int {
-	for i, e := range elemTable {
-		if e == t {
-			return i
-		}
-	}
-	return -1
-}
-
-func elemFromCode(c int) *datatype.Type {
-	if c < 0 || c >= len(elemTable) {
-		return nil
-	}
-	return elemTable[c]
-}
-
-// --- device-internal barrier -------------------------------------------
-
-// barrier is the dissemination barrier used by epoch synchronization
-// and window creation teardown, run over the device's own pt2pt on the
-// communicator's collective context with a reserved tag block.
-const barrierTagBase = 1 << 20
-
-func (d *Device) barrier(c *comm.Comm) {
-	cv := c.CollView()
-	rank, size := cv.MyRank, cv.Size()
-	var token [1]byte
-	round := 0
-	for dist := 1; dist < size; dist *= 2 {
-		to := (rank + dist) % size
-		from := (rank - dist + size) % size
-		tag := barrierTagBase + round
-		if _, err := d.Isend(token[:], 1, datatype.Byte, to, tag, cv, core.FlagNoProcNull|core.FlagNoReq); err != nil {
-			panic(errString("barrier send", err))
-		}
-		req, err := d.Irecv(token[:], 1, datatype.Byte, from, tag, cv, core.FlagNoProcNull)
-		if err != nil {
-			panic(errString("barrier recv", err))
-		}
-		req.Wait()
-		req.Free()
-		round++
 	}
 }
 

@@ -275,7 +275,7 @@ func TestLockUnlockPassiveTarget(t *testing.T) {
 				return err
 			}
 		}
-		e.d.barrier(e.c)
+		core.Barrier(e.d, e.c)
 		if e.c.Rank() == 0 {
 			if got := binary.LittleEndian.Uint64(mem); got != n*10 {
 				return fmt.Errorf("lock-protected counter = %d, want %d", got, n*10)
@@ -302,7 +302,7 @@ func TestUnlockWrongTargetRejected(t *testing.T) {
 				return err
 			}
 		}
-		e.d.barrier(e.c)
+		core.Barrier(e.d, e.c)
 		return e.d.WinFree(w)
 	})
 }
@@ -342,7 +342,7 @@ func TestDynamicWindowVirtualAddress(t *testing.T) {
 				return err
 			}
 		}
-		e.d.barrier(e.c)
+		core.Barrier(e.d, e.c)
 		return e.d.WinFree(w)
 	})
 }
@@ -512,7 +512,7 @@ func TestFenceEndDevice(t *testing.T) {
 		if err := e.d.Unlock(w, 1-e.c.Rank()); err != nil {
 			return err
 		}
-		e.d.barrier(e.c)
+		core.Barrier(e.d, e.c)
 		return e.d.WinFree(w)
 	})
 }

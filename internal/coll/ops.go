@@ -258,3 +258,26 @@ func b2i(b bool) int64 {
 	}
 	return 0
 }
+
+// elemTable numbers the element types Apply folds, for active-message
+// headers that ship an accumulate's element type.
+var elemTable = []*datatype.Type{datatype.Byte, datatype.Char, datatype.Short,
+	datatype.Int, datatype.Long, datatype.Float, datatype.Double}
+
+// ElemCode returns t's wire code, or -1 when Apply cannot fold t.
+func ElemCode(t *datatype.Type) int {
+	for i, e := range elemTable {
+		if e == t {
+			return i
+		}
+	}
+	return -1
+}
+
+// ElemFromCode inverts ElemCode; nil for an unknown code.
+func ElemFromCode(c int) *datatype.Type {
+	if c < 0 || c >= len(elemTable) {
+		return nil
+	}
+	return elemTable[c]
+}

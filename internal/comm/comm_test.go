@@ -263,6 +263,52 @@ func TestRankTableKinds(t *testing.T) {
 	}
 }
 
+// TestRankTableKindByConstructor: whichever way a group is built —
+// FromRanks, Strided, Incl, Excl — an arithmetic progression (sizes 0
+// and 1 included) gets the O(1) identity or strided table, anything
+// else the dense one.
+func TestRankTableKindByConstructor(t *testing.T) {
+	world := group.WorldGroup(8)
+	build := func(g *group.Group, err error) *group.Group {
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	cases := []struct {
+		name string
+		g    *group.Group
+		kind TableKind
+	}{
+		{"FromRanks/empty", group.FromRanks(nil), TableIdentity},
+		{"FromRanks/single", group.FromRanks([]int{5}), TableStrided},
+		{"FromRanks/identity", group.FromRanks([]int{0, 1, 2}), TableIdentity},
+		{"FromRanks/strided", group.FromRanks([]int{1, 4, 7}), TableStrided},
+		{"FromRanks/irregular", group.FromRanks([]int{0, 1, 3}), TableDense},
+		{"Strided/identity", group.Strided(4, 0, 1), TableIdentity},
+		{"Strided/single", group.Strided(1, 3, 1), TableStrided},
+		{"Strided/reversed", group.Strided(4, 7, -2), TableStrided},
+		{"Incl/prefix", build(world.Incl([]int{0, 1, 2, 3})), TableIdentity},
+		{"Incl/strided", build(world.Incl([]int{6, 4, 2})), TableStrided},
+		{"Incl/irregular", build(world.Incl([]int{2, 0, 5})), TableDense},
+		{"Excl/suffix", build(world.Excl([]int{0, 1})), TableStrided},
+		{"Excl/odd", build(world.Excl([]int{1, 3, 5, 7})), TableStrided},
+		{"Excl/all-but-one", build(world.Excl([]int{0, 1, 2, 3, 4, 6, 7})), TableStrided},
+		{"Excl/irregular", build(world.Excl([]int{3})), TableDense},
+	}
+	for _, c := range cases {
+		rt := BuildRankTable(c.g)
+		if rt.Kind() != c.kind {
+			t.Errorf("%s: kind %d, want %d", c.name, rt.Kind(), c.kind)
+		}
+		for i, w := range c.g.Ranks() {
+			if rt.World(i) != w {
+				t.Errorf("%s: World(%d) = %d, want %d", c.name, i, rt.World(i), w)
+			}
+		}
+	}
+}
+
 // Property: every representation translates identically to the dense
 // truth for arbitrary groups.
 func TestRankTableProperty(t *testing.T) {

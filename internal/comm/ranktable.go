@@ -50,50 +50,13 @@ func BuildRankTable(g *group.Group) *RankTable {
 		}
 		t.kind = TableStrided
 		t.base, t.stride = base, stride
-		if n <= 1 {
-			t.stride = 1
-		}
 		return t
 	}
-	ranks := g.Ranks()
-
-	// Identity?
-	ident := true
-	for i, w := range ranks {
-		if w != i {
-			ident = false
-			break
-		}
-	}
-	if ident {
-		t.kind = TableIdentity
-		return t
-	}
-
-	// Strided?
-	if n >= 2 {
-		base, stride := ranks[0], ranks[1]-ranks[0]
-		ok := stride != 0
-		for i, w := range ranks {
-			if w != base+i*stride {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			t.kind = TableStrided
-			t.base, t.stride = base, stride
-			return t
-		}
-	} else if n == 1 {
-		t.kind = TableStrided
-		t.base, t.stride = ranks[0], 1
-		return t
-	}
-
+	// A materialized group is irregular: group.FromRanks stores every
+	// arithmetic progression, sizes 0 and 1 included, in strided form.
 	t.kind = TableDense
 	t.dense = make([]int32, n)
-	for i, w := range ranks {
+	for i, w := range g.Ranks() {
 		t.dense[i] = int32(w)
 	}
 	return t

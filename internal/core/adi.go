@@ -1,9 +1,12 @@
 package core
 
 import (
+	"fmt"
+
 	"gompi/internal/coll"
 	"gompi/internal/comm"
 	"gompi/internal/datatype"
+	"gompi/internal/flight"
 	"gompi/internal/metrics"
 	"gompi/internal/proc"
 	"gompi/internal/request"
@@ -18,10 +21,6 @@ const (
 	// CallEntryCost is the call-frame setup of the public MPI symbol
 	// (Table 1 "MPI function call", the 16-18 instruction figure).
 	CallEntryCost = 17
-	// CallDispatchIsendCost / CallDispatchPutCost is the additional
-	// ADI dispatch overhead reaching the device entry point.
-	CallDispatchIsendCost = 6
-	CallDispatchPutCost   = 8
 	// ThreadCheckCost is the runtime threading-level branch taken on
 	// every call even in single-threaded runs when the library is
 	// built with thread support (Table 1 "Thread-safety check").
@@ -143,4 +142,44 @@ type Device interface {
 	// target rank inside an already-open epoch, with validation and
 	// call-frame charges elided by the caller's contract.
 	PutAllOpts(origin []byte, worldTarget, disp int, w *rma.Win) error
+}
+
+// barrierTagBase is the first tag of Barrier's reserved tag block.
+const barrierTagBase = 1 << 20
+
+// Barrier is the device-internal dissemination barrier that epoch
+// synchronization and window teardown use: ceil(log2 n) rounds of d's
+// own pt2pt on c's collective context, tagged from a reserved block.
+// A device error is a broken invariant, so it panics.
+func Barrier(d Device, c *comm.Comm) {
+	cv := c.CollView()
+	rank, size := cv.MyRank, cv.Size()
+	var token [1]byte
+	for round, dist := 0, 1; dist < size; round, dist = round+1, dist*2 {
+		to := (rank + dist) % size
+		from := (rank - dist + size) % size
+		tag := barrierTagBase + round
+		if _, err := d.Isend(token[:], 1, datatype.Byte, to, tag, cv, FlagNoProcNull|FlagNoReq); err != nil {
+			panic(fmt.Errorf("device barrier send: %w", err))
+		}
+		req, err := d.Irecv(token[:], 1, datatype.Byte, from, tag, cv, FlagNoProcNull)
+		if err != nil {
+			panic(fmt.Errorf("device barrier recv: %w", err))
+		}
+		req.Wait()
+		req.Free()
+	}
+}
+
+// ObserveFlush threads one completed flush on w through r's
+// observability layers: the op counter, the epoch-open→flush histogram
+// (only while an epoch is open — Unlock's internal flush runs after the
+// close and records the counter alone), and the flight recorder.
+func ObserveFlush(r *proc.Rank, w *rma.Win, target int) {
+	m := r.Metrics()
+	m.NoteRmaFlush()
+	if w.InEpoch() && w.OpenedAt > 0 {
+		m.Lat.EpochFlush.Observe(int64(r.Now() - w.OpenedAt))
+	}
+	m.Flight.Record(flight.RmaFlush, int64(r.Now()), target, 0, -1)
 }

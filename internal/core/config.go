@@ -44,11 +44,6 @@ type Config struct {
 	// crossover can be swept against the cell cost model.
 	ShmCellSize  int
 	ShmRingCells int
-	// RmaStagedShm forces intra-node RMA on shm-backed windows through
-	// the staged cell-fragmentation cost model instead of the zero-copy
-	// direct path — the ablation knob the RMA sweep compares against.
-	// Only the ch4 device honors it.
-	RmaStagedShm bool
 	// EagerPeers restores all-pairs per-peer state materialization at
 	// endpoint open (fabric connections and on-node shm rings toward
 	// every peer) — the pre-on-demand model, kept as the measurable
@@ -90,9 +85,6 @@ func ConfigByName(name string) (Config, bool) {
 	}
 	return Config{}, false
 }
-
-// ConfigNames lists the build names in Figure 2 order.
-var ConfigNames = []string{"default", "no-err", "no-err-single", "no-err-single-ipo"}
 
 // OpFlags selects the proposed standard extensions on a per-call basis
 // (Section 3). Zero means plain MPI-3.1 semantics.

@@ -18,18 +18,6 @@ package instr
 // conditional is a compare plus a branch, and a function call is the
 // 16-18 instruction frame setup the paper measures (plus return).
 const (
-	// CostArith is a register-to-register ALU operation.
-	CostArith = 1
-	// CostLoad is a load of a global or stack value.
-	CostLoad = 1
-	// CostStore is a store to memory.
-	CostStore = 1
-	// CostCmp is a comparison feeding a branch.
-	CostCmp = 1
-	// CostBranch is a conditional branch.
-	CostBranch = 1
-	// CostCheck is a full compare-and-branch validation step.
-	CostCheck = CostCmp + CostBranch
 	// CostDeref is a dereference into a dynamically allocated object:
 	// address computation plus the (potentially cache-missing) load.
 	CostDeref = 2
@@ -37,9 +25,6 @@ const (
 	// The paper: "Each MPI function call can take around 16-18
 	// instructions just to load the stack and registers".
 	CostCall = 17
-	// CostIndirectCall is a call through a function pointer (netmod
-	// dispatch table), slightly more expensive than a direct call.
-	CostIndirectCall = CostCall + 2
 	// CostHash is computing a hash-bin index and loading the bin head —
 	// the per-operation price of binned (MPICH CH4-style) message
 	// matching: a shift/mask over the match word plus the bucket

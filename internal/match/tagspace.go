@@ -11,7 +11,8 @@ package match
 //
 //	700..704                     RMA window tokens (PSCW post/complete,
 //	                             notify), fixed in the MPI layer
-//	[1<<20, +32)                 the devices' internal barrier rounds
+//	[1<<20, +32)                 the device-internal barrier's rounds
+//	                             (core.Barrier)
 //	[TagPartBase, 2*TagPartBase) partitioned pt2pt chunk traffic
 //	[TagNBCBase, +TagNBCSpan)    collective schedules, blocking and
 //	                             nonblocking: one fresh tag per call

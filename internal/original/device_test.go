@@ -300,7 +300,7 @@ func TestOriginalLockUnlock(t *testing.T) {
 				return err
 			}
 		}
-		e.d.barrier(e.c)
+		core.Barrier(e.d, e.c)
 		if e.c.Rank() == 1 {
 			// Pump progress: the put packet may still be queued.
 			e.d.waitUntil(func() bool { e.d.Progress(); return mem[0] == 7 })

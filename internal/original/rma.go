@@ -7,7 +7,6 @@ import (
 	"gompi/internal/comm"
 	"gompi/internal/core"
 	"gompi/internal/datatype"
-	"gompi/internal/flight"
 	"gompi/internal/instr"
 	"gompi/internal/request"
 	"gompi/internal/rma"
@@ -335,7 +334,7 @@ func (d *Device) Accumulate(origin []byte, count int, dt *datatype.Type, target,
 	if err != nil {
 		return errString("accumulate", err)
 	}
-	ec := elemCode(elem)
+	ec := coll.ElemCode(elem)
 	d.issue(&rmaOp{kind: amAcc, target: world,
 		hdr:     rmaHeader(w.Shared.Keys[target], off, len(data), op, ec, 0),
 		payload: data,
@@ -373,7 +372,7 @@ func (d *Device) handleAcc(src int, hdr, payload []byte, _ vtime.Time) {
 	if ws == nil {
 		panic(errf("accumulate packet for unknown window %d", id))
 	}
-	elem := elemFromCode(ec)
+	elem := coll.ElemFromCode(ec)
 	if err := coll.Apply(op, elem, ws.mem[off:off+n], payload); err != nil {
 		panic(errString("am accumulate", err))
 	}
@@ -388,7 +387,7 @@ func (d *Device) Fence(w *rma.Win) error {
 	d.charge(instr.Mandatory, costRMAEpochState)
 	d.flushAM()
 	d.unlock()
-	d.barrier(w.Comm)
+	core.Barrier(d, w.Comm)
 	if err := w.OpenEpoch(rma.EpochFence, -1); err != nil {
 		return err
 	}
@@ -402,7 +401,7 @@ func (d *Device) FenceEnd(w *rma.Win) error {
 	d.charge(instr.Mandatory, costRMAEpochState)
 	d.flushAM()
 	d.unlock()
-	d.barrier(w.Comm)
+	core.Barrier(d, w.Comm)
 	if w.InEpoch() {
 		if _, err := w.CloseEpoch(); err != nil {
 			return err
@@ -449,21 +448,8 @@ func (d *Device) Flush(w *rma.Win, target int) error {
 	d.charge(instr.Mandatory, costFlushProto)
 	d.flushAM()
 	d.rank.ChargeCycles(instr.Transport, 2*d.g.Fab.Profile().WireLatency)
-	d.observeFlush(w, target)
+	core.ObserveFlush(d.rank, w, target)
 	return nil
-}
-
-// observeFlush records the flush into the rank's observability fabric:
-// op counter, epoch-open→flush latency histogram (only while the epoch
-// is still open — Unlock's trailing flush runs after CloseEpoch and is
-// deliberately not observed), and a flight-recorder breadcrumb.
-func (d *Device) observeFlush(w *rma.Win, target int) {
-	m := d.rank.Metrics()
-	m.NoteRmaFlush()
-	if w.InEpoch() && w.OpenedAt > 0 {
-		m.Lat.EpochFlush.Observe(int64(d.rank.Now() - w.OpenedAt))
-	}
-	m.Flight.Record(flight.RmaFlush, int64(d.rank.Now()), target, 0, -1)
 }
 
 // FlushLocal completes operations locally. CH3 has no cheap
@@ -548,49 +534,4 @@ func (d *Device) UnlockAll(w *rma.Win) error {
 // fusion buys nothing here and the call delegates to Put.
 func (d *Device) PutAllOpts(origin []byte, worldTarget, disp int, w *rma.Win) error {
 	return d.Put(origin, len(origin), datatype.Byte, worldTarget, disp, w, 0)
-}
-
-// barrier mirrors the ch4 device-internal dissemination barrier.
-const barrierTagBase = 1 << 20
-
-func (d *Device) barrier(c *comm.Comm) {
-	cv := c.CollView()
-	rank, size := cv.MyRank, cv.Size()
-	var token [1]byte
-	round := 0
-	for dist := 1; dist < size; dist *= 2 {
-		to := (rank + dist) % size
-		from := (rank - dist + size) % size
-		tag := barrierTagBase + round
-		if _, err := d.Isend(token[:], 1, datatype.Byte, to, tag, cv, core.FlagNoReq); err != nil {
-			panic(errString("barrier send", err))
-		}
-		req, err := d.Irecv(token[:], 1, datatype.Byte, from, tag, cv, 0)
-		if err != nil {
-			panic(errString("barrier recv", err))
-		}
-		req.Wait()
-		round++
-	}
-}
-
-// elemCode mirrors the ch4 table (duplicated to keep devices
-// independent).
-var elemTable = []*datatype.Type{datatype.Byte, datatype.Char, datatype.Short,
-	datatype.Int, datatype.Long, datatype.Float, datatype.Double}
-
-func elemCode(t *datatype.Type) int {
-	for i, e := range elemTable {
-		if e == t {
-			return i
-		}
-	}
-	return -1
-}
-
-func elemFromCode(c int) *datatype.Type {
-	if c < 0 || c >= len(elemTable) {
-		return nil
-	}
-	return elemTable[c]
 }

@@ -291,62 +291,47 @@ func TestPutNotifyWaitNotify(t *testing.T) {
 
 // TestZeroCopyShmPutNoStagingCopies is the acceptance-criterion
 // assertion: an intra-node Put on an allocated window performs zero
-// staging copies — the payload lands directly in the target window —
-// while the RmaStagedShm ablation stages every byte through the cell
-// model.
+// staging copies — the payload lands directly in the target window.
 func TestZeroCopyShmPutNoStagingCopies(t *testing.T) {
 	const n = 8192
-	for _, staged := range []bool{false, true} {
-		name := "zerocopy"
-		if staged {
-			name = "staged"
-		}
-		t.Run(name, func(t *testing.T) {
-			run(t, 2, Config{Device: "ch4", Fabric: "ofi", RanksPerNode: 2, RmaStagedShm: staged}, func(p *Proc) error {
-				w := p.World()
-				win, _, err := w.WinAllocate(n, 1)
-				if err != nil {
+	t.Run("zerocopy", func(t *testing.T) {
+		run(t, 2, Config{Device: "ch4", Fabric: "ofi", RanksPerNode: 2}, func(p *Proc) error {
+			w := p.World()
+			win, _, err := w.WinAllocate(n, 1)
+			if err != nil {
+				return err
+			}
+			if err := win.Lock(1, true); err != nil {
+				if p.Rank() != 0 {
+					return nil
+				}
+				return err
+			}
+			if p.Rank() == 0 {
+				data := make([]byte, n)
+				before := p.Metrics()
+				if err := win.Put(data, n, Byte, 1, 0); err != nil {
 					return err
 				}
-				if err := win.Lock(1, true); err != nil {
-					if p.Rank() != 0 {
-						return nil
-					}
-					return err
+				after := p.Metrics()
+				if d := after.CopiesStaged.Msgs - before.CopiesStaged.Msgs; d != 0 {
+					return fmt.Errorf("zero-copy put staged %d copies", d)
 				}
-				if p.Rank() == 0 {
-					data := make([]byte, n)
-					before := p.Metrics()
-					if err := win.Put(data, n, Byte, 1, 0); err != nil {
-						return err
-					}
-					after := p.Metrics()
-					dStaged := after.CopiesStaged.Msgs - before.CopiesStaged.Msgs
-					dDirect := after.CopiesDirect.Msgs - before.CopiesDirect.Msgs
-					dBytes := after.CopiesDirect.Bytes - before.CopiesDirect.Bytes
-					if staged {
-						if dStaged == 0 {
-							return errors.New("staged mode performed no staging copies")
-						}
-					} else {
-						if dStaged != 0 {
-							return fmt.Errorf("zero-copy put staged %d copies", dStaged)
-						}
-						if dDirect != 1 || dBytes != n {
-							return fmt.Errorf("direct copies %d (%d bytes), want 1 (%d bytes)", dDirect, dBytes, n)
-						}
-					}
+				dDirect := after.CopiesDirect.Msgs - before.CopiesDirect.Msgs
+				dBytes := after.CopiesDirect.Bytes - before.CopiesDirect.Bytes
+				if dDirect != 1 || dBytes != n {
+					return fmt.Errorf("direct copies %d (%d bytes), want 1 (%d bytes)", dDirect, dBytes, n)
 				}
-				if err := win.Unlock(1); err != nil {
-					return err
-				}
-				if err := w.Barrier(); err != nil {
-					return err
-				}
-				return win.Free()
-			})
+			}
+			if err := win.Unlock(1); err != nil {
+				return err
+			}
+			if err := w.Barrier(); err != nil {
+				return err
+			}
+			return win.Free()
 		})
-	}
+	})
 }
 
 // TestLockAllChaosMultiOrigin is the acceptance chaos test: every rank
@@ -530,14 +515,21 @@ func TestPutOptFusedPath(t *testing.T) {
 	}
 }
 
-// rmaShmEcho pushes a size-byte pattern through an intra-node Put and
-// reads it back with an intra-node Get, returning what the origin read.
-// staged selects the RmaStagedShm ablation.
-func rmaShmEcho(size int, staged bool) ([]byte, error) {
-	got := make([]byte, size)
-	err := Run(2, Config{Device: "ch4", Fabric: "ofi", RanksPerNode: 2, RmaStagedShm: staged, ShmEagerMax: 4096}, func(p *Proc) error {
+// rmaEcho has rank 0 Put a size-byte pattern into rank 1's window,
+// Accumulate (MPI_SUM over bytes) a second pattern onto it and Get the
+// result back. On-node the window is shared memory: the put and get are
+// direct copies and the accumulate folds in place (RMWLocal); off-node
+// all three are fabric RDMA, the accumulate a NIC atomic (ep.RMW). It
+// returns what rank 0 read back and what rank 1's window holds.
+func rmaEcho(size int, onNode bool) (got, mem []byte, err error) {
+	rpn := 1
+	if onNode {
+		rpn = 2
+	}
+	got, mem = make([]byte, size), make([]byte, size)
+	err = Run(2, Config{Device: "ch4", Fabric: "ofi", RanksPerNode: rpn}, func(p *Proc) error {
 		w := p.World()
-		win, _, err := w.WinAllocate(size, 1)
+		win, wmem, err := w.WinAllocate(size, 1)
 		if err != nil {
 			return err
 		}
@@ -545,11 +537,17 @@ func rmaShmEcho(size int, staged bool) ([]byte, error) {
 			return err
 		}
 		if p.Rank() == 0 {
-			data := make([]byte, size)
+			data, add := make([]byte, size), make([]byte, size)
 			for i := range data {
-				data[i] = byte((i*31 + 7) % 251)
+				data[i], add[i] = byte((i*31+7)%251), byte(i*13+size)
 			}
 			if err := win.Put(data, size, Byte, 1, 0); err != nil {
+				return err
+			}
+			if err := win.Flush(1); err != nil {
+				return err
+			}
+			if err := win.Accumulate(add, size, Byte, 1, 0, OpSum); err != nil {
 				return err
 			}
 			if err := win.Flush(1); err != nil {
@@ -562,16 +560,21 @@ func rmaShmEcho(size int, staged bool) ([]byte, error) {
 		if err := win.FenceEnd(); err != nil {
 			return err
 		}
+		if p.Rank() == 1 {
+			copy(mem, wmem)
+		}
 		return win.Free()
 	})
-	return got, err
+	return got, mem, err
 }
 
-// FuzzRmaStagedZeroCopy differentially fuzzes the zero-copy and staged
-// intra-node RMA arms: for any size — seeds straddle ShmEagerMax and
-// cell boundaries — the bytes a Put deposits and a Get reads back must
-// be identical whichever cost model carried them.
-func FuzzRmaStagedZeroCopy(f *testing.F) {
+// FuzzRmaShmVsNet differentially fuzzes the two one-sided transports:
+// for any size — seeds straddle the shm cell size and the fabric's
+// eager limit — a Put, an Accumulate and a Get must leave the same
+// bytes in the window, and read the same bytes back, on-node (shared
+// window memory) as off-node (fabric RDMA), and both must equal the
+// pattern sum.
+func FuzzRmaShmVsNet(f *testing.F) {
 	f.Add(uint32(0))
 	f.Add(uint32(1))
 	f.Add(uint32(4095))
@@ -581,16 +584,21 @@ func FuzzRmaStagedZeroCopy(f *testing.F) {
 	f.Add(uint32(65536))
 	f.Fuzz(func(t *testing.T, size uint32) {
 		size %= 1 << 17
-		zero, err := rmaShmEcho(int(size), false)
+		shmGot, shmMem, err := rmaEcho(int(size), true)
 		if err != nil {
-			t.Fatalf("zero-copy run: %v", err)
+			t.Fatalf("on-node run: %v", err)
 		}
-		staged, err := rmaShmEcho(int(size), true)
+		netGot, netMem, err := rmaEcho(int(size), false)
 		if err != nil {
-			t.Fatalf("staged run: %v", err)
+			t.Fatalf("off-node run: %v", err)
 		}
-		if !bytes.Equal(zero, staged) {
-			t.Fatalf("size %d: zero-copy and staged shm RMA differ", size)
+		if !bytes.Equal(shmGot, netGot) || !bytes.Equal(shmMem, netMem) {
+			t.Fatalf("size %d: on-node and off-node RMA differ", size)
+		}
+		for i := range shmGot {
+			if want := byte((i*31+7)%251) + byte(i*13+int(size)); shmGot[i] != want || shmMem[i] != want {
+				t.Fatalf("size %d: byte %d read %d, window %d, want %d", size, i, shmGot[i], shmMem[i], want)
+			}
 		}
 	})
 }
