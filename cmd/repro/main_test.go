@@ -2,9 +2,42 @@ package main
 
 import (
 	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/*.golden from this build's output")
+
+// TestModelGolden holds the cost model's outputs byte for byte: the
+// instruction tables (Table 1, Figure 2, the Section 3 savings) and the
+// virtual-time message rates (Figures 3-6) must match testdata/*.golden.
+// A refactor of the model leaves them alone; a change that moves a
+// charge on purpose regenerates them with -update and says so.
+func TestModelGolden(t *testing.T) {
+	for _, row := range []string{"table1", "fig2", "savings", "proposals", "rates"} {
+		var out, stderr bytes.Buffer
+		if status := run([]string{row}, &out, &stderr); status != 0 {
+			t.Fatalf("repro %s: exit %d\n%s", row, status, &stderr)
+		}
+		path := filepath.Join("testdata", row+".golden")
+		if *update {
+			if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out.Bytes(), want) {
+			t.Errorf("repro %s differs from %s:\ngot:\n%s\nwant:\n%s", row, path, &out, want)
+		}
+	}
+}
 
 // rowFlags is every flag each row accepts, with small values: the flag
 // set its old single-purpose binary had.

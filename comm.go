@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"gompi/internal/comm"
-	"gompi/internal/core"
 	"gompi/internal/group"
 	"gompi/internal/instr"
 	"gompi/internal/nbc"
@@ -70,7 +69,7 @@ type CommOptions struct {
 
 // chargeCommCreate models the collective cost of communicator
 // creation: context-id agreement over a recursive-doubling round
-// structure, ceil(log2 n) rounds of CommCreateStepCost cycles each.
+// structure, ceil(log2 n) rounds of instr.CommCreateStep cycles each.
 // With sparse rank tables there is no O(n) per-rank table copy left to
 // charge — this logarithmic agreement is the whole creation cost.
 func (c *Comm) chargeCommCreate() {
@@ -78,7 +77,7 @@ func (c *Comm) chargeCommCreate() {
 	for s := 1; s < c.c.Size(); s <<= 1 {
 		steps++
 	}
-	c.p.rank.ChargeCycles(instr.Transport, steps*core.CommCreateStepCost)
+	c.p.rank.ChargeCycles(instr.Transport, steps*instr.CommCreateStep.Value())
 }
 
 // DupOpt duplicates the communicator with a fresh context and applies

@@ -276,6 +276,7 @@ type Proc struct {
 	rank  *proc.Rank
 	dev   core.Device
 	bc    core.Config
+	meter core.Meter
 	world *Comm
 	reg   *comm.Registry
 
@@ -447,7 +448,7 @@ func Run(n int, cfg Config, body func(p *Proc) error) error {
 			}
 		}()
 		defer mon.RankExited(r.ID())
-		p := &Proc{rank: r, dev: open(r), bc: bc, reg: reg,
+		p := &Proc{rank: r, dev: open(r), bc: bc, meter: core.NewMeter(r, bc), reg: reg,
 			eagerLimit: prof.EagerLimit, collAlgo: cfg.CollAlgorithm,
 			profiler: cfg.Profiler, teardown: teardown, dump: dumpWorld}
 		if cfg.Trace {
@@ -612,27 +613,25 @@ func (p *Proc) noteColl(algo, bytes int) {
 
 // chargeCall records the public MPI symbol's call-frame cost.
 func (p *Proc) chargeCall() {
-	if !p.bc.Inline {
-		p.rank.Charge(instr.Call, core.CallEntryCost)
-	}
+	p.meter.Charge(instr.Call, instr.CallEntry.Value())
 }
 
 // chargeThread performs the runtime thread-level check (and the real
 // critical section under MPI_THREAD_MULTIPLE). Returns an unlock
 // function (no-op when single-threaded).
 func (p *Proc) chargeThread(c *comm.Comm, win bool) func() {
-	if !p.bc.ThreadCheck {
+	if !p.bc.Pays(instr.ThreadCheck, false) {
 		return func() {}
 	}
-	cost := int64(core.ThreadCheckCost)
+	cost := instr.ThreadLevel.Value()
 	if win {
-		cost = core.ThreadCheckWinCost
+		cost = instr.ThreadLevelWin.Value()
 	}
 	p.rank.Charge(instr.ThreadCheck, cost)
 	if !p.bc.ThreadMultiple || c == nil {
 		return func() {}
 	}
-	p.rank.Charge(instr.ThreadCheck, instr.CostLockUnlock)
+	p.rank.Charge(instr.ThreadCheck, instr.ThreadLock.Value())
 	c.Lock.Lock()
 	return c.Unlock
 }

@@ -18,7 +18,6 @@ import (
 
 	"gompi/internal/comm"
 	"gompi/internal/core"
-	"gompi/internal/datatype"
 	"gompi/internal/fabric"
 	"gompi/internal/instr"
 	"gompi/internal/match"
@@ -28,64 +27,6 @@ import (
 	"gompi/internal/shm"
 	"gompi/internal/stall"
 	"gompi/internal/vtime"
-)
-
-// Mandatory-overhead charge constants (Table 1 row 5, Section 3). Each
-// figure is the instruction count of the code structure it annotates;
-// the Section 3 proposals eliminate them one by one.
-const (
-	// costProcNull is the MPI_PROC_NULL comparison and branch every
-	// communication call pays (Section 3.4: ~3 instructions).
-	costProcNull = 3
-	// costCommDeref is the dereference into the dynamically allocated
-	// communicator object for context id and tables (Section 3.3: 8).
-	costCommDeref = 8
-	// costCommPredef is the constant-indexed global-array load that
-	// replaces it under the predefined-handle proposal.
-	costCommPredef = 1
-	// costRankTranslate is the compressed rank-to-network-address
-	// lookup (Section 3.1: ~11 instructions with the memory-scalable
-	// representation of [22]).
-	costRankTranslate = 11
-	// costRankTranslateDense is the plain O(P)-table lookup: two
-	// instructions plus the dereference (the ablation comparison).
-	costRankTranslateDense = 2 + instr.CostDeref
-	// costMatchBits builds the (context|source|tag) match word
-	// (Section 3.6: 5).
-	costMatchBits = 5
-	// costMatchBitsNoMatch is the single context load that remains
-	// under the no-match proposal.
-	costMatchBitsNoMatch = 1
-	// costRequestAlloc allocates and initializes a request object from
-	// the rank's pool (Section 3.5).
-	costRequestAlloc = 13
-	// costCounter is the counter increment replacing it under the
-	// no-request proposal (~3 instructions, as the paper estimates).
-	costCounter = 3
-	// costLocality is the ch4-core self/shm/netmod dispatch.
-	costLocality = 4
-	// costNetmodPrep translates MPI-level parameters into the netmod
-	// descriptor (endpoint lookup, remote address, completion slot).
-	costNetmodPrep = 15
-	// costShmPrep is the cheaper shmmod descriptor setup.
-	costShmPrep = 10
-	// costSelfLoop is the ch4-core self-send shortcut.
-	costSelfLoop = 6
-	// costRecvPost readies the matching-unit receive descriptor.
-	costRecvPost = 12
-)
-
-// Redundant-runtime-check charge constants (Table 1 row 4, Section
-// 2.2): work the compiler folds away once the MPI call is inlined and
-// the datatype is a compile-time constant. The no-err-single-ipo build
-// charges none of these.
-const (
-	costRedundantMarshal  = 16 // generic ADI parameter struct fill
-	costRedundantReload   = 8  // device-side reload of those params
-	costRedundantDatatype = 14 // datatype size/contiguity re-derivation
-	costRedundantBufAddr  = 9  // buffer address and alignment compute
-	costRedundantComplete = 12 // completion-mode genericity checks
-	costRedundantWinKind  = 15 // static/dynamic window-kind genericity
 )
 
 // AM handler ids used by the ch4 core fallback.
@@ -167,11 +108,12 @@ func (g *Global) DumpState(w io.Writer) {
 
 // Device is one rank's ch4 instance.
 type Device struct {
-	g    *Global
-	rank *proc.Rank
-	ep   *fabric.Endpoint
-	cfg  core.Config
-	pool request.Pool
+	g     *Global
+	rank  *proc.Rank
+	ep    *fabric.Endpoint
+	cfg   core.Config
+	meter core.Meter
+	pool  request.Pool
 
 	// Receive-descriptor freelist: every receive's RecvOp and its
 	// completion closures are recycled instead of reallocated, so
@@ -197,7 +139,7 @@ type Device struct {
 // Open attaches rank to the device. Must be called on the rank's own
 // goroutine before its StartBarrier.
 func (g *Global) Open(r *proc.Rank) *Device {
-	d := &Device{g: g, rank: r, ep: g.Fab.Endpoint(r.ID()), cfg: g.Cfg}
+	d := &Device{g: g, rank: r, ep: g.Fab.Endpoint(r.ID()), cfg: g.Cfg, meter: core.NewMeter(r, g.Cfg)}
 	d.pool.Metrics = r.Metrics()
 	if g.Cfg.ThreadMultiple {
 		d.pool.Share()
@@ -277,44 +219,11 @@ func (d *Device) waitUntil(pred func() bool) {
 	}
 }
 
-// charge records n instructions in cat on the owning rank.
-func (d *Device) charge(cat instr.Category, n int64) { d.rank.Charge(cat, n) }
+// cost is the device's column of the cost table.
+func cost(c instr.Cost) int64 { return instr.Table[c].CH4 }
 
-// chargeDispatch records the ADI dispatch call overhead (the device's
-// share of Table 1's "MPI function call" row) unless the build is
-// inlined.
-func (d *Device) chargeDispatch(n int64) {
-	if !d.cfg.Inline {
-		d.charge(instr.Call, n)
-	}
-}
-
-// Call-dispatch costs of the ch4 entry points: together with the
-// 17-instruction public entry they form the paper's 23 (Isend) and 25
-// (Put) function-call figures.
-const (
-	costDispatchPt2pt = 6
-	costDispatchRMA   = 8
-)
-
-// chargeRedundant records redundant-runtime-check instructions unless
-// the build is inlined (Section 2.2: inlining folds them into
-// compile-time constants).
-func (d *Device) chargeRedundant(n int64) {
-	if !d.cfg.Inline {
-		d.charge(instr.Redundant, n)
-	}
-}
-
-// chargeRedundantType records the datatype re-derivation cost. It
-// survives link-time inlining for "class 3" types (Section 2.2):
-// predefined types reached through runtime variables stay opaque to
-// the compiler unless the whole application is inlined.
-func (d *Device) chargeRedundantType(dt *datatype.Type, n int64) {
-	if !d.cfg.Inline || dt.RuntimeMapped() {
-		d.charge(instr.Redundant, n)
-	}
-}
+// charge records n instructions in cat under the build's removal rules.
+func (d *Device) charge(cat instr.Category, n int64) { d.meter.Charge(cat, n) }
 
 // sendVCI picks the virtual interface a send on c travels: a hinted
 // communicator owns a private interface keyed by its context pair;
@@ -332,16 +241,18 @@ func (d *Device) sendVCI(c *comm.Comm, bits match.Bits) int {
 // recvVCI picks the interface a receive searches. A hinted
 // communicator's receives — even its remaining legal wildcard — live
 // on the private interface, so they never pay the cross-VCI walk.
-// No-match receives ride the same (ctx, 0, 0) hash their senders use.
-// Anything else with an exact context+tag hashes like a send; a true
-// wildcard falls back to AnyVCI.
-func (d *Device) recvVCI(c *comm.Comm, bits, mask match.Bits) int {
+// No-match receives (noMatch, or a communicator asserting no match
+// bits) ride the same (ctx, 0, 0) hash their senders use. Anything else
+// with an exact context+tag hashes like a send; a true wildcard —
+// MPI_ANY_TAG, with or without MPI_ANY_SOURCE — falls back to AnyVCI,
+// the one operation that searches every lane. The no-match decision is
+// passed, never read off the mask: a both-wildcard mask and a no-match
+// mask are the same bits.
+func (d *Device) recvVCI(c *comm.Comm, bits, mask match.Bits, noMatch bool) int {
 	switch {
 	case c.Hints.Pinned():
 		return d.g.Fab.VCIForCtx(bits.Context())
-	case mask == match.NoMatchMask:
-		return d.g.Fab.VCIFor(bits)
-	case mask.ExactCtxTag():
+	case noMatch || c.AssertNoMatch || mask.ExactCtxTag():
 		return d.g.Fab.VCIFor(bits)
 	default:
 		return fabric.AnyVCI
@@ -355,7 +266,7 @@ func (d *Device) recvVCI(c *comm.Comm, bits, mask match.Bits) int {
 func (d *Device) VCIOf(c *comm.Comm, tag int, recv bool) int {
 	if recv {
 		bits, mask := match.RecvBits(c.Ctx, 0, tag)
-		return d.recvVCI(c, bits, mask)
+		return d.recvVCI(c, bits, mask, false)
 	}
 	return d.sendVCI(c, match.MakeBits(c.Ctx, c.MyRank, tag))
 }
@@ -364,9 +275,9 @@ func (d *Device) VCIOf(c *comm.Comm, tag int, recv bool) int {
 // charging by table representation.
 func (d *Device) translateRank(c *comm.Comm, rank int) (int, error) {
 	if c.Table.Kind() == comm.TableDense {
-		d.charge(instr.Mandatory, costRankTranslateDense)
+		d.charge(instr.Mandatory, cost(instr.RankTranslateDense))
 	} else {
-		d.charge(instr.Mandatory, costRankTranslate)
+		d.charge(instr.Mandatory, cost(instr.RankTranslate))
 	}
 	return c.WorldRank(rank)
 }

@@ -459,11 +459,11 @@ func TestProposalSavings(t *testing.T) {
 			flag core.OpFlags
 			save int64
 		}{
-			{"glob_rank", core.FlagGlobalRank, costRankTranslate},
-			{"predef_comm", core.FlagPredefComm, costCommDeref - costCommPredef},
-			{"no_proc_null", core.FlagNoProcNull, costProcNull},
-			{"no_req", core.FlagNoReq, costRequestAlloc - costCounter},
-			{"no_match", core.FlagNoMatch, costMatchBits - costMatchBitsNoMatch},
+			{"glob_rank", core.FlagGlobalRank, cost(instr.RankTranslate)},
+			{"predef_comm", core.FlagPredefComm, cost(instr.CommDeref) - cost(instr.CommPredef)},
+			{"no_proc_null", core.FlagNoProcNull, cost(instr.ProcNull)},
+			{"no_req", core.FlagNoReq, cost(instr.Request) - cost(instr.Counter)},
+			{"no_match", core.FlagNoMatch, cost(instr.MatchBits) - cost(instr.MatchBitsNoMatch)},
 		}
 		for _, c := range cases {
 			got := measure(e, c.flag, 1)
@@ -495,7 +495,7 @@ func TestDenseTableTranslationCheaper(t *testing.T) {
 			}
 			req.Free()
 			dense := e.d.Rank().Profile().Delta(snap).Count(instr.Mandatory)
-			if dense != 59-costRankTranslate+costRankTranslateDense {
+			if dense != 59-cost(instr.RankTranslate)+cost(instr.RankTranslateDense) {
 				return fmt.Errorf("dense mandatory = %d", dense)
 			}
 		}

@@ -41,14 +41,14 @@ func (d *Device) IsendNoCopy(buf []byte, dest, tag int, c *comm.Comm) (*request.
 		world == d.rank.ID() || !d.g.World.SameNode(world, d.rank.ID()) {
 		return nil, false, nil
 	}
-	d.chargeDispatch(costDispatchPt2pt)
+	d.charge(instr.Call, cost(instr.Dispatch))
 	issued := d.rank.Now()
-	d.charge(instr.Mandatory, costCommDeref+costMatchBits)
+	d.charge(instr.Mandatory, cost(instr.CommDeref)+cost(instr.MatchBits))
 	bits := match.MakeBits(c.Ctx, c.MyRank, tag)
 	// The checks above leave inject one branch, the on-node handoff,
 	// which always lends.
 	b := d.inject(world, bits, buf, d.sendVCI(c, bits), true)
-	d.charge(instr.Mandatory, costRequestAlloc)
+	d.charge(instr.Mandatory, cost(instr.Request))
 	return d.sendRequest(b, issued), true, nil
 }
 
@@ -69,13 +69,13 @@ func (d *Device) IsendNoCopy(buf []byte, dest, tag int, c *comm.Comm) (*request.
 func (d *Device) IrecvReduce(acc []byte, src, tag int, c *comm.Comm,
 	fold func(dst, incoming []byte)) (*request.Request, error) {
 
-	d.chargeDispatch(costDispatchPt2pt)
-	d.charge(instr.Mandatory, costCommDeref+costMatchBits)
+	d.charge(instr.Call, cost(instr.Dispatch))
+	d.charge(instr.Mandatory, cost(instr.CommDeref)+cost(instr.MatchBits))
 	bits := match.MakeBits(c.Ctx, src, tag)
 	mask := match.RecvMask(false, false)
 
 	b := d.getRecvBox()
 	b.op.Buf, b.op.Fold = acc, fold
-	d.charge(instr.Mandatory, costRecvPost+costRequestAlloc)
-	return d.postBox(b, bits, mask, d.recvVCI(c, bits, mask)), nil
+	d.charge(instr.Mandatory, cost(instr.RecvPost)+cost(instr.Request))
+	return d.postBox(b, bits, mask, d.recvVCI(c, bits, mask, false)), nil
 }

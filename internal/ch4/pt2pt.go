@@ -20,13 +20,13 @@ import (
 func (d *Device) Isend(buf []byte, count int, dt *datatype.Type, dest, tag int,
 	c *comm.Comm, flags core.OpFlags) (*request.Request, error) {
 
-	d.chargeDispatch(costDispatchPt2pt)
+	d.charge(instr.Call, cost(instr.Dispatch))
 	issued := d.rank.Now()
 
 	// MPI_PROC_NULL handling (Section 3.4): a comparison and branch
 	// every send pays unless the caller promised not to use it.
 	if !flags.Has(core.FlagNoProcNull) {
-		d.charge(instr.Mandatory, costProcNull)
+		d.charge(instr.Mandatory, cost(instr.ProcNull))
 		if dest == core.ProcNull {
 			return d.completedRequest(flags, c, request.Kind(request.KindSend)), nil
 		}
@@ -34,9 +34,9 @@ func (d *Device) Isend(buf []byte, count int, dt *datatype.Type, dest, tag int,
 
 	// Communicator object reference (Section 3.3).
 	if flags.Has(core.FlagPredefComm) {
-		d.charge(instr.Mandatory, costCommPredef)
+		d.charge(instr.Mandatory, cost(instr.CommPredef))
 	} else {
-		d.charge(instr.Mandatory, costCommDeref)
+		d.charge(instr.Mandatory, cost(instr.CommDeref))
 	}
 	ctx := c.Ctx
 
@@ -53,19 +53,19 @@ func (d *Device) Isend(buf []byte, count int, dt *datatype.Type, dest, tag int,
 	}
 
 	// Datatype resolution (Section 2.2 redundant checks).
-	d.chargeRedundant(costRedundantMarshal + costRedundantReload)
+	d.charge(instr.Redundant, cost(instr.RedundantMarshal)+cost(instr.RedundantReload))
 	data, err := d.sendBytes(buf, count, dt)
 	if err != nil {
 		return nil, err
 	}
 
-	// Match-bits construction (Section 3.6). The costMatchBits charge
+	// Match-bits construction (Section 3.6). The MatchBits charge
 	// includes the branch that dispatches between the full path, the
 	// dedicated no-match function, and the info-hint special case.
 	var bits match.Bits
 	switch {
 	case flags.Has(core.FlagNoMatch):
-		d.charge(instr.Mandatory, costMatchBitsNoMatch)
+		d.charge(instr.Mandatory, cost(instr.MatchBitsNoMatch))
 		bits = match.MakeBits(ctx, 0, 0)
 	case c.AssertNoMatch:
 		// The Section 3.6 *alternative*: an info hint instead of a new
@@ -75,13 +75,13 @@ func (d *Device) Isend(buf []byte, count int, dt *datatype.Type, dest, tag int,
 		// communicator reference already collapsed to a predefined
 		// global (Section 3.3), exactly as the paper analyzes.
 		if flags.Has(core.FlagPredefComm) {
-			d.charge(instr.Mandatory, costMatchBitsNoMatch+2)
+			d.charge(instr.Mandatory, cost(instr.MatchBitsHintPredef))
 		} else {
-			d.charge(instr.Mandatory, costMatchBitsNoMatch+2+instr.CostDeref)
+			d.charge(instr.Mandatory, cost(instr.MatchBitsHint))
 		}
 		bits = match.MakeBits(ctx, 0, 0)
 	default:
-		d.charge(instr.Mandatory, costMatchBits)
+		d.charge(instr.Mandatory, cost(instr.MatchBits))
 		bits = match.MakeBits(ctx, c.MyRank, tag)
 	}
 
@@ -92,13 +92,13 @@ func (d *Device) Isend(buf []byte, count int, dt *datatype.Type, dest, tag int,
 	b := d.inject(world, bits, data, d.sendVCI(c, bits), !flags.Has(core.FlagNoReq))
 
 	// Completion (Section 3.5): request object or counter.
-	d.chargeRedundant(costRedundantComplete)
+	d.charge(instr.Redundant, cost(instr.RedundantComplete))
 	if b != nil {
 		// The buffer is lent to the receiver (shm handoff or netmod
 		// rendezvous), so the send completes only when the receiver has
 		// consumed it — MPI standard mode. The request carries that
 		// obligation.
-		d.charge(instr.Mandatory, costRequestAlloc)
+		d.charge(instr.Mandatory, cost(instr.Request))
 		return d.sendRequest(b, issued), nil
 	}
 	r := d.completedRequest(flags, c, request.KindSend)
@@ -117,8 +117,8 @@ func (d *Device) Isend(buf []byte, count int, dt *datatype.Type, dest, tag int,
 // bytes: a zero-copy view for contiguous layouts (the fast path) or a
 // pack for derived ones (charged as real pack work).
 func (d *Device) sendBytes(buf []byte, count int, dt *datatype.Type) ([]byte, error) {
-	d.chargeRedundantType(dt, costRedundantDatatype)
-	d.chargeRedundant(costRedundantBufAddr)
+	d.meter.ChargeType(dt, cost(instr.RedundantDatatype))
+	d.charge(instr.Redundant, cost(instr.RedundantBufAddr))
 	if view, ok := datatype.ContigView(dt, count, buf); ok {
 		return view, nil
 	}
@@ -129,7 +129,7 @@ func (d *Device) sendBytes(buf []byte, count int, dt *datatype.Type) ([]byte, er
 	}
 	// Pack is real per-byte work the fast path never does; it stays in
 	// the instruction count so derived-type sends are visibly dearer.
-	d.charge(instr.Mandatory, int64(10+n/2))
+	d.charge(instr.Mandatory, instr.PackCost(n))
 	return packed, nil
 }
 
@@ -143,13 +143,13 @@ func (d *Device) sendBytes(buf []byte, count int, dt *datatype.Type) ([]byte, er
 // obligation. nil means data is captured (self, eager, staged) or
 // already consumed by a posted receive: the buffer is free.
 func (d *Device) inject(world int, bits match.Bits, data []byte, vci int, lend bool) *sendBox {
-	d.charge(instr.Mandatory, costLocality)
+	d.charge(instr.Mandatory, cost(instr.Locality))
 	switch {
 	case world == d.rank.ID():
-		d.charge(instr.Mandatory, costSelfLoop)
+		d.charge(instr.Mandatory, cost(instr.SelfLoop))
 		d.ep.DepositSelfVCI(bits, world, data, d.rank.Now(), vci)
 	case d.g.Shm != nil && d.g.World.SameNode(world, d.rank.ID()):
-		d.charge(instr.Mandatory, costShmPrep)
+		d.charge(instr.Mandatory, cost(instr.ShmPrep))
 		if !lend {
 			d.g.Shm.SendStagedVCI(d.rank.ID(), world, bits, data, vci)
 		} else if h := d.g.Shm.SendVCI(d.rank.ID(), world, bits, data, vci); h != nil {
@@ -158,7 +158,7 @@ func (d *Device) inject(world int, bits match.Bits, data []byte, vci int, lend b
 			return b
 		}
 	default:
-		d.charge(instr.Mandatory, costNetmodPrep)
+		d.charge(instr.Mandatory, cost(instr.NetmodPrep))
 		if !lend || !d.g.Fab.Rendezvous(len(data)) {
 			d.ep.TaggedSendVCI(world, bits, data, vci, nil)
 			break
@@ -276,12 +276,12 @@ func (d *Device) finishSend(b *sendBox, r *request.Request) {
 // request object or, under the no-request proposal, a counter bump.
 func (d *Device) completedRequest(flags core.OpFlags, c *comm.Comm, kind request.Kind) *request.Request {
 	if flags.Has(core.FlagNoReq) {
-		d.charge(instr.Mandatory, costCounter)
+		d.charge(instr.Mandatory, cost(instr.Counter))
 		c.NoReq.Add()
 		c.NoReq.Done() // eager injection: locally complete already
 		return nil
 	}
-	d.charge(instr.Mandatory, costRequestAlloc)
+	d.charge(instr.Mandatory, cost(instr.Request))
 	r := d.pool.Get(kind)
 	r.MarkComplete(request.Status{})
 	return r
@@ -295,16 +295,16 @@ func (d *Device) completedRequest(flags core.OpFlags, c *comm.Comm, kind request
 // case).
 func (d *Device) IsendAllOpts(buf []byte, worldDest int, c *comm.Comm) error {
 	// Context from the predefined-comm global: 1 load.
-	d.charge(instr.Mandatory, costCommPredef)
+	d.charge(instr.Mandatory, cost(instr.CommPredef))
 	bits := match.MakeBits(c.Ctx, 0, 0) // arrival-order bits: 1 load
-	d.charge(instr.Mandatory, costMatchBitsNoMatch)
+	d.charge(instr.Mandatory, cost(instr.MatchBitsNoMatch))
 	// Counter completion: ~3 instructions.
-	d.charge(instr.Mandatory, costCounter)
+	d.charge(instr.Mandatory, cost(instr.Counter))
 	c.NoReq.Add()
 	c.NoReq.Done()
 	// Buffer address + length registers: 2; fused netmod descriptor
 	// write and doorbell: 9.
-	d.charge(instr.Mandatory, 2+9)
+	d.charge(instr.Mandatory, cost(instr.AllOptsInject))
 	d.ep.TaggedSendVCI(worldDest, bits, buf, d.sendVCI(c, bits), nil)
 	return nil
 }
@@ -314,10 +314,10 @@ func (d *Device) IsendAllOpts(buf []byte, worldDest int, c *comm.Comm) error {
 func (d *Device) Irecv(buf []byte, count int, dt *datatype.Type, src, tag int,
 	c *comm.Comm, flags core.OpFlags) (*request.Request, error) {
 
-	d.chargeDispatch(costDispatchPt2pt)
+	d.charge(instr.Call, cost(instr.Dispatch))
 
 	if !flags.Has(core.FlagNoProcNull) {
-		d.charge(instr.Mandatory, costProcNull)
+		d.charge(instr.Mandatory, cost(instr.ProcNull))
 		if src == core.ProcNull {
 			r := d.pool.Get(request.KindRecv)
 			r.MarkComplete(request.Status{Source: core.ProcNull, Tag: core.AnyTag})
@@ -326,9 +326,9 @@ func (d *Device) Irecv(buf []byte, count int, dt *datatype.Type, src, tag int,
 	}
 
 	if flags.Has(core.FlagPredefComm) {
-		d.charge(instr.Mandatory, costCommPredef)
+		d.charge(instr.Mandatory, cost(instr.CommPredef))
 	} else {
-		d.charge(instr.Mandatory, costCommDeref)
+		d.charge(instr.Mandatory, cost(instr.CommDeref))
 	}
 
 	// Build the match bits and wildcard mask. Receives match on the
@@ -337,16 +337,17 @@ func (d *Device) Irecv(buf []byte, count int, dt *datatype.Type, src, tag int,
 	var bits, mask match.Bits
 	switch {
 	case flags.Has(core.FlagNoMatch):
-		d.charge(instr.Mandatory, costMatchBitsNoMatch)
+		d.charge(instr.Mandatory, cost(instr.MatchBitsNoMatch))
 		bits = match.MakeBits(c.Ctx, 0, 0)
 		mask = match.NoMatchMask
 	default:
-		d.charge(instr.Mandatory, costMatchBits)
+		d.charge(instr.Mandatory, cost(instr.MatchBits))
 		bits, mask = match.RecvBits(c.Ctx, src, tag)
 	}
 
-	d.chargeRedundant(costRedundantMarshal + costRedundantReload + costRedundantBufAddr)
-	d.chargeRedundantType(dt, costRedundantDatatype)
+	d.charge(instr.Redundant, cost(instr.RedundantMarshal)+cost(instr.RedundantReload)+
+		cost(instr.RedundantBufAddr))
+	d.meter.ChargeType(dt, cost(instr.RedundantDatatype))
 
 	// Contiguous receives land in the user buffer; derived layouts
 	// receive into a bounce buffer that completion unpacks.
@@ -357,8 +358,8 @@ func (d *Device) Irecv(buf []byte, count int, dt *datatype.Type, src, tag int,
 		b.op.Buf = make([]byte, datatype.PackedSize(dt, count))
 		b.unpack = &unpackTo{buf, dt, count}
 	}
-	d.charge(instr.Mandatory, costRecvPost+costRequestAlloc)
-	return d.postBox(b, bits, mask, d.recvVCI(c, bits, mask)), nil
+	d.charge(instr.Mandatory, cost(instr.RecvPost)+cost(instr.Request))
+	return d.postBox(b, bits, mask, d.recvVCI(c, bits, mask, flags.Has(core.FlagNoMatch))), nil
 }
 
 // recvBox is the device's one receive descriptor: a RecvOp with
@@ -429,7 +430,7 @@ func (d *Device) finishBox(b *recvBox, r *request.Request) {
 			d.putRecvBox(b)
 			return
 		}
-		d.charge(instr.Mandatory, int64(10+b.op.N/2))
+		d.charge(instr.Mandatory, instr.PackCost(b.op.N))
 	}
 	// Request lifetime: post → completion on the owner's clock (the
 	// reap already folded the message's arrival into it).
@@ -488,7 +489,7 @@ func (d *Device) waitRecv(op *fabric.RecvOp) {
 func (d *Device) Iprobe(src, tag int, c *comm.Comm) (request.Status, bool, error) {
 	d.Progress()
 	bits, mask := match.RecvBits(c.Ctx, src, tag)
-	psrc, ptag, size, ok := d.ep.ProbeVCI(bits, mask, d.recvVCI(c, bits, mask))
+	psrc, ptag, size, ok := d.ep.ProbeVCI(bits, mask, d.recvVCI(c, bits, mask, false))
 	if !ok {
 		return request.Status{}, false, nil
 	}
@@ -500,7 +501,7 @@ func (d *Device) Iprobe(src, tag int, c *comm.Comm) (request.Status, bool, error
 func (d *Device) Improbe(src, tag int, c *comm.Comm) ([]byte, request.Status, vtime.Time, bool, error) {
 	d.Progress()
 	bits, mask := match.RecvBits(c.Ctx, src, tag)
-	psrc, ptag, data, arrival, ok := d.ep.MProbeVCI(bits, mask, d.recvVCI(c, bits, mask))
+	psrc, ptag, data, arrival, ok := d.ep.MProbeVCI(bits, mask, d.recvVCI(c, bits, mask, false))
 	if !ok {
 		return nil, request.Status{}, 0, false, nil
 	}
@@ -511,7 +512,7 @@ func (d *Device) Improbe(src, tag int, c *comm.Comm) ([]byte, request.Status, vt
 // (the MPI_COMM_WAITALL proposal). Eager injection means sends are
 // locally complete at issue; the wait is a counter check plus progress.
 func (d *Device) CommWaitall(c *comm.Comm) error {
-	d.charge(instr.Mandatory, costCounter)
+	d.charge(instr.Mandatory, cost(instr.Counter))
 	if c.NoReq.Pending() == 0 {
 		return nil
 	}

@@ -55,9 +55,10 @@ func recvCost(t *testing.T, vcis int, send func(e *env) error, recv func(e *env)
 // completion, on an unexpected 8-byte (3 for the derived type) OFI
 // message: the contiguous exact receive, the three wildcards, a derived
 // type (which adds its 10+n/2 unpack), MPI_ANY_SOURCE on 4 VCIs (its
-// exact tag still names one lane) and MPI_ANY_TAG on 4 VCIs (replicated
-// into every lane), and the fold receive; and what a lent on-node
-// IsendNoCopy charges at the call.
+// exact tag still names one lane), MPI_ANY_TAG on 4 VCIs (replicated
+// into every lane) and both wildcards on 4 VCIs (replicated too: unlike
+// a no-match receive, it searches every lane), and the fold receive;
+// and what a lent on-node IsendNoCopy charges at the call.
 func TestRecvChargeTable(t *testing.T) {
 	vec, _ := datatype.NewVector(3, 1, 2, datatype.Byte)
 	if err := vec.Commit(); err != nil {
@@ -91,6 +92,7 @@ func TestRecvChargeTable(t *testing.T) {
 		{"irecv/derived", 1, sendWith(3, 0), irecv(1, vec, 0, 7, 0), recvCharge{6, 47, 52, 106}},
 		{"irecv/anysource-4vci", 4, sendWith(8, 0), irecv(8, datatype.Byte, core.AnySource, 7, 0), recvCharge{6, 47, 41, 102}},
 		{"irecv/anytag-4vci", 4, sendWith(8, 0), irecv(8, datatype.Byte, 0, core.AnyTag, 0), recvCharge{6, 47, 41, 118}},
+		{"irecv/anysource-anytag-4vci", 4, sendWith(8, 0), irecv(8, datatype.Byte, core.AnySource, core.AnyTag, 0), recvCharge{6, 47, 41, 102}},
 		{"irecvreduce", 1, sendWith(8, 0), func(e *env) (*request.Request, error) {
 			return e.d.IrecvReduce(make([]byte, 8), 0, 7, e.c, func(dst, in []byte) {
 				for i := range dst {

@@ -17,30 +17,6 @@ import (
 	"gompi/internal/vtime"
 )
 
-// Mandatory-overhead charges on the one-sided fast path (Table 1,
-// MPI_PUT column).
-const (
-	costWinDeref     = 8 // dereference into the window object
-	costOffsetXlate  = 4 // base lookup + displacement-unit scaling (§3.2)
-	costVirtAddr     = 1 // the virtual-address fast path's single load
-	costEpochTrack   = 6 // outstanding-op accounting for flush semantics
-	costRDMADescPrep = 8 // RDMA descriptor preparation
-	costAMFallback   = 30
-	costLockProto    = 24 // passive-target lock protocol round trip
-	costFlushProto   = 12
-	// costFlushLocal: local completion is a bookkeeping check — origin
-	// buffers are reusable at issue on this device (RDMA copies at
-	// injection, the AM fallback packs), so FLUSH_LOCAL pays no wire
-	// round trip. The cheap half of the flush split foMPI exploits.
-	costFlushLocal = 4
-	// costPutAllOpts is the fused one-sided path's total mandatory
-	// charge: window handle load (2), epoch-counter bump (2),
-	// displacement scale (2), locality branch (2), fused descriptor
-	// build + doorbell write (8) — the Section 3.7 treatment applied
-	// to MPI_PUT.
-	costPutAllOpts = 16
-)
-
 // winInfo is the per-rank record exchanged during window creation.
 type winInfo struct {
 	key, size, dispUnit int
@@ -130,7 +106,7 @@ func (d *Device) resolveTarget(target, disp, nbytes int, w *rma.Win, flags core.
 		// Virtual-address path: no displacement-unit scaling, no base
 		// dereference — a single register use (§3.2 proposal; dynamic
 		// windows already carry addresses).
-		d.charge(instr.Mandatory, costVirtAddr)
+		d.charge(instr.Mandatory, cost(instr.VirtAddr))
 		va := rma.VAddr(disp)
 		if w.Shared.Dynamic {
 			return world, va.DynKey(), va.DynOff(), nil
@@ -140,7 +116,7 @@ func (d *Device) resolveTarget(target, disp, nbytes int, w *rma.Win, flags core.
 		}
 		return world, w.Shared.Keys[target], int(va), nil
 	}
-	d.charge(instr.Mandatory, costOffsetXlate)
+	d.charge(instr.Mandatory, cost(instr.OffsetXlate))
 	off, err = w.TargetOffset(target, disp, nbytes)
 	if err != nil {
 		return 0, 0, 0, err
@@ -155,35 +131,36 @@ func (d *Device) Put(origin []byte, count int, dt *datatype.Type, target, disp i
 	w *rma.Win, flags core.OpFlags) error {
 
 	d.rank.Metrics().NoteRmaPut()
-	d.chargeDispatch(costDispatchRMA)
+	d.charge(instr.Call, cost(instr.DispatchRMA))
 
 	if !flags.Has(core.FlagNoProcNull) {
-		d.charge(instr.Mandatory, costProcNull)
+		d.charge(instr.Mandatory, cost(instr.ProcNull))
 		if target == core.ProcNull {
 			return nil
 		}
 	}
-	d.charge(instr.Mandatory, costWinDeref+costEpochTrack)
-	d.chargeRedundant(costRedundantMarshal + costRedundantReload + costRedundantBufAddr + costRedundantWinKind)
-	d.chargeRedundantType(dt, costRedundantDatatype)
+	d.charge(instr.Mandatory, cost(instr.WinDeref)+cost(instr.EpochTrack))
+	d.charge(instr.Redundant, cost(instr.RedundantMarshal)+cost(instr.RedundantReload)+
+		cost(instr.RedundantBufAddr)+cost(instr.RedundantRMA))
+	d.meter.ChargeType(dt, cost(instr.RedundantDatatype))
 
 	nbytes := datatype.PackedSize(dt, count)
 	world, key, off, err := d.resolveTarget(target, disp, nbytes, w, flags)
 	if err != nil {
 		return errString("put", err)
 	}
-	d.charge(instr.Mandatory, costLocality)
+	d.charge(instr.Mandatory, cost(instr.Locality))
 	d.rank.Metrics().Flight.Record(flight.RmaPut, int64(d.rank.Now()), world, nbytes, -1)
 
 	if view, ok := datatype.ContigView(dt, count, origin); ok {
 		if d.shmWindowLocal(world) && !w.Shared.Dynamic {
-			d.charge(instr.Mandatory, costShmPrep)
+			d.charge(instr.Mandatory, cost(instr.ShmPrep))
 			d.chargeShmCopy(len(view))
 			d.g.Fab.PutLocal(world, key, off, view, d.rank.Now())
 			return nil
 		}
 		// Native netmod fast path: one RDMA write.
-		d.charge(instr.Mandatory, costRDMADescPrep)
+		d.charge(instr.Mandatory, cost(instr.RDMADesc))
 		d.ep.Put(world, key, off, view)
 		return nil
 	}
@@ -217,34 +194,35 @@ func (d *Device) Get(origin []byte, count int, dt *datatype.Type, target, disp i
 	w *rma.Win, flags core.OpFlags) error {
 
 	d.rank.Metrics().NoteRmaGet()
-	d.chargeDispatch(costDispatchRMA)
+	d.charge(instr.Call, cost(instr.DispatchRMA))
 
 	if !flags.Has(core.FlagNoProcNull) {
-		d.charge(instr.Mandatory, costProcNull)
+		d.charge(instr.Mandatory, cost(instr.ProcNull))
 		if target == core.ProcNull {
 			return nil
 		}
 	}
-	d.charge(instr.Mandatory, costWinDeref+costEpochTrack)
-	d.chargeRedundant(costRedundantMarshal + costRedundantReload + costRedundantBufAddr + costRedundantWinKind)
-	d.chargeRedundantType(dt, costRedundantDatatype)
+	d.charge(instr.Mandatory, cost(instr.WinDeref)+cost(instr.EpochTrack))
+	d.charge(instr.Redundant, cost(instr.RedundantMarshal)+cost(instr.RedundantReload)+
+		cost(instr.RedundantBufAddr)+cost(instr.RedundantRMA))
+	d.meter.ChargeType(dt, cost(instr.RedundantDatatype))
 
 	nbytes := datatype.PackedSize(dt, count)
 	world, key, off, err := d.resolveTarget(target, disp, nbytes, w, flags)
 	if err != nil {
 		return errString("get", err)
 	}
-	d.charge(instr.Mandatory, costLocality)
+	d.charge(instr.Mandatory, cost(instr.Locality))
 	d.rank.Metrics().Flight.Record(flight.RmaGet, int64(d.rank.Now()), world, nbytes, -1)
 
 	if view, ok := datatype.ContigView(dt, count, origin); ok {
 		if d.shmWindowLocal(world) && !w.Shared.Dynamic {
-			d.charge(instr.Mandatory, costShmPrep)
+			d.charge(instr.Mandatory, cost(instr.ShmPrep))
 			d.chargeShmCopy(len(view))
 			d.g.Fab.GetLocal(world, key, off, view)
 			return nil
 		}
-		d.charge(instr.Mandatory, costRDMADescPrep)
+		d.charge(instr.Mandatory, cost(instr.RDMADesc))
 		d.ep.Get(world, key, off, view)
 		return nil
 	}
@@ -253,7 +231,7 @@ func (d *Device) Get(origin []byte, count int, dt *datatype.Type, target, disp i
 	for k := 0; k < count; k++ {
 		base := k * dt.Extent()
 		for _, s := range dt.Segments() {
-			d.charge(instr.Mandatory, costRDMADescPrep)
+			d.charge(instr.Mandatory, cost(instr.RDMADesc))
 			d.ep.Get(world, key, off+base+s.Off, origin[base+s.Off:base+s.Off+s.Len])
 		}
 	}
@@ -283,17 +261,18 @@ func (d *Device) GetAccumulate(origin, result []byte, count int, dt *datatype.Ty
 func (d *Device) accumulate(origin, result []byte, count int, dt *datatype.Type,
 	target, disp int, op coll.Op, w *rma.Win, flags core.OpFlags) error {
 
-	d.chargeDispatch(costDispatchRMA)
+	d.charge(instr.Call, cost(instr.DispatchRMA))
 
 	if !flags.Has(core.FlagNoProcNull) {
-		d.charge(instr.Mandatory, costProcNull)
+		d.charge(instr.Mandatory, cost(instr.ProcNull))
 		if target == core.ProcNull {
 			return nil
 		}
 	}
-	d.charge(instr.Mandatory, costWinDeref+costEpochTrack)
-	d.chargeRedundant(costRedundantMarshal + costRedundantReload + costRedundantWinKind)
-	d.chargeRedundantType(dt, costRedundantDatatype)
+	d.charge(instr.Mandatory, cost(instr.WinDeref)+cost(instr.EpochTrack))
+	d.charge(instr.Redundant, cost(instr.RedundantMarshal)+cost(instr.RedundantReload)+
+		cost(instr.RedundantRMA))
+	d.meter.ChargeType(dt, cost(instr.RedundantDatatype))
 
 	elem := dt.BaseElem()
 	if elem == nil {
@@ -304,7 +283,7 @@ func (d *Device) accumulate(origin, result []byte, count int, dt *datatype.Type,
 	if err != nil {
 		return errString("accumulate", err)
 	}
-	d.charge(instr.Mandatory, costLocality)
+	d.charge(instr.Mandatory, cost(instr.Locality))
 	d.rank.Metrics().Flight.Record(flight.RmaAcc, int64(d.rank.Now()), world, nbytes, -1)
 
 	view, contig := datatype.ContigView(dt, count, origin)
@@ -323,7 +302,7 @@ func (d *Device) accumulate(origin, result []byte, count int, dt *datatype.Type,
 		// bytes where they lie, under the region's atomicity lock —
 		// zero staged, zero direct copies (the GetAccumulate result
 		// fetch still lands one direct copy into the caller's buffer).
-		d.charge(instr.Mandatory, costShmPrep)
+		d.charge(instr.Mandatory, cost(instr.ShmPrep))
 		p := d.g.Shm.Profile()
 		d.rank.ChargeCycles(instr.Transport, int64(p.Latency)+int64(2*float64(nbytes)*p.PerByte))
 		var applyErr error
@@ -340,7 +319,7 @@ func (d *Device) accumulate(origin, result []byte, count int, dt *datatype.Type,
 		return nil
 	}
 
-	d.charge(instr.Mandatory, costRDMADescPrep)
+	d.charge(instr.Mandatory, cost(instr.RDMADesc))
 	var applyErr error
 	d.ep.RMW(world, key, off, nbytes, func(tgt []byte) {
 		if result != nil {
@@ -358,7 +337,7 @@ func (d *Device) accumulate(origin, result []byte, count int, dt *datatype.Type,
 // (MPI_WIN_FENCE): wait out the AM fallback acknowledgements, barrier,
 // and fold remote-write arrival times into the local clock.
 func (d *Device) Fence(w *rma.Win) error {
-	d.charge(instr.Mandatory, costEpochTrack)
+	d.charge(instr.Mandatory, cost(instr.EpochTrack))
 	d.flushAM()
 	core.Barrier(d, w.Comm)
 	if !w.Shared.Dynamic {
@@ -375,7 +354,7 @@ func (d *Device) Fence(w *rma.Win) error {
 // MPI_MODE_NOSUCCEED): flush, synchronize, and leave the window
 // epoch-free so passive-target epochs may follow.
 func (d *Device) FenceEnd(w *rma.Win) error {
-	d.charge(instr.Mandatory, costEpochTrack)
+	d.charge(instr.Mandatory, cost(instr.EpochTrack))
 	d.flushAM()
 	core.Barrier(d, w.Comm)
 	if !w.Shared.Dynamic {
@@ -396,7 +375,7 @@ func (d *Device) Lock(w *rma.Win, target int, exclusive bool) error {
 		return err
 	}
 	w.OpenedAt = d.rank.Now()
-	d.charge(instr.Mandatory, costLockProto)
+	d.charge(instr.Mandatory, cost(instr.LockProto))
 	d.rank.ChargeCycles(instr.Transport, 2*d.g.Fab.Profile().WireLatency)
 	// Spin with progress: a blocked rank must keep servicing AM
 	// fallback traffic or lock holders could never finish their epoch.
@@ -422,7 +401,7 @@ func (d *Device) Unlock(w *rma.Win, target int) error {
 	if err := d.Flush(w, target); err != nil {
 		return err
 	}
-	d.charge(instr.Mandatory, costLockProto)
+	d.charge(instr.Mandatory, cost(instr.LockProto))
 	w.Shared.ReleaseLock(target, w.LockExclusive)
 	return nil
 }
@@ -431,7 +410,7 @@ func (d *Device) Unlock(w *rma.Win, target int) error {
 // (MPI_WIN_FLUSH). Our RDMA is synchronous at injection, so this waits
 // out AM fallback acks and charges the completion round trip.
 func (d *Device) Flush(w *rma.Win, target int) error {
-	d.charge(instr.Mandatory, costFlushProto)
+	d.charge(instr.Mandatory, cost(instr.FlushProto))
 	d.flushAM()
 	d.rank.ChargeCycles(instr.Transport, 2*d.g.Fab.Profile().WireLatency)
 	core.ObserveFlush(d.rank, w, target)
@@ -444,7 +423,7 @@ func (d *Device) Flush(w *rma.Win, target int) error {
 // every op is locally complete at issue, so the call is pure
 // bookkeeping — no AM wait, no wire round trip.
 func (d *Device) FlushLocal(w *rma.Win, target int) error {
-	d.charge(instr.Mandatory, costFlushLocal)
+	d.charge(instr.Mandatory, cost(instr.FlushLocal))
 	core.ObserveFlush(d.rank, w, target)
 	return nil
 }
@@ -455,7 +434,7 @@ func (d *Device) FlushLocal(w *rma.Win, target int) error {
 // targets — the same cost as a single Flush, which is the point of
 // the flush-based design.
 func (d *Device) FlushAll(w *rma.Win) error {
-	d.charge(instr.Mandatory, costFlushProto)
+	d.charge(instr.Mandatory, cost(instr.FlushProto))
 	d.flushAM()
 	d.rank.ChargeCycles(instr.Transport, 2*d.g.Fab.Profile().WireLatency)
 	core.ObserveFlush(d.rank, w, -1)
@@ -469,7 +448,7 @@ func (d *Device) FlushAll(w *rma.Win) error {
 // request polls the ack counter off the progress engine like any
 // two-sided request.
 func (d *Device) FlushRequest(w *rma.Win, target int) (*request.Request, error) {
-	d.charge(instr.Mandatory, costFlushProto+costRequestAlloc)
+	d.charge(instr.Mandatory, cost(instr.FlushProto)+cost(instr.Request))
 	r := d.pool.Get(request.KindRMA)
 	r.Issued = int64(d.rank.Now())
 	sent := d.amSent
@@ -511,7 +490,7 @@ func (d *Device) LockAll(w *rma.Win, exclusive bool) error {
 	}
 	w.OpenedAt = d.rank.Now()
 	d.rank.Metrics().NoteRmaLockAll()
-	d.charge(instr.Mandatory, costLockProto+costEpochTrack)
+	d.charge(instr.Mandatory, cost(instr.LockProto)+cost(instr.EpochTrack))
 	d.rank.ChargeCycles(instr.Transport, 2*d.g.Fab.Profile().WireLatency)
 	for t := 0; t < w.Comm.Size(); t++ {
 		for !w.Shared.TryAcquireLock(t, exclusive) {
@@ -534,7 +513,7 @@ func (d *Device) UnlockAll(w *rma.Win) error {
 	if err := d.FlushAll(w); err != nil {
 		return err
 	}
-	d.charge(instr.Mandatory, costLockProto)
+	d.charge(instr.Mandatory, cost(instr.LockProto))
 	for t := w.Comm.Size() - 1; t >= 0; t-- {
 		w.Shared.ReleaseLock(t, w.LockExclusive)
 	}
@@ -550,7 +529,7 @@ func (d *Device) UnlockAll(w *rma.Win) error {
 // contract; with the inlined build this is the 16-instruction put.
 func (d *Device) PutAllOpts(origin []byte, worldTarget, disp int, w *rma.Win) error {
 	d.rank.Metrics().NoteRmaPut()
-	d.charge(instr.Mandatory, costPutAllOpts)
+	d.charge(instr.Mandatory, cost(instr.PutAllOpts))
 	off := disp * w.DispUnit
 	key := w.Shared.Keys[worldTarget]
 	if d.shmWindowLocal(worldTarget) {
@@ -577,12 +556,12 @@ func (d *Device) flushAM() {
 // payload plus the flattened target layout; the target-side handler
 // scatters it and acknowledges.
 func (d *Device) putDerivedAM(origin []byte, count int, dt *datatype.Type, world, key, off int) error {
-	d.charge(instr.Mandatory, costAMFallback)
+	d.charge(instr.Mandatory, cost(instr.AMFallback))
 	packed := make([]byte, datatype.PackedSize(dt, count))
 	if _, err := datatype.Pack(dt, count, origin, packed); err != nil {
 		return errString("put", err)
 	}
-	d.charge(instr.Mandatory, int64(10+len(packed)/2))
+	d.charge(instr.Mandatory, instr.PackCost(len(packed)))
 	hdr := encodeLayoutHeader(key, off, count, dt)
 	d.amSent++
 	d.ep.AMSend(world, amPutDerived, hdr, packed)
@@ -591,7 +570,7 @@ func (d *Device) putDerivedAM(origin []byte, count int, dt *datatype.Type, world
 
 // accDerivedAM ships a derived-layout accumulate.
 func (d *Device) accDerivedAM(origin []byte, count int, dt *datatype.Type, op coll.Op, world, key, off int) error {
-	d.charge(instr.Mandatory, costAMFallback)
+	d.charge(instr.Mandatory, cost(instr.AMFallback))
 	packed := make([]byte, datatype.PackedSize(dt, count))
 	if _, err := datatype.Pack(dt, count, origin, packed); err != nil {
 		return errString("accumulate", err)
@@ -642,7 +621,7 @@ func decodeLayoutHeader(hdr []byte) layoutHeader {
 // layout, then acknowledge.
 func (d *Device) handlePutDerived(src int, hdr, payload []byte, _ vtime.Time) {
 	lh := decodeLayoutHeader(hdr)
-	d.charge(instr.Mandatory, int64(20+len(payload)/2))
+	d.charge(instr.Mandatory, instr.AMScatterCost(len(payload)))
 	d.scatter(lh, payload, nil, 0)
 	d.ep.AMSend(src, amAck, nil, nil)
 }
@@ -653,7 +632,7 @@ func (d *Device) handleAccDerived(src int, hdr, payload []byte, _ vtime.Time) {
 	lh := decodeLayoutHeader(hdr)
 	op := coll.Op(lh.rest[0])
 	elem := coll.ElemFromCode(int(lh.rest[1]))
-	d.charge(instr.Mandatory, int64(20+len(payload)))
+	d.charge(instr.Mandatory, instr.AMFoldCost(len(payload)))
 	d.scatter(lh, payload, elem, op)
 	d.ep.AMSend(src, amAck, nil, nil)
 }

@@ -393,8 +393,8 @@ func TestVirtAddrSavesInstructions(t *testing.T) {
 			}
 			base := measure(0)
 			va := measure(core.FlagVirtAddr)
-			if base-va != costOffsetXlate-costVirtAddr {
-				return fmt.Errorf("virt addr saved %d, want %d", base-va, costOffsetXlate-costVirtAddr)
+			if base-va != cost(instr.OffsetXlate)-cost(instr.VirtAddr) {
+				return fmt.Errorf("virt addr saved %d, want %d", base-va, cost(instr.OffsetXlate)-cost(instr.VirtAddr))
 			}
 		}
 		e.d.Fence(w)

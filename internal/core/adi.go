@@ -14,28 +14,6 @@ import (
 	"gompi/internal/vtime"
 )
 
-// MPI-layer charge constants: what the machine-independent layer costs
-// before the device is reached. Charged by the public API layer; the
-// devices charge their own (mandatory and redundant) costs.
-const (
-	// CallEntryCost is the call-frame setup of the public MPI symbol
-	// (Table 1 "MPI function call", the 16-18 instruction figure).
-	CallEntryCost = 17
-	// ThreadCheckCost is the runtime threading-level branch taken on
-	// every call even in single-threaded runs when the library is
-	// built with thread support (Table 1 "Thread-safety check").
-	ThreadCheckCost = 6
-	// ThreadCheckWinCost is the window-path variant, which also checks
-	// the window's own synchronization mode.
-	ThreadCheckWinCost = 14
-	// CommCreateStepCost is the modeled per-round cost of a
-	// communicator-creation collective (context-id agreement). The
-	// public layer charges ceil(log2 n) of these — the O(log n)
-	// collective cost the sparse-table redesign reduces creation to,
-	// replacing the old implicit O(n) table copies.
-	CommCreateStepCost = 40
-)
-
 // Device is the abstract device interface (ADI): the boundary between
 // the machine-independent MPI layer and a machine-specific
 // implementation. Both devices (ch4 and original) implement it. MPI

@@ -7,6 +7,12 @@
 // design takeaway the paper highlights.
 package core
 
+import (
+	"gompi/internal/datatype"
+	"gompi/internal/instr"
+	"gompi/internal/proc"
+)
+
 // Config is the library build configuration. Each knob corresponds to
 // one step of the Figure 2 ladder: the default build has everything on;
 // "no-err" clears ErrorChecking; "no-err-single" additionally clears
@@ -70,6 +76,54 @@ var (
 	// ("mpich/ch4 (no-err-single-ipo)").
 	NoErrSingleIPO = Config{Inline: true}
 )
+
+// Pays reports whether the build charges an instruction of category
+// cat: Table 1's removal rules. Link-time inlining drops the Call and
+// Redundant categories — except the re-derivation of a class-3 datatype
+// (opaqueType), a predefined type reached through a runtime variable,
+// which the compiler cannot fold unless the whole application is
+// inlined (Section 2.2) — and a build without thread support drops
+// ThreadCheck.
+func (c Config) Pays(cat instr.Category, opaqueType bool) bool {
+	inlined := cat == instr.Call || cat == instr.Redundant && !opaqueType
+	return !(c.Inline && inlined || !c.ThreadCheck && cat == instr.ThreadCheck)
+}
+
+// Meter charges one rank's instructions under its build's removal
+// rules: Pays, evaluated per category when the meter is made, so a
+// charge is one load and a branch in front of the rank's add.
+type Meter struct {
+	rank   *proc.Rank
+	pays   [instr.NumCategories]bool
+	opaque bool // Pays(Redundant, true): a class-3 type's re-derivation
+}
+
+// NewMeter binds r's charges to the build c.
+func NewMeter(r *proc.Rank, c Config) Meter {
+	m := Meter{rank: r, opaque: c.Pays(instr.Redundant, true)}
+	for cat := range m.pays {
+		m.pays[cat] = c.Pays(instr.Category(cat), false)
+	}
+	return m
+}
+
+// Charge records n instructions in cat, unless the build removes cat.
+// No build removes Mandatory, the category most charges land in, so at
+// a call site naming it the test folds away and the charge is the bare
+// add.
+func (m *Meter) Charge(cat instr.Category, n int64) {
+	if cat == instr.Mandatory || m.pays[cat] {
+		m.rank.Charge(cat, n)
+	}
+}
+
+// ChargeType records n Redundant instructions re-deriving dt, which a
+// build keeps for a class-3 type even where it removes Redundant.
+func (m *Meter) ChargeType(dt *datatype.Type, n int64) {
+	if m.pays[instr.Redundant] || m.opaque && dt.RuntimeMapped() {
+		m.rank.Charge(instr.Redundant, n)
+	}
+}
 
 // ConfigByName resolves the Figure 2 legend names.
 func ConfigByName(name string) (Config, bool) {

@@ -10,10 +10,7 @@
 // CH3-style device deliberately does not use it).
 package fabric
 
-import (
-	"gompi/internal/instr"
-	"gompi/internal/vtime"
-)
+import "gompi/internal/vtime"
 
 // Profile is the cost model of one fabric. Cycle figures are calibrated
 // against the paper's measured message rates: on the real networks a
@@ -99,7 +96,7 @@ var OFI = Profile{
 	WirePerByte:   0.18, // ~100 Gb/s
 	EagerLimit:    8192,
 	RndvInject:    250,
-	MatchBin:      instr.CostHash,
+	MatchBin:      4, // hash the match word, load the bin head
 	MatchSearch:   2,
 	ConnSetup:     300,
 }
@@ -121,7 +118,7 @@ var UCX = Profile{
 	WirePerByte:   0.2,  // ~100 Gb/s
 	EagerLimit:    8192,
 	RndvInject:    220,
-	MatchBin:      instr.CostHash,
+	MatchBin:      4, // hash the match word, load the bin head
 	MatchSearch:   2,
 	ConnSetup:     320,
 }
@@ -154,7 +151,7 @@ var BGQ = Profile{
 	WirePerByte:   0.45, // ~3.5 GB/s torus link
 	EagerLimit:    4096,
 	RndvInject:    400,
-	MatchBin:      2 * instr.CostHash, // slow in-order core
+	MatchBin:      8, // twice the x86 profiles': slow in-order core
 	MatchSearch:   4,
 	ConnSetup:     900,
 	InstrCPI:      6,

@@ -187,11 +187,3 @@ func (s *Snapshot) percentile(p float64) int64 {
 	}
 	return s.Max
 }
-
-// Mean returns the arithmetic mean of the snapshot (zero when empty).
-func (s Snapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return float64(s.Sum) / float64(s.Count)
-}

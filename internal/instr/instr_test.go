@@ -53,20 +53,20 @@ func TestSnapshotDelta(t *testing.T) {
 	p.Charge(ErrorCheck, 100)
 	s := p.Snap()
 	p.Charge(ErrorCheck, 4)
-	p.Charge(Call, CostCall)
+	p.Charge(Call, CallEntry.Value())
 	p.ChargeCycles(Transport, 300)
 	d := p.Delta(s)
 	if d.Count(ErrorCheck) != 4 {
 		t.Errorf("delta ErrorCheck = %d, want 4", d.Count(ErrorCheck))
 	}
-	if d.Count(Call) != CostCall {
-		t.Errorf("delta Call = %d, want %d", d.Count(Call), CostCall)
+	if d.Count(Call) != CallEntry.Value() {
+		t.Errorf("delta Call = %d, want %d", d.Count(Call), CallEntry.Value())
 	}
-	if d.Total != 4+CostCall {
-		t.Errorf("delta Total = %d, want %d", d.Total, 4+CostCall)
+	if d.Total != 4+CallEntry.Value() {
+		t.Errorf("delta Total = %d, want %d", d.Total, 4+CallEntry.Value())
 	}
-	if d.Cycles != 4+CostCall+300 {
-		t.Errorf("delta Cycles = %d, want %d", d.Cycles, 4+CostCall+300)
+	if d.Cycles != 4+CallEntry.Value()+300 {
+		t.Errorf("delta Cycles = %d, want %d", d.Cycles, 4+CallEntry.Value()+300)
 	}
 }
 

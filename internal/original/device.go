@@ -21,7 +21,6 @@ import (
 	"gompi/internal/abort"
 	"gompi/internal/comm"
 	"gompi/internal/core"
-	"gompi/internal/datatype"
 	"gompi/internal/fabric"
 	"gompi/internal/instr"
 	"gompi/internal/match"
@@ -30,51 +29,6 @@ import (
 	"gompi/internal/request"
 	"gompi/internal/stall"
 	"gompi/internal/vtime"
-)
-
-// Charge constants for the layered CH3-style critical path.
-const (
-	// costDispatchLayers: ADI3 -> CH3 -> channel -> netmod function
-	// boundaries on the send path (beyond the public entry's 17).
-	costDispatchLayers = 18
-	// costDispatchLayersRMA: the one-sided path crosses more layers
-	// (RMA frontend, op queue, channel).
-	costDispatchLayersRMA = 45
-
-	// costPacketGeneric: the generic packet-type switch and union
-	// bookkeeping every operation passes through.
-	costPacketGeneric = 12
-	// costPacketGenericRMA is the fatter RMA variant.
-	costPacketGenericRMA = 15
-
-	// Mandatory-path components, pt2pt.
-	costProcNull      = 3
-	costCommDeref     = 8
-	costRankXlate     = 11
-	costMatchBits     = 5
-	costLockedReqPool = 21 // request from the globally locked pool
-	costHeaderBuild   = 12 // eager envelope marshal
-	costProtoBranch   = 7  // eager/rendezvous protocol selection
-
-	// Software matching costs at the target (per queue element
-	// inspected and per completed match).
-	costMatchSearch   = 6
-	costMatchComplete = 15
-
-	// One-sided emulation components (MPI_PUT = 1,342 in the default
-	// build; see the breakdown at each charge site).
-	costWinDerefEpoch = 20  // window dereference + epoch list touch
-	costRMAOpAlloc    = 60  // RMA op object from the locked pool
-	costRMAOpQueue    = 45  // enqueue + dequeue on the window op list
-	costRMASegment    = 280 // generic segment/datatype processing (CH3 "segment" machinery)
-	costRMAHeaders    = 130 // RMA packet header + eager envelope marshal
-	costRMASendPath   = 220 // reuse of the layered internal send machinery
-	costRMARequest    = 150 // origin-side request and completion tracking
-	costRMAEpochState = 95  // epoch/lock state machine updates
-	costRMAAck        = 99  // acknowledgement bookkeeping
-	costRMATargetSide = 160 // target-side handler work (charged to the target)
-	costLockProto     = 40
-	costFlushProto    = 25
 )
 
 // AM handler ids.
@@ -161,10 +115,11 @@ type unexpected struct {
 
 // Device is one rank's baseline device instance.
 type Device struct {
-	g    *Global
-	rank *proc.Rank
-	ep   *fabric.Endpoint
-	cfg  core.Config
+	g     *Global
+	rank  *proc.Rank
+	ep    *fabric.Endpoint
+	cfg   core.Config
+	meter core.Meter
 
 	eng  match.Engine // software matching, at the MPI layer
 	wins map[int]*winState
@@ -196,7 +151,7 @@ type getState struct {
 // Open attaches a rank.
 func (g *Global) Open(r *proc.Rank) *Device {
 	d := &Device{
-		g: g, rank: r, ep: g.Fab.Endpoint(r.ID()), cfg: g.Cfg,
+		g: g, rank: r, ep: g.Fab.Endpoint(r.ID()), cfg: g.Cfg, meter: core.NewMeter(r, g.Cfg),
 		wins:    make(map[int]*winState),
 		getWait: make(map[uint32]*getState),
 		locking: g.Cfg.ThreadMultiple,
@@ -271,27 +226,11 @@ func (d *Device) Progress() {
 // critical section.
 func (d *Device) progressLocked() { d.ep.Progress() }
 
-func (d *Device) charge(cat instr.Category, n int64) { d.rank.Charge(cat, n) }
+// cost is the device's column of the cost table: CH3's.
+func cost(c instr.Cost) int64 { return instr.Table[c].CH3 }
 
-func (d *Device) chargeRedundant(n int64) {
-	if !d.cfg.Inline {
-		d.charge(instr.Redundant, n)
-	}
-}
-
-func (d *Device) chargeDispatch(n int64) {
-	if !d.cfg.Inline {
-		d.charge(instr.Call, n)
-	}
-}
-
-// chargeRedundantType mirrors ch4: class-3 datatypes keep their
-// runtime checks even under link-time inlining.
-func (d *Device) chargeRedundantType(dt *datatype.Type, n int64) {
-	if !d.cfg.Inline || dt.RuntimeMapped() {
-		d.charge(instr.Redundant, n)
-	}
-}
+// charge records n instructions in cat under the build's removal rules.
+func (d *Device) charge(cat instr.Category, n int64) { d.meter.Charge(cat, n) }
 
 // EventSeq exposes the endpoint's aggregate transport-event counter.
 func (d *Device) EventSeq() uint64 { return d.ep.EventSeqVCI(fabric.AnyVCI) }
@@ -375,6 +314,6 @@ func errf(format string, args ...any) error {
 // translateRank mirrors the ch4 translation but always pays the
 // baseline's full table walk.
 func (d *Device) translateRank(c *comm.Comm, rank int) (int, error) {
-	d.charge(instr.Mandatory, costRankXlate)
+	d.charge(instr.Mandatory, cost(instr.RankTranslate))
 	return c.WorldRank(rank)
 }

@@ -11,16 +11,6 @@ import (
 	"gompi/internal/vtime"
 )
 
-// Redundant-runtime-check base charges (same generic work as ch4's MPI
-// layer, plus the generic packet handling unique to this device).
-const (
-	costRedundantMarshal  = 16
-	costRedundantReload   = 8
-	costRedundantDatatype = 14
-	costRedundantBufAddr  = 9
-	costRedundantComplete = 12
-)
-
 // Isend lowers the send to a generic eager packet: marshal an envelope,
 // push it through the layered send machinery, match in software at the
 // target. Extension flags are honored semantically (so the public API
@@ -31,17 +21,17 @@ func (d *Device) Isend(buf []byte, count int, dt *datatype.Type, dest, tag int,
 
 	d.lock()
 	defer d.unlock()
-	d.chargeDispatch(costDispatchLayers)
-	d.charge(instr.Mandatory, costProcNull)
+	d.charge(instr.Call, cost(instr.Dispatch))
+	d.charge(instr.Mandatory, cost(instr.ProcNull))
 	if dest == core.ProcNull {
 		return d.finishSend(flags, c), nil
 	}
-	d.charge(instr.Mandatory, costCommDeref)
+	d.charge(instr.Mandatory, cost(instr.CommDeref))
 
 	var world int
 	if flags.Has(core.FlagGlobalRank) {
 		world = dest
-		d.charge(instr.Mandatory, costRankXlate) // baseline translates anyway
+		d.charge(instr.Mandatory, cost(instr.RankTranslate)) // baseline translates anyway
 	} else {
 		var err error
 		world, err = d.translateRank(c, dest)
@@ -50,15 +40,15 @@ func (d *Device) Isend(buf []byte, count int, dt *datatype.Type, dest, tag int,
 		}
 	}
 
-	d.chargeRedundant(costRedundantMarshal + costRedundantReload +
-		costRedundantBufAddr + costPacketGeneric)
-	d.chargeRedundantType(dt, costRedundantDatatype)
+	d.charge(instr.Redundant, cost(instr.RedundantMarshal)+cost(instr.RedundantReload)+
+		cost(instr.RedundantBufAddr)+cost(instr.PacketGeneric))
+	d.meter.ChargeType(dt, cost(instr.RedundantDatatype))
 	data, err := d.sendBytes(buf, count, dt)
 	if err != nil {
 		return nil, err
 	}
 
-	d.charge(instr.Mandatory, costMatchBits)
+	d.charge(instr.Mandatory, cost(instr.MatchBits))
 	bits := match.MakeBits(c.Ctx, c.MyRank, tag)
 	if flags.Has(core.FlagNoMatch) {
 		// Semantically honored: zero source/tag so arrival-order
@@ -67,7 +57,7 @@ func (d *Device) Isend(buf []byte, count int, dt *datatype.Type, dest, tag int,
 	}
 
 	// Envelope marshal + protocol branch + layered issue.
-	d.charge(instr.Mandatory, costHeaderBuild+costProtoBranch)
+	d.charge(instr.Mandatory, cost(instr.HeaderBuild)+cost(instr.ProtoBranch))
 	// Every send is a generic eager packet over the netmod on this
 	// device (no locality split, no rendezvous): count the MPI payload
 	// on the netmod path; the fabric counts the AM packet itself.
@@ -77,7 +67,7 @@ func (d *Device) Isend(buf []byte, count int, dt *datatype.Type, dest, tag int,
 	env := envelope{bits: bits, size: uint32(len(data))}
 	d.ep.AMSend(world, amEager, env.marshal(), data)
 
-	d.chargeRedundant(costRedundantComplete)
+	d.charge(instr.Redundant, cost(instr.RedundantComplete))
 	return d.finishSend(flags, c), nil
 }
 
@@ -93,7 +83,7 @@ func (d *Device) sendBytes(buf []byte, count int, dt *datatype.Type) ([]byte, er
 	if err != nil {
 		return nil, err
 	}
-	d.charge(instr.Mandatory, int64(10+n/2))
+	d.charge(instr.Mandatory, instr.PackCost(n))
 	return packed, nil
 }
 
@@ -103,10 +93,10 @@ func (d *Device) finishSend(flags core.OpFlags, c *comm.Comm) *request.Request {
 	if flags.Has(core.FlagNoReq) {
 		c.NoReq.Add()
 		c.NoReq.Done()
-		d.charge(instr.Mandatory, 3)
+		d.charge(instr.Mandatory, cost(instr.Counter))
 		return nil
 	}
-	d.charge(instr.Mandatory, costLockedReqPool)
+	d.charge(instr.Mandatory, cost(instr.Request))
 	r := d.g.pool.GetFor(request.KindSend, d.rank.Metrics())
 	r.MarkComplete(request.Status{})
 	return r
@@ -123,7 +113,7 @@ func (d *Device) IsendAllOpts(buf []byte, worldDest int, c *comm.Comm) error {
 // the MPI layer, charged per queue element inspected.
 func (d *Device) handleEager(src int, hdr, payload []byte, arrival vtime.Time) {
 	env := unmarshalEnvelope(hdr)
-	d.charge(instr.Mandatory, costPacketGeneric)
+	d.charge(instr.Mandatory, cost(instr.PacketGeneric))
 
 	// CH3 copies eager payloads aside before matching, so the cookie
 	// carries the buffered copy whether or not a receive is posted.
@@ -132,7 +122,7 @@ func (d *Device) handleEager(src int, hdr, payload []byte, arrival vtime.Time) {
 	mm.NetRecv.Note(len(payload))
 	before := d.eng.Searches
 	entry, ok := d.eng.Arrive(env.bits, &unexpected{data: cp, src: src, arrival: arrival})
-	d.charge(instr.Mandatory, costMatchSearch*(d.eng.Searches-before))
+	d.charge(instr.Mandatory, cost(instr.MatchSearch)*(d.eng.Searches-before))
 	if !ok {
 		mm.MaxUnexpected(d.eng.UnexpectedLen())
 		mm.Flight.Record(flight.Unexpected, int64(arrival), src, len(payload), 0)
@@ -155,7 +145,7 @@ func (d *Device) handleEager(src int, hdr, payload []byte, arrival vtime.Time) {
 // status. The arrival time is folded into the receiver's clock when
 // the receive completion is observed (finish), not here.
 func (d *Device) completeRecv(rs *recvState, bits match.Bits, payload []byte, src int, arrival vtime.Time) {
-	d.charge(instr.Mandatory, costMatchComplete)
+	d.charge(instr.Mandatory, cost(instr.MatchComplete))
 	n := copy(rs.buf, payload)
 	rs.n = n
 	rs.truncated = n < len(payload)
@@ -171,14 +161,14 @@ func (d *Device) Irecv(buf []byte, count int, dt *datatype.Type, src, tag int,
 
 	d.lock()
 	defer d.unlock()
-	d.chargeDispatch(costDispatchLayers)
-	d.charge(instr.Mandatory, costProcNull)
+	d.charge(instr.Call, cost(instr.Dispatch))
+	d.charge(instr.Mandatory, cost(instr.ProcNull))
 	if src == core.ProcNull {
 		r := d.g.pool.GetFor(request.KindRecv, d.rank.Metrics())
 		r.MarkComplete(request.Status{Source: core.ProcNull, Tag: core.AnyTag})
 		return r, nil
 	}
-	d.charge(instr.Mandatory, costCommDeref+costMatchBits)
+	d.charge(instr.Mandatory, cost(instr.CommDeref)+cost(instr.MatchBits))
 
 	var bits, mask match.Bits
 	if flags.Has(core.FlagNoMatch) {
@@ -188,9 +178,9 @@ func (d *Device) Irecv(buf []byte, count int, dt *datatype.Type, src, tag int,
 		bits, mask = match.RecvBits(c.Ctx, src, tag)
 	}
 
-	d.chargeRedundant(costRedundantMarshal + costRedundantReload +
-		costRedundantBufAddr + costPacketGeneric)
-	d.chargeRedundantType(dt, costRedundantDatatype)
+	d.charge(instr.Redundant, cost(instr.RedundantMarshal)+cost(instr.RedundantReload)+
+		cost(instr.RedundantBufAddr)+cost(instr.PacketGeneric))
+	d.meter.ChargeType(dt, cost(instr.RedundantDatatype))
 
 	rs := &recvState{posted: d.rank.Now()}
 	var bounce []byte
@@ -204,10 +194,10 @@ func (d *Device) Irecv(buf []byte, count int, dt *datatype.Type, src, tag int,
 	// Progress first so pending packets are matched in software before
 	// the posted queue grows (CH3 polls on entry).
 	d.progressLocked()
-	d.charge(instr.Mandatory, costLockedReqPool)
+	d.charge(instr.Mandatory, cost(instr.Request))
 	before := d.eng.Searches
 	entry, ok := d.eng.PostRecv(bits, mask, rs)
-	d.charge(instr.Mandatory, costMatchSearch*(d.eng.Searches-before))
+	d.charge(instr.Mandatory, cost(instr.MatchSearch)*(d.eng.Searches-before))
 	mm := d.rank.Metrics()
 	if ok {
 		u := entry.Cookie.(*unexpected)
@@ -273,7 +263,7 @@ func (d *Device) Iprobe(src, tag int, c *comm.Comm) (request.Status, bool, error
 	bits, mask := match.RecvBits(c.Ctx, src, tag)
 	before := d.eng.Searches
 	entry, ok := d.eng.Probe(bits, mask)
-	d.charge(instr.Mandatory, costMatchSearch*(d.eng.Searches-before))
+	d.charge(instr.Mandatory, cost(instr.MatchSearch)*(d.eng.Searches-before))
 	if !ok {
 		return request.Status{}, false, nil
 	}
@@ -290,7 +280,7 @@ func (d *Device) Improbe(src, tag int, c *comm.Comm) ([]byte, request.Status, vt
 	bits, mask := match.RecvBits(c.Ctx, src, tag)
 	before := d.eng.Searches
 	entry, ok := d.eng.ExtractUnexpected(bits, mask)
-	d.charge(instr.Mandatory, costMatchSearch*(d.eng.Searches-before))
+	d.charge(instr.Mandatory, cost(instr.MatchSearch)*(d.eng.Searches-before))
 	if !ok {
 		return nil, request.Status{}, 0, false, nil
 	}

@@ -136,22 +136,22 @@ func parseRMAHeader(b []byte) (id, off, n int, op coll.Op, elem int, seq uint32)
 }
 
 // chargePutPath charges the full CH3 one-sided origin path. The
-// component totals (see device.go) plus validation and layering make
-// the default MPI_PUT land at ~1,342 instructions.
+// component rows plus validation and layering make the default MPI_PUT
+// land at 1,342 instructions.
 func (d *Device) chargePutPath(dt *datatype.Type) {
-	d.chargeDispatch(costDispatchLayersRMA)
-	d.chargeRedundant(costRedundantMarshal + costRedundantReload +
-		costRedundantBufAddr + costPacketGenericRMA + 15 /* op-union genericity */)
-	d.chargeRedundantType(dt, costRedundantDatatype)
-	d.charge(instr.Mandatory, costProcNull)
-	d.charge(instr.Mandatory, costWinDerefEpoch)
-	d.charge(instr.Mandatory, costRMAOpAlloc+costRMAOpQueue)
-	d.charge(instr.Mandatory, costRMASegment)
-	d.charge(instr.Mandatory, costRMAHeaders)
-	d.charge(instr.Mandatory, costRMASendPath)
-	d.charge(instr.Mandatory, costRMARequest)
-	d.charge(instr.Mandatory, costRMAEpochState)
-	d.charge(instr.Mandatory, costRMAAck)
+	d.charge(instr.Call, cost(instr.DispatchRMA))
+	d.charge(instr.Redundant, cost(instr.RedundantMarshal)+cost(instr.RedundantReload)+
+		cost(instr.RedundantBufAddr)+cost(instr.PacketGenericRMA)+cost(instr.RedundantRMA))
+	d.meter.ChargeType(dt, cost(instr.RedundantDatatype))
+	d.charge(instr.Mandatory, cost(instr.ProcNull))
+	d.charge(instr.Mandatory, cost(instr.WinDeref))
+	d.charge(instr.Mandatory, cost(instr.RMAOpAlloc)+cost(instr.RMAOpQueue))
+	d.charge(instr.Mandatory, cost(instr.RMASegment))
+	d.charge(instr.Mandatory, cost(instr.RMAHeaders))
+	d.charge(instr.Mandatory, cost(instr.RMASendPath))
+	d.charge(instr.Mandatory, cost(instr.RMARequest))
+	d.charge(instr.Mandatory, cost(instr.EpochTrack))
+	d.charge(instr.Mandatory, cost(instr.RMAAck))
 }
 
 // resolve translates (target, disp) to (world, offset), always paying
@@ -161,7 +161,7 @@ func (d *Device) resolve(target, disp, nbytes int, w *rma.Win) (world, off int, 
 	if err != nil {
 		return 0, 0, err
 	}
-	d.charge(instr.Mandatory, 4) // base + displacement-unit scaling
+	d.charge(instr.Mandatory, cost(instr.OffsetXlate))
 	off, err = w.TargetOffset(target, disp, nbytes)
 	if err != nil {
 		return 0, 0, err
@@ -225,7 +225,7 @@ func (d *Device) issue(op *rmaOp) {
 // layouts.
 func (d *Device) handlePut(src int, hdr, payload []byte, _ vtime.Time) {
 	id, off, n, _, _, _ := parseRMAHeader(hdr)
-	d.charge(instr.Mandatory, costRMATargetSide)
+	d.charge(instr.Mandatory, cost(instr.RMATargetSide))
 	ws := d.wins[id]
 	if ws == nil {
 		panic(errf("put packet for unknown window %d", id))
@@ -290,7 +290,7 @@ func (d *Device) Get(origin []byte, count int, dt *datatype.Type, target, disp i
 // handleGetReq serves a get request from window memory.
 func (d *Device) handleGetReq(src int, hdr, _ []byte, _ vtime.Time) {
 	id, off, n, _, _, seq := parseRMAHeader(hdr)
-	d.charge(instr.Mandatory, costRMATargetSide)
+	d.charge(instr.Mandatory, cost(instr.RMATargetSide))
 	ws := d.wins[id]
 	if ws == nil {
 		panic(errf("get packet for unknown window %d", id))
@@ -367,7 +367,7 @@ func (d *Device) GetAccumulate(origin, result []byte, count int, dt *datatype.Ty
 // handleAcc applies an accumulate packet.
 func (d *Device) handleAcc(src int, hdr, payload []byte, _ vtime.Time) {
 	id, off, n, op, ec, _ := parseRMAHeader(hdr)
-	d.charge(instr.Mandatory, costRMATargetSide+int64(n))
+	d.charge(instr.Mandatory, cost(instr.RMATargetSide)+int64(n))
 	ws := d.wins[id]
 	if ws == nil {
 		panic(errf("accumulate packet for unknown window %d", id))
@@ -384,7 +384,7 @@ func (d *Device) handleAcc(src int, hdr, payload []byte, _ vtime.Time) {
 // which take it per operation.
 func (d *Device) Fence(w *rma.Win) error {
 	d.lock()
-	d.charge(instr.Mandatory, costRMAEpochState)
+	d.charge(instr.Mandatory, cost(instr.EpochTrack))
 	d.flushAM()
 	d.unlock()
 	core.Barrier(d, w.Comm)
@@ -398,7 +398,7 @@ func (d *Device) Fence(w *rma.Win) error {
 // FenceEnd closes the fence epoch sequence (MPI_MODE_NOSUCCEED).
 func (d *Device) FenceEnd(w *rma.Win) error {
 	d.lock()
-	d.charge(instr.Mandatory, costRMAEpochState)
+	d.charge(instr.Mandatory, cost(instr.EpochTrack))
 	d.flushAM()
 	d.unlock()
 	core.Barrier(d, w.Comm)
@@ -416,7 +416,7 @@ func (d *Device) Lock(w *rma.Win, target int, exclusive bool) error {
 		return err
 	}
 	d.lock()
-	d.charge(instr.Mandatory, costLockProto)
+	d.charge(instr.Mandatory, cost(instr.LockProto))
 	d.rank.ChargeCycles(instr.Transport, 2*d.g.Fab.Profile().WireLatency)
 	d.spinLock(func() bool { return w.Shared.TryAcquireLock(target, exclusive) })
 	d.unlock()
@@ -436,7 +436,7 @@ func (d *Device) Unlock(w *rma.Win, target int) error {
 	if err := d.Flush(w, target); err != nil {
 		return err
 	}
-	d.charge(instr.Mandatory, costLockProto)
+	d.charge(instr.Mandatory, cost(instr.LockProto))
 	w.Shared.ReleaseLock(target, w.LockExclusive)
 	return nil
 }
@@ -445,7 +445,7 @@ func (d *Device) Unlock(w *rma.Win, target int) error {
 func (d *Device) Flush(w *rma.Win, target int) error {
 	d.lock()
 	defer d.unlock()
-	d.charge(instr.Mandatory, costFlushProto)
+	d.charge(instr.Mandatory, cost(instr.FlushProto))
 	d.flushAM()
 	d.rank.ChargeCycles(instr.Transport, 2*d.g.Fab.Profile().WireLatency)
 	core.ObserveFlush(d.rank, w, target)
@@ -499,7 +499,7 @@ func (d *Device) LockAll(w *rma.Win, exclusive bool) error {
 	d.rank.Metrics().NoteRmaLockAll()
 	for t := 0; t < w.Comm.Size(); t++ {
 		d.lock()
-		d.charge(instr.Mandatory, costLockProto)
+		d.charge(instr.Mandatory, cost(instr.LockProto))
 		d.rank.ChargeCycles(instr.Transport, 2*d.g.Fab.Profile().WireLatency)
 		t := t
 		d.spinLock(func() bool { return w.Shared.TryAcquireLock(t, exclusive) })
@@ -522,7 +522,7 @@ func (d *Device) UnlockAll(w *rma.Win) error {
 	if _, err := w.CloseEpoch(); err != nil {
 		return err
 	}
-	d.charge(instr.Mandatory, costLockProto)
+	d.charge(instr.Mandatory, cost(instr.LockProto))
 	for t := w.Comm.Size() - 1; t >= 0; t-- {
 		w.Shared.ReleaseLock(t, w.LockExclusive)
 	}

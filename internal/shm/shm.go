@@ -278,10 +278,6 @@ func (d *Domain) SetDeliverView(dv DeliverView) { d.deliverView = dv }
 // shm-backed windows) charge the same per-byte and per-cell costs.
 func (d *Domain) Profile() Profile { return d.prof }
 
-// CellBytes reports the configured ring-cell payload size; the staged
-// RMA cost model fragments by it.
-func (d *Domain) CellBytes() int { return d.cellSize }
-
 // EagerMax reports the staged/handoff threshold (0 when the handoff
 // path is disabled).
 func (d *Domain) EagerMax() int { return d.eagerMax }
