@@ -364,23 +364,21 @@ func Run(n int, cfg Config, body func(p *Proc) error) error {
 	world.SetThreadMultiple(bc.ThreadMultiple)
 	reg := comm.NewRegistry()
 
+	// The device family's job-wide state, and how a rank opens its
+	// device on it.
+	var family interface {
+		Abort()
+		SetStall(*stall.Monitor)
+		DumpState(io.Writer)
+	}
 	var open func(r *proc.Rank) core.Device
-	var abortWorld func()
-	var setStall func(*stall.Monitor)
-	var dumpDevice func(io.Writer)
 	switch dev {
 	case "ch4":
 		g := ch4.NewGlobal(world, prof, bc)
-		open = func(r *proc.Rank) core.Device { return g.Open(r) }
-		abortWorld = g.Abort
-		setStall = g.SetStall
-		dumpDevice = g.DumpState
+		family, open = g, func(r *proc.Rank) core.Device { return g.Open(r) }
 	default:
 		g := original.NewGlobal(world, prof, bc)
-		open = func(r *proc.Rank) core.Device { return g.Open(r) }
-		abortWorld = g.Abort
-		setStall = g.SetStall
-		dumpDevice = g.DumpState
+		family, open = g, func(r *proc.Rank) core.Device { return g.Open(r) }
 	}
 
 	// dumpWorld renders the whole diagnosis: per-rank clock and park
@@ -399,7 +397,7 @@ func Run(n int, cfg Config, body func(p *Proc) error) error {
 			fmt.Fprintf(w, "rank %d: vcycles=%d (as of last park) parked=%v\n", i, m.ParkClock.Load(), mon.Parked(i))
 			m.Flight.Dump(w, fmt.Sprintf("rank %d", i))
 		}
-		dumpDevice(w)
+		family.DumpState(w)
 	}
 
 	// One diagnosis per job, whoever gets there first: the watchdog
@@ -409,7 +407,7 @@ func Run(n int, cfg Config, body func(p *Proc) error) error {
 		if cfg.DiagWriter != nil {
 			diagOnce.Do(func() { dumpWorld(cfg.DiagWriter) })
 		}
-		abortWorld()
+		family.Abort()
 		reg.Abort()
 	}
 
@@ -425,7 +423,7 @@ func Run(n int, cfg Config, body func(p *Proc) error) error {
 			})
 			teardown()
 		})
-		setStall(mon)
+		family.SetStall(mon)
 		mon.Start()
 		defer mon.Stop()
 	}
@@ -708,10 +706,5 @@ func (p *Proc) vciOf(c *Comm, tag int, recv bool) int {
 	if !p.tlog.Enabled() && p.profiler == nil {
 		return -1
 	}
-	if d, ok := p.dev.(interface {
-		VCIOf(c *comm.Comm, tag int, recv bool) int
-	}); ok {
-		return d.VCIOf(c.c, tag, recv)
-	}
-	return -1
+	return p.dev.VCIOf(c.c, tag, recv)
 }

@@ -209,39 +209,48 @@ func TestHandoffAllreduceInPlace(t *testing.T) {
 }
 
 // TestHandoffSelectionFallsBack pins that the zero-copy algorithm is
-// NOT selected below the handoff threshold or when handoff is
-// disabled: the plain two-level algorithm runs instead.
+// NOT selected below the handoff threshold, when handoff is disabled,
+// or on the baseline device, which has no handoff path: the plain
+// two-level algorithm runs instead, and Allreduce and Iallreduce give
+// every element the sum ch4's zero-copy run gives.
 func TestHandoffSelectionFallsBack(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
+		dev   DeviceKind
 		eager int
 		count int
 	}{
 		{name: "below-threshold", eager: 1 << 20, count: 64},
 		{name: "disabled", eager: 0, count: 4096},
+		{name: "original", dev: DeviceOriginal, eager: 4096, count: 8192}, // 64 KiB
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var st Stats
 			cfg := Config{
-				RanksPerNode: 2, Fabric: "ofi",
+				Device: tc.dev, RanksPerNode: 2, Fabric: "ofi",
 				ShmEagerMax: tc.eager, CollAlgorithm: "two-level", Stats: &st,
 			}
 			err := Run(4, cfg, func(p *Proc) error {
 				w := p.World()
 				send := make([]byte, tc.count*8)
-				recv := make([]byte, tc.count*8)
+				recv, irecv := make([]byte, tc.count*8), make([]byte, tc.count*8)
 				for i := 0; i < tc.count; i++ {
 					binary.LittleEndian.PutUint64(send[i*8:], uint64(p.Rank()+1))
 				}
-				r, err := w.Iallreduce(send, recv, tc.count, Long, OpSum)
+				if err := w.Allreduce(send, recv, tc.count, Long, OpSum); err != nil {
+					return err
+				}
+				r, err := w.Iallreduce(send, irecv, tc.count, Long, OpSum)
 				if err != nil {
 					return err
 				}
 				if _, err := r.Wait(); err != nil {
 					return err
 				}
-				if got := binary.LittleEndian.Uint64(recv); got != 10 {
-					return fmt.Errorf("element 0 = %d, want 10", got)
+				for i := 0; i < tc.count; i++ {
+					if a, b := binary.LittleEndian.Uint64(recv[i*8:]), binary.LittleEndian.Uint64(irecv[i*8:]); a != 10 || b != 10 {
+						return fmt.Errorf("element %d = %d (Allreduce), %d (Iallreduce), want 10", i, a, b)
+					}
 				}
 				return nil
 			})

@@ -67,10 +67,6 @@ func (pd nbcPending) Wait() (int, error) {
 type nbcPort struct {
 	p  *Proc
 	cv *comm.Comm
-	// handoff is the device's shm staged/handoff threshold, or 0 when
-	// it has no zero-copy path (baseline device, handoff disabled);
-	// fixed for the run, so read once when the adapter is built.
-	handoff int
 }
 
 // Rank implements nbc.Transport.
@@ -106,11 +102,7 @@ func (np nbcPort) Node(rank int) int {
 	return np.p.rank.World().Node(w)
 }
 
-// EagerLimit implements nbc.Transport: the resolved fabric threshold,
-// so schedules segment rather than rendezvous.
-func (np nbcPort) EagerLimit() int { return np.p.eagerLimit }
-
-// RanksPerNodeBlock implements nbc.BlockTopo: identity-table
+// RanksPerNodeBlock implements nbc.Transport: identity-table
 // communicators inherit the world's contiguous block mapping
 // node(r) = r/rpn, so two-level compilers can derive the node
 // structure arithmetically instead of scanning all ranks.
@@ -121,46 +113,31 @@ func (np nbcPort) RanksPerNodeBlock() (int, bool) {
 	return 0, false
 }
 
-// LoadTopo / StoreTopo implement nbc.TopoCache on the communicator, so
+// LoadTopo / StoreTopo implement nbc.Transport on the communicator, so
 // repeated collectives reuse the derived node structure.
 func (np nbcPort) LoadTopo(key int) (any, bool) { return np.cv.LoadTopo(key) }
 func (np nbcPort) StoreTopo(key int, v any)     { np.cv.StoreTopo(key, v) }
 
-// HandoffEager implements nbc.HandoffTransport.
-func (np nbcPort) HandoffEager() int { return np.handoff }
+// HandoffEager implements nbc.Transport: the device's shm
+// staged/handoff threshold, 0 when it has no zero-copy path.
+func (np nbcPort) HandoffEager() int { return np.p.dev.ShmHandoffMax() }
 
-// SendNoCopy implements nbc.HandoffTransport: lend data over the shm
-// handoff path when the device offers one and the geometry applies
-// (on-node peer, payload above the threshold). ok=false sends nothing
-// and the schedule falls back to plain eager sends.
+// SendNoCopy implements nbc.Transport: lend data over the shm handoff
+// path when the geometry applies (on-node peer, payload above the
+// threshold). ok=false sends nothing and the schedule sends eagerly.
 func (np nbcPort) SendNoCopy(data []byte, dest, tag int) (nbc.Pending, bool, error) {
-	d, ok := np.p.dev.(interface {
-		IsendNoCopy([]byte, int, int, *comm.Comm) (*request.Request, bool, error)
-	})
-	if !ok {
-		return nil, false, nil
-	}
-	r, sent, err := d.IsendNoCopy(data, dest, tag, np.cv)
+	r, sent, err := np.p.dev.IsendNoCopy(data, dest, tag, np.cv)
 	if err != nil || !sent {
 		return nil, false, err
 	}
 	return nbcPending{r: r}, true, nil
 }
 
-// RecvReduce implements nbc.ReduceTransport: post a receive that folds
-// the incoming payload into acc in place, reading the sender's lent
-// view directly — zero copies. Only a handoff-capable device can (the
-// compilers emit recv-reduce steps only when HandoffEager is nonzero,
-// and the device that reports a handoff threshold is the one with the
-// in-place receive).
+// RecvReduce implements nbc.Transport: post a receive that folds the
+// incoming payload into acc in place, reading the sender's lent view
+// directly — zero copies.
 func (np nbcPort) RecvReduce(acc []byte, op coll.Op, elem *Datatype, src, tag int) (nbc.Pending, error) {
-	d, ok := np.p.dev.(interface {
-		IrecvReduce([]byte, int, int, *comm.Comm, func(dst, incoming []byte)) (*request.Request, error)
-	})
-	if !ok {
-		return nil, errc(ErrOther, "device has no in-place receive-reduce")
-	}
-	r, err := d.IrecvReduce(acc, src, tag, np.cv, func(dst, incoming []byte) {
+	r, err := np.p.dev.IrecvReduce(acc, src, tag, np.cv, func(dst, incoming []byte) {
 		coll.Apply(op, elem, dst, incoming)
 	})
 	if err != nil {
@@ -169,11 +146,12 @@ func (np nbcPort) RecvReduce(acc []byte, op coll.Op, elem *Datatype, src, tag in
 	return nbcPending{r: r}, nil
 }
 
-// SegLimit implements nbc.Segmenter: on-node peers of a
+// SegLimit implements nbc.Transport: on-node peers of a
 // handoff-capable device are unsegmented (shm has no rendezvous to
 // avoid, and whole payloads are what the handoff path lends); anything
-// else keeps the flat eager limit. Symmetric in the pair, so senders
-// and receivers derive identical fragment cuts.
+// else keeps the flat eager limit, the resolved fabric threshold, so
+// schedules segment rather than rendezvous. Symmetric in the pair, so
+// senders and receivers derive identical fragment cuts.
 func (np nbcPort) SegLimit(peer int) int {
 	if np.HandoffEager() > 0 && np.Node(peer) == np.Node(np.cv.MyRank) {
 		return 0
@@ -187,9 +165,6 @@ func (np nbcPort) SegLimit(peer int) int {
 func (c *Comm) nbcPort() *nbcPort {
 	if c.port.p == nil {
 		c.port = nbcPort{p: c.p, cv: c.c.CollView()}
-		if d, ok := c.p.dev.(interface{ ShmHandoffMax() int }); ok {
-			c.port.handoff = d.ShmHandoffMax()
-		}
 	}
 	return &c.port
 }

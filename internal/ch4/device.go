@@ -173,12 +173,6 @@ func (g *Global) Open(r *proc.Rank) *Device {
 	return d
 }
 
-// Rank returns the owning rank.
-func (d *Device) Rank() *proc.Rank { return d.rank }
-
-// Config returns the device's build configuration.
-func (d *Device) Config() core.Config { return d.cfg }
-
 // Stats snapshots the rank's metrics registry, folding in the
 // endpoint matching engines' counters (kept on the engine itself so
 // the match hot path stays a plain increment) and the arrival-side

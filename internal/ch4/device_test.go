@@ -33,11 +33,11 @@ func runWorld(t *testing.T, n, rpn int, prof fabric.Profile, cfg core.Config, bo
 	w := proc.NewWorld(n, rpn, hz)
 	g := NewGlobal(w, prof, cfg)
 	reg := comm.NewRegistry()
-	err := w.Run(func(r *proc.Rank) error {
+	err := errors.Join(w.RunAll(func(r *proc.Rank) error {
 		d := g.Open(r)
 		r.StartBarrier()
 		return body(&env{d: d, c: comm.NewWorld(reg, n, r.ID())})
-	})
+	})...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestShmDrainWakesAggregateWaiter(t *testing.T) {
 	g := NewGlobal(w, fabric.OFI, cfg)
 	reg := comm.NewRegistry()
 	sent := make(chan struct{})
-	err := w.Run(func(r *proc.Rank) error {
+	err := errors.Join(w.RunAll(func(r *proc.Rank) error {
 		d := g.Open(r)
 		r.StartBarrier()
 		c := comm.NewWorld(reg, 2, r.ID())
@@ -142,7 +142,7 @@ func TestShmDrainWakesAggregateWaiter(t *testing.T) {
 		}
 		req.Free()
 		return nil
-	})
+	})...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,13 +354,13 @@ func TestIsendMandatoryInstructionCount(t *testing.T) {
 			req.Wait()
 			return nil
 		}
-		snap := e.d.Rank().Profile().Snap()
+		snap := e.d.rank.Profile().Snap()
 		req, err := e.d.Isend([]byte{1}, 1, datatype.Byte, 1, 0, e.c, 0)
 		if err != nil {
 			return err
 		}
 		req.Free()
-		delta := e.d.Rank().Profile().Delta(snap)
+		delta := e.d.rank.Profile().Delta(snap)
 		if got := delta.Count(instr.Mandatory); got != 59 {
 			return fmt.Errorf("mandatory = %d, want 59", got)
 		}
@@ -384,11 +384,11 @@ func TestAllOptsInstructionCount(t *testing.T) {
 			req.Wait()
 			return nil
 		}
-		snap := e.d.Rank().Profile().Snap()
+		snap := e.d.rank.Profile().Snap()
 		if err := e.d.IsendAllOpts([]byte{1}, 1, e.c); err != nil {
 			return err
 		}
-		delta := e.d.Rank().Profile().Delta(snap)
+		delta := e.d.rank.Profile().Delta(snap)
 		if got := delta.Total; got != 16 {
 			return fmt.Errorf("all-opts total = %d, want 16", got)
 		}
@@ -409,13 +409,13 @@ func TestIPOBuildChargesNoRedundant(t *testing.T) {
 			req.Wait()
 			return nil
 		}
-		snap := e.d.Rank().Profile().Snap()
+		snap := e.d.rank.Profile().Snap()
 		req, err := e.d.Isend([]byte{1}, 1, datatype.Byte, 1, 0, e.c, 0)
 		if err != nil {
 			return err
 		}
 		req.Free()
-		delta := e.d.Rank().Profile().Delta(snap)
+		delta := e.d.rank.Profile().Delta(snap)
 		if got := delta.Count(instr.Redundant); got != 0 {
 			return fmt.Errorf("ipo build charged %d redundant instructions", got)
 		}
@@ -427,7 +427,7 @@ func TestIPOBuildChargesNoRedundant(t *testing.T) {
 // documented instruction count off the Isend fast path.
 func TestProposalSavings(t *testing.T) {
 	measure := func(e *env, flags core.OpFlags, dest int) int64 {
-		snap := e.d.Rank().Profile().Snap()
+		snap := e.d.rank.Profile().Snap()
 		req, err := e.d.Isend([]byte{1}, 1, datatype.Byte, dest, 0, e.c, flags)
 		if err != nil {
 			t.Error(err)
@@ -435,7 +435,7 @@ func TestProposalSavings(t *testing.T) {
 		if req != nil {
 			req.Free()
 		}
-		return e.d.Rank().Profile().Delta(snap).Count(instr.Mandatory)
+		return e.d.rank.Profile().Delta(snap).Count(instr.Mandatory)
 	}
 	runWorld(t, 2, 1, fabric.INF, core.NoErrSingleIPO, func(e *env) error {
 		if e.c.Rank() != 0 {
@@ -488,13 +488,13 @@ func TestDenseTableTranslationCheaper(t *testing.T) {
 			return fmt.Errorf("table kind = %d, want dense", sub.Table.Kind())
 		}
 		if e.c.Rank() == 0 {
-			snap := e.d.Rank().Profile().Snap()
+			snap := e.d.rank.Profile().Snap()
 			req, err := e.d.Isend([]byte{1}, 1, datatype.Byte, 1, 0, sub, 0)
 			if err != nil {
 				return err
 			}
 			req.Free()
-			dense := e.d.Rank().Profile().Delta(snap).Count(instr.Mandatory)
+			dense := e.d.rank.Profile().Delta(snap).Count(instr.Mandatory)
 			if dense != 59-cost(instr.RankTranslate)+cost(instr.RankTranslateDense) {
 				return fmt.Errorf("dense mandatory = %d", dense)
 			}

@@ -38,14 +38,14 @@ func recvCost(t *testing.T, vcis int, send func(e *env) error, recv func(e *env)
 			return send(e)
 		}
 		<-sent
-		snap := e.d.Rank().Profile().Snap()
+		snap := e.d.rank.Profile().Snap()
 		req, err := recv(e)
 		if err != nil {
 			return err
 		}
 		req.Wait()
 		req.Free()
-		got = chargeOf(e.d.Rank().Profile().Delta(snap))
+		got = chargeOf(e.d.rank.Profile().Delta(snap))
 		return nil
 	})
 	return got
@@ -121,12 +121,12 @@ func TestRecvChargeTable(t *testing.T) {
 			}
 			return err
 		}
-		snap := e.d.Rank().Profile().Snap()
+		snap := e.d.rank.Profile().Snap()
 		req, ok, err := e.d.IsendNoCopy(make([]byte, n), 1, 7, e.c)
 		if err != nil || !ok {
 			return fmt.Errorf("IsendNoCopy: ok %v, err %v", ok, err)
 		}
-		got = chargeOf(e.d.Rank().Profile().Delta(snap))
+		got = chargeOf(e.d.rank.Profile().Delta(snap))
 		req.Wait()
 		return nil
 	})

@@ -357,11 +357,11 @@ func TestPutMandatoryInstructionCount(t *testing.T) {
 		}
 		e.d.Fence(w)
 		if e.c.Rank() == 0 {
-			snap := e.d.Rank().Profile().Snap()
+			snap := e.d.rank.Profile().Snap()
 			if err := e.d.Put([]byte{1}, 1, datatype.Byte, 1, 0, w, 0); err != nil {
 				return err
 			}
-			delta := e.d.Rank().Profile().Delta(snap)
+			delta := e.d.rank.Profile().Delta(snap)
 			if got := delta.Count(instr.Mandatory); got != 44 {
 				return fmt.Errorf("put mandatory = %d, want 44", got)
 			}
@@ -385,11 +385,11 @@ func TestVirtAddrSavesInstructions(t *testing.T) {
 		e.d.Fence(w)
 		if e.c.Rank() == 0 {
 			measure := func(flags core.OpFlags) int64 {
-				snap := e.d.Rank().Profile().Snap()
+				snap := e.d.rank.Profile().Snap()
 				if err := e.d.Put([]byte{1}, 1, datatype.Byte, 1, 0, w, flags); err != nil {
 					t.Error(err)
 				}
-				return e.d.Rank().Profile().Delta(snap).Count(instr.Mandatory)
+				return e.d.rank.Profile().Delta(snap).Count(instr.Mandatory)
 			}
 			base := measure(0)
 			va := measure(core.FlagVirtAddr)
@@ -412,14 +412,14 @@ func TestFenceSyncsClockToRemoteWrites(t *testing.T) {
 		e.d.Fence(w)
 		if e.c.Rank() == 0 {
 			// Run the clock forward so the put lands "late".
-			e.d.Rank().ChargeCycles(instr.Compute, 1_000_000)
+			e.d.rank.ChargeCycles(instr.Compute, 1_000_000)
 			if err := e.d.Put([]byte{1}, 1, datatype.Byte, 1, 0, w, 0); err != nil {
 				return err
 			}
 		}
 		e.d.Fence(w)
-		if e.c.Rank() == 1 && e.d.Rank().Now() < 1_000_000 {
-			return fmt.Errorf("target clock %d did not absorb remote write time", e.d.Rank().Now())
+		if e.c.Rank() == 1 && e.d.rank.Now() < 1_000_000 {
+			return fmt.Errorf("target clock %d did not absorb remote write time", e.d.rank.Now())
 		}
 		return e.d.WinFree(w)
 	})
@@ -469,8 +469,8 @@ func TestDerivedAccumulateAMFallback(t *testing.T) {
 
 func TestDeviceAccessors(t *testing.T) {
 	runWorld(t, 1, 1, fabric.INF, core.NoErr, func(e *env) error {
-		if e.d.Config() != (core.Config{ThreadCheck: true}) {
-			return fmt.Errorf("config %+v", e.d.Config())
+		if e.d.cfg != (core.Config{ThreadCheck: true}) {
+			return fmt.Errorf("config %+v", e.d.cfg)
 		}
 		seq := e.d.EventSeq()
 		// A self-send bumps the event counter; WaitEvent returns.

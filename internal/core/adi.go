@@ -22,12 +22,12 @@ import (
 //
 // A Device instance belongs to one rank; only that rank's goroutine may
 // call its methods.
+//
+// This list is the whole contract: every device answers every method,
+// and a capability a device lacks is an answer (VCIOf -1, ShmHandoffMax
+// 0, IsendNoCopy "not sent", an error), never a missing method the MPI
+// layer would have to discover.
 type Device interface {
-	// Rank returns the owning rank.
-	Rank() *proc.Rank
-	// Config returns the build configuration the device was opened
-	// with.
-	Config() Config
 	// Stats snapshots the rank's metrics registry, folding in any
 	// counters kept on device-internal structures (matching engines).
 	Stats() metrics.Snapshot
@@ -120,6 +120,32 @@ type Device interface {
 	// target rank inside an already-open epoch, with validation and
 	// call-frame charges elided by the caller's contract.
 	PutAllOpts(origin []byte, worldTarget, disp int, w *rma.Win) error
+	// WinAttach exposes mem through a dynamic window (MPI_WIN_ATTACH)
+	// and returns its remote virtual address.
+	WinAttach(w *rma.Win, mem []byte) (rma.VAddr, error)
+	// WinDetach revokes an attachment (MPI_WIN_DETACH).
+	WinDetach(w *rma.Win, mem []byte, va rma.VAddr) error
+
+	// VCIOf names the virtual communication interface a send
+	// (recv=false) or receive (recv=true) with tag on c would ride, for
+	// trace and profiler events; -1 for a device without VCIs or an op
+	// on the cross-VCI path.
+	VCIOf(c *comm.Comm, tag int, recv bool) int
+	// ShmHandoffMax is the shared-memory staged/handoff threshold in
+	// bytes; 0 when the device has no zero-copy handoff path.
+	ShmHandoffMax() int
+	// IsendNoCopy lends buf to dest (a communicator rank) over the
+	// zero-copy handoff path when it applies: on-node peer, payload
+	// above ShmHandoffMax. sent=false means nothing was sent and the
+	// caller sends normally; on sent=true the request (nil when the
+	// payload was staged after all) completes when the receiver has
+	// released buf.
+	IsendNoCopy(buf []byte, dest, tag int, c *comm.Comm) (r *request.Request, sent bool, err error)
+	// IrecvReduce posts a receive from src that folds the incoming
+	// payload into acc with fold(acc, incoming) instead of copying it —
+	// in place over a lent handoff view. Only a device with a handoff
+	// path offers it; collectives ask for it only when ShmHandoffMax > 0.
+	IrecvReduce(acc []byte, src, tag int, c *comm.Comm, fold func(dst, incoming []byte)) (*request.Request, error)
 }
 
 // barrierTagBase is the first tag of Barrier's reserved tag block.

@@ -84,9 +84,6 @@ var (
 	ErrBadArgument = errors.New("datatype: bad constructor argument")
 )
 
-// Kind returns the constructor kind of the type.
-func (t *Type) Kind() Kind { return t.kind }
-
 // Name returns the predefined name or a constructor description.
 func (t *Type) Name() string {
 	if t.name != "" {

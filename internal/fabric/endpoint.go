@@ -11,6 +11,7 @@ import (
 	"gompi/internal/instr"
 	"gompi/internal/match"
 	"gompi/internal/metrics"
+	"gompi/internal/proc"
 	"gompi/internal/vtime"
 )
 
@@ -23,7 +24,7 @@ import (
 const AnyVCI = -1
 
 // RecvOp is an outstanding tagged receive. The owner posts it with
-// PostRecv and completes it with RecvDone/WaitRecv; the fabric fills in
+// PostRecv and completes it with RecvDone; the fabric fills in
 // the result fields when a message matches. Ops must be fresh (or
 // zeroed) when posted.
 type RecvOp struct {
@@ -257,7 +258,7 @@ type Endpoint struct {
 	stale   []*RecvOp
 
 	handlers [256]AMHandler
-	meter    Meter
+	meter    proc.Meter
 	// m caches meter.Metrics(), the owner's registry: only the owner's
 	// goroutines write it (send-side counters, reaps, parks). A
 	// depositing peer never touches it — what an arrival observes goes
@@ -301,9 +302,6 @@ func newEndpoint(f *Fabric, rank, nvci int) *Endpoint {
 	return ep
 }
 
-// Rank returns the endpoint's fabric address.
-func (ep *Endpoint) Rank() int { return ep.rank }
-
 // norm maps AnyVCI to 0 on a single-VCI endpoint (where the fallback
 // path is pointless) and bounds-checks explicit indices.
 func (ep *Endpoint) norm(v int) int {
@@ -335,7 +333,7 @@ func (ep *Endpoint) vciForRecv(bits, mask match.Bits) int {
 
 // Bind attaches the owning rank's meter. Must be called before any
 // operation that charges costs.
-func (ep *Endpoint) Bind(m Meter) {
+func (ep *Endpoint) Bind(m proc.Meter) {
 	ep.meter = m
 	ep.m = m.Metrics()
 }
@@ -892,23 +890,6 @@ func (ep *Endpoint) RecvDone(op *RecvOp) bool {
 	}
 	ep.reap(op)
 	return true
-}
-
-// WaitRecv blocks until the receive completes, running active-message
-// handlers that arrive in the meantime (progress happens inside MPI
-// calls, as in a real implementation). It waits on the op's VCI: one
-// interface's event, which unrelated traffic elsewhere on the endpoint
-// does not move, or the aggregate for a wildcard op. The deposit that
-// completes the op bumps the sequence after it sets done, so a sequence
-// read before the done check cannot miss it.
-func (ep *Endpoint) WaitRecv(op *RecvOp) {
-	for !op.done.Load() {
-		seq := ep.EventSeqVCI(op.vci)
-		if ep.Progress(); !op.done.Load() {
-			ep.WaitEventVCI(op.vci, seq)
-		}
-	}
-	ep.reap(op)
 }
 
 // reap accounts for a completed receive on the owner's clock, exactly

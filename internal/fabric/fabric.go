@@ -6,34 +6,9 @@ import (
 	"sync/atomic"
 
 	"gompi/internal/abort"
-	"gompi/internal/instr"
 	"gompi/internal/match"
-	"gompi/internal/metrics"
 	"gompi/internal/stall"
-	"gompi/internal/vtime"
 )
-
-// Meter is what the fabric charges costs to: the calling rank's
-// instruction profile and virtual clock. proc.Rank implements it. The
-// fabric only ever charges the meter bound to the endpoint whose owner
-// goroutine is making the call, so meters need no synchronization.
-type Meter interface {
-	// Charge records n MPI-library instructions (and advances the
-	// clock by n cycles at CPI 1.0).
-	Charge(cat instr.Category, n int64)
-	// ChargeCycles records n non-instruction cycles (transport,
-	// compute).
-	ChargeCycles(cat instr.Category, n int64)
-	// Now returns the rank's current virtual time.
-	Now() vtime.Time
-	// Sync advances the rank's clock to t if t is in the future.
-	Sync(t vtime.Time)
-	// Metrics returns the rank's observability registry. Send-side
-	// counters accrue through the calling endpoint's meter;
-	// receive-side counters accrue through the destination endpoint's
-	// meter under that endpoint's lock.
-	Metrics() *metrics.Rank
-}
 
 // Options are the fabric's scale knobs — the on-demand connection
 // model of Liu et al. (MPICH2 over InfiniBand) and its measurable

@@ -14,8 +14,8 @@ import (
 )
 
 // Tests for the waiter gate: an event takes a VCI's lock to Broadcast
-// only when a goroutine has announced itself in WaitEventVCI or
-// WaitRecv. A wakeup the gate loses is a goroutine asleep for good, so
+// only when a goroutine has announced itself in WaitEventVCI (directly
+// or through waitRecv, the device's receive wait). A wakeup the gate loses is a goroutine asleep for good, so
 // every test here fails on a timeout instead of hanging the run.
 
 const gateRounds = 100_000
@@ -76,19 +76,19 @@ func TestWaiterGateWakeVCI(t *testing.T) {
 		})
 	for _, ep := range []*Endpoint{a, b} {
 		if got := ep.EventSeqVCI(1); got != gateRounds {
-			t.Errorf("rank %d VCI 1 saw %d events, want %d (one per round)", ep.Rank(), got, gateRounds)
+			t.Errorf("rank %d VCI 1 saw %d events, want %d (one per round)", ep.rank, got, gateRounds)
 		}
 		if got := ep.EventSeqVCI(0); got != 0 {
-			t.Errorf("rank %d VCI 0 saw %d events of VCI 1's ping-pong", ep.Rank(), got)
+			t.Errorf("rank %d VCI 0 saw %d events of VCI 1's ping-pong", ep.rank, got)
 		}
 		if n := ep.vcis[1].ev.waiters.Load(); n != 0 {
-			t.Errorf("rank %d VCI 1 left with %d announced waiter(s)", ep.Rank(), n)
+			t.Errorf("rank %d VCI 1 left with %d announced waiter(s)", ep.rank, n)
 		}
 	}
 }
 
 // TestWaiterGateWaitRecv is the same handshake through deposit and
-// WaitRecv: deposit signals its VCI's event after it drops the lock,
+// the receive wait: deposit signals its VCI's event after it drops the lock,
 // and broadcasts only for an announced waiter. Each side's message
 // reaches the peer posted-first or unexpected-first as the race falls.
 func TestWaiterGateWaitRecv(t *testing.T) {
@@ -98,28 +98,28 @@ func TestWaiterGateWaitRecv(t *testing.T) {
 		return func(round *atomic.Int64) {
 			var op RecvOp
 			var out, in [8]byte
-			bits := match.MakeBits(1, peer.Rank(), 7)
+			bits := match.MakeBits(1, peer.rank, 7)
 			for i := 0; i < gateRounds; i++ {
 				op.Buf = in[:]
 				me.PostRecvVCI(&op, bits, match.FullMask, 1)
 				binary.LittleEndian.PutUint64(out[:], uint64(i))
 				if first {
-					me.TaggedSendVCI(peer.Rank(), match.MakeBits(1, me.Rank(), 7), out[:], 1, nil)
+					me.TaggedSendVCI(peer.rank, match.MakeBits(1, me.rank, 7), out[:], 1, nil)
 				}
-				me.WaitRecv(&op)
+				waitRecv(me, &op)
 				if got := binary.LittleEndian.Uint64(in[:]); op.N != 8 || got != uint64(i) {
-					t.Errorf("rank %d round %d: received %d bytes, stamp %d", me.Rank(), i, op.N, got)
+					t.Errorf("rank %d round %d: received %d bytes, stamp %d", me.rank, i, op.N, got)
 					return
 				}
 				op.Reset()
 				if !first {
-					me.TaggedSendVCI(peer.Rank(), match.MakeBits(1, me.Rank(), 7), out[:], 1, nil)
+					me.TaggedSendVCI(peer.rank, match.MakeBits(1, me.rank, 7), out[:], 1, nil)
 				}
 				round.Add(1)
 			}
 		}
 	}
-	within(t, "deposit/WaitRecv", side(a, b, true), side(b, a, false))
+	within(t, "deposit/waitRecv", side(a, b, true), side(b, a, false))
 }
 
 // TestWaitParksAfterYields: yielding is a prelude to the park, not a
@@ -152,7 +152,7 @@ func TestWaitParksAfterYields(t *testing.T) {
 			ended := make(chan any, 1)
 			go func() {
 				defer func() { ended <- recover() }()
-				ep.WaitRecv(op)
+				waitRecv(ep, op)
 			}()
 			for deadline := time.Now().Add(10 * time.Second); !waiters(); runtime.Gosched() {
 				if time.Now().After(deadline) {
@@ -265,7 +265,7 @@ func BenchmarkWakeVCI(b *testing.B) {
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
-			dst.WaitRecv(op) // woken by every WakeVCI, released by the send below
+			waitRecv(dst, op) // woken by every WakeVCI, released by the send below
 		}()
 		for dst.vcis[0].ev.waiters.Load() == 0 {
 			runtime.Gosched()

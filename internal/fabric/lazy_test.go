@@ -72,7 +72,7 @@ func TestLazyConnChaosFirstTouch(t *testing.T) {
 		for i := 0; i < lanes*msgs; i++ {
 			op := &RecvOp{Buf: make([]byte, 1)}
 			f.Endpoint(0).PostRecv(op, match.MakeBits(1, s, i), match.FullMask)
-			f.Endpoint(0).WaitRecv(op)
+			waitRecv(f.Endpoint(0), op)
 			if op.Buf[0] != byte(s) {
 				t.Fatalf("message from %d carried %d", s, op.Buf[0])
 			}

@@ -41,7 +41,7 @@ func TestRendezvousLent(t *testing.T) {
 			consume: func(ep *Endpoint, buf []byte) []byte {
 				op := &RecvOp{Buf: buf}
 				ep.PostRecvVCI(op, match.MakeBits(1, 0, 0), match.RecvMask(true, true), AnyVCI)
-				ep.WaitRecv(op)
+				waitRecv(ep, op)
 				return buf[:op.N]
 			}},
 		{name: "mprobe", size: big, staged: 1, direct: 0, releases: 1, copied: true,
@@ -56,7 +56,7 @@ func TestRendezvousLent(t *testing.T) {
 			consume: func(ep *Endpoint, buf []byte) []byte {
 				op := &RecvOp{Buf: buf, Fold: func(dst, src []byte) { copy(dst, src) }}
 				ep.PostRecv(op, bits, match.FullMask)
-				ep.WaitRecv(op)
+				waitRecv(ep, op)
 				return buf[:op.N]
 			}},
 		{name: "eager", size: 8192, staged: 1, direct: 1, releases: 0},
@@ -79,7 +79,7 @@ func TestRendezvousLent(t *testing.T) {
 				consume = func(ep *Endpoint, buf []byte) []byte {
 					op := &RecvOp{Buf: buf}
 					ep.PostRecv(op, bits, match.FullMask)
-					ep.WaitRecv(op)
+					waitRecv(ep, op)
 					return buf[:op.N]
 				}
 			}
@@ -92,7 +92,7 @@ func TestRendezvousLent(t *testing.T) {
 			src.TaggedSendVCI(1, bits, data, f.VCIFor(bits), rel)
 			var got []byte
 			if tc.posted {
-				dst.WaitRecv(op)
+				waitRecv(dst, op)
 				got = buf[:op.N]
 			} else {
 				if rel.n != 0 {

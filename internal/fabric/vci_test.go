@@ -57,7 +57,7 @@ func TestVCITrafficIsolatedPerInterface(t *testing.T) {
 	for v := 3; v >= 0; v-- {
 		op := &RecvOp{Buf: make([]byte, 1)}
 		dst.PostRecvVCI(op, match.MakeBits(1, 0, v), match.FullMask, v)
-		dst.WaitRecv(op)
+		waitRecv(dst, op)
 		if op.N != 1 || op.Buf[0] != byte(0x10+v) {
 			t.Fatalf("vci %d delivered % x", v, op.Buf[:op.N])
 		}
@@ -79,7 +79,7 @@ func TestWildcardRecvSearchesAllVCIs(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		op := &RecvOp{Buf: make([]byte, 1)}
 		dst.PostRecvVCI(op, match.MakeBits(1, 0, 0), mask, AnyVCI)
-		dst.WaitRecv(op)
+		waitRecv(dst, op)
 		if op.N != 1 || !want[op.Buf[0]] {
 			t.Fatalf("wildcard receive %d delivered unexpected % x", i, op.Buf[:op.N])
 		}
@@ -104,7 +104,7 @@ func TestWildcardRecvPreservesArrivalOrderAcrossVCIs(t *testing.T) {
 	for i := 0; i < len(order); i++ {
 		op := &RecvOp{Buf: make([]byte, 1)}
 		dst.PostRecvVCI(op, match.MakeBits(1, 0, 0), mask, AnyVCI)
-		dst.WaitRecv(op)
+		waitRecv(dst, op)
 		if op.Buf[0] != byte(i) {
 			t.Fatalf("wildcard receive %d got deposit %d: cross-VCI order broken", i, op.Buf[0])
 		}
@@ -147,7 +147,7 @@ func TestEventSeqPerVCIIsolation(t *testing.T) {
 	for i := 0; i < hammer; i++ {
 		op := &RecvOp{Buf: make([]byte, 1)}
 		dst.PostRecvVCI(op, match.MakeBits(1, 0, 1), match.FullMask, 1)
-		dst.WaitRecv(op)
+		waitRecv(dst, op)
 	}
 }
 
@@ -193,11 +193,11 @@ func TestWaitEventVCINoSpuriousWakeup(t *testing.T) {
 	for i := 0; i < 128; i++ {
 		op := &RecvOp{Buf: make([]byte, 1)}
 		dst.PostRecvVCI(op, match.MakeBits(1, 0, 1), match.FullMask, 1)
-		dst.WaitRecv(op)
+		waitRecv(dst, op)
 	}
 	op := &RecvOp{Buf: make([]byte, 1)}
 	dst.PostRecvVCI(op, match.MakeBits(1, 0, 0), match.FullMask, 0)
-	dst.WaitRecv(op)
+	waitRecv(dst, op)
 	if !bytes.Equal(op.Buf[:op.N], []byte{2}) {
 		t.Fatalf("drain of VCI 0 got % x", op.Buf[:op.N])
 	}
@@ -219,5 +219,5 @@ func TestProbeVCIOnPinnedInterface(t *testing.T) {
 	}
 	op := &RecvOp{Buf: make([]byte, 2)}
 	dst.PostRecvVCI(op, match.MakeBits(1, 0, 5), match.FullMask, 2)
-	dst.WaitRecv(op)
+	waitRecv(dst, op)
 }

@@ -238,34 +238,3 @@ func Difference(a, b *Group) *Group {
 	}
 	return FromRanks(world)
 }
-
-// Equal reports whether two groups contain the same ranks in the same
-// order (MPI_IDENT). O(1) when both sides are strided.
-func Equal(a, b *Group) bool {
-	if a.size != b.size {
-		return false
-	}
-	if a.ranks == nil && b.ranks == nil {
-		return a.size == 0 || (a.base == b.base && (a.size == 1 || a.stride == b.stride))
-	}
-	for i := 0; i < a.size; i++ {
-		if a.worldAt(i) != b.worldAt(i) {
-			return false
-		}
-	}
-	return true
-}
-
-// Similar reports whether two groups contain the same ranks in any
-// order (MPI_SIMILAR).
-func Similar(a, b *Group) bool {
-	if a.size != b.size {
-		return false
-	}
-	for i := 0; i < a.size; i++ {
-		if b.Rank(a.worldAt(i)) == Undefined {
-			return false
-		}
-	}
-	return true
-}

@@ -111,19 +111,6 @@ func TestTranslateRanks(t *testing.T) {
 	}
 }
 
-func TestEqualSimilar(t *testing.T) {
-	a := FromRanks([]int{1, 2, 3})
-	b := FromRanks([]int{1, 2, 3})
-	c := FromRanks([]int{3, 2, 1})
-	d := FromRanks([]int{1, 2})
-	if !Equal(a, b) || Equal(a, c) || Equal(a, d) {
-		t.Error("Equal wrong")
-	}
-	if !Similar(a, c) || Similar(a, d) {
-		t.Error("Similar wrong")
-	}
-}
-
 // Property: Rank and WorldRank are inverse on every member.
 func TestRankInverseProperty(t *testing.T) {
 	f := func(perm []uint8) bool {

@@ -77,31 +77,6 @@ func (h *H) Observe(v int64) {
 	}
 }
 
-// Count returns the number of observations: the sum of the buckets,
-// which Observe therefore does not have to count a second time.
-func (h *H) Count() int64 { return h.load().Count }
-
-// Sum returns the sum of all observed values.
-func (h *H) Sum() int64 { return h.load().Sum }
-
-// Max returns the largest observed value (zero when empty).
-func (h *H) Max() int64 { return h.load().Max }
-
-// Percentile returns a conservative estimate of the p-th percentile
-// (0 < p <= 100): the upper bound of the bucket containing that
-// quantile, clamped to Max. An empty histogram reports zero. The
-// target rank and the bucket walk come from one read of the buckets.
-func (h *H) Percentile(p float64) int64 {
-	if p < 0 {
-		p = 0
-	}
-	if p > 100 {
-		p = 100
-	}
-	s := h.load()
-	return s.percentile(p)
-}
-
 // bucketUpper is the inclusive upper bound of bucket i.
 func bucketUpper(i int) int64 {
 	if i >= 63 {
@@ -149,7 +124,7 @@ func (h *H) Snapshot() Snapshot {
 }
 
 // Merge folds o into s, recomputing nothing: percentiles of a merged
-// snapshot are derived from the combined buckets via Percentiles.
+// snapshot are derived from the combined buckets.
 func (s *Snapshot) Merge(o Snapshot) {
 	s.Count += o.Count
 	s.Sum += o.Sum

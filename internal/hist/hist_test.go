@@ -8,15 +8,12 @@ import (
 
 func TestEmptyHistogram(t *testing.T) {
 	var h H
-	if h.Count() != 0 || h.Sum() != 0 || h.Max() != 0 {
-		t.Fatalf("empty histogram not zero: count=%d sum=%d max=%d", h.Count(), h.Sum(), h.Max())
-	}
+	s := h.Snapshot()
 	for _, p := range []float64{0, 50, 90, 99, 100} {
-		if got := h.Percentile(p); got != 0 {
+		if got := s.percentile(p); got != 0 {
 			t.Fatalf("empty histogram p%g = %d, want 0", p, got)
 		}
 	}
-	s := h.Snapshot()
 	if s.Count != 0 || s.Sum != 0 || s.P50 != 0 || s.P99 != 0 || s.Max != 0 {
 		t.Fatalf("empty snapshot not zero: %+v", s)
 	}
@@ -28,12 +25,12 @@ func TestPercentileOrdering(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		h.Observe(rng.Int63n(1 << 20))
 	}
-	p50, p90, p99, max := h.Percentile(50), h.Percentile(90), h.Percentile(99), h.Max()
-	if !(p50 <= p90 && p90 <= p99 && p99 <= max) {
-		t.Fatalf("percentile ordering violated: p50=%d p90=%d p99=%d max=%d", p50, p90, p99, max)
+	s := h.Snapshot()
+	if !(s.P50 <= s.P90 && s.P90 <= s.P99 && s.P99 <= s.Max) {
+		t.Fatalf("percentile ordering violated: p50=%d p90=%d p99=%d max=%d", s.P50, s.P90, s.P99, s.Max)
 	}
-	if h.Count() != 5000 {
-		t.Fatalf("count = %d, want 5000", h.Count())
+	if s.Count != 5000 {
+		t.Fatalf("count = %d, want 5000", s.Count)
 	}
 }
 
@@ -42,24 +39,26 @@ func TestSingleValue(t *testing.T) {
 	h.Observe(100)
 	// 100 lands in bucket ceil(log2(100)) = 7, upper bound 128,
 	// clamped to max=100.
+	s := h.Snapshot()
 	for _, p := range []float64{1, 50, 99, 100} {
-		if got := h.Percentile(p); got != 100 {
+		if got := s.percentile(p); got != 100 {
 			t.Fatalf("p%g = %d, want 100 (single observation clamped to max)", p, got)
 		}
 	}
-	if h.Sum() != 100 || h.Max() != 100 || h.Count() != 1 {
-		t.Fatalf("sum/max/count = %d/%d/%d", h.Sum(), h.Max(), h.Count())
+	if s.Sum != 100 || s.Max != 100 || s.Count != 1 {
+		t.Fatalf("sum/max/count = %d/%d/%d", s.Sum, s.Max, s.Count)
 	}
 }
 
 func TestNegativeClampsToZero(t *testing.T) {
 	var h H
 	h.Observe(-5)
-	if h.Count() != 1 || h.Sum() != 0 || h.Max() != 0 {
-		t.Fatalf("negative observation not clamped: count=%d sum=%d max=%d", h.Count(), h.Sum(), h.Max())
+	s := h.Snapshot()
+	if s.Count != 1 || s.Sum != 0 || s.Max != 0 {
+		t.Fatalf("negative observation not clamped: count=%d sum=%d max=%d", s.Count, s.Sum, s.Max)
 	}
-	if got := h.Percentile(50); got != 0 {
-		t.Fatalf("p50 after clamped observation = %d, want 0", got)
+	if s.P50 != 0 {
+		t.Fatalf("p50 after clamped observation = %d, want 0", s.P50)
 	}
 }
 
@@ -101,16 +100,16 @@ func TestConcurrentObserve(t *testing.T) {
 		}(int64(g))
 	}
 	wg.Wait()
-	if h.Count() != goroutines*per {
-		t.Fatalf("count = %d, want %d", h.Count(), goroutines*per)
+	s := h.Snapshot()
+	if s.Count != goroutines*per {
+		t.Fatalf("count = %d, want %d", s.Count, goroutines*per)
 	}
 	var bsum int64
-	s := h.Snapshot()
 	for _, b := range s.Buckets {
 		bsum += b
 	}
-	if bsum != h.Count() {
-		t.Fatalf("bucket sum %d != count %d", bsum, h.Count())
+	if bsum != s.Count {
+		t.Fatalf("bucket sum %d != count %d", bsum, s.Count)
 	}
 }
 
@@ -150,11 +149,12 @@ func TestSingleVsSharedHist(t *testing.T) {
 		single.Observe(v)
 		shared.Observe(v)
 	}
-	if a, b := single.Snapshot(), shared.Snapshot(); a != b {
+	a, b := single.Snapshot(), shared.Snapshot()
+	if a != b {
 		t.Fatalf("single-writer and shared histograms differ:\n%+v\n%+v", a, b)
 	}
-	if single.Percentile(37) != shared.Percentile(37) || single.Count() != 20000 {
-		t.Fatalf("p37 %d vs %d, count %d", single.Percentile(37), shared.Percentile(37), single.Count())
+	if a.percentile(37) != b.percentile(37) || a.Count != 20000 {
+		t.Fatalf("p37 %d vs %d, count %d", a.percentile(37), b.percentile(37), a.Count)
 	}
 }
 

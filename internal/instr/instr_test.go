@@ -70,15 +70,6 @@ func TestSnapshotDelta(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	var p Profile
-	p.Charge(Redundant, 9)
-	p.Reset()
-	if p.Total() != 0 || p.Cycles() != 0 || p.Count(Redundant) != 0 {
-		t.Error("Reset did not zero the profile")
-	}
-}
-
 func TestBreakdownAddScale(t *testing.T) {
 	var p Profile
 	p.Charge(Mandatory, 10)
@@ -166,8 +157,8 @@ func TestBreakdownStringHasAllRows(t *testing.T) {
 // Property: the profile keeps no running totals, yet for any sequence
 // of charges — on a single-writer and on a shared profile — Total,
 // Cycles and Delta equal the accumulators the test keeps beside it (the
-// two a Charge used to maintain), Transport and Compute cycles count
-// toward Cycles only, and Reset returns all of it to zero.
+// two a Charge used to maintain), and Transport and Compute cycles
+// count toward Cycles only.
 func TestLedgerTotalsAreSums(t *testing.T) {
 	f := func(pre, post []uint16, shared bool) bool {
 		var p Profile
@@ -199,11 +190,7 @@ func TestLedgerTotalsAreSums(t *testing.T) {
 		for cat := Category(0); cat < NumCategories; cat++ {
 			counts += d.Count(cat)
 		}
-		if d.Total != total-total0 || d.Cycles != cycles-cycles0 || counts != d.Cycles {
-			return false
-		}
-		p.Reset()
-		return p.Total() == 0 && p.Cycles() == 0 && p.Snap() == Snapshot{}
+		return d.Total == total-total0 && d.Cycles == cycles-cycles0 && counts == d.Cycles
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

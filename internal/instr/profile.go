@@ -58,10 +58,6 @@ func (p *Profile) Total() int64 { return p.Delta(Snapshot{}).Total }
 // transport and compute charges.
 func (p *Profile) Cycles() int64 { return p.Delta(Snapshot{}).Cycles }
 
-// Reset zeroes the profile. Not safe against concurrent charging;
-// callers reset only while the rank is quiescent.
-func (p *Profile) Reset() { p.counts = [NumCategories]int64{} }
-
 // Snapshot is a point-in-time copy of a Profile, used to attribute the
 // cost of a single call: snap before, call, Delta after.
 type Snapshot struct {

@@ -25,10 +25,6 @@ const (
 	srcMask Bits = 0xffff << srcShift
 	tagMask Bits = 0xffffffff << tagShift
 
-	// MaxContext is the largest encodable communicator context id.
-	MaxContext = 1<<16 - 1
-	// MaxSource is the largest encodable source rank.
-	MaxSource = 1<<16 - 1
 	// MaxTag is the largest encodable tag (MPI guarantees at least
 	// 32767 for MPI_TAG_UB; we provide the full 31-bit positive range).
 	MaxTag = 1<<31 - 1

@@ -13,7 +13,7 @@ func TestBitsRoundTrip(t *testing.T) {
 	}{
 		{0, 0, 0},
 		{1, 2, 3},
-		{MaxContext, MaxSource, 12345},
+		{1<<16 - 1, 1<<16 - 1, 12345}, // the largest context and source
 		{7, 1000, MaxTag},
 	}
 	for _, c := range cases {

@@ -33,19 +33,19 @@ type topo struct {
 // computeTopo derives the communicator's node structure. Each node's
 // leader is its lowest rank, except that when prefer >= 0 (a broadcast
 // root) the preferred rank leads its own node so the root's data never
-// takes an extra intra-node hop. Transports that cache (TopoCache) or
-// expose block geometry (BlockTopo) skip the O(size) derivation.
+// takes an extra intra-node hop. The transport's cache answers repeats;
+// a block mapping is derived arithmetically, any other by a scan.
 func computeTopo(t Transport, prefer int) topo {
-	tc, cached := t.(TopoCache)
-	if cached {
-		if v, ok := tc.LoadTopo(prefer); ok {
-			return v.(topo)
-		}
+	if v, ok := t.LoadTopo(prefer); ok {
+		return v.(topo)
 	}
-	tp := computeTopoScan(t, prefer)
-	if cached {
-		tc.StoreTopo(prefer, tp)
+	var tp topo
+	if rpn, ok := t.RanksPerNodeBlock(); ok && rpn > 0 {
+		tp = blockTopo(t, prefer, rpn)
+	} else {
+		tp = scanTopo(t, prefer)
 	}
+	t.StoreTopo(prefer, tp)
 	return tp
 }
 
@@ -84,14 +84,9 @@ func blockTopo(t Transport, prefer, rpn int) topo {
 	return tp
 }
 
-// computeTopoScan is the general derivation over an arbitrary
-// rank→node mapping.
-func computeTopoScan(t Transport, prefer int) topo {
-	if bt, ok := t.(BlockTopo); ok {
-		if rpn, ok := bt.RanksPerNodeBlock(); ok && rpn > 0 {
-			return blockTopo(t, prefer, rpn)
-		}
-	}
+// scanTopo is the general derivation over an arbitrary rank→node
+// mapping.
+func scanTopo(t Transport, prefer int) topo {
 	size := t.Size()
 	leaderOf := map[int]int{}
 	var nodes []int
@@ -403,12 +398,11 @@ func Allreduce(s *Schedule, t Transport, tag int, op coll.Op, elem *datatype.Typ
 		allreduceTwoLevel(s, sendBuf, recv)
 	case metrics.CollAllreduceTwoLevelZC:
 		// The zero-copy variant folds lent views in place, which needs
-		// the transport extensions, an element-divisible payload, and a
-		// commutative op (folds run in arrival order).
-		ht, hok := t.(HandoffTransport)
-		_, rok := t.(ReduceTransport)
+		// an element-divisible payload (selection already checked the
+		// handoff threshold and the op's commutativity: folds run in
+		// arrival order).
 		es := elem.Size()
-		if !hok || !rok || ht.HandoffEager() <= 0 || es == 0 || len(sendBuf)%es != 0 {
+		if es == 0 || len(sendBuf)%es != 0 {
 			s.Algo = metrics.CollAllreduceTwoLevel
 			allreduceTwoLevel(s, sendBuf, recv)
 			break

@@ -47,8 +47,11 @@ type Pending interface {
 
 // Transport is what a schedule runs over: the eager matched send /
 // nonblocking matched receive pair of the device's collective context,
-// plus the topology and protocol facts the compiler and the segmenter
-// need.
+// the zero-copy handoff pair, and the topology and protocol facts the
+// compiler and the segmenter need. It is the whole contract: a
+// transport without a capability answers for it (HandoffEager 0,
+// SendNoCopy "not sent", RanksPerNodeBlock false, a LoadTopo miss)
+// instead of leaving the method out.
 type Transport interface {
 	Rank() int
 	Size() int
@@ -60,39 +63,27 @@ type Transport interface {
 	// Node maps a communicator rank to its node id (two-level
 	// algorithms exchange through one leader per node).
 	Node(rank int) int
-	// EagerLimit is the eager/rendezvous threshold in bytes; 0 means
-	// unlimited eager. Sends above it are segmented.
-	EagerLimit() int
-}
-
-// BlockTopo is an optional Transport extension for transports whose
-// rank→node mapping is the contiguous block mapping: communicator rank
-// r lives on node r/rpn (rank 0 at a node boundary). The two-level
-// compilers then derive the node structure arithmetically in
-// O(nodes + rpn) instead of an O(size) scan with a per-call map — the
-// difference between a 10K-rank allreduce compiling in microseconds
-// and burning 100M map operations per call.
-type BlockTopo interface {
-	// RanksPerNodeBlock returns (rpn, true) when the block mapping
-	// holds, (0, false) otherwise (irregular subcommunicators).
+	// SegLimit is the fragment limit toward peer in bytes (0 =
+	// unsegmented): the eager/rendezvous threshold, or 0 for a peer
+	// reachable without rendezvous (on-node shm with handoff enabled),
+	// so large payloads stay whole and can ride the handoff path.
+	// Senders and receivers derive the same cuts because it is
+	// symmetric in the pair.
+	SegLimit(peer int) int
+	// RanksPerNodeBlock returns (rpn, true) when the rank→node mapping
+	// is the contiguous block mapping node(r) = r/rpn, (0, false)
+	// otherwise (irregular subcommunicators). The two-level compilers
+	// then derive the node structure arithmetically in O(nodes + rpn)
+	// instead of an O(size) scan with a per-call map — the difference
+	// between a 10K-rank allreduce compiling in microseconds and
+	// burning 100M map operations per call.
 	RanksPerNodeBlock() (int, bool)
-}
-
-// TopoCache is an optional Transport extension: a transport backed by
-// a long-lived communicator can memoize the derived node structure per
-// prefer-rank, so repeated collectives skip even the fast derivation.
-// Keys are the prefer argument; values are opaque to the transport.
-type TopoCache interface {
+	// LoadTopo and StoreTopo memoize the derived node structure per
+	// prefer-rank on a long-lived communicator, so repeated
+	// collectives skip even the fast derivation. Values are opaque to
+	// the transport.
 	LoadTopo(prefer int) (any, bool)
 	StoreTopo(prefer int, v any)
-}
-
-// HandoffTransport is the optional zero-copy extension a transport may
-// implement (the ch4 device does when Config.ShmEagerMax is set): large
-// on-node payloads are lent to the receiver instead of copied through
-// staging cells. The engine type-asserts for it, so the core Transport
-// interface — and every fake implementing it — is untouched.
-type HandoffTransport interface {
 	// SendNoCopy lends data to dest over the zero-copy handoff path.
 	// ok=false means the path does not apply (off-node peer, payload
 	// under the threshold, handoff disabled) and nothing was sent —
@@ -105,24 +96,12 @@ type HandoffTransport interface {
 	// HandoffEager is the zero-copy threshold in bytes (0 = handoff
 	// unavailable); the algorithm selection keys off it.
 	HandoffEager() int
-}
-
-// ReduceTransport is the optional in-place reduction extension: the
-// receive consumes its payload by folding it into acc element-wise
-// instead of copying. Over a zero-copy handoff view the payload is
-// reduced where the sender left it — zero copies end to end.
-type ReduceTransport interface {
+	// RecvReduce posts a receive that consumes its payload by folding
+	// it into acc element-wise instead of copying. Over a zero-copy
+	// handoff view the payload is reduced where the sender left it —
+	// zero copies end to end. Compilers emit it only when HandoffEager
+	// is nonzero.
 	RecvReduce(acc []byte, op coll.Op, elem *datatype.Type, src, tag int) (Pending, error)
-}
-
-// Segmenter is the optional per-peer refinement of EagerLimit: a
-// transport that knows a peer is reachable without the rendezvous
-// protocol (on-node shm with handoff enabled) returns 0 for it, so
-// both sides skip segmentation and large payloads stay whole — which
-// is what lets them ride the handoff path. Senders and receivers
-// derive the same cuts because SegLimit is symmetric in the pair.
-type Segmenter interface {
-	SegLimit(peer int) int
 }
 
 // stepKind enumerates the primitive operations a schedule is built of.
@@ -362,22 +341,11 @@ func (s *Schedule) fail(err error) error {
 	return s.err
 }
 
-// segLimit is the fragment limit toward one peer: the transport's
-// per-peer refinement when it offers one, the flat eager limit
-// otherwise. Both endpoints of a pair compute the same value, so
-// fragments pair up by FIFO order.
-func (s *Schedule) segLimit(peer int) int {
-	if sg, ok := s.t.(Segmenter); ok {
-		return sg.SegLimit(peer)
-	}
-	return s.t.EagerLimit()
-}
-
 // fragments calls f on each eager-sized cut of buf toward peer, in
 // order: buf whole when it fits the limit, ceil(n/limit) cuts
 // otherwise. It is the one segmenter both directions share.
 func (s *Schedule) fragments(buf []byte, peer int, f func(frag []byte) error) error {
-	lim := s.segLimit(peer)
+	lim := s.t.SegLimit(peer)
 	if lim <= 0 || len(buf) <= lim {
 		return f(buf)
 	}
@@ -396,17 +364,15 @@ func (s *Schedule) fragments(buf []byte, peer int, f func(frag []byte) error) er
 func (s *Schedule) issueSend(st *step) error {
 	peer := int(st.peer)
 	if st.noCopy {
-		if ht, ok := s.t.(HandoffTransport); ok {
-			p, sent, err := ht.SendNoCopy(st.a, peer, s.tag)
-			if err != nil {
-				return err
+		p, sent, err := s.t.SendNoCopy(st.a, peer, s.tag)
+		if err != nil {
+			return err
+		}
+		if sent {
+			if p != nil {
+				s.pending = append(s.pending, pend{p, -1})
 			}
-			if sent {
-				if p != nil {
-					s.pending = append(s.pending, pend{p, -1})
-				}
-				return nil
-			}
+			return nil
 		}
 	}
 	return s.fragments(st.a, peer, func(frag []byte) error {
@@ -432,11 +398,7 @@ func (s *Schedule) issueRecv(st *step) error {
 // emit these only toward unsegmented peers (SegLimit 0), so the whole
 // payload arrives as one message and folds once.
 func (s *Schedule) issueRecvReduce(st *step) error {
-	rt, ok := s.t.(ReduceTransport)
-	if !ok {
-		return fmt.Errorf("nbc: schedule uses recv-reduce but transport lacks it")
-	}
-	p, err := rt.RecvReduce(st.a, s.op, s.elem, int(st.peer), s.tag)
+	p, err := s.t.RecvReduce(st.a, s.op, s.elem, int(st.peer), s.tag)
 	if err != nil {
 		return err
 	}

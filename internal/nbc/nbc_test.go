@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -18,8 +19,11 @@ import (
 // traffic matches in order (the engine's FIFO assumption).
 type fakeNet struct {
 	size, rpn, eager int
-	q                [][]chan fakeMsg
-	sent             []int64 // messages injected per source rank
+	// block makes RanksPerNodeBlock report the rpn mapping, so
+	// computeTopo takes the arithmetic derivation instead of the scan.
+	block bool
+	q     [][]chan fakeMsg
+	sent  []int64 // messages injected per source rank
 }
 
 type fakeMsg struct {
@@ -46,9 +50,27 @@ type fakeRank struct {
 	rank int
 }
 
-func (f *fakeRank) Rank() int       { return f.rank }
-func (f *fakeRank) Size() int       { return f.net.size }
-func (f *fakeRank) EagerLimit() int { return f.net.eager }
+func (f *fakeRank) Rank() int             { return f.rank }
+func (f *fakeRank) Size() int             { return f.net.size }
+func (f *fakeRank) SegLimit(peer int) int { return f.net.eager }
+
+// The fake has no topology cache and no handoff path; it answers
+// RanksPerNodeBlock only when the net is built with block set.
+func (f *fakeRank) RanksPerNodeBlock() (int, bool) {
+	if f.net.block && f.net.rpn > 0 {
+		return f.net.rpn, true
+	}
+	return 0, false
+}
+func (f *fakeRank) LoadTopo(prefer int) (any, bool) { return nil, false }
+func (f *fakeRank) StoreTopo(prefer int, v any)     {}
+func (f *fakeRank) HandoffEager() int               { return 0 }
+func (f *fakeRank) SendNoCopy(data []byte, dest, tag int) (Pending, bool, error) {
+	return nil, false, nil
+}
+func (f *fakeRank) RecvReduce(acc []byte, op coll.Op, elem *datatype.Type, src, tag int) (Pending, error) {
+	return nil, fmt.Errorf("fake transport has no receive-reduce")
+}
 
 func (f *fakeRank) Node(rank int) int {
 	if f.net.rpn <= 0 {
@@ -437,6 +459,29 @@ func TestTwoLevelDetection(t *testing.T) {
 	}
 	if !TwoLevel(newFakeNet(4, 2, 0).rankView(0)) {
 		t.Error("4 ranks on 2 nodes not reported two-level")
+	}
+}
+
+// TestTopoBlockMatchesScan is the differential of the two node-structure
+// derivations: a transport that reports the block mapping gets the
+// arithmetic blockTopo, one that does not gets the O(size) scan, and
+// both must give every rank the same leader, leader list, leader index
+// and local list, for every size, ranks-per-node and preferred leader.
+func TestTopoBlockMatchesScan(t *testing.T) {
+	for size := 1; size <= 33; size++ {
+		for _, rpn := range []int{1, 2, 3, 4, 8, size, size + 5} {
+			for _, prefer := range []int{-1, 0, size - 1, size / 2} {
+				block := &fakeNet{size: size, rpn: rpn, block: true}
+				scan := &fakeNet{size: size, rpn: rpn}
+				for me := 0; me < size; me++ {
+					b, s := computeTopo(block.rankView(me), prefer), computeTopo(scan.rankView(me), prefer)
+					if b.leader != s.leader || b.myIdx != s.myIdx ||
+						!slices.Equal(b.leaders, s.leaders) || !slices.Equal(b.locals, s.locals) {
+						t.Fatalf("size %d rpn %d prefer %d rank %d: block %+v, scan %+v", size, rpn, prefer, me, b, s)
+					}
+				}
+			}
+		}
 	}
 }
 

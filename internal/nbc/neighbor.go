@@ -21,8 +21,8 @@ import (
 	"gompi/internal/metrics"
 )
 
-// nodeOf resolves a rank's node id, taking the arithmetic BlockTopo
-// fast path when the transport offers it.
+// nodeOf resolves a rank's node id, arithmetically when the transport
+// reports a block mapping (rpn > 0).
 func nodeOf(t Transport, rpn int, rank int) int {
 	if rpn > 0 {
 		return rank / rpn
@@ -36,12 +36,7 @@ func nodeOf(t Transport, rpn int, rank int) int {
 // matching is preserved on both sides of every exchange. Negative
 // (ProcNull) entries are dropped.
 func orderLocalFirst(t Transport, peers []int) []int {
-	rpn := 0
-	if bt, ok := t.(BlockTopo); ok {
-		if r, exact := bt.RanksPerNodeBlock(); exact {
-			rpn = r
-		}
-	}
+	rpn, _ := t.RanksPerNodeBlock()
 	myNode := nodeOf(t, rpn, t.Rank())
 	order := make([]int, 0, len(peers))
 	for i, p := range peers {

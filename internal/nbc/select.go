@@ -103,22 +103,6 @@ func SelectReduce(t Transport, nbytes int, commutative bool, f Force) int {
 	return metrics.CollReduceBinomial
 }
 
-// zcAllreduce reports whether the zero-copy two-level allreduce
-// applies: the transport offers handoff lending plus in-place
-// receive-reduce, and the payload clears the handoff threshold (below
-// it, staged cells win — that is what the threshold means).
-func zcAllreduce(t Transport, nbytes int) bool {
-	ht, ok := t.(HandoffTransport)
-	if !ok {
-		return false
-	}
-	if _, ok := t.(ReduceTransport); !ok {
-		return false
-	}
-	e := ht.HandoffEager()
-	return e > 0 && nbytes > e
-}
-
 // SelectAllreduce picks the allreduce algorithm for count elements of
 // elemSize bytes each. Non-commutative operations always take the
 // chain-reduce + broadcast composition.
@@ -130,6 +114,13 @@ func SelectAllreduce(t Transport, count, elemSize int, commutative bool, f Force
 	pow2 := isPow2(size)
 	divisible := size > 0 && count%size == 0
 	nbytes := count * elemSize
+	// The zero-copy two-level variant applies when the payload clears
+	// the handoff threshold (below it, staged cells win — that is what
+	// the threshold means).
+	twoLevel := metrics.CollAllreduceTwoLevel
+	if h := t.HandoffEager(); h > 0 && nbytes > h {
+		twoLevel = metrics.CollAllreduceTwoLevelZC
+	}
 	switch f {
 	case ForceRDouble:
 		if pow2 {
@@ -142,18 +133,12 @@ func SelectAllreduce(t Transport, count, elemSize int, commutative bool, f Force
 		}
 		return metrics.CollAllreduceReduceBcast
 	case ForceTwoLevel:
-		if zcAllreduce(t, nbytes) {
-			return metrics.CollAllreduceTwoLevelZC
-		}
-		return metrics.CollAllreduceTwoLevel
+		return twoLevel
 	case ForceReduceBcast:
 		return metrics.CollAllreduceReduceBcast
 	}
 	if f != ForceFlat && TwoLevel(t) {
-		if zcAllreduce(t, nbytes) {
-			return metrics.CollAllreduceTwoLevelZC
-		}
-		return metrics.CollAllreduceTwoLevel
+		return twoLevel
 	}
 	if pow2 && divisible && nbytes > AllreduceLongMsg {
 		return metrics.CollAllreduceRedScatGather

@@ -178,12 +178,6 @@ func (g *Global) Open(r *proc.Rank) *Device {
 	return d
 }
 
-// Rank returns the owning rank.
-func (d *Device) Rank() *proc.Rank { return d.rank }
-
-// Config returns the build configuration.
-func (d *Device) Config() core.Config { return d.cfg }
-
 // Stats snapshots the rank's metrics registry. Matching happens in
 // software at the MPI layer on this device, so the device's own
 // engine — not the (unused) endpoint matching unit — is folded in.

@@ -32,11 +32,11 @@ func runWorld(t *testing.T, n int, prof fabric.Profile, cfg core.Config, body fu
 	w := proc.NewWorld(n, 1, hz)
 	g := NewGlobal(w, prof, cfg)
 	reg := comm.NewRegistry()
-	err := w.Run(func(r *proc.Rank) error {
+	err := errors.Join(w.RunAll(func(r *proc.Rank) error {
 		d := g.Open(r)
 		r.StartBarrier()
 		return body(&env{d: d, c: comm.NewWorld(reg, n, r.ID())})
-	})
+	})...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,11 +162,11 @@ func TestIsendInstructionCount(t *testing.T) {
 			req.Wait()
 			return nil
 		}
-		snap := e.d.Rank().Profile().Snap()
+		snap := e.d.rank.Profile().Snap()
 		if _, err := e.d.Isend([]byte{1}, 1, datatype.Byte, 1, 0, e.c, 0); err != nil {
 			return err
 		}
-		delta := e.d.Rank().Profile().Delta(snap)
+		delta := e.d.rank.Profile().Delta(snap)
 		if got := delta.Total; got != 156 {
 			return fmt.Errorf("device-side Isend = %d instructions, want 156", got)
 		}
@@ -188,11 +188,11 @@ func TestPutInstructionCount(t *testing.T) {
 			return err
 		}
 		if e.c.Rank() == 0 {
-			snap := e.d.Rank().Profile().Snap()
+			snap := e.d.rank.Profile().Snap()
 			if err := e.d.Put([]byte{1}, 1, datatype.Byte, 1, 0, w, 0); err != nil {
 				return err
 			}
-			delta := e.d.Rank().Profile().Delta(snap)
+			delta := e.d.rank.Profile().Delta(snap)
 			if got := delta.Total; got != 1239 {
 				return fmt.Errorf("device-side Put = %d instructions, want 1239", got)
 			}
@@ -324,11 +324,11 @@ func TestDeviceGapOrdering(t *testing.T) {
 	runWorld(t, 2, fabric.INF, core.Default, func(e *env) error {
 		var isend int64
 		if e.c.Rank() == 0 {
-			snap := e.d.Rank().Profile().Snap()
+			snap := e.d.rank.Profile().Snap()
 			if _, err := e.d.Isend([]byte{1}, 1, datatype.Byte, 1, 0, e.c, core.FlagNoReq); err != nil {
 				return err
 			}
-			isend = e.d.Rank().Profile().Delta(snap).Total
+			isend = e.d.rank.Profile().Delta(snap).Total
 		} else {
 			buf := make([]byte, 1)
 			req, err := e.d.Irecv(buf, 1, datatype.Byte, 0, 0, e.c, 0)
@@ -345,11 +345,11 @@ func TestDeviceGapOrdering(t *testing.T) {
 			return err
 		}
 		if e.c.Rank() == 0 {
-			snap := e.d.Rank().Profile().Snap()
+			snap := e.d.rank.Profile().Snap()
 			if err := e.d.Put([]byte{1}, 1, datatype.Byte, 1, 0, w, 0); err != nil {
 				return err
 			}
-			put := e.d.Rank().Profile().Delta(snap).Total
+			put := e.d.rank.Profile().Delta(snap).Total
 			if put <= 4*isend {
 				return fmt.Errorf("baseline Put (%d) should dwarf Isend (%d)", put, isend)
 			}
@@ -363,8 +363,8 @@ func TestDeviceGapOrdering(t *testing.T) {
 
 func TestOriginalAccessorsAndAllOpts(t *testing.T) {
 	runWorld(t, 2, fabric.INF, core.NoErr, func(e *env) error {
-		if e.d.Config() != (core.Config{ThreadCheck: true}) {
-			return fmt.Errorf("config %+v", e.d.Config())
+		if e.d.cfg != (core.Config{ThreadCheck: true}) {
+			return fmt.Errorf("config %+v", e.d.cfg)
 		}
 		if e.c.Rank() == 0 {
 			seq := e.d.EventSeq()

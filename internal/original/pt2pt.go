@@ -109,6 +109,26 @@ func (d *Device) IsendAllOpts(buf []byte, worldDest int, c *comm.Comm) error {
 	return err
 }
 
+// VCIOf answers -1: the baseline has one global critical section and no
+// virtual communication interfaces.
+func (d *Device) VCIOf(c *comm.Comm, tag int, recv bool) int { return -1 }
+
+// ShmHandoffMax answers 0: the baseline has no shmmod, so no zero-copy
+// handoff path.
+func (d *Device) ShmHandoffMax() int { return 0 }
+
+// IsendNoCopy never sends: with no handoff path the caller sends
+// normally.
+func (d *Device) IsendNoCopy(buf []byte, dest, tag int, c *comm.Comm) (*request.Request, bool, error) {
+	return nil, false, nil
+}
+
+// IrecvReduce is refused: the in-place fold exists only over a handoff
+// path, and ShmHandoffMax 0 tells collectives not to ask.
+func (d *Device) IrecvReduce(acc []byte, src, tag int, c *comm.Comm, fold func(dst, incoming []byte)) (*request.Request, error) {
+	return nil, errf("no in-place receive-reduce")
+}
+
 // handleEager is the target-side packet handler: software matching at
 // the MPI layer, charged per queue element inspected.
 func (d *Device) handleEager(src int, hdr, payload []byte, arrival vtime.Time) {

@@ -47,6 +47,16 @@ func (d *Device) WinCreateDynamic(c *comm.Comm) (*rma.Win, error) {
 	return nil, errf("dynamic windows not supported by the baseline device")
 }
 
+// WinAttach and WinDetach are refused for the same reason: no window on
+// this device is dynamic.
+func (d *Device) WinAttach(w *rma.Win, mem []byte) (rma.VAddr, error) {
+	return 0, errf("device does not support dynamic windows")
+}
+
+func (d *Device) WinDetach(w *rma.Win, mem []byte, va rma.VAddr) error {
+	return errf("device does not support dynamic windows")
+}
+
 func (d *Device) winCreate(mem []byte, dispUnit int, c *comm.Comm, dynamic bool) (*rma.Win, error) {
 	if dispUnit <= 0 {
 		return nil, errString("win_create", rma.ErrBadWinArg)

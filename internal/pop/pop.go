@@ -32,7 +32,6 @@ package pop
 import (
 	"fmt"
 	"io"
-	"sort"
 )
 
 // Rank is one process's attributed cycle totals, the model's inputs.
@@ -198,15 +197,6 @@ func Build(ranks []Rank, phases []PhaseInput) Report {
 		rep.Phases = append(rep.Phases, pr)
 	}
 	return rep
-}
-
-// SortPhases orders the report's phases by descending runtime, the
-// order a performance analyst reads them in. Build preserves entry
-// order; writers that want hottest-first call this.
-func (r *Report) SortPhases() {
-	sort.SliceStable(r.Phases, func(i, j int) bool {
-		return r.Phases[i].RuntimeCycles > r.Phases[j].RuntimeCycles
-	})
 }
 
 // WriteTable renders the report as an aligned text table: one header

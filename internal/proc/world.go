@@ -78,9 +78,6 @@ func (w *World) Size() int { return w.size }
 // RanksPerNode returns the node width.
 func (w *World) RanksPerNode() int { return w.ranksPerNode }
 
-// Nodes returns the number of simulated nodes.
-func (w *World) Nodes() int { return (w.size + w.ranksPerNode - 1) / w.ranksPerNode }
-
 // Node returns the node hosting rank.
 func (w *World) Node(rank int) int { return rank / w.ranksPerNode }
 
@@ -90,15 +87,9 @@ func (w *World) SameNode(a, b int) bool { return w.Node(a) == w.Node(b) }
 // Rank returns the rank object with the given id.
 func (w *World) Rank(id int) *Rank { return w.ranks[id] }
 
-// Run spawns one goroutine per rank and executes body on each. It
-// returns after every rank finishes; rank failures (errors or panics)
-// are joined into the returned error.
-func (w *World) Run(body func(r *Rank) error) error {
-	return errors.Join(w.RunAll(body)...)
-}
-
-// RunAll is Run returning the per-rank errors (nil entries for ranks
-// that succeeded). A panic with abort.ErrWorldAborted — raised by
+// RunAll spawns one goroutine per rank, executes body on each, and
+// returns after every rank finishes with the per-rank failures (errors
+// or panics; nil entries for ranks that succeeded). A panic with abort.ErrWorldAborted — raised by
 // blocking layers during teardown — is recorded as that sentinel, so
 // callers can separate the original failure from its fallout.
 func (w *World) RunAll(body func(r *Rank) error) []error {
@@ -131,9 +122,32 @@ func wrapRankErr(id int, err error) error {
 	return fmt.Errorf("rank %d: %w", id, err)
 }
 
+// Meter is what the transports (fabric and shm) charge costs to: the
+// calling rank's instruction profile and virtual clock. Rank implements
+// it. A transport only ever charges the meter bound to the endpoint
+// whose owner goroutine is making the call, so meters need no
+// synchronization.
+type Meter interface {
+	// Charge records n MPI-library instructions (and advances the
+	// clock by n cycles at CPI 1.0).
+	Charge(cat instr.Category, n int64)
+	// ChargeCycles records n non-instruction cycles (transport,
+	// compute).
+	ChargeCycles(cat instr.Category, n int64)
+	// Now returns the rank's current virtual time.
+	Now() vtime.Time
+	// Sync advances the rank's clock to t if t is in the future.
+	Sync(t vtime.Time)
+	// Metrics returns the rank's observability registry. Send-side
+	// counters accrue through the calling endpoint's meter;
+	// receive-side counters accrue through the destination endpoint's
+	// meter under that endpoint's lock.
+	Metrics() *metrics.Rank
+}
+
 // Rank is one MPI process: a goroutine plus its charge ledger — the
-// virtual clock and instruction profile. It implements the Meter
-// interfaces of the fabric and shm packages. The ledger is
+// virtual clock and instruction profile. It implements Meter. The
+// ledger is
 // single-writer: Charge, ChargeCycles, Sync, Now and the Profile reads
 // use plain loads and stores, so everything except the world queries
 // and Metrics must be called only from the rank's own goroutine (any
@@ -155,9 +169,6 @@ func (r *Rank) ID() int { return r.id }
 
 // World returns the owning world.
 func (r *Rank) World() *World { return r.world }
-
-// Node returns the rank's simulated node.
-func (r *Rank) Node() int { return r.world.Node(r.id) }
 
 // Charge records n MPI-library instructions and advances the virtual
 // clock by n*CPI cycles. Instruction counts (Table 1, Figure 2) are

@@ -13,10 +13,10 @@ import (
 
 func TestWorldGeometry(t *testing.T) {
 	w := NewWorld(32, 16, 2.2e9)
-	if w.Size() != 32 || w.Nodes() != 2 || w.RanksPerNode() != 16 {
-		t.Fatalf("geometry = %d/%d/%d", w.Size(), w.Nodes(), w.RanksPerNode())
+	if w.Size() != 32 || w.RanksPerNode() != 16 {
+		t.Fatalf("geometry = %d/%d", w.Size(), w.RanksPerNode())
 	}
-	if w.Node(0) != 0 || w.Node(15) != 0 || w.Node(16) != 1 {
+	if w.Node(0) != 0 || w.Node(15) != 0 || w.Node(16) != 1 || w.Node(31) != 1 {
 		t.Error("node mapping wrong")
 	}
 	if !w.SameNode(0, 15) || w.SameNode(15, 16) {
@@ -26,15 +26,15 @@ func TestWorldGeometry(t *testing.T) {
 
 func TestWorldDefaultsSingleNode(t *testing.T) {
 	w := NewWorld(8, 0, 1e9)
-	if w.Nodes() != 1 {
-		t.Fatalf("Nodes = %d, want 1", w.Nodes())
+	if w.Node(7) != 0 {
+		t.Fatalf("last rank on node %d, want 0", w.Node(7))
 	}
 }
 
 func TestWorldOddNodeCount(t *testing.T) {
 	w := NewWorld(10, 4, 1e9)
-	if w.Nodes() != 3 {
-		t.Fatalf("Nodes = %d, want 3 (ceil 10/4)", w.Nodes())
+	if w.Node(9) != 2 {
+		t.Fatalf("last rank on node %d, want 2 (3 nodes for 10 ranks at 4 each)", w.Node(9))
 	}
 }
 
@@ -51,14 +51,14 @@ func TestRunAllRanks(t *testing.T) {
 	w := NewWorld(17, 4, 1e9)
 	var n atomic.Int64
 	var seen [17]atomic.Bool
-	err := w.Run(func(r *Rank) error {
+	err := errors.Join(w.RunAll(func(r *Rank) error {
 		n.Add(1)
 		seen[r.ID()].Store(true)
 		if r.World() != w {
 			t.Error("rank has wrong world")
 		}
 		return nil
-	})
+	})...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,12 +75,12 @@ func TestRunAllRanks(t *testing.T) {
 func TestRunCollectsErrors(t *testing.T) {
 	w := NewWorld(4, 4, 1e9)
 	boom := errors.New("boom")
-	err := w.Run(func(r *Rank) error {
+	err := errors.Join(w.RunAll(func(r *Rank) error {
 		if r.ID() == 2 {
 			return boom
 		}
 		return nil
-	})
+	})...)
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want wrapped boom", err)
 	}
@@ -91,12 +91,12 @@ func TestRunCollectsErrors(t *testing.T) {
 
 func TestRunRecoversPanics(t *testing.T) {
 	w := NewWorld(3, 3, 1e9)
-	err := w.Run(func(r *Rank) error {
+	err := errors.Join(w.RunAll(func(r *Rank) error {
 		if r.ID() == 1 {
 			panic("kaboom")
 		}
 		return nil
-	})
+	})...)
 	if err == nil || !strings.Contains(err.Error(), "rank 1 panicked") {
 		t.Fatalf("err = %v, want rank 1 panic", err)
 	}
@@ -126,7 +126,7 @@ func TestStartBarrier(t *testing.T) {
 	const n = 8
 	w := NewWorld(n, 4, 1e9)
 	var before, after atomic.Int64
-	err := w.Run(func(r *Rank) error {
+	err := errors.Join(w.RunAll(func(r *Rank) error {
 		before.Add(1)
 		r.StartBarrier()
 		// Every rank must have passed "before" by now.
@@ -135,7 +135,7 @@ func TestStartBarrier(t *testing.T) {
 		}
 		after.Add(1)
 		return nil
-	})
+	})...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestNodeMappingProperty(t *testing.T) {
 				return false
 			}
 		}
-		return w.Nodes() == (n+k-1)/k
+		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

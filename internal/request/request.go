@@ -147,15 +147,6 @@ func (p *Pool) put(r *Request) {
 	p.free = append(p.free, r)
 }
 
-// Len reports the freelist depth (tests).
-func (p *Pool) Len() int {
-	if p.shared {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-	}
-	return len(p.free)
-}
-
 // LockedPool is the baseline device's globally locked request pool: the
 // CH3-era structure whose atomics show up in the paper's MPI_PUT
 // instruction count.
@@ -164,9 +155,6 @@ type LockedPool struct {
 	pool Pool
 }
 
-// Get allocates under the global lock.
-func (p *LockedPool) Get(kind Kind) *Request { return p.GetFor(kind, nil) }
-
 // GetFor allocates under the global lock, attributing the get to m
 // (the pool is shared across ranks, so per-rank attribution must come
 // from the caller).
@@ -174,19 +162,12 @@ func (p *LockedPool) GetFor(kind Kind, m *metrics.Rank) *Request {
 	p.mu.Lock()
 	reused := len(p.pool.free) > 0
 	r := p.pool.Get(kind)
-	r.pool = nil // locked pool recycles via its own Put
+	r.pool = nil // Free does not recycle into the locked pool
 	p.mu.Unlock()
 	if m != nil {
 		m.NoteReqAlloc(reused)
 	}
 	return r
-}
-
-// Put recycles under the global lock.
-func (p *LockedPool) Put(r *Request) {
-	p.mu.Lock()
-	p.pool.put(r)
-	p.mu.Unlock()
 }
 
 // Counter implements the bulk-completion model of Section 3.5: issued

@@ -69,8 +69,8 @@ func TestPoolRecycling(t *testing.T) {
 	r1 := p.Get(KindSend)
 	r1.MarkComplete(Status{Count: 99})
 	r1.Free()
-	if p.Len() != 1 {
-		t.Fatalf("pool len = %d, want 1", p.Len())
+	if len(p.free) != 1 {
+		t.Fatalf("pool len = %d, want 1", len(p.free))
 	}
 	r2 := p.Get(KindRecv)
 	if r2 != r1 {
@@ -90,8 +90,8 @@ func TestPoolGrowth(t *testing.T) {
 	for _, r := range rs {
 		r.Free()
 	}
-	if p.Len() != 10 {
-		t.Fatalf("pool len = %d, want 10", p.Len())
+	if len(p.free) != 10 {
+		t.Fatalf("pool len = %d, want 10", len(p.free))
 	}
 }
 
@@ -103,9 +103,9 @@ func TestLockedPoolConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				r := p.Get(KindSend)
+				r := p.GetFor(KindSend, nil)
 				r.MarkComplete(Status{})
-				p.Put(r)
+				r.Free()
 			}
 		}()
 	}
@@ -147,13 +147,13 @@ func TestPoolConservation(t *testing.T) {
 		for i := range rs {
 			rs[i] = p.Get(KindSend)
 		}
-		if p.Len() != 0 {
+		if len(p.free) != 0 {
 			return false
 		}
 		for _, r := range rs {
 			r.Free()
 		}
-		return p.Len() == k
+		return len(p.free) == k
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -212,7 +212,7 @@ func TestSingleVsSharedPool(t *testing.T) {
 				live = append(live[:k], live[k+1:]...)
 			}
 		}
-		return p.Len(), reg.Snapshot()
+		return len(p.free), reg.Snapshot()
 	}
 	d0, m0 := run(false)
 	d1, m1 := run(true)
@@ -239,7 +239,7 @@ func TestSharedPoolConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if n := p.Len(); n < 2 || n > 16 {
+	if n := len(p.free); n < 2 || n > 16 {
 		t.Fatalf("freelist depth %d after 8 goroutines held 2 requests each", n)
 	}
 }

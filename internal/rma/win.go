@@ -90,15 +90,6 @@ func NewShared(n int, dynamic bool) *Shared {
 	}
 }
 
-// AcquireLock takes the passive-target lock for rank.
-func (s *Shared) AcquireLock(rank int, exclusive bool) {
-	if exclusive {
-		s.locks[rank].Lock()
-	} else {
-		s.locks[rank].RLock()
-	}
-}
-
 // TryAcquireLock attempts the passive-target lock without blocking.
 // Devices spin on it while pumping progress, so a rank waiting for a
 // lock can still service incoming active messages (a blocking acquire
@@ -292,6 +283,3 @@ func (w *Win) Detach(mem []byte) error {
 	}
 	return fmt.Errorf("%w: detach of unattached memory", ErrBadWinArg)
 }
-
-// Attached returns the number of dynamic attachments (tests).
-func (w *Win) Attached() int { return len(w.attached) }

@@ -1,6 +1,7 @@
 package rma
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -109,7 +110,9 @@ func TestSharedLockSerializes(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				sh.AcquireLock(1, true)
+				for !sh.TryAcquireLock(1, true) {
+					runtime.Gosched()
+				}
 				counter++
 				sh.ReleaseLock(1, true)
 			}
@@ -127,7 +130,7 @@ func TestDynamicAttachDetach(t *testing.T) {
 	if err := w.Attach(mem, 0); err != nil {
 		t.Fatal(err)
 	}
-	if w.Attached() != 1 {
+	if len(w.attached) != 1 {
 		t.Fatal("attachment not recorded")
 	}
 	if err := w.Detach(make([]byte, 4)); err == nil {
@@ -136,7 +139,7 @@ func TestDynamicAttachDetach(t *testing.T) {
 	if err := w.Detach(mem); err != nil {
 		t.Fatal(err)
 	}
-	if w.Attached() != 0 {
+	if len(w.attached) != 0 {
 		t.Error("detach did not remove segment")
 	}
 }
@@ -189,8 +192,7 @@ func TestDynAddrProperty(t *testing.T) {
 func TestSharedAndExclusiveLocks(t *testing.T) {
 	sh := NewShared(2, false)
 	// Two shared locks coexist.
-	sh.AcquireLock(0, false)
-	if !sh.TryAcquireLock(0, false) {
+	if !sh.TryAcquireLock(0, false) || !sh.TryAcquireLock(0, false) {
 		t.Fatal("second shared lock refused")
 	}
 	// Exclusive must be refused while shared held.

@@ -28,7 +28,7 @@ import (
 	"gompi/internal/flight"
 	"gompi/internal/instr"
 	"gompi/internal/match"
-	"gompi/internal/metrics"
+	"gompi/internal/proc"
 	"gompi/internal/stall"
 	"gompi/internal/vtime"
 )
@@ -99,16 +99,6 @@ var DefaultProfile = Profile{
 	HandoffOverhead: 60,
 }
 
-// Meter mirrors fabric.Meter; the transport charges costs to the
-// calling rank. Defined here so shm does not depend on fabric.
-type Meter interface {
-	Charge(cat instr.Category, n int64)
-	ChargeCycles(cat instr.Category, n int64)
-	Now() vtime.Time
-	Sync(t vtime.Time)
-	Metrics() *metrics.Rank
-}
-
 // Deliver hands a complete message to the device on the receiving
 // rank's goroutine. data is borrowed: it is the message's ring cell (a
 // one-cell message) or the ring's reassembly scratch, and either is
@@ -158,7 +148,7 @@ type Domain struct {
 	// it, and every drain that frees cells bumps its activity counter.
 	stall *stall.Monitor
 
-	meters []Meter
+	meters []proc.Meter
 
 	// mu is the ring-creation lock: taken on a pair's first message and
 	// on no path a later message or a poll travels. lockTouches counts
@@ -246,7 +236,7 @@ func NewDomainCfg(prof Profile, cfg Config, n int, deliver Deliver, wake Wake) *
 		ringCells:    cfg.RingCells,
 		eagerMax:     cfg.EagerMax,
 		maxPeerBytes: cfg.MaxPeerBytes,
-		meters:       make([]Meter, n),
+		meters:       make([]proc.Meter, n),
 		out:          make([]atomic.Pointer[[]link], n),
 		in:           make([]atomic.Pointer[[]link], n),
 	}
@@ -260,7 +250,7 @@ func NewDomainCfg(prof Profile, cfg Config, n int, deliver Deliver, wake Wake) *
 
 // Bind attaches rank's meter. Must precede communication involving the
 // rank.
-func (d *Domain) Bind(rank int, m Meter) { d.meters[rank] = m }
+func (d *Domain) Bind(rank int, m proc.Meter) { d.meters[rank] = m }
 
 // SetStall attaches the stall watchdog. Must be called before
 // communication starts; nil detaches.
@@ -462,9 +452,6 @@ type Handoff struct {
 // ackAt write before the sender's FinishHandoff read.
 func (h *Handoff) Done() bool { return h.done.Load() }
 
-// Bytes reports the lent payload size.
-func (h *Handoff) Bytes() int { return h.bytes }
-
 // Release returns the lent view to the sender: the consumer charges
 // the single direct copy (when copied) and the completion-ack header
 // cell it writes on the reverse ring, then wakes the sender. Runs on
@@ -590,7 +577,7 @@ func (d *Domain) send(src, dst int, bits match.Bits, data []byte, vci int, allow
 // check for an abort before every sleep — after waking the receiver if
 // the message is midway: its queued cells have had no wake yet, while
 // every earlier message's have.
-func (d *Domain) claim(r *ring, src, dst, vci int, m Meter, midway bool, parked *bool) *cell {
+func (d *Domain) claim(r *ring, src, dst, vci int, m proc.Meter, midway bool, parked *bool) *cell {
 	if n, t := uint64(len(r.cells)), r.tail.Load(); t-r.head.Load() >= n {
 		if midway {
 			d.wake(dst, vci)
@@ -622,7 +609,7 @@ func (r *ring) publish() { r.tail.Store(r.tail.Load() + 1) }
 // descriptor occupies a normal ring slot (FIFO with staged traffic, so
 // same-pair ordering is preserved) but carries no payload: the staged
 // path's per-cell copy charges are replaced by one HandoffOverhead.
-func (d *Domain) publishHandoff(r *ring, src, dst int, bits match.Bits, data []byte, vci int, m Meter, parked *bool) *Handoff {
+func (d *Domain) publishHandoff(r *ring, src, dst int, bits match.Bits, data []byte, vci int, m proc.Meter, parked *bool) *Handoff {
 	p := &d.prof
 	m.ChargeCycles(instr.Transport, p.HandoffOverhead)
 	m.Metrics().ShmHandoff.Note(len(data))
@@ -669,7 +656,7 @@ func (d *Domain) Progress(rank int) int {
 // straight from its cell and reassembling a longer one into the ring's
 // reusable scratch, with no allocation per message. Descriptor cells
 // are handed over as zero-copy views.
-func (d *Domain) drainRing(rank, src int, r *ring, meter Meter) int {
+func (d *Domain) drainRing(rank, src int, r *ring, meter proc.Meter) int {
 	if r.head.Load() == r.tail.Load() {
 		return 0
 	}

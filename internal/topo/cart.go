@@ -49,14 +49,8 @@ func NewCart(dims []int, periodic []bool) (*Cart, error) {
 // Size returns the number of positions in the grid.
 func (c *Cart) Size() int { return c.size }
 
-// NDims returns the dimensionality.
-func (c *Cart) NDims() int { return len(c.dims) }
-
 // Dims returns a copy of the extents.
 func (c *Cart) Dims() []int { return append([]int(nil), c.dims...) }
-
-// Periodic reports whether dimension d wraps.
-func (c *Cart) Periodic(d int) bool { return c.periodic[d] }
 
 // Coords returns the coordinates of a rank (MPI_CART_COORDS).
 func (c *Cart) Coords(rank int) ([]int, error) {

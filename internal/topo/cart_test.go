@@ -19,7 +19,7 @@ func TestNewCartValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Size() != 12 || c.NDims() != 2 || !c.Periodic(0) || c.Periodic(1) {
+	if c.Size() != 12 || len(c.dims) != 2 || !c.periodic[0] || c.periodic[1] {
 		t.Errorf("cart properties wrong: %+v", c)
 	}
 }

@@ -90,21 +90,3 @@ func (c *Clock) Sync(t Time) {
 func (c *Clock) Seconds(from, to Time) float64 {
 	return float64(to-from) / c.hz
 }
-
-// Rate converts an operation count over a virtual interval into
-// operations per second. It returns 0 for an empty interval.
-func (c *Clock) Rate(ops int64, from, to Time) float64 {
-	s := c.Seconds(from, to)
-	if s <= 0 {
-		return 0
-	}
-	return float64(ops) / s
-}
-
-// Max returns the later of two virtual times.
-func Max(a, b Time) Time {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -58,22 +58,6 @@ func TestSecondsAndRate(t *testing.T) {
 	if got := c.Seconds(from, c.Now()); math.Abs(got-1.0) > 1e-12 {
 		t.Errorf("Seconds = %v, want 1.0", got)
 	}
-	if got := c.Rate(4_000_000, from, c.Now()); math.Abs(got-4e6) > 1e-3 {
-		t.Errorf("Rate = %v, want 4e6", got)
-	}
-}
-
-func TestRateEmptyInterval(t *testing.T) {
-	c := NewClock(1e9)
-	if got := c.Rate(100, c.Now(), c.Now()); got != 0 {
-		t.Errorf("Rate over empty interval = %v, want 0", got)
-	}
-}
-
-func TestMax(t *testing.T) {
-	if Max(3, 5) != 5 || Max(5, 3) != 5 || Max(4, 4) != 4 {
-		t.Error("Max is wrong")
-	}
 }
 
 // Property: any interleaving of Advance and Sync keeps the clock

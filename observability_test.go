@@ -94,7 +94,9 @@ func TestProcMetricsInBody(t *testing.T) {
 }
 
 // TestChromeTraceExport runs traced jobs under both devices and checks
-// the catapult document parses and holds this run's events.
+// the catapult document parses and holds this run's events, and that
+// each pt2pt event names the device's VCI: lane 0 of a one-VCI ch4,
+// -1 on the baseline, which has none.
 func TestChromeTraceExport(t *testing.T) {
 	for _, dev := range []DeviceKind{DeviceCH4, DeviceOriginal} {
 		dev := dev
@@ -105,6 +107,17 @@ func TestChromeTraceExport(t *testing.T) {
 			}
 			if len(st.TraceEvents(0)) == 0 || len(st.TraceEvents(1)) == 0 {
 				t.Fatal("traced run collected no events")
+			}
+			wantVCI := 0
+			if dev == DeviceOriginal {
+				wantVCI = -1
+			}
+			for r := 0; r < 2; r++ {
+				for _, e := range st.TraceEvents(r) {
+					if (e.Kind == TraceSend || e.Kind == TraceRecv) && e.VCI != wantVCI {
+						t.Fatalf("rank %d %v event on VCI %d, want %d", r, e.Kind, e.VCI, wantVCI)
+					}
+				}
 			}
 			var buf bytes.Buffer
 			if err := st.WriteChromeTrace(&buf); err != nil {

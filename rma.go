@@ -91,21 +91,11 @@ func (c *Comm) WinCreateDynamic() (*Win, error) {
 	return &Win{p: c.p, w: w}, nil
 }
 
-// winAttacher is implemented by devices supporting dynamic windows.
-type winAttacher interface {
-	WinAttach(w *rma.Win, mem []byte) (rma.VAddr, error)
-	WinDetach(w *rma.Win, mem []byte, va rma.VAddr) error
-}
-
 // Attach exposes mem through a dynamic window (MPI_WIN_ATTACH) and
 // returns its remote virtual address (what MPI_GET_ADDRESS would hand
 // the application to distribute).
 func (w *Win) Attach(mem []byte) (VAddr, error) {
-	att, ok := w.p.dev.(winAttacher)
-	if !ok {
-		return 0, errc(ErrWin, "device does not support dynamic windows")
-	}
-	va, err := att.WinAttach(w.w, mem)
+	va, err := w.p.dev.WinAttach(w.w, mem)
 	if err != nil {
 		return 0, errc(ErrWin, "%v", err)
 	}
@@ -114,11 +104,7 @@ func (w *Win) Attach(mem []byte) (VAddr, error) {
 
 // Detach revokes an attachment (MPI_WIN_DETACH).
 func (w *Win) Detach(mem []byte, va VAddr) error {
-	att, ok := w.p.dev.(winAttacher)
-	if !ok {
-		return errc(ErrWin, "device does not support dynamic windows")
-	}
-	if err := att.WinDetach(w.w, mem, va); err != nil {
+	if err := w.p.dev.WinDetach(w.w, mem, va); err != nil {
 		return errc(ErrWin, "%v", err)
 	}
 	return nil

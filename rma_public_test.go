@@ -217,6 +217,29 @@ func TestDynamicWindowPublic(t *testing.T) {
 	})
 }
 
+// TestDynamicWindowOriginal pins the baseline device's answer to
+// dynamic windows: it has none, so WinCreateDynamic, and Attach and
+// Detach on any window, fail with ErrWin.
+func TestDynamicWindowOriginal(t *testing.T) {
+	run(t, 2, Config{Device: DeviceOriginal}, func(p *Proc) error {
+		w := p.World()
+		if _, err := w.WinCreateDynamic(); ClassOf(err) != ErrWin {
+			return fmt.Errorf("WinCreateDynamic: %v, want ErrWin", err)
+		}
+		win, mem, err := w.WinAllocate(16, 1)
+		if err != nil {
+			return err
+		}
+		if _, err := win.Attach(mem); ClassOf(err) != ErrWin {
+			return fmt.Errorf("Attach: %v, want ErrWin", err)
+		}
+		if err := win.Detach(mem, 0); ClassOf(err) != ErrWin {
+			return fmt.Errorf("Detach: %v, want ErrWin", err)
+		}
+		return win.Free()
+	})
+}
+
 func TestGetAccumulatePublic(t *testing.T) {
 	run(t, 2, Config{}, func(p *Proc) error {
 		w := p.World()
