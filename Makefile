@@ -76,20 +76,23 @@ flake:
 bench-smoke:
 	$(GO) test -run xxx -bench . -benchtime 1x ./...
 
-# Short differential-fuzz runs: binned vs linear matching must agree,
+# Short fuzz runs, 10 s for every fuzz target of every package, found
+# with go test -list so a new target cannot be left out: binned vs
+# linear matching must agree and the engine never lose a message,
 # on-node (shared window) and off-node (fabric RDMA) Put, Accumulate
-# and Get must leave identical bytes, lent vs
-# captured netmod sends must deliver and charge identically, every
-# blocking collective must agree with a Send/Recv-only reference, and
-# the cell-sorted LJ force kernel must match its linked-list reference
-# bit for bit.
+# and Get must leave identical bytes, lent vs captured netmod sends and
+# staged vs handed-off shm sends must deliver and charge identically,
+# every blocking collective must agree with a Send/Recv-only reference,
+# wildcard receives must consume the same messages at every lane count,
+# vector pack/unpack and subarray bounds must hold, and the cell-sorted
+# LJ force kernel must match its linked-list reference bit for bit.
 fuzz-smoke:
-	$(GO) test -run xxx -fuzz FuzzBinnedMatchesLinear -fuzztime 10s ./internal/match
-	$(GO) test -run xxx -fuzz FuzzRmaShmVsNet -fuzztime 10s .
-	$(GO) test -run xxx -fuzz FuzzPartitionedVsPlain -fuzztime 10s .
-	$(GO) test -run xxx -fuzz FuzzRendezvousLent -fuzztime 10s .
-	$(GO) test -run xxx -fuzz FuzzBlockingCollectives -fuzztime 10s .
-	$(GO) test -run xxx -fuzz FuzzComputeForces -fuzztime 10s ./internal/md
+	@for pkg in $$($(GO) list ./...); do \
+		for target in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
+			echo "$$pkg $$target"; \
+			$(GO) test -run xxx -fuzz "^$$target\$$" -fuzztime 10s $$pkg || exit 1; \
+		done; \
+	done
 
 # Lines of Go that are neither tests nor the benchmark: the tracked
 # output of the "least code" aim (ROADMAP aim 2).

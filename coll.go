@@ -81,10 +81,10 @@ func collBuf(count int, dt *Datatype, bufs ...[]byte) (int, error) {
 }
 
 // Every collective is stated once, as a compileFn, and run in one of
-// three frames. A definition checks its buffers and hands them to the
-// schedule compiler (internal/nbc) with the algorithm nbc.Select* picks
-// for the Force it is given; it sees its arguments and the port, and
-// knows nothing of how it will be waited on. The frames differ only in
+// three frames. A definition checks its buffers and hands them, with
+// the Force it is given, to the schedule compiler (internal/nbc), which
+// picks the algorithm; it sees its arguments and the port, and knows
+// nothing of how it will be waited on. The frames differ only in
 // where the schedule lives and who chooses f: bcoll (blocking: the
 // communicator's one reusable schedule, parked on until done; f is the
 // pin at the call site), icoll (nonblocking: a recycled op behind a
@@ -102,7 +102,7 @@ func collBuf(count int, dt *Datatype, bufs ...[]byte) (int, error) {
 // Config.CollAlgorithm and CollAlgorithmKey: the blocking entry points
 // are what the paper-facing benchmarks count instructions on, and
 // size/topology selection would change rank 0's message counts under
-// them (ROADMAP item 5 records what unpinning costs). Unpinning one is
+// them (ROADMAP item 6 records what unpinning costs). Unpinning one is
 // replacing its pin by nbc.ForceAuto; what that would select is on the
 // collective's I-form (icoll.go).
 type compileFn func(s *nbc.Schedule, t *nbcPort, tag int, f nbc.Force) error
@@ -148,7 +148,7 @@ func bcast(buf []byte, count int, dt *Datatype, root int) compileFn {
 		if err != nil {
 			return err
 		}
-		return nbc.Bcast(s, t, tag, buf[:n], root, nbc.SelectBcast(t, n, f))
+		return nbc.Bcast(s, t, tag, buf[:n], root, f)
 	}
 }
 
@@ -166,8 +166,7 @@ func reduce(send, recv []byte, count int, elem *Datatype, op Op, root int) compi
 			}
 			out = recv[:n]
 		}
-		return nbc.Reduce(s, t, tag, op, elem, send[:n], out, root,
-			nbc.SelectReduce(t, n, coll.Commutative(op), f))
+		return nbc.Reduce(s, t, tag, op, elem, send[:n], out, root, f)
 	}
 }
 
@@ -178,8 +177,7 @@ func allreduce(send, recv []byte, count int, elem *Datatype, op Op) compileFn {
 		if err != nil {
 			return err
 		}
-		nbc.Allreduce(s, t, tag, op, elem, send[:n], recv[:n],
-			nbc.SelectAllreduce(t, count, elem.Size(), coll.Commutative(op), f))
+		nbc.Allreduce(s, t, tag, op, elem, send[:n], recv[:n], f)
 		return nil
 	}
 }
@@ -194,7 +192,7 @@ func allgather(send, recv []byte, count int, dt *Datatype) compileFn {
 		if err != nil {
 			return err
 		}
-		return nbc.Allgather(s, t, tag, send[:n], recv[:n*t.Size()], nbc.SelectAllgather(t, n, f))
+		return nbc.Allgather(s, t, tag, send[:n], recv[:n*t.Size()], f)
 	}
 }
 
@@ -205,7 +203,7 @@ func alltoall(send, recv []byte, count int, dt *Datatype) compileFn {
 		if err != nil {
 			return err
 		}
-		return nbc.Alltoall(s, t, tag, send[:n], recv[:n], nbc.SelectAlltoall(t, count*dt.Size(), f))
+		return nbc.Alltoall(s, t, tag, send[:n], recv[:n], f)
 	}
 }
 

@@ -70,52 +70,6 @@ func TestSnapshotDelta(t *testing.T) {
 	}
 }
 
-func TestBreakdownAddScale(t *testing.T) {
-	var p Profile
-	p.Charge(Mandatory, 10)
-	b := p.Delta(Snapshot{})
-	sum := b.Add(b).Add(b)
-	if sum.Count(Mandatory) != 30 || sum.Total != 30 {
-		t.Errorf("Add: got %d/%d, want 30/30", sum.Count(Mandatory), sum.Total)
-	}
-	avg := sum.Scale(3)
-	if avg.Count(Mandatory) != 10 || avg.Total != 10 {
-		t.Errorf("Scale: got %d/%d, want 10/10", avg.Count(Mandatory), avg.Total)
-	}
-}
-
-func TestBreakdownScaleRoundsToNearest(t *testing.T) {
-	b := Breakdown{Total: 10, Cycles: 11}
-	b.Counts[Mandatory] = 10
-	b.Counts[Call] = 2
-	avg := b.Scale(4)
-	// 10/4 = 2.5 rounds to 3 (not the truncated 2); 2/4 = 0.5 rounds to
-	// 1; 11/4 = 2.75 rounds to 3.
-	if avg.Counts[Mandatory] != 3 {
-		t.Errorf("Scale(4) of 10 = %d, want 3", avg.Counts[Mandatory])
-	}
-	if avg.Counts[Call] != 1 {
-		t.Errorf("Scale(4) of 2 = %d, want 1", avg.Counts[Call])
-	}
-	if avg.Total != 3 || avg.Cycles != 3 {
-		t.Errorf("Scale(4) total/cycles = %d/%d, want 3/3", avg.Total, avg.Cycles)
-	}
-	// Exact multiples stay exact — the pinned single-op counts.
-	exact := Breakdown{Total: 300}
-	if got := exact.Scale(3).Total; got != 100 {
-		t.Errorf("Scale(3) of 300 = %d, want 100", got)
-	}
-}
-
-func TestBreakdownScalePanicsOnZero(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Scale(0) did not panic")
-		}
-	}()
-	Breakdown{}.Scale(0)
-}
-
 func TestCategoryStrings(t *testing.T) {
 	want := map[Category]string{
 		ErrorCheck:  "Error checking",

@@ -99,38 +99,6 @@ type Breakdown struct {
 // Count returns the charge recorded for one category.
 func (b Breakdown) Count(cat Category) int64 { return b.Counts[cat] }
 
-// Add returns the element-wise sum of two breakdowns.
-func (b Breakdown) Add(o Breakdown) Breakdown {
-	for i := range b.Counts {
-		b.Counts[i] += o.Counts[i]
-	}
-	b.Total += o.Total
-	b.Cycles += o.Cycles
-	return b
-}
-
-// Scale returns the breakdown divided by n, rounding to nearest (for
-// averaging over n repetitions; truncating would silently lose up to
-// n-1 counts per category on uneven totals). Exact multiples — the
-// pinned single-op measurements — are unaffected. n must be positive.
-func (b Breakdown) Scale(n int64) Breakdown {
-	if n <= 0 {
-		panic("instr: Scale by non-positive n")
-	}
-	div := func(v int64) int64 {
-		if v >= 0 {
-			return (v + n/2) / n
-		}
-		return (v - n/2) / n
-	}
-	for i := range b.Counts {
-		b.Counts[i] = div(b.Counts[i])
-	}
-	b.Total = div(b.Total)
-	b.Cycles = div(b.Cycles)
-	return b
-}
-
 // String renders the breakdown as Table-1-style rows.
 func (b Breakdown) String() string {
 	s := ""

@@ -2,6 +2,7 @@ package nbc
 
 import (
 	"fmt"
+	"slices"
 
 	"gompi/internal/coll"
 	"gompi/internal/datatype"
@@ -130,28 +131,21 @@ func scanTopo(t Transport, prefer int) topo {
 	return tp
 }
 
-// TwoLevel reports whether the topology rewards hierarchical
+// twoLevel reports whether the topology rewards hierarchical
 // algorithms: more than one node, and at least one node hosting more
-// than one rank (so the intra-node phase rides the shm path).
-func TwoLevel(t Transport) bool {
+// than one rank (so the intra-node phase rides the shm path), i.e.
+// more than one node but fewer nodes than ranks. A block mapping
+// answers arithmetically; any other takes one scan.
+func twoLevel(t Transport) bool {
 	size := t.Size()
-	if size < 2 {
-		return false
+	if rpn, ok := t.RanksPerNodeBlock(); ok {
+		return rpn > 1 && size > rpn
 	}
-	first := t.Node(0)
-	multiNode, sharedNode := false, false
-	seen := map[int]int{first: 1}
-	for r := 1; r < size; r++ {
-		nd := t.Node(r)
-		seen[nd]++
-		if nd != first {
-			multiNode = true
-		}
-		if seen[nd] > 1 {
-			sharedNode = true
-		}
+	nodes := map[int]bool{}
+	for r := 0; r < size; r++ {
+		nodes[t.Node(r)] = true
 	}
-	return multiNode && sharedNode
+	return len(nodes) > 1 && len(nodes) < size
 }
 
 // Barrier compiles the dissemination barrier into s: ceil(log2 P)
@@ -175,23 +169,22 @@ func checkRoot(t Transport, what string, root int) error {
 	return nil
 }
 
-// Bcast compiles a broadcast of root's buf with the given algorithm
-// (metrics.CollBcast*).
-func Bcast(s *Schedule, t Transport, tag int, buf []byte, root, algo int) error {
+// Bcast compiles a broadcast of root's buf with the algorithm bcastAlgo
+// picks under f.
+func Bcast(s *Schedule, t Transport, tag int, buf []byte, root int, f Force) error {
 	if err := checkRoot(t, "bcast", root); err != nil {
 		return err
 	}
-	s.Begin(t, tag, algo, len(buf))
+	s.Begin(t, tag, bcastAlgo(t, len(buf), f), len(buf))
 	if t.Size() == 1 {
 		return nil
 	}
-	switch algo {
+	switch s.Algo {
 	case metrics.CollBcastScatterAllgather:
 		bcastScatterAllgather(s, buf, root)
 	case metrics.CollBcastTwoLevel:
 		bcastTwoLevel(s, buf, root)
 	default:
-		s.Algo = metrics.CollBcastBinomial
 		bcastBinomial(s, buf, root)
 	}
 	return nil
@@ -279,28 +272,30 @@ func bcastTwoLevel(s *Schedule, buf []byte, root int) {
 	s.endRound()
 }
 
-// Reduce compiles a reduction to root with the given algorithm
-// (metrics.CollReduce*). recv is consumed only on the root.
-func Reduce(s *Schedule, t Transport, tag int, op coll.Op, elem *datatype.Type, sendBuf, recv []byte, root, algo int) error {
+// Reduce compiles a reduction to root with the algorithm reduceAlgo
+// picks under f. recv is consumed only on the root.
+func Reduce(s *Schedule, t Transport, tag int, op coll.Op, elem *datatype.Type, sendBuf, recv []byte, root int, f Force) error {
 	if err := checkRoot(t, "reduce", root); err != nil {
 		return err
 	}
-	if !coll.Commutative(op) {
-		algo = metrics.CollReduceChain
-	}
-	s.Begin(t, tag, algo, len(sendBuf))
+	s.Begin(t, tag, reduceAlgo(op, f), len(sendBuf))
 	s.op, s.elem = op, elem
 	if t.Size() == 1 {
 		s.init(recv, sendBuf)
 		return nil
 	}
+	reduceTo(s, s.Algo, sendBuf, recv, root)
+	return nil
+}
+
+// reduceTo emits the reduction to root that algo, a reduceAlgo pick,
+// names.
+func reduceTo(s *Schedule, algo int, sendBuf, recv []byte, root int) {
 	if algo == metrics.CollReduceChain {
 		reduceChain(s, sendBuf, recv, root)
 	} else {
-		s.Algo = metrics.CollReduceBinomial
 		reduceBinomial(s, sendBuf, recv, root)
 	}
-	return nil
 }
 
 // reduceBinomial folds partials up the binomial tree (commutative ops
@@ -364,52 +359,25 @@ func reduceChain(s *Schedule, sendBuf, recv []byte, root int) {
 	}
 }
 
-// Allreduce compiles an all-reduce with the given algorithm
-// (metrics.CollAllreduce*). Non-commutative ops always take the
-// rank-ordered reduce + broadcast composition.
-func Allreduce(s *Schedule, t Transport, tag int, op coll.Op, elem *datatype.Type, sendBuf, recv []byte, algo int) {
-	if !coll.Commutative(op) {
-		algo = metrics.CollAllreduceReduceBcast
-	}
-	s.Begin(t, tag, algo, len(sendBuf))
+// Allreduce compiles an all-reduce of whole elem elements with the
+// algorithm allreduceAlgo picks under f.
+func Allreduce(s *Schedule, t Transport, tag int, op coll.Op, elem *datatype.Type, sendBuf, recv []byte, f Force) {
+	s.Begin(t, tag, allreduceAlgo(t, op, elem, len(sendBuf), f), len(sendBuf))
 	s.op, s.elem = op, elem
-	size := t.Size()
-	if size == 1 {
+	if t.Size() == 1 {
 		s.init(recv, sendBuf)
 		return
 	}
-	switch algo {
+	switch s.Algo {
 	case metrics.CollAllreduceRecDoubling:
-		if !isPow2(size) {
-			s.Algo = metrics.CollAllreduceReduceBcast
-			allreduceReduceBcast(s, sendBuf, recv)
-			break
-		}
 		allreduceRecDoubling(s, sendBuf, recv)
 	case metrics.CollAllreduceRedScatGather:
-		es := elem.Size()
-		if !isPow2(size) || es == 0 || len(sendBuf)%(size*es) != 0 {
-			s.Algo = metrics.CollAllreduceReduceBcast
-			allreduceReduceBcast(s, sendBuf, recv)
-			break
-		}
 		allreduceRSAG(s, sendBuf, recv)
 	case metrics.CollAllreduceTwoLevel:
 		allreduceTwoLevel(s, sendBuf, recv)
 	case metrics.CollAllreduceTwoLevelZC:
-		// The zero-copy variant folds lent views in place, which needs
-		// an element-divisible payload (selection already checked the
-		// handoff threshold and the op's commutativity: folds run in
-		// arrival order).
-		es := elem.Size()
-		if es == 0 || len(sendBuf)%es != 0 {
-			s.Algo = metrics.CollAllreduceTwoLevel
-			allreduceTwoLevel(s, sendBuf, recv)
-			break
-		}
 		allreduceTwoLevelZC(s, sendBuf, recv)
 	default:
-		s.Algo = metrics.CollAllreduceReduceBcast
 		allreduceReduceBcast(s, sendBuf, recv)
 	}
 }
@@ -432,7 +400,7 @@ func allreduceRecDoubling(s *Schedule, sendBuf, recv []byte) {
 // reduce-scatter followed by a recursive-doubling allgather — each
 // rank moves ~2n bytes instead of recursive doubling's n*log P, the
 // long-message winner. Requires a power-of-two size and an element
-// count divisible by it (the caller guarantees both).
+// count divisible by it (allreduceAlgo checks both).
 func allreduceRSAG(s *Schedule, sendBuf, recv []byte) {
 	rank, size := s.t.Rank(), s.t.Size()
 	es := s.elem.Size()
@@ -489,11 +457,7 @@ func allreduceRSAG(s *Schedule, sendBuf, recv []byte) {
 // both sends reduce traffic and bcast traffic to the same peer.
 func allreduceReduceBcast(s *Schedule, sendBuf, recv []byte) {
 	res := recv[:len(sendBuf)]
-	if coll.Commutative(s.op) {
-		reduceBinomial(s, sendBuf, res, 0)
-	} else {
-		reduceChain(s, sendBuf, res, 0)
-	}
+	reduceTo(s, reduceAlgo(s.op, ForceAuto), sendBuf, res, 0)
 	bcastBinomial(s, res, 0)
 }
 
@@ -580,23 +544,18 @@ func allreduceLeaderExchange(s *Schedule, tp topo, res []byte, n int) {
 // k full vectors, and the k scratch buffers disappear.
 func allreduceTwoLevelZC(s *Schedule, sendBuf, recv []byte) {
 	tp := computeTopo(s.t, -1)
-	rank, size := s.t.Rank(), s.t.Size()
+	rank := s.t.Rank()
 	n := len(sendBuf)
 	res := recv[:n]
 
 	// My node's member list, ascending — identical on every member, so
 	// chunk ownership agrees without communication.
-	myNode := s.t.Node(rank)
-	var members []int
-	myIdx := 0
-	for r := 0; r < size; r++ {
-		if s.t.Node(r) == myNode {
-			if r == rank {
-				myIdx = len(members)
-			}
-			members = append(members, r)
-		}
+	members := append(append(make([]int, 0, len(tp.locals)+2), tp.leader), tp.locals...)
+	if rank != tp.leader {
+		members = append(members, rank)
 	}
+	slices.Sort(members)
+	myIdx := slices.Index(members, rank)
 	k := len(members)
 	es := s.elem.Size()
 	total := n / es
@@ -795,32 +754,29 @@ func ReduceScatterBlock(s *Schedule, t Transport, tag int, op coll.Op, elem *dat
 	}
 	if size == 1 {
 		s.init(full, sendBuf)
-	} else if coll.Commutative(op) {
-		reduceBinomial(s, sendBuf, full, 0)
 	} else {
-		reduceChain(s, sendBuf, full, 0)
+		reduceTo(s, reduceAlgo(op, ForceAuto), sendBuf, full, 0)
 	}
 	scatterLinear(s, recv[:bs], 0, func(r int) []byte { return full[r*bs : (r+1)*bs] })
 	return nil
 }
 
-// Allgather compiles an allgather with the given algorithm
-// (metrics.CollAllgather*).
-func Allgather(s *Schedule, t Transport, tag int, sendBuf, recv []byte, algo int) error {
+// Allgather compiles an allgather with the algorithm allgatherAlgo
+// picks under f.
+func Allgather(s *Schedule, t Transport, tag int, sendBuf, recv []byte, f Force) error {
 	rank, size := t.Rank(), t.Size()
 	bs := len(sendBuf)
 	if len(recv) < bs*size {
 		return fmt.Errorf("nbc: allgather recv buffer %d < %d", len(recv), bs*size)
 	}
-	s.Begin(t, tag, algo, bs)
+	s.Begin(t, tag, allgatherAlgo(bs, f), bs)
 	s.init(recv[rank*bs:(rank+1)*bs], sendBuf)
 	if size == 1 {
 		return nil
 	}
-	if algo == metrics.CollAllgatherBruck {
+	if s.Algo == metrics.CollAllgatherBruck {
 		allgatherBruck(s, bs, recv)
 	} else {
-		s.Algo = metrics.CollAllgatherRing
 		allgatherRing(s, func(r int) []byte { return recv[r*bs : (r+1)*bs] })
 	}
 	return nil
@@ -878,9 +834,9 @@ func allgatherBruck(s *Schedule, bs int, recv []byte) {
 	s.endRound()
 }
 
-// Alltoall compiles an all-to-all exchange with the given algorithm
-// (metrics.CollAlltoall*).
-func Alltoall(s *Schedule, t Transport, tag int, sendBuf, recv []byte, algo int) error {
+// Alltoall compiles an all-to-all exchange with the algorithm
+// alltoallAlgo picks under f.
+func Alltoall(s *Schedule, t Transport, tag int, sendBuf, recv []byte, f Force) error {
 	rank, size := t.Rank(), t.Size()
 	if size == 0 || len(sendBuf)%size != 0 {
 		return fmt.Errorf("nbc: alltoall send buffer %d not divisible by %d", len(sendBuf), size)
@@ -889,12 +845,12 @@ func Alltoall(s *Schedule, t Transport, tag int, sendBuf, recv []byte, algo int)
 	if len(recv) < bs*size {
 		return fmt.Errorf("nbc: alltoall recv buffer %d < %d", len(recv), bs*size)
 	}
-	s.Begin(t, tag, algo, bs*size)
+	s.Begin(t, tag, alltoallAlgo(t, bs, f), bs*size)
 	s.init(recv[rank*bs:(rank+1)*bs], sendBuf[rank*bs:(rank+1)*bs])
 	if size == 1 {
 		return nil
 	}
-	if algo == metrics.CollAlltoallPosted {
+	if s.Algo == metrics.CollAlltoallPosted {
 		for off := 1; off < size; off++ {
 			peer := (rank + off) % size
 			s.send(sendBuf[peer*bs:(peer+1)*bs], peer)
@@ -906,7 +862,6 @@ func Alltoall(s *Schedule, t Transport, tag int, sendBuf, recv []byte, algo int)
 		s.endRound()
 		return nil
 	}
-	s.Algo = metrics.CollAlltoallPairwise
 	for st := 1; st < size; st++ {
 		// XOR pairing is mutual on power-of-two sizes; otherwise rotate:
 		// send to rank+st, receive from rank-st.

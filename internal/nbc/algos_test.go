@@ -65,7 +65,7 @@ func TestBcastAllRoots(t *testing.T) {
 					copy(buf, want)
 				}
 				if err := do(func(s *Schedule) error {
-					return Bcast(s, tr, 1, buf, root, metrics.CollBcastBinomial)
+					return Bcast(s, tr, 1, buf, root, ForceBinomial)
 				}); err != nil {
 					return err
 				}
@@ -83,8 +83,8 @@ func TestRootRangeRejected(t *testing.T) {
 	s := new(Schedule)
 	buf := make([]byte, 8)
 	for _, root := range []int{-1, 2} {
-		if Bcast(s, tr, 1, buf, root, metrics.CollBcastBinomial) == nil ||
-			Reduce(s, tr, 1, coll.OpSum, datatype.Long, buf, buf, root, metrics.CollReduceBinomial) == nil ||
+		if Bcast(s, tr, 1, buf, root, ForceBinomial) == nil ||
+			Reduce(s, tr, 1, coll.OpSum, datatype.Long, buf, buf, root, ForceBinomial) == nil ||
 			Gather(s, tr, 1, buf, make([]byte, 16), root) == nil ||
 			Scatter(s, tr, 1, make([]byte, 16), buf, root) == nil ||
 			Gatherv(s, tr, 1, buf, buf, []int{8, 0}, []int{0, 8}, root) == nil ||
@@ -101,7 +101,7 @@ func TestReduceAllRoots(t *testing.T) {
 				mine := longs(int64(rank+1), int64(2*rank))
 				out := make([]byte, len(mine))
 				if err := do(func(s *Schedule) error {
-					return Reduce(s, tr, 2, coll.OpSum, datatype.Long, mine, out, root, metrics.CollReduceBinomial)
+					return Reduce(s, tr, 2, coll.OpSum, datatype.Long, mine, out, root, ForceBinomial)
 				}); err != nil {
 					return err
 				}
@@ -126,7 +126,7 @@ func TestReduceMaxMin(t *testing.T) {
 		}{{coll.OpMax, []int64{4, 0}}, {coll.OpMin, []int64{0, -4}}} {
 			out := make([]byte, len(mine))
 			if err := do(func(s *Schedule) error {
-				return Reduce(s, tr, 3, c.op, datatype.Long, mine, out, 0, metrics.CollReduceBinomial)
+				return Reduce(s, tr, 3, c.op, datatype.Long, mine, out, 0, ForceBinomial)
 			}); err != nil {
 				return err
 			}
@@ -154,7 +154,7 @@ func TestUserOpInReduce(t *testing.T) {
 	runRanks(t, newFakeNet(4, 1, 0), func(tr Transport, rank int) error {
 		out := make([]byte, 8)
 		if err := do(func(s *Schedule) error {
-			return Reduce(s, tr, 4, gcd, datatype.Long, longs(int64(12*(rank+1))), out, 0, metrics.CollReduceBinomial)
+			return Reduce(s, tr, 4, gcd, datatype.Long, longs(int64(12*(rank+1))), out, 0, ForceBinomial)
 		}); err != nil {
 			return err
 		}
@@ -177,7 +177,7 @@ func TestRankOrderedFolds(t *testing.T) {
 				rs := make([]byte, 8)
 				rsSend := bytes.Repeat(mine, n)
 				s := new(Schedule)
-				if err := Reduce(s, tr, 5, opConcat, datatype.Long, mine, red, root, metrics.CollReduceBinomial); err != nil {
+				if err := Reduce(s, tr, 5, opConcat, datatype.Long, mine, red, root, ForceBinomial); err != nil {
 					return err
 				}
 				if s.Algo != metrics.CollReduceChain {
@@ -187,7 +187,7 @@ func TestRankOrderedFolds(t *testing.T) {
 					return err
 				}
 				// The same schedule, recompiled in place for each call.
-				Allreduce(s, tr, 6, opConcat, datatype.Long, mine, all, metrics.CollAllreduceRecDoubling)
+				Allreduce(s, tr, 6, opConcat, datatype.Long, mine, all, ForceRDouble)
 				if err := s.Wait(); err != nil {
 					return err
 				}
@@ -231,7 +231,7 @@ func TestAllreduceDouble(t *testing.T) {
 		mine, out := make([]byte, 8), make([]byte, 8)
 		binary.LittleEndian.PutUint64(mine, math.Float64bits(1.0))
 		if err := do(func(s *Schedule) error {
-			Allreduce(s, tr, 11, coll.OpSum, datatype.Double, mine, out, metrics.CollAllreduceRecDoubling)
+			Allreduce(s, tr, 11, coll.OpSum, datatype.Double, mine, out, ForceRDouble)
 			return nil
 		}); err != nil {
 			return err
@@ -466,7 +466,7 @@ func TestAllreduceSumProperty(t *testing.T) {
 				defer wg.Done()
 				out := make([]byte, 8)
 				if do(func(s *Schedule) error {
-					Allreduce(s, net.rankView(r), 23, coll.OpSum, datatype.Long, longs(int64(vals[r])), out, metrics.CollAllreduceRecDoubling)
+					Allreduce(s, net.rankView(r), 23, coll.OpSum, datatype.Long, longs(int64(vals[r])), out, ForceRDouble)
 					return nil
 				}) == nil {
 					results[r] = getLongs(out)[0]
@@ -511,7 +511,7 @@ func TestBcastProperty(t *testing.T) {
 					copy(buf, payload)
 				}
 				ok[r] = do(func(s *Schedule) error {
-					return Bcast(s, net.rankView(r), 24, buf, root, metrics.CollBcastBinomial)
+					return Bcast(s, net.rankView(r), 24, buf, root, ForceBinomial)
 				}) == nil && bytes.Equal(buf, payload)
 			}(r)
 		}
@@ -539,19 +539,19 @@ func TestRecompileInPlaceAllocatesNothing(t *testing.T) {
 	compile := func(i int) {
 		b := bufs[i%2]
 		Barrier(s, tr, i)
-		if Bcast(s, tr, i, b, 5, metrics.CollBcastBinomial) != nil ||
-			Reduce(s, tr, i, coll.OpSum, datatype.Long, b, out, 1, metrics.CollReduceBinomial) != nil ||
-			Reduce(s, tr, i, opConcat, datatype.Long, b, out, 1, metrics.CollReduceBinomial) != nil ||
+		if Bcast(s, tr, i, b, 5, ForceBinomial) != nil ||
+			Reduce(s, tr, i, coll.OpSum, datatype.Long, b, out, 1, ForceBinomial) != nil ||
+			Reduce(s, tr, i, opConcat, datatype.Long, b, out, 1, ForceBinomial) != nil ||
 			Gather(s, tr, i, b[:16], out, 3) != nil ||
 			Scatter(s, tr, i, b, out[:16], 3) != nil ||
-			Allgather(s, tr, i, b[:16], out, metrics.CollAllgatherRing) != nil ||
-			Alltoall(s, tr, i, b, out, metrics.CollAlltoallPairwise) != nil ||
+			Allgather(s, tr, i, b[:16], out, ForceRing) != nil ||
+			Alltoall(s, tr, i, b, out, ForcePairwise) != nil ||
 			ReduceScatterBlock(s, tr, i, coll.OpSum, datatype.Long, b, out[:16]) != nil {
 			t.Fatal("compile failed")
 		}
 		Scan(s, tr, i, coll.OpSum, datatype.Long, b, out)
 		Exscan(s, tr, i, coll.OpSum, datatype.Long, b, out)
-		Allreduce(s, tr, i, coll.OpSum, datatype.Long, b, out, metrics.CollAllreduceRecDoubling)
+		Allreduce(s, tr, i, coll.OpSum, datatype.Long, b, out, ForceRDouble)
 	}
 	compile(0)
 	i := 0

@@ -3,6 +3,8 @@ package nbc
 import (
 	"fmt"
 
+	"gompi/internal/coll"
+	"gompi/internal/datatype"
 	"gompi/internal/metrics"
 )
 
@@ -10,7 +12,8 @@ import (
 // gompi_coll_algorithm info key or Config.CollAlgorithm. ForceAuto
 // (the default) leaves selection to the size/topology cutoffs below;
 // a forced family that does not apply to a collective (or whose
-// preconditions fail) falls back to the canonical algorithm.
+// preconditions fail) falls back to the canonical algorithm. Every
+// collective compiler takes a Force and resolves it through its pick.
 type Force int
 
 // Forced algorithm families.
@@ -75,8 +78,14 @@ const (
 	AlltoallPostedMaxRanks = 16
 )
 
-// SelectBcast picks the broadcast algorithm for an nbytes payload.
-func SelectBcast(t Transport, nbytes int, f Force) int {
+// The picks below are the one place a collective's algorithm is
+// decided. Each compiler calls its pick once, before Begin, and emits
+// exactly what it returns: every precondition an algorithm has
+// (commutativity, a power-of-two size, divisibility, the handoff
+// threshold) is checked here and nowhere else.
+
+// bcastAlgo picks the broadcast algorithm for an nbytes payload.
+func bcastAlgo(t Transport, nbytes int, f Force) int {
 	switch f {
 	case ForceBinomial:
 		return metrics.CollBcastBinomial
@@ -85,7 +94,7 @@ func SelectBcast(t Transport, nbytes int, f Force) int {
 	case ForceTwoLevel:
 		return metrics.CollBcastTwoLevel
 	}
-	if f != ForceFlat && TwoLevel(t) {
+	if f != ForceFlat && twoLevel(t) {
 		return metrics.CollBcastTwoLevel
 	}
 	if nbytes > BcastLongMsg && t.Size() >= 8 {
@@ -94,32 +103,33 @@ func SelectBcast(t Transport, nbytes int, f Force) int {
 	return metrics.CollBcastBinomial
 }
 
-// SelectReduce picks the reduce algorithm. Non-commutative operations
-// always take the rank-ordered chain.
-func SelectReduce(t Transport, nbytes int, commutative bool, f Force) int {
-	if !commutative || f == ForceChain {
+// reduceAlgo is the binomial-vs-chain decision of every reduction to a
+// root — Reduce's own and the ones allreduce and reduce-scatter compose
+// in. Non-commutative operations always take the rank-ordered chain.
+func reduceAlgo(op coll.Op, f Force) int {
+	if !coll.Commutative(op) || f == ForceChain {
 		return metrics.CollReduceChain
 	}
 	return metrics.CollReduceBinomial
 }
 
-// SelectAllreduce picks the allreduce algorithm for count elements of
-// elemSize bytes each. Non-commutative operations always take the
-// chain-reduce + broadcast composition.
-func SelectAllreduce(t Transport, count, elemSize int, commutative bool, f Force) int {
-	if !commutative {
+// allreduceAlgo picks the allreduce algorithm for an nbytes payload of
+// elem elements. Non-commutative operations always take the
+// chain-reduce + broadcast composition; recursive doubling needs a
+// power-of-two size, rsag one whose element count it divides too.
+func allreduceAlgo(t Transport, op coll.Op, elem *datatype.Type, nbytes int, f Force) int {
+	if !coll.Commutative(op) {
 		return metrics.CollAllreduceReduceBcast
 	}
-	size := t.Size()
+	size, es := t.Size(), elem.Size()
 	pow2 := isPow2(size)
-	divisible := size > 0 && count%size == 0
-	nbytes := count * elemSize
+	rsag := pow2 && es > 0 && nbytes%(size*es) == 0
 	// The zero-copy two-level variant applies when the payload clears
 	// the handoff threshold (below it, staged cells win — that is what
 	// the threshold means).
-	twoLevel := metrics.CollAllreduceTwoLevel
+	hier := metrics.CollAllreduceTwoLevel
 	if h := t.HandoffEager(); h > 0 && nbytes > h {
-		twoLevel = metrics.CollAllreduceTwoLevelZC
+		hier = metrics.CollAllreduceTwoLevelZC
 	}
 	switch f {
 	case ForceRDouble:
@@ -128,19 +138,19 @@ func SelectAllreduce(t Transport, count, elemSize int, commutative bool, f Force
 		}
 		return metrics.CollAllreduceReduceBcast
 	case ForceRSAG:
-		if pow2 && divisible {
+		if rsag {
 			return metrics.CollAllreduceRedScatGather
 		}
 		return metrics.CollAllreduceReduceBcast
 	case ForceTwoLevel:
-		return twoLevel
+		return hier
 	case ForceReduceBcast:
 		return metrics.CollAllreduceReduceBcast
 	}
-	if f != ForceFlat && TwoLevel(t) {
-		return twoLevel
+	if f != ForceFlat && twoLevel(t) {
+		return hier
 	}
-	if pow2 && divisible && nbytes > AllreduceLongMsg {
+	if rsag && nbytes > AllreduceLongMsg {
 		return metrics.CollAllreduceRedScatGather
 	}
 	if pow2 {
@@ -149,9 +159,9 @@ func SelectAllreduce(t Transport, count, elemSize int, commutative bool, f Force
 	return metrics.CollAllreduceReduceBcast
 }
 
-// SelectAllgather picks the allgather algorithm for an nbytes-per-rank
+// allgatherAlgo picks the allgather algorithm for an nbytes-per-rank
 // block.
-func SelectAllgather(t Transport, nbytes int, f Force) int {
+func allgatherAlgo(nbytes int, f Force) int {
 	switch f {
 	case ForceRing:
 		return metrics.CollAllgatherRing
@@ -164,9 +174,9 @@ func SelectAllgather(t Transport, nbytes int, f Force) int {
 	return metrics.CollAllgatherRing
 }
 
-// SelectAlltoall picks the alltoall algorithm for an nbytes-per-peer
+// alltoallAlgo picks the alltoall algorithm for an nbytes-per-peer
 // block.
-func SelectAlltoall(t Transport, nbytes int, f Force) int {
+func alltoallAlgo(t Transport, nbytes int, f Force) int {
 	switch f {
 	case ForcePairwise:
 		return metrics.CollAlltoallPairwise

@@ -3,6 +3,9 @@ package gompi
 import (
 	"fmt"
 	"io"
+	"math/rand/v2"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -133,6 +136,281 @@ func wildcardReceive(c *Comm) error {
 		if err := check("Mprobe", st, buf); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// FuzzWildcardLaneCount is the seeded lane-count differential. One seed
+// generates one program: every sender's messages on World and on a Dup
+// (tags 0-5, 2-8 bytes, sent blocking or nonblocking), and the
+// receiver's receives — exact, AnySource, AnyTag and both wildcards,
+// each as a Recv, a batch of Irecvs, a Probe followed by the Recv it
+// names, or an Mprobe. The program must consume the same multiset of
+// (source, tag, bytes) with each receive shape, and each sender's
+// messages in the same order, at VCIs 1, 2, 4 and 8. The generator
+// leaves each receive exactly one legal match: it makes a receive's
+// source a wildcard only while a single sender still has a message it
+// could match, so MPI's non-overtaking rule names the message whatever
+// the arrival order.
+func FuzzWildcardLaneCount(f *testing.F) {
+	f.Add(uint64(1), uint8(2), false)
+	f.Add(uint64(2), uint8(3), true)
+	f.Add(uint64(3), uint8(1), false)
+	f.Add(uint64(4), uint8(2), true)
+	f.Fuzz(func(t *testing.T, seed uint64, senders uint8, tm bool) {
+		prog := newLaneProgram(seed, 1+int(senders)%3)
+		var want string
+		for _, lanes := range []int{1, 2, 4, 8} {
+			got, err := prog.run(lanes, tm)
+			if err != nil {
+				t.Fatalf("seed %d, VCIs %d, ThreadMultiple %v: %v", seed, lanes, tm, err)
+			}
+			if lanes == 1 {
+				want = got
+			} else if got != want {
+				t.Fatalf("seed %d, ThreadMultiple %v: VCIs %d consumed\n%s\nVCIs 1 consumed\n%s", seed, tm, lanes, got, want)
+			}
+		}
+	})
+}
+
+// The receive modes of a lane program.
+const (
+	laneRecv = iota
+	laneIrecv
+	laneProbe
+	laneMprobe
+)
+
+var laneModeNames = [...]string{"Recv", "Irecv", "Probe", "Mprobe"}
+
+type laneMsg struct {
+	tag, n int
+	isend  bool
+}
+
+// laneOp is one receive: src and tag may be wildcards.
+type laneOp struct{ mode, src, tag int }
+
+func (o laneOp) shape() string {
+	src, tag := "src", "tag"
+	if o.src == AnySource {
+		src = "any"
+	}
+	if o.tag == AnyTag {
+		tag = "any"
+	}
+	return fmt.Sprintf("%s(%s,%s)", laneModeNames[o.mode], src, tag)
+}
+
+// laneProgram is what one seed runs: per communicator (World, then a
+// Dup), sends[c][s] are sender s+1's messages in order, and recvs[c]
+// the receiver's steps — one receive each, or one batch of Irecvs
+// waited for together.
+type laneProgram struct {
+	senders int
+	sends   [2][][]laneMsg
+	recvs   [2][][]laneOp
+}
+
+func newLaneProgram(seed uint64, senders int) *laneProgram {
+	rng := rand.New(rand.NewPCG(seed, 0x1a9e))
+	p := &laneProgram{senders: senders}
+	for c := range p.sends {
+		p.sends[c] = make([][]laneMsg, senders)
+		// left[s] holds sender s's unconsumed message indices, in order.
+		left := make([][]int, senders)
+		for s := range senders {
+			for i := range 4 + rng.IntN(20) {
+				p.sends[c][s] = append(p.sends[c][s], laneMsg{tag: rng.IntN(6), n: 2 + rng.IntN(7), isend: rng.IntN(2) == 0})
+				left[s] = append(left[s], i)
+			}
+		}
+		for remaining := true; remaining; {
+			mode := rng.IntN(len(laneModeNames))
+			batch := 1
+			if mode == laneIrecv {
+				batch += rng.IntN(4)
+			}
+			var step []laneOp
+			for ; batch > 0 && remaining; batch-- {
+				step = append(step, p.pick(rng, c, left, mode))
+				remaining = slices.ContainsFunc(left, func(l []int) bool { return len(l) > 0 })
+			}
+			p.recvs[c] = append(p.recvs[c], step)
+		}
+	}
+	return p
+}
+
+// pick draws one receive of the given mode for a random unconsumed
+// message and consumes, in left, the message it must match: the first
+// unconsumed one of its sender that its tag admits. Its source is a
+// wildcard only when no other sender has an unconsumed message it
+// admits.
+func (p *laneProgram) pick(rng *rand.Rand, c int, left [][]int, mode int) laneOp {
+	admits := func(s, tag int) bool {
+		return slices.ContainsFunc(left[s], func(i int) bool { return tag == AnyTag || p.sends[c][s][i].tag == tag })
+	}
+	sole := func(s, tag int) bool {
+		for o := range left {
+			if o != s && admits(o, tag) {
+				return false
+			}
+		}
+		return true
+	}
+	var live []int
+	for s, l := range left {
+		if len(l) > 0 {
+			live = append(live, s)
+		}
+	}
+	s := live[rng.IntN(len(live))]
+	op := laneOp{mode: mode, src: s + 1, tag: p.sends[c][s][left[s][rng.IntN(len(left[s]))]].tag}
+	switch rng.IntN(4) {
+	case 1:
+		op.tag = AnyTag
+	case 2:
+		if sole(s, op.tag) {
+			op.src = AnySource
+		}
+	case 3:
+		if sole(s, AnyTag) {
+			op.src, op.tag = AnySource, AnyTag
+		}
+	}
+	i := slices.IndexFunc(left[s], func(i int) bool { return op.tag == AnyTag || p.sends[c][s][i].tag == op.tag })
+	left[s] = slices.Delete(left[s], i, i+1)
+	return op
+}
+
+// run runs the program at the given lane count and returns what the
+// receiver consumed: per communicator, the sorted (source, tag, bytes)
+// of each receive shape and each sender's message order. Every receive
+// is also checked against the envelope its payload's (source, sequence)
+// names.
+func (p *laneProgram) run(lanes int, tm bool) (string, error) {
+	cfg := Config{Device: DeviceCH4, Fabric: FabricOFI, VCIs: lanes, ThreadMultiple: tm,
+		Watchdog: true, DiagWriter: io.Discard}
+	var out strings.Builder
+	err := Run(p.senders+1, cfg, func(pr *Proc) error {
+		w := pr.World()
+		dup, err := w.Dup()
+		if err != nil {
+			return err
+		}
+		for c, comm := range []*Comm{w, dup} {
+			if pr.Rank() != 0 {
+				if err := p.send(comm, c, pr.Rank()); err != nil {
+					return err
+				}
+				continue
+			}
+			if err := p.receive(comm, c, &out); err != nil {
+				return fmt.Errorf("comm %d: %w", c, err)
+			}
+		}
+		return nil
+	})
+	return out.String(), err
+}
+
+func (p *laneProgram) send(comm *Comm, c, rank int) error {
+	var reqs []*Request
+	for seq, m := range p.sends[c][rank-1] {
+		buf := append([]byte{byte(rank), byte(seq)}, make([]byte, m.n-2)...)
+		if !m.isend {
+			if err := comm.Send(buf, m.n, Byte, 0, m.tag); err != nil {
+				return err
+			}
+			continue
+		}
+		r, err := comm.Isend(buf, m.n, Byte, 0, m.tag)
+		if err != nil {
+			return err
+		}
+		reqs = append(reqs, r)
+	}
+	return Waitall(reqs)
+}
+
+func (p *laneProgram) receive(comm *Comm, c int, out *strings.Builder) error {
+	shapes := map[string][]string{}
+	order := make([][]int, p.senders)
+	consume := func(op laneOp, st Status, buf []byte) error {
+		src, seq := int(buf[0]), int(buf[1])
+		if src < 1 || src > p.senders || seq >= len(p.sends[c][src-1]) {
+			return fmt.Errorf("%s got a payload naming sender %d seq %d", op.shape(), src, seq)
+		}
+		m := p.sends[c][src-1][seq]
+		if st.Source != src || st.Tag != m.tag || st.Count != m.n ||
+			(op.src != AnySource && op.src != src) || (op.tag != AnyTag && op.tag != m.tag) {
+			return fmt.Errorf("%s (source %d, tag %d) got (source %d, tag %d, %d bytes) carrying sender %d's seq %d (tag %d, %d bytes)",
+				op.shape(), op.src, op.tag, st.Source, st.Tag, st.Count, src, seq, m.tag, m.n)
+		}
+		shapes[op.shape()] = append(shapes[op.shape()], fmt.Sprintf("(%d,%d,%d)", src, m.tag, m.n))
+		order[src-1] = append(order[src-1], seq)
+		return nil
+	}
+	for _, step := range p.recvs[c] {
+		bufs := make([][]byte, len(step))
+		reqs := make([]*Request, len(step))
+		for k, op := range step {
+			bufs[k] = make([]byte, 8)
+			var st Status
+			var err error
+			switch op.mode {
+			case laneRecv:
+				st, err = comm.Recv(bufs[k], 8, Byte, op.src, op.tag)
+			case laneIrecv:
+				reqs[k], err = comm.Irecv(bufs[k], 8, Byte, op.src, op.tag)
+			case laneProbe:
+				var pst Status
+				if pst, err = comm.Probe(op.src, op.tag); err == nil {
+					if st, err = comm.Recv(bufs[k], 8, Byte, pst.Source, pst.Tag); err == nil && st != pst {
+						err = fmt.Errorf("Probe saw %+v, the Recv it named got %+v", pst, st)
+					}
+				}
+			case laneMprobe:
+				var m *Message
+				if m, err = comm.Mprobe(op.src, op.tag); err == nil {
+					st, err = m.Recv(bufs[k], 8, Byte)
+				}
+			}
+			if err != nil {
+				return err
+			}
+			if op.mode != laneIrecv {
+				if err := consume(op, st, bufs[k]); err != nil {
+					return err
+				}
+			}
+		}
+		for k, r := range reqs {
+			if r == nil {
+				continue
+			}
+			st, err := r.Wait()
+			if err != nil {
+				return err
+			}
+			if err := consume(step[k], st, bufs[k]); err != nil {
+				return err
+			}
+		}
+	}
+	var keys []string
+	for shape := range shapes {
+		keys = append(keys, shape)
+	}
+	slices.Sort(keys)
+	for _, shape := range keys {
+		slices.Sort(shapes[shape])
+		fmt.Fprintf(out, "comm %d %s %v\n", c, shape, shapes[shape])
+	}
+	for s, seqs := range order {
+		fmt.Fprintf(out, "comm %d sender %d %v\n", c, s+1, seqs)
 	}
 	return nil
 }
