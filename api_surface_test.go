@@ -2,6 +2,7 @@ package gompi
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 )
@@ -161,6 +162,14 @@ func TestErrorRendering(t *testing.T) {
 	}
 	if ClassOf(fmt.Errorf("foreign")) != ErrOther {
 		t.Error("foreign error class")
+	}
+	// Run wraps a rank's error ("rank %d: %w") and joins the ranks'.
+	wrapped := fmt.Errorf("rank %d: %w", 1, errc(ErrWin, "out of window"))
+	if ClassOf(wrapped) != ErrWin {
+		t.Errorf("wrapped error class = %v", ClassOf(wrapped))
+	}
+	if joined := errors.Join(fmt.Errorf("foreign"), wrapped); ClassOf(joined) != ErrWin {
+		t.Errorf("joined error class = %v", ClassOf(joined))
 	}
 	if ErrorClass(99).String() != "MPI_ERR_OTHER" {
 		t.Error("unknown class name")

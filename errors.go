@@ -1,6 +1,7 @@
 package gompi
 
 import (
+	"errors"
 	"fmt"
 
 	"gompi/internal/comm"
@@ -98,13 +99,15 @@ func errc(class ErrorClass, format string, args ...any) *Error {
 	return &Error{Class: class, Msg: fmt.Sprintf(format, args...)}
 }
 
-// ClassOf extracts the ErrorClass from an error (ErrOther for foreign
-// errors, ErrNone for nil).
+// ClassOf extracts the ErrorClass from an error, looking through
+// wrapping and joined errors such as the one Run returns (ErrOther for
+// foreign errors, ErrNone for nil).
 func ClassOf(err error) ErrorClass {
 	if err == nil {
 		return ErrNone
 	}
-	if e, ok := err.(*Error); ok {
+	var e *Error
+	if errors.As(err, &e) {
 		return e.Class
 	}
 	return ErrOther

@@ -17,50 +17,17 @@ import (
 	"gompi/internal/vtime"
 )
 
-// winInfo is the per-rank record exchanged during window creation.
-type winInfo struct {
-	key, size, dispUnit int
-}
-
-// WinCreate collectively creates a window exposing mem.
+// WinCreate collectively creates a window exposing mem. Windows open
+// in an implicit fence-capable state; MPI programs call Fence to start
+// the first access epoch.
 func (d *Device) WinCreate(mem []byte, dispUnit int, c *comm.Comm) (*rma.Win, error) {
-	return d.winCreate(mem, dispUnit, c, false)
+	return core.WinCreate(d.g.Fab, d.rank.ID(), mem, dispUnit, c, false)
 }
 
 // WinCreateDynamic collectively creates a window with no initial
 // memory.
 func (d *Device) WinCreateDynamic(c *comm.Comm) (*rma.Win, error) {
-	return d.winCreate(nil, 1, c, true)
-}
-
-func (d *Device) winCreate(mem []byte, dispUnit int, c *comm.Comm, dynamic bool) (*rma.Win, error) {
-	if dispUnit <= 0 {
-		return nil, errString("win_create", rma.ErrBadWinArg)
-	}
-	myKey := 0
-	if !dynamic {
-		myKey = d.g.Fab.RegisterRegion(d.rank.ID(), mem)
-	}
-	// Phase 1: everyone learns everyone's region key, size, and
-	// displacement unit (the real implementation's allgather).
-	vals := c.Exchange(winInfo{myKey, len(mem), dispUnit})
-	var sh *rma.Shared
-	if c.MyRank == 0 {
-		sh = rma.NewShared(c.Size(), dynamic)
-		for r, v := range vals {
-			wi := v.(winInfo)
-			sh.Keys[r], sh.Sizes[r], sh.DispUnits[r] = wi.key, wi.size, wi.dispUnit
-		}
-	}
-	// Phase 2: distribute the completed shared table (and its lock
-	// instances) from rank 0.
-	vals = c.Exchange(sh)
-	sh = vals[0].(*rma.Shared)
-
-	w := rma.NewWin(c, mem, dispUnit, myKey, sh)
-	// Windows open in an implicit fence-capable state; MPI programs
-	// call Fence to start the first access epoch.
-	return w, nil
+	return core.WinCreate(d.g.Fab, d.rank.ID(), nil, 1, c, true)
 }
 
 // WinFree collectively releases the window.
@@ -96,8 +63,9 @@ func (d *Device) WinDetach(w *rma.Win, mem []byte, va rma.VAddr) error {
 }
 
 // resolveTarget turns (target, disp, flags) into the fabric (rank,
-// region key, byte offset) triple, charging the Section 3.2 costs.
-func (d *Device) resolveTarget(target, disp, nbytes int, w *rma.Win, flags core.OpFlags) (world, key, off int, err error) {
+// region key, byte offset) triple, charging the Section 3.2 costs. The
+// target range must hold reach bytes (datatype.Reach).
+func (d *Device) resolveTarget(target, disp, reach int, w *rma.Win, flags core.OpFlags) (world, key, off int, err error) {
 	world, err = d.translateRank(w.Comm, target)
 	if err != nil {
 		return 0, 0, 0, err
@@ -111,13 +79,13 @@ func (d *Device) resolveTarget(target, disp, nbytes int, w *rma.Win, flags core.
 		if w.Shared.Dynamic {
 			return world, va.DynKey(), va.DynOff(), nil
 		}
-		if err := w.CheckVAddr(target, va, nbytes); err != nil {
+		if err := w.CheckVAddr(target, va, reach); err != nil {
 			return 0, 0, 0, err
 		}
 		return world, w.Shared.Keys[target], int(va), nil
 	}
 	d.charge(instr.Mandatory, cost(instr.OffsetXlate))
-	off, err = w.TargetOffset(target, disp, nbytes)
+	off, err = w.TargetOffset(target, disp, reach)
 	if err != nil {
 		return 0, 0, 0, err
 	}
@@ -145,7 +113,7 @@ func (d *Device) Put(origin []byte, count int, dt *datatype.Type, target, disp i
 	d.meter.ChargeType(dt, cost(instr.RedundantDatatype))
 
 	nbytes := datatype.PackedSize(dt, count)
-	world, key, off, err := d.resolveTarget(target, disp, nbytes, w, flags)
+	world, key, off, err := d.resolveTarget(target, disp, datatype.Reach(dt, count), w, flags)
 	if err != nil {
 		return errString("put", err)
 	}
@@ -208,7 +176,7 @@ func (d *Device) Get(origin []byte, count int, dt *datatype.Type, target, disp i
 	d.meter.ChargeType(dt, cost(instr.RedundantDatatype))
 
 	nbytes := datatype.PackedSize(dt, count)
-	world, key, off, err := d.resolveTarget(target, disp, nbytes, w, flags)
+	world, key, off, err := d.resolveTarget(target, disp, datatype.Reach(dt, count), w, flags)
 	if err != nil {
 		return errString("get", err)
 	}
@@ -226,15 +194,12 @@ func (d *Device) Get(origin []byte, count int, dt *datatype.Type, target, disp i
 		d.ep.Get(world, key, off, view)
 		return nil
 	}
-	// Derived layout: one RDMA read per segment, landing directly in
-	// the laid-out origin buffer.
-	for k := 0; k < count; k++ {
-		base := k * dt.Extent()
-		for _, s := range dt.Segments() {
-			d.charge(instr.Mandatory, cost(instr.RDMADesc))
-			d.ep.Get(world, key, off+base+s.Off, origin[base+s.Off:base+s.Off+s.Len])
-		}
-	}
+	// Derived layout: one RDMA read per run, landing directly in the
+	// laid-out origin buffer.
+	datatype.LayoutOf(dt, count).Walk(nbytes, func(at, _, n int) {
+		d.charge(instr.Mandatory, cost(instr.RDMADesc))
+		d.ep.Get(world, key, off+at, origin[at:at+n])
+	})
 	return nil
 }
 
@@ -279,7 +244,7 @@ func (d *Device) accumulate(origin, result []byte, count int, dt *datatype.Type,
 		return errString("accumulate", coll.ErrBadOp)
 	}
 	nbytes := datatype.PackedSize(dt, count)
-	world, key, off, err := d.resolveTarget(target, disp, nbytes, w, flags)
+	world, key, off, err := d.resolveTarget(target, disp, datatype.Reach(dt, count), w, flags)
 	if err != nil {
 		return errString("accumulate", err)
 	}
@@ -334,33 +299,30 @@ func (d *Device) accumulate(origin, result []byte, count int, dt *datatype.Type,
 }
 
 // Fence closes the current fence epoch and opens the next
-// (MPI_WIN_FENCE): wait out the AM fallback acknowledgements, barrier,
-// and fold remote-write arrival times into the local clock.
-func (d *Device) Fence(w *rma.Win) error {
-	d.charge(instr.Mandatory, cost(instr.EpochTrack))
-	d.flushAM()
-	core.Barrier(d, w.Comm)
-	if !w.Shared.Dynamic {
-		d.rank.Sync(d.g.Fab.RegionArrival(d.rank.ID(), w.MyKey))
-	}
-	if err := w.OpenEpoch(rma.EpochFence, -1); err != nil {
-		return err
-	}
-	w.OpenedAt = d.rank.Now()
-	return nil
-}
+// (MPI_WIN_FENCE).
+func (d *Device) Fence(w *rma.Win) error { return d.fence(w, true) }
 
 // FenceEnd closes the fence epoch sequence (MPI_WIN_FENCE with
-// MPI_MODE_NOSUCCEED): flush, synchronize, and leave the window
-// epoch-free so passive-target epochs may follow.
-func (d *Device) FenceEnd(w *rma.Win) error {
+// MPI_MODE_NOSUCCEED), leaving the window epoch-free so passive-target
+// epochs may follow.
+func (d *Device) FenceEnd(w *rma.Win) error { return d.fence(w, false) }
+
+// fence waits out the AM fallback acknowledgements, barriers, folds
+// remote-write arrival times into the local clock, and then opens the
+// next epoch (next) or closes the open one.
+func (d *Device) fence(w *rma.Win, next bool) error {
 	d.charge(instr.Mandatory, cost(instr.EpochTrack))
 	d.flushAM()
 	core.Barrier(d, w.Comm)
 	if !w.Shared.Dynamic {
 		d.rank.Sync(d.g.Fab.RegionArrival(d.rank.ID(), w.MyKey))
 	}
-	if w.InEpoch() {
+	if next {
+		if err := w.OpenEpoch(rma.EpochFence, -1); err != nil {
+			return err
+		}
+		w.OpenedAt = d.rank.Now()
+	} else if w.InEpoch() {
 		if _, err := w.CloseEpoch(); err != nil {
 			return err
 		}
@@ -377,8 +339,15 @@ func (d *Device) Lock(w *rma.Win, target int, exclusive bool) error {
 	w.OpenedAt = d.rank.Now()
 	d.charge(instr.Mandatory, cost(instr.LockProto))
 	d.rank.ChargeCycles(instr.Transport, 2*d.g.Fab.Profile().WireLatency)
-	// Spin with progress: a blocked rank must keep servicing AM
-	// fallback traffic or lock holders could never finish their epoch.
+	d.spinLock(w, target, exclusive)
+	w.LockExclusive = exclusive
+	return nil
+}
+
+// spinLock acquires target's window lock, spinning with progress: a
+// blocked rank must keep servicing AM fallback traffic or lock holders
+// could never finish their epoch.
+func (d *Device) spinLock(w *rma.Win, target int, exclusive bool) {
 	for !w.Shared.TryAcquireLock(target, exclusive) {
 		if d.g.Fab.Aborted() {
 			panic(abort.ErrWorldAborted)
@@ -386,8 +355,6 @@ func (d *Device) Lock(w *rma.Win, target int, exclusive bool) error {
 		d.Progress()
 		runtime.Gosched()
 	}
-	w.LockExclusive = exclusive
-	return nil
 }
 
 // Unlock flushes and closes the passive-target epoch (MPI_WIN_UNLOCK).
@@ -493,13 +460,7 @@ func (d *Device) LockAll(w *rma.Win, exclusive bool) error {
 	d.charge(instr.Mandatory, cost(instr.LockProto)+cost(instr.EpochTrack))
 	d.rank.ChargeCycles(instr.Transport, 2*d.g.Fab.Profile().WireLatency)
 	for t := 0; t < w.Comm.Size(); t++ {
-		for !w.Shared.TryAcquireLock(t, exclusive) {
-			if d.g.Fab.Aborted() {
-				panic(abort.ErrWorldAborted)
-			}
-			d.Progress()
-			runtime.Gosched()
-		}
+		d.spinLock(w, t, exclusive)
 	}
 	w.LockExclusive = exclusive
 	return nil
@@ -562,9 +523,8 @@ func (d *Device) putDerivedAM(origin []byte, count int, dt *datatype.Type, world
 		return errString("put", err)
 	}
 	d.charge(instr.Mandatory, instr.PackCost(len(packed)))
-	hdr := encodeLayoutHeader(key, off, count, dt)
 	d.amSent++
-	d.ep.AMSend(world, amPutDerived, hdr, packed)
+	d.ep.AMSend(world, amPutDerived, amHeader(key, off, count, dt), packed)
 	return nil
 }
 
@@ -575,87 +535,54 @@ func (d *Device) accDerivedAM(origin []byte, count int, dt *datatype.Type, op co
 	if _, err := datatype.Pack(dt, count, origin, packed); err != nil {
 		return errString("accumulate", err)
 	}
-	hdr := encodeLayoutHeader(key, off, count, dt)
-	hdr = append(hdr, byte(op), byte(coll.ElemCode(dt.BaseElem())))
+	hdr := append(amHeader(key, off, count, dt), byte(op), byte(coll.ElemCode(dt.BaseElem())))
 	d.amSent++
 	d.ep.AMSend(world, amAccDerived, hdr, packed)
 	return nil
 }
 
-// encodeLayoutHeader flattens (key, off, count, extent, segments) into
-// the AM header the target handler scatters by.
-func encodeLayoutHeader(key, off, count int, dt *datatype.Type) []byte {
-	segs := dt.Segments()
-	hdr := make([]byte, 0, 20+8*len(segs))
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(key))
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(off))
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(count))
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(dt.Extent()))
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(segs)))
-	for _, s := range segs {
-		hdr = binary.LittleEndian.AppendUint32(hdr, uint32(s.Off))
-		hdr = binary.LittleEndian.AppendUint32(hdr, uint32(s.Len))
-	}
-	return hdr
+// amHeader is the AM fallback's header: the target's region key
+// and byte offset, then the flattened target layout — 20+8n bytes for
+// n segments.
+func amHeader(key, off, count int, dt *datatype.Type) []byte {
+	l := datatype.LayoutOf(dt, count)
+	hdr := make([]byte, 8, 20+8*len(l.Segs))
+	binary.LittleEndian.PutUint32(hdr, uint32(key))
+	binary.LittleEndian.PutUint32(hdr[4:], uint32(off))
+	return l.Append(hdr)
 }
 
-type layoutHeader struct {
-	key, off, count, extent int
-	segs                    []datatype.Segment
-	rest                    []byte
-}
-
-func decodeLayoutHeader(hdr []byte) layoutHeader {
-	u := func(i int) int { return int(binary.LittleEndian.Uint32(hdr[4*i:])) }
-	n := u(4)
-	lh := layoutHeader{key: u(0), off: u(1), count: u(2), extent: u(3)}
-	for i := 0; i < n; i++ {
-		lh.segs = append(lh.segs, datatype.Segment{Off: u(5 + 2*i), Len: u(6 + 2*i)})
-	}
-	lh.rest = hdr[4*(5+2*n):]
-	return lh
+// targetOf decodes a layout header at the target: the addressed
+// window memory from the offset on, the layout, and the bytes after it.
+func (d *Device) targetOf(hdr []byte) ([]byte, datatype.Layout, []byte) {
+	mem := d.g.Fab.RegionMem(d.rank.ID(), int(binary.LittleEndian.Uint32(hdr)))
+	l, rest := datatype.DecodeLayout(hdr[8:])
+	return mem[binary.LittleEndian.Uint32(hdr[4:]):], l, rest
 }
 
 // handlePutDerived is the target-side AM fallback for derived-layout
-// puts: scatter the packed payload into window memory per the shipped
+// puts: place the packed payload into window memory per the shipped
 // layout, then acknowledge.
 func (d *Device) handlePutDerived(src int, hdr, payload []byte, _ vtime.Time) {
-	lh := decodeLayoutHeader(hdr)
+	mem, l, _ := d.targetOf(hdr)
 	d.charge(instr.Mandatory, instr.AMScatterCost(len(payload)))
-	d.scatter(lh, payload, nil, 0)
+	l.Walk(len(payload), func(at, pos, n int) { copy(mem[at:at+n], payload[pos:pos+n]) })
 	d.ep.AMSend(src, amAck, nil, nil)
 }
 
 // handleAccDerived is the target-side AM fallback for derived-layout
-// accumulates.
+// accumulates: fold the packed payload into window memory per the
+// shipped layout.
 func (d *Device) handleAccDerived(src int, hdr, payload []byte, _ vtime.Time) {
-	lh := decodeLayoutHeader(hdr)
-	op := coll.Op(lh.rest[0])
-	elem := coll.ElemFromCode(int(lh.rest[1]))
+	mem, l, rest := d.targetOf(hdr)
+	op, elem := coll.Op(rest[0]), coll.ElemFromCode(int(rest[1]))
 	d.charge(instr.Mandatory, instr.AMFoldCost(len(payload)))
-	d.scatter(lh, payload, elem, op)
-	d.ep.AMSend(src, amAck, nil, nil)
-}
-
-// scatter writes the packed payload into the local window region
-// according to the shipped layout. elem == nil means plain copy;
-// otherwise fold with op.
-func (d *Device) scatter(lh layoutHeader, payload []byte, elem *datatype.Type, op coll.Op) {
-	mem := d.localRegion(lh.key)
-	n := 0
-	for k := 0; k < lh.count; k++ {
-		base := lh.off + k*lh.extent
-		for _, s := range lh.segs {
-			dst := mem[base+s.Off : base+s.Off+s.Len]
-			src := payload[n : n+s.Len]
-			if elem == nil {
-				copy(dst, src)
-			} else if err := coll.Apply(op, elem, dst, src); err != nil {
-				panic(errString("am accumulate", err))
-			}
-			n += s.Len
+	l.Walk(len(payload), func(at, pos, n int) {
+		if err := coll.Apply(op, elem, mem[at:at+n], payload[pos:pos+n]); err != nil {
+			panic(errString("am accumulate", err))
 		}
-	}
+	})
+	d.ep.AMSend(src, amAck, nil, nil)
 }
 
 // handleAck counts an AM fallback acknowledgement; the arrival folds
@@ -665,10 +592,4 @@ func (d *Device) handleAck(_ int, _, _ []byte, arrival vtime.Time) {
 	if arrival > d.amAckArrival {
 		d.amAckArrival = arrival
 	}
-}
-
-// localRegion resolves one of this rank's own region keys to its
-// memory.
-func (d *Device) localRegion(key int) []byte {
-	return d.g.Fab.RegionMem(d.rank.ID(), key)
 }

@@ -6,6 +6,7 @@ import (
 	"gompi/internal/coll"
 	"gompi/internal/comm"
 	"gompi/internal/datatype"
+	"gompi/internal/fabric"
 	"gompi/internal/flight"
 	"gompi/internal/metrics"
 	"gompi/internal/proc"
@@ -173,6 +174,37 @@ func Barrier(d Device, c *comm.Comm) {
 		req.Wait()
 		req.Free()
 	}
+}
+
+// winInfo is the per-rank record exchanged during window creation.
+type winInfo struct{ key, size, dispUnit int }
+
+// WinCreate is window creation for both devices: rank registers mem as
+// a region of fab (unless the window is dynamic), then c's ranks learn
+// every rank's region key, size and displacement unit — the real
+// implementation's allgather — and rank 0 distributes the completed
+// shared table and its lock instances. Every region is registered
+// before its key is exchanged, so no operation can reach an
+// unregistered window.
+func WinCreate(fab *fabric.Fabric, rank int, mem []byte, dispUnit int, c *comm.Comm, dynamic bool) (*rma.Win, error) {
+	if dispUnit <= 0 {
+		return nil, fmt.Errorf("win_create: %w", rma.ErrBadWinArg)
+	}
+	myKey := 0
+	if !dynamic {
+		myKey = fab.RegisterRegion(rank, mem)
+	}
+	vals := c.Exchange(winInfo{myKey, len(mem), dispUnit})
+	var sh *rma.Shared
+	if c.MyRank == 0 {
+		sh = rma.NewShared(c.Size(), dynamic)
+		for r, v := range vals {
+			wi := v.(winInfo)
+			sh.Keys[r], sh.Sizes[r], sh.DispUnits[r] = wi.key, wi.size, wi.dispUnit
+		}
+	}
+	sh = c.Exchange(sh)[0].(*rma.Shared)
+	return rma.NewWin(c, mem, dispUnit, myKey, sh), nil
 }
 
 // ObserveFlush threads one completed flush on w through r's

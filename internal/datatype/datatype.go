@@ -47,6 +47,7 @@ type Type struct {
 	contig        bool
 	runtimeMapped bool
 	segs          []Segment // flattened layout, built at commit
+	span          int       // end of the furthest segment, set at commit
 
 	// Constructor parameters, kept for flattening and introspection.
 	count     int
@@ -268,6 +269,7 @@ func (t *Type) Commit() error {
 		return err
 	}
 	t.segs = coalesce(segs)
+	t.span = span(t.segs)
 	t.contig = len(t.segs) == 0 ||
 		(len(t.segs) == 1 && t.segs[0].Off == 0 && t.segs[0].Len == t.extent)
 	t.committed = true

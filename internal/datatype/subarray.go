@@ -54,13 +54,7 @@ func NewResized(base *Type, extent int) (*Type, error) {
 	if base == nil || extent < 0 {
 		return nil, ErrBadArgument
 	}
-	hi := 0
-	for _, s := range base.segs {
-		if end := s.Off + s.Len; end > hi {
-			hi = end
-		}
-	}
-	if base.committed && extent < hi {
+	if hi := span(base.segs); base.committed && extent < hi {
 		return nil, fmt.Errorf("%w: extent %d < data span %d", ErrBadArgument, extent, hi)
 	}
 	return &Type{

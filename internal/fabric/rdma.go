@@ -177,8 +177,8 @@ func (f *Fabric) RMWLocal(dst, key, off, n int, fn func(target []byte), arrival 
 }
 
 // RegionMem exposes the raw memory of a locally registered region to
-// device-side active-message handlers (the target of an AM fallback
-// scatters into its own window memory).
+// device-side active-message handlers: the target of ch4's AM fallback
+// or of a baseline RMA packet works on its own window memory.
 func (f *Fabric) RegionMem(rank, key int) []byte {
 	return f.region(rank, key).mem
 }

@@ -48,9 +48,8 @@ type Global struct {
 	Cfg   core.Config
 	pool  request.LockedPool // the CH3-era globally locked request pool
 
-	mu     sync.Mutex
-	winSeq int
-	devs   []*Device // every opened device, for wait-graph dumps
+	mu   sync.Mutex
+	devs []*Device // every opened device, for wait-graph dumps
 }
 
 // NewGlobal builds the shared state. The original device has no shmmod
@@ -121,8 +120,7 @@ type Device struct {
 	cfg   core.Config
 	meter core.Meter
 
-	eng  match.Engine // software matching, at the MPI layer
-	wins map[int]*winState
+	eng match.Engine // software matching, at the MPI layer
 
 	// Get request/response bookkeeping (owner goroutine only).
 	getSeq  uint32
@@ -152,7 +150,6 @@ type getState struct {
 func (g *Global) Open(r *proc.Rank) *Device {
 	d := &Device{
 		g: g, rank: r, ep: g.Fab.Endpoint(r.ID()), cfg: g.Cfg, meter: core.NewMeter(r, g.Cfg),
-		wins:    make(map[int]*winState),
 		getWait: make(map[uint32]*getState),
 		locking: g.Cfg.ThreadMultiple,
 	}

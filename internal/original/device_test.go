@@ -13,6 +13,7 @@ import (
 	"gompi/internal/datatype"
 	"gompi/internal/fabric"
 	"gompi/internal/proc"
+	"gompi/internal/rma"
 )
 
 // The baseline device must satisfy the same ADI as ch4.
@@ -228,6 +229,43 @@ func TestOriginalPutDerived(t *testing.T) {
 		}
 		return e.d.WinFree(w)
 	})
+}
+
+// TestPutBoundsChecked: a target range that passes the end of an
+// 8-byte window is an ErrBadDisp at the origin. The derived rows reach
+// a byte past their packed size: a vector(2,1,2,byte) at displacement
+// 6 packs 2 bytes but touches bytes 6 and 8.
+func TestPutBoundsChecked(t *testing.T) {
+	vec, _ := datatype.NewVector(2, 1, 2, datatype.Byte)
+	if err := vec.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 8)
+	cases := []struct {
+		name string
+		op   func(d *Device, w *rma.Win) error
+	}{
+		{"put/contig", func(d *Device, w *rma.Win) error { return d.Put(buf, 4, datatype.Byte, 1, 6, w, 0) }},
+		{"put/derived", func(d *Device, w *rma.Win) error { return d.Put(buf, 1, vec, 1, 6, w, 0) }},
+		{"get/derived", func(d *Device, w *rma.Win) error { return d.Get(buf, 1, vec, 1, 6, w, 0) }},
+		{"acc/derived", func(d *Device, w *rma.Win) error { return d.Accumulate(buf, 1, vec, 1, 6, coll.OpSum, w, 0) }},
+	}
+	for _, c := range cases {
+		runWorld(t, 2, fabric.INF, core.Default, func(e *env) error {
+			w, err := e.d.WinCreate(make([]byte, 8), 1, e.c)
+			if err != nil {
+				return err
+			}
+			e.d.Fence(w)
+			if e.c.Rank() == 0 {
+				if err := c.op(e.d, w); !errors.Is(err, rma.ErrBadDisp) {
+					return fmt.Errorf("%s: out-of-window error %v", c.name, err)
+				}
+			}
+			e.d.Fence(w)
+			return e.d.WinFree(w)
+		})
+	}
 }
 
 func TestOriginalGet(t *testing.T) {

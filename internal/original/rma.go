@@ -13,30 +13,10 @@ import (
 	"gompi/internal/vtime"
 )
 
-// winState is the target-side window record the packet handlers write
-// into.
-type winState struct {
-	win *rma.Win
-	mem []byte
-}
-
-// rmaOp is one queued RMA operation: CH3 queues operations on the
-// window and issues them at synchronization; we queue then issue
-// immediately, keeping the allocation/queue costs while staying
-// synchronous.
-type rmaOp struct {
-	kind    uint8
-	target  int
-	payload []byte
-	hdr     []byte
-}
-
-// WinCreate collectively creates a window. Window ids are agreed via
-// the registry exchange; every rank installs the target-side record
-// before any RMA packet can arrive (the trailing exchange is the
-// barrier).
+// WinCreate collectively creates a window: the memory is a fabric
+// region, and the packets address it by the target's region key.
 func (d *Device) WinCreate(mem []byte, dispUnit int, c *comm.Comm) (*rma.Win, error) {
-	return d.winCreate(mem, dispUnit, c, false)
+	return core.WinCreate(d.g.Fab, d.rank.ID(), mem, dispUnit, c, false)
 }
 
 // WinCreateDynamic creates a window with no initial memory. The
@@ -57,92 +37,30 @@ func (d *Device) WinDetach(w *rma.Win, mem []byte, va rma.VAddr) error {
 	return errf("device does not support dynamic windows")
 }
 
-func (d *Device) winCreate(mem []byte, dispUnit int, c *comm.Comm, dynamic bool) (*rma.Win, error) {
-	if dispUnit <= 0 {
-		return nil, errString("win_create", rma.ErrBadWinArg)
-	}
-	// Agree on a window id: every rank computes it from the same
-	// exchange (rank 0's proposal).
-	vals := c.Exchange(winInfoOriginal{size: len(mem), dispUnit: dispUnit})
-	var sh *rma.Shared
-	var id int
-	if c.MyRank == 0 {
-		sh = rma.NewShared(c.Size(), dynamic)
-		for r, v := range vals {
-			wi := v.(winInfoOriginal)
-			sh.Sizes[r], sh.DispUnits[r] = wi.size, wi.dispUnit
-		}
-		id = d.g.nextWinID()
-		// Filled here, before the exchange publishes sh: every rank
-		// reads the shared table afterwards and none may write it.
-		for r := range sh.Keys {
-			sh.Keys[r] = id // one id addresses the window on every rank
-		}
-	}
-	vals = c.Exchange(sharedAndID{sh, id})
-	si := vals[0].(sharedAndID)
-	sh, id = si.sh, si.id
-
-	w := rma.NewWin(c, mem, dispUnit, id, sh)
-	d.lock()
-	d.wins[id] = &winState{win: w, mem: mem}
-	d.unlock()
-	// Final rendezvous: no RMA packet may arrive before every rank has
-	// installed its record.
-	c.Exchange(nil)
-	return w, nil
-}
-
-type winInfoOriginal struct{ size, dispUnit int }
-
-type sharedAndID struct {
-	sh *rma.Shared
-	id int
-}
-
-// nextWinID allocates window ids under the global pool's lock.
-func (g *Global) nextWinID() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.winSeq++
-	return g.winSeq
-}
-
 // WinFree collectively releases the window. The critical section is
 // dropped across the closing exchange (a cross-rank rendezvous must
-// not hold a per-rank lock); the record is deleted only after it, so
+// not hold a per-rank lock); the region is revoked only after it, so
 // straggler packets from slower ranks still find the window.
 func (d *Device) WinFree(w *rma.Win) error {
 	d.lock()
 	d.flushAM()
 	d.unlock()
 	w.Comm.Exchange(nil)
-	d.lock()
-	delete(d.wins, w.MyKey)
-	d.unlock()
+	d.g.Fab.UnregisterRegion(d.rank.ID(), w.MyKey)
 	return nil
 }
 
-// rmaHeader marshals the generic RMA packet header: window id, offset,
-// length, op code, element code.
-func rmaHeader(id, off, n int, op coll.Op, elem int, seq uint32) []byte {
+// rmaHeader marshals the generic RMA packet header: the target's region
+// key, offset, length, op code, element code, get sequence number.
+func rmaHeader(key, off, n int, op coll.Op, elem int, seq uint32) []byte {
 	b := make([]byte, 24)
-	binary.LittleEndian.PutUint32(b, uint32(id))
+	binary.LittleEndian.PutUint32(b, uint32(key))
 	binary.LittleEndian.PutUint32(b[4:], uint32(off))
 	binary.LittleEndian.PutUint32(b[8:], uint32(n))
 	binary.LittleEndian.PutUint32(b[12:], uint32(op))
 	binary.LittleEndian.PutUint32(b[16:], uint32(elem))
 	binary.LittleEndian.PutUint32(b[20:], seq)
 	return b
-}
-
-func parseRMAHeader(b []byte) (id, off, n int, op coll.Op, elem int, seq uint32) {
-	return int(binary.LittleEndian.Uint32(b)),
-		int(binary.LittleEndian.Uint32(b[4:])),
-		int(binary.LittleEndian.Uint32(b[8:])),
-		coll.Op(binary.LittleEndian.Uint32(b[12:])),
-		int(binary.LittleEndian.Uint32(b[16:])),
-		binary.LittleEndian.Uint32(b[20:])
 }
 
 // chargePutPath charges the full CH3 one-sided origin path. The
@@ -165,14 +83,15 @@ func (d *Device) chargePutPath(dt *datatype.Type) {
 }
 
 // resolve translates (target, disp) to (world, offset), always paying
-// the full translation (no virtual-address fast path here).
-func (d *Device) resolve(target, disp, nbytes int, w *rma.Win) (world, off int, err error) {
+// the full translation (no virtual-address fast path here). The target
+// range must hold reach bytes (datatype.Reach).
+func (d *Device) resolve(target, disp, reach int, w *rma.Win) (world, off int, err error) {
 	world, err = d.translateRank(w.Comm, target)
 	if err != nil {
 		return 0, 0, err
 	}
 	d.charge(instr.Mandatory, cost(instr.OffsetXlate))
-	off, err = w.TargetOffset(target, disp, nbytes)
+	off, err = w.TargetOffset(target, disp, reach)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -196,67 +115,38 @@ func (d *Device) Put(origin []byte, count int, dt *datatype.Type, target, disp i
 	if err != nil {
 		return err
 	}
-	world, off, err := d.resolve(target, disp, len(data), w)
+	world, off, err := d.resolve(target, disp, datatype.Reach(dt, count), w)
 	if err != nil {
 		return errString("put", err)
 	}
 	// Queue then immediately issue (cost structure of the deferred
-	// CH3 op list, synchronous semantics). The header carries the
-	// flattened target layout so derived types scatter at the target.
-	hdr := append(rmaHeader(w.Shared.Keys[target], off, len(data), 0, 0, 0), encodeLayout(dt, count)...)
-	d.issue(&rmaOp{kind: amPut, target: world, hdr: hdr, payload: data})
+	// CH3 op list, synchronous semantics). The header always carries
+	// the target layout, a zero word when contiguous.
+	hdr := datatype.LayoutOf(dt, count).Append(rmaHeader(w.Shared.Keys[target], off, len(data), 0, 0, 0))
+	d.issue(amPut, world, hdr, data)
 	return nil
 }
 
-// encodeLayout flattens (count, extent, segments); zero segments means
-// a contiguous blob.
-func encodeLayout(dt *datatype.Type, count int) []byte {
-	if dt.Contig() {
-		return binary.LittleEndian.AppendUint32(nil, 0)
-	}
-	segs := dt.Segments()
-	b := binary.LittleEndian.AppendUint32(nil, uint32(len(segs)))
-	b = binary.LittleEndian.AppendUint32(b, uint32(count))
-	b = binary.LittleEndian.AppendUint32(b, uint32(dt.Extent()))
-	for _, s := range segs {
-		b = binary.LittleEndian.AppendUint32(b, uint32(s.Off))
-		b = binary.LittleEndian.AppendUint32(b, uint32(s.Len))
-	}
-	return b
-}
-
 // issue ships one queued op and counts the pending ack.
-func (d *Device) issue(op *rmaOp) {
+func (d *Device) issue(kind uint8, world int, hdr, payload []byte) {
 	d.amSent++
-	d.ep.AMSend(op.target, op.kind, op.hdr, op.payload)
+	d.ep.AMSend(world, kind, hdr, payload)
 }
 
-// handlePut applies an incoming put packet, scattering derived
-// layouts.
+// target decodes an RMA packet header at the target: the addressed
+// window memory from the offset on, the packed length, the op and
+// element codes, the get sequence number and the target layout.
+func (d *Device) target(hdr []byte) (mem []byte, n int, op coll.Op, elem int, seq uint32, l datatype.Layout) {
+	u := func(i int) int { return int(binary.LittleEndian.Uint32(hdr[4*i:])) }
+	l, _ = datatype.DecodeLayout(hdr[24:])
+	return d.g.Fab.RegionMem(d.rank.ID(), u(0))[u(1):], u(2), coll.Op(u(3)), u(4), uint32(u(5)), l
+}
+
+// handlePut applies an incoming put packet.
 func (d *Device) handlePut(src int, hdr, payload []byte, _ vtime.Time) {
-	id, off, n, _, _, _ := parseRMAHeader(hdr)
 	d.charge(instr.Mandatory, cost(instr.RMATargetSide))
-	ws := d.wins[id]
-	if ws == nil {
-		panic(errf("put packet for unknown window %d", id))
-	}
-	layout := hdr[24:]
-	u := func(i int) int { return int(binary.LittleEndian.Uint32(layout[4*i:])) }
-	nsegs := u(0)
-	if nsegs == 0 {
-		copy(ws.mem[off:off+n], payload)
-	} else {
-		count, extent := u(1), u(2)
-		p := 0
-		for k := 0; k < count; k++ {
-			base := off + k*extent
-			for i := 0; i < nsegs; i++ {
-				so, sl := u(3+2*i), u(4+2*i)
-				copy(ws.mem[base+so:base+so+sl], payload[p:p+sl])
-				p += sl
-			}
-		}
-	}
+	mem, _, _, _, _, l := d.target(hdr)
+	l.Walk(len(payload), func(at, pos, n int) { copy(mem[at:at+n], payload[pos:pos+n]) })
 	d.ep.AMSend(src, amAck, nil, nil)
 }
 
@@ -274,7 +164,7 @@ func (d *Device) Get(origin []byte, count int, dt *datatype.Type, target, disp i
 		return nil
 	}
 	nbytes := datatype.PackedSize(dt, count)
-	world, off, err := d.resolve(target, disp, nbytes, w)
+	world, off, err := d.resolve(target, disp, datatype.Reach(dt, count), w)
 	if err != nil {
 		return errString("get", err)
 	}
@@ -282,7 +172,11 @@ func (d *Device) Get(origin []byte, count int, dt *datatype.Type, target, disp i
 	seq := d.getSeq
 	gs := &getState{buf: make([]byte, nbytes)}
 	d.getWait[seq] = gs
-	d.ep.AMSend(world, amGetReq, rmaHeader(w.Shared.Keys[target], off, nbytes, 0, 0, seq), nil)
+	hdr := rmaHeader(w.Shared.Keys[target], off, nbytes, 0, 0, seq)
+	if !dt.Contig() { // a contiguous get request carries no layout
+		hdr = datatype.LayoutOf(dt, count).Append(hdr)
+	}
+	d.ep.AMSend(world, amGetReq, hdr, nil)
 	d.waitUntil(func() bool { return gs.done })
 	d.rank.Sync(gs.arrival) // the response's round-trip time
 	delete(d.getWait, seq)
@@ -297,20 +191,22 @@ func (d *Device) Get(origin []byte, count int, dt *datatype.Type, target, disp i
 	return nil
 }
 
-// handleGetReq serves a get request from window memory.
+// handleGetReq serves a get request from window memory, gathering a
+// derived layout into the packed response.
 func (d *Device) handleGetReq(src int, hdr, _ []byte, _ vtime.Time) {
-	id, off, n, _, _, seq := parseRMAHeader(hdr)
 	d.charge(instr.Mandatory, cost(instr.RMATargetSide))
-	ws := d.wins[id]
-	if ws == nil {
-		panic(errf("get packet for unknown window %d", id))
+	mem, n, _, _, seq, l := d.target(hdr)
+	data := mem[:n]
+	if !l.Contig() {
+		data = make([]byte, n)
+		l.Walk(n, func(at, pos, k int) { copy(data[pos:pos+k], mem[at:at+k]) })
 	}
-	d.ep.AMSend(src, amGetResp, rmaHeader(id, 0, n, 0, 0, seq), ws.mem[off:off+n])
+	d.ep.AMSend(src, amGetResp, rmaHeader(0, 0, n, 0, 0, seq), data)
 }
 
 // handleGetResp completes a pending get.
 func (d *Device) handleGetResp(_ int, hdr, payload []byte, arrival vtime.Time) {
-	_, _, _, _, _, seq := parseRMAHeader(hdr)
+	seq := binary.LittleEndian.Uint32(hdr[20:])
 	gs := d.getWait[seq]
 	if gs == nil {
 		panic(errf("get response for unknown sequence %d", seq))
@@ -340,15 +236,15 @@ func (d *Device) Accumulate(origin []byte, count int, dt *datatype.Type, target,
 	if err != nil {
 		return err
 	}
-	world, off, err := d.resolve(target, disp, len(data), w)
+	world, off, err := d.resolve(target, disp, datatype.Reach(dt, count), w)
 	if err != nil {
 		return errString("accumulate", err)
 	}
-	ec := coll.ElemCode(elem)
-	d.issue(&rmaOp{kind: amAcc, target: world,
-		hdr:     rmaHeader(w.Shared.Keys[target], off, len(data), op, ec, 0),
-		payload: data,
-	})
+	hdr := rmaHeader(w.Shared.Keys[target], off, len(data), op, coll.ElemCode(elem), 0)
+	if !dt.Contig() { // a contiguous accumulate carries no layout
+		hdr = datatype.LayoutOf(dt, count).Append(hdr)
+	}
+	d.issue(amAcc, world, hdr, data)
 	return nil
 }
 
@@ -376,43 +272,39 @@ func (d *Device) GetAccumulate(origin, result []byte, count int, dt *datatype.Ty
 
 // handleAcc applies an accumulate packet.
 func (d *Device) handleAcc(src int, hdr, payload []byte, _ vtime.Time) {
-	id, off, n, op, ec, _ := parseRMAHeader(hdr)
+	mem, n, op, ec, _, l := d.target(hdr)
 	d.charge(instr.Mandatory, cost(instr.RMATargetSide)+int64(n))
-	ws := d.wins[id]
-	if ws == nil {
-		panic(errf("accumulate packet for unknown window %d", id))
-	}
 	elem := coll.ElemFromCode(ec)
-	if err := coll.Apply(op, elem, ws.mem[off:off+n], payload); err != nil {
-		panic(errString("am accumulate", err))
-	}
+	l.Walk(n, func(at, pos, k int) {
+		if err := coll.Apply(op, elem, mem[at:at+k], payload[pos:pos+k]); err != nil {
+			panic(errString("am accumulate", err))
+		}
+	})
 	d.ep.AMSend(src, amAck, nil, nil)
 }
 
-// Fence flushes outstanding RMA packets and synchronizes. The critical
-// section covers only the flush: the barrier re-enters Isend/Irecv,
-// which take it per operation.
-func (d *Device) Fence(w *rma.Win) error {
-	d.lock()
-	d.charge(instr.Mandatory, cost(instr.EpochTrack))
-	d.flushAM()
-	d.unlock()
-	core.Barrier(d, w.Comm)
-	if err := w.OpenEpoch(rma.EpochFence, -1); err != nil {
-		return err
-	}
-	w.OpenedAt = d.rank.Now()
-	return nil
-}
+// Fence flushes outstanding RMA packets, synchronizes, and opens the
+// next epoch.
+func (d *Device) Fence(w *rma.Win) error { return d.fence(w, true) }
 
 // FenceEnd closes the fence epoch sequence (MPI_MODE_NOSUCCEED).
-func (d *Device) FenceEnd(w *rma.Win) error {
+func (d *Device) FenceEnd(w *rma.Win) error { return d.fence(w, false) }
+
+// fence flushes and barriers, then opens the next epoch (next) or
+// closes the open one. The critical section covers only the flush: the
+// barrier re-enters Isend/Irecv, which take it per operation.
+func (d *Device) fence(w *rma.Win, next bool) error {
 	d.lock()
 	d.charge(instr.Mandatory, cost(instr.EpochTrack))
 	d.flushAM()
 	d.unlock()
 	core.Barrier(d, w.Comm)
-	if w.InEpoch() {
+	if next {
+		if err := w.OpenEpoch(rma.EpochFence, -1); err != nil {
+			return err
+		}
+		w.OpenedAt = d.rank.Now()
+	} else if w.InEpoch() {
 		if _, err := w.CloseEpoch(); err != nil {
 			return err
 		}

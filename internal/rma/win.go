@@ -124,9 +124,6 @@ type Win struct {
 	// LockExclusive records the mode of the open passive epoch, so
 	// Unlock releases the right lock flavor.
 	LockExclusive bool
-	// PendingSync is the virtual arrival high-water mark of remote
-	// writes folded in at the last close; the device maintains it.
-	PendingSync vtime.Time
 	// OpenedAt is the rank's virtual clock when the current access
 	// epoch opened; the device stamps it at every epoch open and the
 	// flush paths observe now−OpenedAt into the epoch-open→flush

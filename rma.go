@@ -194,6 +194,9 @@ func (w *Win) PutOpt(origin []byte, count int, dt *Datatype, target, disp int, o
 // on every window flavor, removing the dynamic-window disadvantages the
 // paper describes.
 func (w *Win) PutVirtualAddr(origin []byte, count int, dt *Datatype, target int, addr VAddr) error {
+	if end := w.p.span(TracePut, target, traceBytes(count, dt)); end != nil {
+		defer end()
+	}
 	if err := w.rmaEnter(origin, count, dt, target, int(addr)); err != nil {
 		return err
 	}
@@ -219,6 +222,9 @@ func (w *Win) Get(origin []byte, count int, dt *Datatype, target, disp int) erro
 
 // GetVirtualAddr is the get-side virtual-address fast path.
 func (w *Win) GetVirtualAddr(origin []byte, count int, dt *Datatype, target int, addr VAddr) error {
+	if end := w.p.span(TraceGet, target, traceBytes(count, dt)); end != nil {
+		defer end()
+	}
 	if err := w.rmaEnter(origin, count, dt, target, int(addr)); err != nil {
 		return err
 	}
@@ -246,6 +252,9 @@ func (w *Win) Accumulate(origin []byte, count int, dt *Datatype, target, disp in
 // GetAccumulate atomically fetches the prior target contents into
 // result and folds origin in (MPI_GET_ACCUMULATE).
 func (w *Win) GetAccumulate(origin, result []byte, count int, dt *Datatype, target, disp int, op Op) error {
+	if end := w.p.span(TraceAcc, target, traceBytes(count, dt)); end != nil {
+		defer end()
+	}
 	if err := w.rmaEnter(origin, count, dt, target, disp); err != nil {
 		return err
 	}
@@ -278,6 +287,9 @@ func (w *Win) Fence() error {
 // (MPI_WIN_FENCE with MPI_MODE_NOSUCCEED); required before switching
 // to passive-target synchronization.
 func (w *Win) FenceEnd() error {
+	if end := w.p.span(TraceSync, -1, 0); end != nil {
+		defer end()
+	}
 	w.p.chargeCall()
 	unlock := w.p.chargeThread(nil, true)
 	defer unlock()
@@ -344,6 +356,9 @@ func (w *Win) UnlockAll() error {
 
 // Unlock flushes and closes the passive epoch (MPI_WIN_UNLOCK).
 func (w *Win) Unlock(target int) error {
+	if end := w.p.span(TraceSync, target, 0); end != nil {
+		defer end()
+	}
 	if err := w.p.dev.Unlock(w.w, target); err != nil {
 		return errc(ErrRMASync, "%v", err)
 	}

@@ -84,13 +84,33 @@ func TestTraceRMAOperations(t *testing.T) {
 			if err := win.Put([]byte{1, 2}, 2, Byte, 1, 0); err != nil {
 				return err
 			}
-			buf := make([]byte, 2)
+			buf := make([]byte, 8)
 			if err := win.Get(buf, 2, Byte, 1, 4); err != nil {
 				return err
 			}
+			if err := win.PutVirtualAddr([]byte{3}, 1, Byte, 1, win.BaseAddr(1)+2); err != nil {
+				return err
+			}
+			if err := win.GetVirtualAddr(buf, 1, Byte, 1, win.BaseAddr(1)+2); err != nil {
+				return err
+			}
+			if err := win.GetAccumulate(make([]byte, 8), buf, 1, Long, 1, 8, OpSum); err != nil {
+				return err
+			}
+			if err := win.FetchAndOp(make([]byte, 8), buf, Long, 1, 8, OpSum); err != nil {
+				return err
+			}
 		}
-		if err := win.Fence(); err != nil {
+		if err := win.FenceEnd(); err != nil {
 			return err
+		}
+		if p.Rank() == 0 {
+			if err := win.Lock(1, false); err != nil {
+				return err
+			}
+			if err := win.Unlock(1); err != nil {
+				return err
+			}
 		}
 		if err := win.Free(); err != nil {
 			return err
@@ -99,10 +119,11 @@ func TestTraceRMAOperations(t *testing.T) {
 		for _, e := range p.TraceEvents() {
 			kinds[e.Kind.String()]++
 		}
-		if kinds["rma-sync"] < 2 {
-			return fmt.Errorf("fences not traced: %v", kinds)
+		// Fence and FenceEnd on every rank; Lock and Unlock at rank 0.
+		if want := 2 + 2*(1-p.Rank()); kinds["rma-sync"] != want {
+			return fmt.Errorf("rank %d: %d sync events, want %d: %v", p.Rank(), kinds["rma-sync"], want, kinds)
 		}
-		if p.Rank() == 0 && (kinds["put"] != 1 || kinds["get"] != 1) {
+		if p.Rank() == 0 && (kinds["put"] != 2 || kinds["get"] != 2 || kinds["accumulate"] != 2) {
 			return fmt.Errorf("rma ops not traced: %v", kinds)
 		}
 		return nil
