@@ -9,7 +9,8 @@ import (
 )
 
 // failFast runs body and requires it to finish well under the test
-// timeout — the whole point of world teardown.
+// timeout — the whole point of world teardown, and of the progress rule
+// for the legal programs of blocked_test.go.
 func failFast(t *testing.T, n int, cfg Config, body func(p *Proc) error) error {
 	t.Helper()
 	done := make(chan error, 1)
@@ -18,7 +19,7 @@ func failFast(t *testing.T, n int, cfg Config, body func(p *Proc) error) error {
 	case err := <-done:
 		return err
 	case <-time.After(30 * time.Second):
-		t.Fatal("world did not tear down after a rank failure")
+		t.Fatal("world did not finish within 30 s")
 		return nil
 	}
 }
@@ -59,18 +60,33 @@ func TestAbortUnblocksCollective(t *testing.T) {
 	}
 }
 
+// TestAbortUnblocksCommCreation: a creation collective waits in the
+// device's progress loop, so the fabric's abort ends it on both devices.
 func TestAbortUnblocksCommCreation(t *testing.T) {
-	boom := errors.New("split boom")
-	err := failFast(t, 3, Config{}, func(p *Proc) error {
-		if p.Rank() == 1 {
-			return boom
+	creations := []struct {
+		name   string
+		create func(w *Comm) error
+	}{
+		{"Split", func(w *Comm) error { _, err := w.Split(0, w.Rank()); return err }},
+		{"Create", func(w *Comm) error { _, err := w.Create(w.Group()); return err }},
+		{"WinCreate", func(w *Comm) error { _, err := w.WinCreate(make([]byte, 8), 1); return err }},
+	}
+	for _, dev := range []DeviceKind{DeviceCH4, DeviceOriginal} {
+		for _, c := range creations {
+			t.Run(string(dev)+"/"+c.name, func(t *testing.T) {
+				boom := errors.New("creation boom")
+				err := failFast(t, 3, Config{Device: dev}, func(p *Proc) error {
+					if p.Rank() == 1 {
+						return boom
+					}
+					// The creation collective needs all ranks; rank 1 never joins.
+					return c.create(p.World())
+				})
+				if !errors.Is(err, boom) {
+					t.Fatalf("err = %v", err)
+				}
+			})
 		}
-		// The creation collective needs all ranks; rank 1 never joins.
-		_, err := p.World().Split(0, p.Rank())
-		return err
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v", err)
 	}
 }
 

@@ -190,7 +190,7 @@ func (c *Comm) SplitOpt(color, key int, o CommOptions) (*Comm, error) {
 	if col < 0 {
 		col = comm.Undefined
 	}
-	s, err := c.c.Split(col, key)
+	s, err := c.c.Split(c.p.dev, col, key)
 	if err != nil {
 		return nil, errc(ErrComm, "%v", err)
 	}
@@ -229,7 +229,7 @@ func (c *Comm) CreateOpt(g *Group, o CommOptions) (*Comm, error) {
 		return nil, err
 	}
 	c.chargeCommCreate()
-	s, err := c.c.Create(g.g)
+	s, err := c.c.Create(c.p.dev, g.g)
 	if err != nil {
 		return nil, errc(ErrComm, "%v", err)
 	}

@@ -278,7 +278,6 @@ type Proc struct {
 	bc    core.Config
 	meter core.Meter
 	world *Comm
-	reg   *comm.Registry
 
 	// predef is the global predefined-communicator table of the
 	// Section 3.3 proposal: indexing it is a constant-offset load, not
@@ -397,6 +396,7 @@ func Run(n int, cfg Config, body func(p *Proc) error) error {
 			fmt.Fprintf(w, "rank %d: vcycles=%d (as of last park) parked=%v\n", i, m.ParkClock.Load(), mon.Parked(i))
 			m.Flight.Dump(w, fmt.Sprintf("rank %d", i))
 		}
+		reg.WriteWaitGraph(w)
 		family.DumpState(w)
 	}
 
@@ -408,7 +408,6 @@ func Run(n int, cfg Config, body func(p *Proc) error) error {
 			diagOnce.Do(func() { dumpWorld(cfg.DiagWriter) })
 		}
 		family.Abort()
-		reg.Abort()
 	}
 
 	if cfg.Watchdog {
@@ -446,7 +445,7 @@ func Run(n int, cfg Config, body func(p *Proc) error) error {
 			}
 		}()
 		defer mon.RankExited(r.ID())
-		p := &Proc{rank: r, dev: open(r), bc: bc, meter: core.NewMeter(r, bc), reg: reg,
+		p := &Proc{rank: r, dev: open(r), bc: bc, meter: core.NewMeter(r, bc),
 			eagerLimit: prof.EagerLimit, collAlgo: cfg.CollAlgorithm,
 			profiler: cfg.Profiler, teardown: teardown, dump: dumpWorld}
 		if cfg.Trace {
@@ -456,8 +455,9 @@ func Run(n int, cfg Config, body func(p *Proc) error) error {
 			}
 			p.tlog.Enable(capEvents)
 		}
-		r.StartBarrier()
+		// Start-up: no rank communicates before every device is open.
 		p.world = &Comm{p: p, c: comm.NewWorld(reg, n, r.ID())}
+		p.world.c.Exchange(p.dev, nil)
 		err := body(p)
 		// Rank exit: the dump a failing rank's teardown writes (or a
 		// peer's, later) sees this rank's whole history.

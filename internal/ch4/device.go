@@ -137,7 +137,7 @@ type Device struct {
 }
 
 // Open attaches rank to the device. Must be called on the rank's own
-// goroutine before its StartBarrier.
+// goroutine before the world start-up rendezvous.
 func (g *Global) Open(r *proc.Rank) *Device {
 	d := &Device{g: g, rank: r, ep: g.Fab.Endpoint(r.ID()), cfg: g.Cfg, meter: core.NewMeter(r, g.Cfg)}
 	d.pool.Metrics = r.Metrics()
@@ -198,6 +198,9 @@ func (d *Device) EventSeq() uint64 { return d.ep.EventSeqVCI(fabric.AnyVCI) }
 
 // WaitEvent parks the rank until the event counter moves past seq.
 func (d *Device) WaitEvent(seq uint64) { d.ep.WaitEventVCI(fabric.AnyVCI, seq) }
+
+// Wake moves the event counter, ending a WaitEvent.
+func (d *Device) Wake() { d.ep.Notify() }
 
 // waitUntil parks the rank until pred holds, pumping both transports.
 // The event-sequence capture precedes the progress pass so a message

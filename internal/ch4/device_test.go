@@ -35,8 +35,9 @@ func runWorld(t *testing.T, n, rpn int, prof fabric.Profile, cfg core.Config, bo
 	reg := comm.NewRegistry()
 	err := errors.Join(w.RunAll(func(r *proc.Rank) error {
 		d := g.Open(r)
-		r.StartBarrier()
-		return body(&env{d: d, c: comm.NewWorld(reg, n, r.ID())})
+		c := comm.NewWorld(reg, n, r.ID())
+		c.Exchange(d, nil) // start-up: every device is open
+		return body(&env{d: d, c: c})
 	})...)
 	if err != nil {
 		t.Fatal(err)
@@ -112,8 +113,8 @@ func TestShmDrainWakesAggregateWaiter(t *testing.T) {
 	sent := make(chan struct{})
 	err := errors.Join(w.RunAll(func(r *proc.Rank) error {
 		d := g.Open(r)
-		r.StartBarrier()
 		c := comm.NewWorld(reg, 2, r.ID())
+		c.Exchange(d, nil)
 		if c.Rank() == 0 {
 			_, err := d.Isend([]byte{42}, 1, datatype.Byte, 1, 0, c, 0)
 			close(sent)
@@ -480,7 +481,7 @@ func TestDenseTableTranslationCheaper(t *testing.T) {
 	// compressed representation charges more instructions (the
 	// rank-translation ablation).
 	runWorld(t, 3, 1, fabric.INF, core.NoErrSingleIPO, func(e *env) error {
-		sub, err := e.c.Split(0, []int{0, 2, 1}[e.c.Rank()])
+		sub, err := e.c.Split(e.d, 0, []int{0, 2, 1}[e.c.Rank()])
 		if err != nil {
 			return err
 		}

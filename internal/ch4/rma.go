@@ -21,13 +21,13 @@ import (
 // in an implicit fence-capable state; MPI programs call Fence to start
 // the first access epoch.
 func (d *Device) WinCreate(mem []byte, dispUnit int, c *comm.Comm) (*rma.Win, error) {
-	return core.WinCreate(d.g.Fab, d.rank.ID(), mem, dispUnit, c, false)
+	return core.WinCreate(d, d.g.Fab, d.rank.ID(), mem, dispUnit, c, false)
 }
 
 // WinCreateDynamic collectively creates a window with no initial
 // memory.
 func (d *Device) WinCreateDynamic(c *comm.Comm) (*rma.Win, error) {
-	return core.WinCreate(d.g.Fab, d.rank.ID(), nil, 1, c, true)
+	return core.WinCreate(d, d.g.Fab, d.rank.ID(), nil, 1, c, true)
 }
 
 // WinFree collectively releases the window.

@@ -346,7 +346,7 @@ func TestDynamicWindowVirtualAddress(t *testing.T) {
 		}
 		// Exchange the address (the app would send it; the registry
 		// rendezvous stands in).
-		vals := e.c.Exchange(va)
+		vals := e.c.Exchange(e.d, va)
 		va = vals[1].(rma.VAddr)
 
 		e.d.Fence(w)

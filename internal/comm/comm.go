@@ -157,11 +157,12 @@ func (c *Comm) CollView() *Comm {
 
 // Exchange performs the registry rendezvous allgather on this
 // communicator: each rank deposits val and receives every rank's value
-// indexed by communicator rank. Collective; used by window creation.
-func (c *Comm) Exchange(val any) []any {
+// indexed by communicator rank, waiting on w, its device. Collective;
+// used by world start-up and window creation and teardown.
+func (c *Comm) Exchange(w Waiter, val any) []any {
 	seq := c.seq
 	c.seq++
-	return c.reg.Exchange(c.Ctx, seq, c.MyRank, c.Size(), val)
+	return c.reg.rendezvous(w, c.Ctx, seq, c.MyRank, c.Size(), val, allgather).([]any)
 }
 
 // newComm is the one place a Comm is built.
@@ -258,47 +259,50 @@ func (c *Comm) Dup() (*Comm, error) {
 // receive nil.
 //
 // The heavy lifting happens once per collective, not once per member:
-// the registry's shared-split builder sorts the deposited specs and
-// constructs a single Group/RankTable per color that all members share.
-// Each rank's own contribution here is O(1) plus its group-rank lookup.
-func (c *Comm) Split(color, key int) (*Comm, error) {
+// the rendezvous's last depositor sorts the specs and builds a single
+// Group/RankTable per color that all members share. Each rank's own
+// contribution here is O(1) plus its group-rank lookup. The rank waits
+// on w, its device.
+func (c *Comm) Split(w Waiter, color, key int) (*Comm, error) {
 	if c.freed {
 		return nil, ErrFreed
 	}
 	seq := c.seq
 	c.seq++
-	w, err := c.WorldRank(c.MyRank)
+	me, err := c.WorldRank(c.MyRank)
 	if err != nil {
 		return nil, err
 	}
-	res := c.reg.SplitShared(c.Ctx, seq, c.Size(), SplitSpec{Color: color, Key: key, Rank: c.MyRank, World: w})
+	spec := splitSpec{Color: color, Key: key, Rank: c.MyRank, World: me}
+	out := c.reg.rendezvous(w, c.Ctx, seq, c.MyRank, c.Size(), spec, func(vals []any) any {
+		return c.reg.buildSplitLocked(c.Ctx, seq, vals)
+	})
+	res := out.(map[int]*splitResult)[color]
 	if res == nil {
 		return nil, nil
 	}
-	return newComm(res.Grp, res.Table, res.Grp.Rank(w), res.Ctx, res.Coll, c.reg), nil
+	return newComm(res.Grp, res.Table, res.Grp.Rank(me), res.Ctx, res.Coll, c.reg), nil
 }
 
 // Create builds a communicator over the given subgroup of c
 // (MPI_COMM_CREATE). Every rank of c must call it with an equal group;
 // ranks outside the group receive nil. Like Split, it is a creation
-// collective on c.
-func (c *Comm) Create(g *group.Group) (*Comm, error) {
+// collective on c, and the rank waits on w, its device.
+func (c *Comm) Create(w Waiter, g *group.Group) (*Comm, error) {
 	if c.freed {
 		return nil, ErrFreed
 	}
-	seq := c.seq
-	c.seq++
-	// All ranks must agree on the context id; participate in the
-	// allocation even when not a member.
-	ctx, coll := c.reg.AllocContext(c.Ctx, seq, 0)
-	// Rendezvous so no member races ahead of the collective.
-	c.reg.Exchange(c.Ctx, seq, c.MyRank, c.Size(), nil)
+	// All ranks must agree on the context id: participate in the
+	// allocation even when not a member, then rendezvous on the same
+	// sequence number so no member races ahead of the collective.
+	ctx, coll := c.reg.AllocContext(c.Ctx, c.seq, 0)
+	c.Exchange(w, nil)
 
-	w, err := c.WorldRank(c.MyRank)
+	me, err := c.WorldRank(c.MyRank)
 	if err != nil {
 		return nil, err
 	}
-	myNew := g.Rank(w)
+	myNew := g.Rank(me)
 	if myNew == group.Undefined {
 		return nil, nil
 	}

@@ -1,7 +1,10 @@
 package comm
 
 import (
+	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -16,6 +19,19 @@ func worldViews(n int) []*Comm {
 		cs[i] = NewWorld(reg, n, i)
 	}
 	return cs
+}
+
+// spinWaiter stands in for a rank's device: Wake moves its counter and
+// WaitEvent yields until the counter moves.
+type spinWaiter struct{ seq atomic.Uint64 }
+
+func (w *spinWaiter) Progress()        {}
+func (w *spinWaiter) EventSeq() uint64 { return w.seq.Load() }
+func (w *spinWaiter) Wake()            { w.seq.Add(1) }
+func (w *spinWaiter) WaitEvent(last uint64) {
+	for w.seq.Load() == last {
+		runtime.Gosched()
+	}
 }
 
 // collective runs body once per rank concurrently and waits.
@@ -121,7 +137,7 @@ func TestSplitEvenOdd(t *testing.T) {
 	cs := worldViews(n)
 	subs := make([]*Comm, n)
 	collective(cs, func(c *Comm) {
-		s, err := c.Split(c.Rank()%2, c.Rank())
+		s, err := c.Split(new(spinWaiter), c.Rank()%2, c.Rank())
 		if err != nil {
 			t.Error(err)
 			return
@@ -158,7 +174,7 @@ func TestSplitKeyOrdering(t *testing.T) {
 	subs := make([]*Comm, n)
 	collective(cs, func(c *Comm) {
 		// Reverse order by key.
-		s, err := c.Split(0, n-c.Rank())
+		s, err := c.Split(new(spinWaiter), 0, n-c.Rank())
 		if err != nil {
 			t.Error(err)
 			return
@@ -180,7 +196,7 @@ func TestSplitUndefined(t *testing.T) {
 		if c.Rank() == 1 {
 			color = Undefined
 		}
-		s, err := c.Split(color, 0)
+		s, err := c.Split(new(spinWaiter), color, 0)
 		if err != nil {
 			t.Error(err)
 			return
@@ -201,7 +217,7 @@ func TestCreate(t *testing.T) {
 	g := group.FromRanks([]int{3, 1}) // deliberately reordered
 	subs := make([]*Comm, n)
 	collective(cs, func(c *Comm) {
-		s, err := c.Create(g)
+		s, err := c.Create(new(spinWaiter), g)
 		if err != nil {
 			t.Error(err)
 			return
@@ -222,6 +238,40 @@ func TestCreate(t *testing.T) {
 	}
 }
 
+// TestWaitGraphNamesOpenRendezvous: while a rendezvous is open, the
+// wait graph names its context, its sequence number, how many ranks
+// have arrived and which have not; once it closes, nothing is printed.
+func TestWaitGraphNamesOpenRendezvous(t *testing.T) {
+	cs := worldViews(3)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		cs[1].Exchange(new(spinWaiter), "b")
+	}()
+	reg := cs[0].reg
+	graph := func() string {
+		var b strings.Builder
+		reg.WriteWaitGraph(&b)
+		return b.String()
+	}
+	for !strings.Contains(graph(), "1/3") {
+		runtime.Gosched()
+	}
+	if want := "rendezvous ctx=0 seq=0: 1/3 arrived, waiting on comm rank(s) [0 2]"; !strings.Contains(graph(), want) {
+		t.Errorf("wait graph %q, want %q", graph(), want)
+	}
+	collective([]*Comm{cs[0], cs[2]}, func(c *Comm) {
+		vals := c.Exchange(new(spinWaiter), c.Rank())
+		if vals[0] != 0 || vals[1] != "b" || vals[2] != 2 {
+			t.Errorf("rank %d: exchanged %v", c.Rank(), vals)
+		}
+	})
+	<-done
+	if g := graph(); g != "" {
+		t.Errorf("closed rendezvous still printed: %q", g)
+	}
+}
+
 func TestFree(t *testing.T) {
 	cs := worldViews(1)
 	if err := cs[0].Free(); err != nil {
@@ -233,7 +283,7 @@ func TestFree(t *testing.T) {
 	if _, err := cs[0].Dup(); err != ErrFreed {
 		t.Error("dup of freed comm accepted")
 	}
-	if _, err := cs[0].Split(0, 0); err != ErrFreed {
+	if _, err := cs[0].Split(new(spinWaiter), 0, 0); err != ErrFreed {
 		t.Error("split of freed comm accepted")
 	}
 }
@@ -349,7 +399,7 @@ func TestSplitContextProperty(t *testing.T) {
 		cs := worldViews(n)
 		subs := make([]*Comm, n)
 		collective(cs, func(c *Comm) {
-			s, err := c.Split(c.Rank()%k, 0)
+			s, err := c.Split(new(spinWaiter), c.Rank()%k, 0)
 			if err == nil {
 				subs[c.Rank()] = s
 			}

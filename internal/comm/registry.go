@@ -1,27 +1,35 @@
 package comm
 
 import (
-	"sort"
+	"cmp"
+	"fmt"
+	"io"
+	"slices"
 	"sync"
 
-	"gompi/internal/abort"
 	"gompi/internal/group"
 )
 
-// Registry is the job-wide coordination service backing collective
-// communicator creation: it allocates context ids consistently across
-// ranks and provides the rendezvous exchange that replaces the
-// allgather a distributed MPI would run. It is shared by all ranks of
-// one world and is internally synchronized. None of this is on the
-// communication critical path.
+// Registry is the job-wide coordination service behind communicator
+// creation: it allocates context ids consistently across ranks and runs
+// the rendezvous that stands in for the allgather a distributed MPI
+// would run. It is shared by all ranks of one world and internally
+// synchronized. None of this is on the communication critical path.
 type Registry struct {
 	mu      sync.Mutex
-	cond    *sync.Cond
 	nextCtx uint16
 	ctx     map[ctxKey]uint16
 	slots   map[slotKey]*slot
-	splits  map[slotKey]*splitSlot
-	aborted abort.Flag
+}
+
+// Waiter is how a rank waits in a rendezvous: the loop every blocking
+// call runs on its device. Wake moves the device's event counter from
+// another rank's goroutine. core.Device satisfies it.
+type Waiter interface {
+	Progress()
+	EventSeq() uint64
+	WaitEvent(seq uint64)
+	Wake()
 }
 
 // ctxKey identifies one collective context-id allocation: all ranks of
@@ -38,25 +46,21 @@ type slotKey struct {
 	seq    int
 }
 
-// slot is a rendezvous allgather cell.
+// slot is one open rendezvous. waiters and vals are indexed by
+// communicator rank; a nil waiter is a rank that has not arrived. The
+// last depositor sets out.
 type slot struct {
-	vals    []any
-	present int
-	taken   int
+	waiters        []Waiter
+	vals           []any
+	arrived, taken int
+	out            any
 }
 
 // NewRegistry creates the coordination service for one world. Context
 // ids 0 and 1 are reserved for MPI_COMM_WORLD's point-to-point and
 // collective contexts.
 func NewRegistry() *Registry {
-	r := &Registry{
-		nextCtx: 2,
-		ctx:     make(map[ctxKey]uint16),
-		slots:   make(map[slotKey]*slot),
-		splits:  make(map[slotKey]*splitSlot),
-	}
-	r.cond = sync.NewCond(&r.mu)
-	return r
+	return &Registry{nextCtx: 2, ctx: make(map[ctxKey]uint16), slots: make(map[slotKey]*slot)}
 }
 
 // AllocContext returns the context-id pair (pt2pt, coll) for the seq-th
@@ -85,93 +89,100 @@ func (r *Registry) allocContextLocked(parent uint16, seq, color int) (uint16, ui
 	return id, id + 1
 }
 
-// Abort wakes every Exchange waiter; their rendezvous panics with
-// abort.ErrWorldAborted.
-func (r *Registry) Abort() {
-	r.aborted.Raise()
+// rendezvous is the one wait of every creation collective: each of size
+// participants deposits val under (parent, seq); the last depositor
+// runs build over the values, indexed by rank, under r.mu and wakes
+// every other participant, and all return build's result. A waiting
+// rank loops on its own device like every other blocking call: it
+// serves active messages while it waits, parks where the stall watchdog
+// sees it, and ends by the fabric's abort panic.
+func (r *Registry) rendezvous(w Waiter, parent uint16, seq, rank, size int, val any, build func([]any) any) any {
+	k := slotKey{parent, seq}
 	r.mu.Lock()
-	r.cond.Broadcast()
-	r.mu.Unlock()
+	s := r.slots[k]
+	if s == nil {
+		s = &slot{waiters: make([]Waiter, size), vals: make([]any, size)}
+		r.slots[k] = s
+	}
+	s.waiters[rank], s.vals[rank] = w, val
+	if s.arrived++; s.arrived == size {
+		s.out = build(s.vals)
+		r.mu.Unlock()
+		for i, o := range s.waiters {
+			if i != rank {
+				o.Wake()
+			}
+		}
+	} else {
+		r.mu.Unlock()
+		for {
+			ev := w.EventSeq()
+			if !r.progressOpen(w, s) {
+				break
+			}
+			w.WaitEvent(ev)
+		}
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if s.taken++; s.taken == size {
+		delete(r.slots, k)
+	}
+	return s.out
 }
 
-// SplitSpec is one rank's contribution to a shared split collective:
-// its color/key pair, its rank in the parent communicator, and its
-// world rank (carried along so the shared builder never touches the
-// parent's rank table).
-type SplitSpec struct {
+// progressOpen runs one progress pass on w if s is still open and
+// reports whether it was. The pass runs under r.mu, so the rendezvous
+// cannot close during it: a waiter never drains what a peer sent after
+// leaving the rendezvous, which would make its charges depend on host
+// scheduling.
+func (r *Registry) progressOpen(w Waiter, s *slot) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if s.arrived == len(s.vals) {
+		return false
+	}
+	w.Progress()
+	return true
+}
+
+// allgather is the build step of a plain exchange: every rank gets
+// every value.
+func allgather(vals []any) any { return vals }
+
+// splitSpec is one rank's contribution to a split: its color/key pair,
+// its rank in the parent communicator, and its world rank (carried
+// along so the builder never touches the parent's rank table).
+type splitSpec struct {
 	Color, Key, Rank, World int
 }
 
-// SplitResult is the per-color outcome of a shared split: one
-// Group/RankTable pair built once by the last depositor and shared by
-// every member rank, plus the color's context-id pair. Members recover
-// their own new rank with Grp.Rank(world) — O(1) on both group
-// representations.
-type SplitResult struct {
-	Grp   *group.Group
-	Table *RankTable
-	Ctx   uint16
-	Coll  uint16
+// splitResult is the per-color outcome of a split: one Group/RankTable
+// pair built once and shared by every member rank, plus the color's
+// context-id pair. Members recover their own new rank with
+// Grp.Rank(world), O(1) on both group representations.
+type splitResult struct {
+	Grp       *group.Group
+	Table     *RankTable
+	Ctx, Coll uint16
 }
 
-// splitSlot is the rendezvous cell for one split collective.
-type splitSlot struct {
-	specs   []SplitSpec
-	taken   int
-	results map[int]*SplitResult // nil until the last depositor builds
-}
-
-// SplitShared is the collective behind MPI_COMM_SPLIT, restructured so
-// the whole collective does O(n log n) total work instead of O(n) per
-// member (O(n²) total): every rank deposits its SplitSpec, the last
-// depositor sorts once, builds one shared Group/RankTable per color,
-// and allocates context ids; everyone else just picks up the shared
-// result for its color. Ranks with color Undefined receive nil.
-func (r *Registry) SplitShared(parent uint16, seq, size int, spec SplitSpec) *SplitResult {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	k := slotKey{parent, seq}
-	s := r.splits[k]
-	if s == nil {
-		s = &splitSlot{specs: make([]SplitSpec, 0, size)}
-		r.splits[k] = s
+// buildSplitLocked is the build step of MPI_COMM_SPLIT, run once by the
+// last depositor under r.mu, so the collective does O(n log n) work in
+// total instead of O(n) per member: sort every spec by (color, key,
+// parent rank), cut the sorted slice into per-color groups, and
+// allocate each color's context ids. Group construction goes through
+// group.FromRanks, so regular partitions (node blocks, strided leader
+// sets) collapse to the O(1) arithmetic representation.
+func (r *Registry) buildSplitLocked(parent uint16, seq int, vals []any) any {
+	specs := make([]splitSpec, len(vals))
+	for i, v := range vals {
+		specs[i] = v.(splitSpec)
 	}
-	s.specs = append(s.specs, spec)
-	if len(s.specs) == size {
-		s.results = r.buildSplitLocked(parent, seq, s.specs)
-		s.specs = nil
-		r.cond.Broadcast()
-	}
-	for s.results == nil {
-		// The deferred Unlock releases the mutex when Check panics.
-		r.aborted.Check()
-		r.cond.Wait()
-	}
-	res := s.results[spec.Color]
-	s.taken++
-	if s.taken == size {
-		delete(r.splits, k)
-	}
-	return res
-}
-
-// buildSplitLocked runs once per split collective, under r.mu: sort all
-// specs by (color, key, parent rank), then cut the sorted slice into
-// per-color groups. Group construction goes through group.FromRanks, so
-// regular partitions (node blocks, strided leader sets) collapse to the
-// O(1) arithmetic representation and nothing here retains an O(n) copy
-// per member.
-func (r *Registry) buildSplitLocked(parent uint16, seq int, specs []SplitSpec) map[int]*SplitResult {
-	sort.Slice(specs, func(i, j int) bool {
-		if specs[i].Color != specs[j].Color {
-			return specs[i].Color < specs[j].Color
-		}
-		if specs[i].Key != specs[j].Key {
-			return specs[i].Key < specs[j].Key
-		}
-		return specs[i].Rank < specs[j].Rank
+	slices.SortFunc(specs, func(a, b splitSpec) int {
+		return cmp.Or(cmp.Compare(a.Color, b.Color), cmp.Compare(a.Key, b.Key), cmp.Compare(a.Rank, b.Rank))
 	})
-	out := make(map[int]*SplitResult)
+	out := make(map[int]*splitResult)
 	for i := 0; i < len(specs); {
 		j := i
 		for j < len(specs) && specs[j].Color == specs[i].Color {
@@ -184,40 +195,29 @@ func (r *Registry) buildSplitLocked(parent uint16, seq int, specs []SplitSpec) m
 			}
 			g := group.FromRanks(world)
 			ctx, coll := r.allocContextLocked(parent, seq, specs[i].Color)
-			out[specs[i].Color] = &SplitResult{Grp: g, Table: BuildRankTable(g), Ctx: ctx, Coll: coll}
+			out[specs[i].Color] = &splitResult{Grp: g, Table: BuildRankTable(g), Ctx: ctx, Coll: coll}
 		}
 		i = j
 	}
 	return out
 }
 
-// Exchange is the rendezvous allgather used by Split and Create: each
-// of size participants deposits its value under (parent, seq) and
-// receives the full slice indexed by parent rank. The slot is reclaimed
-// once every participant has taken the result.
-func (r *Registry) Exchange(parent uint16, seq, rank, size int, val any) []any {
+// WriteWaitGraph prints every open rendezvous: its parent context and
+// sequence number, how many ranks have arrived, and the communicator
+// ranks that have not.
+func (r *Registry) WriteWaitGraph(w io.Writer) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	k := slotKey{parent, seq}
-	s := r.slots[k]
-	if s == nil {
-		s = &slot{vals: make([]any, size)}
-		r.slots[k] = s
+	for k, s := range r.slots {
+		var missing []int
+		for rank, o := range s.waiters {
+			if o == nil {
+				missing = append(missing, rank)
+			}
+		}
+		if missing != nil {
+			fmt.Fprintf(w, "rendezvous ctx=%d seq=%d: %d/%d arrived, waiting on comm rank(s) %v\n",
+				k.parent, k.seq, s.arrived, len(s.waiters), missing)
+		}
 	}
-	s.vals[rank] = val
-	s.present++
-	if s.present == size {
-		r.cond.Broadcast()
-	}
-	for s.present < size {
-		// The deferred Unlock releases the mutex when Check panics.
-		r.aborted.Check()
-		r.cond.Wait()
-	}
-	out := s.vals
-	s.taken++
-	if s.taken == size {
-		delete(r.slots, k)
-	}
-	return out
 }

@@ -63,9 +63,12 @@ type Device interface {
 	// EventSeq returns an opaque counter that increases whenever new
 	// transport events arrive for this rank; WaitEvent parks the rank
 	// until the counter moves past the given value. Together they let
-	// blocking MPI-layer loops (MPI_PROBE) sleep instead of spin.
+	// blocking MPI-layer loops (MPI_PROBE, the creation collectives'
+	// rendezvous) sleep instead of spin. Wake moves the counter from
+	// any goroutine: a rendezvous's last depositor ends its peers' waits.
 	EventSeq() uint64
 	WaitEvent(seq uint64)
+	Wake()
 
 	// WinCreate collectively exposes mem with the given displacement
 	// unit over c.
@@ -183,10 +186,10 @@ type winInfo struct{ key, size, dispUnit int }
 // a region of fab (unless the window is dynamic), then c's ranks learn
 // every rank's region key, size and displacement unit — the real
 // implementation's allgather — and rank 0 distributes the completed
-// shared table and its lock instances. Every region is registered
-// before its key is exchanged, so no operation can reach an
-// unregistered window.
-func WinCreate(fab *fabric.Fabric, rank int, mem []byte, dispUnit int, c *comm.Comm, dynamic bool) (*rma.Win, error) {
+// shared table and its lock instances. Both exchanges wait on d, the
+// rank's device. Every region is registered before its key is
+// exchanged, so no operation can reach an unregistered window.
+func WinCreate(d Device, fab *fabric.Fabric, rank int, mem []byte, dispUnit int, c *comm.Comm, dynamic bool) (*rma.Win, error) {
 	if dispUnit <= 0 {
 		return nil, fmt.Errorf("win_create: %w", rma.ErrBadWinArg)
 	}
@@ -194,7 +197,7 @@ func WinCreate(fab *fabric.Fabric, rank int, mem []byte, dispUnit int, c *comm.C
 	if !dynamic {
 		myKey = fab.RegisterRegion(rank, mem)
 	}
-	vals := c.Exchange(winInfo{myKey, len(mem), dispUnit})
+	vals := c.Exchange(d, winInfo{myKey, len(mem), dispUnit})
 	var sh *rma.Shared
 	if c.MyRank == 0 {
 		sh = rma.NewShared(c.Size(), dynamic)
@@ -203,7 +206,7 @@ func WinCreate(fab *fabric.Fabric, rank int, mem []byte, dispUnit int, c *comm.C
 			sh.Keys[r], sh.Sizes[r], sh.DispUnits[r] = wi.key, wi.size, wi.dispUnit
 		}
 	}
-	sh = c.Exchange(sh)[0].(*rma.Shared)
+	sh = c.Exchange(d, sh)[0].(*rma.Shared)
 	return rma.NewWin(c, mem, dispUnit, myKey, sh), nil
 }
 

@@ -399,8 +399,9 @@ func (ep *Endpoint) bumpAgg() {
 // Notify publishes one endpoint-level event without touching any VCI's
 // sequence: it wakes only the aggregate waiters, which is where a
 // device parks for a send to complete. A lent send's releaser calls it
-// from the consuming rank's goroutine, and the ch4 device once per shm
-// drain that deposited anything.
+// from the consuming rank's goroutine, the ch4 device once per shm
+// drain that deposited anything, and a creation collective's last
+// depositor once per waiting peer (Device.Wake).
 func (ep *Endpoint) Notify() { ep.bumpAgg() }
 
 // TaggedSend injects a tagged send toward dst on the hash-selected VCI.

@@ -229,6 +229,9 @@ func (d *Device) EventSeq() uint64 { return d.ep.EventSeqVCI(fabric.AnyVCI) }
 // WaitEvent parks the rank until the event counter moves past seq.
 func (d *Device) WaitEvent(seq uint64) { d.ep.WaitEventVCI(fabric.AnyVCI, seq) }
 
+// Wake moves the event counter, ending a WaitEvent.
+func (d *Device) Wake() { d.ep.Notify() }
+
 // waitUntil parks until pred holds, pumping packet handlers. Callers
 // hold the critical section; the lock is dropped while parked — the
 // CH3 "yield the global lock on blocking waits" rule — and retaken

@@ -35,8 +35,9 @@ func runWorld(t *testing.T, n int, prof fabric.Profile, cfg core.Config, body fu
 	reg := comm.NewRegistry()
 	err := errors.Join(w.RunAll(func(r *proc.Rank) error {
 		d := g.Open(r)
-		r.StartBarrier()
-		return body(&env{d: d, c: comm.NewWorld(reg, n, r.ID())})
+		c := comm.NewWorld(reg, n, r.ID())
+		c.Exchange(d, nil) // start-up: every device is open
+		return body(&env{d: d, c: c})
 	})...)
 	if err != nil {
 		t.Fatal(err)

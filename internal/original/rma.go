@@ -16,7 +16,7 @@ import (
 // WinCreate collectively creates a window: the memory is a fabric
 // region, and the packets address it by the target's region key.
 func (d *Device) WinCreate(mem []byte, dispUnit int, c *comm.Comm) (*rma.Win, error) {
-	return core.WinCreate(d.g.Fab, d.rank.ID(), mem, dispUnit, c, false)
+	return core.WinCreate(d, d.g.Fab, d.rank.ID(), mem, dispUnit, c, false)
 }
 
 // WinCreateDynamic creates a window with no initial memory. The
@@ -38,14 +38,15 @@ func (d *Device) WinDetach(w *rma.Win, mem []byte, va rma.VAddr) error {
 }
 
 // WinFree collectively releases the window. The critical section is
-// dropped across the closing exchange (a cross-rank rendezvous must
-// not hold a per-rank lock); the region is revoked only after it, so
-// straggler packets from slower ranks still find the window.
+// dropped across the closing exchange, which runs the packet handlers
+// while it waits (Progress takes the section itself); the region is
+// revoked only after it, so straggler packets from slower ranks still
+// find the window.
 func (d *Device) WinFree(w *rma.Win) error {
 	d.lock()
 	d.flushAM()
 	d.unlock()
-	w.Comm.Exchange(nil)
+	w.Comm.Exchange(d, nil)
 	d.g.Fab.UnregisterRegion(d.rank.ID(), w.MyKey)
 	return nil
 }

@@ -22,9 +22,6 @@ type World struct {
 	ranksPerNode int
 	hz           float64
 	ranks        []*Rank
-
-	startOnce sync.Once
-	start     *barrier
 }
 
 // NewWorld creates a world of n ranks at ranksPerNode ranks per node,
@@ -36,7 +33,7 @@ func NewWorld(n, ranksPerNode int, hz float64) *World {
 	if ranksPerNode <= 0 {
 		ranksPerNode = n // single node
 	}
-	w := &World{size: n, ranksPerNode: ranksPerNode, hz: hz, start: newBarrier(n)}
+	w := &World{size: n, ranksPerNode: ranksPerNode, hz: hz}
 	w.ranks = make([]*Rank, n)
 	for i := range w.ranks {
 		w.ranks[i] = &Rank{id: i, world: w, clock: vtime.NewClock(hz), cpi: 1}
@@ -202,39 +199,3 @@ func (r *Rank) Profile() *instr.Profile { return &r.prof }
 // and devices bump its counters; the public layer snapshots it at
 // teardown. Value field, so the registry costs no allocation.
 func (r *Rank) Metrics() *metrics.Rank { return &r.m }
-
-// StartBarrier blocks until every rank in the world has called it.
-// Devices call it once after local setup so that no rank communicates
-// before all endpoints have registered handlers and callbacks.
-func (r *Rank) StartBarrier() { r.world.start.await() }
-
-// barrier is a reusable N-party rendezvous.
-type barrier struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
-	n     int
-	count int
-	gen   int
-}
-
-func newBarrier(n int) *barrier {
-	b := &barrier{n: n}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-func (b *barrier) await() {
-	b.mu.Lock()
-	gen := b.gen
-	b.count++
-	if b.count == b.n {
-		b.count = 0
-		b.gen++
-		b.cond.Broadcast()
-	} else {
-		for gen == b.gen {
-			b.cond.Wait()
-		}
-	}
-	b.mu.Unlock()
-}

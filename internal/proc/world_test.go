@@ -3,7 +3,6 @@ package proc
 import (
 	"errors"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -119,53 +118,6 @@ func TestRankMeter(t *testing.T) {
 	}
 	if r.Clock().Hz() != 2.2e9 {
 		t.Error("clock frequency lost")
-	}
-}
-
-func TestStartBarrier(t *testing.T) {
-	const n = 8
-	w := NewWorld(n, 4, 1e9)
-	var before, after atomic.Int64
-	err := errors.Join(w.RunAll(func(r *Rank) error {
-		before.Add(1)
-		r.StartBarrier()
-		// Every rank must have passed "before" by now.
-		if before.Load() != n {
-			t.Errorf("rank %d passed barrier with only %d arrivals", r.ID(), before.Load())
-		}
-		after.Add(1)
-		return nil
-	})...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after.Load() != n {
-		t.Fatalf("after = %d", after.Load())
-	}
-}
-
-func TestBarrierReusable(t *testing.T) {
-	b := newBarrier(3)
-	var phase atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < 3; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for k := 0; k < 50; k++ {
-				b.await()
-				phase.Add(1)
-				b.await()
-				if got := phase.Load(); got%3 != 0 && got < int64(3*(k+1)) {
-					// Between the two barriers all three must have
-					// bumped phase for this round.
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if phase.Load() != 150 {
-		t.Fatalf("phase = %d, want 150", phase.Load())
 	}
 }
 

@@ -576,7 +576,9 @@ func (d *Domain) send(src, dst int, bits match.Bits, data []byte, vci int, allow
 // described at ring — park with the stall watchdog once per message,
 // check for an abort before every sleep — after waking the receiver if
 // the message is midway: its queued cells have had no wake yet, while
-// every earlier message's have.
+// every earlier message's have. Before every sleep it drains src's own
+// rings, waking src's waiters if that delivered anything: the receiver
+// may itself be blocked on a full ring toward src.
 func (d *Domain) claim(r *ring, src, dst, vci int, m proc.Meter, midway bool, parked *bool) *cell {
 	if n, t := uint64(len(r.cells)), r.tail.Load(); t-r.head.Load() >= n {
 		if midway {
@@ -585,6 +587,11 @@ func (d *Domain) claim(r *ring, src, dst, vci int, m proc.Meter, midway bool, pa
 		r.mu.Lock()
 		r.muTouches++
 		for t-r.head.Load() >= n {
+			r.mu.Unlock()
+			if d.Progress(src) > 0 {
+				d.wake(src, vci)
+			}
+			r.mu.Lock()
 			if r.waiting.Store(true); t-r.head.Load() < n {
 				break
 			}

@@ -71,6 +71,29 @@ func TestWatchdogTripsOnDeadlock(t *testing.T) {
 			if !bytes.Contains(diag.Bytes(), []byte("flight recorder")) {
 				t.Errorf("diagnosis missing flight-recorder dump:\n%s", out)
 			}
+
+			// A creation collective parks like any other wait: rank 0
+			// sits in Split while rank 1 waits to receive from it.
+			t.Run("creation", func(t *testing.T) {
+				var diag bytes.Buffer
+				cfg.DiagWriter, cfg.Stats = &diag, nil
+				err := Run(2, cfg, func(p *Proc) error {
+					if p.Rank() == 0 {
+						_, err := p.World().Split(0, 0)
+						return err
+					}
+					_, err := p.World().Recv(make([]byte, 1), 1, Byte, 0, 0)
+					return err
+				})
+				if !errors.Is(err, ErrStalled) {
+					t.Fatalf("err = %v, want ErrStalled", err)
+				}
+				// Start-up was the world's rendezvous 0; Split is 1.
+				want := "rendezvous ctx=0 seq=1: 1/2 arrived, waiting on comm rank(s) [1]"
+				if !bytes.Contains(diag.Bytes(), []byte(want)) {
+					t.Errorf("diagnosis missing %q:\n%s", want, diag.String())
+				}
+			})
 		})
 	}
 }
