@@ -90,6 +90,41 @@ func TestAbortUnblocksCommCreation(t *testing.T) {
 	}
 }
 
+// TestAbortUnblocksFullRing: rank 0 sends rank 1 a staged message four
+// times its ring, so its producer waits on the full ring, and rank 1
+// fails without draining. The wait is the device's event loop, so the
+// fabric's abort ends it. Under MPI_THREAD_MULTIPLE a second goroutine
+// of rank 0 waits on rank 1's ring to rank 0 meanwhile, and the abort
+// ends both.
+func TestAbortUnblocksFullRing(t *testing.T) {
+	for _, tm := range []bool{false, true} {
+		t.Run(fmt.Sprintf("ThreadMultiple=%v", tm), func(t *testing.T) {
+			boom := errors.New("ring boom")
+			cfg := Config{Device: DeviceCH4, Fabric: FabricOFI, RanksPerNode: 2, ThreadMultiple: tm}
+			err := failFast(t, 2, cfg, func(p *Proc) error {
+				w := p.World()
+				if p.Rank() == 1 {
+					return boom // never drains its ring from rank 0
+				}
+				if tm {
+					// The sibling ends on the abort panic; the rank does
+					// not finish before it does.
+					ended := make(chan any)
+					go func() {
+						defer func() { ended <- recover() }()
+						w.Recv(make([]byte, 1), 1, Byte, 1, 0)
+					}()
+					defer func() { <-ended }()
+				}
+				return w.Send(make([]byte, 1<<20), 1<<20, Byte, 1, 0)
+			})
+			if !errors.Is(err, boom) {
+				t.Fatalf("err = %v, want rank 1's error", err)
+			}
+		})
+	}
+}
+
 func TestAbortUnblocksPSCW(t *testing.T) {
 	boom := errors.New("pscw boom")
 	err := failFast(t, 2, Config{Fabric: "ucx"}, func(p *Proc) error {

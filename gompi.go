@@ -363,21 +363,20 @@ func Run(n int, cfg Config, body func(p *Proc) error) error {
 	world.SetThreadMultiple(bc.ThreadMultiple)
 	reg := comm.NewRegistry()
 
-	// The device family's job-wide state, and how a rank opens its
-	// device on it.
-	var family interface {
-		Abort()
-		SetStall(*stall.Monitor)
-		DumpState(io.Writer)
-	}
+	// The device family's job-wide state: its fabric, whose event wait
+	// is where every rank blocks (so its abort ends every wait and its
+	// watchdog hook sees every park), its wait graph, and how a rank
+	// opens its device on it.
+	var fab *fabric.Fabric
+	var devDump func(io.Writer)
 	var open func(r *proc.Rank) core.Device
 	switch dev {
 	case "ch4":
 		g := ch4.NewGlobal(world, prof, bc)
-		family, open = g, func(r *proc.Rank) core.Device { return g.Open(r) }
+		fab, devDump, open = g.Fab, g.DumpState, func(r *proc.Rank) core.Device { return g.Open(r) }
 	default:
 		g := original.NewGlobal(world, prof, bc)
-		family, open = g, func(r *proc.Rank) core.Device { return g.Open(r) }
+		fab, devDump, open = g.Fab, g.DumpState, func(r *proc.Rank) core.Device { return g.Open(r) }
 	}
 
 	// dumpWorld renders the whole diagnosis: per-rank clock and park
@@ -397,7 +396,7 @@ func Run(n int, cfg Config, body func(p *Proc) error) error {
 			m.Flight.Dump(w, fmt.Sprintf("rank %d", i))
 		}
 		reg.WriteWaitGraph(w)
-		family.DumpState(w)
+		devDump(w)
 	}
 
 	// One diagnosis per job, whoever gets there first: the watchdog
@@ -407,7 +406,7 @@ func Run(n int, cfg Config, body func(p *Proc) error) error {
 		if cfg.DiagWriter != nil {
 			diagOnce.Do(func() { dumpWorld(cfg.DiagWriter) })
 		}
-		family.Abort()
+		fab.Abort()
 	}
 
 	if cfg.Watchdog {
@@ -422,7 +421,7 @@ func Run(n int, cfg Config, body func(p *Proc) error) error {
 			})
 			teardown()
 		})
-		family.SetStall(mon)
+		fab.SetStall(mon)
 		mon.Start()
 		defer mon.Stop()
 	}

@@ -36,7 +36,7 @@ var spmvInstr = map[string]int64{
 // bit-identical across two sweeps. The per-call and partitioned
 // latencies still move with which goroutine reaches the fabric's match
 // lock first (about 2 % between sweeps of one process), so no latency
-// is compared against another here; ROADMAP item 1 makes virtual time
+// is compared against another here; ROADMAP item 2 makes virtual time
 // schedule-independent and restores that comparison.
 func TestSpmvDeclaredShapeWins(t *testing.T) {
 	first, err := SpmvSweep(nil, 0)

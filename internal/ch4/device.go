@@ -25,7 +25,6 @@ import (
 	"gompi/internal/proc"
 	"gompi/internal/request"
 	"gompi/internal/shm"
-	"gompi/internal/stall"
 	"gompi/internal/vtime"
 )
 
@@ -74,23 +73,6 @@ func NewGlobal(w *proc.World, prof fabric.Profile, cfg core.Config) *Global {
 		})
 	}
 	return g
-}
-
-// Abort tears the world down after a rank failure: all blocked waits
-// panic with abort.ErrWorldAborted.
-func (g *Global) Abort() {
-	g.Fab.Abort()
-	if g.Shm != nil {
-		g.Shm.Abort()
-	}
-}
-
-// SetStall attaches the stall watchdog to both transports.
-func (g *Global) SetStall(m *stall.Monitor) {
-	g.Fab.SetStall(m)
-	if g.Shm != nil {
-		g.Shm.SetStall(m)
-	}
 }
 
 // DumpState writes the device-wide wait graph: every rank's unmatched
@@ -147,6 +129,7 @@ func (g *Global) Open(r *proc.Rank) *Device {
 	d.ep.Bind(r)
 	if g.Shm != nil {
 		g.Shm.Bind(r.ID(), r)
+		g.Shm.BindWait(r.ID(), d.waitUntil)
 	}
 	d.ep.RegisterAM(amPutDerived, d.handlePutDerived)
 	d.ep.RegisterAM(amAccDerived, d.handleAccDerived)

@@ -3,9 +3,7 @@ package ch4
 import (
 	"encoding/binary"
 	"fmt"
-	"runtime"
 
-	"gompi/internal/abort"
 	"gompi/internal/coll"
 	"gompi/internal/comm"
 	"gompi/internal/core"
@@ -339,22 +337,9 @@ func (d *Device) Lock(w *rma.Win, target int, exclusive bool) error {
 	w.OpenedAt = d.rank.Now()
 	d.charge(instr.Mandatory, cost(instr.LockProto))
 	d.rank.ChargeCycles(instr.Transport, 2*d.g.Fab.Profile().WireLatency)
-	d.spinLock(w, target, exclusive)
+	w.Shared.AcquireLock(target, exclusive, d, d.waitUntil)
 	w.LockExclusive = exclusive
 	return nil
-}
-
-// spinLock acquires target's window lock, spinning with progress: a
-// blocked rank must keep servicing AM fallback traffic or lock holders
-// could never finish their epoch.
-func (d *Device) spinLock(w *rma.Win, target int, exclusive bool) {
-	for !w.Shared.TryAcquireLock(target, exclusive) {
-		if d.g.Fab.Aborted() {
-			panic(abort.ErrWorldAborted)
-		}
-		d.Progress()
-		runtime.Gosched()
-	}
 }
 
 // Unlock flushes and closes the passive-target epoch (MPI_WIN_UNLOCK).
@@ -460,7 +445,7 @@ func (d *Device) LockAll(w *rma.Win, exclusive bool) error {
 	d.charge(instr.Mandatory, cost(instr.LockProto)+cost(instr.EpochTrack))
 	d.rank.ChargeCycles(instr.Transport, 2*d.g.Fab.Profile().WireLatency)
 	for t := 0; t < w.Comm.Size(); t++ {
-		d.spinLock(w, t, exclusive)
+		w.Shared.AcquireLock(t, exclusive, d, d.waitUntil)
 	}
 	w.LockExclusive = exclusive
 	return nil

@@ -56,7 +56,7 @@ func chargeOf(kind string, nvci, v int, hit, anyTag bool) matchCharge {
 // 1, one VCI of 4, AnyVCI on 4} × {hit, miss} × {exact, any-tag}. A
 // post's cycles include RecvPost (40 on OFI); a bin op costs 4 and a
 // search 2. Two asymmetries are pinned on purpose, both ROADMAP item
-// 1(b)'s to remove: a one-VCI post pays its insert's bin op and a
+// 2(a)'s to remove: a one-VCI post pays its insert's bin op and a
 // cross-VCI post does not, and a cross-VCI post that misses counts its
 // replicas' lookups and inserts (12 bin ops) while it is charged for
 // its four probes.

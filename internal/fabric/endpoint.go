@@ -765,7 +765,7 @@ func (ep *Endpoint) work(lo, hi int) (bins, searches int64) {
 // matching work; the caller consumes the hit under the locks, then
 // calls endLookup.
 //
-// The charge is not yet symmetric (ROADMAP item 1(b)): a one-interface
+// The charge is not yet symmetric (ROADMAP item 2(a)): a one-interface
 // post pays for its insert's bin op, while a cross-VCI post pays only
 // for its probes — the replicas PostRecvVCI inserts afterwards go
 // uncharged.

@@ -221,8 +221,8 @@ type Rank struct {
 	Lat Latency
 
 	// Parks counts the times one of the rank's goroutines went to sleep
-	// on a condition variable to wait: the fabric's event waits and the
-	// shm full-ring waits, once per wait (NotePark).
+	// on a condition variable to wait: the fabric's event waits, where
+	// every rank wait parks, once per wait (NotePark).
 	Parks int64
 
 	// Flight is the rank's always-on flight recorder: a fixed ring of

@@ -15,10 +15,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"runtime"
 	"sync"
 
-	"gompi/internal/abort"
 	"gompi/internal/comm"
 	"gompi/internal/core"
 	"gompi/internal/fabric"
@@ -27,7 +25,6 @@ import (
 	"gompi/internal/metrics"
 	"gompi/internal/proc"
 	"gompi/internal/request"
-	"gompi/internal/stall"
 	"gompi/internal/vtime"
 )
 
@@ -59,13 +56,6 @@ func NewGlobal(w *proc.World, prof fabric.Profile, cfg core.Config) *Global {
 	fabOpts := fabric.Options{EagerPeers: cfg.EagerPeers, MaxPeerBytes: cfg.MaxPeerBytes}
 	return &Global{World: w, Fab: fabric.NewVCIOpt(prof, w.Size(), 1, fabOpts), Cfg: cfg}
 }
-
-// Abort tears the world down after a rank failure.
-func (g *Global) Abort() { g.Fab.Abort() }
-
-// SetStall attaches the stall watchdog (this device has no shmmod, so
-// the fabric's park sites cover every blocking wait).
-func (g *Global) SetStall(m *stall.Monitor) { g.Fab.SetStall(m) }
 
 // DumpState writes the device-wide wait graph. Matching happens in
 // software at the MPI layer on this device, so each rank's own engine —
@@ -260,21 +250,6 @@ func (d *Device) handleAck(_ int, _, _ []byte, arrival vtime.Time) {
 	d.amAcked++
 	if arrival > d.amAckArrival {
 		d.amAckArrival = arrival
-	}
-}
-
-// spinLock acquires a shared window lock while pumping progress.
-// Callers hold the critical section; it is released between attempts
-// so a sibling goroutine holding the window lock can reach Unlock.
-func (d *Device) spinLock(try func() bool) {
-	for !try() {
-		if d.g.Fab.Aborted() {
-			panic(abort.ErrWorldAborted)
-		}
-		d.progressLocked()
-		d.unlock()
-		runtime.Gosched()
-		d.lock()
 	}
 }
 

@@ -321,7 +321,7 @@ func (d *Device) Lock(w *rma.Win, target int, exclusive bool) error {
 	d.lock()
 	d.charge(instr.Mandatory, cost(instr.LockProto))
 	d.rank.ChargeCycles(instr.Transport, 2*d.g.Fab.Profile().WireLatency)
-	d.spinLock(func() bool { return w.Shared.TryAcquireLock(target, exclusive) })
+	w.Shared.AcquireLock(target, exclusive, d, d.waitUntil)
 	d.unlock()
 	w.OpenedAt = d.rank.Now()
 	w.LockExclusive = exclusive
@@ -404,8 +404,7 @@ func (d *Device) LockAll(w *rma.Win, exclusive bool) error {
 		d.lock()
 		d.charge(instr.Mandatory, cost(instr.LockProto))
 		d.rank.ChargeCycles(instr.Transport, 2*d.g.Fab.Profile().WireLatency)
-		t := t
-		d.spinLock(func() bool { return w.Shared.TryAcquireLock(t, exclusive) })
+		w.Shared.AcquireLock(t, exclusive, d, d.waitUntil)
 		d.unlock()
 	}
 	w.LockExclusive = exclusive

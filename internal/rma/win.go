@@ -10,6 +10,7 @@ package rma
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"gompi/internal/comm"
@@ -77,7 +78,17 @@ type Shared struct {
 	// RWMutex models the same serialization, and the device charges
 	// the protocol's cycles.
 	locks []sync.RWMutex
+
+	// waiters are the devices waiting for a lock of this window that a
+	// failed attempt found held: every release takes them all, under
+	// wmu, and wakes them to try again.
+	wmu     sync.Mutex
+	waiters []Waker
 }
+
+// Waker is what a lock waiter registers: Wake ends its current wait
+// for a transport event (core.Device satisfies it).
+type Waker interface{ Wake() }
 
 // NewShared builds the shared table for a window over n ranks.
 func NewShared(n int, dynamic bool) *Shared {
@@ -90,23 +101,52 @@ func NewShared(n int, dynamic bool) *Shared {
 	}
 }
 
-// TryAcquireLock attempts the passive-target lock without blocking.
-// Devices spin on it while pumping progress, so a rank waiting for a
-// lock can still service incoming active messages (a blocking acquire
-// would deadlock AM-based RMA).
-func (s *Shared) TryAcquireLock(rank int, exclusive bool) bool {
+// TryAcquireLock attempts the passive-target lock without blocking. A
+// non-nil waker is registered before the attempt, and the next
+// ReleaseLock wakes it: a release that lands between a failed attempt
+// and the waker's park is not lost. AcquireLock waits for a lock in
+// the device's event loop this way, so a rank waiting for a lock still
+// services incoming active messages (a blocking acquire would deadlock
+// AM-based RMA).
+func (s *Shared) TryAcquireLock(rank int, exclusive bool, waker Waker) bool {
+	if waker != nil {
+		s.wmu.Lock()
+		if !slices.Contains(s.waiters, waker) {
+			s.waiters = append(s.waiters, waker)
+		}
+		s.wmu.Unlock()
+	}
 	if exclusive {
 		return s.locks[rank].TryLock()
 	}
 	return s.locks[rank].TryRLock()
 }
 
-// ReleaseLock releases the passive-target lock for rank.
+// AcquireLock takes the passive-target lock for rank. A lock held
+// elsewhere is waited for in wait, the device's event loop, which
+// serves the rank's transports and parks between attempts: each
+// attempt registers waker, and the next release wakes it. The first
+// attempt registers nothing, so an uncontended acquire is one TryLock.
+func (s *Shared) AcquireLock(rank int, exclusive bool, waker Waker, wait func(ready func() bool)) {
+	if !s.TryAcquireLock(rank, exclusive, nil) {
+		wait(func() bool { return s.TryAcquireLock(rank, exclusive, waker) })
+	}
+}
+
+// ReleaseLock releases the passive-target lock for rank and wakes
+// every registered waiter.
 func (s *Shared) ReleaseLock(rank int, exclusive bool) {
 	if exclusive {
 		s.locks[rank].Unlock()
 	} else {
 		s.locks[rank].RUnlock()
+	}
+	s.wmu.Lock()
+	waiters := s.waiters
+	s.waiters = nil
+	s.wmu.Unlock()
+	for _, w := range waiters {
+		w.Wake()
 	}
 }
 

@@ -110,7 +110,7 @@ func TestSharedLockSerializes(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				for !sh.TryAcquireLock(1, true) {
+				for !sh.TryAcquireLock(1, true, nil) {
 					runtime.Gosched()
 				}
 				counter++
@@ -192,23 +192,55 @@ func TestDynAddrProperty(t *testing.T) {
 func TestSharedAndExclusiveLocks(t *testing.T) {
 	sh := NewShared(2, false)
 	// Two shared locks coexist.
-	if !sh.TryAcquireLock(0, false) || !sh.TryAcquireLock(0, false) {
+	if !sh.TryAcquireLock(0, false, nil) || !sh.TryAcquireLock(0, false, nil) {
 		t.Fatal("second shared lock refused")
 	}
 	// Exclusive must be refused while shared held.
-	if sh.TryAcquireLock(0, true) {
+	if sh.TryAcquireLock(0, true, nil) {
 		t.Fatal("exclusive granted under shared locks")
 	}
 	sh.ReleaseLock(0, false)
 	sh.ReleaseLock(0, false)
 	// Now exclusive succeeds; shared refused.
-	if !sh.TryAcquireLock(0, true) {
+	if !sh.TryAcquireLock(0, true, nil) {
 		t.Fatal("exclusive refused when free")
 	}
-	if sh.TryAcquireLock(0, false) {
+	if sh.TryAcquireLock(0, false, nil) {
 		t.Fatal("shared granted under exclusive")
 	}
 	sh.ReleaseLock(0, true)
+}
+
+// countWaker counts its wakes.
+type countWaker struct{ n int }
+
+func (c *countWaker) Wake() { c.n++ }
+
+// TestReleaseWakesLockWaiters: an attempt with a waker registers it
+// once however often it retries, the next release wakes it exactly
+// once, and a later release finds nobody to wake.
+func TestReleaseWakesLockWaiters(t *testing.T) {
+	sh := NewShared(2, false)
+	var w countWaker
+	if !sh.TryAcquireLock(1, true, nil) {
+		t.Fatal("exclusive refused when free")
+	}
+	for i := 0; i < 3; i++ {
+		if sh.TryAcquireLock(1, false, &w) {
+			t.Fatal("shared granted under exclusive")
+		}
+	}
+	sh.ReleaseLock(1, true)
+	if w.n != 1 {
+		t.Fatalf("release woke the waiter %d times, want 1", w.n)
+	}
+	if !sh.TryAcquireLock(1, false, nil) {
+		t.Fatal("shared refused after release")
+	}
+	sh.ReleaseLock(1, false)
+	if w.n != 1 {
+		t.Errorf("a release after the wake woke the waiter again (%d wakes)", w.n)
+	}
 }
 
 func TestExposureEpochState(t *testing.T) {

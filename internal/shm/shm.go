@@ -24,12 +24,10 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"gompi/internal/abort"
 	"gompi/internal/flight"
 	"gompi/internal/instr"
 	"gompi/internal/match"
 	"gompi/internal/proc"
-	"gompi/internal/stall"
 	"gompi/internal/vtime"
 )
 
@@ -129,6 +127,12 @@ type DeliverView func(dst int, bits match.Bits, src int, view []byte, arrival vt
 // naming the virtual interface the pending work belongs to.
 type Wake func(dst, vci int)
 
+// Wait blocks a goroutine of the rank it is bound to until ready
+// reports true: the device's event loop, which serves the rank's
+// transports (its own rings included) and parks between evaluations of
+// ready. A Wake of the rank ends the park.
+type Wait func(ready func() bool)
+
 // Domain is one node's (or a whole job's) shared-memory segment: the
 // set of rings between co-located ranks.
 type Domain struct {
@@ -136,19 +140,14 @@ type Domain struct {
 	deliver     Deliver
 	deliverView DeliverView
 	wake        Wake
-	aborted     abort.Flag
 
 	cellSize     int
 	ringCells    int
 	eagerMax     int
 	maxPeerBytes int64
 
-	// stall is the optional stall watchdog (nil when disabled; all its
-	// methods are nil-safe). Producers blocked on a full ring park with
-	// it, and every drain that frees cells bumps its activity counter.
-	stall *stall.Monitor
-
 	meters []proc.Meter
+	waits  []Wait
 
 	// mu is the ring-creation lock: taken on a pair's first message and
 	// on no path a later message or a poll travels. lockTouches counts
@@ -237,6 +236,7 @@ func NewDomainCfg(prof Profile, cfg Config, n int, deliver Deliver, wake Wake) *
 		eagerMax:     cfg.EagerMax,
 		maxPeerBytes: cfg.MaxPeerBytes,
 		meters:       make([]proc.Meter, n),
+		waits:        make([]Wait, n),
 		out:          make([]atomic.Pointer[[]link], n),
 		in:           make([]atomic.Pointer[[]link], n),
 	}
@@ -252,9 +252,9 @@ func NewDomainCfg(prof Profile, cfg Config, n int, deliver Deliver, wake Wake) *
 // rank.
 func (d *Domain) Bind(rank int, m proc.Meter) { d.meters[rank] = m }
 
-// SetStall attaches the stall watchdog. Must be called before
-// communication starts; nil detaches.
-func (d *Domain) SetStall(m *stall.Monitor) { d.stall = m }
+// BindWait attaches the wait rank's producers block in on a full ring.
+// Must precede the rank's first full ring.
+func (d *Domain) BindWait(rank int, wait Wait) { d.waits[rank] = wait }
 
 // SetDeliverView attaches the zero-copy view delivery callback. When
 // unset, handoff views fall back to the staged Deliver callback (the
@@ -272,19 +272,6 @@ func (d *Domain) Profile() Profile { return d.prof }
 // path is disabled).
 func (d *Domain) EagerMax() int { return d.eagerMax }
 
-// Abort wakes producers blocked on full rings; their waits panic with
-// abort.ErrWorldAborted. A ring published after the walk passed its
-// table is not missed: the wait loop checks the raised flag before
-// every sleep.
-func (d *Domain) Abort() {
-	d.aborted.Raise()
-	d.eachRing(func(_, _ int, r *ring) {
-		r.mu.Lock()
-		r.cond.Broadcast()
-		r.mu.Unlock()
-	})
-}
-
 // ring is a bounded lock-free SPSC queue of cells from src to dst, laid
 // out the way a real shmmod lays out its shared segment: a fixed
 // circular buffer of fixed-size cells written in place by the producer
@@ -295,24 +282,24 @@ func (d *Domain) Abort() {
 // cell tail%N, then stores tail+1: that store publishes the cell to the
 // consumer's load of tail. The consumer reads cell head%N, then stores
 // head+1, which hands the slot back. A producer that finds the ring full
-// takes mu, stores waiting, reads head again and only then sleeps on
-// cond; the consumer, after every store of head, loads waiting and only
-// if it is set takes mu to clear it and Broadcast. The atomics are
-// sequentially consistent, so of "store waiting, load head" and "store
-// head, load waiting" at least one load sees the other side's store: the
-// producer sees the freed slot and stays awake, or the consumer sees the
-// flag and, through mu, broadcasts once the producer sleeps. No wakeup
-// is lost, and no lock is shared between the two sides until then.
+// waits in its rank's bound Wait, whose readiness check stores waiting
+// and then reads head again; the consumer, after every store of head,
+// loads waiting and only if it is set clears it and wakes the producer's
+// rank. The atomics are sequentially consistent, so of "store waiting,
+// load head" and "store head, load waiting" at least one load sees the
+// other side's store: the producer sees the freed slot and does not
+// park, or the consumer sees the flag and wakes it, once per wait. No
+// wakeup is lost, and the two sides share no lock.
 //
 // "The producer" and "the consumer" are whoever holds prodMu and
 // drainMu: they make one of each out of ThreadMultiple siblings, and
 // with one goroutine per rank each has one taker and is never contended
 // (skipping them there bought nothing end to end: CHANGES.md, PR 23).
 //
-// Field order is layout: the producer's words, the full-ring slow
-// path's, the consumer's, which puts head a cache line or more past
-// every producer-written word and past mu: wherever the allocator puts
-// the ring, they share no line (TestRingLayout).
+// Field order is layout: the producer's words, a line of padding, the
+// consumer's, which puts head a cache line or more past every
+// producer-written word: wherever the allocator puts the ring, they
+// share no line (TestRingLayout).
 type ring struct {
 	// Producer-written. lent counts handoff views published; hFree is the
 	// descriptor freelist that keeps the handoff path allocation-free
@@ -325,12 +312,10 @@ type ring struct {
 	// fragments would otherwise interleave. It is held across full-ring
 	// waits too: the consumer needs no producer lock, so draining always
 	// frees the blocked producer.
-	prodMu    sync.Mutex
-	muTouches int64 // the producer's acquisitions of mu: one per full-ring wait
+	prodMu sync.Mutex
 
 	cells []cell // read-only after creation
-	mu    sync.Mutex
-	cond  sync.Cond
+	_     [64]byte
 
 	// Consumer-written. released counts lent views given back, so
 	// lent-released is what the wait graph prints.
@@ -380,7 +365,6 @@ func (d *Domain) ring(src, dst int) *ring {
 // race here under MPI_THREAD_MULTIPLE, and the loser discards its ring.
 func (d *Domain) createRing(src, dst int) *ring {
 	r := &ring{cells: make([]cell, d.ringCells)}
-	r.cond.L = &r.mu
 	slab := make([]byte, d.ringCells*d.cellSize)
 	for i := range r.cells {
 		// Three-index slices: a cell cannot grow into its neighbour.
@@ -469,7 +453,6 @@ func (h *Handoff) Release(copied bool) {
 	h.r.released.Add(1)
 	h.r.releasedBytes.Add(int64(h.bytes))
 	h.done.Store(true)
-	d.stall.Activity()
 	d.wake(h.src, h.vci)
 }
 
@@ -488,7 +471,7 @@ func (d *Domain) FinishHandoff(h *Handoff) {
 	h.view = nil
 	h.bytes = 0
 	h.done.Store(false)
-	// A sibling mid-message holds the freelist, perhaps asleep on a full
+	// A sibling mid-message holds the freelist, perhaps waiting on a full
 	// ring: drop the descriptor rather than wait behind it.
 	if r.prodMu.TryLock() {
 		h.next, r.hFree = r.hFree, h
@@ -535,16 +518,10 @@ func (d *Domain) send(src, dst int, bits match.Bits, data []byte, vci int, allow
 	// delivered into the endpoint (DepositShm), on the receiving rank.
 	m.Metrics().ShmSend.Note(len(data))
 	r := d.ring(src, dst)
-	parked := false
 	r.prodMu.Lock()
-	defer func() { // on the abort panic too
-		if parked {
-			d.stall.Unpark(src)
-		}
-		r.prodMu.Unlock()
-	}()
+	defer r.prodMu.Unlock() // also when the full-ring wait panics (an abort)
 	if allowHandoff && d.eagerMax > 0 && len(data) > d.eagerMax {
-		return d.publishHandoff(r, src, dst, bits, data, vci, m, &parked)
+		return d.publishHandoff(r, src, dst, bits, data, vci, m)
 	}
 	m.Metrics().Flight.Record(flight.ShmSend, int64(m.Now()), dst, len(data), vci)
 	if len(data) > 0 {
@@ -558,7 +535,7 @@ func (d *Domain) send(src, dst int, bits match.Bits, data []byte, vci int, allow
 		m.ChargeCycles(instr.Transport, p.CellOverhead+vtime.Cycles(p.PerByte*float64(n)))
 		arrival := m.Now() + vtime.Time(p.Latency)
 
-		c := d.claim(r, src, dst, vci, m, off > 0, &parked)
+		c := d.claim(r, src, dst, vci, off > 0)
 		c.bits, c.vci, c.msgLen, c.n, c.arrival, c.h = bits, vci, len(data), n, arrival, nil
 		copy(c.data, data[off:off+n])
 		r.publish()
@@ -572,41 +549,31 @@ func (d *Domain) send(src, dst int, bits match.Bits, data []byte, vci int, allow
 }
 
 // claim returns the cell at r's tail, the producer's to fill until it
-// publishes it. On a full ring it waits for a slot by the handshake
-// described at ring — park with the stall watchdog once per message,
-// check for an abort before every sleep — after waking the receiver if
-// the message is midway: its queued cells have had no wake yet, while
-// every earlier message's have. Before every sleep it drains src's own
-// rings, waking src's waiters if that delivered anything: the receiver
-// may itself be blocked on a full ring toward src.
-func (d *Domain) claim(r *ring, src, dst, vci int, m proc.Meter, midway bool, parked *bool) *cell {
-	if n, t := uint64(len(r.cells)), r.tail.Load(); t-r.head.Load() >= n {
+// publishes it. On a full ring it waits in src's bound Wait for a slot,
+// by the handshake described at ring, after waking the receiver if the
+// message is midway: its queued cells have had no wake yet, while every
+// earlier message's have. The Wait serves src's own rings meanwhile:
+// the receiver may itself be blocked on a full ring toward src.
+func (d *Domain) claim(r *ring, src, dst, vci int, midway bool) *cell {
+	n, t := uint64(len(r.cells)), r.tail.Load()
+	if t-r.head.Load() >= n {
 		if midway {
 			d.wake(dst, vci)
 		}
-		r.mu.Lock()
-		r.muTouches++
-		for t-r.head.Load() >= n {
-			r.mu.Unlock()
-			if d.Progress(src) > 0 {
-				d.wake(src, vci)
-			}
-			r.mu.Lock()
-			if r.waiting.Store(true); t-r.head.Load() < n {
-				break
-			}
-			d.aborted.CheckLocked(&r.mu)
-			if !*parked {
-				*parked = true
-				d.stall.Park(src)
-				m.Metrics().NotePark(int64(m.Now()), dst, vci)
-			}
-			r.cond.Wait()
+		wait := d.waits[src]
+		if wait == nil {
+			panic(fmt.Sprintf("shm: rank %d found a full ring without a bound wait", src))
 		}
+		wait(func() bool {
+			if t-r.head.Load() < n {
+				return true
+			}
+			r.waiting.Store(true)
+			return t-r.head.Load() < n
+		})
 		r.waiting.Store(false)
-		r.mu.Unlock()
 	}
-	return &r.cells[r.tail.Load()%uint64(len(r.cells))]
+	return &r.cells[t%n]
 }
 
 // publish hands the claimed cell to the consumer.
@@ -616,14 +583,14 @@ func (r *ring) publish() { r.tail.Store(r.tail.Load() + 1) }
 // descriptor occupies a normal ring slot (FIFO with staged traffic, so
 // same-pair ordering is preserved) but carries no payload: the staged
 // path's per-cell copy charges are replaced by one HandoffOverhead.
-func (d *Domain) publishHandoff(r *ring, src, dst int, bits match.Bits, data []byte, vci int, m proc.Meter, parked *bool) *Handoff {
+func (d *Domain) publishHandoff(r *ring, src, dst int, bits match.Bits, data []byte, vci int, m proc.Meter) *Handoff {
 	p := &d.prof
 	m.ChargeCycles(instr.Transport, p.HandoffOverhead)
 	m.Metrics().ShmHandoff.Note(len(data))
 	m.Metrics().Flight.Record(flight.ShmHandoff, int64(m.Now()), dst, len(data), vci)
 	arrival := m.Now() + vtime.Time(p.Latency)
 
-	c := d.claim(r, src, dst, vci, m, false, parked)
+	c := d.claim(r, src, dst, vci, false)
 	h := r.hFree
 	if h == nil {
 		h = &Handoff{}
@@ -677,7 +644,7 @@ func (d *Domain) drainRing(rank, src int, r *ring, meter proc.Meter) int {
 			// Descriptor cell: capture the header (the slot is the producer's
 			// again the moment head moves) and deliver the lent view.
 			bits, vci, arrival := c.bits, c.vci, c.arrival
-			d.retire(r)
+			d.retire(r, src, vci)
 
 			meter.ChargeCycles(instr.Transport, p.CellOverhead+p.RecvOverhead)
 			if d.deliverView != nil {
@@ -699,7 +666,7 @@ func (d *Domain) drainRing(rank, src int, r *ring, meter proc.Meter) int {
 			meter.ChargeCycles(instr.Transport, p.CellOverhead+vtime.Cycles(p.PerByte*float64(n)))
 			meter.ChargeCycles(instr.Transport, p.RecvOverhead)
 			d.deliver(rank, c.bits, src, c.data[:n], c.arrival, c.vci)
-			d.retire(r)
+			d.retire(r, src, c.vci)
 			delivered++
 			continue
 		}
@@ -716,7 +683,7 @@ func (d *Domain) drainRing(rank, src int, r *ring, meter proc.Meter) int {
 		if c.arrival > r.arrival {
 			r.arrival = c.arrival
 		}
-		d.retire(r) // frees the cell for a blocked producer
+		d.retire(r, src, c.vci) // frees the cell for a blocked producer
 
 		meter.ChargeCycles(instr.Transport, p.CellOverhead+vtime.Cycles(p.PerByte*float64(n)))
 
@@ -736,17 +703,14 @@ func (d *Domain) drainRing(rank, src int, r *ring, meter proc.Meter) int {
 	return delivered
 }
 
-// retire hands the cell at head back to the producer, and wakes it if
-// it is (or is about to be) asleep on a full ring.
-func (d *Domain) retire(r *ring) {
+// retire hands the cell at head back to src, the producer, and wakes
+// it if it is (or is about to be) waiting on a full ring: once per
+// wait, not per cell of the drain, by clearing the flag before the wake.
+func (d *Domain) retire(r *ring, src, vci int) {
 	r.head.Store(r.head.Load() + 1)
-	if r.waiting.Load() {
-		r.mu.Lock()
-		r.waiting.Store(false) // one broadcast per sleep, not per cell of the drain
-		r.cond.Broadcast()
-		r.mu.Unlock()
+	if r.waiting.Load() && r.waiting.Swap(false) {
+		d.wake(src, vci)
 	}
-	d.stall.Activity()
 }
 
 // PendingFrom reports whether any cells from src to rank are queued

@@ -14,8 +14,9 @@ import (
 )
 
 // Tests for the ring as a lock-free SPSC queue: one producer goroutine,
-// one consumer goroutine, no mutex between them until the ring fills.
-// None asserts a wall-clock time.
+// one consumer goroutine, no mutex between them, and a producer that
+// finds the ring full waits in its rank's bound Wait. None asserts a
+// wall-clock time.
 
 // tinyCfg is a ring small enough that every size class below crosses
 // it: one cell holds 64 bytes and the whole ring two cells.
@@ -53,6 +54,7 @@ func TestSPSCStream(t *testing.T) {
 		}, nil)
 	d.Bind(0, newTestMeter())
 	d.Bind(1, newTestMeter())
+	bindSpin(d, 2)
 
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -82,12 +84,14 @@ func parkedOnFull(r *ring) bool {
 	return r.waiting.Load() && r.tail.Load()-r.head.Load() == uint64(len(r.cells))
 }
 
-// TestSteadyStateTakesNoMutex holds the ring to its protocol by count:
-// a ring that never fills moves 10 000 messages without its producer
-// ever taking r.mu (and so without raising the flag that makes the
-// consumer take it); a ring that does fill takes it once per park.
+// TestSteadyStateTakesNoMutex holds the ring to its protocol by count.
+// The ring has no mutex; its one slow path is the full-ring wait. A ring
+// that never fills moves 10 000 messages without its producer ever
+// waiting (and so without raising the flag that makes the consumer
+// wake it); a ring that does fill waits once per park.
 func TestSteadyStateTakesNoMutex(t *testing.T) {
 	d := boundDomain(Config{}, 2)
+	waits := bindSpin(d, 2)
 	for i := 0; i < 10_000; i++ {
 		d.Send(0, 1, match.MakeBits(1, 0, i), []byte{1, 2, 3})
 		if i%8 == 7 {
@@ -95,15 +99,16 @@ func TestSteadyStateTakesNoMutex(t *testing.T) {
 		}
 	}
 	r := d.ring(0, 1)
-	if r.muTouches != 0 || r.waiting.Load() {
-		t.Errorf("ring lock taken %d times (waiting %v) by 10000 messages that never filled it", r.muTouches, r.waiting.Load())
+	if n := waits.Load(); n != 0 || r.waiting.Load() {
+		t.Errorf("producer waited %d times (waiting %v) in 10000 messages that never filled the ring", n, r.waiting.Load())
 	}
 
 	// Messages one cell longer than the ring, each drained only once its
 	// producer waits on the full ring: the cell left over always fits, so
-	// every message sleeps exactly once.
+	// every message waits exactly once.
 	const parks = 5
 	d = boundDomain(tinyCfg, 2)
+	waits = bindSpin(d, 2)
 	r = d.ring(0, 1)
 	for i := 0; i < parks; i++ {
 		done := make(chan struct{})
@@ -119,27 +124,45 @@ func TestSteadyStateTakesNoMutex(t *testing.T) {
 		}
 		<-done
 	}
-	if r.muTouches != parks {
-		t.Errorf("ring lock taken %d times by the producer, want %d (one per park)", r.muTouches, parks)
+	if n := waits.Load(); n != parks {
+		t.Errorf("producer waited %d times, want %d (one per park)", n, parks)
 	}
 }
 
-// TestWakePerMessage pins the wake count: one per message however many
-// cells it spans, plus one each time the producer finds the ring full
-// midway through a message (the receiver must be told to drain what no
-// wake has announced yet) — and none for finding it full of earlier
-// messages, which have all announced themselves.
+// TestWakePerMessage pins the wake counts. The receiver is woken once
+// per message however many cells it spans, plus once each time the
+// producer finds the ring full midway through a message (the receiver
+// must be told to drain what no wake has announced yet), and not for
+// finding it full of earlier messages, which have all announced
+// themselves. The producer is woken once per full-ring wait, by the
+// first cell the drain retires, not per cell. Its wait is a stand-in
+// for the device's event loop: it re-checks ready only when woken.
 func TestWakePerMessage(t *testing.T) {
-	var wakes atomic.Int64
+	var wakes, producerWakes atomic.Int64
 	newDomain := func(cfg Config) *Domain {
 		d := NewDomainCfg(DefaultProfile, cfg, 2, nopDeliver, func(dst, vci int) {
-			if dst != 1 || vci != 3 {
-				t.Errorf("wake(%d, %d), want (1, 3)", dst, vci)
+			if vci != 3 {
+				t.Errorf("wake(%d, %d), want vci 3", dst, vci)
 			}
-			wakes.Add(1)
+			if dst == 1 {
+				wakes.Add(1)
+			} else {
+				producerWakes.Add(1)
+			}
 		})
 		d.Bind(0, newTestMeter())
 		d.Bind(1, newTestMeter())
+		d.BindWait(0, func(ready func() bool) {
+			for {
+				seq := producerWakes.Load()
+				if ready() {
+					return
+				}
+				for producerWakes.Load() == seq {
+					runtime.Gosched()
+				}
+			}
+		})
 		return d
 	}
 
@@ -160,7 +183,7 @@ func TestWakePerMessage(t *testing.T) {
 		runtime.Gosched()
 	}
 	if n := wakes.Load(); n != 1 {
-		t.Errorf("%d wake(s) before the producer slept on a full ring, want 1", n)
+		t.Errorf("%d wake(s) before the producer waited on a full ring, want 1", n)
 	}
 	for d.Progress(1) == 0 {
 		runtime.Gosched()
@@ -168,6 +191,9 @@ func TestWakePerMessage(t *testing.T) {
 	<-done
 	if n := wakes.Swap(0); n != 2 {
 		t.Errorf("a 3-cell message through a 2-cell ring woke the receiver %d times, want 2", n)
+	}
+	if n := producerWakes.Swap(0); n != 1 {
+		t.Errorf("one full-ring wait woke the producer %d times, want 1", n)
 	}
 
 	done = make(chan struct{})
@@ -181,7 +207,7 @@ func TestWakePerMessage(t *testing.T) {
 		runtime.Gosched()
 	}
 	if n := wakes.Load(); n != 2 {
-		t.Errorf("%d wake(s) with two messages queued and a third asleep on its first cell, want 2", n)
+		t.Errorf("%d wake(s) with two messages queued and a third waiting on its first cell, want 2", n)
 	}
 	for d.Progress(1) == 0 {
 		runtime.Gosched()
@@ -189,6 +215,9 @@ func TestWakePerMessage(t *testing.T) {
 	<-done
 	if n := wakes.Load(); n != 3 {
 		t.Errorf("three 1-cell messages through a 2-cell ring woke the receiver %d times, want 3", n)
+	}
+	if n := producerWakes.Load(); n != 1 {
+		t.Errorf("one full-ring wait woke the producer %d times, want 1", n)
 	}
 }
 
@@ -211,6 +240,7 @@ func TestSharedSiblingsOneRing(t *testing.T) {
 		}, nil)
 	d.Bind(0, newTestMeter().shared())
 	d.Bind(1, newTestMeter().shared())
+	bindSpin(d, 2)
 	var wg sync.WaitGroup
 	for g := 0; g < senders; g++ {
 		wg.Add(1)
@@ -265,15 +295,14 @@ func TestWaitGraphMidMessage(t *testing.T) {
 
 // TestRingLayout pins the property the field order is for: head, which
 // the consumer writes per cell, lies a cache line or more past every
-// word the producer writes and past the ring lock, so they share no
-// line wherever the allocator puts the ring.
+// word the producer writes, so they share no line wherever the
+// allocator puts the ring.
 func TestRingLayout(t *testing.T) {
 	var r ring
 	const line = 64
 	for name, off := range map[string]uintptr{
 		"tail": unsafe.Offsetof(r.tail), "waiting": unsafe.Offsetof(r.waiting), "lentBytes": unsafe.Offsetof(r.lentBytes),
-		"hFree": unsafe.Offsetof(r.hFree), "prodMu": unsafe.Offsetof(r.prodMu), "muTouches": unsafe.Offsetof(r.muTouches),
-		"mu": unsafe.Offsetof(r.mu),
+		"hFree": unsafe.Offsetof(r.hFree), "prodMu": unsafe.Offsetof(r.prodMu),
 	} {
 		if head := unsafe.Offsetof(r.head); head < off+line {
 			t.Errorf("head at byte %d, %s at byte %d: less than a %d-byte line apart", head, name, off, line)

@@ -3,7 +3,6 @@ package shm
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -13,7 +12,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"gompi/internal/abort"
 	"gompi/internal/instr"
 	"gompi/internal/match"
 	"gompi/internal/vtime"
@@ -36,6 +34,7 @@ func boundDomain(cfg Config, n int) *Domain {
 	for i := 0; i < n; i++ {
 		d.Bind(i, newTestMeter())
 	}
+	bindSpin(d, n)
 	return d
 }
 
@@ -147,7 +146,6 @@ func TestLockTouchCount(t *testing.T) {
 	d.PendingFrom(0, 1)
 	d.PendingFrom(1, 0) // no such ring
 	d.WriteWaitGraph(&strings.Builder{})
-	d.Abort()
 	if d.lockTouches != int64(pairs) {
 		t.Errorf("domain lock taken %d times for %d pairs over %d sends and polls",
 			d.lockTouches, pairs, rounds*pairs)
@@ -275,47 +273,6 @@ func TestPreconnectDifferential(t *testing.T) {
 		if pre.ledger[r] != lazy.ledger[r] {
 			t.Errorf("rank %d cycles/clock/peers/state bytes: %v preconnected, %v on demand",
 				r, pre.ledger[r], lazy.ledger[r])
-		}
-	}
-}
-
-// TestAbortReachesRingsPublishedAround covers the producers an Abort
-// could miss if it only woke the rings it saw: K producers first-touch
-// their (never drained) ring at points spread around the abort — some
-// are already blocked on a full ring, some publish while the abort
-// walks the tables, the last one starts only after Abort has returned.
-// Every one must end in the abort panic; a missed one hangs the test.
-func TestAbortReachesRingsPublishedAround(t *testing.T) {
-	const K = 8
-	d := boundDomain(scaleCfg, 2*K)
-	big := make([]byte, 4*scaleCfg.RingCells*scaleCfg.CellSize)
-	results := make(chan any, K)
-	var aborted atomic.Bool
-	for k := 0; k < K; k++ {
-		go func(k int) {
-			defer func() { results <- recover() }()
-			switch {
-			case k == K-1: // strictly after the abort
-				for !aborted.Load() {
-					runtime.Gosched()
-				}
-			case k >= K/2: // around it
-				for !d.PendingFrom(0, K) {
-					runtime.Gosched()
-				}
-			}
-			d.Send(k, K+k, match.MakeBits(1, k, 0), big)
-		}(k)
-	}
-	for !d.PendingFrom(0, K) { // producer 0 has filled cells
-		runtime.Gosched()
-	}
-	d.Abort()
-	aborted.Store(true)
-	for k := 0; k < K; k++ {
-		err, _ := (<-results).(error)
-		if !errors.Is(err, abort.ErrWorldAborted) {
-			t.Errorf("a producer ended with %v, want the abort panic", err)
 		}
 	}
 }

@@ -125,40 +125,62 @@ func TestLockAllSingleEpoch(t *testing.T) {
 }
 
 // TestLockAllExclusivePhases serializes whole-window ownership: each
-// rank takes the exclusive lock-all in turn and increments a counter on
-// rank 0; the total proves mutual exclusion.
+// rank takes the exclusive lock-all (or rank 0's exclusive lock) in
+// turn and increments a counter on rank 0; the total proves mutual
+// exclusion. The losers of each round wait in their device's event
+// loop for the winner's release to wake them, so a lost wake-up hangs
+// the run.
 func TestLockAllExclusivePhases(t *testing.T) {
 	const n = 4
 	const iters = 8
-	run(t, n, Config{Fabric: "inf"}, func(p *Proc) error {
-		w := p.World()
-		win, mem, err := w.WinAllocate(8, 1)
-		if err != nil {
-			return err
-		}
-		one := Int64Bytes([]int64{1}, nil)
-		old := make([]byte, 8)
-		for i := 0; i < iters; i++ {
-			if err := win.LockAllExclusive(); err != nil {
-				return err
+	arms := []struct {
+		name         string
+		lock, unlock func(win *Win) error
+	}{
+		{"LockAllExclusive", (*Win).LockAllExclusive, (*Win).UnlockAll},
+		{"Lock", func(win *Win) error { return win.Lock(0, true) }, func(win *Win) error { return win.Unlock(0) }},
+	}
+	for _, dev := range []DeviceKind{DeviceCH4, DeviceOriginal} {
+		for _, tm := range []bool{false, true} {
+			for _, arm := range arms {
+				t.Run(fmt.Sprintf("%s/ThreadMultiple=%v/%s", dev, tm, arm.name), func(t *testing.T) {
+					cfg := Config{Device: dev, Fabric: "inf", ThreadMultiple: tm}
+					err := failFast(t, n, cfg, func(p *Proc) error {
+						w := p.World()
+						win, mem, err := w.WinAllocate(8, 1)
+						if err != nil {
+							return err
+						}
+						one := Int64Bytes([]int64{1}, nil)
+						old := make([]byte, 8)
+						for i := 0; i < iters; i++ {
+							if err := arm.lock(win); err != nil {
+								return err
+							}
+							if err := win.FetchAndOp(one, old, Long, 0, 0, OpSum); err != nil {
+								return err
+							}
+							if err := arm.unlock(win); err != nil {
+								return err
+							}
+						}
+						if err := w.Barrier(); err != nil {
+							return err
+						}
+						if p.Rank() == 0 {
+							if got := BytesInt64(mem, nil)[0]; got != n*iters {
+								return fmt.Errorf("counter %d, want %d", got, n*iters)
+							}
+						}
+						return win.Free()
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+				})
 			}
-			if err := win.FetchAndOp(one, old, Long, 0, 0, OpSum); err != nil {
-				return err
-			}
-			if err := win.UnlockAll(); err != nil {
-				return err
-			}
 		}
-		if err := w.Barrier(); err != nil {
-			return err
-		}
-		if p.Rank() == 0 {
-			if got := BytesInt64(mem, nil)[0]; got != n*iters {
-				return fmt.Errorf("counter %d, want %d", got, n*iters)
-			}
-		}
-		return win.Free()
-	})
+	}
 }
 
 // TestRequestBasedRMA drives Rput/Rget/Raccumulate through the public

@@ -94,6 +94,53 @@ func TestWatchdogTripsOnDeadlock(t *testing.T) {
 					t.Errorf("diagnosis missing %q:\n%s", want, diag.String())
 				}
 			})
+
+			// A window-lock wait parks like any other wait: rank 0 holds
+			// rank 1's exclusive lock and waits to receive what nobody
+			// sends, while rank 1 waits for that lock.
+			t.Run("lock", func(t *testing.T) {
+				for _, lk := range []struct {
+					name string
+					lock func(win *Win) error
+				}{
+					{"Lock", func(win *Win) error { return win.Lock(1, true) }},
+					{"LockAllExclusive", func(win *Win) error { return win.LockAllExclusive() }},
+				} {
+					t.Run(lk.name, func(t *testing.T) {
+						var diag bytes.Buffer
+						cfg.DiagWriter, cfg.Stats = &diag, nil
+						err := failFast(t, 2, cfg, func(p *Proc) error {
+							w := p.World()
+							win, _, err := w.WinAllocate(8, 1)
+							if err != nil {
+								return err
+							}
+							if p.Rank() == 0 {
+								if err := win.Lock(1, true); err != nil {
+									return err
+								}
+							}
+							if err := w.Barrier(); err != nil {
+								return err
+							}
+							if p.Rank() == 0 {
+								_, err := w.Recv(make([]byte, 1), 1, Byte, 1, 0)
+								return err
+							}
+							return lk.lock(win)
+						})
+						if !errors.Is(err, ErrStalled) {
+							t.Fatalf("err = %v, want ErrStalled", err)
+						}
+						for rank := 0; rank < 2; rank++ {
+							re := regexp.MustCompile(fmt.Sprintf(`(?m)^rank %d: vcycles=\d+ \(as of last park\) parked=true$`, rank))
+							if !re.Match(diag.Bytes()) {
+								t.Errorf("diagnosis does not show rank %d parked:\n%s", rank, diag.String())
+							}
+						}
+					})
+				}
+			})
 		})
 	}
 }
