@@ -57,12 +57,15 @@ race:
 # against the cost model and across cell sizes, the drain's single
 # aggregate wake, and lanes racing to a peer's first touch — and the
 # fabric's one receive-side lookup: what every post, probe and matched
-# probe charges and counts, and a cross-VCI match counted once — and
-# the ch4 device's one receive descriptor: what every receive shape and
-# IsendNoCopy charge, and a replicated wildcard whose stale replicas
-# must not steal later messages — and wildcards on every lane count: a
-# receive or probe with both wildcards must search every VCI lane, at
-# 1, 2, 4 and 8 lanes, with and without MPI_THREAD_MULTIPLE — and what
+# probe charges and counts, each charged exactly what its lane's engine
+# counted — and one lane per communicator: every send, receive, probe,
+# partitioned chunk and no-match message of a communicator rides one
+# VCI — and the ch4 device's one receive descriptor: what every receive
+# shape and IsendNoCopy charge, and a recycled wildcard box that must
+# not steal later messages — and wildcards on every lane count: a
+# receive or probe with both wildcards must find every message of its
+# communicator, at 1, 2, 4 and 8 lanes, with and without
+# MPI_THREAD_MULTIPLE — and what
 # every one-sided call charges its origin on both devices — and MPI's
 # progress rule: a passive target blocked in any call (Win.Free,
 # WinCreate, Split, Create, Barrier, Recv) still serves its origin's
@@ -72,7 +75,7 @@ race:
 # parks in its device's event loop, so the watchdog sees a lock
 # deadlock on both devices and contended lock rounds lose no wake-up.
 # Zero failures.
-FLAKE_RUN = 'Ledger|DumpState|ZeroAlloc|AllocFree|SteadyStateAllocs|FeederPublished|FirstTouch|LockTouch|SpmvDeclaredShape|SingleVsShared|Shared.*Concurrent|SharedWriters|ForeignReader|TailFlush|WrapOrder|WhilePeersRun|SnapshotDuringDeposits|Region|RegisterWhilePut|ShareReaches|SPSC|NoMutex|WakePerMessage|SharedSiblings|WaiterGate|EventsEquals|Lent|RendezvousDeadlock|CopyCounts|CompletesAtReturn|ForcesMatchReference|RunGolden|TimestepAllocs|YieldBeforePark|WaitParksAfterYields|SlabRequests|OneCell|DrainWakesAggregate|DepositLocalAndWake|MatchChargeTable|CrossVCIMatchCountedOnce|RecvChargeTable|WildcardStaleReplica|WildcardEveryLaneCount|RmaChargeTable|BlockedCallsProgress|FullRingDrainsOwnRings|AbortUnblocksCommCreation|AbortUnblocksFullRing|LockAllExclusivePhases|WatchdogTripsOnDeadlock'
+FLAKE_RUN = 'Ledger|DumpState|ZeroAlloc|AllocFree|SteadyStateAllocs|FeederPublished|FirstTouch|LockTouch|SpmvDeclaredShape|SingleVsShared|Shared.*Concurrent|SharedWriters|ForeignReader|TailFlush|WrapOrder|WhilePeersRun|SnapshotDuringDeposits|Region|RegisterWhilePut|ShareReaches|SPSC|NoMutex|WakePerMessage|SharedSiblings|WaiterGate|EventsEquals|Lent|RendezvousDeadlock|CopyCounts|CompletesAtReturn|ForcesMatchReference|RunGolden|TimestepAllocs|YieldBeforePark|WaitParksAfterYields|SlabRequests|OneCell|DrainWakesAggregate|DepositLocalAndWake|MatchChargeTable|OneLanePerComm|RecvChargeTable|WildcardStaleReplica|WildcardEveryLaneCount|RmaChargeTable|BlockedCallsProgress|FullRingDrainsOwnRings|AbortUnblocksCommCreation|AbortUnblocksFullRing|LockAllExclusivePhases|WatchdogTripsOnDeadlock'
 FLAKE_PKGS = . ./internal/proc ./internal/instr ./internal/vtime ./internal/hist ./internal/shm ./internal/bench ./internal/flight ./internal/metrics ./internal/request ./internal/fabric ./internal/ch4 ./internal/md
 
 flake:

@@ -162,11 +162,11 @@ func chaosRound(t *testing.T, cfg Config, seed int64) {
 
 // TestChaosThreadMultipleVCIs is the multi-threaded round: every rank
 // runs several goroutines concurrently under MPI_THREAD_MULTIPLE, each
-// on its own hinted communicator — so each goroutine's traffic rides a
-// private virtual communication interface — and byte-verifies a ring
-// exchange. Run under -race this is the main data-race probe for the
-// multi-VCI engine (and, for the original device, the global critical
-// section).
+// on its own hinted communicator — so each goroutine's traffic rides
+// that communicator's virtual communication interface — and
+// byte-verifies a ring exchange. Run under -race this is the main
+// data-race probe for the multi-VCI engine (and, for the original
+// device, the global critical section).
 func TestChaosThreadMultipleVCIs(t *testing.T) {
 	configs := []Config{
 		{Device: "ch4", Fabric: "inf", ThreadMultiple: true, VCIs: 4},

@@ -102,14 +102,10 @@ func (c *Comm) Dup() (*Comm, error) { return c.DupOpt(CommOptions{}) }
 
 // CommHints are the MPI-4-style communicator assertions
 // (mpi_assert_*): promises about how the communicator will be used,
-// given at creation time. A hinted communicator gets a private virtual
-// communication interface and its receives never touch the cross-VCI
-// wildcard path; in exchange, an operation violating an assertion
-// returns an ErrHint-classed error. This is the hint-driven
-// alternative to the paper's observation that mandatory thread-safety
-// and wildcard generality tax every caller: the application states
-// what it will not do, and only then does the library drop the
-// machinery.
+// given at creation time. An operation violating an assertion returns
+// an ErrHint-classed error. Hints do not pick the communicator's
+// virtual communication interface: every communicator, hinted or not,
+// rides the one its context names.
 type CommHints struct {
 	// NoAnySource promises no receive or probe ever uses AnySource.
 	NoAnySource bool

@@ -114,10 +114,11 @@ type Config struct {
 	// the per-communicator critical section.
 	ThreadMultiple bool
 	// VCIs is the number of virtual communication interfaces each
-	// rank's ch4 endpoint exposes (1-8; 0 means 1). With more than
-	// one, concurrent goroutines of a rank driving different
-	// communicators or tags proceed in parallel instead of convoying
-	// on a single endpoint lock — the Zambre-style multi-VCI design.
+	// rank's ch4 endpoint exposes (1-8; 0 means 1). Each communicator's
+	// traffic rides one of them, picked by its context, so with more
+	// than one, concurrent goroutines of a rank driving different
+	// communicators proceed in parallel instead of convoying on a
+	// single endpoint lock — the Zambre-style multi-VCI design.
 	// The baseline device ignores it (CH3's single critical section is
 	// the point of comparison). Single-VCI behavior is bit-identical
 	// to earlier builds.
@@ -696,14 +697,12 @@ func (p *Proc) spanVCI(kind trace.Kind, peer, bytes, vci int) func() {
 	}
 }
 
-// vciOf asks the device which interface a send (recv=false) or
-// receive (recv=true) with the given tag on c would ride; -1 when
-// observability is off (the steady-state path computes nothing), the
-// device has no VCI notion (the baseline), or the op takes the
-// cross-VCI path.
-func (p *Proc) vciOf(c *Comm, tag int, recv bool) int {
+// vciOf asks the device which interface c's traffic rides; -1 when
+// observability is off (the steady-state path computes nothing) or the
+// device has no VCI notion (the baseline).
+func (p *Proc) vciOf(c *Comm) int {
 	if !p.tlog.Enabled() && p.profiler == nil {
 		return -1
 	}
-	return p.dev.VCIOf(c.c, tag, recv)
+	return p.dev.VCIOf(c.c)
 }

@@ -121,7 +121,7 @@ func TestExactLengthHint(t *testing.T) {
 
 // TestSplitOptHintsPinnedTraffic runs byte-verified traffic over
 // hinted SplitOpt communicators under multiple VCIs: each split half
-// asserts away wildcards, so its receives use a private interface, and
+// asserts away wildcards and rides its own context's interface, and
 // the payloads must still land intact.
 func TestSplitOptHintsPinnedTraffic(t *testing.T) {
 	const n = 4

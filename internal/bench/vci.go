@@ -18,8 +18,8 @@ type VCIPoint struct {
 	Rate float64
 	// MaxShare is the busiest interface's fraction of the receive
 	// traffic (1.0 = everything serialized on one interface). Measured,
-	// not assumed: if hint-driven pinning failed to spread the lanes,
-	// this stays at 1 and the rate shows no scaling.
+	// not assumed: if the per-communicator mapping failed to spread the
+	// lanes, this stays at 1 and the rate shows no scaling.
 	MaxShare float64
 	// WallRate is the raw wall-clock rate of the same run. On a
 	// many-core host it shows the real lock-level scaling; on a
@@ -31,8 +31,8 @@ type VCIPoint struct {
 // VCIScaling measures how the multi-threaded message rate scales with
 // the number of virtual communication interfaces. Each rank runs
 // `lanes` goroutines under MPI_THREAD_MULTIPLE, each ping-ponging on
-// its own fully asserted communicator — so each lane's traffic is
-// pinned to a private VCI when enough interfaces exist.
+// its own fully asserted communicator — so each lane's traffic rides
+// its own VCI when enough interfaces exist.
 //
 // The headline rate is a serialization bound in virtual time:
 // operations on one interface serialize behind its lock (the CH3

@@ -205,51 +205,17 @@ func cost(c instr.Cost) int64 { return instr.Table[c].CH4 }
 // charge records n instructions in cat under the build's removal rules.
 func (d *Device) charge(cat instr.Category, n int64) { d.meter.Charge(cat, n) }
 
-// sendVCI picks the virtual interface a send on c travels: a hinted
-// communicator owns a private interface keyed by its context pair;
-// otherwise the (context, tag) hash spreads traffic. The selection is
-// a handful of arithmetic instructions already covered by the
-// match-bits charge — CH4 folds VCI selection into the match-word
-// build the same way.
-func (d *Device) sendVCI(c *comm.Comm, bits match.Bits) int {
-	if c.Hints.Pinned() {
-		return d.g.Fab.VCIForCtx(bits.Context())
-	}
-	return d.g.Fab.VCIFor(bits)
-}
+// lane is the virtual interface every operation on the communicator
+// whose match bits are bits travels: sends, receives, probes, matched
+// probes and no-match traffic alike (Fabric.VCIForCtx). The pick is a
+// handful of arithmetic instructions already covered by the match-bits
+// charge — CH4 folds VCI selection into the match-word build the same
+// way.
+func (d *Device) lane(bits match.Bits) int { return d.g.Fab.VCIForCtx(bits.Context()) }
 
-// recvVCI picks the interface a receive searches. A hinted
-// communicator's receives — even its remaining legal wildcard — live
-// on the private interface, so they never pay the cross-VCI walk.
-// No-match receives (noMatch, or a communicator asserting no match
-// bits) ride the same (ctx, 0, 0) hash their senders use. Anything else
-// with an exact context+tag hashes like a send; a true wildcard —
-// MPI_ANY_TAG, with or without MPI_ANY_SOURCE — falls back to AnyVCI,
-// the one operation that searches every lane. The no-match decision is
-// passed, never read off the mask: a both-wildcard mask and a no-match
-// mask are the same bits.
-func (d *Device) recvVCI(c *comm.Comm, bits, mask match.Bits, noMatch bool) int {
-	switch {
-	case c.Hints.Pinned():
-		return d.g.Fab.VCIForCtx(bits.Context())
-	case noMatch || c.AssertNoMatch || mask.ExactCtxTag():
-		return d.g.Fab.VCIFor(bits)
-	default:
-		return fabric.AnyVCI
-	}
-}
-
-// VCIOf reports the interface a send (recv=false) or receive
-// (recv=true) with the given tag on c would use, for trace annotation.
-// AnyVCI (-1) means the cross-VCI path. Called only when tracing is
-// enabled; never charged.
-func (d *Device) VCIOf(c *comm.Comm, tag int, recv bool) int {
-	if recv {
-		bits, mask := match.RecvBits(c.Ctx, 0, tag)
-		return d.recvVCI(c, bits, mask, false)
-	}
-	return d.sendVCI(c, match.MakeBits(c.Ctx, c.MyRank, tag))
-}
+// VCIOf reports the communicator's lane, for trace annotation. Called
+// only when tracing is enabled; never charged.
+func (d *Device) VCIOf(c *comm.Comm) int { return d.g.Fab.VCIForCtx(c.Ctx) }
 
 // translateRank resolves a communicator rank to the world/fabric rank,
 // charging by table representation.

@@ -47,7 +47,7 @@ func (d *Device) IsendNoCopy(buf []byte, dest, tag int, c *comm.Comm) (*request.
 	bits := match.MakeBits(c.Ctx, c.MyRank, tag)
 	// The checks above leave inject one branch, the on-node handoff,
 	// which always lends.
-	b := d.inject(world, bits, buf, d.sendVCI(c, bits), true)
+	b := d.inject(world, bits, buf, true)
 	d.charge(instr.Mandatory, cost(instr.Request))
 	return d.sendRequest(b, issued), true, nil
 }
@@ -77,5 +77,5 @@ func (d *Device) IrecvReduce(acc []byte, src, tag int, c *comm.Comm,
 	b := d.getRecvBox()
 	b.op.Buf, b.op.Fold = acc, fold
 	d.charge(instr.Mandatory, cost(instr.RecvPost)+cost(instr.Request))
-	return d.postBox(b, bits, mask, d.recvVCI(c, bits, mask, false)), nil
+	return d.postBox(b, bits, mask), nil
 }

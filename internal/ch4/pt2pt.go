@@ -86,10 +86,10 @@ func (d *Device) Isend(buf []byte, count int, dt *datatype.Type, dest, tag int,
 	}
 
 	// Locality dispatch and injection (ch4 core -> netmod/shmmod). The
-	// VCI pick is part of the match-word arithmetic charged above.
+	// lane pick is part of the match-word arithmetic charged above.
 	// Requestless sends must be captured: without a request there is
 	// nothing to carry a lent buffer's reuse obligation to the caller.
-	b := d.inject(world, bits, data, d.sendVCI(c, bits), !flags.Has(core.FlagNoReq))
+	b := d.inject(world, bits, data, !flags.Has(core.FlagNoReq))
 
 	// Completion (Section 3.5): request object or counter.
 	d.charge(instr.Redundant, cost(instr.RedundantComplete))
@@ -135,15 +135,17 @@ func (d *Device) sendBytes(buf []byte, count int, dt *datatype.Type) ([]byte, er
 
 // inject routes the message by locality: self-loopback, shmmod for
 // on-node peers, netmod otherwise. All three transports deposit at the
-// same destination interface, so matching stays consistent across
-// them. lend says a request will carry the send's completion; then the
-// two lending branches — on-node above the shm handoff threshold,
-// off-node above the eager limit — lend data instead of capturing it,
-// and the returned box is the sender's outstanding buffer-reuse
-// obligation. nil means data is captured (self, eager, staged) or
-// already consumed by a posted receive: the buffer is free.
-func (d *Device) inject(world int, bits match.Bits, data []byte, vci int, lend bool) *sendBox {
+// same destination interface, the lane of the message's communicator,
+// so matching stays consistent across them. lend says a request will
+// carry the send's completion; then the two lending branches — on-node
+// above the shm handoff threshold, off-node above the eager limit —
+// lend data instead of capturing it, and the returned box is the
+// sender's outstanding buffer-reuse obligation. nil means data is
+// captured (self, eager, staged) or already consumed by a posted
+// receive: the buffer is free.
+func (d *Device) inject(world int, bits match.Bits, data []byte, lend bool) *sendBox {
 	d.charge(instr.Mandatory, cost(instr.Locality))
+	vci := d.lane(bits)
 	switch {
 	case world == d.rank.ID():
 		d.charge(instr.Mandatory, cost(instr.SelfLoop))
@@ -305,7 +307,7 @@ func (d *Device) IsendAllOpts(buf []byte, worldDest int, c *comm.Comm) error {
 	// Buffer address + length registers: 2; fused netmod descriptor
 	// write and doorbell: 9.
 	d.charge(instr.Mandatory, cost(instr.AllOptsInject))
-	d.ep.TaggedSendVCI(worldDest, bits, buf, d.sendVCI(c, bits), nil)
+	d.ep.TaggedSendVCI(worldDest, bits, buf, d.lane(bits), nil)
 	return nil
 }
 
@@ -359,7 +361,7 @@ func (d *Device) Irecv(buf []byte, count int, dt *datatype.Type, src, tag int,
 		b.unpack = &unpackTo{buf, dt, count}
 	}
 	d.charge(instr.Mandatory, cost(instr.RecvPost)+cost(instr.Request))
-	return d.postBox(b, bits, mask, d.recvVCI(c, bits, mask, flags.Has(core.FlagNoMatch))), nil
+	return d.postBox(b, bits, mask), nil
 }
 
 // recvBox is the device's one receive descriptor: a RecvOp with
@@ -383,10 +385,10 @@ type unpackTo struct {
 	count int
 }
 
-// postBox hands the box's descriptor to interface vci's matching unit
-// and wraps it in its request.
-func (d *Device) postBox(b *recvBox, bits, mask match.Bits, vci int) *request.Request {
-	d.ep.PostRecvVCI(&b.op, bits, mask, vci)
+// postBox hands the box's descriptor to the matching unit of its
+// communicator's lane and wraps it in its request.
+func (d *Device) postBox(b *recvBox, bits, mask match.Bits) *request.Request {
+	d.ep.PostRecvVCI(&b.op, bits, mask, d.lane(bits))
 	r := d.pool.Get(request.KindRecv)
 	r.Issued = int64(d.rank.Now())
 	r.Poll, r.Block = b.poll, b.block
@@ -441,16 +443,10 @@ func (d *Device) finishBox(b *recvBox, r *request.Request) {
 	d.putRecvBox(b)
 }
 
-// putRecvBox clears a completed box and puts it back on the freelist —
-// unless its op was replicated into every VCI lane (a wildcard on a
-// multi-VCI endpoint). The replicas that did not take the message stay
-// in their lanes' posted queues until a later cross-VCI post sweeps
-// them; a reused op would look unclaimed to them. Such a box goes to
-// the collector. An op on one lane was consumed from it at match time.
+// putRecvBox clears a completed box and puts it back on the freelist.
+// Its op was consumed from its lane's queue at match time, so nothing
+// in the fabric still references it.
 func (d *Device) putRecvBox(b *recvBox) {
-	if b.op.VCI() == fabric.AnyVCI {
-		return
-	}
 	b.op.Reset()
 	b.unpack = nil
 	if d.cfg.ThreadMultiple {
@@ -468,10 +464,9 @@ func (d *Device) recvDone(op *fabric.RecvOp) bool {
 }
 
 // waitRecv parks until the receive completes, pumping both transports.
-// It parks on the op's VCI: an op pinned to one interface on that
-// interface's event sequence, so traffic other goroutines drive over
-// other VCIs never wakes it (the spurious-wakeup storm a single
-// per-rank sequence causes); a wildcard op (AnyVCI) on the aggregate.
+// It parks on the op's VCI event sequence, so traffic other goroutines
+// drive over other VCIs never wakes it (the spurious-wakeup storm a
+// single per-rank sequence causes).
 func (d *Device) waitRecv(op *fabric.RecvOp) {
 	v := op.VCI()
 	for {
@@ -489,7 +484,7 @@ func (d *Device) waitRecv(op *fabric.RecvOp) {
 func (d *Device) Iprobe(src, tag int, c *comm.Comm) (request.Status, bool, error) {
 	d.Progress()
 	bits, mask := match.RecvBits(c.Ctx, src, tag)
-	psrc, ptag, size, ok := d.ep.ProbeVCI(bits, mask, d.recvVCI(c, bits, mask, false))
+	psrc, ptag, size, ok := d.ep.ProbeVCI(bits, mask, d.lane(bits))
 	if !ok {
 		return request.Status{}, false, nil
 	}
@@ -501,7 +496,7 @@ func (d *Device) Iprobe(src, tag int, c *comm.Comm) (request.Status, bool, error
 func (d *Device) Improbe(src, tag int, c *comm.Comm) ([]byte, request.Status, vtime.Time, bool, error) {
 	d.Progress()
 	bits, mask := match.RecvBits(c.Ctx, src, tag)
-	psrc, ptag, data, arrival, ok := d.ep.MProbeVCI(bits, mask, d.recvVCI(c, bits, mask, false))
+	psrc, ptag, data, arrival, ok := d.ep.MProbeVCI(bits, mask, d.lane(bits))
 	if !ok {
 		return nil, request.Status{}, 0, false, nil
 	}

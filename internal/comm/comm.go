@@ -46,8 +46,8 @@ type Comm struct {
 	// is exactly the trade-off the paper quantifies.
 	AssertNoMatch bool
 
-	// Hints caches the MPI-4-style communicator assertions that let the
-	// device refine its channel selection. Set at creation time (before
+	// Hints caches the MPI-4-style communicator assertions the library
+	// checks receives and probes against. Set at creation time (before
 	// any traffic) via the hint-carrying Dup/Split variants or SetInfo;
 	// immutable once communication begins.
 	Hints Hints
@@ -109,10 +109,11 @@ func (c *Comm) NextPersistSeq() int {
 }
 
 // Hints are the communicator assertions of MPI-4's mpi_assert_* info
-// keys: promises about how the application will use the communicator,
-// which the device exchanges for a better traffic-to-VCI mapping. A
-// violated assertion is erroneous; this library detects violations and
-// returns a defined error instead of corrupting matching.
+// keys: promises about how the application will use the communicator.
+// They do not steer traffic (every communicator rides the one VCI its
+// context names). A violated assertion is erroneous; this library
+// detects violations and returns a defined error instead of corrupting
+// matching.
 type Hints struct {
 	// NoAnySource: no receive or probe on this communicator ever
 	// passes MPI_ANY_SOURCE.
@@ -123,13 +124,6 @@ type Hints struct {
 	// message that will match it — no truncation, no short delivery.
 	ExactLength bool
 }
-
-// Pinned reports whether the hints entitle the communicator to a
-// private virtual interface: once either wildcard is ruled out, every
-// receive that could still be posted (including the remaining legal
-// wildcard) can be served by one interface, so the cross-VCI fallback
-// is never needed.
-func (h Hints) Pinned() bool { return h.NoAnySource || h.NoAnyTag }
 
 // The info keys that cache into Hints (MPI-4 spelling).
 const (

@@ -130,11 +130,10 @@ type Device interface {
 	// WinDetach revokes an attachment (MPI_WIN_DETACH).
 	WinDetach(w *rma.Win, mem []byte, va rma.VAddr) error
 
-	// VCIOf names the virtual communication interface a send
-	// (recv=false) or receive (recv=true) with tag on c would ride, for
-	// trace and profiler events; -1 for a device without VCIs or an op
-	// on the cross-VCI path.
-	VCIOf(c *comm.Comm, tag int, recv bool) int
+	// VCIOf names the virtual communication interface every send,
+	// receive and probe on c rides (the communicator's lane), for trace
+	// and profiler events; -1 for a device without VCIs.
+	VCIOf(c *comm.Comm) int
 	// ShmHandoffMax is the shared-memory staged/handoff threshold in
 	// bytes; 0 when the device has no zero-copy handoff path.
 	ShmHandoffMax() int

@@ -80,7 +80,7 @@ func TestPoolRecyclesBuffers(t *testing.T) {
 	bits := match.MakeBits(1, 0, 1)
 
 	src.TaggedSend(1, bits, []byte{1, 2, 3})
-	s := dst.vcis[dst.f.VCIFor(bits)]
+	s := dst.vcis[dst.f.VCIForCtx(bits.Context())]
 	var first []byte
 	s.mu.Lock()
 	if entry, ok := s.eng.Probe(bits, match.FullMask); ok {

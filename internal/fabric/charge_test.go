@@ -53,85 +53,62 @@ func chargeOf(kind string, nvci, v int, hit, anyTag bool) matchCharge {
 
 // TestMatchChargeTable pins what every receive-side matching operation
 // charges and counts: {PostRecvVCI, ProbeVCI, MProbeVCI} × {one VCI of
-// 1, one VCI of 4, AnyVCI on 4} × {hit, miss} × {exact, any-tag}. A
-// post's cycles include RecvPost (40 on OFI); a bin op costs 4 and a
-// search 2. Two asymmetries are pinned on purpose, both ROADMAP item
-// 2(a)'s to remove: a one-VCI post pays its insert's bin op and a
-// cross-VCI post does not, and a cross-VCI post that misses counts its
-// replicas' lookups and inserts (12 bin ops) while it is charged for
-// its four probes.
+// 1, one VCI of 4} × {hit, miss} × {exact, any-tag}. A post's cycles
+// include RecvPost (40 on OFI); a bin op costs 4 and a search 2. Every
+// row is also charged exactly what Stats.Match counts: RecvPost for a
+// post plus the matching cost of the bin ops and searches its lane's
+// engine counted, a post's insert included.
 func TestMatchChargeTable(t *testing.T) {
 	want := map[string]matchCharge{
-		"post/1of1/hit/exact":       {46, 1, 1, 1, 0},
-		"post/1of1/hit/anytag":      {46, 1, 1, 1, 0},
-		"post/1of1/miss/exact":      {48, 2, 0, 0, 0},
-		"post/1of1/miss/anytag":     {48, 2, 0, 0, 0},
-		"post/1of4/hit/exact":       {46, 1, 1, 1, 0},
-		"post/1of4/hit/anytag":      {46, 1, 1, 1, 0},
-		"post/1of4/miss/exact":      {48, 2, 0, 0, 0},
-		"post/1of4/miss/anytag":     {48, 2, 0, 0, 0},
-		"post/anyof4/hit/exact":     {58, 4, 1, 1, 0},
-		"post/anyof4/hit/anytag":    {58, 4, 1, 1, 0},
-		"post/anyof4/miss/exact":    {56, 12, 0, 0, 0},
-		"post/anyof4/miss/anytag":   {56, 12, 0, 0, 0},
-		"probe/1of1/hit/exact":      {6, 1, 1, 1, 0},
-		"probe/1of1/hit/anytag":     {6, 1, 1, 1, 0},
-		"probe/1of1/miss/exact":     {4, 1, 0, 0, 0},
-		"probe/1of1/miss/anytag":    {4, 1, 0, 0, 0},
-		"probe/1of4/hit/exact":      {6, 1, 1, 1, 0},
-		"probe/1of4/hit/anytag":     {6, 1, 1, 1, 0},
-		"probe/1of4/miss/exact":     {4, 1, 0, 0, 0},
-		"probe/1of4/miss/anytag":    {4, 1, 0, 0, 0},
-		"probe/anyof4/hit/exact":    {18, 4, 1, 1, 0},
-		"probe/anyof4/hit/anytag":   {18, 4, 1, 1, 0},
-		"probe/anyof4/miss/exact":   {16, 4, 0, 0, 0},
-		"probe/anyof4/miss/anytag":  {16, 4, 0, 0, 0},
-		"mprobe/1of1/hit/exact":     {6, 1, 1, 1, 0},
-		"mprobe/1of1/hit/anytag":    {6, 1, 1, 1, 0},
-		"mprobe/1of1/miss/exact":    {4, 1, 0, 0, 0},
-		"mprobe/1of1/miss/anytag":   {4, 1, 0, 0, 0},
-		"mprobe/1of4/hit/exact":     {6, 1, 1, 1, 0},
-		"mprobe/1of4/hit/anytag":    {6, 1, 1, 1, 0},
-		"mprobe/1of4/miss/exact":    {4, 1, 0, 0, 0},
-		"mprobe/1of4/miss/anytag":   {4, 1, 0, 0, 0},
-		"mprobe/anyof4/hit/exact":   {18, 4, 1, 1, 0},
-		"mprobe/anyof4/hit/anytag":  {18, 4, 1, 1, 0},
-		"mprobe/anyof4/miss/exact":  {16, 4, 0, 0, 0},
-		"mprobe/anyof4/miss/anytag": {16, 4, 0, 0, 0},
+		"post/1of1/hit/exact":     {46, 1, 1, 1, 0},
+		"post/1of1/hit/anytag":    {46, 1, 1, 1, 0},
+		"post/1of1/miss/exact":    {48, 2, 0, 0, 0},
+		"post/1of1/miss/anytag":   {48, 2, 0, 0, 0},
+		"post/1of4/hit/exact":     {46, 1, 1, 1, 0},
+		"post/1of4/hit/anytag":    {46, 1, 1, 1, 0},
+		"post/1of4/miss/exact":    {48, 2, 0, 0, 0},
+		"post/1of4/miss/anytag":   {48, 2, 0, 0, 0},
+		"probe/1of1/hit/exact":    {6, 1, 1, 1, 0},
+		"probe/1of1/hit/anytag":   {6, 1, 1, 1, 0},
+		"probe/1of1/miss/exact":   {4, 1, 0, 0, 0},
+		"probe/1of1/miss/anytag":  {4, 1, 0, 0, 0},
+		"probe/1of4/hit/exact":    {6, 1, 1, 1, 0},
+		"probe/1of4/hit/anytag":   {6, 1, 1, 1, 0},
+		"probe/1of4/miss/exact":   {4, 1, 0, 0, 0},
+		"probe/1of4/miss/anytag":  {4, 1, 0, 0, 0},
+		"mprobe/1of1/hit/exact":   {6, 1, 1, 1, 0},
+		"mprobe/1of1/hit/anytag":  {6, 1, 1, 1, 0},
+		"mprobe/1of1/miss/exact":  {4, 1, 0, 0, 0},
+		"mprobe/1of1/miss/anytag": {4, 1, 0, 0, 0},
+		"mprobe/1of4/hit/exact":   {6, 1, 1, 1, 0},
+		"mprobe/1of4/hit/anytag":  {6, 1, 1, 1, 0},
+		"mprobe/1of4/miss/exact":  {4, 1, 0, 0, 0},
+		"mprobe/1of4/miss/anytag": {4, 1, 0, 0, 0},
 	}
 	lanes := []struct {
 		name    string
 		nvci, v int
-	}{{"1of1", 1, 0}, {"1of4", 4, 2}, {"anyof4", 4, AnyVCI}}
+	}{{"1of1", 1, 0}, {"1of4", 4, 2}}
 	for _, kind := range []string{"post", "probe", "mprobe"} {
 		for _, l := range lanes {
 			for _, hit := range []bool{true, false} {
 				for _, anyTag := range []bool{false, true} {
 					name := kind + "/" + l.name + map[bool]string{true: "/hit", false: "/miss"}[hit] +
 						map[bool]string{false: "/exact", true: "/anytag"}[anyTag]
-					if got := chargeOf(kind, l.nvci, l.v, hit, anyTag); got != want[name] {
+					got := chargeOf(kind, l.nvci, l.v, hit, anyTag)
+					if got != want[name] {
 						t.Errorf("%s: {cycles, bins, searches, binHits, wildHits} = %v, want %v", name, got, want[name])
+					}
+					counted := OFI.matchCost(got.bins, got.searches)
+					if kind == "post" {
+						counted += OFI.RecvPost
+					}
+					if got.cycles != counted {
+						t.Errorf("%s: charged %d cycles, Stats.Match counts %d bin ops and %d searches (%d cycles with the post)",
+							name, got.cycles, got.bins, got.searches, counted)
 					}
 				}
 			}
-		}
-	}
-}
-
-// TestCrossVCIMatchCountedOnce: a wildcard that takes a message from
-// one of several VCIs counts, in Stats.Match, exactly the matching
-// work it is charged for — the probes that pick the winner, no second
-// search of the winner's engine — and one hit.
-func TestCrossVCIMatchCountedOnce(t *testing.T) {
-	for _, kind := range []string{"post", "mprobe"} {
-		c := chargeOf(kind, 4, AnyVCI, true, true)
-		charged := c.cycles
-		if kind == "post" {
-			charged -= OFI.RecvPost
-		}
-		if counted := OFI.matchCost(c.bins, c.searches); counted != charged || c.binHits+c.wildHits != 1 {
-			t.Errorf("%s: charged %d cycles of matching, Stats.Match counts %d bin ops and %d searches (%d cycles) for %d hits; want equal, 1 hit",
-				kind, charged, c.bins, c.searches, counted, c.binHits+c.wildHits)
 		}
 	}
 }

@@ -15,12 +15,12 @@ import (
 	"gompi/internal/vtime"
 )
 
-// AnyVCI asks the endpoint to consider every virtual communication
-// interface: the degraded path a receive takes when its wildcards erase
-// the information VCI selection hashes (tag), mirroring how CH4 falls
-// back to a shared context when semantic hints are missing. On a
-// single-VCI endpoint a receive on it is identical to VCI 0; a wait on
-// it (EventSeqVCI, WaitEventVCI) watches the endpoint aggregate.
+// AnyVCI names no interface: a wait on it (EventSeqVCI, WaitEventVCI)
+// watches the endpoint aggregate, and a trace or flight event carrying
+// it belongs to the whole endpoint. On a single-VCI endpoint every
+// operation also takes it for VCI 0; on a multi-VCI one, a send,
+// deposit, receive or probe on it panics, because each message rides
+// the one lane its communicator's context names (Fabric.VCIForCtx).
 const AnyVCI = -1
 
 // RecvOp is an outstanding tagged receive. The owner posts it with
@@ -54,25 +54,19 @@ type RecvOp struct {
 	done   atomic.Bool
 	reaped bool // owner-goroutine only
 
-	// vci is the interface the op was posted on, or AnyVCI when the op
-	// is replicated across every interface (wildcard fallback).
+	// vci is the interface the op was posted on.
 	vci int
 	// posted is the owner's virtual clock at PostRecv time; the
 	// depositing peer reads it (under the VCI lock that also ordered
 	// the engine insertion) to observe post→match latency.
 	posted vtime.Time
-	// multi marks a replicated op; claimed is its once-only completion
-	// claim: the depositing goroutine that wins the CAS delivers, any
-	// replica matched afterward is stale and re-offers its message.
-	multi   bool
-	claimed atomic.Bool
 }
 
 // Reset clears a completed op for reuse (the device's receive-descriptor
-// pooling). Only legal once the op has completed and been reaped: a
-// non-wildcard op is consumed from its single VCI queue at match time,
-// so nothing in the fabric still references it. Fields are cleared
-// individually because the atomics are not assignable wholesale.
+// pooling). Only legal once the op has completed and been reaped: the
+// op is consumed from its VCI's queue at match time, so nothing in the
+// fabric still references it. Fields are cleared individually because
+// the atomic is not assignable wholesale.
 func (op *RecvOp) Reset() {
 	op.Buf = nil
 	op.Fold = nil
@@ -85,12 +79,9 @@ func (op *RecvOp) Reset() {
 	op.reaped = false
 	op.vci = 0
 	op.posted = 0
-	op.multi = false
-	op.claimed.Store(false)
 }
 
-// VCI returns the interface the op was posted on, or AnyVCI for a
-// replicated wildcard op. Valid after PostRecv.
+// VCI returns the interface the op was posted on. Valid after PostRecv.
 func (op *RecvOp) VCI() int { return op.vci }
 
 // AMHandler consumes an incoming active message on the progressing
@@ -112,13 +103,8 @@ type message struct {
 	// or a netmod rendezvous, told apart by via): data is then the
 	// sender's live buffer, valid until rel is released, and never
 	// belongs to the pool.
-	rel ViewReleaser
-	via via
-	// gseq is the endpoint-global arrival stamp, taken under the VCI
-	// lock at buffering time. Cross-VCI wildcard searches use it to
-	// pick the globally earliest match, preserving the non-overtaking
-	// order that a single queue gives for free.
-	gseq uint64
+	rel  ViewReleaser
+	via  via
 	next *message
 }
 
@@ -225,9 +211,11 @@ func (s *vci) consumeMessage(m *message) ViewReleaser {
 // pool, and event — that is the "hardware" matching unit, replicated
 // the way CH4's VCIs (Zambre et al.) replicate netmod contexts so
 // concurrent goroutines of one rank stop convoying on a single endpoint
-// lock. Remote ranks deposit messages under the target VCI's lock;
-// wildcard receives that cannot name a VCI run the same lookup over
-// every VCI (all locks, ascending).
+// lock. Remote ranks deposit messages under the target VCI's lock, and
+// every receive, probe and matched probe searches one VCI under that
+// VCI's lock alone: all traffic of one communicator rides the VCI its
+// context names, so MPI's non-overtaking order is that VCI's queue
+// order.
 type Endpoint struct {
 	f    *Fabric
 	rank int
@@ -246,16 +234,6 @@ type Endpoint struct {
 	amMu   sync.Mutex
 	amq    []am
 	amqLen int32 // atomic, mutated under amMu
-
-	// gctr stamps buffered unexpected messages with a global arrival
-	// order for cross-VCI wildcard matching.
-	gctr uint64 // atomic
-
-	// stale holds claimed wildcard ops whose replicas are still sitting
-	// in other VCIs' posted queues; the next cross-VCI operation sweeps
-	// them out. staleMu is always innermost (after any VCI lock).
-	staleMu sync.Mutex
-	stale   []*RecvOp
 
 	handlers [256]AMHandler
 	meter    proc.Meter
@@ -302,33 +280,17 @@ func newEndpoint(f *Fabric, rank, nvci int) *Endpoint {
 	return ep
 }
 
-// norm maps AnyVCI to 0 on a single-VCI endpoint (where the fallback
-// path is pointless) and bounds-checks explicit indices.
+// norm maps AnyVCI to 0 on a single-VCI endpoint and bounds-checks
+// every other index: on a multi-VCI endpoint only a wait may name
+// AnyVCI (see event).
 func (ep *Endpoint) norm(v int) int {
-	if v == AnyVCI {
-		if len(ep.vcis) == 1 {
-			return 0
-		}
-		return AnyVCI
+	if v == AnyVCI && len(ep.vcis) == 1 {
+		return 0
 	}
 	if v < 0 || v >= len(ep.vcis) {
 		panic(fmt.Sprintf("fabric: VCI %d out of range [0,%d)", v, len(ep.vcis)))
 	}
 	return v
-}
-
-// vciForRecv picks the interface a receive described by (bits, mask)
-// must search: the deterministic hash when the mask pins the hashed
-// fields (context and tag — source never feeds the hash, so AnySource
-// stays cheap), AnyVCI otherwise.
-func (ep *Endpoint) vciForRecv(bits, mask match.Bits) int {
-	if len(ep.vcis) == 1 {
-		return 0
-	}
-	if mask.ExactCtxTag() {
-		return ep.f.VCIFor(bits)
-	}
-	return AnyVCI
 }
 
 // Bind attaches the owning rank's meter. Must be called before any
@@ -404,15 +366,15 @@ func (ep *Endpoint) bumpAgg() {
 // depositor once per waiting peer (Device.Wake).
 func (ep *Endpoint) Notify() { ep.bumpAgg() }
 
-// TaggedSend injects a tagged send toward dst on the hash-selected VCI.
-// The payload is always captured (copied by the receive or staged
-// unexpected), so the caller may reuse data immediately.
+// TaggedSend injects a tagged send toward dst on the VCI its context
+// names. The payload is always captured (copied by the receive or
+// staged unexpected), so the caller may reuse data immediately.
 func (ep *Endpoint) TaggedSend(dst int, bits match.Bits, data []byte) {
-	ep.TaggedSendVCI(dst, bits, data, ep.f.VCIFor(bits), nil)
+	ep.TaggedSendVCI(dst, bits, data, ep.f.VCIForCtx(bits.Context()), nil)
 }
 
-// TaggedSendVCI injects a tagged send toward dst's interface v (the
-// device names the VCI when communicator hints refine the hash).
+// TaggedSendVCI injects a tagged send toward dst's interface v, the
+// one the device picked for the communicator.
 // Messages up to the profile's eager limit are deposited directly;
 // larger ones pay the rendezvous handshake in time (an RTS/CTS round
 // trip before the data crosses) and extra control-message CPU on the
@@ -468,9 +430,7 @@ type ViewReleaser interface {
 // duration of the call. A message that matches a posted receive copies
 // straight into the receive buffer — no intermediate copy exists on the
 // fast path; only an unexpected message pays for a (pooled) buffered
-// copy. A match against a stale replica of an already-claimed wildcard
-// receive re-offers the message until it finds a live consumer.
-// A non-nil rel marks data as a lent view (shm handoff or netmod
+// copy. A non-nil rel marks data as a lent view (shm handoff or netmod
 // rendezvous): it stays valid until rel is released, so the unexpected
 // path parks it without a pooled copy and the matched path releases it
 // (outside the VCI lock) once the receive consumed it.
@@ -491,39 +451,10 @@ func (ep *Endpoint) deposit(v int, bits match.Bits, src int, data []byte, arriva
 	}
 	s.stats.Msgs++
 	s.stats.Bytes += int64(len(data))
-	for {
-		m := s.getMessage()
-		entry, ok := s.eng.Arrive(bits, m)
-		if !ok {
-			m.src = src
-			if rel != nil {
-				// Lent view: park it as-is. No staging copy exists —
-				// the payload waits in the sender's buffer.
-				m.data, m.rel, m.via = data, rel, via
-			} else {
-				buf := s.pool.get(len(data), &s.arr)
-				copy(buf, data)
-				m.data = buf
-				if len(data) > 0 {
-					s.arr.CopiesStaged.Note(len(data))
-				}
-			}
-			m.arrival = arrival
-			m.gseq = atomic.AddUint64(&ep.gctr, 1)
-			s.arr.UnexpectedMax = max(s.arr.UnexpectedMax, int64(s.eng.UnexpectedLen()))
-			s.arr.Flight.Record(flight.Unexpected, int64(arrival), src, len(data), v)
-			break
-		}
+	m := s.getMessage()
+	if entry, ok := s.eng.Arrive(bits, m); ok {
 		s.putMessage(m)
 		op := entry.Cookie.(*RecvOp)
-		if op.multi {
-			if !op.claimed.CompareAndSwap(false, true) {
-				// Stale replica: the op already completed on another
-				// VCI. Its node is gone from this engine now; retry.
-				continue
-			}
-			ep.addStale(op)
-		}
 		// Post→match: how long the receive sat posted before its
 		// message arrived; op.posted is ordered by the engine
 		// insertion under s.mu. A pre-posted match never touches the
@@ -538,7 +469,23 @@ func (ep *Endpoint) deposit(v int, bits match.Bits, src int, data []byte, arriva
 			fireRel, fireCopied = rel, op.Fold == nil
 		}
 		s.completeRecv(op, bits, data, arrival)
-		break
+	} else {
+		m.src = src
+		if rel != nil {
+			// Lent view: park it as-is. No staging copy exists — the
+			// payload waits in the sender's buffer.
+			m.data, m.rel, m.via = data, rel, via
+		} else {
+			buf := s.pool.get(len(data), &s.arr)
+			copy(buf, data)
+			m.data = buf
+			if len(data) > 0 {
+				s.arr.CopiesStaged.Note(len(data))
+			}
+		}
+		m.arrival = arrival
+		s.arr.UnexpectedMax = max(s.arr.UnexpectedMax, int64(s.eng.UnexpectedLen()))
+		s.arr.Flight.Record(flight.Unexpected, int64(arrival), src, len(data), v)
 	}
 	s.mu.Unlock()
 	s.ev.signal()
@@ -550,31 +497,9 @@ func (ep *Endpoint) deposit(v int, bits match.Bits, src int, data []byte, arriva
 	}
 }
 
-// addStale remembers a claimed wildcard op whose replicas still sit in
-// other VCIs' posted queues, for the next cross-VCI sweep.
-func (ep *Endpoint) addStale(op *RecvOp) {
-	ep.staleMu.Lock()
-	ep.stale = append(ep.stale, op)
-	ep.staleMu.Unlock()
-}
-
-// sweepStaleLocked cancels leftover replicas of claimed wildcard ops.
-// Caller holds every VCI lock.
-func (ep *Endpoint) sweepStaleLocked() {
-	ep.staleMu.Lock()
-	stale := ep.stale
-	ep.stale = nil
-	ep.staleMu.Unlock()
-	for _, op := range stale {
-		for _, s := range ep.vcis {
-			s.eng.CancelRecv(op)
-		}
-	}
-}
-
 // DepositShmVCI lands a message that arrived over the shared-memory
-// rings on interface v (the sender's hint-refined choice travels with
-// the shm fragment), so that netmod and shmmod traffic share one
+// rings on interface v (the sender's choice travels with the shm
+// fragment), so that netmod and shmmod traffic share one
 // matching context — which is what makes MPI_ANY_SOURCE receives work
 // across transports in CH4. With rel nil, data is borrowed: the
 // endpoint copies what it keeps, so the caller may reuse the slice as
@@ -736,122 +661,64 @@ func (s *vci) completeRecv(op *RecvOp, bits match.Bits, data []byte, arrival vti
 	op.done.Store(true)
 }
 
-// span is the interfaces lo..hi-1 a receive-side operation on a
-// normalized v covers: v alone, or every interface for AnyVCI.
-func (ep *Endpoint) span(v int) (lo, hi int) {
-	if v == AnyVCI {
-		return 0, len(ep.vcis)
-	}
-	return v, v + 1
-}
-
-// work sums the matching-unit counters of interfaces lo..hi-1.
-func (ep *Endpoint) work(lo, hi int) (bins, searches int64) {
-	for _, s := range ep.vcis[lo:hi] {
-		bins += s.eng.BinOps
-		searches += s.eng.Searches
-	}
-	return bins, searches
-}
-
 // lookup is the receive side's one matching step, shared by
-// PostRecvVCI, ProbeVCI and MProbeVCI on a normalized v. It locks v's
-// span in ascending order — after which a cross-VCI lookup sweeps stale
-// wildcard replicas — and finds, over the span, the buffered message
-// satisfying (bits, mask) with the earliest arrival stamp: its
-// interface at (-1 when nothing matches) and its entry. take removes it
-// from its engine. A post (op non-nil) on one interface is one engine
-// PostRecv, which on a miss also inserts op. lookup charges the
-// matching work; the caller consumes the hit under the locks, then
-// calls endLookup.
-//
-// The charge is not yet symmetric (ROADMAP item 2(a)): a one-interface
-// post pays for its insert's bin op, while a cross-VCI post pays only
-// for its probes — the replicas PostRecvVCI inserts afterwards go
-// uncharged.
-func (ep *Endpoint) lookup(v int, bits, mask match.Bits, op *RecvOp, take bool) (at int, hit match.Entry) {
-	lo, hi := ep.span(v)
-	for _, s := range ep.vcis[lo:hi] {
-		s.mu.Lock()
+// PostRecvVCI, ProbeVCI and MProbeVCI: it locks interface v and finds
+// the earliest buffered message satisfying (bits, mask). A post (op
+// non-nil) is one engine PostRecv, which on a miss also inserts op; a
+// take is ExtractUnexpected, a look Probe. lookup charges the matching
+// work its engine counted; the caller consumes the hit under the lock,
+// then calls endLookup.
+func (ep *Endpoint) lookup(v int, bits, mask match.Bits, op *RecvOp, take bool) (hit match.Entry, ok bool) {
+	s := ep.vcis[v]
+	s.mu.Lock()
+	bins, searches := s.eng.BinOps, s.eng.Searches
+	switch {
+	case op != nil:
+		hit, ok = s.eng.PostRecv(bits, mask, op)
+	case take:
+		hit, ok = s.eng.ExtractUnexpected(bits, mask)
+	default:
+		hit, ok = s.eng.Probe(bits, mask)
 	}
-	if v == AnyVCI {
-		ep.sweepStaleLocked()
-	}
-	bins, searches := ep.work(lo, hi)
-	at = -1
-	if op != nil && v != AnyVCI {
-		if e, ok := ep.vcis[v].eng.PostRecv(bits, mask, op); ok {
-			at, hit = v, e
-		}
-	} else {
-		for i := lo; i < hi; i++ {
-			if e, ok := ep.vcis[i].eng.Probe(bits, mask); ok &&
-				(at < 0 || e.Cookie.(*message).gseq < hit.Cookie.(*message).gseq) {
-				at, hit = i, e
-			}
-		}
-		if at >= 0 && take {
-			ep.vcis[at].eng.Remove(hit)
-		}
-	}
-	b, se := ep.work(lo, hi)
-	ep.meter.ChargeCycles(instr.Transport, ep.f.prof.matchCost(b-bins, se-searches))
-	return at, hit
+	ep.meter.ChargeCycles(instr.Transport, ep.f.prof.matchCost(s.eng.BinOps-bins, s.eng.Searches-searches))
+	return hit, ok
 }
 
-// endLookup drops the locks lookup took for v, then fires rel, if any,
-// outside them (see consumeMessage).
+// endLookup drops the lock lookup took on v, then fires rel, if any,
+// outside it (see consumeMessage).
 func (ep *Endpoint) endLookup(v int, rel ViewReleaser, copied bool) {
-	lo, hi := ep.span(v)
-	for i := hi - 1; i >= lo; i-- {
-		ep.vcis[i].mu.Unlock()
-	}
+	ep.vcis[v].mu.Unlock()
 	if rel != nil {
 		rel.Release(copied)
 	}
 }
 
-// PostRecv hands a receive to the matching unit, inferring the VCI from
-// (bits, mask). If an unexpected message already satisfies it the op
-// completes immediately and its buffered copy returns to the pool. The
-// matching unit's bin and search work is charged at the handoff, priced
-// by the profile.
+// PostRecv hands a receive to the matching unit of the VCI its context
+// names. If an unexpected message already satisfies it the op completes
+// immediately and its buffered copy returns to the pool. The matching
+// unit's bin and search work is charged at the handoff, priced by the
+// profile.
 func (ep *Endpoint) PostRecv(op *RecvOp, bits match.Bits, mask match.Bits) {
-	ep.PostRecvVCI(op, bits, mask, ep.vciForRecv(bits, mask))
+	ep.PostRecvVCI(op, bits, mask, ep.f.VCIForCtx(bits.Context()))
 }
 
-// PostRecvVCI hands a receive to one interface's matching unit, or to
-// every interface's when v is AnyVCI (the wildcard fallback). The
+// PostRecvVCI hands a receive to interface v's matching unit. The
 // earliest buffered match completes it at once; failing that it is
-// posted — on AnyVCI replicated into every engine with a once-only
-// completion claim, so the replica set behaves like one posted receive
-// that the earliest matching arrival claims (same-sender deposits are
-// ordered by the sender's own sequencing).
+// posted there.
 func (ep *Endpoint) PostRecvVCI(op *RecvOp, bits match.Bits, mask match.Bits, v int) {
 	ep.meter.ChargeCycles(instr.Transport, ep.f.prof.RecvPost)
 	now := ep.meter.Now()
 	v = ep.norm(v)
-	op.posted, op.vci, op.multi = now, v, v == AnyVCI
-	if op.multi {
-		op.claimed.Store(false)
-	}
+	op.posted, op.vci = now, v
 	var rel ViewReleaser
-	at, hit := ep.lookup(v, bits, mask, op, true)
-	lo, hi := ep.span(v)
-	if at >= 0 {
-		rel = ep.unexHit(ep.vcis[at], op, hit, now, at)
+	s := ep.vcis[v]
+	if hit, ok := ep.lookup(v, bits, mask, op, true); ok {
+		rel = ep.unexHit(s, op, hit, now, v)
 	} else {
-		for _, s := range ep.vcis[lo:hi] {
-			if op.multi {
-				s.eng.PostRecv(bits, mask, op)
-			}
-			ep.m.MaxPosted(s.eng.PostedLen())
-		}
+		ep.m.MaxPosted(s.eng.PostedLen())
 		ep.m.Flight.Record(flight.PostRecv, int64(now), recvPeer(bits, mask), 0, v)
 	}
-	for _, s := range ep.vcis[lo:hi] {
-		ep.noteOwner(s)
-	}
+	ep.noteOwner(s)
 	ep.endLookup(v, rel, op.Fold == nil)
 }
 
@@ -910,14 +777,13 @@ func (ep *Endpoint) reap(op *RecvOp) {
 	ep.m.Flight.Record(flight.RecvDone, int64(ep.meter.Now()), op.Src, op.N, op.vci)
 }
 
-// ProbeVCI checks interface v (or, for AnyVCI, every interface) for a
-// buffered unexpected message matching (bits, mask) and returns its
+// ProbeVCI checks interface v for a buffered unexpected message matching (bits, mask) and returns its
 // source, tag and size without consuming it. The matching unit's work
 // is charged like any other search.
 func (ep *Endpoint) ProbeVCI(bits, mask match.Bits, v int) (src, tag, size int, ok bool) {
 	v = ep.norm(v)
-	at, hit := ep.lookup(v, bits, mask, nil, false)
-	if ok = at >= 0; ok {
+	hit, ok := ep.lookup(v, bits, mask, nil, false)
+	if ok {
 		m := hit.Cookie.(*message)
 		src, tag, size = m.src, hit.Bits.Tag(), len(m.data)
 	}
@@ -926,17 +792,16 @@ func (ep *Endpoint) ProbeVCI(bits, mask match.Bits, v int) (src, tag, size int, 
 }
 
 // MProbeVCI extracts a buffered unexpected message matching (bits,
-// mask) from interface v (the earliest over every interface, for
-// AnyVCI): the matched-probe primitive. The returned payload is owned
+// mask) from interface v: the matched-probe primitive. The returned payload is owned
 // by the caller (it leaves the pool for good); the message can no
 // longer match any posted receive.
 func (ep *Endpoint) MProbeVCI(bits, mask match.Bits, v int) (src, tag int, data []byte, arrival vtime.Time, ok bool) {
 	now := ep.meter.Now()
 	v = ep.norm(v)
-	at, hit := ep.lookup(v, bits, mask, nil, true)
+	hit, ok := ep.lookup(v, bits, mask, nil, true)
 	var rel ViewReleaser
-	if ok = at >= 0; ok {
-		s, m := ep.vcis[at], hit.Cookie.(*message)
+	if ok {
+		s, m := ep.vcis[v], hit.Cookie.(*message)
 		src, tag, arrival = hit.Bits.Source(), hit.Bits.Tag(), m.arrival
 		s.arr.UnexRes.Observe(int64(now - m.arrival))
 		data, rel = s.ownMProbeData(m)
@@ -951,7 +816,7 @@ func (ep *Endpoint) MProbeVCI(bits, mask match.Bits, v int) (src, tag int, data 
 // good; a lent view (shm handoff or netmod rendezvous) cannot outlive
 // its release, so it is copied into fresh storage (that staging copy is
 // what a matched probe costs a lent send) and the view is released once
-// the caller drops the VCI locks.
+// the caller drops the VCI lock.
 func (s *vci) ownMProbeData(m *message) ([]byte, ViewReleaser) {
 	if m.rel == nil {
 		return m.data, nil

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"gompi/internal/abort"
-	"gompi/internal/match"
 	"gompi/internal/stall"
 )
 
@@ -95,24 +94,14 @@ func (f *Fabric) Rendezvous(n int) bool { return f.prof.EagerLimit > 0 && n > f.
 // Size returns the number of endpoints.
 func (f *Fabric) Size() int { return len(f.eps) }
 
-// VCIFor is the deterministic traffic-to-VCI hash over the fields both
-// sides of a transfer agree on: communicator context and tag, never the
-// source (so MPI_ANY_SOURCE receives with an exact tag still name one
-// VCI). Contexts are allocated in pt2pt/collective pairs (even/odd), so
-// the pair index — not the raw context — feeds the hash, keeping
-// consecutive communicators spread across VCIs.
-func (f *Fabric) VCIFor(bits match.Bits) int {
-	if f.nvci == 1 {
-		return 0
-	}
-	h := (uint32(bits.Context())>>1)*0x9E3779B1 ^ uint32(bits.Tag())*0x85EBCA6B
-	return int(h>>16) % f.nvci
-}
-
-// VCIForCtx maps a whole communicator onto one private VCI — the
-// hint-refined mapping: a communicator asserting it never uses
-// wildcards gets every tag on a single interface, so even its probes
-// and receives never touch the cross-VCI path.
+// VCIForCtx is the one traffic-to-VCI rule: every message of a
+// communicator — sends, receives, probes and matched probes, wildcard
+// or not — rides the interface its context names, so a receive never
+// searches more than one lane and MPI's non-overtaking order is that
+// lane's queue order. Contexts are allocated in pt2pt/collective pairs
+// (even/odd), so the pair index picks the interface: a communicator's
+// collective traffic shares its lane, and consecutive communicators
+// land on consecutive lanes.
 func (f *Fabric) VCIForCtx(ctx uint16) int {
 	if f.nvci == 1 {
 		return 0

@@ -414,15 +414,15 @@ func TestDepositLocalAndWake(t *testing.T) {
 	f, ms := newTestFabric(t, OFI, 2)
 	ep := f.Endpoint(1)
 	bits := match.MakeBits(3, 0, 1)
-	seq, vseq := ep.EventSeqVCI(AnyVCI), ep.EventSeqVCI(f.VCIFor(bits))
+	seq, vseq := ep.EventSeqVCI(AnyVCI), ep.EventSeqVCI(f.VCIForCtx(bits.Context()))
 	// A local deposit (shm delivery path) must match posted receives and
 	// bump its VCI's event counter, but not the aggregate one: the
 	// draining device wakes aggregate waiters once per drain (Notify).
 	op := &RecvOp{Buf: make([]byte, 2)}
 	ep.PostRecv(op, bits, match.FullMask)
-	ep.DepositShmVCI(bits, 0, []byte{7, 8}, 500, f.VCIFor(bits), nil)
-	ep.DepositShmVCI(match.MakeBits(3, 0, 2), 0, []byte{9}, 600, f.VCIFor(bits), nil)
-	if got := ep.EventSeqVCI(f.VCIFor(bits)); got != vseq+2 {
+	ep.DepositShmVCI(bits, 0, []byte{7, 8}, 500, f.VCIForCtx(bits.Context()), nil)
+	ep.DepositShmVCI(match.MakeBits(3, 0, 2), 0, []byte{9}, 600, f.VCIForCtx(bits.Context()), nil)
+	if got := ep.EventSeqVCI(f.VCIForCtx(bits.Context())); got != vseq+2 {
 		t.Fatalf("VCI event counter moved %d -> %d over two shm deposits, want +2", vseq, got)
 	}
 	if got := ep.EventSeqVCI(AnyVCI); got != seq {

@@ -124,9 +124,9 @@ func TestWaiterGateWaitRecv(t *testing.T) {
 
 // TestWaitParksAfterYields: yielding is a prelude to the park, not a
 // spin. A receive nobody ever sends to spends its yields, parks exactly
-// once and stays parked (on its interface, and on the aggregate for a
-// wildcard receive on a multi-VCI endpoint); an abort then ends the
-// wait with abort.ErrWorldAborted without a second park.
+// once and stays parked on its interface — an any-tag receive on a
+// multi-VCI endpoint too, on its communicator's lane; an abort then
+// ends the wait with abort.ErrWorldAborted without a second park.
 func TestWaitParksAfterYields(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -134,7 +134,7 @@ func TestWaitParksAfterYields(t *testing.T) {
 		mask match.Bits
 	}{
 		{"vci", 1, match.FullMask},
-		{"aggregate", 2, match.RecvMask(false, true)},
+		{"lane-anytag", 2, match.RecvMask(false, true)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			f := NewVCI(OFI, 2, tc.nvci)
@@ -144,10 +144,7 @@ func TestWaitParksAfterYields(t *testing.T) {
 			ep.Bind(m)
 			op := &RecvOp{Buf: make([]byte, 8)}
 			ep.PostRecv(op, match.MakeBits(1, 0, 5), tc.mask)
-			ev := &ep.vcis[0].ev
-			if op.VCI() == AnyVCI {
-				ev = &ep.agg
-			}
+			ev := &ep.vcis[op.VCI()].ev
 			mu, waiters := ev.mu, func() bool { return ev.waiters.Load() != 0 }
 			ended := make(chan any, 1)
 			go func() {

@@ -62,7 +62,7 @@ func TestLazyConnChaosFirstTouch(t *testing.T) {
 				defer wg.Done()
 				for i := 0; i < msgs; i++ {
 					bits := match.MakeBits(1, s, l*msgs+i)
-					f.Endpoint(s).TaggedSendVCI(0, bits, []byte{byte(s)}, f.VCIFor(bits), nil)
+					f.Endpoint(s).TaggedSendVCI(0, bits, []byte{byte(s)}, f.VCIForCtx(bits.Context()), nil)
 				}
 			}(s, l)
 		}

@@ -40,13 +40,13 @@ func TestRendezvousLent(t *testing.T) {
 		{name: "wildcard", size: big, staged: 0, direct: 1, releases: 1, copied: true,
 			consume: func(ep *Endpoint, buf []byte) []byte {
 				op := &RecvOp{Buf: buf}
-				ep.PostRecvVCI(op, match.MakeBits(1, 0, 0), match.RecvMask(true, true), AnyVCI)
+				ep.PostRecv(op, match.MakeBits(1, 0, 0), match.RecvMask(true, true))
 				waitRecv(ep, op)
 				return buf[:op.N]
 			}},
 		{name: "mprobe", size: big, staged: 1, direct: 0, releases: 1, copied: true,
 			consume: func(ep *Endpoint, buf []byte) []byte {
-				_, _, data, _, ok := ep.MProbeVCI(bits, match.FullMask, ep.f.VCIFor(bits))
+				_, _, data, _, ok := ep.MProbeVCI(bits, match.FullMask, ep.f.VCIForCtx(bits.Context()))
 				if !ok {
 					return nil
 				}
@@ -89,7 +89,7 @@ func TestRendezvousLent(t *testing.T) {
 				dst.PostRecv(op, bits, match.FullMask)
 			}
 			rel := &recordRel{}
-			src.TaggedSendVCI(1, bits, data, f.VCIFor(bits), rel)
+			src.TaggedSendVCI(1, bits, data, f.VCIForCtx(bits.Context()), rel)
 			var got []byte
 			if tc.posted {
 				waitRecv(dst, op)

@@ -80,12 +80,6 @@ func (b Bits) Source() int { return int(uint16(b >> srcShift)) }
 // Tag extracts the tag.
 func (b Bits) Tag() int { return int(uint32(b >> tagShift)) }
 
-// ExactCtxTag reports whether a mask fully specifies the context and
-// tag fields — the fields VCI selection hashes. A receive whose mask
-// passes this can name a single virtual interface; MPI_ANY_TAG and
-// no-match-bits masks cannot.
-func (b Bits) ExactCtxTag() bool { return b&(ctxMask|tagMask) == ctxMask|tagMask }
-
 // Matches reports whether incoming fully-specified bits satisfy a
 // posted (bits, mask) pair.
 func (b Bits) Matches(posted Bits, mask Bits) bool {

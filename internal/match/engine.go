@@ -42,7 +42,7 @@ func binKey(b Bits) uint32 { return uint32(b >> srcShift) }
 // node is an intrusive queue element. Each live node is threaded on two
 // lists: its structural list (a bin or the wildcard queue, via
 // bprev/bnext) and the global insertion-order list (via gprev/gnext)
-// that serves wildcard searches, cancellation, and Linear mode. Free
+// that serves wildcard searches and Linear mode. Free
 // nodes are chained through bnext.
 type node struct {
 	Entry
@@ -339,19 +339,6 @@ func (e *Engine) Arrive(bits Bits, cookie any) (recv Entry, ok bool) {
 	return Entry{}, false
 }
 
-// CancelRecv removes a posted receive identified by its cookie,
-// implementing MPI_CANCEL for receives. It reports whether the receive
-// was still posted.
-func (e *Engine) CancelRecv(cookie any) bool {
-	for n := e.postedAll.head; n != nil; n = n.gnext {
-		if n.Cookie == cookie {
-			e.removePosted(n)
-			return true
-		}
-	}
-	return false
-}
-
 // Probe reports whether an unexpected message satisfying (bits, mask)
 // is buffered, without removing it (MPI_IPROBE). Probe traffic walks
 // the same queues as everything else and counts toward Searches.
@@ -360,27 +347,6 @@ func (e *Engine) Probe(bits Bits, mask Bits) (msg Entry, ok bool) {
 		return n.Entry, true
 	}
 	return Entry{}, false
-}
-
-// Remove takes ent, an unexpected message that a Probe of this engine
-// returned with no change to the engine since, off the queues: the
-// second half of a probe-then-take, when the caller picks the message
-// to consume among several engines. The Probe counted the search, so
-// Remove counts nothing.
-func (e *Engine) Remove(ent Entry) {
-	if e.Mode == Binned {
-		n := e.unexBins[binKey(ent.Bits)].head
-		for n.seq != ent.seq {
-			n = n.bnext
-		}
-		e.removeUnexpected(n)
-		return
-	}
-	n := e.unexAll.head
-	for n.seq != ent.seq {
-		n = n.gnext
-	}
-	e.removeUnexpected(n)
 }
 
 // ExtractUnexpected removes and returns the first unexpected message

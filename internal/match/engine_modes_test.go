@@ -52,19 +52,6 @@ func TestModesUnexpectedWildcardRecv(t *testing.T) {
 	})
 }
 
-func TestModesCancelThenArrive(t *testing.T) {
-	forEachMode(t, func(t *testing.T, e *Engine) {
-		e.PostRecv(MakeBits(1, 2, 3), FullMask, "r1")
-		e.PostRecv(MakeBits(1, 0, 0), RecvMask(true, true), "r2")
-		if !e.CancelRecv("r1") {
-			t.Fatal("cancel failed")
-		}
-		if recv, ok := e.Arrive(MakeBits(1, 2, 3), "m"); !ok || recv.Cookie != "r2" {
-			t.Fatalf("matched %v, want r2 after cancel", recv.Cookie)
-		}
-	})
-}
-
 func TestModesMProbeHidesMessage(t *testing.T) {
 	forEachMode(t, func(t *testing.T, e *Engine) {
 		e.Arrive(MakeBits(1, 2, 3), "m")
@@ -73,31 +60,6 @@ func TestModesMProbeHidesMessage(t *testing.T) {
 		}
 		if _, ok := e.PostRecv(MakeBits(1, 2, 3), FullMask, "r"); ok {
 			t.Fatal("extracted message matched a later receive")
-		}
-	})
-}
-
-// TestModesRemoveAfterProbe: Remove takes exactly the message a Probe
-// returned — here not the engine's earliest — leaves the rest in
-// arrival order, and counts no matching work.
-func TestModesRemoveAfterProbe(t *testing.T) {
-	forEachMode(t, func(t *testing.T, e *Engine) {
-		e.Arrive(MakeBits(1, 2, 4), "first")
-		e.Arrive(MakeBits(1, 2, 5), "second")
-		e.Arrive(MakeBits(1, 2, 5), "third")
-		ent, ok := e.Probe(MakeBits(1, 2, 5), FullMask)
-		if !ok || ent.Cookie != "second" {
-			t.Fatalf("probe found %v, want second", ent.Cookie)
-		}
-		bins, searches := e.BinOps, e.Searches
-		e.Remove(ent)
-		if e.BinOps != bins || e.Searches != searches {
-			t.Errorf("Remove counted %d bin ops and %d searches, want none", e.BinOps-bins, e.Searches-searches)
-		}
-		for _, want := range []string{"first", "third"} {
-			if msg, ok := e.ExtractUnexpected(MakeBits(1, 2, 0), RecvMask(false, true)); !ok || msg.Cookie != want {
-				t.Fatalf("after Remove the queue yields %v, want %s", msg.Cookie, want)
-			}
 		}
 	})
 }

@@ -139,20 +139,6 @@ func TestNoMatchMode(t *testing.T) {
 	}
 }
 
-func TestCancelRecv(t *testing.T) {
-	var e Engine
-	e.PostRecv(MakeBits(1, 2, 3), FullMask, "r1")
-	if !e.CancelRecv("r1") {
-		t.Fatal("CancelRecv failed on posted receive")
-	}
-	if e.CancelRecv("r1") {
-		t.Fatal("CancelRecv succeeded twice")
-	}
-	if _, ok := e.Arrive(MakeBits(1, 2, 3), "m"); ok {
-		t.Fatal("message matched a cancelled receive")
-	}
-}
-
 func TestProbe(t *testing.T) {
 	var e Engine
 	if _, ok := e.Probe(MakeBits(1, 2, 3), FullMask); ok {

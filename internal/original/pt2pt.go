@@ -111,7 +111,7 @@ func (d *Device) IsendAllOpts(buf []byte, worldDest int, c *comm.Comm) error {
 
 // VCIOf answers -1: the baseline has one global critical section and no
 // virtual communication interfaces.
-func (d *Device) VCIOf(c *comm.Comm, tag int, recv bool) int { return -1 }
+func (d *Device) VCIOf(c *comm.Comm) int { return -1 }
 
 // ShmHandoffMax answers 0: the baseline has no shmmod, so no zero-copy
 // handoff path.

@@ -29,8 +29,7 @@ const (
 type Status struct {
 	Source    int
 	Tag       int
-	Count     int // received bytes
-	Cancelled bool
+	Count     int  // received bytes
 	Truncated bool // receive buffer was too small (MPI_ERR_TRUNCATE)
 }
 

@@ -75,10 +75,10 @@ type Event struct {
 	Kind  Kind
 	Peer  int // communicator rank, ProcNull, or -1 when not applicable
 	Bytes int
-	// VCI is the virtual communication interface the operation used,
-	// or -1 when not applicable (collectives, waits, RMA, the
-	// cross-VCI wildcard path). Zero names interface 0, so recorders
-	// must set the field explicitly.
+	// VCI is the virtual communication interface the operation used —
+	// its communicator's lane — or -1 when not applicable (collectives,
+	// waits, RMA, the baseline device). Zero names interface 0, so
+	// recorders must set the field explicitly.
 	VCI   int
 	Start vtime.Time
 	End   vtime.Time

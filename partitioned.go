@@ -17,11 +17,11 @@ import (
 // bounded by the shm-handoff threshold (falling back to the eager
 // limit) and publishes each chunk the moment its last partition is
 // ready. Chunk tags are drawn from a reserved range and differ per
-// chunk, so the ch4 device's (context,tag) VCI hash spreads concurrent
-// producers across disjoint virtual interfaces — the declared-shape
-// answer to the paper's big-lock contention analysis. A partition
-// larger than the threshold becomes its own chunk and rides the
-// zero-copy handoff path on-node automatically.
+// chunk; every chunk rides the virtual interface of the operation's
+// communicator, so producers of operations on different communicators
+// never share a lane lock. A partition larger than the threshold
+// becomes its own chunk and rides the zero-copy handoff path on-node
+// automatically.
 
 // PartitionedOp is an initialized partitioned send or receive. Start,
 // Wait, and Parrived belong to the owning rank; Pready and PreadyRange
@@ -156,8 +156,8 @@ func (o *PartitionedOp) chunkTag(ci int) int {
 
 // Start activates the operation (MPI_START). On the send side it only
 // arms the readiness tracking — nothing moves until Pready. On the
-// receive side every chunk receive is posted immediately, each on the
-// virtual interface its tag hashes to.
+// receive side every chunk receive is posted immediately, on the
+// virtual interface of the communicator.
 func (o *PartitionedOp) Start() error {
 	p := o.c.p
 	p.chargeCall()
@@ -193,7 +193,7 @@ func (o *PartitionedOp) Start() error {
 // Pready marks one partition of an active partitioned send ready
 // (MPI_PREADY). Safe to call from any goroutine: concurrent producers
 // of one operation serialize on the operation's own mutex, and chunks
-// completed by different operations ride different VCI lanes. The
+// of operations on different communicators ride different VCI lanes. The
 // chunk containing the partition is injected the moment its last
 // partition is readied.
 func (o *PartitionedOp) Pready(i int) error {

@@ -177,7 +177,7 @@ func (p *Proc) newRequest() *Request {
 // into a fresh one (newRequest) when req is nil (the nonblocking forms).
 func (c *Comm) isend(buf []byte, count int, dt *Datatype, dest, tag int, flags core.OpFlags, req *Request) (*Request, error) {
 	p := c.p
-	if end := p.spanVCI(TraceSend, dest, traceBytes(count, dt), p.vciOf(c, tag, false)); end != nil {
+	if end := p.spanVCI(TraceSend, dest, traceBytes(count, dt), p.vciOf(c)); end != nil {
 		defer end()
 	}
 	p.chargeCall()
@@ -374,7 +374,7 @@ func (c *Comm) CommWaitall() error {
 // req is nil.
 func (c *Comm) irecv(buf []byte, count int, dt *Datatype, src, tag int, flags core.OpFlags, req *Request) (*Request, error) {
 	p := c.p
-	if end := p.spanVCI(TraceRecv, src, traceBytes(count, dt), p.vciOf(c, tag, true)); end != nil {
+	if end := p.spanVCI(TraceRecv, src, traceBytes(count, dt), p.vciOf(c)); end != nil {
 		defer end()
 	}
 	p.chargeCall()

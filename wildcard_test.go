@@ -1,6 +1,7 @@
 package gompi
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"math/rand/v2"
@@ -10,11 +11,11 @@ import (
 )
 
 // TestWildcardEveryLaneCount: a receive or probe with both MPI_ANY_SOURCE
-// and MPI_ANY_TAG must search every VCI lane, whatever the lane count.
-// Two senders each send 32 messages over tags 0-7, which hash to
-// different lanes, to rank 0, which consumes them with Recv, Irecv,
-// Probe followed by an exact Recv, and Mprobe, all with both wildcards,
-// on World and then on a Dup. Every message must arrive with its
+// and MPI_ANY_TAG must find every message of its communicator, whatever
+// the lane count. Two senders each send 32 messages over tags 0-7 to
+// rank 0, which consumes them with Recv, Irecv, Probe followed by an
+// exact Recv, and Mprobe, all with both wildcards, on World and then on
+// a Dup. Every message must arrive with its
 // (source, tag, bytes), and each sender's messages in the order it sent
 // them (MPI's non-overtaking rule). The watchdog turns a receive that
 // never finds its message into ErrStalled instead of a hang.
@@ -413,4 +414,221 @@ func (p *laneProgram) receive(comm *Comm, c int, out *strings.Builder) error {
 		fmt.Fprintf(out, "comm %d sender %d %v\n", c, s+1, seqs)
 	}
 	return nil
+}
+
+// TestOneLanePerComm: every message of a communicator rides one VCI
+// lane, whatever its tag or the receive that consumes it. On 4 lanes,
+// on-node and off-node, rank 1 sends rank 0 eight messages over tags
+// 0-7 for each receive shape — exact, AnySource, AnyTag, both
+// wildcards, Probe then Recv, Mprobe — then a partitioned transfer of
+// four chunks and a no-match message, first on an unhinted World and
+// then on a Dup asserting NoAnyTag (which skips the shapes the
+// assertion forbids). Every payload must arrive intact, and the
+// receive traffic of each communicator's phase must land on exactly
+// one of rank 0's lanes. A phase ends with a token from rank 0 to rank
+// 1, so no traffic of the next phase reaches rank 0 before it has read
+// its counters.
+func TestOneLanePerComm(t *testing.T) {
+	for _, rpn := range []int{1, 2} {
+		cfg := Config{Device: DeviceCH4, Fabric: FabricOFI, VCIs: 4, RanksPerNode: rpn, ShmEagerMax: 64, EagerLimit: 64,
+			Watchdog: true, DiagWriter: io.Discard}
+		if err := Run(2, cfg, oneLaneProgram); err != nil {
+			t.Errorf("ranks per node %d: %v", rpn, err)
+		}
+	}
+}
+
+// oneLaneShapes are the receive shapes of TestOneLanePerComm: a
+// source and tag wildcard each, and how the message is consumed.
+var oneLaneShapes = []struct {
+	anySrc, anyTag bool
+	mode           int // laneRecv, laneProbe or laneMprobe
+}{
+	{false, false, laneRecv},
+	{true, false, laneRecv},
+	{false, true, laneRecv},
+	{true, true, laneRecv},
+	{false, false, laneProbe},
+	{false, false, laneMprobe},
+}
+
+// oneLaneMsg is the payload of comm c's message for shape s and tag.
+func oneLaneMsg(c, s, tag int) []byte { return []byte{byte(c), byte(s), byte(tag), 0xa5} }
+
+func oneLaneProgram(p *Proc) error {
+	w := p.World()
+	dup, err := w.DupOpt(CommOptions{Hints: CommHints{NoAnyTag: true}})
+	if err != nil {
+		return err
+	}
+	for ci, c := range []*Comm{w, dup} {
+		legal := func(anySrc, anyTag bool) bool {
+			h := c.Hints()
+			return !(anySrc && h.NoAnySource) && !(anyTag && h.NoAnyTag)
+		}
+		if p.Rank() == 1 {
+			if err := oneLaneSend(c, ci, legal); err != nil {
+				return err
+			}
+			continue
+		}
+		before := p.Metrics().VCIs
+		if err := oneLaneReceive(c, ci, legal); err != nil {
+			return fmt.Errorf("comm %d: %w", ci, err)
+		}
+		var lanes []int
+		for v, st := range p.Metrics().VCIs {
+			if st.Msgs != before[v].Msgs {
+				lanes = append(lanes, v)
+			}
+		}
+		if len(lanes) != 1 {
+			return fmt.Errorf("comm %d: receive traffic landed on lanes %v, want exactly one", ci, lanes)
+		}
+		if err := c.Send(nil, 0, Byte, 1, oneLaneDone); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// oneLaneDone is the tag of the token that ends a phase.
+const oneLaneDone = 99
+
+// oneLanePartitioned declares comm ci's partitioned transfer: four
+// 64-byte partitions, each its own chunk under a 64-byte ShmEagerMax
+// (on-node) or EagerLimit (off-node).
+func oneLanePartitioned(c *Comm, ci int, send bool) (*PartitionedOp, []byte, error) {
+	buf := make([]byte, 4*64)
+	var op *PartitionedOp
+	var err error
+	if send {
+		for i := range buf {
+			buf[i] = byte(ci + i)
+		}
+		op, err = c.PsendInit(buf, 4, 64, Byte, 0, 9)
+	} else {
+		op, err = c.PrecvInit(buf, 4, 64, Byte, 1, 9)
+	}
+	if err == nil && op.Chunks() < 4 {
+		err = fmt.Errorf("partitioned transfer has %d chunks, want 4", op.Chunks())
+	}
+	return op, buf, err
+}
+
+func oneLaneSend(c *Comm, ci int, legal func(anySrc, anyTag bool) bool) error {
+	if err := c.Barrier(); err != nil {
+		return err
+	}
+	for s, sh := range oneLaneShapes {
+		if !legal(sh.anySrc, sh.anyTag) {
+			continue
+		}
+		for tag := 0; tag < 8; tag++ {
+			if err := c.Send(oneLaneMsg(ci, s, tag), 4, Byte, 0, tag); err != nil {
+				return err
+			}
+		}
+	}
+	op, _, err := oneLanePartitioned(c, ci, true)
+	if err != nil {
+		return err
+	}
+	if err := op.Start(); err != nil {
+		return err
+	}
+	if err := op.PreadyRange(0, 4); err != nil {
+		return err
+	}
+	if err := op.Wait(); err != nil {
+		return err
+	}
+	if legal(true, true) {
+		r, err := c.IsendNoMatch(oneLaneMsg(ci, len(oneLaneShapes), 0), 4, Byte, 0)
+		if err != nil {
+			return err
+		}
+		if _, err := r.Wait(); err != nil {
+			return err
+		}
+	}
+	_, err = c.Recv(nil, 0, Byte, 0, oneLaneDone)
+	return err
+}
+
+func oneLaneReceive(c *Comm, ci int, legal func(anySrc, anyTag bool) bool) error {
+	if err := c.Barrier(); err != nil {
+		return err
+	}
+	check := func(what string, st Status, buf []byte, want []byte) error {
+		if st.Count != len(want) || !bytes.Equal(buf[:st.Count], want) {
+			return fmt.Errorf("%s got (source %d, tag %d) % x, want % x", what, st.Source, st.Tag, buf[:st.Count], want)
+		}
+		return nil
+	}
+	for s, sh := range oneLaneShapes {
+		if !legal(sh.anySrc, sh.anyTag) {
+			continue
+		}
+		src := 1
+		if sh.anySrc {
+			src = AnySource
+		}
+		for tag := 0; tag < 8; tag++ {
+			rtag := tag
+			if sh.anyTag {
+				rtag = AnyTag
+			}
+			buf := make([]byte, 8)
+			var st Status
+			var err error
+			switch sh.mode {
+			case laneRecv:
+				st, err = c.Recv(buf, len(buf), Byte, src, rtag)
+			case laneProbe:
+				var pst Status
+				if pst, err = c.Probe(src, rtag); err == nil {
+					st, err = c.Recv(buf, len(buf), Byte, pst.Source, pst.Tag)
+				}
+			case laneMprobe:
+				var m *Message
+				if m, err = c.Mprobe(src, rtag); err == nil {
+					st, err = m.Recv(buf, len(buf), Byte)
+				}
+			}
+			if err != nil {
+				return err
+			}
+			if err := check(fmt.Sprintf("%s(src %d, tag %d)", laneModeNames[sh.mode], src, rtag), st, buf, oneLaneMsg(ci, s, tag)); err != nil {
+				return err
+			}
+			if st.Source != 1 || st.Tag != tag {
+				return fmt.Errorf("%s(src %d, tag %d) got source %d, tag %d, want 1, %d", laneModeNames[sh.mode], src, rtag, st.Source, st.Tag, tag)
+			}
+		}
+	}
+	op, buf, err := oneLanePartitioned(c, ci, false)
+	if err != nil {
+		return err
+	}
+	if err := op.Start(); err != nil {
+		return err
+	}
+	if err := op.Wait(); err != nil {
+		return err
+	}
+	for i, b := range buf {
+		if b != byte(ci+i) {
+			return fmt.Errorf("partitioned byte %d is %d, want %d", i, b, byte(ci+i))
+		}
+	}
+	if !legal(true, true) {
+		return nil
+	}
+	nm := make([]byte, 8)
+	st, err := c.RecvNoMatch(nm, len(nm), Byte)
+	if err != nil {
+		return err
+	}
+	return check("RecvNoMatch", st, nm, oneLaneMsg(ci, len(oneLaneShapes), 0))
 }
