@@ -30,7 +30,10 @@ const (
 // nothing.
 func (c *Comm) collBegin() func() {
 	p := c.p
-	end := p.span(TraceColl, -1, 0)
+	var end func()
+	if p.observed() {
+		end = p.span(TraceColl, -1, 0)
+	}
 	p.chargeCall()
 	done := p.chargeThread(c.c, false)
 	if end == nil {

@@ -115,107 +115,121 @@ func ClassOf(err error) ErrorClass {
 
 // --- MPI-layer argument validation (Table 1 "Error checking") ---------
 //
-// Each check charges its instruction cost as it executes, so the error
-// checking row of Table 1 is the sum of the validation the default
-// build really performs: 74 instructions on the MPI_ISEND path and 72
-// on the MPI_PUT path. The no-err builds skip the calls entirely.
+// Each check adds its instruction cost as it executes and the chain
+// charges the sum once, when it returns, so the error checking row of
+// Table 1 is the sum of the validation the default build really
+// performs: 74 instructions on the MPI_ISEND path and 72 on the MPI_PUT
+// path, and a failing check charges the checks up to and including
+// itself. The no-err builds skip the calls entirely.
 
 // checkSendArgs validates a point-to-point operation's arguments.
 // anySrcTag permits the receive-side wildcards.
 func (p *Proc) checkSendArgs(buf []byte, count int, dt *Datatype, rank, tag int, c *Comm, anySrcTag bool) error {
-	ch := func(n int64) { p.rank.Charge(instr.ErrorCheck, n) }
+	n, err := p.sendArgs(buf, count, dt, rank, tag, c, anySrcTag)
+	p.rank.Charge(instr.ErrorCheck, n)
+	return err
+}
 
-	ch(4) // library initialized, not finalized
+// sendArgs is checkSendArgs' chain: the first failing check's error and
+// the instructions the checks executed up to it.
+func (p *Proc) sendArgs(buf []byte, count int, dt *Datatype, rank, tag int, c *Comm, anySrcTag bool) (n int64, err error) {
+	n += 4 // library initialized, not finalized
 	if p.dev == nil {
-		return errc(ErrOther, "library not initialized")
+		return n, errc(ErrOther, "library not initialized")
 	}
-	ch(10) // communicator handle: non-null, magic cookie, not freed
+	n += 10 // communicator handle: non-null, magic cookie, not freed
 	if c == nil || c.c == nil {
-		return errc(ErrComm, "nil communicator")
+		return n, errc(ErrComm, "nil communicator")
 	}
 	if c.c.Freed() {
-		return errc(ErrComm, "communicator already freed")
+		return n, errc(ErrComm, "communicator already freed")
 	}
-	ch(10) // rank within communicator (PROC_NULL and wildcards allowed)
+	n += 10 // rank within communicator (PROC_NULL and wildcards allowed)
 	if rank != core.ProcNull && !(anySrcTag && rank == core.AnySource) &&
 		(rank < 0 || rank >= c.c.Size()) {
-		return errc(ErrRank, "rank %d outside [0,%d)", rank, c.c.Size())
+		return n, errc(ErrRank, "rank %d outside [0,%d)", rank, c.c.Size())
 	}
-	ch(6) // tag range
+	n += 6 // tag range
 	if tag > match.MaxTag || (tag < 0 && !(anySrcTag && tag == core.AnyTag)) {
-		return errc(ErrTag, "tag %d out of range", tag)
+		return n, errc(ErrTag, "tag %d out of range", tag)
 	}
-	ch(4) // count non-negative
+	n += 4 // count non-negative
 	if count < 0 {
-		return errc(ErrCount, "negative count %d", count)
+		return n, errc(ErrCount, "negative count %d", count)
 	}
-	ch(8) // datatype handle valid
+	n += 8 // datatype handle valid
 	if dt == nil {
-		return errc(ErrType, "nil datatype")
+		return n, errc(ErrType, "nil datatype")
 	}
-	ch(6) // datatype committed
+	n += 6 // datatype committed
 	if !dt.Committed() {
-		return errc(ErrType, "datatype %s not committed", dt.Name())
+		return n, errc(ErrType, "datatype %s not committed", dt.Name())
 	}
-	ch(8) // buffer present when data is nonempty
+	n += 8 // buffer present when data is nonempty
 	if buf == nil && count > 0 && dt.Size() > 0 {
-		return errc(ErrBuffer, "nil buffer with count %d", count)
+		return n, errc(ErrBuffer, "nil buffer with count %d", count)
 	}
-	ch(10) // size overflow and buffer capacity
+	n += 10 // size overflow and buffer capacity
 	need := datatype.PackedSize(dt, count)
 	if need < 0 {
-		return errc(ErrCount, "count %d overflows", count)
+		return n, errc(ErrCount, "count %d overflows", count)
 	}
 	if count > 0 && !dt.Contig() {
 		// Laid-out buffers must span count extents.
 		if len(buf) < (count-1)*dt.Extent()+dt.Size() {
-			return errc(ErrBuffer, "buffer %d bytes < layout span", len(buf))
+			return n, errc(ErrBuffer, "buffer %d bytes < layout span", len(buf))
 		}
 	} else if len(buf) < need {
-		return errc(ErrBuffer, "buffer %d bytes < %d", len(buf), need)
+		return n, errc(ErrBuffer, "buffer %d bytes < %d", len(buf), need)
 	}
-	ch(8) // request slot / completion-vehicle validity
-	return nil
+	n += 8 // request slot / completion-vehicle validity
+	return n, nil
 }
 
 // checkRMAArgs validates a one-sided operation's arguments.
 func (p *Proc) checkRMAArgs(origin []byte, count int, dt *Datatype, target, disp int, w *Win) error {
-	ch := func(n int64) { p.rank.Charge(instr.ErrorCheck, n) }
+	n, err := rmaArgs(origin, count, dt, target, disp, w)
+	p.rank.Charge(instr.ErrorCheck, n)
+	return err
+}
 
-	ch(4)  // library initialized
-	ch(10) // window handle valid
+// rmaArgs is checkRMAArgs' chain: the first failing check's error and
+// the instructions the checks executed up to it.
+func rmaArgs(origin []byte, count int, dt *Datatype, target, disp int, w *Win) (n int64, err error) {
+	n += 4  // library initialized
+	n += 10 // window handle valid
 	if w == nil || w.w == nil {
-		return errc(ErrWin, "nil window")
+		return n, errc(ErrWin, "nil window")
 	}
-	ch(8) // synchronization: inside an access epoch
+	n += 8 // synchronization: inside an access epoch
 	if !w.w.InEpoch() {
-		return errc(ErrRMASync, "RMA call outside an access epoch")
+		return n, errc(ErrRMASync, "RMA call outside an access epoch")
 	}
-	ch(10) // target rank range
+	n += 10 // target rank range
 	if target != core.ProcNull && (target < 0 || target >= w.w.Comm.Size()) {
-		return errc(ErrRank, "target %d outside [0,%d)", target, w.w.Comm.Size())
+		return n, errc(ErrRank, "target %d outside [0,%d)", target, w.w.Comm.Size())
 	}
-	ch(4) // count
+	n += 4 // count
 	if count < 0 {
-		return errc(ErrCount, "negative count %d", count)
+		return n, errc(ErrCount, "negative count %d", count)
 	}
-	ch(8) // datatype valid
+	n += 8 // datatype valid
 	if dt == nil {
-		return errc(ErrType, "nil datatype")
+		return n, errc(ErrType, "nil datatype")
 	}
-	ch(6) // committed
+	n += 6 // committed
 	if !dt.Committed() {
-		return errc(ErrType, "datatype %s not committed", dt.Name())
+		return n, errc(ErrType, "datatype %s not committed", dt.Name())
 	}
-	ch(8) // origin buffer
+	n += 8 // origin buffer
 	if origin == nil && count > 0 && dt.Size() > 0 {
-		return errc(ErrBuffer, "nil origin buffer")
+		return n, errc(ErrBuffer, "nil origin buffer")
 	}
-	ch(14) // target displacement pre-check against exchanged extents
+	n += 14 // target displacement pre-check against exchanged extents
 	if disp < 0 && target != core.ProcNull {
-		return errc(ErrArg, "negative target displacement %d", disp)
+		return n, errc(ErrArg, "negative target displacement %d", disp)
 	}
-	return nil
+	return n, nil
 }
 
 // checkComm validates just a communicator argument (collectives,

@@ -463,18 +463,7 @@ func Run(n int, cfg Config, body func(p *Proc) error) error {
 		// peer's, later) sees this rank's whole history.
 		r.Metrics().Publish(int64(r.Now()))
 		if cfg.Stats != nil {
-			// Each rank fills only its own slot, so the collection
-			// needs no lock; the merge happens after RunAll joins.
-			cfg.Stats.Ranks[r.ID()] = RankStats{
-				Rank:          r.ID(),
-				Valid:         true,
-				Counters:      p.Counters(),
-				Metrics:       p.dev.Stats(),
-				Phases:        p.phaseSnapshot(),
-				TraceDropped:  p.tlog.Dropped(),
-				VirtualCycles: int64(r.Now()),
-			}
-			cfg.Stats.traces[r.ID()] = p.tlog.Events()
+			p.collectStats(cfg.Stats)
 		}
 		if err != nil {
 			// Tear the world down so peers blocked on this rank fail
@@ -507,6 +496,28 @@ func Run(n int, cfg Config, body func(p *Proc) error) error {
 		return fmt.Errorf("%w: diagnosis written to DiagWriter", ErrStalled)
 	}
 	return errors.Join(fallout...)
+}
+
+// collectStats fills the calling rank's slot of s at rank exit. Each
+// rank fills only its own slot, so the collection needs no lock; the
+// merge happens after RunAll joins. It is a function of its own so
+// that the RankStats value (a whole metrics snapshot) lives in this
+// short-lived frame, not in the rank goroutine's entry frame, whose
+// locals set every rank's stack size.
+//
+//go:noinline
+func (p *Proc) collectStats(s *Stats) {
+	id := p.rank.ID()
+	s.Ranks[id] = RankStats{
+		Rank:          id,
+		Valid:         true,
+		Counters:      p.Counters(),
+		Metrics:       p.dev.Stats(),
+		Phases:        p.phaseSnapshot(),
+		TraceDropped:  p.tlog.Dropped(),
+		VirtualCycles: int64(p.rank.Now()),
+	}
+	s.traces[id] = p.tlog.Events()
 }
 
 // Rank returns the calling process's MPI_COMM_WORLD rank.
@@ -666,12 +677,15 @@ func (p *Proc) WriteTraceSummary(w interface{ Write([]byte) (int, error) }) {
 }
 
 // span starts a traced/profiled interval; the returned func records
-// it. A nil return (tracing and profiling both off) is handled by the
-// callers' `if end != nil` — the steady-state path stays
-// allocation-free when observability is disabled.
+// it. Callers open a span only when observed, so with tracing and
+// profiling both off the steady-state path neither allocates nor
+// evaluates the span's arguments.
 func (p *Proc) span(kind trace.Kind, peer, bytes int) func() {
 	return p.spanVCI(kind, peer, bytes, -1)
 }
+
+// observed reports whether calls are traced or profiled.
+func (p *Proc) observed() bool { return p.tlog.Enabled() || p.profiler != nil }
 
 // spanVCI is span with the virtual communication interface the
 // operation will use (-1 when not applicable); the point-to-point
@@ -679,9 +693,6 @@ func (p *Proc) span(kind trace.Kind, peer, bytes int) func() {
 // message.
 func (p *Proc) spanVCI(kind trace.Kind, peer, bytes, vci int) func() {
 	traced := p.tlog.Enabled()
-	if !traced && p.profiler == nil {
-		return nil
-	}
 	start := p.rank.Now()
 	if p.profiler != nil {
 		p.profiler.Enter(p.rank.ID(), kind, peer, bytes, int64(start))
@@ -697,12 +708,7 @@ func (p *Proc) spanVCI(kind trace.Kind, peer, bytes, vci int) func() {
 	}
 }
 
-// vciOf asks the device which interface c's traffic rides; -1 when
-// observability is off (the steady-state path computes nothing) or the
-// device has no VCI notion (the baseline).
-func (p *Proc) vciOf(c *Comm) int {
-	if !p.tlog.Enabled() && p.profiler == nil {
-		return -1
-	}
-	return p.dev.VCIOf(c.c)
-}
+// vciOf asks the device which interface c's traffic rides, for an
+// observed call's span; -1 when the device has no VCI notion (the
+// baseline).
+func (p *Proc) vciOf(c *Comm) int { return p.dev.VCIOf(c.c) }

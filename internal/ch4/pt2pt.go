@@ -66,7 +66,7 @@ func (d *Device) Isend(buf []byte, count int, dt *datatype.Type, dest, tag int,
 	switch {
 	case flags.Has(core.FlagNoMatch):
 		d.charge(instr.Mandatory, cost(instr.MatchBitsNoMatch))
-		bits = match.MakeBits(ctx, 0, 0)
+		bits = noMatchBits(c)
 	case c.AssertNoMatch:
 		// The Section 3.6 *alternative*: an info hint instead of a new
 		// function. Same wire behavior as FlagNoMatch, but the hint
@@ -79,7 +79,7 @@ func (d *Device) Isend(buf []byte, count int, dt *datatype.Type, dest, tag int,
 		} else {
 			d.charge(instr.Mandatory, cost(instr.MatchBitsHint))
 		}
-		bits = match.MakeBits(ctx, 0, 0)
+		bits = noMatchBits(c)
 	default:
 		d.charge(instr.Mandatory, cost(instr.MatchBits))
 		bits = match.MakeBits(ctx, c.MyRank, tag)
@@ -289,6 +289,12 @@ func (d *Device) completedRequest(flags core.OpFlags, c *comm.Comm, kind request
 	return r
 }
 
+// noMatchBits is the match word of an arrival-order send on c. The
+// receive's NoMatchMask ignores source and tag, so the tag is 0 and the
+// source field carries the sender's rank in c, which the receiver
+// reports as the status source.
+func noMatchBits(c *comm.Comm) match.Bits { return match.MakeBits(c.Ctx, c.MyRank, 0) }
+
 // IsendAllOpts is the dedicated MPI_ISEND_ALL_OPTS path of Section 3.7:
 // every proposal applied at once, hand-minimized to ~16 instructions.
 // The destination is a world rank, the communicator must come from the
@@ -298,7 +304,7 @@ func (d *Device) completedRequest(flags core.OpFlags, c *comm.Comm, kind request
 func (d *Device) IsendAllOpts(buf []byte, worldDest int, c *comm.Comm) error {
 	// Context from the predefined-comm global: 1 load.
 	d.charge(instr.Mandatory, cost(instr.CommPredef))
-	bits := match.MakeBits(c.Ctx, 0, 0) // arrival-order bits: 1 load
+	bits := noMatchBits(c) // arrival-order bits: 1 load
 	d.charge(instr.Mandatory, cost(instr.MatchBitsNoMatch))
 	// Counter completion: ~3 instructions.
 	d.charge(instr.Mandatory, cost(instr.Counter))

@@ -154,7 +154,6 @@ type vci struct {
 	eng     match.Engine
 	pool    bufPool
 	msgFree *message
-	stats   metrics.VCIStat // receive-side traffic, under mu; Events is filled from ev.seq at snapshot
 	// arr is what arrivals at this interface observe — receive-side path
 	// counters, copies, pool hits, post→match and unexpected-residency
 	// latency, the matching unit's recent events — as plain fields
@@ -235,7 +234,7 @@ type Endpoint struct {
 	amq    []am
 	amqLen int32 // atomic, mutated under amMu
 
-	handlers [256]AMHandler
+	handlers []AMHandler // by active-message id, as long as the largest registered
 	meter    proc.Meter
 	// m caches meter.Metrics(), the owner's registry: only the owner's
 	// goroutines write it (send-side counters, reaps, parks). A
@@ -302,7 +301,12 @@ func (ep *Endpoint) Bind(m proc.Meter) {
 
 // RegisterAM installs the handler for one active-message id. Handlers
 // are installed at device init, before communication starts.
-func (ep *Endpoint) RegisterAM(id uint8, h AMHandler) { ep.handlers[id] = h }
+func (ep *Endpoint) RegisterAM(id uint8, h AMHandler) {
+	if n := int(id) + 1; n > len(ep.handlers) {
+		ep.handlers = append(ep.handlers, make([]AMHandler, n-len(ep.handlers))...)
+	}
+	ep.handlers[id] = h
+}
 
 // noteConn materializes send-side connection state toward dst if this
 // is the first traffic that way: charge the profile's connection-setup
@@ -449,8 +453,6 @@ func (ep *Endpoint) deposit(v int, bits match.Bits, src int, data []byte, arriva
 	default:
 		s.arr.NetRecv.Note(len(data))
 	}
-	s.stats.Msgs++
-	s.stats.Bytes += int64(len(data))
 	m := s.getMessage()
 	if entry, ok := s.eng.Arrive(bits, m); ok {
 		s.putMessage(m)
@@ -886,7 +888,10 @@ func (ep *Endpoint) Progress() int {
 			// drain time would let real-goroutine scheduling races
 			// leak future timestamps into the virtual clock.
 			m := &batch[i]
-			h := ep.handlers[m.handler]
+			var h AMHandler
+			if int(m.handler) < len(ep.handlers) {
+				h = ep.handlers[m.handler]
+			}
 			if h == nil {
 				panic("fabric: active message with unregistered handler")
 			}
@@ -908,10 +913,15 @@ func (ep *Endpoint) SnapshotStats() metrics.Snapshot {
 	snap.VCIs = make([]metrics.VCIStat, len(ep.vcis))
 	for i, s := range ep.vcis {
 		s.mu.Lock()
-		snap.VCIs[i] = s.stats
-		snap.VCIs[i].Events = int64(s.ev.seq.Load())
-		snap.VCIs[i].PostMatch = s.arr.PostMatch.Snapshot()
-		s.arr.AddTo(&snap)
+		// deposit notes each message on exactly one arrival path.
+		a := &s.arr
+		snap.VCIs[i] = metrics.VCIStat{
+			Msgs:      a.NetRecv.Msgs + a.ShmRecv.Msgs + a.Self.Msgs,
+			Bytes:     a.NetRecv.Bytes + a.ShmRecv.Bytes + a.Self.Bytes,
+			Events:    int64(s.ev.seq.Load()),
+			PostMatch: a.PostMatch.Snapshot(),
+		}
+		a.AddTo(&snap)
 		snap.Match.BinOps += s.eng.BinOps
 		snap.Match.Searches += s.eng.Searches
 		snap.Match.BinHits += s.eng.BinHits

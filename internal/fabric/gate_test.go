@@ -190,7 +190,8 @@ func TestWaitParksAfterYields(t *testing.T) {
 // aimed at the interface, and the endpoint-wide ones (Wake, an active
 // message) on every interface. The aggregate sequence counts the same
 // events once each, except shm deposits: the draining device wakes the
-// aggregate once per drain instead (Notify).
+// aggregate once per drain instead (Notify). Each interface's Msgs and
+// Bytes are what its arrival paths (netmod, shm, self) noted.
 func TestEventsEqualsEventSeq(t *testing.T) {
 	f := newVCIFabric(t, 2, 3)
 	src, dst := f.Endpoint(0), f.Endpoint(1)
@@ -205,9 +206,11 @@ func TestEventsEqualsEventSeq(t *testing.T) {
 			dst.WakeVCI(v)
 		}
 	}
-	dst.DepositShmVCI(match.MakeBits(1, 0, 99), 0, nil, 0, 1, nil)
-	dst.DepositShmVCI(match.MakeBits(1, 0, 98), 0, nil, 0, 1, nil)
+	dst.DepositShmVCI(match.MakeBits(1, 0, 99), 0, []byte{1, 2, 3}, 0, 1, nil)
+	dst.DepositShmVCI(match.MakeBits(1, 0, 98), 0, []byte{1, 2, 3}, 0, 1, nil)
 	deposits[1] += 2
+	// Every netmod message above is one byte, every shm message three.
+	bytes := [3]int64{int64(deposits[0]), int64(deposits[1]-2) + 2*3, int64(deposits[2])}
 	const everywhere = 3 // one endpoint-wide wake, two active messages
 	dst.wake()
 	src.AMSend(1, 9, nil, nil)
@@ -229,9 +232,24 @@ func TestEventsEqualsEventSeq(t *testing.T) {
 			t.Errorf("VCI %d: Events %d, EventSeqVCI %d, want %d (%d deposits + %d wakes + %d endpoint-wide)",
 				v, got, dst.EventSeqVCI(v), want, deposits[v], wakes[v], everywhere)
 		}
-		if got := snap.VCIs[v].Msgs; got != int64(deposits[v]) {
-			t.Errorf("VCI %d: Msgs %d, want %d", v, got, deposits[v])
+		// A lane's traffic is what its arrival paths noted.
+		a := &dst.vcis[v].arr
+		paths := a.NetRecv.Msgs + a.ShmRecv.Msgs + a.Self.Msgs
+		pathBytes := a.NetRecv.Bytes + a.ShmRecv.Bytes + a.Self.Bytes
+		if got := snap.VCIs[v]; got.Msgs != int64(deposits[v]) || got.Bytes != bytes[v] ||
+			got.Msgs != paths || got.Bytes != pathBytes {
+			t.Errorf("VCI %d: Msgs %d, Bytes %d, want %d and %d (arrival paths: %d and %d)",
+				v, got.Msgs, got.Bytes, deposits[v], bytes[v], paths, pathBytes)
 		}
+	}
+	var msgs, bytesAll int64
+	for _, l := range snap.VCIs {
+		msgs, bytesAll = msgs+l.Msgs, bytesAll+l.Bytes
+	}
+	if all := snap.NetRecv.Msgs + snap.ShmRecv.Msgs + snap.Self.Msgs; msgs != all ||
+		bytesAll != snap.NetRecv.Bytes+snap.ShmRecv.Bytes+snap.Self.Bytes {
+		t.Errorf("lanes carry %d messages, %d bytes; the arrival paths %d messages, %d bytes",
+			msgs, bytesAll, all, snap.NetRecv.Bytes+snap.ShmRecv.Bytes+snap.Self.Bytes)
 	}
 }
 

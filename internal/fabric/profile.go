@@ -71,13 +71,15 @@ type Profile struct {
 	// Zero on the infinitely fast network.
 	ConnSetup vtime.Cycles
 	// InstrCPI is the cycles-per-instruction of MPI software on this
-	// platform's cores (1.0 when unset). The x86 testbeds run the
+	// platform's cores (1 when unset). The x86 testbeds run the
 	// branchy MPI critical path near one instruction per cycle; the
 	// BG/Q A2 is a slow in-order core where the same code costs
 	// several cycles per instruction — which is exactly why the
 	// paper's application results (measured on BG/Q) are so sensitive
-	// to instruction counts.
-	InstrCPI float64
+	// to instruction counts. It is an integer, so a rank that sums
+	// n*InstrCPI over many charges and settles its clock once lands
+	// on exactly the per-charge sum.
+	InstrCPI int64
 }
 
 // OFI models the Intel Omni-Path fabric with the PSM2 provider on the

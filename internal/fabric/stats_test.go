@@ -80,3 +80,23 @@ func TestAmRecvCountsAtDelivery(t *testing.T) {
 		t.Fatalf("AmRecv after delivery = %+v, want {1 5}", after.AmRecv)
 	}
 }
+
+// TestUnregisteredAMPanics pins the handler table's one failure: an
+// active message whose id has no handler panics with the same message
+// whether the id falls inside the table (a gap below a registered id)
+// or past its end.
+func TestUnregisteredAMPanics(t *testing.T) {
+	for _, id := range []uint8{2, 8, 255} {
+		f, _ := newTestFabric(t, OFI, 2)
+		f.Endpoint(1).RegisterAM(7, func(int, []byte, []byte, vtime.Time) {})
+		f.Endpoint(0).AMSend(1, id, nil, nil)
+		func() {
+			defer func() {
+				if p := recover(); p != "fabric: active message with unregistered handler" {
+					t.Errorf("id %d: recovered %v, want the unregistered-handler panic", id, p)
+				}
+			}()
+			f.Endpoint(1).Progress()
+		}()
+	}
+}

@@ -32,6 +32,14 @@ func (p *Profile) Charge(cat Category, n int64) {
 	p.counts[cat] += n
 }
 
+// Add is Charge on a profile not marked shared, for a caller that
+// already knows it is: one plain add.
+func (p *Profile) Add(cat Category, n int64) { p.counts[cat] += n }
+
+// AddShared is Charge on a profile marked shared, for a caller that
+// already knows it is: one atomic add.
+func (p *Profile) AddShared(cat Category, n int64) { atomic.AddInt64(&p.counts[cat], n) }
+
 // ChargeCycles records raw cycles that are not instructions executed by
 // the MPI library (fabric injection latency, modeled compute time). They
 // advance the clock but never appear in instruction counts.

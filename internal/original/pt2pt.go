@@ -51,9 +51,10 @@ func (d *Device) Isend(buf []byte, count int, dt *datatype.Type, dest, tag int,
 	d.charge(instr.Mandatory, cost(instr.MatchBits))
 	bits := match.MakeBits(c.Ctx, c.MyRank, tag)
 	if flags.Has(core.FlagNoMatch) {
-		// Semantically honored: zero source/tag so arrival-order
-		// receives match. No charge savings on this device.
-		bits = match.MakeBits(c.Ctx, 0, 0)
+		// Semantically honored: a zero tag, and the source kept for
+		// the receiver's status, which arrival-order receives ignore
+		// when matching. No charge savings on this device.
+		bits = match.MakeBits(c.Ctx, c.MyRank, 0)
 	}
 
 	// Envelope marshal + protocol branch + layered issue.

@@ -36,15 +36,16 @@ func NewWorld(n, ranksPerNode int, hz float64) *World {
 	w := &World{size: n, ranksPerNode: ranksPerNode, hz: hz}
 	w.ranks = make([]*Rank, n)
 	for i := range w.ranks {
-		w.ranks[i] = &Rank{id: i, world: w, clock: vtime.NewClock(hz), cpi: 1}
+		w.ranks[i] = &Rank{id: i, world: w, clock: *vtime.NewClock(hz), cpi: 1}
 	}
 	return w
 }
 
 // SetInstrCPI sets the cycles-per-instruction of MPI software on this
-// platform (1.0 = the x86 testbeds; ~6 for the BG/Q A2). Must be called
-// before Run.
-func (w *World) SetInstrCPI(cpi float64) {
+// platform (1 = the x86 testbeds; 6 for the BG/Q A2). It is an integer
+// so that n*cpi summed over many charges and settled at once is exactly
+// the sum of the per-charge products. Must be called before Run.
+func (w *World) SetInstrCPI(cpi int64) {
 	if cpi <= 0 {
 		cpi = 1
 	}
@@ -63,6 +64,7 @@ func (w *World) SetThreadMultiple(on bool) {
 		return
 	}
 	for _, r := range w.ranks {
+		r.shared = true
 		r.prof.Share()
 		r.clock.Share()
 		r.m.Share()
@@ -144,21 +146,30 @@ type Meter interface {
 
 // Rank is one MPI process: a goroutine plus its charge ledger — the
 // virtual clock and instruction profile. It implements Meter. The
-// ledger is
-// single-writer: Charge, ChargeCycles, Sync, Now and the Profile reads
-// use plain loads and stores, so everything except the world queries
-// and Metrics must be called only from the rank's own goroutine (any
-// of its goroutines once the world is SetThreadMultiple) — and so must
-// the registry's writers and Snapshot. Other goroutines learn a rank's
-// clock from Metrics().ParkClock and its history from Metrics().Flight,
-// both as of the rank's last park.
+// ledger is single-writer: Charge, ChargeCycles, Sync, Now and the
+// Profile reads use plain loads and stores, so everything except the
+// world queries and Metrics must be called only from the rank's own
+// goroutine (any of its goroutines once the world is SetThreadMultiple)
+// — and so must the registry's writers and Snapshot. Other goroutines
+// learn a rank's clock from Metrics().ParkClock and its history from
+// Metrics().Flight, both as of the rank's last park.
+//
+// A charge is one add: on a single-writer rank Charge and ChargeCycles
+// add to the category counter and to pending, the cycles charged since
+// the clock last moved, and never touch the clock. The clock settles —
+// folds pending in — only where it is read, in Now and Sync, so every
+// reading is exactly the time advancing at each charge would give. A
+// shared rank advances its clock atomically at every charge and keeps
+// pending at zero.
 type Rank struct {
-	id    int
-	world *World
-	clock *vtime.Clock
-	prof  instr.Profile
-	cpi   float64 // cycles per MPI instruction (platform model)
-	m     metrics.Rank
+	prof    instr.Profile
+	pending int64 // cycles charged since the clock last settled
+	clock   vtime.Clock
+	cpi     int64 // cycles per MPI instruction (platform model)
+	shared  bool  // SetThreadMultiple: every charge advances the clock
+	id      int
+	world   *World
+	m       metrics.Rank
 }
 
 // ID returns the rank's world rank.
@@ -171,26 +182,62 @@ func (r *Rank) World() *World { return r.world }
 // clock by n*CPI cycles. Instruction counts (Table 1, Figure 2) are
 // CPI-independent; only time is platform-scaled.
 func (r *Rank) Charge(cat instr.Category, n int64) {
-	r.prof.Charge(cat, n)
-	r.clock.Advance(int64(float64(n) * r.cpi))
+	if n < 0 {
+		panic(errNegativeCharge)
+	}
+	if r.shared {
+		r.prof.AddShared(cat, n)
+		r.clock.AdvanceShared(n * r.cpi)
+		return
+	}
+	r.prof.Add(cat, n)
+	r.pending += n * r.cpi
 }
 
 // ChargeCycles records n non-instruction cycles (transport injection,
 // modeled compute) and advances the clock.
 func (r *Rank) ChargeCycles(cat instr.Category, n int64) {
+	if n < 0 {
+		panic(errNegativeCharge)
+	}
 	r.prof.ChargeCycles(cat, n)
-	r.clock.Advance(n)
+	if r.shared {
+		r.clock.AdvanceShared(n)
+		return
+	}
+	r.pending += n
+}
+
+// errNegativeCharge is the panic of a negative charge, raised at the
+// call that made it: virtual time never runs backward. A single-writer
+// rank's clock would only see the charge at the next settle.
+const errNegativeCharge = "vtime: negative advance"
+
+// settle folds the pending cycles into the clock.
+func (r *Rank) settle() {
+	if r.pending != 0 {
+		r.clock.Advance(r.pending)
+		r.pending = 0
+	}
 }
 
 // Now returns the rank's current virtual time.
-func (r *Rank) Now() vtime.Time { return r.clock.Now() }
+func (r *Rank) Now() vtime.Time {
+	r.settle()
+	return r.clock.Now()
+}
 
 // Sync advances the rank's clock to t if t is in the future (message
 // arrival, epoch close).
-func (r *Rank) Sync(t vtime.Time) { r.clock.Sync(t) }
+func (r *Rank) Sync(t vtime.Time) {
+	r.settle()
+	r.clock.Sync(t)
+}
 
-// Clock exposes the rank's clock for rate computations.
-func (r *Rank) Clock() *vtime.Clock { return r.clock }
+// Clock exposes the rank's clock for its frequency (Hz) and for
+// converting cycle counts to seconds (Seconds). Its reading lags the
+// charges not yet settled: the rank's time is Now.
+func (r *Rank) Clock() *vtime.Clock { return &r.clock }
 
 // Profile exposes the rank's instruction profile for snapshots.
 func (r *Rank) Profile() *instr.Profile { return &r.prof }

@@ -23,7 +23,10 @@ type Cycles = int64
 // application goroutines advance the same rank's clock, marks it
 // shared (Share) before any rank runs; updates are then atomic.
 // Cross-rank ordering happens only through message timestamps (Sync),
-// and both modes are numerically identical.
+// and both modes are numerically identical. A rank (proc.Rank) holds
+// its clock by value and, single-writer, advances it only where it is
+// read: charges pile up beside it and one Advance folds them in before
+// Now or Sync.
 type Clock struct {
 	now    int64
 	hz     float64
@@ -60,11 +63,16 @@ func (c *Clock) Advance(n Cycles) {
 		panic("vtime: negative advance")
 	}
 	if c.shared {
-		atomic.AddInt64(&c.now, n)
+		c.AdvanceShared(n)
 		return
 	}
 	c.now += n
 }
+
+// AdvanceShared is Advance on a clock marked shared, for a caller that
+// has already refused negative n: one atomic add, small enough to
+// inline into a charge path.
+func (c *Clock) AdvanceShared(n Cycles) { atomic.AddInt64(&c.now, n) }
 
 // Sync advances the clock to t if t is in the future; a rank that waited
 // for a message lands at the message's arrival time. Sync never moves

@@ -82,8 +82,8 @@ func (o *PersistentColl) Wait() error {
 	if !o.active {
 		return errc(ErrRequest, "persistent collective not active")
 	}
-	if end := o.c.p.span(TraceWait, -1, 0); end != nil {
-		defer end()
+	if o.c.p.observed() {
+		defer o.c.p.span(TraceWait, -1, 0)()
 	}
 	err := o.s.Wait()
 	o.active = false

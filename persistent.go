@@ -60,8 +60,8 @@ func (o *PersistentOp) Start() error {
 	if o.send {
 		kind = TraceSend
 	}
-	if end := p.span(kind, o.peer, o.count*o.dt.Size()); end != nil {
-		defer end()
+	if p.observed() {
+		defer p.span(kind, o.peer, o.count*o.dt.Size())()
 	}
 	p.chargeCall()
 	unlock := p.chargeThread(o.c.c, false)

@@ -127,6 +127,69 @@ func TestNoMatchArrivalOrder(t *testing.T) {
 	})
 }
 
+// TestNoMatchStatusSource checks that an arrival-order receive reports
+// who sent the message: ranks 1 and 2 each send rank 0 one no-match
+// message, and rank 0's two statuses (one RecvNoMatch, one
+// IrecvNoMatch) must name both senders, on ch4 off-node and on-node and
+// on the baseline. A second round on a communicator that reverses the
+// world order checks that the source is the sender's rank in that
+// communicator, not in the world.
+func TestNoMatchStatusSource(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"ch4-offnode", Config{Fabric: FabricOFI}},
+		{"ch4-onnode", Config{Fabric: FabricOFI, RanksPerNode: 3}},
+		{"original", Config{Device: DeviceOriginal, Fabric: FabricOFI}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run(t, 3, tc.cfg, func(p *Proc) error {
+				// World rank r is rank 2-r of reversed.
+				reversed, err := p.World().Split(0, -p.Rank())
+				if err != nil {
+					return err
+				}
+				for _, c := range []*Comm{p.World(), reversed} {
+					root := 0
+					if c == reversed {
+						root = 2
+					}
+					if c.Rank() != root {
+						req, err := c.IsendNoMatch([]byte{byte(c.Rank())}, 1, Byte, root)
+						if err != nil {
+							return err
+						}
+						if _, err := req.Wait(); err != nil {
+							return err
+						}
+						continue
+					}
+					buf := make([]byte, 1)
+					first, err := c.RecvNoMatch(buf, 1, Byte)
+					if err != nil {
+						return err
+					}
+					from := int(buf[0])
+					req, err := c.IrecvNoMatch(buf, 1, Byte)
+					if err != nil {
+						return err
+					}
+					second, err := req.Wait()
+					if err != nil {
+						return err
+					}
+					if first.Source != from || second.Source != int(buf[0]) || first.Source+second.Source != 3-root {
+						return fmt.Errorf("comm rank %d: statuses name sources %d and %d, messages came from %d and %d",
+							root, first.Source, second.Source, from, buf[0])
+					}
+				}
+				return nil
+			})
+		})
+	}
+}
+
 func TestPredefinedCommPublic(t *testing.T) {
 	run(t, 2, Config{}, func(p *Proc) error {
 		w := p.World()

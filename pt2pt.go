@@ -96,8 +96,8 @@ func (r *Request) Wait() (Status, error) {
 		return Status{}, nil // requestless (no-req) operations
 	}
 	if r.p != nil {
-		if end := r.p.span(TraceWait, -1, 0); end != nil {
-			defer end()
+		if r.p.observed() {
+			defer r.p.span(TraceWait, -1, 0)()
 		}
 	}
 	r.r.Wait()
@@ -177,8 +177,8 @@ func (p *Proc) newRequest() *Request {
 // into a fresh one (newRequest) when req is nil (the nonblocking forms).
 func (c *Comm) isend(buf []byte, count int, dt *Datatype, dest, tag int, flags core.OpFlags, req *Request) (*Request, error) {
 	p := c.p
-	if end := p.spanVCI(TraceSend, dest, traceBytes(count, dt), p.vciOf(c)); end != nil {
-		defer end()
+	if p.observed() {
+		defer p.spanVCI(TraceSend, dest, traceBytes(count, dt), p.vciOf(c))()
 	}
 	p.chargeCall()
 	unlock := p.chargeThread(c.c, false)
@@ -277,8 +277,8 @@ func (o SendOptions) flags() core.OpFlags {
 func (c *Comm) IsendOpt(buf []byte, count int, dt *Datatype, dest, tag int, o SendOptions) (*Request, error) {
 	if o == AllSendOptions && dt == Byte && count == len(buf) {
 		p := c.p
-		if end := p.span(TraceSend, dest, len(buf)); end != nil {
-			defer end()
+		if p.observed() {
+			defer p.span(TraceSend, dest, len(buf))()
 		}
 		// No call-frame or validation charges: the all-opts path is
 		// defined as a link-time-inlined specialized function.
@@ -374,8 +374,8 @@ func (c *Comm) CommWaitall() error {
 // req is nil.
 func (c *Comm) irecv(buf []byte, count int, dt *Datatype, src, tag int, flags core.OpFlags, req *Request) (*Request, error) {
 	p := c.p
-	if end := p.spanVCI(TraceRecv, src, traceBytes(count, dt), p.vciOf(c)); end != nil {
-		defer end()
+	if p.observed() {
+		defer p.spanVCI(TraceRecv, src, traceBytes(count, dt), p.vciOf(c))()
 	}
 	p.chargeCall()
 	unlock := p.chargeThread(c.c, false)

@@ -140,8 +140,8 @@ func (w *Win) rmaEnter(origin []byte, count int, dt *Datatype, target, disp int)
 // Put transfers count elements of dt from origin into target's window
 // at displacement disp (MPI_PUT).
 func (w *Win) Put(origin []byte, count int, dt *Datatype, target, disp int) error {
-	if end := w.p.span(TracePut, target, traceBytes(count, dt)); end != nil {
-		defer end()
+	if w.p.observed() {
+		defer w.p.span(TracePut, target, traceBytes(count, dt))()
 	}
 	if err := w.rmaEnter(origin, count, dt, target, disp); err != nil {
 		return err
@@ -175,8 +175,8 @@ var AllPutOptions = PutOptions{GlobalRank: true, NoProcNull: true}
 // validation and rank translation are skipped entirely.
 func (w *Win) PutOpt(origin []byte, count int, dt *Datatype, target, disp int, o PutOptions) error {
 	if o == AllPutOptions && dt == Byte && count == len(origin) {
-		if end := w.p.span(TracePut, target, len(origin)); end != nil {
-			defer end()
+		if w.p.observed() {
+			defer w.p.span(TracePut, target, len(origin))()
 		}
 		if err := w.p.dev.PutAllOpts(origin, target, disp, w.w); err != nil {
 			return errc(ErrWin, "%v", err)
@@ -194,8 +194,8 @@ func (w *Win) PutOpt(origin []byte, count int, dt *Datatype, target, disp int, o
 // on every window flavor, removing the dynamic-window disadvantages the
 // paper describes.
 func (w *Win) PutVirtualAddr(origin []byte, count int, dt *Datatype, target int, addr VAddr) error {
-	if end := w.p.span(TracePut, target, traceBytes(count, dt)); end != nil {
-		defer end()
+	if w.p.observed() {
+		defer w.p.span(TracePut, target, traceBytes(count, dt))()
 	}
 	if err := w.rmaEnter(origin, count, dt, target, int(addr)); err != nil {
 		return err
@@ -208,8 +208,8 @@ func (w *Win) PutVirtualAddr(origin []byte, count int, dt *Datatype, target int,
 
 // Get transfers from the target window into origin (MPI_GET).
 func (w *Win) Get(origin []byte, count int, dt *Datatype, target, disp int) error {
-	if end := w.p.span(TraceGet, target, traceBytes(count, dt)); end != nil {
-		defer end()
+	if w.p.observed() {
+		defer w.p.span(TraceGet, target, traceBytes(count, dt))()
 	}
 	if err := w.rmaEnter(origin, count, dt, target, disp); err != nil {
 		return err
@@ -222,8 +222,8 @@ func (w *Win) Get(origin []byte, count int, dt *Datatype, target, disp int) erro
 
 // GetVirtualAddr is the get-side virtual-address fast path.
 func (w *Win) GetVirtualAddr(origin []byte, count int, dt *Datatype, target int, addr VAddr) error {
-	if end := w.p.span(TraceGet, target, traceBytes(count, dt)); end != nil {
-		defer end()
+	if w.p.observed() {
+		defer w.p.span(TraceGet, target, traceBytes(count, dt))()
 	}
 	if err := w.rmaEnter(origin, count, dt, target, int(addr)); err != nil {
 		return err
@@ -237,8 +237,8 @@ func (w *Win) GetVirtualAddr(origin []byte, count int, dt *Datatype, target int,
 // Accumulate folds origin into the target window with op
 // (MPI_ACCUMULATE). Elementwise atomicity matches MPI semantics.
 func (w *Win) Accumulate(origin []byte, count int, dt *Datatype, target, disp int, op Op) error {
-	if end := w.p.span(TraceAcc, target, traceBytes(count, dt)); end != nil {
-		defer end()
+	if w.p.observed() {
+		defer w.p.span(TraceAcc, target, traceBytes(count, dt))()
 	}
 	if err := w.rmaEnter(origin, count, dt, target, disp); err != nil {
 		return err
@@ -252,8 +252,8 @@ func (w *Win) Accumulate(origin []byte, count int, dt *Datatype, target, disp in
 // GetAccumulate atomically fetches the prior target contents into
 // result and folds origin in (MPI_GET_ACCUMULATE).
 func (w *Win) GetAccumulate(origin, result []byte, count int, dt *Datatype, target, disp int, op Op) error {
-	if end := w.p.span(TraceAcc, target, traceBytes(count, dt)); end != nil {
-		defer end()
+	if w.p.observed() {
+		defer w.p.span(TraceAcc, target, traceBytes(count, dt))()
 	}
 	if err := w.rmaEnter(origin, count, dt, target, disp); err != nil {
 		return err
@@ -271,8 +271,8 @@ func (w *Win) FetchAndOp(origin, result []byte, dt *Datatype, target, disp int, 
 
 // Fence closes the current epoch and opens the next (MPI_WIN_FENCE).
 func (w *Win) Fence() error {
-	if end := w.p.span(TraceSync, -1, 0); end != nil {
-		defer end()
+	if w.p.observed() {
+		defer w.p.span(TraceSync, -1, 0)()
 	}
 	w.p.chargeCall()
 	unlock := w.p.chargeThread(nil, true)
@@ -287,8 +287,8 @@ func (w *Win) Fence() error {
 // (MPI_WIN_FENCE with MPI_MODE_NOSUCCEED); required before switching
 // to passive-target synchronization.
 func (w *Win) FenceEnd() error {
-	if end := w.p.span(TraceSync, -1, 0); end != nil {
-		defer end()
+	if w.p.observed() {
+		defer w.p.span(TraceSync, -1, 0)()
 	}
 	w.p.chargeCall()
 	unlock := w.p.chargeThread(nil, true)
@@ -301,8 +301,8 @@ func (w *Win) FenceEnd() error {
 
 // Lock opens a passive-target epoch on target (MPI_WIN_LOCK).
 func (w *Win) Lock(target int, exclusive bool) error {
-	if end := w.p.span(TraceSync, target, 0); end != nil {
-		defer end()
+	if w.p.observed() {
+		defer w.p.span(TraceSync, target, 0)()
 	}
 	w.p.chargeCall()
 	if w.w.NoLocks {
@@ -329,8 +329,8 @@ func (w *Win) LockAll() error { return w.lockAll(false) }
 func (w *Win) LockAllExclusive() error { return w.lockAll(true) }
 
 func (w *Win) lockAll(exclusive bool) error {
-	if end := w.p.span(TraceSync, -1, 0); end != nil {
-		defer end()
+	if w.p.observed() {
+		defer w.p.span(TraceSync, -1, 0)()
 	}
 	w.p.chargeCall()
 	if w.w.NoLocks {
@@ -344,8 +344,8 @@ func (w *Win) lockAll(exclusive bool) error {
 
 // UnlockAll flushes and closes the LockAll epoch (MPI_WIN_UNLOCK_ALL).
 func (w *Win) UnlockAll() error {
-	if end := w.p.span(TraceSync, -1, 0); end != nil {
-		defer end()
+	if w.p.observed() {
+		defer w.p.span(TraceSync, -1, 0)()
 	}
 	w.p.chargeCall()
 	if err := w.p.dev.UnlockAll(w.w); err != nil {
@@ -356,8 +356,8 @@ func (w *Win) UnlockAll() error {
 
 // Unlock flushes and closes the passive epoch (MPI_WIN_UNLOCK).
 func (w *Win) Unlock(target int) error {
-	if end := w.p.span(TraceSync, target, 0); end != nil {
-		defer end()
+	if w.p.observed() {
+		defer w.p.span(TraceSync, target, 0)()
 	}
 	if err := w.p.dev.Unlock(w.w, target); err != nil {
 		return errc(ErrRMASync, "%v", err)
@@ -370,8 +370,8 @@ func (w *Win) Unlock(target int) error {
 // the foMPI-style passive-target redesign is built around: synchronize
 // data, not epochs.
 func (w *Win) Flush(target int) error {
-	if end := w.p.span(TraceFlush, target, 0); end != nil {
-		defer end()
+	if w.p.observed() {
+		defer w.p.span(TraceFlush, target, 0)()
 	}
 	w.p.chargeCall()
 	if err := w.p.dev.Flush(w.w, target); err != nil {
@@ -384,8 +384,8 @@ func (w *Win) Flush(target int) error {
 // (MPI_WIN_FLUSH_LOCAL): the origin buffers are reusable, remote
 // completion is not implied.
 func (w *Win) FlushLocal(target int) error {
-	if end := w.p.span(TraceFlush, target, 0); end != nil {
-		defer end()
+	if w.p.observed() {
+		defer w.p.span(TraceFlush, target, 0)()
 	}
 	w.p.chargeCall()
 	if err := w.p.dev.FlushLocal(w.w, target); err != nil {
@@ -398,8 +398,8 @@ func (w *Win) FlushLocal(target int) error {
 // (MPI_WIN_FLUSH_ALL). On the ch4 device this is one completion wait —
 // not a per-target loop — so its cost is independent of world size.
 func (w *Win) FlushAll() error {
-	if end := w.p.span(TraceFlush, -1, 0); end != nil {
-		defer end()
+	if w.p.observed() {
+		defer w.p.span(TraceFlush, -1, 0)()
 	}
 	w.p.chargeCall()
 	if err := w.p.dev.FlushAll(w.w); err != nil {
@@ -411,8 +411,8 @@ func (w *Win) FlushAll() error {
 // FlushLocalAll locally completes outstanding operations to every
 // target (MPI_WIN_FLUSH_LOCAL_ALL).
 func (w *Win) FlushLocalAll() error {
-	if end := w.p.span(TraceFlush, -1, 0); end != nil {
-		defer end()
+	if w.p.observed() {
+		defer w.p.span(TraceFlush, -1, 0)()
 	}
 	w.p.chargeCall()
 	if err := w.p.dev.FlushLocal(w.w, -1); err != nil {
@@ -426,8 +426,8 @@ func (w *Win) FlushLocalAll() error {
 // complete, progressed off the same request engine as two-sided
 // traffic. Only valid inside a passive-target epoch.
 func (w *Win) Rput(origin []byte, count int, dt *Datatype, target, disp int) (*Request, error) {
-	if end := w.p.span(TracePut, target, traceBytes(count, dt)); end != nil {
-		defer end()
+	if w.p.observed() {
+		defer w.p.span(TracePut, target, traceBytes(count, dt))()
 	}
 	if err := w.rmaEnter(origin, count, dt, target, disp); err != nil {
 		return nil, err
@@ -440,8 +440,8 @@ func (w *Win) Rput(origin []byte, count int, dt *Datatype, target, disp int) (*R
 
 // Rget is the request-based MPI_RGET.
 func (w *Win) Rget(origin []byte, count int, dt *Datatype, target, disp int) (*Request, error) {
-	if end := w.p.span(TraceGet, target, traceBytes(count, dt)); end != nil {
-		defer end()
+	if w.p.observed() {
+		defer w.p.span(TraceGet, target, traceBytes(count, dt))()
 	}
 	if err := w.rmaEnter(origin, count, dt, target, disp); err != nil {
 		return nil, err
@@ -454,8 +454,8 @@ func (w *Win) Rget(origin []byte, count int, dt *Datatype, target, disp int) (*R
 
 // Raccumulate is the request-based MPI_RACCUMULATE.
 func (w *Win) Raccumulate(origin []byte, count int, dt *Datatype, target, disp int, op Op) (*Request, error) {
-	if end := w.p.span(TraceAcc, target, traceBytes(count, dt)); end != nil {
-		defer end()
+	if w.p.observed() {
+		defer w.p.span(TraceAcc, target, traceBytes(count, dt))()
 	}
 	if err := w.rmaEnter(origin, count, dt, target, disp); err != nil {
 		return nil, err
@@ -490,8 +490,8 @@ const tagWinNotify = 704
 // before the token is sent, so a target returning from WaitNotify reads
 // the new window contents.
 func (w *Win) PutNotify(origin []byte, count int, dt *Datatype, target, disp int) error {
-	if end := w.p.span(TraceNotify, target, traceBytes(count, dt)); end != nil {
-		defer end()
+	if w.p.observed() {
+		defer w.p.span(TraceNotify, target, traceBytes(count, dt))()
 	}
 	if err := w.rmaEnter(origin, count, dt, target, disp); err != nil {
 		return err
@@ -516,8 +516,8 @@ func (w *Win) PutNotify(origin []byte, count int, dt *Datatype, target, disp int
 // notification is diagnosed by the stall watchdog's wait graph like any
 // unmatched receive.
 func (w *Win) WaitNotify(origin int) (int, error) {
-	if end := w.p.span(TraceNotify, origin, 0); end != nil {
-		defer end()
+	if w.p.observed() {
+		defer w.p.span(TraceNotify, origin, 0)()
 	}
 	w.p.chargeCall()
 	m := w.p.rank.Metrics()
