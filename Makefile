@@ -79,8 +79,13 @@ race:
 # up to it (CheckChainPrefix), an arrival-order receive names its
 # sender (NoMatchStatusSource), and a parked rank's goroutine stack
 # stays small (RankStackFootprint, in a child process; skipped under
-# -race). Zero failures.
-FLAKE_RUN = 'Ledger|DumpState|ZeroAlloc|AllocFree|SteadyStateAllocs|FeederPublished|FirstTouch|LockTouch|SpmvDeclaredShape|SingleVsShared|Shared.*Concurrent|SharedWriters|ForeignReader|TailFlush|WrapOrder|WhilePeersRun|SnapshotDuringDeposits|Region|RegisterWhilePut|ShareReaches|SPSC|NoMutex|WakePerMessage|SharedSiblings|WaiterGate|EventsEquals|Lent|RendezvousDeadlock|CopyCounts|CompletesAtReturn|ForcesMatchReference|RunGolden|TimestepAllocs|YieldBeforePark|WaitParksAfterYields|SlabRequests|OneCell|DrainWakesAggregate|DepositLocalAndWake|MatchChargeTable|OneLanePerComm|RecvChargeTable|WildcardStaleReplica|WildcardEveryLaneCount|RmaChargeTable|BlockedCallsProgress|FullRingDrainsOwnRings|AbortUnblocksCommCreation|AbortUnblocksFullRing|LockAllExclusivePhases|WatchdogTripsOnDeadlock|CheckChainPrefix|NoMatchStatusSource|RankStackFootprint'
+# -race) — and the one active-message packet set for one-sided
+# operations: three origins' fetch-and-adds on one counter fetch no
+# value twice on either device, under Lock and LockAll, contiguous and
+# derived (GetAccumulateAtomic), and contiguous and derived accumulates
+# on the same bytes both fold under the region lock, so -race sees no
+# race and no update is lost (AccumulateMixedLayouts). Zero failures.
+FLAKE_RUN = 'Ledger|DumpState|ZeroAlloc|AllocFree|SteadyStateAllocs|FeederPublished|FirstTouch|LockTouch|SpmvDeclaredShape|SingleVsShared|Shared.*Concurrent|SharedWriters|ForeignReader|TailFlush|WrapOrder|WhilePeersRun|SnapshotDuringDeposits|Region|RegisterWhilePut|ShareReaches|SPSC|NoMutex|WakePerMessage|SharedSiblings|WaiterGate|EventsEquals|Lent|RendezvousDeadlock|CopyCounts|CompletesAtReturn|ForcesMatchReference|RunGolden|TimestepAllocs|YieldBeforePark|WaitParksAfterYields|SlabRequests|OneCell|DrainWakesAggregate|DepositLocalAndWake|MatchChargeTable|OneLanePerComm|RecvChargeTable|WildcardStaleReplica|WildcardEveryLaneCount|RmaChargeTable|BlockedCallsProgress|FullRingDrainsOwnRings|AbortUnblocksCommCreation|AbortUnblocksFullRing|LockAllExclusivePhases|WatchdogTripsOnDeadlock|CheckChainPrefix|NoMatchStatusSource|RankStackFootprint|GetAccumulateAtomic|AccumulateMixedLayouts'
 FLAKE_PKGS = . ./internal/proc ./internal/instr ./internal/vtime ./internal/hist ./internal/shm ./internal/bench ./internal/flight ./internal/metrics ./internal/request ./internal/fabric ./internal/ch4 ./internal/md
 
 flake:

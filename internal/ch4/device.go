@@ -28,13 +28,6 @@ import (
 	"gompi/internal/vtime"
 )
 
-// AM handler ids used by the ch4 core fallback.
-const (
-	amPutDerived uint8 = iota + 1
-	amAccDerived
-	amAck
-)
-
 // Global is the device state shared by all ranks: the fabric, the
 // shared-memory domain, and the build configuration. One Global exists
 // per job.
@@ -110,12 +103,11 @@ type Device struct {
 	boxFree  []*recvBox
 	sendFree *sendBox
 
-	// AM fallback accounting: operations shipped and acknowledgements
-	// received. All mutate only on the owner goroutine (the ack
-	// handler runs there).
-	amSent       int64
-	amAcked      int64
-	amAckArrival vtime.Time
+	// am is the active-message fallback of the ch4 core: the one-sided
+	// packet set both devices share, here carrying only what the
+	// netmod cannot do natively (derived-layout Put, Accumulate and
+	// GetAccumulate).
+	am *core.AM
 }
 
 // Open attaches rank to the device. Must be called on the rank's own
@@ -131,9 +123,7 @@ func (g *Global) Open(r *proc.Rank) *Device {
 		g.Shm.Bind(r.ID(), r)
 		g.Shm.BindWait(r.ID(), d.waitUntil)
 	}
-	d.ep.RegisterAM(amPutDerived, d.handlePutDerived)
-	d.ep.RegisterAM(amAccDerived, d.handleAccDerived)
-	d.ep.RegisterAM(amAck, d.handleAck)
+	d.am = core.NewAM(r, g.Fab, 0, core.AMCosts{Move: instr.AMScatterCost, Fold: instr.AMFoldCost}, d.waitUntil)
 	if g.Cfg.EagerPeers {
 		// The eager-peers ablation: materialize connection state toward
 		// every peer (and the shm ring toward every on-node peer) at

@@ -1,7 +1,6 @@
 package ch4
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"gompi/internal/coll"
@@ -12,7 +11,6 @@ import (
 	"gompi/internal/instr"
 	"gompi/internal/request"
 	"gompi/internal/rma"
-	"gompi/internal/vtime"
 )
 
 // WinCreate collectively creates a window exposing mem. Windows open
@@ -60,6 +58,39 @@ func (d *Device) WinDetach(w *rma.Win, mem []byte, va rma.VAddr) error {
 	return nil
 }
 
+// begin charges the one-sided origin path up to the transport choice
+// (dispatch, MPI_PROC_NULL, window and epoch, the redundant
+// re-derivations, target translation, locality), records the flight
+// event and resolves the target. world is core.ProcNull when there is
+// nothing to do; err is wrapped for the named call.
+func (d *Device) begin(name string, fk flight.Kind, redundant int64, count int, dt *datatype.Type,
+	target, disp int, w *rma.Win, flags core.OpFlags) (world, key, off int, err error) {
+
+	d.charge(instr.Call, cost(instr.DispatchRMA))
+	if !flags.Has(core.FlagNoProcNull) {
+		d.charge(instr.Mandatory, cost(instr.ProcNull))
+		if target == core.ProcNull {
+			return core.ProcNull, 0, 0, nil
+		}
+	}
+	d.charge(instr.Mandatory, cost(instr.WinDeref)+cost(instr.EpochTrack))
+	d.charge(instr.Redundant, redundant)
+	d.meter.ChargeType(dt, cost(instr.RedundantDatatype))
+	world, key, off, err = d.resolveTarget(target, disp, datatype.Reach(dt, count), w, flags)
+	if err != nil {
+		return 0, 0, 0, errString(name, err)
+	}
+	d.charge(instr.Mandatory, cost(instr.Locality))
+	d.rank.Metrics().Flight.Record(fk, int64(d.rank.Now()), world, datatype.PackedSize(dt, count), -1)
+	return world, key, off, nil
+}
+
+// moveRedundant is what a Put or Get re-derives that the design could
+// keep: the accumulate path skips the buffer-address reload.
+func moveRedundant() int64 {
+	return cost(instr.RedundantMarshal) + cost(instr.RedundantReload) + cost(instr.RedundantBufAddr) + cost(instr.RedundantRMA)
+}
+
 // resolveTarget turns (target, disp, flags) into the fabric (rank,
 // region key, byte offset) triple, charging the Section 3.2 costs. The
 // target range must hold reach bytes (datatype.Reach).
@@ -97,27 +128,10 @@ func (d *Device) Put(origin []byte, count int, dt *datatype.Type, target, disp i
 	w *rma.Win, flags core.OpFlags) error {
 
 	d.rank.Metrics().NoteRmaPut()
-	d.charge(instr.Call, cost(instr.DispatchRMA))
-
-	if !flags.Has(core.FlagNoProcNull) {
-		d.charge(instr.Mandatory, cost(instr.ProcNull))
-		if target == core.ProcNull {
-			return nil
-		}
+	world, key, off, err := d.begin("put", flight.RmaPut, moveRedundant(), count, dt, target, disp, w, flags)
+	if world == core.ProcNull || err != nil {
+		return err
 	}
-	d.charge(instr.Mandatory, cost(instr.WinDeref)+cost(instr.EpochTrack))
-	d.charge(instr.Redundant, cost(instr.RedundantMarshal)+cost(instr.RedundantReload)+
-		cost(instr.RedundantBufAddr)+cost(instr.RedundantRMA))
-	d.meter.ChargeType(dt, cost(instr.RedundantDatatype))
-
-	nbytes := datatype.PackedSize(dt, count)
-	world, key, off, err := d.resolveTarget(target, disp, datatype.Reach(dt, count), w, flags)
-	if err != nil {
-		return errString("put", err)
-	}
-	d.charge(instr.Mandatory, cost(instr.Locality))
-	d.rank.Metrics().Flight.Record(flight.RmaPut, int64(d.rank.Now()), world, nbytes, -1)
-
 	if view, ok := datatype.ContigView(dt, count, origin); ok {
 		if d.shmWindowLocal(world) && !w.Shared.Dynamic {
 			d.charge(instr.Mandatory, cost(instr.ShmPrep))
@@ -133,7 +147,14 @@ func (d *Device) Put(origin []byte, count int, dt *datatype.Type, target, disp i
 	// Active-message fallback in the ch4 core: pack the origin data,
 	// ship the flattened target layout, and let the target-side
 	// handler scatter it.
-	return d.putDerivedAM(origin, count, dt, world, key, off)
+	d.charge(instr.Mandatory, cost(instr.AMFallback))
+	packed := make([]byte, datatype.PackedSize(dt, count))
+	if _, err := datatype.Pack(dt, count, origin, packed); err != nil {
+		return errString("put", err)
+	}
+	d.charge(instr.Mandatory, instr.PackCost(len(packed)))
+	d.am.Put(world, key, off, count, dt, packed)
+	return nil
 }
 
 // shmWindowLocal reports whether world's window memory sits in this
@@ -160,27 +181,10 @@ func (d *Device) Get(origin []byte, count int, dt *datatype.Type, target, disp i
 	w *rma.Win, flags core.OpFlags) error {
 
 	d.rank.Metrics().NoteRmaGet()
-	d.charge(instr.Call, cost(instr.DispatchRMA))
-
-	if !flags.Has(core.FlagNoProcNull) {
-		d.charge(instr.Mandatory, cost(instr.ProcNull))
-		if target == core.ProcNull {
-			return nil
-		}
+	world, key, off, err := d.begin("get", flight.RmaGet, moveRedundant(), count, dt, target, disp, w, flags)
+	if world == core.ProcNull || err != nil {
+		return err
 	}
-	d.charge(instr.Mandatory, cost(instr.WinDeref)+cost(instr.EpochTrack))
-	d.charge(instr.Redundant, cost(instr.RedundantMarshal)+cost(instr.RedundantReload)+
-		cost(instr.RedundantBufAddr)+cost(instr.RedundantRMA))
-	d.meter.ChargeType(dt, cost(instr.RedundantDatatype))
-
-	nbytes := datatype.PackedSize(dt, count)
-	world, key, off, err := d.resolveTarget(target, disp, datatype.Reach(dt, count), w, flags)
-	if err != nil {
-		return errString("get", err)
-	}
-	d.charge(instr.Mandatory, cost(instr.Locality))
-	d.rank.Metrics().Flight.Record(flight.RmaGet, int64(d.rank.Now()), world, nbytes, -1)
-
 	if view, ok := datatype.ContigView(dt, count, origin); ok {
 		if d.shmWindowLocal(world) && !w.Shared.Dynamic {
 			d.charge(instr.Mandatory, cost(instr.ShmPrep))
@@ -194,7 +198,7 @@ func (d *Device) Get(origin []byte, count int, dt *datatype.Type, target, disp i
 	}
 	// Derived layout: one RDMA read per run, landing directly in the
 	// laid-out origin buffer.
-	datatype.LayoutOf(dt, count).Walk(nbytes, func(at, _, n int) {
+	datatype.LayoutOf(dt, count).Walk(datatype.PackedSize(dt, count), func(at, _, n int) {
 		d.charge(instr.Mandatory, cost(instr.RDMADesc))
 		d.ep.Get(world, key, off+at, origin[at:at+n])
 	})
@@ -224,40 +228,31 @@ func (d *Device) GetAccumulate(origin, result []byte, count int, dt *datatype.Ty
 func (d *Device) accumulate(origin, result []byte, count int, dt *datatype.Type,
 	target, disp int, op coll.Op, w *rma.Win, flags core.OpFlags) error {
 
-	d.charge(instr.Call, cost(instr.DispatchRMA))
-
-	if !flags.Has(core.FlagNoProcNull) {
-		d.charge(instr.Mandatory, cost(instr.ProcNull))
-		if target == core.ProcNull {
-			return nil
-		}
+	world, key, off, err := d.begin("accumulate", flight.RmaAcc,
+		cost(instr.RedundantMarshal)+cost(instr.RedundantReload)+cost(instr.RedundantRMA), count, dt, target, disp, w, flags)
+	if world == core.ProcNull || err != nil {
+		return err
 	}
-	d.charge(instr.Mandatory, cost(instr.WinDeref)+cost(instr.EpochTrack))
-	d.charge(instr.Redundant, cost(instr.RedundantMarshal)+cost(instr.RedundantReload)+
-		cost(instr.RedundantRMA))
-	d.meter.ChargeType(dt, cost(instr.RedundantDatatype))
-
 	elem := dt.BaseElem()
 	if elem == nil {
 		return errString("accumulate", coll.ErrBadOp)
 	}
 	nbytes := datatype.PackedSize(dt, count)
-	world, key, off, err := d.resolveTarget(target, disp, datatype.Reach(dt, count), w, flags)
-	if err != nil {
-		return errString("accumulate", err)
-	}
-	d.charge(instr.Mandatory, cost(instr.Locality))
-	d.rank.Metrics().Flight.Record(flight.RmaAcc, int64(d.rank.Now()), world, nbytes, -1)
-
 	view, contig := datatype.ContigView(dt, count, origin)
 	if !contig {
-		// Derived layouts take the AM fallback; result fetch is not
-		// supported there (matching MPI implementations that restrict
-		// get_accumulate fast paths).
-		if result != nil {
-			return errString("get_accumulate", coll.ErrBadOp)
+		// Derived layouts take the AM fallback: the target folds the
+		// packed bytes under the region's atomicity lock, and a
+		// GetAccumulate's one packet brings the prior bytes back.
+		d.charge(instr.Mandatory, cost(instr.AMFallback))
+		packed := make([]byte, nbytes)
+		if _, err := datatype.Pack(dt, count, origin, packed); err != nil {
+			return errString("accumulate", err)
 		}
-		return d.accDerivedAM(origin, count, dt, op, world, key, off)
+		if result == nil {
+			d.am.Accumulate(world, key, off, count, dt, op, packed)
+			return nil
+		}
+		return d.am.GetAccumulate(world, key, off, count, dt, op, packed, result)
 	}
 
 	if d.shmWindowLocal(world) && !w.Shared.Dynamic {
@@ -310,7 +305,7 @@ func (d *Device) FenceEnd(w *rma.Win) error { return d.fence(w, false) }
 // next epoch (next) or closes the open one.
 func (d *Device) fence(w *rma.Win, next bool) error {
 	d.charge(instr.Mandatory, cost(instr.EpochTrack))
-	d.flushAM()
+	d.am.Flush()
 	core.Barrier(d, w.Comm)
 	if !w.Shared.Dynamic {
 		d.rank.Sync(d.g.Fab.RegionArrival(d.rank.ID(), w.MyKey))
@@ -363,7 +358,7 @@ func (d *Device) Unlock(w *rma.Win, target int) error {
 // out AM fallback acks and charges the completion round trip.
 func (d *Device) Flush(w *rma.Win, target int) error {
 	d.charge(instr.Mandatory, cost(instr.FlushProto))
-	d.flushAM()
+	d.am.Flush()
 	d.rank.ChargeCycles(instr.Transport, 2*d.g.Fab.Profile().WireLatency)
 	core.ObserveFlush(d.rank, w, target)
 	return nil
@@ -383,15 +378,9 @@ func (d *Device) FlushLocal(w *rma.Win, target int) error {
 // FlushAll completes outstanding operations to every target
 // (MPI_WIN_FLUSH_ALL) without closing the epoch. Completion tracking
 // is per-endpoint, so one AM drain and one round trip cover all
-// targets — the same cost as a single Flush, which is the point of
-// the flush-based design.
-func (d *Device) FlushAll(w *rma.Win) error {
-	d.charge(instr.Mandatory, cost(instr.FlushProto))
-	d.flushAM()
-	d.rank.ChargeCycles(instr.Transport, 2*d.g.Fab.Profile().WireLatency)
-	core.ObserveFlush(d.rank, w, -1)
-	return nil
-}
+// targets — a single Flush, which is the point of the flush-based
+// design.
+func (d *Device) FlushAll(w *rma.Win) error { return d.Flush(w, -1) }
 
 // FlushRequest returns a request completing when every operation
 // issued so far to target (or all targets for -1) is remotely
@@ -403,30 +392,27 @@ func (d *Device) FlushRequest(w *rma.Win, target int) (*request.Request, error) 
 	d.charge(instr.Mandatory, cost(instr.FlushProto)+cost(instr.Request))
 	r := d.pool.Get(request.KindRMA)
 	r.Issued = int64(d.rank.Now())
-	sent := d.amSent
+	mark := d.am.Sent()
 	finish := func(r *request.Request) {
-		d.rank.Sync(d.amAckArrival)
+		d.am.FlushTo(mark)
 		d.rank.ChargeCycles(instr.Transport, 2*d.g.Fab.Profile().WireLatency)
 		core.ObserveFlush(d.rank, w, target)
 		d.rank.Metrics().Lat.ReqLife.Observe(int64(d.rank.Now()) - r.Issued)
 		r.MarkComplete(request.Status{})
 	}
-	if d.amAcked >= sent {
+	if d.am.Acked() >= mark {
 		finish(r)
 		return r, nil
 	}
 	r.Poll = func(r *request.Request) bool {
 		d.Progress()
-		if d.amAcked < sent {
+		if d.am.Acked() < mark {
 			return false
 		}
 		finish(r)
 		return true
 	}
-	r.Block = func(r *request.Request) {
-		d.waitUntil(func() bool { return d.amAcked >= sent })
-		finish(r)
-	}
+	r.Block = finish
 	return r, nil
 }
 
@@ -485,96 +471,4 @@ func (d *Device) PutAllOpts(origin []byte, worldTarget, disp int, w *rma.Win) er
 	}
 	d.ep.Put(worldTarget, key, off, origin)
 	return nil
-}
-
-// --- active-message fallback -------------------------------------------
-
-// amPending tracks unacknowledged AM fallback operations; mutated only
-// on the owner goroutine (the ack handler runs there too).
-func (d *Device) flushAM() {
-	if d.amSent != d.amAcked {
-		d.waitUntil(func() bool { return d.amSent == d.amAcked })
-	}
-	d.rank.Sync(d.amAckArrival)
-}
-
-// putDerivedAM ships a derived-layout put as an active message: packed
-// payload plus the flattened target layout; the target-side handler
-// scatters it and acknowledges.
-func (d *Device) putDerivedAM(origin []byte, count int, dt *datatype.Type, world, key, off int) error {
-	d.charge(instr.Mandatory, cost(instr.AMFallback))
-	packed := make([]byte, datatype.PackedSize(dt, count))
-	if _, err := datatype.Pack(dt, count, origin, packed); err != nil {
-		return errString("put", err)
-	}
-	d.charge(instr.Mandatory, instr.PackCost(len(packed)))
-	d.amSent++
-	d.ep.AMSend(world, amPutDerived, amHeader(key, off, count, dt), packed)
-	return nil
-}
-
-// accDerivedAM ships a derived-layout accumulate.
-func (d *Device) accDerivedAM(origin []byte, count int, dt *datatype.Type, op coll.Op, world, key, off int) error {
-	d.charge(instr.Mandatory, cost(instr.AMFallback))
-	packed := make([]byte, datatype.PackedSize(dt, count))
-	if _, err := datatype.Pack(dt, count, origin, packed); err != nil {
-		return errString("accumulate", err)
-	}
-	hdr := append(amHeader(key, off, count, dt), byte(op), byte(coll.ElemCode(dt.BaseElem())))
-	d.amSent++
-	d.ep.AMSend(world, amAccDerived, hdr, packed)
-	return nil
-}
-
-// amHeader is the AM fallback's header: the target's region key
-// and byte offset, then the flattened target layout — 20+8n bytes for
-// n segments.
-func amHeader(key, off, count int, dt *datatype.Type) []byte {
-	l := datatype.LayoutOf(dt, count)
-	hdr := make([]byte, 8, 20+8*len(l.Segs))
-	binary.LittleEndian.PutUint32(hdr, uint32(key))
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(off))
-	return l.Append(hdr)
-}
-
-// targetOf decodes a layout header at the target: the addressed
-// window memory from the offset on, the layout, and the bytes after it.
-func (d *Device) targetOf(hdr []byte) ([]byte, datatype.Layout, []byte) {
-	mem := d.g.Fab.RegionMem(d.rank.ID(), int(binary.LittleEndian.Uint32(hdr)))
-	l, rest := datatype.DecodeLayout(hdr[8:])
-	return mem[binary.LittleEndian.Uint32(hdr[4:]):], l, rest
-}
-
-// handlePutDerived is the target-side AM fallback for derived-layout
-// puts: place the packed payload into window memory per the shipped
-// layout, then acknowledge.
-func (d *Device) handlePutDerived(src int, hdr, payload []byte, _ vtime.Time) {
-	mem, l, _ := d.targetOf(hdr)
-	d.charge(instr.Mandatory, instr.AMScatterCost(len(payload)))
-	l.Walk(len(payload), func(at, pos, n int) { copy(mem[at:at+n], payload[pos:pos+n]) })
-	d.ep.AMSend(src, amAck, nil, nil)
-}
-
-// handleAccDerived is the target-side AM fallback for derived-layout
-// accumulates: fold the packed payload into window memory per the
-// shipped layout.
-func (d *Device) handleAccDerived(src int, hdr, payload []byte, _ vtime.Time) {
-	mem, l, rest := d.targetOf(hdr)
-	op, elem := coll.Op(rest[0]), coll.ElemFromCode(int(rest[1]))
-	d.charge(instr.Mandatory, instr.AMFoldCost(len(payload)))
-	l.Walk(len(payload), func(at, pos, n int) {
-		if err := coll.Apply(op, elem, mem[at:at+n], payload[pos:pos+n]); err != nil {
-			panic(errString("am accumulate", err))
-		}
-	})
-	d.ep.AMSend(src, amAck, nil, nil)
-}
-
-// handleAck counts an AM fallback acknowledgement; the arrival folds
-// into the clock at the next flush.
-func (d *Device) handleAck(_ int, _, _ []byte, arrival vtime.Time) {
-	d.amAcked++
-	if arrival > d.amAckArrival {
-		d.amAckArrival = arrival
-	}
 }

@@ -470,18 +470,22 @@ func TestDerivedAccumulateAMFallback(t *testing.T) {
 			if err := e.d.Accumulate(contrib, 1, vec, 1, 0, coll.OpSum, w, 0); err != nil {
 				return err
 			}
-			// GetAccumulate is not supported on the AM fallback.
+			// GetAccumulate rides the same fallback as one packet: it
+			// fetches what the accumulate before it left.
 			res := make([]byte, 8*4)
-			if err := e.d.GetAccumulate(contrib, res, 1, vec, 1, 0, coll.OpSum, w, 0); err == nil {
-				return errors.New("derived get_accumulate accepted")
+			if err := e.d.GetAccumulate(contrib, res, 1, vec, 1, 0, coll.OpSum, w, 0); err != nil {
+				return err
+			}
+			if a, b := binary.LittleEndian.Uint64(res[0:]), binary.LittleEndian.Uint64(res[16:]); a != 105 || b != 207 {
+				return fmt.Errorf("derived get_accumulate fetched %d, %d; want 105, 207", a, b)
 			}
 		}
 		e.d.Fence(w)
 		if e.c.Rank() == 1 {
-			if got := binary.LittleEndian.Uint64(mem[0:]); got != 105 {
+			if got := binary.LittleEndian.Uint64(mem[0:]); got != 110 {
 				return fmt.Errorf("slot 0 = %d", got)
 			}
-			if got := binary.LittleEndian.Uint64(mem[16:]); got != 207 {
+			if got := binary.LittleEndian.Uint64(mem[16:]); got != 214 {
 				return fmt.Errorf("slot 2 = %d", got)
 			}
 		}

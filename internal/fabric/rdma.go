@@ -177,10 +177,21 @@ func (f *Fabric) RMWLocal(dst, key, off, n int, fn func(target []byte), arrival 
 }
 
 // RegionMem exposes the raw memory of a locally registered region to
-// device-side active-message handlers: the target of ch4's AM fallback
-// or of a baseline RMA packet works on its own window memory.
+// the one-sided active-message handlers (core.AM): the target of a put
+// or get packet works on its own window memory.
 func (f *Fabric) RegionMem(rank, key int) []byte {
 	return f.region(rank, key).mem
+}
+
+// RegionAtomic runs fn on the memory of a locally registered region
+// under the region's atomicity lock, recording no arrival: the target
+// side of an active-message accumulate, which must exclude a NIC atomic
+// (RMW, RMWLocal) folding the same bytes.
+func (f *Fabric) RegionAtomic(rank, key int, fn func(mem []byte)) {
+	r := f.region(rank, key)
+	r.rmwMu.Lock()
+	defer r.rmwMu.Unlock()
+	fn(r.mem)
 }
 
 // RegionArrival returns the latest virtual arrival of any remote write

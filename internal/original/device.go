@@ -28,15 +28,13 @@ import (
 	"gompi/internal/vtime"
 )
 
-// AM handler ids.
-const (
-	amEager uint8 = iota + 1
-	amPut
-	amAcc
-	amGetReq
-	amGetResp
-	amAck
-)
+// amEager is the handler id of the eager send packet; the one-sided
+// packets are core.AM's.
+const amEager = core.AMFirstFree
+
+// pktHeader is the size of CH3's generic packet header, to which every
+// one-sided packet pads its fields.
+const pktHeader = 24
 
 // Global is the job-wide device state.
 type Global struct {
@@ -73,7 +71,7 @@ func (g *Global) DumpState(w io.Writer) {
 		d.bigMu.Lock()
 		posted, unex := d.eng.PostedLen(), d.eng.UnexpectedLen()
 		fmt.Fprintf(w, "rank %d: %d posted, %d unexpected, %d unacked AM\n",
-			d.rank.ID(), posted, unex, d.amSent-d.amAcked)
+			d.rank.ID(), posted, unex, d.am.Sent()-d.am.Acked())
 		d.eng.PostedEach(func(e match.Entry) {
 			fmt.Fprintf(w, "  posted recv %s\n", e.DescribeRecv())
 		})
@@ -112,13 +110,9 @@ type Device struct {
 
 	eng match.Engine // software matching, at the MPI layer
 
-	// Get request/response bookkeeping (owner goroutine only).
-	getSeq  uint32
-	getWait map[uint32]*getState
-
-	amSent       int64
-	amAcked      int64
-	amAckArrival vtime.Time // latest ack arrival, folded in at flush
+	// am carries every one-sided operation: CH3 emulates them all
+	// over active messages.
+	am *core.AM
 
 	// bigMu is the CH3-era global critical section: under
 	// MPI_THREAD_MULTIPLE every ADI entry on this device serializes on
@@ -130,17 +124,10 @@ type Device struct {
 	locking bool
 }
 
-type getState struct {
-	buf     []byte
-	done    bool
-	arrival vtime.Time
-}
-
 // Open attaches a rank.
 func (g *Global) Open(r *proc.Rank) *Device {
 	d := &Device{
 		g: g, rank: r, ep: g.Fab.Endpoint(r.ID()), cfg: g.Cfg, meter: core.NewMeter(r, g.Cfg),
-		getWait: make(map[uint32]*getState),
 		locking: g.Cfg.ThreadMultiple,
 	}
 	// CH3's software matching is the single linear queue the paper
@@ -148,11 +135,10 @@ func (g *Global) Open(r *proc.Rank) *Device {
 	d.eng.Mode = match.Linear
 	d.ep.Bind(r)
 	d.ep.RegisterAM(amEager, d.handleEager)
-	d.ep.RegisterAM(amPut, d.handlePut)
-	d.ep.RegisterAM(amAcc, d.handleAcc)
-	d.ep.RegisterAM(amGetReq, d.handleGetReq)
-	d.ep.RegisterAM(amGetResp, d.handleGetResp)
-	d.ep.RegisterAM(amAck, d.handleAck)
+	d.am = core.NewAM(r, g.Fab, pktHeader, core.AMCosts{
+		Move: func(int) int64 { return cost(instr.RMATargetSide) },
+		Fold: func(n int) int64 { return cost(instr.RMATargetSide) + int64(n) },
+	}, d.waitUntil)
 	if g.Cfg.EagerPeers {
 		// All-pairs connection setup at open — the eager baseline of
 		// the lazy peer-state ablation (this device has no shmmod, so
@@ -236,20 +222,6 @@ func (d *Device) waitUntil(pred func() bool) {
 		d.unlock()
 		d.WaitEvent(seq)
 		d.lock()
-	}
-}
-
-func (d *Device) flushAM() {
-	if d.amSent != d.amAcked {
-		d.waitUntil(func() bool { return d.amSent == d.amAcked })
-	}
-	d.rank.Sync(d.amAckArrival)
-}
-
-func (d *Device) handleAck(_ int, _, _ []byte, arrival vtime.Time) {
-	d.amAcked++
-	if arrival > d.amAckArrival {
-		d.amAckArrival = arrival
 	}
 }
 

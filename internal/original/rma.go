@@ -1,8 +1,6 @@
 package original
 
 import (
-	"encoding/binary"
-
 	"gompi/internal/coll"
 	"gompi/internal/comm"
 	"gompi/internal/core"
@@ -10,7 +8,6 @@ import (
 	"gompi/internal/instr"
 	"gompi/internal/request"
 	"gompi/internal/rma"
-	"gompi/internal/vtime"
 )
 
 // WinCreate collectively creates a window: the memory is a fabric
@@ -44,30 +41,21 @@ func (d *Device) WinDetach(w *rma.Win, mem []byte, va rma.VAddr) error {
 // find the window.
 func (d *Device) WinFree(w *rma.Win) error {
 	d.lock()
-	d.flushAM()
+	d.am.Flush()
 	d.unlock()
 	w.Comm.Exchange(d, nil)
 	d.g.Fab.UnregisterRegion(d.rank.ID(), w.MyKey)
 	return nil
 }
 
-// rmaHeader marshals the generic RMA packet header: the target's region
-// key, offset, length, op code, element code, get sequence number.
-func rmaHeader(key, off, n int, op coll.Op, elem int, seq uint32) []byte {
-	b := make([]byte, 24)
-	binary.LittleEndian.PutUint32(b, uint32(key))
-	binary.LittleEndian.PutUint32(b[4:], uint32(off))
-	binary.LittleEndian.PutUint32(b[8:], uint32(n))
-	binary.LittleEndian.PutUint32(b[12:], uint32(op))
-	binary.LittleEndian.PutUint32(b[16:], uint32(elem))
-	binary.LittleEndian.PutUint32(b[20:], seq)
-	return b
-}
-
-// chargePutPath charges the full CH3 one-sided origin path. The
-// component rows plus validation and layering make the default MPI_PUT
-// land at 1,342 instructions.
-func (d *Device) chargePutPath(dt *datatype.Type) {
+// begin charges the full CH3 one-sided origin path: the component rows
+// plus validation and layering make the default MPI_PUT land at 1,342
+// instructions. It then translates (target, disp) to (world, region
+// key, offset), always paying the full translation (no virtual-address
+// fast path here); the range must hold count elements of dt. world is
+// core.ProcNull when there is nothing to do; err is wrapped for the
+// named call.
+func (d *Device) begin(name string, count int, dt *datatype.Type, target, disp int, w *rma.Win) (world, key, off int, err error) {
 	d.charge(instr.Call, cost(instr.DispatchRMA))
 	d.charge(instr.Redundant, cost(instr.RedundantMarshal)+cost(instr.RedundantReload)+
 		cost(instr.RedundantBufAddr)+cost(instr.PacketGenericRMA)+cost(instr.RedundantRMA))
@@ -81,74 +69,39 @@ func (d *Device) chargePutPath(dt *datatype.Type) {
 	d.charge(instr.Mandatory, cost(instr.RMARequest))
 	d.charge(instr.Mandatory, cost(instr.EpochTrack))
 	d.charge(instr.Mandatory, cost(instr.RMAAck))
-}
-
-// resolve translates (target, disp) to (world, offset), always paying
-// the full translation (no virtual-address fast path here). The target
-// range must hold reach bytes (datatype.Reach).
-func (d *Device) resolve(target, disp, reach int, w *rma.Win) (world, off int, err error) {
+	if target == core.ProcNull {
+		return core.ProcNull, 0, 0, nil
+	}
 	world, err = d.translateRank(w.Comm, target)
-	if err != nil {
-		return 0, 0, err
+	if err == nil {
+		d.charge(instr.Mandatory, cost(instr.OffsetXlate))
+		off, err = w.TargetOffset(target, disp, datatype.Reach(dt, count))
 	}
-	d.charge(instr.Mandatory, cost(instr.OffsetXlate))
-	off, err = w.TargetOffset(target, disp, reach)
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, 0, errString(name, err)
 	}
-	return world, off, nil
+	return world, w.Shared.Keys[target], off, nil
 }
 
 // Put emulates the one-sided put two-sided: queue an op, marshal the
 // generic headers, ship it through the packet machinery, and track the
-// acknowledgement.
+// acknowledgement (the cost structure of the deferred CH3 op list,
+// issued at once).
 func (d *Device) Put(origin []byte, count int, dt *datatype.Type, target, disp int,
 	w *rma.Win, flags core.OpFlags) error {
 
 	d.lock()
 	defer d.unlock()
 	d.rank.Metrics().NoteRmaPut()
-	d.chargePutPath(dt)
-	if target == core.ProcNull {
-		return nil
-	}
-	data, err := d.sendBytes(origin, count, dt)
-	if err != nil {
+	world, key, off, err := d.begin("put", count, dt, target, disp, w)
+	if world == core.ProcNull || err != nil {
 		return err
 	}
-	world, off, err := d.resolve(target, disp, datatype.Reach(dt, count), w)
-	if err != nil {
-		return errString("put", err)
+	data, err := d.sendBytes(origin, count, dt)
+	if err == nil {
+		d.am.Put(world, key, off, count, dt, data)
 	}
-	// Queue then immediately issue (cost structure of the deferred
-	// CH3 op list, synchronous semantics). The header always carries
-	// the target layout, a zero word when contiguous.
-	hdr := datatype.LayoutOf(dt, count).Append(rmaHeader(w.Shared.Keys[target], off, len(data), 0, 0, 0))
-	d.issue(amPut, world, hdr, data)
-	return nil
-}
-
-// issue ships one queued op and counts the pending ack.
-func (d *Device) issue(kind uint8, world int, hdr, payload []byte) {
-	d.amSent++
-	d.ep.AMSend(world, kind, hdr, payload)
-}
-
-// target decodes an RMA packet header at the target: the addressed
-// window memory from the offset on, the packed length, the op and
-// element codes, the get sequence number and the target layout.
-func (d *Device) target(hdr []byte) (mem []byte, n int, op coll.Op, elem int, seq uint32, l datatype.Layout) {
-	u := func(i int) int { return int(binary.LittleEndian.Uint32(hdr[4*i:])) }
-	l, _ = datatype.DecodeLayout(hdr[24:])
-	return d.g.Fab.RegionMem(d.rank.ID(), u(0))[u(1):], u(2), coll.Op(u(3)), u(4), uint32(u(5)), l
-}
-
-// handlePut applies an incoming put packet.
-func (d *Device) handlePut(src int, hdr, payload []byte, _ vtime.Time) {
-	d.charge(instr.Mandatory, cost(instr.RMATargetSide))
-	mem, _, _, _, _, l := d.target(hdr)
-	l.Walk(len(payload), func(at, pos, n int) { copy(mem[at:at+n], payload[pos:pos+n]) })
-	d.ep.AMSend(src, amAck, nil, nil)
+	return err
 }
 
 // Get emulates the one-sided get with a request/response packet pair.
@@ -160,61 +113,11 @@ func (d *Device) Get(origin []byte, count int, dt *datatype.Type, target, disp i
 	d.lock()
 	defer d.unlock()
 	d.rank.Metrics().NoteRmaGet()
-	d.chargePutPath(dt)
-	if target == core.ProcNull {
-		return nil
+	world, key, off, err := d.begin("get", count, dt, target, disp, w)
+	if world == core.ProcNull || err != nil {
+		return err
 	}
-	nbytes := datatype.PackedSize(dt, count)
-	world, off, err := d.resolve(target, disp, datatype.Reach(dt, count), w)
-	if err != nil {
-		return errString("get", err)
-	}
-	d.getSeq++
-	seq := d.getSeq
-	gs := &getState{buf: make([]byte, nbytes)}
-	d.getWait[seq] = gs
-	hdr := rmaHeader(w.Shared.Keys[target], off, nbytes, 0, 0, seq)
-	if !dt.Contig() { // a contiguous get request carries no layout
-		hdr = datatype.LayoutOf(dt, count).Append(hdr)
-	}
-	d.ep.AMSend(world, amGetReq, hdr, nil)
-	d.waitUntil(func() bool { return gs.done })
-	d.rank.Sync(gs.arrival) // the response's round-trip time
-	delete(d.getWait, seq)
-
-	if view, ok := datatype.ContigView(dt, count, origin); ok {
-		copy(view, gs.buf)
-		return nil
-	}
-	if _, err := datatype.Unpack(dt, count, gs.buf, origin); err != nil {
-		return errString("get", err)
-	}
-	return nil
-}
-
-// handleGetReq serves a get request from window memory, gathering a
-// derived layout into the packed response.
-func (d *Device) handleGetReq(src int, hdr, _ []byte, _ vtime.Time) {
-	d.charge(instr.Mandatory, cost(instr.RMATargetSide))
-	mem, n, _, _, seq, l := d.target(hdr)
-	data := mem[:n]
-	if !l.Contig() {
-		data = make([]byte, n)
-		l.Walk(n, func(at, pos, k int) { copy(data[pos:pos+k], mem[at:at+k]) })
-	}
-	d.ep.AMSend(src, amGetResp, rmaHeader(0, 0, n, 0, 0, seq), data)
-}
-
-// handleGetResp completes a pending get.
-func (d *Device) handleGetResp(_ int, hdr, payload []byte, arrival vtime.Time) {
-	seq := binary.LittleEndian.Uint32(hdr[20:])
-	gs := d.getWait[seq]
-	if gs == nil {
-		panic(errf("get response for unknown sequence %d", seq))
-	}
-	copy(gs.buf, payload)
-	gs.arrival = arrival
-	gs.done = true
+	return d.am.Get(world, key, off, count, dt, origin)
 }
 
 // Accumulate ships the contribution as an accumulate packet applied by
@@ -225,63 +128,45 @@ func (d *Device) Accumulate(origin []byte, count int, dt *datatype.Type, target,
 	d.lock()
 	defer d.unlock()
 	d.rank.Metrics().NoteRmaAcc()
-	d.chargePutPath(dt)
-	if target == core.ProcNull {
-		return nil
-	}
-	elem := dt.BaseElem()
-	if elem == nil {
-		return errString("accumulate", coll.ErrBadOp)
-	}
-	data, err := d.sendBytes(origin, count, dt)
-	if err != nil {
-		return err
-	}
-	world, off, err := d.resolve(target, disp, datatype.Reach(dt, count), w)
-	if err != nil {
-		return errString("accumulate", err)
-	}
-	hdr := rmaHeader(w.Shared.Keys[target], off, len(data), op, coll.ElemCode(elem), 0)
-	if !dt.Contig() { // a contiguous accumulate carries no layout
-		hdr = datatype.LayoutOf(dt, count).Append(hdr)
-	}
-	d.issue(amAcc, world, hdr, data)
-	return nil
+	return d.accumulate(origin, nil, count, dt, target, disp, op, w)
 }
 
-// GetAccumulate is emulated as a locked get followed by accumulate;
-// atomicity comes from the target applying packets serially in its
-// progress engine — but only per-packet, so the fetch and the update
-// ride one packet: the handler does both.
+// GetAccumulate ships one packet whose handler fetches the prior
+// contents and folds origin in, in one step: atomic against every other
+// accumulate on the same bytes.
 func (d *Device) GetAccumulate(origin, result []byte, count int, dt *datatype.Type,
 	target, disp int, op coll.Op, w *rma.Win, flags core.OpFlags) error {
 
 	if result == nil {
 		return errString("get_accumulate", rma.ErrBadWinArg)
 	}
-	// The emulated path also bumps RmaGets/RmaAccs below: the baseline
-	// really does issue a get and an accumulate.
+	d.lock()
+	defer d.unlock()
 	d.rank.Metrics().NoteRmaGetAcc()
-	// Fetch first under the same packet ordering: target applies
-	// packets in arrival order, and we are the only origin touching
-	// this location under a proper epoch.
-	if err := d.Get(result, count, dt, target, disp, w, flags); err != nil {
-		return err
-	}
-	return d.Accumulate(origin, count, dt, target, disp, op, w, flags)
+	return d.accumulate(origin, result, count, dt, target, disp, op, w)
 }
 
-// handleAcc applies an accumulate packet.
-func (d *Device) handleAcc(src int, hdr, payload []byte, _ vtime.Time) {
-	mem, n, op, ec, _, l := d.target(hdr)
-	d.charge(instr.Mandatory, cost(instr.RMATargetSide)+int64(n))
-	elem := coll.ElemFromCode(ec)
-	l.Walk(n, func(at, pos, k int) {
-		if err := coll.Apply(op, elem, mem[at:at+k], payload[pos:pos+k]); err != nil {
-			panic(errString("am accumulate", err))
-		}
-	})
-	d.ep.AMSend(src, amAck, nil, nil)
+// accumulate is Accumulate, and GetAccumulate when result is non-nil,
+// inside the critical section.
+func (d *Device) accumulate(origin, result []byte, count int, dt *datatype.Type,
+	target, disp int, op coll.Op, w *rma.Win) error {
+
+	world, key, off, err := d.begin("accumulate", count, dt, target, disp, w)
+	if world == core.ProcNull || err != nil {
+		return err
+	}
+	if dt.BaseElem() == nil {
+		return errString("accumulate", coll.ErrBadOp)
+	}
+	data, err := d.sendBytes(origin, count, dt)
+	switch {
+	case err != nil:
+		return err
+	case result == nil:
+		d.am.Accumulate(world, key, off, count, dt, op, data)
+		return nil
+	}
+	return d.am.GetAccumulate(world, key, off, count, dt, op, data, result)
 }
 
 // Fence flushes outstanding RMA packets, synchronizes, and opens the
@@ -297,7 +182,7 @@ func (d *Device) FenceEnd(w *rma.Win) error { return d.fence(w, false) }
 func (d *Device) fence(w *rma.Win, next bool) error {
 	d.lock()
 	d.charge(instr.Mandatory, cost(instr.EpochTrack))
-	d.flushAM()
+	d.am.Flush()
 	d.unlock()
 	core.Barrier(d, w.Comm)
 	if next {
@@ -349,7 +234,7 @@ func (d *Device) Flush(w *rma.Win, target int) error {
 	d.lock()
 	defer d.unlock()
 	d.charge(instr.Mandatory, cost(instr.FlushProto))
-	d.flushAM()
+	d.am.Flush()
 	d.rank.ChargeCycles(instr.Transport, 2*d.g.Fab.Profile().WireLatency)
 	core.ObserveFlush(d.rank, w, target)
 	return nil

@@ -42,8 +42,9 @@ func rmaFuzzType(kind uint8, long bool, blocks, blocklen, gap uint8) (*Datatype,
 // rmaRef is what one derived Put, Get and Accumulate(OpSum) must leave
 // behind, built with the public Pack, Unpack and ReduceLocal: the
 // target window after the put and after the accumulate, and the origin
-// buffer after the get. out is set when the target range passes the
-// window's end.
+// buffer after the get. A GetAccumulate(OpSum) leaves the accumulate's
+// window and the get's bytes in its result buffer. out is set when the
+// target range passes the window's end.
 type rmaRef struct {
 	put, get, acc []byte
 	out           bool
@@ -74,9 +75,10 @@ func rmaReference(dt, base *Datatype, count, disp int, win, origin []byte) (rmaR
 
 // FuzzRmaDerivedLayout: a derived target layout (vector, hvector or
 // indexed over byte or long, 1-3 elements) at a displacement into a
-// 64-byte window. Put, Get and Accumulate(OpSum) on ch4 off-node, ch4
-// on-node and the baseline must leave the window and the get buffer
-// exactly as the Pack/Unpack/ReduceLocal reference does, and a layout
+// 64-byte window. Put, Get, Accumulate(OpSum) and GetAccumulate(OpSum)
+// on ch4 off-node, ch4 on-node and the baseline must leave the window,
+// the get buffer and the result buffer exactly as the
+// Pack/Unpack/ReduceLocal reference does, and a layout
 // whose reach passes the window's end must fail at the origin with
 // ErrWin, with no rank panicking.
 func FuzzRmaDerivedLayout(f *testing.F) {
@@ -110,8 +112,8 @@ func FuzzRmaDerivedLayout(f *testing.F) {
 			{Fabric: FabricOFI, RanksPerNode: 2},
 			{Device: DeviceOriginal, Fabric: FabricOFI},
 		} {
-			for _, op := range []string{"put", "get", "acc"} {
-				var gotWin, gotOrigin []byte
+			for _, op := range []string{"put", "get", "acc", "getacc"} {
+				var gotWin, gotOrigin, gotResult []byte
 				var opErr error
 				run(t, 2, cfg, func(p *Proc) error {
 					mem := bytes.Clone(win0)
@@ -123,14 +125,16 @@ func FuzzRmaDerivedLayout(f *testing.F) {
 						return err
 					}
 					if p.Rank() == 0 {
-						gotOrigin = bytes.Clone(origin0)
+						gotOrigin, gotResult = bytes.Clone(origin0), bytes.Clone(origin0)
 						switch op {
 						case "put":
 							opErr = win.Put(gotOrigin, n, dt, 1, at)
 						case "get":
 							opErr = win.Get(gotOrigin, n, dt, 1, at)
-						default:
+						case "acc":
 							opErr = win.Accumulate(gotOrigin, n, dt, 1, at, OpSum)
+						default:
+							opErr = win.GetAccumulate(gotOrigin, gotResult, n, dt, 1, at, OpSum)
 						}
 					}
 					if err := win.Fence(); err != nil {
@@ -146,7 +150,7 @@ func FuzzRmaDerivedLayout(f *testing.F) {
 					if ClassOf(opErr) != ErrWin {
 						t.Fatalf("%s: out-of-window error %v, want class %v", what, opErr, ErrWin)
 					}
-					if !bytes.Equal(gotWin, win0) || !bytes.Equal(gotOrigin, origin0) {
+					if !bytes.Equal(gotWin, win0) || !bytes.Equal(gotOrigin, origin0) || !bytes.Equal(gotResult, origin0) {
 						t.Fatalf("%s: a refused operation moved bytes", what)
 					}
 					continue
@@ -154,20 +158,25 @@ func FuzzRmaDerivedLayout(f *testing.F) {
 				if opErr != nil {
 					t.Fatalf("%s: %v", what, opErr)
 				}
-				wantWin, wantOrigin := win0, origin0
+				wantWin, wantOrigin, wantResult := win0, origin0, origin0
 				switch op {
 				case "put":
 					wantWin = ref.put
 				case "get":
 					wantOrigin = ref.get
-				default:
+				case "acc":
 					wantWin = ref.acc
+				default:
+					wantWin, wantResult = ref.acc, ref.get
 				}
 				if !bytes.Equal(gotWin, wantWin) {
 					t.Fatalf("%s: window %v, want %v", what, gotWin, wantWin)
 				}
 				if !bytes.Equal(gotOrigin, wantOrigin) {
 					t.Fatalf("%s: origin %v, want %v", what, gotOrigin, wantOrigin)
+				}
+				if !bytes.Equal(gotResult, wantResult) {
+					t.Fatalf("%s: result %v, want %v", what, gotResult, wantResult)
 				}
 			}
 		}
