@@ -18,7 +18,7 @@ import (
 func TestWinCreateAndFence(t *testing.T) {
 	runWorld(t, 4, 1, fabric.OFI, core.Default, func(e *env) error {
 		mem := make([]byte, 64)
-		w, err := e.d.WinCreate(mem, 1, e.c)
+		w, err := e.d.WinCreate(mem, 1, e.c, false)
 		if err != nil {
 			return err
 		}
@@ -28,8 +28,8 @@ func TestWinCreateAndFence(t *testing.T) {
 		if err := e.d.Fence(w); err != nil {
 			return err
 		}
-		if !w.InEpoch() {
-			return errors.New("fence did not open an epoch")
+		if w.InEpoch() {
+			return errors.New("device fence opened an epoch: epochs are the MPI layer's")
 		}
 		if err := e.d.Fence(w); err != nil {
 			return err
@@ -41,7 +41,7 @@ func TestWinCreateAndFence(t *testing.T) {
 func TestPutContiguous(t *testing.T) {
 	runWorld(t, 2, 1, fabric.OFI, core.Default, func(e *env) error {
 		mem := make([]byte, 32)
-		w, err := e.d.WinCreate(mem, 1, e.c)
+		w, err := e.d.WinCreate(mem, 1, e.c, false)
 		if err != nil {
 			return err
 		}
@@ -66,7 +66,7 @@ func TestPutContiguous(t *testing.T) {
 func TestPutDispUnitScaling(t *testing.T) {
 	runWorld(t, 2, 1, fabric.INF, core.Default, func(e *env) error {
 		mem := make([]byte, 64)
-		w, err := e.d.WinCreate(mem, 8, e.c) // disp unit = 8 bytes
+		w, err := e.d.WinCreate(mem, 8, e.c, false) // disp unit = 8 bytes
 		if err != nil {
 			return err
 		}
@@ -107,7 +107,7 @@ func TestPutBoundsChecked(t *testing.T) {
 	for _, rpn := range []int{1, 2} {
 		for _, c := range cases {
 			runWorld(t, 2, rpn, fabric.INF, core.Default, func(e *env) error {
-				w, err := e.d.WinCreate(make([]byte, 8), 1, e.c)
+				w, err := e.d.WinCreate(make([]byte, 8), 1, e.c, false)
 				if err != nil {
 					return err
 				}
@@ -130,7 +130,7 @@ func TestGet(t *testing.T) {
 		if e.c.Rank() == 1 {
 			copy(mem, "remote-data!")
 		}
-		w, err := e.d.WinCreate(mem, 1, e.c)
+		w, err := e.d.WinCreate(mem, 1, e.c, false)
 		if err != nil {
 			return err
 		}
@@ -151,7 +151,7 @@ func TestGet(t *testing.T) {
 
 func TestPutProcNull(t *testing.T) {
 	runWorld(t, 1, 1, fabric.INF, core.Default, func(e *env) error {
-		w, err := e.d.WinCreate(make([]byte, 8), 1, e.c)
+		w, err := e.d.WinCreate(make([]byte, 8), 1, e.c, false)
 		if err != nil {
 			return err
 		}
@@ -164,7 +164,7 @@ func TestAccumulateSum(t *testing.T) {
 	const n = 4
 	runWorld(t, n, 1, fabric.OFI, core.Default, func(e *env) error {
 		mem := make([]byte, 8)
-		w, err := e.d.WinCreate(mem, 1, e.c)
+		w, err := e.d.WinCreate(mem, 1, e.c, false)
 		if err != nil {
 			return err
 		}
@@ -193,7 +193,7 @@ func TestGetAccumulateFetchesOld(t *testing.T) {
 		if e.c.Rank() == 1 {
 			binary.LittleEndian.PutUint64(mem, 100)
 		}
-		w, err := e.d.WinCreate(mem, 1, e.c)
+		w, err := e.d.WinCreate(mem, 1, e.c, false)
 		if err != nil {
 			return err
 		}
@@ -226,7 +226,7 @@ func TestDerivedPutAMFallback(t *testing.T) {
 	}
 	runWorld(t, 2, 1, fabric.OFI, core.Default, func(e *env) error {
 		mem := bytes.Repeat([]byte{'.'}, 8)
-		w, err := e.d.WinCreate(mem, 1, e.c)
+		w, err := e.d.WinCreate(mem, 1, e.c, false)
 		if err != nil {
 			return err
 		}
@@ -250,7 +250,7 @@ func TestDerivedGetPerSegment(t *testing.T) {
 	vec.Commit()
 	runWorld(t, 2, 1, fabric.INF, core.Default, func(e *env) error {
 		mem := []byte{'p', 'q', 'r', 's'}
-		w, err := e.d.WinCreate(mem, 1, e.c)
+		w, err := e.d.WinCreate(mem, 1, e.c, false)
 		if err != nil {
 			return err
 		}
@@ -273,7 +273,7 @@ func TestLockUnlockPassiveTarget(t *testing.T) {
 	const n = 4
 	runWorld(t, n, 1, fabric.OFI, core.Default, func(e *env) error {
 		mem := make([]byte, 8)
-		w, err := e.d.WinCreate(mem, 1, e.c)
+		w, err := e.d.WinCreate(mem, 1, e.c, false)
 		if err != nil {
 			return err
 		}
@@ -284,6 +284,7 @@ func TestLockUnlockPassiveTarget(t *testing.T) {
 			if err := e.d.Lock(w, 0, true); err != nil {
 				return err
 			}
+			w.LockExclusive = true // the MPI layer records the mode Unlock releases
 			buf := make([]byte, 8)
 			if err := e.d.Get(buf, 8, datatype.Byte, 0, 0, w, 0); err != nil {
 				return err
@@ -307,31 +308,9 @@ func TestLockUnlockPassiveTarget(t *testing.T) {
 	})
 }
 
-func TestUnlockWrongTargetRejected(t *testing.T) {
-	runWorld(t, 2, 1, fabric.INF, core.Default, func(e *env) error {
-		w, err := e.d.WinCreate(make([]byte, 8), 1, e.c)
-		if err != nil {
-			return err
-		}
-		if e.c.Rank() == 0 {
-			if err := e.d.Lock(w, 1, true); err != nil {
-				return err
-			}
-			if err := e.d.Unlock(w, 0); err == nil {
-				return errors.New("unlock of wrong target accepted")
-			}
-			if err := e.d.Unlock(w, 1); err != nil {
-				return err
-			}
-		}
-		core.Barrier(e.d, e.c)
-		return e.d.WinFree(w)
-	})
-}
-
 func TestDynamicWindowVirtualAddress(t *testing.T) {
 	runWorld(t, 2, 1, fabric.OFI, core.Default, func(e *env) error {
-		w, err := e.d.WinCreateDynamic(e.c)
+		w, err := e.d.WinCreate(nil, 1, e.c, true)
 		if err != nil {
 			return err
 		}
@@ -373,7 +352,7 @@ func TestDynamicWindowVirtualAddress(t *testing.T) {
 // figure: 44 on the contiguous fast path.
 func TestPutMandatoryInstructionCount(t *testing.T) {
 	runWorld(t, 2, 1, fabric.INF, core.Default, func(e *env) error {
-		w, err := e.d.WinCreate(make([]byte, 16), 1, e.c)
+		w, err := e.d.WinCreate(make([]byte, 16), 1, e.c, false)
 		if err != nil {
 			return err
 		}
@@ -400,7 +379,7 @@ func TestPutMandatoryInstructionCount(t *testing.T) {
 // instructions (4-instruction translation becomes a single load).
 func TestVirtAddrSavesInstructions(t *testing.T) {
 	runWorld(t, 2, 1, fabric.INF, core.NoErrSingleIPO, func(e *env) error {
-		w, err := e.d.WinCreate(make([]byte, 16), 1, e.c)
+		w, err := e.d.WinCreate(make([]byte, 16), 1, e.c, false)
 		if err != nil {
 			return err
 		}
@@ -427,7 +406,7 @@ func TestVirtAddrSavesInstructions(t *testing.T) {
 func TestFenceSyncsClockToRemoteWrites(t *testing.T) {
 	runWorld(t, 2, 1, fabric.OFI, core.Default, func(e *env) error {
 		mem := make([]byte, 8)
-		w, err := e.d.WinCreate(mem, 1, e.c)
+		w, err := e.d.WinCreate(mem, 1, e.c, false)
 		if err != nil {
 			return err
 		}
@@ -458,7 +437,7 @@ func TestDerivedAccumulateAMFallback(t *testing.T) {
 			binary.LittleEndian.PutUint64(mem[0:], 100)
 			binary.LittleEndian.PutUint64(mem[16:], 200)
 		}
-		w, err := e.d.WinCreate(mem, 1, e.c)
+		w, err := e.d.WinCreate(mem, 1, e.c, false)
 		if err != nil {
 			return err
 		}
@@ -516,20 +495,23 @@ func TestDeviceAccessors(t *testing.T) {
 	})
 }
 
+// TestFenceEndDevice: the device's half of MPI_WIN_FENCE with
+// MPI_MODE_NOSUCCEED is its fence protocol alone, which leaves the
+// window's epoch to the MPI layer, so the lock protocol may follow.
 func TestFenceEndDevice(t *testing.T) {
 	runWorld(t, 2, 1, fabric.INF, core.Default, func(e *env) error {
-		w, err := e.d.WinCreate(make([]byte, 8), 1, e.c)
+		w, err := e.d.WinCreate(make([]byte, 8), 1, e.c, false)
 		if err != nil {
 			return err
 		}
 		if err := e.d.Fence(w); err != nil {
 			return err
 		}
-		if err := e.d.FenceEnd(w); err != nil {
+		if err := e.d.Fence(w); err != nil {
 			return err
 		}
 		if w.InEpoch() {
-			return errors.New("epoch open after FenceEnd")
+			return errors.New("epoch open after the device's fences")
 		}
 		// Lock/unlock now legal.
 		if err := e.d.Lock(w, 1-e.c.Rank(), false); err != nil { // shared

@@ -182,7 +182,7 @@ func TestIsendInstructionCount(t *testing.T) {
 func TestPutInstructionCount(t *testing.T) {
 	runWorld(t, 2, fabric.INF, core.Default, func(e *env) error {
 		mem := make([]byte, 16)
-		w, err := e.d.WinCreate(mem, 1, e.c)
+		w, err := e.d.WinCreate(mem, 1, e.c, false)
 		if err != nil {
 			return err
 		}
@@ -214,7 +214,7 @@ func TestOriginalPutDerived(t *testing.T) {
 	vec.Commit()
 	runWorld(t, 2, fabric.OFI, core.Default, func(e *env) error {
 		mem := bytes.Repeat([]byte{'.'}, 8)
-		w, err := e.d.WinCreate(mem, 1, e.c)
+		w, err := e.d.WinCreate(mem, 1, e.c, false)
 		if err != nil {
 			return err
 		}
@@ -253,7 +253,7 @@ func TestPutBoundsChecked(t *testing.T) {
 	}
 	for _, c := range cases {
 		runWorld(t, 2, fabric.INF, core.Default, func(e *env) error {
-			w, err := e.d.WinCreate(make([]byte, 8), 1, e.c)
+			w, err := e.d.WinCreate(make([]byte, 8), 1, e.c, false)
 			if err != nil {
 				return err
 			}
@@ -275,7 +275,7 @@ func TestOriginalGet(t *testing.T) {
 		if e.c.Rank() == 1 {
 			copy(mem, "SECRET!!")
 		}
-		w, err := e.d.WinCreate(mem, 1, e.c)
+		w, err := e.d.WinCreate(mem, 1, e.c, false)
 		if err != nil {
 			return err
 		}
@@ -301,7 +301,7 @@ func TestOriginalAccumulate(t *testing.T) {
 	const n = 3
 	runWorld(t, n, fabric.INF, core.Default, func(e *env) error {
 		mem := make([]byte, 8)
-		w, err := e.d.WinCreate(mem, 1, e.c)
+		w, err := e.d.WinCreate(mem, 1, e.c, false)
 		if err != nil {
 			return err
 		}
@@ -324,7 +324,7 @@ func TestOriginalAccumulate(t *testing.T) {
 func TestOriginalLockUnlock(t *testing.T) {
 	runWorld(t, 2, fabric.INF, core.Default, func(e *env) error {
 		mem := make([]byte, 8)
-		w, err := e.d.WinCreate(mem, 1, e.c)
+		w, err := e.d.WinCreate(mem, 1, e.c, false)
 		if err != nil {
 			return err
 		}
@@ -332,6 +332,7 @@ func TestOriginalLockUnlock(t *testing.T) {
 			if err := e.d.Lock(w, 1, true); err != nil {
 				return err
 			}
+			w.LockExclusive = true // the MPI layer records the mode Unlock releases
 			if err := e.d.Put([]byte{7}, 1, datatype.Byte, 1, 0, w, 0); err != nil {
 				return err
 			}
@@ -350,7 +351,7 @@ func TestOriginalLockUnlock(t *testing.T) {
 
 func TestDynamicWindowUnsupported(t *testing.T) {
 	runWorld(t, 1, fabric.INF, core.Default, func(e *env) error {
-		if _, err := e.d.WinCreateDynamic(e.c); err == nil {
+		if _, err := e.d.WinCreate(nil, 1, e.c, true); err == nil {
 			return errors.New("baseline accepted a dynamic window")
 		}
 		return nil
@@ -376,7 +377,7 @@ func TestDeviceGapOrdering(t *testing.T) {
 			}
 			req.Wait()
 		}
-		w, err := e.d.WinCreate(make([]byte, 8), 1, e.c)
+		w, err := e.d.WinCreate(make([]byte, 8), 1, e.c, false)
 		if err != nil {
 			return err
 		}
@@ -462,7 +463,7 @@ func TestOriginalGetAccumulate(t *testing.T) {
 		if e.c.Rank() == 1 {
 			binary.LittleEndian.PutUint64(mem, 40)
 		}
-		w, err := e.d.WinCreate(mem, 1, e.c)
+		w, err := e.d.WinCreate(mem, 1, e.c, false)
 		if err != nil {
 			return err
 		}
@@ -488,20 +489,23 @@ func TestOriginalGetAccumulate(t *testing.T) {
 	})
 }
 
+// TestOriginalFenceEnd: the device's half of MPI_WIN_FENCE with
+// MPI_MODE_NOSUCCEED is its fence protocol alone, which leaves the
+// window's epoch to the MPI layer.
 func TestOriginalFenceEnd(t *testing.T) {
 	runWorld(t, 2, fabric.INF, core.Default, func(e *env) error {
-		w, err := e.d.WinCreate(make([]byte, 8), 1, e.c)
+		w, err := e.d.WinCreate(make([]byte, 8), 1, e.c, false)
 		if err != nil {
 			return err
 		}
 		if err := e.d.Fence(w); err != nil {
 			return err
 		}
-		if err := e.d.FenceEnd(w); err != nil {
+		if err := e.d.Fence(w); err != nil {
 			return err
 		}
 		if w.InEpoch() {
-			return errors.New("epoch open after FenceEnd")
+			return errors.New("epoch open after the device's fences")
 		}
 		return e.d.WinFree(w)
 	})
