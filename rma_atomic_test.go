@@ -185,3 +185,86 @@ func TestGetAccumulateCountsOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestAMThreadMultiple: under MPI_THREAD_MULTIPLE, two goroutines of
+// rank 0 each issue 100 Accumulates and 100 GetAccumulates of 1
+// through a vector(2,1,2,Long) target on rank 1, inside one LockAll
+// epoch, on ch4 off-node and on-node. Every derived-layout operation
+// rides the active-message packet set (core.AM), whose counters,
+// sequence numbers and fetch table both goroutines and the handlers
+// touch: no update is lost, no fetched value repeats, and under -race
+// nothing races.
+func TestAMThreadMultiple(t *testing.T) {
+	const threads, iters = 2, 100
+	vec := vectorLong(t)
+	for _, cfg := range []Config{
+		{Fabric: FabricInf, ThreadMultiple: true},
+		{Fabric: FabricInf, ThreadMultiple: true, RanksPerNode: 2},
+	} {
+		t.Run(cfgName(cfg), func(t *testing.T) {
+			fetched := make([][]int64, threads)
+			var final []int64
+			run(t, 2, cfg, func(p *Proc) error {
+				win, mem, err := p.World().WinAllocate(24, 1)
+				if err != nil {
+					return err
+				}
+				if p.Rank() == 0 {
+					if err := win.LockAll(); err != nil {
+						return err
+					}
+					errs := make(chan error, threads)
+					for g := range threads {
+						go func() {
+							one, old := Int64Bytes([]int64{1, 1, 1}, nil), make([]byte, 24)
+							for range iters {
+								if err := win.Accumulate(one, 1, vec, 1, 0, OpSum); err != nil {
+									errs <- err
+									return
+								}
+							}
+							for range iters {
+								if err := win.GetAccumulate(one, old, 1, vec, 1, 0, OpSum); err != nil {
+									errs <- err
+									return
+								}
+								v := BytesInt64(old, nil)
+								fetched[g] = append(fetched[g], v[0], v[2])
+							}
+							errs <- nil
+						}()
+					}
+					for range threads {
+						if err := <-errs; err != nil {
+							return err
+						}
+					}
+					if err := win.UnlockAll(); err != nil {
+						return err
+					}
+				}
+				if err := p.World().Barrier(); err != nil {
+					return err
+				}
+				if p.Rank() == 1 {
+					final = BytesInt64(mem, nil)
+				}
+				return win.Free()
+			})
+			for c, k := range []int{0, 2} {
+				seen, dups := map[int64]bool{}, 0
+				for _, got := range fetched {
+					for i := c; i < len(got); i += 2 {
+						if seen[got[i]] {
+							dups++
+						}
+						seen[got[i]] = true
+					}
+				}
+				if want := int64(2 * threads * iters); dups != 0 || final[k] != want {
+					t.Errorf("long %d: %d duplicate fetches, final %d; want 0 and %d", k, dups, final[k], want)
+				}
+			}
+		})
+	}
+}
