@@ -78,6 +78,17 @@ func (f *Fabric) lookup(rank, key int) *region {
 	return nil
 }
 
+// RegionLen returns the length of rank's region key; ok is false when
+// the key is not registered (never issued, or revoked) or names another
+// rank's region. An origin checks a dynamic window's target with it, so
+// a stale or short address is an error rather than an RDMA panic.
+func (f *Fabric) RegionLen(rank, key int) (n int, ok bool) {
+	if r := f.lookup(rank, key); r != nil {
+		return len(r.mem), true
+	}
+	return 0, false
+}
+
 func (f *Fabric) region(rank, key int) *region {
 	r := f.lookup(rank, key)
 	if r == nil {

@@ -127,17 +127,20 @@ func TestSharedLockSerializes(t *testing.T) {
 func TestDynamicAttachDetach(t *testing.T) {
 	w := testWin([]int{0}, []int{1}, true)
 	mem := make([]byte, 128)
-	if err := w.Attach(mem, 0); err != nil {
+	if err := w.Attach(mem, 7); err != nil {
 		t.Fatal(err)
 	}
 	if len(w.attached) != 1 {
 		t.Fatal("attachment not recorded")
 	}
-	if err := w.Detach(make([]byte, 4)); err == nil {
+	if _, err := w.Detach(make([]byte, 4), MakeDynAddr(7, 0)); err == nil {
 		t.Error("detach of unattached memory accepted")
 	}
-	if err := w.Detach(mem); err != nil {
-		t.Fatal(err)
+	if _, err := w.Detach(mem, MakeDynAddr(8, 0)); err == nil {
+		t.Error("detach at another attachment's address accepted")
+	}
+	if key, err := w.Detach(mem, MakeDynAddr(7, 0)); err != nil || key != 7 {
+		t.Fatalf("Detach = (%d, %v), want (7, nil)", key, err)
 	}
 	if len(w.attached) != 0 {
 		t.Error("detach did not remove segment")
