@@ -84,8 +84,17 @@ race:
 # value twice on either device, under Lock and LockAll, contiguous and
 # derived (GetAccumulateAtomic), and contiguous and derived accumulates
 # on the same bytes both fold under the region lock, so -race sees no
-# race and no update is lost (AccumulateMixedLayouts). Zero failures.
-FLAKE_RUN = 'Ledger|DumpState|ZeroAlloc|AllocFree|SteadyStateAllocs|FeederPublished|FirstTouch|LockTouch|SpmvDeclaredShape|SingleVsShared|Shared.*Concurrent|SharedWriters|ForeignReader|TailFlush|WrapOrder|WhilePeersRun|SnapshotDuringDeposits|Region|RegisterWhilePut|ShareReaches|SPSC|NoMutex|WakePerMessage|SharedSiblings|WaiterGate|EventsEquals|Lent|RendezvousDeadlock|CopyCounts|CompletesAtReturn|ForcesMatchReference|RunGolden|TimestepAllocs|YieldBeforePark|WaitParksAfterYields|SlabRequests|OneCell|DrainWakesAggregate|DepositLocalAndWake|MatchChargeTable|OneLanePerComm|RecvChargeTable|WildcardStaleReplica|WildcardEveryLaneCount|RmaChargeTable|BlockedCallsProgress|FullRingDrainsOwnRings|AbortUnblocksCommCreation|AbortUnblocksFullRing|LockAllExclusivePhases|WatchdogTripsOnDeadlock|CheckChainPrefix|NoMatchStatusSource|RankStackFootprint|GetAccumulateAtomic|AccumulateMixedLayouts'
+# race and no update is lost (AccumulateMixedLayouts) — and the packet
+# set under MPI_THREAD_MULTIPLE: two goroutines of one rank issuing
+# derived accumulates and fetch-and-adds share its counters, sequence
+# numbers and fetch table, so only -race at several GOMAXPROCS catches
+# a lost guard (AMThreadMultiple) — and the epochs the MPI layer owns
+# over both devices' protocols: what every synchronization call
+# charges and records, at 1, 2 and 4 ranks (RmaSyncChargeTable) — and
+# dynamic-window targets: a detached or overrunning address is an
+# error at the origin, not a panic on a peer's goroutine
+# (DynamicWindowTargetsChecked). Zero failures.
+FLAKE_RUN = 'Ledger|DumpState|ZeroAlloc|AllocFree|SteadyStateAllocs|FeederPublished|FirstTouch|LockTouch|SpmvDeclaredShape|SingleVsShared|Shared.*Concurrent|SharedWriters|ForeignReader|TailFlush|WrapOrder|WhilePeersRun|SnapshotDuringDeposits|Region|RegisterWhilePut|ShareReaches|SPSC|NoMutex|WakePerMessage|SharedSiblings|WaiterGate|EventsEquals|Lent|RendezvousDeadlock|CopyCounts|CompletesAtReturn|ForcesMatchReference|RunGolden|TimestepAllocs|YieldBeforePark|WaitParksAfterYields|SlabRequests|OneCell|DrainWakesAggregate|DepositLocalAndWake|MatchChargeTable|OneLanePerComm|RecvChargeTable|WildcardStaleReplica|WildcardEveryLaneCount|RmaChargeTable|BlockedCallsProgress|FullRingDrainsOwnRings|AbortUnblocksCommCreation|AbortUnblocksFullRing|LockAllExclusivePhases|WatchdogTripsOnDeadlock|CheckChainPrefix|NoMatchStatusSource|RankStackFootprint|GetAccumulateAtomic|AccumulateMixedLayouts|AMThreadMultiple|RmaSyncChargeTable|DynamicWindowTargetsChecked'
 FLAKE_PKGS = . ./internal/proc ./internal/instr ./internal/vtime ./internal/hist ./internal/shm ./internal/bench ./internal/flight ./internal/metrics ./internal/request ./internal/fabric ./internal/ch4 ./internal/md
 
 flake:
