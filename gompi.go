@@ -598,14 +598,14 @@ func (p *Proc) Metrics() MetricsSnapshot { return p.dev.Stats() }
 
 // VirtualTime returns the rank's virtual clock in seconds since spawn.
 func (p *Proc) VirtualTime() float64 {
-	return p.rank.Clock().Seconds(0, p.rank.Now())
+	return float64(p.rank.Now()) / p.rank.World().Hz()
 }
 
 // VirtualCycles returns the rank's virtual clock in cycles.
 func (p *Proc) VirtualCycles() int64 { return int64(p.rank.Now()) }
 
 // ClockHz returns the model core frequency.
-func (p *Proc) ClockHz() float64 { return p.rank.Clock().Hz() }
+func (p *Proc) ClockHz() float64 { return p.rank.World().Hz() }
 
 // ChargeCompute advances the rank's virtual clock by modeled
 // application work (flop count times cycles per flop). Applications use

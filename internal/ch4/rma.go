@@ -19,11 +19,15 @@ func (d *Device) WinCreate(mem []byte, dispUnit int, c *comm.Comm, dynamic bool)
 	return core.WinCreate(d, d.g.Fab, d.rank.ID(), mem, dispUnit, c, dynamic)
 }
 
-// WinFree collectively releases the window.
+// WinFree collectively releases the window: its static region, or every
+// attachment of a dynamic window still live.
 func (d *Device) WinFree(w *rma.Win) error {
 	core.Barrier(d, w.Comm)
 	if !w.Shared.Dynamic {
 		d.g.Fab.UnregisterRegion(d.rank.ID(), w.MyKey)
+	}
+	for _, key := range w.DetachAll() {
+		d.g.Fab.UnregisterRegion(d.rank.ID(), key)
 	}
 	return nil
 }

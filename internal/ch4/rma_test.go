@@ -348,6 +348,47 @@ func TestDynamicWindowVirtualAddress(t *testing.T) {
 	})
 }
 
+// TestWinFreeRevokesAttachments frees a dynamic window with an
+// attachment still live on every rank: the fabric must hold no region
+// under any attachment's key afterwards, so a stale address cannot reach
+// the memory.
+func TestWinFreeRevokesAttachments(t *testing.T) {
+	runWorld(t, 2, 1, fabric.INF, core.Default, func(e *env) error {
+		w, err := e.d.WinCreate(nil, 1, e.c, true)
+		if err != nil {
+			return err
+		}
+		va, err := e.d.WinAttach(w, make([]byte, 16))
+		if err != nil {
+			return err
+		}
+		vas := e.c.Exchange(e.d, va)
+		if err := e.d.WinFree(w); err != nil {
+			return err
+		}
+		core.Barrier(e.d, e.c)
+		fab := e.d.g.Fab
+		for rank, v := range vas {
+			key := v.(rma.VAddr).DynKey()
+			if n, ok := fab.RegionLen(rank, key); ok {
+				return fmt.Errorf("attachment of rank %d: key %d still registered (%d bytes) after WinFree", rank, key, n)
+			}
+			if !regionMemPanics(fab, rank, key) {
+				return fmt.Errorf("attachment of rank %d: RegionMem on key %d returned memory after WinFree", rank, key)
+			}
+		}
+		return nil
+	})
+}
+
+// regionMemPanics reports whether the fabric refuses to hand out the
+// memory of rank's region key.
+func regionMemPanics(f *fabric.Fabric, rank, key int) (panicked bool) {
+	defer func() { panicked = recover() != nil }()
+	f.RegionMem(rank, key)
+	return false
+}
+
 // TestPutMandatoryInstructionCount pins the Table 1 MPI_PUT mandatory
 // figure: 44 on the contiguous fast path.
 func TestPutMandatoryInstructionCount(t *testing.T) {

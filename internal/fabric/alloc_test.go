@@ -118,7 +118,7 @@ func TestPoolRecyclesBuffers(t *testing.T) {
 func BenchmarkEagerSteadyState(b *testing.B) {
 	f := New(INF, 2)
 	for i := 0; i < 2; i++ {
-		f.Endpoint(i).Bind(newTestMeter(1e9))
+		f.Endpoint(i).Bind(testRank(1e9))
 	}
 	src, dst := f.Endpoint(0), f.Endpoint(1)
 	bits := match.MakeBits(1, 0, 3)

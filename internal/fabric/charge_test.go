@@ -21,8 +21,8 @@ type matchCharge struct {
 // exact triplet.
 func chargeOf(kind string, nvci, v int, hit, anyTag bool) matchCharge {
 	f := NewVCI(OFI, 2, nvci)
-	f.Endpoint(0).Bind(newTestMeter(OFI.Hz))
-	m := newTestMeter(OFI.Hz)
+	f.Endpoint(0).Bind(testRank(OFI.Hz))
+	m := testRank(OFI.Hz)
 	ep := f.Endpoint(1)
 	ep.Bind(m)
 	if hit {
@@ -32,7 +32,7 @@ func chargeOf(kind string, nvci, v int, hit, anyTag bool) matchCharge {
 	if anyTag {
 		bits, mask = match.MakeBits(1, 0, 0), match.RecvMask(false, true)
 	}
-	before, cycles := ep.SnapshotStats().Match, m.prof.Count(instr.Transport)
+	before, cycles := ep.SnapshotStats().Match, m.Profile().Count(instr.Transport)
 	switch kind {
 	case "post":
 		ep.PostRecvVCI(&RecvOp{Buf: make([]byte, 8)}, bits, mask, v)
@@ -43,7 +43,7 @@ func chargeOf(kind string, nvci, v int, hit, anyTag bool) matchCharge {
 	}
 	after := ep.SnapshotStats().Match
 	return matchCharge{
-		cycles:   m.prof.Count(instr.Transport) - cycles,
+		cycles:   m.Profile().Count(instr.Transport) - cycles,
 		bins:     after.BinOps - before.BinOps,
 		searches: after.Searches - before.Searches,
 		binHits:  after.BinHits - before.BinHits,

@@ -235,7 +235,7 @@ type Endpoint struct {
 	amqLen int32 // atomic, mutated under amMu
 
 	handlers []AMHandler // by active-message id, as long as the largest registered
-	meter    proc.Meter
+	meter    *proc.Rank
 	// m caches meter.Metrics(), the owner's registry: only the owner's
 	// goroutines write it (send-side counters, reaps, parks). A
 	// depositing peer never touches it — what an arrival observes goes
@@ -292,9 +292,9 @@ func (ep *Endpoint) norm(v int) int {
 	return v
 }
 
-// Bind attaches the owning rank's meter. Must be called before any
-// operation that charges costs.
-func (ep *Endpoint) Bind(m proc.Meter) {
+// Bind attaches the owning rank, whose ledger the endpoint charges.
+// Must be called before any operation that charges costs.
+func (ep *Endpoint) Bind(m *proc.Rank) {
 	ep.meter = m
 	ep.m = m.Metrics()
 }

@@ -127,9 +127,6 @@ func (f *Fabric) Abort() {
 	}
 }
 
-// Aborted reports whether Abort was called.
-func (f *Fabric) Aborted() bool { return f.aborted.Raised() }
-
 // Endpoint returns rank's endpoint, materializing it on first touch.
 // Any goroutine may be the first toucher (the owner at Open, a peer
 // depositing the first message); losers of the CAS race discard their

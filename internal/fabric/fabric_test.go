@@ -7,41 +7,21 @@ import (
 
 	"gompi/internal/instr"
 	"gompi/internal/match"
-	"gompi/internal/metrics"
+	"gompi/internal/proc"
 	"gompi/internal/vtime"
 )
 
-// testMeter is a minimal proc.Meter for exercising the fabric directly.
-type testMeter struct {
-	prof  instr.Profile
-	clock *vtime.Clock
-	m     metrics.Rank
-}
+// testRank returns the one rank of a fresh world at hz: the ledger an
+// endpoint charges, as a device binds its rank.
+func testRank(hz float64) *proc.Rank { return proc.NewWorld(1, 1, hz).Rank(0) }
 
-func newTestMeter(hz float64) *testMeter {
-	return &testMeter{clock: vtime.NewClock(hz)}
+// sharedRank is testRank in a world built for MPI_THREAD_MULTIPLE: one
+// rank charged from several lanes (goroutines) at once.
+func sharedRank(hz float64) *proc.Rank {
+	w := proc.NewWorld(1, 1, hz)
+	w.SetThreadMultiple(true)
+	return w.Rank(0)
 }
-
-// shared marks the meter as one rank charged from several lanes
-// (goroutines) at once, as a ThreadMultiple world marks its ranks.
-func (m *testMeter) shared() *testMeter {
-	m.prof.Share()
-	m.clock.Share()
-	m.m.Share()
-	return m
-}
-
-func (m *testMeter) Charge(cat instr.Category, n int64) {
-	m.prof.Charge(cat, n)
-	m.clock.Advance(n)
-}
-func (m *testMeter) ChargeCycles(cat instr.Category, n int64) {
-	m.prof.ChargeCycles(cat, n)
-	m.clock.Advance(n)
-}
-func (m *testMeter) Now() vtime.Time        { return m.clock.Now() }
-func (m *testMeter) Sync(t vtime.Time)      { m.clock.Sync(t) }
-func (m *testMeter) Metrics() *metrics.Rank { return &m.m }
 
 // waitRecv completes op the way a device's receive wait does (ch4's
 // waitRecv): read the op's VCI event sequence, run progress, and park
@@ -60,17 +40,19 @@ func waitRecv(ep *Endpoint, op *RecvOp) {
 	}
 }
 
-// newTestFabric builds a fabric with bound meters for each endpoint.
-func newTestFabric(t *testing.T, prof Profile, n int) (*Fabric, []*testMeter) {
+// newTestFabric builds a fabric whose endpoints are bound to the ranks
+// of one world.
+func newTestFabric(t *testing.T, prof Profile, n int) (*Fabric, []*proc.Rank) {
 	t.Helper()
 	f := New(prof, n)
-	ms := make([]*testMeter, n)
+	hz := prof.Hz
+	if hz == 0 {
+		hz = 1e9
+	}
+	w := proc.NewWorld(n, 1, hz)
+	ms := make([]*proc.Rank, n)
 	for i := range ms {
-		hz := prof.Hz
-		if hz == 0 {
-			hz = 1e9
-		}
-		ms[i] = newTestMeter(hz)
+		ms[i] = w.Rank(i)
 		f.Endpoint(i).Bind(ms[i])
 	}
 	return f, ms
@@ -151,7 +133,7 @@ func TestSenderBufferReuse(t *testing.T) {
 
 func TestVirtualTimeFlows(t *testing.T) {
 	f, ms := newTestFabric(t, OFI, 2)
-	ms[0].clock.Advance(10_000) // sender is "ahead"
+	ms[0].ChargeCycles(instr.Compute, 10_000) // sender is "ahead"
 	f.Endpoint(0).TaggedSend(1, match.MakeBits(1, 0, 0), []byte{1})
 
 	op := &RecvOp{Buf: make([]byte, 1)}
@@ -163,7 +145,7 @@ func TestVirtualTimeFlows(t *testing.T) {
 	if ms[1].Now() < 10_000+vtime.Time(OFI.WireLatency) {
 		t.Errorf("receiver clock %d did not sync past sender injection", ms[1].Now())
 	}
-	if got := ms[0].prof.Count(instr.Transport); got < OFI.SendInject {
+	if got := ms[0].Profile().Count(instr.Transport); got < OFI.SendInject {
 		t.Errorf("sender transport charge %d < SendInject %d", got, OFI.SendInject)
 	}
 }
@@ -174,7 +156,7 @@ func TestInfProfileChargesNothing(t *testing.T) {
 	op := &RecvOp{Buf: make([]byte, 1)}
 	f.Endpoint(1).PostRecv(op, match.MakeBits(1, 0, 0), match.FullMask)
 	waitRecv(f.Endpoint(1), op)
-	if ms[0].prof.Count(instr.Transport) != 0 || ms[1].prof.Count(instr.Transport) != 0 {
+	if ms[0].Profile().Count(instr.Transport) != 0 || ms[1].Profile().Count(instr.Transport) != 0 {
 		t.Error("infinite network charged transport cycles")
 	}
 }
@@ -186,10 +168,10 @@ func TestRecvReapOnce(t *testing.T) {
 	f.Endpoint(1).PostRecv(op, match.MakeBits(1, 0, 0), match.FullMask)
 	for !f.Endpoint(1).RecvDone(op) {
 	}
-	before := ms[1].prof.Count(instr.Transport)
+	before := ms[1].Profile().Count(instr.Transport)
 	f.Endpoint(1).RecvDone(op)
 	waitRecv(f.Endpoint(1), op)
-	if got := ms[1].prof.Count(instr.Transport); got != before {
+	if got := ms[1].Profile().Count(instr.Transport); got != before {
 		t.Errorf("completion reaped more than once: %d -> %d", before, got)
 	}
 }
@@ -263,7 +245,7 @@ func TestPutGet(t *testing.T) {
 	if f.RegionArrival(1, key) <= 0 {
 		t.Error("region arrival not recorded")
 	}
-	if ms[0].prof.Count(instr.Transport) < OFI.PutInject {
+	if ms[0].Profile().Count(instr.Transport) < OFI.PutInject {
 		t.Error("put did not charge injection")
 	}
 
@@ -311,9 +293,9 @@ func TestRMWAtomicity(t *testing.T) {
 func TestConcurrentSendsToOneReceiver(t *testing.T) {
 	const senders, msgs = 4, 50
 	f := New(INF, senders+1)
-	ms := make([]*testMeter, senders+1)
+	ms := make([]*proc.Rank, senders+1)
 	for i := range ms {
-		ms[i] = newTestMeter(1e9)
+		ms[i] = testRank(1e9)
 		f.Endpoint(i).Bind(ms[i])
 	}
 

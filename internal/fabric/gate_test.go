@@ -138,8 +138,8 @@ func TestWaitParksAfterYields(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			f := NewVCI(OFI, 2, tc.nvci)
-			m := newTestMeter(1e9)
-			f.Endpoint(0).Bind(newTestMeter(1e9))
+			m := testRank(1e9)
+			f.Endpoint(0).Bind(testRank(1e9))
 			ep := f.Endpoint(1)
 			ep.Bind(m)
 			op := &RecvOp{Buf: make([]byte, 8)}
@@ -164,7 +164,7 @@ func TestWaitParksAfterYields(t *testing.T) {
 				runtime.Gosched()
 			}
 			mu.Lock()
-			parks := m.m.Parks
+			parks := m.Metrics().Parks
 			mu.Unlock()
 			if parks != 1 {
 				t.Fatalf("a receive with no sender parked %d times, want 1", parks)
@@ -178,8 +178,8 @@ func TestWaitParksAfterYields(t *testing.T) {
 			case <-time.After(10 * time.Second):
 				t.Fatal("abort did not end the parked wait")
 			}
-			if m.m.Parks != 1 {
-				t.Errorf("the aborted wait parked again: %d parks, want 1", m.m.Parks)
+			if m.Metrics().Parks != 1 {
+				t.Errorf("the aborted wait parked again: %d parks, want 1", m.Metrics().Parks)
 			}
 		})
 	}
@@ -260,7 +260,7 @@ func BenchmarkWakeVCI(b *testing.B) {
 	setup := func() (*Endpoint, *Endpoint) {
 		f := NewVCI(INF, 2, 1)
 		for i := 0; i < 2; i++ {
-			f.Endpoint(i).Bind(newTestMeter(1e9))
+			f.Endpoint(i).Bind(testRank(1e9))
 		}
 		return f.Endpoint(0), f.Endpoint(1)
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"gompi/internal/match"
+	"gompi/internal/proc"
 )
 
 // TestLazyEndpointSingleMaterialization hammers Endpoint() for one rank
@@ -48,9 +49,9 @@ func TestLazyEndpointSingleMaterialization(t *testing.T) {
 func TestLazyConnChaosFirstTouch(t *testing.T) {
 	const senders, lanes, msgs = 4, 4, 8
 	f := NewVCI(INF, senders+1, 2)
-	ms := make([]*testMeter, senders+1)
+	ms := make([]*proc.Rank, senders+1)
 	for i := range ms {
-		ms[i] = newTestMeter(1e9).shared()
+		ms[i] = sharedRank(1e9)
 		f.Endpoint(i).Bind(ms[i])
 	}
 
@@ -84,7 +85,7 @@ func TestLazyConnChaosFirstTouch(t *testing.T) {
 		if c := f.Endpoint(s).Conns(); c != 1 {
 			t.Errorf("sender %d: %d conns, want 1 (one peer touched)", s, c)
 		}
-		peers := ms[s].m.Snapshot().Peers
+		peers := ms[s].Metrics().Snapshot().Peers
 		if peers.Touched != 1 || peers.StateBytes != ConnStateBytes {
 			t.Errorf("sender %d: peers=%d state=%dB, want 1 peer / %dB — lanes double-counted the first touch",
 				s, peers.Touched, peers.StateBytes, ConnStateBytes)
@@ -99,9 +100,9 @@ func TestLazyConnChaosFirstTouch(t *testing.T) {
 func TestEagerConnectRacesFirstTouch(t *testing.T) {
 	const n = 16
 	f := New(INF, n)
-	ms := make([]*testMeter, n)
+	ms := make([]*proc.Rank, n)
 	for i := range ms {
-		ms[i] = newTestMeter(1e9).shared() // endpoint 0 is driven by two lanes
+		ms[i] = sharedRank(1e9) // endpoint 0 is driven by two lanes
 		f.Endpoint(i).Bind(ms[i])
 	}
 	var wg sync.WaitGroup
@@ -121,7 +122,7 @@ func TestEagerConnectRacesFirstTouch(t *testing.T) {
 	if c := f.Endpoint(0).Conns(); c != n-1 {
 		t.Fatalf("conns = %d, want %d", c, n-1)
 	}
-	peers := ms[0].m.Snapshot().Peers
+	peers := ms[0].Metrics().Snapshot().Peers
 	if peers.Touched != n-1 || peers.StateBytes != (n-1)*ConnStateBytes {
 		t.Fatalf("peers=%d state=%dB, want %d peers / %dB",
 			peers.Touched, peers.StateBytes, n-1, (n-1)*ConnStateBytes)

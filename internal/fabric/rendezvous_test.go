@@ -65,7 +65,7 @@ func TestRendezvousLent(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			f := NewVCI(OFI, 2, 4)
 			for i := 0; i < 2; i++ {
-				f.Endpoint(i).Bind(newTestMeter(OFI.Hz))
+				f.Endpoint(i).Bind(testRank(OFI.Hz))
 			}
 			src, dst := f.Endpoint(0), f.Endpoint(1)
 			data := make([]byte, tc.size)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"gompi/internal/match"
+	"gompi/internal/proc"
 	"gompi/internal/vtime"
 )
 
@@ -18,9 +19,9 @@ import (
 func TestSnapshotDuringDeposits(t *testing.T) {
 	const senders, msgs = 3, 500
 	f := New(INF, senders+1)
-	ms := make([]*testMeter, senders+1)
+	ms := make([]*proc.Rank, senders+1)
 	for i := range ms {
-		ms[i] = newTestMeter(1e9)
+		ms[i] = testRank(1e9)
 		f.Endpoint(i).Bind(ms[i])
 	}
 	f.Endpoint(0).RegisterAM(9, func(int, []byte, []byte, vtime.Time) {})

@@ -15,7 +15,7 @@ func newVCIFabric(t *testing.T, n, nvci int) *Fabric {
 	t.Helper()
 	f := NewVCI(INF, n, nvci)
 	for i := 0; i < n; i++ {
-		f.Endpoint(i).Bind(newTestMeter(1e9).shared())
+		f.Endpoint(i).Bind(sharedRank(1e9))
 	}
 	return f
 }

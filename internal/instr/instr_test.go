@@ -8,9 +8,9 @@ import (
 
 func TestChargeAccumulates(t *testing.T) {
 	var p Profile
-	p.Charge(ErrorCheck, 10)
-	p.Charge(ErrorCheck, 5)
-	p.Charge(Mandatory, 7)
+	p.Add(ErrorCheck, 10)
+	p.Add(ErrorCheck, 5)
+	p.Add(Mandatory, 7)
 	if got := p.Count(ErrorCheck); got != 15 {
 		t.Errorf("Count(ErrorCheck) = %d, want 15", got)
 	}
@@ -27,9 +27,9 @@ func TestChargeAccumulates(t *testing.T) {
 
 func TestTransportExcludedFromTotal(t *testing.T) {
 	var p Profile
-	p.Charge(Mandatory, 3)
-	p.ChargeCycles(Transport, 100)
-	p.ChargeCycles(Compute, 50)
+	p.Add(Mandatory, 3)
+	p.Add(Transport, 100)
+	p.Add(Compute, 50)
 	if got := p.Total(); got != 3 {
 		t.Errorf("Total = %d, want 3 (transport/compute must not count)", got)
 	}
@@ -38,23 +38,13 @@ func TestTransportExcludedFromTotal(t *testing.T) {
 	}
 }
 
-func TestChargeCyclesPanicsOnMPICategory(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("ChargeCycles(Mandatory) did not panic")
-		}
-	}()
-	var p Profile
-	p.ChargeCycles(Mandatory, 1)
-}
-
 func TestSnapshotDelta(t *testing.T) {
 	var p Profile
-	p.Charge(ErrorCheck, 100)
+	p.Add(ErrorCheck, 100)
 	s := p.Snap()
-	p.Charge(ErrorCheck, 4)
-	p.Charge(Call, CallEntry.Value())
-	p.ChargeCycles(Transport, 300)
+	p.Add(ErrorCheck, 4)
+	p.Add(Call, CallEntry.Value())
+	p.Add(Transport, 300)
 	d := p.Delta(s)
 	if d.Count(ErrorCheck) != 4 {
 		t.Errorf("delta ErrorCheck = %d, want 4", d.Count(ErrorCheck))
@@ -92,11 +82,11 @@ func TestCategoryStrings(t *testing.T) {
 
 func TestBreakdownStringHasAllRows(t *testing.T) {
 	var p Profile
-	p.Charge(ErrorCheck, 74)
-	p.Charge(ThreadCheck, 6)
-	p.Charge(Call, 23)
-	p.Charge(Redundant, 59)
-	p.Charge(Mandatory, 59)
+	p.Add(ErrorCheck, 74)
+	p.Add(ThreadCheck, 6)
+	p.Add(Call, 23)
+	p.Add(Redundant, 59)
+	p.Add(Mandatory, 59)
 	s := p.Delta(Snapshot{}).String()
 	for _, cat := range MPICategories {
 		if !strings.Contains(s, cat.String()) {
@@ -109,15 +99,16 @@ func TestBreakdownStringHasAllRows(t *testing.T) {
 }
 
 // Property: the profile keeps no running totals, yet for any sequence
-// of charges — on a single-writer and on a shared profile — Total,
-// Cycles and Delta equal the accumulators the test keeps beside it (the
-// two a Charge used to maintain), and Transport and Compute cycles
-// count toward Cycles only.
+// of charges — plain adds of a single-writer rank or atomic adds of a
+// shared one — Total, Cycles and Delta equal the accumulators the test
+// keeps beside it (the two a charge used to maintain), and Transport
+// and Compute cycles count toward Cycles only.
 func TestLedgerTotalsAreSums(t *testing.T) {
 	f := func(pre, post []uint16, shared bool) bool {
 		var p Profile
+		add := p.Add
 		if shared {
-			p.Share()
+			add = p.AddShared
 		}
 		var total, cycles int64
 		charge := func(charges []uint16) {
@@ -127,10 +118,8 @@ func TestLedgerTotalsAreSums(t *testing.T) {
 				cycles += n
 				if cat < Transport {
 					total += n
-					p.Charge(cat, n)
-				} else {
-					p.ChargeCycles(cat, n)
 				}
+				add(cat, n)
 			}
 		}
 		charge(pre)
@@ -157,12 +146,12 @@ func TestDeltaInvariant(t *testing.T) {
 	f := func(pre, post []uint8) bool {
 		var p Profile
 		for _, c := range pre {
-			p.Charge(Category(c%5), int64(c))
+			p.Add(Category(c%5), int64(c))
 		}
 		s := p.Snap()
 		var want int64
 		for _, c := range post {
-			p.Charge(Category(c%5), int64(c))
+			p.Add(Category(c%5), int64(c))
 			want += int64(c)
 		}
 		return p.Delta(s).Total == want

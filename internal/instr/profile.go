@@ -5,58 +5,28 @@ import (
 	"sync/atomic"
 )
 
-// Profile is one rank's charge ledger: the instructions (and raw
-// cycles) charged so far, per category. It is single-writer: only the
-// rank's own goroutine charges and reads it, so a charge is one plain
-// add. A world built for MPI_THREAD_MULTIPLE — where several
-// application goroutines really do drive one rank — marks the profile
-// shared (Share) before any rank runs, and every access becomes
-// atomic. Totals are derived from the per-category counters at read
-// time, never accumulated beside them, so the two modes produce the
-// same numbers by construction.
+// Profile is one rank's instruction profile: the instructions (and raw
+// cycles) charged so far, per category. The rank that owns it
+// (proc.Rank) decides how a charge lands — Add on a single-writer rank,
+// AddShared on a rank built for MPI_THREAD_MULTIPLE — and which
+// categories take raw cycles. The reads load each counter atomically,
+// so they are race-free against either kind of charge. Totals are
+// derived from the per-category counters at read time, never
+// accumulated beside them.
 type Profile struct {
 	counts [NumCategories]int64
-	shared bool
 }
 
-// Share marks the profile as charged from several goroutines. It must
-// be called before the first charge.
-func (p *Profile) Share() { p.shared = true }
-
-// Charge records n abstract instructions in category cat.
-func (p *Profile) Charge(cat Category, n int64) {
-	if p.shared {
-		atomic.AddInt64(&p.counts[cat], n)
-		return
-	}
-	p.counts[cat] += n
-}
-
-// Add is Charge on a profile not marked shared, for a caller that
-// already knows it is: one plain add.
+// Add records n in category cat with one plain add: the charge of a
+// single-writer rank.
 func (p *Profile) Add(cat Category, n int64) { p.counts[cat] += n }
 
-// AddShared is Charge on a profile marked shared, for a caller that
-// already knows it is: one atomic add.
+// AddShared records n in category cat with one atomic add: the charge
+// of a rank several goroutines drive at once.
 func (p *Profile) AddShared(cat Category, n int64) { atomic.AddInt64(&p.counts[cat], n) }
 
-// ChargeCycles records raw cycles that are not instructions executed by
-// the MPI library (fabric injection latency, modeled compute time). They
-// advance the clock but never appear in instruction counts.
-func (p *Profile) ChargeCycles(cat Category, n int64) {
-	if cat < Transport {
-		panic("instr: ChargeCycles on an MPI instruction category")
-	}
-	p.Charge(cat, n)
-}
-
 // Count returns the accumulated charge for one category.
-func (p *Profile) Count(cat Category) int64 {
-	if p.shared {
-		return atomic.LoadInt64(&p.counts[cat])
-	}
-	return p.counts[cat]
-}
+func (p *Profile) Count(cat Category) int64 { return atomic.LoadInt64(&p.counts[cat]) }
 
 // Total returns the accumulated MPI-library instruction count (the
 // Table 1 total: everything except Transport and Compute).

@@ -74,16 +74,16 @@ func TestChargeSettlesAtRead(t *testing.T) {
 	r, _ := ledgerPair(6)
 	r.Charge(instr.Mandatory, 5)
 	r.ChargeCycles(instr.Transport, 7)
-	if r.clock.Now() != 0 || r.pending != 5*6+7 {
-		t.Fatalf("after two charges: clock %d, pending %d; want clock 0, pending 37", r.clock.Now(), r.pending)
+	if r.now != 0 || r.pending != 5*6+7 {
+		t.Fatalf("after two charges: clock %d, pending %d; want clock 0, pending 37", r.now, r.pending)
 	}
 	if got := r.Now(); got != 37 || r.pending != 0 {
 		t.Fatalf("Now = %d with %d pending, want 37 and 0", got, r.pending)
 	}
 	r.Charge(instr.Call, 1)
 	r.Sync(40)
-	if r.clock.Now() != 43 || r.pending != 0 {
-		t.Fatalf("Sync(40) at 43: clock %d, pending %d; want 43, 0", r.clock.Now(), r.pending)
+	if r.now != 43 || r.pending != 0 {
+		t.Fatalf("Sync(40) at 43: clock %d, pending %d; want 43, 0", r.now, r.pending)
 	}
 	for name, charge := range map[string]func(){
 		"Charge":       func() { r.Charge(instr.Mandatory, -1) },

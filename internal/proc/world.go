@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"gompi/internal/abort"
 	"gompi/internal/instr"
@@ -25,10 +26,13 @@ type World struct {
 }
 
 // NewWorld creates a world of n ranks at ranksPerNode ranks per node,
-// with per-rank clocks at hz.
+// with per-rank clocks at the model frequency hz.
 func NewWorld(n, ranksPerNode int, hz float64) *World {
 	if n <= 0 {
 		panic("proc: world size must be positive")
+	}
+	if hz <= 0 {
+		panic("proc: non-positive frequency")
 	}
 	if ranksPerNode <= 0 {
 		ranksPerNode = n // single node
@@ -36,7 +40,7 @@ func NewWorld(n, ranksPerNode int, hz float64) *World {
 	w := &World{size: n, ranksPerNode: ranksPerNode, hz: hz}
 	w.ranks = make([]*Rank, n)
 	for i := range w.ranks {
-		w.ranks[i] = &Rank{id: i, world: w, clock: *vtime.NewClock(hz), cpi: 1}
+		w.ranks[i] = &Rank{id: i, world: w, cpi: 1}
 	}
 	return w
 }
@@ -54,22 +58,23 @@ func (w *World) SetInstrCPI(cpi int64) {
 	}
 }
 
-// SetThreadMultiple marks every rank's charge ledger (instruction
-// profile and clock) and metrics registry as shared between goroutines:
-// under MPI_THREAD_MULTIPLE several application goroutines drive one
-// rank, so its charges and observations must be atomic. The default is
-// single-writer. Must be called before Run.
+// SetThreadMultiple marks every rank's charge ledger and metrics
+// registry as shared between goroutines: under MPI_THREAD_MULTIPLE
+// several application goroutines drive one rank, so its charges and
+// observations must be atomic. The default is single-writer. Must be
+// called before Run.
 func (w *World) SetThreadMultiple(on bool) {
 	if !on {
 		return
 	}
 	for _, r := range w.ranks {
 		r.shared = true
-		r.prof.Share()
-		r.clock.Share()
 		r.m.Share()
 	}
 }
+
+// Hz returns the model core frequency, in cycles per second.
+func (w *World) Hz() float64 { return w.hz }
 
 // Size returns the number of ranks.
 func (w *World) Size() int { return w.size }
@@ -121,37 +126,15 @@ func wrapRankErr(id int, err error) error {
 	return fmt.Errorf("rank %d: %w", id, err)
 }
 
-// Meter is what the transports (fabric and shm) charge costs to: the
-// calling rank's instruction profile and virtual clock. Rank implements
-// it. A transport only ever charges the meter bound to the endpoint
-// whose owner goroutine is making the call, so meters need no
-// synchronization.
-type Meter interface {
-	// Charge records n MPI-library instructions (and advances the
-	// clock by n cycles at CPI 1.0).
-	Charge(cat instr.Category, n int64)
-	// ChargeCycles records n non-instruction cycles (transport,
-	// compute).
-	ChargeCycles(cat instr.Category, n int64)
-	// Now returns the rank's current virtual time.
-	Now() vtime.Time
-	// Sync advances the rank's clock to t if t is in the future.
-	Sync(t vtime.Time)
-	// Metrics returns the rank's observability registry. Send-side
-	// counters accrue through the calling endpoint's meter;
-	// receive-side counters accrue through the destination endpoint's
-	// meter under that endpoint's lock.
-	Metrics() *metrics.Rank
-}
-
 // Rank is one MPI process: a goroutine plus its charge ledger — the
-// virtual clock and instruction profile. It implements Meter. The
-// ledger is single-writer: Charge, ChargeCycles, Sync, Now and the
-// Profile reads use plain loads and stores, so everything except the
-// world queries and Metrics must be called only from the rank's own
-// goroutine (any of its goroutines once the world is SetThreadMultiple)
-// — and so must the registry's writers and Snapshot. Other goroutines
-// learn a rank's clock from Metrics().ParkClock and its history from
+// instruction profile, the cycles charged but not yet settled and the
+// virtual clock. It is the one ledger the devices and transports charge.
+// The ledger is single-writer: Charge, ChargeCycles, Sync and Now use
+// plain loads and stores, so everything except the world queries and
+// Metrics must be called only from the rank's own goroutine
+// (any of its goroutines once the world is SetThreadMultiple) — and so
+// must the registry's writers and Snapshot. Other goroutines learn a
+// rank's clock from Metrics().ParkClock and its history from
 // Metrics().Flight, both as of the rank's last park.
 //
 // A charge is one add: on a single-writer rank Charge and ChargeCycles
@@ -160,13 +143,13 @@ type Meter interface {
 // folds pending in — only where it is read, in Now and Sync, so every
 // reading is exactly the time advancing at each charge would give. A
 // shared rank advances its clock atomically at every charge and keeps
-// pending at zero.
+// pending at zero. The clock never runs backward.
 type Rank struct {
 	prof    instr.Profile
 	pending int64 // cycles charged since the clock last settled
-	clock   vtime.Clock
+	now     int64 // the virtual clock: cycles since spawn
 	cpi     int64 // cycles per MPI instruction (platform model)
-	shared  bool  // SetThreadMultiple: every charge advances the clock
+	shared  bool  // SetThreadMultiple: every access to the ledger is atomic
 	id      int
 	world   *World
 	m       metrics.Rank
@@ -185,27 +168,32 @@ func (r *Rank) Charge(cat instr.Category, n int64) {
 	if n < 0 {
 		panic(errNegativeCharge)
 	}
-	if r.shared {
-		r.prof.AddShared(cat, n)
-		r.clock.AdvanceShared(n * r.cpi)
-		return
-	}
-	r.prof.Add(cat, n)
-	r.pending += n * r.cpi
+	r.add(cat, n, n*r.cpi)
 }
 
 // ChargeCycles records n non-instruction cycles (transport injection,
-// modeled compute) and advances the clock.
+// modeled compute) and advances the clock. They never appear in
+// instruction counts, so an MPI instruction category panics.
 func (r *Rank) ChargeCycles(cat instr.Category, n int64) {
 	if n < 0 {
 		panic(errNegativeCharge)
 	}
-	r.prof.ChargeCycles(cat, n)
+	if cat < instr.Transport {
+		panic("instr: ChargeCycles on an MPI instruction category")
+	}
+	r.add(cat, n, n)
+}
+
+// add records n in cat and the cycles it costs: to pending on a
+// single-writer rank, to the clock itself on a shared one.
+func (r *Rank) add(cat instr.Category, n, cycles int64) {
 	if r.shared {
-		r.clock.AdvanceShared(n)
+		r.prof.AddShared(cat, n)
+		atomic.AddInt64(&r.now, cycles)
 		return
 	}
-	r.pending += n
+	r.prof.Add(cat, n)
+	r.pending += cycles
 }
 
 // errNegativeCharge is the panic of a negative charge, raised at the
@@ -213,31 +201,46 @@ func (r *Rank) ChargeCycles(cat instr.Category, n int64) {
 // rank's clock would only see the charge at the next settle.
 const errNegativeCharge = "vtime: negative advance"
 
-// settle folds the pending cycles into the clock.
+// settle folds the pending cycles into a single-writer rank's clock.
 func (r *Rank) settle() {
 	if r.pending != 0 {
-		r.clock.Advance(r.pending)
+		r.now += r.pending
 		r.pending = 0
 	}
 }
 
 // Now returns the rank's current virtual time.
 func (r *Rank) Now() vtime.Time {
+	if r.shared {
+		return vtime.Time(atomic.LoadInt64(&r.now))
+	}
 	r.settle()
-	return r.clock.Now()
+	return vtime.Time(r.now)
 }
 
 // Sync advances the rank's clock to t if t is in the future (message
-// arrival, epoch close).
+// arrival, epoch close). It never moves the clock backward.
 func (r *Rank) Sync(t vtime.Time) {
+	if r.shared {
+		r.syncShared(int64(t))
+		return
+	}
 	r.settle()
-	r.clock.Sync(t)
+	if int64(t) > r.now {
+		r.now = int64(t)
+	}
 }
 
-// Clock exposes the rank's clock for its frequency (Hz) and for
-// converting cycle counts to seconds (Seconds). Its reading lags the
-// charges not yet settled: the rank's time is Now.
-func (r *Rank) Clock() *vtime.Clock { return &r.clock }
+// syncShared is Sync on a shared rank: a CAS maximum, so concurrent
+// Syncs cannot regress the clock either.
+func (r *Rank) syncShared(t int64) {
+	for {
+		cur := atomic.LoadInt64(&r.now)
+		if t <= cur || atomic.CompareAndSwapInt64(&r.now, cur, t) {
+			return
+		}
+	}
+}
 
 // Profile exposes the rank's instruction profile for snapshots.
 func (r *Rank) Profile() *instr.Profile { return &r.prof }

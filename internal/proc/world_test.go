@@ -116,7 +116,7 @@ func TestRankMeter(t *testing.T) {
 	if r.Now() != 500 {
 		t.Errorf("Sync: Now = %d, want 500", r.Now())
 	}
-	if r.Clock().Hz() != 2.2e9 {
+	if w.Hz() != 2.2e9 {
 		t.Error("clock frequency lost")
 	}
 }

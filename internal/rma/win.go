@@ -325,3 +325,14 @@ func (w *Win) Detach(mem []byte, va VAddr) (key int, err error) {
 	}
 	return 0, fmt.Errorf("%w: detach of unattached memory", ErrBadWinArg)
 }
+
+// DetachAll removes every attachment still live and returns their region
+// keys for the device to revoke (MPI_WIN_FREE of a dynamic window).
+func (w *Win) DetachAll() []int {
+	keys := make([]int, len(w.attached))
+	for i, s := range w.attached {
+		keys[i] = s.key
+	}
+	w.attached = nil
+	return keys
+}

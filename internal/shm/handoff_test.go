@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"gompi/internal/match"
+	"gompi/internal/proc"
 	"gompi/internal/vtime"
 )
 
@@ -43,12 +44,12 @@ func TestCellSizeAffectsCost(t *testing.T) {
 	cost := func(cellSize int) int64 {
 		d := NewDomainCfg(DefaultProfile, Config{CellSize: cellSize}, 2,
 			func(dst int, bits match.Bits, src int, data []byte, arrival vtime.Time, vci int) {}, nil)
-		meters := []*testMeter{newTestMeter(), newTestMeter()}
+		meters := []*proc.Rank{testRank(), testRank()}
 		d.Bind(0, meters[0])
 		d.Bind(1, meters[1])
 		d.Send(0, 1, match.MakeBits(0, 0, 0), make([]byte, 32768))
 		d.Progress(1)
-		return int64(meters[0].clock.Now()) + int64(meters[1].clock.Now())
+		return int64(meters[0].Now()) + int64(meters[1].Now())
 	}
 	small, large := cost(1024), cost(16384)
 	if large >= small {
@@ -66,8 +67,8 @@ func TestHandoffAllocFree(t *testing.T) {
 	d.SetDeliverView(func(dst int, bits match.Bits, src int, view []byte, arrival vtime.Time, vci int, r Releaser) {
 		rel = r
 	})
-	d.Bind(0, newTestMeter())
-	d.Bind(1, newTestMeter())
+	d.Bind(0, testRank())
+	d.Bind(1, testRank())
 	bits := match.MakeBits(0, 0, 0)
 	payload := make([]byte, 65536)
 
@@ -102,8 +103,8 @@ func TestHandoffWaitGraph(t *testing.T) {
 	d.SetDeliverView(func(dst int, bits match.Bits, src int, view []byte, arrival vtime.Time, vci int, r Releaser) {
 		// Keep the view: the ack stays outstanding.
 	})
-	d.Bind(0, newTestMeter())
-	d.Bind(1, newTestMeter())
+	d.Bind(0, testRank())
+	d.Bind(1, testRank())
 	h := d.SendVCI(0, 1, match.MakeBits(0, 0, 0), make([]byte, 4096), 0)
 	if h == nil {
 		t.Fatal("expected handoff")
@@ -134,8 +135,8 @@ func TestHandoffViewIdentity(t *testing.T) {
 	d.SetDeliverView(func(dst int, bits match.Bits, src int, v []byte, arrival vtime.Time, vci int, r Releaser) {
 		view, viewRel = v, r
 	})
-	d.Bind(0, newTestMeter())
-	d.Bind(1, newTestMeter())
+	d.Bind(0, testRank())
+	d.Bind(1, testRank())
 	h := d.SendVCI(0, 1, match.MakeBits(0, 0, 0), payload, 0)
 	d.Progress(1)
 	if view == nil {

@@ -146,7 +146,7 @@ type Domain struct {
 	eagerMax     int
 	maxPeerBytes int64
 
-	meters []proc.Meter
+	meters []*proc.Rank
 	waits  []Wait
 
 	// mu is the ring-creation lock: taken on a pair's first message and
@@ -235,7 +235,7 @@ func NewDomainCfg(prof Profile, cfg Config, n int, deliver Deliver, wake Wake) *
 		ringCells:    cfg.RingCells,
 		eagerMax:     cfg.EagerMax,
 		maxPeerBytes: cfg.MaxPeerBytes,
-		meters:       make([]proc.Meter, n),
+		meters:       make([]*proc.Rank, n),
 		waits:        make([]Wait, n),
 		out:          make([]atomic.Pointer[[]link], n),
 		in:           make([]atomic.Pointer[[]link], n),
@@ -248,9 +248,9 @@ func NewDomainCfg(prof Profile, cfg Config, n int, deliver Deliver, wake Wake) *
 	return d
 }
 
-// Bind attaches rank's meter. Must precede communication involving the
-// rank.
-func (d *Domain) Bind(rank int, m proc.Meter) { d.meters[rank] = m }
+// Bind attaches rank's ledger. Must precede communication involving
+// the rank.
+func (d *Domain) Bind(rank int, m *proc.Rank) { d.meters[rank] = m }
 
 // BindWait attaches the wait rank's producers block in on a full ring.
 // Must precede the rank's first full ring.
@@ -583,7 +583,7 @@ func (r *ring) publish() { r.tail.Store(r.tail.Load() + 1) }
 // descriptor occupies a normal ring slot (FIFO with staged traffic, so
 // same-pair ordering is preserved) but carries no payload: the staged
 // path's per-cell copy charges are replaced by one HandoffOverhead.
-func (d *Domain) publishHandoff(r *ring, src, dst int, bits match.Bits, data []byte, vci int, m proc.Meter) *Handoff {
+func (d *Domain) publishHandoff(r *ring, src, dst int, bits match.Bits, data []byte, vci int, m *proc.Rank) *Handoff {
 	p := &d.prof
 	m.ChargeCycles(instr.Transport, p.HandoffOverhead)
 	m.Metrics().ShmHandoff.Note(len(data))
@@ -630,7 +630,7 @@ func (d *Domain) Progress(rank int) int {
 // straight from its cell and reassembling a longer one into the ring's
 // reusable scratch, with no allocation per message. Descriptor cells
 // are handed over as zero-copy views.
-func (d *Domain) drainRing(rank, src int, r *ring, meter proc.Meter) int {
+func (d *Domain) drainRing(rank, src int, r *ring, meter *proc.Rank) int {
 	if r.head.Load() == r.tail.Load() {
 		return 0
 	}

@@ -10,38 +10,21 @@ import (
 
 	"gompi/internal/instr"
 	"gompi/internal/match"
-	"gompi/internal/metrics"
+	"gompi/internal/proc"
 	"gompi/internal/vtime"
 )
 
-type testMeter struct {
-	prof  instr.Profile
-	clock *vtime.Clock
-	m     metrics.Rank
-}
+// testRank returns the one rank of a fresh world: the ledger a domain
+// charges, as a device binds its rank.
+func testRank() *proc.Rank { return proc.NewWorld(1, 1, 2.2e9).Rank(0) }
 
-func newTestMeter() *testMeter { return &testMeter{clock: vtime.NewClock(2.2e9)} }
-
-// shared marks the meter as one rank charged from several goroutines at
-// once, as a ThreadMultiple world marks its ranks.
-func (m *testMeter) shared() *testMeter {
-	m.prof.Share()
-	m.clock.Share()
-	m.m.Share()
-	return m
+// sharedRank is testRank in a world built for MPI_THREAD_MULTIPLE: one
+// rank charged from several goroutines at once.
+func sharedRank() *proc.Rank {
+	w := proc.NewWorld(1, 1, 2.2e9)
+	w.SetThreadMultiple(true)
+	return w.Rank(0)
 }
-
-func (m *testMeter) Charge(cat instr.Category, n int64) {
-	m.prof.Charge(cat, n)
-	m.clock.Advance(n)
-}
-func (m *testMeter) ChargeCycles(cat instr.Category, n int64) {
-	m.prof.ChargeCycles(cat, n)
-	m.clock.Advance(n)
-}
-func (m *testMeter) Now() vtime.Time        { return m.clock.Now() }
-func (m *testMeter) Sync(t vtime.Time)      { m.clock.Sync(t) }
-func (m *testMeter) Metrics() *metrics.Rank { return &m.m }
 
 // bindSpin binds the full-ring wait of ranks 0..n-1 to the tests'
 // stand-in for a device's event loop, which polls ready until it holds,
@@ -67,7 +50,7 @@ type delivery struct {
 }
 
 // newTestDomain returns a domain that records deliveries per rank.
-func newTestDomain(n int) (*Domain, []*[]delivery, []*testMeter) {
+func newTestDomain(n int) (*Domain, []*[]delivery, []*proc.Rank) {
 	boxes := make([]*[]delivery, n)
 	for i := range boxes {
 		boxes[i] = new([]delivery)
@@ -77,9 +60,10 @@ func newTestDomain(n int) (*Domain, []*[]delivery, []*testMeter) {
 		cp := append([]byte(nil), data...)
 		*boxes[dst] = append(*boxes[dst], delivery{bits, src, cp, arrival})
 	}, nil)
-	meters := make([]*testMeter, n)
+	w := proc.NewWorld(n, n, 2.2e9)
+	meters := make([]*proc.Rank, n)
 	for i := range meters {
-		meters[i] = newTestMeter()
+		meters[i] = w.Rank(i)
 		d.Bind(i, meters[i])
 	}
 	bindSpin(d, n)
@@ -143,7 +127,7 @@ func TestOneCellDeliveryMatchesModel(t *testing.T) {
 			func(dst int, bits match.Bits, src int, data []byte, arrival vtime.Time, vci int) {
 				got = append(got, delivery{bits, src, append([]byte(nil), data...), arrival})
 			}, nil)
-		snd, rcv := newTestMeter(), newTestMeter()
+		snd, rcv := testRank(), testRank()
 		d.Bind(0, snd)
 		d.Bind(1, rcv)
 		bindSpin(d, 2)
@@ -156,7 +140,7 @@ func TestOneCellDeliveryMatchesModel(t *testing.T) {
 			for off := 0; off == 0 || off < n; off += cell {
 				cost += p.CellOverhead + vtime.Cycles(p.PerByte*float64(min(cell, n-off)))
 			}
-			rclock, rstaged := rcv.clock.Now(), rcv.m.CopiesStaged.Msgs
+			rclock, rstaged := rcv.Now(), rcv.Metrics().CopiesStaged.Msgs
 			got = got[:0]
 			if n > 2*cell {
 				// Longer than the ring: drain cells as they land.
@@ -178,17 +162,17 @@ func TestOneCellDeliveryMatchesModel(t *testing.T) {
 			if len(got) != 1 || !bytes.Equal(got[0].data, msg) || got[0].bits.Tag() != i {
 				t.Fatalf("cell %d, message %d (%d bytes): delivered %+v", cell, i, n, got)
 			}
-			if want := snd.clock.Now() + vtime.Time(p.Latency); got[0].arrival != want {
+			if want := snd.Now() + vtime.Time(p.Latency); got[0].arrival != want {
 				t.Errorf("cell %d, message %d: arrival %d, want %d (last cell's)", cell, i, got[0].arrival, want)
 			}
-			if d := vtime.Cycles(rcv.clock.Now() - rclock); d != cost {
+			if d := vtime.Cycles(rcv.Now() - rclock); d != cost {
 				t.Errorf("cell %d, message %d (%d bytes): receiver charged %d cycles, want %d", cell, i, n, d, cost)
 			}
 			want := int64(0)
 			if n > cell {
 				want = 1
 			}
-			if d := rcv.m.CopiesStaged.Msgs - rstaged; d != want {
+			if d := rcv.Metrics().CopiesStaged.Msgs - rstaged; d != want {
 				t.Errorf("cell %d, message %d (%d bytes): %d reassembly copies, want %d", cell, i, n, d, want)
 			}
 		}
@@ -244,8 +228,8 @@ func TestWakeCallback(t *testing.T) {
 		woke = append(woke, dst)
 		mu.Unlock()
 	})
-	d.Bind(0, newTestMeter())
-	d.Bind(1, newTestMeter())
+	d.Bind(0, testRank())
+	d.Bind(1, testRank())
 	d.Send(0, 1, match.MakeBits(1, 0, 0), []byte{1})
 	if len(woke) != 1 || woke[0] != 1 {
 		t.Fatalf("wake calls = %v, want [1]", woke)
@@ -254,13 +238,13 @@ func TestWakeCallback(t *testing.T) {
 
 func TestTransportChargesAndArrival(t *testing.T) {
 	d, boxes, meters := newTestDomain(2)
-	meters[0].clock.Advance(1000)
+	meters[0].ChargeCycles(instr.Compute, 1000)
 	d.Send(0, 1, match.MakeBits(1, 0, 0), []byte{1, 2, 3})
 	d.Progress(1)
-	if meters[0].prof.Count(instr.Transport) < DefaultProfile.SendOverhead {
+	if meters[0].Profile().Count(instr.Transport) < DefaultProfile.SendOverhead {
 		t.Error("sender not charged")
 	}
-	if meters[1].prof.Count(instr.Transport) < DefaultProfile.RecvOverhead {
+	if meters[1].Profile().Count(instr.Transport) < DefaultProfile.RecvOverhead {
 		t.Error("receiver not charged")
 	}
 	if (*boxes[1])[0].arrival < 1000+vtime.Time(DefaultProfile.Latency) {
@@ -282,8 +266,8 @@ func TestUnboundMeterPanics(t *testing.T) {
 // rank's bound wait; without one the send panics instead of hanging.
 func TestUnboundWaitPanics(t *testing.T) {
 	d := NewDomainCfg(DefaultProfile, Config{CellSize: 64, RingCells: 2}, 2, nopDeliver, nil)
-	d.Bind(0, newTestMeter())
-	d.Bind(1, newTestMeter())
+	d.Bind(0, testRank())
+	d.Bind(1, testRank())
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Send onto a full ring without a bound wait did not panic")

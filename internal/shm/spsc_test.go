@@ -52,8 +52,8 @@ func TestSPSCStream(t *testing.T) {
 			}
 			got++
 		}, nil)
-	d.Bind(0, newTestMeter())
-	d.Bind(1, newTestMeter())
+	d.Bind(0, testRank())
+	d.Bind(1, testRank())
 	bindSpin(d, 2)
 
 	var wg sync.WaitGroup
@@ -150,8 +150,8 @@ func TestWakePerMessage(t *testing.T) {
 				producerWakes.Add(1)
 			}
 		})
-		d.Bind(0, newTestMeter())
-		d.Bind(1, newTestMeter())
+		d.Bind(0, testRank())
+		d.Bind(1, testRank())
 		d.BindWait(0, func(ready func() bool) {
 			for {
 				seq := producerWakes.Load()
@@ -238,8 +238,8 @@ func TestSharedSiblingsOneRing(t *testing.T) {
 			next[g]++
 			got.Add(1)
 		}, nil)
-	d.Bind(0, newTestMeter().shared())
-	d.Bind(1, newTestMeter().shared())
+	d.Bind(0, sharedRank())
+	d.Bind(1, sharedRank())
 	bindSpin(d, 2)
 	var wg sync.WaitGroup
 	for g := 0; g < senders; g++ {

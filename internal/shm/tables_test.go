@@ -32,7 +32,7 @@ func nopDeliver(int, match.Bits, int, []byte, vtime.Time, int) {}
 func boundDomain(cfg Config, n int) *Domain {
 	d := NewDomainCfg(DefaultProfile, cfg, n, nopDeliver, nil)
 	for i := 0; i < n; i++ {
-		d.Bind(i, newTestMeter())
+		d.Bind(i, testRank())
 	}
 	bindSpin(d, n)
 	return d
@@ -243,8 +243,8 @@ func TestPreconnectDifferential(t *testing.T) {
 			}
 		}
 		for _, m := range meters {
-			o.ledger = append(o.ledger, [4]int64{m.prof.Count(instr.Transport), int64(m.clock.Now()),
-				atomic.LoadInt64(&m.m.PeersTouched), atomic.LoadInt64(&m.m.PeerStateBytes)})
+			o.ledger = append(o.ledger, [4]int64{m.Profile().Count(instr.Transport), int64(m.Now()),
+				atomic.LoadInt64(&m.Metrics().PeersTouched), atomic.LoadInt64(&m.Metrics().PeerStateBytes)})
 		}
 		return o
 	}
