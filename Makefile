@@ -93,11 +93,20 @@ race:
 # charges and records, at 1, 2 and 4 ranks (RmaSyncChargeTable) — and
 # dynamic-window targets: a detached or overrunning address is an
 # error at the origin, not a panic on a peer's goroutine
-# (DynamicWindowTargetsChecked). Zero failures. The ledger's tests,
+# (DynamicWindowTargetsChecked) — and one object per operation: a ch4
+# receive's or lent send's box holds its request, two goroutines of a
+# rank free each other's under MPI_THREAD_MULTIPLE (BoxRequests), a
+# steady-state one takes nothing from the request pool, Free recycles
+# through the request's driver (FreeRecyclesThroughDriver), and no
+# completion builds a closure (OperationOwnsRequestAllocs), a pending
+# flush request still counts as a request get
+# (FlushRequestCountsItsRequest) — and
+# Counters.Cycles is the clock's advance at every CPI
+# (CountersCyclesAreCharged). Zero failures. The ledger's tests,
 # the shared clock's among them, live in ./internal/proc with the one
 # ledger type; ./internal/vtime holds only the units of time and has no
 # test to run.
-FLAKE_RUN = 'Ledger|DumpState|ZeroAlloc|AllocFree|SteadyStateAllocs|FeederPublished|FirstTouch|LockTouch|SpmvDeclaredShape|SingleVsShared|Shared.*Concurrent|SharedWriters|ForeignReader|TailFlush|WrapOrder|WhilePeersRun|SnapshotDuringDeposits|Region|RegisterWhilePut|ShareReaches|SPSC|NoMutex|WakePerMessage|SharedSiblings|WaiterGate|EventsEquals|Lent|RendezvousDeadlock|CopyCounts|CompletesAtReturn|ForcesMatchReference|RunGolden|TimestepAllocs|YieldBeforePark|WaitParksAfterYields|SlabRequests|OneCell|DrainWakesAggregate|DepositLocalAndWake|MatchChargeTable|OneLanePerComm|RecvChargeTable|WildcardStaleReplica|WildcardEveryLaneCount|RmaChargeTable|BlockedCallsProgress|FullRingDrainsOwnRings|AbortUnblocksCommCreation|AbortUnblocksFullRing|LockAllExclusivePhases|WatchdogTripsOnDeadlock|CheckChainPrefix|NoMatchStatusSource|RankStackFootprint|GetAccumulateAtomic|AccumulateMixedLayouts|AMThreadMultiple|RmaSyncChargeTable|DynamicWindowTargetsChecked'
+FLAKE_RUN = 'Ledger|DumpState|ZeroAlloc|AllocFree|SteadyStateAllocs|FeederPublished|FirstTouch|LockTouch|SpmvDeclaredShape|SingleVsShared|Shared.*Concurrent|SharedWriters|ForeignReader|TailFlush|WrapOrder|WhilePeersRun|SnapshotDuringDeposits|Region|RegisterWhilePut|ShareReaches|SPSC|NoMutex|WakePerMessage|SharedSiblings|WaiterGate|EventsEquals|Lent|RendezvousDeadlock|CopyCounts|CompletesAtReturn|ForcesMatchReference|RunGolden|TimestepAllocs|YieldBeforePark|WaitParksAfterYields|SlabRequests|OneCell|DrainWakesAggregate|DepositLocalAndWake|MatchChargeTable|OneLanePerComm|RecvChargeTable|WildcardStaleReplica|WildcardEveryLaneCount|RmaChargeTable|BlockedCallsProgress|FullRingDrainsOwnRings|AbortUnblocksCommCreation|AbortUnblocksFullRing|LockAllExclusivePhases|WatchdogTripsOnDeadlock|CheckChainPrefix|NoMatchStatusSource|RankStackFootprint|GetAccumulateAtomic|AccumulateMixedLayouts|AMThreadMultiple|RmaSyncChargeTable|DynamicWindowTargetsChecked|BoxRequests|FreeRecyclesThroughDriver|OperationOwnsRequestAllocs|FlushRequestCountsItsRequest|CountersCyclesAreCharged'
 FLAKE_PKGS = . ./internal/proc ./internal/instr ./internal/hist ./internal/shm ./internal/bench ./internal/flight ./internal/metrics ./internal/request ./internal/fabric ./internal/ch4 ./internal/md
 
 flake:

@@ -350,8 +350,8 @@ func TestPersistentCollReplayZeroAlloc(t *testing.T) {
 // nothing, whether the caller passes the same buffers every call or
 // buffers the library has never seen (drawn here from a pool built
 // before the measured window). On ch4 that is zero. The
-// baseline device allocates per message by design (packet, completion
-// closure, request from the locked pool), so there the guard is that
+// baseline device allocates per message by design (packet, receive
+// state, request from the locked pool), so there the guard is that
 // fresh buffers cost exactly what stable ones do; the layer above the
 // device is the same code on both.
 func TestBlockingCollSteadyStateAllocs(t *testing.T) {
@@ -599,5 +599,68 @@ func TestLentSendSteadyStateAllocs(t *testing.T) {
 				t.Errorf("%d heap bytes per %d-byte message: the payload is staged, not lent", perMsg, size)
 			}
 		})
+	}
+}
+
+// TestOperationOwnsRequestAllocs: a request lives in the object that
+// completes its operation, so completing it builds no closure. A
+// baseline Irecv + Isend + Waitall still allocates by design — packet,
+// envelope, payload copy, matching state, a request from the locked
+// pool — but its receive's matching state drives the request itself:
+// 8 objects per exchange and rank plus its 2 Requests' share of a slab,
+// three fewer than when every Irecv built a poll, a block and a finish
+// closure (11.1). A ch4 Rput + Wait in a pure-RDMA LockAll epoch
+// completes at issue with a pooled request, so it allocates only its
+// public Request's slot of a slab, 1/ReqSlabLen per op, where a per-call
+// completion closure made it 1.06. n is a multiple of ReqSlabLen, so
+// the windows refill whole slabs.
+func TestOperationOwnsRequestAllocs(t *testing.T) {
+	const ranks, n = 2, 160
+	const calls = 9 * n * ranks // the windows' difference, summed over the ranks
+	exchange := mallocSlope(t, ranks, gompi.Config{Device: gompi.DeviceOriginal, Fabric: "ofi"}, n,
+		func(p *gompi.Proc) (func(int) error, error) {
+			w := p.World()
+			peer := 1 - p.Rank()
+			sbuf, rbuf := []byte{1}, make([]byte, 1)
+			reqs := make([]*gompi.Request, 2)
+			return func(int) error {
+				var err error
+				if reqs[0], err = w.Irecv(rbuf, 1, gompi.Byte, peer, 0); err != nil {
+					return err
+				}
+				if reqs[1], err = w.Isend(sbuf, 1, gompi.Byte, peer, 0); err != nil {
+					return err
+				}
+				return gompi.Waitall(reqs)
+			}, nil
+		})
+	// TestICollSteadyStateAllocs' one-time high-water slack.
+	const slack = 24
+	if want := int64(calls*8 + calls*2/gompi.ReqSlabLen); exchange > want+slack {
+		t.Errorf("baseline Irecv+Isend+Waitall: %d more mallocs over %d exchanges than over %d (x %d ranks), want <= %d + %d (%.2f per exchange and rank)",
+			exchange, 10*n, n, ranks, want, slack, float64(exchange)/calls)
+	}
+	rput := mallocSlope(t, ranks, gompi.Config{Device: gompi.DeviceCH4, Fabric: "ofi"}, n,
+		func(p *gompi.Proc) (func(int) error, error) {
+			win, _, err := p.World().WinAllocate(64, 1)
+			if err != nil {
+				return nil, err
+			}
+			if err := win.LockAll(); err != nil {
+				return nil, err
+			}
+			peer := 1 - p.Rank()
+			data := []byte{9}
+			return func(int) error {
+				r, err := win.Rput(data, 1, gompi.Byte, peer, 0)
+				if err != nil {
+					return err
+				}
+				_, err = r.Wait()
+				return err
+			}, nil
+		})
+	if perOp := float64(rput) / calls; perOp > 0.1 {
+		t.Errorf("ch4 Rput+Wait in LockAll: %.3f mallocs per op, want <= 0.1 (1/%d is the Request slab)", perOp, gompi.ReqSlabLen)
 	}
 }

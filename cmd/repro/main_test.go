@@ -48,7 +48,7 @@ var rowFlags = map[string][]string{
 	"proposals": {"-msgs", "10"},
 	"savings":   nil,
 	"nek":       {"-px", "2", "-py", "1", "-pz", "1", "-maxep", "2", "-iters", "2", "-net", "ofi"},
-	"lammps":    {"-px", "2", "-py", "1", "-pz", "1", "-steps", "2", "-net", "bgq"},
+	"lammps":    {"-px", "2", "-py", "2", "-pz", "2", "-steps", "2", "-net", "bgq"},
 	"scale":     {"-sizes", "8, 16", "-iters", "1"},
 	"osu": {"-device", "original", "-net", "inf", "-build", "default", "-max", "64", "-iters", "2",
 		"-window", "2", "-ranks-per-node", "2", "-shm-eager", "1024"},
@@ -57,7 +57,8 @@ var rowFlags = map[string][]string{
 }
 
 // TestEveryRowParsesItsFlags registers each row's flags at both sizes
-// (a duplicate definition panics) and parses the full set.
+// (a duplicate definition panics) and parses the full set, then runs
+// the row at its flags, which must exit 0.
 func TestEveryRowParsesItsFlags(t *testing.T) {
 	if len(rowFlags) != len(rows) {
 		t.Fatalf("rowFlags covers %d rows, the table has %d", len(rowFlags), len(rows))
@@ -72,6 +73,10 @@ func TestEveryRowParsesItsFlags(t *testing.T) {
 			if _, err := prepare(r, args, full, &stderr); err != nil {
 				t.Errorf("repro %s %v (full=%v): %v\n%s", r.name, args, full, err, &stderr)
 			}
+		}
+		var out, stderr bytes.Buffer
+		if status := run(append([]string{r.name}, args...), &out, &stderr); status != 0 {
+			t.Errorf("repro %s %v: exit %d\n%s", r.name, args, status, &stderr)
 		}
 	}
 }

@@ -557,7 +557,7 @@ type Counters struct {
 	TotalInstr  int64 `json:"total_instr"` // sum of the five MPI categories
 	Transport   int64 `json:"transport"`   // fabric/shm cycles (not MPI instructions)
 	Compute     int64 `json:"compute"`     // modeled application cycles
-	Cycles      int64 `json:"cycles"`      // total virtual cycles
+	Cycles      int64 `json:"cycles"`      // charged cycles: TotalInstr at the platform's CPI + Transport + Compute
 }
 
 // Counters returns the current accumulated costs for this rank.
@@ -572,7 +572,7 @@ func (p *Proc) Counters() Counters {
 		TotalInstr:  prof.Total(),
 		Transport:   prof.Count(instr.Transport),
 		Compute:     prof.Count(instr.Compute),
-		Cycles:      prof.Cycles(),
+		Cycles:      p.rank.Cycles(),
 	}
 }
 

@@ -289,6 +289,36 @@ func TestVirtualTimeAdvances(t *testing.T) {
 	})
 }
 
+// TestCountersCyclesAreCharged: Counters.Cycles is the cycles charged,
+// every MPI instruction at the platform's CPI plus transport, so a
+// 1-byte eager Isend's delta equals the clock's advance on bgq, whose
+// in-order core takes 6 cycles an instruction, as on inf at 1.
+func TestCountersCyclesAreCharged(t *testing.T) {
+	for _, fab := range []FabricKind{"inf", "bgq"} {
+		run(t, 2, Config{Fabric: fab}, func(p *Proc) error {
+			w := p.World()
+			buf := []byte{1}
+			if p.Rank() != 0 {
+				_, err := w.Recv(buf, 1, Byte, 0, 0)
+				return err
+			}
+			before, t0 := p.Counters(), p.VirtualCycles()
+			req, err := w.Isend(buf, 1, Byte, 1, 0)
+			if err != nil {
+				return err
+			}
+			d, advance := p.Counters().Sub(before), p.VirtualCycles()-t0
+			if _, err := req.Wait(); err != nil {
+				return err
+			}
+			if d.Cycles != advance {
+				return fmt.Errorf("%s: Counters.Cycles advanced %d (%+v), the clock %d", fab, d.Cycles, d, advance)
+			}
+			return nil
+		})
+	}
+}
+
 func TestChargeCompute(t *testing.T) {
 	run(t, 1, Config{}, func(p *Proc) error {
 		before := p.Counters()

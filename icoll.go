@@ -207,10 +207,10 @@ func (p *Proc) traceRounds(s *nbc.Schedule) {
 	}
 }
 
-// collOp is one in-flight nonblocking collective: its schedule, the
-// internal request the public Request wraps, and the completion closures
-// bound to both once, when the op is first built. Ops are recycled
-// through the communicator's freelist, so a steady-state I-collective
+// collOp is one in-flight nonblocking collective: its schedule and the
+// internal request the public Request wraps, which the op drives
+// (request.Driver). Ops are recycled through the communicator's
+// freelist when their request is freed, so a steady-state I-collective
 // allocates only its public Request's slot of a slab (newRequest), and
 // the communicator retains as many ops as it ever had I-collectives
 // outstanding at once.
@@ -219,50 +219,47 @@ type collOp struct {
 	s   nbc.Schedule
 	r   request.Request
 	err error // the schedule's error, for Request.finish
-
-	poll  func(*request.Request) bool
-	block func(*request.Request)
 }
 
-// getOp pops a recycled op or builds one with its closures.
+// getOp pops a recycled op or builds one.
 func (c *Comm) getOp() *collOp {
 	c.opMu.Lock()
+	defer c.opMu.Unlock()
 	if n := len(c.opFree); n > 0 {
 		op := c.opFree[n-1]
 		c.opFree = c.opFree[:n-1]
-		c.opMu.Unlock()
 		return op
 	}
-	c.opMu.Unlock()
-	op := &collOp{c: c}
-	op.poll = func(rq *request.Request) bool {
-		done, err := op.s.Test()
-		if !done {
-			return false
-		}
-		op.err = err
-		rq.MarkComplete(request.Status{})
-		return true
-	}
-	op.block = func(rq *request.Request) {
-		op.err = op.s.Wait()
-		rq.MarkComplete(request.Status{})
-	}
-	return op
+	return &collOp{c: c}
 }
 
-// putOp hands a finished op back for the next I-collective. Wait and
-// Test call it once the request has completed; a request the caller
-// drops without completing is never recycled, so an op on the freelist
-// is never running. One that failed may still have receives posted into
-// its buffers and is left to the collector instead.
-func (c *Comm) putOp(op *collOp) {
+// Poll, Block and Recycle make the op its request's driver
+// (request.Driver): Poll runs one pass of the schedule, Block drives it
+// to its end, and Recycle hands the op back for the next I-collective.
+// Only a completed request is freed, so an op on the freelist is never
+// running; one that failed may still have receives posted into its
+// buffers and is left to the collector instead.
+func (op *collOp) Poll(rq *request.Request) bool {
+	done, err := op.s.Test()
+	if done {
+		op.err = err
+		rq.MarkComplete(request.Status{})
+	}
+	return done
+}
+
+func (op *collOp) Block(rq *request.Request) {
+	op.err = op.s.Wait()
+	rq.MarkComplete(request.Status{})
+}
+
+func (op *collOp) Recycle(*request.Request) {
 	if op.err != nil {
 		return
 	}
-	c.opMu.Lock()
-	c.opFree = append(c.opFree, op)
-	c.opMu.Unlock()
+	op.c.opMu.Lock()
+	op.c.opFree = append(op.c.opFree, op)
+	op.c.opMu.Unlock()
 }
 
 // launch starts a compiled schedule, the step every kind of collective
@@ -285,12 +282,12 @@ func (p *Proc) launch(s *nbc.Schedule, park bool) error {
 // (issuing rounds and running local reduction steps as receives land),
 // Wait drives it to completion parking on the transport.
 func (c *Comm) istart(op *collOp) *Request {
-	op.r = request.Request{Kind: request.KindColl, Poll: op.poll, Block: op.block}
+	op.r.Bind(request.KindColl, op)
 	// The outcome stays latched in the schedule; the request's first
 	// poll collects it.
 	_ = c.p.launch(&op.s, false)
 	req := c.p.newRequest()
-	*req = Request{r: &op.r, p: c.p, coll: op}
+	*req = Request{r: &op.r, p: c.p}
 	return req
 }
 
@@ -312,7 +309,7 @@ func (c *Comm) icoll(compile compileFn) (*Request, error) {
 	}
 	op := c.getOp()
 	if err := compile(&op.s, c.nbcPort(), tag, f); err != nil {
-		c.putOp(op)
+		op.Recycle(nil)
 		return nil, argErr(err)
 	}
 	return c.istart(op), nil

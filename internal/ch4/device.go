@@ -14,7 +14,6 @@ package ch4
 
 import (
 	"io"
-	"sync"
 
 	"gompi/internal/comm"
 	"gompi/internal/core"
@@ -88,20 +87,14 @@ type Device struct {
 	ep    *fabric.Endpoint
 	cfg   core.Config
 	meter core.Meter
-	pool  request.Pool
+	pool  request.Pool // requests complete at issue: eager sends, PROC_NULL receives, empty flushes
 
-	// Receive-descriptor freelist: every receive's RecvOp and its
-	// completion closures are recycled instead of reallocated, so
-	// steady-state receive loops — persistent-collective replays
-	// especially — post without touching the heap (putRecvBox names the
-	// one exception). Like request.Pool the freelist is the
-	// owner goroutine's alone; boxMu is taken only under
-	// MPI_THREAD_MULTIPLE, where several goroutines of one rank post
-	// receives concurrently. sendFree chains the recycled boxes of lent
-	// sends (through sendBox.next) by the same rule.
-	boxMu    sync.Mutex
-	boxFree  []*recvBox
-	sendFree *sendBox
+	// Box freelists: a receive or lent send lives in a box with the
+	// request it drives, and freeing the request recycles the box, so
+	// steady-state loops post without touching the heap (a derived
+	// layout's bounce buffer is the one exception).
+	recvFree request.Freelist[recvBox]
+	sendFree request.Freelist[sendBox]
 
 	// am is the active-message fallback of the ch4 core: the one-sided
 	// packet set both devices share, here carrying only what the
@@ -117,6 +110,8 @@ func (g *Global) Open(r *proc.Rank) *Device {
 	d.pool.Metrics = r.Metrics()
 	if g.Cfg.ThreadMultiple {
 		d.pool.Share()
+		d.recvFree.Share()
+		d.sendFree.Share()
 	}
 	d.ep.Bind(r)
 	if g.Shm != nil {

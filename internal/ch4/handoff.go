@@ -49,7 +49,8 @@ func (d *Device) IsendNoCopy(buf []byte, dest, tag int, c *comm.Comm) (*request.
 	// which always lends.
 	b := d.inject(world, bits, buf, true)
 	d.charge(instr.Mandatory, cost(instr.Request))
-	return d.sendRequest(b, issued), true, nil
+	b.req.Issued = int64(issued)
+	return &b.req, true, nil
 }
 
 // IrecvReduce posts a tagged receive that consumes its payload with

@@ -49,19 +49,25 @@ func TestIrecvReduceLentRendezvous(t *testing.T) {
 	})
 }
 
-// freeSendBoxes counts the device's recycled send boxes.
+// freeSendBoxes counts the device's recycled send boxes: it pops them
+// all and pushes them back.
 func freeSendBoxes(d *Device) int {
-	n := 0
-	for b := d.sendFree; b != nil; b = b.next {
-		n++
+	var boxes []*sendBox
+	for b := d.sendFree.Get(nil); b != nil; b = d.sendFree.Get(nil) {
+		boxes = append(boxes, b)
 	}
-	return n
+	for _, b := range boxes {
+		d.sendFree.Put(b)
+	}
+	return len(boxes)
 }
 
 // TestRendezvousToPostedReceiveCompletesAtReturn: when the receive is
 // already posted the lend ends inside the send (one copy into the
-// posted buffer), so Isend returns a completed request and its box is
-// back on the freelist; eager and requestless sends never take a box.
+// posted buffer), so Isend returns its box's request completed — its
+// lifetime observed before the call returns, not at a later poll — and
+// freeing it puts the box back on the freelist; eager and requestless
+// sends never take a box.
 func TestRendezvousToPostedReceiveCompletesAtReturn(t *testing.T) {
 	const n = 2 * 8192
 	posted := make(chan struct{})
@@ -84,13 +90,18 @@ func TestRendezvousToPostedReceiveCompletesAtReturn(t *testing.T) {
 			return err
 		}
 		<-posted
+		lives := e.d.rank.Metrics().Lat.ReqLife.Snapshot().Count
 		req, err := e.d.Isend(make([]byte, n), n, datatype.Byte, 1, 1, e.c, 0)
 		if err != nil {
 			return err
 		}
-		if req.Poll != nil || !req.Done() {
-			return fmt.Errorf("rendezvous to a posted receive did not complete at return")
+		if got := e.d.rank.Metrics().Lat.ReqLife.Snapshot().Count - lives; got != 1 || !req.Done() {
+			return fmt.Errorf("rendezvous to a posted receive did not complete at return (%d lifetimes observed)", got)
 		}
+		if free := freeSendBoxes(e.d); free != 0 {
+			return fmt.Errorf("send boxes on the freelist before Free = %d, want 0", free)
+		}
+		req.Free()
 		if free := freeSendBoxes(e.d); free != 1 {
 			return fmt.Errorf("send boxes on the freelist = %d, want 1", free)
 		}

@@ -99,13 +99,15 @@ func (d *Device) Isend(buf []byte, count int, dt *datatype.Type, dest, tag int,
 		// consumed it — MPI standard mode. The request carries that
 		// obligation.
 		d.charge(instr.Mandatory, cost(instr.Request))
-		return d.sendRequest(b, issued), nil
+		b.req.Issued = int64(issued)
+		if b.h == nil && b.done.Load() {
+			b.finish() // a posted receive took the one copy inside the send
+		}
+		return &b.req, nil
 	}
 	r := d.completedRequest(flags, c, request.KindSend)
-	// A captured send (eager, staged, or a rendezvous its posted receive
-	// already copied) is complete at return: its request lifetime is the
-	// injection cost itself (plus the rendezvous handshake when the
-	// message crossed the eager threshold).
+	// A captured send (eager or staged) is complete at return: its
+	// request lifetime is the injection cost itself.
 	d.rank.Metrics().Lat.ReqLife.Observe(int64(d.rank.Now() - issued))
 	if r != nil {
 		r.Issued = int64(issued)
@@ -140,9 +142,9 @@ func (d *Device) sendBytes(buf []byte, count int, dt *datatype.Type) ([]byte, er
 // carry the send's completion; then the two lending branches — on-node
 // above the shm handoff threshold, off-node above the eager limit —
 // lend data instead of capturing it, and the returned box is the
-// sender's outstanding buffer-reuse obligation. nil means data is
-// captured (self, eager, staged) or already consumed by a posted
-// receive: the buffer is free.
+// sender's buffer-reuse obligation, already released when a posted
+// receive consumed the data inside the send. nil means data is
+// captured (self, eager, staged): the buffer is free.
 func (d *Device) inject(world int, bits match.Bits, data []byte, lend bool) *sendBox {
 	d.charge(instr.Mandatory, cost(instr.Locality))
 	vci := d.lane(bits)
@@ -167,32 +169,25 @@ func (d *Device) inject(world int, bits match.Bits, data []byte, lend bool) *sen
 		}
 		b := d.getSendBox()
 		d.ep.TaggedSendVCI(world, bits, data, vci, b)
-		if !b.done.Load() {
-			return b
-		}
-		d.putSendBox(b) // a posted receive took the one copy
+		return b
 	}
 	return nil
 }
 
-// sendBox carries a lent send's completion on either transport — an
-// shm handoff (h, done when the receiver's ack lands) or a netmod
-// rendezvous view parked at its receiver (done, set by Release) — with
-// completion closures bound to it once, at box creation: recvBox's
-// recycling on the send side, so a lent send allocates nothing but its
-// public request. Poll pumps progress so the rank's own incoming
-// traffic keeps moving while it spins; Block parks on the endpoint's
-// event aggregate, which the receiver's release wakes. Blocking here
-// (never inside the transport send) is what keeps lending
-// deadlock-free: a sender that blocked before returning could never
-// receive the views its peers lend it.
+// sendBox is a lent send and the request it drives, recycled together,
+// on either transport: an shm handoff (h, done when the receiver's ack
+// lands) or a netmod rendezvous view parked at its receiver (done, set
+// by Release). Poll pumps progress so the rank's own incoming traffic
+// keeps moving while it spins; Block parks on the endpoint's event
+// aggregate, which the receiver's release wakes. Blocking here (never
+// inside the transport send) is what keeps lending deadlock-free: a
+// sender that blocked before returning could never receive the views
+// its peers lend it.
 type sendBox struct {
-	d     *Device
-	h     *shm.Handoff
-	done  atomic.Bool
-	poll  func(*request.Request) bool
-	block func(*request.Request)
-	next  *sendBox // freelist link
+	req  request.Request
+	d    *Device
+	h    *shm.Handoff
+	done atomic.Bool
 }
 
 // Release implements fabric.ViewReleaser for a netmod rendezvous: the
@@ -201,7 +196,7 @@ type sendBox struct {
 // handshake was priced at injection, so it charges nothing and syncs
 // nothing; it flags the box and wakes the sender. After the flag only
 // b.d, fixed for the box's life, is read: the sender may already be
-// recycling the box.
+// freeing the box.
 func (b *sendBox) Release(bool) {
 	b.done.Store(true)
 	b.d.ep.Notify()
@@ -215,63 +210,48 @@ func (b *sendBox) released() bool {
 	return b.done.Load()
 }
 
-// getSendBox pops a recycled box or builds one with its closures.
+// Poll, Block and Recycle make the box its request's driver.
+func (b *sendBox) Poll(*request.Request) bool {
+	if b.d.Progress(); !b.released() {
+		return false
+	}
+	b.finish()
+	return true
+}
+
+func (b *sendBox) Block(*request.Request) {
+	b.d.waitUntil(b.released)
+	b.finish()
+}
+
+func (b *sendBox) Recycle(*request.Request) {
+	b.req.Reset()
+	b.h = nil
+	b.done.Store(false)
+	b.d.sendFree.Put(b)
+}
+
+// getSendBox pops a recycled box or builds one bound to its request.
 func (d *Device) getSendBox() *sendBox {
-	if d.cfg.ThreadMultiple {
-		d.boxMu.Lock()
-		defer d.boxMu.Unlock()
-	}
-	if b := d.sendFree; b != nil {
-		d.sendFree, b.next = b.next, nil
-		return b
-	}
-	b := &sendBox{d: d}
-	b.poll = func(r *request.Request) bool {
-		d.Progress()
-		if !b.released() {
-			return false
-		}
-		d.finishSend(b, r)
-		return true
-	}
-	b.block = func(r *request.Request) {
-		d.waitUntil(b.released)
-		d.finishSend(b, r)
+	b := d.sendFree.Get(d.rank.Metrics())
+	if b == nil {
+		b = &sendBox{d: d}
+		b.req.Bind(request.KindSend, b)
 	}
 	return b
 }
 
-// putSendBox clears a box whose lend is over and recycles it.
-func (d *Device) putSendBox(b *sendBox) {
-	b.h = nil
-	b.done.Store(false)
-	if d.cfg.ThreadMultiple {
-		d.boxMu.Lock()
-		defer d.boxMu.Unlock()
-	}
-	b.next, d.sendFree = d.sendFree, b
-}
-
-// sendRequest wraps a lent send's box in its request.
-func (d *Device) sendRequest(b *sendBox, issued vtime.Time) *request.Request {
-	r := d.pool.Get(request.KindSend)
-	r.Issued = int64(issued)
-	r.Poll, r.Block = b.poll, b.block
-	return r
-}
-
-// finishSend completes a released send's request — an shm handoff
-// syncs to and reads its ack (FinishHandoff), a netmod rendezvous pays
-// nothing — and recycles the box. Runs exactly once per activation, on
-// the sender: Done/Wait latch completion before the closures could fire
-// again.
-func (d *Device) finishSend(b *sendBox, r *request.Request) {
+// finish completes a released send's request — an shm handoff syncs
+// to and reads its ack (FinishHandoff), a netmod rendezvous pays
+// nothing. Runs exactly once per activation, on the sender: Done/Wait
+// latch completion before the driver could run again.
+func (b *sendBox) finish() {
+	d := b.d
 	if b.h != nil {
 		d.g.Shm.FinishHandoff(b.h)
 	}
-	d.rank.Metrics().Lat.ReqLife.Observe(int64(d.rank.Now()) - r.Issued)
-	r.MarkComplete(request.Status{})
-	d.putSendBox(b)
+	d.rank.Metrics().Lat.ReqLife.Observe(int64(d.rank.Now()) - b.req.Issued)
+	b.req.MarkComplete(request.Status{})
 }
 
 // completedRequest finishes an eagerly completed send: either a pooled
@@ -370,17 +350,18 @@ func (d *Device) Irecv(buf []byte, count int, dt *datatype.Type, src, tag int,
 	return d.postBox(b, bits, mask), nil
 }
 
-// recvBox is the device's one receive descriptor: a RecvOp with
-// completion closures bound to it once, at box creation, so a
-// steady-state receive loop posts with zero heap traffic. Every receive
-// posts through one — a fold receive (IrecvReduce) sets op.Fold, and a
-// derived layout receives into a bounce buffer (op.Buf) that finishBox
-// unpacks as unpack says and then drops.
+// recvBox is the device's one receive descriptor: a RecvOp and the
+// request it drives (request.Driver), bound once at box creation and
+// recycled together at Free, so a steady-state receive loop posts with
+// zero heap traffic. Every receive posts through one — a fold receive
+// (IrecvReduce) sets op.Fold, and a derived layout receives into a
+// bounce buffer (op.Buf) that finish unpacks as unpack says and then
+// drops.
 type recvBox struct {
+	req    request.Request
 	op     fabric.RecvOp
 	unpack *unpackTo
-	poll   func(*request.Request) bool
-	block  func(*request.Request)
+	d      *Device
 }
 
 // unpackTo is where a derived-layout receive lands: count elements of
@@ -392,97 +373,73 @@ type unpackTo struct {
 }
 
 // postBox hands the box's descriptor to the matching unit of its
-// communicator's lane and wraps it in its request.
+// communicator's lane and stamps its request.
 func (d *Device) postBox(b *recvBox, bits, mask match.Bits) *request.Request {
 	d.ep.PostRecvVCI(&b.op, bits, mask, d.lane(bits))
-	r := d.pool.Get(request.KindRecv)
-	r.Issued = int64(d.rank.Now())
-	r.Poll, r.Block = b.poll, b.block
-	return r
+	b.req.Issued = int64(d.rank.Now())
+	return &b.req
 }
 
-// getRecvBox pops a recycled box or builds one with its closures.
+// getRecvBox pops a recycled box or builds one bound to its request.
 func (d *Device) getRecvBox() *recvBox {
-	if d.cfg.ThreadMultiple {
-		d.boxMu.Lock()
-		defer d.boxMu.Unlock()
-	}
-	if n := len(d.boxFree); n > 0 {
-		b := d.boxFree[n-1]
-		d.boxFree = d.boxFree[:n-1]
-		return b
-	}
-	b := &recvBox{}
-	b.poll = func(r *request.Request) bool {
-		if !d.recvDone(&b.op) {
-			return false
-		}
-		d.finishBox(b, r)
-		return true
-	}
-	b.block = func(r *request.Request) {
-		d.waitRecv(&b.op)
-		d.finishBox(b, r)
+	b := d.recvFree.Get(d.rank.Metrics())
+	if b == nil {
+		b = &recvBox{d: d}
+		b.req.Bind(request.KindRecv, b)
 	}
 	return b
 }
 
-// finishBox completes the request from the box's descriptor — a derived
-// layout unpacks first, charged as real per-byte work — and recycles
-// the box. Runs exactly once per activation: Done/Wait latch completion
-// before the closures could fire again.
-func (d *Device) finishBox(b *recvBox, r *request.Request) {
+// Poll, Block and Recycle make the box its request's driver. Block
+// parks on the op's VCI event sequence, so traffic other goroutines
+// drive over other VCIs never wakes it. A freed box's op was consumed
+// from its lane's queue at match time: nothing in the fabric still
+// references it.
+func (b *recvBox) Poll(*request.Request) bool {
+	if b.d.Progress(); !b.d.ep.RecvDone(&b.op) {
+		return false
+	}
+	b.finish()
+	return true
+}
+
+func (b *recvBox) Block(*request.Request) {
+	d, v := b.d, b.op.VCI()
+	for {
+		seq := d.ep.EventSeqVCI(v)
+		if d.Progress(); d.ep.RecvDone(&b.op) {
+			break
+		}
+		d.ep.WaitEventVCI(v, seq)
+	}
+	b.finish()
+}
+
+func (b *recvBox) Recycle(*request.Request) {
+	b.req.Reset()
+	b.op.Reset()
+	b.unpack = nil
+	b.d.recvFree.Put(b)
+}
+
+// finish completes the box's request from its descriptor, once per
+// activation (Done/Wait latch completion); a derived layout unpacks
+// first, charged as real per-byte work.
+func (b *recvBox) finish() {
+	d := b.d
 	if u := b.unpack; u != nil {
 		if _, err := datatype.Unpack(u.dt, u.count, b.op.Buf[:b.op.N], u.buf); err != nil {
-			r.MarkComplete(request.Status{Truncated: true})
-			d.putRecvBox(b)
+			b.req.MarkComplete(request.Status{Truncated: true})
 			return
 		}
 		d.charge(instr.Mandatory, instr.PackCost(b.op.N))
 	}
 	// Request lifetime: post → completion on the owner's clock (the
 	// reap already folded the message's arrival into it).
-	d.rank.Metrics().Lat.ReqLife.Observe(int64(d.rank.Now()) - r.Issued)
-	r.MarkComplete(request.Status{
+	d.rank.Metrics().Lat.ReqLife.Observe(int64(d.rank.Now()) - b.req.Issued)
+	b.req.MarkComplete(request.Status{
 		Source: b.op.Src, Tag: b.op.Tag, Count: b.op.N, Truncated: b.op.Truncated,
 	})
-	d.putRecvBox(b)
-}
-
-// putRecvBox clears a completed box and puts it back on the freelist.
-// Its op was consumed from its lane's queue at match time, so nothing
-// in the fabric still references it.
-func (d *Device) putRecvBox(b *recvBox) {
-	b.op.Reset()
-	b.unpack = nil
-	if d.cfg.ThreadMultiple {
-		d.boxMu.Lock()
-		defer d.boxMu.Unlock()
-	}
-	d.boxFree = append(d.boxFree, b)
-}
-
-// recvDone polls one receive, pumping progress so shm and AM traffic
-// can complete it.
-func (d *Device) recvDone(op *fabric.RecvOp) bool {
-	d.Progress()
-	return d.ep.RecvDone(op)
-}
-
-// waitRecv parks until the receive completes, pumping both transports.
-// It parks on the op's VCI event sequence, so traffic other goroutines
-// drive over other VCIs never wakes it (the spurious-wakeup storm a
-// single per-rank sequence causes).
-func (d *Device) waitRecv(op *fabric.RecvOp) {
-	v := op.VCI()
-	for {
-		seq := d.ep.EventSeqVCI(v)
-		d.Progress()
-		if d.ep.RecvDone(op) {
-			return
-		}
-		d.ep.WaitEventVCI(v, seq)
-	}
 }
 
 // Iprobe checks for a matchable unexpected message (MPI_IPROBE). It

@@ -370,36 +370,57 @@ func (d *Device) FlushLocal(w *rma.Win, target int) error {
 // FlushRequest returns a request completing when every operation
 // issued so far to target is remotely
 // complete — the substrate under Rput/Rget/Raccumulate. Pure-RDMA
-// epochs complete immediately; with AM fallback traffic in flight the
-// request polls the ack counter off the progress engine like any
-// two-sided request.
+// epochs complete immediately, with a pooled request; with AM fallback
+// traffic in flight the request polls the ack counter off the progress
+// engine like any two-sided request.
 func (d *Device) FlushRequest(w *rma.Win, target int) (*request.Request, error) {
 	d.charge(instr.Mandatory, cost(instr.FlushProto)+cost(instr.Request))
-	r := d.pool.Get(request.KindRMA)
-	r.Issued = int64(d.rank.Now())
 	mark := d.am.Sent()
-	finish := func(r *request.Request) {
-		d.am.FlushTo(mark)
-		d.rank.ChargeCycles(instr.Transport, 2*d.g.Fab.Profile().WireLatency)
-		core.ObserveFlush(d.rank, w, target)
-		d.rank.Metrics().Lat.ReqLife.Observe(int64(d.rank.Now()) - r.Issued)
-		r.MarkComplete(request.Status{})
-	}
 	if d.am.Acked() >= mark {
-		finish(r)
+		r := d.pool.Get(request.KindRMA)
+		r.Issued = int64(d.rank.Now())
+		d.finishFlush(w, target, mark, r)
 		return r, nil
 	}
-	r.Poll = func(r *request.Request) bool {
-		d.Progress()
-		if d.am.Acked() < mark {
-			return false
-		}
-		finish(r)
-		return true
-	}
-	r.Block = finish
-	return r, nil
+	d.rank.Metrics().NoteReqAlloc(false)
+	f := &flushOp{d: d, w: w, target: target, mark: mark}
+	f.req.Bind(request.KindRMA, f)
+	f.req.Issued = int64(d.rank.Now())
+	return &f.req, nil
 }
+
+// finishFlush waits for the acks up to mark (FlushTo), then charges the
+// completion round trip, records the flush and completes r.
+func (d *Device) finishFlush(w *rma.Win, target int, mark int64, r *request.Request) {
+	d.am.FlushTo(mark)
+	d.rank.ChargeCycles(instr.Transport, 2*d.g.Fab.Profile().WireLatency)
+	core.ObserveFlush(d.rank, w, target)
+	d.rank.Metrics().Lat.ReqLife.Observe(int64(d.rank.Now()) - r.Issued)
+	r.MarkComplete(request.Status{})
+}
+
+// flushOp drives a flush request issued while acks were outstanding,
+// which only AM fallback traffic leaves (request.Driver): the ack mark
+// to reach, and the window and target the flush is recorded against.
+// It is not recycled.
+type flushOp struct {
+	req    request.Request
+	d      *Device
+	w      *rma.Win
+	target int
+	mark   int64
+}
+
+func (f *flushOp) Poll(r *request.Request) bool {
+	if f.d.Progress(); f.d.am.Acked() < f.mark {
+		return false
+	}
+	f.Block(r)
+	return true
+}
+
+func (f *flushOp) Block(r *request.Request) { f.d.finishFlush(f.w, f.target, f.mark, r) }
+func (f *flushOp) Recycle(*request.Request) {}
 
 // PutAllOpts is the hand-minimized fused one-sided path, the RMA
 // analogue of IsendAllOpts: a contiguous byte payload to a world

@@ -245,6 +245,57 @@ func TestDerivedPutAMFallback(t *testing.T) {
 	})
 }
 
+// TestFlushRequestCountsItsRequest: a flush request is one request get
+// in the rank's registry (request.reuse_ratio's base) whether it pends
+// on an AM fallback ack, as here while the target stays out of the
+// library, or completes at issue from the device's pool.
+func TestFlushRequestCountsItsRequest(t *testing.T) {
+	vec, _ := datatype.NewVector(3, 1, 2, datatype.Byte)
+	if err := vec.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	away, back := make(chan struct{}), make(chan struct{})
+	runWorld(t, 2, 1, fabric.OFI, core.Default, func(e *env) error {
+		w, err := e.d.WinCreate(make([]byte, 8), 1, e.c, false)
+		if err != nil {
+			return err
+		}
+		e.d.Fence(w)
+		if e.c.Rank() == 1 {
+			away <- struct{}{} // no progress until rank 0 has flushed
+			<-back
+			e.d.Fence(w)
+			return e.d.WinFree(w)
+		}
+		<-away
+		// Failures are collected, not returned, so rank 1 is never left
+		// waiting for a fence rank 0 skipped.
+		errs := []error{e.d.Put(make([]byte, 6), 1, vec, 1, 0, w, 0)}
+		m := e.d.rank.Metrics()
+		for _, pend := range []bool{true, false} {
+			gets := m.ReqAllocs
+			r, err := e.d.FlushRequest(w, 1)
+			if pend {
+				close(back)
+			}
+			if err != nil {
+				errs = append(errs, err)
+				continue
+			}
+			if _, ok := r.Driver().(*flushOp); ok != pend {
+				errs = append(errs, fmt.Errorf("flush request pending %v, want %v", ok, pend))
+			}
+			if n := m.ReqAllocs - gets; n != 1 {
+				errs = append(errs, fmt.Errorf("flush request (pending %v) noted %d request gets, want 1", pend, n))
+			}
+			r.Wait()
+			r.Free()
+		}
+		e.d.Fence(w)
+		return errors.Join(append(errs, e.d.WinFree(w))...)
+	})
+}
+
 func TestDerivedGetPerSegment(t *testing.T) {
 	vec, _ := datatype.NewVector(2, 1, 2, datatype.Byte)
 	vec.Commit()
@@ -529,7 +580,7 @@ func TestDeviceAccessors(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		// Exercise the polling path (recvDone).
+		// Exercise the polling path (recvBox.Poll).
 		for !req.Done() {
 		}
 		return nil

@@ -24,7 +24,7 @@ func sharedRank(hz float64) *proc.Rank {
 }
 
 // waitRecv completes op the way a device's receive wait does (ch4's
-// waitRecv): read the op's VCI event sequence, run progress, and park
+// recvBox.Block): read the op's VCI event sequence, run progress, and park
 // until the sequence moves while the op is not done. The deposit that
 // completes an op bumps the sequence after it sets done, so a sequence
 // read before the done check cannot miss it.

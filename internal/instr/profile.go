@@ -32,8 +32,8 @@ func (p *Profile) Count(cat Category) int64 { return atomic.LoadInt64(&p.counts[
 // Table 1 total: everything except Transport and Compute).
 func (p *Profile) Total() int64 { return p.Delta(Snapshot{}).Total }
 
-// Cycles returns the total virtual cycles accumulated, including
-// transport and compute charges.
+// Cycles returns the sum of every category's count: the cycles charged
+// only at one cycle per instruction (proc.Rank.Cycles applies the CPI).
 func (p *Profile) Cycles() int64 { return p.Delta(Snapshot{}).Cycles }
 
 // Snapshot is a point-in-time copy of a Profile, used to attribute the
@@ -70,8 +70,8 @@ func (p *Profile) Delta(s Snapshot) Breakdown {
 // region — one column of Table 1.
 type Breakdown struct {
 	Counts [NumCategories]int64
-	Total  int64
-	Cycles int64
+	Total  int64 // the MPI instructions: every category before Transport
+	Cycles int64 // every category's count summed, as Profile.Cycles
 }
 
 // Count returns the charge recorded for one category.

@@ -339,8 +339,8 @@ func (r *Rank) MaxUnexpected(n int) { r.raise(&r.UnexpectedMax, int64(n)) }
 // MaxPosted raises the posted-queue high water to n.
 func (r *Rank) MaxPosted(n int) { r.raise(&r.PostedMax, int64(n)) }
 
-// NoteReqAlloc counts a request-pool get; reused says whether it came
-// off the freelist.
+// NoteReqAlloc counts a request get, a pool's or a box's; reused says
+// whether it came off a freelist.
 func (r *Rank) NoteReqAlloc(reused bool) {
 	r.add(&r.ReqAllocs, 1)
 	if reused {

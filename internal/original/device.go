@@ -19,6 +19,7 @@ import (
 
 	"gompi/internal/comm"
 	"gompi/internal/core"
+	"gompi/internal/datatype"
 	"gompi/internal/fabric"
 	"gompi/internal/instr"
 	"gompi/internal/match"
@@ -82,9 +83,16 @@ func (g *Global) DumpState(w io.Writer) {
 	}
 }
 
-// recvState is one posted receive in the software matching engine.
+// recvState is one posted receive in the software matching engine, and
+// its request's driver. A derived layout lands in a bounce buffer (buf)
+// that completion unpacks into user as count elements of dt; with dt
+// nil, buf is the user's.
 type recvState struct {
+	d         *Device
 	buf       []byte
+	user      []byte
+	dt        *datatype.Type
+	count     int
 	n         int
 	src, tag  int
 	truncated bool

@@ -98,7 +98,7 @@ func (d *Device) finishSend(flags core.OpFlags, c *comm.Comm) *request.Request {
 		return nil
 	}
 	d.charge(instr.Mandatory, cost(instr.Request))
-	r := d.g.pool.GetFor(request.KindSend, d.rank.Metrics())
+	r := d.g.pool.GetFor(request.KindSend, nil, d.rank.Metrics())
 	r.MarkComplete(request.Status{})
 	return r
 }
@@ -185,7 +185,7 @@ func (d *Device) Irecv(buf []byte, count int, dt *datatype.Type, src, tag int,
 	d.charge(instr.Call, cost(instr.Dispatch))
 	d.charge(instr.Mandatory, cost(instr.ProcNull))
 	if src == core.ProcNull {
-		r := d.g.pool.GetFor(request.KindRecv, d.rank.Metrics())
+		r := d.g.pool.GetFor(request.KindRecv, nil, d.rank.Metrics())
 		r.MarkComplete(request.Status{Source: core.ProcNull, Tag: core.AnyTag})
 		return r, nil
 	}
@@ -203,13 +203,12 @@ func (d *Device) Irecv(buf []byte, count int, dt *datatype.Type, src, tag int,
 		cost(instr.RedundantBufAddr)+cost(instr.PacketGeneric))
 	d.meter.ChargeType(dt, cost(instr.RedundantDatatype))
 
-	rs := &recvState{posted: d.rank.Now()}
-	var bounce []byte
+	rs := &recvState{d: d, posted: d.rank.Now()}
 	if view, ok := datatype.ContigView(dt, count, buf); ok {
 		rs.buf = view
 	} else {
-		bounce = make([]byte, datatype.PackedSize(dt, count))
-		rs.buf = bounce
+		rs.buf = make([]byte, datatype.PackedSize(dt, count))
+		rs.user, rs.dt, rs.count = buf, dt, count
 	}
 
 	// Progress first so pending packets are matched in software before
@@ -237,43 +236,50 @@ func (d *Device) Irecv(buf []byte, count int, dt *datatype.Type, src, tag int,
 		mm.Flight.Record(flight.PostRecv, int64(d.rank.Now()), bits.Source(), 0, 0)
 	}
 
-	r := d.g.pool.GetFor(request.KindRecv, d.rank.Metrics())
+	r := d.g.pool.GetFor(request.KindRecv, rs, d.rank.Metrics())
 	r.Issued = int64(d.rank.Now())
-	finish := func(r *request.Request) {
-		// Wait park time: how far ahead of this rank's clock the matched
-		// packet arrived (zero when the rank got there after it).
-		if park := int64(rs.arrival - d.rank.Now()); park > 0 {
-			mm.Lat.WaitPark.Observe(park)
-		} else if rs.done {
-			mm.Lat.WaitPark.Observe(0)
-		}
-		d.rank.Sync(rs.arrival)
-		if bounce != nil {
-			if _, err := datatype.Unpack(dt, count, bounce[:rs.n], buf); err != nil {
-				rs.truncated = true
-			}
-		}
-		mm.Lat.ReqLife.Observe(int64(d.rank.Now()) - r.Issued)
-		mm.Flight.Record(flight.RecvDone, int64(d.rank.Now()), rs.src, rs.n, 0)
-		r.MarkComplete(request.Status{Source: rs.src, Tag: rs.tag, Count: rs.n, Truncated: rs.truncated})
-	}
-	r.Poll = func(r *request.Request) bool {
-		d.lock()
-		defer d.unlock()
-		d.progressLocked()
-		if !rs.done {
-			return false
-		}
-		finish(r)
-		return true
-	}
-	r.Block = func(r *request.Request) {
-		d.lock()
-		defer d.unlock()
-		d.waitUntil(func() bool { return rs.done })
-		finish(r)
-	}
 	return r, nil
+}
+
+// Poll, Block and Recycle make the receive its request's driver
+// (request.Driver), inside the critical section. The baseline recycles
+// nothing: the state and its request are left to the collector.
+func (rs *recvState) Poll(r *request.Request) bool {
+	rs.d.lock()
+	defer rs.d.unlock()
+	if rs.d.progressLocked(); rs.done {
+		rs.finish(r)
+	}
+	return rs.done
+}
+
+func (rs *recvState) Block(r *request.Request) {
+	rs.d.lock()
+	defer rs.d.unlock()
+	rs.d.waitUntil(rs.matched)
+	rs.finish(r)
+}
+
+func (rs *recvState) Recycle(*request.Request) {}
+func (rs *recvState) matched() bool            { return rs.done }
+
+// finish completes the matched receive's request: the clock syncs to
+// the packet's arrival and a derived layout unpacks.
+func (rs *recvState) finish(r *request.Request) {
+	d := rs.d
+	mm := d.rank.Metrics()
+	// Wait park time: how far ahead of this rank's clock the matched
+	// packet arrived (zero when the rank got there after it).
+	mm.Lat.WaitPark.Observe(max(int64(rs.arrival-d.rank.Now()), 0))
+	d.rank.Sync(rs.arrival)
+	if rs.dt != nil {
+		if _, err := datatype.Unpack(rs.dt, rs.count, rs.buf[:rs.n], rs.user); err != nil {
+			rs.truncated = true
+		}
+	}
+	mm.Lat.ReqLife.Observe(int64(d.rank.Now()) - r.Issued)
+	mm.Flight.Record(flight.RecvDone, int64(d.rank.Now()), rs.src, rs.n, 0)
+	r.MarkComplete(request.Status{Source: rs.src, Tag: rs.tag, Count: rs.n, Truncated: rs.truncated})
 }
 
 // Iprobe checks the unexpected queue under software matching.

@@ -247,7 +247,7 @@ func (d *Device) FlushLocal(w *rma.Win, target int) error {
 // cost distinguishes it from Flush.
 func (d *Device) FlushRequest(w *rma.Win, target int) (*request.Request, error) {
 	d.flush(w, target)
-	r := d.g.pool.GetFor(request.KindRMA, d.rank.Metrics())
+	r := d.g.pool.GetFor(request.KindRMA, nil, d.rank.Metrics())
 	r.Issued = int64(d.rank.Now())
 	r.MarkComplete(request.Status{})
 	return r, nil

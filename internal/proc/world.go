@@ -242,6 +242,13 @@ func (r *Rank) syncShared(t int64) {
 	}
 }
 
+// Cycles returns the cycles charged so far: every MPI instruction at
+// the rank's CPI, plus the transport and compute cycles.
+func (r *Rank) Cycles() int64 {
+	p := &r.prof
+	return r.cpi*p.Total() + p.Count(instr.Transport) + p.Count(instr.Compute)
+}
+
 // Profile exposes the rank's instruction profile for snapshots.
 func (r *Rank) Profile() *instr.Profile { return &r.prof }
 

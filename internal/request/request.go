@@ -1,11 +1,10 @@
-// Package request implements MPI request objects and their allocation
-// strategies. The paper's Section 3.5 identifies per-operation request
-// management as a mandatory overhead of MPI-3.1 point-to-point
-// semantics; this package provides both the request machinery (with a
-// per-rank freelist for the lightweight device and a globally locked
-// pool reproducing the baseline CH3 cost structure) and the counter
-// completion model of the proposed MPI_ISEND_NOREQ / MPI_COMM_WAITALL
-// extension.
+// Package request implements MPI request objects, the per-operation
+// management the paper's Section 3.5 counts as a mandatory overhead. A
+// request lives in the object that completes its operation, its Driver,
+// and is recycled with it; requests complete at issue come from a
+// per-rank Pool, the baseline's from a globally locked one (the CH3
+// cost structure). Counter is the completion model of the proposed
+// MPI_ISEND_NOREQ / MPI_COMM_WAITALL extension.
 package request
 
 import (
@@ -33,9 +32,17 @@ type Status struct {
 	Truncated bool // receive buffer was too small (MPI_ERR_TRUNCATE)
 }
 
+// Driver is the object that completes a request and takes it back,
+// bound to it once (Bind). Poll (true once done) and Block run until
+// the request completes, each marking it complete; Free calls Recycle.
+type Driver interface {
+	Poll(r *Request) bool
+	Block(r *Request)
+	Recycle(r *Request)
+}
+
 // Request tracks one outstanding operation. A request is owned by the
-// rank that created it; the transport signals completion through the
-// Poll/Block hooks installed by the device.
+// rank that created it; its driver signals completion.
 type Request struct {
 	Kind     Kind
 	Status   Status
@@ -47,16 +54,16 @@ type Request struct {
 	// finishes. Zero when the device does not track request lifetime.
 	Issued int64
 
-	// Poll returns true once the underlying transport operation has
-	// finished, filling Status via Finish. Nil for operations that
-	// completed immediately.
-	Poll func(r *Request) bool
-	// Block waits for the underlying operation to finish. Nil for
-	// immediately complete operations.
-	Block func(r *Request)
-
-	pool *Pool
+	drv Driver // nil: complete at issue, never recycled
 }
+
+// Bind readies r for an operation of kind driven by d; Reset readies it
+// for its next one, keeping both.
+func (r *Request) Bind(kind Kind, d Driver) { *r = Request{Kind: kind, drv: d} }
+func (r *Request) Reset()                   { r.Bind(r.Kind, r.drv) }
+
+// Driver returns the object driving the request.
+func (r *Request) Driver() Driver { return r.drv }
 
 // MarkComplete finalizes the request with the given status.
 func (r *Request) MarkComplete(st Status) {
@@ -69,7 +76,7 @@ func (r *Request) Done() bool {
 	if r.complete {
 		return true
 	}
-	if r.Poll != nil && r.Poll(r) {
+	if r.drv != nil && r.drv.Poll(r) {
 		r.complete = true
 		return true
 	}
@@ -81,90 +88,101 @@ func (r *Request) Wait() {
 	if r.complete {
 		return
 	}
-	if r.Block != nil {
-		r.Block(r)
+	if r.drv != nil {
+		r.drv.Block(r)
 	}
 	r.complete = true
 }
 
-// Free recycles the request into its pool, if pooled. The request must
-// not be used afterward.
+// Free hands the request back to its driver for reuse. The request
+// must not be used afterward.
 func (r *Request) Free() {
-	if r.pool != nil {
-		r.pool.put(r)
+	if r.drv != nil {
+		r.drv.Recycle(r)
 	}
 }
 
-// Pool is a per-rank request freelist. The zero value is ready to use
-// and single-writer: only the owning rank's goroutine gets and frees.
-// A pool several goroutines of one rank use (MPI_THREAD_MULTIPLE) is
-// marked with Share and guards the freelist with a short mutex; the
-// requests handed out are owned by single goroutines either way.
-type Pool struct {
+// Freelist is a per-rank LIFO of recycled request holders: requests
+// (Pool) or the objects a request lives in. The zero value is
+// single-writer; one several goroutines of a rank use
+// (MPI_THREAD_MULTIPLE) is marked with Share and takes a short mutex.
+type Freelist[T any] struct {
 	mu     sync.Mutex
 	shared bool
-	free   []*Request
+	free   []*T
+}
 
-	// Metrics, when set, counts gets and freelist reuses (the
-	// request-recycling rate the paper's Section 3.5 is about).
+// Share marks the list as used by several goroutines, before the first
+// Get.
+func (f *Freelist[T]) Share() { f.shared = true }
+
+// Get pops a recycled holder or returns nil, noting in m, when set,
+// the request get and whether it reused one.
+func (f *Freelist[T]) Get(m *metrics.Rank) *T {
+	if f.shared {
+		f.mu.Lock()
+		defer f.mu.Unlock()
+	}
+	var x *T
+	if n := len(f.free); n > 0 {
+		x = f.free[n-1]
+		f.free = f.free[:n-1]
+	}
+	if m != nil {
+		m.NoteReqAlloc(x != nil)
+	}
+	return x
+}
+
+// Put pushes a holder back for reuse.
+func (f *Freelist[T]) Put(x *T) {
+	if f.shared {
+		f.mu.Lock()
+		defer f.mu.Unlock()
+	}
+	f.free = append(f.free, x)
+}
+
+// Pool hands out requests that are complete when issued, from its
+// freelist, and is their Driver. Metrics, when set, counts the gets.
+type Pool struct {
+	Freelist[Request]
 	Metrics *metrics.Rank
 }
 
-// Share marks the pool as used by several goroutines, before the first
-// Get.
-func (p *Pool) Share() { p.shared = true }
-
 // Get returns a zeroed request.
 func (p *Pool) Get(kind Kind) *Request {
-	if p.shared {
-		p.mu.Lock()
-		defer p.mu.Unlock()
+	r := p.Freelist.Get(p.Metrics)
+	if r == nil {
+		r = new(Request)
 	}
-	var r *Request
-	n := len(p.free)
-	if n > 0 {
-		r = p.free[n-1]
-		p.free = p.free[:n-1]
-		*r = Request{}
-	} else {
-		r = &Request{}
-	}
-	if p.Metrics != nil {
-		p.Metrics.NoteReqAlloc(n > 0)
-	}
-	r.Kind = kind
-	r.pool = p
+	r.Bind(kind, p)
 	return r
 }
 
-func (p *Pool) put(r *Request) {
-	r.Poll, r.Block = nil, nil
-	if p.shared {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-	}
-	p.free = append(p.free, r)
-}
+// Poll, Block and Recycle make the pool the Driver of its requests:
+// nothing is in flight, and Free puts a request back on the freelist.
+func (p *Pool) Poll(*Request) bool { return false }
+func (p *Pool) Block(*Request)     {}
+func (p *Pool) Recycle(r *Request) { p.Put(r) }
 
-// LockedPool is the baseline device's globally locked request pool: the
-// CH3-era structure whose atomics show up in the paper's MPI_PUT
-// instruction count.
+// LockedPool is the baseline device's globally locked request
+// allocator: the CH3-era structure whose atomics show up in the paper's
+// MPI_PUT instruction count. It keeps no freelist; a request it hands
+// out is never recycled.
 type LockedPool struct {
-	mu   sync.Mutex
-	pool Pool
+	mu sync.Mutex
 }
 
-// GetFor allocates under the global lock, attributing the get to m
-// (the pool is shared across ranks, so per-rank attribution must come
-// from the caller).
-func (p *LockedPool) GetFor(kind Kind, m *metrics.Rank) *Request {
+// GetFor allocates a request driven by d (nil: complete at issue) under
+// the global lock, attributing the get to m (the lock is shared across
+// ranks, so per-rank attribution must come from the caller).
+func (p *LockedPool) GetFor(kind Kind, d Driver, m *metrics.Rank) *Request {
 	p.mu.Lock()
-	reused := len(p.pool.free) > 0
-	r := p.pool.Get(kind)
-	r.pool = nil // Free does not recycle into the locked pool
+	r := &Request{Kind: kind, drv: d}
 	p.mu.Unlock()
 	if m != nil {
-		m.NoteReqAlloc(reused)
+		m.NoteReqAlloc(false)
 	}
 	return r
 }

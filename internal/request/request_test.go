@@ -21,17 +21,32 @@ func TestImmediateCompletion(t *testing.T) {
 	}
 }
 
-func TestPollDrivenCompletion(t *testing.T) {
-	fired := 0
-	r := Request{Kind: KindRecv}
-	r.Poll = func(r *Request) bool {
-		fired++
-		if fired < 3 {
-			return false
-		}
-		r.MarkComplete(Status{Count: 1})
-		return true
+// testDriver completes its request on the third poll, or at once when
+// blocked on, and counts what the request asked of it.
+type testDriver struct {
+	polls, blocks, recycles int
+}
+
+func (d *testDriver) Poll(r *Request) bool {
+	d.polls++
+	if d.polls < 3 {
+		return false
 	}
+	r.MarkComplete(Status{Count: 1})
+	return true
+}
+
+func (d *testDriver) Block(r *Request) {
+	d.blocks++
+	r.MarkComplete(Status{})
+}
+
+func (d *testDriver) Recycle(*Request) { d.recycles++ }
+
+func TestPollDrivenCompletion(t *testing.T) {
+	var d testDriver
+	var r Request
+	r.Bind(KindRecv, &d)
 	if r.Done() || r.Done() {
 		t.Fatal("request completed early")
 	}
@@ -41,27 +56,47 @@ func TestPollDrivenCompletion(t *testing.T) {
 	if !r.Done() { // must stay complete without re-polling
 		t.Fatal("completion not sticky")
 	}
-	if fired != 3 {
-		t.Errorf("poll fired %d times, want 3", fired)
+	if d.polls != 3 {
+		t.Errorf("poll fired %d times, want 3", d.polls)
 	}
 }
 
 func TestBlockDrivenCompletion(t *testing.T) {
-	blocked := false
-	r := Request{Kind: KindSend}
-	r.Block = func(r *Request) {
-		blocked = true
-		r.MarkComplete(Status{})
-	}
+	var d testDriver
+	var r Request
+	r.Bind(KindSend, &d)
 	r.Wait()
-	if !blocked || !r.Done() {
+	if d.blocks != 1 || !r.Done() {
 		t.Fatal("Wait did not run Block")
 	}
-	blocked = false
 	r.Wait() // second wait must not block again
-	if blocked {
+	if d.blocks != 1 {
 		t.Fatal("Wait re-ran Block on a complete request")
 	}
+}
+
+// TestFreeRecyclesThroughDriver: Free hands the request to its driver
+// once, and Reset readies it for the next operation with its kind and
+// driver kept, so the next activation polls the same driver.
+func TestFreeRecyclesThroughDriver(t *testing.T) {
+	var d testDriver
+	var r Request
+	r.Bind(KindRecv, &d)
+	r.Issued = 7
+	r.Wait()
+	r.Free()
+	if d.recycles != 1 {
+		t.Fatalf("Free recycled %d times, want 1", d.recycles)
+	}
+	r.Reset()
+	if r.Kind != KindRecv || r.complete || r.Issued != 0 || r.Status != (Status{}) || r.drv != &d {
+		t.Fatalf("Reset left %+v", r)
+	}
+	if r.Done() || d.polls != 1 {
+		t.Fatalf("reset request did not poll its driver: polls %d", d.polls)
+	}
+	var bare Request // no driver: Free is a no-op
+	bare.Free()
 }
 
 func TestPoolRecycling(t *testing.T) {
@@ -103,7 +138,7 @@ func TestLockedPoolConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				r := p.GetFor(KindSend, nil)
+				r := p.GetFor(KindSend, nil, nil)
 				r.MarkComplete(Status{})
 				r.Free()
 			}
@@ -201,10 +236,11 @@ func TestSingleVsSharedPool(t *testing.T) {
 		for i := 0; i < 5000; i++ {
 			if len(live) == 0 || rng.Intn(3) > 0 {
 				r := p.Get(Kind(rng.Intn(4)))
-				if r.complete || r.Poll != nil || r.Block != nil || r.Issued != 0 {
+				if r.complete || r.drv != p || r.Issued != 0 || r.Status != (Status{}) {
 					t.Fatalf("shared %v: Get returned a dirty request %+v", shared, r)
 				}
-				r.Issued, r.Poll = int64(i), func(*Request) bool { return true }
+				r.Issued = int64(i)
+				r.MarkComplete(Status{Source: i, Count: 1})
 				live = append(live, r)
 			} else {
 				k := rng.Intn(len(live))

@@ -452,8 +452,9 @@ func (h *Handoff) Release(copied bool) {
 	h.ackAt = m.Now() + vtime.Time(p.Latency)
 	h.r.released.Add(1)
 	h.r.releasedBytes.Add(int64(h.bytes))
+	src, vci := h.src, h.vci // once done, the sender may reuse h
 	h.done.Store(true)
-	d.wake(h.src, h.vci)
+	d.wake(src, vci)
 }
 
 // FinishHandoff completes the sender side of a released handoff: sync

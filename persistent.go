@@ -66,24 +66,17 @@ func (o *PersistentOp) Start() error {
 	p.chargeCall()
 	unlock := p.chargeThread(o.c.c, false)
 	defer unlock()
-	var err error
+	start := p.dev.Irecv
 	if o.send {
-		r, e := p.dev.Isend(o.buf, o.count, o.dt, o.peer, o.tag, o.c.c, o.flags)
-		if e == nil && r != nil {
-			o.active = p.newRequest()
-			*o.active = Request{r: r, p: p}
-		}
-		err = e
-	} else {
-		r, e := p.dev.Irecv(o.buf, o.count, o.dt, o.peer, o.tag, o.c.c, o.flags)
-		if e == nil {
-			o.active = p.newRequest()
-			*o.active = Request{r: r, p: p}
-		}
-		err = e
+		start = p.dev.Isend
 	}
+	r, err := start(o.buf, o.count, o.dt, o.peer, o.tag, o.c.c, o.flags)
 	if err != nil {
 		return errc(ErrOther, "%v", err)
+	}
+	if r != nil {
+		o.active = p.newRequest()
+		*o.active = Request{r: r, p: p}
 	}
 	return nil
 }

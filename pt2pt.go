@@ -62,31 +62,26 @@ type Request struct {
 	// delivery against it.
 	exact    bool
 	exactLen int
-
-	// coll, on a nonblocking-collective request, is the recycled op
-	// behind it: completion surfaces its error and hands it back to its
-	// communicator.
-	coll *collOp
 }
 
 // finish collects a completed request: it converts the status,
 // enforcing the exact-length assertion when the receive's communicator
-// carried it, releases the internal request, and hands a collective's
-// op back to its communicator. The nil r.r left behind makes any later
-// Wait or Test a no-op, so an op is recycled exactly once.
+// carried it, surfaces a collective's error, and frees the internal
+// request, which hands whatever drives it back for reuse. A
+// collective's error is read first: once freed, its op may be reused
+// by a sibling goroutine. The nil r.r left behind makes any later Wait
+// or Test a no-op, so the request is freed exactly once.
 func (r *Request) finish() (Status, error) {
 	st := r.r.Status
 	err := statusErr(st.Truncated)
 	if r.exact && (st.Truncated || st.Count != r.exactLen) {
 		err = errc(ErrHint, "delivery of %d bytes into an exact-length buffer of %d", st.Count, r.exactLen)
 	}
+	if op, ok := r.r.Driver().(*collOp); ok {
+		err = op.err
+	}
 	r.r.Free()
 	r.r = nil
-	if op := r.coll; op != nil {
-		err = op.err
-		r.coll = nil
-		op.c.putOp(op)
-	}
 	return Status{Source: st.Source, Tag: st.Tag, Count: st.Count}, err
 }
 
