@@ -132,7 +132,8 @@ func (d *Device) resolveTarget(target, disp, reach int, w *rma.Win, flags core.O
 func (d *Device) Put(origin []byte, count int, dt *datatype.Type, target, disp int,
 	w *rma.Win, flags core.OpFlags) error {
 
-	d.rank.Metrics().NoteRmaPut()
+	m := d.rank.Metrics()
+	m.Add(&m.Rma.Puts, 1)
 	world, key, off, err := d.begin("put", flight.RmaPut, moveRedundant(), count, dt, target, disp, w, flags)
 	if world == core.ProcNull || err != nil {
 		return err
@@ -185,7 +186,8 @@ func (d *Device) chargeShmCopy(n int) {
 func (d *Device) Get(origin []byte, count int, dt *datatype.Type, target, disp int,
 	w *rma.Win, flags core.OpFlags) error {
 
-	d.rank.Metrics().NoteRmaGet()
+	m := d.rank.Metrics()
+	m.Add(&m.Rma.Gets, 1)
 	world, key, off, err := d.begin("get", flight.RmaGet, moveRedundant(), count, dt, target, disp, w, flags)
 	if world == core.ProcNull || err != nil {
 		return err
@@ -215,7 +217,8 @@ func (d *Device) Get(origin []byte, count int, dt *datatype.Type, target, disp i
 // derived layouts fall back to active messages.
 func (d *Device) Accumulate(origin []byte, count int, dt *datatype.Type, target, disp int,
 	op coll.Op, w *rma.Win, flags core.OpFlags) error {
-	d.rank.Metrics().NoteRmaAcc()
+	m := d.rank.Metrics()
+	m.Add(&m.Rma.Accs, 1)
 	return d.accumulate(origin, nil, count, dt, target, disp, op, w, flags)
 }
 
@@ -226,7 +229,8 @@ func (d *Device) GetAccumulate(origin, result []byte, count int, dt *datatype.Ty
 	if result == nil {
 		return errString("get_accumulate", rma.ErrBadWinArg)
 	}
-	d.rank.Metrics().NoteRmaGetAcc()
+	m := d.rank.Metrics()
+	m.Add(&m.Rma.GetAccs, 1)
 	return d.accumulate(origin, result, count, dt, target, disp, op, w, flags)
 }
 
@@ -382,7 +386,8 @@ func (d *Device) FlushRequest(w *rma.Win, target int) (*request.Request, error) 
 		d.finishFlush(w, target, mark, r)
 		return r, nil
 	}
-	d.rank.Metrics().NoteReqAlloc(false)
+	m := d.rank.Metrics()
+	m.Add(&m.Req.Allocs, 1)
 	f := &flushOp{d: d, w: w, target: target, mark: mark}
 	f.req.Bind(request.KindRMA, f)
 	f.req.Issued = int64(d.rank.Now())
@@ -429,7 +434,8 @@ func (f *flushOp) Recycle(*request.Request) {}
 // call-frame, and dispatch charges are elided by the caller's
 // contract; with the inlined build this is the 16-instruction put.
 func (d *Device) PutAllOpts(origin []byte, worldTarget, disp int, w *rma.Win) error {
-	d.rank.Metrics().NoteRmaPut()
+	m := d.rank.Metrics()
+	m.Add(&m.Rma.Puts, 1)
 	d.charge(instr.Mandatory, cost(instr.PutAllOpts))
 	off := disp * w.DispUnit
 	key := w.Shared.Keys[worldTarget]

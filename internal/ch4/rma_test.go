@@ -273,7 +273,7 @@ func TestFlushRequestCountsItsRequest(t *testing.T) {
 		errs := []error{e.d.Put(make([]byte, 6), 1, vec, 1, 0, w, 0)}
 		m := e.d.rank.Metrics()
 		for _, pend := range []bool{true, false} {
-			gets := m.ReqAllocs
+			gets := m.Req.Allocs
 			r, err := e.d.FlushRequest(w, 1)
 			if pend {
 				close(back)
@@ -285,7 +285,7 @@ func TestFlushRequestCountsItsRequest(t *testing.T) {
 			if _, ok := r.Driver().(*flushOp); ok != pend {
 				errs = append(errs, fmt.Errorf("flush request pending %v, want %v", ok, pend))
 			}
-			if n := m.ReqAllocs - gets; n != 1 {
+			if n := m.Req.Allocs - gets; n != 1 {
 				errs = append(errs, fmt.Errorf("flush request (pending %v) noted %d request gets, want 1", pend, n))
 			}
 			r.Wait()

@@ -219,7 +219,7 @@ func Targets(w *rma.Win, target int) (lo, hi int) {
 // close and records the counter alone), and the flight recorder.
 func ObserveFlush(r *proc.Rank, w *rma.Win, target int) {
 	m := r.Metrics()
-	m.NoteRmaFlush()
+	m.Add(&m.Rma.Flushes, 1)
 	if w.InEpoch() && w.OpenedAt > 0 {
 		m.Lat.EpochFlush.Observe(int64(r.Now() - w.OpenedAt))
 	}

@@ -717,7 +717,7 @@ func (ep *Endpoint) PostRecvVCI(op *RecvOp, bits match.Bits, mask match.Bits, v 
 	if hit, ok := ep.lookup(v, bits, mask, op, true); ok {
 		rel = ep.unexHit(s, op, hit, now, v)
 	} else {
-		ep.m.MaxPosted(s.eng.PostedLen())
+		ep.m.Raise(&ep.m.Match.PostedMax, int64(s.eng.PostedLen()))
 		ep.m.Flight.Record(flight.PostRecv, int64(now), recvPeer(bits, mask), 0, v)
 	}
 	ep.noteOwner(s)

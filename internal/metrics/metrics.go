@@ -1,6 +1,9 @@
 // Package metrics is the per-rank observability registry: counters and
 // high-water gauges updated by the transports, the matching engine, the
-// pools, and the devices as traffic flows. The registry is
+// pools, and the devices as traffic flows. Every counter is declared
+// once, as a field of Counts, and listed once, in walk; the latency
+// histograms likewise in Lat and walkLat. Snapshot, Merge, Share and
+// the Prometheus export are those two walks. The registry is
 // allocation-free and follows the charge ledger's rule (DESIGN.md §6a):
 // a Rank is written only by its own rank's goroutine, with plain adds,
 // and is atomic only after Share, which proc.World.SetThreadMultiple
@@ -12,6 +15,7 @@
 package metrics
 
 import (
+	"strconv"
 	"sync/atomic"
 
 	"gompi/internal/flight"
@@ -45,14 +49,6 @@ func (p *Path) Note(n int) {
 	}
 	atomic.AddInt64(&p.Msgs, 1)
 	atomic.AddInt64(&p.Bytes, int64(n))
-}
-
-// snap returns a copy (atomically loaded once shared).
-func (p *Path) snap() PathStat {
-	if !p.shared {
-		return p.PathStat
-	}
-	return PathStat{Msgs: atomic.LoadInt64(&p.Msgs), Bytes: atomic.LoadInt64(&p.Bytes)}
 }
 
 // add folds o into p (plain adds: snapshots are private values).
@@ -131,73 +127,266 @@ var CollAlgoNames = [NumCollAlgos]string{
 	CollAllgathervRing:         "allgatherv/ring",
 }
 
-// Rank is one rank's live registry. Writers use the Note*/Max* methods;
-// readers take a Snapshot. The zero value is ready to use and
-// single-writer: every method, Snapshot included, belongs to the rank's
-// own goroutine (ParkClock and Flight's readers excepted) until Share.
-type Rank struct {
-	shared bool
-
+// Counts holds every scalar counter of a registry, in the shape its
+// snapshot reports it. The live Rank embeds Counts[Path], whose paths
+// carry their rank's mode; a Snapshot embeds Counts[PathStat], plain
+// values. Adding a counter is a field here plus one line in walk.
+type Counts[P any] struct {
 	// Transport paths. Self-loop traffic is counted once, at delivery.
 	// Send-side counters accrue on the sending rank, receive-side
 	// counters on the receiving rank, so summing a path's send bytes
 	// across ranks must equal the sum of its receive bytes.
-	Self    Path
-	ShmSend Path
-	ShmRecv Path
-	NetSend Path
-	NetRecv Path
+	Self    P `json:"self"`
+	ShmSend P `json:"shm_send"`
+	ShmRecv P `json:"shm_recv"`
+	NetSend P `json:"net_send"`
+	NetRecv P `json:"net_recv"`
 	// Protocol split of netmod sends: eager vs rendezvous, decided by
 	// the fabric profile's eager limit at injection.
-	Eager Path
-	Rndv  Path
+	Eager P `json:"eager"`
+	Rndv  P `json:"rendezvous"`
 	// Active messages (RMA fallback on ch4; everything on the CH3-style
 	// baseline rides eager AM packets as well).
-	AmSend Path
-	AmRecv Path
+	AmSend P `json:"am_send"`
+	AmRecv P `json:"am_recv"`
 	// Copy accounting for the tagged paths. CopiesStaged counts every
 	// intermediate staging copy a payload crossed (shm cell copy-in,
 	// ring reassembly, unexpected-queue pool buffering, a matched
 	// probe's private copy of a lent view); CopiesDirect counts final
 	// copies into the posted user buffer. An in-place reduction over a
 	// lent view notes neither — the payload was folded where it lay.
-	// ShmHandoff counts messages (and payload
-	// bytes lent) that took the zero-copy handoff path; it is a subset
-	// of ShmSend, noted on the sending rank.
-	CopiesStaged Path
-	CopiesDirect Path
-	ShmHandoff   Path
+	// ShmHandoff counts messages (and payload bytes lent) that took the
+	// zero-copy handoff path; it is a subset of ShmSend, noted on the
+	// sending rank.
+	CopiesStaged P `json:"copies_staged"`
+	CopiesDirect P `json:"copies_direct"`
+	ShmHandoff   P `json:"shm_handoff"`
 
-	// Queue-depth high waters, updated as entries are enqueued (the
-	// fabric keeps its unexpected high water in Arrivals).
-	UnexpectedMax int64
-	PostedMax     int64
+	Match MatchStats `json:"match"`
+	Pool  PoolStats  `json:"buffer_pool"`
+	Req   ReqStats   `json:"request_pool"`
+	Rma   RmaStats   `json:"rma"`
+	Peers PeerStats  `json:"peer_state"`
+	Sched SchedStats `json:"sched_cache"`
 
-	// Request-object recycling: total pool gets and how many reused a
-	// freed request instead of allocating.
-	ReqAllocs int64
-	ReqReuses int64
+	// Parks counts the times one of the rank's goroutines went to sleep
+	// on a condition variable to wait: the fabric's event waits, where
+	// every rank wait parks, once per wait (NotePark).
+	Parks int64 `json:"parks"`
+}
 
-	// One-sided operation counts, at the device ADI entry.
-	RmaPuts    int64
-	RmaGets    int64
-	RmaAccs    int64
-	RmaGetAccs int64
-	// Flush-based passive-target synchronization: flushes (all Flush
-	// variants), single-epoch LockAll opens, and notified-access
-	// tokens sent (PutNotify).
-	RmaFlushes  int64
-	RmaLockAlls int64
-	RmaNotifies int64
+// MatchStats counts matching. The queue high waters are the registry's
+// (the fabric keeps its unexpected high water in Arrivals); the rest
+// live on the engines and the device that owns them adds them in.
+// BinHits are matches found through the per-(ctx,src) bin
+// organization; WildHits are matches found on the wildcard/global walk
+// (which is every match in Linear mode).
+type MatchStats struct {
+	BinOps        int64 `json:"bin_ops"`
+	Searches      int64 `json:"searches"`
+	BinHits       int64 `json:"bin_hits"`
+	WildHits      int64 `json:"wildcard_hits"`
+	UnexpectedMax int64 `json:"unexpected_max"`
+	PostedMax     int64 `json:"posted_max"`
+}
 
-	// Lazy peer-state materialization (the on-demand connection model):
-	// PeersTouched counts distinct peers whose per-peer state (fabric
-	// connection slot, shm ring) this rank materialized on first use;
-	// PeerStateBytes is the modeled bytes of per-peer state currently
-	// attributed to this rank — the number the MaxPeerBytes ceiling is
-	// enforced against.
-	PeersTouched   int64
-	PeerStateBytes int64
+// PoolStats counts the payload buffer pool, per size class, plus
+// unpooled oversize gets. Its counters live in Arrivals.
+type PoolStats struct {
+	Hits     [NumPoolClasses]int64 `json:"hits"`
+	Misses   [NumPoolClasses]int64 `json:"misses"`
+	Oversize int64                 `json:"oversize"`
+}
+
+// ReqStats counts request gets, a pool's or a box's, and how many
+// reused a freed request instead of allocating.
+type ReqStats struct {
+	Allocs int64 `json:"allocs"`
+	Reuses int64 `json:"reuses"`
+}
+
+// RmaStats counts one-sided operations at the device ADI entry, and
+// the flush-based passive-target synchronization: flushes (all Flush
+// variants), single-epoch LockAll opens, and notified-access tokens
+// sent (PutNotify).
+type RmaStats struct {
+	Puts     int64 `json:"puts"`
+	Gets     int64 `json:"gets"`
+	Accs     int64 `json:"accumulates"`
+	GetAccs  int64 `json:"get_accumulates"`
+	Flushes  int64 `json:"flushes"`
+	LockAlls int64 `json:"lock_alls"`
+	Notifies int64 `json:"notifies"`
+}
+
+// PeerStats counts lazy peer-state materialization (the on-demand
+// connection model): Touched is the distinct peers whose per-peer state
+// (fabric connection slot, shm ring) this rank materialized on first
+// use; StateBytes the modeled bytes of per-peer state attributed to
+// this rank — the number the MaxPeerBytes ceiling is enforced against.
+// A merge sums Touched and StateBytes across ranks but takes the
+// per-rank maximum for MaxStateBytes — the high-water bytes/rank the
+// memory ceiling is judged against.
+type PeerStats struct {
+	Touched       int64 `json:"touched"`
+	StateBytes    int64 `json:"state_bytes"`
+	MaxStateBytes int64 `json:"max_state_bytes"`
+}
+
+// SchedStats counts the declared-shape communication. CacheHits and
+// CacheMisses count the schedules a persistent collective keeps: a miss
+// is an Init compiling the schedule it will own, a hit a Start
+// replaying it (non-persistent collectives recompile in place and count
+// neither); PartitionsReady counts Pready publications on partitioned
+// sends.
+type SchedStats struct {
+	CacheHits       int64 `json:"cache_hits"`
+	CacheMisses     int64 `json:"cache_misses"`
+	PartitionsReady int64 `json:"partitions_ready"`
+}
+
+// Series names one counter as the Prometheus export shows it — a
+// metric name (a _total suffix marks a counter, anything else a gauge)
+// and at most one label — and says how ranks merge it.
+type Series struct {
+	Name, Label, Value string
+	// Max marks a high water: ranks merge it by maximum, not by sum
+	// (summing per-rank high waters would overstate any one queue).
+	Max bool
+}
+
+// walk is the registry's one list of counters. It calls path for every
+// transport path of a, with the same path of b, and count for every
+// int64 of a — paths' Msgs and Bytes included — with the same counter
+// of b and its Series. Either callback may be nil. The order is the
+// Prometheus export's.
+func walk[P, Q any](a *Counts[P], b *Counts[Q], path func(*P, *Q), count func(Series, *int64, *int64)) {
+	if count == nil {
+		count = func(Series, *int64, *int64) {}
+	}
+	p := func(name string, x *P, y *Q) {
+		if path != nil {
+			path(x, y)
+		}
+		sx, sy := stat(x), stat(y)
+		count(Series{"gompi_path_msgs_total", "path", name, false}, &sx.Msgs, &sy.Msgs)
+		count(Series{"gompi_path_bytes_total", "path", name, false}, &sx.Bytes, &sy.Bytes)
+	}
+	sum := func(name string, x, y *int64) { count(Series{Name: name}, x, y) }
+	high := func(name string, x, y *int64) { count(Series{Name: name, Max: true}, x, y) }
+	op := func(name string, x, y *int64) { count(Series{"gompi_rma_ops_total", "op", name, false}, x, y) }
+	p("self", &a.Self, &b.Self)
+	p("shm_send", &a.ShmSend, &b.ShmSend)
+	p("shm_recv", &a.ShmRecv, &b.ShmRecv)
+	p("net_send", &a.NetSend, &b.NetSend)
+	p("net_recv", &a.NetRecv, &b.NetRecv)
+	p("eager", &a.Eager, &b.Eager)
+	p("rendezvous", &a.Rndv, &b.Rndv)
+	p("am_send", &a.AmSend, &b.AmSend)
+	p("am_recv", &a.AmRecv, &b.AmRecv)
+	p("copies_staged", &a.CopiesStaged, &b.CopiesStaged)
+	p("copies_direct", &a.CopiesDirect, &b.CopiesDirect)
+	p("shm_handoff", &a.ShmHandoff, &b.ShmHandoff)
+	op("put", &a.Rma.Puts, &b.Rma.Puts)
+	op("get", &a.Rma.Gets, &b.Rma.Gets)
+	op("accumulate", &a.Rma.Accs, &b.Rma.Accs)
+	op("get_accumulate", &a.Rma.GetAccs, &b.Rma.GetAccs)
+	op("flush", &a.Rma.Flushes, &b.Rma.Flushes)
+	op("lock_all", &a.Rma.LockAlls, &b.Rma.LockAlls)
+	op("notify", &a.Rma.Notifies, &b.Rma.Notifies)
+	sum("gompi_match_searches_total", &a.Match.Searches, &b.Match.Searches)
+	sum("gompi_match_bin_ops_total", &a.Match.BinOps, &b.Match.BinOps)
+	sum("gompi_match_bin_hits_total", &a.Match.BinHits, &b.Match.BinHits)
+	sum("gompi_match_wildcard_hits_total", &a.Match.WildHits, &b.Match.WildHits)
+	high("gompi_unexpected_queue_max", &a.Match.UnexpectedMax, &b.Match.UnexpectedMax)
+	high("gompi_posted_queue_max", &a.Match.PostedMax, &b.Match.PostedMax)
+	sum("gompi_sched_cache_hits_total", &a.Sched.CacheHits, &b.Sched.CacheHits)
+	sum("gompi_sched_cache_misses_total", &a.Sched.CacheMisses, &b.Sched.CacheMisses)
+	sum("gompi_partitions_ready_total", &a.Sched.PartitionsReady, &b.Sched.PartitionsReady)
+	sum("gompi_parks_total", &a.Parks, &b.Parks)
+	for i := range a.Pool.Hits {
+		count(Series{"gompi_buffer_pool_hits_total", "class", strconv.Itoa(i), false}, &a.Pool.Hits[i], &b.Pool.Hits[i])
+	}
+	for i := range a.Pool.Misses {
+		count(Series{"gompi_buffer_pool_misses_total", "class", strconv.Itoa(i), false}, &a.Pool.Misses[i], &b.Pool.Misses[i])
+	}
+	sum("gompi_buffer_pool_oversize_total", &a.Pool.Oversize, &b.Pool.Oversize)
+	sum("gompi_request_allocs_total", &a.Req.Allocs, &b.Req.Allocs)
+	sum("gompi_request_reuses_total", &a.Req.Reuses, &b.Req.Reuses)
+	sum("gompi_peers_touched_total", &a.Peers.Touched, &b.Peers.Touched)
+	sum("gompi_peer_state_bytes", &a.Peers.StateBytes, &b.Peers.StateBytes)
+	high("gompi_peer_state_bytes_max", &a.Peers.MaxStateBytes, &b.Peers.MaxStateBytes)
+}
+
+// stat is the PathStat of a live or a frozen path.
+func stat(p any) *PathStat {
+	if lp, ok := p.(*Path); ok {
+		return &lp.PathStat
+	}
+	return p.(*PathStat)
+}
+
+// Lat holds one rank's span histograms: hist.H in the live registry
+// (Latency), hist.Snapshot in a snapshot (LatSnapshot). Each span is a
+// difference of virtual clocks (cycles), observed at the point where
+// the span closes:
+//
+//	PostMatch - receive posted until the matching message arrived
+//	            (zero when the message was already waiting unexpected).
+//	UnexRes   - message arrival until a receive consumed it off the
+//	            unexpected queue (zero when it matched a posted receive
+//	            on arrival).
+//	RndvRTT   - rendezvous handshake round-trip charged at injection.
+//	ReqLife   - request issue until completion was observed.
+//	WaitPark  - virtual time a Wait jumped forward to reach an
+//	            operation's completion (the park, in virtual cycles).
+//	HandoffRTT- shm handoff descriptor publish until the sender observed
+//	            the receiver's completion ack (buffer-reuse latency of
+//	            the zero-copy path).
+//	EpochFlush- access-epoch open until a flush completed inside it
+//	            (epoch-open→flush, the passive-target working-set span).
+//	NotifyWait- WaitNotify post until the notification token arrived
+//	            (the notified-access round trip seen by the consumer).
+type Lat[H any] struct {
+	PostMatch  H `json:"post_match"`
+	UnexRes    H `json:"unexpected_residency"`
+	RndvRTT    H `json:"rendezvous_rtt"`
+	ReqLife    H `json:"request_lifetime"`
+	WaitPark   H `json:"wait_park"`
+	HandoffRTT H `json:"handoff_rtt"`
+	EpochFlush H `json:"epoch_flush"`
+	NotifyWait H `json:"notify_wait"`
+}
+
+// Latency is the live registry's histograms; LatSnapshot their frozen
+// copy (or an aggregate when merged).
+type (
+	Latency     = Lat[hist.H]
+	LatSnapshot = Lat[hist.Snapshot]
+)
+
+// walkLat is the one list of latency histograms: fn sees each of a with
+// the same histogram of b and the Prometheus summary it is exported as.
+func walkLat[H, K any](a *Lat[H], b *Lat[K], fn func(name string, x *H, y *K)) {
+	fn("gompi_post_match_cycles", &a.PostMatch, &b.PostMatch)
+	fn("gompi_unexpected_residency_cycles", &a.UnexRes, &b.UnexRes)
+	fn("gompi_rendezvous_rtt_cycles", &a.RndvRTT, &b.RndvRTT)
+	fn("gompi_request_lifetime_cycles", &a.ReqLife, &b.ReqLife)
+	fn("gompi_wait_park_cycles", &a.WaitPark, &b.WaitPark)
+	fn("gompi_handoff_rtt_cycles", &a.HandoffRTT, &b.HandoffRTT)
+	fn("gompi_rma_epoch_flush_cycles", &a.EpochFlush, &b.EpochFlush)
+	fn("gompi_rma_notify_wait_cycles", &a.NotifyWait, &b.NotifyWait)
+}
+
+// Rank is one rank's live registry. Writers note a path through its own
+// Note and name any other counter through Add or Raise; readers take a
+// Snapshot. The zero value is ready to use and single-writer: every
+// method, Snapshot included, belongs to the rank's own goroutine
+// (ParkClock and Flight's readers excepted) until Share.
+type Rank struct {
+	shared bool
+
+	Counts[Path]
 
 	// Per-algorithm collective counters, noted at the MPI layer with
 	// the algorithm the selection logic chose and the per-rank payload
@@ -205,25 +394,10 @@ type Rank struct {
 	CollCalls [NumCollAlgos]int64
 	CollBytes [NumCollAlgos]int64
 
-	// Declared-shape communication counters. SchedCacheHits/Misses
-	// count the schedules a persistent collective keeps: a miss is an
-	// Init compiling the schedule it will own, a hit a Start replaying
-	// it (non-persistent collectives recompile in place and count
-	// neither); PartitionsReady counts Pready publications on
-	// partitioned sends.
-	SchedCacheHits   int64
-	SchedCacheMisses int64
-	PartitionsReady  int64
-
 	// Latency decomposition: log2-bucketed histograms over virtual
 	// cycles at the message lifecycle points the paper's Figure 2
 	// attributes time to.
 	Lat Latency
-
-	// Parks counts the times one of the rank's goroutines went to sleep
-	// on a condition variable to wait: the fabric's event waits, where
-	// every rank wait parks, once per wait (NotePark).
-	Parks int64
 
 	// Flight is the rank's always-on flight recorder: a fixed ring of
 	// recent protocol events for post-mortem dumps (abort, error
@@ -242,20 +416,14 @@ type Rank struct {
 // flight ring locked.
 func (r *Rank) Share() {
 	r.shared = true
-	for _, p := range []*Path{&r.Self, &r.ShmSend, &r.ShmRecv, &r.NetSend, &r.NetRecv, &r.Eager, &r.Rndv,
-		&r.AmSend, &r.AmRecv, &r.CopiesStaged, &r.CopiesDirect, &r.ShmHandoff} {
-		p.shared = true
-	}
-	l := &r.Lat
-	for _, h := range []*hist.H{&l.PostMatch, &l.UnexRes, &l.RndvRTT, &l.ReqLife, &l.WaitPark,
-		&l.HandoffRTT, &l.EpochFlush, &l.NotifyWait} {
-		h.Share()
-	}
+	walk(&r.Counts, &r.Counts, func(p, _ *Path) { p.shared = true }, nil)
+	walkLat(&r.Lat, &r.Lat, func(_ string, h, _ *hist.H) { h.Share() })
 	r.Flight.Share()
 }
 
-// add and load are the counter accessors: plain until shared.
-func (r *Rank) add(p *int64, n int64) int64 {
+// Add adds n to the registry's counter *p and returns the new value: a
+// plain add until Share, atomic after.
+func (r *Rank) Add(p *int64, n int64) int64 {
 	if r.shared {
 		return atomic.AddInt64(p, n)
 	}
@@ -263,62 +431,9 @@ func (r *Rank) add(p *int64, n int64) int64 {
 	return *p
 }
 
-func (r *Rank) load(p *int64) int64 {
-	if r.shared {
-		return atomic.LoadInt64(p)
-	}
-	return *p
-}
-
-// NotePark counts the park (waiting on peer, -1 for any, on interface
-// vci), records it in the flight ring and publishes the ring and the
-// owner's clock.
-func (r *Rank) NotePark(now int64, peer, vci int) {
-	r.add(&r.Parks, 1)
-	r.Flight.Record(flight.Park, now, peer, 0, vci)
-	r.Publish(now)
-}
-
-// Publish makes the owner's clock and flight ring visible to other
-// goroutines' dumps: at every park, its own dump, and rank exit.
-func (r *Rank) Publish(now int64) {
-	r.ParkClock.Store(now)
-	r.Flight.Flush()
-}
-
-// Latency holds one rank's span histograms. Each span is a difference
-// of virtual clocks (cycles), observed at the point where the span
-// closes:
-//
-//	PostMatch - receive posted until the matching message arrived
-//	            (zero when the message was already waiting unexpected).
-//	UnexRes   - message arrival until a receive consumed it off the
-//	            unexpected queue (zero when it matched a posted receive
-//	            on arrival).
-//	RndvRTT   - rendezvous handshake round-trip charged at injection.
-//	ReqLife   - request issue until completion was observed.
-//	WaitPark  - virtual time a Wait jumped forward to reach an
-//	            operation's completion (the park, in virtual cycles).
-//	HandoffRTT- shm handoff descriptor publish until the sender observed
-//	            the receiver's completion ack (buffer-reuse latency of
-//	            the zero-copy path).
-//	EpochFlush- access-epoch open until a flush completed inside it
-//	            (epoch-open→flush, the passive-target working-set span).
-//	NotifyWait- WaitNotify post until the notification token arrived
-//	            (the notified-access round trip seen by the consumer).
-type Latency struct {
-	PostMatch  hist.H
-	UnexRes    hist.H
-	RndvRTT    hist.H
-	ReqLife    hist.H
-	WaitPark   hist.H
-	HandoffRTT hist.H
-	EpochFlush hist.H
-	NotifyWait hist.H
-}
-
-// raise lifts *p to n if it is below (a CAS loop once shared).
-func (r *Rank) raise(p *int64, n int64) {
+// Raise lifts the registry's high water *p to n if it is below (a CAS
+// loop once shared).
+func (r *Rank) Raise(p *int64, n int64) {
 	if !r.shared {
 		if n > *p {
 			*p = n
@@ -333,19 +448,27 @@ func (r *Rank) raise(p *int64, n int64) {
 	}
 }
 
-// MaxUnexpected raises the unexpected-queue high water to n.
-func (r *Rank) MaxUnexpected(n int) { r.raise(&r.UnexpectedMax, int64(n)) }
-
-// MaxPosted raises the posted-queue high water to n.
-func (r *Rank) MaxPosted(n int) { r.raise(&r.PostedMax, int64(n)) }
-
-// NoteReqAlloc counts a request get, a pool's or a box's; reused says
-// whether it came off a freelist.
-func (r *Rank) NoteReqAlloc(reused bool) {
-	r.add(&r.ReqAllocs, 1)
-	if reused {
-		r.add(&r.ReqReuses, 1)
+func (r *Rank) load(p *int64) int64 {
+	if r.shared {
+		return atomic.LoadInt64(p)
 	}
+	return *p
+}
+
+// NotePark counts the park (waiting on peer, -1 for any, on interface
+// vci), records it in the flight ring and publishes the ring and the
+// owner's clock.
+func (r *Rank) NotePark(now int64, peer, vci int) {
+	r.Add(&r.Parks, 1)
+	r.Flight.Record(flight.Park, now, peer, 0, vci)
+	r.Publish(now)
+}
+
+// Publish makes the owner's clock and flight ring visible to other
+// goroutines' dumps: at every park, its own dump, and rank exit.
+func (r *Rank) Publish(now int64) {
+	r.ParkClock.Store(now)
+	r.Flight.Flush()
 }
 
 // NoteColl counts one collective call compiled to the given algorithm
@@ -354,40 +477,9 @@ func (r *Rank) NoteColl(algo int, n int64) {
 	if algo < 0 || algo >= NumCollAlgos {
 		return
 	}
-	r.add(&r.CollCalls[algo], 1)
-	r.add(&r.CollBytes[algo], n)
+	r.Add(&r.CollCalls[algo], 1)
+	r.Add(&r.CollBytes[algo], n)
 }
-
-// NoteSchedCache counts one use of a kept schedule: hit is a
-// persistent Start replaying the compiled schedule, miss the Init that
-// compiled it.
-func (r *Rank) NoteSchedCache(hit bool) {
-	if hit {
-		r.add(&r.SchedCacheHits, 1)
-	} else {
-		r.add(&r.SchedCacheMisses, 1)
-	}
-}
-
-// NotePartitionsReady counts n partition-ready publications on a
-// partitioned send.
-func (r *Rank) NotePartitionsReady(n int) {
-	r.add(&r.PartitionsReady, int64(n))
-}
-
-// NoteRmaPut / NoteRmaGet / NoteRmaAcc / NoteRmaGetAcc count one-sided
-// operations at the device ADI entry.
-func (r *Rank) NoteRmaPut()    { r.add(&r.RmaPuts, 1) }
-func (r *Rank) NoteRmaGet()    { r.add(&r.RmaGets, 1) }
-func (r *Rank) NoteRmaAcc()    { r.add(&r.RmaAccs, 1) }
-func (r *Rank) NoteRmaGetAcc() { r.add(&r.RmaGetAccs, 1) }
-
-// NoteRmaFlush / NoteRmaLockAll / NoteRmaNotify count the flush-based
-// synchronization primitives: any Flush variant, a single-epoch
-// LockAll open, a notified-access token sent.
-func (r *Rank) NoteRmaFlush()   { r.add(&r.RmaFlushes, 1) }
-func (r *Rank) NoteRmaLockAll() { r.add(&r.RmaLockAlls, 1) }
-func (r *Rank) NoteRmaNotify()  { r.add(&r.RmaNotifies, 1) }
 
 // NotePeerState accounts the materialization of per-peer state: bytes
 // of modeled state added (a connection slot, a shm ring), with newPeer
@@ -396,17 +488,21 @@ func (r *Rank) NoteRmaNotify()  { r.add(&r.RmaNotifies, 1) }
 // ceiling without a second load.
 func (r *Rank) NotePeerState(newPeer bool, bytes int64) int64 {
 	if newPeer {
-		r.add(&r.PeersTouched, 1)
+		r.Add(&r.Peers.Touched, 1)
 	}
-	return r.add(&r.PeerStateBytes, bytes)
+	total := r.Add(&r.Peers.StateBytes, bytes)
+	r.Raise(&r.Peers.MaxStateBytes, total)
+	return total
 }
 
 // Arrivals is the arrival-side half of a registry: what a message
 // landing at one matching unit — or a receive meeting it there —
-// observes, and (Flight) the last messages peers landed there. It has no synchronization of its own: every field is
-// written, and AddTo called, under the lock of the interface embedding
-// it, which a deposit or a posted receive already holds, whichever
-// rank's goroutine that is.
+// observes, and (Flight) the last messages peers landed there. It has
+// no synchronization of its own: every field is written, and AddTo
+// called, under the lock of the interface embedding it, which a
+// deposit or a posted receive already holds, whichever rank's
+// goroutine that is. It keeps only the counters an arrival touches, so
+// it folds by name rather than through walk.
 type Arrivals struct {
 	NetRecv, ShmRecv, Self PathStat
 	// CopiesStaged counts unexpected-queue buffering; CopiesDirect the
@@ -437,65 +533,6 @@ func (a *Arrivals) AddTo(s *Snapshot) {
 	s.Lat.UnexRes.Merge(a.UnexRes.Snapshot())
 }
 
-// MatchStats is the snapshot of the matching-engine counters, which
-// live on the engines: the device that owns them adds them in. BinHits
-// are matches found through the per-(ctx,src) bin organization;
-// WildHits are matches found on the wildcard/global walk (which is
-// every match in Linear mode). The two high waters are updated as
-// entries are enqueued.
-type MatchStats struct {
-	BinOps        int64 `json:"bin_ops"`
-	Searches      int64 `json:"searches"`
-	BinHits       int64 `json:"bin_hits"`
-	WildHits      int64 `json:"wildcard_hits"`
-	UnexpectedMax int64 `json:"unexpected_max"`
-	PostedMax     int64 `json:"posted_max"`
-}
-
-// PoolStats is the snapshot of the payload buffer pool.
-type PoolStats struct {
-	Hits     [NumPoolClasses]int64 `json:"hits"`
-	Misses   [NumPoolClasses]int64 `json:"misses"`
-	Oversize int64                 `json:"oversize"`
-}
-
-// ReqStats is the snapshot of request-object recycling.
-type ReqStats struct {
-	Allocs int64 `json:"allocs"`
-	Reuses int64 `json:"reuses"`
-}
-
-// RmaStats is the snapshot of one-sided operation counts.
-type RmaStats struct {
-	Puts     int64 `json:"puts"`
-	Gets     int64 `json:"gets"`
-	Accs     int64 `json:"accumulates"`
-	GetAccs  int64 `json:"get_accumulates"`
-	Flushes  int64 `json:"flushes"`
-	LockAlls int64 `json:"lock_alls"`
-	Notifies int64 `json:"notifies"`
-}
-
-// PeerStats is the snapshot of lazy peer-state materialization. On a
-// single-rank snapshot StateBytes == MaxStateBytes; a merge sums
-// Touched and StateBytes across ranks but takes the per-rank maximum
-// for MaxStateBytes — the high-water bytes/rank the memory ceiling is
-// judged against.
-type PeerStats struct {
-	Touched       int64 `json:"touched"`
-	StateBytes    int64 `json:"state_bytes"`
-	MaxStateBytes int64 `json:"max_state_bytes"`
-}
-
-// SchedStats is the snapshot of the declared-shape counters: persistent
-// collective replays (hits) and compilations (misses), and partitions
-// published ready.
-type SchedStats struct {
-	CacheHits       int64 `json:"cache_hits"`
-	CacheMisses     int64 `json:"cache_misses"`
-	PartitionsReady int64 `json:"partitions_ready"`
-}
-
 // CollStat is one collective algorithm's aggregate: calls that
 // compiled to it and their per-rank payload bytes.
 type CollStat struct {
@@ -515,44 +552,12 @@ type VCIStat struct {
 	PostMatch hist.Snapshot `json:"post_match"`
 }
 
-// LatSnapshot is the frozen latency decomposition of one rank (or an
-// aggregate when merged).
-type LatSnapshot struct {
-	PostMatch  hist.Snapshot `json:"post_match"`
-	UnexRes    hist.Snapshot `json:"unexpected_residency"`
-	RndvRTT    hist.Snapshot `json:"rendezvous_rtt"`
-	ReqLife    hist.Snapshot `json:"request_lifetime"`
-	WaitPark   hist.Snapshot `json:"wait_park"`
-	HandoffRTT hist.Snapshot `json:"handoff_rtt"`
-	EpochFlush hist.Snapshot `json:"epoch_flush"`
-	NotifyWait hist.Snapshot `json:"notify_wait"`
-}
-
-// Snapshot is a frozen copy of a registry, grouped for JSON output.
+// Snapshot is a frozen copy of a registry, grouped for JSON output. It
+// carries no mode: a shared registry's snapshot equals a single-writer
+// one's.
 type Snapshot struct {
-	Self    PathStat `json:"self"`
-	ShmSend PathStat `json:"shm_send"`
-	ShmRecv PathStat `json:"shm_recv"`
-	NetSend PathStat `json:"net_send"`
-	NetRecv PathStat `json:"net_recv"`
-	Eager   PathStat `json:"eager"`
-	Rndv    PathStat `json:"rendezvous"`
-	AmSend  PathStat `json:"am_send"`
-	AmRecv  PathStat `json:"am_recv"`
-	// Copy accounting (see Rank): staging copies, direct final copies,
-	// and the handoff path's message/byte split.
-	CopiesStaged PathStat    `json:"copies_staged"`
-	CopiesDirect PathStat    `json:"copies_direct"`
-	ShmHandoff   PathStat    `json:"shm_handoff"`
-	Match        MatchStats  `json:"match"`
-	Pool         PoolStats   `json:"buffer_pool"`
-	Req          ReqStats    `json:"request_pool"`
-	Rma          RmaStats    `json:"rma"`
-	Peers        PeerStats   `json:"peer_state"`
-	Sched        SchedStats  `json:"sched_cache"`
-	Lat          LatSnapshot `json:"latency"`
-	// Parks is how many waits slept on a condition variable (see Rank).
-	Parks int64 `json:"parks"`
+	Counts[PathStat]
+	Lat LatSnapshot `json:"latency"`
 	// VCIs is the per-virtual-interface receive-side split; empty on a
 	// single-VCI endpoint snapshot only if the device never filled it.
 	VCIs []VCIStat `json:"vcis,omitempty"`
@@ -561,60 +566,20 @@ type Snapshot struct {
 	Coll []CollStat `json:"coll,omitempty"`
 }
 
+// Each calls lat for every latency histogram of s and then count for
+// every counter, in walk order, with the series each is exported as.
+func (s *Snapshot) Each(lat func(name string, h hist.Snapshot), count func(Series, int64)) {
+	walkLat(&s.Lat, &s.Lat, func(name string, h, _ *hist.Snapshot) { lat(name, *h) })
+	walk(&s.Counts, &s.Counts, nil, func(c Series, p, _ *int64) { count(c, *p) })
+}
+
 // Snapshot freezes the registry. Callers that maintain counters
 // outside the registry (the devices' matching engines, the endpoint's
 // per-VCI stats and Arrivals) fold them into the result.
 func (r *Rank) Snapshot() Snapshot {
-	s := Snapshot{
-		Self:         r.Self.snap(),
-		ShmSend:      r.ShmSend.snap(),
-		ShmRecv:      r.ShmRecv.snap(),
-		NetSend:      r.NetSend.snap(),
-		NetRecv:      r.NetRecv.snap(),
-		Eager:        r.Eager.snap(),
-		Rndv:         r.Rndv.snap(),
-		AmSend:       r.AmSend.snap(),
-		AmRecv:       r.AmRecv.snap(),
-		CopiesStaged: r.CopiesStaged.snap(),
-		CopiesDirect: r.CopiesDirect.snap(),
-		ShmHandoff:   r.ShmHandoff.snap(),
-		Match: MatchStats{
-			UnexpectedMax: r.load(&r.UnexpectedMax),
-			PostedMax:     r.load(&r.PostedMax),
-		},
-		Req: ReqStats{
-			Allocs: r.load(&r.ReqAllocs),
-			Reuses: r.load(&r.ReqReuses),
-		},
-		Rma: RmaStats{
-			Puts:     r.load(&r.RmaPuts),
-			Gets:     r.load(&r.RmaGets),
-			Accs:     r.load(&r.RmaAccs),
-			GetAccs:  r.load(&r.RmaGetAccs),
-			Flushes:  r.load(&r.RmaFlushes),
-			LockAlls: r.load(&r.RmaLockAlls),
-			Notifies: r.load(&r.RmaNotifies),
-		},
-		Parks: r.load(&r.Parks),
-	}
-	touched := r.load(&r.PeersTouched)
-	stateBytes := r.load(&r.PeerStateBytes)
-	s.Peers = PeerStats{Touched: touched, StateBytes: stateBytes, MaxStateBytes: stateBytes}
-	s.Sched = SchedStats{
-		CacheHits:       r.load(&r.SchedCacheHits),
-		CacheMisses:     r.load(&r.SchedCacheMisses),
-		PartitionsReady: r.load(&r.PartitionsReady),
-	}
-	s.Lat = LatSnapshot{
-		PostMatch:  r.Lat.PostMatch.Snapshot(),
-		UnexRes:    r.Lat.UnexRes.Snapshot(),
-		RndvRTT:    r.Lat.RndvRTT.Snapshot(),
-		ReqLife:    r.Lat.ReqLife.Snapshot(),
-		WaitPark:   r.Lat.WaitPark.Snapshot(),
-		HandoffRTT: r.Lat.HandoffRTT.Snapshot(),
-		EpochFlush: r.Lat.EpochFlush.Snapshot(),
-		NotifyWait: r.Lat.NotifyWait.Snapshot(),
-	}
+	var s Snapshot
+	walk(&s.Counts, &r.Counts, nil, func(_ Series, d, p *int64) { *d = r.load(p) })
+	walkLat(&s.Lat, &r.Lat, func(_ string, d *hist.Snapshot, h *hist.H) { *d = h.Snapshot() })
 	for i := 0; i < NumCollAlgos; i++ {
 		calls := r.load(&r.CollCalls[i])
 		bytes := r.load(&r.CollBytes[i])
@@ -633,65 +598,19 @@ func (r *Rank) Snapshot() Snapshot {
 	return s
 }
 
-// Merge folds o into s: counters sum, high-water gauges take the
-// maximum (summing per-rank high waters would overstate any one
-// queue's depth). Per-VCI stats merge element-wise, padding to the
-// longer of the two (ranks may run with different VCI counts only in
-// principle, but the merge should not silently drop data if they do).
+// Merge folds o into s: counters sum, high waters take the maximum.
+// Per-VCI stats merge element-wise, padding to the longer of the two
+// (ranks may run with different VCI counts only in principle, but the
+// merge should not silently drop data if they do).
 func (s Snapshot) Merge(o Snapshot) Snapshot {
-	s.Self.add(o.Self)
-	s.ShmSend.add(o.ShmSend)
-	s.ShmRecv.add(o.ShmRecv)
-	s.NetSend.add(o.NetSend)
-	s.NetRecv.add(o.NetRecv)
-	s.Eager.add(o.Eager)
-	s.Rndv.add(o.Rndv)
-	s.AmSend.add(o.AmSend)
-	s.AmRecv.add(o.AmRecv)
-	s.CopiesStaged.add(o.CopiesStaged)
-	s.CopiesDirect.add(o.CopiesDirect)
-	s.ShmHandoff.add(o.ShmHandoff)
-	s.Match.BinOps += o.Match.BinOps
-	s.Match.Searches += o.Match.Searches
-	s.Match.BinHits += o.Match.BinHits
-	s.Match.WildHits += o.Match.WildHits
-	if o.Match.UnexpectedMax > s.Match.UnexpectedMax {
-		s.Match.UnexpectedMax = o.Match.UnexpectedMax
-	}
-	if o.Match.PostedMax > s.Match.PostedMax {
-		s.Match.PostedMax = o.Match.PostedMax
-	}
-	for i := range s.Pool.Hits {
-		s.Pool.Hits[i] += o.Pool.Hits[i]
-		s.Pool.Misses[i] += o.Pool.Misses[i]
-	}
-	s.Pool.Oversize += o.Pool.Oversize
-	s.Req.Allocs += o.Req.Allocs
-	s.Req.Reuses += o.Req.Reuses
-	s.Rma.Puts += o.Rma.Puts
-	s.Rma.Gets += o.Rma.Gets
-	s.Rma.Accs += o.Rma.Accs
-	s.Rma.GetAccs += o.Rma.GetAccs
-	s.Rma.Flushes += o.Rma.Flushes
-	s.Rma.LockAlls += o.Rma.LockAlls
-	s.Rma.Notifies += o.Rma.Notifies
-	s.Peers.Touched += o.Peers.Touched
-	s.Peers.StateBytes += o.Peers.StateBytes
-	s.Sched.CacheHits += o.Sched.CacheHits
-	s.Sched.CacheMisses += o.Sched.CacheMisses
-	s.Sched.PartitionsReady += o.Sched.PartitionsReady
-	s.Parks += o.Parks
-	if o.Peers.MaxStateBytes > s.Peers.MaxStateBytes {
-		s.Peers.MaxStateBytes = o.Peers.MaxStateBytes
-	}
-	s.Lat.PostMatch.Merge(o.Lat.PostMatch)
-	s.Lat.UnexRes.Merge(o.Lat.UnexRes)
-	s.Lat.RndvRTT.Merge(o.Lat.RndvRTT)
-	s.Lat.ReqLife.Merge(o.Lat.ReqLife)
-	s.Lat.WaitPark.Merge(o.Lat.WaitPark)
-	s.Lat.HandoffRTT.Merge(o.Lat.HandoffRTT)
-	s.Lat.EpochFlush.Merge(o.Lat.EpochFlush)
-	s.Lat.NotifyWait.Merge(o.Lat.NotifyWait)
+	walk(&s.Counts, &o.Counts, nil, func(c Series, d, p *int64) {
+		if c.Max {
+			*d = max(*d, *p)
+		} else {
+			*d += *p
+		}
+	})
+	walkLat(&s.Lat, &o.Lat, func(_ string, d, h *hist.Snapshot) { d.Merge(*h) })
 	n := len(s.VCIs)
 	if len(o.VCIs) > n {
 		n = len(o.VCIs)

@@ -3,6 +3,7 @@ package metrics
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -17,11 +18,11 @@ func TestNoteAndSnapshot(t *testing.T) {
 	r.NetSend.Note(100)
 	r.NetSend.Note(28)
 	r.Eager.Note(128)
-	r.MaxUnexpected(5)
-	r.MaxUnexpected(3) // must not lower the high water
-	r.ReqAllocs++
-	r.ReqReuses++
-	r.RmaPuts++
+	r.Raise(&r.Match.UnexpectedMax, 5)
+	r.Raise(&r.Match.UnexpectedMax, 3) // must not lower the high water
+	r.Req.Allocs++
+	r.Req.Reuses++
+	r.Rma.Puts++
 
 	var a Arrivals
 	a.PoolHits[1]++
@@ -42,9 +43,9 @@ func TestNoteAndSnapshot(t *testing.T) {
 func TestMerge(t *testing.T) {
 	var a, b Rank
 	a.ShmSend.Note(64)
-	a.MaxUnexpected(7)
+	a.Raise(&a.Match.UnexpectedMax, 7)
 	b.ShmRecv.Note(64)
-	b.MaxUnexpected(3)
+	b.Raise(&b.Match.UnexpectedMax, 3)
 	bs := b.Snapshot()
 	bs.Match.BinHits = 2
 
@@ -138,18 +139,25 @@ func TestShareReachesEveryObserver(t *testing.T) {
 func drive(t *testing.T, r *Rank) {
 	rng := rand.New(rand.NewSource(22))
 	paths, lats := observers(t, r)
-	notes := []func(){r.NoteRmaPut, r.NoteRmaGet, r.NoteRmaAcc, r.NoteRmaGetAcc, r.NoteRmaFlush, r.NoteRmaLockAll, r.NoteRmaNotify}
+	rma := []*int64{&r.Rma.Puts, &r.Rma.Gets, &r.Rma.Accs, &r.Rma.GetAccs, &r.Rma.Flushes, &r.Rma.LockAlls, &r.Rma.Notifies}
 	for i := 0; i < 5000; i++ {
 		n := rng.Intn(1 << 16)
 		paths[rng.Intn(len(paths))].Note(n)
 		lats[rng.Intn(len(lats))].Observe(int64(n))
-		notes[rng.Intn(len(notes))]()
-		r.MaxUnexpected(n % 97)
-		r.MaxPosted(n % 89)
-		r.NoteReqAlloc(n%3 == 0)
+		r.Add(rma[rng.Intn(len(rma))], 1)
+		r.Raise(&r.Match.UnexpectedMax, int64(n%97))
+		r.Raise(&r.Match.PostedMax, int64(n%89))
+		r.Add(&r.Req.Allocs, 1)
+		if n%3 == 0 {
+			r.Add(&r.Req.Reuses, 1)
+		}
 		r.NoteColl(rng.Intn(NumCollAlgos), int64(n))
-		r.NoteSchedCache(n%2 == 0)
-		r.NotePartitionsReady(n % 5)
+		if n%2 == 0 {
+			r.Add(&r.Sched.CacheHits, 1)
+		} else {
+			r.Add(&r.Sched.CacheMisses, 1)
+		}
+		r.Add(&r.Sched.PartitionsReady, int64(n%5))
 		r.NotePeerState(n%11 == 0, int64(n%256))
 		r.Flight.Record(flight.Kind(n%8), int64(i), n%4, n, 0)
 		if n%64 == 0 {
@@ -193,8 +201,8 @@ func TestSharedRankConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				r.NetSend.Note(8)
-				r.NoteRmaPut()
-				r.MaxPosted(i)
+				r.Add(&r.Rma.Puts, 1)
+				r.Raise(&r.Match.PostedMax, int64(i))
 				r.Lat.ReqLife.Observe(int64(i))
 				r.Flight.Record(flight.SendEager, int64(i), 1, 8, 0)
 			}
@@ -223,5 +231,120 @@ func BenchmarkNote(b *testing.B) {
 				m.NetSend.Note(8)
 			}
 		})
+	}
+}
+
+// leaf is one int64 of a registry struct, named by its field path.
+type leaf struct {
+	name string
+	p    *int64
+}
+
+// leaves lists every int64 under v — nested structs and arrays
+// included, in declaration order — found by reflection, not by walk.
+func leaves(name string, v reflect.Value) []leaf {
+	switch v.Kind() {
+	case reflect.Int64:
+		return []leaf{{name, (*int64)(v.Addr().UnsafePointer())}}
+	case reflect.Array:
+		var out []leaf
+		for i := 0; i < v.Len(); i++ {
+			out = append(out, leaves(fmt.Sprintf("%s[%d]", name, i), v.Index(i))...)
+		}
+		return out
+	case reflect.Struct:
+		var out []leaf
+		for i := 0; i < v.NumField(); i++ {
+			out = append(out, leaves(name+"."+v.Type().Field(i).Name, v.Field(i))...)
+		}
+		return out
+	}
+	return nil
+}
+
+// TestWalkVisitsEveryCounter: walk is the registry's one list of
+// counters. It must visit every int64 of Counts exactly once — paths'
+// Msgs and Bytes included — paired with the same counter of the other
+// side, live or frozen, under a series name no other counter has; and
+// walkLat must visit every histogram of Lat exactly once.
+func TestWalkVisitsEveryCounter(t *testing.T) {
+	var s, o Snapshot
+	var r Rank
+	want := leaves("Counts", reflect.ValueOf(&s.Counts).Elem())
+	frozen := leaves("Counts", reflect.ValueOf(&o.Counts).Elem())
+	live := leaves("Counts", reflect.ValueOf(&r.Counts).Elem())
+	if len(want) < 50 || len(live) != len(want) {
+		t.Fatalf("reflection found %d frozen and %d live counters", len(want), len(live))
+	}
+	idx := map[*int64]int{}
+	for i, l := range want {
+		idx[l.p] = i
+	}
+	visits := make([]int, len(want))
+	series := map[Series]string{}
+	check := func(c Series, x *int64, y *int64, other []leaf) {
+		i, ok := idx[x]
+		if !ok {
+			t.Fatalf("walk visited %v, which is no counter of Counts", c)
+		}
+		visits[i]++
+		if y != other[i].p {
+			t.Errorf("walk pairs %s with a different counter", want[i].name)
+		}
+		if prev, dup := series[c]; dup && prev != want[i].name {
+			t.Errorf("%s and %s are both exported as %v", prev, want[i].name, c)
+		}
+		series[c] = want[i].name
+	}
+	walk(&s.Counts, &o.Counts, nil, func(c Series, x, y *int64) { check(c, x, y, frozen) })
+	walk(&s.Counts, &r.Counts, nil, func(c Series, x, y *int64) { check(c, x, y, live) })
+	for i, n := range visits {
+		if n != 2 {
+			t.Errorf("two walks visited %s %d times, want 2", want[i].name, n)
+		}
+	}
+
+	var l LatSnapshot
+	v := reflect.ValueOf(&l).Elem()
+	hists := map[*hist.Snapshot]string{}
+	for i := 0; i < v.NumField(); i++ {
+		hists[v.Field(i).Addr().Interface().(*hist.Snapshot)] = v.Type().Field(i).Name
+	}
+	seen := map[string]int{}
+	walkLat(&l, &r.Lat, func(name string, x *hist.Snapshot, y *hist.H) {
+		f, ok := hists[x]
+		if !ok {
+			t.Fatalf("walkLat visited %s, which is no histogram of Lat", name)
+		}
+		seen[f]++
+		if y != reflect.ValueOf(&r.Lat).Elem().FieldByName(f).Addr().Interface() {
+			t.Errorf("walkLat pairs %s with a different live histogram", f)
+		}
+	})
+	for _, f := range hists {
+		if seen[f] != 1 {
+			t.Errorf("walkLat visited %s %d times, want 1", f, seen[f])
+		}
+	}
+}
+
+// TestMergeSumsAndMaxes: merging a snapshot with itself doubles every
+// counter except the high waters, which stay.
+func TestMergeSumsAndMaxes(t *testing.T) {
+	var s Snapshot
+	all := leaves("Counts", reflect.ValueOf(&s.Counts).Elem())
+	for i, l := range all {
+		*l.p = int64(i + 1)
+	}
+	m := s.Merge(s)
+	highs := map[string]bool{"Counts.Match.UnexpectedMax": true, "Counts.Match.PostedMax": true, "Counts.Peers.MaxStateBytes": true}
+	for i, l := range leaves("Counts", reflect.ValueOf(&m.Counts).Elem()) {
+		want := 2 * int64(i+1)
+		if highs[l.name] {
+			want = int64(i + 1)
+		}
+		if *l.p != want {
+			t.Errorf("merged %s = %d, want %d", l.name, *l.p, want)
+		}
 	}
 }

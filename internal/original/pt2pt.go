@@ -145,7 +145,7 @@ func (d *Device) handleEager(src int, hdr, payload []byte, arrival vtime.Time) {
 	entry, ok := d.eng.Arrive(env.bits, &unexpected{data: cp, src: src, arrival: arrival})
 	d.charge(instr.Mandatory, cost(instr.MatchSearch)*(d.eng.Searches-before))
 	if !ok {
-		mm.MaxUnexpected(d.eng.UnexpectedLen())
+		mm.Raise(&mm.Match.UnexpectedMax, int64(d.eng.UnexpectedLen()))
 		mm.Flight.Record(flight.Unexpected, int64(arrival), src, len(payload), 0)
 		return // queued as unexpected
 	}
@@ -232,7 +232,7 @@ func (d *Device) Irecv(buf []byte, count int, dt *datatype.Type, src, tag int,
 		mm.Flight.Record(flight.UnexHit, int64(d.rank.Now()), u.src, len(u.data), 0)
 		d.completeRecv(rs, entry.Bits, u.data, u.src, u.arrival)
 	} else {
-		mm.MaxPosted(d.eng.PostedLen())
+		mm.Raise(&mm.Match.PostedMax, int64(d.eng.PostedLen()))
 		mm.Flight.Record(flight.PostRecv, int64(d.rank.Now()), bits.Source(), 0, 0)
 	}
 

@@ -90,7 +90,8 @@ func (d *Device) Put(origin []byte, count int, dt *datatype.Type, target, disp i
 
 	d.lock()
 	defer d.unlock()
-	d.rank.Metrics().NoteRmaPut()
+	m := d.rank.Metrics()
+	m.Add(&m.Rma.Puts, 1)
 	world, key, off, err := d.begin("put", count, dt, target, disp, w)
 	if world == core.ProcNull || err != nil {
 		return err
@@ -110,7 +111,8 @@ func (d *Device) Get(origin []byte, count int, dt *datatype.Type, target, disp i
 
 	d.lock()
 	defer d.unlock()
-	d.rank.Metrics().NoteRmaGet()
+	m := d.rank.Metrics()
+	m.Add(&m.Rma.Gets, 1)
 	world, key, off, err := d.begin("get", count, dt, target, disp, w)
 	if world == core.ProcNull || err != nil {
 		return err
@@ -125,7 +127,8 @@ func (d *Device) Accumulate(origin []byte, count int, dt *datatype.Type, target,
 
 	d.lock()
 	defer d.unlock()
-	d.rank.Metrics().NoteRmaAcc()
+	m := d.rank.Metrics()
+	m.Add(&m.Rma.Accs, 1)
 	return d.accumulate(origin, nil, count, dt, target, disp, op, w)
 }
 
@@ -140,7 +143,8 @@ func (d *Device) GetAccumulate(origin, result []byte, count int, dt *datatype.Ty
 	}
 	d.lock()
 	defer d.unlock()
-	d.rank.Metrics().NoteRmaGetAcc()
+	m := d.rank.Metrics()
+	m.Add(&m.Rma.GetAccs, 1)
 	return d.accumulate(origin, result, count, dt, target, disp, op, w)
 }
 

@@ -129,7 +129,10 @@ func (f *Freelist[T]) Get(m *metrics.Rank) *T {
 		f.free = f.free[:n-1]
 	}
 	if m != nil {
-		m.NoteReqAlloc(x != nil)
+		m.Add(&m.Req.Allocs, 1)
+		if x != nil {
+			m.Add(&m.Req.Reuses, 1)
+		}
 	}
 	return x
 }
@@ -182,7 +185,7 @@ func (p *LockedPool) GetFor(kind Kind, d Driver, m *metrics.Rank) *Request {
 	r := &Request{Kind: kind, drv: d}
 	p.mu.Unlock()
 	if m != nil {
-		m.NoteReqAlloc(false)
+		m.Add(&m.Req.Allocs, 1)
 	}
 	return r
 }

@@ -244,7 +244,7 @@ func TestPreconnectDifferential(t *testing.T) {
 		}
 		for _, m := range meters {
 			o.ledger = append(o.ledger, [4]int64{m.Profile().Count(instr.Transport), int64(m.Now()),
-				atomic.LoadInt64(&m.Metrics().PeersTouched), atomic.LoadInt64(&m.Metrics().PeerStateBytes)})
+				atomic.LoadInt64(&m.Metrics().Peers.Touched), atomic.LoadInt64(&m.Metrics().Peers.StateBytes)})
 		}
 		return o
 	}

@@ -245,7 +245,7 @@ func (o *PartitionedOp) PreadyRange(lo, hi int) error {
 	o.mu.Unlock()
 	// Owner-goroutine-only observability (trace spans) is off limits
 	// here; the flight ring and metrics are concurrency-safe.
-	m.NotePartitionsReady(hi - lo)
+	m.Add(&m.Sched.PartitionsReady, int64(hi-lo))
 	m.Flight.Record(flight.Pready, int64(p.rank.Now()), o.peer, (hi-lo)*o.partBytes, -1)
 	return err
 }

@@ -53,7 +53,8 @@ func (c *Comm) pcoll(compile compileFn) (*PersistentColl, error) {
 	if err := compile(s, c.nbcPort(), tag, f); err != nil {
 		return nil, argErr(err)
 	}
-	c.p.rank.Metrics().NoteSchedCache(false)
+	m := c.p.rank.Metrics()
+	m.Add(&m.Sched.CacheMisses, 1)
 	return &PersistentColl{c: c, s: s, tag: tag}, nil
 }
 
@@ -67,7 +68,8 @@ func (o *PersistentColl) Start() error {
 	}
 	done := o.c.collBegin()
 	defer done()
-	o.c.p.rank.Metrics().NoteSchedCache(true)
+	m := o.c.p.rank.Metrics()
+	m.Add(&m.Sched.CacheHits, 1)
 	o.s.Reset(o.tag)
 	if err := o.c.p.launch(o.s, false); err != nil {
 		return errc(ErrOther, "%v", err)

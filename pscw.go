@@ -27,6 +27,9 @@ const (
 // Post opens an exposure epoch for the given origin ranks
 // (MPI_WIN_POST). It does not block.
 func (w *Win) Post(origins []int) error {
+	if w.p.observed() {
+		defer w.p.span(TraceSync, -1, 0)()
+	}
 	w.p.chargeCall()
 	if err := w.w.Expose(origins); err != nil {
 		return errc(ErrRMASync, "%v", err)
@@ -43,6 +46,9 @@ func (w *Win) Post(origins []int) error {
 // Start opens an access epoch on the given target ranks
 // (MPI_WIN_START). It blocks until every target has posted.
 func (w *Win) Start(targets []int) error {
+	if w.p.observed() {
+		defer w.p.span(TraceSync, -1, 0)()
+	}
 	w.p.chargeCall()
 	if err := w.w.OpenEpoch(rma.EpochPSCW, -1); err != nil {
 		return errc(ErrRMASync, "%v", err)
@@ -64,6 +70,9 @@ func (w *Win) Start(targets []int) error {
 // operations complete at their targets before the targets' Wait
 // returns.
 func (w *Win) Complete() error {
+	if w.p.observed() {
+		defer w.p.span(TraceSync, -1, 0)()
+	}
 	w.p.chargeCall()
 	if w.w.Epoch != rma.EpochPSCW {
 		return errc(ErrRMASync, "complete without start")
@@ -91,6 +100,9 @@ func (w *Win) Complete() error {
 // origin in the post group has called Complete, after which the
 // window's local memory reflects all their operations.
 func (w *Win) Wait() error {
+	if w.p.observed() {
+		defer w.p.span(TraceSync, -1, 0)()
+	}
 	w.p.chargeCall()
 	origins, err := w.w.Unexpose()
 	if err != nil {

@@ -3,6 +3,8 @@ package gompi
 import (
 	"bytes"
 	"fmt"
+	"strings"
+	"sync"
 	"testing"
 )
 
@@ -287,4 +289,73 @@ func TestCollectiveTagsClearOfWindowTokens(t *testing.T) {
 		}
 		return win.Free()
 	})
+}
+
+// syncProfiler records every rank's rma-sync Enter and Exit calls, in
+// order, as "enter" and "exit".
+type syncProfiler struct {
+	mu    sync.Mutex
+	calls map[int][]string
+}
+
+func (s *syncProfiler) note(rank int, op TraceKind, what string) {
+	if op != TraceSync {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.calls[rank] = append(s.calls[rank], what)
+}
+
+func (s *syncProfiler) Enter(rank int, op TraceKind, peer, bytes int, vcycles int64) {
+	s.note(rank, op, "enter")
+}
+
+func (s *syncProfiler) Exit(rank int, op TraceKind, peer, bytes int, vcycles int64) {
+	s.note(rank, op, "exit")
+}
+
+// TestPSCWTraced: Post, Start, Complete and Wait are synchronization
+// calls, so a traced 2-rank PSCW epoch records one rma-sync event per
+// call on each rank and a profiler sees a matching Enter/Exit for each.
+func TestPSCWTraced(t *testing.T) {
+	prof := &syncProfiler{calls: map[int][]string{}}
+	run(t, 2, Config{Fabric: "ofi", Trace: true, Profiler: prof}, func(p *Proc) error {
+		win, _, err := p.World().WinAllocate(8, 1)
+		if err != nil {
+			return err
+		}
+		peer := []int{1 - p.Rank()}
+		if err := win.Post(peer); err != nil {
+			return err
+		}
+		if err := win.Start(peer); err != nil {
+			return err
+		}
+		if err := win.Put([]byte{1}, 1, Byte, peer[0], 0); err != nil {
+			return err
+		}
+		if err := win.Complete(); err != nil {
+			return err
+		}
+		if err := win.Wait(); err != nil {
+			return err
+		}
+		syncs := 0
+		for _, e := range p.TraceEvents() {
+			if e.Kind == TraceSync {
+				syncs++
+			}
+		}
+		if syncs != 4 {
+			return fmt.Errorf("traced %d rma-sync events for Post, Start, Complete and Wait, want 4", syncs)
+		}
+		return win.Free()
+	})
+	want := strings.Repeat("enter exit ", 4)
+	for r := 0; r < 2; r++ {
+		if got := strings.Join(prof.calls[r], " ") + " "; got != want {
+			t.Errorf("rank %d profiler saw %q, want %q", r, got, want)
+		}
+	}
 }

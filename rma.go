@@ -345,7 +345,8 @@ func (w *Win) lock(target int, exclusive bool) error {
 	}
 	w.w.OpenedAt = w.p.rank.Now()
 	if kind == rma.EpochLockAll {
-		w.p.rank.Metrics().NoteRmaLockAll()
+		m := w.p.rank.Metrics()
+		m.Add(&m.Rma.LockAlls, 1)
 	}
 	if err := w.p.dev.Lock(w.w, target, exclusive); err != nil {
 		return errc(ErrRMASync, "%v", err)
@@ -379,6 +380,7 @@ func (w *Win) Unlock(target int) error {
 	if w.p.observed() {
 		defer w.p.span(TraceSync, target, 0)()
 	}
+	w.p.chargeCall()
 	if lr := w.w.LockedRank(); lr != target || lr < 0 {
 		return errc(ErrRMASync, "unlock: locked %d, unlocking %d", lr, target)
 	}
@@ -526,7 +528,8 @@ func (w *Win) PutNotify(origin []byte, count int, dt *Datatype, target, disp int
 	if err := w.p.dev.Flush(w.w, target); err != nil {
 		return errc(ErrRMASync, "%v", err)
 	}
-	w.p.rank.Metrics().NoteRmaNotify()
+	m := w.p.rank.Metrics()
+	m.Add(&m.Rma.Notifies, 1)
 	cv := w.w.Comm.CollView()
 	if _, err := w.p.dev.Isend(nil, 0, Byte, target, tagWinNotify, cv, core.FlagNoReq|core.FlagNoProcNull); err != nil {
 		return errc(ErrRMASync, "notify token to %d: %v", target, err)
@@ -555,7 +558,7 @@ func (w *Win) WaitNotify(origin int) (int, error) {
 	req.Wait()
 	src := req.Status.Source
 	req.Free()
-	m.NoteRmaNotify()
+	m.Add(&m.Rma.Notifies, 1)
 	m.Lat.NotifyWait.Observe(int64(w.p.rank.Now() - start))
 	return src, nil
 }

@@ -239,13 +239,10 @@ func TestRmaSyncChargeTable(t *testing.T) {
 			[4]rmaSync{{0, 0, 17, 0, 24, 4400, 0, 0, 0}, {0, 0, 17, 0, 24, 4400, 0, 0, 0}, {0, 0, 0, 0, 24, 4400, 0, 0, 0}, {0, 0, 17, 0, 40, 4400, 0, 0, 0}}},
 		{"lock/exclusive", 2, nil, lock(true), unlock,
 			[4]rmaSync{{0, 0, 17, 0, 24, 4400, 0, 0, 0}, {0, 0, 17, 0, 24, 4400, 0, 0, 0}, {0, 0, 0, 0, 24, 4400, 0, 0, 0}, {0, 0, 17, 0, 40, 4400, 0, 0, 0}}},
-		// Win.Unlock charges no call frame, unlike Lock and every other
-		// synchronization call, and no thread check, unlike Fence: the
-		// unlock rows pin that quirk as it stands.
 		{"unlock/shared", 2, lock(false), unlock, nil,
-			[4]rmaSync{{0, 0, 0, 0, 36, 4400, 1, 0, 0}, {0, 0, 0, 0, 36, 4400, 1, 0, 0}, {0, 0, 0, 0, 36, 4400, 1, 0, 0}, {0, 0, 0, 0, 65, 4400, 1, 0, 0}}},
+			[4]rmaSync{{0, 0, 17, 0, 36, 4400, 1, 0, 0}, {0, 0, 17, 0, 36, 4400, 1, 0, 0}, {0, 0, 0, 0, 36, 4400, 1, 0, 0}, {0, 0, 17, 0, 65, 4400, 1, 0, 0}}},
 		{"unlock/exclusive", 2, lock(true), unlock, nil,
-			[4]rmaSync{{0, 0, 0, 0, 36, 4400, 1, 0, 0}, {0, 0, 0, 0, 36, 4400, 1, 0, 0}, {0, 0, 0, 0, 36, 4400, 1, 0, 0}, {0, 0, 0, 0, 65, 4400, 1, 0, 0}}},
+			[4]rmaSync{{0, 0, 17, 0, 36, 4400, 1, 0, 0}, {0, 0, 17, 0, 36, 4400, 1, 0, 0}, {0, 0, 0, 0, 36, 4400, 1, 0, 0}, {0, 0, 17, 0, 65, 4400, 1, 0, 0}}},
 		{"lockall", 2, nil, lockAll, unlockAll,
 			[4]rmaSync{{0, 0, 17, 0, 30, 4400, 0, 1, 0}, {0, 0, 17, 0, 30, 4400, 0, 1, 0}, {0, 0, 0, 0, 30, 4400, 0, 1, 0}, {0, 0, 17, 0, 80, 8800, 0, 1, 0}}},
 		{"lockall/exclusive", 2, nil, lockAllExcl, unlockAll,
@@ -267,9 +264,9 @@ func TestRmaSyncChargeTable(t *testing.T) {
 		{"lock/exclusive", 4, nil, lock(true), unlock,
 			[4]rmaSync{{0, 0, 17, 0, 24, 4400, 0, 0, 0}, {0, 0, 17, 0, 24, 4400, 0, 0, 0}, {0, 0, 0, 0, 24, 4400, 0, 0, 0}, {0, 0, 17, 0, 40, 4400, 0, 0, 0}}},
 		{"unlock/shared", 4, lock(false), unlock, nil,
-			[4]rmaSync{{0, 0, 0, 0, 36, 4400, 1, 0, 0}, {0, 0, 0, 0, 36, 4400, 1, 0, 0}, {0, 0, 0, 0, 36, 4400, 1, 0, 0}, {0, 0, 0, 0, 65, 4400, 1, 0, 0}}},
+			[4]rmaSync{{0, 0, 17, 0, 36, 4400, 1, 0, 0}, {0, 0, 17, 0, 36, 4400, 1, 0, 0}, {0, 0, 0, 0, 36, 4400, 1, 0, 0}, {0, 0, 17, 0, 65, 4400, 1, 0, 0}}},
 		{"unlock/exclusive", 4, lock(true), unlock, nil,
-			[4]rmaSync{{0, 0, 0, 0, 36, 4400, 1, 0, 0}, {0, 0, 0, 0, 36, 4400, 1, 0, 0}, {0, 0, 0, 0, 36, 4400, 1, 0, 0}, {0, 0, 0, 0, 65, 4400, 1, 0, 0}}},
+			[4]rmaSync{{0, 0, 17, 0, 36, 4400, 1, 0, 0}, {0, 0, 17, 0, 36, 4400, 1, 0, 0}, {0, 0, 0, 0, 36, 4400, 1, 0, 0}, {0, 0, 17, 0, 65, 4400, 1, 0, 0}}},
 		{"lockall", 4, nil, lockAll, unlockAll,
 			[4]rmaSync{{0, 0, 17, 0, 30, 4400, 0, 1, 0}, {0, 0, 17, 0, 30, 4400, 0, 1, 0}, {0, 0, 0, 0, 30, 4400, 0, 1, 0}, {0, 0, 17, 0, 160, 17600, 0, 1, 0}}},
 		{"lockall/exclusive", 4, nil, lockAllExcl, unlockAll,
