@@ -306,7 +306,10 @@ func OpCommutative(op Op) bool { return coll.Commutative(op) }
 // ReduceLocal folds inbuf into inoutbuf with op (MPI_REDUCE_LOCAL): a
 // purely local building block for user-level reduction trees.
 func ReduceLocal(inbuf, inoutbuf []byte, count int, elem *Datatype, op Op) error {
-	n := count * elem.Size()
+	n, err := collBuf(count, elem, inbuf, inoutbuf)
+	if err != nil {
+		return err
+	}
 	if err := coll.Apply(op, elem, inoutbuf[:n], inbuf[:n]); err != nil {
 		return errc(ErrArg, "%v", err)
 	}

@@ -233,9 +233,13 @@ func rmaArgs(origin []byte, count int, dt *Datatype, target, disp int, w *Win) (
 }
 
 // checkComm validates just a communicator argument (collectives,
-// comm management).
+// comm management). The nil and freed checks run in every build — they
+// guard the dereference that follows — but only an error-checking
+// build charges for them.
 func (p *Proc) checkComm(c *Comm) error {
-	p.rank.Charge(instr.ErrorCheck, 14)
+	if p.bc.ErrorChecking {
+		p.rank.Charge(instr.ErrorCheck, 14)
+	}
 	if c == nil || c.c == nil {
 		return errc(ErrComm, "nil communicator")
 	}

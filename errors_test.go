@@ -1,6 +1,7 @@
 package gompi
 
 import (
+	"fmt"
 	"testing"
 
 	"gompi/internal/instr"
@@ -92,4 +93,46 @@ func TestCheckChainPrefixCharges(t *testing.T) {
 		}
 		return idle.Free()
 	})
+}
+
+// TestCreationChargesErrorCheckOnlyWhenChecking: creating a
+// communicator or a window charges the 14-instruction communicator
+// check only in a build that checks errors; the other builds still
+// refuse a nil communicator, but for free.
+func TestCreationChargesErrorCheckOnlyWhenChecking(t *testing.T) {
+	for _, tc := range []struct {
+		build BuildKind
+		want  int64
+	}{{BuildDefault, 14}, {BuildNoErr, 0}, {BuildNoErrSingle, 0}, {BuildNoErrSingleIPO, 0}} {
+		run(t, 2, Config{Fabric: FabricOFI, Build: tc.build}, func(p *Proc) error {
+			world := p.World()
+			ops := []struct {
+				name string
+				op   func() (func() error, error)
+			}{
+				{"Dup", func() (func() error, error) { c, err := world.Dup(); return c.Free, err }},
+				{"Split", func() (func() error, error) { c, err := world.Split(0, p.Rank()); return c.Free, err }},
+				{"WinCreate", func() (func() error, error) { w, err := world.WinCreate(make([]byte, 8), 1); return w.Free, err }},
+			}
+			for _, o := range ops {
+				before := p.Counters()
+				free, err := o.op()
+				got := p.Counters().Sub(before).ErrorCheck
+				if err != nil {
+					return err
+				}
+				if got != tc.want {
+					t.Errorf("%s build, rank %d: %s charged %d error-check instructions, want %d",
+						tc.build, p.Rank(), o.name, got, tc.want)
+				}
+				if err := free(); err != nil {
+					return err
+				}
+			}
+			if _, err := (&Comm{p: p}).Dup(); ClassOf(err) != ErrComm {
+				return fmt.Errorf("%s build: Dup of a nil handle = %v, want ErrComm", tc.build, err)
+			}
+			return nil
+		})
+	}
 }

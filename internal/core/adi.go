@@ -220,7 +220,7 @@ func Targets(w *rma.Win, target int) (lo, hi int) {
 func ObserveFlush(r *proc.Rank, w *rma.Win, target int) {
 	m := r.Metrics()
 	m.Add(&m.Rma.Flushes, 1)
-	if w.InEpoch() && w.OpenedAt > 0 {
+	if w.InEpoch() {
 		m.Lat.EpochFlush.Observe(int64(r.Now() - w.OpenedAt))
 	}
 	m.Flight.Record(flight.RmaFlush, int64(r.Now()), target, 0, -1)

@@ -166,9 +166,8 @@ type Win struct {
 	// device's Unlock releases the right lock flavor.
 	LockExclusive bool
 	// OpenedAt is the rank's virtual clock when the current access
-	// epoch opened; the MPI layer stamps it at every epoch open and
-	// the devices' flush paths observe now−OpenedAt into the
-	// epoch-open→flush histogram.
+	// epoch opened, stamped by OpenEpoch; the devices' flush paths
+	// observe now−OpenedAt into the epoch-open→flush histogram.
 	OpenedAt vtime.Time
 
 	// NoLocks asserts (MPI info key no_locks) that no passive-target
@@ -273,13 +272,14 @@ func (w *Win) CheckVAddr(targetRank int, va VAddr, nbytes int) error {
 // window, for applications adopting the virtual-address proposal.
 func (w *Win) BaseAddr(targetRank int) VAddr { return 0 }
 
-// OpenEpoch transitions into an access epoch.
-func (w *Win) OpenEpoch(kind EpochKind, target int) error {
+// OpenEpoch transitions into an access epoch opened at virtual time now.
+func (w *Win) OpenEpoch(kind EpochKind, target int, now vtime.Time) error {
 	if w.Epoch != EpochNone && !(w.Epoch == kind && kind == EpochFence) {
 		return fmt.Errorf("%w: %d open", ErrEpochOpen, w.Epoch)
 	}
 	w.Epoch = kind
 	w.lockedRank = target
+	w.OpenedAt = now
 	return nil
 }
 

@@ -71,14 +71,17 @@ func TestEpochLifecycle(t *testing.T) {
 	if _, err := w.CloseEpoch(); err != ErrNoEpoch {
 		t.Fatal("close without open accepted")
 	}
-	if err := w.OpenEpoch(EpochLock, 0); err != nil {
+	if err := w.OpenEpoch(EpochLock, 0, 42); err != nil {
 		t.Fatal(err)
 	}
-	if !w.InEpoch() || w.LockedRank() != 0 {
+	if !w.InEpoch() || w.LockedRank() != 0 || w.OpenedAt != 42 {
 		t.Error("epoch state wrong")
 	}
-	if err := w.OpenEpoch(EpochPSCW, 1); err == nil {
+	if err := w.OpenEpoch(EpochPSCW, 1, 99); err == nil {
 		t.Error("nested epoch of different kind accepted")
+	}
+	if w.OpenedAt != 42 {
+		t.Errorf("rejected open restamped the epoch: OpenedAt %d", w.OpenedAt)
 	}
 	lr, err := w.CloseEpoch()
 	if err != nil || lr != 0 {
@@ -93,10 +96,10 @@ func TestFenceEpochReentrant(t *testing.T) {
 	// Fence-to-fence transitions keep the epoch kind; opening a fence
 	// epoch while one is active is the normal steady state.
 	w := testWin([]int{8}, []int{1}, false)
-	if err := w.OpenEpoch(EpochFence, -1); err != nil {
+	if err := w.OpenEpoch(EpochFence, -1, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.OpenEpoch(EpochFence, -1); err != nil {
+	if err := w.OpenEpoch(EpochFence, -1, 0); err != nil {
 		t.Fatalf("fence-to-fence rejected: %v", err)
 	}
 }

@@ -1,6 +1,7 @@
 package gompi
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 )
@@ -219,5 +220,20 @@ func TestReduceLocal(t *testing.T) {
 	}
 	if err := ReduceLocal(in, inout, 2, Double, OpBAnd); err == nil {
 		t.Fatal("bitwise op on double accepted")
+	}
+	if err := ReduceLocal(in, inout, 2, nil, OpSum); ClassOf(err) != ErrType {
+		t.Errorf("nil datatype: %v, want ErrType", err)
+	}
+	if err := ReduceLocal(in, inout, -1, Long, OpSum); ClassOf(err) != ErrCount {
+		t.Errorf("negative count: %v, want ErrCount", err)
+	}
+	// A short inoutbuf with spare capacity must be refused, not written
+	// past its length.
+	backing := make([]byte, 16)
+	if err := ReduceLocal(in, backing[:8], 2, Long, OpSum); ClassOf(err) != ErrBuffer {
+		t.Errorf("short inoutbuf: %v, want ErrBuffer", err)
+	}
+	if !bytes.Equal(backing, make([]byte, 16)) {
+		t.Errorf("short inoutbuf: backing array written: %v", backing)
 	}
 }

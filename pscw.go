@@ -50,7 +50,7 @@ func (w *Win) Start(targets []int) error {
 		defer w.p.span(TraceSync, -1, 0)()
 	}
 	w.p.chargeCall()
-	if err := w.w.OpenEpoch(rma.EpochPSCW, -1); err != nil {
+	if err := w.w.OpenEpoch(rma.EpochPSCW, -1, w.p.rank.Now()); err != nil {
 		return errc(ErrRMASync, "%v", err)
 	}
 	w.w.SetAccessGroup(targets)

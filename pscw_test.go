@@ -359,3 +359,47 @@ func TestPSCWTraced(t *testing.T) {
 		}
 	}
 }
+
+// TestPSCWEpochFlushSample: Complete's flush samples the time since its
+// own Start, not since whichever epoch last stamped the window. Rank 0
+// runs a lock epoch, computes for a million cycles, then a PSCW epoch;
+// the one epoch-open→flush sample must not span the computation.
+func TestPSCWEpochFlushSample(t *testing.T) {
+	const gap = 1_000_000
+	run(t, 2, Config{Fabric: FabricOFI}, func(p *Proc) error {
+		w := p.World()
+		win, _, err := w.WinAllocate(16, 1)
+		if err != nil {
+			return err
+		}
+		if p.Rank() == 0 {
+			if err := win.Lock(1, false); err != nil {
+				return err
+			}
+			if err := win.Unlock(1); err != nil {
+				return err
+			}
+			p.ChargeCompute(gap)
+			if err := win.Start([]int{1}); err != nil {
+				return err
+			}
+			if err := win.Put([]byte{1}, 1, Byte, 1, 0); err != nil {
+				return err
+			}
+			if err := win.Complete(); err != nil {
+				return err
+			}
+			if h := p.Metrics().Lat.EpochFlush; h.Count == 0 || h.Max >= gap {
+				return fmt.Errorf("epoch-open→flush: %d sample(s), max %d cycles, want one under %d", h.Count, h.Max, gap)
+			}
+		} else {
+			if err := win.Post([]int{0}); err != nil {
+				return err
+			}
+			if err := win.Wait(); err != nil {
+				return err
+			}
+		}
+		return win.Free()
+	})
+}

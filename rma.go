@@ -294,10 +294,9 @@ func (w *Win) fence(next bool) error {
 		return errc(ErrRMASync, "%v", err)
 	}
 	if next {
-		if err := w.w.OpenEpoch(rma.EpochFence, -1); err != nil {
+		if err := w.w.OpenEpoch(rma.EpochFence, -1, w.p.rank.Now()); err != nil {
 			return errc(ErrRMASync, "%v", err)
 		}
-		w.w.OpenedAt = w.p.rank.Now()
 	} else if w.w.InEpoch() {
 		_, _ = w.w.CloseEpoch() // cannot fail: an epoch is open
 	}
@@ -340,10 +339,9 @@ func (w *Win) lock(target int, exclusive bool) error {
 	if target == -1 {
 		kind = rma.EpochLockAll
 	}
-	if err := w.w.OpenEpoch(kind, target); err != nil {
+	if err := w.w.OpenEpoch(kind, target, w.p.rank.Now()); err != nil {
 		return errc(ErrRMASync, "%v", err)
 	}
-	w.w.OpenedAt = w.p.rank.Now()
 	if kind == rma.EpochLockAll {
 		m := w.p.rank.Metrics()
 		m.Add(&m.Rma.LockAlls, 1)
