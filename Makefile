@@ -111,7 +111,7 @@ race:
 # the shared clock's among them, live in ./internal/proc with the one
 # ledger type; ./internal/vtime holds only the units of time and has no
 # test to run.
-FLAKE_RUN = 'Ledger|DumpState|ZeroAlloc|AllocFree|SteadyStateAllocs|FeederPublished|FirstTouch|LockTouch|SpmvDeclaredShape|SingleVsShared|Shared.*Concurrent|SharedWriters|ForeignReader|TailFlush|WrapOrder|WhilePeersRun|SnapshotDuringDeposits|Region|RegisterWhilePut|ShareReaches|SPSC|NoMutex|WakePerMessage|SharedSiblings|WaiterGate|EventsEquals|Lent|RendezvousDeadlock|CopyCounts|CompletesAtReturn|ForcesMatchReference|RunGolden|TimestepAllocs|YieldBeforePark|WaitParksAfterYields|SlabRequests|OneCell|DrainWakesAggregate|DepositLocalAndWake|MatchChargeTable|OneLanePerComm|RecvChargeTable|WildcardStaleReplica|WildcardEveryLaneCount|RmaChargeTable|BlockedCallsProgress|FullRingDrainsOwnRings|AbortUnblocksCommCreation|AbortUnblocksFullRing|LockAllExclusivePhases|WatchdogTripsOnDeadlock|CheckChainPrefix|NoMatchStatusSource|RankStackFootprint|GetAccumulateAtomic|AccumulateMixedLayouts|AMThreadMultiple|RmaSyncChargeTable|DynamicWindowTargetsChecked|BoxRequests|FreeRecyclesThroughDriver|OperationOwnsRequestAllocs|FlushRequestCountsItsRequest|CountersCyclesAreCharged|WalkVisitsEveryCounter|MergeSumsAndMaxes|PromExportsEveryCounter|PSCWTraced'
+FLAKE_RUN = 'Ledger|DumpState|ZeroAlloc|AllocFree|SteadyStateAllocs|FeederPublished|FirstTouch|LockTouch|SpmvDeclaredShape|SingleVsShared|Shared.*Concurrent|SharedWriters|ForeignReader|TailFlush|WrapOrder|WhilePeersRun|SnapshotDuringDeposits|Region|RegisterWhilePut|ShareReaches|SPSC|NoMutex|WakePerMessage|SharedSiblings|WaiterGate|EventsEquals|Lent|RendezvousDeadlock|CopyCounts|CompletesAtReturn|ForcesMatchReference|RunGolden|TimestepAllocs|YieldBeforePark|WaitParksAfterYields|SlabRequests|OneCell|DrainWakesAggregate|DepositLocalAndWake|MatchChargeTable|OneLanePerComm|RecvChargeTable|WildcardStaleReplica|WildcardEveryLaneCount|RmaChargeTable|BlockedCallsProgress|FullRingDrainsOwnRings|AbortUnblocksCommCreation|AbortUnblocksFullRing|LockAllExclusivePhases|WatchdogTripsOnDeadlock|CheckChainPrefix|NoMatchStatusSource|RankStackFootprint|GetAccumulateAtomic|AccumulateMixedLayouts|AMThreadMultiple|RmaSyncChargeTable|DynamicWindowTargetsChecked|BoxRequests|FreeRecyclesThroughDriver|OperationOwnsRequestAllocs|FlushRequestCountsItsRequest|CountersCyclesAreCharged|WalkVisitsEveryCounter|MergeSumsAndMaxes|PromExportsEveryCounter|PSCWTraced|TraceGolden|CreationChargesErrorCheckOnlyWhenChecking|PSCWEpochFlushSample'
 FLAKE_PKGS = . ./internal/proc ./internal/instr ./internal/hist ./internal/shm ./internal/bench ./internal/flight ./internal/metrics ./internal/request ./internal/fabric ./internal/ch4 ./internal/md
 
 flake:

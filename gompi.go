@@ -39,12 +39,12 @@ import (
 	"gompi/internal/comm"
 	"gompi/internal/core"
 	"gompi/internal/fabric"
+	"gompi/internal/flight"
 	"gompi/internal/instr"
 	"gompi/internal/nbc"
 	"gompi/internal/original"
 	"gompi/internal/proc"
 	"gompi/internal/stall"
-	"gompi/internal/trace"
 )
 
 // ErrStalled is returned (wrapped) by Run when the stall watchdog
@@ -308,7 +308,7 @@ type Proc struct {
 	// nonblocking calls' Requests out of (owner goroutine only).
 	reqSlab []Request
 
-	tlog     trace.Log
+	tlog     flight.Log
 	profiler Profiler
 	teardown func()
 	dump     func(io.Writer)
@@ -430,7 +430,7 @@ func Run(n int, cfg Config, body func(p *Proc) error) error {
 		*cfg.Stats = Stats{
 			Hz:     hz,
 			Ranks:  make([]RankStats, n),
-			traces: make([][]trace.Event, n),
+			traces: make([][]flight.Event, n),
 		}
 	}
 	errs := world.RunAll(func(r *proc.Rank) error {
@@ -645,26 +645,28 @@ func (p *Proc) chargeThread(c *comm.Comm, win bool) func() {
 	return c.Unlock
 }
 
-// TraceEvent is one recorded operation of the event trace.
-type TraceEvent = trace.Event
+// TraceEvent is one recorded operation of the event trace: the record
+// the flight recorder's dumps are made of, with Start..End spanning
+// the call.
+type TraceEvent = flight.Event
 
 // TraceKind classifies traced operations (see the Trace* constants).
-type TraceKind = trace.Kind
+type TraceKind = flight.Kind
 
 // Trace operation kinds, re-exported for event inspection.
 const (
-	TraceSend   = trace.KindSend
-	TraceRecv   = trace.KindRecv
-	TraceWait   = trace.KindWait
-	TraceColl   = trace.KindColl
-	TracePut    = trace.KindPut
-	TraceGet    = trace.KindGet
-	TraceAcc    = trace.KindAcc
-	TraceSync   = trace.KindSync
-	TraceProbe  = trace.KindProbe
-	TraceSched  = trace.KindSched
-	TraceFlush  = trace.KindFlush
-	TraceNotify = trace.KindNotify
+	TraceSend   = flight.Send
+	TraceRecv   = flight.Recv
+	TraceWait   = flight.Wait
+	TraceColl   = flight.Coll
+	TracePut    = flight.Put
+	TraceGet    = flight.Get
+	TraceAcc    = flight.Acc
+	TraceSync   = flight.Sync
+	TraceProbe  = flight.Probe
+	TraceSched  = flight.Sched
+	TraceFlush  = flight.RmaFlush
+	TraceNotify = flight.Notify
 )
 
 // TraceEvents returns this rank's recorded events in chronological
@@ -680,7 +682,7 @@ func (p *Proc) WriteTraceSummary(w interface{ Write([]byte) (int, error) }) {
 // it. Callers open a span only when observed, so with tracing and
 // profiling both off the steady-state path neither allocates nor
 // evaluates the span's arguments.
-func (p *Proc) span(kind trace.Kind, peer, bytes int) func() {
+func (p *Proc) span(kind flight.Kind, peer, bytes int) func() {
 	return p.spanVCI(kind, peer, bytes, -1)
 }
 
@@ -691,7 +693,7 @@ func (p *Proc) observed() bool { return p.tlog.Enabled() || p.profiler != nil }
 // operation will use (-1 when not applicable); the point-to-point
 // paths record it so Chrome traces show which channel carried each
 // message.
-func (p *Proc) spanVCI(kind trace.Kind, peer, bytes, vci int) func() {
+func (p *Proc) spanVCI(kind flight.Kind, peer, bytes, vci int) func() {
 	traced := p.tlog.Enabled()
 	start := p.rank.Now()
 	if p.profiler != nil {
@@ -700,7 +702,7 @@ func (p *Proc) spanVCI(kind trace.Kind, peer, bytes, vci int) func() {
 	return func() {
 		end := p.rank.Now()
 		if traced {
-			p.tlog.Record(trace.Event{Kind: kind, Peer: peer, Bytes: bytes, VCI: vci, Start: start, End: end})
+			p.tlog.Record(flight.Event{Kind: kind, Peer: peer, Bytes: bytes, VCI: vci, Start: start, End: end})
 		}
 		if p.profiler != nil {
 			p.profiler.Exit(p.rank.ID(), kind, peer, bytes, int64(end))

@@ -4,10 +4,10 @@ import (
 	"gompi/internal/coll"
 	"gompi/internal/comm"
 	"gompi/internal/core"
+	"gompi/internal/flight"
 	"gompi/internal/match"
 	"gompi/internal/nbc"
 	"gompi/internal/request"
-	"gompi/internal/trace"
 	"gompi/internal/vtime"
 )
 
@@ -200,8 +200,8 @@ func (p *Proc) traceRounds(s *nbc.Schedule) {
 			roundStart = p.rank.Now()
 			return
 		}
-		p.tlog.Record(trace.Event{
-			Kind: trace.KindSched, Peer: idx, Bytes: s.Bytes, VCI: -1,
+		p.tlog.Record(flight.Event{
+			Kind: flight.Sched, Peer: idx, Bytes: s.Bytes, VCI: -1,
 			Start: roundStart, End: p.rank.Now(),
 		})
 	}

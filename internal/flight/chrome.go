@@ -1,4 +1,4 @@
-package trace
+package flight
 
 import (
 	"encoding/json"
@@ -57,7 +57,7 @@ func WriteChrome(w io.Writer, hz float64, perRank [][]Event) error {
 		// Cumulative phase-cycle split for the rank's counter track.
 		var cumUseful, cumComm int64
 		for _, e := range events {
-			if e.Kind == KindPhase {
+			if e.Kind == Phase {
 				// A phase region renders twice: an "X" span named after
 				// the application's label, and a "C" counter sample so
 				// the per-rank useful-vs-communication split shows as a

@@ -1,4 +1,4 @@
-package trace
+package flight
 
 import (
 	"bytes"
@@ -10,11 +10,11 @@ import (
 func TestWriteChrome(t *testing.T) {
 	perRank := [][]Event{
 		{
-			{Kind: KindSend, Peer: 1, Bytes: 8, Start: 100, End: 300},
-			{Kind: KindWait, Peer: -1, Start: 300, End: 500},
+			{Kind: Send, Peer: 1, Bytes: 8, Start: 100, End: 300},
+			{Kind: Wait, Peer: -1, Start: 300, End: 500},
 		},
 		{
-			{Kind: KindRecv, Peer: 0, Bytes: 8, Start: 150, End: 400},
+			{Kind: Recv, Peer: 0, Bytes: 8, Start: 150, End: 400},
 		},
 	}
 	var buf bytes.Buffer

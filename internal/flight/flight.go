@@ -1,23 +1,36 @@
-// Package flight is the always-on flight recorder: a fixed-size
-// per-rank ring of recent protocol events, far cheaper than full event
-// tracing (no per-event allocation, no growth, a few words per entry)
-// and therefore left running on every build. Its job is post-mortem
-// diagnosis: when a job aborts, tears down on error, or trips the
-// stall watchdog, each rank's last protocol steps are dumped so the
-// failure's communication history is visible without re-running under
-// Config.Trace.
+// Package flight is each rank's record of where its work goes: one
+// Kind and one Event, kept in three views.
+//
+//   - Ring, always on and bounded: the rank's last Size protocol
+//     events (no allocation, no growth, 24 bytes a slot), left running
+//     on every build for post-mortem diagnosis. When a job aborts,
+//     tears down on error, or trips the stall watchdog, each rank's
+//     last protocol steps are dumped without re-running under
+//     Config.Trace.
+//   - Lane, the arrivals at one VCI: what peers landed at its matching
+//     unit, dumped beside the queues it explains.
+//   - Log, opt-in (Config.Trace) and sized by Config.TraceEvents: an
+//     MPE-style span per MPI operation, with its virtual-time interval,
+//     peer and payload size. It gives the per-operation view — which
+//     calls, how often, how long, to whom — that Summarize aggregates
+//     by kind and WriteChrome exports.
+//
+// Every view is written by its rank alone (a shared Ring excepted) and
+// copied out oldest-first at dump or teardown time.
 package flight
 
 import (
 	"fmt"
 	"io"
 	"sync"
+
+	"gompi/internal/vtime"
 )
 
-// Kind classifies one recorded protocol event.
+// Kind classifies one recorded event.
 type Kind uint8
 
-// Protocol event kinds.
+// Protocol event kinds, recorded into a Ring or a Lane.
 const (
 	SendEager   Kind = iota // eager tagged send injected (peer = dst)
 	SendRndv                // rendezvous tagged send injected (peer = dst)
@@ -35,10 +48,26 @@ const (
 	RmaPut                  // one-sided put issued (peer = target)
 	RmaGet                  // one-sided get issued (peer = target)
 	RmaAcc                  // one-sided accumulate/get-accumulate issued (peer = target)
-	RmaFlush                // passive-target flush completed (peer = target or -1 for all)
+	RmaFlush                // passive-target flush completed (peer = target or -1 for all); in a Log, a Flush* span
 	NotifyWait              // notified-access wait posted (peer = origin)
 	Pready                  // partitioned send: partition marked ready (peer = dst, bytes = partition)
 	Parrived                // partitioned recv: chunk observed complete (peer = src, bytes = chunk)
+)
+
+// API span kinds, recorded into a Log (the flush span is RmaFlush).
+const (
+	Send   Kind = iota + Parrived + 1 // a send, blocking or posted
+	Recv                              // a receive, blocking or posted
+	Wait                              // a completion wait
+	Probe                             // a probe or mprobe
+	Coll                              // a collective
+	Put                               // one-sided put
+	Get                               // one-sided get
+	Acc                               // one-sided accumulate, get-accumulate or fetch-and-op
+	Sync                              // fence, lock/unlock, PSCW
+	Sched                             // one dependency round of a collective schedule
+	Notify                            // notified access (PutNotify token send, WaitNotify wait)
+	Phase                             // one application phase region (Proc.PhaseBegin/PhaseEnd)
 	numKinds
 )
 
@@ -48,6 +77,8 @@ var kindNames = [numKinds]string{
 	"shm-handoff", "handoff-done",
 	"rma-put", "rma-get", "rma-acc", "rma-flush", "notify-wait",
 	"pready", "parrived",
+	"send", "recv", "wait", "probe", "collective", "put", "get",
+	"accumulate", "rma-sync", "sched-round", "rma-notify", "phase",
 }
 
 func (k Kind) String() string {
@@ -57,18 +88,43 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
-// Event is one recorded protocol step. T is the recording rank's
-// virtual clock in cycles; Peer is the other rank involved (-1 when
-// not applicable); VCI is the virtual interface (-1 when not
-// applicable). After is set on a Lane's events only.
+// Event is one recorded step. Start and End bound it on the recording
+// rank's virtual clock, in cycles; a Ring or Lane event is an instant
+// (End == Start). Peer is the other rank involved and VCI the virtual
+// communication interface used, each -1 when not applicable (zero
+// names interface 0, so recorders set VCI explicitly). Seq is the
+// event's position in its view's stream; After is set on a Lane's
+// events only.
 type Event struct {
-	Seq   uint64
-	T     int64
 	Kind  Kind
-	VCI   int16
-	Peer  int32
-	Bytes int32
-	After uint64
+	Peer  int
+	Bytes int
+	VCI   int
+	Start vtime.Time
+	End   vtime.Time
+	// Name is the application-chosen label of a Phase event (empty for
+	// library operations, whose Kind names them).
+	Name string
+	// Useful and Comm split a Phase event's cycles into
+	// application-compute and everything-else (MPI instructions,
+	// transport, waiting); zero for other kinds.
+	Useful int64
+	Comm   int64
+	Seq    uint64
+	After  uint64
+}
+
+// Dur returns the event's virtual duration in cycles.
+func (e Event) Dur() int64 { return int64(e.End - e.Start) }
+
+// oldestFirst copies out the last min(n, keep) events of a stream of n,
+// oldest first; at reads event seq from its slot.
+func oldestFirst(n, keep uint64, at func(seq uint64) Event) []Event {
+	evs := make([]Event, min(n, keep))
+	for i := range evs {
+		evs[i] = at(n - uint64(len(evs)) + uint64(i))
+	}
+	return evs
 }
 
 // slot is a stored event: 24 bytes, its sequence number being its
@@ -88,7 +144,8 @@ func (s *slot) set(k Kind, t int64, peer, bytes, vci int) {
 }
 
 func (s *slot) event(seq uint64) Event {
-	return Event{Seq: seq, T: s.t, Kind: s.kind, VCI: s.vci, Peer: s.peer, Bytes: s.bytes}
+	t := vtime.Time(s.t)
+	return Event{Kind: s.kind, Peer: int(s.peer), Bytes: int(s.bytes), VCI: int(s.vci), Start: t, End: t, Seq: seq}
 }
 
 // Size is how many recent events a dump shows: enough history to see
@@ -171,17 +228,12 @@ func (r *Ring) Pos() uint64 {
 func (r *Ring) Events() (evs []Event, total uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	evs = make([]Event, min(r.n, Size))
-	for i := range evs {
-		seq := r.n - uint64(len(evs)) + uint64(i)
-		evs[i] = r.buf[seq%slots].event(seq)
-	}
-	return evs, r.n
+	return oldestFirst(r.n, Size, func(seq uint64) Event { return r.buf[seq%slots].event(seq) }), r.n
 }
 
 // String renders the event as one dump line.
 func (e Event) String() string {
-	return fmt.Sprintf("#%d @%d %s peer=%d bytes=%d vci=%d", e.Seq, e.T, e.Kind, e.Peer, e.Bytes, e.VCI)
+	return fmt.Sprintf("#%d @%d %s peer=%d bytes=%d vci=%d", e.Seq, e.Start, e.Kind, e.Peer, e.Bytes, e.VCI)
 }
 
 // Dump renders the retained events human-readably, oldest first, one
@@ -227,11 +279,9 @@ func (l *Lane) Record(k Kind, t int64, peer, bytes, vci int) {
 
 // Events returns the lane's events oldest-first (dump-time only).
 func (l *Lane) Events() []Event {
-	evs := make([]Event, min(l.n, LaneSize))
-	for i := range evs {
-		seq := l.n - uint64(len(evs)) + uint64(i)
-		evs[i] = l.buf[seq%LaneSize].event(seq)
-		evs[i].After = l.after[seq%LaneSize]
-	}
-	return evs
+	return oldestFirst(l.n, LaneSize, func(seq uint64) Event {
+		e := l.buf[seq%LaneSize].event(seq)
+		e.After = l.after[seq%LaneSize]
+		return e
+	})
 }

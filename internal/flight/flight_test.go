@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+
+	"gompi/internal/vtime"
 )
 
 // record appends events numbered [from, to): event i has T = i.
@@ -22,7 +24,7 @@ func seqs(t *testing.T, evs []Event, last int) int {
 	first := last + 1 - len(evs)
 	for i, e := range evs {
 		n := first + i
-		want := Event{Seq: uint64(n), T: int64(n), Kind: Kind(n % int(numKinds)), VCI: int16(n % 3), Peer: int32(n % 7), Bytes: int32(n)}
+		want := Event{Seq: uint64(n), Start: vtime.Time(n), End: vtime.Time(n), Kind: Kind(n % int(numKinds)), VCI: n % 3, Peer: n % 7, Bytes: n}
 		if e != want {
 			t.Fatalf("event %d of %d = %+v, want %+v", i, len(evs), e, want)
 		}

@@ -1,4 +1,4 @@
-package trace
+package flight
 
 import (
 	"strings"
@@ -13,7 +13,7 @@ func vtimeT(v int) vtime.Time { return vtime.Time(v) }
 
 func TestDisabledRecordsNothing(t *testing.T) {
 	var l Log
-	l.Record(Event{Kind: KindSend})
+	l.Record(Event{Kind: Send})
 	if len(l.Events()) != 0 || l.Enabled() {
 		t.Fatal("zero-value log recorded")
 	}
@@ -22,9 +22,9 @@ func TestDisabledRecordsNothing(t *testing.T) {
 func TestRecordAndSummarize(t *testing.T) {
 	var l Log
 	l.Enable(16)
-	l.Record(Event{Kind: KindSend, Peer: 1, Bytes: 8, Start: 0, End: 100})
-	l.Record(Event{Kind: KindSend, Peer: 2, Bytes: 8, Start: 100, End: 150})
-	l.Record(Event{Kind: KindRecv, Peer: 1, Bytes: 8, Start: 150, End: 400})
+	l.Record(Event{Kind: Send, Peer: 1, Bytes: 8, Start: 0, End: 100})
+	l.Record(Event{Kind: Send, Peer: 2, Bytes: 8, Start: 100, End: 150})
+	l.Record(Event{Kind: Recv, Peer: 1, Bytes: 8, Start: 150, End: 400})
 
 	ev := l.Events()
 	if len(ev) != 3 || ev[0].Dur() != 100 {
@@ -35,10 +35,10 @@ func TestRecordAndSummarize(t *testing.T) {
 		t.Fatalf("summary %+v", s)
 	}
 	// recv has more cycles than send: must sort first.
-	if s.Stats[0].Kind != KindRecv || s.Stats[0].MaxDur != 250 {
+	if s.Stats[0].Kind != Recv || s.Stats[0].MaxDur != 250 {
 		t.Fatalf("stats %+v", s.Stats)
 	}
-	if s.Stats[1].Kind != KindSend || s.Stats[1].Count != 2 || s.Stats[1].Bytes != 16 {
+	if s.Stats[1].Kind != Send || s.Stats[1].Count != 2 || s.Stats[1].Bytes != 16 {
 		t.Fatalf("send stat %+v", s.Stats[1])
 	}
 }
@@ -47,7 +47,7 @@ func TestRingOverwrite(t *testing.T) {
 	var l Log
 	l.Enable(4)
 	for i := 0; i < 10; i++ {
-		l.Record(Event{Kind: KindSend, Start: vtimeT(i), End: vtimeT(i + 1)})
+		l.Record(Event{Kind: Send, Start: vtimeT(i), End: vtimeT(i + 1)})
 	}
 	ev := l.Events()
 	if len(ev) != 4 {
@@ -67,7 +67,7 @@ func TestRingOverwrite(t *testing.T) {
 func TestSummaryWrite(t *testing.T) {
 	var l Log
 	l.Enable(8)
-	l.Record(Event{Kind: KindColl, Bytes: 64, Start: 0, End: 5000})
+	l.Record(Event{Kind: Coll, Bytes: 64, Start: 0, End: 5000})
 	var sb strings.Builder
 	l.Summarize().Write(&sb)
 	for _, want := range []string{"collective", "5000", "total"} {
@@ -77,14 +77,34 @@ func TestSummaryWrite(t *testing.T) {
 	}
 }
 
+// TestKindStrings: every kind of the one enum has its own name — the
+// flush both views record is the one "rma-flush" — and Summarize lists
+// each kind exactly once.
 func TestKindStrings(t *testing.T) {
+	seen := map[string]Kind{}
 	for k := Kind(0); k < numKinds; k++ {
-		if k.String() == "unknown" {
+		name := k.String()
+		if name == "" || strings.HasPrefix(name, "kind(") {
 			t.Errorf("kind %d has no name", k)
 		}
+		if prev, dup := seen[name]; dup {
+			t.Errorf("kinds %d and %d are both named %q", prev, k, name)
+		}
+		seen[name] = k
 	}
-	if Kind(200).String() != "unknown" {
-		t.Error("out-of-range kind named")
+	if RmaFlush.String() != "rma-flush" {
+		t.Errorf("RmaFlush is named %q", RmaFlush)
+	}
+	if got := Kind(200).String(); got != "kind(200)" {
+		t.Errorf("out-of-range kind prints %q", got)
+	}
+	listed := map[Kind]bool{}
+	for _, k := range summaryOrder {
+		listed[k] = true
+	}
+	if len(summaryOrder) != int(numKinds) || len(listed) != int(numKinds) {
+		t.Errorf("summaryOrder lists %d distinct of %d entries, want every one of %d kinds once",
+			len(listed), len(summaryOrder), numKinds)
 	}
 }
 
@@ -95,13 +115,11 @@ func TestSummaryConservation(t *testing.T) {
 		var l Log
 		l.Enable(int(capRaw%16) + 1)
 		now := vtimeT(0)
-		var lastN int
 		var want int64
 		n := cap(l.events)
 		for i, d := range durs {
 			l.Record(Event{Kind: Kind(uint8(i) % uint8(numKinds)), Start: now, End: now + vtime.Time(d)})
 			now += vtime.Time(d)
-			_ = lastN
 		}
 		// Expected: sum over the last min(len, cap) events.
 		start := 0

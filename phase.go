@@ -1,8 +1,8 @@
 package gompi
 
 import (
+	"gompi/internal/flight"
 	"gompi/internal/instr"
-	"gompi/internal/trace"
 	"gompi/internal/vtime"
 )
 
@@ -80,8 +80,8 @@ func (p *Proc) PhaseEnd() {
 	ps.TransportCycles += d.Count(instr.Transport)
 	ps.MPIInstr += d.Total
 	if p.tlog.Enabled() {
-		p.tlog.Record(trace.Event{
-			Kind: trace.KindPhase, Name: ps.Name,
+		p.tlog.Record(flight.Event{
+			Kind: flight.Phase, Name: ps.Name,
 			Peer: -1, VCI: -1,
 			Start: f.start, End: end,
 			Useful: useful, Comm: cycles - useful,

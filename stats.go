@@ -4,8 +4,8 @@ import (
 	"encoding/json"
 	"io"
 
+	"gompi/internal/flight"
 	"gompi/internal/metrics"
-	"gompi/internal/trace"
 )
 
 // MetricsSnapshot is the per-rank observability snapshot: message and
@@ -52,7 +52,7 @@ type Stats struct {
 
 	// traces holds each rank's event log (empty unless Config.Trace
 	// was set); exported only through WriteChromeTrace.
-	traces [][]trace.Event
+	traces [][]flight.Event
 }
 
 // Aggregate merges every rank's metrics into one job-wide snapshot:
@@ -80,7 +80,7 @@ func (s *Stats) WriteJSON(w io.Writer) error {
 // timestamps in microseconds of virtual time. The document is empty
 // unless the run had Config.Trace set.
 func (s *Stats) WriteChromeTrace(w io.Writer) error {
-	return trace.WriteChrome(w, s.Hz, s.traces)
+	return flight.WriteChrome(w, s.Hz, s.traces)
 }
 
 // TraceEvents returns one rank's recorded events (empty unless the run
