@@ -449,11 +449,7 @@ func Run(n int, cfg Config, body func(p *Proc) error) error {
 			eagerLimit: prof.EagerLimit, collAlgo: cfg.CollAlgorithm,
 			profiler: cfg.Profiler, teardown: teardown, dump: dumpWorld}
 		if cfg.Trace {
-			capEvents := cfg.TraceEvents
-			if capEvents == 0 {
-				capEvents = 4096
-			}
-			p.tlog.Enable(capEvents)
+			p.tlog.Enable(cfg.TraceEvents)
 		}
 		// Start-up: no rank communicates before every device is open.
 		p.world = &Comm{p: p, c: comm.NewWorld(reg, n, r.ID())}

@@ -14,11 +14,11 @@ type Log struct {
 	n      uint64  // events ever recorded
 }
 
-// Enable activates recording with space for cap events (older events
-// are overwritten once the ring fills).
+// Enable activates recording with space for cap events, 4096 when cap
+// is not positive (older events are overwritten once the ring fills).
 func (l *Log) Enable(cap int) {
 	if cap < 1 {
-		cap = 1024
+		cap = 4096
 	}
 	l.events, l.n = make([]Event, cap), 0
 }
