@@ -107,11 +107,16 @@ race:
 # (WalkVisitsEveryCounter), a merge sums all but the high waters
 # (MergeSumsAndMaxes), the Prometheus export prints every counter
 # (PromExportsEveryCounter), and PSCW calls open their sync spans
-# (PSCWTraced). Zero failures. The ledger's tests,
+# (PSCWTraced) — and one MPI-layer entry per call family: the trace
+# bytes of every one-sided data and synchronization call
+# (RmaTraceGolden), a flush to a rank outside the window is ErrRank and
+# charges nothing (FlushTargetChecked), every exported trace kind is
+# recorded, probes included (TraceRecordsEveryKind), and a persistent
+# Start/Wait allocates nothing (PersistentStartAllocs). Zero failures. The ledger's tests,
 # the shared clock's among them, live in ./internal/proc with the one
 # ledger type; ./internal/vtime holds only the units of time and has no
 # test to run.
-FLAKE_RUN = 'Ledger|DumpState|ZeroAlloc|AllocFree|SteadyStateAllocs|FeederPublished|FirstTouch|LockTouch|SpmvDeclaredShape|SingleVsShared|Shared.*Concurrent|SharedWriters|ForeignReader|TailFlush|WrapOrder|WhilePeersRun|SnapshotDuringDeposits|Region|RegisterWhilePut|ShareReaches|SPSC|NoMutex|WakePerMessage|SharedSiblings|WaiterGate|EventsEquals|Lent|RendezvousDeadlock|CopyCounts|CompletesAtReturn|ForcesMatchReference|RunGolden|TimestepAllocs|YieldBeforePark|WaitParksAfterYields|SlabRequests|OneCell|DrainWakesAggregate|DepositLocalAndWake|MatchChargeTable|OneLanePerComm|RecvChargeTable|WildcardStaleReplica|WildcardEveryLaneCount|RmaChargeTable|BlockedCallsProgress|FullRingDrainsOwnRings|AbortUnblocksCommCreation|AbortUnblocksFullRing|LockAllExclusivePhases|WatchdogTripsOnDeadlock|CheckChainPrefix|NoMatchStatusSource|RankStackFootprint|GetAccumulateAtomic|AccumulateMixedLayouts|AMThreadMultiple|RmaSyncChargeTable|DynamicWindowTargetsChecked|BoxRequests|FreeRecyclesThroughDriver|OperationOwnsRequestAllocs|FlushRequestCountsItsRequest|CountersCyclesAreCharged|WalkVisitsEveryCounter|MergeSumsAndMaxes|PromExportsEveryCounter|PSCWTraced|TraceGolden|CreationChargesErrorCheckOnlyWhenChecking|PSCWEpochFlushSample'
+FLAKE_RUN = 'Ledger|DumpState|ZeroAlloc|AllocFree|SteadyStateAllocs|FeederPublished|FirstTouch|LockTouch|SpmvDeclaredShape|SingleVsShared|Shared.*Concurrent|SharedWriters|ForeignReader|TailFlush|WrapOrder|WhilePeersRun|SnapshotDuringDeposits|Region|RegisterWhilePut|ShareReaches|SPSC|NoMutex|WakePerMessage|SharedSiblings|WaiterGate|EventsEquals|Lent|RendezvousDeadlock|CopyCounts|CompletesAtReturn|ForcesMatchReference|RunGolden|TimestepAllocs|YieldBeforePark|WaitParksAfterYields|SlabRequests|OneCell|DrainWakesAggregate|DepositLocalAndWake|MatchChargeTable|OneLanePerComm|RecvChargeTable|WildcardStaleReplica|WildcardEveryLaneCount|RmaChargeTable|BlockedCallsProgress|FullRingDrainsOwnRings|AbortUnblocksCommCreation|AbortUnblocksFullRing|LockAllExclusivePhases|WatchdogTripsOnDeadlock|CheckChainPrefix|NoMatchStatusSource|RankStackFootprint|GetAccumulateAtomic|AccumulateMixedLayouts|AMThreadMultiple|RmaSyncChargeTable|DynamicWindowTargetsChecked|BoxRequests|FreeRecyclesThroughDriver|OperationOwnsRequestAllocs|FlushRequestCountsItsRequest|CountersCyclesAreCharged|WalkVisitsEveryCounter|MergeSumsAndMaxes|PromExportsEveryCounter|PSCWTraced|TraceGolden|CreationChargesErrorCheckOnlyWhenChecking|PSCWEpochFlushSample|RmaTraceGolden|FlushTargetChecked|TraceRecordsEveryKind|PersistentStartAllocs'
 FLAKE_PKGS = . ./internal/proc ./internal/instr ./internal/hist ./internal/shm ./internal/bench ./internal/flight ./internal/metrics ./internal/request ./internal/fabric ./internal/ch4 ./internal/md
 
 flake:

@@ -664,3 +664,40 @@ func TestOperationOwnsRequestAllocs(t *testing.T) {
 		t.Errorf("ch4 Rput+Wait in LockAll: %.3f mallocs per op, want <= 0.1 (1/%d is the Request slab)", perOp, gompi.ReqSlabLen)
 	}
 }
+
+// TestPersistentStartAllocs: a persistent operation owns the Request of
+// its activation, so a self exchange of a persistent receive and send —
+// Start, Start, Wait, Wait — allocates nothing once warm, where taking
+// a fresh Request from the rank's slab on every Start cost one slab per
+// ReqSlabLen Starts. The windows' difference is 9n exchanges.
+func TestPersistentStartAllocs(t *testing.T) {
+	const n = 200
+	slope := mallocSlope(t, 1, gompi.Config{Device: gompi.DeviceCH4, Fabric: "ofi"}, n,
+		func(p *gompi.Proc) (func(int) error, error) {
+			w := p.World()
+			recv, err := w.RecvInit(make([]byte, 1), 1, gompi.Byte, 0, 0)
+			if err != nil {
+				return nil, err
+			}
+			send, err := w.SendInit([]byte{1}, 1, gompi.Byte, 0, 0)
+			if err != nil {
+				return nil, err
+			}
+			return func(int) error {
+				if err := recv.Start(); err != nil {
+					return err
+				}
+				if err := send.Start(); err != nil {
+					return err
+				}
+				if _, err := send.Wait(); err != nil {
+					return err
+				}
+				_, err := recv.Wait()
+				return err
+			}, nil
+		})
+	if slope != 0 {
+		t.Errorf("persistent Start/Wait: %d more mallocs over %d exchanges than over %d, want 0", slope, 10*n, n)
+	}
+}

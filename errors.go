@@ -99,6 +99,16 @@ func errc(class ErrorClass, format string, args ...any) *Error {
 	return &Error{Class: class, Msg: fmt.Sprintf(format, args...)}
 }
 
+// devErr classes what a device call returned, as errc(class, "%v",
+// err) would; nil stays nil. It builds the Error itself, so it inlines
+// into the hot paths that return through it.
+func devErr(class ErrorClass, err error) error {
+	if err == nil {
+		return nil
+	}
+	return &Error{Class: class, Msg: err.Error()}
+}
+
 // ClassOf extracts the ErrorClass from an error, looking through
 // wrapping and joined errors such as the one Run returns (ErrOther for
 // foreign errors, ErrNone for nil).

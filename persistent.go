@@ -1,9 +1,5 @@
 package gompi
 
-import (
-	"gompi/internal/core"
-)
-
 // Persistent requests (MPI_SEND_INIT / MPI_RECV_INIT / MPI_START):
 // applications with fixed communication patterns bind the arguments
 // once and restart the operation every iteration. This amortizes the
@@ -20,9 +16,12 @@ type PersistentOp struct {
 	dt    *Datatype
 	peer  int
 	tag   int
-	flags core.OpFlags
 
-	active *Request
+	// req is the activation's Request, owned by the operation so a
+	// Start allocates none: an activation is in flight while req.r is
+	// set, and completing it (Wait, or a Test that finds it done)
+	// clears req.r.
+	req Request
 }
 
 // SendInit binds a persistent send (MPI_SEND_INIT). Arguments are
@@ -48,60 +47,40 @@ func (c *Comm) RecvInit(buf []byte, count int, dt *Datatype, src, tag int) (*Per
 
 // Start restarts the operation (MPI_START). The previous activation
 // must have completed (Wait returned). No argument validation runs: the
-// MPI layer charges only the call and thread-check costs, descending
-// straight into the device — which is why persistent operations are
-// cheaper per iteration than fresh Isends on the default build.
+// MPI layer charges only the call and thread-check costs of the
+// two-sided entry, descending straight into the device — which is why
+// persistent operations are cheaper per iteration than fresh Isends on
+// the default build.
 func (o *PersistentOp) Start() error {
-	if o.active != nil {
+	if o.req.r != nil {
 		return errc(ErrRequest, "persistent operation already active")
 	}
 	p := o.c.p
-	kind := TraceRecv
+	kind, start := TraceRecv, p.dev.Irecv
 	if o.send {
-		kind = TraceSend
+		kind, start = TraceSend, p.dev.Isend
 	}
-	if p.observed() {
-		defer p.span(kind, o.peer, o.count*o.dt.Size())()
-	}
-	p.chargeCall()
-	unlock := p.chargeThread(o.c.c, false)
-	defer unlock()
-	start := p.dev.Irecv
-	if o.send {
-		start = p.dev.Isend
-	}
-	r, err := start(o.buf, o.count, o.dt, o.peer, o.tag, o.c.c, o.flags)
-	if err != nil {
-		return errc(ErrOther, "%v", err)
-	}
-	if r != nil {
-		o.active = p.newRequest()
-		*o.active = Request{r: r, p: p}
-	}
-	return nil
+	defer o.c.p2pEnter(kind, o.peer, o.count, o.dt)()
+	r, err := start(o.buf, o.count, o.dt, o.peer, o.tag, o.c.c, 0)
+	o.req = Request{r: r, p: p}
+	return devErr(ErrOther, err)
 }
 
 // Wait completes the current activation, leaving the operation ready
 // for the next Start.
 func (o *PersistentOp) Wait() (Status, error) {
-	if o.active == nil {
+	if o.req.r == nil {
 		return Status{}, errc(ErrRequest, "persistent operation not active")
 	}
-	st, err := o.active.Wait()
-	o.active = nil
-	return st, err
+	return o.req.Wait()
 }
 
 // Test polls the current activation.
 func (o *PersistentOp) Test() (Status, bool, error) {
-	if o.active == nil {
+	if o.req.r == nil {
 		return Status{}, false, errc(ErrRequest, "persistent operation not active")
 	}
-	st, done, err := o.active.Test()
-	if done {
-		o.active = nil
-	}
-	return st, done, err
+	return o.req.Test()
 }
 
 // StartAll restarts a set of persistent operations (MPI_STARTALL). It

@@ -1,9 +1,6 @@
 package gompi
 
-import (
-	"gompi/internal/core"
-	"gompi/internal/rma"
-)
+import "gompi/internal/rma"
 
 // Generalized active-target (PSCW) synchronization: MPI_WIN_POST /
 // MPI_WIN_START / MPI_WIN_COMPLETE / MPI_WIN_WAIT. Exposure and access
@@ -27,17 +24,13 @@ const (
 // Post opens an exposure epoch for the given origin ranks
 // (MPI_WIN_POST). It does not block.
 func (w *Win) Post(origins []int) error {
-	if w.p.observed() {
-		defer w.p.span(TraceSync, -1, 0)()
-	}
-	w.p.chargeCall()
+	defer w.syncEnter(TraceSync, -1)()
 	if err := w.w.Expose(origins); err != nil {
 		return errc(ErrRMASync, "%v", err)
 	}
-	cv := w.w.Comm.CollView()
 	for _, o := range origins {
-		if _, err := w.p.dev.Isend(nil, 0, Byte, o, tagWinPost, cv, core.FlagNoReq|core.FlagNoProcNull); err != nil {
-			return errc(ErrRMASync, "post token to %d: %v", o, err)
+		if err := w.sendToken(o, tagWinPost); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -46,22 +39,15 @@ func (w *Win) Post(origins []int) error {
 // Start opens an access epoch on the given target ranks
 // (MPI_WIN_START). It blocks until every target has posted.
 func (w *Win) Start(targets []int) error {
-	if w.p.observed() {
-		defer w.p.span(TraceSync, -1, 0)()
-	}
-	w.p.chargeCall()
+	defer w.syncEnter(TraceSync, -1)()
 	if err := w.w.OpenEpoch(rma.EpochPSCW, -1, w.p.rank.Now()); err != nil {
 		return errc(ErrRMASync, "%v", err)
 	}
 	w.w.SetAccessGroup(targets)
-	cv := w.w.Comm.CollView()
 	for _, t := range targets {
-		req, err := w.p.dev.Irecv(nil, 0, Byte, t, tagWinPost, cv, core.FlagNoProcNull)
-		if err != nil {
-			return errc(ErrRMASync, "post token from %d: %v", t, err)
+		if _, err := w.recvToken(t, tagWinPost); err != nil {
+			return err
 		}
-		req.Wait()
-		req.Free()
 	}
 	return nil
 }
@@ -70,10 +56,7 @@ func (w *Win) Start(targets []int) error {
 // operations complete at their targets before the targets' Wait
 // returns.
 func (w *Win) Complete() error {
-	if w.p.observed() {
-		defer w.p.span(TraceSync, -1, 0)()
-	}
-	w.p.chargeCall()
+	defer w.syncEnter(TraceSync, -1)()
 	if w.w.Epoch != rma.EpochPSCW {
 		return errc(ErrRMASync, "complete without start")
 	}
@@ -84,38 +67,28 @@ func (w *Win) Complete() error {
 			return errc(ErrRMASync, "%v", err)
 		}
 	}
-	cv := w.w.Comm.CollView()
 	for _, t := range targets {
-		if _, err := w.p.dev.Isend(nil, 0, Byte, t, tagWinComplete, cv, core.FlagNoReq|core.FlagNoProcNull); err != nil {
-			return errc(ErrRMASync, "complete token to %d: %v", t, err)
+		if err := w.sendToken(t, tagWinComplete); err != nil {
+			return err
 		}
 	}
-	if _, err := w.w.CloseEpoch(); err != nil {
-		return errc(ErrRMASync, "%v", err)
-	}
-	return nil
+	_, err := w.w.CloseEpoch()
+	return devErr(ErrRMASync, err)
 }
 
 // Wait closes the exposure epoch (MPI_WIN_WAIT): it blocks until every
 // origin in the post group has called Complete, after which the
 // window's local memory reflects all their operations.
 func (w *Win) Wait() error {
-	if w.p.observed() {
-		defer w.p.span(TraceSync, -1, 0)()
-	}
-	w.p.chargeCall()
+	defer w.syncEnter(TraceSync, -1)()
 	origins, err := w.w.Unexpose()
 	if err != nil {
 		return errc(ErrRMASync, "%v", err)
 	}
-	cv := w.w.Comm.CollView()
 	for _, o := range origins {
-		req, err := w.p.dev.Irecv(nil, 0, Byte, o, tagWinComplete, cv, core.FlagNoProcNull)
-		if err != nil {
-			return errc(ErrRMASync, "complete token from %d: %v", o, err)
+		if _, err := w.recvToken(o, tagWinComplete); err != nil {
+			return err
 		}
-		req.Wait()
-		req.Free()
 	}
 	return nil
 }

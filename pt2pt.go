@@ -5,6 +5,7 @@ import (
 
 	"gompi/internal/core"
 	"gompi/internal/datatype"
+	"gompi/internal/flight"
 	"gompi/internal/request"
 	"gompi/internal/vtime"
 )
@@ -166,18 +167,41 @@ func (p *Proc) newRequest() *Request {
 	return r
 }
 
-// isend is the shared MPI-layer send path: charge the MPI-layer rows of
-// Table 1 (call, thread check, error checking) and descend into the
-// device with the extension flags. The request is filled into req, or
-// into a fresh one (newRequest) when req is nil (the nonblocking forms).
-func (c *Comm) isend(buf []byte, count int, dt *Datatype, dest, tag int, flags core.OpFlags, req *Request) (*Request, error) {
-	p := c.p
-	if p.observed() {
-		defer p.spanVCI(TraceSend, dest, traceBytes(count, dt), p.vciOf(c))()
+// p2pSpan opens an observed two-sided call's span on the VCI c's
+// traffic rides.
+func (c *Comm) p2pSpan(kind flight.Kind, peer, count int, dt *Datatype) func() {
+	return c.p.spanVCI(kind, peer, traceBytes(count, dt), c.p.vciOf(c))
+}
+
+// p2pEnter is the MPI-layer entry of the sends, the receives and a
+// persistent Start: it opens the span, charges the call frame and the
+// thread check, and takes c's critical section. The caller defers the
+// returned func, which leaves the section and closes the span;
+// unobserved it is the unlock itself, so entering allocates nothing.
+func (c *Comm) p2pEnter(kind flight.Kind, peer, count int, dt *Datatype) func() {
+	var end func()
+	if c.p.observed() {
+		end = c.p2pSpan(kind, peer, count, dt)
 	}
-	p.chargeCall()
-	unlock := p.chargeThread(c.c, false)
-	defer unlock()
+	c.p.chargeCall()
+	done := c.p.chargeThread(c.c, false)
+	if end == nil {
+		return done
+	}
+	return func() {
+		done()
+		end()
+	}
+}
+
+// isend is the shared MPI-layer send path: enter, check the arguments
+// in an error-checking build (Table 1's three MPI-layer rows) and
+// descend into the device with the extension flags. The request is
+// filled into req, or into a fresh one (newRequest) when req is nil
+// (the nonblocking forms).
+func (c *Comm) isend(buf []byte, count int, dt *Datatype, dest, tag int, flags core.OpFlags, req *Request) (*Request, error) {
+	defer c.p2pEnter(TraceSend, dest, count, dt)()
+	p := c.p
 	if p.bc.ErrorChecking {
 		if err := p.checkSendArgs(buf, count, dt, dest, tag, c, false); err != nil {
 			return nil, err
@@ -277,10 +301,7 @@ func (c *Comm) IsendOpt(buf []byte, count int, dt *Datatype, dest, tag int, o Se
 		}
 		// No call-frame or validation charges: the all-opts path is
 		// defined as a link-time-inlined specialized function.
-		if err := p.dev.IsendAllOpts(buf, dest, c.c); err != nil {
-			return nil, errc(ErrOther, "%v", err)
-		}
-		return nil, nil
+		return nil, devErr(ErrOther, p.dev.IsendAllOpts(buf, dest, c.c))
 	}
 	return c.isend(buf, count, dt, dest, tag, o.flags(), nil)
 }
@@ -354,12 +375,7 @@ func (p *Proc) IsendAllOpts(h CommHandle, buf []byte, worldDest int) error {
 
 // CommWaitall completes all requestless operations on the communicator
 // (the MPI_COMM_WAITALL proposal).
-func (c *Comm) CommWaitall() error {
-	if err := c.p.dev.CommWaitall(c.c); err != nil {
-		return errc(ErrOther, "%v", err)
-	}
-	return nil
-}
+func (c *Comm) CommWaitall() error { return devErr(ErrOther, c.p.dev.CommWaitall(c.c)) }
 
 // irecv is the shared MPI-layer receive path. Hint enforcement rides
 // here: a wildcard contradicting the communicator's assertions is a
@@ -368,13 +384,8 @@ func (c *Comm) CommWaitall() error {
 // The request is filled into req, or into a fresh one (newRequest) when
 // req is nil.
 func (c *Comm) irecv(buf []byte, count int, dt *Datatype, src, tag int, flags core.OpFlags, req *Request) (*Request, error) {
+	defer c.p2pEnter(TraceRecv, src, count, dt)()
 	p := c.p
-	if p.observed() {
-		defer p.spanVCI(TraceRecv, src, traceBytes(count, dt), p.vciOf(c))()
-	}
-	p.chargeCall()
-	unlock := p.chargeThread(c.c, false)
-	defer unlock()
 	if p.bc.ErrorChecking {
 		if err := p.checkSendArgs(buf, count, dt, src, tag, c, true); err != nil {
 			return nil, err
@@ -484,40 +495,41 @@ func (c *Comm) RecvNoMatch(buf []byte, count int, dt *Datatype) (Status, error) 
 	return req.Wait()
 }
 
-// iprobe is one probe of the device; Iprobe and the Probe loop share it.
-func (c *Comm) iprobe(src, tag int) (Status, bool, error) {
+// probe is Iprobe, and with wait the Probe loop, which parks between
+// transport events instead of spinning. Like every probe it opens a span
+// and charges nothing.
+func (c *Comm) probe(src, tag int, wait bool) (Status, bool, error) {
+	if c.p.observed() {
+		defer c.p2pSpan(TraceProbe, src, 0, nil)()
+	}
 	if err := checkHints(c.c, src, tag); err != nil {
 		return Status{}, false, err
 	}
-	st, ok, err := c.p.dev.Iprobe(src, tag, c.c)
-	if err != nil {
-		return Status{}, false, errc(ErrOther, "%v", err)
+	for {
+		seq := c.p.dev.EventSeq()
+		st, ok, err := c.p.dev.Iprobe(src, tag, c.c)
+		if err != nil {
+			return Status{}, false, errc(ErrOther, "%v", err)
+		}
+		if ok {
+			return Status{Source: st.Source, Tag: st.Tag, Count: st.Count}, true, nil
+		}
+		if !wait {
+			pollMiss()
+			return Status{}, false, nil
+		}
+		c.p.dev.WaitEvent(seq)
 	}
-	return Status{Source: st.Source, Tag: st.Tag, Count: st.Count}, ok, nil
 }
 
 // Iprobe checks for a matchable message without receiving it
 // (MPI_IPROBE).
-func (c *Comm) Iprobe(src, tag int) (Status, bool, error) {
-	st, ok, err := c.iprobe(src, tag)
-	if !ok && err == nil {
-		pollMiss()
-	}
-	return st, ok, err
-}
+func (c *Comm) Iprobe(src, tag int) (Status, bool, error) { return c.probe(src, tag, false) }
 
 // Probe blocks until a matchable message is available (MPI_PROBE).
-// The wait is event-driven: the rank parks between transport events
-// instead of spinning.
 func (c *Comm) Probe(src, tag int) (Status, error) {
-	for {
-		seq := c.p.dev.EventSeq()
-		st, ok, err := c.iprobe(src, tag)
-		if err != nil || ok {
-			return st, err
-		}
-		c.p.dev.WaitEvent(seq)
-	}
+	st, _, err := c.probe(src, tag, true)
+	return st, err
 }
 
 // SendrecvReplace exchanges in place (MPI_SENDRECV_REPLACE): the buffer
@@ -549,44 +561,42 @@ type Message struct {
 	arrival vtime.Time
 }
 
-// improbe is one matched probe of the device; Improbe and the Mprobe
-// loop share it.
-func (c *Comm) improbe(src, tag int) (*Message, bool, error) {
+// mprobe is Improbe, and with wait the Mprobe loop: probe's shape, but
+// a match extracts the message.
+func (c *Comm) mprobe(src, tag int, wait bool) (*Message, bool, error) {
+	if c.p.observed() {
+		defer c.p2pSpan(TraceProbe, src, 0, nil)()
+	}
 	if err := checkHints(c.c, src, tag); err != nil {
 		return nil, false, err
 	}
-	data, st, arrival, ok, err := c.p.dev.Improbe(src, tag, c.c)
-	if err != nil {
-		return nil, false, errc(ErrOther, "%v", err)
+	for {
+		seq := c.p.dev.EventSeq()
+		data, st, arrival, ok, err := c.p.dev.Improbe(src, tag, c.c)
+		if err != nil {
+			return nil, false, errc(ErrOther, "%v", err)
+		}
+		if ok {
+			return &Message{p: c.p, data: data, src: st.Source, tag: st.Tag, arrival: arrival}, true, nil
+		}
+		if !wait {
+			pollMiss()
+			return nil, false, nil
+		}
+		c.p.dev.WaitEvent(seq)
 	}
-	if !ok {
-		return nil, false, nil
-	}
-	return &Message{p: c.p, data: data, src: st.Source, tag: st.Tag, arrival: arrival}, true, nil
 }
 
 // Improbe extracts a matchable message without receiving it
 // (MPI_IMPROBE). Once extracted, the message can no longer match any
 // other receive; consume it with Message.Recv.
-func (c *Comm) Improbe(src, tag int) (*Message, bool, error) {
-	m, ok, err := c.improbe(src, tag)
-	if !ok && err == nil {
-		pollMiss()
-	}
-	return m, ok, err
-}
+func (c *Comm) Improbe(src, tag int) (*Message, bool, error) { return c.mprobe(src, tag, false) }
 
 // Mprobe blocks until a matchable message can be extracted
 // (MPI_MPROBE).
 func (c *Comm) Mprobe(src, tag int) (*Message, error) {
-	for {
-		seq := c.p.dev.EventSeq()
-		m, ok, err := c.improbe(src, tag)
-		if err != nil || ok {
-			return m, err
-		}
-		c.p.dev.WaitEvent(seq)
-	}
+	m, _, err := c.mprobe(src, tag, true)
+	return m, err
 }
 
 // Size returns the extracted message's payload size in bytes.

@@ -624,3 +624,49 @@ func FuzzRmaShmVsNet(f *testing.F) {
 		}
 	})
 }
+
+// TestFlushTargetChecked: a flush to a rank outside the window's
+// communicator is ErrRank on both devices, in every build, and charges
+// nothing, as Lock's target check does.
+func TestFlushTargetChecked(t *testing.T) {
+	for _, cfg := range []Config{
+		{Device: "ch4", Fabric: "ofi"},
+		{Device: "original", Fabric: "ofi"},
+		{Device: "ch4", Fabric: "ofi", Build: "no-err-single-ipo"},
+	} {
+		t.Run(cfgName(cfg)+"/"+string(cfg.Build), func(t *testing.T) {
+			run(t, 2, cfg, func(p *Proc) error {
+				win, _, err := p.World().WinAllocate(16, 1)
+				if err != nil {
+					return err
+				}
+				if err := win.LockAll(); err != nil {
+					return err
+				}
+				before := p.VirtualCycles()
+				for _, c := range []struct {
+					name string
+					err  error
+				}{
+					{"Flush(99)", win.Flush(99)},
+					{"Flush(-2)", win.Flush(-2)},
+					{"FlushLocal(7)", win.FlushLocal(7)},
+				} {
+					if ClassOf(c.err) != ErrRank {
+						return fmt.Errorf("%s = %v, want ErrRank", c.name, c.err)
+					}
+				}
+				if after := p.VirtualCycles(); after != before {
+					return fmt.Errorf("rejected flushes charged %d cycles", after-before)
+				}
+				if err := win.UnlockAll(); err != nil {
+					return err
+				}
+				if err := p.World().Barrier(); err != nil {
+					return err
+				}
+				return win.Free()
+			})
+		})
+	}
+}

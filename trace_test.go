@@ -3,6 +3,7 @@ package gompi
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -166,5 +167,114 @@ func TestTraceDoesNotPerturbCounts(t *testing.T) {
 			}
 			return nil
 		})
+	}
+}
+
+// kindProfiler records which operation kinds its Enter hook saw.
+type kindProfiler struct {
+	mu    sync.Mutex
+	kinds map[TraceKind]bool
+}
+
+func (k *kindProfiler) Enter(rank int, op TraceKind, peer, bytes int, vcycles int64) {
+	k.mu.Lock()
+	k.kinds[op] = true
+	k.mu.Unlock()
+}
+
+func (k *kindProfiler) Exit(rank int, op TraceKind, peer, bytes int, vcycles int64) {}
+
+// TestTraceRecordsEveryKind: a traced and profiled job that makes a
+// call of every family — two-sided, probes, a collective, one-sided
+// data, synchronization, a flush and notified access — records every
+// exported Trace* kind in the span log, and the profiler enters every
+// kind but the schedule rounds.
+func TestTraceRecordsEveryKind(t *testing.T) {
+	prof := &kindProfiler{kinds: map[TraceKind]bool{}}
+	var mu sync.Mutex
+	traced := map[TraceKind]bool{}
+	run(t, 2, Config{Fabric: "inf", Trace: true, Profiler: prof}, func(p *Proc) error {
+		w := p.World()
+		buf := make([]byte, 8)
+		if p.Rank() == 0 {
+			if err := w.Send(buf, 8, Byte, 1, 1); err != nil {
+				return err
+			}
+			if err := w.Send(buf, 8, Byte, 1, 2); err != nil {
+				return err
+			}
+		} else {
+			if _, err := w.Probe(0, 1); err != nil {
+				return err
+			}
+			if _, ok, err := w.Iprobe(0, 1); err != nil || !ok {
+				return fmt.Errorf("Iprobe after Probe = %v, %v", ok, err)
+			}
+			if _, err := w.Recv(buf, 8, Byte, 0, 1); err != nil {
+				return err
+			}
+			m, err := w.Mprobe(0, 2)
+			if err != nil {
+				return err
+			}
+			if _, err := m.Recv(buf, 8, Byte); err != nil {
+				return err
+			}
+			if _, ok, err := w.Improbe(0, 3); err != nil || ok {
+				return fmt.Errorf("Improbe of an unsent message = %v, %v", ok, err)
+			}
+		}
+		if err := w.Bcast(buf, 8, Byte, 0); err != nil {
+			return err
+		}
+		win, _, err := w.WinAllocate(32, 1)
+		if err != nil {
+			return err
+		}
+		if err := win.LockAll(); err != nil {
+			return err
+		}
+		if p.Rank() == 0 {
+			if err := win.Put(buf, 8, Byte, 1, 0); err != nil {
+				return err
+			}
+			if err := win.Get(buf, 8, Byte, 1, 8); err != nil {
+				return err
+			}
+			if err := win.Accumulate(buf, 1, Long, 1, 16, OpSum); err != nil {
+				return err
+			}
+			if err := win.FlushAll(); err != nil {
+				return err
+			}
+			if err := win.PutNotify(buf, 8, Byte, 1, 24); err != nil {
+				return err
+			}
+		} else if _, err := win.WaitNotify(0); err != nil {
+			return err
+		}
+		if err := win.UnlockAll(); err != nil {
+			return err
+		}
+		if err := w.Barrier(); err != nil {
+			return err
+		}
+		mu.Lock()
+		for _, e := range p.TraceEvents() {
+			traced[e.Kind] = true
+		}
+		mu.Unlock()
+		return win.Free()
+	})
+	for _, k := range []TraceKind{TraceSend, TraceRecv, TraceWait, TraceColl, TracePut, TraceGet,
+		TraceAcc, TraceSync, TraceProbe, TraceSched, TraceFlush, TraceNotify} {
+		if !traced[k] {
+			t.Errorf("no %v event in the trace", k)
+		}
+		// A schedule round is a step inside a collective, not an MPI
+		// call, so only the trace records it.
+		if k != TraceSched && !prof.kinds[k] {
+			t.Errorf("the profiler never entered a %v call", k)
+		}
 	}
 }
