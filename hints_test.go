@@ -163,3 +163,52 @@ func TestSplitOptHintsPinnedTraffic(t *testing.T) {
 		return nil
 	})
 }
+
+// TestRecvInitHints holds a persistent receive to the communicator's
+// assertions, as Irecv is held: a wildcard a hint rules out is ErrHint
+// at RecvInit, and every activation of a receive on an exact-length
+// communicator reports a short delivery as ErrHint at its Wait, while
+// an exact one completes. Both devices.
+func TestRecvInitHints(t *testing.T) {
+	for _, dev := range []DeviceKind{DeviceCH4, DeviceOriginal} {
+		t.Run(string(dev), func(t *testing.T) {
+			run(t, 2, Config{Device: dev, Fabric: "inf"}, func(p *Proc) error {
+				w, peer := p.World(), 1-p.Rank()
+				buf := make([]byte, 4)
+				d, err := w.DupOpt(CommOptions{Hints: CommHints{NoAnySource: true, NoAnyTag: true}})
+				if err != nil {
+					return err
+				}
+				if _, err := d.RecvInit(buf, 4, Byte, AnySource, 0); ClassOf(err) != ErrHint {
+					return fmt.Errorf("RecvInit AnySource on a NoAnySource comm: got %v, want ErrHint", err)
+				}
+				if _, err := d.RecvInit(buf, 4, Byte, peer, AnyTag); ClassOf(err) != ErrHint {
+					return fmt.Errorf("RecvInit AnyTag on a NoAnyTag comm: got %v, want ErrHint", err)
+				}
+
+				e, err := w.DupOpt(CommOptions{Hints: CommHints{ExactLength: true}})
+				if err != nil {
+					return err
+				}
+				op, err := e.RecvInit(buf, 4, Byte, peer, 1)
+				if err != nil {
+					return err
+				}
+				// Short, exact, short: the check holds on every activation.
+				for i, n := range []int{2, 4, 2} {
+					if err := op.Start(); err != nil {
+						return err
+					}
+					if err := e.Send([]byte{1, 2, 3, 4}[:n], n, Byte, peer, 1); err != nil {
+						return err
+					}
+					_, err := op.Wait()
+					if want := n == 4; (err == nil) != want || (!want && ClassOf(err) != ErrHint) {
+						return fmt.Errorf("activation %d: %d bytes into an exact-length 4-byte receive: %v", i, n, err)
+					}
+				}
+				return nil
+			})
+		})
+	}
+}

@@ -32,8 +32,10 @@ func TestConfigDefaults(t *testing.T) {
 		t.Errorf("override Config not honored: %d/%d/%d", d.cellSize, d.ringCells, d.eagerMax)
 	}
 	r := d.ring(0, 1)
-	if len(r.cells) != 8 || len(r.cells[0].data) != 1024 {
-		t.Errorf("ring geometry %d cells x %d bytes, want 8 x 1024", len(r.cells), len(r.cells[0].data))
+	d.Bind(0, testRank())
+	d.Send(0, 1, match.MakeBits(0, 0, 0), make([]byte, inlineBytes+1)) // a long fragment: the slab
+	if slot := r.payload(0, inlineBytes+1, d.cellSize); len(r.cells) != 8 || cap(slot) != 1024 {
+		t.Errorf("ring geometry %d cells x %d bytes, want 8 x 1024", len(r.cells), cap(slot))
 	}
 }
 

@@ -8,6 +8,15 @@
 // (the CH4 device wires this to the rank's matching engine so netmod
 // and shmmod traffic share one matching context).
 //
+// The model and the host count a ring's bytes differently. The model
+// reserves every cell's full payload capacity (RingStateBytes, which
+// MaxPeerBytes and the peer-state metrics count), as a real shmmod
+// maps its whole segment up front. The host stores a fragment of up to
+// 64 bytes inline in its cell, next to the header, and allocates the
+// ring's ringCells×cellSize payload slab only when the first longer
+// fragment is sent: a ring that only ever carries small messages never
+// pays for it.
+//
 // Above a configurable threshold (Config.EagerMax) the transport
 // switches from the staged cell protocol to a zero-copy handoff: the
 // sender publishes a borrowed read-only view of its user buffer as one
@@ -31,13 +40,15 @@ import (
 	"gompi/internal/vtime"
 )
 
-// CellSize is the default payload capacity of one ring cell. Real
-// shmmods use cache-line-multiple cells; 4 KiB amortizes header costs
-// for the halo exchanges the applications do.
+// CellSize is the default payload capacity of one ring cell, the
+// fragment size of the modelled protocol. Real shmmods use
+// cache-line-multiple cells; 4 KiB amortizes header costs for the halo
+// exchanges the applications do.
 const CellSize = 4096
 
-// RingCells is the default number of cells per ring (256 KiB of
-// payload per ordered pair).
+// RingCells is the default number of cells per ring: 256 KiB of
+// modelled payload per ordered pair, which the host allocates only
+// once a fragment longer than a cell's inline bytes is sent.
 const RingCells = 64
 
 // Config overrides the transport's geometry and protocol thresholds.
@@ -70,6 +81,11 @@ const (
 	cellHeaderBytes = 64
 	ringFixedBytes  = 192
 )
+
+// inlineBytes is the payload a cell carries in place, next to its
+// header: one cache line. A fragment no longer than it never touches
+// the ring's slab.
+const inlineBytes = 64
 
 // Profile is the shared-memory cost model: on-node messaging costs an
 // order of magnitude less than NIC injection, which is the reason CH4
@@ -308,6 +324,11 @@ type ring struct {
 	waiting         atomic.Bool
 	lent, lentBytes atomic.Int64
 	hFree           *Handoff
+	// slab backs the long-payload slots of every cell: nil until the
+	// first fragment longer than inlineBytes, created by the producer
+	// before it publishes that cell, and never replaced, so a consumer
+	// reads it only for a cell whose publication ordered the store.
+	slab []byte
 	// prodMu serializes whole messages of sibling producers, whose
 	// fragments would otherwise interleave. It is held across full-ring
 	// waits too: the consumer needs no producer lock, so draining always
@@ -334,14 +355,29 @@ type ring struct {
 	mid     atomic.Int64
 }
 
+// cell is one ring slot. vci and n (at most cellSize) are 32-bit so
+// the header and the inline line fit in 104 B: eight cells plus the
+// allocator's header of a pointerful object stay in one 896 B size
+// class.
 type cell struct {
 	bits    match.Bits
-	vci     int // sender-chosen VCI (repeated in every fragment)
-	msgLen  int // total message length (repeated in every fragment)
-	n       int // payload bytes in this fragment
+	vci     int32 // sender-chosen VCI (repeated in every fragment)
+	n       int32 // payload bytes in this fragment
+	msgLen  int   // total message length (repeated in every fragment)
 	arrival vtime.Time
 	h       *Handoff // descriptor cell: lent view instead of payload
-	data    []byte
+	inline  [inlineBytes]byte
+}
+
+// payload is cell i's n-byte fragment: its inline bytes when n fits
+// there, else its slot of the slab. The three-index slice keeps a slot
+// from reaching into its neighbour's.
+func (r *ring) payload(i uint64, n, cellSize int) []byte {
+	if n <= inlineBytes {
+		return r.cells[i].inline[:n]
+	}
+	off := int(i) * cellSize
+	return r.slab[off : off+n : off+cellSize]
 }
 
 // RingStateBytes reports the modeled memory footprint of one ring with
@@ -360,16 +396,12 @@ func (d *Domain) ring(src, dst int) *ring {
 	return d.createRing(src, dst)
 }
 
-// createRing is a pair's first touch. The ring is built (its slab
-// zeroed) before the creation lock is taken; goroutines of one rank may
-// race here under MPI_THREAD_MULTIPLE, and the loser discards its ring.
+// createRing is a pair's first touch. The ring is built before the
+// creation lock is taken, without its payload slab; goroutines of one
+// rank may race here under MPI_THREAD_MULTIPLE, and the loser discards
+// its ring.
 func (d *Domain) createRing(src, dst int) *ring {
 	r := &ring{cells: make([]cell, d.ringCells)}
-	slab := make([]byte, d.ringCells*d.cellSize)
-	for i := range r.cells {
-		// Three-index slices: a cell cannot grow into its neighbour.
-		r.cells[i].data = slab[i*d.cellSize : (i+1)*d.cellSize : (i+1)*d.cellSize]
-	}
 
 	d.mu.Lock()
 	d.lockTouches++
@@ -536,9 +568,13 @@ func (d *Domain) send(src, dst int, bits match.Bits, data []byte, vci int, allow
 		m.ChargeCycles(instr.Transport, p.CellOverhead+vtime.Cycles(p.PerByte*float64(n)))
 		arrival := m.Now() + vtime.Time(p.Latency)
 
-		c := d.claim(r, src, dst, vci, off > 0)
-		c.bits, c.vci, c.msgLen, c.n, c.arrival, c.h = bits, vci, len(data), n, arrival, nil
-		copy(c.data, data[off:off+n])
+		i := d.claim(r, src, dst, vci, off > 0)
+		if n > inlineBytes && r.slab == nil {
+			r.slab = make([]byte, d.ringCells*d.cellSize)
+		}
+		c := &r.cells[i]
+		c.bits, c.vci, c.n, c.msgLen, c.arrival, c.h = bits, int32(vci), int32(n), len(data), arrival, nil
+		copy(r.payload(i, n, d.cellSize), data[off:off+n])
 		r.publish()
 
 		if off += n; off >= len(data) {
@@ -549,13 +585,13 @@ func (d *Domain) send(src, dst int, bits match.Bits, data []byte, vci int, allow
 	return nil
 }
 
-// claim returns the cell at r's tail, the producer's to fill until it
-// publishes it. On a full ring it waits in src's bound Wait for a slot,
-// by the handshake described at ring, after waking the receiver if the
-// message is midway: its queued cells have had no wake yet, while every
-// earlier message's have. The Wait serves src's own rings meanwhile:
+// claim returns the index of the cell at r's tail, the producer's to
+// fill until it publishes it. On a full ring it waits in src's bound
+// Wait for a slot, by the handshake described at ring, after waking the
+// receiver if the message is midway: its queued cells have had no wake
+// yet, while every earlier message's have. The Wait serves src's own rings meanwhile:
 // the receiver may itself be blocked on a full ring toward src.
-func (d *Domain) claim(r *ring, src, dst, vci int, midway bool) *cell {
+func (d *Domain) claim(r *ring, src, dst, vci int, midway bool) uint64 {
 	n, t := uint64(len(r.cells)), r.tail.Load()
 	if t-r.head.Load() >= n {
 		if midway {
@@ -574,7 +610,7 @@ func (d *Domain) claim(r *ring, src, dst, vci int, midway bool) *cell {
 		})
 		r.waiting.Store(false)
 	}
-	return &r.cells[t%n]
+	return t % n
 }
 
 // publish hands the claimed cell to the consumer.
@@ -591,7 +627,7 @@ func (d *Domain) publishHandoff(r *ring, src, dst int, bits match.Bits, data []b
 	m.Metrics().Flight.Record(flight.ShmHandoff, int64(m.Now()), dst, len(data), vci)
 	arrival := m.Now() + vtime.Time(p.Latency)
 
-	c := d.claim(r, src, dst, vci, false)
+	c := &r.cells[d.claim(r, src, dst, vci, false)]
 	h := r.hFree
 	if h == nil {
 		h = &Handoff{}
@@ -601,7 +637,7 @@ func (d *Domain) publishHandoff(r *ring, src, dst int, bits match.Bits, data []b
 	h.d, h.r, h.src, h.dst, h.vci = d, r, src, dst, vci
 	h.view, h.bytes = data, len(data)
 	h.published = m.Now()
-	c.bits, c.vci, c.msgLen, c.n, c.arrival, c.h = bits, vci, len(data), 0, arrival, h
+	c.bits, c.vci, c.n, c.msgLen, c.arrival, c.h = bits, int32(vci), 0, len(data), arrival, h
 	r.lent.Store(r.lent.Load() + 1)
 	r.lentBytes.Store(r.lentBytes.Load() + int64(len(data)))
 	r.publish()
@@ -640,11 +676,12 @@ func (d *Domain) drainRing(rank, src int, r *ring, meter *proc.Rank) int {
 	p := &d.prof
 	delivered := 0
 	for r.head.Load() != r.tail.Load() {
-		c := &r.cells[r.head.Load()%uint64(len(r.cells))]
+		i := r.head.Load() % uint64(len(r.cells))
+		c := &r.cells[i]
 		if h := c.h; h != nil {
 			// Descriptor cell: capture the header (the slot is the producer's
 			// again the moment head moves) and deliver the lent view.
-			bits, vci, arrival := c.bits, c.vci, c.arrival
+			bits, vci, arrival := c.bits, int(c.vci), c.arrival
 			d.retire(r, src, vci)
 
 			meter.ChargeCycles(instr.Transport, p.CellOverhead+p.RecvOverhead)
@@ -659,15 +696,15 @@ func (d *Domain) drainRing(rank, src int, r *ring, meter *proc.Rank) int {
 			delivered++
 			continue
 		}
-		n := c.n
+		n, vci := int(c.n), int(c.vci)
 		if len(r.cur) == 0 && n == c.msgLen {
 			// A one-cell message is delivered from its cell: no
 			// reassembly copy. The cell is retired once deliver has
 			// copied what it keeps.
 			meter.ChargeCycles(instr.Transport, p.CellOverhead+vtime.Cycles(p.PerByte*float64(n)))
 			meter.ChargeCycles(instr.Transport, p.RecvOverhead)
-			d.deliver(rank, c.bits, src, c.data[:n], c.arrival, c.vci)
-			d.retire(r, src, c.vci)
+			d.deliver(rank, c.bits, src, r.payload(i, n, d.cellSize), c.arrival, vci)
+			d.retire(r, src, vci)
 			delivered++
 			continue
 		}
@@ -676,15 +713,15 @@ func (d *Domain) drainRing(rank, src int, r *ring, meter *proc.Rank) int {
 				r.cur = make([]byte, 0, c.msgLen)
 			}
 			r.curBits = c.bits
-			r.curVCI = c.vci
+			r.curVCI = vci
 			r.curLen = c.msgLen
 			r.arrival = c.arrival
 		}
-		r.cur = append(r.cur, c.data[:n]...)
+		r.cur = append(r.cur, r.payload(i, n, d.cellSize)...)
 		if c.arrival > r.arrival {
 			r.arrival = c.arrival
 		}
-		d.retire(r, src, c.vci) // frees the cell for a blocked producer
+		d.retire(r, src, vci) // frees the cell for a blocked producer
 
 		meter.ChargeCycles(instr.Transport, p.CellOverhead+vtime.Cycles(p.PerByte*float64(n)))
 

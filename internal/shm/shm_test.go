@@ -179,6 +179,76 @@ func TestOneCellDeliveryMatchesModel(t *testing.T) {
 	}
 }
 
+// TestRingPayloadBoundary runs messages at every edge of the inline
+// and slab storage — empty, around inlineBytes, around one cell, and
+// multi-cell with a tail that fits inline or not — through four cell
+// sizes, and holds each to the cost model: the bytes delivered are the
+// bytes sent, the sender and the receiver are charged their per-message
+// and per-cell cycles whichever storage carried a fragment, and only a
+// message longer than a cell pays a reassembly copy. A ring allocates
+// its slab at its first fragment longer than inlineBytes, and a ring
+// whose cells never hold one never does.
+func TestRingPayloadBoundary(t *testing.T) {
+	p := DefaultProfile
+	for _, cell := range []int{16, 64, 256, 4096} {
+		sizes := []int{0, 1, 63, 64, 65, cell - 1, cell, cell + 1, 2*cell + 1, 2*cell + 64, 2*cell + 65}
+		var got []delivery
+		d := NewDomainCfg(p, Config{CellSize: cell, RingCells: 8}, 2,
+			func(dst int, bits match.Bits, src int, data []byte, arrival vtime.Time, vci int) {
+				got = append(got, delivery{bits, src, append([]byte(nil), data...), arrival})
+			}, nil)
+		snd, rcv := testRank(), testRank()
+		d.Bind(0, snd)
+		d.Bind(1, rcv)
+		bindSpin(d, 2)
+		r := d.ring(0, 1)
+		long := false // a fragment longer than inlineBytes has been sent
+		for i, n := range sizes {
+			msg := make([]byte, n)
+			for j := range msg {
+				msg[j] = byte(i*31 + j)
+			}
+			sendCost, recvCost := p.SendOverhead, p.RecvOverhead
+			for off := 0; off == 0 || off < n; off += cell {
+				frag := min(cell, n-off)
+				perCell := p.CellOverhead + vtime.Cycles(p.PerByte*float64(frag))
+				sendCost += perCell
+				recvCost += perCell
+				long = long || frag > inlineBytes
+			}
+			sclock, sstaged := snd.Now(), snd.Metrics().CopiesStaged.Msgs
+			rclock, rstaged := rcv.Now(), rcv.Metrics().CopiesStaged.Msgs
+			got = got[:0]
+			d.Send(0, 1, match.MakeBits(1, 0, i), msg)
+			if k := d.Progress(1); k != 1 || len(got) != 1 || !bytes.Equal(got[0].data, msg) || got[0].bits.Tag() != i {
+				t.Fatalf("cell %d, %d bytes: %d deliveries, %+v", cell, n, k, got)
+			}
+			if c := vtime.Cycles(snd.Now() - sclock); c != sendCost {
+				t.Errorf("cell %d, %d bytes: sender charged %d cycles, want %d", cell, n, c, sendCost)
+			}
+			if c := vtime.Cycles(rcv.Now() - rclock); c != recvCost {
+				t.Errorf("cell %d, %d bytes: receiver charged %d cycles, want %d", cell, n, c, recvCost)
+			}
+			wantSend, wantRecv := int64(0), int64(0)
+			if n > 0 {
+				wantSend = 1 // copy-in
+			}
+			if n > cell {
+				wantRecv = 1 // reassembly
+			}
+			if c := snd.Metrics().CopiesStaged.Msgs - sstaged; c != wantSend {
+				t.Errorf("cell %d, %d bytes: sender staged %d copies, want %d", cell, n, c, wantSend)
+			}
+			if c := rcv.Metrics().CopiesStaged.Msgs - rstaged; c != wantRecv {
+				t.Errorf("cell %d, %d bytes: receiver staged %d copies, want %d", cell, n, c, wantRecv)
+			}
+			if slab := len(r.slab); (slab > 0) != long || (long && slab != 8*cell) {
+				t.Errorf("cell %d, after %d bytes: slab of %d bytes, long fragment sent %v", cell, n, slab, long)
+			}
+		}
+	}
+}
+
 func TestFIFOOrderPerPair(t *testing.T) {
 	d, boxes, _ := newTestDomain(2)
 	for i := 0; i < 10; i++ {

@@ -266,6 +266,60 @@ func TestSharedSiblingsOneRing(t *testing.T) {
 	wg.Wait()
 }
 
+// TestSharedSiblingsFirstSlab races ThreadMultiple sibling producers'
+// first long fragments into fresh rings: whichever takes prodMu first
+// creates the ring's payload slab, the others write into it, and the
+// consumer reads every long fragment from it. Under -race this holds
+// the slab's creation to the producer lock and its publication to the
+// cell handshake. Every message must arrive whole, and the ring must
+// end with one slab of the ring's geometry.
+func TestSharedSiblingsFirstSlab(t *testing.T) {
+	const senders, rounds = 4, 50
+	cfg := Config{CellSize: 128, RingCells: 4}
+	want := make([]byte, inlineBytes+1+senders*cfg.CellSize)
+	for round := 0; round < rounds; round++ {
+		var got atomic.Int64
+		d := NewDomainCfg(DefaultProfile, cfg, 2,
+			func(_ int, bits match.Bits, _ int, data []byte, _ vtime.Time, _ int) {
+				g := bits.Tag()
+				if !bytes.Equal(data, stamped(want[:inlineBytes+1+g*cfg.CellSize], g)) {
+					t.Errorf("round %d, sender %d: %d bytes, not as sent", round, g, len(data))
+				}
+				got.Add(1)
+			}, nil)
+		d.Bind(0, sharedRank())
+		d.Bind(1, sharedRank())
+		bindSpin(d, 2)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < senders; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				// Sender g's first fragment is long: one cell over, or
+				// the one-cell message of inlineBytes+1.
+				buf := stamped(make([]byte, inlineBytes+1+g*cfg.CellSize), g)
+				<-start
+				d.Send(0, 1, match.MakeBits(1, 0, g), buf)
+			}(g)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for got.Load() < senders {
+				if d.Progress(1) == 0 {
+					runtime.Gosched()
+				}
+			}
+		}()
+		close(start)
+		wg.Wait()
+		if r := d.ring(0, 1); len(r.slab) != cfg.RingCells*cfg.CellSize {
+			t.Fatalf("round %d: slab of %d bytes, want %d", round, len(r.slab), cfg.RingCells*cfg.CellSize)
+		}
+	}
+}
+
 // TestWaitGraphMidMessage pins what the dump prints for a ring stopped
 // mid-message — cells still queued, bytes already reassembled — and
 // that PendingFrom agrees, from atomics alone.
@@ -302,7 +356,7 @@ func TestRingLayout(t *testing.T) {
 	const line = 64
 	for name, off := range map[string]uintptr{
 		"tail": unsafe.Offsetof(r.tail), "waiting": unsafe.Offsetof(r.waiting), "lentBytes": unsafe.Offsetof(r.lentBytes),
-		"hFree": unsafe.Offsetof(r.hFree), "prodMu": unsafe.Offsetof(r.prodMu),
+		"hFree": unsafe.Offsetof(r.hFree), "slab": unsafe.Offsetof(r.slab), "prodMu": unsafe.Offsetof(r.prodMu),
 	} {
 		if head := unsafe.Offsetof(r.head); head < off+line {
 			t.Errorf("head at byte %d, %s at byte %d: less than a %d-byte line apart", head, name, off, line)

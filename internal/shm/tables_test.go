@@ -153,19 +153,22 @@ func TestLockTouchCount(t *testing.T) {
 }
 
 // TestSteadyStateAllocs pins the allocation-free steady state: a
-// staged send and its drain, and the idle poll of a rank nothing feeds
-// in a 1024-rank domain whose other ranks are connected.
+// staged send and its drain, from an inline cell (8 B) and from the
+// slab (4 KiB, once the slab exists), and the idle poll of a rank
+// nothing feeds in a 1024-rank domain whose other ranks are connected.
 func TestSteadyStateAllocs(t *testing.T) {
 	d := boundDomain(Config{}, 2)
 	bits := match.MakeBits(1, 0, 5)
-	payload := make([]byte, 8)
-	cycle := func() {
-		d.Send(0, 1, bits, payload)
-		d.Progress(1)
-	}
-	cycle()
-	if a := testing.AllocsPerRun(100, cycle); a != 0 {
-		t.Errorf("Send+Progress allocates %.1f objects/op, want 0", a)
+	for _, size := range []int{8, 4096} {
+		payload := make([]byte, size)
+		cycle := func() {
+			d.Send(0, 1, bits, payload)
+			d.Progress(1)
+		}
+		cycle()
+		if a := testing.AllocsPerRun(100, cycle); a != 0 {
+			t.Errorf("%d B Send+Progress allocates %.1f objects/op, want 0", size, a)
+		}
 	}
 
 	big := boundDomain(scaleCfg, 1024)
@@ -177,9 +180,10 @@ func TestSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestFirstTouchAllocs pins a pair's first touch at five heap objects:
-// the ring, its cell headers, its payload slab, and the two republished
-// tables' shared array and headers.
+// TestFirstTouchAllocs pins a pair's first touch at four heap objects:
+// the ring, its cells, and the two republished tables' shared array and
+// headers. The payload slab waits for the ring's first long fragment,
+// whose slots each end where the next begins.
 func TestFirstTouchAllocs(t *testing.T) {
 	const runs = 100
 	d := boundDomain(scaleCfg, runs+2)
@@ -188,14 +192,68 @@ func TestFirstTouchAllocs(t *testing.T) {
 		d.Preconnect(src, src+1)
 		src++
 	})
-	if a > 5 {
-		t.Errorf("first touch allocates %.1f objects, want <= 5", a)
+	if a > 4 {
+		t.Errorf("first touch allocates %.1f objects, want <= 4", a)
 	}
 	r := d.ring(0, 1)
+	if r.slab != nil {
+		t.Fatal("first touch allocated the payload slab")
+	}
+	d.Send(0, 1, match.MakeBits(1, 0, 0), make([]byte, inlineBytes+1))
 	for i := range r.cells {
-		if c := r.cells[i].data; len(c) != 256 || cap(c) != 256 {
-			t.Fatalf("cell %d: len %d cap %d, want 256/256 (a cell must not reach into its neighbour)", i, len(c), cap(c))
+		c := r.payload(uint64(i), 256, 256)
+		if len(c) != 256 || cap(c) != 256 || &c[0] != &r.slab[i*256] {
+			t.Fatalf("cell %d: slot at %p len %d cap %d, want slab[%d:] 256/256 (a cell must not reach into its neighbour)",
+				i, &c[0], len(c), cap(c), i*256)
 		}
+	}
+}
+
+// TestRingHostBytes pins what a ring costs the host's heap, apart from
+// what the model charges for it. In the scale geometry a first touch
+// allocates at most 1.3 KB (the ring, its cells with their inline
+// bytes, the two tables), the ring's first long fragment adds exactly
+// its ringCells×cellSize slab, and no later fragment adds anything;
+// the modelled footprint is the full ring whatever the host holds.
+func TestRingHostBytes(t *testing.T) {
+	const runs = 100
+	d := boundDomain(scaleCfg, runs+2)
+	if got := d.RingStateBytes(); got != 2752 {
+		t.Errorf("RingStateBytes = %d, want 2752 (8 cells x (256 + 64 B header) + 192 B)", got)
+	}
+	heap := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	touch := heap(func() {
+		for src := 0; src < runs; src++ {
+			d.Preconnect(src, src+1)
+		}
+	})
+	if per := touch / runs; per > 1300 {
+		t.Errorf("first touch allocates %d B of heap, want <= 1300", per)
+	}
+
+	small, long := make([]byte, inlineBytes), make([]byte, inlineBytes+1)
+	bits := match.MakeBits(1, 0, 0)
+	cycle := func(data []byte) func() {
+		return func() {
+			d.Send(0, 1, bits, data)
+			d.Progress(1)
+		}
+	}
+	cycle(small)() // warm the send and drain paths on inline cells
+	if b := heap(cycle(long)); b != 8*256 {
+		t.Errorf("the ring's first long fragment allocates %d B, want its %d B slab", b, 8*256)
+	}
+	if b := heap(cycle(long)); b != 0 {
+		t.Errorf("a later long fragment allocates %d B, want 0", b)
+	}
+	if r := d.ring(0, 1); len(r.slab) != 8*256 {
+		t.Errorf("slab of %d bytes, want %d", len(r.slab), 8*256)
 	}
 }
 

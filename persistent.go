@@ -7,6 +7,8 @@ package gompi
 // happens at Init, not per Start — which is the standard-conformant
 // cousin of the paper's per-call overhead analysis.
 
+import "gompi/internal/datatype"
+
 // PersistentOp is an initialized, restartable operation.
 type PersistentOp struct {
 	c     *Comm
@@ -20,7 +22,8 @@ type PersistentOp struct {
 	// req is the activation's Request, owned by the operation so a
 	// Start allocates none: an activation is in flight while req.r is
 	// set, and completing it (Wait, or a Test that finds it done)
-	// clears req.r.
+	// clears req.r. A receive on an ExactLength communicator arms
+	// req's exact-length check once, at Init; every activation keeps it.
 	req Request
 }
 
@@ -35,14 +38,24 @@ func (c *Comm) SendInit(buf []byte, count int, dt *Datatype, dest, tag int) (*Pe
 	return &PersistentOp{c: c, send: true, buf: buf, count: count, dt: dt, peer: dest, tag: tag}, nil
 }
 
-// RecvInit binds a persistent receive (MPI_RECV_INIT).
+// RecvInit binds a persistent receive (MPI_RECV_INIT). The
+// communicator's hints are enforced as irecv enforces them: a wildcard
+// it rules out is ErrHint here, and its exact-length assertion is
+// checked at the completion of every activation.
 func (c *Comm) RecvInit(buf []byte, count int, dt *Datatype, src, tag int) (*PersistentOp, error) {
 	if c.p.bc.ErrorChecking {
 		if err := c.p.checkSendArgs(buf, count, dt, src, tag, c, true); err != nil {
 			return nil, err
 		}
 	}
-	return &PersistentOp{c: c, send: false, buf: buf, count: count, dt: dt, peer: src, tag: tag}, nil
+	if err := checkHints(c.c, src, tag); err != nil {
+		return nil, err
+	}
+	o := &PersistentOp{c: c, send: false, buf: buf, count: count, dt: dt, peer: src, tag: tag}
+	if c.c.Hints.ExactLength && src != ProcNull {
+		o.req.exact, o.req.exactLen = true, datatype.PackedSize(dt, count)
+	}
+	return o, nil
 }
 
 // Start restarts the operation (MPI_START). The previous activation
@@ -62,7 +75,7 @@ func (o *PersistentOp) Start() error {
 	}
 	defer o.c.p2pEnter(kind, o.peer, o.count, o.dt)()
 	r, err := start(o.buf, o.count, o.dt, o.peer, o.tag, o.c.c, 0)
-	o.req = Request{r: r, p: p}
+	o.req.r, o.req.p = r, p
 	return devErr(ErrOther, err)
 }
 
